@@ -41,8 +41,8 @@ loader.close()
 
 # ---- the application session (paper steps 1-8) ------------------------------
 # Step 1: open a connection and set application attributes.
-conn = repro.connect(system, persistent=PERSISTENT)
-conn.set_option("app_name", "order-entry")
+conn = repro.connect(system, phoenix=PERSISTENT)
+conn.cursor().execute("SET app_name 'order-entry'")
 
 # Step 2: result set over the customer table for last name Smith.
 customers = conn.cursor()

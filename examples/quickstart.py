@@ -11,7 +11,7 @@ import repro
 system = repro.make_system()
 
 # Connect through Phoenix — same API as the plain driver manager.
-conn = repro.connect(system)  # persistent=True is the default
+conn = repro.connect(system)  # phoenix=True is the default
 cur = conn.cursor()
 
 cur.execute("CREATE TABLE greetings (id INT PRIMARY KEY, text VARCHAR(40))")

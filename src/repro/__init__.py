@@ -283,7 +283,6 @@ def connect(
     user: str = "app",
     options: dict | None = None,
     config: PhoenixConfig | None = None,
-    persistent: bool | None = None,
 ):
     """Open a database session — the PEP 249 ``connect`` entry point.
 
@@ -298,34 +297,28 @@ def connect(
     crash-exposed :class:`Connection` — the baseline the paper compares
     against.
 
-    ``persistent`` is the pre-DB-API spelling of the same switch and wins
-    when given (kept for existing callers).
-
     DB-API deviation (documented, deliberate): sessions start in
     *autocommit* mode like the ODBC stack the paper wraps; ``commit()`` /
     ``rollback()`` require an explicit ``begin()`` (or ``BEGIN
     TRANSACTION``) and raise :class:`~repro.errors.ProgrammingError`
     otherwise, rather than silently pretending a transaction existed.
     """
-    if persistent is not None:
-        phoenix = persistent
-    if isinstance(dsn, System):
-        system = dsn
-    elif dsn.startswith("tcp://"):
-        return _connect_url(
-            dsn, phoenix=phoenix, user=user, options=options, config=config
-        )
+    if isinstance(dsn, str) and dsn.startswith("tcp://"):
+        plain_manager, phoenix_manager, name = _url_stack(dsn)
     else:
-        try:
-            system = _systems[dsn]
-        except KeyError:
-            raise InterfaceError(
-                f"unknown DSN {dsn!r}: build one first with repro.make_system(dsn={dsn!r})"
-            ) from None
-    manager = system.phoenix if phoenix else system.plain
-    if phoenix and config is not None:
-        return manager.connect(system.DSN, user, options, config=config)
-    return manager.connect(system.DSN, user, options)
+        if isinstance(dsn, System):
+            system = dsn
+        else:
+            try:
+                system = _systems[dsn]
+            except KeyError:
+                raise InterfaceError(
+                    f"unknown DSN {dsn!r}: build one first with repro.make_system(dsn={dsn!r})"
+                ) from None
+        plain_manager, phoenix_manager, name = system.plain, system.phoenix, system.DSN
+    if not phoenix:
+        return plain_manager.connect(name, user, options)
+    return phoenix_manager.connect(name, user, options, config=config)
 
 
 #: ``tcp://host:port/name`` → the client-side stack for that address (one
@@ -346,14 +339,9 @@ def _parse_url_dsn(url: str) -> tuple[str, int, str]:
     return parts.hostname, parts.port, name
 
 
-def _connect_url(
-    url: str,
-    *,
-    phoenix: bool,
-    user: str,
-    options: dict | None,
-    config: PhoenixConfig | None,
-):
+def _url_stack(url: str) -> tuple[DriverManager, PhoenixDriverManager, str]:
+    """The (cached) client-side managers for a URL DSN, and the DSN they
+    registered its driver under."""
     host, port, name = _parse_url_dsn(url)
     key = f"tcp://{host}:{port}/{name}"
     stack = _url_stacks.get(key)
@@ -364,11 +352,7 @@ def _connect_url(
         phoenix_manager = PhoenixDriverManager()
         phoenix_manager.register_dsn(key, native)
         stack = _url_stacks[key] = (plain_manager, phoenix_manager)
-    plain_manager, phoenix_manager = stack
-    manager = phoenix_manager if phoenix else plain_manager
-    if phoenix and config is not None:
-        return manager.connect(key, user, options, config=config)
-    return manager.connect(key, user, options)
+    return (*stack, key)
 
 
 # imported last: repro.pool imports this module back at call time

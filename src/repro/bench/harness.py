@@ -55,8 +55,6 @@ __all__ = [
     "ContentionRow",
     "run_contention",
     "contention_speedup",
-    "RestartBreakdownRow",
-    "run_restart_breakdown",
     "PlannedRestartResult",
     "run_planned_restart",
     "TimeTravelReconstructRow",
@@ -1993,163 +1991,6 @@ def run_concurrency(
             )
         )
     return result
-
-
-# ============================================================ restart breakdown
-
-
-@dataclass
-class RestartBreakdownRow:
-    """One restart configuration: REDO-only vs. undo-walking restart time.
-
-    ``fast_seconds`` / ``undo_seconds`` are best-of-``trials`` wall times for
-    ``recover(..., fast_restart=True/False)`` over byte-identical storage
-    (rebuilt deterministically per trial — recovery appends closing ABORT
-    records, so storage cannot be reused across trials).
-    """
-
-    committed_txns: int
-    losers: int
-    ops_per_txn: int
-    checkpoint: bool
-    log_records: int
-    fast_seconds: float
-    undo_seconds: float
-    fast_skipped: int
-    fingerprint: int
-    fingerprints_match: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.fast_seconds <= 0:
-            return float("nan")
-        return self.undo_seconds / self.fast_seconds
-
-
-def _restart_storage(
-    committed_txns: int, losers: int, ops_per_txn: int, checkpoint: bool
-):
-    """Deterministic stable storage for one restart configuration.
-
-    ``committed_txns`` transactions each insert ``ops_per_txn`` rows into
-    ``restart_bench`` and commit.  Then (optionally) a quiescent checkpoint —
-    quiescent so the undo-walking baseline stays correct (no checkpoint
-    overlaps an active transaction) and the modes stay comparable.  Then
-    ``losers`` transactions each update a disjoint slice of ``ops_per_txn``
-    existing rows and are left open at the crash — the undo work the
-    REDO-only restart never does.
-    """
-    from repro.engine.database import Database
-    from repro.engine.schema import Column, TableSchema
-    from repro.engine.storage import InMemoryStableStorage
-    from repro.engine.values import SqlType
-
-    if losers * ops_per_txn > committed_txns * ops_per_txn:
-        raise ValueError("need at least as many committed txns as losers")
-    database = Database(InMemoryStableStorage())
-    setup = database.begin()
-    database.create_table(
-        setup,
-        TableSchema(
-            "restart_bench",
-            (Column("k", SqlType.INT, not_null=True), Column("v", SqlType.VARCHAR)),
-            primary_key=("k",),
-        ),
-    )
-    database.commit(setup)
-    key = 0
-    for _ in range(committed_txns):
-        txn = database.begin()
-        for _ in range(ops_per_txn):
-            database.insert_row(txn, "restart_bench", [key, f"v{key}"])
-            key += 1
-        database.commit(txn)
-    if checkpoint:
-        database.checkpoint()
-    for loser in range(losers):
-        txn = database.begin()
-        base = loser * ops_per_txn
-        for offset in range(ops_per_txn):
-            rowid = base + offset + 1  # rowids are assigned from 1 in order
-            database.update_row(
-                txn, "restart_bench", rowid, [base + offset, "dirty"]
-            )
-        # left open: this transaction dies with the crash
-    database.wal.force()
-    return database.storage
-
-
-def _restart_fingerprint(database) -> int:
-    table = database.get_table("restart_bench")
-    rows = [table.data.rows[rowid] for rowid in sorted(table.data.rows)]
-    return _fold_fingerprint(0, "restart_bench", rows)
-
-
-def run_restart_breakdown(
-    *,
-    grid: tuple[tuple[int, int, bool], ...] = (
-        (100, 0, False),
-        (100, 16, False),
-        (100, 64, False),
-        (100, 16, True),
-        (100, 64, True),
-    ),
-    ops_per_txn: int = 4,
-    trials: int = 5,
-) -> list[RestartBreakdownRow]:
-    """The REDO-only restart ablation (tentpole benchmark).
-
-    For each ``(committed_txns, losers, checkpoint)`` configuration, time
-    ``recover()`` with ``fast_restart=True`` (REDO-only: winners replayed
-    forward, losers skipped wholesale) against ``fast_restart=False`` (the
-    prior design: redo everything, then walk losers' records backwards
-    applying undo images).  Both modes must produce the same recovered
-    table fingerprint; each timing is the best of ``trials`` runs over
-    freshly rebuilt storage.
-    """
-    from repro.engine.recovery import recover
-
-    rows: list[RestartBreakdownRow] = []
-    for committed, losers, checkpoint in grid:
-        timings: dict[bool, float] = {}
-        fingerprints: dict[bool, int] = {}
-        log_records = 0
-        fast_skipped = 0
-        for fast in (True, False):
-            best = float("inf")
-            for _ in range(trials):
-                storage = _restart_storage(committed, losers, ops_per_txn, checkpoint)
-                started = time.perf_counter()
-                database, report = recover(storage, fast_restart=fast)
-                elapsed = time.perf_counter() - started
-                best = min(best, elapsed)
-                fingerprints[fast] = _restart_fingerprint(database)
-                if fast:
-                    log_records = report.records_scanned
-                    fast_skipped = report.records_skipped
-            timings[fast] = best
-        match = fingerprints[True] == fingerprints[False]
-        if not match:
-            raise RuntimeError(
-                f"restart breakdown ({committed} committed, {losers} losers, "
-                f"checkpoint={checkpoint}): REDO-only and undo-walking "
-                f"recovery diverged: {fingerprints[True]} != {fingerprints[False]}"
-            )
-        rows.append(
-            RestartBreakdownRow(
-                committed_txns=committed,
-                losers=losers,
-                ops_per_txn=ops_per_txn,
-                checkpoint=checkpoint,
-                log_records=log_records,
-                fast_seconds=timings[True],
-                undo_seconds=timings[False],
-                fast_skipped=fast_skipped,
-                fingerprint=fingerprints[True],
-                fingerprints_match=match,
-            )
-        )
-    return rows
 
 
 # ================================================================== time travel

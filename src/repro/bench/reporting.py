@@ -10,7 +10,6 @@ Usage::
     python -m repro.bench.reporting obs_overhead --json BENCH_obs_overhead.json
     python -m repro.bench.reporting recovery_breakdown
     python -m repro.bench.reporting concurrency --json BENCH_concurrency.json
-    python -m repro.bench.reporting restart --json BENCH_restart.json
     python -m repro.bench.reporting plannedrestart --json BENCH_planned_restart.json
     python -m repro.bench.reporting timetravel --json BENCH_time_travel.json
     python -m repro.bench.reporting tcp --json BENCH_tcp.json
@@ -42,7 +41,6 @@ from repro.bench.harness import (
     PlanCacheRun,
     PlannedRestartResult,
     RecoveryBreakdownRow,
-    RestartBreakdownRow,
     Table1Row,
     TcpServingResult,
     TimeTravelResult,
@@ -57,7 +55,6 @@ from repro.bench.harness import (
     run_plan_cache_ablation,
     run_planned_restart,
     run_recovery_breakdown,
-    run_restart_breakdown,
     run_table1_power_comparison,
     run_tcp_serving,
     run_time_travel,
@@ -75,7 +72,6 @@ __all__ = [
     "render_obs_overhead",
     "render_recovery_breakdown",
     "render_concurrency",
-    "render_restart_breakdown",
     "render_planned_restart",
     "render_time_travel",
     "render_tcp_serving",
@@ -277,29 +273,6 @@ def render_recovery_breakdown(rows: list[RecoveryBreakdownRow]) -> str:
             f"{row.mean_await_ms:>11.3f} {row.mean_phase1_ms:>12.3f} "
             f"{row.mean_phase2_ms:>12.3f} {row.mean_total_ms:>11.3f}"
         )
-    return "\n".join(lines)
-
-
-def render_restart_breakdown(rows: list[RestartBreakdownRow]) -> str:
-    """Experiment RS: REDO-only restart vs the undo-walking baseline."""
-    lines = [
-        "Experiment RS. REDO-only restart vs undo-walking recovery",
-        f"{'Committed':>10} {'Losers':>7} {'Ckpt':>5} {'Log recs':>9} "
-        f"{'Skipped':>8} {'Fast (ms)':>10} {'Undo (ms)':>10} {'Speedup':>8}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.committed_txns:>10} {row.losers:>7} "
-            f"{'yes' if row.checkpoint else 'no':>5} {row.log_records:>9} "
-            f"{row.fast_skipped:>8} {row.fast_seconds * 1e3:>10.3f} "
-            f"{row.undo_seconds * 1e3:>10.3f} {row.speedup:>7.2f}x"
-        )
-    match = (
-        "identical"
-        if all(row.fingerprints_match for row in rows)
-        else "MISMATCH"
-    )
-    lines.append(f"recovered state fast vs undo-walking: {match}")
     return "\n".join(lines)
 
 
@@ -605,25 +578,6 @@ def _tcp_serving_json(result: TcpServingResult) -> dict:
     }
 
 
-def _restart_breakdown_json(rows: list[RestartBreakdownRow]) -> list[dict]:
-    return [
-        {
-            "committed_txns": row.committed_txns,
-            "losers": row.losers,
-            "ops_per_txn": row.ops_per_txn,
-            "checkpoint": row.checkpoint,
-            "log_records": row.log_records,
-            "fast_skipped": row.fast_skipped,
-            "fast_seconds": row.fast_seconds,
-            "undo_seconds": row.undo_seconds,
-            "speedup": row.speedup,
-            "fingerprint": row.fingerprint,
-            "fingerprints_match": row.fingerprints_match,
-        }
-        for row in rows
-    ]
-
-
 def _obs_overhead_json(result: ObsOverheadResult) -> dict:
     return {
         "baseline_seconds": result.baseline_seconds,
@@ -783,7 +737,6 @@ def main(argv: list[str] | None = None) -> int:
             "obs_overhead",
             "recovery_breakdown",
             "concurrency",
-            "restart",
             "plannedrestart",
             "timetravel",
             "tcp",
@@ -801,12 +754,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trials", type=int, default=3, help="wirebatch: trials per mode"
-    )
-    parser.add_argument(
-        "--restart-trials",
-        type=int,
-        default=5,
-        help="restart: timing trials per mode and configuration",
     )
     parser.add_argument(
         "--contention-rounds",
@@ -880,10 +827,6 @@ def main(argv: list[str] | None = None) -> int:
         chaos_sweep = sweep_multi((1, 4, 16))
         print(render_concurrency(concurrency, chaos_sweep))
         payload["concurrency"] = _concurrency_json(concurrency, chaos_sweep)
-    if args.artifact in ("restart", "all"):
-        restart = run_restart_breakdown(trials=args.restart_trials)
-        print(render_restart_breakdown(restart))
-        payload["restart"] = _restart_breakdown_json(restart)
     if args.artifact in ("plannedrestart", "all"):
         planned = run_planned_restart()
         print(render_planned_restart(planned))

@@ -31,6 +31,7 @@ from repro import errors
 from repro.net.faults import FaultKind
 from repro.obs.tracer import Tracer, use_tracer
 from repro.odbc.constants import CursorType, StatementAttr
+from repro.sql import ast
 
 __all__ = ["Step", "ChaosTrace", "TraceRecord", "probe_dml_trace", "run_trace"]
 
@@ -39,7 +40,7 @@ __all__ = ["Step", "ChaosTrace", "TraceRecord", "probe_dml_trace", "run_trace"]
 class Step:
     """One application action.  ``op`` selects the shape:
 
-    * ``set`` — ``connection.set_option(name, value)``
+    * ``set`` — ``cursor.execute("SET name value")``
     * ``ddl`` / ``dml`` — ``cursor.execute(sql)`` (autocommit, wrapped)
     * ``query`` — execute ``sql`` then ``fetchmany(n)`` for each n in
       ``fetches`` (a short list leaves the delivery open mid-result)
@@ -280,7 +281,7 @@ def _run_trace_on(
 
 def _run_step(record, connection, cursor, index, step) -> None:
     if step.op == "set":
-        connection._set_option(step.name, step.value)
+        cursor.execute(ast.SetOption(step.name, step.value).sql())
         record.observations.append(("set", index))
         return
     if step.op == "begin":

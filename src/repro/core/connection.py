@@ -6,7 +6,8 @@ connections:
 
 * the **app connection** — carries exactly the traffic the application's
   statements produce (after rewriting), so interrogating the session shows
-  the expected activity;
+  the expected activity; it is the driver connection of the inherited
+  plain :class:`~repro.odbc.driver_manager.Connection` surface;
 * the **private connection** — carries Phoenix's own activity: creating
   result tables, filling them via stored procedures, probing the status
   table, pinging during recovery.
@@ -20,15 +21,12 @@ paper only protects against *server* failures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
-from repro import errors as repro_errors
 from repro.errors import (
     DeadlockError,
     Error,
-    InterfaceError,
     LockError,
     ProgrammingError,
     RecoveryError,
@@ -48,6 +46,7 @@ from repro.core.statements import ResultState, TxnReplayLog
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType
 from repro.odbc.driver import DriverConnection, NativeDriver
+from repro.odbc.driver_manager import Connection
 from repro.sql import ast
 
 __all__ = ["PhoenixConnection", "PhoenixStats"]
@@ -83,21 +82,9 @@ class PhoenixStats:
         return dict(self.__dict__)
 
 
-class PhoenixConnection:
-    """A persistent database session (drop-in for `repro.odbc.Connection`)."""
-
-    # PEP 249 optional extension: the error hierarchy as connection
-    # attributes (mirrors repro.odbc.Connection)
-    Warning = repro_errors.Warning
-    Error = repro_errors.Error
-    InterfaceError = repro_errors.InterfaceError
-    DatabaseError = repro_errors.DatabaseError
-    DataError = repro_errors.DataError
-    OperationalError = repro_errors.OperationalError
-    IntegrityError = repro_errors.IntegrityError
-    InternalError = repro_errors.InternalError
-    ProgrammingError = repro_errors.ProgrammingError
-    NotSupportedError = repro_errors.NotSupportedError
+class PhoenixConnection(Connection):
+    """A persistent database session: the plain connection surface with
+    transaction control, cursors and close intercepted."""
 
     def __init__(
         self,
@@ -108,11 +95,10 @@ class PhoenixConnection:
         options: dict[str, Any] | None = None,
         config: PhoenixConfig | None = None,
     ):
-        self.manager = manager
-        self.dsn = dsn
+        # the app connection is opened (and crash-retried) further down
+        super().__init__(manager, dsn, None, options or {})
         self.driver = driver
         self.user = user
-        self.options = dict(options or {})
         self.config = config if config is not None else PhoenixConfig()
         self.names = NameAllocator()
         self.stats = PhoenixStats()
@@ -134,7 +120,6 @@ class PhoenixConnection:
         #: bumped by every completed recovery; cursors use it to notice that
         #: their buffered delivery was re-mapped underneath them.
         self.session_epoch = 0
-        self.closed = False
 
         self.recovery = PhoenixRecovery(self)
 
@@ -151,7 +136,7 @@ class PhoenixConnection:
             attempts = max(1, self.config.max_recovery_attempts)
             for attempt in range(attempts):
                 try:
-                    self.app: DriverConnection = driver.connect(user, self.options)
+                    self.app = driver.connect(user, self.options)
                     self.private: DriverConnection = driver.connect(user, {})
                     self._install_session_fixtures()
                     break
@@ -227,32 +212,21 @@ class PhoenixConnection:
 
     # ------------------------------------------------------------- public API
 
+    @property
+    def app(self) -> DriverConnection:
+        """The app connection, under the name the inherited surface reads:
+        pass-through results fetch and close through it like plain ones."""
+        return self._driver_connection
+
+    @app.setter
+    def app(self, driver_connection: DriverConnection) -> None:
+        self._driver_connection = driver_connection
+
     def cursor(self):
         self._require_open()
         from repro.core.cursor import PhoenixCursor
 
         return PhoenixCursor(self)
-
-    def set_option(self, name: str, value: Any) -> None:
-        """Deprecated spelling of ``cursor().execute("SET name value")`` —
-        kept because existing applications call it; new code should issue
-        the SQL (it is recorded for replay either way)."""
-        warnings.warn(
-            "PhoenixConnection.set_option is deprecated; "
-            "execute 'SET <name> <value>' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._set_option(name, value)
-
-    def _set_option(self, name: str, value: Any) -> None:
-        """Record and forward a connection option (statement 1 of the
-        paper's example session: session context Phoenix must replay)."""
-        self._require_open()
-        self.set_log.append((name, value))
-        rendered = value if isinstance(value, (int, float)) else f"'{value}'"
-        with get_tracer().span("session.set_option", corr=self.correlation_id, option=name):
-            self._app_execute(f"SET {name} {rendered}")
 
     def begin(self) -> None:
         self.handle_begin()
@@ -263,12 +237,10 @@ class PhoenixConnection:
     def rollback(self) -> None:
         self.handle_rollback()
 
-    def close(self) -> None:
+    def _release(self) -> None:
         """Clean termination: drop every Phoenix-managed server object
         (paper §3: "After the client application has successfully
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
-        if self.closed:
-            return
         # mark every result state closed first: a recovery triggered *during*
         # cleanup must not try to verify/reposition tables we just dropped;
         # an abandoned open transaction is implicitly rolled back, not replayed
@@ -304,7 +276,6 @@ class PhoenixConnection:
                     unreaped.append(connection.session_id)
             if unreaped:
                 self._reap_server_sessions(unreaped)
-        self.closed = True
 
     def _reap_server_sessions(self, session_ids: list[int]) -> None:
         """Best-effort disconnect of orphaned server sessions by id.
@@ -340,30 +311,6 @@ class PhoenixConnection:
         for table in self.cleanup_tables:
             self._private_execute(f"DROP TABLE IF EXISTS {table}", retries=0)
 
-    def __enter__(self) -> "PhoenixConnection":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # PEP 249 common extension, then close: commit an open transaction
-        # on success, roll it back on exception (both ride Phoenix recovery
-        # like any other statement), then release the session as before.
-        try:
-            if self.in_transaction and not self.closed:
-                if exc_type is None:
-                    self.commit()
-                else:
-                    self.rollback()
-        except repro_errors.Error:
-            if exc_type is None:
-                raise  # a failed commit must not pass silently
-            # an exception is already flying; don't mask it with cleanup
-        finally:
-            self.close()
-
-    def _require_open(self) -> None:
-        if self.closed:
-            raise InterfaceError("connection is closed")
-
     # ------------------------------------------------------------- interception
 
     def rewrite(self, stmt: ast.Statement) -> ast.Statement:
@@ -373,6 +320,11 @@ class PhoenixConnection:
     @property
     def in_transaction(self) -> bool:
         return self.txn_log.active
+
+    @property
+    def broken(self) -> bool:
+        """Never: recovery rebuilds a dead wire on the next statement."""
+        return False
 
     # --- transactions ---------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """The Phoenix cursor: the application's statement handle.
 
-Same surface as :class:`repro.odbc.Statement` (``execute`` → ``fetch*``,
-``description``, ``rowcount``, statement attributes), but every request is
-intercepted per the paper's dispatch:
+A :class:`repro.odbc.Statement` subclass — the fetch loop, ``executemany``
+rowcount rule, statement attributes and context manager are inherited — in
+which every request is intercepted per the paper's dispatch:
 
 * **queries** are materialized as persistent server tables and delivered
   from there, so delivery can resume after a crash at the exact row where
@@ -19,9 +19,7 @@ A crash during any of this surfaces to the application only as latency.
 from __future__ import annotations
 
 import copy
-from typing import Any
 
-from repro.errors import InterfaceError, ProgrammingError
 from repro.core.connection import PhoenixConnection
 from repro.core.interceptor import (
     StatementClass,
@@ -33,58 +31,27 @@ from repro.core.recovery import RECOVERABLE_ERRORS
 from repro.core.statements import ResultState
 from repro.net.protocol import ResultResponse
 from repro.obs.tracer import get_tracer
-from repro.odbc.constants import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_FETCH_BLOCK,
-    CursorType,
-    StatementAttr,
-)
-from repro.odbc.driver_manager import describe_columns
+from repro.odbc.constants import CursorType, StatementAttr
+from repro.odbc.driver_manager import Statement, describe_columns
 from repro.sql import ast, parse_script
 
 __all__ = ["PhoenixCursor"]
 
 
-class PhoenixCursor:
+class PhoenixCursor(Statement):
     """Drop-in statement handle backed by a persistent virtual session."""
 
-    def __init__(self, connection: PhoenixConnection):
-        self.connection = connection
-        self.attrs: dict[str, Any] = {
-            StatementAttr.CURSOR_TYPE: CursorType.FORWARD_ONLY,
-            StatementAttr.FETCH_BLOCK_SIZE: DEFAULT_FETCH_BLOCK,
-            StatementAttr.QUERY_TIMEOUT: None,
-            StatementAttr.BATCH_SIZE: DEFAULT_BATCH_SIZE,
-        }
-        #: PEP 249: default size of a no-argument fetchmany()
-        self.arraysize = 1
-        self.closed = False
-        self._reset_result()
+    connection: PhoenixConnection
 
     def _reset_result(self) -> None:
-        self.description: list[tuple] | None = None
-        self.rowcount: int = -1
-        self.messages: list[str] = []
-        self.effective_cursor_type: str = CursorType.FORWARD_ONLY
+        super()._reset_result()
         self._state: ResultState | None = None
-        self._buffer: list[tuple] = []
-        self._buffer_pos = 0
-        self._done = True
         self._epoch = self.connection.session_epoch
-        self._rows_read = 0
-
-    # ------------------------------------------------------------- attributes
-
-    def set_attr(self, name: str, value: Any) -> None:
-        if name not in self.attrs:
-            raise ProgrammingError(f"unknown statement attribute {name!r}")
-        self.attrs[name] = value
 
     # ------------------------------------------------------------- execute
 
     def execute(self, sql: str, placeholders: list | None = None) -> "PhoenixCursor":
         self._require_open()
-        self.connection._require_open()
         self._reset_result()
         statements = parse_script(sql)
         bound = list(placeholders or [])
@@ -155,7 +122,7 @@ class PhoenixCursor:
         if connection.in_transaction:
             # pass-through + record for replay (queries buffer fully client
             # side, so open in-transaction results need no repositioning)
-            self._absorb_response(connection.run_in_transaction(rewritten_sql))
+            self._absorb(connection.run_in_transaction(rewritten_sql))
             return
 
         if kind is StatementClass.QUERY:
@@ -166,12 +133,12 @@ class PhoenixCursor:
             if response is not None and response.kind == "rows":
                 # an EXEC whose procedure returns a result set: deliver it
                 # like the native stack would
-                self._absorb_response(response)
+                self._absorb(response)
             self.rowcount = rowcount
             self.messages.append(f"#{seq}: {rowcount} rows")
             return
         # OTHER (CHECKPOINT, ...): pass through, retry-safe
-        self._absorb_response(connection._app_execute(rewritten_sql))
+        self._absorb(connection._app_execute(rewritten_sql))
 
     def _execute_query(self, select: ast.Select) -> None:
         connection = self.connection
@@ -179,22 +146,23 @@ class PhoenixCursor:
 
         if not connection.config.persist_results:
             # behave like the plain driver manager (baseline / config off)
-            response = connection._app_execute(select.sql(), cursor_type=requested)
-            self._absorb_response(response)
+            self._absorb(connection._app_execute(select.sql(), cursor_type=requested))
             return
 
         if requested in (CursorType.KEYSET, CursorType.DYNAMIC):
             state = connection.materialize_cursor(select, requested)
             if state is not None:
                 self._state = state
+                self.columns = state.app_columns
                 self.description = describe_columns(state.app_columns)
                 self.effective_cursor_type = requested
-                self._done = False
+                self._server_done = False
                 return
             # unsupported shape → downgrade, like real drivers do
 
         state = connection.materialize_default(select)
         self._state = state
+        self.columns = state.app_columns
         self.description = describe_columns(state.app_columns)
         self.effective_cursor_type = CursorType.FORWARD_ONLY
         self._epoch = connection.session_epoch
@@ -207,7 +175,7 @@ class PhoenixCursor:
             # retried open's rows would be served twice if buffered here.
             self._buffer = []
         self._buffer_pos = 0
-        self._done = False
+        self._server_done = False
         self._epoch = connection.session_epoch
 
     def executemany(self, sql: str, rows: list[list]) -> "PhoenixCursor":
@@ -218,34 +186,20 @@ class PhoenixCursor:
         :attr:`StatementAttr.BATCH_SIZE`-sized BatchExecuteRequests, each
         one round trip and one WAL group force server-side.  Anything else
         (multi-statement scripts, explicit transactions, non-DML, batching
-        disabled) falls back to the statement-at-a-time loop.
-
-        ``rowcount`` is the sum of the non-negative per-row rowcounts, or
-        -1 when any row's count was unknown.
+        disabled) falls back to the inherited statement-at-a-time loop.
         """
         self._require_open()
-        self.connection._require_open()
         entries = self._batch_entries(sql, rows)
-        if entries is not None:
-            self._reset_result()
-            connection = self.connection
-            batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
-            total = 0
-            for start in range(0, len(entries), batch_size):
-                counts = connection.run_dml_batch(entries[start : start + batch_size])
-                total += sum(counts)
-            self.rowcount = total
-            self.messages.append(f"{len(entries)} statements batched")
-            return self
+        if entries is None:
+            return super().executemany(sql, rows)
+        self._reset_result()
+        batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
         total = 0
-        unknown = False
-        for row in rows:
-            self.execute(sql, list(row))
-            if self.rowcount < 0:
-                unknown = True  # a sub-statement with no known count
-            else:
-                total += self.rowcount  # 0-row statements count too
-        self.rowcount = -1 if unknown else total
+        for start in range(0, len(entries), batch_size):
+            counts = self.connection.run_dml_batch(entries[start : start + batch_size])
+            total += sum(counts)
+        self.rowcount = total
+        self.messages.append(f"{len(entries)} statements batched")
         return self
 
     def _batch_entries(self, sql: str, rows: list[list]) -> list[tuple[int, str]] | None:
@@ -276,133 +230,76 @@ class PhoenixCursor:
             )
         return entries
 
-    # ------------------------------------------------------------- absorb helpers
-
     def _absorb_ok(self, response: ResultResponse) -> None:
+        """Absorb the reply of a statement Phoenix ran on the application's
+        behalf (SET, COMMIT, a redirected temp-object DDL): only its message
+        is the application's to see."""
         if response.message:
             self.messages.append(response.message)
 
-    def _absorb_response(self, response: ResultResponse) -> None:
-        """Absorb a pass-through response (like the plain Statement does)."""
-        if response.kind == "rows":
-            self.description = describe_columns(response.columns)
-            self._buffer = list(response.rows)
-            self._buffer_pos = 0
-            self._done = False
-            self._state = None  # plain buffered rows, no materialized state
-        elif response.kind == "rowcount":
-            self.rowcount = response.rowcount
-            if response.message:
-                self.messages.append(response.message)
-        else:
-            self._absorb_ok(response)
-
     # ------------------------------------------------------------- fetch
 
-    def fetchone(self) -> tuple | None:
-        rows = self.fetchmany(1)
-        return rows[0] if rows else None
-
     def fetchmany(self, n: int | None = None) -> list[tuple]:
-        self._require_open()
-        if n is None:
-            n = max(int(self.arraysize), 1)
-        tracer = get_tracer()
-        if tracer.enabled and self._state is not None:
-            with tracer.span(
-                "client.fetch", corr=self.connection.correlation_id, n=n
-            ) as span:
-                out = self._fetchmany(n)
-                span.set(rows=len(out))
-                return out
-        return self._fetchmany(n)
-
-    def _fetchmany(self, n: int) -> list[tuple]:
-        out: list[tuple] = []
-        while len(out) < n:
-            row = self._next_row()
-            if row is None:
-                break
-            out.append(row)
-        self._rows_read += len(out)
-        return out
-
-    def fetchall(self) -> list[tuple]:
-        block = max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), 1)
-        out: list[tuple] = []
-        while True:
-            chunk = self.fetchmany(block)
-            if not chunk:
-                return out
-            out.extend(chunk)
-
-    @property
-    def rows_read(self) -> int:
-        return self._rows_read
-
-    def _next_row(self) -> tuple | None:
         connection = self.connection
         state = self._state
-
-        while True:
+        if state is not None and self._epoch != connection.session_epoch:
             # a recovery re-mapped delivery under us: drop the stale buffer
             # (the rows are safe in the materialized table; ``delivered``
             # marks where the application actually is)
-            if state is not None and self._epoch != connection.session_epoch:
-                self._epoch = connection.session_epoch
-                if state.kind == "default" and state.mode != "buffered":
-                    self._buffer = []
-                    self._buffer_pos = 0
+            self._epoch = connection.session_epoch
+            if state.kind == "default" and state.mode != "buffered":
+                self._buffer = []
+                self._buffer_pos = 0
+        tracer = get_tracer()
+        if not tracer.enabled or state is None:
+            return super().fetchmany(n)
+        with tracer.span(
+            "client.fetch",
+            corr=connection.correlation_id,
+            n=self.arraysize if n is None else n,
+        ) as span:
+            out = super().fetchmany(n)
+            span.set(rows=len(out))
+            return out
 
-            if self._buffer_pos < len(self._buffer):
-                row = self._buffer[self._buffer_pos]
-                self._buffer_pos += 1
-                if state is not None and state.kind == "default":
-                    state.delivered += 1
-                return row
-
-            if state is None or self._done:
-                return None
-
-            block = max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), 1)
+    def _refill(self, wanted: int) -> bool:
+        state = self._state
+        if state is None:
+            return super()._refill(wanted)  # a pass-through result
+        connection = self.connection
+        block = max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), 1)
+        while not self._server_done:
             if state.is_cursor:
                 rows, done = connection.fetch_key_block(state, block)
-                # the block may have ridden through a recovery inside the
-                # guarded call — it is as fresh as that recovery, so adopt
-                # the new epoch or the stale-buffer check would discard it
-                self._epoch = connection.session_epoch
-                self._buffer = rows
-                self._buffer_pos = 0
-                if not rows and done:
-                    self._done = True
-                    return None
-                continue  # may loop: an all-holes keyset block yields no rows
-
-            if state.mode == "server_cursor":
+                # an all-holes keyset block yields no rows: fetch the next
+                exhausted = done and not rows
+            elif state.mode == "server_cursor":
                 rows = self._fetch_server_cursor_block(state, block)
-                # same epoch adoption: a recovery inside the fetch already
-                # advanced the re-opened server cursor past these rows —
-                # dropping them here would lose them for good
-                self._epoch = connection.session_epoch
-                if not rows:
-                    self._done = True
-                    return None
-                self._buffer = rows
-                self._buffer_pos = 0
-                continue
-            if state.mode == "rebuffered":
-                pending = state.pending_rows or []
+                exhausted = not rows
+            elif state.mode == "rebuffered":
+                rows = state.pending_rows or []
                 state.pending_rows = None
                 state.mode = "buffered"
-                if not pending:
-                    self._done = True
-                    return None
-                self._buffer = pending
-                self._buffer_pos = 0
-                continue
-            # buffered mode with a drained buffer: the result is complete
-            self._done = True
-            return None
+                exhausted = not rows
+            else:
+                # buffered mode with a drained buffer: the result is complete
+                rows, exhausted = [], True
+            # the block may have ridden through a recovery inside the guarded
+            # call (which already advanced a re-opened server cursor past
+            # these rows) — it is as fresh as that recovery, so adopt the new
+            # epoch or the stale-buffer check would discard it for good
+            self._epoch = connection.session_epoch
+            self._buffer = rows
+            self._buffer_pos = 0
+            self._server_done = exhausted
+            if rows:
+                return True
+        return False
+
+    def _consumed(self, count: int) -> None:
+        super()._consumed(count)
+        if self._state is not None and self._state.kind == "default":
+            self._state.delivered += count
 
     def _fetch_server_cursor_block(self, state: ResultState, block: int) -> list[tuple]:
         connection = self.connection
@@ -415,32 +312,12 @@ class PhoenixCursor:
                 # recovery re-opened the cursor and re-advanced it to
                 # state.delivered; just fetch again
 
-    # ------------------------------------------------------------- PEP 249 odds and ends
-
-    def setinputsizes(self, sizes) -> None:
-        """DB-API no-op: values are bound with their Python types."""
-
-    def setoutputsize(self, size, column=None) -> None:
-        """DB-API no-op: results carry no size limits."""
-
-    def __enter__(self) -> "PhoenixCursor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        if self.closed:
-            return
         if self._state is not None:
             self._state.open = False
-        self.closed = True
-
-    def _require_open(self) -> None:
-        if self.closed:
-            raise InterfaceError("cursor is closed")
+        super().close()
 
 
 def _original_temp_name(name: str, connection: PhoenixConnection) -> str:

@@ -40,6 +40,7 @@ from repro.errors import (
 )
 from repro.core.naming import PROXY_TABLE
 from repro.obs.tracer import get_tracer
+from repro.sql import ast
 
 if TYPE_CHECKING:
     from repro.core.connection import PhoenixConnection
@@ -258,8 +259,7 @@ class PhoenixRecovery:
                 pass
         connection.app = connection.driver.connect(connection.user, connection.options)
         for name, value in connection.set_log:
-            rendered = value if isinstance(value, (int, float)) else f"'{value}'"
-            connection.app.execute(f"SET {name} {rendered}")
+            connection.app.execute(ast.SetOption(name, value).sql())
         connection.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
         connection.private = connection.driver.connect(connection.user, {})
         connection.private.execute(

@@ -27,11 +27,9 @@ checkpoint leaves files with mixed stamps, but each file is individually
 clean as of its own stamp, so the guard still holds per table.
 
 Restart cost therefore scales with the number of winner records past the
-last checkpoint — not with loser count or undo-trail length, which is what
-the ``run_restart_breakdown`` ablation measures against the prior
-undo-walking design (kept here behind ``fast_restart=False`` purely as the
-benchmark baseline; it predates clean images and is only correct when no
-checkpoint overlapped an active transaction).
+last checkpoint — not with loser count or undo-trail length.  This is the
+only restart path: the undo-walking design it replaced was retired once its
+last measured comparison was frozen in EXPERIMENTS.md (Experiment RS).
 
 What is deliberately *not* recovered: sessions, temp tables, temp
 procedures, open cursors, and undelivered result sets.  They were never
@@ -89,24 +87,15 @@ def recover(
     *,
     wal_stats: WalStats | None = None,
     lock_stats: LockStats | None = None,
-    fast_restart: bool = True,
 ) -> tuple[Database, RecoveryReport]:
     """Build a consistent Database from ``storage``; returns it plus a report.
 
     ``wal_stats``/``lock_stats`` thread the server's cumulative counters
     into the new incarnation (counters outlive crashes; see
-    :class:`WalStats`).  ``fast_restart=False`` selects the old
-    redo-everything-then-undo-losers pass — retained **only** as the
-    ``run_restart_breakdown`` ablation baseline; it is not correct against
-    clean checkpoint images taken while transactions were active.
+    :class:`WalStats`).
     """
     with get_tracer().span("engine.recovery") as span:
-        database, report = _recover(
-            storage,
-            wal_stats=wal_stats,
-            lock_stats=lock_stats,
-            fast_restart=fast_restart,
-        )
+        database, report = _recover(storage, wal_stats=wal_stats, lock_stats=lock_stats)
         span.set(
             scanned=report.records_scanned,
             redone=report.records_redone,
@@ -114,7 +103,6 @@ def recover(
             losers=len(report.loser_txns),
             tables=report.tables_loaded,
             torn_tail_bytes=report.torn_tail_bytes,
-            fast_restart=fast_restart,
         )
         return database, report
 
@@ -124,7 +112,6 @@ def _recover(
     *,
     wal_stats: WalStats | None = None,
     lock_stats: LockStats | None = None,
-    fast_restart: bool = True,
 ) -> tuple[Database, RecoveryReport]:
     report = RecoveryReport()
     base = getattr(storage, "log_base", 0)
@@ -196,59 +183,32 @@ def _recover(
     # recovery replays through a fresh WAL object; keep the one Database made
     wal = database.wal
 
-    if fast_restart:
-        # ---- redo winners forward (REDO-only restart) ----------------------
-        # One pass in log order: a record is applied iff its transaction
-        # committed *after* the target's snapshot — whole transactions are
-        # replayed or skipped, never individual records.  Log order across
-        # the surviving records preserves every cross-transaction per-row
-        # ordering 2PL established at run time.
-        for record in records:
-            commit_lsn = winners.get(record.txn_id)
-            if commit_lsn is None:
-                if record.type not in (
-                    RecordType.BEGIN,
-                    RecordType.ABORT,
-                    RecordType.CHECKPOINT,
-                ):
-                    report.records_skipped += 1
-                continue
-            _replay(record, commit_lsn, database, snapshot_lsn, proc_lsn, report)
+    # ---- redo winners forward (REDO-only restart) ----------------------
+    # One pass in log order: a record is applied iff its transaction
+    # committed *after* the target's snapshot — whole transactions are
+    # replayed or skipped, never individual records.  Log order across
+    # the surviving records preserves every cross-transaction per-row
+    # ordering 2PL established at run time.
+    for record in records:
+        commit_lsn = winners.get(record.txn_id)
+        if commit_lsn is None:
+            if record.type not in (
+                RecordType.BEGIN,
+                RecordType.ABORT,
+                RecordType.CHECKPOINT,
+            ):
+                report.records_skipped += 1
+            continue
+        _replay(record, commit_lsn, database, snapshot_lsn, proc_lsn, report)
 
-        # Close every loser with one bare ABORT record — no CLRs, nothing to
-        # undo: the clean images never contained loser effects and the
-        # replay never applied them.  The batch makes the next restart's
-        # analysis see these transactions ended.
-        if losers:
-            wal.append_forced(
-                [LogRecord(RecordType.ABORT, txn_id=txn_id) for txn_id in losers]
-            )
-    else:
-        # ---- ablation baseline: redo everything, then walk undo images -----
-        loser_records: dict[int, list[LogRecord]] = {txn: [] for txn in losers}
-        compensated: dict[int, set[int]] = {txn: set() for txn in losers}
-        for record in records:
-            if record.txn_id in loser_records:
-                if record.is_clr and record.compensates:
-                    compensated[record.txn_id].add(record.compensates)
-                elif not record.is_clr and _is_undoable(record):
-                    loser_records[record.txn_id].append(record)
-            _redo(record, database, proc_lsn, report)
-        for txn_id in losers:
-            batch: list[LogRecord] = []
-            remaining = [
-                r for r in loser_records[txn_id]
-                if r.rec_id not in compensated[txn_id]
-            ]
-            for record in reversed(remaining):
-                try:
-                    batch.append(database._undo_record(record))
-                except Exception as exc:  # inconsistent log — stop loudly
-                    raise RecoveryError(
-                        f"undo failed for txn {txn_id} record {record.type}: {exc}"
-                    ) from exc
-            batch.append(LogRecord(RecordType.ABORT, txn_id=txn_id))
-            wal.append_forced(batch)
+    # Close every loser with one bare ABORT record — no CLRs, nothing to
+    # undo: the clean images never contained loser effects and the
+    # replay never applied them.  The batch makes the next restart's
+    # analysis see these transactions ended.
+    if losers:
+        wal.append_forced(
+            [LogRecord(RecordType.ABORT, txn_id=txn_id) for txn_id in losers]
+        )
 
     # ---- burn skipped rowids ----------------------------------------------
     # Rowids are never reused: a fresh insert must not land on a rowid a
@@ -360,99 +320,3 @@ _CATALOG_TYPES = frozenset(
         RecordType.DROP_INDEX,
     )
 )
-
-
-def _is_undoable(record: LogRecord) -> bool:
-    return record.type in (
-        RecordType.INSERT,
-        RecordType.DELETE,
-        RecordType.UPDATE,
-        RecordType.CREATE_TABLE,
-        RecordType.DROP_TABLE,
-        RecordType.CREATE_PROC,
-        RecordType.DROP_PROC,
-        RecordType.CREATE_VIEW,
-        RecordType.DROP_VIEW,
-        RecordType.CREATE_INDEX,
-        RecordType.DROP_INDEX,
-    )
-
-
-def _redo(record: LogRecord, database: Database, proc_lsn: int, report: RecoveryReport) -> None:
-    """Ablation-baseline redo: re-apply one record if its effect is missing
-    from current state (per-record LSN idempotence guards)."""
-    kind = record.type
-    if kind in (RecordType.BEGIN, RecordType.COMMIT, RecordType.ABORT, RecordType.CHECKPOINT):
-        return
-    if kind is RecordType.CREATE_TABLE:
-        if record.schema.name not in database.tables:
-            table = Table(
-                TableData(
-                    schema=record.schema,
-                    rows=dict(record.dropped_rows or {}),
-                    next_rowid=record.next_rowid or 1,
-                    last_lsn=record.lsn,
-                )
-            )
-            database.tables[record.schema.name] = table
-            report.records_redone += 1
-        return
-    if kind is RecordType.DROP_TABLE:
-        existing = database.tables.get(record.schema.name)
-        if existing is not None and existing.data.last_lsn < record.lsn:
-            del database.tables[record.schema.name]
-            database.storage.delete_table_file(record.schema.name)
-            report.records_redone += 1
-        return
-    if kind is RecordType.CREATE_PROC:
-        if record.lsn > proc_lsn:
-            database.procedures[record.proc_name] = record.proc_sql
-            report.records_redone += 1
-        return
-    if kind is RecordType.DROP_PROC:
-        if record.lsn > proc_lsn:
-            database.procedures.pop(record.proc_name, None)
-            report.records_redone += 1
-        return
-    if kind is RecordType.CREATE_VIEW:
-        if record.lsn > proc_lsn:
-            database.views[record.proc_name] = record.proc_sql
-            report.records_redone += 1
-        return
-    if kind is RecordType.DROP_VIEW:
-        if record.lsn > proc_lsn:
-            database.views.pop(record.proc_name, None)
-            report.records_redone += 1
-        return
-    if kind is RecordType.CREATE_INDEX:
-        if record.lsn > proc_lsn and record.proc_name not in database.indexes:
-            from repro.engine.database import _parse_index_sql
-
-            table, column = _parse_index_sql(record.proc_sql)
-            database.indexes[record.proc_name] = (table, column)
-            report.records_redone += 1
-        return
-    if kind is RecordType.DROP_INDEX:
-        if record.lsn > proc_lsn:
-            database.indexes.pop(record.proc_name, None)
-            report.records_redone += 1
-        return
-
-    table = database.tables.get(record.table)
-    if table is None:
-        # The table was dropped later in the log (its row history is moot) —
-        # a missing CREATE would mean a truncated-too-far log, which the
-        # quiescent-only truncation rule prevents.
-        return
-    if record.lsn <= table.data.last_lsn:
-        return  # already reflected in the snapshot
-    if kind is RecordType.INSERT:
-        table.insert(record.after, rowid=record.rowid)
-    elif kind is RecordType.DELETE:
-        table.delete(record.rowid)
-    elif kind is RecordType.UPDATE:
-        table.update(record.rowid, record.after)
-    else:
-        raise RecoveryError(f"unexpected record type {kind}")
-    table.data.last_lsn = record.lsn
-    report.records_redone += 1

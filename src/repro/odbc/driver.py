@@ -196,11 +196,6 @@ class DriverConnection:
             CloseCursorRequest(session_id=self.session_id, cursor_id=cursor_id)
         )
 
-    def set_option(self, name: str, value: Any) -> None:
-        """Apply a connection option server-side (``SET name value``)."""
-        rendered = value if isinstance(value, (int, float)) else f"'{value}'"
-        self.execute(f"SET {name} {rendered}")
-
     def disconnect(self) -> bool:
         """Best-effort: a session that died in a crash is already gone,
         and close() is the one call that must never raise for that.

@@ -6,15 +6,18 @@ surface (``execute`` / ``fetchone`` / ``fetchmany`` / ``fetchall`` /
 ``description`` / ``rowcount``) plus ODBC statement attributes (cursor type,
 fetch block size).
 
-This class is deliberately thin — it routes calls to the native driver and
-does nothing about failures.  Phoenix/ODBC subclasses the application-facing
-API (same classes' duck type) while wrapping the same native driver,
+These classes are deliberately thin — they route calls to the native driver
+and do nothing about failures.  They are also the *one* PEP 249 surface:
+Phoenix/ODBC (:mod:`repro.core`) subclasses :class:`Connection` and
+:class:`Statement`, wrapping the same native driver, and overrides only the
+interception points — how ``execute`` obtains a response, how a drained
+client buffer is refilled, transaction control, and what closing releases —
 demonstrating the paper's "no changes to app, driver, or server" claim.
 """
 
 from __future__ import annotations
 
-import warnings
+import weakref
 from typing import Any
 
 from repro import errors
@@ -85,15 +88,19 @@ class Connection:
         self,
         manager: DriverManager,
         dsn: str,
-        driver_connection: DriverConnection,
+        driver_connection: DriverConnection | None,
         options: dict[str, Any],
     ):
         self.manager = manager
         self.dsn = dsn
+        #: what this handle's statements talk to (Phoenix installs its app
+        #: connection here, and re-installs a fresh one on every recovery)
         self._driver_connection = driver_connection
         self.options = dict(options)
         self.closed = False
-        self._statements: list[Statement] = []
+        #: every live cursor of this connection, so close() can release them
+        #: (weak: a cursor the application dropped is nobody's to close)
+        self._cursors: weakref.WeakSet[Statement] = weakref.WeakSet()
         #: connection-level transaction flag backing :attr:`in_transaction`;
         #: tracks begin()/commit()/rollback() calls on *this* handle (SQL
         #: issued through a cursor is the application's own bookkeeping)
@@ -103,25 +110,7 @@ class Connection:
 
     def cursor(self) -> "Statement":
         self._require_open()
-        statement = Statement(self)
-        self._statements.append(statement)
-        return statement
-
-    def set_option(self, name: str, value: Any) -> None:
-        """Deprecated spelling of ``cursor().execute("SET name value")`` —
-        kept because existing applications call it; new code should issue
-        the SQL, which travels (and replays) like every other statement."""
-        warnings.warn(
-            "Connection.set_option is deprecated; execute 'SET <name> <value>' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._set_option(name, value)
-
-    def _set_option(self, name: str, value: Any) -> None:
-        self._require_open()
-        self.options[name] = value
-        self._driver_connection.set_option(name, value)
+        return Statement(self)
 
     def begin(self) -> None:
         self._execute_raw("BEGIN TRANSACTION")
@@ -140,12 +129,18 @@ class Connection:
         """True between :meth:`begin` and the matching commit/rollback."""
         return self._txn_open
 
+    @property
+    def broken(self) -> bool:
+        """True once the wire under this handle died: every further call
+        would fail, so pools discard the handle instead of reusing it."""
+        return self._driver_connection.broken
+
     def close(self) -> None:
         if self.closed:
             return
-        for statement in self._statements:
-            statement.close()
-        self._driver_connection.disconnect()
+        for cursor in list(self._cursors):
+            cursor.close()
+        self._release()
         self.closed = True
 
     def __enter__(self) -> "Connection":
@@ -157,11 +152,7 @@ class Connection:
         # handle is released either way (the historical `with` contract
         # here — sessions are autocommit outside an explicit begin()).
         try:
-            if (
-                self._txn_open
-                and not self.closed
-                and not self._driver_connection.broken
-            ):
+            if self.in_transaction and not self.closed and not self.broken:
                 if exc_type is None:
                     self.commit()
                 else:
@@ -179,23 +170,13 @@ class Connection:
         if self.closed:
             raise InterfaceError("connection is closed")
 
-    def _execute_raw(self, sql: str, **kwargs) -> ResultResponse:
+    def _execute_raw(self, sql: str) -> ResultResponse:
         self._require_open()
-        return self._driver_connection.execute(sql, **kwargs)
+        return self._driver_connection.execute(sql)
 
-    # The driver-level hooks statements use; Phoenix overrides these.
-    def _stmt_execute(
-        self, statement: "Statement", sql: str, placeholders: list
-    ) -> ResultResponse:
-        return self._driver_connection.execute(
-            sql, placeholders=placeholders, cursor_type=statement.attrs[StatementAttr.CURSOR_TYPE]
-        )
-
-    def _stmt_fetch(self, statement: "Statement", cursor_id: int, n: int):
-        return self._driver_connection.fetch(cursor_id, n)
-
-    def _stmt_close_cursor(self, statement: "Statement", cursor_id: int) -> None:
-        self._driver_connection.close_cursor(cursor_id)
+    def _release(self) -> None:
+        """Give the server session back (the tail of :meth:`close`)."""
+        self._driver_connection.disconnect()
 
 
 class Statement:
@@ -209,12 +190,13 @@ class Statement:
 
     def __init__(self, connection: Connection):
         self.connection = connection
+        connection._cursors.add(self)
         self.attrs: dict[str, Any] = {
             StatementAttr.CURSOR_TYPE: CursorType.FORWARD_ONLY,
             StatementAttr.FETCH_BLOCK_SIZE: DEFAULT_FETCH_BLOCK,
             StatementAttr.QUERY_TIMEOUT: None,
-            # accepted for interface parity with PhoenixCursor; the plain
-            # stack has no wire batching, so it never changes behaviour here
+            # the plain stack has no wire batching, so this never changes
+            # behaviour here; Phoenix's executemany reads it
             StatementAttr.BATCH_SIZE: DEFAULT_BATCH_SIZE,
         }
         #: PEP 249: default size of a no-argument fetchmany()
@@ -230,6 +212,7 @@ class Statement:
         self._buffer: list[tuple] = []
         self._buffer_pos = 0
         self._cursor_id: int | None = None
+        #: nothing is left to refill the buffer from
         self._server_done = True
         self._rows_read = 0
         self.effective_cursor_type: str = CursorType.FORWARD_ONLY
@@ -246,7 +229,11 @@ class Statement:
     def execute(self, sql: str, placeholders: list | None = None) -> "Statement":
         self._require_open()
         self._reset_result()
-        response = self.connection._stmt_execute(self, sql, list(placeholders or []))
+        response = self.connection._driver_connection.execute(
+            sql,
+            placeholders=list(placeholders or []),
+            cursor_type=self.attrs[StatementAttr.CURSOR_TYPE],
+        )
         self._absorb(response)
         return self
 
@@ -281,6 +268,7 @@ class Statement:
         reported an unknown count.  The last execution's result shape is
         retained.
         """
+        self._require_open()
         total = 0
         unknown = False
         for row in rows:
@@ -302,22 +290,13 @@ class Statement:
             n = max(int(self.arraysize), 1)
         out: list[tuple] = []
         while len(out) < n:
-            if self._buffer_pos < len(self._buffer):
-                out.append(self._buffer[self._buffer_pos])
-                self._buffer_pos += 1
-                continue
-            if self._server_done or self._cursor_id is None:
+            wanted = n - len(out)
+            if self._buffer_pos >= len(self._buffer) and not self._refill(wanted):
                 break
-            block_size = max(
-                int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), n - len(out)
-            )
-            rows, done = self.connection._stmt_fetch(self, self._cursor_id, block_size)
-            self._buffer = list(rows)
-            self._buffer_pos = 0
-            self._server_done = done
-            if not rows and done:
-                break
-        self._rows_read += len(out)
+            taken = self._buffer[self._buffer_pos : self._buffer_pos + wanted]
+            self._buffer_pos += len(taken)
+            self._consumed(len(taken))
+            out.extend(taken)
         return out
 
     def fetchall(self) -> list[tuple]:
@@ -328,6 +307,24 @@ class Statement:
             if not chunk:
                 return out
             out.extend(chunk)
+
+    def _refill(self, wanted: int) -> bool:
+        """The client buffer is drained: fetch the server cursor's next
+        block into it.  False when the result is exhausted."""
+        while not self._server_done and self._cursor_id is not None:
+            block_size = max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), wanted)
+            rows, self._server_done = self.connection._driver_connection.fetch(
+                self._cursor_id, block_size
+            )
+            self._buffer = list(rows)
+            self._buffer_pos = 0
+            if rows:
+                return True
+        return False
+
+    def _consumed(self, count: int) -> None:
+        """``count`` buffered rows were just handed to the application."""
+        self._rows_read += count
 
     @property
     def rows_read(self) -> int:
@@ -355,11 +352,11 @@ class Statement:
             return
         if self._cursor_id is not None and not self.connection.closed:
             try:
-                self.connection._stmt_close_cursor(self, self._cursor_id)
+                self.connection._driver_connection.close_cursor(self._cursor_id)
             except Exception:
                 pass  # closing against a dead server is best-effort
         self.closed = True
 
     def _require_open(self) -> None:
         if self.closed:
-            raise InterfaceError("statement is closed")
+            raise InterfaceError("cursor is closed")

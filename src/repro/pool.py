@@ -112,15 +112,13 @@ class ConnectionPool:
         the next checkout creates a replacement)."""
         self.stats.pool_checkin()
         returnable = not conn.closed and not self._closed
-        if returnable and getattr(conn, "in_transaction", False):
+        if returnable and conn.in_transaction:
             try:
                 conn.rollback()  # the next borrower never inherits a txn
             except errors.Error:
                 returnable = False
-        if returnable:
-            driver_connection = getattr(conn, "_driver_connection", None)
-            if driver_connection is not None and driver_connection.broken:
-                returnable = False
+        if returnable and conn.broken:
+            returnable = False
         if not returnable:
             self._discard(conn)
         with self._cond:
@@ -138,7 +136,7 @@ class ConnectionPool:
         try:
             yield conn
         except BaseException:
-            if not conn.closed and getattr(conn, "in_transaction", False):
+            if not conn.closed and conn.in_transaction:
                 try:
                     conn.rollback()
                 except errors.Error:
@@ -147,7 +145,7 @@ class ConnectionPool:
             raise
         else:
             try:
-                if not conn.closed and getattr(conn, "in_transaction", False):
+                if not conn.closed and conn.in_transaction:
                     conn.commit()  # a failed commit must not pass silently
             finally:
                 self.checkin(conn)

@@ -175,7 +175,7 @@ def test_phoenix_retries_deadlock_victim_transparently(system):
     setup.execute("CREATE TABLE ba (k INT PRIMARY KEY, v INT)")
     setup.execute("INSERT INTO ba VALUES (1, 0)")
     for conn in (a, b):
-        conn._set_option("lock_timeout", 10000)
+        conn.cursor().execute("SET lock_timeout 10000")
 
     first_held = threading.Barrier(2)
     failures: list[str] = []

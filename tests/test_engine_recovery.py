@@ -346,31 +346,6 @@ def test_losers_closed_with_abort_records(server):
     assert server.restart().loser_txns == []
 
 
-def test_fast_and_undo_walk_restart_agree_without_checkpoints(server):
-    # with no checkpoint overlapping anything, the retired undo-walking path
-    # is still correct — pin that both restarts produce identical state
-    from repro.engine.recovery import recover
-
-    sid = server.connect()
-    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(5))")
-    execute(server, sid, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
-    execute(server, sid, "UPDATE t SET v = 'B' WHERE k = 2")
-    execute(server, sid, "BEGIN")
-    execute(server, sid, "DELETE FROM t WHERE k = 1")
-    other = server.connect()
-    execute(server, other, "CREATE TABLE other_t (x INT)")
-    server.crash()
-    # recovery closes losers by appending to the log, so each mode gets its
-    # own copy of the crashed storage
-    import copy
-
-    fast, _ = recover(copy.deepcopy(server.storage), fast_restart=True)
-    slow, _ = recover(copy.deepcopy(server.storage), fast_restart=False)
-    assert (
-        fast.get_table("t").data.rows == slow.get_table("t").data.rows
-    ) and fast.get_table("t").data.rows
-
-
 def test_rowids_never_reused_after_loser_skipped(server):
     # the loser's insert consumed rowids; the REDO-only pass must still
     # burn them (next_rowid above every rowid seen in the log) so post-

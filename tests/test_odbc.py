@@ -116,7 +116,7 @@ def test_transactions_via_connection(conn):
 
 def test_set_option_applies_server_side(stack, conn):
     server, *_ = stack
-    conn.set_option("app_name", "repro-tests")
+    conn.cursor().execute("SET app_name 'repro-tests'")
     session = next(iter(server.sessions.values()))
     assert session.options["app_name"] == "repro-tests"
 

@@ -9,8 +9,6 @@ switch the application picks.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -201,11 +199,20 @@ def test_setinputsizes_and_setoutputsize_are_noops(conn):
     assert cursor.fetchone() == (1,)
 
 
-def test_set_option_deprecated_but_functional(conn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        conn.set_option("lock_timeout", 5000)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+def test_closing_the_connection_closes_its_cursors(conn):
+    cursor = conn.cursor()
+    cursor.execute("SELECT 1")  # one buffered, undelivered row
+    conn.close()
+    assert cursor.closed
+    with pytest.raises(InterfaceError):
+        cursor.fetchone()
+
+
+def test_closed_cursor_rejects_even_an_empty_executemany(conn):
+    cursor = conn.cursor()
+    cursor.close()
+    with pytest.raises(InterfaceError):
+        cursor.executemany("INSERT INTO nowhere VALUES (?)", [])
 
 
 def test_plan_cache_shared_across_qmark_bindings(system):

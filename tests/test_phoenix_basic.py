@@ -156,7 +156,7 @@ def test_temp_procedure_redirected(system, both):
 
 def test_set_option_recorded_and_forwarded(system, both):
     _plain, phoenix = both
-    phoenix.set_option("app_mode", "strict")
+    phoenix.cursor().execute("SET app_mode 'strict'")
     assert ("app_mode", "strict") in phoenix.set_log
     app_session = system.server.sessions[phoenix.app.session_id]
     assert app_session.options["app_mode"] == "strict"
@@ -255,6 +255,10 @@ def test_persist_results_off_behaves_like_plain(system):
     cur = phoenix.cursor()
     cur.execute("CREATE TABLE t (k INT)")
     cur.execute("INSERT INTO t VALUES (1)")
+    cur.execute("SELECT * FROM t")
+    assert cur.fetchall() == [(1,)]
+    # a server cursor too: its blocks arrive through the inherited plain FETCH
+    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
     cur.execute("SELECT * FROM t")
     assert cur.fetchall() == [(1,)]
     assert phoenix.stats.queries_materialized == 0

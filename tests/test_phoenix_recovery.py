@@ -120,7 +120,7 @@ def test_recovery_verifies_materialized_state(ready):
 
 def test_options_replayed_in_order(ready):
     system, conn, cur = ready
-    conn.set_option("a", 1)
+    cur.execute("SET a 1")
     cur.execute("SET b 2")
     crash_restart(system)
     cur.execute("SELECT 1")  # trigger recovery
