@@ -2,10 +2,11 @@
 
 Wall-clock on an in-process wire hides the network; round-trip counts do
 not.  Phoenix's steady-state query cost is a *fixed* number of extra round
-trips (metadata probe, result-table DDL, server-side fill, delivery open),
-so its network overhead is independent of data size — the structural reason
-Table 1's ratio approaches 1 as queries grow.  This bench pins the counts
-and projects the overhead at representative RTTs.
+trips (metadata probe, one atomic DDL + server-side fill script, delivery
+open) and one log force, so its network overhead is independent of data size
+— the structural reason Table 1's ratio approaches 1 as queries grow.  This
+bench pins the counts — they are deterministic, so CI's ``bench-smoke`` job
+runs this file — and projects the overhead at representative RTTs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,29 @@ def test_native_query_is_one_round_trip(accounting):
 
 
 def test_phoenix_fixed_round_trip_overhead(accounting):
-    """Probe + DDL + fill + open: exactly 4 trips, for every query."""
-    assert all(row.phoenix_trips == 4 for row in accounting.values())
+    """Probe + materialise (DDL and fill, one script) + open: exactly 3
+    trips, for every query."""
+    assert all(row.phoenix_trips == 3 for row in accounting.values())
+
+
+def test_materialised_select_costs_one_log_force(accounting):
+    """The script is one transaction: its COMMIT is the only force."""
+    assert all(row.phoenix_forces == 1 for row in accounting.values())
+
+
+def test_session_cleanup_is_one_trip_and_one_force(tpch_system):
+    """close() drops every object of the session in one transaction."""
+    system, _data = tpch_system
+    connection = system.phoenix.connect(system.DSN)
+    cursor = connection.cursor()
+    for _ in range(5):
+        cursor.execute("SELECT r_name FROM region")
+        cursor.fetchall()
+    trips = system.metrics.round_trips
+    forces = system.server.database.wal.stats.forces
+    connection.close()
+    assert system.metrics.round_trips - trips == 1 + 2  # the DROPs; two disconnects
+    assert system.server.database.wal.stats.forces - forces == 1
 
 
 def test_phoenix_bytes_scale_with_result_not_with_protocol(accounting):

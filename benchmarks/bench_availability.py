@@ -21,7 +21,13 @@ from repro.bench.harness import run_availability_experiment
 SESSIONS = 20
 
 
-@pytest.mark.parametrize("crash_every", [15, 40])
+# The shorter period must exceed the longest recover-and-replay cycle of the
+# trace — 17 wire requests when the crash meets the transfer's COMMIT (10 to
+# rebuild the session and reposition the open result, 1 status probe, 5 to
+# replay the transaction, 1 to commit it).  Below that, a crash that lands
+# inside the transaction livelocks the replay by construction (Experiment
+# AV's cliff), and whether one does depends on requests per statement.
+@pytest.mark.parametrize("crash_every", [20, 40])
 def test_availability_comparison(crash_every):
     results = run_availability_experiment(sessions=SESSIONS, crash_every=crash_every)
     native = results["native"]

@@ -284,6 +284,8 @@ class RoundTripRow:
     phoenix_trips: int
     native_bytes: int
     phoenix_bytes: int
+    #: device log forces the Phoenix execution cost (``WalStats.forces``)
+    phoenix_forces: int = 0
 
     def projected_overhead_seconds(self, rtt_seconds: float) -> float:
         """Extra wall-clock Phoenix would cost purely from extra round
@@ -315,12 +317,14 @@ def run_round_trip_accounting(
     native_cur = native.cursor()
     phoenix_cur = phoenix.cursor()
     metrics = system.metrics
+    wal_stats = system.server.database.wal.stats
     for query_id in selected:
         sql = query_sql(query_id, data.sf)
         before = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
         native_cur.execute(sql)
         native_cur.fetchall()
         mid = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
+        forces = wal_stats.forces
         phoenix_cur.execute(sql)
         phoenix_cur.fetchall()
         after = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
@@ -331,6 +335,7 @@ def run_round_trip_accounting(
                 phoenix_trips=after[0] - mid[0],
                 native_bytes=mid[1] - before[1],
                 phoenix_bytes=after[1] - mid[1],
+                phoenix_forces=wal_stats.forces - forces,
             )
         )
     native.close()

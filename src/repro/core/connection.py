@@ -210,6 +210,33 @@ class PhoenixConnection(Connection):
                 attempt += 1
                 self.recovery.recover(exc)
 
+    def _execute_atomic(
+        self, statements: list[str], *, on_app: bool = False, retries: int | None = None
+    ) -> ResultResponse:
+        """Run Phoenix-generated statements as ONE transaction in one
+        round trip — one log force at its COMMIT, and a crash or SQL error
+        leaves none of the objects it builds (restart skips a transaction
+        without a commit record).  Retried through recovery like any guarded
+        request: every script starts with its own ``DROP ... IF EXISTS``, so
+        re-running one whose commit landed before the reply died is safe.
+        """
+        if on_app and self.in_transaction:
+            # the application's own transaction is the unit; its COMMIT decides
+            return self._app_execute("; ".join(statements), retries=retries)
+        script = "BEGIN TRANSACTION; " + "; ".join(statements) + "; COMMIT"
+        try:
+            return (self._app_execute if on_app else self._private_execute)(
+                script, retries=retries
+            )
+        except RECOVERABLE_ERRORS:
+            raise
+        except Error:
+            # a SQL error aborted the script after its BEGIN: close the
+            # transaction, or the session's next script dies on "already in
+            # progress"
+            self._rollback_wrapper_txn(self.app if on_app else self.private)
+            raise
+
     # ------------------------------------------------------------- public API
 
     @property
@@ -306,10 +333,9 @@ class PhoenixConnection(Connection):
                     break
 
     def _cleanup_server_objects(self) -> None:
-        for proc in self.cleanup_procs:
-            self._private_execute(f"DROP PROCEDURE IF EXISTS {proc}", retries=0)
-        for table in self.cleanup_tables:
-            self._private_execute(f"DROP TABLE IF EXISTS {table}", retries=0)
+        drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in self.cleanup_procs]
+        drops += [f"DROP TABLE IF EXISTS {table}" for table in self.cleanup_tables]
+        self._execute_atomic(drops, retries=0)
 
     # ------------------------------------------------------------- interception
 
@@ -545,10 +571,11 @@ class PhoenixConnection(Connection):
                 self._rollback_wrapper_txn()
                 raise
 
-    def _rollback_wrapper_txn(self) -> None:
-        """Best-effort ROLLBACK of a failed DML wrapper transaction."""
+    def _rollback_wrapper_txn(self, on: DriverConnection | None = None) -> None:
+        """Best-effort ROLLBACK of a failed wrapper transaction (a wrapped
+        DML's on the app connection unless ``on`` names the other one)."""
         try:
-            self.app.execute("ROLLBACK")
+            (on or self.app).execute("ROLLBACK")
         except Error:
             pass  # no transaction open (error hit before BEGIN) or server gone
 
@@ -698,8 +725,8 @@ class PhoenixConnection(Connection):
         stmt.temporary = False
         # idempotent under retry: a lost reply may have left the table
         # created; any prior incarnation of this Phoenix-owned name is stale
-        response = self._app_execute(
-            f"DROP TABLE IF EXISTS {persistent}; {stmt.sql()}"
+        response = self._execute_atomic(
+            [f"DROP TABLE IF EXISTS {persistent}", stmt.sql()], on_app=True
         )
         self.temp_table_map[original] = persistent
         self.cleanup_tables.append(persistent)
@@ -720,8 +747,8 @@ class PhoenixConnection(Connection):
         stmt.name = persistent
         # the body was already rewritten for temp-table references;
         # DROP-first makes the retry after a lost reply idempotent
-        response = self._app_execute(
-            f"DROP PROCEDURE IF EXISTS {persistent}; {stmt.sql()}"
+        response = self._execute_atomic(
+            [f"DROP PROCEDURE IF EXISTS {persistent}", stmt.sql()], on_app=True
         )
         self.temp_proc_map[original] = persistent
         self.cleanup_procs.append(persistent)
@@ -748,47 +775,60 @@ class PhoenixConnection(Connection):
         return list(response.columns)
 
     def materialize_default(self, select: ast.Select) -> ResultState:
-        """Steps 1–3 for a default result set: probe metadata, create the
-        persistent table, fill it server-side.  Idempotent under retry (the
-        batch drops and recreates its objects)."""
+        """Steps 1–3 for a default result set: probe metadata, then create
+        the persistent table and fill it server-side in one atomic script."""
         seq = self.names.next_seq()
         app_columns = self.probe_metadata(select)
         store_columns = _uniquify_columns(app_columns)
         table_name = self.names.result_table(seq)
-        proc_name = self.names.fill_procedure(seq)
         schema = TableSchema(name=table_name, columns=tuple(store_columns))
-        ddl = f"DROP TABLE IF EXISTS {table_name}; {schema.create_table_sql()}"
-        fill = build_fill_batch(
-            proc_name,
-            table_name,
-            select.sql(),
-            via_procedure=self.config.materialize_via_procedure,
-        )
-        while True:
-            try:
-                self.private.execute(ddl)
-                if self.config.materialize_via_procedure:
-                    self.private.execute(fill)
-                else:
-                    self._materialize_client_side(select, table_name)
-                break
-            except RECOVERABLE_ERRORS as exc:
-                self.recovery.recover(exc)
-        self.cleanup_tables.append(table_name)
-        if self.config.materialize_via_procedure:
-            self.cleanup_procs.append(proc_name)
+        proc_name, _count = self._materialize(seq, schema, select)
         self.stats.queries_materialized += 1
         state = ResultState(
             seq=seq,
             kind="default",
             table=table_name,
-            fill_proc=proc_name if self.config.materialize_via_procedure else None,
+            fill_proc=proc_name,
             select=select,
             app_columns=app_columns,
             store_columns=store_columns,
         )
         self.results[seq] = state
         return state
+
+    def _materialize(
+        self, seq: int, schema: TableSchema, select: ast.Select, *, count: bool = False
+    ) -> tuple[str | None, int | None]:
+        """Steps 2+3: (re)create ``schema``'s table and fill it from
+        ``select`` on the server — DDL, fill procedure, EXEC and (for key
+        cursors) the row count are one transaction, one round trip, one log
+        force.  Idempotent under retry: the script drops its objects first.
+        Both objects are registered for cleanup *before* it runs, so whatever
+        a failed attempt left behind, ``close()`` drops.  Returns the fill
+        procedure's name (None under ablation A1) and the count if asked for.
+        """
+        table = schema.name
+        ddl = f"DROP TABLE IF EXISTS {table}; {schema.create_table_sql()}"
+        count_sql = f"SELECT count(*) FROM {table}"
+        self.cleanup_tables.append(table)
+        if self.config.materialize_via_procedure:
+            proc_name = self.names.fill_procedure(seq)
+            self.cleanup_procs.append(proc_name)
+            script = [ddl, build_fill_batch(proc_name, table, select.sql(), via_procedure=True)]
+            if count:
+                script.append(count_sql)
+            response = self._execute_atomic(script)
+        else:
+            proc_name = None  # ablation A1: rows travel to the client and back
+            while True:
+                try:
+                    self.private.execute(ddl)
+                    self._materialize_client_side(select, table)
+                    response = self.private.execute(count_sql) if count else None
+                    break
+                except RECOVERABLE_ERRORS as exc:
+                    self.recovery.recover(exc)
+        return proc_name, response.rows[0][0] if count else None
 
     def _materialize_client_side(self, select: ast.Select, table_name: str) -> None:
         """Ablation A1: ship every row to the client and INSERT it back."""
@@ -831,42 +871,19 @@ class PhoenixConnection(Connection):
             name=keys_table,
             columns=(Column("k", key_col_meta.type, length=key_col_meta.length),),
         )
-        proc_name = self.names.fill_procedure(seq)
-        ddl = f"DROP TABLE IF EXISTS {keys_table}; {schema.create_table_sql()}"
-        fill = build_fill_batch(
-            proc_name,
-            keys_table,
-            key_select.sql(),
-            via_procedure=self.config.materialize_via_procedure,
-        )
-        while True:
-            try:
-                self.private.execute(ddl)
-                if self.config.materialize_via_procedure:
-                    self.private.execute(fill)
-                else:
-                    self._materialize_client_side(key_select, keys_table)
-                count_response = self.private.execute(
-                    f"SELECT count(*) FROM {keys_table}"
-                )
-                break
-            except RECOVERABLE_ERRORS as exc:
-                self.recovery.recover(exc)
-        self.cleanup_tables.append(keys_table)
-        if self.config.materialize_via_procedure:
-            self.cleanup_procs.append(proc_name)
+        proc_name, key_count = self._materialize(seq, schema, key_select, count=True)
         self.stats.cursors_materialized += 1
         state = ResultState(
             seq=seq,
             kind=kind,
             table=keys_table,
-            fill_proc=proc_name if self.config.materialize_via_procedure else None,
+            fill_proc=proc_name,
             select=select,
             app_columns=app_columns,
             store_columns=app_columns,
             base_table=base_table,
             key_column=key_column,
-            key_count=count_response.rows[0][0],
+            key_count=key_count,
         )
         self.results[seq] = state
         return state
