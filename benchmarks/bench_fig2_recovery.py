@@ -101,15 +101,15 @@ def test_fig2_shape():
     * virtual-session recovery time is independent of result size;
     * total recovery beats recomputation at every size.
     """
-    series = run_fig2_recovery_sweep(
+    points = run_fig2_recovery_sweep(
         result_sizes=[100, 1000, 2500], table_rows=TABLE_ROWS
     )
-    virtuals = [p.virtual_session_seconds for p in series.points]
+    virtuals = [p.virtual_session_seconds for p in points]
     assert max(virtuals) < 0.1, "virtual session recovery should be near-instant"
     # size-independence: the largest result's virtual phase is within an
     # order of magnitude of the smallest's (absolute values are sub-ms)
     assert max(virtuals) < 10 * max(min(virtuals), 1e-4)
-    for point in series.points:
+    for point in points:
         assert point.recovery_seconds < point.recompute_seconds, (
             f"recovery ({point.recovery_seconds:.4f}s) should beat recompute "
             f"({point.recompute_seconds:.4f}s) at size {point.result_size}"
@@ -120,8 +120,7 @@ def test_fig2_recovery_vs_recompute_ratio():
     """§4's stronger claim, on the compute-heavy end: with a large detail
     table and the paper's ~2500-row result, recovery costs a small fraction
     of recomputation."""
-    series = run_fig2_recovery_sweep(result_sizes=[2500], table_rows=20_000)
-    point = series.points[0]
+    (point,) = run_fig2_recovery_sweep(result_sizes=[2500], table_rows=20_000)
     assert point.recovery_vs_recompute < 0.75, (
         f"recovery/recompute = {point.recovery_vs_recompute:.2f}"
     )

@@ -8,19 +8,19 @@ SQL state) plus the recompute comparison from §4.
 Run:  python examples/session_recovery_timing.py
 """
 
-from repro.bench.harness import run_fig2_recovery_sweep
-from repro.bench.reporting import render_fig2
+from repro.bench.reporting import EXPERIMENTS
 
+fig2 = EXPERIMENTS["fig2"]
 print("sweeping result sizes (this builds a 20k-row detail table) ...\n")
-series = run_fig2_recovery_sweep()
-print(render_fig2(series))
+points = fig2.runner()
+print(fig2.render(points))
 
-flat = [p.virtual_session_seconds for p in series.points]
+flat = [p.virtual_session_seconds for p in points]
 print(
     f"\nvirtual-session phase stays flat ({min(flat) * 1e3:.2f}–{max(flat) * 1e3:.2f} ms) "
     "across result sizes — the paper's constant 0.37 s line."
 )
-worst = max(series.points, key=lambda p: p.recovery_vs_recompute)
+worst = max(points, key=lambda p: p.recovery_vs_recompute)
 print(
     f"recovery beats recomputation at every size "
     f"(worst ratio {worst.recovery_vs_recompute:.2f} at {worst.result_size} rows)."

@@ -10,15 +10,15 @@ Run:  python examples/tpch_power.py [scale_factor] [repetitions]
 
 import sys
 
-from repro.bench.harness import run_table1_power_comparison
-from repro.bench.reporting import render_table1
+from repro.bench.reporting import EXPERIMENTS
 
 sf = float(sys.argv[1]) if len(sys.argv) > 1 else 0.001
 reps = int(sys.argv[2]) if len(sys.argv) > 2 else 2
 
 print(f"TPC-H power test at sf={sf}, {reps} repetition(s) per driver ...\n")
-rows = run_table1_power_comparison(sf=sf, repetitions=reps)
-print(render_table1(rows))
+table1 = EXPERIMENTS["table1"]
+rows = table1.runner(sf=sf, repetitions=reps)
+print(table1.render(rows))
 
 total = next(r for r in rows if r.name == "Total Query")
 print(

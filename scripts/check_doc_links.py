@@ -11,9 +11,15 @@ must resolve:
   anchor in the target file, using GitHub's slug rules (lowercase, spaces
   to dashes, punctuation dropped).
 
-Exit status 0 = clean, 1 = dead links (each printed as
-``file: link — reason``).  Stdlib only, so CI can run it with no install
-step beyond the checkout.
+The "Metrics" section of ``docs/OBSERVABILITY.md`` is checked against the
+code the same way: its table (registry slot · class · counters) must list
+exactly the slots and counter names of
+``make_system().registry.snapshot()`` — a counter renamed, added or dropped
+without its row changing is a dead pointer too.
+
+Exit status 0 = clean, 1 = problems (each printed as
+``file: link — reason``).  Needs only the checkout: ``repro`` is imported
+from ``src/`` when it is not installed.
 
 Usage::
 
@@ -89,6 +95,50 @@ def check_file(path: Path, root: Path) -> list[str]:
     return problems
 
 
+_BACKTICKED = re.compile(r"`(\w+)`")
+
+
+def documented_counters(path: Path) -> dict[str, set[str]]:
+    """Registry slot → counter names, from the table rows of the section
+    whose heading starts with "Metrics" (first cell: the slot; last cell:
+    its counters)."""
+    documented: dict[str, set[str]] = {}
+    in_section = False
+    for line in path.read_text(encoding="utf-8").splitlines():
+        heading = _HEADING.match(line)
+        if heading:
+            in_section = heading.group(2).startswith("Metrics")
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        slot = _BACKTICKED.fullmatch(cells[0])
+        if in_section and line.startswith("|") and slot:
+            documented[slot.group(1)] = set(_BACKTICKED.findall(cells[-1]))
+    return documented
+
+
+def check_metrics(path: Path, root: Path) -> list[str]:
+    """The documented counters vs. a fresh system's registry snapshot,
+    both directions."""
+    try:
+        import repro
+    except ImportError:
+        sys.path.insert(0, str(root / "src"))
+        import repro
+
+    snapshot = repro.make_system().registry.snapshot()
+    actual = {
+        slot: set(counters) for slot, counters in snapshot.items() if slot != "histograms"
+    }
+    documented = documented_counters(path)
+    where = path.relative_to(root)
+    problems = []
+    for slot in sorted(documented.keys() | actual.keys()):
+        for name in sorted(documented.get(slot, set()) - actual.get(slot, set())):
+            problems.append(f"{where}: `{slot}`.`{name}` — documented, not in snapshot()")
+        for name in sorted(actual.get(slot, set()) - documented.get(slot, set())):
+            problems.append(f"{where}: `{slot}`.`{name}` — in snapshot(), not documented")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
     files = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
@@ -99,9 +149,12 @@ def main(argv: list[str]) -> int:
             continue
         checked += 1
         problems.extend(check_file(path, root))
+    metrics_doc = root / "docs" / "OBSERVABILITY.md"
+    if metrics_doc.exists():
+        problems.extend(check_metrics(metrics_doc, root))
     for problem in problems:
         print(problem)
-    print(f"checked {checked} file(s): {len(problems)} dead link(s)")
+    print(f"checked {checked} file(s): {len(problems)} dead link(s) or counter name(s)")
     return 1 if problems else 0
 
 

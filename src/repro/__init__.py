@@ -184,8 +184,8 @@ def make_system(
     probes, index-ordered top-k — while ``"interpreted"`` keeps the
     per-row-environment baseline (the executor ablation's knob).
     ``registry`` lets a caller supply its own :class:`MetricsRegistry`; by
-    default each system gets a fresh one adopting the server's engine
-    counters and the driver's network counters, so
+    default each system gets a fresh one.  The server, the TCP front end
+    and the native driver all count into it, so
     ``system.registry.snapshot()`` is the one-stop observability view.
 
     ``listen="host:port"`` additionally starts the asyncio TCP front end
@@ -203,12 +203,7 @@ def make_system(
         storage,
         plan_cache=plan_cache,
         executor=executor,
-        engine_metrics=registry.engine,
-        executor_stats=registry.executor,
-        wal_stats=registry.wal,
-        lock_stats=registry.locks,
-        drain_stats=registry.server,
-        time_travel_stats=registry.timetravel,
+        registry=registry,
     )
     endpoint = ServerEndpoint(server)
     tcp_server = None

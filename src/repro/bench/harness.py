@@ -10,6 +10,11 @@ option replay; size-independent) and the *SQL state* component (verify
 materialized tables + reposition delivery), plus the recompute baseline the
 paper compares against ("less than a tenth of the time required to simply
 recompute Q11").
+
+The ablations and experiments after them follow the same shape: a result
+dataclass (whose fields and :class:`~repro.bench.skeleton.derived`
+properties *are* the JSON document) and a ``run_*`` built from the shared
+scaffolding of :mod:`repro.bench.skeleton`.
 """
 
 from __future__ import annotations
@@ -19,51 +24,139 @@ import time
 from dataclasses import dataclass, field
 
 import repro
+from repro.bench.skeleton import (
+    ClientRun,
+    derived,
+    durable_fingerprint,
+    fold_fingerprint,
+    interleaved_best_of,
+    load,
+    loaded_system,
+    operator_restart,
+    percentile,
+    require_identical,
+    run_clients,
+    server_rows,
+    symmetric_rounds,
+)
 from repro.errors import CommunicationError
 from repro.workloads.tpch.datagen import TpchData, populate
 from repro.workloads.tpch.power import run_power_test
-from repro.workloads.tpch.queries import QUERY_ORDER
+from repro.workloads.tpch.queries import QUERY_ORDER, query_sql
 
-__all__ = [
-    "Table1Row",
-    "run_table1_power_comparison",
-    "Fig2Point",
-    "Fig2Series",
-    "run_fig2_recovery_sweep",
-    "RoundTripRow",
-    "run_round_trip_accounting",
-    "AvailabilityResult",
-    "run_availability_experiment",
-    "PlanCacheRun",
-    "run_plan_cache_ablation",
-    "ExecutorRun",
-    "executor_speedup",
-    "run_executor_ablation",
-    "WireBatchRun",
-    "WireBatchResult",
-    "run_wire_batch",
-    "ChaosResult",
-    "run_chaos_experiment",
-    "ObsOverheadResult",
-    "run_obs_overhead",
-    "RecoveryBreakdownRow",
-    "run_recovery_breakdown",
-    "ConcurrencyThroughputRow",
-    "ConcurrencyRecoveryRow",
-    "ConcurrencyResult",
-    "run_concurrency",
-    "ContentionRow",
-    "run_contention",
-    "contention_speedup",
-    "PlannedRestartResult",
-    "run_planned_restart",
-    "TimeTravelReconstructRow",
-    "TimeTravelResult",
-    "run_time_travel",
-    "TcpIdleScaleRow",
-    "TcpServingResult",
-    "run_tcp_serving",
-]
+
+def _ratio(numerator: float, denominator: float, *, undefined: float = float("nan")) -> float:
+    return numerator / denominator if denominator > 0 else undefined
+
+
+def _timed_queries(
+    cursor, queries: list[tuple[str, str]], repetitions: int
+) -> tuple[float, int, int]:
+    """Run the named read-only queries ``repetitions`` times over one
+    cursor: (seconds, statements, fingerprint of every result set)."""
+    fingerprint = 0
+    statements = 0
+    started = time.perf_counter()
+    for _ in range(repetitions):
+        for name, sql in queries:
+            cursor.execute(sql)
+            fingerprint = fold_fingerprint(fingerprint, name, cursor.fetchall())
+            statements += 1
+    return time.perf_counter() - started, statements, fingerprint
+
+
+def _interleaved_query_loops(
+    systems: dict[str, "repro.System"],
+    queries: list[tuple[str, str]],
+    repetitions: int,
+    rounds: int,
+) -> dict[str, tuple[float, int, int]]:
+    """The read-only ablation loop: :func:`_timed_queries` over one plain
+    connection per side, interleaved best-of-``rounds`` after an untimed
+    warm-up; side → (best seconds, statements, fingerprint).  Each side's
+    registry is reset once connected, *before* the warm-up: the warm-up is
+    where every plan is parsed and compiled (the timed trials only hit the
+    caches), so a window opened after it would report that nothing was
+    ever compiled."""
+    cursors = {}
+    for side, system in systems.items():
+        cursors[side] = system.plain.connect(system.DSN).cursor()
+        system.registry.reset()
+    measured: dict[str, tuple[float, int, int]] = {}
+
+    def trial(side: str) -> float:
+        # read-only workload: every trial produces the same fingerprint
+        measured[side] = _timed_queries(cursors[side], queries, repetitions)
+        return measured[side][0]
+
+    best = interleaved_best_of(systems, trial, rounds, warmup=True)
+    for cursor in cursors.values():
+        cursor.connection.close()
+    return {side: (best[side], *measured[side][1:]) for side in systems}
+
+
+def _increments(table: str, ops: int):
+    """The under-load workload of the restart and restore experiments:
+    client ``key`` adds 1 to its own row of ``table``, ``ops`` times — so
+    after any number of ride-throughs every row must read exactly ``ops``."""
+
+    def work(connection, key: int):
+        cursor = connection.cursor()
+        yield
+        for _ in range(ops):
+            cursor.execute(f"UPDATE {table} SET v = v + 1 WHERE k = {key}")
+            yield
+
+    return work
+
+
+def _phoenix_trace(iterations: int, **system_options) -> tuple[float, int, int, "repro.System"]:
+    """The *phoenix trace*: one Phoenix session mixing the statement
+    traffic Phoenix itself doubles — repeated metadata probes (``WHERE
+    0=1``: compile-only, so caches are the entire cost), status-wrapped
+    DML, and periodic result-set materialization whose ``phx_*`` DDL
+    invalidates hot plans mid-trace.  It is the span-densest path in the
+    system, and deterministic: it mutates its table, so every call builds a
+    fresh system, and calls are comparable.  Returns (seconds, statements,
+    fingerprint, the system it ran on)."""
+    from repro.sql import parse
+
+    values = ", ".join(f"({i}, 'owner_{i % 7}', {100.0 + i})" for i in range(1, 101))
+    system = loaded_system(
+        "CREATE TABLE accounts (id INT PRIMARY KEY, owner VARCHAR(20), balance FLOAT)",
+        f"INSERT INTO accounts VALUES {values}",
+        **system_options,
+    )
+    connection = system.phoenix.connect(system.DSN)
+    cursor = connection.cursor()
+    scan = parse("SELECT id, owner, balance FROM accounts WHERE balance > 120")
+    agg = parse(
+        "SELECT count(*) AS n, avg(balance) AS mean FROM accounts "
+        "WHERE owner LIKE 'owner_%'"
+    )
+    system.server.engine_metrics.reset()
+    fingerprint = 0
+    statements = 0
+    started = time.perf_counter()
+    for i in range(iterations):
+        # statement preparation: Phoenix's compile-only metadata probes
+        connection.probe_metadata(scan)
+        connection.probe_metadata(agg)
+        cursor.execute(
+            f"UPDATE accounts SET balance = balance + 1 WHERE id = {i % 50 + 1}"
+        )
+        statements += 3
+        if i % 8 == 0:
+            # full result-set persistence: phx_* DDL evicts hot plans
+            cursor.execute(
+                "SELECT id, owner, balance FROM accounts "
+                "WHERE balance > 120 ORDER BY id"
+            )
+            fingerprint = fold_fingerprint(fingerprint, "scan", cursor.fetchall())
+            statements += 1
+    seconds = time.perf_counter() - started
+    connection.close()
+    return seconds, statements, fingerprint, system
 
 
 # ======================================================================= Table 1
@@ -78,15 +171,13 @@ class Table1Row:
     native_seconds: float
     phoenix_seconds: float
 
-    @property
+    @derived
     def difference(self) -> float:
         return self.phoenix_seconds - self.native_seconds
 
-    @property
+    @derived
     def ratio(self) -> float:
-        if self.native_seconds <= 0:
-            return float("nan")
-        return self.phoenix_seconds / self.native_seconds
+        return _ratio(self.phoenix_seconds, self.native_seconds)
 
 
 def run_table1_power_comparison(
@@ -128,33 +219,22 @@ def run_table1_power_comparison(
     phoenix = run_side(system.phoenix)
 
     rows = [
-        Table1Row(
-            name=name,
-            result_rows=native[name][1],
-            native_seconds=native[name][0],
-            phoenix_seconds=phoenix[name][0],
-        )
+        Table1Row(name, native[name][1], native[name][0], phoenix[name][0])
         for name in native
     ]
-    query_rows = [r for r in rows if r.name.startswith("Q")]
+
+    def total(label: str, part: list[Table1Row]) -> Table1Row:
+        return Table1Row(
+            label,
+            sum(r.result_rows for r in part),
+            sum(r.native_seconds for r in part),
+            sum(r.phoenix_seconds for r in part),
+        )
+
     update_rows = [r for r in rows if r.name.startswith("RF")]
-    rows.append(
-        Table1Row(
-            "Total Query",
-            sum(r.result_rows for r in query_rows),
-            sum(r.native_seconds for r in query_rows),
-            sum(r.phoenix_seconds for r in query_rows),
-        )
-    )
+    rows.append(total("Total Query", [r for r in rows if r.name.startswith("Q")]))
     if update_rows:
-        rows.append(
-            Table1Row(
-                "Total Updates",
-                sum(r.result_rows for r in update_rows),
-                sum(r.native_seconds for r in update_rows),
-                sum(r.phoenix_seconds for r in update_rows),
-            )
-        )
+        rows.append(total("Total Updates", update_rows))
     return rows
 
 
@@ -171,7 +251,7 @@ class Fig2Point:
     outstanding_fetch_seconds: float
     recompute_seconds: float
 
-    @property
+    @derived
     def recovery_seconds(self) -> float:
         return (
             self.virtual_session_seconds
@@ -181,14 +261,7 @@ class Fig2Point:
 
     @property
     def recovery_vs_recompute(self) -> float:
-        if self.recompute_seconds <= 0:
-            return float("nan")
-        return self.recovery_seconds / self.recompute_seconds
-
-
-@dataclass
-class Fig2Series:
-    points: list[Fig2Point] = field(default_factory=list)
+        return _ratio(self.recovery_seconds, self.recompute_seconds)
 
 
 def _bench_query(groups: int) -> str:
@@ -205,7 +278,7 @@ def run_fig2_recovery_sweep(
     result_sizes: list[int] | None = None,
     table_rows: int = 20_000,
     unread_tail: int = 5,
-) -> Fig2Series:
+) -> list[Fig2Point]:
     """Reproduce Figure 2's experiment.
 
     For each result size: run the query through Phoenix, fetch to within
@@ -217,23 +290,21 @@ def run_fig2_recovery_sweep(
     """
     # default sizes bracket the paper's 2541-tuple Q11 result
     sizes = result_sizes if result_sizes is not None else [100, 500, 1000, 1750, 2500]
-    system = repro.make_system()
-    loader = system.server.connect(user="loader")
-    system.server.execute(
-        loader, "CREATE TABLE bench_rows (k INT PRIMARY KEY, v FLOAT)"
-    )
-    for start in range(0, table_rows, 1000):
-        values = ", ".join(
-            f"({k}, {(k % 97) * 1.5})" for k in range(start + 1, min(start + 1001, table_rows + 1))
+    fill = (
+        "INSERT INTO bench_rows VALUES "
+        + ", ".join(
+            f"({k}, {(k % 97) * 1.5})"
+            for k in range(start + 1, min(start + 1001, table_rows + 1))
         )
-        system.server.execute(loader, f"INSERT INTO bench_rows VALUES {values}")
+        for start in range(0, table_rows, 1000)
+    )
+    system = loaded_system("CREATE TABLE bench_rows (k INT PRIMARY KEY, v FLOAT)", *fill)
     system.server.checkpoint()
-    system.server.disconnect(loader)
 
-    series = Fig2Series()
+    points: list[Fig2Point] = []
     for size in sizes:
         connection = system.phoenix.connect(system.DSN)
-        connection.config.sleep = lambda _s: None
+        connection.config.sleep = lambda _s: None  # the server is already back
         cursor = connection.cursor()
         sql = _bench_query(size)
         cursor.execute(sql)
@@ -243,7 +314,6 @@ def run_fig2_recovery_sweep(
         system.endpoint.restart_server()
 
         # Phoenix recovery: the next server interaction detects the failure.
-        started = time.perf_counter()
         connection.recovery.recover(CommunicationError("bench-injected crash"))
         fetch_started = time.perf_counter()
         tail = cursor.fetchall()
@@ -259,7 +329,7 @@ def run_fig2_recovery_sweep(
         recompute_seconds = time.perf_counter() - recompute_started
         native.close()
 
-        series.points.append(
+        points.append(
             Fig2Point(
                 result_size=size,
                 virtual_session_seconds=connection.stats.last_virtual_session_seconds,
@@ -269,7 +339,7 @@ def run_fig2_recovery_sweep(
             )
         )
         connection.close()
-    return series
+    return points
 
 
 # ================================================================ round trips
@@ -305,37 +375,31 @@ def run_round_trip_accounting(
     round trips do not.  This is the placement-independent version of
     Table 1's overhead column (experiment A5 in DESIGN.md).
     """
-    from repro.workloads.tpch.queries import QUERY_ORDER, query_sql
-
     selected = queries if queries is not None else QUERY_ORDER
-    rows: list[RoundTripRow] = []
     system = repro.make_system()
     data = populate(system, sf=sf, seed=seed)
+    network, wal = system.registry.network, system.registry.wal
+
+    def cost(cursor, sql: str) -> tuple[int, int, int]:
+        """(round trips, bytes on the wire, log forces) of one execution."""
+        before = (network.round_trips, network.bytes_sent + network.bytes_received, wal.forces)
+        cursor.execute(sql)
+        cursor.fetchall()
+        after = (network.round_trips, network.bytes_sent + network.bytes_received, wal.forces)
+        return tuple(b - a for a, b in zip(before, after))
 
     native = system.plain.connect(system.DSN)
     phoenix = system.phoenix.connect(system.DSN)
-    native_cur = native.cursor()
-    phoenix_cur = phoenix.cursor()
-    metrics = system.metrics
-    wal_stats = system.server.database.wal.stats
+    native_cursor, phoenix_cursor = native.cursor(), phoenix.cursor()
+    rows: list[RoundTripRow] = []
     for query_id in selected:
         sql = query_sql(query_id, data.sf)
-        before = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
-        native_cur.execute(sql)
-        native_cur.fetchall()
-        mid = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
-        forces = wal_stats.forces
-        phoenix_cur.execute(sql)
-        phoenix_cur.fetchall()
-        after = (metrics.round_trips, metrics.bytes_sent + metrics.bytes_received)
+        native_trips, native_bytes, _ = cost(native_cursor, sql)
+        phoenix_trips, phoenix_bytes, phoenix_forces = cost(phoenix_cursor, sql)
         rows.append(
             RoundTripRow(
-                name=query_id,
-                native_trips=mid[0] - before[0],
-                phoenix_trips=after[0] - mid[0],
-                native_bytes=mid[1] - before[1],
-                phoenix_bytes=after[1] - mid[1],
-                phoenix_forces=wal_stats.forces - forces,
+                query_id, native_trips, phoenix_trips, native_bytes, phoenix_bytes,
+                phoenix_forces,
             )
         )
     native.close()
@@ -360,13 +424,9 @@ class PlanCacheRun:
     #: EngineMetrics.snapshot() taken after the workload
     metrics: dict[str, float]
 
-    @property
+    @derived
     def statements_per_second(self) -> float:
-        return self.statements / self.seconds if self.seconds > 0 else float("inf")
-
-
-def _fold_fingerprint(fingerprint: int, name: str, rows: list) -> int:
-    return hash((fingerprint, name, str(rows)))
+        return _ratio(self.statements, self.seconds, undefined=float("inf"))
 
 
 def run_plan_cache_ablation(
@@ -387,162 +447,53 @@ def run_plan_cache_ablation(
     * ``tpch_power`` — the Table 1 power loop shape: the same query texts
       re-executed over one native connection, ``repetitions`` times.  Pure
       repeated-statement traffic; both caches should run hot.
-    * ``phoenix_trace`` — a Phoenix session mixing the statement traffic
-      Phoenix itself doubles: repeated metadata probes (``WHERE 0=1`` —
-      compile-only, so caches are the entire cost), status-wrapped DML, and
-      periodic result-set materialization.  The materialization's ``phx_*``
-      DDL invalidates hot plans mid-trace, so the cells also measure
-      invalidation overhead, not just the sunny path.
+    * ``phoenix_trace`` — the :func:`_phoenix_trace` session.  Its
+      materialization DDL invalidates hot plans mid-trace, so the cells
+      also measure invalidation overhead, not just the sunny path.
 
-    The read-only ``tpch_power`` loop is timed best-of-``timing_trials``
-    with the on/off trials *interleaved* in one pass: the parse/plan delta
-    is a few percent of an execution-dominated workload, smaller than the
-    slow drift a process accumulates between two back-to-back measurement
-    blocks (allocator warm-up, CPU frequency), so measuring the two sides
-    adjacently and taking each side's minimum is what isolates the
-    systematic delta.  ``phoenix_trace`` mutates its table, so its
-    interleaved trials each run against a freshly built system — the trace
-    is deterministic, making trials comparable.
+    Both are timed with :func:`~repro.bench.skeleton.interleaved_best_of`
+    (the parse/plan delta is a few percent of an execution-dominated
+    workload).  The read-only ``tpch_power`` loop reuses one system per
+    side after an untimed warm-up; ``phoenix_trace`` mutates its table, so
+    each of its trials runs against a freshly built system.
 
     Returns one :class:`PlanCacheRun` per (workload, cache) cell.  The
     fingerprints double as the correctness guard: caching must not change a
     single row.
     """
-    from repro.workloads.tpch.queries import query_sql
-
     selected = queries if queries is not None else ["Q1", "Q3", "Q6", "Q12", "Q14"]
+    sides = {"on": True, "off": False}
+    rounds = symmetric_rounds(timing_trials, len(sides))
     runs: list[PlanCacheRun] = []
 
     # -- TPC-H power loop over one connection per cache setting ---------------
-    tpch: dict[bool, dict] = {}
-    for cache_on in (True, False):
-        system = repro.make_system(plan_cache=cache_on)
+    systems = {cache: repro.make_system(plan_cache=enabled) for cache, enabled in sides.items()}
+    for system in systems.values():
         data = populate(system, sf=sf, seed=seed)
-        connection = system.plain.connect(system.DSN)
-        system.server.engine_metrics.reset()
-        tpch[cache_on] = {
-            "system": system,
-            "connection": connection,
-            "cursor": connection.cursor(),
-            "sf": data.sf,
-            "seconds": float("inf"),
-            "fingerprint": 0,
-            "statements": 0,
-        }
-
-    def _power_loop(cell: dict) -> None:
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for _ in range(repetitions):
-            for query_id in selected:
-                cell["cursor"].execute(query_sql(query_id, cell["sf"]))
-                fingerprint = _fold_fingerprint(
-                    fingerprint, query_id, cell["cursor"].fetchall()
-                )
-                statements += 1
-        cell["seconds"] = min(cell["seconds"], time.perf_counter() - started)
-        # read-only workload: every trial produces the same fingerprint
-        cell["fingerprint"] = fingerprint
-        cell["statements"] = statements
-
-    # untimed warm-up: absorb the steep early process drift (and make the
-    # cache-on side hot) before any measured trial
-    for cache_on in (True, False):
-        _power_loop(tpch[cache_on])
-        tpch[cache_on]["seconds"] = float("inf")
-
-    # even trial count + ABBA order → each side occupies positionally
-    # symmetric slots, so monotone drift cancels instead of favouring
-    # whichever side runs last
-    trials = max(2, timing_trials + (timing_trials % 2))
-    for trial in range(trials):
-        order = (True, False) if trial % 2 == 0 else (False, True)
-        for cache_on in order:
-            _power_loop(tpch[cache_on])
-
-    for cache_on in (True, False):
-        cell = tpch[cache_on]
-        cell["connection"].close()
+    named = [(query_id, query_sql(query_id, data.sf)) for query_id in selected]
+    loops = _interleaved_query_loops(systems, named, repetitions, rounds)
+    for cache, (seconds, statements, fingerprint) in loops.items():
         runs.append(
             PlanCacheRun(
-                "tpch_power", "on" if cache_on else "off", cell["seconds"],
-                cell["statements"], cell["fingerprint"],
-                cell["system"].server.engine_metrics.snapshot(),
+                "tpch_power", cache, seconds, statements, fingerprint,
+                systems[cache].registry.engine.snapshot(),
             )
         )
 
     # -- Phoenix session trace ------------------------------------------------
-    # Mutating workload, so interleaved timing trials each run against a
-    # fresh system; min across trials per side cancels process drift the
-    # same way the tpch loop does.
-    from repro.sql import parse
+    measured: dict[str, tuple] = {}
 
-    def _trace_once(cache_on: bool) -> tuple[float, int, int, dict[str, float]]:
-        system = repro.make_system(plan_cache=cache_on)
-        loader = system.server.connect(user="loader")
-        system.server.execute(
-            loader,
-            "CREATE TABLE accounts (id INT PRIMARY KEY, owner VARCHAR(20), balance FLOAT)",
-        )
-        values = ", ".join(
-            f"({i}, 'owner_{i % 7}', {100.0 + i})" for i in range(1, 101)
-        )
-        system.server.execute(loader, f"INSERT INTO accounts VALUES {values}")
-        system.server.disconnect(loader)
+    def trace_trial(cache: str) -> float:
+        measured[cache] = _phoenix_trace(trace_iterations, plan_cache=sides[cache])
+        return measured[cache][0]
 
-        connection = system.phoenix.connect(system.DSN)
-        cursor = connection.cursor()
-        scan = parse("SELECT id, owner, balance FROM accounts WHERE balance > 120")
-        agg = parse(
-            "SELECT count(*) AS n, avg(balance) AS mean FROM accounts "
-            "WHERE owner LIKE 'owner_%'"
-        )
-        system.server.engine_metrics.reset()
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for i in range(trace_iterations):
-            # statement preparation: Phoenix's compile-only metadata probes
-            connection.probe_metadata(scan)
-            connection.probe_metadata(agg)
-            cursor.execute(
-                f"UPDATE accounts SET balance = balance + 1 WHERE id = {i % 50 + 1}"
-            )
-            statements += 3
-            if i % 8 == 0:
-                # full result-set persistence: phx_* DDL evicts hot plans
-                cursor.execute(
-                    "SELECT id, owner, balance FROM accounts "
-                    "WHERE balance > 120 ORDER BY id"
-                )
-                fingerprint = _fold_fingerprint(fingerprint, "scan", cursor.fetchall())
-                statements += 1
-        seconds = time.perf_counter() - started
-        connection.close()
-        return seconds, statements, fingerprint, system.server.engine_metrics.snapshot()
-
-    trace: dict[bool, dict] = {
-        True: {"seconds": float("inf")},
-        False: {"seconds": float("inf")},
-    }
-    for trial in range(trials):
-        order = (True, False) if trial % 2 == 0 else (False, True)
-        for cache_on in order:
-            seconds, statements, fingerprint, metrics = _trace_once(cache_on)
-            cell = trace[cache_on]
-            cell["seconds"] = min(cell["seconds"], seconds)
-            # fresh system per trial: the trace is deterministic, so every
-            # trial produces the same fingerprint
-            cell["fingerprint"] = fingerprint
-            cell["statements"] = statements
-            cell["metrics"] = metrics
-    for cache_on in (True, False):
-        cell = trace[cache_on]
+    best = interleaved_best_of(sides, trace_trial, rounds)
+    for cache in sides:
+        _seconds, statements, fingerprint, system = measured[cache]
         runs.append(
             PlanCacheRun(
-                "phoenix_trace", "on" if cache_on else "off", cell["seconds"],
-                cell["statements"], cell["fingerprint"], cell["metrics"],
+                "phoenix_trace", cache, best[cache], statements, fingerprint,
+                system.server.engine_metrics.snapshot(),
             )
         )
     return runs
@@ -562,21 +513,15 @@ class ExecutorRun:
     #: order-sensitive hash over every result set — identical across
     #: executor modes iff the vectorized path changed nothing observable
     fingerprint: int
-    #: ExecutorStats.snapshot() taken after the workload
+    #: ExecutorStats.snapshot() over the warm-up and every timed trial
     counters: dict[str, int]
 
-    @property
+    @derived
     def statements_per_second(self) -> float:
-        return self.statements / self.seconds if self.seconds > 0 else float("inf")
+        return _ratio(self.statements, self.seconds, undefined=float("inf"))
 
 
-def executor_speedup(runs: list[ExecutorRun], workload: str) -> float:
-    """interpreted seconds / compiled seconds for one workload (∞ if absent)."""
-    by_mode = {r.executor: r for r in runs if r.workload == workload}
-    compiled, interpreted = by_mode.get("compiled"), by_mode.get("interpreted")
-    if compiled is None or interpreted is None or compiled.seconds <= 0:
-        return float("inf")
-    return interpreted.seconds / compiled.seconds
+_EXECUTOR_MODES = ("compiled", "interpreted")
 
 
 def run_executor_ablation(
@@ -607,21 +552,18 @@ def run_executor_ablation(
       sit idle there, exactly the PR-8 state).  This is where the compiled
       row pipeline shows up on analytic SQL.
 
-    Both workloads are read-only, so they use the same interleaved ABBA
+    Both workloads are read-only, so they use the same interleaved
     best-of-``timing_trials`` discipline as :func:`run_plan_cache_ablation`
-    (adjacent trials, per-side minimum) to cancel process drift.  The
+    with an untimed warm-up, which the ``ExecutorStats`` window includes
+    (see :func:`_interleaved_query_loops` for why).  The
     fingerprints double as the correctness guard: if the two modes ever
     disagree on a single row, the speedup is meaningless — callers (and
     CI's bench-smoke) must check ``fingerprint`` equality per workload.
 
     Returns one :class:`ExecutorRun` per (workload, mode) cell.
     """
-    from repro.workloads.tpch.queries import query_sql
-
     selected = queries if queries is not None else ["Q1", "Q3", "Q6", "Q12", "Q14"]
-    modes = ("compiled", "interpreted")
-    runs: list[ExecutorRun] = []
-    trials = max(2, timing_trials + (timing_trials % 2))
+    rounds = symmetric_rounds(timing_trials, len(_EXECUTOR_MODES))
 
     # -- range/top-k workload over an indexed table ---------------------------
     values = rows // 2  # two rows per distinct indexed value
@@ -637,121 +579,48 @@ def run_executor_ablation(
             "SELECT k, v FROM events ORDER BY v DESC LIMIT 10",
             f"SELECT k FROM events WHERE v = {low}",
         ]
-
-    cells: dict[str, dict] = {}
-    for mode in modes:
-        system = repro.make_system(executor=mode)
-        session = system.server.connect(user="loader")
-        system.server.execute(
-            session,
+    fill = [
+        "INSERT INTO events VALUES "
+        + ", ".join(
+            f"({k}, {k % values}, {k % 13}, 'label_{k % 7}')"
+            for k in range(start, min(start + 500, rows))
+        )
+        for start in range(0, rows, 500)
+    ]
+    systems = {
+        mode: loaded_system(
             "CREATE TABLE events (k INT PRIMARY KEY, v INT, grp INT, label VARCHAR(12))",
+            *fill,
+            "CREATE INDEX bench_events_v ON events (v)",
+            executor=mode,
         )
-        for start in range(0, rows, 500):
-            chunk = ", ".join(
-                f"({k}, {k % values}, {k % 13}, 'label_{k % 7}')"
-                for k in range(start, min(start + 500, rows))
-            )
-            system.server.execute(session, f"INSERT INTO events VALUES {chunk}")
-        system.server.execute(session, "CREATE INDEX bench_events_v ON events (v)")
-        system.server.disconnect(session)
-        connection = system.plain.connect(system.DSN)
-        cells[mode] = {
-            "system": system,
-            "connection": connection,
-            "cursor": connection.cursor(),
-            "seconds": float("inf"),
-            "fingerprint": 0,
-            "statements": 0,
-        }
-
-    def _range_loop(cell: dict) -> None:
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for _ in range(loops):
-            for sql in range_sql:
-                cell["cursor"].execute(sql)
-                fingerprint = _fold_fingerprint(fingerprint, sql, cell["cursor"].fetchall())
-                statements += 1
-        cell["seconds"] = min(cell["seconds"], time.perf_counter() - started)
-        cell["fingerprint"] = fingerprint  # read-only: same every trial
-        cell["statements"] = statements
-
-    for mode in modes:  # untimed warm-up (plans go hot, drift absorbed)
-        _range_loop(cells[mode])
-        cells[mode]["seconds"] = float("inf")
-        cells[mode]["system"].registry.executor.reset()
-    for trial in range(trials):
-        order = modes if trial % 2 == 0 else modes[::-1]
-        for mode in order:
-            _range_loop(cells[mode])
-    for mode in modes:
-        cell = cells[mode]
-        cell["connection"].close()
-        runs.append(
-            ExecutorRun(
-                "range_topk", mode, cell["seconds"], cell["statements"],
-                cell["fingerprint"], cell["system"].registry.executor.snapshot(),
-            )
-        )
+        for mode in _EXECUTOR_MODES
+    }
+    runs = _executor_runs("range_topk", systems, [(sql, sql) for sql in range_sql], loops, rounds)
 
     # -- TPC-H power loop per executor mode -----------------------------------
-    cells = {}
-    for mode in modes:
-        system = repro.make_system(executor=mode)
+    systems = {}
+    for mode in _EXECUTOR_MODES:
+        systems[mode] = system = repro.make_system(executor=mode)
         data = populate(system, sf=sf, seed=seed)
-        session = system.server.connect(user="loader")
-        system.server.execute(
-            session, "CREATE INDEX bench_l_shipdate ON lineitem (l_shipdate)"
+        load(
+            system,
+            "CREATE INDEX bench_l_shipdate ON lineitem (l_shipdate)",
+            "CREATE INDEX bench_o_orderdate ON orders (o_orderdate)",
         )
-        system.server.execute(
-            session, "CREATE INDEX bench_o_orderdate ON orders (o_orderdate)"
-        )
-        system.server.disconnect(session)
-        connection = system.plain.connect(system.DSN)
-        cells[mode] = {
-            "system": system,
-            "connection": connection,
-            "cursor": connection.cursor(),
-            "sf": data.sf,
-            "seconds": float("inf"),
-            "fingerprint": 0,
-            "statements": 0,
-        }
+    named = [(query_id, query_sql(query_id, data.sf)) for query_id in selected]
+    return runs + _executor_runs("tpch_power", systems, named, repetitions, rounds)
 
-    def _power_loop(cell: dict) -> None:
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for _ in range(repetitions):
-            for query_id in selected:
-                cell["cursor"].execute(query_sql(query_id, cell["sf"]))
-                fingerprint = _fold_fingerprint(
-                    fingerprint, query_id, cell["cursor"].fetchall()
-                )
-                statements += 1
-        cell["seconds"] = min(cell["seconds"], time.perf_counter() - started)
-        cell["fingerprint"] = fingerprint
-        cell["statements"] = statements
 
-    for mode in modes:
-        _power_loop(cells[mode])
-        cells[mode]["seconds"] = float("inf")
-        cells[mode]["system"].registry.executor.reset()
-    for trial in range(trials):
-        order = modes if trial % 2 == 0 else modes[::-1]
-        for mode in order:
-            _power_loop(cells[mode])
-    for mode in modes:
-        cell = cells[mode]
-        cell["connection"].close()
-        runs.append(
-            ExecutorRun(
-                "tpch_power", mode, cell["seconds"], cell["statements"],
-                cell["fingerprint"], cell["system"].registry.executor.snapshot(),
-            )
+def _executor_runs(workload, systems, queries, repetitions, rounds) -> list[ExecutorRun]:
+    loops = _interleaved_query_loops(systems, queries, repetitions, rounds)
+    return [
+        ExecutorRun(
+            workload, mode, seconds, statements, fingerprint,
+            systems[mode].registry.executor.snapshot(),
         )
-    return runs
+        for mode, (seconds, statements, fingerprint) in loops.items()
+    ]
 
 
 # ======================================================== wire-batch ablation
@@ -785,27 +654,31 @@ class WireBatchResult:
     batch_size: int
     runs: list[WireBatchRun] = field(default_factory=list)
 
-    def _mode(self, mode: str) -> list[WireBatchRun]:
-        return [r for r in self.runs if r.mode == mode]
+    def _mean(self, mode: str, counter: str) -> float:
+        return statistics.fmean(getattr(r, counter) for r in self.runs if r.mode == mode)
 
-    @property
-    def fingerprints_match(self) -> bool:
-        return len({r.fingerprint for r in self.runs}) == 1
-
-    @property
+    @derived
     def trip_ratio(self) -> float:
         """Unbatched round trips per batched round trip (higher = batching
         saved more wire)."""
-        batched = statistics.fmean(r.round_trips for r in self._mode("batched"))
-        unbatched = statistics.fmean(r.round_trips for r in self._mode("unbatched"))
-        return unbatched / batched if batched else float("inf")
+        return _ratio(
+            self._mean("unbatched", "round_trips"),
+            self._mean("batched", "round_trips"),
+            undefined=float("inf"),
+        )
 
-    @property
+    @derived
     def force_ratio(self) -> float:
         """Unbatched WAL forces per batched WAL force (group commit's win)."""
-        batched = statistics.fmean(r.wal_forces for r in self._mode("batched"))
-        unbatched = statistics.fmean(r.wal_forces for r in self._mode("unbatched"))
-        return unbatched / batched if batched else float("inf")
+        return _ratio(
+            self._mean("unbatched", "wal_forces"),
+            self._mean("batched", "wal_forces"),
+            undefined=float("inf"),
+        )
+
+    @derived
+    def fingerprints_match(self) -> bool:
+        return len({r.fingerprint for r in self.runs}) == 1
 
 
 def run_wire_batch(
@@ -833,86 +706,69 @@ def run_wire_batch(
     from repro.odbc.constants import CursorType, StatementAttr
 
     result = WireBatchResult(rows=rows, batch_size=batch_size)
-    for trial in range(trials):
-        # interleave modes ABBA-style so drift cancels across trials
-        order = ("unbatched", "batched") if trial % 2 == 0 else ("batched", "unbatched")
-        for mode in order:
-            system = repro.make_system()
-            loader = system.server.connect(user="loader")
-            system.server.execute(
-                loader, "CREATE TABLE wire_bench (k INT PRIMARY KEY, v FLOAT)"
-            )
-            system.server.disconnect(loader)
 
-            connection = system.phoenix.connect(system.DSN)
-            cursor = connection.cursor()
-            cursor.set_attr(StatementAttr.CURSOR_TYPE, CursorType.FORWARD_ONLY)
-            cursor.set_attr(
-                StatementAttr.BATCH_SIZE, 1 if mode == "unbatched" else batch_size
-            )
-            registry = system.registry
-            registry.reset()
+    def trial(mode: str) -> float:
+        system = loaded_system("CREATE TABLE wire_bench (k INT PRIMARY KEY, v FLOAT)")
+        connection = system.phoenix.connect(system.DSN)
+        cursor = connection.cursor()
+        size = 1 if mode == "unbatched" else batch_size
+        cursor.set_attr(StatementAttr.CURSOR_TYPE, CursorType.FORWARD_ONLY)
+        cursor.set_attr(StatementAttr.BATCH_SIZE, size)
+        registry = system.registry
+        registry.reset()
 
-            started = time.perf_counter()
-            cursor.executemany(
-                "INSERT INTO wire_bench VALUES (?, ?)",
-                [[k, k * 1.5] for k in range(1, rows + 1)],
-            )
-            inserted = cursor.rowcount
-            cursor.executemany(
-                "UPDATE wire_bench SET v = v + ? WHERE k = ?",
-                [[0.5, k] for k in range(1, rows + 1)],
-            )
-            updated = cursor.rowcount
-            seconds = time.perf_counter() - started
-            if inserted != rows or updated != rows:
-                raise RuntimeError(
-                    f"{mode} trial {trial}: rowcounts {inserted}/{updated}, "
-                    f"expected {rows}/{rows}"
-                )
-
-            # counters first (the verification reads below cost trips too)
-            network = registry.network
-            wal = registry.wal
-            run = WireBatchRun(
-                mode=mode,
-                trial=trial,
-                batch_size=1 if mode == "unbatched" else batch_size,
-                seconds=seconds,
-                statements=2 * rows,
-                round_trips=network.round_trips,
-                batch_requests=network.batch_requests,
-                requests_batched=network.requests_batched,
-                wal_forces=wal.forces,
-                group_forces=wal.group_forces,
-                forces_coalesced=wal.forces_coalesced,
-                fingerprint=0,
-            )
-
-            # fingerprint durable state server-side, before close() drops
-            # the session's status table
-            verifier = system.server.connect(user="verifier")
-            data = system.server.execute(
-                verifier, "SELECT k, v FROM wire_bench ORDER BY k"
-            )
-            status = system.server.execute(
-                verifier,
-                f"SELECT count(*) AS n, sum(n_rows) AS total "
-                f"FROM {connection.names.status_table}",
-            )
-            system.server.disconnect(verifier)
-            fingerprint = _fold_fingerprint(0, "data", data.result_set.rows)
-            run.fingerprint = _fold_fingerprint(
-                fingerprint, "status", status.result_set.rows
-            )
-            result.runs.append(run)
-            connection.close()
-
-    if not result.fingerprints_match:
-        raise RuntimeError(
-            "wire-batch ablation: durable state diverged between modes: "
-            + ", ".join(f"{r.mode}/{r.trial}={r.fingerprint}" for r in result.runs)
+        started = time.perf_counter()
+        cursor.executemany(
+            "INSERT INTO wire_bench VALUES (?, ?)",
+            [[k, k * 1.5] for k in range(1, rows + 1)],
         )
+        inserted = cursor.rowcount
+        cursor.executemany(
+            "UPDATE wire_bench SET v = v + ? WHERE k = ?",
+            [[0.5, k] for k in range(1, rows + 1)],
+        )
+        updated = cursor.rowcount
+        seconds = time.perf_counter() - started
+        number = sum(1 for r in result.runs if r.mode == mode)
+        if inserted != rows or updated != rows:
+            raise RuntimeError(
+                f"{mode} trial {number}: rowcounts {inserted}/{updated}, "
+                f"expected {rows}/{rows}"
+            )
+
+        # counters first (the verification reads below cost trips too)
+        network, wal = registry.network, registry.wal
+        run = WireBatchRun(
+            mode=mode,
+            trial=number,
+            batch_size=size,
+            seconds=seconds,
+            statements=2 * rows,
+            round_trips=network.round_trips,
+            batch_requests=network.batch_requests,
+            requests_batched=network.requests_batched,
+            wal_forces=wal.forces,
+            group_forces=wal.group_forces,
+            forces_coalesced=wal.forces_coalesced,
+            # durable state, read server-side before close() drops the
+            # session's status table
+            fingerprint=durable_fingerprint(
+                system,
+                data="SELECT k, v FROM wire_bench ORDER BY k",
+                status="SELECT count(*) AS n, sum(n_rows) AS total "
+                f"FROM {connection.names.status_table}",
+            ),
+        )
+        result.runs.append(run)
+        connection.close()
+        return seconds
+
+    # every run is reported, so the per-side minimum is not used here
+    interleaved_best_of(("unbatched", "batched"), trial, trials)
+    require_identical(
+        "wire-batch ablation",
+        {f"{r.mode}/{r.trial}": r.fingerprint for r in result.runs},
+    )
     return result
 
 
@@ -927,13 +783,10 @@ class AvailabilityResult:
     sessions_total: int
     sessions_completed: int
     crashes: int
-    elapsed_seconds: float
 
-    @property
+    @derived
     def availability(self) -> float:
-        if not self.sessions_total:
-            return 1.0
-        return self.sessions_completed / self.sessions_total
+        return _ratio(self.sessions_completed, self.sessions_total, undefined=1.0)
 
 
 def run_availability_experiment(
@@ -954,30 +807,21 @@ def run_availability_experiment(
     from repro.net import FaultKind
     from repro.workloads.sessions import generate_traces, run_trace, setup_workload
 
+    setup: list[str] = []
+    setup_workload(setup.append)
     results: dict[str, AvailabilityResult] = {}
     for driver_name in ("native", "phoenix"):
-        system = repro.make_system()
-        loader = system.server.connect(user="loader")
-        setup_workload(lambda sql: system.server.execute(loader, sql))
-        system.server.disconnect(loader)
+        system = loaded_system(*setup)
         system.faults.schedule(FaultKind.CRASH_BEFORE_EXECUTE, every=crash_every)
-        # Phoenix recovery "waits" by restarting the crashed server — the
-        # operator's role, compressed to zero for a deterministic bench.
-        system.phoenix.config.sleep = lambda _s: (
-            system.endpoint.restart_server() if not system.server.up else None
-        )
+        system.phoenix.config.sleep = operator_restart(system)
+        manager = system.plain if driver_name == "native" else system.phoenix
 
-        traces = generate_traces(sessions, seed=seed)
         completed = 0
-        started = time.perf_counter()
-        for trace in traces:
+        for trace in generate_traces(sessions, seed=seed):
             if not system.server.up:
                 system.endpoint.restart_server()
             try:
-                if driver_name == "native":
-                    connection = system.plain.connect(system.DSN)
-                else:
-                    connection = system.phoenix.connect(system.DSN)
+                connection = manager.connect(system.DSN)
             except Exception:
                 continue  # could not even connect: the session is lost
             outcome = run_trace(connection, trace)
@@ -994,7 +838,6 @@ def run_availability_experiment(
             sessions_total=sessions,
             sessions_completed=completed,
             crashes=system.server.stats.crashes,
-            elapsed_seconds=time.perf_counter() - started,
         )
     return results
 
@@ -1040,13 +883,9 @@ class PlannedRestartResult:
     #: workload is deterministic and exactly-once)
     fingerprints_match: bool
 
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[index]
+    @derived
+    def planned_p99_below_crash(self) -> bool:
+        return self.planned_p99 < self.crash_p99
 
 
 def run_planned_restart(
@@ -1059,119 +898,64 @@ def run_planned_restart(
 ) -> PlannedRestartResult:
     """Measure upgrade-under-load availability (see
     :class:`PlannedRestartResult`)."""
-    import threading
 
-    def run_phase(mode: str) -> tuple[list[float], int, int, int, "repro.System"]:
-        system = repro.make_system()
-        system.endpoint.latency = latency
-        loader = system.server.connect(user="loader")
-        system.server.execute(
-            loader, "CREATE TABLE restart_bench (k INT PRIMARY KEY, v INT)"
+    def run_phase(mode: str) -> tuple[ClientRun, int, "repro.System"]:
+        system = loaded_system(
+            "CREATE TABLE restart_bench (k INT PRIMARY KEY, v INT)",
+            *(f"INSERT INTO restart_bench VALUES ({i}, 0)" for i in range(clients)),
+            latency=latency,
         )
-        for i in range(clients):
-            system.server.execute(loader, f"INSERT INTO restart_bench VALUES ({i}, 0)")
-        system.server.disconnect(loader)
-
-        connections = [
-            system.phoenix.connect(system.DSN, user=f"pr{i}") for i in range(clients)
-        ]
         if mode == "crash":
             # the operator's restart, modelled inside the recovery sleep:
             # the client genuinely waits out its backoff interval (that IS
             # the crash downtime) and the server is back for the next ping
-            def sleep_hook(seconds: float) -> None:
-                time.sleep(seconds)
-                try:
-                    if not system.server.up:
-                        system.endpoint.restart_server()
-                except Exception:
-                    pass  # another client's hook won the restart race
+            system.phoenix.config.sleep = operator_restart(system, wait=True)
 
-            system.phoenix.config.sleep = sleep_hook
+        def operator() -> None:
+            # K restarts spaced through the workload, from the operator thread
+            gap = max(0.01, ops_per_client * latency / (restarts + 1))
+            for _ in range(restarts):
+                time.sleep(gap)
+                if mode == "planned":
+                    system.endpoint.drain_and_restart(
+                        repro.RestartPolicy(mode="deadline", drain_timeout=drain_timeout)
+                    )
+                else:
+                    system.server.crash()
 
-        errors_seen: list[str] = []
-        latencies: list[float] = []
-        lat_lock = threading.Lock()
-        barrier = threading.Barrier(clients + 1)
-
-        def run_client(connection, key: int) -> None:
-            mine: list[float] = []
-            try:
-                cursor = connection.cursor()
-                barrier.wait()
-                for _ in range(ops_per_client):
-                    started = time.perf_counter()
-                    cursor.execute(f"UPDATE restart_bench SET v = v + 1 WHERE k = {key}")
-                    mine.append(time.perf_counter() - started)
-            except Exception as exc:
-                errors_seen.append(f"{type(exc).__name__}: {exc}")
-            with lat_lock:
-                latencies.extend(mine)
-
-        threads = [
-            threading.Thread(target=run_client, args=(connections[i], i), name=f"pr-{i}")
-            for i in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        # K restarts spaced through the workload, from the operator thread
-        workload_estimate = ops_per_client * latency
-        gap = max(0.01, workload_estimate / (restarts + 1))
-        for _ in range(restarts):
-            time.sleep(gap)
-            if mode == "planned":
-                system.endpoint.drain_and_restart(
-                    repro.RestartPolicy(mode="deadline", drain_timeout=drain_timeout)
-                )
-            else:
-                system.server.crash()
-        for thread in threads:
-            thread.join()
-        recoveries = sum(c.stats.recoveries for c in connections)
-        if not system.server.up:  # a trailing crash with no traffic after it
-            system.endpoint.restart_server()
-        for connection in connections:
-            try:
-                connection.close()
-            except Exception:
-                pass
-
-        verifier = system.server.connect(user="verifier")
-        data = system.server.execute(verifier, "SELECT k, v FROM restart_bench ORDER BY k")
-        fingerprint = _fold_fingerprint(0, "restart_bench", data.result_set.rows)
+        run = run_clients(
+            system, clients, _increments("restart_bench", ops_per_client),
+            user="pr", operator=operator,
+        )
+        rows = server_rows(system, "SELECT k, v FROM restart_bench ORDER BY k")
         # exactly-once, checked exactly: every key must have ridden every
         # one of its client's increments through every restart
-        wrong = [row for row in data.result_set.rows if row[1] != ops_per_client]
+        wrong = [row for row in rows if row[1] != ops_per_client]
         if wrong:
             raise RuntimeError(f"{mode} phase lost or doubled updates: {wrong[:4]}")
-        system.server.disconnect(verifier)
-        return latencies, len(errors_seen), recoveries, fingerprint, system
+        return run, fold_fingerprint(0, "restart_bench", rows), system
 
-    planned_lat, planned_errors, planned_rec, planned_fp, planned_system = run_phase(
-        "planned"
-    )
-    crash_lat, crash_errors, crash_rec, crash_fp, _crash_system = run_phase("crash")
-
+    planned, planned_fingerprint, planned_system = run_phase("planned")
+    crash, crash_fingerprint, _ = run_phase("crash")
     drain = planned_system.registry.server
     return PlannedRestartResult(
         clients=clients,
         restarts=restarts,
         ops_total=clients * ops_per_client,
-        client_errors=planned_errors + crash_errors,
-        planned_p50=_percentile(planned_lat, 0.50),
-        planned_p99=_percentile(planned_lat, 0.99),
-        planned_max=max(planned_lat, default=0.0),
-        crash_p50=_percentile(crash_lat, 0.50),
-        crash_p99=_percentile(crash_lat, 0.99),
-        crash_max=max(crash_lat, default=0.0),
+        client_errors=len(planned.errors) + len(crash.errors),
+        planned_p50=percentile(planned.latencies, 0.50),
+        planned_p99=percentile(planned.latencies, 0.99),
+        planned_max=max(planned.latencies, default=0.0),
+        crash_p50=percentile(crash.latencies, 0.50),
+        crash_p99=percentile(crash.latencies, 0.99),
+        crash_max=max(crash.latencies, default=0.0),
         drains_completed=drain.drains_completed,
         sessions_ridden_through=drain.sessions_ridden_through,
         statements_bounced=drain.statements_bounced,
         max_pause_seconds=drain.max_pause_seconds,
-        planned_recoveries=planned_rec,
-        crash_recoveries=crash_rec,
-        fingerprints_match=planned_fp == crash_fp,
+        planned_recoveries=planned.recoveries,
+        crash_recoveries=crash.recoveries,
+        fingerprints_match=planned_fingerprint == crash_fingerprint,
     )
 
 
@@ -1228,41 +1012,25 @@ def run_chaos_experiment(
     report.merge(explorer.sweep_random(random_runs))
     elapsed = time.perf_counter() - started
 
-    by_kind: dict[str, dict[str, float]] = {}
-    for kind in WIRE_FAULTS + STORAGE_FAULTS + BATCH_FAULTS + DRAIN_FAULTS:
-        single = [
+    groups = {
+        kind.value: [
             r for r in report.results
             if len(r.schedule) == 1 and r.schedule[0][1] is kind
         ]
-        if not single:
-            continue
-        by_kind[kind.value] = {
-            "runs": len(single),
-            "recovered_fraction": sum(1 for r in single if r.ok) / len(single),
-            "recoveries": sum(r.recoveries for r in single),
+        for kind in WIRE_FAULTS + STORAGE_FAULTS + BATCH_FAULTS + DRAIN_FAULTS
+    }
+    groups["multi_fault"] = [r for r in report.results if len(r.schedule) > 1]
+    by_kind = {
+        label: {
+            "runs": len(group),
+            "recovered_fraction": sum(1 for r in group if r.ok) / len(group),
+            "recoveries": sum(r.recoveries for r in group),
         }
-    multi = [r for r in report.results if len(r.schedule) > 1]
-    if multi:
-        by_kind["multi_fault"] = {
-            "runs": len(multi),
-            "recovered_fraction": sum(1 for r in multi if r.ok) / len(multi),
-            "recoveries": sum(r.recoveries for r in multi),
-        }
-    return ChaosResult(
-        seed=seed,
-        golden_requests=report.golden_requests,
-        runs=report.runs,
-        recovered_fraction=report.recovered_fraction,
-        total_recoveries=report.total_recoveries,
-        mean_virtual_session_seconds=report.mean_virtual_session_seconds,
-        mean_sql_state_seconds=report.mean_sql_state_seconds,
-        elapsed_seconds=elapsed,
-        by_kind=by_kind,
-        failures=[
-            {"schedule": r.describe(), "violations": r.violations}
-            for r in report.failures
-        ],
-    )
+        for label, group in groups.items()
+        if group
+    }
+    # the report's own summary carries the headline fields and the failures
+    return ChaosResult(seed=seed, elapsed_seconds=elapsed, by_kind=by_kind, **report.summary())
 
 
 # ============================================================= tracing overhead
@@ -1292,15 +1060,15 @@ class ObsOverheadResult:
     records_captured: int
     #: spans absorb_trace() folded into latency histograms from that pass
     spans_absorbed: int
-    #: per-mode result fingerprints — identical iff tracing changed nothing
-    fingerprints: dict[str, int] = field(default_factory=dict)
+    #: the three modes returned identical results (tracing changed nothing)
+    fingerprints_match: bool
     trials: int = 0
 
-    @property
+    @derived
     def disabled_ratio(self) -> float:
         return self.disabled_seconds / self.baseline_seconds
 
-    @property
+    @derived
     def on_ratio(self) -> float:
         return self.on_seconds / self.baseline_seconds
 
@@ -1311,107 +1079,44 @@ def run_obs_overhead(
     timing_trials: int = 6,
     seed: int = 0,
 ) -> ObsOverheadResult:
-    """Measure tracing overhead on the plan-cache ablation's phoenix-trace
-    workload (metadata probes + wrapped DML + periodic materialization —
-    the span-densest path in the system).
-
-    The workload mutates its table, so every trial runs against a freshly
-    built system (the trace is deterministic, making trials comparable).
-    Trials rotate the mode order each round so each mode occupies every
-    position equally and monotone process drift cancels; each mode's
-    minimum across trials is the reported time.
-    """
+    """Measure tracing overhead on the :func:`_phoenix_trace` workload, one
+    freshly built system per trial, three modes rotated by
+    :func:`~repro.bench.skeleton.interleaved_best_of` after an untimed
+    warm-up round."""
     from repro.obs import MetricsRegistry, Tracer, use_tracer
-    from repro.sql import parse
-
-    def _workload() -> tuple[float, int, int]:
-        system = repro.make_system()
-        loader = system.server.connect(user="loader")
-        system.server.execute(
-            loader,
-            "CREATE TABLE accounts (id INT PRIMARY KEY, owner VARCHAR(20), balance FLOAT)",
-        )
-        values = ", ".join(
-            f"({i}, 'owner_{i % 7}', {100.0 + i})" for i in range(1, 101)
-        )
-        system.server.execute(loader, f"INSERT INTO accounts VALUES {values}")
-        system.server.disconnect(loader)
-
-        connection = system.phoenix.connect(system.DSN)
-        cursor = connection.cursor()
-        scan = parse("SELECT id, owner, balance FROM accounts WHERE balance > 120")
-        agg = parse(
-            "SELECT count(*) AS n, avg(balance) AS mean FROM accounts "
-            "WHERE owner LIKE 'owner_%'"
-        )
-        fingerprint = 0
-        statements = 0
-        started = time.perf_counter()
-        for i in range(trace_iterations):
-            connection.probe_metadata(scan)
-            connection.probe_metadata(agg)
-            cursor.execute(
-                f"UPDATE accounts SET balance = balance + 1 WHERE id = {i % 50 + 1}"
-            )
-            statements += 3
-            if i % 8 == 0:
-                cursor.execute(
-                    "SELECT id, owner, balance FROM accounts "
-                    "WHERE balance > 120 ORDER BY id"
-                )
-                fingerprint = _fold_fingerprint(fingerprint, "scan", cursor.fetchall())
-                statements += 1
-        seconds = time.perf_counter() - started
-        connection.close()
-        return seconds, statements, fingerprint
 
     modes = ("baseline", "disabled", "on")
-    best = {mode: float("inf") for mode in modes}
     fingerprints: dict[str, int] = {}
-    statements = 0
-    records_captured = 0
-    spans_absorbed = 0
+    captured = {"statements": 0, "records": 0, "spans": 0}
 
-    def _run_mode(mode: str) -> None:
-        nonlocal statements, records_captured, spans_absorbed
+    def workload(mode: str) -> float:
+        seconds, captured["statements"], fingerprints[mode], _system = _phoenix_trace(
+            trace_iterations
+        )
+        return seconds
+
+    def trial(mode: str) -> float:
         if mode == "baseline":
-            seconds, statements, fingerprint = _workload()
-        elif mode == "disabled":
-            with use_tracer(Tracer(enabled=False, seed=seed)):
-                seconds, statements, fingerprint = _workload()
-        else:
-            tracer = Tracer(enabled=True, seed=seed)
-            with use_tracer(tracer):
-                seconds, statements, fingerprint = _workload()
-            records_captured = len(tracer.records)
-            registry = MetricsRegistry()
-            spans_absorbed = registry.absorb_trace(tracer.records)
-        best[mode] = min(best[mode], seconds)
-        fingerprints[mode] = fingerprint
+            return workload(mode)
+        tracer = Tracer(enabled=mode == "on", seed=seed)
+        with use_tracer(tracer):
+            seconds = workload(mode)
+        if mode == "on":
+            captured["records"] = len(tracer.records)
+            captured["spans"] = MetricsRegistry().absorb_trace(tracer.records)
+        return seconds
 
-    # untimed warm-up round before any measured trial
-    for mode in modes:
-        _run_mode(mode)
-    for mode in modes:
-        best[mode] = float("inf")
-
-    # trial count a multiple of 3: rotating the order each round puts each
-    # mode in each position equally often, cancelling monotone drift
-    trials = max(3, timing_trials + (-timing_trials % 3))
-    for trial in range(trials):
-        shift = trial % 3
-        for mode in modes[shift:] + modes[:shift]:
-            _run_mode(mode)
-
+    rounds = symmetric_rounds(timing_trials, len(modes))
+    best = interleaved_best_of(modes, trial, rounds, warmup=True)
     return ObsOverheadResult(
         baseline_seconds=best["baseline"],
         disabled_seconds=best["disabled"],
         on_seconds=best["on"],
-        statements=statements,
-        records_captured=records_captured,
-        spans_absorbed=spans_absorbed,
-        fingerprints=fingerprints,
-        trials=trials,
+        statements=captured["statements"],
+        records_captured=captured["records"],
+        spans_absorbed=captured["spans"],
+        fingerprints_match=len(set(fingerprints.values())) == 1,
+        trials=rounds,
     )
 
 
@@ -1461,38 +1166,30 @@ def run_recovery_breakdown(
 
     rows: list[RecoveryBreakdownRow] = []
     for kind in WIRE_FAULTS + STORAGE_FAULTS:
-        runs = 0
-        recoveries = 0
-        pings = 0
-        await_s = 0.0
-        phase1_s = 0.0
-        phase2_s = 0.0
-        total_s = 0.0
-        for index in range(0, golden.requests_seen, stride):
+        crash_points = range(0, golden.requests_seen, stride)
+        views = []
+        for index in crash_points:
             tracer = Tracer(enabled=True, seed=seed)
             run_trace(trace, ((index, kind),), tracer=tracer)
-            runs += 1
             timeline = RecoveryTimeline.from_records(tracer.records)
-            for view in timeline.recoveries:
-                if view.outcome == "spurious":
-                    continue
-                recoveries += 1
-                pings += view.pings
-                await_s += view.phase_seconds("recovery.await_server")
-                phase1_s += view.phase_seconds("recovery.phase1.virtual_session")
-                phase2_s += view.phase_seconds("recovery.phase2.sql_state")
-                total_s += view.duration
-        n = recoveries or 1
+            views += [view for view in timeline.recoveries if view.outcome != "spurious"]
+
+        def mean(measure) -> float:
+            return sum(map(measure, views)) / (len(views) or 1)
+
+        def phase_ms(phase: str) -> float:
+            return mean(lambda view: view.phase_seconds(phase)) * 1e3
+
         rows.append(
             RecoveryBreakdownRow(
                 kind=kind.value,
-                runs=runs,
-                recoveries=recoveries,
-                mean_pings=pings / n,
-                mean_await_ms=await_s / n * 1e3,
-                mean_phase1_ms=phase1_s / n * 1e3,
-                mean_phase2_ms=phase2_s / n * 1e3,
-                mean_total_ms=total_s / n * 1e3,
+                runs=len(crash_points),
+                recoveries=len(views),
+                mean_pings=mean(lambda view: view.pings),
+                mean_await_ms=phase_ms("recovery.await_server"),
+                mean_phase1_ms=phase_ms("recovery.phase1.virtual_session"),
+                mean_phase2_ms=phase_ms("recovery.phase2.sql_state"),
+                mean_total_ms=mean(lambda view: view.duration) * 1e3,
             )
         )
     return rows
@@ -1509,12 +1206,13 @@ class ConcurrencyThroughputRow:
     operations: int
     seconds: float
     fingerprint: int
+    #: single-client seconds / this row's seconds (filled once the
+    #: single-client row exists)
+    speedup: float = float("nan")
 
-    @property
+    @derived
     def ops_per_second(self) -> float:
-        if self.seconds <= 0:
-            return float("nan")
-        return self.operations / self.seconds
+        return _ratio(self.operations, self.seconds)
 
 
 @dataclass
@@ -1548,27 +1246,24 @@ class ContentionRow:
     lock_waits: int
     lock_wait_seconds: float
 
-    @property
+    @derived
     def ops_per_second(self) -> float:
-        if self.seconds <= 0:
-            return float("nan")
-        return self.operations / self.seconds
+        return _ratio(self.operations, self.seconds)
 
 
-def contention_speedup(rows: list[ContentionRow], clients: int) -> float:
-    """hot-table-baseline seconds / hot-row seconds at one client count —
-    how much the row locks buy on the contended workload."""
-    row_locks = next(
-        (r for r in rows if r.scenario == "hot_row_locks" and r.clients == clients),
-        None,
-    )
-    table_locks = next(
-        (r for r in rows if r.scenario == "hot_table_locks" and r.clients == clients),
-        None,
-    )
-    if row_locks is None or table_locks is None or row_locks.seconds <= 0:
-        return float("nan")
-    return table_locks.seconds / row_locks.seconds
+def _seconds_of(rows: list, **where) -> float:
+    """``seconds`` of the one row whose attributes equal ``where`` (NaN when
+    there is none, which every ratio built on it then is too)."""
+    for row in rows:
+        if all(getattr(row, name) == value for name, value in where.items()):
+            return row.seconds
+    return float("nan")
+
+
+def _one_fingerprint_per(rows: list, group) -> bool:
+    """All rows that share ``group(row)`` carry the same fingerprint."""
+    seen: dict = {}
+    return all(seen.setdefault(group(r), r.fingerprint) == r.fingerprint for r in rows)
 
 
 @dataclass
@@ -1583,56 +1278,47 @@ class ConcurrencyResult:
     contention_rounds: int = 0
     contention_ops_per_txn: int = 0
     contention: list[ContentionRow] = field(default_factory=list)
+    #: client count → ``sweep_multi`` cell (per-client exactly-once oracle)
+    multi_client_chaos: dict[int, dict] = field(default_factory=dict)
 
-    def speedup(self, clients: int) -> float:
-        base = next((r for r in self.throughput if r.clients == 1), None)
-        point = next((r for r in self.throughput if r.clients == clients), None)
-        if base is None or point is None or point.seconds <= 0:
-            return float("nan")
-        return base.seconds / point.seconds
+    @derived
+    def recovery_ratios(self) -> dict[int, float]:
+        """parallel / serial wall time per session count."""
+        return {
+            sessions: _ratio(
+                _seconds_of(self.recovery, sessions=sessions, mode="parallel"),
+                _seconds_of(self.recovery, sessions=sessions, mode="serial"),
+            )
+            for sessions in sorted({row.sessions for row in self.recovery})
+        }
 
-    def recovery_ratio(self, sessions: int) -> float:
-        serial = next(
-            (r for r in self.recovery if r.sessions == sessions and r.mode == "serial"),
-            None,
-        )
-        parallel = next(
-            (
-                r
-                for r in self.recovery
-                if r.sessions == sessions and r.mode == "parallel"
-            ),
-            None,
-        )
-        if serial is None or parallel is None or serial.seconds <= 0:
-            return float("nan")
-        return parallel.seconds / serial.seconds
+    @derived
+    def hot_speedups(self) -> dict[int, float]:
+        """hot-table-baseline seconds / hot-row seconds per client count —
+        how much the row locks buy on the contended workload."""
+        return {
+            clients: _ratio(
+                _seconds_of(self.contention, scenario="hot_table_locks", clients=clients),
+                _seconds_of(self.contention, scenario="hot_row_locks", clients=clients),
+            )
+            for clients in sorted({row.clients for row in self.contention})
+        }
 
-    def hot_speedup(self, clients: int) -> float:
-        return contention_speedup(self.contention, clients)
+    @derived
+    def throughput_fingerprints_match(self) -> bool:
+        return _one_fingerprint_per(self.throughput, lambda r: None)
 
-    @property
+    @derived
+    def recovery_fingerprints_match(self) -> bool:
+        return _one_fingerprint_per(self.recovery, lambda r: r.sessions)
+
+    @derived
     def contention_fingerprints_match(self) -> bool:
         """The identical hot workload under row locks vs table locks must
         leave identical durable state (disjoint uses different tables and
         is excluded)."""
-        by_clients: dict[int, set] = {}
-        for r in self.contention:
-            if r.scenario in ("hot_row_locks", "hot_table_locks"):
-                by_clients.setdefault(r.clients, set()).add(r.fingerprint)
-        return all(len(prints) <= 1 for prints in by_clients.values())
-
-    @property
-    def throughput_fingerprints_match(self) -> bool:
-        prints = {r.fingerprint for r in self.throughput}
-        return len(prints) <= 1
-
-    @property
-    def recovery_fingerprints_match(self) -> bool:
-        by_sessions: dict[int, set] = {}
-        for r in self.recovery:
-            by_sessions.setdefault(r.sessions, set()).add(r.fingerprint)
-        return all(len(prints) <= 1 for prints in by_sessions.values())
+        hot = [r for r in self.contention if r.scenario != "disjoint"]
+        return _one_fingerprint_per(hot, lambda r: r.clients)
 
 
 def _concurrency_segment_ops(segment: int, ops: int) -> list[tuple[str, str]]:
@@ -1681,101 +1367,61 @@ def run_contention(
     their durable fingerprints must match — serialization order cannot
     matter because clients touch disjoint keys.
     """
-    import threading
-
     rows_out: list[ContentionRow] = []
     for clients in client_counts:
         for scenario in scenarios:
-            system = repro.make_system()
-            system.endpoint.latency = latency
-            loader = system.server.connect(user="loader")
             if scenario == "disjoint":
                 tables = [f"hot_bench_{i}" for i in range(clients)]
-                for i, table in enumerate(tables):
-                    system.server.execute(
-                        loader, f"CREATE TABLE {table} (k INT PRIMARY KEY, v FLOAT)"
-                    )
-                    system.server.execute(
-                        loader, f"INSERT INTO {table} VALUES ({i}, 0.0)"
-                    )
             else:
                 tables = ["hot_bench"] * clients
-                system.server.execute(
-                    loader, "CREATE TABLE hot_bench (k INT PRIMARY KEY, v FLOAT)"
-                )
-                for i in range(clients):
-                    system.server.execute(
-                        loader, f"INSERT INTO hot_bench VALUES ({i}, 0.0)"
-                    )
-            system.server.disconnect(loader)
+            system = loaded_system(
+                *(
+                    f"CREATE TABLE {table} (k INT PRIMARY KEY, v FLOAT)"
+                    for table in dict.fromkeys(tables)
+                ),
+                *(
+                    f"INSERT INTO {table} VALUES ({i}, 0.0)"
+                    for i, table in enumerate(tables)
+                ),
+                latency=latency,
+            )
             if scenario == "hot_table_locks":
                 # the ablation baseline: every row request degrades to its
                 # whole-table lock (the pre-row-locking design)
                 system.server.database.locks.row_locking = False
 
-            connections = [
-                system.phoenix.connect(system.DSN, user=f"hot{i}")
-                for i in range(clients)
-            ]
-            errors_seen: list[str] = []
-            barrier = threading.Barrier(clients)
+            def work(connection, key: int):
+                cursor = connection.cursor()
+                # a 250 ms default budget starves 16 queued clients;
+                # give waits the room the workload needs
+                cursor.execute("SET lock_timeout 30000")
+                yield
+                for _ in range(rounds):
+                    connection.begin()
+                    for _ in range(ops_per_txn):
+                        cursor.execute(
+                            f"UPDATE {tables[key]} SET v = v + 1 WHERE k = {key}"
+                        )
+                    connection.commit()
+                    yield
 
-            def run_client(connection, table, key) -> None:
-                try:
-                    cursor = connection.cursor()
-                    # a 250 ms default budget starves 16 queued clients;
-                    # give waits the room the workload needs
-                    cursor.execute("SET lock_timeout 30000")
-                    barrier.wait()
-                    for _ in range(rounds):
-                        connection.begin()
-                        for _ in range(ops_per_txn):
-                            cursor.execute(
-                                f"UPDATE {table} SET v = v + 1 WHERE k = {key}"
-                            )
-                        connection.commit()
-                except Exception as exc:
-                    errors_seen.append(f"{type(exc).__name__}: {exc}")
-
-            threads = [
-                threading.Thread(
-                    target=run_client,
-                    args=(connections[i], tables[i], i),
-                    name=f"hot-{i}",
-                )
-                for i in range(clients)
-            ]
-            started = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            seconds = time.perf_counter() - started
-            if errors_seen:
+            run = run_clients(system, clients, work, user="hot")
+            if run.errors:
                 raise RuntimeError(
-                    f"contention {scenario}/{clients} clients failed: {errors_seen}"
+                    f"contention {scenario}/{clients} clients failed: {run.errors}"
                 )
-            for connection in connections:
-                connection.close()
 
-            verifier = system.server.connect(user="verifier")
-            fingerprint = 0
-            for table in dict.fromkeys(tables):
-                data = system.server.execute(
-                    verifier, f"SELECT k, v FROM {table} ORDER BY k"
-                )
-                fingerprint = _fold_fingerprint(
-                    fingerprint, table, data.result_set.rows
-                )
-            system.server.disconnect(verifier)
             lock_stats = system.registry.locks
             rows_out.append(
                 ContentionRow(
                     scenario=scenario,
                     clients=clients,
                     operations=clients * rounds * ops_per_txn,
-                    seconds=seconds,
-                    fingerprint=fingerprint,
+                    seconds=run.seconds,
+                    fingerprint=durable_fingerprint(
+                        system,
+                        **{table: f"SELECT k, v FROM {table} ORDER BY k" for table in tables},
+                    ),
                     lock_waits=lock_stats.waits,
                     lock_wait_seconds=lock_stats.total_wait_time,
                 )
@@ -1794,6 +1440,7 @@ def run_concurrency(
     contention_clients: tuple[int, ...] = (1, 16),
     contention_rounds: int = 6,
     contention_ops_per_txn: int = 4,
+    chaos_clients: tuple[int, ...] = (1, 4, 16),
 ) -> ConcurrencyResult:
     """The concurrent-serving experiment (experiment CC).
 
@@ -1813,9 +1460,14 @@ def run_concurrency(
     (``max_workers=parallel_workers``), each against its own fresh fleet.
     Both modes must leave identical durable state; the parallel/serial
     wall-time ratio is the headline number.
-    """
-    import threading
 
+    **Contention** — :func:`run_contention` at ``contention_clients``.
+
+    **Multi-client chaos** — ``repro.chaos.multi.sweep_multi`` at
+    ``chaos_clients``: the correctness companion of the numbers above (k
+    clients mid-flight at a crash, per-client exactly-once oracle).
+    """
+    from repro.chaos.multi import sweep_multi
     from repro.core.parallel import recover_all
 
     result = ConcurrencyResult(
@@ -1824,87 +1476,50 @@ def run_concurrency(
 
     # --- throughput ---------------------------------------------------------
     for clients in client_counts:
-        system = repro.make_system()
-        system.endpoint.latency = latency
-        loader = system.server.connect(user="loader")
-        system.server.execute(
-            loader, "CREATE TABLE conc_bench (k INT PRIMARY KEY, v FLOAT)"
+        system = loaded_system(
+            "CREATE TABLE conc_bench (k INT PRIMARY KEY, v FLOAT)", latency=latency
         )
-        system.server.disconnect(loader)
-
         plans: list[list[tuple[str, str]]] = [[] for _ in range(clients)]
         for segment in range(segments):
             plans[segment % clients].extend(
                 _concurrency_segment_ops(segment, ops_per_segment)
             )
 
-        connections = [
-            system.phoenix.connect(system.DSN, user=f"bench{i}")
-            for i in range(clients)
-        ]
-        errors_seen: list[str] = []
+        def work(connection, index: int):
+            cursor = connection.cursor()
+            yield
+            for op, sql in plans[index]:
+                cursor.execute(sql)
+                if op == "query":
+                    cursor.fetchall()
+                yield
 
-        def run_client(connection, plan) -> None:
-            try:
-                cursor = connection.cursor()
-                for op, sql in plan:
-                    cursor.execute(sql)
-                    if op == "query":
-                        cursor.fetchall()
-            except Exception as exc:
-                errors_seen.append(f"{type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(
-                target=run_client, args=(connections[i], plans[i]), name=f"bench-{i}"
-            )
-            for i in range(clients)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - started
-        if errors_seen:
-            raise RuntimeError(
-                f"throughput with {clients} clients failed: {errors_seen}"
-            )
-        for connection in connections:
-            connection.close()
-
-        verifier = system.server.connect(user="verifier")
-        data = system.server.execute(
-            verifier, "SELECT k, v FROM conc_bench ORDER BY k"
-        )
-        system.server.disconnect(verifier)
+        run = run_clients(system, clients, work)
+        if run.errors:
+            raise RuntimeError(f"throughput with {clients} clients failed: {run.errors}")
         result.throughput.append(
             ConcurrencyThroughputRow(
                 clients=clients,
                 operations=segments * ops_per_segment,
-                seconds=seconds,
-                fingerprint=_fold_fingerprint(0, "data", data.result_set.rows),
+                seconds=run.seconds,
+                fingerprint=durable_fingerprint(
+                    system, data="SELECT k, v FROM conc_bench ORDER BY k"
+                ),
             )
         )
-
-    if not result.throughput_fingerprints_match:
-        raise RuntimeError(
-            "concurrency throughput: durable state diverged across client "
-            "counts: "
-            + ", ".join(f"k={r.clients}={r.fingerprint}" for r in result.throughput)
-        )
+    for row in result.throughput:
+        row.speedup = _ratio(_seconds_of(result.throughput, clients=1), row.seconds)
+    require_identical(
+        "concurrency throughput across client counts",
+        {f"k={r.clients}": r.fingerprint for r in result.throughput},
+    )
 
     # --- parallel recovery --------------------------------------------------
     for sessions in session_counts:
         for mode, workers in (("serial", 1), ("parallel", parallel_workers)):
-            system = repro.make_system()
-            system.endpoint.latency = latency
-            loader = system.server.connect(user="loader")
-            system.server.execute(
-                loader, "CREATE TABLE recov_bench (k INT PRIMARY KEY, v FLOAT)"
+            system = loaded_system(
+                "CREATE TABLE recov_bench (k INT PRIMARY KEY, v FLOAT)", latency=latency
             )
-            system.server.disconnect(loader)
-
             fleet = []
             cursors = []
             for i in range(sessions):
@@ -1953,12 +1568,6 @@ def run_concurrency(
                 )
             for connection in fleet:
                 connection.close()
-
-            verifier = system.server.connect(user="verifier")
-            data = system.server.execute(
-                verifier, "SELECT k, v FROM recov_bench ORDER BY k"
-            )
-            system.server.disconnect(verifier)
             result.recovery.append(
                 ConcurrencyRecoveryRow(
                     sessions=sessions,
@@ -1966,14 +1575,14 @@ def run_concurrency(
                     workers=workers,
                     seconds=seconds,
                     rebuilt=rebuilt,
-                    fingerprint=_fold_fingerprint(0, "data", data.result_set.rows),
+                    fingerprint=durable_fingerprint(
+                        system, data="SELECT k, v FROM recov_bench ORDER BY k"
+                    ),
                 )
             )
-
-    if not result.recovery_fingerprints_match:
-        raise RuntimeError(
-            "parallel recovery: durable state diverged between serial and "
-            "parallel modes"
+        require_identical(
+            f"parallel recovery of {sessions} sessions, serial vs parallel",
+            {r.mode: r.fingerprint for r in result.recovery if r.sessions == sessions},
         )
 
     # --- lock contention ----------------------------------------------------
@@ -1985,16 +1594,19 @@ def run_concurrency(
         ops_per_txn=contention_ops_per_txn,
         latency=latency,
     )
-    if not result.contention_fingerprints_match:
-        raise RuntimeError(
-            "contention: hot-table durable state diverged between row-lock "
-            "and table-lock modes: "
-            + ", ".join(
-                f"{r.scenario}/k={r.clients}={r.fingerprint}"
+    for clients in contention_clients:
+        require_identical(
+            f"contention at {clients} clients, row locks vs table locks",
+            {
+                r.scenario: r.fingerprint
                 for r in result.contention
-                if r.scenario != "disjoint"
-            )
+                if r.clients == clients and r.scenario != "disjoint"
+            },
         )
+
+    # --- multi-client chaos -------------------------------------------------
+    if chaos_clients:
+        result.multi_client_chaos = sweep_multi(chaos_clients)
     return result
 
 
@@ -2034,25 +1646,28 @@ class TimeTravelResult:
     """
 
     # reconstruction cost vs log length
-    reconstruct: list[TimeTravelReconstructRow]
+    reconstruct: list[TimeTravelReconstructRow] = field(default_factory=list)
     # AS OF latency vs a live read (same query, same table)
-    live_select_seconds: float
-    as_of_cold_seconds: float
-    as_of_warm_seconds: float
-    snapshot_hits: int
+    live_select_seconds: float = 0.0
+    as_of_cold_seconds: float = 0.0
+    as_of_warm_seconds: float = 0.0
+    snapshot_hits: int = 0
     # the sweep guard: AS OF must reproduce every pinned cut exactly
-    cuts_pinned: int
-    cuts_matched: int
-    fingerprints_match: bool
+    cuts_pinned: int = 0
+    cuts_matched: int = 0
     # restore_to ride-through under load
-    clients: int
-    ops_total: int
-    client_errors: int
-    restore_seconds: float
-    restore_sessions_ridden: int
-    restore_commits_discarded: int
-    ride_through_exactly_once: bool
-    pre_restore_cut_ok: bool
+    clients: int = 0
+    ops_total: int = 0
+    client_errors: int = 0
+    restore_seconds: float = 0.0
+    restore_sessions_ridden: int = 0
+    restore_commits_discarded: int = 0
+    ride_through_exactly_once: bool = False
+    pre_restore_cut_ok: bool = False
+
+    @derived
+    def fingerprints_match(self) -> bool:
+        return self.cuts_matched == self.cuts_pinned
 
 
 def _time_travel_statement(i: int) -> str:
@@ -2062,6 +1677,13 @@ def _time_travel_statement(i: int) -> str:
     if i % 3 == 0 and i > 3:
         return f"UPDATE tt_bench SET v = v + {i} WHERE k = {i - 3}"
     return f"INSERT INTO tt_bench VALUES ({i}, {i * 10})"
+
+
+def _mean_read_seconds(system, session, sql: str, repeats: int) -> float:
+    started = time.perf_counter()
+    for _ in range(repeats):
+        system.server.execute(session, sql)
+    return (time.perf_counter() - started) / repeats
 
 
 def run_time_travel(
@@ -2075,12 +1697,7 @@ def run_time_travel(
 ) -> TimeTravelResult:
     """Measure time-travel cost and verify it end to end (see
     :class:`TimeTravelResult`)."""
-    import threading
-
-    reconstruct_rows: list[TimeTravelReconstructRow] = []
-    cuts_pinned = cuts_matched = 0
-    live_seconds = cold_seconds = warm_seconds = 0.0
-    snapshot_hits = 0
+    result = TimeTravelResult(clients=clients, ops_total=clients * ops_per_client)
 
     for size in sizes:
         system = repro.make_system()
@@ -2104,7 +1721,7 @@ def run_time_travel(
         manager._snapshots.clear()
         started = time.perf_counter()
         snapshot = manager.snapshot_at(pins[-1][0])
-        reconstruct_rows.append(
+        result.reconstruct.append(
             TimeTravelReconstructRow(
                 commits=size,
                 log_records=snapshot.info.records_scanned,
@@ -2119,103 +1736,53 @@ def run_time_travel(
             data = system.server.execute(
                 session, f"SELECT * FROM tt_bench AS OF {ts!r}"
             )
-            cuts_pinned += 1
+            result.cuts_pinned += 1
             if tuple(sorted(data.result_set.rows)) == expected:
-                cuts_matched += 1
+                result.cuts_matched += 1
 
         if size == max(sizes):
             # (b) AS OF latency on the largest history, against a mid cut
-            mid_ts = pins[len(pins) // 2][0]
-            started = time.perf_counter()
-            for _ in range(latency_trials):
-                system.server.execute(session, "SELECT * FROM tt_bench")
-            live_seconds = (time.perf_counter() - started) / latency_trials
+            as_of = f"SELECT * FROM tt_bench AS OF {pins[len(pins) // 2][0]!r}"
+            result.live_select_seconds = _mean_read_seconds(
+                system, session, "SELECT * FROM tt_bench", latency_trials
+            )
             manager._snapshots.clear()
-            started = time.perf_counter()
-            system.server.execute(session, f"SELECT * FROM tt_bench AS OF {mid_ts!r}")
-            cold_seconds = time.perf_counter() - started
+            result.as_of_cold_seconds = _mean_read_seconds(system, session, as_of, 1)
             hits_before = manager.stats.snapshot_hits
-            started = time.perf_counter()
-            for _ in range(latency_trials):
-                system.server.execute(
-                    session, f"SELECT * FROM tt_bench AS OF {mid_ts!r}"
-                )
-            warm_seconds = (time.perf_counter() - started) / latency_trials
-            snapshot_hits = manager.stats.snapshot_hits - hits_before
+            result.as_of_warm_seconds = _mean_read_seconds(
+                system, session, as_of, latency_trials
+            )
+            result.snapshot_hits = manager.stats.snapshot_hits - hits_before
         system.server.disconnect(session)
 
     # (d) restore_to ride-through: 16 Phoenix clients, one restore-to-now
     # mid-workload; nothing committed is discarded, so exactly-once holds
-    system = repro.make_system()
-    system.endpoint.latency = latency
-    loader = system.server.connect(user="loader")
-    system.server.execute(loader, "CREATE TABLE tt_ride (k INT PRIMARY KEY, v INT)")
-    for i in range(clients):
-        system.server.execute(loader, f"INSERT INTO tt_ride VALUES ({i}, 0)")
+    system = loaded_system(
+        "CREATE TABLE tt_ride (k INT PRIMARY KEY, v INT)",
+        *(f"INSERT INTO tt_ride VALUES ({i}, 0)" for i in range(clients)),
+        latency=latency,
+    )
     pre_ts = system.server.time_travel.clock.now()
-    data = system.server.execute(loader, "SELECT * FROM tt_ride")
-    pre_fingerprint = tuple(sorted(data.result_set.rows))
-    system.server.disconnect(loader)
+    pre_fingerprint = tuple(sorted(server_rows(system, "SELECT * FROM tt_ride")))
 
-    connections = [
-        system.phoenix.connect(system.DSN, user=f"tt{i}") for i in range(clients)
-    ]
-    errors_seen: list[str] = []
-    barrier = threading.Barrier(clients + 1)
+    def operator() -> None:
+        time.sleep(max(0.01, ops_per_client * latency / 2))
+        policy = repro.RestartPolicy(mode="deadline", drain_timeout=drain_timeout)
+        report = system.endpoint.restore_to(None, policy=policy)
+        result.restore_seconds = report.seconds
+        result.restore_sessions_ridden = report.sessions_ridden
+        result.restore_commits_discarded = report.commits_discarded
 
-    def run_client(connection, key: int) -> None:
-        try:
-            cursor = connection.cursor()
-            barrier.wait()
-            for _ in range(ops_per_client):
-                cursor.execute(f"UPDATE tt_ride SET v = v + 1 WHERE k = {key}")
-        except Exception as exc:
-            errors_seen.append(f"{type(exc).__name__}: {exc}")
-
-    threads = [
-        threading.Thread(target=run_client, args=(connections[i], i), name=f"tt-{i}")
-        for i in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    time.sleep(max(0.01, ops_per_client * latency / 2))
-    report = system.endpoint.restore_to(
-        None, policy=repro.RestartPolicy(mode="deadline", drain_timeout=drain_timeout)
+    run = run_clients(
+        system, clients, _increments("tt_ride", ops_per_client),
+        user="tt", operator=operator,
     )
-    for thread in threads:
-        thread.join()
-    for connection in connections:
-        try:
-            connection.close()
-        except Exception:
-            pass
-
-    verifier = system.server.connect(user="verifier")
-    data = system.server.execute(verifier, "SELECT k, v FROM tt_ride ORDER BY k")
-    exactly_once = all(row[1] == ops_per_client for row in data.result_set.rows)
-    data = system.server.execute(verifier, f"SELECT * FROM tt_ride AS OF {pre_ts!r}")
-    pre_cut_ok = tuple(sorted(data.result_set.rows)) == pre_fingerprint
-    system.server.disconnect(verifier)
-
-    return TimeTravelResult(
-        reconstruct=reconstruct_rows,
-        live_select_seconds=live_seconds,
-        as_of_cold_seconds=cold_seconds,
-        as_of_warm_seconds=warm_seconds,
-        snapshot_hits=snapshot_hits,
-        cuts_pinned=cuts_pinned,
-        cuts_matched=cuts_matched,
-        fingerprints_match=cuts_matched == cuts_pinned,
-        clients=clients,
-        ops_total=clients * ops_per_client,
-        client_errors=len(errors_seen),
-        restore_seconds=report.seconds,
-        restore_sessions_ridden=report.sessions_ridden,
-        restore_commits_discarded=report.commits_discarded,
-        ride_through_exactly_once=exactly_once,
-        pre_restore_cut_ok=pre_cut_ok,
-    )
+    result.client_errors = len(run.errors)
+    rows = server_rows(system, "SELECT k, v FROM tt_ride ORDER BY k")
+    result.ride_through_exactly_once = all(row[1] == ops_per_client for row in rows)
+    pre_rows = server_rows(system, f"SELECT * FROM tt_ride AS OF {pre_ts!r}")
+    result.pre_restore_cut_ok = tuple(sorted(pre_rows)) == pre_fingerprint
+    return result
 
 
 # ================================================================ Experiment NET
@@ -2259,9 +1826,7 @@ class TcpServingResult:
     inprocess_op_seconds: float
     tcp_op_seconds: float
     overhead_ratio: float
-    # the guard: both workloads must leave identical table contents
-    inprocess_fingerprint: tuple
-    tcp_fingerprint: tuple
+    # the guard: both workloads left identical table contents
     fingerprints_match: bool
 
 
@@ -2349,10 +1914,6 @@ def run_tcp_serving(
         ops=ops,
         inprocess_op_seconds=timings["inprocess"],
         tcp_op_seconds=timings["tcp"],
-        overhead_ratio=(
-            timings["tcp"] / timings["inprocess"] if timings["inprocess"] else 0.0
-        ),
-        inprocess_fingerprint=fingerprints["inprocess"],
-        tcp_fingerprint=fingerprints["tcp"],
+        overhead_ratio=_ratio(timings["tcp"], timings["inprocess"], undefined=0.0),
         fingerprints_match=fingerprints["inprocess"] == fingerprints["tcp"],
     )

@@ -1,4 +1,4 @@
-"""Render the paper's tables and figures as text, and a small CLI.
+"""The experiment registry, and a small CLI over it.
 
 Usage::
 
@@ -15,15 +15,18 @@ Usage::
     python -m repro.bench.reporting tcp --json BENCH_tcp.json
     python -m repro.bench.reporting all
 
-Output mirrors the paper's layout: Table 1's columns are query id, result
-rows, native seconds, Phoenix seconds, difference, ratio; Figure 2 prints
-the two stacked components per result size (the figure's bars) plus the
-recompute comparison discussed in §4.  ``plancache`` runs the engine-cache
-ablation (cache on vs off) and reports the EngineMetrics hit rates.
+:data:`EXPERIMENTS` holds one :class:`~repro.bench.skeleton.Experiment`
+per artifact; the CLI, CI and the examples all go through it
+(``EXPERIMENTS[name].runner(...)``, ``.render(result)``).  Output mirrors
+the paper's layout: Table 1's columns are query id, result rows, native
+seconds, Phoenix seconds, difference, ratio; Figure 2 prints the two
+stacked components per result size (the figure's bars) plus the recompute
+comparison discussed in §4.
 
 ``--json PATH`` additionally writes every artifact produced by the run as
-one machine-readable JSON document (``BENCH_*.json`` convention), so perf
-results accumulate as comparable artifacts across revisions.
+one machine-readable JSON document (``BENCH_*.json`` convention), each
+under its experiment's ``key``, so perf results accumulate as comparable
+artifacts across revisions.
 """
 
 from __future__ import annotations
@@ -31,718 +34,365 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.bench.harness import (
-    AvailabilityResult,
-    ChaosResult,
-    ConcurrencyResult,
-    ExecutorRun,
-    Fig2Series,
-    ObsOverheadResult,
-    PlanCacheRun,
-    PlannedRestartResult,
-    RecoveryBreakdownRow,
-    Table1Row,
-    TcpServingResult,
-    TimeTravelResult,
-    WireBatchResult,
-    executor_speedup,
-    run_availability_experiment,
-    run_chaos_experiment,
-    run_concurrency,
-    run_executor_ablation,
-    run_fig2_recovery_sweep,
-    run_obs_overhead,
-    run_plan_cache_ablation,
-    run_planned_restart,
-    run_recovery_breakdown,
-    run_table1_power_comparison,
-    run_tcp_serving,
-    run_time_travel,
-    run_wire_batch,
-)
+from repro.bench import harness
+from repro.bench.skeleton import Experiment, Table, payload
 
-__all__ = [
-    "render_table1",
-    "render_fig2",
-    "render_availability",
-    "render_plan_cache",
-    "render_executor",
-    "render_wire_batch",
-    "render_chaos",
-    "render_obs_overhead",
-    "render_recovery_breakdown",
-    "render_concurrency",
-    "render_planned_restart",
-    "render_time_travel",
-    "render_tcp_serving",
-    "main",
-]
+__all__ = ["EXPERIMENTS", "main"]
 
 
-def render_table1(rows: list[Table1Row]) -> str:
-    """ASCII Table 1 (paper §4)."""
-    lines = [
-        "Table 1. TPC-H power test: native ODBC vs Phoenix/ODBC",
-        f"{'Query/Update':14} {'Rows':>8} {'Native (s)':>12} {'Phoenix (s)':>12} "
-        f"{'Diff (s)':>10} {'Ratio':>7}",
+def _verdict(ok: bool, good: str = "identical", bad: str = "MISMATCH") -> str:
+    return good if ok else bad
+
+
+def _fig2_bars(points: list[harness.Fig2Point]) -> list[str]:
+    """The figure itself: one stacked bar per result size."""
+    scale = max((p.recovery_seconds for p in points), default=1.0) or 1.0
+    bars = [
+        f"{p.result_size:>6} |{'V' * max(int(40 * p.virtual_session_seconds / scale), 1)}"
+        f"{'S' * max(int(40 * p.sql_state_seconds / scale), 1)}"
+        for p in points
     ]
-    for row in rows:
-        lines.append(
-            f"{row.name:14} {row.result_rows:>8} {row.native_seconds:>12.4f} "
-            f"{row.phoenix_seconds:>12.4f} {row.difference:>10.4f} {row.ratio:>7.3f}"
-        )
-    return "\n".join(lines)
+    return ["", *bars, "        V = virtual session, S = SQL state (stacked, like the figure)"]
 
 
-def render_fig2(series: Fig2Series) -> str:
-    """Figure 2 as a table + bar sketch (stacked components per size)."""
-    lines = [
-        "Figure 2. Elapsed time for session recovery over varying result sizes",
-        f"{'Result size':>11} {'Virtual (s)':>12} {'SQL state (s)':>14} "
-        f"{'Fetch (s)':>10} {'Recovery (s)':>13} {'Recompute (s)':>14} {'Rec/Comp':>9}",
+def _ablation_speedups(side: str, fast: str, slow: str):
+    """Footer of a two-sided ablation: per workload, slow/fast seconds and
+    whether both sides returned the same rows."""
+
+    def footer(runs: list) -> list[str]:
+        lines = []
+        cells = {(r.workload, getattr(r, side)): r for r in runs}
+        for workload in dict.fromkeys(r.workload for r in runs):
+            a, b = cells.get((workload, fast)), cells.get((workload, slow))
+            if a is not None and b is not None:
+                speedup = b.seconds / a.seconds if a.seconds > 0 else float("inf")
+                lines.append(
+                    f"{workload}: speedup {speedup:.2f}x, "
+                    f"results {_verdict(a.fingerprint == b.fingerprint)}"
+                )
+        return lines
+
+    return footer
+
+
+def _chaos_footer(r: harness.ChaosResult) -> list[str]:
+    return [
+        f"overall: {r.recovered_fraction:.1%} recovered, {r.total_recoveries} recoveries "
+        f"(phase 1 mean {r.mean_virtual_session_seconds * 1e3:.3f} ms, "
+        f"phase 2 mean {r.mean_sql_state_seconds * 1e3:.3f} ms)",
+        *(f"FAILING {f['schedule']}: {f['violations']}" for f in r.failures),
     ]
-    for point in series.points:
-        lines.append(
-            f"{point.result_size:>11} {point.virtual_session_seconds:>12.4f} "
-            f"{point.sql_state_seconds:>14.4f} {point.outstanding_fetch_seconds:>10.4f} "
-            f"{point.recovery_seconds:>13.4f} {point.recompute_seconds:>14.4f} "
-            f"{point.recovery_vs_recompute:>9.3f}"
-        )
-    lines.append("")
-    scale = max((p.recovery_seconds for p in series.points), default=1.0) or 1.0
-    for point in series.points:
-        virtual = int(40 * point.virtual_session_seconds / scale)
-        sql_state = int(40 * point.sql_state_seconds / scale)
-        lines.append(
-            f"{point.result_size:>6} |{'V' * max(virtual, 1)}{'S' * max(sql_state, 1)}"
-        )
-    lines.append("        V = virtual session, S = SQL state (stacked, like the figure)")
-    return "\n".join(lines)
 
 
-def render_availability(results: dict[str, AvailabilityResult]) -> str:
-    """Experiment AV: session completion under periodic crashes."""
-    lines = [
-        "Experiment AV. Application availability under periodic server crashes",
-        f"{'Driver':10} {'Sessions':>9} {'Completed':>10} {'Availability':>13} {'Crashes seen':>13}",
+def _planned_restart_footer(r: harness.PlannedRestartResult) -> list[str]:
+    return [
+        f"client-visible errors: {r.client_errors}; drains completed: "
+        f"{r.drains_completed}; sessions ridden through: {r.sessions_ridden_through}; "
+        f"statements bounced: {r.statements_bounced}; "
+        f"max pause {r.max_pause_seconds * 1e3:.2f} ms",
+        _verdict(
+            r.planned_p99_below_crash,
+            "planned p99 below crash p99",
+            "PLANNED P99 NOT BELOW CRASH BASELINE",
+        )
+        + f"; durable state planned vs crash: {_verdict(r.fingerprints_match)}",
     ]
-    for result in results.values():
-        lines.append(
-            f"{result.driver:10} {result.sessions_total:>9} {result.sessions_completed:>10} "
-            f"{result.availability:>12.0%} {result.crashes:>13}"
-        )
-    return "\n".join(lines)
 
 
-def render_plan_cache(runs: list[PlanCacheRun]) -> str:
-    """The engine-cache ablation: cache on vs off, with hit rates."""
-    lines = [
-        "Ablation. Statement/plan cache on vs off",
-        f"{'Workload':15} {'Cache':>5} {'Seconds':>9} {'Stmts':>6} {'Stmt/s':>9} "
-        f"{'Parse hit%':>11} {'Plan hit%':>10} {'Invalid.':>9}",
+def _time_travel_footer(r: harness.TimeTravelResult) -> list[str]:
+    return [
+        f"AS OF latency vs live read: live {r.live_select_seconds * 1e3:.3f} ms, "
+        f"cold {r.as_of_cold_seconds * 1e3:.3f} ms, "
+        f"warm {r.as_of_warm_seconds * 1e3:.3f} ms ({r.snapshot_hits} snapshot hits)",
+        f"fingerprint sweep: {r.cuts_matched}/{r.cuts_pinned} pinned cuts "
+        f"reproduced — {_verdict(r.fingerprints_match, 'exact')}",
+        f"restore_to ride-through: {r.clients} clients x {r.ops_total // r.clients} "
+        f"UPDATEs, restore in {r.restore_seconds * 1e3:.2f} ms, "
+        f"{r.restore_sessions_ridden} sessions ridden, "
+        f"{r.restore_commits_discarded} commits discarded, "
+        f"{r.client_errors} client errors; updates applied "
+        f"{_verdict(r.ride_through_exactly_once, 'exactly once', 'LOST OR DOUBLED')}; "
+        f"pre-restore cut {_verdict(r.pre_restore_cut_ok, 'still exact', 'DIVERGED')}",
     ]
-    for run in runs:
-        lines.append(
-            f"{run.workload:15} {run.cache:>5} {run.seconds:>9.4f} {run.statements:>6} "
-            f"{run.statements_per_second:>9.1f} "
-            f"{run.metrics['parse_hit_rate']:>10.0%} {run.metrics['plan_hit_rate']:>9.0%} "
-            f"{run.metrics['plan_invalidations']:>9.0f}"
-        )
-    by_cell = {(r.workload, r.cache): r for r in runs}
-    for workload in dict.fromkeys(r.workload for r in runs):
-        on, off = by_cell.get((workload, "on")), by_cell.get((workload, "off"))
-        if on is None or off is None:
-            continue
-        speedup = off.seconds / on.seconds if on.seconds > 0 else float("inf")
-        match = "identical" if on.fingerprint == off.fingerprint else "MISMATCH"
-        lines.append(f"{workload}: speedup {speedup:.2f}x, results {match}")
-    return "\n".join(lines)
 
 
-def render_executor(runs: list[ExecutorRun]) -> str:
-    """The executor ablation: compiled/vectorized vs interpreted baseline."""
-    lines = [
-        "Ablation. Vectorized executor vs interpreted baseline",
-        f"{'Workload':12} {'Executor':>12} {'Seconds':>9} {'Stmts':>6} {'Stmt/s':>9} "
-        f"{'Scanned':>9} {'Returned':>9} {'EqProbe':>8} {'Range':>6} {'TopK':>5}",
-    ]
-    for run in runs:
-        lines.append(
-            f"{run.workload:12} {run.executor:>12} {run.seconds:>9.4f} "
-            f"{run.statements:>6} {run.statements_per_second:>9.1f} "
-            f"{run.counters['rows_scanned']:>9} {run.counters['rows_returned']:>9} "
-            f"{run.counters['index_eq_probes']:>8} "
-            f"{run.counters['index_range_scans']:>6} "
-            f"{run.counters['topk_shortcuts']:>5}"
-        )
-    by_cell = {(r.workload, r.executor): r for r in runs}
-    for workload in dict.fromkeys(r.workload for r in runs):
-        compiled = by_cell.get((workload, "compiled"))
-        interpreted = by_cell.get((workload, "interpreted"))
-        if compiled is None or interpreted is None:
-            continue
-        match = (
-            "identical"
-            if compiled.fingerprint == interpreted.fingerprint
-            else "MISMATCH"
-        )
-        lines.append(
-            f"{workload}: speedup {executor_speedup(runs, workload):.2f}x, "
-            f"results {match}"
-        )
-    return "\n".join(lines)
-
-
-def render_wire_batch(result: WireBatchResult) -> str:
-    """Experiment WB: wire batching + group commit vs one trip per DML."""
-    lines = [
-        "Experiment WB. Wire batching + WAL group commit (executemany DML)",
-        f"{result.rows} rows x 2 statements each; batched mode sends "
-        f"{result.batch_size} wrapped statements per request",
-        f"{'Mode':10} {'Trial':>5} {'Seconds':>9} {'Trips':>6} {'BatchReqs':>10} "
-        f"{'Batched':>8} {'Forces':>7} {'Group':>6} {'Coalesced':>10}",
-    ]
-    for run in result.runs:
-        lines.append(
-            f"{run.mode:10} {run.trial:>5} {run.seconds:>9.4f} {run.round_trips:>6} "
-            f"{run.batch_requests:>10} {run.requests_batched:>8} {run.wal_forces:>7} "
-            f"{run.group_forces:>6} {run.forces_coalesced:>10}"
-        )
-    match = "identical" if result.fingerprints_match else "MISMATCH"
-    lines.append(
-        f"round trips {result.trip_ratio:.1f}x fewer, WAL forces "
-        f"{result.force_ratio:.1f}x fewer; durable state {match}"
-    )
-    return "\n".join(lines)
-
-
-def render_chaos(result: ChaosResult) -> str:
-    """Experiment CH: the crash-schedule sweep with the exactly-once oracle."""
-    lines = [
-        "Experiment CH. Crash-schedule sweep vs the exactly-once oracle",
-        f"golden run: {result.golden_requests} wire requests; seed {result.seed}; "
-        f"{result.runs} faulted runs in {result.elapsed_seconds:.1f}s",
-        f"{'Fault kind':22} {'Runs':>5} {'Recovered':>10} {'Recoveries':>11}",
-    ]
-    for kind, cell in result.by_kind.items():
-        lines.append(
-            f"{kind:22} {cell['runs']:>5.0f} {cell['recovered_fraction']:>9.0%} "
-            f"{cell['recoveries']:>11.0f}"
-        )
-    lines.append(
-        f"overall: {result.recovered_fraction:.1%} recovered, "
-        f"{result.total_recoveries} recoveries "
-        f"(phase 1 mean {result.mean_virtual_session_seconds * 1e3:.3f} ms, "
-        f"phase 2 mean {result.mean_sql_state_seconds * 1e3:.3f} ms)"
-    )
-    for failure in result.failures:
-        lines.append(f"FAILING {failure['schedule']}: {failure['violations']}")
-    return "\n".join(lines)
-
-
-def render_obs_overhead(result: ObsOverheadResult) -> str:
-    """Experiment OBS: tracing overhead on the phoenix-trace workload."""
-    match = (
-        "identical"
-        if len(set(result.fingerprints.values())) == 1
-        else "MISMATCH"
-    )
-    lines = [
-        "Experiment OBS. Tracing overhead (phoenix trace workload)",
-        f"{'Mode':10} {'Seconds':>9} {'Ratio':>7}",
-        f"{'baseline':10} {result.baseline_seconds:>9.4f} {1.0:>7.3f}",
-        f"{'disabled':10} {result.disabled_seconds:>9.4f} {result.disabled_ratio:>7.3f}",
-        f"{'on':10} {result.on_seconds:>9.4f} {result.on_ratio:>7.3f}",
-        f"{result.statements} statements/trial, {result.trials} timed trials; "
-        f"tracing-on captured {result.records_captured} records "
-        f"({result.spans_absorbed} spans folded into histograms); results {match}",
-    ]
-    return "\n".join(lines)
-
-
-def render_recovery_breakdown(rows: list[RecoveryBreakdownRow]) -> str:
-    """Experiment RB: recovery phase split per fault kind, from span traces."""
-    lines = [
-        "Experiment RB. Recovery time breakdown by fault kind (from span traces)",
-        f"{'Fault kind':22} {'Runs':>5} {'Recov.':>7} {'Pings':>6} "
-        f"{'Await (ms)':>11} {'Phase1 (ms)':>12} {'Phase2 (ms)':>12} {'Total (ms)':>11}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.kind:22} {row.runs:>5} {row.recoveries:>7} {row.mean_pings:>6.1f} "
-            f"{row.mean_await_ms:>11.3f} {row.mean_phase1_ms:>12.3f} "
-            f"{row.mean_phase2_ms:>12.3f} {row.mean_total_ms:>11.3f}"
-        )
-    return "\n".join(lines)
-
-
-def render_planned_restart(result: PlannedRestartResult) -> str:
-    """Experiment PR: planned drain/swap restarts vs hard crashes under load."""
-    lines = [
-        "Experiment PR. Planned restarts (drain + swap) vs hard crashes under load",
-        f"{result.clients} clients x {result.ops_total // result.clients} UPDATEs, "
-        f"{result.restarts} restarts per phase",
-        f"{'Phase':10} {'p50 (ms)':>9} {'p99 (ms)':>9} {'max (ms)':>9} {'Recoveries':>11}",
-        f"{'planned':10} {result.planned_p50 * 1e3:>9.2f} {result.planned_p99 * 1e3:>9.2f} "
-        f"{result.planned_max * 1e3:>9.2f} {result.planned_recoveries:>11}",
-        f"{'crash':10} {result.crash_p50 * 1e3:>9.2f} {result.crash_p99 * 1e3:>9.2f} "
-        f"{result.crash_max * 1e3:>9.2f} {result.crash_recoveries:>11}",
-        f"client-visible errors: {result.client_errors}; drains completed: "
-        f"{result.drains_completed}; sessions ridden through: "
-        f"{result.sessions_ridden_through}; statements bounced: "
-        f"{result.statements_bounced}; max pause {result.max_pause_seconds * 1e3:.2f} ms",
-    ]
-    verdict = (
-        "planned p99 below crash p99"
-        if result.planned_p99 < result.crash_p99
-        else "PLANNED P99 NOT BELOW CRASH BASELINE"
-    )
-    match = "identical" if result.fingerprints_match else "MISMATCH"
-    lines.append(f"{verdict}; durable state planned vs crash: {match}")
-    return "\n".join(lines)
-
-
-def render_time_travel(result: TimeTravelResult) -> str:
-    """Experiment TT: AS OF cost, the fingerprint sweep guard, and the
-    restore_to ride-through."""
-    lines = [
-        "Experiment TT. Time travel from the WAL: AS OF queries and restore_to",
-        f"{'Commits':>8} {'Log recs':>9} {'Replayed':>9} {'Cut LSN':>9} {'Reconstruct (ms)':>17}",
-    ]
-    for row in result.reconstruct:
-        lines.append(
-            f"{row.commits:>8} {row.log_records:>9} {row.records_replayed:>9} "
-            f"{row.cut_lsn:>9} {row.reconstruct_seconds * 1e3:>17.3f}"
-        )
-    lines.append(
-        f"AS OF latency vs live read: live {result.live_select_seconds * 1e3:.3f} ms, "
-        f"cold {result.as_of_cold_seconds * 1e3:.3f} ms, "
-        f"warm {result.as_of_warm_seconds * 1e3:.3f} ms "
-        f"({result.snapshot_hits} snapshot hits)"
-    )
-    guard = "exact" if result.fingerprints_match else "MISMATCH"
-    lines.append(
-        f"fingerprint sweep: {result.cuts_matched}/{result.cuts_pinned} "
-        f"pinned cuts reproduced — {guard}"
-    )
-    once = "exactly once" if result.ride_through_exactly_once else "LOST OR DOUBLED"
-    pre = "still exact" if result.pre_restore_cut_ok else "DIVERGED"
-    lines.append(
-        f"restore_to ride-through: {result.clients} clients x "
-        f"{result.ops_total // result.clients} UPDATEs, restore in "
-        f"{result.restore_seconds * 1e3:.2f} ms, "
-        f"{result.restore_sessions_ridden} sessions ridden, "
-        f"{result.restore_commits_discarded} commits discarded, "
-        f"{result.client_errors} client errors; updates applied {once}; "
-        f"pre-restore cut {pre}"
-    )
-    return "\n".join(lines)
-
-
-def render_tcp_serving(result: TcpServingResult) -> str:
-    """Experiment NET: idle-session scaling, per-op overhead, and the
-    transport-neutrality fingerprint guard."""
-    lines = [
-        "Experiment NET. Real-socket serving tier: scaling, overhead, parity",
-        f"{'Sessions':>9} {'Connect (s)':>12} {'Ping all (s)':>13} "
-        f"{'Ping us/sess':>13} {'Answered':>9} {'Errors':>7}",
-    ]
-    for row in result.idle_scale:
-        per_ping = row.ping_seconds / row.sessions * 1e6 if row.sessions else 0.0
-        lines.append(
-            f"{row.sessions:>9} {row.connect_seconds:>12.3f} "
-            f"{row.ping_seconds:>13.3f} {per_ping:>13.1f} "
-            f"{row.pings_answered:>9} {row.client_errors:>7}"
-        )
+def _tcp_footer(r: harness.TcpServingResult) -> list[str]:
     all_answered = all(
         row.pings_answered == row.sessions and row.client_errors == 0
-        for row in result.idle_scale
+        for row in r.idle_scale
     )
-    lines.append(
-        "idle scaling: all pings answered, 0 errors"
-        if all_answered
-        else "idle scaling: PINGS LOST OR CLIENT ERRORS"
-    )
-    lines.append(
-        f"per-op latency over {result.ops} statements: in-process "
-        f"{result.inprocess_op_seconds * 1e6:.1f} us/op, TCP "
-        f"{result.tcp_op_seconds * 1e6:.1f} us/op "
-        f"(overhead {result.overhead_ratio:.2f}x)"
-    )
-    match = "identical" if result.fingerprints_match else "MISMATCH"
-    lines.append(f"durable state in-process vs TCP: {match}")
-    return "\n".join(lines)
-
-
-def render_concurrency(result: ConcurrencyResult, chaos: dict | None = None) -> str:
-    """Experiment CC: threaded dispatch throughput + parallel recovery."""
-    lines = [
-        "Experiment CC. Concurrent serving and parallel session recovery",
-        f"{result.segments * result.ops_per_segment} operations over "
-        f"{result.segments} disjoint key ranges; wire transit "
-        f"{result.latency * 1e3:.1f} ms/request",
-        f"{'Clients':>8} {'Ops':>5} {'Seconds':>9} {'Ops/s':>8} {'Speedup':>8}",
-    ]
-    for row in result.throughput:
-        lines.append(
-            f"{row.clients:>8} {row.operations:>5} {row.seconds:>9.3f} "
-            f"{row.ops_per_second:>8.1f} {result.speedup(row.clients):>7.2f}x"
-        )
-    match = "identical" if result.throughput_fingerprints_match else "MISMATCH"
-    lines.append(f"durable state across client counts: {match}")
-    lines.append("")
-    lines.append(
-        f"{'Sessions':>9} {'Mode':10} {'Workers':>8} {'Seconds':>9} {'Rebuilt':>8}"
-    )
-    for row in result.recovery:
-        lines.append(
-            f"{row.sessions:>9} {row.mode:10} {row.workers:>8} "
-            f"{row.seconds:>9.3f} {row.rebuilt:>8}"
-        )
-    for sessions in sorted({row.sessions for row in result.recovery}):
-        lines.append(
-            f"parallel/serial wall-time ratio at {sessions} sessions: "
-            f"{result.recovery_ratio(sessions):.3f}"
-        )
-    match = "identical" if result.recovery_fingerprints_match else "MISMATCH"
-    lines.append(f"durable state serial vs parallel: {match}")
-    if result.contention:
-        lines.append("")
-        lines.append(
-            f"Hot-table lock contention: every client updates its own key in "
-            f"one shared table, {result.contention_rounds} transactions of "
-            f"{result.contention_ops_per_txn} UPDATEs each"
-        )
-        lines.append(
-            f"{'Scenario':17} {'Clients':>8} {'Ops':>5} {'Seconds':>9} "
-            f"{'Ops/s':>8} {'Waits':>6} {'Wait (s)':>9}"
-        )
-        for row in result.contention:
-            lines.append(
-                f"{row.scenario:17} {row.clients:>8} {row.operations:>5} "
-                f"{row.seconds:>9.3f} {row.ops_per_second:>8.1f} "
-                f"{row.lock_waits:>6} {row.lock_wait_seconds:>9.3f}"
-            )
-        for clients in sorted({row.clients for row in result.contention}):
-            lines.append(
-                f"row-lock speedup over table locks at {clients} clients: "
-                f"{result.hot_speedup(clients):.2f}x"
-            )
-        match = "identical" if result.contention_fingerprints_match else "MISMATCH"
-        lines.append(f"durable state row locks vs table locks: {match}")
-    if chaos is not None:
-        lines.append("")
-        lines.append("Multi-client crash sweep (per-client exactly-once oracle)")
-        lines.append(
-            f"{'Clients':>8} {'Runs':>5} {'Recovered':>10} {'Recoveries':>11}"
-        )
-        for clients, cell in chaos.items():
-            lines.append(
-                f"{clients:>8} {cell['runs']:>5} "
-                f"{cell['recovered_fraction']:>9.0%} {cell['recoveries']:>11}"
-            )
-            for violation in cell["violations"]:
-                lines.append(f"  VIOLATION: {violation}")
-    return "\n".join(lines)
-
-
-def _concurrency_json(result: ConcurrencyResult, chaos: dict | None = None) -> dict:
-    out: dict[str, object] = {
-        "latency": result.latency,
-        "segments": result.segments,
-        "ops_per_segment": result.ops_per_segment,
-        "throughput_fingerprints_match": result.throughput_fingerprints_match,
-        "recovery_fingerprints_match": result.recovery_fingerprints_match,
-        "throughput": [
-            {
-                "clients": row.clients,
-                "operations": row.operations,
-                "seconds": row.seconds,
-                "ops_per_second": row.ops_per_second,
-                "speedup": result.speedup(row.clients),
-                "fingerprint": row.fingerprint,
-            }
-            for row in result.throughput
-        ],
-        "recovery": [
-            {
-                "sessions": row.sessions,
-                "mode": row.mode,
-                "workers": row.workers,
-                "seconds": row.seconds,
-                "rebuilt": row.rebuilt,
-                "fingerprint": row.fingerprint,
-            }
-            for row in result.recovery
-        ],
-        "recovery_ratios": {
-            str(sessions): result.recovery_ratio(sessions)
-            for sessions in sorted({row.sessions for row in result.recovery})
-        },
-        "contention_rounds": result.contention_rounds,
-        "contention_ops_per_txn": result.contention_ops_per_txn,
-        "contention_fingerprints_match": result.contention_fingerprints_match,
-        "contention": [
-            {
-                "scenario": row.scenario,
-                "clients": row.clients,
-                "operations": row.operations,
-                "seconds": row.seconds,
-                "ops_per_second": row.ops_per_second,
-                "lock_waits": row.lock_waits,
-                "lock_wait_seconds": row.lock_wait_seconds,
-                "fingerprint": row.fingerprint,
-            }
-            for row in result.contention
-        ],
-        "hot_speedups": {
-            str(clients): result.hot_speedup(clients)
-            for clients in sorted({row.clients for row in result.contention})
-        },
-    }
-    if chaos is not None:
-        out["multi_client_chaos"] = {str(k): cell for k, cell in chaos.items()}
-    return out
-
-
-def _planned_restart_json(result: PlannedRestartResult) -> dict:
-    return {
-        "clients": result.clients,
-        "restarts": result.restarts,
-        "ops_total": result.ops_total,
-        "client_errors": result.client_errors,
-        "planned_p50": result.planned_p50,
-        "planned_p99": result.planned_p99,
-        "planned_max": result.planned_max,
-        "crash_p50": result.crash_p50,
-        "crash_p99": result.crash_p99,
-        "crash_max": result.crash_max,
-        "drains_completed": result.drains_completed,
-        "sessions_ridden_through": result.sessions_ridden_through,
-        "statements_bounced": result.statements_bounced,
-        "max_pause_seconds": result.max_pause_seconds,
-        "planned_recoveries": result.planned_recoveries,
-        "crash_recoveries": result.crash_recoveries,
-        "planned_p99_below_crash": result.planned_p99 < result.crash_p99,
-        "fingerprints_match": result.fingerprints_match,
-    }
-
-
-def _time_travel_json(result: TimeTravelResult) -> dict:
-    return {
-        "reconstruct": [
-            {
-                "commits": row.commits,
-                "log_records": row.log_records,
-                "records_replayed": row.records_replayed,
-                "cut_lsn": row.cut_lsn,
-                "reconstruct_seconds": row.reconstruct_seconds,
-            }
-            for row in result.reconstruct
-        ],
-        "live_select_seconds": result.live_select_seconds,
-        "as_of_cold_seconds": result.as_of_cold_seconds,
-        "as_of_warm_seconds": result.as_of_warm_seconds,
-        "snapshot_hits": result.snapshot_hits,
-        "cuts_pinned": result.cuts_pinned,
-        "cuts_matched": result.cuts_matched,
-        "fingerprints_match": result.fingerprints_match,
-        "clients": result.clients,
-        "ops_total": result.ops_total,
-        "client_errors": result.client_errors,
-        "restore_seconds": result.restore_seconds,
-        "restore_sessions_ridden": result.restore_sessions_ridden,
-        "restore_commits_discarded": result.restore_commits_discarded,
-        "ride_through_exactly_once": result.ride_through_exactly_once,
-        "pre_restore_cut_ok": result.pre_restore_cut_ok,
-    }
-
-
-def _tcp_serving_json(result: TcpServingResult) -> dict:
-    return {
-        "idle_scale": [
-            {
-                "sessions": row.sessions,
-                "connect_seconds": row.connect_seconds,
-                "ping_seconds": row.ping_seconds,
-                "pings_answered": row.pings_answered,
-                "client_errors": row.client_errors,
-            }
-            for row in result.idle_scale
-        ],
-        "ops": result.ops,
-        "inprocess_op_seconds": result.inprocess_op_seconds,
-        "tcp_op_seconds": result.tcp_op_seconds,
-        "overhead_ratio": result.overhead_ratio,
-        "fingerprints_match": result.fingerprints_match,
-    }
-
-
-def _obs_overhead_json(result: ObsOverheadResult) -> dict:
-    return {
-        "baseline_seconds": result.baseline_seconds,
-        "disabled_seconds": result.disabled_seconds,
-        "on_seconds": result.on_seconds,
-        "disabled_ratio": result.disabled_ratio,
-        "on_ratio": result.on_ratio,
-        "statements": result.statements,
-        "records_captured": result.records_captured,
-        "spans_absorbed": result.spans_absorbed,
-        "fingerprints_match": len(set(result.fingerprints.values())) == 1,
-        "trials": result.trials,
-    }
-
-
-def _recovery_breakdown_json(rows: list[RecoveryBreakdownRow]) -> list[dict]:
     return [
-        {
-            "kind": row.kind,
-            "runs": row.runs,
-            "recoveries": row.recoveries,
-            "mean_pings": row.mean_pings,
-            "mean_await_ms": row.mean_await_ms,
-            "mean_phase1_ms": row.mean_phase1_ms,
-            "mean_phase2_ms": row.mean_phase2_ms,
-            "mean_total_ms": row.mean_total_ms,
-        }
-        for row in rows
+        "idle scaling: "
+        + _verdict(all_answered, "all pings answered, 0 errors", "PINGS LOST OR CLIENT ERRORS"),
+        f"per-op latency over {r.ops} statements: in-process "
+        f"{r.inprocess_op_seconds * 1e6:.1f} us/op, TCP {r.tcp_op_seconds * 1e6:.1f} us/op "
+        f"(overhead {r.overhead_ratio:.2f}x)",
+        f"durable state in-process vs TCP: {_verdict(r.fingerprints_match)}",
     ]
 
 
-def _wire_batch_json(result: WireBatchResult) -> dict:
-    return {
-        "rows": result.rows,
-        "batch_size": result.batch_size,
-        "trip_ratio": result.trip_ratio,
-        "force_ratio": result.force_ratio,
-        "fingerprints_match": result.fingerprints_match,
-        "runs": [
-            {
-                "mode": run.mode,
-                "trial": run.trial,
-                "batch_size": run.batch_size,
-                "seconds": run.seconds,
-                "statements": run.statements,
-                "round_trips": run.round_trips,
-                "batch_requests": run.batch_requests,
-                "requests_batched": run.requests_batched,
-                "wal_forces": run.wal_forces,
-                "group_forces": run.group_forces,
-                "forces_coalesced": run.forces_coalesced,
-                "fingerprint": run.fingerprint,
-            }
-            for run in result.runs
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def register(experiment: Experiment) -> None:
+    EXPERIMENTS[experiment.name] = experiment
+
+
+register(Experiment(
+    "table1", "table1", harness.run_table1_power_comparison, harness.Table1Row,
+    "Table 1. TPC-H power test: native ODBC vs Phoenix/ODBC",
+    [Table(
+        ("Query/Update", "Rows", "Native (s)", "Phoenix (s)", "Diff (s)", "Ratio"),
+        "{r.name:14} {r.result_rows:>8} {r.native_seconds:>12.4f} "
+        "{r.phoenix_seconds:>12.4f} {r.difference:>10.4f} {r.ratio:>7.3f}",
+    )],
+    options={"sf": "sf", "repetitions": "reps"},
+))
+
+register(Experiment(
+    "fig2", "fig2", harness.run_fig2_recovery_sweep, harness.Fig2Point,
+    "Figure 2. Elapsed time for session recovery over varying result sizes",
+    [Table(
+        ("Result size", "Virtual (s)", "SQL state (s)", "Fetch (s)", "Recovery (s)",
+         "Recompute (s)", "Rec/Comp"),
+        "{r.result_size:>11} {r.virtual_session_seconds:>12.4f} {r.sql_state_seconds:>14.4f} "
+        "{r.outstanding_fetch_seconds:>10.4f} {r.recovery_seconds:>13.4f} "
+        "{r.recompute_seconds:>14.4f} {r.recovery_vs_recompute:>9.3f}",
+        footer=_fig2_bars,
+    )],
+))
+
+register(Experiment(
+    "availability", "availability",
+    lambda **kw: list(harness.run_availability_experiment(**kw).values()),
+    harness.AvailabilityResult,
+    "Experiment AV. Application availability under periodic server crashes",
+    [Table(
+        ("Driver", "Sessions", "Completed", "Availability", "Crashes seen"),
+        "{r.driver:10} {r.sessions_total:>9} {r.sessions_completed:>10} "
+        "{r.availability:>12.0%} {r.crashes:>13}",
+    )],
+))
+
+register(Experiment(
+    "plancache", "plancache", harness.run_plan_cache_ablation, harness.PlanCacheRun,
+    "Ablation. Statement/plan cache on vs off",
+    [Table(
+        ("Workload", "Cache", "Seconds", "Stmts", "Stmt/s", "Parse hit%", "Plan hit%",
+         "Invalid."),
+        "{r.workload:15} {r.cache:>5} {r.seconds:>9.4f} {r.statements:>6} "
+        "{r.statements_per_second:>9.1f} {r.metrics[parse_hit_rate]:>10.0%} "
+        "{r.metrics[plan_hit_rate]:>9.0%} {r.metrics[plan_invalidations]:>9.0f}",
+        footer=_ablation_speedups("cache", fast="on", slow="off"),
+    )],
+    options={"sf": "sf", "repetitions": "reps"},
+))
+
+register(Experiment(
+    "executor", "executor", harness.run_executor_ablation, harness.ExecutorRun,
+    "Ablation. Vectorized executor vs interpreted baseline",
+    [Table(
+        ("Workload", "Executor", "Seconds", "Stmts", "Stmt/s", "Scanned", "Returned",
+         "EqProbe", "Range", "TopK", "Compiled"),
+        "{r.workload:12} {r.executor:>12} {r.seconds:>9.4f} {r.statements:>6} "
+        "{r.statements_per_second:>9.1f} {r.counters[rows_scanned]:>9} "
+        "{r.counters[rows_returned]:>9} {r.counters[index_eq_probes]:>8} "
+        "{r.counters[index_range_scans]:>6} {r.counters[topk_shortcuts]:>5} "
+        "{r.counters[compiled_plans]:>9}",
+        footer=_ablation_speedups("executor", fast="compiled", slow="interpreted"),
+    )],
+    options={"sf": "sf", "repetitions": "reps", "rows": "executor_rows"},
+))
+
+register(Experiment(
+    "wirebatch", "wire_batch", harness.run_wire_batch, harness.WireBatchResult,
+    "Experiment WB. Wire batching + WAL group commit (executemany DML)",
+    [Table(
+        ("Mode", "Trial", "Seconds", "Trips", "BatchReqs", "Batched", "Forces", "Group",
+         "Coalesced"),
+        "{r.mode:10} {r.trial:>5} {r.seconds:>9.4f} {r.round_trips:>6} "
+        "{r.batch_requests:>10} {r.requests_batched:>8} {r.wal_forces:>7} "
+        "{r.group_forces:>6} {r.forces_coalesced:>10}",
+        rows=lambda r: r.runs,
+        caption=lambda r: [
+            f"{r.rows} rows x 2 statements each; batched mode sends "
+            f"{r.batch_size} wrapped statements per request"
         ],
-    }
+        footer=lambda r: [
+            f"round trips {r.trip_ratio:.1f}x fewer, WAL forces {r.force_ratio:.1f}x "
+            f"fewer; durable state {_verdict(r.fingerprints_match)}"
+        ],
+    )],
+    options={"rows": "rows", "batch_size": "batch_size", "trials": "trials"},
+))
 
+register(Experiment(
+    "chaos", "chaos", harness.run_chaos_experiment, harness.ChaosResult,
+    "Experiment CH. Crash-schedule sweep vs the exactly-once oracle",
+    [Table(
+        ("Fault kind", "Runs", "Recovered", "Recoveries"),
+        "{r[0]:22} {r[1][runs]:>5.0f} {r[1][recovered_fraction]:>9.0%} "
+        "{r[1][recoveries]:>11.0f}",
+        rows=lambda r: r.by_kind.items(),
+        caption=lambda r: [
+            f"golden run: {r.golden_requests} wire requests; seed {r.seed}; "
+            f"{r.runs} faulted runs in {r.elapsed_seconds:.1f}s"
+        ],
+        footer=_chaos_footer,
+    )],
+    options={"seed": "seed"},
+))
 
-def _chaos_json(result: ChaosResult) -> dict:
-    return {
-        "seed": result.seed,
-        "golden_requests": result.golden_requests,
-        "runs": result.runs,
-        "recovered_fraction": result.recovered_fraction,
-        "total_recoveries": result.total_recoveries,
-        "mean_virtual_session_seconds": result.mean_virtual_session_seconds,
-        "mean_sql_state_seconds": result.mean_sql_state_seconds,
-        "elapsed_seconds": result.elapsed_seconds,
-        "by_kind": result.by_kind,
-        "failures": result.failures,
-    }
+register(Experiment(
+    "obs_overhead", "obs_overhead", harness.run_obs_overhead, harness.ObsOverheadResult,
+    "Experiment OBS. Tracing overhead (phoenix trace workload)",
+    [Table(
+        ("Mode", "Seconds", "Ratio"),
+        "{r[0]:10} {r[1]:>9.4f} {r[2]:>7.3f}",
+        rows=lambda r: [
+            ("baseline", r.baseline_seconds, 1.0),
+            ("disabled", r.disabled_seconds, r.disabled_ratio),
+            ("on", r.on_seconds, r.on_ratio),
+        ],
+        footer=lambda r: [
+            f"{r.statements} statements/trial, {r.trials} timed trials; tracing-on "
+            f"captured {r.records_captured} records ({r.spans_absorbed} spans folded "
+            f"into histograms); results {_verdict(r.fingerprints_match)}"
+        ],
+    )],
+))
 
+register(Experiment(
+    "recovery_breakdown", "recovery_breakdown", harness.run_recovery_breakdown,
+    harness.RecoveryBreakdownRow,
+    "Experiment RB. Recovery time breakdown by fault kind (from span traces)",
+    [Table(
+        ("Fault kind", "Runs", "Recov.", "Pings", "Await (ms)", "Phase1 (ms)",
+         "Phase2 (ms)", "Total (ms)"),
+        "{r.kind:22} {r.runs:>5} {r.recoveries:>7} {r.mean_pings:>6.1f} "
+        "{r.mean_await_ms:>11.3f} {r.mean_phase1_ms:>12.3f} {r.mean_phase2_ms:>12.3f} "
+        "{r.mean_total_ms:>11.3f}",
+    )],
+    options={"seed": "seed"},
+))
 
-def _plan_cache_json(runs: list[PlanCacheRun]) -> list[dict]:
-    return [
-        {
-            "workload": run.workload,
-            "cache": run.cache,
-            "seconds": run.seconds,
-            "statements": run.statements,
-            "statements_per_second": run.statements_per_second,
-            "fingerprint": run.fingerprint,
-            "metrics": run.metrics,
-        }
-        for run in runs
-    ]
+register(Experiment(
+    "concurrency", "concurrency", harness.run_concurrency, harness.ConcurrencyResult,
+    "Experiment CC. Concurrent serving and parallel session recovery",
+    [
+        Table(
+            ("Clients", "Ops", "Seconds", "Ops/s", "Speedup"),
+            "{r.clients:>8} {r.operations:>5} {r.seconds:>9.3f} {r.ops_per_second:>8.1f} "
+            "{r.speedup:>7.2f}x",
+            rows=lambda r: r.throughput,
+            caption=lambda r: [
+                f"{r.segments * r.ops_per_segment} operations over {r.segments} "
+                f"disjoint key ranges; wire transit {r.latency * 1e3:.1f} ms/request"
+            ],
+            footer=lambda r: [
+                "durable state across client counts: "
+                + _verdict(r.throughput_fingerprints_match)
+            ],
+        ),
+        Table(
+            ("Sessions", "Mode", "Workers", "Seconds", "Rebuilt"),
+            "{r.sessions:>9} {r.mode:10} {r.workers:>8} {r.seconds:>9.3f} {r.rebuilt:>8}",
+            rows=lambda r: r.recovery,
+            footer=lambda r: [
+                *(
+                    f"parallel/serial wall-time ratio at {sessions} sessions: {ratio:.3f}"
+                    for sessions, ratio in r.recovery_ratios.items()
+                ),
+                f"durable state serial vs parallel: {_verdict(r.recovery_fingerprints_match)}",
+            ],
+        ),
+        Table(
+            ("Scenario", "Clients", "Ops", "Seconds", "Ops/s", "Waits", "Wait (s)"),
+            "{r.scenario:17} {r.clients:>8} {r.operations:>5} {r.seconds:>9.3f} "
+            "{r.ops_per_second:>8.1f} {r.lock_waits:>6} {r.lock_wait_seconds:>9.3f}",
+            rows=lambda r: r.contention,
+            caption=lambda r: [
+                f"Hot-table lock contention: every client updates its own key in one "
+                f"shared table, {r.contention_rounds} transactions of "
+                f"{r.contention_ops_per_txn} UPDATEs each"
+            ],
+            footer=lambda r: [
+                *(
+                    f"row-lock speedup over table locks at {clients} clients: {speedup:.2f}x"
+                    for clients, speedup in r.hot_speedups.items()
+                ),
+                "durable state row locks vs table locks: "
+                + _verdict(r.contention_fingerprints_match),
+            ],
+        ),
+        Table(
+            ("Clients", "Runs", "Recovered", "Recoveries"),
+            "{r[0]:>8} {r[1][runs]:>5} {r[1][recovered_fraction]:>9.0%} "
+            "{r[1][recoveries]:>11}",
+            rows=lambda r: r.multi_client_chaos.items(),
+            caption=lambda r: ["Multi-client crash sweep (per-client exactly-once oracle)"],
+            footer=lambda r: [
+                f"  VIOLATION at {clients} clients: {violation}"
+                for clients, cell in r.multi_client_chaos.items()
+                for violation in cell["violations"]
+            ],
+        ),
+    ],
+    options={"contention_rounds": "contention_rounds"},
+))
 
+register(Experiment(
+    "plannedrestart", "planned_restart", harness.run_planned_restart,
+    harness.PlannedRestartResult,
+    "Experiment PR. Planned restarts (drain + swap) vs hard crashes under load",
+    [Table(
+        ("Phase", "p50 (ms)", "p99 (ms)", "max (ms)", "Recoveries"),
+        "{r[0]:10} {r[1]:>9.2f} {r[2]:>9.2f} {r[3]:>9.2f} {r[4]:>11}",
+        rows=lambda r: [
+            ("planned", r.planned_p50 * 1e3, r.planned_p99 * 1e3, r.planned_max * 1e3,
+             r.planned_recoveries),
+            ("crash", r.crash_p50 * 1e3, r.crash_p99 * 1e3, r.crash_max * 1e3,
+             r.crash_recoveries),
+        ],
+        caption=lambda r: [
+            f"{r.clients} clients x {r.ops_total // r.clients} UPDATEs, "
+            f"{r.restarts} restarts per phase"
+        ],
+        footer=_planned_restart_footer,
+    )],
+))
 
-def _executor_json(runs: list[ExecutorRun]) -> list[dict]:
-    return [
-        {
-            "workload": run.workload,
-            "executor": run.executor,
-            "seconds": run.seconds,
-            "statements": run.statements,
-            "statements_per_second": run.statements_per_second,
-            "fingerprint": run.fingerprint,
-            "counters": run.counters,
-        }
-        for run in runs
-    ]
+register(Experiment(
+    "timetravel", "time_travel", harness.run_time_travel, harness.TimeTravelResult,
+    "Experiment TT. Time travel from the WAL: AS OF queries and restore_to",
+    [Table(
+        ("Commits", "Log recs", "Replayed", "Cut LSN", "Reconstruct (ms)"),
+        "{r[0].commits:>8} {r[0].log_records:>9} {r[0].records_replayed:>9} "
+        "{r[0].cut_lsn:>9} {r[1]:>17.3f}",
+        rows=lambda r: [(row, row.reconstruct_seconds * 1e3) for row in r.reconstruct],
+        footer=_time_travel_footer,
+    )],
+))
 
-
-def _table1_json(rows: list[Table1Row]) -> list[dict]:
-    return [
-        {
-            "name": row.name,
-            "result_rows": row.result_rows,
-            "native_seconds": row.native_seconds,
-            "phoenix_seconds": row.phoenix_seconds,
-            "difference": row.difference,
-            "ratio": row.ratio,
-        }
-        for row in rows
-    ]
-
-
-def _fig2_json(series: Fig2Series) -> list[dict]:
-    return [
-        {
-            "result_size": point.result_size,
-            "virtual_session_seconds": point.virtual_session_seconds,
-            "sql_state_seconds": point.sql_state_seconds,
-            "outstanding_fetch_seconds": point.outstanding_fetch_seconds,
-            "recovery_seconds": point.recovery_seconds,
-            "recompute_seconds": point.recompute_seconds,
-        }
-        for point in series.points
-    ]
-
-
-def _availability_json(results: dict[str, AvailabilityResult]) -> list[dict]:
-    return [
-        {
-            "driver": result.driver,
-            "sessions_total": result.sessions_total,
-            "sessions_completed": result.sessions_completed,
-            "availability": result.availability,
-            "crashes": result.crashes,
-        }
-        for result in results.values()
-    ]
+register(Experiment(
+    "tcp", "tcp_serving", harness.run_tcp_serving, harness.TcpServingResult,
+    "Experiment NET. Real-socket serving tier: scaling, overhead, parity",
+    [Table(
+        ("Sessions", "Connect (s)", "Ping all (s)", "Ping us/sess", "Answered", "Errors"),
+        "{r[0].sessions:>9} {r[0].connect_seconds:>12.3f} {r[0].ping_seconds:>13.3f} "
+        "{r[1]:>13.1f} {r[0].pings_answered:>9} {r[0].client_errors:>7}",
+        rows=lambda r: [
+            (row, row.ping_seconds / row.sessions * 1e6 if row.sessions else 0.0)
+            for row in r.idle_scale
+        ],
+        footer=_tcp_footer,
+    )],
+))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "artifact",
-        choices=[
-            "table1",
-            "fig2",
-            "availability",
-            "plancache",
-            "executor",
-            "wirebatch",
-            "chaos",
-            "obs_overhead",
-            "recovery_breakdown",
-            "concurrency",
-            "plannedrestart",
-            "timetravel",
-            "tcp",
-            "all",
-        ],
-    )
+    parser.add_argument("artifact", choices=[*EXPERIMENTS, "all"])
     parser.add_argument("--seed", type=int, default=0, help="chaos multi-fault seed")
     parser.add_argument("--sf", type=float, default=0.001, help="TPC-H scale factor")
     parser.add_argument("--reps", type=int, default=3, help="power test repetitions")
@@ -777,71 +427,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload: dict[str, object] = {}
-    if args.artifact in ("table1", "all"):
-        rows = run_table1_power_comparison(sf=args.sf, repetitions=args.reps)
-        print(render_table1(rows))
-        print()
-        payload["table1"] = _table1_json(rows)
-    if args.artifact in ("fig2", "all"):
-        series = run_fig2_recovery_sweep()
-        print(render_fig2(series))
-        print()
-        payload["fig2"] = _fig2_json(series)
-    if args.artifact in ("availability", "all"):
-        results = run_availability_experiment()
-        print(render_availability(results))
-        payload["availability"] = _availability_json(results)
-    if args.artifact in ("plancache", "all"):
-        runs = run_plan_cache_ablation(sf=args.sf, repetitions=args.reps)
-        print(render_plan_cache(runs))
-        payload["plancache"] = _plan_cache_json(runs)
-    if args.artifact in ("executor", "all"):
-        executor_runs = run_executor_ablation(
-            sf=args.sf, repetitions=args.reps, rows=args.executor_rows
+    selected = EXPERIMENTS if args.artifact == "all" else [args.artifact]
+    document: dict[str, object] = {}
+    for name in selected:
+        experiment = EXPERIMENTS[name]
+        result = experiment.runner(
+            **{keyword: getattr(args, dest) for keyword, dest in experiment.options.items()}
         )
-        print(render_executor(executor_runs))
-        payload["executor"] = _executor_json(executor_runs)
-    if args.artifact in ("wirebatch", "all"):
-        wire_batch = run_wire_batch(
-            rows=args.rows, batch_size=args.batch_size, trials=args.trials
-        )
-        print(render_wire_batch(wire_batch))
-        payload["wire_batch"] = _wire_batch_json(wire_batch)
-    if args.artifact in ("chaos", "all"):
-        result = run_chaos_experiment(seed=args.seed)
-        print(render_chaos(result))
-        payload["chaos"] = _chaos_json(result)
-    if args.artifact in ("obs_overhead", "all"):
-        obs_result = run_obs_overhead()
-        print(render_obs_overhead(obs_result))
-        payload["obs_overhead"] = _obs_overhead_json(obs_result)
-    if args.artifact in ("recovery_breakdown", "all"):
-        breakdown = run_recovery_breakdown(seed=args.seed)
-        print(render_recovery_breakdown(breakdown))
-        payload["recovery_breakdown"] = _recovery_breakdown_json(breakdown)
-    if args.artifact in ("concurrency", "all"):
-        from repro.chaos.multi import sweep_multi
-
-        concurrency = run_concurrency(contention_rounds=args.contention_rounds)
-        chaos_sweep = sweep_multi((1, 4, 16))
-        print(render_concurrency(concurrency, chaos_sweep))
-        payload["concurrency"] = _concurrency_json(concurrency, chaos_sweep)
-    if args.artifact in ("plannedrestart", "all"):
-        planned = run_planned_restart()
-        print(render_planned_restart(planned))
-        payload["planned_restart"] = _planned_restart_json(planned)
-    if args.artifact in ("timetravel", "all"):
-        time_travel = run_time_travel()
-        print(render_time_travel(time_travel))
-        payload["time_travel"] = _time_travel_json(time_travel)
-    if args.artifact in ("tcp", "all"):
-        tcp_serving = run_tcp_serving()
-        print(render_tcp_serving(tcp_serving))
-        payload["tcp_serving"] = _tcp_serving_json(tcp_serving)
+        print(experiment.render(result))
+        print()
+        document[experiment.key] = payload(result)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump(document, handle, indent=2)
         print(f"wrote {args.json_path}")
     return 0
 

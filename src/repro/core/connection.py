@@ -21,7 +21,6 @@ paper only protects against *server* failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import (
@@ -43,6 +42,7 @@ from repro.core.interceptor import (
 from repro.core.naming import PROXY_TABLE, NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
 from repro.core.statements import ResultState, TxnReplayLog
+from repro.obs.metrics import CounterSet, gauge
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType
 from repro.odbc.driver import DriverConnection, NativeDriver
@@ -52,9 +52,10 @@ from repro.sql import ast
 __all__ = ["PhoenixConnection", "PhoenixStats"]
 
 
-@dataclass
-class PhoenixStats:
-    """Observable Phoenix activity — benchmarks and tests read these."""
+class PhoenixStats(CounterSet):
+    """Observable Phoenix activity of one connection — benchmarks and
+    tests read these.  Cumulative across the crashes the connection rides
+    through, like every :class:`~repro.obs.metrics.CounterSet`."""
 
     queries_materialized: int = 0
     cursors_materialized: int = 0
@@ -71,15 +72,13 @@ class PhoenixStats:
     recovery_pings: int = 0
     #: orphaned server sessions this connection disconnected best-effort
     sessions_reaped: int = 0
-    last_virtual_session_seconds: float = 0.0
-    last_sql_state_seconds: float = 0.0
+    #: phase times of the most recent recovery (gauges: not running totals)
+    last_virtual_session_seconds: float = gauge(0.0)
+    last_sql_state_seconds: float = gauge(0.0)
     #: cumulative phase times across every recovery of this connection —
     #: the chaos bench reports mean phase-1/phase-2 splits from these.
     virtual_session_seconds_total: float = 0.0
     sql_state_seconds_total: float = 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        return dict(self.__dict__)
 
 
 class PhoenixConnection(Connection):

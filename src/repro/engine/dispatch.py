@@ -30,6 +30,8 @@ import time
 from collections import deque
 from typing import Any, Callable
 
+from repro.obs.metrics import CounterSet, gauge
+
 __all__ = ["SessionDispatcher", "DispatchStats"]
 
 #: hard ceiling on pool size — far above any bench (16 clients × app+private
@@ -39,18 +41,15 @@ MAX_WORKERS = 64
 IDLE_TIMEOUT = 0.5
 
 
-class DispatchStats:
-    """Observability counters (cumulative, reset semantics as in
-    :mod:`repro.obs.metrics`)."""
+class DispatchStats(CounterSet):
+    """Dispatcher counters — the ``dispatch`` slot of the registry.  The
+    two peaks are gauges: high-water marks of a pool that is still
+    running, which a ``reset()`` must not pretend away."""
 
-    def __init__(self) -> None:
-        self.dispatched = 0
-        self.workers_spawned = 0
-        self.peak_workers = 0
-        self.peak_queued = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
+    dispatched: int = 0
+    workers_spawned: int = 0
+    peak_workers: int = gauge(0)
+    peak_queued: int = gauge(0)
 
 
 class _WorkItem:
@@ -73,7 +72,13 @@ class _WorkItem:
 class SessionDispatcher:
     """Per-key FIFO work queues over a dynamic worker pool."""
 
-    def __init__(self, *, max_workers: int = MAX_WORKERS, idle_timeout: float = IDLE_TIMEOUT):
+    def __init__(
+        self,
+        *,
+        max_workers: int = MAX_WORKERS,
+        idle_timeout: float = IDLE_TIMEOUT,
+        stats: DispatchStats | None = None,
+    ):
         self.max_workers = max_workers
         self.idle_timeout = idle_timeout
         self._cond = threading.Condition()
@@ -91,7 +96,7 @@ class SessionDispatcher:
         self._paused = False
         #: items currently executing on workers (claimed, not yet finished)
         self._active = 0
-        self.stats = DispatchStats()
+        self.stats = stats if stats is not None else DispatchStats()
 
     # ----------------------------------------------------------- submission
 

@@ -71,6 +71,7 @@ from repro.errors import (
     ServerCrashedError,
     ServerRestartingError,
 )
+from repro.obs.metrics import CounterSet
 from repro.obs.tracer import get_tracer
 
 __all__ = ["LockMode", "LockManager", "LockStats", "DEFAULT_SERVER_WAIT"]
@@ -145,30 +146,23 @@ _COVERS_ROW: dict[LockMode, frozenset[LockMode]] = {
 Resource = tuple[str, "int | None"]
 
 
-class LockStats:
-    """Observability counters (cumulative; reset semantics follow
-    :mod:`repro.obs.metrics` — they describe the simulation, not one
-    database incarnation, so the server threads one object through every
-    restart exactly like :class:`~repro.engine.wal.WalStats`)."""
+class LockStats(CounterSet):
+    """Lock-manager counters — the ``locks`` slot of the registry.  They
+    describe the simulation, not one database incarnation, so the server
+    threads one object through every restart exactly like
+    :class:`~repro.engine.wal.WalStats`."""
 
-    def __init__(self) -> None:
-        self.acquires = 0
-        #: acquires that targeted a row (the rest are table/intent level)
-        self.row_acquires = 0
-        self.waits = 0
-        self.wait_timeouts = 0
-        self.deadlocks = 0
-        #: row-lock sets traded for a full table lock
-        self.escalations = 0
-        #: waiters evicted (or fail-fasted) by a planned-restart drain
-        self.drain_bounces = 0
-        self.total_wait_time = 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.__dict__)
-
-    def reset(self) -> None:
-        self.__init__()
+    acquires: int = 0
+    #: acquires that targeted a row (the rest are table/intent level)
+    row_acquires: int = 0
+    waits: int = 0
+    wait_timeouts: int = 0
+    deadlocks: int = 0
+    #: row-lock sets traded for a full table lock
+    escalations: int = 0
+    #: waiters evicted (or fail-fasted) by a planned-restart drain
+    drain_bounces: int = 0
+    total_wait_time: float = 0.0
 
 
 class LockManager:

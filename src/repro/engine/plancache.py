@@ -47,6 +47,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
+from repro.obs.metrics import CounterSet
+
 __all__ = ["EngineMetrics", "ExecutorStats", "LRUCache", "ParseCache", "PlanCache"]
 
 #: Server-wide parse cache capacity (distinct SQL texts).
@@ -55,24 +57,21 @@ PARSE_CACHE_CAPACITY = 256
 PLAN_CACHE_CAPACITY = 128
 
 
-class EngineMetrics:
+class EngineMetrics(CounterSet):
     """Cache observability counters for one server.
 
-    Reset semantics follow the system-wide contract defined in
-    :mod:`repro.obs.metrics`: like :class:`~repro.engine.server.ServerStats`
-    and :class:`~repro.net.metrics.NetworkMetrics`, these are cumulative
-    across crashes and restarts — they describe the simulation, not server
-    state — and only an explicit :meth:`reset` zeroes them.  The *caches
-    themselves* are volatile; the counters let tests prove it (a restart
-    shows fresh misses for SQL that used to hit).
+    Cumulative across crashes and restarts like every
+    :class:`~repro.obs.metrics.CounterSet` — they describe the simulation,
+    not server state.  The *caches themselves* are volatile; the counters
+    let tests prove it (a restart shows fresh misses for SQL that used to
+    hit).
     """
 
-    def __init__(self) -> None:
-        self.parse_hits = 0
-        self.parse_misses = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_invalidations = 0
+    parse_hits: int = 0
+    parse_misses: int = 0
+    plan_hits: int = 0
+    plan_misses: int = 0
+    plan_invalidations: int = 0
 
     @property
     def parse_hit_rate(self) -> float:
@@ -84,101 +83,36 @@ class EngineMetrics:
         total = self.plan_hits + self.plan_misses
         return self.plan_hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.parse_hits = 0
-        self.parse_misses = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_invalidations = 0
-
-    def merge(self, other: "EngineMetrics") -> None:
-        """Fold another server's counters in (same surface as
-        ``NetworkMetrics.merge`` — multi-system benchmarks aggregate both)."""
-        self.parse_hits += other.parse_hits
-        self.parse_misses += other.parse_misses
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
-        self.plan_invalidations += other.plan_invalidations
-
     def snapshot(self) -> dict[str, float]:
         return {
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
+            **super().snapshot(),
             "parse_hit_rate": self.parse_hit_rate,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
             "plan_hit_rate": self.plan_hit_rate,
-            "plan_invalidations": self.plan_invalidations,
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"EngineMetrics(parse={self.parse_hits}/{self.parse_hits + self.parse_misses}, "
-            f"plan={self.plan_hits}/{self.plan_hits + self.plan_misses}, "
-            f"invalidations={self.plan_invalidations})"
-        )
 
-
-class ExecutorStats:
+class ExecutorStats(CounterSet):
     """Access-path and pipeline counters for one server's executors.
 
-    Same reset semantics as :class:`EngineMetrics` (defined in
-    :mod:`repro.obs.metrics`): cumulative across crashes and restarts, only
-    an explicit :meth:`reset` zeroes them.  The counters are the
-    observability surface of the vectorized executor — which access path
-    each query actually took (PK probe, secondary equality, secondary
+    The observability surface of the vectorized executor — which access
+    path each query actually took (PK probe, secondary equality, secondary
     range, full scan narrowed or not), how many rows it touched versus
     returned, and how often the index-ordered top-k shortcut fired.
     """
 
-    def __init__(self) -> None:
-        #: base-table rows read (full scans + probe results + top-k streams)
-        self.rows_scanned = 0
-        #: rows returned by SELECT plans (subquery and union parts included)
-        self.rows_returned = 0
-        #: PK / secondary equality probes executed
-        self.index_eq_probes = 0
-        #: secondary range probes executed (<, <=, >, >=, BETWEEN)
-        self.index_range_scans = 0
-        #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
-        self.topk_shortcuts = 0
-        #: SELECT plans compiled in vectorized (row-closure) mode
-        self.compiled_plans = 0
-
-    def reset(self) -> None:
-        self.rows_scanned = 0
-        self.rows_returned = 0
-        self.index_eq_probes = 0
-        self.index_range_scans = 0
-        self.topk_shortcuts = 0
-        self.compiled_plans = 0
-
-    def merge(self, other: "ExecutorStats") -> None:
-        """Fold another server's counters in (multi-system benchmarks)."""
-        self.rows_scanned += other.rows_scanned
-        self.rows_returned += other.rows_returned
-        self.index_eq_probes += other.index_eq_probes
-        self.index_range_scans += other.index_range_scans
-        self.topk_shortcuts += other.topk_shortcuts
-        self.compiled_plans += other.compiled_plans
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "rows_scanned": self.rows_scanned,
-            "rows_returned": self.rows_returned,
-            "index_eq_probes": self.index_eq_probes,
-            "index_range_scans": self.index_range_scans,
-            "topk_shortcuts": self.topk_shortcuts,
-            "compiled_plans": self.compiled_plans,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecutorStats(scanned={self.rows_scanned}, "
-            f"returned={self.rows_returned}, eq={self.index_eq_probes}, "
-            f"range={self.index_range_scans}, topk={self.topk_shortcuts}, "
-            f"compiled={self.compiled_plans})"
-        )
+    #: base-table rows read (full scans + probe results + top-k streams)
+    rows_scanned: int = 0
+    #: rows returned by SELECT plans (subquery and union parts included)
+    rows_returned: int = 0
+    #: PK / secondary equality probes executed
+    index_eq_probes: int = 0
+    #: secondary range probes executed (<, <=, >, >=, BETWEEN)
+    index_range_scans: int = 0
+    #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
+    topk_shortcuts: int = 0
+    #: SELECT plans compiled in vectorized (row-closure) mode; a plan-cache
+    #: hit compiles nothing, so a warmed-up window reads 0 here
+    compiled_plans: int = 0
 
 
 class LRUCache:

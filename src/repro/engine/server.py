@@ -40,8 +40,9 @@ from repro.engine.recovery import RecoveryReport, recover
 from repro.engine.results import StatementResult
 from repro.engine.session import Session
 from repro.engine.storage import InMemoryStableStorage, StableStorage
-from repro.engine.timetravel import TimeTravelManager, TimeTravelStats
+from repro.engine.timetravel import TimeTravelManager
 from repro.engine.wal import WalStats
+from repro.obs.metrics import CounterSet, MetricsRegistry
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
 
@@ -54,19 +55,16 @@ __all__ = [
 ]
 
 
-class ServerStats:
-    """Observability counters for the server object.  Cumulative across
-    crashes/restarts — they describe the simulation, not server state."""
+class ServerStats(CounterSet):
+    """Counters for the server object — the ``activity`` slot of the
+    registry.  Cumulative across crashes/restarts: they describe the
+    simulation, not server state."""
 
-    def __init__(self):
-        self.statements = 0
-        self.rows_returned = 0
-        self.connects = 0
-        self.crashes = 0
-        self.restarts = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
+    statements: int = 0
+    rows_returned: int = 0
+    connects: int = 0
+    crashes: int = 0
+    restarts: int = 0
 
 
 @dataclass
@@ -95,23 +93,19 @@ class RestartPolicy:
             raise ValueError(f"unknown restart mode: {self.mode!r}")
 
 
-class DrainStats:
-    """Planned-restart counters.  Cumulative across restarts (reset
-    semantics: :mod:`repro.obs.metrics`); injectable so a MetricsRegistry
-    can adopt the same object."""
+class DrainStats(CounterSet):
+    """Planned-restart counters — the ``server`` slot of the registry."""
 
-    def __init__(self) -> None:
-        self.drains_started = 0
-        self.drains_completed = 0
-        self.statements_bounced = 0
-        self.sessions_ridden_through = 0
-        self.max_pause_seconds = 0.0
+    drains_started: int = 0
+    drains_completed: int = 0
+    statements_bounced: int = 0
+    sessions_ridden_through: int = 0
+    max_pause_seconds: float = 0.0
 
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.__dict__)
-
-    def reset(self) -> None:
-        self.__init__()
+    def merge(self, other: "DrainStats") -> None:
+        longest = max(self.max_pause_seconds, other.max_pause_seconds)
+        super().merge(other)
+        self.max_pause_seconds = longest  # a high-water mark, not a sum
 
 
 @dataclass
@@ -141,34 +135,26 @@ class DatabaseServer:
         name: str = "server",
         plan_cache: bool = True,
         executor: str = "compiled",
-        engine_metrics: EngineMetrics | None = None,
-        executor_stats: ExecutorStats | None = None,
-        wal_stats: WalStats | None = None,
-        lock_stats: LockStats | None = None,
-        drain_stats: DrainStats | None = None,
-        time_travel_stats: TimeTravelStats | None = None,
+        registry: MetricsRegistry | None = None,
     ):
         self.name = name
         self.storage = storage if storage is not None else InMemoryStableStorage()
-        #: WAL counters threaded through every database incarnation —
-        #: cumulative across crashes (reset semantics: repro.obs.metrics),
-        #: injectable so a MetricsRegistry can adopt the same object
-        self.wal_stats = wal_stats if wal_stats is not None else WalStats()
-        #: lock-manager counters, threaded the same way as wal_stats
-        self.lock_stats = lock_stats if lock_stats is not None else LockStats()
-        #: planned-restart counters, threaded the same way as wal_stats
-        self.drain_stats = drain_stats if drain_stats is not None else DrainStats()
+        #: every counter set this server feeds lives in the registry, not in
+        #: the volatile engine: one object per slot is threaded through
+        #: every database incarnation, which is what makes the counters
+        #: cumulative across crashes (contract: repro.obs.metrics)
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.wal_stats: WalStats = self.registry.wal
+        self.lock_stats: LockStats = self.registry.locks
+        self.drain_stats: DrainStats = self.registry.server
+        self.stats: ServerStats = self.registry.activity
+        #: parse/plan cache counters
+        self.engine_metrics: EngineMetrics = self.registry.engine
+        #: executor access-path counters
+        self.executor_stats: ExecutorStats = self.registry.executor
         self.database: Database | None = None
         self.sessions: dict[int, Session] = {}
         self._executors: dict[int, Executor] = {}
-        self.stats = ServerStats()
-        #: parse/plan cache counters — cumulative across crashes, like stats
-        #: (reset semantics: repro.obs.metrics); injectable so a
-        #: MetricsRegistry can adopt the same object
-        self.engine_metrics = engine_metrics if engine_metrics is not None else EngineMetrics()
-        #: executor access-path counters — cumulative across crashes, like
-        #: engine_metrics; injectable so a MetricsRegistry can adopt them
-        self.executor_stats = executor_stats if executor_stats is not None else ExecutorStats()
         #: enables both the parse cache and per-session plan caches; the
         #: bench ablation flips this off for its baseline
         self.plan_cache_enabled = plan_cache
@@ -209,13 +195,13 @@ class DatabaseServer:
         self._engine_mutex = threading.RLock()
         #: per-session FIFO dispatch over a dynamic worker pool — the wire
         #: endpoint routes every request through it
-        self.dispatcher = SessionDispatcher()
+        self.dispatcher = SessionDispatcher(stats=self.registry.dispatch)
         #: time-travel surface (AS OF snapshots + restore_to) — one manager
         #: per server, spanning every database incarnation like the stats
         #: objects, so its commit clock stays monotonic across restarts
         self.time_travel = TimeTravelManager(
             self.storage,
-            stats=time_travel_stats,
+            stats=self.registry.timetravel,
             engine_metrics=self.engine_metrics,
         )
         self._boot()

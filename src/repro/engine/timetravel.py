@@ -41,6 +41,7 @@ from repro.engine.database import Database, _META_TT_ARCHIVE
 from repro.engine.recovery import RecoveryReport, _replay
 from repro.engine.storage import InMemoryStableStorage, StableStorage
 from repro.engine.wal import CommitClock, RecordType, scan_log
+from repro.obs.metrics import CounterSet
 from repro.obs.tracer import get_tracer
 
 __all__ = [
@@ -53,10 +54,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class TimeTravelStats:
-    """Time-travel counters; reset semantics per :mod:`repro.obs.metrics`
-    (cumulative across crashes/restarts, zeroed only by explicit reset)."""
+class TimeTravelStats(CounterSet):
+    """Time-travel counters — the ``timetravel`` slot of the registry."""
 
     as_of_queries: int = 0
     reconstructions: int = 0
@@ -66,13 +65,6 @@ class TimeTravelStats:
     restores_completed: int = 0
     #: committed transactions discarded by restore_to (post-cut history)
     commits_discarded: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-    def reset(self) -> None:
-        for name in list(self.__dict__):
-            setattr(self, name, 0)
 
 
 class LogIndex:

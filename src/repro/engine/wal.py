@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.schema import TableSchema
 from repro.engine.storage import StableStorage
+from repro.obs.metrics import CounterSet
 from repro.obs.tracer import get_tracer
 
 __all__ = [
@@ -161,15 +162,12 @@ def decode_log(raw: bytes, base_offset: int = 0) -> list[LogRecord]:
     return scan_log(raw, base_offset)[0]
 
 
-@dataclass
-class WalStats:
+class WalStats(CounterSet):
     """WAL activity counters, separable from the log object itself.
 
     A crash throws the :class:`WriteAheadLog` away with the rest of the
-    volatile engine, but these counters follow the system-wide reset
-    contract (:mod:`repro.obs.metrics`): cumulative across crash/restart,
-    zeroed only by an explicit observer :meth:`reset`.  The server threads
-    one ``WalStats`` through every database incarnation so
+    volatile engine; the server threads one ``WalStats`` (the ``wal`` slot
+    of its registry) through every database incarnation so
     ``MetricsRegistry.snapshot()`` can report forces across restarts.
     """
 
@@ -181,15 +179,6 @@ class WalStats:
     #: commit-time forces absorbed by a group force instead of hitting the
     #: device: ``deferred - 1`` per non-empty group (the batch savings)
     forces_coalesced: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-    def reset(self) -> None:
-        self.records_written = 0
-        self.forces = 0
-        self.group_forces = 0
-        self.forces_coalesced = 0
 
 
 class CommitClock:

@@ -14,46 +14,44 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+
+from repro.obs.metrics import CounterSet, gauge
 
 __all__ = ["NetworkMetrics", "NetStats"]
 
 
-@dataclass
-class NetworkMetrics:
+class NetworkMetrics(CounterSet):
     """Counters for one channel (or aggregated across channels).
 
-    Reset semantics follow the system-wide contract defined in
-    :mod:`repro.obs.metrics`: counters are **cumulative across server
-    crashes and restarts** (they describe the simulation's history, not
-    server state) and only an explicit :meth:`reset` — an observer action,
-    typically via ``MetricsRegistry.reset()`` — zeroes them.
+    Reset, merge and snapshot semantics are :class:`CounterSet`'s.
     ``latency_seconds`` is configuration (the simulated per-round-trip
-    latency), not a counter, so ``reset()`` leaves it alone.
+    latency), not a counter, so it is not a declared field: ``reset()``
+    leaves it alone and ``snapshot()`` does not report it.
     """
 
     round_trips: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
     simulated_seconds: float = 0.0
-    latency_seconds: float = 0.0
-    by_request_type: Counter = field(default_factory=Counter)
     #: BatchExecuteRequests sent (each is one round trip)
     batch_requests: int = 0
     #: statements that travelled inside batch requests — the round trips
     #: batching saved is ``requests_batched - batch_requests``
     requests_batched: int = 0
     errors: int = 0
+    by_request_type: Counter = Counter()
     #: failed round trips broken down by request type — recovery's ping
     #: storms against a down server show up here as PingRequest errors,
     #: distinguishable from an application statement dying in flight.
-    errors_by_request_type: Counter = field(default_factory=Counter)
-    #: guards the read-modify-write updates — one metrics object is shared
-    #: by every channel of a driver, and under threaded dispatch many client
-    #: threads record concurrently
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    errors_by_request_type: Counter = Counter()
+
+    def __init__(self, latency_seconds: float = 0.0) -> None:
+        super().__init__()
+        self.latency_seconds = latency_seconds
+        #: guards the read-modify-write updates — one metrics object is
+        #: shared by every channel of a driver, and under threaded dispatch
+        #: many client threads record concurrently
+        self._lock = threading.Lock()
 
     def record(self, request_type: str, sent: int, received: int) -> None:
         with self._lock:
@@ -80,75 +78,38 @@ class NetworkMetrics:
             self.errors += 1
             self.errors_by_request_type[request_type] += 1
 
-    def merge(self, other: "NetworkMetrics") -> None:
-        with self._lock:
-            self.round_trips += other.round_trips
-            self.bytes_sent += other.bytes_sent
-            self.bytes_received += other.bytes_received
-            self.simulated_seconds += other.simulated_seconds
-            self.by_request_type.update(other.by_request_type)
-            self.batch_requests += other.batch_requests
-            self.requests_batched += other.requests_batched
-            self.errors += other.errors
-            self.errors_by_request_type.update(other.errors_by_request_type)
 
-    def reset(self) -> None:
-        with self._lock:
-            self.round_trips = 0
-            self.bytes_sent = 0
-            self.bytes_received = 0
-            self.simulated_seconds = 0.0
-            self.by_request_type.clear()
-            self.batch_requests = 0
-            self.requests_batched = 0
-            self.errors = 0
-            self.errors_by_request_type.clear()
-
-    def snapshot(self) -> dict:
-        return {
-            "round_trips": self.round_trips,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "simulated_seconds": self.simulated_seconds,
-            "batch_requests": self.batch_requests,
-            "requests_batched": self.requests_batched,
-            "errors": self.errors,
-            "by_request_type": dict(self.by_request_type),
-            "errors_by_request_type": dict(self.errors_by_request_type),
-        }
-
-
-class NetStats:
+class NetStats(CounterSet):
     """Socket-tier and pool counters — the ``net`` slot of the registry.
 
     Fed by :class:`~repro.net.tcp.TcpServer` (accepts, frames, bytes) and
     :class:`repro.ConnectionPool` (checkouts, pings, replacements).
-    Counters follow the system-wide reset contract (cumulative across
-    crashes; :meth:`reset` is an observer action).  ``connections_open``
-    and ``pool_in_use`` are *gauges* — they describe current state, so
-    ``reset()`` leaves them alone.
+    ``connections_open`` and ``pool_in_use`` are gauges — they describe
+    current state, so ``reset()`` leaves them alone.
     """
 
+    # socket tier (TcpServer)
+    connections_accepted: int = 0
+    connections_closed: int = 0
+    connections_open: int = gauge(0)
+    frames_received: int = 0
+    frames_sent: int = 0
+    bytes_received: int = 0
+    bytes_sent: int = 0
+    #: TIMEOUT/FATAL frames sent — transport-level failures delivered
+    #: to clients (in-band SQL errors are ordinary RESPONSE frames)
+    fatal_frames_sent: int = 0
+    # pool tier (ConnectionPool)
+    pool_checkouts: int = 0
+    pool_checkins: int = 0
+    pool_pings: int = 0
+    pool_replacements: int = 0
+    pool_exhausted: int = 0
+    pool_in_use: int = gauge(0)
+
     def __init__(self) -> None:
+        super().__init__()
         self._lock = threading.Lock()
-        # socket tier (TcpServer)
-        self.connections_accepted = 0
-        self.connections_closed = 0
-        self.connections_open = 0  # gauge
-        self.frames_received = 0
-        self.frames_sent = 0
-        self.bytes_received = 0
-        self.bytes_sent = 0
-        #: TIMEOUT/FATAL frames sent — transport-level failures delivered
-        #: to clients (in-band SQL errors are ordinary RESPONSE frames)
-        self.fatal_frames_sent = 0
-        # pool tier (ConnectionPool)
-        self.pool_checkouts = 0
-        self.pool_checkins = 0
-        self.pool_pings = 0
-        self.pool_replacements = 0
-        self.pool_exhausted = 0
-        self.pool_in_use = 0  # gauge
 
     # -- socket tier ---------------------------------------------------------
 
@@ -197,40 +158,3 @@ class NetStats:
     def pool_exhaustion(self) -> None:
         with self._lock:
             self.pool_exhausted += 1
-
-    # -- contract ------------------------------------------------------------
-
-    def reset(self) -> None:
-        with self._lock:
-            self.connections_accepted = 0
-            self.connections_closed = 0
-            self.frames_received = 0
-            self.frames_sent = 0
-            self.bytes_received = 0
-            self.bytes_sent = 0
-            self.fatal_frames_sent = 0
-            self.pool_checkouts = 0
-            self.pool_checkins = 0
-            self.pool_pings = 0
-            self.pool_replacements = 0
-            self.pool_exhausted = 0
-            # connections_open / pool_in_use are gauges: untouched
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "connections_accepted": self.connections_accepted,
-                "connections_closed": self.connections_closed,
-                "connections_open": self.connections_open,
-                "frames_received": self.frames_received,
-                "frames_sent": self.frames_sent,
-                "bytes_received": self.bytes_received,
-                "bytes_sent": self.bytes_sent,
-                "fatal_frames_sent": self.fatal_frames_sent,
-                "pool_checkouts": self.pool_checkouts,
-                "pool_checkins": self.pool_checkins,
-                "pool_pings": self.pool_pings,
-                "pool_replacements": self.pool_replacements,
-                "pool_exhausted": self.pool_exhausted,
-                "pool_in_use": self.pool_in_use,
-            }

@@ -2,9 +2,8 @@
 ``snapshot()``.
 
 This module is also the **single place the reset semantics of every metrics
-object in the system are defined**.  `NetworkMetrics`, `EngineMetrics`, and
-`ServerStats` all follow the same contract, and their docstrings point
-here:
+object in the system are defined** — and, since every stats class derives
+from :class:`CounterSet`, the single place they are *implemented*:
 
 * **Counters are cumulative across ``crash()``/``restart()``.**  They
   describe the *simulation's* history, not server state, so a crash must
@@ -18,29 +17,118 @@ here:
 * **``reset()`` is an explicit observer action** — the only way counters
   return to zero.  Benchmarks call it to scope a measurement window; the
   system itself never does.
+* **Gauges are exempt from ``reset()``.**  A gauge (open connections, a
+  peak) describes current state rather than history; zeroing it would
+  make it lie about the system that is still running.
 
-:class:`MetricsRegistry` unifies the per-layer objects behind one snapshot
-and one reset, and adds :class:`Histogram` latency distributions (fixed
-log-scale buckets, pure Python).  Histograms are *derived from traces*
-(:meth:`MetricsRegistry.absorb_trace`) rather than recorded inline, so the
-wire and engine hot paths carry no histogram bookkeeping.
+:class:`MetricsRegistry` unifies the per-layer counter sets behind one
+snapshot and one reset, and adds :class:`Histogram` latency distributions
+(fixed log-scale buckets, pure Python).  Histograms are *derived from
+traces* (:meth:`MetricsRegistry.absorb_trace`) rather than recorded inline,
+so the wire and engine hot paths carry no histogram bookkeeping.
 """
 
 from __future__ import annotations
 
+import inspect
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable
+from collections import Counter
+from contextlib import nullcontext
+from typing import Iterable
 
-if TYPE_CHECKING:  # real imports are deferred: engine/net modules import
-    # repro.obs.tracer at module load, so importing them here would cycle
-    from repro.engine.locks import LockStats
-    from repro.engine.plancache import EngineMetrics, ExecutorStats
-    from repro.engine.server import DrainStats
-    from repro.engine.timetravel import TimeTravelStats
-    from repro.engine.wal import WalStats
-    from repro.net.metrics import NetStats, NetworkMetrics
+__all__ = ["CounterSet", "Histogram", "MetricsRegistry", "gauge"]
 
-__all__ = ["Histogram", "MetricsRegistry"]
+
+class gauge:
+    """Declares a :class:`CounterSet` field as a gauge: ``x: int = gauge(0)``.
+
+    Gauges describe what is true *now* (connections open, the largest pool
+    seen), so ``reset()`` leaves them alone and ``merge()`` does not add
+    them; they still appear in ``snapshot()``.
+    """
+
+    def __init__(self, zero):
+        self.zero = zero
+
+
+class CounterSet:
+    """A named set of counters: the base of every stats class.
+
+    A subclass declares each field once, as an annotated class attribute
+    holding its zero value (``forces: int = 0``; a per-key tally is a
+    ``Counter()``; a gauge is ``gauge(0)``), and gets the whole contract of
+    the module docstring from here: every instance starts at zero,
+    :meth:`snapshot` lists every declared field, :meth:`reset` zeroes the
+    counters and leaves the gauges, :meth:`merge` adds another set's
+    counters in.  Nothing in the system calls ``reset()`` — a crash or a
+    restart does not touch a counter set, because the objects are owned by
+    the registry (or the connection), not by the volatile engine.
+
+    Fields are ordinary instance attributes, so a hot path bumps one with a
+    plain ``stats.forces += 1``.  A set written from several threads gives
+    itself a ``_lock`` and takes it in its own ``record*`` methods; the
+    inherited methods take the same lock.
+    """
+
+    #: field name → zero value, in declaration order (filled per subclass)
+    _zeros: dict[str, object] = {}
+    _gauges: frozenset[str] = frozenset()
+    #: replaced by a real lock in sets that several threads write
+    _lock = nullcontext()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        zeros, gauges = dict(cls._zeros), set(cls._gauges)
+        for name in inspect.get_annotations(cls):
+            if name.startswith("_"):
+                continue
+            zero = cls.__dict__[name]
+            if isinstance(zero, gauge):
+                zero = zero.zero
+                gauges.add(name)
+                setattr(cls, name, zero)
+            zeros[name] = zero
+        cls._zeros, cls._gauges = zeros, frozenset(gauges)
+
+    def __init__(self) -> None:
+        for name, zero in self._zeros.items():
+            setattr(self, name, _fresh(zero))
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            values = {name: getattr(self, name) for name in self._zeros}
+            return {
+                name: dict(value) if isinstance(value, Counter) else value
+                for name, value in values.items()
+            }
+
+    def reset(self) -> None:
+        """The explicit observer-side reset: counters to zero, gauges kept."""
+        with self._lock:
+            for name, zero in self._zeros.items():
+                if name not in self._gauges:
+                    setattr(self, name, _fresh(zero))
+
+    def merge(self, other: "CounterSet") -> None:
+        """Fold another set's counters in (multi-system benchmarks
+        aggregate this way); gauges describe one object and stay."""
+        with self._lock:
+            for name in self._zeros:
+                if name in self._gauges:
+                    continue
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if isinstance(mine, Counter):
+                    mine.update(theirs)
+                else:
+                    setattr(self, name, mine + theirs)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in self.snapshot().items())
+        return f"{type(self).__name__}({body})"
+
+
+def _fresh(zero):
+    return Counter() if isinstance(zero, Counter) else zero
 
 
 class Histogram:
@@ -135,57 +223,55 @@ _SPAN_HISTOGRAMS = {
 }
 
 
+def _slot_types() -> dict[str, type[CounterSet]]:
+    """Registry slot → the counter set it holds; ``snapshot()`` reports the
+    slots under these names, in this order.  Imported on first use: the
+    engine and net modules import :mod:`repro.obs.tracer` at module load,
+    so importing them at the top of this module would cycle."""
+    from repro.engine.dispatch import DispatchStats
+    from repro.engine.locks import LockStats
+    from repro.engine.plancache import EngineMetrics, ExecutorStats
+    from repro.engine.server import DrainStats, ServerStats
+    from repro.engine.timetravel import TimeTravelStats
+    from repro.engine.wal import WalStats
+    from repro.net.metrics import NetStats, NetworkMetrics
+
+    return {
+        "net": NetStats,
+        "network": NetworkMetrics,
+        "engine": EngineMetrics,
+        "executor": ExecutorStats,
+        "wal": WalStats,
+        "locks": LockStats,
+        "server": DrainStats,
+        "activity": ServerStats,
+        "dispatch": DispatchStats,
+        "timetravel": TimeTravelStats,
+    }
+
+
 class MetricsRegistry:
     """Every metrics surface of one system behind one snapshot.
 
-    Adopts (not copies) a :class:`NetworkMetrics` and an
-    :class:`EngineMetrics` — ``repro.make_system`` builds one per system
-    wired to the live driver/server objects, so ``system.registry
-    .snapshot()`` always reflects current counters.  Latency histograms
-    are filled from trace records via :meth:`absorb_trace`.
+    One attribute per slot of :func:`_slot_types` (``registry.wal``,
+    ``registry.network``, ...), each a live :class:`CounterSet`.  The
+    registry *owns* them: ``DatabaseServer``, the TCP front end and the
+    native driver take their counter sets from the registry they are
+    handed, so ``system.registry.snapshot()`` always reflects current
+    counters and a crash, which discards the engine, cannot discard them.
+    Latency histograms are filled from trace records via
+    :meth:`absorb_trace`.
     """
 
-    def __init__(self, *, network: NetworkMetrics | None = None,
-                 engine: EngineMetrics | None = None,
-                 executor: ExecutorStats | None = None,
-                 wal: WalStats | None = None,
-                 locks: LockStats | None = None,
-                 server: DrainStats | None = None,
-                 timetravel: TimeTravelStats | None = None,
-                 net: NetStats | None = None):
-        if network is None:
-            from repro.net.metrics import NetworkMetrics
-            network = NetworkMetrics()
-        if engine is None:
-            from repro.engine.plancache import EngineMetrics
-            engine = EngineMetrics()
-        if executor is None:
-            from repro.engine.plancache import ExecutorStats
-            executor = ExecutorStats()
-        if wal is None:
-            from repro.engine.wal import WalStats
-            wal = WalStats()
-        if locks is None:
-            from repro.engine.locks import LockStats
-            locks = LockStats()
-        if server is None:
-            from repro.engine.server import DrainStats
-            server = DrainStats()
-        if timetravel is None:
-            from repro.engine.timetravel import TimeTravelStats
-            timetravel = TimeTravelStats()
-        if net is None:
-            from repro.net.metrics import NetStats
-            net = NetStats()
-        self.net = net
-        self.network = network
-        self.engine = engine
-        self.executor = executor
-        self.wal = wal
-        self.locks = locks
-        self.server = server
-        self.timetravel = timetravel
+    def __init__(self) -> None:
+        slots = _slot_types()
+        self._slots = tuple(slots)
+        for name, kind in slots.items():
+            setattr(self, name, kind())
         self.histograms: dict[str, Histogram] = {}
+
+    def counter_sets(self) -> dict[str, CounterSet]:
+        return {name: getattr(self, name) for name in self._slots}
 
     def histogram(self, name: str, **kwargs) -> Histogram:
         """Get or create the named histogram."""
@@ -218,29 +304,15 @@ class MetricsRegistry:
         return absorbed
 
     def snapshot(self) -> dict:
-        return {
-            "net": self.net.snapshot(),
-            "network": self.network.snapshot(),
-            "engine": self.engine.snapshot(),
-            "executor": self.executor.snapshot(),
-            "wal": self.wal.snapshot(),
-            "locks": self.locks.snapshot(),
-            "server": self.server.snapshot(),
-            "timetravel": self.timetravel.snapshot(),
-            "histograms": {
-                name: hist.snapshot() for name, hist in sorted(self.histograms.items())
-            },
+        out = {name: counters.snapshot() for name, counters in self.counter_sets().items()}
+        out["histograms"] = {
+            name: hist.snapshot() for name, hist in sorted(self.histograms.items())
         }
+        return out
 
     def reset(self) -> None:
         """The explicit observer-side reset (see module docstring): zeroes
-        every adopted counter and drops every histogram."""
-        self.net.reset()
-        self.network.reset()
-        self.engine.reset()
-        self.executor.reset()
-        self.wal.reset()
-        self.locks.reset()
-        self.server.reset()
-        self.timetravel.reset()
+        every counter set (gauges excepted) and drops every histogram."""
+        for counters in self.counter_sets().values():
+            counters.reset()
         self.histograms.clear()

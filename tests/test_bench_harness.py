@@ -13,7 +13,7 @@ from repro.bench.harness import (
     run_fig2_recovery_sweep,
     run_table1_power_comparison,
 )
-from repro.bench.reporting import render_fig2, render_table1
+from repro.bench.reporting import EXPERIMENTS
 from repro.workloads.tpch.datagen import populate
 
 
@@ -54,26 +54,23 @@ def test_fig2_point_totals():
 
 
 def test_fig2_sweep_produces_points():
-    series = run_fig2_recovery_sweep(result_sizes=[50, 100], table_rows=500)
-    assert [p.result_size for p in series.points] == [50, 100]
-    for point in series.points:
+    points = run_fig2_recovery_sweep(result_sizes=[50, 100], table_rows=500)
+    assert [p.result_size for p in points] == [50, 100]
+    for point in points:
         assert point.virtual_session_seconds > 0
         assert point.recompute_seconds > 0
 
 
 def test_render_table1_layout():
     rows = [Table1Row("Q1", 5, 1.0, 1.1), Table1Row("Total Query", 5, 1.0, 1.1)]
-    text = render_table1(rows)
+    text = EXPERIMENTS["table1"].render(rows)
     assert "Table 1" in text
     assert "Q1" in text and "Total Query" in text
     assert "1.100" in text  # the ratio column
 
 
 def test_render_fig2_layout():
-    from repro.bench.harness import Fig2Series
-
-    series = Fig2Series(points=[Fig2Point(100, 0.001, 0.002, 0.0, 0.05)])
-    text = render_fig2(series)
+    text = EXPERIMENTS["fig2"].render([Fig2Point(100, 0.001, 0.002, 0.0, 0.05)])
     assert "Figure 2" in text
     assert "100" in text
     assert "V = virtual session" in text

@@ -47,3 +47,30 @@ def test_checker_ignores_external_links_and_code_fences(tmp_path):
         encoding="utf-8",
     )
     assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0
+
+
+def test_checker_flags_counter_names_that_drift_from_the_snapshot(tmp_path):
+    real = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    assert "`forces`, " in real
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    # a documented counter the code does not have, and a real one left out
+    (docs / "OBSERVABILITY.md").write_text(
+        real.replace("`forces`, ", "`forces_per_fortnight`, "), encoding="utf-8"
+    )
+    problems = check_doc_links.check_metrics(docs / "OBSERVABILITY.md", tmp_path)
+    assert problems == [
+        "docs/OBSERVABILITY.md: `wal`.`forces_per_fortnight` — documented, not in snapshot()",
+        "docs/OBSERVABILITY.md: `wal`.`forces` — in snapshot(), not documented",
+    ]
+
+
+def test_checker_flags_an_undocumented_registry_slot(tmp_path):
+    real = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    rows = [line for line in real.splitlines() if not line.startswith("| `dispatch` |")]
+    (docs / "OBSERVABILITY.md").write_text("\n".join(rows), encoding="utf-8")
+    problems = check_doc_links.check_metrics(docs / "OBSERVABILITY.md", tmp_path)
+    assert [p.split(" — ")[1] for p in problems] == ["in snapshot(), not documented"] * 4
+    assert all("`dispatch`." in p for p in problems)

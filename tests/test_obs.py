@@ -31,6 +31,7 @@ from repro.obs import (
     render_tree,
     use_tracer,
 )
+from repro.obs.metrics import CounterSet
 from repro.obs.tracer import load_jsonl
 
 
@@ -285,16 +286,108 @@ class TestMetricsRegistry:
         assert metrics.parse_hits == 0
         assert system.metrics.round_trips == 0
 
-    def test_engine_metrics_merge_matches_network_surface(self):
-        from repro.engine.plancache import EngineMetrics
 
-        a, b = EngineMetrics(), EngineMetrics()
-        a.parse_hits, a.plan_misses = 3, 2
-        b.parse_hits, b.plan_invalidations = 4, 5
+# ---------------------------------------------------- the CounterSet contract
+
+
+def _all_counter_sets() -> list[type[CounterSet]]:
+    found, pending = [], [CounterSet]
+    while pending:
+        for kind in pending.pop().__subclasses__():
+            found.append(kind)
+            pending.append(kind)
+    return sorted(found, key=lambda kind: kind.__name__)
+
+
+def _a_counter(kind: type[CounterSet]) -> str:
+    return next(
+        name for name, zero in kind._zeros.items()
+        if name not in kind._gauges and isinstance(zero, (int, float))
+    )
+
+
+@pytest.mark.parametrize("kind", _all_counter_sets(), ids=lambda kind: kind.__name__)
+class TestCounterSetContract:
+    """The contract of ``repro/obs/metrics.py``, once for every stats class
+    (the eleven of them, and any added later)."""
+
+    def test_snapshot_lists_every_declared_field(self, kind):
+        stats = kind()
+        assert kind._zeros, "a counter set must declare its fields"
+        assert set(kind._zeros) <= set(stats.snapshot())
+        assert all(stats.snapshot()[name] == zero for name, zero in kind._zeros.items())
+
+    def test_reset_zeroes_counters_and_leaves_gauges(self, kind):
+        stats = kind()
+        counter = _a_counter(kind)
+        setattr(stats, counter, getattr(stats, counter) + 3)
+        assert stats.snapshot()[counter] == 3  # a counter moved, plainly
+        for name in kind._gauges:
+            setattr(stats, name, 7)
+        stats.reset()
+        assert getattr(stats, counter) == 0
+        assert all(getattr(stats, name) == 7 for name in kind._gauges)
+
+    def test_merge_adds_counters(self, kind):
+        a, b = kind(), kind()
+        counter = _a_counter(kind)
+        setattr(a, counter, 3)
+        setattr(b, counter, 4)
+        for name in kind._gauges:
+            setattr(b, name, 7)
         a.merge(b)
-        assert a.parse_hits == 7
-        assert a.plan_misses == 2
-        assert a.plan_invalidations == 5
+        assert getattr(a, counter) == 7
+        assert getattr(b, counter) == 4
+        assert all(getattr(a, name) == kind._zeros[name] for name in kind._gauges)
+
+    def test_cumulative_across_crash_and_restart(self, kind, system, phoenix_conn):
+        """A crash discards the engine, never a counter: every live counter
+        set is the same object afterwards and none of its counters went
+        down.  A stats class no live system feeds fails here."""
+        cursor = phoenix_conn.cursor()
+        cursor.execute("CREATE TABLE t (k INT PRIMARY KEY)")
+        cursor.execute("INSERT INTO t VALUES (1)")
+        live = {type(c): c for c in system.registry.counter_sets().values()}
+        live[type(phoenix_conn.stats)] = phoenix_conn.stats
+        stats = live[kind]
+        counter = _a_counter(kind)
+        setattr(stats, counter, getattr(stats, counter) + 1000)
+        before = stats.snapshot()
+
+        system.server.crash()
+        cursor.execute("SELECT k FROM t")  # recovers the session on the way
+        assert cursor.fetchall() == [(1,)]
+
+        live_after = {type(c): c for c in system.registry.counter_sets().values()}
+        live_after[type(phoenix_conn.stats)] = phoenix_conn.stats
+        assert live_after[kind] is stats
+        after = stats.snapshot()
+        assert after[counter] >= 1000
+        for name in kind._zeros:
+            if name not in kind._gauges and isinstance(before[name], (int, float)):
+                assert after[name] >= before[name], name
+
+
+def test_server_and_dispatch_counters_are_in_the_registry_snapshot(system):
+    connection = system.plain.connect(system.DSN)
+    connection.cursor().execute("CREATE TABLE t (k INT PRIMARY KEY)")
+    connection.close()
+    snap = system.registry.snapshot()
+    assert snap["activity"]["statements"] >= 1 and snap["activity"]["connects"] >= 1
+    assert snap["dispatch"]["dispatched"] >= 1 and snap["dispatch"]["peak_workers"] >= 1
+    system.registry.reset()
+    assert system.server.stats.statements == 0
+    assert system.server.dispatcher.stats.dispatched == 0
+    assert system.server.dispatcher.stats.peak_workers >= 1  # a gauge
+
+
+def test_drain_stats_merge_keeps_the_longest_pause():
+    from repro.engine.server import DrainStats
+
+    a, b = DrainStats(), DrainStats()
+    a.max_pause_seconds, b.max_pause_seconds = 0.2, 0.5
+    a.merge(b)
+    assert a.max_pause_seconds == 0.5
 
 
 # ----------------------------------------------------------------- timeline
