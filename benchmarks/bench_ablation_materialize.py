@@ -47,8 +47,8 @@ def test_materialize(benchmark, systems, mode):
     def run():
         return connection.materialize_default(parse(SQL))
 
-    state = benchmark(run)
-    assert state.table
+    state, rows = benchmark(run)  # both modes deliver the rows as well
+    assert state.table and len(rows) == ROWS
     connection.close()
 
 

@@ -4,13 +4,15 @@ The application holds a :class:`PhoenixConnection` — a *virtual* connection
 handle (paper §3 "Virtual ODBC Sessions").  Underneath live two real driver
 connections:
 
-* the **app connection** — carries exactly the traffic the application's
-  statements produce (after rewriting), so interrogating the session shows
-  the expected activity; it is the driver connection of the inherited
-  plain :class:`~repro.odbc.driver_manager.Connection` surface;
-* the **private connection** — carries Phoenix's own activity: creating
-  result tables, filling them via stored procedures, probing the status
-  table, pinging during recovery.
+* the **app connection** — carries the application's own statements
+  (after rewriting): wrapped DML/DDL, transactions, SET options, key-cursor
+  blocks and, after a crash, the re-opened delivery of an interrupted
+  result; it is the driver connection of the inherited plain
+  :class:`~repro.odbc.driver_manager.Connection` surface;
+* the **private connection** — carries what Phoenix builds on a statement's
+  behalf: the one-request script that creates a result table from the query
+  it runs, fills it and reads it back, key-cursor materialisation, status
+  table probes, clean-up.
 
 Both are rebuilt after a crash; the virtual handle the application holds
 never changes.  All session context needed to rebuild (login, options in
@@ -21,6 +23,7 @@ paper only protects against *server* failures.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.errors import (
@@ -170,11 +173,9 @@ class PhoenixConnection(Connection):
 
     # ------------------------------------------------------------- guarded I/O
 
-    def _app_execute(
-        self, sql: str, *, cursor_type: str = CursorType.FORWARD_ONLY, retries: int | None = None
-    ) -> ResultResponse:
-        """One guarded round trip on the app connection (idempotent
-        requests only — recovery makes re-sending safe).
+    def _guarded(self, request, retries: int | None = None):
+        """One guarded round trip (idempotent requests only — recovery makes
+        re-sending safe).
 
         A *different* crash can hit the retried request too; each failure
         runs a fresh recovery cycle, bounded by ``max_operation_retries``
@@ -188,26 +189,21 @@ class PhoenixConnection(Connection):
         attempt = 0
         while True:
             try:
-                return self.app.execute(sql, cursor_type=cursor_type)
+                return request()
             except RECOVERABLE_ERRORS as exc:
                 if attempt >= bound:
                     raise
                 attempt += 1
                 self.recovery.recover(exc)
 
+    def _app_execute(
+        self, sql: str, *, cursor_type: str = CursorType.FORWARD_ONLY, retries: int | None = None
+    ) -> ResultResponse:
+        # the connections are looked up per attempt: recovery replaces them
+        return self._guarded(lambda: self.app.execute(sql, cursor_type=cursor_type), retries)
+
     def _private_execute(self, sql: str, *, retries: int | None = None) -> ResultResponse:
-        if self._dml_pending:
-            self.flush_dml_batch()  # ordering barrier (probes must see queued DML)
-        bound = self.config.max_operation_retries if retries is None else retries
-        attempt = 0
-        while True:
-            try:
-                return self.private.execute(sql)
-            except RECOVERABLE_ERRORS as exc:
-                if attempt >= bound:
-                    raise
-                attempt += 1
-                self.recovery.recover(exc)
+        return self._guarded(lambda: self.private.execute(sql), retries)
 
     def _execute_atomic(
         self, statements: list[str], *, on_app: bool = False, retries: int | None = None
@@ -765,7 +761,8 @@ class PhoenixConnection(Connection):
     # --- query materialization --------------------------------------------------------
 
     def probe_metadata(self, select: ast.Select) -> list[Column]:
-        """Phoenix Step 1: result metadata in one cheap round trip."""
+        """Result metadata in one cheap round trip — needed only where the
+        client itself writes the DDL (key cursors, ablation A1)."""
         if self.config.metadata_via_false_where:
             probe_sql = with_false_where(select).sql()
         else:
@@ -773,27 +770,49 @@ class PhoenixConnection(Connection):
         response = self._app_execute(probe_sql)
         return list(response.columns)
 
-    def materialize_default(self, select: ast.Select) -> ResultState:
-        """Steps 1–3 for a default result set: probe metadata, then create
-        the persistent table and fill it server-side in one atomic script."""
+    def materialize_default(self, select: ast.Select) -> tuple[ResultState, list[tuple]]:
+        """A default result set in ONE request: the fill procedure runs the
+        query ``INTO`` the persistent table (the server derives the table
+        from the result it is producing and tells us what the query called
+        its columns), and the same transaction reads the table back.
+        Returns the state and its rows.  The state is registered only once
+        the rows are here, so a recovery inside the guarded request has
+        nothing to re-attach and the retried script's rows are the only
+        ones delivered."""
         seq = self.names.next_seq()
-        app_columns = self.probe_metadata(select)
-        store_columns = _uniquify_columns(app_columns)
-        table_name = self.names.result_table(seq)
-        schema = TableSchema(name=table_name, columns=tuple(store_columns))
-        proc_name, _count = self._materialize(seq, schema, select)
+        table = self.names.result_table(seq)
+        if self.config.materialize_via_procedure:
+            proc_name = self.names.fill_procedure(seq)
+            self.cleanup_tables.append(table)
+            self.cleanup_procs.append(proc_name)
+            fill = replace(select, into=table).sql()
+            get_tracer().event("interceptor.fill_batch", table=table, via_procedure=True)
+            response = self._execute_atomic(
+                [
+                    f"DROP TABLE IF EXISTS {table}",
+                    f"DROP PROCEDURE IF EXISTS {proc_name}",
+                    f"CREATE PROCEDURE {proc_name} AS BEGIN {fill} END",
+                    f"EXEC {proc_name}",
+                    f"SELECT * FROM {table}",
+                ]
+            )
+            app_columns = response.into_columns
+        else:  # ablation A1: the client describes, creates and fills the table
+            app_columns = self.probe_metadata(select)
+            schema = TableSchema(name=table, columns=tuple(app_columns))
+            proc_name, _count = self._materialize(seq, schema, select)
+            response = self._private_execute(f"SELECT * FROM {table}")
         self.stats.queries_materialized += 1
         state = ResultState(
             seq=seq,
             kind="default",
-            table=table_name,
+            table=table,
             fill_proc=proc_name,
             select=select,
             app_columns=app_columns,
-            store_columns=store_columns,
         )
         self.results[seq] = state
-        return state
+        return state, list(response.rows)
 
     def _materialize(
         self, seq: int, schema: TableSchema, select: ast.Select, *, count: bool = False
@@ -840,12 +859,6 @@ class PhoenixConnection(Connection):
             )
             self.private.execute(f"INSERT INTO {table_name} VALUES {values}")
 
-    def open_default_delivery(self, state: ResultState) -> list[tuple]:
-        """Step 3 tail: ``SELECT * FROM T`` — the app connection receives the
-        whole (now persistent) result as a normal default result set."""
-        response = self._app_execute(f"SELECT * FROM {state.table}")
-        return list(response.rows)
-
     def materialize_cursor(self, select: ast.Select, kind: str) -> ResultState | None:
         """Persist keyset/dynamic cursor state: only the *keys* go into the
         Phoenix table (§3 "Cursors").  Returns None when the query shape
@@ -879,7 +892,6 @@ class PhoenixConnection(Connection):
             fill_proc=proc_name,
             select=select,
             app_columns=app_columns,
-            store_columns=app_columns,
             base_table=base_table,
             key_column=key_column,
             key_count=key_count,
@@ -914,10 +926,9 @@ class PhoenixConnection(Connection):
             return None
         base = select.from_.name
         try:
-            schema = self.app.table_schema(base)
-        except RECOVERABLE_ERRORS as exc:
-            self.recovery.recover(exc)
-            schema = self.app.table_schema(base)
+            schema = self._guarded(lambda: self.app.table_schema(base))
+        except RECOVERABLE_ERRORS:
+            raise
         except Exception:
             return None
         if len(schema.primary_key) != 1:
@@ -1004,26 +1015,3 @@ class PhoenixConnection(Connection):
         else:
             done = False
         return rows, done
-
-
-def _uniquify_columns(columns: list[Column]) -> list[Column]:
-    """Result metadata can legally repeat names (two unaliased SUMs); a
-    table cannot.  The Phoenix store table gets uniquified names while the
-    application keeps seeing the originals."""
-    seen: dict[str, int] = {}
-    out: list[Column] = []
-    for column in columns:
-        base = column.name or "col"
-        count = seen.get(base, 0)
-        seen[base] = count + 1
-        name = base if count == 0 else f"{base}_{count + 1}"
-        out.append(
-            Column(
-                name,
-                column.type,
-                length=column.length,
-                precision=column.precision,
-                scale=column.scale,
-            )
-        )
-    return out

@@ -108,8 +108,9 @@ class PhoenixCursor(Statement):
 
         # SELECT INTO a temp table creates a temp object as a side effect —
         # register its redirection before rewriting, like CREATE TABLE #x
-        if isinstance(stmt, ast.Select) and stmt.into and stmt.into.startswith("#"):
-            original = stmt.into.lower()
+        into = getattr(stmt, "into", None)
+        if into and into.startswith("#"):
+            original = into.lower()
             if original not in connection.temp_table_map:
                 persistent = connection.names.redirected_table(original)
                 connection.temp_table_map[original] = persistent
@@ -160,20 +161,11 @@ class PhoenixCursor(Statement):
                 return
             # unsupported shape → downgrade, like real drivers do
 
-        state = connection.materialize_default(select)
+        state, self._buffer = connection.materialize_default(select)
         self._state = state
         self.columns = state.app_columns
         self.description = describe_columns(state.app_columns)
         self.effective_cursor_type = CursorType.FORWARD_ONLY
-        self._epoch = connection.session_epoch
-        rows = connection.open_default_delivery(state)
-        if state.mode == "buffered" and self._epoch == connection.session_epoch:
-            self._buffer = rows
-        else:
-            # A crash interrupted the open; recovery already re-attached
-            # delivery (server_cursor/rebuffered) at delivered=0 — the
-            # retried open's rows would be served twice if buffered here.
-            self._buffer = []
         self._buffer_pos = 0
         self._server_done = False
         self._epoch = connection.session_epoch

@@ -44,10 +44,8 @@ class StatementClass(enum.Enum):
 
 def classify(stmt: ast.Statement) -> StatementClass:
     """Bucket a parsed statement for Phoenix's dispatch."""
-    if isinstance(stmt, ast.Select):
+    if isinstance(stmt, (ast.Select, ast.UnionSelect)):
         return StatementClass.DML if stmt.into else StatementClass.QUERY
-    if isinstance(stmt, ast.UnionSelect):
-        return StatementClass.QUERY
     if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
         return StatementClass.DML
     if isinstance(stmt, ast.BeginTransaction):
@@ -85,7 +83,8 @@ def classify(stmt: ast.Statement) -> StatementClass:
 
 
 def with_false_where(select: "ast.Select | ast.UnionSelect") -> "ast.Select | ast.UnionSelect":
-    """Phoenix Step 1: the metadata probe.  ``WHERE <orig> AND 0=1``
+    """The metadata probe, for the results whose table the client itself
+    must describe (key cursors, ablation A1).  ``WHERE <orig> AND 0=1``
     guarantees compile-only execution — metadata comes back, no data does.
     For a UNION the probe is applied to every part."""
     if isinstance(select, ast.UnionSelect):
@@ -178,6 +177,8 @@ def redirect_names(
 
     def walk_selectable(node) -> None:
         if isinstance(node, ast.UnionSelect):
+            if node.into:
+                node.into = map_table(node.into)
             for part in node.parts:
                 walk_select(part)
         else:

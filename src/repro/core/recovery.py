@@ -58,6 +58,8 @@ class PhoenixRecovery:
     def __init__(self, connection: "PhoenixConnection"):
         self.connection = connection
         self._jitter_rng: random.Random | None = None
+        #: server sessions abandoned by rebuilds, not yet reaped
+        self._stale_sessions: list[int] = []
 
     # ------------------------------------------------------------------ entry
 
@@ -92,7 +94,6 @@ class PhoenixRecovery:
             with tracer.span("recovery.detect"):
                 survived = self._probe_session()
             if survived:
-                self._repair_private_channel()
                 stats.spurious_timeouts += 1
                 return False
 
@@ -104,7 +105,6 @@ class PhoenixRecovery:
         # *private* connection's channel dropped) — repair what broke,
         # keep the session.
         if not connection.app.channel.broken and self._probe_session():
-            self._repair_private_channel()
             stats.spurious_timeouts += 1
             return False
 
@@ -174,12 +174,18 @@ class PhoenixRecovery:
     def _probe_session(self) -> bool:
         """The paper's proxy test: does the session's temp table still
         exist?  Temp tables die with their session, so a hit proves the
-        session (and hence the server) survived."""
+        session (and hence the server) survived — what may still need
+        repair is the private connection's channel.  A repair that meets a
+        fault of its own answers "no": the caller rebuilds wholesale."""
         try:
             self.connection.app.execute(f"SELECT count(*) FROM {PROXY_TABLE}")
-            return True
         except Exception:
             return False
+        try:
+            self._repair_private_channel()
+        except RECOVERABLE_ERRORS:
+            return False
+        return True
 
     def _await_server(self, cause: Exception) -> None:
         """Ping (on throwaway channels) until the server answers.
@@ -248,45 +254,49 @@ class PhoenixRecovery:
         old session ids still hold live server sessions — temp tables, open
         transactions, locks.  They are reaped best-effort once the new
         connections are up, so an orphaned transaction's locks never block
-        the replayed one.
+        the replayed one.  The ids outlive a rebuild that is itself
+        interrupted (its half-built sessions join them), so the attempt that
+        finally succeeds reaps every session abandoned on the way.
         """
         connection = self.connection
-        old_session_ids = [connection.app.session_id, connection.private.session_id]
-        for old in (connection.app, connection.private):
-            try:
-                old.channel.close()
-            except Exception:
-                pass
+        self._abandon(connection.app)
+        self._abandon(connection.private)
         connection.app = connection.driver.connect(connection.user, connection.options)
         for name, value in connection.set_log:
             connection.app.execute(ast.SetOption(name, value).sql())
         connection.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
-        connection.private = connection.driver.connect(connection.user, {})
-        connection.private.execute(
-            f"CREATE TABLE IF NOT EXISTS {connection.names.status_table} "
-            f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
-        )
-        connection._reap_server_sessions(old_session_ids)
+        self._open_private()
 
     def _repair_private_channel(self) -> None:
         """The session survived but the private connection's channel may
         have died (DROP_CONNECTION on private traffic).  Open a fresh
         private connection and reap the orphaned old session — the app
         session, proxy table, and all materialized state are untouched."""
-        connection = self.connection
-        if not connection.private.channel.broken:
-            return
-        old_session_id = connection.private.session_id
+        if self.connection.private.channel.broken:
+            self._abandon(self.connection.private)
+            self._open_private()
+
+    def _abandon(self, old) -> None:
+        """Close a dead connection's channel; its server session (possibly
+        still alive, holding locks) is remembered until it has been reaped."""
+        if old.session_id not in self._stale_sessions:
+            self._stale_sessions.append(old.session_id)
         try:
-            connection.private.channel.close()
+            old.channel.close()
         except Exception:
             pass
+
+    def _open_private(self) -> None:
+        """Fresh private connection, status table ensured, and every server
+        session abandoned on the way here reaped."""
+        connection = self.connection
         connection.private = connection.driver.connect(connection.user, {})
         connection.private.execute(
             f"CREATE TABLE IF NOT EXISTS {connection.names.status_table} "
             f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
         )
-        connection._reap_server_sessions([old_session_id])
+        connection._reap_server_sessions(self._stale_sessions)
+        self._stale_sessions = []
 
     def _verify_materialized_state(self) -> None:
         """Paper: "first verifies that all application state materialized in

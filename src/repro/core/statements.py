@@ -34,7 +34,6 @@ class ResultState:
     fill_proc: str | None
     select: ast.Select  # redirected original query AST
     app_columns: list[Column]  # metadata as the application sees it
-    store_columns: list[Column]  # possibly-uniquified names in the phx table
     base_table: str | None = None  # keyset/dynamic: the underlying table
     key_column: str | None = None
     delivered: int = 0

@@ -168,17 +168,11 @@ class Executor:
                     rows=[(line,) for line in lines],
                 )
             )
-        if isinstance(stmt, (ast.Select, ast.UnionSelect)):
-            if stmt.into is None:
-                result_set = self.execute_select(
-                    stmt, params=params, placeholders=placeholders
-                )
-                return StatementResult.rows(result_set)
-            if getattr(stmt, "as_of", None) is not None:
-                raise NotSupportedError(
-                    "SELECT ... INTO cannot run AS OF: snapshots are "
-                    "read-only and INTO writes the live database"
-                )
+        if isinstance(stmt, (ast.Select, ast.UnionSelect)) and stmt.into is None:
+            result_set = self.execute_select(
+                stmt, params=params, placeholders=placeholders
+            )
+            return StatementResult.rows(result_set)
 
         # Everything else mutates: run inside a transaction.
         autocommit = self.session.current_txn is None
@@ -269,7 +263,7 @@ class Executor:
     def _execute_mutation(
         self, stmt: ast.Statement, txn, params: dict[str, Any], placeholders: list
     ) -> StatementResult:
-        if isinstance(stmt, ast.Select):  # SELECT ... INTO
+        if isinstance(stmt, (ast.Select, ast.UnionSelect)):  # SELECT ... INTO
             return self._select_into(stmt, txn, params, placeholders)
         if isinstance(stmt, ast.Insert):
             return self._insert(stmt, txn, params, placeholders)
@@ -459,7 +453,7 @@ class Executor:
             ).coerce(value)
         result = StatementResult.ok(f"EXEC {name}")
         for body_stmt in proc.body:
-            if isinstance(body_stmt, ast.Select) and body_stmt.into is None:
+            if isinstance(body_stmt, (ast.Select, ast.UnionSelect)) and body_stmt.into is None:
                 result = StatementResult.rows(
                     self.execute_select(body_stmt, params=bound)
                 )
@@ -645,9 +639,18 @@ class Executor:
         return StatementResult.count(len(targets), f"DELETE {len(targets)}")
 
     def _select_into(
-        self, stmt: ast.Select, txn, params: dict[str, Any], placeholders: list
+        self,
+        stmt: "ast.Select | ast.UnionSelect",
+        txn,
+        params: dict[str, Any],
+        placeholders: list,
     ) -> StatementResult:
-        """``SELECT ... INTO t`` — materialize a result as a new table."""
+        """``SELECT ... INTO t`` — materialize the result of any query the
+        executor can run (a UNION, an ``AS OF`` read of the past: the rows
+        come from the snapshot, the table is created in the live database,
+        as for ``INSERT INTO t SELECT ... AS OF``) as a new table.  The
+        table stores uniquified column names; the reply describes the
+        query's own (``into_columns``)."""
         target = stmt.into
         assert target is not None
         result = self.execute_select(stmt, params=params, placeholders=placeholders)
@@ -664,7 +667,9 @@ class Executor:
             self.database.create_table(txn, schema)
             for row in result.rows:
                 self.database.insert_row(txn, schema.name, list(row))
-        return StatementResult.count(len(result.rows), f"SELECT INTO {schema.name}")
+        outcome = StatementResult.count(len(result.rows), f"SELECT INTO {schema.name}")
+        outcome.extra["into_columns"] = result.columns
+        return outcome
 
     # ------------------------------------------------------------ SELECT pipeline
 

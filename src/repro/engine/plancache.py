@@ -1,9 +1,9 @@
 """Statement and plan caching: stop re-parsing and re-planning hot SQL.
 
 The paper's evaluation repeats statements relentlessly — TPC-H power runs
-execute the same 22 query texts over and over, and Phoenix *doubles*
-statement traffic with generated probes (``WHERE 0=1``), fill procedures,
-and status-table writes.  The seed engine re-lexed, re-parsed, and re-built
+execute the same 22 query texts over and over, and Phoenix adds generated
+statements of its own (fill procedures, status-table writes, a key cursor's
+``WHERE 0=1`` probe).  The seed engine re-lexed, re-parsed, and re-built
 a fresh ``_SelectPlan`` for every one of them.  This module provides the
 two reuse layers and the counters that prove they work:
 
@@ -33,9 +33,14 @@ two reuse layers and the counters that prove they work:
   A version mismatch counts as an *invalidation* and recompiles.
 
 The cache is deliberately conservative: only top-level SELECT / UNION
-statements with no bound placeholders or procedure parameters are cached
-(placeholder values are baked into compiled closures, so such plans are
-single-use by construction).
+statements are cached, and never under procedure parameters (``@name``
+values are baked into the compiled closures, so such plans are single-use
+by construction).  ``?`` placeholders do *not* prevent caching: the compiled
+plan reads one shared placeholder list at run time and
+``Executor.execute_select`` rebinds that list per execution, so the qmark
+template is the cache key — four executions of one ``WHERE k = ?`` text with
+different values are 1 parse miss + 3 parse hits and 1 plan miss + 3 plan
+hits.
 
 :class:`EngineMetrics` aggregates the hit/miss/invalidation counters and is
 surfaced through the bench harness next to the round-trip counts — the

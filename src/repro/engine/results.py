@@ -8,7 +8,7 @@ turning result metadata directly into a CREATE TABLE statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.engine.schema import Column, TableSchema
 
@@ -27,10 +27,28 @@ class ResultSet:
         return [c.name for c in self.columns]
 
     def to_schema(self, table_name: str, *, primary_key: tuple[str, ...] = ()) -> TableSchema:
-        """Build a table schema that can hold this result (Phoenix Step 2)."""
+        """Build a table schema that can hold this result (Phoenix Step 2).
+
+        Result metadata can legally repeat a name (two unaliased counts,
+        ``SELECT *`` over a self-join) or leave one empty; a table cannot.
+        A repeated name is stored as ``name_2``, ``name_3``, ... skipping
+        every name the result itself uses, so a minted name never collides
+        with an explicit alias.  ``columns`` keeps the query's own names.
+        """
+        taken = {column.name for column in self.columns}
+        used: set[str] = set()
+        stored = []
+        for column in self.columns:
+            name = base = column.name or "col"
+            suffix = 1
+            while name in used or (suffix > 1 and name in taken):
+                suffix += 1
+                name = f"{base}_{suffix}"
+            used.add(name)
+            stored.append(column if name == column.name else replace(column, name=name))
         return TableSchema(
             name=table_name,
-            columns=tuple(self.columns),
+            columns=tuple(stored),
             primary_key=primary_key,
             temporary=table_name.startswith("#"),
         )

@@ -616,6 +616,7 @@ class DatabaseServer:
         result = StatementResult.ok()
         last_rows: StatementResult | None = None
         batch_rowcounts: list[int] = []
+        into_columns: list = []
         for stmt in self._parse(sql):
             if (
                 isinstance(stmt, ast.Select)
@@ -640,12 +641,15 @@ class DatabaseServer:
                     last_rows = result
                 elif result.kind == "rowcount":
                     batch_rowcounts.append(result.rowcount)
+                    into_columns = result.extra.get("into_columns", into_columns)
         # Like typical clients consuming a batch: the result set survives
         # trailing non-query statements (e.g. "CREATE VIEW; SELECT; DROP
-        # VIEW" — TPC-H Q15's shape); their rowcounts ride alongside.
+        # VIEW" — TPC-H Q15's shape); their rowcounts ride alongside, and
+        # so does the description of the batch's last SELECT ... INTO.
         if result.kind != "rows" and last_rows is not None:
             result = last_rows
         result.extra["batch_rowcounts"] = batch_rowcounts
+        result.extra["into_columns"] = into_columns
         return result
 
     def execute_batch(

@@ -155,6 +155,10 @@ class ResultResponse(Response):
     #: how a transaction-wrapped batch still reports the inner statement's
     #: rowcount when the final statement is the COMMIT.
     batch_rowcounts: list[int] = field(default_factory=list)
+    #: the query's own column description for the batch's last
+    #: ``SELECT ... INTO`` — the table it created stores uniquified names, so
+    #: reading it back (``columns``) cannot say what the query called them.
+    into_columns: list[Column] = field(default_factory=list)
 
 
 @dataclass

@@ -395,6 +395,7 @@ def _result_response(result) -> ResultResponse:
             kind="rows",
             columns=result.result_set.columns,
             rows=result.result_set.rows,
+            into_columns=result.extra.get("into_columns", []),
         )
     if result.kind == "rowcount":
         return ResultResponse(
@@ -402,6 +403,7 @@ def _result_response(result) -> ResultResponse:
             rowcount=result.rowcount,
             message=result.message,
             batch_rowcounts=result.extra.get("batch_rowcounts", []),
+            into_columns=result.extra.get("into_columns", []),
         )
     return ResultResponse(
         kind="ok",

@@ -9,7 +9,7 @@ way to do that is parse → transform → render, rather than string surgery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "Node",
@@ -517,13 +517,15 @@ class UnionSelect(Statement):
     order_by: list[OrderItem] = field(default_factory=list)
     limit: int | None = None
     offset: int | None = None
-    #: parity with Select so generic SELECT handling can check `.into`
-    into: None = None
+    #: ``SELECT ... INTO t FROM ... UNION ...``: the table the *combined*
+    #: result is stored in (written after the first part's select list)
+    into: str | None = None
     #: point-in-time query over the whole union (see :class:`Select`)
     as_of: Expr | None = None
 
     def sql(self) -> str:
-        chunks = [self.parts[0].sql()]
+        first = self.parts[0]
+        chunks = [(replace(first, into=self.into) if self.into else first).sql()]
         for flag, part in zip(self.all_flags, self.parts[1:]):
             chunks.append("UNION ALL" if flag else "UNION")
             chunks.append(part.sql())

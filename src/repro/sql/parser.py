@@ -253,12 +253,17 @@ class Parser:
             select.offset = offset
             select.as_of = as_of
             return select
+        if any(part.into for part in parts[1:]):
+            raise self.error("INTO belongs to the first SELECT of a UNION")
+        # the INTO names where the combined result goes: the union owns it
+        into, first.into = first.into, None
         return ast.UnionSelect(
             parts=parts,
             all_flags=all_flags,
             order_by=order_by,
             limit=limit,
             offset=offset,
+            into=into,
             as_of=as_of,
         )
 

@@ -109,6 +109,22 @@ def test_select_into_creates_table(session):
     assert execute(server, sid, "SELECT * FROM copy ORDER BY k") == [(1, "A"), (2, "B")]
 
 
+def test_select_into_stores_duplicate_output_names_uniquely(session):
+    """A result may repeat a name, a table may not: repeats are stored as
+    ``name_N``, never under a name the query itself uses; the reply still
+    describes the query's own columns."""
+    server, sid = session
+    execute(server, sid, "CREATE TABLE src (k INT PRIMARY KEY, v INT)")
+    execute(server, sid, "INSERT INTO src VALUES (1, 10)")
+    result = server.execute(sid, "SELECT k, k AS k_2, k, v + 1, v + 1 INTO copy FROM src")
+    assert result.rowcount == 1
+    described = [c.name for c in result.extra["into_columns"]]
+    assert described[:3] == ["k", "k_2", "k"] and described[3] == described[4]
+    stored = server.table_schema(sid, "copy").column_names
+    assert stored[:3] == ["k", "k_2", "k_3"] and len(set(stored)) == 5
+    assert execute(server, sid, "SELECT * FROM copy") == [(1, 1, 1, 11, 11)]
+
+
 def test_select_into_existing_table_rejected(session):
     server, sid = session
     execute(server, sid, "CREATE TABLE src (k INT)")

@@ -1,10 +1,12 @@
 """Everything Phoenix builds on a statement's behalf is ONE transaction.
 
-Materialisation (DDL + fill procedure + EXEC, plus the key count for key
-cursors), redirected temp objects (DROP + CREATE) and the clean-termination
-DROPs each travel as ``BEGIN TRANSACTION; ...; COMMIT`` in one request — so
-they cost one round trip and one log force, and neither a SQL error nor a
-crash can leave a half-built unit behind.
+A default-result SELECT (fill procedure whose query creates the result
+table ``INTO`` which it runs, EXEC, and the read-back of the rows), a key
+cursor's materialisation (DDL + fill procedure + EXEC + key count),
+redirected temp objects (DROP + CREATE) and the clean-termination DROPs each
+travel as ``BEGIN TRANSACTION; ...; COMMIT`` in one request — so they cost
+one round trip and one log force, and neither a SQL error nor a crash can
+leave a half-built unit behind or hand the application a row twice.
 """
 
 from __future__ import annotations
@@ -63,20 +65,33 @@ def keyset_cursor(conn):
 # ---------------------------------------------------------------- one trip
 
 
-def test_select_is_probe_materialize_open(ready):
+def test_select_is_one_request_and_one_force(ready):
     system, conn, cur = ready
     sent = record_execute_sql(system)
     forces = system.server.database.wal.stats.forces
     cur.execute("SELECT k FROM t WHERE k <= 3 ORDER BY k")
     assert cur.fetchall() == [(1,), (2,), (3,)]
-    assert len(sent) == 3  # probe, materialise, open
-    assert "(0 = 1)" in sent[0]
-    script = sent[1]
+    (script,) = sent  # no probe before it, no open after it
     assert script.startswith("BEGIN TRANSACTION; DROP TABLE IF EXISTS phx_")
-    assert "; DROP PROCEDURE IF EXISTS phx_" in script and "; EXEC phx_" in script
-    assert script.endswith("; COMMIT")
-    assert sent[2].startswith("SELECT * FROM phx_")
+    assert "; DROP PROCEDURE IF EXISTS phx_" in script
+    # the procedure's query builds the table it fills; no client-written DDL
+    assert "AS BEGIN SELECT k INTO phx_" in script and "CREATE TABLE" not in script
+    assert "; EXEC phx_" in script
+    assert script.endswith("_res_3; COMMIT") and "; SELECT * FROM phx_" in script
     assert system.server.database.wal.stats.forces == forces + 1
+
+
+def test_key_cursor_still_probes_then_materializes_in_one_request(ready):
+    system, conn, _cur = ready
+    sent = record_execute_sql(system)
+    forces = system.server.database.wal.stats.forces
+    cursor = keyset_cursor(conn)
+    cursor.execute("SELECT k, v FROM t WHERE k <= 3")
+    assert len(sent) == 2 and "(0 = 1)" in sent[0]
+    assert sent[1].startswith("BEGIN TRANSACTION") and "; EXEC phx_" in sent[1]
+    assert "CREATE TABLE phx_" in sent[1]  # the client describes the keys table
+    assert system.server.database.wal.stats.forces == forces + 1
+    assert sorted(cursor.fetchall()) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_close_drops_a_whole_session_in_one_trip_and_one_force(ready):
@@ -100,9 +115,9 @@ def test_close_drops_a_whole_session_in_one_trip_and_one_force(ready):
 
 @pytest.mark.parametrize("key_cursor", [False, True], ids=["default", "keyset"])
 def test_failed_fill_leaves_nothing_and_the_session_usable(ready, key_cursor):
-    """The probe compiles (WHERE 0 = 1 evaluates nothing); the fill meets
-    the zero divisor at run time, after its CREATE TABLE and CREATE
-    PROCEDURE already executed."""
+    """The fill meets the zero divisor at run time, after the script's
+    CREATE PROCEDURE (and, for a key cursor, whose WHERE 0 = 1 probe
+    compiled without evaluating anything, its CREATE TABLE) executed."""
     system, conn, cur = ready
     cur.execute("UPDATE t SET v = 0 WHERE k = 9")
     failing = keyset_cursor(conn) if key_cursor else cur
@@ -146,7 +161,8 @@ def test_kill_after_create_before_commit_leaves_no_object(ready, kind):
     """The script's only log append is the force at its COMMIT.  A device
     fault there kills the engine with CREATE TABLE, CREATE PROCEDURE and the
     fill executed but nothing (or a commit-less prefix) on the device:
-    restart must come back with neither table nor procedure, and the retried
+    restart must come back with neither table nor procedure, no row of the
+    uncommitted table may have reached the application, and the retried
     statement must deliver its rows exactly once."""
     system, conn, cur = ready
     wal_stats = system.server.database.wal.stats  # one object across restarts
@@ -158,6 +174,8 @@ def test_kill_after_create_before_commit_leaves_no_object(ready, kind):
             forces_at_kill = wal_stats.forces
             system.endpoint.restart_server()
             seen.append((forces_at_kill, built_for_statements(system)))
+            # the SELECT * inside the killed script ran, its reply never left
+            assert cur._buffer == [] and not conn.results
 
     conn.config.sleep = restart_and_look
     system.faults.schedule(kind, matcher=is_materialize_script)
@@ -180,6 +198,10 @@ def test_reply_lost_after_commit_is_rebuilt_not_duplicated(ready, key_cursor):
     rows = cursor.fetchall()
     assert sorted(rows) == [(i, i) for i in range(1, 16)]  # DROP-first retry: no doubles
     assert conn.stats.recoveries == 1
+    if not key_cursor:
+        # registered only after the retried script's rows arrived: an ordinary
+        # buffered default result, nothing for that recovery to reposition
+        assert cursor._state.mode == "buffered" and cursor._state.delivered == 15
     assert len(built_for_statements(system)) == 2  # one table, one procedure
     conn.close()
     assert phoenix_objects(system) == []
@@ -204,5 +226,80 @@ def test_no_phoenix_object_survives_a_mixed_session(ready):
     system.faults.schedule(FaultKind.FORCE_FAIL, matcher=is_materialize_script)
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (20,)
+    conn.close()
+    assert phoenix_objects(system) == []
+
+
+def test_crash_before_the_first_fetch_repositions_at_zero(ready):
+    """The rows of the one request sit in the client buffer; a crash before
+    the application fetched any re-attaches delivery at row 0 through a
+    server cursor on the app connection, over the persistent table."""
+    system, conn, cur = ready
+    cur.execute("SELECT k FROM t ORDER BY k")
+    system.server.crash()
+    system.endpoint.restart_server()
+    conn.cursor().execute("SELECT count(*) FROM t")  # any round trip recovers
+    state = cur._state
+    assert (state.mode, state.delivered) == ("server_cursor", 0)
+    assert state.cursor_id in system.server.sessions[conn.app.session_id].cursors
+    assert [row[0] for row in cur.fetchmany(5)] == [1, 2, 3, 4, 5]
+    assert [row[0] for row in cur.fetchall()] == list(range(6, 21))
+    assert conn.stats.recoveries == 1
+
+
+# ---------------------------------------------------------------- any query
+
+
+def plain_answer(system, sql: str):
+    conn = system.plain.connect(system.DSN)
+    try:
+        cur = conn.cursor()
+        cur.execute(sql)
+        return cur.description, cur.fetchall()
+    finally:
+        conn.close()
+
+
+#: ``{pinned}`` is a timestamp taken before the test's UPDATE
+PARITY_CASES = {
+    "alias-clash": "SELECT count(*) AS count_2, count(*), count(*) FROM t",
+    "join-star": "SELECT * FROM t x JOIN t y ON x.k = y.k WHERE x.k <= 3 ORDER BY x.k",
+    "unnamed": "SELECT 1, 1, k + 1, k + 1 FROM t WHERE k = 1",
+    "union": "SELECT k FROM t WHERE k <= 2 UNION SELECT v FROM t WHERE k > 18 ORDER BY 1",
+    "union-all": "SELECT k, v FROM t WHERE k = 1 UNION ALL SELECT k, v FROM t WHERE k = 1",
+    "as-of": "SELECT k, v FROM t WHERE k <= 3 ORDER BY k AS OF {pinned!r}",
+    "union-as-of": (
+        "SELECT v FROM t WHERE k = 1 UNION SELECT v FROM t WHERE k = 2 "
+        "ORDER BY 1 AS OF {pinned!r}"
+    ),
+    # TPC-H Q15's shape: the script creates the view its query reads
+    "view-script": (
+        "CREATE VIEW top_v AS SELECT k AS vk, sum(v) AS total FROM t GROUP BY k; "
+        "SELECT vk, total FROM top_v WHERE total = (SELECT max(total) FROM top_v); "
+        "DROP VIEW top_v"
+    ),
+    "empty": "SELECT k, v AS k FROM t WHERE k < 0",
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_description_and_rows_equal_the_plain_stack(ready, case):
+    """The result table is derived on the server from whatever query runs —
+    duplicate or unnamed outputs, a join's ``*``, a UNION, a read of the
+    past, a view created by the same script — and the application sees the
+    plain stack's ``description`` and rows, from one request per SELECT."""
+    system, conn, cur = ready
+    pinned = system.server.time_travel.clock.now()
+    cur.execute("UPDATE t SET v = v + 100 WHERE k <= 2")
+    sql = PARITY_CASES[case].format(pinned=pinned)
+    expected = plain_answer(system, sql)
+    assert expected[0] is not None
+    if case == "as-of":
+        assert expected[1] == [(1, 1), (2, 2), (3, 3)]  # before the UPDATE above
+    sent = record_execute_sql(system)
+    cur.execute(sql)
+    assert (cur.description, cur.fetchall()) == expected
+    materialized = [sql for sql in sent if "; EXEC phx_" in sql and "_fill_" in sql]
+    assert len(materialized) == 1 and not any("(0 = 1)" in sql for sql in sent)
     conn.close()
     assert phoenix_objects(system) == []

@@ -258,6 +258,40 @@ def test_result_with_duplicate_output_names(ready):
     assert [d[0] for d in cur.description] == ["count", "count"]
 
 
+@pytest.mark.parametrize("stack", ["plain", "phoenix"])
+@pytest.mark.parametrize(
+    "sql, names, rows",
+    [
+        # the uniquifier used to mint ``count_2`` for the third column, which
+        # the explicit alias already holds: CatalogError through Phoenix only
+        (
+            "SELECT count(*) AS count_2, count(*), count(*) FROM t",
+            ["count_2", "count", "count"],
+            [(20, 20, 20)],
+        ),
+        (
+            "SELECT count(*), count(*), count(*) AS count_2 FROM t",
+            ["count", "count", "count_2"],
+            [(20, 20, 20)],
+        ),
+        (
+            "SELECT * FROM t x JOIN t y ON x.k = y.k WHERE x.k = 7",
+            ["k", "v", "k", "v"],
+            [(7, "v7", 7, "v7")],
+        ),
+    ],
+    ids=["alias-first", "alias-last", "join-star"],
+)
+def test_duplicate_output_names_answer_on_both_stacks(ready, stack, sql, names, rows):
+    system, phoenix, _cur = ready
+    conn = phoenix if stack == "phoenix" else system.plain.connect(system.DSN)
+    cur = conn.cursor()
+    cur.execute(sql)
+    assert [d[0] for d in cur.description] == names
+    assert cur.fetchall() == rows
+    conn.close()
+
+
 def test_result_with_keyword_column_name(ready):
     _system, conn, cur = ready
     cur.execute("SELECT k AS key, count(*) AS count FROM t GROUP BY k ORDER BY k LIMIT 1")

@@ -41,6 +41,8 @@ def test_crash_between_statements_is_invisible(ready):
 
 def test_crash_during_metadata_probe(ready):
     system, conn, cur = ready
+    # only a key cursor still probes: the client writes its keys table's DDL
+    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
     system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "(0 = 1)")
     cur.execute("SELECT k, v FROM t ORDER BY k")
     assert len(cur.fetchall()) == 50
@@ -56,14 +58,21 @@ def test_crash_during_materialization_fill(ready):
 
 
 def test_crash_during_delivery_open(ready):
+    """The only ``SELECT * FROM phx_...`` request left is recovery's own
+    re-open of an interrupted delivery: a second crash on it restarts the
+    recovery, and the rows still arrive once each."""
     system, conn, cur = ready
+    cur.execute("SELECT k FROM t ORDER BY k")
+    rows = cur.fetchmany(20)
+    crash_restart(system)
     system.faults.schedule(
         FaultKind.CRASH_AFTER_EXECUTE,
         matcher=lambda r: getattr(r, "sql", "").startswith("SELECT * FROM phx_"),
     )
-    cur.execute("SELECT k FROM t ORDER BY k")
-    rows = cur.fetchall()
-    assert len(rows) == len(set(rows)) == 50
+    conn.cursor().execute("SELECT count(*) FROM t")  # any round trip recovers
+    rows += cur.fetchall()
+    assert [r[0] for r in rows] == list(range(1, 51))
+    assert system.server.stats.crashes == 2
 
 
 def test_mid_fetch_crash_resumes_at_exact_position(ready):
@@ -169,12 +178,28 @@ def test_spurious_timeout_retries_without_recovery(ready):
 
 def test_dropped_connection_without_crash_rebuilds_session(ready):
     system, conn, cur = ready
-    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "count(*)")
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "SET lock_timeout")
+    cur.execute("SET lock_timeout 50")  # travels on the app connection
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (50,)
     # server never died, but the session had to be rebuilt
     assert system.server.stats.crashes == 0
     assert conn.stats.recoveries == 1
+
+
+def test_dropped_private_connection_keeps_the_session(ready):
+    """A default SELECT is one request on the private connection; losing
+    that channel is repaired without rebuilding the application's session."""
+    system, conn, cur = ready
+    app_session = conn.app.session_id
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "count(*)")
+    cur.execute("SELECT count(*) FROM t")
+    assert cur.fetchone() == (50,)
+    assert system.server.stats.crashes == 0
+    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
+    assert conn.app.session_id == app_session
+    conn.close()
+    assert len(system.server.sessions) == 0  # the dropped session was reaped
 
 
 def test_fast_restart_between_requests_detected_via_session_loss(ready):
@@ -331,27 +356,82 @@ def test_many_crashes_across_workload(ready):
 
 def test_second_crash_inside_post_recovery_fetch(ready):
     """Regression (found by the fault-schedule property soak): a crash
-    during delivery-open flips the result to server-cursor mode; a *second*
+    before the first fetch flips the result to server-cursor mode; a *second*
     crash during the very first post-recovery FETCH triggers recovery
     inside the guarded fetch call.  The rows that fetch finally returns are
     post-recovery fresh — the cursor must adopt the new epoch instead of
     discarding them (the re-opened server cursor has already moved past
     them, so discarding loses rows for good)."""
     system, conn, cur = ready
-    system.faults.schedule(
-        FaultKind.CRASH_AFTER_EXECUTE,
-        matcher=lambda r: getattr(r, "sql", "").startswith("SELECT * FROM phx_"),
-    )
     from repro.net.protocol import FetchRequest
 
+    cur.execute("SELECT k FROM t ORDER BY k")
+    crash_restart(system)
+    conn.cursor().execute("SELECT count(*) FROM t")  # recovery 1: server-cursor mode
     system.faults.schedule(
         FaultKind.CRASH_BEFORE_EXECUTE,
         matcher=lambda r: isinstance(r, FetchRequest),
     )
-    cur.execute("SELECT k FROM t ORDER BY k")
     rows = cur.fetchall()
     assert [r[0] for r in rows] == list(range(1, 51))
     assert conn.stats.recoveries == 2
+
+
+def test_interrupted_rebuild_reaps_every_session_it_abandoned(ready):
+    """Regression (found by the multi-fault chaos sweep): recovery attempt 1
+    builds two sessions, then its verify step hangs on a live server;
+    attempt 2's second connect is dropped.  Attempt 3 must still reap
+    attempt 1's app session — the ids used to die with the interrupted
+    attempt, leaving one orphaned server session after close()."""
+    system, conn, cur = ready
+    from repro.net.protocol import ConnectRequest
+
+    cur.execute("SELECT k FROM t ORDER BY k")
+    first = cur.fetchmany(5)  # an open result: recovery has a table to verify
+    crash_restart(system)
+    system.faults.schedule_on_sql(FaultKind.HANG, "SELECT count(*) FROM phx_")
+    system.faults.schedule(
+        FaultKind.DROP_CONNECTION, matcher=lambda r: isinstance(r, ConnectRequest), after=3
+    )
+    conn.cursor().execute("SELECT count(*) FROM t")
+    rest = cur.fetchall()
+    assert [r[0] for r in first + rest] == list(range(1, 51))
+    assert len(system.faults.fired) == 2
+    conn.close()
+    assert len(system.server.sessions) == 0
+
+
+def test_crash_during_private_channel_repair_falls_back_to_rebuild(ready):
+    """Regression (multi-fault chaos sweep): the repair of a dropped private
+    channel is itself a request that can meet a crash — that used to escape
+    to the application; now the session is rebuilt wholesale."""
+    system, conn, cur = ready
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "count(*)")
+    system.faults.schedule_on_sql(
+        FaultKind.CRASH_BEFORE_EXECUTE, "CREATE TABLE IF NOT EXISTS phx_"
+    )
+    cur.execute("SELECT count(*) FROM t")
+    assert cur.fetchone() == (50,)
+    assert (system.server.stats.crashes, conn.stats.recoveries) == (1, 1)
+    conn.close()
+    assert len(system.server.sessions) == 0
+
+
+def test_catalog_call_rides_out_repeated_crashes(ready):
+    """Regression (multi-fault chaos sweep): the key cursor's catalog call
+    retried once, so a second crash on it reached the application."""
+    system, conn, cur = ready
+    from repro.net.protocol import TableSchemaRequest
+
+    for _ in range(3):  # one-shot each: the call and its first two retries
+        system.faults.schedule(
+            FaultKind.CRASH_BEFORE_EXECUTE,
+            matcher=lambda r: isinstance(r, TableSchemaRequest),
+        )
+    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
+    cur.execute("SELECT k FROM t")
+    assert len(cur.fetchall()) == 50
+    assert conn.stats.recoveries == 3
 
 
 def test_repeated_crashes_on_retried_request(ready):
@@ -359,7 +439,7 @@ def test_repeated_crashes_on_retried_request(ready):
     bounded retry loop must ride out several in a row."""
     system, conn, cur = ready
     for i in range(4):
-        system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "count(*) FROM t", after=i)
+        system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "count(*)", after=i)
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (50,)
     assert conn.stats.recoveries >= 2

@@ -25,7 +25,6 @@ import pytest
 import repro
 from repro.errors import (
     CatalogError,
-    NotSupportedError,
     OperationalError,
     ProgrammingError,
     TimeTravelError,
@@ -201,11 +200,22 @@ def test_as_of_rejected_in_view_definition(system):
         system.server.execute(session, "CREATE VIEW v AS SELECT * FROM t AS OF 1.0")
 
 
-def test_select_into_cannot_run_as_of(system):
-    _run(system, "CREATE TABLE t (k INT PRIMARY KEY)", "INSERT INTO t VALUES (1)")
-    session = system.server.connect()
-    with pytest.raises(NotSupportedError):
-        system.server.execute(session, f"SELECT * INTO t2 FROM t AS OF {_now(system)!r}")
+def test_select_into_may_run_as_of(system):
+    """The rows come from the snapshot, the table is created in the live
+    database — the same split as ``INSERT INTO t SELECT ... AS OF``."""
+    _run(
+        system,
+        "CREATE TABLE t (k INT PRIMARY KEY, v INT)",
+        "INSERT INTO t VALUES (1, 10)",
+    )
+    ts = _now(system)
+    _run(
+        system,
+        "UPDATE t SET v = -1 WHERE k = 1",
+        f"SELECT * INTO rescue FROM t AS OF {ts!r}",
+    )
+    assert _rows(system, "SELECT * FROM rescue") == [(1, 10)]
+    assert _rows(system, "SELECT * FROM t") == [(1, -1)]
 
 
 def test_insert_source_select_may_run_as_of(system):

@@ -118,6 +118,30 @@ def test_insert_from_union(db):
     assert count == 3
 
 
+def test_select_into_from_union_creates_the_table(db):
+    """The INTO used to be dropped in silence: rows came back, no table."""
+    server, sid = db
+    stmt = parse("SELECT x INTO dst FROM a UNION SELECT x FROM b ORDER BY x")
+    assert isinstance(stmt, ast.UnionSelect) and stmt.into == "dst"
+    assert stmt.parts[0].into is None
+    assert parse(stmt.sql()).sql() == stmt.sql() and " INTO dst FROM a UNION " in stmt.sql()
+    assert execute(server, sid, stmt.sql()) == 3  # a rowcount, not rows
+    assert execute(server, sid, "SELECT x FROM dst") == [(1,), (2,), (3,)]
+    with pytest.raises(ProgrammingError):
+        parse("SELECT x FROM a UNION SELECT x INTO dst2 FROM b")
+
+
+def test_select_into_from_union_in_a_procedure(db):
+    server, sid = db
+    execute(
+        server, sid,
+        "CREATE PROCEDURE fill AS BEGIN SELECT x INTO dst FROM a UNION ALL SELECT x FROM b END",
+    )
+    assert execute(server, sid, "EXEC fill") == 5
+    execute(server, sid, "CREATE PROCEDURE both AS BEGIN SELECT x FROM a UNION SELECT x FROM b END")
+    assert sorted(execute(server, sid, "EXEC both")) == [(1,), (2,), (3,)]
+
+
 def test_union_with_constants(db):
     server, sid = db
     rows = execute(server, sid, "SELECT 1 UNION SELECT 1 UNION ALL SELECT 2 ORDER BY 1")
@@ -165,3 +189,15 @@ def test_union_redirects_temp_tables(system, phoenix_conn):
     cur.execute("INSERT INTO #w VALUES (9)")
     cur.execute("SELECT x FROM base UNION SELECT x FROM #w ORDER BY x")
     assert cur.fetchall() == [(1,), (9,)]
+
+
+def test_union_into_temp_table_through_phoenix(system, phoenix_conn):
+    cur = phoenix_conn.cursor()
+    cur.execute("CREATE TABLE base (x INT)")
+    cur.execute("INSERT INTO base VALUES (1), (2)")
+    cur.execute("SELECT x INTO #both FROM base UNION ALL SELECT x FROM base")
+    assert cur.rowcount == 4
+    cur.execute("SELECT count(*) FROM #both")
+    assert cur.fetchall() == [(4,)]
+    phoenix_conn.close()
+    assert [n for n in system.server.table_names() if n.startswith("phx_")] == []
