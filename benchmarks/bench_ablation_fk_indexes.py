@@ -50,23 +50,6 @@ def systems():
     return {True: build(True), False: build(False)}
 
 
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "scan"])
-@pytest.mark.parametrize("query_id", CORRELATED)
-def test_correlated_query(benchmark, systems, indexed, query_id):
-    system, data = systems[indexed]
-    connection = system.plain.connect(system.DSN)
-    cursor = connection.cursor()
-    sql = query_sql(query_id, data.sf)
-
-    def run():
-        cursor.execute(sql)
-        return cursor.fetchall()
-
-    rows = benchmark(run)
-    assert isinstance(rows, list)
-    connection.close()
-
-
 def test_indexes_give_order_of_magnitude(systems):
     import time
 

@@ -4,12 +4,10 @@ every row to the client and INSERTing it back.
 Paper §3, Result Sets step 3: "The advantage of using a stored procedure is
 that all data is moved locally at the server ... rather than having data
 moving across the network."  The ablation makes that advantage measurable:
-time, round trips, and bytes on the wire for the same materialization.
+round trips and bytes on the wire for the same materialization.
 """
 
 from __future__ import annotations
-
-import pytest
 
 import repro
 from repro.core import PhoenixConfig
@@ -32,26 +30,6 @@ def _system():
     return system
 
 
-@pytest.fixture(scope="module")
-def systems():
-    return {"proc": _system(), "client": _system()}
-
-
-@pytest.mark.parametrize("mode", ["proc", "client"])
-def test_materialize(benchmark, systems, mode):
-    system = systems[mode]
-    config = PhoenixConfig(materialize_via_procedure=(mode == "proc"))
-    connection = system.phoenix.connect(system.DSN, config=config)
-    select = parse(SQL)
-
-    def run():
-        return connection.materialize_default(parse(SQL))
-
-    state, rows = benchmark(run)  # both modes deliver the rows as well
-    assert state.table and len(rows) == ROWS
-    connection.close()
-
-
 def test_materialize_round_trips_and_bytes():
     """The design's point, asserted: the stored-procedure path costs far
     fewer round trips and orders of magnitude fewer bytes than round-
@@ -62,7 +40,8 @@ def test_materialize_round_trips_and_bytes():
         config = PhoenixConfig(materialize_via_procedure=(mode == "proc"))
         connection = system.phoenix.connect(system.DSN, config=config)
         before = (system.metrics.round_trips, system.metrics.bytes_sent)
-        connection.materialize_default(parse(SQL))
+        state, rows = connection.materialize_default(parse(SQL))
+        assert state.table and len(rows) == ROWS  # both modes deliver the rows as well
         after = (system.metrics.round_trips, system.metrics.bytes_sent)
         costs[mode] = (after[0] - before[0], after[1] - before[1])
         connection.close()

@@ -10,8 +10,6 @@ traffic visible.
 
 from __future__ import annotations
 
-import pytest
-
 import repro
 from repro.core import PhoenixConfig
 from repro.errors import CommunicationError
@@ -39,26 +37,6 @@ def _prepared_connection(reposition_server_side: bool):
     cursor.execute("SELECT k, v FROM rep_rows ORDER BY k")
     cursor.fetchmany(DELIVERED)
     return system, connection, cursor
-
-
-@pytest.mark.parametrize("mode", ["server_side", "client_side"])
-def test_reposition(benchmark, mode):
-    server_side = mode == "server_side"
-
-    def setup():
-        system, connection, cursor = _prepared_connection(server_side)
-        system.server.crash()
-        system.endpoint.restart_server()
-        return (system, connection, cursor), {}
-
-    def recover(system, connection, cursor):
-        connection.recovery.recover(CommunicationError("bench crash"))
-        tail = cursor.fetchall()
-        connection.close()
-        return tail
-
-    tail = benchmark.pedantic(recover, setup=setup, rounds=3)
-    assert len(tail) == ROWS - DELIVERED
 
 
 def test_reposition_wire_traffic():

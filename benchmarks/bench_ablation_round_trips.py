@@ -70,10 +70,3 @@ def test_projected_overhead_is_fixed_per_query(accounting, rtt_ms):
     }
     # same fixed overhead regardless of the query
     assert len(set(round(v, 9) for v in overheads.values())) == 1
-
-
-def test_round_trip_accounting_benchmark(benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_round_trip_accounting(queries=["Q6"]), rounds=2
-    )
-    assert rows[0].phoenix_trips == rows[0].native_trips == 1

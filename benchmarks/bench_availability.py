@@ -48,11 +48,3 @@ def test_native_availability_degrades_with_crash_rate():
     frequent = run_availability_experiment(sessions=SESSIONS, crash_every=10)["native"]
     rare = run_availability_experiment(sessions=SESSIONS, crash_every=80)["native"]
     assert frequent.availability <= rare.availability
-
-
-def test_availability_benchmark(benchmark):
-    def run():
-        return run_availability_experiment(sessions=10, crash_every=20)
-
-    results = benchmark.pedantic(run, rounds=2)
-    assert results["phoenix"].availability == 1.0

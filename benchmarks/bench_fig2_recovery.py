@@ -9,90 +9,16 @@ required to simply recompute" the query; we assert the weaker shape
 (recovery strictly cheaper than recompute) and record the measured ratio in
 EXPERIMENTS.md.
 
-Full series: ``python -m repro.bench.reporting fig2``.
+Full series: ``python -m repro.bench.reporting fig2``.  The gated form of
+the §4 claim is ``phoenix_vs_plain_ratio`` of ``benchmarks/e2e/run.py
+--workload crash_recovery`` (real files, real TCP).
 """
 
 from __future__ import annotations
 
-import time
-
-import pytest
-
-import repro
 from repro.bench.harness import run_fig2_recovery_sweep
-from repro.errors import CommunicationError
 
-RESULT_SIZES = [100, 1000, 2500]
 TABLE_ROWS = 12_000
-
-
-def _build_system(table_rows: int = TABLE_ROWS):
-    system = repro.make_system()
-    loader = system.server.connect(user="loader")
-    system.server.execute(loader, "CREATE TABLE bench_rows (k INT PRIMARY KEY, v FLOAT)")
-    for start in range(0, table_rows, 1000):
-        values = ", ".join(
-            f"({k}, {(k % 97) * 1.5})"
-            for k in range(start + 1, min(start + 1001, table_rows + 1))
-        )
-        system.server.execute(loader, f"INSERT INTO bench_rows VALUES {values}")
-    system.server.checkpoint()
-    system.server.disconnect(loader)
-    return system
-
-
-def _sql(size: int) -> str:
-    return (
-        f"SELECT k % {size} AS bucket, sum(v) AS total, avg(v) AS mean, count(*) AS n "
-        f"FROM bench_rows GROUP BY k % {size} ORDER BY bucket"
-    )
-
-
-@pytest.fixture(scope="module")
-def fig2_system():
-    return _build_system()
-
-
-@pytest.mark.parametrize("size", RESULT_SIZES)
-def test_fig2_session_recovery(benchmark, fig2_system, size):
-    """Time one full Phoenix session recovery at a given result size."""
-    system = fig2_system
-
-    def setup():
-        connection = system.phoenix.connect(system.DSN)
-        connection.config.sleep = lambda _s: None
-        cursor = connection.cursor()
-        cursor.execute(_sql(size))
-        cursor.fetchmany(size - 5)
-        system.server.crash()
-        system.endpoint.restart_server()
-        return (connection, cursor), {}
-
-    def recover(connection, cursor):
-        connection.recovery.recover(CommunicationError("bench crash"))
-        tail = cursor.fetchall()
-        connection.close()
-        return tail
-
-    tail = benchmark.pedantic(recover, setup=setup, rounds=3)
-    assert len(tail) == 5
-
-
-@pytest.mark.parametrize("size", RESULT_SIZES)
-def test_fig2_recompute_baseline(benchmark, fig2_system, size):
-    """The comparison bar: re-running the query natively + redelivery."""
-    system = fig2_system
-    connection = system.plain.connect(system.DSN)
-    cursor = connection.cursor()
-    sql = _sql(size)
-
-    def recompute():
-        cursor.execute(sql)
-        return cursor.fetchall()
-
-    rows = benchmark(recompute)
-    assert len(rows) == size
-    connection.close()
 
 
 def test_fig2_shape():

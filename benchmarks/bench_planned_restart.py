@@ -33,12 +33,3 @@ def test_planned_restart_zero_errors_and_bounded_pause():
         f"baseline {result.crash_p99 * 1e3:.2f} ms"
     )
     assert result.max_pause_seconds > 0.0
-
-
-def test_planned_restart_benchmark(benchmark):
-    def run():
-        return run_planned_restart(clients=8, ops_per_client=20, restarts=1)
-
-    result = benchmark.pedantic(run, rounds=2)
-    assert result.client_errors == 0
-    assert result.fingerprints_match

@@ -1,7 +1,6 @@
-"""Shared fixtures for the benchmark suite.
-
-One populated TPC-H system per session (scale factor chosen for seconds-
-scale total runtime); benches that crash servers build their own systems.
+"""Shared fixture for the benchmark suite: one populated TPC-H system per
+session (scale factor chosen for seconds-scale total runtime); benches that
+crash servers build their own systems.
 """
 
 from __future__ import annotations
@@ -22,9 +21,3 @@ def tpch_system():
     data = populate(system, sf=BENCH_SF, seed=BENCH_SEED)
     return system, data
 
-
-@pytest.fixture()
-def fresh_system():
-    """A small private system for benchmarks that crash the server."""
-    system = repro.make_system()
-    return system

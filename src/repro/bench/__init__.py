@@ -9,7 +9,7 @@ paper's evaluation, plus the ablations DESIGN.md calls out.
 * :mod:`repro.bench.reporting` — the ``EXPERIMENTS`` registry and a
   ``python -m repro.bench.reporting`` CLI over it.
 
-The pytest-benchmark suites in ``benchmarks/`` are thin wrappers over these
-runners, so the same code regenerates the artifacts interactively and under
-CI.
+The ``benchmarks/bench_*.py`` pytest files assert the shape of what these
+runners measure (CI's ``bench-smoke``); the paper's two headline ratios are
+gated on real files and real TCP by ``benchmarks/e2e``.
 """

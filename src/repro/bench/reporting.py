@@ -4,9 +4,7 @@ Usage::
 
     python -m repro.bench.reporting table1 [--sf 0.001] [--reps 3]
     python -m repro.bench.reporting fig2
-    python -m repro.bench.reporting plancache --json BENCH_plan_cache.json
     python -m repro.bench.reporting executor --json BENCH_executor.json
-    python -m repro.bench.reporting wirebatch --json BENCH_wire_batch.json
     python -m repro.bench.reporting obs_overhead --json BENCH_obs_overhead.json
     python -m repro.bench.reporting recovery_breakdown
     python -m repro.bench.reporting concurrency --json BENCH_concurrency.json
@@ -21,7 +19,9 @@ per artifact; the CLI, CI and the examples all go through it
 the paper's layout: Table 1's columns are query id, result rows, native
 seconds, Phoenix seconds, difference, ratio; Figure 2 prints the two
 stacked components per result size (the figure's bars) plus the recompute
-comparison discussed in §4.
+comparison discussed in §4.  (The *gated* form of both is one ratio each:
+``benchmarks/e2e/run.py --workload tpch_power`` / ``crash_recovery``,
+``phoenix_vs_plain_ratio``; these two give the paper's layout.)
 
 ``--json PATH`` additionally writes every artifact produced by the run as
 one machine-readable JSON document (``BENCH_*.json`` convention), each
@@ -124,10 +124,6 @@ def _tcp_footer(r: harness.TcpServingResult) -> list[str]:
     return [
         "idle scaling: "
         + _verdict(all_answered, "all pings answered, 0 errors", "PINGS LOST OR CLIENT ERRORS"),
-        f"per-op latency over {r.ops} statements: in-process "
-        f"{r.inprocess_op_seconds * 1e6:.1f} us/op, TCP {r.tcp_op_seconds * 1e6:.1f} us/op "
-        f"(overhead {r.overhead_ratio:.2f}x)",
-        f"durable state in-process vs TCP: {_verdict(r.fingerprints_match)}",
     ]
 
 
@@ -175,20 +171,6 @@ register(Experiment(
 ))
 
 register(Experiment(
-    "plancache", "plancache", harness.run_plan_cache_ablation, harness.PlanCacheRun,
-    "Ablation. Statement/plan cache on vs off",
-    [Table(
-        ("Workload", "Cache", "Seconds", "Stmts", "Stmt/s", "Parse hit%", "Plan hit%",
-         "Invalid."),
-        "{r.workload:15} {r.cache:>5} {r.seconds:>9.4f} {r.statements:>6} "
-        "{r.statements_per_second:>9.1f} {r.metrics[parse_hit_rate]:>10.0%} "
-        "{r.metrics[plan_hit_rate]:>9.0%} {r.metrics[plan_invalidations]:>9.0f}",
-        footer=_ablation_speedups("cache", fast="on", slow="off"),
-    )],
-    options={"sf": "sf", "repetitions": "reps"},
-))
-
-register(Experiment(
     "executor", "executor", harness.run_executor_ablation, harness.ExecutorRun,
     "Ablation. Vectorized executor vs interpreted baseline",
     [Table(
@@ -202,28 +184,6 @@ register(Experiment(
         footer=_ablation_speedups("executor", fast="compiled", slow="interpreted"),
     )],
     options={"sf": "sf", "repetitions": "reps", "rows": "executor_rows"},
-))
-
-register(Experiment(
-    "wirebatch", "wire_batch", harness.run_wire_batch, harness.WireBatchResult,
-    "Experiment WB. Wire batching + WAL group commit (executemany DML)",
-    [Table(
-        ("Mode", "Trial", "Seconds", "Trips", "BatchReqs", "Batched", "Forces", "Group",
-         "Coalesced"),
-        "{r.mode:10} {r.trial:>5} {r.seconds:>9.4f} {r.round_trips:>6} "
-        "{r.batch_requests:>10} {r.requests_batched:>8} {r.wal_forces:>7} "
-        "{r.group_forces:>6} {r.forces_coalesced:>10}",
-        rows=lambda r: r.runs,
-        caption=lambda r: [
-            f"{r.rows} rows x 2 statements each; batched mode sends "
-            f"{r.batch_size} wrapped statements per request"
-        ],
-        footer=lambda r: [
-            f"round trips {r.trip_ratio:.1f}x fewer, WAL forces {r.force_ratio:.1f}x "
-            f"fewer; durable state {_verdict(r.fingerprints_match)}"
-        ],
-    )],
-    options={"rows": "rows", "batch_size": "batch_size", "trials": "trials"},
 ))
 
 register(Experiment(
@@ -376,7 +336,7 @@ register(Experiment(
 
 register(Experiment(
     "tcp", "tcp_serving", harness.run_tcp_serving, harness.TcpServingResult,
-    "Experiment NET. Real-socket serving tier: scaling, overhead, parity",
+    "Experiment NET. Real-socket serving tier: idle-session scaling",
     [Table(
         ("Sessions", "Connect (s)", "Ping all (s)", "Ping us/sess", "Answered", "Errors"),
         "{r[0].sessions:>9} {r[0].connect_seconds:>12.3f} {r[0].ping_seconds:>13.3f} "
@@ -396,15 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="chaos multi-fault seed")
     parser.add_argument("--sf", type=float, default=0.001, help="TPC-H scale factor")
     parser.add_argument("--reps", type=int, default=3, help="power test repetitions")
-    parser.add_argument(
-        "--rows", type=int, default=48, help="wirebatch: rows per executemany"
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=8, help="wirebatch: statements per request"
-    )
-    parser.add_argument(
-        "--trials", type=int, default=3, help="wirebatch: trials per mode"
-    )
     parser.add_argument(
         "--contention-rounds",
         type=int,

@@ -1,11 +1,8 @@
 """CLI sweep driver: ``python -m repro.chaos [--seed N] [--stride K] ...``.
 
-Runs the exhaustive single-fault wire sweep, the storage-fault sweep, the
-mid-batch crash sweep (every interior position of every batched request),
-the mid-drain crash sweep (a planned restart killed during its drain window
-and during its swap), and a batch of seeded multi-fault schedules, then
-prints a summary.  Exits 1 on
-any oracle violation, printing the seed and the exact failing schedule so
+Runs ``ChaosExplorer.full_sweep`` — every single-fault sweep at every crash
+point, then a batch of seeded multi-fault schedules — and prints a summary.
+Exits 1 on any oracle violation, printing the seed and the exact failing schedule so
 the run reproduces with ``ChaosExplorer(seed=N).run_schedule(schedule)``.
 With ``--trace-dir DIR`` every failing schedule is re-run under a tracer
 and its span trace written to ``DIR`` as JSONL — the violation report names
@@ -52,11 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
 
-    report = explorer.sweep_single_faults(stride=args.stride)
-    report.merge(explorer.sweep_storage_faults(stride=args.stride))
-    report.merge(explorer.sweep_batch_faults(stride=args.stride))
-    report.merge(explorer.sweep_drain_faults(stride=args.stride))
-    report.merge(explorer.sweep_random(args.random_runs))
+    report = explorer.full_sweep(stride=args.stride, random_runs=args.random_runs)
 
     summary = report.summary()
     summary["seed"] = args.seed

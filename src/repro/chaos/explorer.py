@@ -258,3 +258,16 @@ class ChaosExplorer:
         ):
             report.results.append(self.run_schedule(schedule))
         return report
+
+    def full_sweep(self, *, stride: int = 1, random_runs: int = 24) -> ChaosReport:
+        """The sweep ``python -m repro.chaos`` and the ``chaos`` bench
+        artifact both mean: wire, storage, mid-batch and mid-drain faults at
+        every crash point (thinned by ``stride``), then ``random_runs``
+        seeded multi-fault schedules.  (Mid-restore faults have their own
+        CI step, ``timetravel-smoke``.)"""
+        report = self.sweep_single_faults(stride=stride)
+        report.merge(self.sweep_storage_faults(stride=stride))
+        report.merge(self.sweep_batch_faults(stride=stride))
+        report.merge(self.sweep_drain_faults(stride=stride))
+        report.merge(self.sweep_random(random_runs))
+        return report

@@ -10,10 +10,14 @@ import repro
 from repro.bench.harness import (
     Fig2Point,
     Table1Row,
+    run_chaos_experiment,
     run_fig2_recovery_sweep,
+    run_obs_overhead,
+    run_recovery_breakdown,
     run_table1_power_comparison,
 )
 from repro.bench.reporting import EXPERIMENTS
+from repro.net.faults import BATCH_FAULTS, DRAIN_FAULTS, STORAGE_FAULTS, WIRE_FAULTS
 from repro.workloads.tpch.datagen import populate
 
 
@@ -74,3 +78,36 @@ def test_render_fig2_layout():
     assert "Figure 2" in text
     assert "100" in text
     assert "V = virtual session" in text
+
+
+# -- real toy-scale runs of the experiments test_reporting.py only stubs ------
+
+
+def test_recovery_breakdown_has_one_row_per_fault_kind():
+    rows = run_recovery_breakdown(stride=16)
+    assert [r.kind for r in rows] == [k.value for k in WIRE_FAULTS + STORAGE_FAULTS]
+    by_kind = {r.kind: r for r in rows}
+    assert by_kind["hang"].recoveries == 0  # every timeout is spurious: nothing rebuilt
+    crash = by_kind["crash_before_execute"]
+    assert crash.recoveries > 0 and crash.mean_pings >= 1
+    assert crash.mean_total_ms >= crash.mean_phase1_ms + crash.mean_phase2_ms > 0
+    assert "crash_before_execute" in EXPERIMENTS["recovery_breakdown"].render(rows)
+
+
+def test_obs_overhead_tracing_changes_no_result():
+    result = run_obs_overhead(trace_iterations=4, timing_trials=3)
+    assert result.fingerprints_match
+    # 4 iterations of (2 probes + 1 UPDATE), and the one materialised SELECT
+    assert result.statements == 4 * 3 + 1 and result.trials == 3
+    assert result.records_captured > result.spans_absorbed > 0
+    assert "results identical" in EXPERIMENTS["obs_overhead"].render(result)
+
+
+def test_chaos_experiment_recovers_every_thinned_schedule():
+    result = run_chaos_experiment(stride=8, random_runs=2)
+    assert result.recovered_fraction == 1.0 and not result.failures
+    kinds = WIRE_FAULTS + STORAGE_FAULTS + BATCH_FAULTS + DRAIN_FAULTS
+    assert list(result.by_kind) == [k.value for k in kinds] + ["multi_fault"]
+    assert result.runs == sum(cell["runs"] for cell in result.by_kind.values())
+    assert result.by_kind["multi_fault"]["runs"] == 2
+    assert "100.0% recovered" in EXPERIMENTS["chaos"].render(result)

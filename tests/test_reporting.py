@@ -9,19 +9,12 @@ from pathlib import Path
 import pytest
 
 from repro.bench import harness, reporting
-from repro.bench.harness import Fig2Point, PlanCacheRun, Table1Row
+from repro.bench.harness import Fig2Point, Table1Row
 from repro.bench.skeleton import payload
-from repro.engine.plancache import EngineMetrics, ExecutorStats
+from repro.engine.plancache import ExecutorStats
 from repro.net.faults import BATCH_FAULTS, DRAIN_FAULTS, STORAGE_FAULTS, WIRE_FAULTS
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def _cache_metrics(hits: int, misses: int) -> dict:
-    metrics = EngineMetrics()
-    metrics.parse_hits = metrics.plan_hits = hits
-    metrics.parse_misses = metrics.plan_misses = misses
-    return metrics.snapshot()
 
 
 def _chaos_cell() -> dict:
@@ -39,22 +32,10 @@ STUBS = {
         harness.AvailabilityResult("native", 20, 14, 6),
         harness.AvailabilityResult("phoenix", 20, 20, 19),
     ],
-    "plancache": [
-        PlanCacheRun("tpch_power", "on", 0.5, 25, 1234, _cache_metrics(24, 1)),
-        PlanCacheRun("tpch_power", "off", 1.0, 25, 1234, _cache_metrics(0, 0)),
-    ],
     "executor": [
         harness.ExecutorRun("range_topk", mode, seconds, 144, 99, ExecutorStats().snapshot())
         for mode, seconds in (("compiled", 0.02), ("interpreted", 0.5))
     ],
-    "wirebatch": harness.WireBatchResult(
-        rows=4,
-        batch_size=2,
-        runs=[
-            harness.WireBatchRun("unbatched", 0, 1, 0.01, 8, 8, 0, 0, 8, 0, 0, 7),
-            harness.WireBatchRun("batched", 0, 2, 0.01, 8, 4, 4, 8, 4, 4, 4, 7),
-        ],
-    ),
     "chaos": harness.ChaosResult(
         seed=0,
         golden_requests=45,
@@ -109,9 +90,7 @@ STUBS = {
         [harness.TimeTravelReconstructRow(16, 49, 2000, 40, 0.001)],
         0.0001, 0.004, 0.0001, 20, 208, 208, 16, 480, 0, 0.009, 32, 0, True, True,
     ),
-    "tcp": harness.TcpServingResult(
-        [harness.TcpIdleScaleRow(100, 0.05, 0.01, 100, 0)], 400, 0.00025, 0.0004, 1.6, True
-    ),
+    "tcp": harness.TcpServingResult([harness.TcpIdleScaleRow(100, 0.05, 0.01, 100, 0)]),
 }
 
 
@@ -147,20 +126,20 @@ def test_cli_all(stubbed, capsys, tmp_path):
     assert list(document) == [e.key for e in reporting.EXPERIMENTS.values()]
 
 
-def test_cli_plancache(stubbed, capsys):
-    assert reporting.main(["plancache"]) == 0
+def test_cli_executor(stubbed, capsys):
+    assert reporting.main(["executor"]) == 0
     out = capsys.readouterr().out
     assert "Ablation" in out
-    assert "speedup 2.00x" in out
+    assert "speedup 25.00x" in out
     assert "identical" in out
 
 
 def test_cli_json_artifact(stubbed, capsys, tmp_path):
-    path = tmp_path / "BENCH_plan_cache.json"
-    assert reporting.main(["plancache", "--json", str(path)]) == 0
-    runs = json.loads(path.read_text())["plancache"]
-    assert {run["cache"] for run in runs} == {"on", "off"}
-    assert runs[0]["metrics"]["parse_hit_rate"] == pytest.approx(24 / 25)
+    path = tmp_path / "BENCH_executor.json"
+    assert reporting.main(["executor", "--json", str(path)]) == 0
+    runs = json.loads(path.read_text())["executor"]
+    assert {run["executor"] for run in runs} == {"compiled", "interpreted"}
+    assert runs[0]["statements_per_second"] == pytest.approx(144 / 0.02)
 
 
 def test_cli_rejects_unknown_artifact(stubbed):

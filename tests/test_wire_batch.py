@@ -535,15 +535,3 @@ def test_batch_fault_sweep_is_green():
     assert report.runs == sum(size + 1 for _i, size in explorer.golden.batch_requests)
     assert report.recovered_fraction == 1.0
     assert report.total_recoveries >= report.runs - len(explorer.golden.batch_requests)
-
-
-# ------------------------------------------------------------------ harness
-
-
-def test_run_wire_batch_guards_and_measures():
-    from repro.bench.harness import run_wire_batch
-
-    result = run_wire_batch(rows=6, batch_size=3, trials=1)
-    assert result.fingerprints_match
-    assert result.trip_ratio >= 2.0
-    assert result.force_ratio >= 3.0
