@@ -335,7 +335,8 @@ class PhoenixConnection(Connection):
     # ------------------------------------------------------------- interception
 
     def rewrite(self, stmt: ast.Statement) -> ast.Statement:
-        """Apply temp-object redirection to a parsed statement."""
+        """``stmt`` with temp-object redirection applied — ``stmt`` itself
+        when this session has redirected nothing, a rewritten copy otherwise."""
         return redirect_names(stmt, self.temp_table_map, self.temp_proc_map)
 
     @property
@@ -716,12 +717,11 @@ class PhoenixConnection(Connection):
         and remember the mapping (§3 "Temporary Objects")."""
         original = stmt.name.lower()
         persistent = self.names.redirected_table(original)
-        stmt.name = persistent
-        stmt.temporary = False
+        create = replace(stmt, name=persistent, temporary=False)
         # idempotent under retry: a lost reply may have left the table
         # created; any prior incarnation of this Phoenix-owned name is stale
         response = self._execute_atomic(
-            [f"DROP TABLE IF EXISTS {persistent}", stmt.sql()], on_app=True
+            [f"DROP TABLE IF EXISTS {persistent}", create.sql()], on_app=True
         )
         self.temp_table_map[original] = persistent
         self.cleanup_tables.append(persistent)
@@ -739,11 +739,11 @@ class PhoenixConnection(Connection):
     def handle_create_temp_proc(self, stmt: ast.CreateProcedure) -> ResultResponse:
         original = stmt.name.lower()
         persistent = self.names.redirected_procedure(original)
-        stmt.name = persistent
-        # the body was already rewritten for temp-table references;
+        # the body's references to other temp objects follow their redirection
+        create = replace(self.rewrite(stmt), name=persistent)
         # DROP-first makes the retry after a lost reply idempotent
         response = self._execute_atomic(
-            [f"DROP PROCEDURE IF EXISTS {persistent}", stmt.sql()], on_app=True
+            [f"DROP PROCEDURE IF EXISTS {persistent}", create.sql()], on_app=True
         )
         self.temp_proc_map[original] = persistent
         self.cleanup_procs.append(persistent)

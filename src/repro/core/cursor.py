@@ -18,14 +18,12 @@ A crash during any of this surfaces to the application only as latency.
 
 from __future__ import annotations
 
-import copy
-
 from repro.core.connection import PhoenixConnection
 from repro.core.interceptor import (
     StatementClass,
     build_dml_batch,
-    classify,
     inline_placeholders,
+    statement_templates,
 )
 from repro.core.recovery import RECOVERABLE_ERRORS
 from repro.core.statements import ResultState
@@ -33,7 +31,8 @@ from repro.net.protocol import ResultResponse
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType, StatementAttr
 from repro.odbc.driver_manager import Statement, describe_columns
-from repro.sql import ast, parse_script
+from repro.sql import ast
+from repro.sql import parse_script  # noqa: F401 — a name benchmarks/e2e/tracing.py wraps
 
 __all__ = ["PhoenixCursor"]
 
@@ -53,27 +52,28 @@ class PhoenixCursor(Statement):
     def execute(self, sql: str, placeholders: list | None = None) -> "PhoenixCursor":
         self._require_open()
         self._reset_result()
-        statements = parse_script(sql)
         bound = list(placeholders or [])
         tracer = get_tracer()
-        for stmt in statements:
+        for stmt, kind in statement_templates(sql):
             if bound:
-                inline_placeholders(stmt, bound)
+                stmt = inline_placeholders(stmt, bound)
             if tracer.enabled:
                 with tracer.span(
                     "client.statement",
                     corr=self.connection.correlation_id,
                     sql=stmt.sql()[:80],
-                    cls=classify(stmt).name,
+                    cls=kind.name,
                 ):
-                    self._execute_one(stmt)
+                    self._execute_one(stmt, kind)
             else:
-                self._execute_one(stmt)
+                self._execute_one(stmt, kind)
         return self
 
-    def _execute_one(self, stmt: ast.Statement) -> None:
+    def _execute_one(self, stmt: ast.Statement, kind: StatementClass) -> None:
+        """Dispatch one statement.  ``stmt`` may be a shared template (see
+        :func:`~repro.core.interceptor.statement_templates`): nothing here or
+        below modifies it."""
         connection = self.connection
-        kind = classify(stmt)
 
         if kind is StatementClass.SET_OPTION:
             connection.set_log.append((stmt.name, stmt.value))
@@ -90,16 +90,12 @@ class PhoenixCursor(Statement):
             self._absorb_ok(connection.handle_rollback())
             return
         if kind is StatementClass.CREATE_TEMP_TABLE:
-            connection.rewrite(stmt)  # body refs to other temps
-            stmt.name = _original_temp_name(stmt.name, connection)
             self._absorb_ok(connection.handle_create_temp_table(stmt))
             return
         if kind is StatementClass.DROP_TEMP_TABLE:
             self._absorb_ok(connection.handle_drop_temp_table(stmt))
             return
         if kind is StatementClass.CREATE_TEMP_PROC:
-            connection.rewrite(stmt)
-            stmt.name = _original_temp_name(stmt.name, connection)
             self._absorb_ok(connection.handle_create_temp_proc(stmt))
             return
         if kind is StatementClass.DROP_TEMP_PROC:
@@ -117,7 +113,7 @@ class PhoenixCursor(Statement):
                 connection.cleanup_tables.append(persistent)
 
         # everything below references tables/procs: apply redirection
-        connection.rewrite(stmt)
+        stmt = connection.rewrite(stmt)
         rewritten_sql = stmt.sql()
 
         if connection.in_transaction:
@@ -205,17 +201,14 @@ class PhoenixCursor(Statement):
             or max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1) <= 1
         ):
             return None
-        statements = parse_script(sql)
-        if len(statements) != 1 or classify(statements[0]) is not StatementClass.DML:
+        templates = statement_templates(sql)
+        if len(templates) != 1 or templates[0][1] is not StatementClass.DML:
             return None
-        template = statements[0]  # parsed once; inlining mutates, so copy per row
+        template = templates[0][0]  # parsed once; binding a row builds a new tree
         entries: list[tuple[int, str]] = []
         for row in rows:
-            stmt = copy.deepcopy(template)
-            bound = list(row)
-            if bound:
-                inline_placeholders(stmt, bound)
-            connection.rewrite(stmt)
+            stmt = inline_placeholders(template, list(row)) if row else template
+            stmt = connection.rewrite(stmt)
             seq = connection.names.next_seq()
             entries.append(
                 (seq, build_dml_batch(stmt.sql(), connection.names.status_table, seq))
@@ -310,15 +303,3 @@ class PhoenixCursor(Statement):
         if self._state is not None:
             self._state.open = False
         super().close()
-
-
-def _original_temp_name(name: str, connection: PhoenixConnection) -> str:
-    """rewrite() may have mapped an existing temp name; undo that for a
-    CREATE/DROP of the temp object itself (the handler allocates names)."""
-    for original, mapped in connection.temp_table_map.items():
-        if mapped == name:
-            return original
-    for original, mapped in connection.temp_proc_map.items():
-        if mapped == name:
-            return original
-    return name

@@ -9,8 +9,12 @@ DML batches.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
+import threading
 
+from repro.engine.plancache import LRUCache
 from repro.errors import ProgrammingError
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
@@ -18,9 +22,11 @@ from repro.sql import ast, parse_script
 __all__ = [
     "StatementClass",
     "classify",
+    "statement_templates",
     "with_false_where",
     "redirect_names",
     "referenced_tables",
+    "inline_placeholders",
     "build_dml_batch",
     "build_fill_batch",
 ]
@@ -79,6 +85,36 @@ def classify(stmt: ast.Statement) -> StatementClass:
     return StatementClass.OTHER
 
 
+# --------------------------------------------------------------------- templates
+
+#: distinct application texts kept parsed
+TEMPLATE_CACHE_CAPACITY = 128
+#: a longer text is a load script, not a statement an application repeats
+TEMPLATE_MAX_CHARS = 8192
+
+_templates = LRUCache(TEMPLATE_CACHE_CAPACITY)
+_templates_lock = threading.Lock()  # one cache, clients on many threads
+
+
+def statement_templates(sql: str) -> tuple[tuple[ast.Statement, StatementClass], ...]:
+    """The statements of an application text, parsed and classified — once
+    per text, process-wide: parsing is pure, so every connection shares the
+    result, as the server's sessions share its ``ParseCache``.
+
+    What comes back is shared and must never be modified.  Everything that
+    turns a template into the statement actually sent makes a new tree —
+    :func:`inline_placeholders`, :func:`redirect_names`, ``dataclasses.replace``.
+    """
+    with _templates_lock:
+        templates = _templates.get(sql)
+    if templates is None:
+        templates = tuple((stmt, classify(stmt)) for stmt in parse_script(sql))
+        if len(sql) <= TEMPLATE_MAX_CHARS:
+            with _templates_lock:
+                _templates.put(sql, templates)
+    return templates
+
+
 # --------------------------------------------------------------------- rewriting
 
 
@@ -116,13 +152,38 @@ def redirect_names(
 ) -> ast.Statement:
     """Rewrite temp-object references to their persistent stand-ins.
 
-    Mutates ``stmt`` in place (the AST was parsed by Phoenix, which owns it)
-    and returns it.  Lookup is case-insensitive on the original name.
+    Never touches ``stmt`` (it may be a cached template): with nothing to
+    redirect it is returned as it came, otherwise a copy is rewritten and
+    returned.  Lookup is case-insensitive on the original name.
     """
     proc_map = proc_map or {}
+    if not table_map and not proc_map:
+        return stmt
+    stmt = copy.deepcopy(stmt)
+    _map_names(
+        stmt,
+        lambda name: table_map.get(name.lower(), name),
+        lambda name: proc_map.get(name.lower(), name),
+    )
+    return stmt
 
-    def map_table(name: str) -> str:
-        return table_map.get(name.lower(), name)
+
+def referenced_tables(stmt: ast.Statement) -> set[str]:
+    """Every table name a statement references (lower-cased).  Used by tests
+    and by Phoenix's sanity checks on redirection completeness."""
+    names: set[str] = set()
+
+    def record(name: str) -> str:
+        names.add(name.lower())
+        return name
+
+    _map_names(stmt, record, lambda name: name)  # identity maps: nothing changes
+    return names
+
+
+def _map_names(stmt: ast.Statement, map_table, map_proc) -> None:
+    """Replace, in place, every table name in ``stmt`` by ``map_table(name)``
+    and every procedure name by ``map_proc(name)``."""
 
     def walk_expr(expr: ast.Expr | None) -> None:
         if expr is None:
@@ -233,38 +294,17 @@ def redirect_names(
         elif isinstance(node, ast.DropTable):
             node.name = map_table(node.name)
         elif isinstance(node, ast.CreateProcedure):
-            node.name = proc_map.get(node.name.lower(), node.name)
+            node.name = map_proc(node.name)
             for body_stmt in node.body:
                 walk_statement(body_stmt)
         elif isinstance(node, ast.DropProcedure):
-            node.name = proc_map.get(node.name.lower(), node.name)
+            node.name = map_proc(node.name)
         elif isinstance(node, ast.ExecProcedure):
-            node.name = proc_map.get(node.name.lower(), node.name)
+            node.name = map_proc(node.name)
             for arg in node.args:
                 walk_expr(arg)
 
     walk_statement(stmt)
-    return stmt
-
-
-def referenced_tables(stmt: ast.Statement) -> set[str]:
-    """Every table name a statement references (lower-cased).  Used by tests
-    and by Phoenix's sanity checks on redirection completeness."""
-    names: set[str] = set()
-    redirect_names(stmt, _TrackingMap(names))  # identity map recording lookups
-    return names
-
-
-class _TrackingMap(dict):
-    """An identity mapping that records every key it is asked for."""
-
-    def __init__(self, sink: set[str]):
-        super().__init__()
-        self._sink = sink
-
-    def get(self, key, default=None):
-        self._sink.add(key)
-        return default
 
 
 # ------------------------------------------------------------------ batch builders
@@ -311,112 +351,62 @@ def build_fill_batch(
     )
 
 
-def parse_one(sql: str) -> ast.Statement:
-    """Parse a batch expected to hold exactly one statement."""
-    statements = parse_script(sql)
-    if len(statements) != 1:
-        raise ValueError(f"expected one statement, got {len(statements)}")
-    return statements[0]
+#: the statements whose ``?`` Phoenix binds (any other kind passes through)
+_BINDABLE = (ast.Select, ast.UnionSelect, ast.Insert, ast.Update, ast.Delete, ast.ExecProcedure)
+#: field values that cannot hold a placeholder: names, numbers, flags, None
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+#: node class -> the names of its fields
+_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def inline_placeholders(stmt: ast.Statement, values: list) -> ast.Statement:
-    """Replace ``?`` placeholders with their bound values as literals.
+    """``stmt`` with its ``?`` placeholders replaced by their bound values
+    as literals.
 
     Phoenix rewrites and re-ships SQL text (fill procedures, wrapped DML
     batches), so parameters must be inlined before rewriting — middleware
     doing statement rewriting cannot keep out-of-band bindings.
+
+    A pure bind: ``stmt`` (usually a cached template) is never modified.
+    The result is a new tree along the paths that lead to a placeholder
+    and shares every other subtree with ``stmt``; with no placeholder in
+    it, it *is* ``stmt``.  An ``AS OF`` moment is not bound — it must be
+    spelled out in the statement (see ``Executor``'s ``_as_of_literal``).
     """
 
-    def expr(node: ast.Expr | None) -> ast.Expr | None:
-        if node is None:
-            return None
-        if isinstance(node, ast.Placeholder):
+    def bind(node):
+        """``node`` (a Node, or a list or tuple of them) bound, or itself."""
+        cls = node.__class__
+        if cls is ast.Placeholder:
             if node.index >= len(values):
                 raise ProgrammingError(
                     f"statement uses placeholder ?{node.index + 1} but only "
                     f"{len(values)} values were bound"
                 )
             return ast.Literal(values[node.index])
-        if isinstance(node, ast.Binary):
-            node.left = expr(node.left)
-            node.right = expr(node.right)
-        elif isinstance(node, ast.Unary):
-            node.operand = expr(node.operand)
-        elif isinstance(node, ast.IsNull):
-            node.operand = expr(node.operand)
-        elif isinstance(node, ast.Between):
-            node.operand = expr(node.operand)
-            node.low = expr(node.low)
-            node.high = expr(node.high)
-        elif isinstance(node, ast.InList):
-            node.operand = expr(node.operand)
-            node.items = [expr(e) for e in node.items]
-        elif isinstance(node, ast.InSelect):
-            node.operand = expr(node.operand)
-            select(node.select)
-        elif isinstance(node, ast.Like):
-            node.operand = expr(node.operand)
-            node.pattern = expr(node.pattern)
-        elif isinstance(node, ast.Exists):
-            select(node.select)
-        elif isinstance(node, ast.FuncCall):
-            node.args = [expr(e) for e in node.args]
-        elif isinstance(node, ast.CaseExpr):
-            node.operand = expr(node.operand)
-            node.whens = [(expr(c), expr(r)) for c, r in node.whens]
-            node.else_ = expr(node.else_)
-        elif isinstance(node, ast.Cast):
-            node.operand = expr(node.operand)
-        elif isinstance(node, ast.ScalarSelect):
-            select(node.select)
-        elif isinstance(node, ast.ExtractExpr):
-            node.operand = expr(node.operand)
-        elif isinstance(node, ast.SubstringExpr):
-            node.operand = expr(node.operand)
-            node.start = expr(node.start)
-            node.length = expr(node.length)
-        return node
+        if cls is list or cls is tuple:
+            bound = [child if child.__class__ in _ATOMS else bind(child) for child in node]
+            if all(new is old for new, old in zip(bound, node)):
+                return node
+            return bound if cls is list else tuple(bound)
+        if not isinstance(node, ast.Node):
+            return node  # some other value inside a Literal
+        names = _FIELDS.get(cls)
+        if names is None:
+            names = _FIELDS[cls] = tuple(
+                f.name for f in dataclasses.fields(cls) if f.name != "as_of"
+            )
+        clone = None
+        for name in names:
+            old = getattr(node, name)
+            if old.__class__ in _ATOMS:
+                continue
+            new = bind(old)
+            if new is not old:
+                if clone is None:
+                    clone = cls.__new__(cls)
+                    clone.__dict__.update(node.__dict__)
+                setattr(clone, name, new)
+        return node if clone is None else clone
 
-    def tableref(ref: ast.TableRef | None) -> None:
-        if ref is None:
-            return
-        if isinstance(ref, ast.SubquerySource):
-            select(ref.select)
-        elif isinstance(ref, ast.Join):
-            tableref(ref.left)
-            tableref(ref.right)
-            ref.on = expr(ref.on)
-
-    def select(node: ast.Select) -> None:
-        for item in node.items:
-            if not isinstance(item.expr, ast.Star):
-                item.expr = expr(item.expr)
-        tableref(node.from_)
-        node.where = expr(node.where)
-        node.group_by = [expr(e) for e in node.group_by]
-        node.having = expr(node.having)
-        for order in node.order_by:
-            order.expr = expr(order.expr)
-
-    def selectable(node) -> None:
-        if isinstance(node, ast.UnionSelect):
-            for part in node.parts:
-                select(part)
-        else:
-            select(node)
-
-    if isinstance(stmt, (ast.Select, ast.UnionSelect)):
-        selectable(stmt)
-    elif isinstance(stmt, ast.Insert):
-        if stmt.select is not None:
-            selectable(stmt.select)
-        if stmt.rows:
-            stmt.rows = [[expr(e) for e in row] for row in stmt.rows]
-    elif isinstance(stmt, ast.Update):
-        stmt.assignments = [(c, expr(e)) for c, e in stmt.assignments]
-        stmt.where = expr(stmt.where)
-    elif isinstance(stmt, ast.Delete):
-        stmt.where = expr(stmt.where)
-    elif isinstance(stmt, ast.ExecProcedure):
-        stmt.args = [expr(e) for e in stmt.args]
-    return stmt
+    return bind(stmt) if isinstance(stmt, _BINDABLE) else stmt

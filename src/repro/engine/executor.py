@@ -33,11 +33,18 @@ from repro.errors import (
 from repro.engine import functions
 from repro.engine.database import Database
 from repro.engine.expressions import Env, ExpressionCompiler, PlaceholderList, Scope
-from repro.engine.plancache import EngineMetrics, ExecutorStats, PlanCache
+from repro.engine.plancache import (
+    PROC_CACHE_CAPACITY,
+    EngineMetrics,
+    ExecutorStats,
+    LRUCache,
+    PlanCache,
+)
 from repro.engine.results import ResultSet, StatementResult
 from repro.engine.schema import Column, schema_from_ast, type_spec_to_sql_type
 from repro.engine.table import Table
 from repro.engine.values import SqlType, sort_key
+from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
 
@@ -93,7 +100,10 @@ class Executor:
     ):
         self.database = database
         self.session = session  # repro.engine.session.Session
-        self._proc_cache: dict[str, ast.CreateProcedure] = {}
+        #: stored procedure text -> its parsed CREATE PROCEDURE.  Primed by
+        #: CREATE (the statement in hand *is* the parse of the text stored),
+        #: filled by a cold EXEC; volatile, like the session that owns it.
+        self._proc_cache = LRUCache(PROC_CACHE_CAPACITY)
         #: shared server-wide counters (a private set when standalone)
         self.metrics = metrics if metrics is not None else EngineMetrics()
         #: access-path / pipeline counters (shared server-wide when wired)
@@ -198,13 +208,14 @@ class Executor:
                 # must release so the surviving side (or the drain) can
                 # proceed.  The client sees a distinguishable, retryable
                 # error (the transaction is gone, so a replay is safe).
-                self.database.abort(txn)
+                self._abort(txn)
                 self.session.current_txn = None
             elif autocommit:
-                self.database.abort(txn)
+                self._abort(txn)
             else:
                 # statement-level atomicity: a failed statement inside an
                 # explicit transaction rolls back only its own effects
+                self._forget_procedures(txn.records[statement_mark:])
                 self.database.rollback_statement(txn, statement_mark)
             raise
         if autocommit:
@@ -254,9 +265,20 @@ class Executor:
         txn = self.session.current_txn
         if txn is None:
             raise TransactionError("no transaction in progress")
-        self.database.abort(txn)
+        self._abort(txn)
         self.session.current_txn = None
         return StatementResult.ok("ROLLBACK")
+
+    def _abort(self, txn) -> None:
+        self._forget_procedures(txn.records)
+        self.database.abort(txn)
+
+    def _forget_procedures(self, records) -> None:
+        """A CREATE PROCEDURE being rolled back leaves nothing to EXEC:
+        drop the parse that was primed for it."""
+        for record in records:
+            if record.type is RecordType.CREATE_PROC:
+                self._proc_cache.pop(record.proc_sql)
 
     # ------------------------------------------------------------ mutation dispatch
 
@@ -395,23 +417,28 @@ class Executor:
         exists = name in self.session.temp_procedures or self.database.has_procedure(name)
         if exists:
             raise CatalogError(f"procedure {name} already exists")
+        source = stmt.sql()
         if stmt.temporary:
-            self.session.temp_procedures[name] = stmt.sql()
+            self.session.temp_procedures[name] = source
             self.session.temp_version += 1
         else:
-            self.database.create_procedure(txn, name, stmt.sql())
+            self.database.create_procedure(txn, name, source)
+        # EXEC looks the procedure up by the text just stored, and ``stmt`` is
+        # what parsing that text yields: keep it, so the EXEC parses nothing
+        self._proc_cache.put(source, stmt)
         return StatementResult.ok(f"CREATE PROCEDURE {name}")
 
     def _drop_procedure(self, stmt: ast.DropProcedure, txn) -> StatementResult:
         name = stmt.name.lower()
         if name in self.session.temp_procedures:
-            del self.session.temp_procedures[name]
+            self._proc_cache.pop(self.session.temp_procedures.pop(name))
             self.session.temp_version += 1
             return StatementResult.ok(f"DROP PROCEDURE {name}")
         if not self.database.has_procedure(name):
             if stmt.if_exists:
                 return StatementResult.ok(f"procedure {name} absent")
             raise CatalogError(f"procedure {name} does not exist")
+        self._proc_cache.pop(self.database.get_procedure(name))
         self.database.drop_procedure(txn, name)
         return StatementResult.ok(f"DROP PROCEDURE {name}")
 
@@ -434,7 +461,7 @@ class Executor:
             if not isinstance(parsed, ast.CreateProcedure):
                 raise CatalogError(f"stored text of {name} is not a procedure")
             proc = parsed
-            self._proc_cache[source] = proc
+            self._proc_cache.put(source, proc)
         if len(stmt.args) != len(proc.params):
             raise ProgrammingError(
                 f"procedure {name} expects {len(proc.params)} args, got {len(stmt.args)}"

@@ -5,7 +5,9 @@ execute the same 22 query texts over and over, and Phoenix adds generated
 statements of its own (fill procedures, status-table writes, a key cursor's
 ``WHERE 0=1`` probe).  The seed engine re-lexed, re-parsed, and re-built
 a fresh ``_SelectPlan`` for every one of them.  This module provides the
-two reuse layers and the counters that prove they work:
+reuse layers, the :class:`LRUCache` they are all made of, and the counters
+that prove they work.  The rule they share: one parse per statement text,
+and a parsed statement is never modified.
 
 * :class:`ParseCache` — server-wide LRU mapping raw SQL text to the parsed
   statement tuple.  Parsing is pure, so entries are shared across sessions.
@@ -31,6 +33,21 @@ two reuse layers and the counters that prove they work:
     be served stale.
 
   A version mismatch counts as an *invalidation* and recompiles.
+
+* The **procedure cache** — per-executor ``LRUCache(PROC_CACHE_CAPACITY)``
+  mapping a stored procedure's source text to its parsed ``CREATE
+  PROCEDURE``.  ``Executor._create_procedure`` primes it with the statement
+  it is executing (which *is* the parse of the text it stores), so the
+  ``EXEC`` that follows in a Phoenix script parses nothing; ``DROP
+  PROCEDURE`` and a rolled-back ``CREATE`` drop the entry; an ``EXEC`` that
+  misses parses the catalog's text, which stays the durable truth.  Keyed on
+  the text rather than the name, a leftover entry can never be *wrong* — a
+  re-created procedure with another body has another key — only unused,
+  and the LRU bounds those.  Volatile like the session that owns it.
+
+The client side has the same thing in front of the wire:
+``repro.core.interceptor.statement_templates`` keeps application texts
+parsed and classified in one process-wide ``LRUCache``.
 
 The cache is deliberately conservative: only top-level SELECT / UNION
 statements are cached, and never under procedure parameters (``@name``
@@ -60,6 +77,8 @@ __all__ = ["EngineMetrics", "ExecutorStats", "LRUCache", "ParseCache", "PlanCach
 PARSE_CACHE_CAPACITY = 256
 #: Per-session plan cache capacity (distinct cached statements).
 PLAN_CACHE_CAPACITY = 128
+#: Per-session procedure cache capacity (distinct stored procedure texts).
+PROC_CACHE_CAPACITY = 64
 
 
 class EngineMetrics(CounterSet):

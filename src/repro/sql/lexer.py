@@ -1,4 +1,11 @@
-"""Hand-written SQL lexer.
+r"""SQL lexer: one compiled master pattern, one pass.
+
+:func:`tokenize` walks the text with ``re.finditer`` over a single
+alternation of named groups (the standard library's tokenizer idiom): each
+match is one lexeme, ``lastgroup`` says which kind, and a catch-all last
+alternative guarantees the matches tile the text, so a malformed lexeme
+surfaces as its own group instead of a gap.  The character loop runs inside
+the regex engine; Python sees one iteration per lexeme.
 
 Produces a flat list of :class:`Token` objects.  Keywords are recognized
 case-insensitively and reported with ``TokenType.KEYWORD`` and an upper-cased
@@ -14,12 +21,20 @@ Dialect notes (things the paper's SQL Server context needs):
 * ``?`` is a positional parameter placeholder.
 * ``[bracketed identifiers]`` and ``"quoted identifiers"`` are supported.
 * string literals use single quotes with ``''`` escaping.
+
+Outside ASCII the character classes are the regex engine's: white space is
+``\s`` and word characters are ``\w`` (the same sets as ``str.isspace`` and
+``str.isalnum`` plus ``_``); a number is made of decimal digits ``\d`` —
+what ``int()`` accepts, so Arabic-Indic one (U+0661) is a digit and
+superscript two (U+00B2) is not — and a word may start with any word character
+that is not a decimal digit.  (The character-at-a-time lexer this replaced
+asked ``str.isdigit``, which says yes to U+00B2, and then died in ``int()``.)
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 
 from repro.errors import SQLSyntaxError
 
@@ -59,25 +74,74 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
-_PUNCT = "(),.;"
 
-
-@dataclass(frozen=True)
 class Token:
     """A single lexical token with its source position (0-based offset)."""
 
-    type: TokenType
-    value: str
-    pos: int
-    line: int
+    __slots__ = ("type", "value", "pos", "line")
+
+    def __init__(self, type: TokenType, value: str, pos: int, line: int):
+        self.type = type
+        self.value = value
+        self.pos = pos
+        self.line = line
 
     def matches(self, type_: TokenType, value: str | None = None) -> bool:
         """True when this token has ``type_`` and (if given) ``value``."""
         return self.type is type_ and (value is None or self.value == value)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.type, self.value, self.pos, self.line) == (
+            other.type, other.value, other.pos, other.line,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.type, self.value, self.pos, self.line))
+
     def __repr__(self) -> str:  # compact, for parser error messages
         return f"{self.type.name}({self.value!r})"
+
+
+#: The master pattern.  Order matters: a well-formed lexeme comes before the
+#: catch-all that reports its malformed opening, comments before the operators
+#: they start with, numbers before the ``.`` punctuation.
+_MASTER = re.compile(
+    r"""
+      (?P<SPACE>    \s+ | --[^\n]* | /\*.*?\*/ )
+    | (?P<WORD>     [^\W\d]\w* )
+    | (?P<PUNCT>    [(),;] | \.(?!\d) )
+    | (?P<NUMBER>   (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )? )
+    | (?P<STRING>   '[^']* (?: ''[^']* )* ' (?!') )
+    | (?P<OPERATOR> <= | >= | <> | != | \|\| | [=<>+\-*%] | /(?!\*) )
+    | (?P<PLACEHOLDER> \? )
+    | (?P<PARAM>    @\w+ )
+    | (?P<TEMP>     \#\w+ )
+    | (?P<QUOTED>   "[^"]*" | \[[^\]]*\] )
+    | (?P<MISMATCH> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+#: groups whose lexeme is the token's value as it stands
+_VERBATIM = {
+    "PUNCT": TokenType.PUNCT,
+    "NUMBER": TokenType.NUMBER,
+    "OPERATOR": TokenType.OPERATOR,
+    "PLACEHOLDER": TokenType.PLACEHOLDER,
+    "TEMP": TokenType.IDENT,
+}
+
+#: what a lexeme that only the catch-all matched was trying to be
+_MALFORMED = {
+    "'": "unterminated string literal",
+    "/": "unterminated block comment",  # a '/' not before '*' is an operator
+    '"': "unterminated quoted identifier",
+    "[": "unterminated quoted identifier",
+    "@": "'@' must introduce a parameter name",
+    "#": "'#' must introduce a temp table name",
+}
 
 
 def tokenize(text: str) -> list[Token]:
@@ -87,132 +151,34 @@ def tokenize(text: str) -> list[Token]:
     characters outside the dialect.
     """
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    verbatim = _VERBATIM.get
+    keywords, keyword, ident = KEYWORDS, TokenType.KEYWORD, TokenType.IDENT  # hot: locals
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("--", i):  # line comment
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):  # block comment
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise SQLSyntaxError("unterminated block comment", position=i, line=line)
-            line += text.count("\n", i, j)
-            i = j + 2
-            continue
-        if ch == "'":
-            value, i2 = _lex_string(text, i, line)
-            tokens.append(Token(TokenType.STRING, value, i, line))
-            line += text.count("\n", i, i2)
-            i = i2
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, i2 = _lex_number(text, i)
-            tokens.append(Token(TokenType.NUMBER, value, i, line))
-            i = i2
-            continue
-        if ch == "@":
-            value, i2 = _lex_word(text, i + 1)
-            if not value:
-                raise SQLSyntaxError("'@' must introduce a parameter name", position=i, line=line)
-            tokens.append(Token(TokenType.PARAM, value, i, line))
-            i = i2
-            continue
-        if ch == "?":
-            tokens.append(Token(TokenType.PLACEHOLDER, "?", i, line))
-            i += 1
-            continue
-        if ch == "#":
-            value, i2 = _lex_word(text, i + 1)
-            if not value:
-                raise SQLSyntaxError("'#' must introduce a temp table name", position=i, line=line)
-            tokens.append(Token(TokenType.IDENT, "#" + value, i, line))
-            i = i2
-            continue
-        if ch == '"' or ch == "[":
-            closing = '"' if ch == '"' else "]"
-            j = text.find(closing, i + 1)
-            if j < 0:
-                raise SQLSyntaxError("unterminated quoted identifier", position=i, line=line)
-            tokens.append(Token(TokenType.IDENT, text[i + 1 : j], i, line))
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            value, i2 = _lex_word(text, i)
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        if kind == "SPACE":
+            if "\n" in value:
+                line += value.count("\n")
+        elif kind == "WORD":
             upper = value.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i, line))
+            if upper in keywords:
+                append(Token(keyword, upper, match.start(), line))
             else:
-                tokens.append(Token(TokenType.IDENT, value, i, line))
-            i = i2
-            continue
-        matched_op = next((op for op in _OPERATORS if text.startswith(op, i)), None)
-        if matched_op is not None:
-            tokens.append(Token(TokenType.OPERATOR, matched_op, i, line))
-            i += len(matched_op)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i, line))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", position=i, line=line)
-    tokens.append(Token(TokenType.EOF, "", n, line))
+                append(Token(ident, value, match.start(), line))
+        elif (type_ := verbatim(kind)) is not None:
+            append(Token(type_, value, match.start(), line))
+        elif kind == "STRING":
+            append(Token(TokenType.STRING, value[1:-1].replace("''", "'"), match.start(), line))
+            line += value.count("\n")
+        elif kind == "PARAM":
+            append(Token(TokenType.PARAM, value[1:], match.start(), line))
+        elif kind == "QUOTED":
+            append(Token(ident, value[1:-1], match.start(), line))
+            line += value.count("\n")
+        else:
+            message = _MALFORMED.get(value) or f"unexpected character {value!r}"
+            raise SQLSyntaxError(message, position=match.start(), line=line)
+    append(Token(TokenType.EOF, "", len(text), line))
     return tokens
-
-
-def _lex_string(text: str, start: int, line: int) -> tuple[str, int]:
-    """Lex a single-quoted string starting at ``start``; returns (value, end)."""
-    parts: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":  # doubled quote escape
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", position=start, line=line)
-
-
-def _lex_number(text: str, start: int) -> tuple[str, int]:
-    """Lex an integer or decimal/scientific literal; returns (text, end)."""
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    if i < n and text[i] == ".":
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j < n and text[j].isdigit():
-            i = j
-            while i < n and text[i].isdigit():
-                i += 1
-    return text[start:i], i
-
-
-def _lex_word(text: str, start: int) -> tuple[str, int]:
-    """Lex an identifier-ish word (letters, digits, underscore)."""
-    i = start
-    n = len(text)
-    while i < n and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    return text[start:i], i

@@ -49,6 +49,11 @@ _TYPE_KEYWORDS = {
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+_KEYWORD = TokenType.KEYWORD
+_PUNCT = TokenType.PUNCT
+_OPERATOR = TokenType.OPERATOR
+_EOF = TokenType.EOF
+
 
 def parse(text: str) -> ast.Statement:
     """Parse exactly one statement; trailing ``;`` is allowed."""
@@ -89,18 +94,23 @@ class Parser:
 
     # ---- token plumbing ---------------------------------------------------
 
+    # ``pos`` never passes the EOF token (``advance`` stops there), so the
+    # current token is always ``tokens[pos]``; the accept_* helpers index it
+    # directly — they run a few hundred times per script.
+
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
+        if token.type is not _EOF:
             self.pos += 1
         return token
 
     def at_eof(self) -> bool:
-        return self.peek().type is TokenType.EOF
+        return self.tokens[self.pos].type is _EOF
 
     def error(self, message: str) -> SQLSyntaxError:
         token = self.peek()
@@ -113,9 +123,9 @@ class Parser:
     def accept_keyword(self, *words: str) -> str | None:
         """Consume and return the keyword if the next token is one of
         ``words``; otherwise leave the stream alone and return None."""
-        token = self.peek()
-        if token.type is TokenType.KEYWORD and token.value in words:
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _KEYWORD and token.value in words:
+            self.pos += 1
             return token.value
         return None
 
@@ -126,8 +136,9 @@ class Parser:
         return value
 
     def accept_punct(self, char: str) -> bool:
-        if self.peek().matches(TokenType.PUNCT, char):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _PUNCT and token.value == char:
+            self.pos += 1
             return True
         return False
 
@@ -136,9 +147,9 @@ class Parser:
             raise self.error(f"expected {char!r}")
 
     def accept_operator(self, *ops: str) -> str | None:
-        token = self.peek()
-        if token.type is TokenType.OPERATOR and token.value in ops:
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _OPERATOR and token.value in ops:
+            self.pos += 1
             return token.value
         return None
 

@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.engine import DatabaseServer
+from repro.sql.parser import Parser
 
 
 @pytest.fixture()
@@ -51,6 +52,23 @@ def plain_conn(system):
             connection.close()
         except Exception:
             pass
+
+
+@pytest.fixture()
+def parsed_texts(monkeypatch):
+    """Every text a :class:`Parser` is built over from now on, client or
+    server.  Through Phoenix: the application's text is the client's parse, a
+    ``BEGIN TRANSACTION; ...`` script the server's, a bare ``CREATE
+    PROCEDURE`` the stored text an ``EXEC`` had to look up."""
+    texts: list[str] = []
+    original = Parser.__init__
+
+    def recording(self, text):
+        texts.append(text)
+        original(self, text)
+
+    monkeypatch.setattr(Parser, "__init__", recording)
+    return texts
 
 
 def execute(server, session_id, sql):

@@ -12,10 +12,11 @@ from repro.core.interceptor import (
     inline_placeholders,
     redirect_names,
     referenced_tables,
+    statement_templates,
     with_false_where,
 )
 from repro.core.naming import NameAllocator, PROXY_TABLE
-from repro.errors import ProgrammingError
+from repro.errors import ProgrammingError, SQLSyntaxError
 from repro.sql import ast, parse, parse_script
 
 
@@ -136,26 +137,22 @@ def test_referenced_tables_walks_everything():
 # ---------------------------------------------------------------- placeholders
 
 def test_inline_placeholders_in_where():
-    stmt = parse("SELECT a FROM t WHERE k = ? AND v = ?")
-    inline_placeholders(stmt, [5, "x"])
+    stmt = inline_placeholders(parse("SELECT a FROM t WHERE k = ? AND v = ?"), [5, "x"])
     assert "(k = 5)" in stmt.sql() and "(v = 'x')" in stmt.sql()
 
 
 def test_inline_placeholders_in_insert_values():
-    stmt = parse("INSERT INTO t VALUES (?, ?)")
-    inline_placeholders(stmt, [1, "a"])
+    stmt = inline_placeholders(parse("INSERT INTO t VALUES (?, ?)"), [1, "a"])
     assert stmt.sql() == "INSERT INTO t VALUES (1, 'a')"
 
 
 def test_inline_placeholders_in_update_assignments():
-    stmt = parse("UPDATE t SET v = ? WHERE k = ?")
-    inline_placeholders(stmt, ["new", 3])
+    stmt = inline_placeholders(parse("UPDATE t SET v = ? WHERE k = ?"), ["new", 3])
     assert "v = 'new'" in stmt.sql() and "(k = 3)" in stmt.sql()
 
 
 def test_inline_placeholders_escapes_strings():
-    stmt = parse("SELECT a FROM t WHERE v = ?")
-    inline_placeholders(stmt, ["o'brien"])
+    stmt = inline_placeholders(parse("SELECT a FROM t WHERE v = ?"), ["o'brien"])
     assert "'o''brien'" in stmt.sql()
 
 
@@ -166,9 +163,123 @@ def test_inline_placeholders_missing_value_raises():
 
 
 def test_inline_placeholders_in_subquery():
-    stmt = parse("SELECT a FROM t WHERE k IN (SELECT k FROM s WHERE v = ?)")
-    inline_placeholders(stmt, [9])
+    stmt = inline_placeholders(
+        parse("SELECT a FROM t WHERE k IN (SELECT k FROM s WHERE v = ?)"), [9]
+    )
     assert "(v = 9)" in stmt.sql()
+
+
+def test_inline_placeholders_is_a_pure_bind_sharing_untouched_subtrees():
+    template = parse("SELECT a, b + 1 FROM t JOIN u ON t.x = u.x WHERE k = ? ORDER BY a")
+    rendered = template.sql()
+    bound = inline_placeholders(template, [5])
+    assert bound is not template and "(k = 5)" in bound.sql()
+    assert template.sql() == rendered  # the template still says "?"
+    # only the path to the placeholder is new
+    assert bound.items is template.items
+    assert bound.from_ is template.from_
+    assert bound.order_by is template.order_by
+    assert bound.where is not template.where and bound.where.left is template.where.left
+    # nothing to bind: the statement itself comes back
+    literal = parse("SELECT a FROM t WHERE k = 1")
+    assert inline_placeholders(literal, [9]) is literal
+
+
+def test_inline_placeholders_reaches_like_escape_union_parts_and_exec_args():
+    stmt = inline_placeholders(
+        parse("SELECT a FROM t WHERE v LIKE ? ESCAPE ? UNION SELECT b FROM u WHERE k IN (?, ?)"),
+        ["x!%", "!", 1, 2],
+    )
+    assert "LIKE 'x!%' ESCAPE '!'" in stmt.sql() and "IN (1, 2)" in stmt.sql()
+    assert inline_placeholders(parse("EXEC p ?, ?"), [1, "a"]).sql() == "EXEC p 1, 'a'"
+
+
+def test_inline_placeholders_leaves_as_of_unbound():
+    # the moment must be spelled out in the text (the engine rejects "?")
+    stmt = inline_placeholders(parse("SELECT a FROM t WHERE k = ? AS OF ?"), [1, 2.0])
+    assert stmt.sql().endswith("WHERE (k = 1) AS OF ?")
+
+
+def test_redirect_without_temp_objects_returns_the_statement_itself():
+    stmt = parse("SELECT * FROM normal")
+    assert redirect_names(stmt, {}) is stmt
+    assert redirect_names(stmt, {}, {}) is stmt
+
+
+def test_redirect_rewrites_a_copy():
+    stmt = parse("SELECT * FROM #w WHERE #w.x IN (SELECT x FROM #w)")
+    rendered = stmt.sql()
+    rewritten = redirect_names(stmt, {"#w": "pw"})
+    assert rewritten is not stmt and "#w" not in rewritten.sql()
+    assert stmt.sql() == rendered
+
+
+def test_referenced_tables_leaves_the_statement_alone():
+    stmt = parse("SELECT * FROM A JOIN #b ON A.x = #b.x")
+    rendered = stmt.sql()
+    assert referenced_tables(stmt) == {"a", "#b"}
+    assert stmt.sql() == rendered
+
+
+# ---------------------------------------------------------------- templates
+
+def test_statement_templates_parse_a_text_once_and_classify_it():
+    text = "SELECT a FROM t WHERE k = ?; UPDATE t SET a = ? WHERE k = ?"
+    templates = statement_templates(text)
+    assert [kind for _stmt, kind in templates] == [StatementClass.QUERY, StatementClass.DML]
+    assert statement_templates(text) is templates
+
+
+def test_statement_templates_are_bounded_and_skip_load_scripts():
+    from repro.core import interceptor
+
+    for i in range(interceptor.TEMPLATE_CACHE_CAPACITY + 20):
+        statement_templates(f"SELECT {i}")
+    assert len(interceptor._templates) == interceptor.TEMPLATE_CACHE_CAPACITY
+    load = "INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(3000))
+    assert len(load) > interceptor.TEMPLATE_MAX_CHARS
+    assert statement_templates(load) is not statement_templates(load)
+    with pytest.raises(SQLSyntaxError):
+        statement_templates("SELEC 1")
+    with pytest.raises(SQLSyntaxError):  # an error is not cached either
+        statement_templates("SELEC 1")
+
+
+def test_statement_templates_survive_threads_racing_on_a_full_cache():
+    """One cache, clients on many threads: lookups, insertions and evictions
+    interleave (more texts than capacity, a microsecond switch interval) and
+    every caller must still get the parse of *its* text."""
+    import sys
+    import threading
+
+    from repro.core import interceptor
+
+    texts = [f"SELECT {i} FROM t WHERE k = ?" for i in range(interceptor.TEMPLATE_CACHE_CAPACITY * 2)]
+    failures: list[str] = []
+
+    def client(offset: int) -> None:
+        try:
+            for step in range(1500):
+                text = texts[(offset + step * 7) % len(texts)]
+                ((stmt, kind),) = statement_templates(text)
+                if stmt.sql() != text.replace("k = ?", "(k = ?)") or kind is not StatementClass.QUERY:
+                    failures.append(f"{text!r} came back as {stmt.sql()!r}")
+        except Exception as exc:  # a lost race inside the LRU raises KeyError
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(i * 31,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(interceptor._templates) <= interceptor.TEMPLATE_CACHE_CAPACITY
 
 
 # ---------------------------------------------------------------- batch builders

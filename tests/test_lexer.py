@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sql import Token, TokenType, tokenize
+from repro.sql import Token, TokenType, parse, tokenize
 
 
 def kinds(sql: str) -> list[tuple[TokenType, str]]:
@@ -164,3 +167,103 @@ def test_underscore_identifiers():
         (TokenType.IDENT, "_private"),
         (TokenType.IDENT, "my_col2"),
     ]
+
+
+# ------------------------------------------------- pinned against the old lexer
+#
+# tests/data/lexer_golden.json was recorded with the character-at-a-time lexer
+# of commit b4e6ea1 (scripts/record_lexer_golden.py); the master-pattern lexer
+# must reproduce every stream and every error in it.
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "lexer_golden.json").read_text())
+
+
+def test_golden_fixture_covers_what_it_claims():
+    names = set(GOLDEN["streams"])
+    assert sum(n.startswith("tpch.") for n in names) == 22
+    assert {"rf1.0.0", "rf1.1.1", "rf2.0.0", "rf2.1.1", "sample"} <= names
+    assert sum(n.startswith("chaos.") for n in names) >= 30
+    assert len(GOLDEN["errors"]) == 12
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["streams"]))
+def test_token_stream_matches_the_recorded_one(name):
+    recorded = GOLDEN["streams"][name]
+    stream = [[t.type.name, t.value, t.pos, t.line] for t in tokenize(recorded["text"])]
+    assert stream == recorded["tokens"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["errors"]))
+def test_lexer_error_matches_the_recorded_one(name):
+    recorded = GOLDEN["errors"][name]
+    with pytest.raises(SQLSyntaxError) as excinfo:
+        tokenize(recorded["text"])
+    error = excinfo.value
+    assert (error.args[0], error.position, error.line) == (
+        recorded["message"], recorded["position"], recorded["line"],
+    )
+
+
+def test_unterminated_string_with_an_escaped_quote_points_at_its_opening_quote():
+    # the pattern must not back off to the shorter literal 'it' and blame "'s"
+    with pytest.raises(SQLSyntaxError) as excinfo:
+        tokenize("SELECT 'it''s")
+    assert excinfo.value.args[0] == "unterminated string literal"
+    assert excinfo.value.position == 7
+
+
+def test_tokens_are_slotted_values():
+    token = tokenize("SELECT")[0]
+    assert not hasattr(token, "__dict__")
+    assert token == Token(TokenType.KEYWORD, "SELECT", 0, 1)
+    assert token != Token(TokenType.IDENT, "SELECT", 0, 1)
+    assert hash(token) == hash(Token(TokenType.KEYWORD, "SELECT", 0, 1))
+    assert repr(token) == "KEYWORD('SELECT')"
+
+
+# ------------------------------------------------------------------- non-ASCII
+#
+# Where str.isdigit / isalnum / isspace (the old lexer) and \d / \w / \s (this
+# one) could disagree.  \s and \w are the same sets as isspace and isalnum + _;
+# \d is the decimal digits only, which is what int() and float() accept.
+
+
+def test_no_break_space_is_white_space_as_before():
+    assert kinds("a\xa0b c") == [(TokenType.IDENT, name) for name in "abc"]
+
+
+def test_accented_letters_start_and_continue_identifiers_as_before():
+    assert kinds("é café_1 Ünïcode") == [
+        (TokenType.IDENT, "é"),
+        (TokenType.IDENT, "café_1"),
+        (TokenType.IDENT, "Ünïcode"),
+    ]
+
+
+def test_arabic_indic_digits_are_number_digits_as_before_because_int_accepts_them():
+    assert kinds("١٢ 3٤.٥") == [(TokenType.NUMBER, "١٢"), (TokenType.NUMBER, "3٤.٥")]
+    assert parse("SELECT ١٢").items[0].expr.value == 12
+    assert kinds("x١") == [(TokenType.IDENT, "x١")]  # and word characters after a letter
+
+
+def test_superscript_two_is_a_word_character_not_a_digit_because_int_rejects_it():
+    # str.isdigit("²") is true: the old lexer made NUMBER("²") and the parser
+    # then died in int() with a ValueError.  It is \w but not \d.
+    assert kinds("x²") == [(TokenType.IDENT, "x²")]
+    assert kinds("²") == [(TokenType.IDENT, "²")]
+    assert kinds("1²") == [(TokenType.NUMBER, "1"), (TokenType.IDENT, "²")]
+
+
+def test_a_symbol_that_is_neither_word_nor_space_is_an_unexpected_character():
+    with pytest.raises(SQLSyntaxError, match="unexpected character '€'"):
+        tokenize("SELECT €")
+
+
+def test_newlines_inside_a_quoted_identifier_count_as_lines():
+    # fixed with the rewrite: the old lexer did not count them, so every
+    # later token and error reported a line too small
+    tokens = tokenize('SELECT "two\nlines", x')
+    assert [t.line for t in tokens] == [1, 1, 2, 2, 2]
+    with pytest.raises(SQLSyntaxError) as excinfo:
+        tokenize("SELECT [a\nb] $")
+    assert excinfo.value.line == 2

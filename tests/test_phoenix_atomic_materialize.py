@@ -11,8 +11,11 @@ leave a half-built unit behind or hand the application a row twice.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.core import interceptor
 from repro.errors import CatalogError, DataError
 from repro.net import FaultKind
 from repro.net.protocol import ExecuteRequest
@@ -79,6 +82,90 @@ def test_select_is_one_request_and_one_force(ready):
     assert "; EXEC phx_" in script
     assert script.endswith("_res_3; COMMIT") and "; SELECT * FROM phx_" in script
     assert system.server.database.wal.stats.forces == forces + 1
+
+
+# ---------------------------------------------------------------- one parse
+
+
+def test_repeated_select_is_no_client_parse_one_server_parse_none_at_exec(ready, parsed_texts):
+    system, conn, cur = ready
+    text = "SELECT v FROM t WHERE k = ?"
+    cur.execute(text, [4])
+    assert cur.fetchall() == [(4,)]
+    del parsed_texts[:]
+    cur.execute(text, [7])  # was: the text, the script, the stored procedure
+    assert cur.fetchall() == [(7,)]
+    (script,) = parsed_texts
+    assert script.startswith("BEGIN TRANSACTION; DROP TABLE IF EXISTS phx_")
+    assert "WHERE (k = 7)" in script and "; EXEC phx_" in script
+
+
+def test_repeated_wrapped_dml_is_no_client_parse_one_server_parse(ready, parsed_texts):
+    system, conn, cur = ready
+    text = "UPDATE t SET v = v + ? WHERE k = ?"
+    cur.execute(text, [100, 4])
+    del parsed_texts[:]
+    cur.execute(text, [100, 7])
+    assert cur.rowcount == 1
+    (script,) = parsed_texts
+    assert script.startswith("BEGIN TRANSACTION; UPDATE t SET v = (v + 100) WHERE (k = 7); ")
+    cur.execute("SELECT k FROM t WHERE v > 100 ORDER BY k")
+    assert cur.fetchall() == [(4,), (7,)]
+
+
+def test_executemany_parses_its_text_once_and_deep_copies_nothing(ready, parsed_texts, monkeypatch):
+    system, conn, cur = ready
+    copies = []
+    original = copy.deepcopy
+    monkeypatch.setattr(copy, "deepcopy", lambda *a, **k: copies.append(a) or original(*a, **k))
+    interceptor._templates.clear()
+    text = "INSERT INTO t VALUES (?, ?)"
+    cur.set_attr(StatementAttr.BATCH_SIZE, 16)
+    cur.executemany(text, [[100 + i, i] for i in range(16)])
+    assert cur.rowcount == 16
+    assert parsed_texts.count(text) == 1
+    assert len(parsed_texts) == 1 + 16  # + one wrapped script per row, server-side
+    assert copies == []
+    cur.execute("SELECT count(*) FROM t WHERE k >= 100")
+    assert cur.fetchall() == [(16,)]
+
+
+def test_cached_templates_are_never_modified(ready):
+    """Binding and temp-table redirection build new trees: the process-wide
+    templates read the same before and after, whatever was executed."""
+    system, conn, cur = ready
+    plain = "SELECT v FROM t WHERE k = ?"
+    temp = "SELECT n FROM #t WHERE n > ? ORDER BY n"
+    create = "CREATE TABLE #t (n INT PRIMARY KEY)"
+    cur.execute(plain, [3])
+    assert cur.fetchall() == [(3,)]
+    cur.execute(create)
+    cur.execute("INSERT INTO #t VALUES (1), (2), (3)")
+    before = {
+        text: [stmt.sql() for stmt, _kind in interceptor.statement_templates(text)]
+        for text in (plain, temp, create)
+    }
+    cur.execute(temp, [1])
+    assert cur.fetchall() == [(2,), (3,)]
+    cur.execute(temp, [2])
+    assert cur.fetchall() == [(3,)]
+    cur.execute(plain, [5])  # redirection is on now: a copy is rewritten
+    assert cur.fetchall() == [(5,)]
+    for text, rendered in before.items():
+        templates = interceptor.statement_templates(text)
+        assert templates is interceptor.statement_templates(text)  # cached
+        assert [stmt.sql() for stmt, _kind in templates] == rendered
+    assert before[temp] == ["SELECT n FROM #t WHERE (n > ?) ORDER BY n"]
+    assert before[create] == ["CREATE TABLE #t (n INT NOT NULL PRIMARY KEY)"]  # still #t
+    # a second session redirects the same template to its own name
+    other = system.phoenix.connect(system.DSN)
+    try:
+        other_cur = other.cursor()
+        other_cur.execute(create)
+        other_cur.execute(temp, [0])
+        assert other_cur.fetchall() == []
+    finally:
+        other.close()
 
 
 def test_key_cursor_still_probes_then_materializes_in_one_request(ready):

@@ -11,7 +11,13 @@ import pytest
 
 import repro
 from repro.engine.expressions import like_to_regex
-from repro.engine.plancache import EngineMetrics, LRUCache, ParseCache, PlanCache
+from repro.engine.plancache import (
+    PROC_CACHE_CAPACITY,
+    EngineMetrics,
+    LRUCache,
+    ParseCache,
+    PlanCache,
+)
 from repro.engine.schema import TableSchema, Column
 from repro.engine.storage import InMemoryStableStorage, TableData
 from repro.engine.values import SqlType
@@ -253,6 +259,90 @@ def test_caches_rebuild_cold_after_crash(server):
     server.execute(sid, "SELECT v FROM t WHERE k = 1")
     # same SQL text that used to hit now misses: the cache started cold
     assert metrics.parse_misses == base_misses + 1
+
+
+# ---------------------------------------------------------------- procedure cache
+
+
+def test_exec_after_create_parses_nothing(server, parsed_texts):
+    server, sid = server
+    server.execute(sid, "CREATE PROCEDURE p AS BEGIN SELECT v FROM t WHERE k = 2 END")
+    del parsed_texts[:]
+    assert rows(server.execute(sid, "EXEC p")) == [("two",)]
+    assert parsed_texts == ["EXEC p"]  # the request; not the stored text
+
+
+def test_procedure_cache_stays_bounded_over_create_exec_drop_cycles(server):
+    server, sid = server
+    cache = server.executor_for(sid)._proc_cache
+    for i in range(1000):
+        server.execute(sid, f"CREATE PROCEDURE p{i} AS BEGIN SELECT {i} END")
+        assert rows(server.execute(sid, f"EXEC p{i}")) == [(i,)]
+        server.execute(sid, f"DROP PROCEDURE p{i}")
+        assert len(cache) == 0  # DROP forgets the parse with the procedure
+    # procedures that are never dropped are bounded by the capacity
+    for i in range(PROC_CACHE_CAPACITY + 10):
+        server.execute(sid, f"CREATE PROCEDURE #q{i} AS BEGIN SELECT {i} END")
+    assert len(cache) == PROC_CACHE_CAPACITY
+    assert rows(server.execute(sid, "EXEC #q0")) == [(0,)]  # evicted: parsed cold
+
+
+def test_recreated_procedure_runs_its_new_body(server):
+    server, sid = server
+    other = server.connect()
+    server.execute(sid, "CREATE PROCEDURE p AS BEGIN SELECT v FROM t WHERE k = 1 END")
+    assert rows(server.execute(sid, "EXEC p")) == [("one",)]
+    assert rows(server.execute(other, "EXEC p")) == [("one",)]
+    # dropped and re-created on ANOTHER session: this session's cache still
+    # holds the old parse, under the old text — which nothing looks up any more
+    server.execute(other, "DROP PROCEDURE p")
+    server.execute(other, "CREATE PROCEDURE p AS BEGIN SELECT v FROM t WHERE k = 3 END")
+    assert rows(server.execute(sid, "EXEC p")) == [("three",)]
+    assert rows(server.execute(other, "EXEC p")) == [("three",)]
+
+
+def test_rolled_back_create_procedure_leaves_no_cached_parse(server):
+    server, sid = server
+    cache = server.executor_for(sid)._proc_cache
+    server.execute(sid, "BEGIN TRANSACTION")
+    server.execute(sid, "CREATE PROCEDURE p AS BEGIN SELECT 1 END")
+    assert len(cache) == 1
+    server.execute(sid, "ROLLBACK")
+    assert len(cache) == 0
+    # an aborted autocommit statement: EXEC outer creates inner, then fails
+    server.execute(
+        sid,
+        "CREATE PROCEDURE outer_p AS BEGIN "
+        "CREATE PROCEDURE inner_p AS BEGIN SELECT 1 END; SELECT 1 / 0 END",
+    )
+    with pytest.raises(repro.errors.Error):
+        server.execute(sid, "EXEC outer_p")
+    assert len(cache) == 1  # outer_p only
+    # the same failure as one statement of an explicit transaction
+    server.execute(sid, "BEGIN TRANSACTION")
+    with pytest.raises(repro.errors.Error):
+        server.execute(sid, "EXEC outer_p")
+    assert len(cache) == 1
+    server.execute(sid, "COMMIT")
+    with pytest.raises(repro.errors.CatalogError):
+        server.execute(sid, "EXEC inner_p")
+
+
+def test_surviving_procedure_is_parsed_cold_after_crash(server, parsed_texts):
+    server, sid = server
+    server.execute(sid, "CREATE PROCEDURE p AS BEGIN SELECT v FROM t WHERE k <= 2 ORDER BY k END")
+    before = rows(server.execute(sid, "EXEC p"))
+    stored = server.database.procedures["p"]
+    server.crash()
+    server.restart()
+    sid = server.connect()
+    del parsed_texts[:]
+    assert rows(server.execute(sid, "EXEC p")) == before == [("one",), ("two",)]
+    # the cache died with the session: the catalog text is parsed again...
+    assert parsed_texts == ["EXEC p", stored]
+    del parsed_texts[:]
+    server.execute(sid, "EXEC p")
+    assert parsed_texts == []  # ...once
 
 
 def test_plan_cache_can_be_disabled():
