@@ -6,7 +6,8 @@ the status table."  Table 1 found that overhead negligible (<0.5%); what a
 wrapped statement costs here is ``dml_p50_ms`` and the Phoenix ÷ plain
 ratio of ``benchmarks/e2e/run.py --workload oltp_point``.  This file shows
 what the wrapper *buys*: exactly-once semantics across a lost commit reply,
-which the unwrapped configuration cannot provide.
+which an unwrapped statement cannot have (there is no unwrapped mode to
+configure: the plain driver manager is that alternative).
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from repro.net import FaultKind
 
 def test_wrapper_buys_exactly_once():
     """With the wrapper, a lost commit reply is resolved via the status
-    table probe — the statement applies exactly once.  Without it, Phoenix
-    must re-execute blindly; for this INSERT that surfaces as a duplicate-
-    key error reaching the application."""
-    # wrapped: exactly once
+    table probe — the statement applies exactly once.  Without it, a
+    driver could only re-execute blindly; for this INSERT that would surface
+    as a duplicate-key error reaching the application."""
     system = repro.make_system()
     loader = system.server.connect()
     system.server.execute(loader, "CREATE TABLE t (k INT PRIMARY KEY)")

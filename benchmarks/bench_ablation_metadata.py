@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core import PhoenixConfig
 from repro.sql import parse
 
 ROWS = 5_000
@@ -37,14 +36,15 @@ def test_metadata_probe_ships_no_data(system):
     """The probe's reply carries metadata only; the naive path hauls every
     row across the wire — for the same column description."""
     select = parse(SQL)
+    connection = system.phoenix.connect(system.DSN)
+    describe = {
+        "false_where": lambda: connection.probe_metadata(select),
+        "execute": lambda: connection.app.execute(select.sql()).columns,  # the native driver
+    }
     received = {}
-    for mode, flag in (("false_where", True), ("execute", False)):
-        connection = system.phoenix.connect(
-            system.DSN, config=PhoenixConfig(metadata_via_false_where=flag)
-        )
+    for mode, columns_of in describe.items():
         before = system.metrics.bytes_received
-        columns = connection.probe_metadata(select)
-        assert [c.name for c in columns] == ["k", "v", "bucket"]
+        assert [c.name for c in columns_of()] == ["k", "v", "bucket"]
         received[mode] = system.metrics.bytes_received - before
-        connection.close()
+    connection.close()
     assert received["false_where"] < received["execute"] / 50, received

@@ -3,22 +3,21 @@
 Paper §4, Figure 2 discussion: recovery repositions the result "using a
 stored procedure that advances to a specified tuple, hence advancing
 through the result set on the server without passing tuples to the
-client."  The ablation re-fetches the whole materialized result and
-discards the delivered prefix client-side instead, making the saved wire
-traffic visible.
+client."  The ablation prices the alternative — re-fetch the whole
+materialized result and discard the delivered prefix client-side — as one
+plain-driver SELECT against the bytes of a real recovery.
 """
 
 from __future__ import annotations
 
 import repro
-from repro.core import PhoenixConfig
 from repro.errors import CommunicationError
 
 ROWS = 4_000
 DELIVERED = 3_900  # deep into the result: repositioning cost is maximal
 
 
-def _prepared_connection(reposition_server_side: bool):
+def _prepared_connection():
     system = repro.make_system()
     loader = system.server.connect()
     system.server.execute(loader, "CREATE TABLE rep_rows (k INT PRIMARY KEY, v FLOAT)")
@@ -30,8 +29,7 @@ def _prepared_connection(reposition_server_side: bool):
     system.server.checkpoint()
     system.server.disconnect(loader)
 
-    config = PhoenixConfig(reposition_server_side=reposition_server_side)
-    connection = system.phoenix.connect(system.DSN, config=config)
+    connection = system.phoenix.connect(system.DSN)
     connection.config.sleep = lambda _s: None
     cursor = connection.cursor()
     cursor.execute("SELECT k, v FROM rep_rows ORDER BY k")
@@ -42,15 +40,18 @@ def _prepared_connection(reposition_server_side: bool):
 def test_reposition_wire_traffic():
     """Server-side repositioning ships (almost) no rows; client-side
     re-ships the whole result."""
-    received = {}
-    for mode, flag in (("server", True), ("client", False)):
-        system, connection, cursor = _prepared_connection(flag)
-        system.server.crash()
-        system.endpoint.restart_server()
-        before = system.metrics.bytes_received
-        connection.recovery.recover(CommunicationError("bench crash"))
-        received[mode] = system.metrics.bytes_received - before
-        tail = cursor.fetchall()
-        assert len(tail) == ROWS - DELIVERED
-        connection.close()
-    assert received["server"] < received["client"] / 5, received
+    system, connection, cursor = _prepared_connection()
+    system.server.crash()
+    system.endpoint.restart_server()
+    before = system.metrics.bytes_received
+    connection.recovery.recover(CommunicationError("bench crash"))
+    server_side = system.metrics.bytes_received - before
+    (state,) = connection.results.values()
+    plain = system.plain.connect(system.DSN)
+    before = system.metrics.bytes_received
+    rows = plain.cursor().execute(f"SELECT * FROM {state.table}").fetchall()
+    client_side = system.metrics.bytes_received - before
+    assert len(rows) == ROWS and rows[DELIVERED:] == cursor.fetchall()
+    plain.close()
+    connection.close()
+    assert server_side < client_side / 5, (server_side, client_side)

@@ -169,7 +169,6 @@ def make_system(
     dsn: str = "main",
     config: PhoenixConfig | None = None,
     plan_cache: bool = True,
-    executor: str = "compiled",
     registry: MetricsRegistry | None = None,
     listen: str | None = None,
     transport: str = "auto",
@@ -179,10 +178,6 @@ def make_system(
     ``storage`` defaults to in-memory stable storage (instant crashes); pass
     a :class:`FileStableStorage` for on-disk durability.  ``plan_cache``
     toggles the server's parse/plan caches (the bench ablation's knob).
-    ``executor`` selects the SELECT pipeline: ``"compiled"`` (default) runs
-    the vectorized executor — row-closure pipeline, range-aware index
-    probes, index-ordered top-k — while ``"interpreted"`` keeps the
-    per-row-environment baseline (the executor ablation's knob).
     ``registry`` lets a caller supply its own :class:`MetricsRegistry`; by
     default each system gets a fresh one.  The server, the TCP front end
     and the native driver all count into it, so
@@ -199,12 +194,7 @@ def make_system(
     """
     if registry is None:
         registry = MetricsRegistry()
-    server = DatabaseServer(
-        storage,
-        plan_cache=plan_cache,
-        executor=executor,
-        registry=registry,
-    )
+    server = DatabaseServer(storage, plan_cache=plan_cache, registry=registry)
     endpoint = ServerEndpoint(server)
     tcp_server = None
     if listen is not None:

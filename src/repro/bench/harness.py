@@ -30,7 +30,6 @@ from repro.bench.skeleton import (
     durable_fingerprint,
     fold_fingerprint,
     interleaved_best_of,
-    load,
     loaded_system,
     operator_restart,
     percentile,
@@ -47,52 +46,6 @@ from repro.workloads.tpch.queries import QUERY_ORDER, query_sql
 
 def _ratio(numerator: float, denominator: float, *, undefined: float = float("nan")) -> float:
     return numerator / denominator if denominator > 0 else undefined
-
-
-def _timed_queries(
-    cursor, queries: list[tuple[str, str]], repetitions: int
-) -> tuple[float, int, int]:
-    """Run the named read-only queries ``repetitions`` times over one
-    cursor: (seconds, statements, fingerprint of every result set)."""
-    fingerprint = 0
-    statements = 0
-    started = time.perf_counter()
-    for _ in range(repetitions):
-        for name, sql in queries:
-            cursor.execute(sql)
-            fingerprint = fold_fingerprint(fingerprint, name, cursor.fetchall())
-            statements += 1
-    return time.perf_counter() - started, statements, fingerprint
-
-
-def _interleaved_query_loops(
-    systems: dict[str, "repro.System"],
-    queries: list[tuple[str, str]],
-    repetitions: int,
-    rounds: int,
-) -> dict[str, tuple[float, int, int]]:
-    """The read-only ablation loop: :func:`_timed_queries` over one plain
-    connection per side, interleaved best-of-``rounds`` after an untimed
-    warm-up; side → (best seconds, statements, fingerprint).  Each side's
-    registry is reset once connected, *before* the warm-up: the warm-up is
-    where every plan is parsed and compiled (the timed trials only hit the
-    caches), so a window opened after it would report that nothing was
-    ever compiled."""
-    cursors = {}
-    for side, system in systems.items():
-        cursors[side] = system.plain.connect(system.DSN).cursor()
-        system.registry.reset()
-    measured: dict[str, tuple[float, int, int]] = {}
-
-    def trial(side: str) -> float:
-        # read-only workload: every trial produces the same fingerprint
-        measured[side] = _timed_queries(cursors[side], queries, repetitions)
-        return measured[side][0]
-
-    best = interleaved_best_of(systems, trial, rounds, warmup=True)
-    for cursor in cursors.values():
-        cursor.connection.close()
-    return {side: (best[side], *measured[side][1:]) for side in systems}
 
 
 def _increments(table: str, ops: int):
@@ -112,8 +65,8 @@ def _increments(table: str, ops: int):
 
 def _phoenix_trace(iterations: int) -> tuple[float, int, int]:
     """The *phoenix trace*: one Phoenix session mixing metadata probes
-    (``WHERE 0=1``, compile-only — only key cursors and ablation A1's
-    client-side path still send them; a default SELECT became one request),
+    (``WHERE 0=1``, compile-only — only key cursors still send them; a
+    default SELECT became one request),
     status-wrapped DML, and periodic result-set materialization whose
     ``phx_*`` DDL invalidates hot plans mid-trace.  It is kept as the
     span-densest path in the system, which is what ``obs_overhead`` needs,
@@ -404,130 +357,6 @@ def run_round_trip_accounting(
     native.close()
     phoenix.close()
     return rows
-
-
-# ========================================================= executor ablation
-
-
-@dataclass
-class ExecutorRun:
-    """One (workload, executor mode) cell of the executor ablation."""
-
-    workload: str  # "range_topk" | "tpch_power"
-    executor: str  # "compiled" | "interpreted"
-    seconds: float
-    statements: int
-    #: order-sensitive hash over every result set — identical across
-    #: executor modes iff the vectorized path changed nothing observable
-    fingerprint: int
-    #: ExecutorStats.snapshot() over the warm-up and every timed trial
-    counters: dict[str, int]
-
-    @derived
-    def statements_per_second(self) -> float:
-        return _ratio(self.statements, self.seconds, undefined=float("inf"))
-
-
-_EXECUTOR_MODES = ("compiled", "interpreted")
-
-
-def run_executor_ablation(
-    *,
-    sf: float = 0.001,
-    repetitions: int = 3,
-    seed: int = 42,
-    rows: int = 2000,
-    loops: int = 3,
-    timing_trials: int = 4,
-    queries: list[str] | None = None,
-) -> list[ExecutorRun]:
-    """The executor ablation: identical workloads under the compiled
-    (vectorized) executor vs the interpreted per-row baseline.
-
-    Two workloads, matching how the vectorized executor earns its keep:
-
-    * ``range_topk`` — the access-path workload: narrow range selections,
-      BETWEEN, and ORDER BY ... LIMIT over an indexed column of a
-      ``rows``-row table.  The compiled side serves these via ordered-index
-      range probes and index-ordered top-k streaming; the interpreted side
-      full-scans and materialize-then-sorts.  This is where the ordered
-      indexes themselves are the speedup.
-    * ``tpch_power`` — the Table 1 power loop re-run per executor mode,
-      with ordered indexes on the date columns the selected queries filter
-      by (``l_shipdate``, ``o_orderdate`` — same DDL on both sides; the
-      interpreted baseline only ever uses equality probes, so the indexes
-      sit idle there, exactly the PR-8 state).  This is where the compiled
-      row pipeline shows up on analytic SQL.
-
-    Both workloads are read-only, so each reuses one system per side,
-    timed interleaved best-of-``timing_trials`` after an untimed warm-up,
-    which the ``ExecutorStats`` window includes (see
-    :func:`_interleaved_query_loops` for why).  The
-    fingerprints double as the correctness guard: if the two modes ever
-    disagree on a single row, the speedup is meaningless — callers (and
-    CI's bench-smoke) must check ``fingerprint`` equality per workload.
-
-    Returns one :class:`ExecutorRun` per (workload, mode) cell.
-    """
-    selected = queries if queries is not None else ["Q1", "Q3", "Q6", "Q12", "Q14"]
-    rounds = symmetric_rounds(timing_trials, len(_EXECUTOR_MODES))
-
-    # -- range/top-k workload over an indexed table ---------------------------
-    values = rows // 2  # two rows per distinct indexed value
-    window = max(1, values // 50)  # ~2% selectivity per range query
-    range_sql: list[str] = []
-    for i in range(8):
-        low = (i * 131) % (values - window)
-        range_sql += [
-            f"SELECT k, v FROM events WHERE v >= {low} AND v < {low + window} ORDER BY k",
-            f"SELECT k FROM events WHERE v BETWEEN {low} AND {low + window} ORDER BY k",
-            f"SELECT k, v FROM events WHERE v > {values - window} ORDER BY v LIMIT 10",
-            "SELECT k, v FROM events ORDER BY v LIMIT 10",
-            "SELECT k, v FROM events ORDER BY v DESC LIMIT 10",
-            f"SELECT k FROM events WHERE v = {low}",
-        ]
-    fill = [
-        "INSERT INTO events VALUES "
-        + ", ".join(
-            f"({k}, {k % values}, {k % 13}, 'label_{k % 7}')"
-            for k in range(start, min(start + 500, rows))
-        )
-        for start in range(0, rows, 500)
-    ]
-    systems = {
-        mode: loaded_system(
-            "CREATE TABLE events (k INT PRIMARY KEY, v INT, grp INT, label VARCHAR(12))",
-            *fill,
-            "CREATE INDEX bench_events_v ON events (v)",
-            executor=mode,
-        )
-        for mode in _EXECUTOR_MODES
-    }
-    runs = _executor_runs("range_topk", systems, [(sql, sql) for sql in range_sql], loops, rounds)
-
-    # -- TPC-H power loop per executor mode -----------------------------------
-    systems = {}
-    for mode in _EXECUTOR_MODES:
-        systems[mode] = system = repro.make_system(executor=mode)
-        data = populate(system, sf=sf, seed=seed)
-        load(
-            system,
-            "CREATE INDEX bench_l_shipdate ON lineitem (l_shipdate)",
-            "CREATE INDEX bench_o_orderdate ON orders (o_orderdate)",
-        )
-    named = [(query_id, query_sql(query_id, data.sf)) for query_id in selected]
-    return runs + _executor_runs("tpch_power", systems, named, repetitions, rounds)
-
-
-def _executor_runs(workload, systems, queries, repetitions, rounds) -> list[ExecutorRun]:
-    loops = _interleaved_query_loops(systems, queries, repetitions, rounds)
-    return [
-        ExecutorRun(
-            workload, mode, seconds, statements, fingerprint,
-            systems[mode].registry.executor.snapshot(),
-        )
-        for mode, (seconds, statements, fingerprint) in loops.items()
-    ]
 
 
 # ============================================================== availability

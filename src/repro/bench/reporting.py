@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.bench.reporting table1 [--sf 0.001] [--reps 3]
     python -m repro.bench.reporting fig2
-    python -m repro.bench.reporting executor --json BENCH_executor.json
     python -m repro.bench.reporting obs_overhead --json BENCH_obs_overhead.json
     python -m repro.bench.reporting recovery_breakdown
     python -m repro.bench.reporting concurrency --json BENCH_concurrency.json
@@ -53,26 +52,6 @@ def _fig2_bars(points: list[harness.Fig2Point]) -> list[str]:
         for p in points
     ]
     return ["", *bars, "        V = virtual session, S = SQL state (stacked, like the figure)"]
-
-
-def _ablation_speedups(side: str, fast: str, slow: str):
-    """Footer of a two-sided ablation: per workload, slow/fast seconds and
-    whether both sides returned the same rows."""
-
-    def footer(runs: list) -> list[str]:
-        lines = []
-        cells = {(r.workload, getattr(r, side)): r for r in runs}
-        for workload in dict.fromkeys(r.workload for r in runs):
-            a, b = cells.get((workload, fast)), cells.get((workload, slow))
-            if a is not None and b is not None:
-                speedup = b.seconds / a.seconds if a.seconds > 0 else float("inf")
-                lines.append(
-                    f"{workload}: speedup {speedup:.2f}x, "
-                    f"results {_verdict(a.fingerprint == b.fingerprint)}"
-                )
-        return lines
-
-    return footer
 
 
 def _chaos_footer(r: harness.ChaosResult) -> list[str]:
@@ -168,22 +147,6 @@ register(Experiment(
         "{r.driver:10} {r.sessions_total:>9} {r.sessions_completed:>10} "
         "{r.availability:>12.0%} {r.crashes:>13}",
     )],
-))
-
-register(Experiment(
-    "executor", "executor", harness.run_executor_ablation, harness.ExecutorRun,
-    "Ablation. Vectorized executor vs interpreted baseline",
-    [Table(
-        ("Workload", "Executor", "Seconds", "Stmts", "Stmt/s", "Scanned", "Returned",
-         "EqProbe", "Range", "TopK", "Compiled"),
-        "{r.workload:12} {r.executor:>12} {r.seconds:>9.4f} {r.statements:>6} "
-        "{r.statements_per_second:>9.1f} {r.counters[rows_scanned]:>9} "
-        "{r.counters[rows_returned]:>9} {r.counters[index_eq_probes]:>8} "
-        "{r.counters[index_range_scans]:>6} {r.counters[topk_shortcuts]:>5} "
-        "{r.counters[compiled_plans]:>9}",
-        footer=_ablation_speedups("executor", fast="compiled", slow="interpreted"),
-    )],
-    options={"sf": "sf", "repetitions": "reps", "rows": "executor_rows"},
 ))
 
 register(Experiment(
@@ -362,12 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         default=6,
         help="concurrency: explicit transactions per client in the "
         "hot-table contention scenarios",
-    )
-    parser.add_argument(
-        "--executor-rows",
-        type=int,
-        default=2000,
-        help="executor: rows in the range/top-k ablation table",
     )
     parser.add_argument(
         "--json",

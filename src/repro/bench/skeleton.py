@@ -217,12 +217,10 @@ def load(system: "repro.System", *statements: str) -> None:
     system.server.disconnect(loader)
 
 
-def loaded_system(
-    *statements: str, latency: float | None = None, **system_options
-) -> "repro.System":
+def loaded_system(*statements: str, latency: float | None = None) -> "repro.System":
     """A fresh system whose tables :func:`load` created and filled.
     ``latency`` is the simulated transit every later wire request pays."""
-    system = repro.make_system(**system_options)
+    system = repro.make_system()
     if latency is not None:
         system.endpoint.latency = latency
     load(system, *statements)

@@ -10,10 +10,10 @@ Public surface (drop-in for :mod:`repro.odbc`):
   :class:`PhoenixConnection` whose cursors behave exactly like plain
   :class:`repro.odbc.Statement` objects, except that a server crash shows
   up only as latency.
-* :class:`PhoenixConfig` — knobs, including the ablation switches the
-  benchmark suite flips (materialize via stored procedure vs. client
-  round-trip, ``WHERE 0=1`` metadata probe vs. execute-and-discard,
-  server-side vs. client-side repositioning, DML status table on/off).
+* :class:`PhoenixConfig` — failure-detection, retry and batching knobs.
+  The paper's design decisions (stored-procedure fill, ``WHERE 0=1``
+  metadata probe, server-side repositioning, status-table wrapper) are not
+  among them: each has one path here.
 """
 
 from repro.core.config import PhoenixConfig

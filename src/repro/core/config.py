@@ -1,8 +1,11 @@
 """Phoenix configuration.
 
-Defaults reproduce the paper's design.  The ``*_via_*`` switches exist for
-the ablation benchmarks (DESIGN.md experiments A1–A4): each turns one of the
-paper's design decisions off so its cost/benefit can be measured.
+The paper's design decisions — stored-procedure fill, ``WHERE 0=1`` metadata
+probe, server-side repositioning, the status-table wrapper — are not
+configurable: there is one path per decision, and the ablation benchmarks
+(DESIGN.md experiments A1–A4) price each alternative from plain-driver
+calls.  The fields here tune failure detection, retry bounds and the
+application-facing batching mode.
 """
 
 from __future__ import annotations
@@ -60,26 +63,6 @@ class PhoenixConfig:
     #: independent crash).
     max_operation_retries: int = 10
 
-    # --- persistence behaviour (the paper's design) ---------------------------
-    #: persist SELECT result sets as server tables (the core mechanism).
-    #: Off = behave like the plain driver manager for queries.
-    persist_results: bool = True
-    #: wrap DML in a transaction that records the outcome in the status
-    #: table ("testable state", §3).  Off = at-most-once DML (ablation A4).
-    persist_dml_status: bool = True
-    #: fill the result table with a server-side stored procedure (one round
-    #: trip, data never crosses the wire).  Off = fetch all rows to the
-    #: client and INSERT them back (ablation A1).
-    materialize_via_procedure: bool = True
-    #: learn result metadata with the WHERE 0=1 probe (compile-only, no
-    #: data).  Off = execute the real query once and discard the rows just
-    #: to see the metadata (ablation A2).
-    metadata_via_false_where: bool = True
-    #: after a crash, reposition result delivery server-side (open a server
-    #: cursor on the materialized table and ADVANCE — no rows shipped).
-    #: Off = refetch and discard delivered rows client-side (ablation A3).
-    reposition_server_side: bool = True
-
     # --- wire batching ------------------------------------------------------------
     #: accumulate autocommit wrapped DML into BatchExecuteRequests instead
     #: of shipping each in its own round trip (flushed at the size threshold
@@ -101,10 +84,3 @@ class PhoenixConfig:
     #: worker threads used when recovering many virtual sessions after one
     #: server restart (see ``repro.core.parallel.recover_all``).
     recovery_workers: int = 8
-
-    # --- misc -------------------------------------------------------------------
-    #: rows per block when Phoenix fetches keys / cursor blocks.
-    fetch_block_size: int = 100
-    #: values INSERTed per round trip in the client-side materialization
-    #: fallback (ablation A1 only).
-    insert_batch_size: int = 50

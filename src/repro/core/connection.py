@@ -517,9 +517,6 @@ class PhoenixConnection(Connection):
         the reply was lost and only the logged outcome survives — the one
         place our reply-buffer (a rowcount) is narrower than the paper's.
         """
-        if not self.config.persist_dml_status:
-            response = self._app_execute(sql)  # at-most-once (ablation A4)
-            return (-1, response.rowcount, response)
         if self.config.dml_autobatch and not self.in_transaction:
             return self.queue_dml(sql)
         seq = self.names.next_seq()
@@ -761,13 +758,10 @@ class PhoenixConnection(Connection):
     # --- query materialization --------------------------------------------------------
 
     def probe_metadata(self, select: ast.Select) -> list[Column]:
-        """Result metadata in one cheap round trip — needed only where the
-        client itself writes the DDL (key cursors, ablation A1)."""
-        if self.config.metadata_via_false_where:
-            probe_sql = with_false_where(select).sql()
-        else:
-            probe_sql = select.sql()  # ablation A2: pay for real execution
-        response = self._app_execute(probe_sql)
+        """Result metadata in one cheap round trip (``WHERE 0=1``: the query
+        is compiled, never run) — needed only where the client itself writes
+        the DDL (key cursors)."""
+        response = self._app_execute(with_false_where(select).sql())
         return list(response.columns)
 
     def materialize_default(self, select: ast.Select) -> tuple[ResultState, list[tuple]]:
@@ -781,27 +775,20 @@ class PhoenixConnection(Connection):
         ones delivered."""
         seq = self.names.next_seq()
         table = self.names.result_table(seq)
-        if self.config.materialize_via_procedure:
-            proc_name = self.names.fill_procedure(seq)
-            self.cleanup_tables.append(table)
-            self.cleanup_procs.append(proc_name)
-            fill = replace(select, into=table).sql()
-            get_tracer().event("interceptor.fill_batch", table=table, via_procedure=True)
-            response = self._execute_atomic(
-                [
-                    f"DROP TABLE IF EXISTS {table}",
-                    f"DROP PROCEDURE IF EXISTS {proc_name}",
-                    f"CREATE PROCEDURE {proc_name} AS BEGIN {fill} END",
-                    f"EXEC {proc_name}",
-                    f"SELECT * FROM {table}",
-                ]
-            )
-            app_columns = response.into_columns
-        else:  # ablation A1: the client describes, creates and fills the table
-            app_columns = self.probe_metadata(select)
-            schema = TableSchema(name=table, columns=tuple(app_columns))
-            proc_name, _count = self._materialize(seq, schema, select)
-            response = self._private_execute(f"SELECT * FROM {table}")
+        proc_name = self.names.fill_procedure(seq)
+        self.cleanup_tables.append(table)
+        self.cleanup_procs.append(proc_name)
+        fill = replace(select, into=table).sql()
+        get_tracer().event("interceptor.fill_batch", table=table)
+        response = self._execute_atomic(
+            [
+                f"DROP TABLE IF EXISTS {table}",
+                f"DROP PROCEDURE IF EXISTS {proc_name}",
+                f"CREATE PROCEDURE {proc_name} AS BEGIN {fill} END",
+                f"EXEC {proc_name}",
+                f"SELECT * FROM {table}",
+            ]
+        )
         self.stats.queries_materialized += 1
         state = ResultState(
             seq=seq,
@@ -809,55 +796,34 @@ class PhoenixConnection(Connection):
             table=table,
             fill_proc=proc_name,
             select=select,
-            app_columns=app_columns,
+            app_columns=response.into_columns,
         )
         self.results[seq] = state
         return state, list(response.rows)
 
     def _materialize(
-        self, seq: int, schema: TableSchema, select: ast.Select, *, count: bool = False
-    ) -> tuple[str | None, int | None]:
-        """Steps 2+3: (re)create ``schema``'s table and fill it from
-        ``select`` on the server — DDL, fill procedure, EXEC and (for key
-        cursors) the row count are one transaction, one round trip, one log
-        force.  Idempotent under retry: the script drops its objects first.
-        Both objects are registered for cleanup *before* it runs, so whatever
-        a failed attempt left behind, ``close()`` drops.  Returns the fill
-        procedure's name (None under ablation A1) and the count if asked for.
+        self, seq: int, schema: TableSchema, select: ast.Select
+    ) -> tuple[str, int]:
+        """A key cursor's steps 2+3: (re)create ``schema``'s table and fill
+        it from ``select`` on the server — DDL, fill procedure, EXEC and the
+        row count are one transaction, one round trip, one log force.
+        Idempotent under retry: the script drops its objects first.  Both
+        objects are registered for cleanup *before* it runs, so whatever a
+        failed attempt left behind, ``close()`` drops.  Returns the fill
+        procedure's name and the number of rows it captured.
         """
         table = schema.name
-        ddl = f"DROP TABLE IF EXISTS {table}; {schema.create_table_sql()}"
-        count_sql = f"SELECT count(*) FROM {table}"
+        proc_name = self.names.fill_procedure(seq)
         self.cleanup_tables.append(table)
-        if self.config.materialize_via_procedure:
-            proc_name = self.names.fill_procedure(seq)
-            self.cleanup_procs.append(proc_name)
-            script = [ddl, build_fill_batch(proc_name, table, select.sql(), via_procedure=True)]
-            if count:
-                script.append(count_sql)
-            response = self._execute_atomic(script)
-        else:
-            proc_name = None  # ablation A1: rows travel to the client and back
-            while True:
-                try:
-                    self.private.execute(ddl)
-                    self._materialize_client_side(select, table)
-                    response = self.private.execute(count_sql) if count else None
-                    break
-                except RECOVERABLE_ERRORS as exc:
-                    self.recovery.recover(exc)
-        return proc_name, response.rows[0][0] if count else None
-
-    def _materialize_client_side(self, select: ast.Select, table_name: str) -> None:
-        """Ablation A1: ship every row to the client and INSERT it back."""
-        rows = self.private.execute(select.sql()).rows
-        batch_size = self.config.insert_batch_size
-        for start in range(0, len(rows), batch_size):
-            chunk = rows[start : start + batch_size]
-            values = ", ".join(
-                "(" + ", ".join(ast.quote_literal(v) for v in row) + ")" for row in chunk
-            )
-            self.private.execute(f"INSERT INTO {table_name} VALUES {values}")
+        self.cleanup_procs.append(proc_name)
+        response = self._execute_atomic(
+            [
+                f"DROP TABLE IF EXISTS {table}; {schema.create_table_sql()}",
+                build_fill_batch(proc_name, table, select.sql()),
+                f"SELECT count(*) FROM {table}",
+            ]
+        )
+        return proc_name, response.rows[0][0]
 
     def materialize_cursor(self, select: ast.Select, kind: str) -> ResultState | None:
         """Persist keyset/dynamic cursor state: only the *keys* go into the
@@ -883,7 +849,7 @@ class PhoenixConnection(Connection):
             name=keys_table,
             columns=(Column("k", key_col_meta.type, length=key_col_meta.length),),
         )
-        proc_name, key_count = self._materialize(seq, schema, key_select, count=True)
+        proc_name, key_count = self._materialize(seq, schema, key_select)
         self.stats.cursors_materialized += 1
         state = ResultState(
             seq=seq,

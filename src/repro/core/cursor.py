@@ -141,11 +141,6 @@ class PhoenixCursor(Statement):
         connection = self.connection
         requested = self.attrs[StatementAttr.CURSOR_TYPE]
 
-        if not connection.config.persist_results:
-            # behave like the plain driver manager (baseline / config off)
-            self._absorb(connection._app_execute(select.sql(), cursor_type=requested))
-            return
-
         if requested in (CursorType.KEYSET, CursorType.DYNAMIC):
             state = connection.materialize_cursor(select, requested)
             if state is not None:
@@ -197,7 +192,6 @@ class PhoenixCursor(Statement):
         if (
             not rows
             or connection.in_transaction
-            or not connection.config.persist_dml_status
             or max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1) <= 1
         ):
             return None
@@ -260,11 +254,6 @@ class PhoenixCursor(Statement):
                 exhausted = done and not rows
             elif state.mode == "server_cursor":
                 rows = self._fetch_server_cursor_block(state, block)
-                exhausted = not rows
-            elif state.mode == "rebuffered":
-                rows = state.pending_rows or []
-                state.pending_rows = None
-                state.mode = "buffered"
                 exhausted = not rows
             else:
                 # buffered mode with a drained buffer: the result is complete

@@ -120,7 +120,7 @@ def statement_templates(sql: str) -> tuple[tuple[ast.Statement, StatementClass],
 
 def with_false_where(select: "ast.Select | ast.UnionSelect") -> "ast.Select | ast.UnionSelect":
     """The metadata probe, for the results whose table the client itself
-    must describe (key cursors, ablation A1).  ``WHERE <orig> AND 0=1``
+    must describe (key cursors).  ``WHERE <orig> AND 0=1``
     guarantees compile-only execution — metadata comes back, no data does.
     For a UNION the probe is applied to every part."""
     if isinstance(select, ast.UnionSelect):
@@ -326,27 +326,19 @@ def build_dml_batch(dml_sql: str, status_table: str, seq: int) -> str:
     )
 
 
-def build_fill_batch(
-    proc_name: str, result_table: str, select_sql: str, *, via_procedure: bool
-) -> str:
+def build_fill_batch(proc_name: str, result_table: str, select_sql: str) -> str:
     """Phoenix Step 3: move the result into the persistent table entirely
-    server-side.  With ``via_procedure`` this creates and executes a stored
-    procedure (the paper's design: "all data is moved locally at the
-    server"); the fallback is a bare INSERT..SELECT (equivalent round trips
-    here, but the procedure survives for re-fill and mirrors the paper).
+    server-side, by creating and executing a stored procedure (the paper's
+    design: "all data is moved locally at the server").
 
     Idempotent under retry: the procedure is dropped first if a previous
     attempt got far enough to create it.
     """
-    get_tracer().event(
-        "interceptor.fill_batch", table=result_table, via_procedure=via_procedure
-    )
-    insert = f"INSERT INTO {result_table} {select_sql}"
-    if not via_procedure:
-        return insert
+    get_tracer().event("interceptor.fill_batch", table=result_table)
     return (
         f"DROP PROCEDURE IF EXISTS {proc_name}; "
-        f"CREATE PROCEDURE {proc_name} AS BEGIN {insert} END; "
+        f"CREATE PROCEDURE {proc_name} AS BEGIN "
+        f"INSERT INTO {result_table} {select_sql} END; "
         f"EXEC {proc_name}"
     )
 

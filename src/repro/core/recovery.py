@@ -15,10 +15,9 @@ as :meth:`PhoenixRecovery.recover`:
    paper's flat 0.37 s line in Figure 2).
 4. **Phase two — reinstall SQL state**: verify every materialized table
    survived database recovery, then reposition each open default-delivery
-   result at its ``delivered`` offset — server-side (open a cursor over the
-   materialized table and ADVANCE; no rows cross the wire) or client-side
-   re-fetch under the ablation flag.  Finally replay the open explicit
-   transaction, if any.
+   result at its ``delivered`` offset server-side (open a cursor over the
+   materialized table and ADVANCE; no rows cross the wire).  Finally replay
+   the open explicit transaction, if any.
 
 Both phases are timed separately into ``PhoenixStats`` — that split *is*
 Figure 2.
@@ -327,30 +326,18 @@ class PhoenixRecovery:
             self._reposition(state)
 
     def _reposition(self, state: "ResultState") -> None:
+        """Open a server cursor over the materialized table (rows stay on
+        the server) and advance it — the paper's stored-procedure
+        repositioning, "advancing through the result set on the server
+        without passing tuples to the client"."""
         connection = self.connection
         get_tracer().event(
-            "recovery.reposition",
-            table=state.table,
-            delivered=state.delivered,
-            server_side=connection.config.reposition_server_side,
+            "recovery.reposition", table=state.table, delivered=state.delivered
         )
-        if connection.config.reposition_server_side:
-            # Open a server cursor over the materialized table (rows stay on
-            # the server) and advance it — the paper's stored-procedure
-            # repositioning, "advancing through the result set on the server
-            # without passing tuples to the client".
-            response = connection.app.execute(
-                f"SELECT * FROM {state.table}", cursor_type="keyset"
-            )
-            state.cursor_id = response.cursor_id
-            if state.delivered:
-                connection.app.advance(state.cursor_id, state.delivered)
-            state.mode = "server_cursor"
-            state.pending_rows = None
-        else:
-            # Ablation A3: re-fetch the whole result and discard the
-            # already-delivered prefix client-side.
-            response = connection.app.execute(f"SELECT * FROM {state.table}")
-            state.pending_rows = list(response.rows[state.delivered :])
-            state.mode = "rebuffered"
-            state.cursor_id = None
+        response = connection.app.execute(
+            f"SELECT * FROM {state.table}", cursor_type="keyset"
+        )
+        state.cursor_id = response.cursor_id
+        if state.delivered:
+            connection.app.advance(state.cursor_id, state.delivered)
+        state.mode = "server_cursor"

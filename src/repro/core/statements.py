@@ -31,7 +31,7 @@ class ResultState:
     seq: int
     kind: str  # "default" | "keyset" | "dynamic"
     table: str  # the persistent phx result (or keys) table
-    fill_proc: str | None
+    fill_proc: str
     select: ast.Select  # redirected original query AST
     app_columns: list[Column]  # metadata as the application sees it
     base_table: str | None = None  # keyset/dynamic: the underlying table
@@ -41,12 +41,10 @@ class ResultState:
     key_count: int | None = None  # keyset: number of captured keys
     keys_exhausted: bool = False  # dynamic: walked past the captured keys
     open: bool = True
-    #: delivery mode: "buffered" (normal default result set, client buffer),
-    #: "server_cursor" (post-recovery, server-side repositioned cursor),
-    #: "rebuffered" (post-recovery client-side reposition, ablation A3).
+    #: delivery mode: "buffered" (normal default result set, client buffer)
+    #: or "server_cursor" (post-recovery, server-side repositioned cursor).
     mode: str = "buffered"
     cursor_id: int | None = None  # server_cursor mode
-    pending_rows: list | None = None  # rebuffered mode
 
     @property
     def is_cursor(self) -> bool:

@@ -96,7 +96,6 @@ class Executor:
         metrics: EngineMetrics | None = None,
         plan_cache: bool = True,
         stats: ExecutorStats | None = None,
-        vectorized: bool = True,
     ):
         self.database = database
         self.session = session  # repro.engine.session.Session
@@ -108,11 +107,6 @@ class Executor:
         self.metrics = metrics if metrics is not None else EngineMetrics()
         #: access-path / pipeline counters (shared server-wide when wired)
         self.stats = stats if stats is not None else ExecutorStats()
-        #: vectorized mode: row-closure pipeline (one reused environment per
-        #: loop instead of a per-row allocation), range-aware index probes,
-        #: and index-ordered top-k.  False keeps the per-row-environment
-        #: interpreted baseline — the executor ablation's knob.
-        self.vectorized = vectorized
         #: compiled-plan reuse for repeated top-level SELECTs; None = disabled
         self._plan_cache: PlanCache | None = PlanCache() if plan_cache else None
         #: statement epoch, bumped at every top-level SELECT entry; compiled
@@ -831,9 +825,6 @@ class _SelectPlan:
         self.select = select
         self.params = params
         self.placeholders = placeholders
-        #: vectorized row pipeline on/off — fixed at plan compile time, so a
-        #: cached plan always re-runs in the mode it was compiled under
-        self.vectorized = executor.vectorized
         self.scope = probe_scope if probe_scope is not None else Scope(parent=outer_scope)
         self.scope._params = params  # stashed for nested subquery planning
         #: Column metadata per scope slot, parallel to scope slots.
@@ -847,8 +838,7 @@ class _SelectPlan:
         self._plan_joins()
         self._plan_projection()
         self._plan_topk()
-        if self.vectorized:
-            executor.stats.compiled_plans += 1
+        executor.stats.compiled_plans += 1
 
     # -- FROM ---------------------------------------------------------------
 
@@ -1048,10 +1038,9 @@ class _SelectPlan:
         conjuncts, ranked **PK probe > secondary equality > secondary
         range** (full scan when nothing matches).  Range probes come from
         ``<``, ``<=``, ``>``, ``>=`` and ``BETWEEN`` conjuncts over an
-        ordered secondary index (vectorized mode only — the interpreted
-        baseline keeps the seed's equality-only behaviour).  Every chosen
-        conjunct is kept in the residual too — the probe only narrows the
-        scan, it never replaces the predicate."""
+        ordered secondary index.  Every chosen conjunct is kept in the
+        residual too — the probe only narrows the scan, it never replaces
+        the predicate."""
         source = self.sources[index]
         if source.table is None:
             return None
@@ -1097,7 +1086,7 @@ class _SelectPlan:
                         elif table.has_secondary_index(column):
                             if eq_secondary is None:
                                 eq_secondary = (column, value_side)
-                    elif self.vectorized and table.has_secondary_index(column):
+                    elif table.has_secondary_index(column):
                         bounds = range_bounds.setdefault(column, [None, True, None, True])
                         if op in (">", ">="):
                             if bounds[0] is None:
@@ -1105,11 +1094,7 @@ class _SelectPlan:
                         else:
                             if bounds[2] is None:
                                 bounds[2], bounds[3] = value_side, op == "<="
-            elif (
-                self.vectorized
-                and isinstance(conjunct, ast.Between)
-                and not conjunct.negated
-            ):
+            elif isinstance(conjunct, ast.Between) and not conjunct.negated:
                 column = local_column(conjunct.operand)
                 if (
                     column is not None
@@ -1315,8 +1300,6 @@ class _SelectPlan:
         produce (NULLS FIRST ascending, ties in rowid order), so results
         are identical."""
         self.topk: tuple[str, bool] | None = None
-        if not self.vectorized:
-            return
         select = self.select
         if select.limit is None or select.distinct or self.grouped:
             return
@@ -1413,10 +1396,7 @@ class _SelectPlan:
                 lines.append("Sort " + ", ".join(o.sql() for o in select.order_by))
             if select.limit is not None or select.offset is not None:
                 lines.append(f"Limit {select.limit} Offset {select.offset or 0}")
-        lines.append(
-            f"Project {len(self.items)} column(s)"
-            + (" [compiled]" if self.vectorized else "")
-        )
+        lines.append(f"Project {len(self.items)} column(s)")
         return lines
 
     def _slot_name(self, slot: int) -> str:
@@ -1449,34 +1429,26 @@ class _SelectPlan:
         rows = self._source_rows(outer_env)
         if self.where is not None:
             where = self.where
-            if self.vectorized:
-                # one reused environment for the whole filter pass — the
-                # compiled closures read slot offsets out of it, so
-                # rebinding ``values`` is all a new row costs
-                env = _env([], outer_env)
-                kept: list[list] = []
-                for r in rows:
-                    env.values = r
-                    if where(env) is True:
-                        kept.append(r)
-                rows = kept
-            else:
-                rows = [r for r in rows if where(_env(r, outer_env)) is True]
+            # one reused environment for the whole filter pass — the
+            # compiled closures read slot offsets out of it, so
+            # rebinding ``values`` is all a new row costs
+            env = _env([], outer_env)
+            kept: list[list] = []
+            for r in rows:
+                env.values = r
+                if where(env) is True:
+                    kept.append(r)
+            rows = kept
 
         if self.grouped:
             out_rows = self._run_grouped(rows, outer_env)
         else:
             item_fns = self.item_fns
-            if self.vectorized:
-                env = _env([], outer_env)
-                out_rows = []
-                for r in rows:
-                    env.values = r
-                    out_rows.append(tuple(fn(env) for fn in item_fns))
-            else:
-                out_rows = [
-                    tuple(fn(_env(r, outer_env)) for fn in item_fns) for r in rows
-                ]
+            env = _env([], outer_env)
+            out_rows = []
+            for r in rows:
+                env.values = r
+                out_rows.append(tuple(fn(env) for fn in item_fns))
             self._ordering_rows = rows  # parallel to out_rows, for ORDER BY
 
         return self._order_distinct_limit(out_rows, outer_env)
@@ -1486,6 +1458,8 @@ class _SelectPlan:
         restricted to the range probe's slice of the index) and stop at
         offset+limit accepted rows — no materialize, no sort."""
         select = self.select
+        if select.limit == 0:
+            return []  # the loop below stops *after* a row is accepted
         column, desc = self.topk
         source = self.sources[0]
         table = source.table
@@ -1541,7 +1515,7 @@ class _SelectPlan:
             return [[]]
         total_width = self.scope.slot_count
         stats = self.executor.stats
-        if self.vectorized and len(self.sources) == 1:
+        if len(self.sources) == 1:
             # single-source fast path: no join product to build, so each row
             # is copied once (scan or probe result), padded in place, and
             # filtered through one reused environment
@@ -1570,7 +1544,7 @@ class _SelectPlan:
                 rows = kept
             return rows
         current: list[list] = [[]]
-        shared_env = _env([], outer_env) if self.vectorized else None
+        shared_env = _env([], outer_env)
         for index, (source, step) in enumerate(zip(self.sources, self.join_steps)):
             start, end = self.source_ranges[index]
             width = end - start
@@ -1584,17 +1558,11 @@ class _SelectPlan:
             if source.table is not None:
                 stats.rows_scanned += len(right_rows)
 
-            if shared_env is not None:
-                def passes(fn, candidate: list) -> bool:
-                    if fn is None:
-                        return True
-                    shared_env.values = candidate + pad
-                    return fn(shared_env) is True
-            else:
-                def passes(fn, candidate: list) -> bool:
-                    if fn is None:
-                        return True
-                    return fn(_env(candidate + pad, outer_env)) is True
+            def passes(fn, candidate: list) -> bool:
+                if fn is None:
+                    return True
+                shared_env.values = candidate + pad
+                return fn(shared_env) is True
 
             next_rows: list[list] = []
             if step.equi and step.kind != "LEFT":
@@ -1728,13 +1696,9 @@ class _SelectPlan:
     def _run_grouped(self, rows: list[list], outer_env: Env | None) -> list[tuple]:
         groups: dict[tuple, dict] = {}
         order: list[tuple] = []
-        shared_env = _env([], outer_env) if self.vectorized else None
+        env = _env([], outer_env)
         for row in rows:
-            if shared_env is not None:
-                shared_env.values = row
-                env = shared_env
-            else:
-                env = _env(row, outer_env)
+            env.values = row
             key = tuple(fn(env) for fn in self.group_key_fns)
             group = groups.get(key)
             if group is None:
@@ -1799,21 +1763,16 @@ class _SelectPlan:
             self._ordering_rows = deduped_ordering
         if self.order_fns:
             indexed = list(zip(rows, self._ordering_rows))
-            sort_env = _env([], outer_env) if self.vectorized else None
+            sort_env = _env([], outer_env)
             for kind, key, desc in reversed(self.order_fns):
                 if kind == "position":
                     indexed.sort(key=lambda pair: sort_key(pair[0][key]), reverse=desc)
-                elif sort_env is not None:
+                else:
                     def _key(pair, key=key):
                         sort_env.values = pair[1]
                         return sort_key(key(sort_env))
 
                     indexed.sort(key=_key, reverse=desc)
-                else:
-                    indexed.sort(
-                        key=lambda pair: sort_key(key(_env(pair[1], outer_env))),
-                        reverse=desc,
-                    )
             rows = [pair[0] for pair in indexed]
         if select.offset is not None:
             rows = rows[select.offset :]

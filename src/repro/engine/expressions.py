@@ -383,7 +383,14 @@ class ExpressionCompiler:
                 return a / b
             return _null_safe_binop(left, right, _div)
         if op == "%":
-            return _null_safe_binop(left, right, lambda a, b: a % b)
+            def _mod(a: Any, b: Any) -> Any:
+                if b == 0:
+                    raise DataError("division by zero")
+                # SQL remainder takes the sign of the dividend (-7 % 3 = -1);
+                # Python's takes the divisor's
+                remainder = abs(a) % abs(b)
+                return -remainder if a < 0 else remainder
+            return _null_safe_binop(left, right, _mod)
         if op == "||":
             return _null_safe_binop(left, right, lambda a, b: f"{a}{b}")
         raise ProgrammingError(f"unknown operator {expr.op}")
@@ -446,8 +453,15 @@ class ExpressionCompiler:
             lo = compare(value, low(env))
             hi = compare(value, high(env))
             if lo is None or hi is None:
-                return None
-            result = lo >= 0 and hi <= 0
+                # ``value >= low AND value <= high`` in three-valued logic: a
+                # NULL bound leaves the answer unknown unless the other bound
+                # already fails — ``5 BETWEEN 9 AND NULL`` is false, so its
+                # NOT is true
+                if (lo is None or lo >= 0) and (hi is None or hi <= 0):
+                    return None
+                result = False
+            else:
+                result = lo >= 0 and hi <= 0
             return not result if negated else result
 
         return _between

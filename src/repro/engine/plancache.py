@@ -118,7 +118,7 @@ class EngineMetrics(CounterSet):
 class ExecutorStats(CounterSet):
     """Access-path and pipeline counters for one server's executors.
 
-    The observability surface of the vectorized executor — which access
+    The observability surface of the executor — which access
     path each query actually took (PK probe, secondary equality, secondary
     range, full scan narrowed or not), how many rows it touched versus
     returned, and how often the index-ordered top-k shortcut fired.
@@ -134,8 +134,8 @@ class ExecutorStats(CounterSet):
     index_range_scans: int = 0
     #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
     topk_shortcuts: int = 0
-    #: SELECT plans compiled in vectorized (row-closure) mode; a plan-cache
-    #: hit compiles nothing, so a warmed-up window reads 0 here
+    #: SELECT plans compiled; a plan-cache hit compiles nothing, so a
+    #: warmed-up window reads 0 here
     compiled_plans: int = 0
 
 

@@ -134,7 +134,6 @@ class DatabaseServer:
         *,
         name: str = "server",
         plan_cache: bool = True,
-        executor: str = "compiled",
         registry: MetricsRegistry | None = None,
     ):
         self.name = name
@@ -158,14 +157,6 @@ class DatabaseServer:
         #: enables both the parse cache and per-session plan caches; the
         #: bench ablation flips this off for its baseline
         self.plan_cache_enabled = plan_cache
-        if executor not in ("compiled", "interpreted"):
-            raise ValueError(f"executor mode must be 'compiled' or 'interpreted', not {executor!r}")
-        #: "compiled" enables the vectorized executor (row-closure pipeline,
-        #: range-aware access paths, index-ordered top-k); "interpreted" is
-        #: the per-row-environment baseline the executor ablation measures
-        #: against.  Plans are volatile, so the mode is safe to fix per
-        #: server lifetime — every session compiled under it.
-        self.executor_mode = executor
         #: SQL text → parsed statements; volatile (rebuilt cold on restart)
         self._parse_cache: ParseCache | None = None
         self.last_recovery: RecoveryReport | None = None
@@ -513,7 +504,6 @@ class DatabaseServer:
                 metrics=self.engine_metrics,
                 plan_cache=self.plan_cache_enabled,
                 stats=self.executor_stats,
-                vectorized=self.executor_mode == "compiled",
             )
             self._touch(session)
             self.stats.connects += 1

@@ -217,8 +217,8 @@ def render_restores(records: list[dict]) -> str:
 
 
 def render_plans() -> str:
-    """The access-path section: a self-contained demo of the vectorized
-    executor's plan choices.
+    """The access-path section: a self-contained demo of the executor's
+    plan choices.
 
     Builds a throwaway system, creates an indexed table, runs one query per
     access path (PK probe, secondary equality, secondary range, BETWEEN,

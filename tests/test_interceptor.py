@@ -295,16 +295,11 @@ def test_dml_batch_structure():
 
 
 def test_fill_batch_via_procedure_is_idempotent_script():
-    batch = build_fill_batch("phx_fill", "phx_res", "SELECT a FROM t", via_procedure=True)
+    batch = build_fill_batch("phx_fill", "phx_res", "SELECT a FROM t")
     statements = parse_script(batch)
     kinds = [type(s).__name__ for s in statements]
     assert kinds == ["DropProcedure", "CreateProcedure", "ExecProcedure"]
     assert statements[0].if_exists
-
-
-def test_fill_batch_plain_insert():
-    batch = build_fill_batch("p", "phx_res", "SELECT a FROM t", via_procedure=False)
-    assert batch == "INSERT INTO phx_res SELECT a FROM t"
 
 
 # ---------------------------------------------------------------- naming

@@ -244,22 +244,3 @@ def test_keyset_downgrades_on_join(both):
     cur.execute("SELECT a.c_id FROM customer a JOIN customer b ON a.c_id = b.c_id")
     assert cur.effective_cursor_type == CursorType.FORWARD_ONLY
     assert len(cur.fetchall()) == 3
-
-
-def test_persist_results_off_behaves_like_plain(system):
-    from repro.core import PhoenixConfig
-
-    phoenix = system.phoenix.connect(
-        system.DSN, config=PhoenixConfig(persist_results=False)
-    )
-    cur = phoenix.cursor()
-    cur.execute("CREATE TABLE t (k INT)")
-    cur.execute("INSERT INTO t VALUES (1)")
-    cur.execute("SELECT * FROM t")
-    assert cur.fetchall() == [(1,)]
-    # a server cursor too: its blocks arrive through the inherited plain FETCH
-    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
-    cur.execute("SELECT * FROM t")
-    assert cur.fetchall() == [(1,)]
-    assert phoenix.stats.queries_materialized == 0
-    phoenix.close()

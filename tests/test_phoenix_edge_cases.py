@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PhoenixConfig
 from repro.errors import IntegrityError, ProgrammingError
 from repro.net import FaultKind
 from repro.odbc.constants import CursorType, StatementAttr
@@ -187,67 +186,6 @@ def test_fetch_on_ddl_returns_nothing(ready):
     _system, conn, cur = ready
     cur.execute("CREATE TABLE other (x INT)")
     assert cur.fetchall() == []
-
-
-# ---------------------------------------------------------------- configs
-
-def test_dml_status_off_is_at_most_once(system):
-    conn = system.phoenix.connect(
-        system.DSN, config=PhoenixConfig(persist_dml_status=False)
-    )
-    conn.config.sleep = lambda _s: (
-        system.endpoint.restart_server() if not system.server.up else None
-    )
-    cur = conn.cursor()
-    cur.execute("CREATE TABLE t (k INT PRIMARY KEY)")
-    assert conn.stats.dml_wrapped == 0
-    cur.execute("INSERT INTO t VALUES (1)")
-    assert cur.rowcount == 1
-    conn.close()
-
-
-def test_client_side_materialization_same_results(system):
-    conn = system.phoenix.connect(
-        system.DSN, config=PhoenixConfig(materialize_via_procedure=False)
-    )
-    cur = conn.cursor()
-    cur.execute("CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(10))")
-    cur.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
-    cur.execute("SELECT * FROM t ORDER BY k")
-    assert cur.fetchall() == [(1, "a"), (2, "b")]
-    conn.close()
-
-
-def test_metadata_via_execute_same_results(system):
-    conn = system.phoenix.connect(
-        system.DSN, config=PhoenixConfig(metadata_via_false_where=False)
-    )
-    cur = conn.cursor()
-    cur.execute("CREATE TABLE t (k INT PRIMARY KEY)")
-    cur.execute("INSERT INTO t VALUES (1), (2)")
-    cur.execute("SELECT k FROM t ORDER BY k")
-    assert cur.fetchall() == [(1,), (2,)]
-    conn.close()
-
-
-def test_client_side_reposition_recovers_correctly(system):
-    conn = system.phoenix.connect(
-        system.DSN, config=PhoenixConfig(reposition_server_side=False)
-    )
-    conn.config.sleep = lambda _s: (
-        system.endpoint.restart_server() if not system.server.up else None
-    )
-    cur = conn.cursor()
-    cur.execute("CREATE TABLE t (k INT PRIMARY KEY)")
-    cur.execute("INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(1, 31)))
-    cur.execute("SELECT k FROM t ORDER BY k")
-    first = cur.fetchmany(12)
-    system.server.crash()
-    system.endpoint.restart_server()
-    conn.cursor().execute("SELECT 1")  # trigger recovery (rebuffered mode)
-    rest = cur.fetchall()
-    assert [r[0] for r in first + rest] == list(range(1, 31))
-    conn.close()
 
 
 def test_result_with_duplicate_output_names(ready):

@@ -11,7 +11,6 @@ import pytest
 from repro.bench import harness, reporting
 from repro.bench.harness import Fig2Point, Table1Row
 from repro.bench.skeleton import payload
-from repro.engine.plancache import ExecutorStats
 from repro.net.faults import BATCH_FAULTS, DRAIN_FAULTS, STORAGE_FAULTS, WIRE_FAULTS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -31,10 +30,6 @@ STUBS = {
     "availability": [
         harness.AvailabilityResult("native", 20, 14, 6),
         harness.AvailabilityResult("phoenix", 20, 20, 19),
-    ],
-    "executor": [
-        harness.ExecutorRun("range_topk", mode, seconds, 144, 99, ExecutorStats().snapshot())
-        for mode, seconds in (("compiled", 0.02), ("interpreted", 0.5))
     ],
     "chaos": harness.ChaosResult(
         seed=0,
@@ -126,20 +121,22 @@ def test_cli_all(stubbed, capsys, tmp_path):
     assert list(document) == [e.key for e in reporting.EXPERIMENTS.values()]
 
 
-def test_cli_executor(stubbed, capsys):
-    assert reporting.main(["executor"]) == 0
+def test_cli_chaos(stubbed, capsys):
+    """A table's declared footer is rendered under its rows."""
+    assert reporting.main(["chaos"]) == 0
     out = capsys.readouterr().out
-    assert "Ablation" in out
-    assert "speedup 25.00x" in out
-    assert "identical" in out
+    assert "Experiment CH" in out
+    assert "multi_fault" in out
+    assert "overall: 100.0% recovered, 27 recoveries" in out
 
 
 def test_cli_json_artifact(stubbed, capsys, tmp_path):
-    path = tmp_path / "BENCH_executor.json"
-    assert reporting.main(["executor", "--json", str(path)]) == 0
-    runs = json.loads(path.read_text())["executor"]
-    assert {run["executor"] for run in runs} == {"compiled", "interpreted"}
-    assert runs[0]["statements_per_second"] == pytest.approx(144 / 0.02)
+    path = tmp_path / "BENCH_table1.json"
+    assert reporting.main(["table1", "--json", str(path)]) == 0
+    rows = json.loads(path.read_text())["table1"]
+    assert [row["name"] for row in rows] == ["Q1", "Total Query"]
+    # a ``derived`` property is part of the document, not only the fields
+    assert rows[0]["ratio"] == pytest.approx(0.052 / 0.05)
 
 
 def test_cli_rejects_unknown_artifact(stubbed):
@@ -149,12 +146,12 @@ def test_cli_rejects_unknown_artifact(stubbed):
 
 def test_cli_passes_declared_options_to_the_runner(monkeypatch, capsys):
     seen = {}
-    experiment = reporting.EXPERIMENTS["executor"]
+    experiment = reporting.EXPERIMENTS["table1"]
     monkeypatch.setattr(
-        experiment, "runner", lambda **kw: seen.update(kw) or STUBS["executor"]
+        experiment, "runner", lambda **kw: seen.update(kw) or STUBS["table1"]
     )
-    assert reporting.main(["executor", "--reps", "2", "--executor-rows", "1000"]) == 0
-    assert seen == {"sf": 0.001, "repetitions": 2, "rows": 1000}
+    assert reporting.main(["table1", "--reps", "2", "--sf", "0.002"]) == 0
+    assert seen == {"sf": 0.002, "repetitions": 2}
 
 
 # -- the JSON document is derived from the result types: pin its keys ----------
