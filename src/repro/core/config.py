@@ -4,8 +4,13 @@ The paper's design decisions — stored-procedure fill, ``WHERE 0=1`` metadata
 probe, server-side repositioning, the status-table wrapper — are not
 configurable: there is one path per decision, and the ablation benchmarks
 (DESIGN.md experiments A1–A4) price each alternative from plain-driver
-calls.  The fields here tune failure detection, retry bounds and the
-application-facing batching mode.
+calls.  The fields here tune failure detection, the bounds on waiting out
+and rebuilding after one failure, the lock-conflict retry bound and the
+application-facing batching mode — each is set to a non-default value by
+some caller (``tests/test_one_path.py`` checks).  A bound with one value in
+use is a constant beside the loop that reads it: recoveries per application
+call is ``repro.core.connection.MAX_OPERATION_RETRIES``, the fleet-recovery
+pool size is the default of ``recover_all(max_workers=)``.
 """
 
 from __future__ import annotations
@@ -58,10 +63,6 @@ class PhoenixConfig:
     #: how many times a recovery that is itself interrupted by another crash
     #: is restarted before giving up.
     max_recovery_attempts: int = 5
-    #: how many recovery cycles one idempotent request may trigger before
-    #: its error is passed to the application (each retry can meet a fresh,
-    #: independent crash).
-    max_operation_retries: int = 10
 
     # --- wire batching ------------------------------------------------------------
     #: accumulate autocommit wrapped DML into BatchExecuteRequests instead
@@ -81,6 +82,3 @@ class PhoenixConfig:
     #: committed nothing — the server aborted it whole and its status row
     #: never landed — so each retry is a fresh exactly-once execution.
     max_deadlock_retries: int = 8
-    #: worker threads used when recovering many virtual sessions after one
-    #: server restart (see ``repro.core.parallel.recover_all``).
-    recovery_workers: int = 8

@@ -19,12 +19,19 @@ never changes.  All session context needed to rebuild (login, options in
 application order, temp-object maps, materialized-result registry, the open
 transaction's statement log) is kept client-side — the client survives; the
 paper only protects against *server* failures.
+
+There is one failure path: every request sent on the application's behalf
+goes through :meth:`PhoenixConnection._ride_through` — the only handler of
+a communication error, the only caller of ``recover()``, the owner of both
+retry bounds.  What differs per request kind is the "did it land?" decision
+the caller hands it (the table in docs/RECOVERY.md).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.errors import (
     DeadlockError,
@@ -42,17 +49,22 @@ from repro.core.interceptor import (
     redirect_names,
     with_false_where,
 )
-from repro.core.naming import PROXY_TABLE, NameAllocator
+from repro.core.naming import NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
 from repro.core.statements import ResultState, TxnReplayLog
 from repro.obs.metrics import CounterSet, gauge
 from repro.obs.tracer import get_tracer
-from repro.odbc.constants import CursorType
 from repro.odbc.driver import DriverConnection, NativeDriver
 from repro.odbc.driver_manager import Connection
 from repro.sql import ast
 
 __all__ = ["PhoenixConnection", "PhoenixStats"]
+
+#: how many recoveries one application call (``execute`` / ``executemany`` /
+#: ``fetch*`` / ``commit`` / ``rollback`` / ``close``) may trigger, over all
+#: the requests it sends, before the original communication error is passed
+#: to the application — each re-send can meet a fresh, independent crash.
+MAX_OPERATION_RETRIES = 10
 
 
 class PhoenixStats(CounterSet):
@@ -97,8 +109,9 @@ class PhoenixConnection(Connection):
         options: dict[str, Any] | None = None,
         config: PhoenixConfig | None = None,
     ):
-        # the app connection is opened (and crash-retried) further down
+        # the app connection is opened (crash-retried) by the session recipe
         super().__init__(manager, dsn, None, options or {})
+        self.private: DriverConnection = None  # type: ignore[assignment]
         self.driver = driver
         self.user = user
         self.config = config if config is not None else PhoenixConfig()
@@ -112,7 +125,7 @@ class PhoenixConnection(Connection):
         self.results: dict[int, ResultState] = {}
         self.txn_log = TxnReplayLog()
         #: objects to drop at clean termination (paper: cleanup on success)
-        self.cleanup_tables: list[str] = []
+        self.cleanup_tables: list[str] = [self.names.status_table]
         self.cleanup_procs: list[str] = []
         #: autobatch accumulator: (seq, wrapped batch SQL) of queued DML not
         #: yet shipped — flushed as one BatchExecuteRequest at the next
@@ -122,6 +135,9 @@ class PhoenixConnection(Connection):
         #: bumped by every completed recovery; cursors use it to notice that
         #: their buffered delivery was re-mapped underneath them.
         self.session_epoch = 0
+        #: recoveries the running application call may still trigger; None
+        #: between application calls (see :meth:`application_call`)
+        self._recoveries_left: int | None = None
 
         self.recovery = PhoenixRecovery(self)
 
@@ -132,97 +148,113 @@ class PhoenixConnection(Connection):
         self.correlation_id = get_tracer().new_correlation_id()
 
         # Real connections behind the virtual handle.  Session establishment
-        # itself must survive a crash: wait for the server and retry the
-        # whole setup (the fixture statements are idempotent).
+        # itself must survive a crash: the recipe is recovery's phase one,
+        # retried by the same bounded loop (its statements are idempotent).
         with get_tracer().span("session.open", corr=self.correlation_id, user=user, dsn=dsn):
-            attempts = max(1, self.config.max_recovery_attempts)
-            for attempt in range(attempts):
-                try:
-                    self.app = driver.connect(user, self.options)
-                    self.private: DriverConnection = driver.connect(user, {})
-                    self._install_session_fixtures()
-                    break
-                except RECOVERABLE_ERRORS as exc:
-                    # A failed attempt may have left live sessions on a
-                    # surviving server (e.g. the fixture request hung after both
-                    # connects succeeded).  Collect them for reaping — retrying
-                    # without it leaks a lock-holding session per attempt.
-                    stale = [
-                        conn.session_id
-                        for conn in (getattr(self, "app", None), getattr(self, "private", None))
-                        if conn is not None
-                    ]
-                    self.app = self.private = None  # type: ignore[assignment]
-                    if attempt + 1 >= attempts:
-                        raise
-                    self.recovery._await_server(exc)
-                    self._reap_server_sessions(stale)
+            self.recovery.open_session()
 
-    # ------------------------------------------------------------- fixtures
+    # ------------------------------------------------------------- the failure path
 
-    def _install_session_fixtures(self) -> None:
-        """Create the proxy temp table (app session) and ensure the status
-        table exists (persistent; idempotent for post-crash rebuilds)."""
-        self.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
-        self.private.execute(
-            f"CREATE TABLE IF NOT EXISTS {self.names.status_table} "
-            f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
-        )
-        if self.names.status_table not in self.cleanup_tables:
-            self.cleanup_tables.append(self.names.status_table)
+    @contextmanager
+    def application_call(self) -> Iterator[None]:
+        """Scope of one recovery budget: everything the application call
+        sends, nested sends included (the status probe inside a commit, the
+        blocks of one fetch), draws on the same ``MAX_OPERATION_RETRIES``,
+        so the worst case is that many recoveries — not that many per
+        request, multiplied through every nested retry."""
+        if self._recoveries_left is not None:
+            yield  # nested: the enclosing call's budget
+            return
+        self._recoveries_left = MAX_OPERATION_RETRIES
+        try:
+            yield
+        finally:
+            self._recoveries_left = None
 
-    # ------------------------------------------------------------- guarded I/O
+    def _ride_through(
+        self,
+        send: Callable[[], Any],
+        landed: Callable[[], Any] | None = None,
+        *,
+        replay_txn: bool = True,
+        retry_locks: type[LockError] | tuple = (),
+        scope: str | None = None,
+    ) -> Any:
+        """The paper's §3 protocol, once: on a communication error recover
+        the virtual session, test whether the request's effect already
+        landed, then re-send or return the logged outcome; if the server
+        stays away, pass the original error on.
 
-    def _guarded(self, request, retries: int | None = None):
-        """One guarded round trip (idempotent requests only — recovery makes
-        re-sending safe).
-
-        A *different* crash can hit the retried request too; each failure
-        runs a fresh recovery cycle, bounded by ``max_operation_retries``
-        (recover() itself gives up when the server stays down, so this
-        terminates either way).  ``retries=0`` disables retrying (cleanup
-        paths that must not recover).
+        ``send`` looks the connections up per attempt (recovery replaces
+        them).  ``landed`` is asked after each recovery: a non-None answer
+        is the logged outcome, returned in place of a re-send; a request
+        without one is idempotent.  A *different* crash can hit the re-sent
+        request too; each failure runs a fresh recovery cycle until the
+        application call's budget is spent (recover() itself gives up when
+        the server stays down, so this terminates either way).
+        ``retry_locks``: lock errors after which the server has aborted the
+        request's transaction whole, so re-sending is a fresh execution
+        (bounded by ``max_deadlock_retries``).
         """
         if self._dml_pending:
             self.flush_dml_batch()  # ordering barrier: queued DML goes first
-        bound = self.config.max_operation_retries if retries is None else retries
-        attempt = 0
-        while True:
-            try:
-                return request()
-            except RECOVERABLE_ERRORS as exc:
-                if attempt >= bound:
-                    raise
-                attempt += 1
-                self.recovery.recover(exc)
+        original: Exception | None = None
+        lock_retries = 0
+        with self.application_call():
+            while True:
+                try:
+                    return send()
+                except RECOVERABLE_ERRORS as exc:
+                    original = original or exc
+                    if not self._recoveries_left:
+                        raise original
+                    self._recoveries_left -= 1
+                    self.recovery.recover(exc, replay_txn=replay_txn)
+                    if landed is not None:
+                        outcome = landed()
+                        if outcome is not None:
+                            return outcome
+                except retry_locks as exc:
+                    lock_retries += 1
+                    if lock_retries > max(1, self.config.max_deadlock_retries):
+                        raise
+                    self.stats.deadlock_retries += 1
+                    get_tracer().event(
+                        "deadlock.retry",
+                        corr=self.correlation_id,
+                        scope=scope,
+                        attempt=lock_retries,
+                    )
+                    # the victim's open transaction went with it: replayed
+                    # before the re-send (see _txn_execute)
+                    self.txn_log.lost = self.txn_log.active
+                    if not isinstance(exc, DeadlockError):
+                        # a no-wait conflict never waited server-side (a
+                        # deadlock victim did): back off before re-sending
+                        self.config.sleep(0.002 * lock_retries)
 
-    def _app_execute(
-        self, sql: str, *, cursor_type: str = CursorType.FORWARD_ONLY, retries: int | None = None
-    ) -> ResultResponse:
-        # the connections are looked up per attempt: recovery replaces them
-        return self._guarded(lambda: self.app.execute(sql, cursor_type=cursor_type), retries)
+    def _app_execute(self, sql: str) -> ResultResponse:
+        """One idempotent request on the app connection."""
+        return self._ride_through(lambda: self.app.execute(sql))
 
-    def _private_execute(self, sql: str, *, retries: int | None = None) -> ResultResponse:
-        return self._guarded(lambda: self.private.execute(sql), retries)
+    def _private_execute(self, sql: str) -> ResultResponse:
+        return self._ride_through(lambda: self.private.execute(sql))
 
-    def _execute_atomic(
-        self, statements: list[str], *, on_app: bool = False, retries: int | None = None
-    ) -> ResultResponse:
+    def _execute_atomic(self, statements: list[str], *, on_app: bool = False) -> ResultResponse:
         """Run Phoenix-generated statements as ONE transaction in one
         round trip — one log force at its COMMIT, and a crash or SQL error
         leaves none of the objects it builds (restart skips a transaction
-        without a commit record).  Retried through recovery like any guarded
-        request: every script starts with its own ``DROP ... IF EXISTS``, so
-        re-running one whose commit landed before the reply died is safe.
+        without a commit record).  Re-sent through recovery like any
+        idempotent request: every script starts with its own ``DROP ... IF
+        EXISTS``, so re-running one whose commit landed before the reply
+        died is safe.
         """
         if on_app and self.in_transaction:
             # the application's own transaction is the unit; its COMMIT decides
-            return self._app_execute("; ".join(statements), retries=retries)
+            return self._app_execute("; ".join(statements))
         script = "BEGIN TRANSACTION; " + "; ".join(statements) + "; COMMIT"
         try:
-            return (self._app_execute if on_app else self._private_execute)(
-                script, retries=retries
-            )
+            return (self._app_execute if on_app else self._private_execute)(script)
         except RECOVERABLE_ERRORS:
             raise
         except Error:
@@ -250,54 +282,39 @@ class PhoenixConnection(Connection):
 
         return PhoenixCursor(self)
 
-    def begin(self) -> None:
-        self.handle_begin()
-
-    def commit(self) -> None:
-        self.handle_commit()
-
-    def rollback(self) -> None:
-        self.handle_rollback()
-
     def _release(self) -> None:
         """Clean termination: drop every Phoenix-managed server object
         (paper §3: "After the client application has successfully
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
-        # mark every result state closed first: a recovery triggered *during*
-        # cleanup must not try to verify/reposition tables we just dropped;
-        # an abandoned open transaction is implicitly rolled back, not replayed
-        try:
-            self.flush_dml_batch()  # queued autobatch DML must land before cleanup
-        except Error:
-            pass  # best-effort: close() reclaims what it can either way
-        for state in self.results.values():
-            state.open = False
-        self.txn_log.clear()
-        with get_tracer().span("session.close", corr=self.correlation_id):
-            attempts = max(1, self.config.max_operation_retries)
-            for attempt in range(attempts + 1):
+        with self.application_call():
+            try:
+                self.flush_dml_batch()  # queued autobatch DML must land before cleanup
+            except Error:
+                pass  # best-effort: close() reclaims what it can either way
+            # forget every result first: a recovery triggered *during* cleanup
+            # must not try to verify/reposition tables we just dropped; an
+            # abandoned open transaction is implicitly rolled back, not replayed
+            self.results.clear()
+            self.txn_log.clear()
+            drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in self.cleanup_procs]
+            drops += [f"DROP TABLE IF EXISTS {table}" for table in self.cleanup_tables]
+            with get_tracer().span("session.close", corr=self.correlation_id):
                 try:
-                    self._cleanup_server_objects()
-                    break
-                except RECOVERABLE_ERRORS as exc:
-                    if attempt >= attempts:
-                        break  # server stayed down: orphans reclaimed out of band
+                    self._execute_atomic(drops)
+                except (RecoveryError, *RECOVERABLE_ERRORS):
+                    pass  # server stayed down: orphans reclaimed out of band
+                unreaped = []
+                for connection in (self.app, self.private):
                     try:
-                        self.recovery.recover(exc)
-                    except Exception:
-                        break
-            unreaped = []
-            for connection in (self.app, self.private):
-                try:
-                    acked = connection.disconnect()
-                except RECOVERABLE_ERRORS:
-                    acked = False
-                if not acked:
-                    # the DisconnectRequest died in flight: if the server is
-                    # still up the session is orphaned — reap it out of band
-                    unreaped.append(connection.session_id)
-            if unreaped:
-                self._reap_server_sessions(unreaped)
+                        acked = connection.disconnect()
+                    except RECOVERABLE_ERRORS:
+                        acked = False
+                    if not acked:
+                        # the DisconnectRequest died in flight: if the server is
+                        # still up the session is orphaned — reap it out of band
+                        unreaped.append(connection.session_id)
+                if unreaped:
+                    self._reap_server_sessions(unreaped)
 
     def _reap_server_sessions(self, session_ids: list[int]) -> None:
         """Best-effort disconnect of orphaned server sessions by id.
@@ -327,11 +344,6 @@ class PhoenixConnection(Connection):
                 except Error:
                     break
 
-    def _cleanup_server_objects(self) -> None:
-        drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in self.cleanup_procs]
-        drops += [f"DROP TABLE IF EXISTS {table}" for table in self.cleanup_tables]
-        self._execute_atomic(drops, retries=0)
-
     # ------------------------------------------------------------- interception
 
     def rewrite(self, stmt: ast.Statement) -> ast.Statement:
@@ -350,7 +362,7 @@ class PhoenixConnection(Connection):
 
     # --- transactions ---------------------------------------------------------
 
-    def handle_begin(self) -> None:
+    def begin(self) -> None:
         self._require_open()
         if self.in_transaction:
             raise ProgrammingError("transaction already in progress")
@@ -358,7 +370,7 @@ class PhoenixConnection(Connection):
             self._app_execute("BEGIN TRANSACTION")
         self.txn_log.begin()
 
-    def handle_commit(self) -> ResultResponse:
+    def commit(self) -> ResultResponse:
         """Commit with testable state: a status-table insert rides inside
         the transaction, so a lost COMMIT reply is decidable afterwards."""
         self._require_open()
@@ -366,108 +378,94 @@ class PhoenixConnection(Connection):
             raise ProgrammingError("no transaction in progress")
         seq = self.names.next_seq()
         batch = f"INSERT INTO {self.names.status_table} VALUES ({seq}, 0); COMMIT"
-        attempts = max(1, self.config.max_operation_retries)
-        response: ResultResponse | None = None
+
+        def landed() -> ResultResponse | None:
+            # probe EVERY round: a retried batch may have committed just
+            # before its reply died — replaying then would double-commit
+            if self.probe_status(seq) is None:
+                # no status row: the batch never ran, or died with the
+                # transaction — re-send (a lost transaction is replayed first)
+                return None
+            # the probe itself can meet a crash, and its nested recovery
+            # replays the open txn_log before the probe retry discovers the
+            # commit landed: that replayed transaction is a double-apply
+            # sitting open on the server — discard it before reporting the
+            # commit
+            self._rollback_wrapper_txn()
+            self.stats.probe_hits += 1
+            return ResultResponse(kind="ok", message="COMMIT (recovered)")
+
         with get_tracer().span("txn.commit", corr=self.correlation_id, seq=seq):
-            for attempt in range(attempts + 1):
-                try:
-                    response = self.app.execute(batch)
-                    break
-                except RECOVERABLE_ERRORS as exc:
-                    if attempt >= attempts:
-                        raise
-                    rebuilt = self.recovery.recover(exc, replay_txn=False)
-                    # probe EVERY round: a retried batch may have committed just
-                    # before its reply died — replaying then would double-commit
-                    if self.probe_status(seq) is not None:
-                        # the probe itself can meet a crash, and its nested
-                        # recovery replays the open txn_log before the probe
-                        # retry discovers the commit landed: that replayed
-                        # transaction is a double-apply sitting open on the
-                        # server — discard it before reporting the commit
-                        self._rollback_wrapper_txn()
-                        self.txn_log.clear()
-                        self.stats.probe_hits += 1
-                        return ResultResponse(kind="ok", message="COMMIT (recovered)")
-                    if rebuilt:
-                        # transaction lost wholesale: replay, then commit again
-                        self._replay_transaction()
-                    # spurious failure with no status row: the batch never ran;
-                    # the transaction is still open — just retry the batch
+            response = self._ride_through(
+                lambda: self._txn_execute(batch), landed, replay_txn=False
+            )
         self.txn_log.clear()
-        assert response is not None
         return response
 
-    def handle_rollback(self) -> ResultResponse:
+    def rollback(self) -> ResultResponse:
         self._require_open()
         if not self.in_transaction:
             raise ProgrammingError("no transaction in progress")
-        attempts = max(1, self.config.max_operation_retries)
-        response: ResultResponse | None = None
+
+        def landed() -> ResultResponse | None:
+            if self.txn_log.lost:
+                # a crash rolls the transaction back by definition
+                return ResultResponse(kind="ok", message="ROLLBACK (by crash)")
+            return None  # spurious: the transaction is still open — re-send
+
         with get_tracer().span("txn.rollback", corr=self.correlation_id):
-            for attempt in range(attempts + 1):
-                try:
-                    response = self.app.execute("ROLLBACK")
-                    break
-                except RECOVERABLE_ERRORS as exc:
-                    if attempt >= attempts:
-                        raise
-                    rebuilt = self.recovery.recover(exc, replay_txn=False)
-                    if rebuilt:
-                        # a crash rolls the transaction back by definition
-                        response = ResultResponse(kind="ok", message="ROLLBACK (by crash)")
-                        break
-                    # spurious: the transaction is still open — retry ROLLBACK
+            response = self._ride_through(
+                lambda: self.app.execute("ROLLBACK"), landed, replay_txn=False
+            )
         self.txn_log.clear()
-        assert response is not None
         return response
 
     def _replay_transaction(self) -> None:
-        """Re-execute the open transaction's statements after a crash.
+        """Re-execute the open transaction's statements on a session that
+        lost it (rebuilt after a crash, or aborted as a deadlock victim).
 
-        The replay itself can be interrupted by another crash; each attempt
-        starts from scratch (the interrupted half-replay was rolled back by
-        the crash, or is aborted explicitly when the session survived a
-        spurious failure).  No statement is ever applied twice: an attempt
-        either commits nothing (it never reaches COMMIT — that happens
-        later) or is wholly discarded.
+        The replay itself can be interrupted by another failure; whoever
+        rides through that one starts it from scratch — ``txn_log.lost``
+        stays set until the last statement is back, and the interrupted
+        half-replay was rolled back by the crash, or is aborted explicitly
+        when the session survived a spurious failure.  No statement is ever
+        applied twice: an attempt either commits nothing (it never reaches
+        COMMIT — that happens later) or is wholly discarded.
         """
-        self.stats.replayed_txns += 1
         get_tracer().event(
             "recovery.replay_txn",
             corr=self.correlation_id,
             statements=len(self.txn_log.statements),
         )
-        attempts = max(1, self.config.max_operation_retries)
-        last_exc: Exception | None = None
-        for _attempt in range(attempts):
-            try:
-                # clear any half-replayed open transaction (no-op after a
-                # crash; required after a spurious failure mid-replay)
-                try:
-                    self.app.execute("ROLLBACK")
-                except RECOVERABLE_ERRORS:
-                    raise
-                except Error:
-                    pass
-                self.app.execute("BEGIN TRANSACTION")
-                for sql in self.txn_log.statements:
-                    self.app.execute(sql)
-                return
-            except RECOVERABLE_ERRORS as exc:
-                last_exc = exc
-                self.recovery.recover(exc, replay_txn=False)
-        raise RecoveryError(
-            f"transaction replay kept failing: {last_exc}"
-        ) from last_exc
+        # clear any half-replayed open transaction (no-op after a crash;
+        # required after a spurious failure mid-replay)
+        try:
+            self.app.execute("ROLLBACK")
+        except RECOVERABLE_ERRORS:
+            raise
+        except Error:
+            pass
+        self.app.execute("BEGIN TRANSACTION")
+        for sql in self.txn_log.statements:
+            self.app.execute(sql)
+        self.txn_log.lost = False
+        self.stats.replayed_txns += 1
+
+    def _txn_execute(self, sql: str) -> ResultResponse:
+        """One request inside the open transaction: a session that lost the
+        transaction gets it replayed first."""
+        if self.txn_log.lost:
+            self._replay_transaction()
+        return self.app.execute(sql)
 
     def run_in_transaction(self, sql: str) -> ResultResponse:
         """Execute a statement inside the app's explicit transaction.
 
         Pass-through (no materialization — the transaction's effects are
         volatile anyway) but recorded for wholesale replay.  A failure that
-        killed the session replays the lost transaction first; a spurious
-        failure (the session survived) just retries the statement.
+        killed the session has the lost transaction replayed by recovery
+        before the statement is re-sent; a spurious failure (the session
+        survived) just re-sends the statement.
 
         A :class:`~repro.errors.DeadlockError` means the server picked this
         transaction as the deadlock victim and aborted it *whole* — it
@@ -475,33 +473,11 @@ class PhoenixConnection(Connection):
         transparently re-run it: replay the transaction so far, then retry
         the statement (bounded by ``max_deadlock_retries``).
         """
-        attempts = max(1, self.config.max_operation_retries)
-        failures = 0
-        deadlocks = 0
-        while True:
-            try:
-                response = self.app.execute(sql)
-                self.txn_log.record(sql)
-                return response
-            except DeadlockError:
-                deadlocks += 1
-                if deadlocks > max(1, self.config.max_deadlock_retries):
-                    raise
-                self.stats.deadlock_retries += 1
-                get_tracer().event(
-                    "deadlock.retry",
-                    corr=self.correlation_id,
-                    scope="transaction",
-                    attempt=deadlocks,
-                )
-                self._replay_transaction()
-            except RECOVERABLE_ERRORS as exc:
-                failures += 1
-                if failures > attempts:
-                    raise
-                rebuilt = self.recovery.recover(exc, replay_txn=False)
-                if rebuilt:
-                    self._replay_transaction()
+        response = self._ride_through(
+            lambda: self._txn_execute(sql), retry_locks=DeadlockError, scope="transaction"
+        )
+        self.txn_log.record(sql)
+        return response
 
     # --- DML (autocommit) --------------------------------------------------------
 
@@ -522,47 +498,41 @@ class PhoenixConnection(Connection):
         seq = self.names.next_seq()
         batch = build_dml_batch(sql, self.names.status_table, seq)
         self.stats.dml_wrapped += 1
-        deadlocks = 0
-        while True:
-            try:
-                response = self.app.execute(batch)
-                # batch_rowcounts ends with the status insert's own count;
-                # anything before it is the wrapped statement's.  A DDL
-                # contributes no entry, and its recorded outcome is 0 — the
-                # live reply must say the same, or a replayed run would
-                # report a different rowcount than the original.
-                rowcounts = response.batch_rowcounts
-                return (seq, rowcounts[0] if len(rowcounts) > 1 else 0, response)
-            except RECOVERABLE_ERRORS as exc:
-                self.recovery.recover(exc)
-                logged = self.probe_status(seq)
-                if logged is not None:
-                    self.stats.probe_hits += 1
-                    return (seq, logged, None)
+
+        def send() -> tuple[int, int, ResultResponse]:
+            response = self.app.execute(batch)
+            # batch_rowcounts ends with the status insert's own count;
+            # anything before it is the wrapped statement's.  A DDL
+            # contributes no entry, and its recorded outcome is 0 — the
+            # live reply must say the same, or a replayed run would
+            # report a different rowcount than the original.
+            rowcounts = response.batch_rowcounts
+            return (seq, rowcounts[0] if len(rowcounts) > 1 else 0, response)
+
+        def landed() -> tuple[int, int, None] | None:
+            logged = self.probe_status(seq)
+            if logged is None:
                 # not logged → the wrapper transaction never committed;
                 # re-executing cannot double-apply.
-            except DeadlockError:
-                # the wrapper transaction was the deadlock victim: the
-                # server aborted it whole, so the status row never landed
-                # and resubmitting is a fresh exactly-once execution.  No
-                # rollback needed — the abort already released everything.
-                deadlocks += 1
-                if deadlocks > max(1, self.config.max_deadlock_retries):
-                    raise
-                self.stats.deadlock_retries += 1
-                get_tracer().event(
-                    "deadlock.retry",
-                    corr=self.correlation_id,
-                    scope="dml",
-                    attempt=deadlocks,
-                )
-            except Error:
-                # a SQL error (duplicate key, missing table, ...) aborted
-                # the batch after its BEGIN: close the wrapper transaction
-                # before handing the error to the application, or the next
-                # wrapped statement would trip over the open transaction
-                self._rollback_wrapper_txn()
-                raise
+                return None
+            self.stats.probe_hits += 1
+            return (seq, logged, None)
+
+        try:
+            # a deadlock victim's wrapper transaction was aborted whole by
+            # the server, so the status row never landed and resubmitting is
+            # a fresh exactly-once execution.  No rollback needed — the
+            # abort already released everything.
+            return self._ride_through(send, landed, retry_locks=DeadlockError, scope="dml")
+        except (DeadlockError, *RECOVERABLE_ERRORS):
+            raise
+        except Error:
+            # a SQL error (duplicate key, missing table, ...) aborted
+            # the batch after its BEGIN: close the wrapper transaction
+            # before handing the error to the application, or the next
+            # wrapped statement would trip over the open transaction
+            self._rollback_wrapper_txn()
+            raise
 
     def _rollback_wrapper_txn(self, on: DriverConnection | None = None) -> None:
         """Best-effort ROLLBACK of a failed wrapper transaction (a wrapped
@@ -637,50 +607,37 @@ class PhoenixConnection(Connection):
 
         rowcounts: dict[int, int] = {}
         pending = list(entries)
-        lock_retries = 0
         self.stats.dml_wrapped += len(entries)
+
+        def send() -> bool:
+            response = self.app.execute_batch([sql for _seq, sql in pending])
+            for (seq, _sql), sub in zip(pending, response.results):
+                counts = sub.batch_rowcounts
+                rowcounts[seq] = counts[0] if len(counts) > 1 else 0
+            # the landed prefix is durable; what is left is the unfinished suffix
+            del pending[: len(response.results)]
+            if response.error is not None:
+                self._rollback_wrapper_txn()
+                raise _rebuild_error(response.error)
+            return True
+
+        def landed() -> bool | None:
+            resolved, remaining = self.recovery.resolve_batch(pending)
+            pending[:] = remaining
+            for seq, logged in resolved.items():
+                rowcounts[seq] = logged
+                self.stats.probe_hits += 1
+            return None if pending else True  # something left: resubmit it
+
         with get_tracer().span(
             "dml.batch", corr=self.correlation_id, statements=len(entries)
         ):
-            while pending:
-                try:
-                    response = self.app.execute_batch([sql for _seq, sql in pending])
-                except RECOVERABLE_ERRORS as exc:
-                    self.recovery.recover(exc)
-                    landed, pending = self.recovery.resolve_batch(pending)
-                    for seq, logged in landed.items():
-                        rowcounts[seq] = logged
-                        self.stats.probe_hits += 1
-                    continue
-                for (seq, _sql), sub in zip(pending, response.results):
-                    counts = sub.batch_rowcounts
-                    rowcounts[seq] = counts[0] if len(counts) > 1 else 0
-                if response.error is not None:
-                    self._rollback_wrapper_txn()
-                    error = _rebuild_error(response.error)
-                    if (
-                        isinstance(error, LockError)
-                        and lock_retries < max(1, self.config.max_deadlock_retries)
-                    ):
-                        # batches run inside the server's no-wait lock window
-                        # (a wait there would stall the WAL group force that
-                        # covers already-acked commits), so a conflict with
-                        # another session fails fast instead of blocking.
-                        # The landed prefix is durable; resubmit the
-                        # unfinished suffix after a short backoff.
-                        lock_retries += 1
-                        self.stats.deadlock_retries += 1
-                        get_tracer().event(
-                            "deadlock.retry",
-                            corr=self.correlation_id,
-                            scope="batch",
-                            attempt=lock_retries,
-                        )
-                        pending = pending[len(response.results):]
-                        self.config.sleep(0.002 * lock_retries)
-                        continue
-                    raise error
-                pending = []
+            # batches run inside the server's no-wait lock window (a wait
+            # there would stall the WAL group force that covers already-acked
+            # commits), so a conflict with another session fails fast instead
+            # of blocking: the unfinished suffix is resubmitted after a short
+            # backoff.
+            self._ride_through(send, landed, retry_locks=LockError, scope="batch")
         return [rowcounts[seq] for seq, _sql in entries]
 
     def queue_dml(self, sql: str) -> tuple[int, int, None]:
@@ -892,7 +849,7 @@ class PhoenixConnection(Connection):
             return None
         base = select.from_.name
         try:
-            schema = self._guarded(lambda: self.app.table_schema(base))
+            schema = self._ride_through(lambda: self.app.table_schema(base))
         except RECOVERABLE_ERRORS:
             raise
         except Exception:

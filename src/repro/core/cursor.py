@@ -25,7 +25,6 @@ from repro.core.interceptor import (
     inline_placeholders,
     statement_templates,
 )
-from repro.core.recovery import RECOVERABLE_ERRORS
 from repro.core.statements import ResultState
 from repro.net.protocol import ResultResponse
 from repro.obs.tracer import get_tracer
@@ -41,11 +40,23 @@ class PhoenixCursor(Statement):
     """Drop-in statement handle backed by a persistent virtual session."""
 
     connection: PhoenixConnection
+    _state: ResultState | None = None
 
     def _reset_result(self) -> None:
+        self._retire_state()
         super()._reset_result()
-        self._state: ResultState | None = None
         self._epoch = self.connection.session_epoch
+
+    def _retire_state(self) -> None:
+        """The application is done with this cursor's result (it re-executed
+        or closed the cursor): recovery must stop verifying, re-opening and
+        re-advancing it, and the connection stops holding its AST.  The
+        server-side ``phx_*`` objects still wait for ``close()``, as the
+        paper says."""
+        if self._state is not None:
+            self._state.open = False
+            self.connection.results.pop(self._state.seq, None)
+            self._state = None
 
     # ------------------------------------------------------------- execute
 
@@ -54,19 +65,20 @@ class PhoenixCursor(Statement):
         self._reset_result()
         bound = list(placeholders or [])
         tracer = get_tracer()
-        for stmt, kind in statement_templates(sql):
-            if bound:
-                stmt = inline_placeholders(stmt, bound)
-            if tracer.enabled:
-                with tracer.span(
-                    "client.statement",
-                    corr=self.connection.correlation_id,
-                    sql=stmt.sql()[:80],
-                    cls=kind.name,
-                ):
+        with self.connection.application_call():
+            for stmt, kind in statement_templates(sql):
+                if bound:
+                    stmt = inline_placeholders(stmt, bound)
+                if tracer.enabled:
+                    with tracer.span(
+                        "client.statement",
+                        corr=self.connection.correlation_id,
+                        sql=stmt.sql()[:80],
+                        cls=kind.name,
+                    ):
+                        self._execute_one(stmt, kind)
+                else:
                     self._execute_one(stmt, kind)
-            else:
-                self._execute_one(stmt, kind)
         return self
 
     def _execute_one(self, stmt: ast.Statement, kind: StatementClass) -> None:
@@ -80,14 +92,14 @@ class PhoenixCursor(Statement):
             self._absorb_ok(connection._app_execute(stmt.sql()))
             return
         if kind is StatementClass.TXN_BEGIN:
-            connection.handle_begin()
+            connection.begin()
             self.messages.append("BEGIN")
             return
         if kind is StatementClass.TXN_COMMIT:
-            self._absorb_ok(connection.handle_commit())
+            self._absorb_ok(connection.commit())
             return
         if kind is StatementClass.TXN_ROLLBACK:
-            self._absorb_ok(connection.handle_rollback())
+            self._absorb_ok(connection.rollback())
             return
         if kind is StatementClass.CREATE_TEMP_TABLE:
             self._absorb_ok(connection.handle_create_temp_table(stmt))
@@ -172,15 +184,16 @@ class PhoenixCursor(Statement):
         disabled) falls back to the inherited statement-at-a-time loop.
         """
         self._require_open()
-        entries = self._batch_entries(sql, rows)
-        if entries is None:
-            return super().executemany(sql, rows)
-        self._reset_result()
-        batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
-        total = 0
-        for start in range(0, len(entries), batch_size):
-            counts = self.connection.run_dml_batch(entries[start : start + batch_size])
-            total += sum(counts)
+        with self.connection.application_call():
+            entries = self._batch_entries(sql, rows)
+            if entries is None:
+                return super().executemany(sql, rows)
+            self._reset_result()
+            batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
+            total = 0
+            for start in range(0, len(entries), batch_size):
+                counts = self.connection.run_dml_batch(entries[start : start + batch_size])
+                total += sum(counts)
         self.rowcount = total
         self.messages.append(f"{len(entries)} statements batched")
         return self
@@ -230,16 +243,17 @@ class PhoenixCursor(Statement):
                 self._buffer = []
                 self._buffer_pos = 0
         tracer = get_tracer()
-        if not tracer.enabled or state is None:
-            return super().fetchmany(n)
-        with tracer.span(
-            "client.fetch",
-            corr=connection.correlation_id,
-            n=self.arraysize if n is None else n,
-        ) as span:
-            out = super().fetchmany(n)
-            span.set(rows=len(out))
-            return out
+        with connection.application_call():
+            if not tracer.enabled or state is None:
+                return super().fetchmany(n)
+            with tracer.span(
+                "client.fetch",
+                corr=connection.correlation_id,
+                n=self.arraysize if n is None else n,
+            ) as span:
+                out = super().fetchmany(n)
+                span.set(rows=len(out))
+                return out
 
     def _refill(self, wanted: int) -> bool:
         state = self._state
@@ -253,7 +267,11 @@ class PhoenixCursor(Statement):
                 # an all-holes keyset block yields no rows: fetch the next
                 exhausted = done and not rows
             elif state.mode == "server_cursor":
-                rows = self._fetch_server_cursor_block(state, block)
+                # a recovery re-opens the cursor and re-advances it to
+                # state.delivered: just fetch again, from the new cursor id
+                rows, _done = connection._ride_through(
+                    lambda: connection.app.fetch(state.cursor_id, block)
+                )
                 exhausted = not rows
             else:
                 # buffered mode with a drained buffer: the result is complete
@@ -275,20 +293,8 @@ class PhoenixCursor(Statement):
         if self._state is not None and self._state.kind == "default":
             self._state.delivered += count
 
-    def _fetch_server_cursor_block(self, state: ResultState, block: int) -> list[tuple]:
-        connection = self.connection
-        while True:
-            try:
-                rows, _done = connection.app.fetch(state.cursor_id, block)
-                return rows
-            except RECOVERABLE_ERRORS as exc:
-                connection.recovery.recover(exc)
-                # recovery re-opened the cursor and re-advanced it to
-                # state.delivered; just fetch again
-
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        if self._state is not None:
-            self._state.open = False
+        self._retire_state()
         super().close()

@@ -44,20 +44,17 @@ class RecoveryOutcome:
 def recover_all(
     connections: Sequence["PhoenixConnection"],
     *,
-    max_workers: int | None = None,
+    max_workers: int = 8,
 ) -> list[RecoveryOutcome]:
     """Recover every connection's virtual session, in parallel.
 
-    ``max_workers`` bounds the pool (default: the first connection's
-    ``config.recovery_workers``).  Returns one :class:`RecoveryOutcome`
+    ``max_workers`` bounds the pool.  Returns one :class:`RecoveryOutcome`
     per connection, in input order; a session whose recovery fails gets
     its exception in ``error`` instead of poisoning the rest of the fleet.
     """
     if not connections:
         return []
-    if max_workers is None:
-        max_workers = max(1, connections[0].config.recovery_workers)
-    max_workers = min(max_workers, len(connections))
+    max_workers = max(1, min(max_workers, len(connections)))
 
     def _recover_one(connection: "PhoenixConnection") -> RecoveryOutcome:
         cause = SessionLostError(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import (
     CatalogError,
@@ -66,10 +66,10 @@ class PhoenixRecovery:
         """Bring the virtual session back to life (or raise).
 
         Returns True when the session was actually rebuilt, False when the
-        failure turned out to be spurious (the session survived) — callers
-        holding an open transaction use that to decide whether replay is
-        needed.  ``replay_txn=False`` lets transaction handling own the
-        replay decision (commit probes the status table first).
+        failure turned out to be spurious (the session survived).  A rebuild
+        marks an open transaction ``txn_log.lost``; ``replay_txn=False``
+        leaves it so, letting transaction handling own the replay decision
+        (commit probes the status table first).
         """
         tracer = get_tracer()
         if not tracer.enabled:
@@ -107,28 +107,25 @@ class PhoenixRecovery:
             stats.spurious_timeouts += 1
             return False
 
-        # 3+4. rebuild; a server that crashes *again* mid-recovery just
-        # restarts the whole procedure (bounded).
-        attempts = max(1, connection.config.max_recovery_attempts)
+        # 3+4. rebuild
+        self._until_built(lambda: self._rebuild(replay_txn))
+        connection.session_epoch += 1
+        stats.recoveries += 1
+        return True
+
+    def open_session(self) -> None:
+        """Session open: the recipe of phase one, under the same bounded
+        loop — a server that dies while the session is being set up is
+        waited out and the setup starts over."""
+        self._until_built(self._build_session)
+
+    def _until_built(self, build: Callable[[], None]) -> None:
+        """Run ``build`` to completion; a server that crashes *again*
+        mid-way just restarts the whole procedure (bounded)."""
+        attempts = max(1, self.connection.config.max_recovery_attempts)
         for attempt in range(attempts):
             try:
-                started = time.perf_counter()
-                with tracer.span("recovery.phase1.virtual_session"):
-                    self._rebuild_connections()
-                phase1 = time.perf_counter() - started
-                stats.last_virtual_session_seconds = phase1
-                stats.virtual_session_seconds_total += phase1
-
-                started = time.perf_counter()
-                with tracer.span("recovery.phase2.sql_state"):
-                    self._verify_materialized_state()
-                    self._reinstall_deliveries()
-                    if replay_txn and connection.txn_log.active:
-                        connection._replay_transaction()
-                phase2 = time.perf_counter() - started
-                stats.last_sql_state_seconds = phase2
-                stats.sql_state_seconds_total += phase2
-                break
+                return build()
             except RECOVERABLE_ERRORS as exc:
                 if attempt + 1 >= attempts:
                     raise RecoveryError(
@@ -136,9 +133,29 @@ class PhoenixRecovery:
                     ) from exc
                 self._await_server(exc)
 
-        connection.session_epoch += 1
-        stats.recoveries += 1
-        return True
+    def _rebuild(self, replay_txn: bool) -> None:
+        """Phases one and two, each timed into ``PhoenixStats``."""
+        connection = self.connection
+        stats = connection.stats
+        tracer = get_tracer()
+        started = time.perf_counter()
+        with tracer.span("recovery.phase1.virtual_session"):
+            self._build_session()
+        phase1 = time.perf_counter() - started
+        stats.last_virtual_session_seconds = phase1
+        stats.virtual_session_seconds_total += phase1
+        # an open transaction died with the old session
+        connection.txn_log.lost = connection.txn_log.active
+
+        started = time.perf_counter()
+        with tracer.span("recovery.phase2.sql_state"):
+            self._verify_materialized_state()
+            self._reinstall_deliveries()
+            if replay_txn and connection.txn_log.lost:
+                connection._replay_transaction()
+        phase2 = time.perf_counter() - started
+        stats.last_sql_state_seconds = phase2
+        stats.sql_state_seconds_total += phase2
 
     def resolve_batch(
         self, entries: list[tuple[int, str]]
@@ -246,15 +263,19 @@ class PhoenixRecovery:
             self._jitter_rng = random.Random(self.connection.config.jitter_seed)
         return interval * (1.0 + jitter * (2.0 * self._jitter_rng.random() - 1.0))
 
-    def _rebuild_connections(self) -> None:
-        """Fresh app + private connections; replay recorded session context.
+    def _build_session(self) -> None:
+        """The virtual-session recipe — session open and recovery's phase
+        one alike (at open ``set_log`` and the stale list are simply empty):
+        fresh app + private connections with the recorded session context
+        replayed.
 
         When the server *survived* (a dropped connection, not a crash), the
         old session ids still hold live server sessions — temp tables, open
         transactions, locks.  They are reaped best-effort once the new
         connections are up, so an orphaned transaction's locks never block
-        the replayed one.  The ids outlive a rebuild that is itself
-        interrupted (its half-built sessions join them), so the attempt that
+        the replayed one.  The ids outlive a build that is itself
+        interrupted (its half-built sessions join them — retrying without
+        that leaks a lock-holding session per attempt), so the attempt that
         finally succeeds reaps every session abandoned on the way.
         """
         connection = self.connection
@@ -278,6 +299,8 @@ class PhoenixRecovery:
     def _abandon(self, old) -> None:
         """Close a dead connection's channel; its server session (possibly
         still alive, holding locks) is remembered until it has been reaped."""
+        if old is None:
+            return  # session open: nothing came before
         if old.session_id not in self._stale_sessions:
             self._stale_sessions.append(old.session_id)
         try:
@@ -286,8 +309,9 @@ class PhoenixRecovery:
             pass
 
     def _open_private(self) -> None:
-        """Fresh private connection, status table ensured, and every server
-        session abandoned on the way here reaped."""
+        """Fresh private connection, status table ensured (persistent;
+        idempotent for post-crash rebuilds), and every server session
+        abandoned on the way here reaped."""
         connection = self.connection
         connection.private = connection.driver.connect(connection.user, {})
         connection.private.execute(
@@ -304,8 +328,6 @@ class PhoenixRecovery:
         connection = self.connection
         tracer = get_tracer()
         for state in connection.results.values():
-            if not state.open:
-                continue
             try:
                 connection.private.execute(f"SELECT count(*) FROM {state.table}")
                 tracer.event("recovery.verify_table", table=state.table, ok=True)
@@ -321,9 +343,8 @@ class PhoenixRecovery:
         blocks is an independent query over persistent tables."""
         connection = self.connection
         for state in connection.results.values():
-            if not state.open or state.kind != "default":
-                continue
-            self._reposition(state)
+            if state.kind == "default":
+                self._reposition(state)
 
     def _reposition(self, state: "ResultState") -> None:
         """Open a server cursor over the materialized table (rows stay on

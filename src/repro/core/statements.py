@@ -40,6 +40,9 @@ class ResultState:
     last_key: Any = None  # dynamic cursors: last key seen by the app
     key_count: int | None = None  # keyset: number of captured keys
     keys_exhausted: bool = False  # dynamic: walked past the captured keys
+    #: False once the application re-executed or closed the cursor that owns
+    #: it; the connection then forgets the state (recovery re-attaches only
+    #: what ``connection.results`` still holds)
     open: bool = True
     #: delivery mode: "buffered" (normal default result set, client buffer)
     #: or "server_cursor" (post-recovery, server-side repositioned cursor).
@@ -63,10 +66,16 @@ class TxnReplayLog:
 
     statements: list[str] = field(default_factory=list)
     active: bool = False
+    #: the server no longer holds the transaction (its session was rebuilt,
+    #: or it was aborted as a deadlock victim): the log must be replayed
+    #: before the transaction's next request.  Stays set across a replay that
+    #: is itself interrupted, so the next attempt starts from scratch.
+    lost: bool = False
 
     def begin(self) -> None:
         self.statements.clear()
         self.active = True
+        self.lost = False
 
     def record(self, sql: str) -> None:
         if self.active:
@@ -75,6 +84,7 @@ class TxnReplayLog:
     def clear(self) -> None:
         self.statements.clear()
         self.active = False
+        self.lost = False
 
 
 @dataclass

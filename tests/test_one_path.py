@@ -2,7 +2,10 @@
 
 PR 19 removed the ablation baselines from ``PhoenixConfig`` and the executor
 mode from the engine; these tests fail when a knob nobody reads is added, or
-when a removed one drifts back in through a default.
+when a removed one drifts back in through a default.  PR 20 folded the
+Phoenix driver's retry loops into one: they also fail when a field nothing
+sets appears, when a second handler starts calling ``recover()``, or when
+the session fixtures are spelled out twice again.
 """
 
 from __future__ import annotations
@@ -22,22 +25,27 @@ from repro.engine.executor import Executor
 SRC = Path(repro.__file__).resolve().parent
 
 
-def _config_attributes_read() -> set[str]:
-    """Every ``<...>config.<name>`` attribute *read* under ``src/repro``
-    outside ``core/config.py`` (assignments such as ``config.sleep = ...``
-    do not count: setting a knob is not honouring it)."""
-    read = set()
-    for path in SRC.rglob("*.py"):
+def _config_attributes(paths, ctx: type) -> set[str]:
+    """Every ``<...>config.<name>`` attribute used in ``ctx`` (``ast.Load``
+    or ``ast.Store``) in ``paths``, ``core/config.py`` itself excluded."""
+    found = set()
+    for path in paths:
         if path == SRC / "core" / "config.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)):
                 continue
             owner = node.value
             name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
             if name == "config":
-                read.add(node.attr)
-    return read
+                found.add(node.attr)
+    return found
+
+
+def _config_attributes_read() -> set[str]:
+    """Attributes *read* under ``src/repro`` (assignments such as
+    ``config.sleep = ...`` do not count: setting a knob is not honouring it)."""
+    return _config_attributes(SRC.rglob("*.py"), ast.Load)
 
 
 def test_every_phoenix_config_field_is_read():
@@ -53,3 +61,94 @@ def test_every_phoenix_config_field_is_read():
 )
 def test_no_executor_mode_parameter(function):
     assert not {"executor", "vectorized"} & set(inspect.signature(function).parameters)
+
+
+# ---------------------------------------------------------------- config fields are set
+
+def _config_fields_set() -> set[str]:
+    """Every name given a value somewhere in ``src/``, ``tests/``,
+    ``benchmarks/`` or ``examples/`` the way a config field is: by a
+    ``<...>config.name = ...`` assignment, or as a call keyword
+    (``PhoenixConfig(name=...)``, or a helper that forwards its keywords)."""
+    repo = SRC.parent.parent
+    paths = [
+        path
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in (repo / top).rglob("*.py")
+    ]
+    assigned = _config_attributes(paths, ast.Store)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                assigned.update(keyword.arg for keyword in node.keywords)
+    return assigned
+
+
+def test_every_phoenix_config_field_is_set_by_some_caller():
+    """A field nothing ever sets has one value in use: it is a constant
+    (``max_operation_retries`` and ``recovery_workers`` were two)."""
+    fields = {field.name for field in dataclasses.fields(PhoenixConfig)}
+    assert fields - _config_fields_set() == set()
+    assert len(fields) == 13
+
+
+# ---------------------------------------------------------------- one failure path
+
+CORE = SRC / "core"
+#: driver calls that put a request on the wire
+SENDS = {"execute", "execute_batch", "fetch", "advance", "table_schema"}
+
+
+def _functions(tree: ast.AST):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _calls(node: ast.AST) -> set[str]:
+    return {
+        n.func.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+
+
+def _catches_recoverable(handler: ast.ExceptHandler) -> bool:
+    return handler.type is not None and any(
+        isinstance(n, ast.Name) and n.id == "RECOVERABLE_ERRORS" for n in ast.walk(handler.type)
+    )
+
+
+def test_one_handler_recovers_and_one_loop_resends():
+    """The paper's failure protocol is written once: a single ``except
+    RECOVERABLE_ERRORS`` handler calls ``recover()`` (there were nine), and
+    no unbounded loop re-sends a request outside the function that owns the
+    recovery budget."""
+    recovering, unbounded = [], []
+    for path in sorted(CORE.glob("*.py")):
+        for function in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.ExceptHandler)
+                    and _catches_recoverable(node)
+                    and "recover" in _calls(node)
+                ):
+                    recovering.append(f"{path.name}:{function.name}")
+                if (
+                    isinstance(node, ast.While)
+                    and isinstance(node.test, ast.Constant)
+                    and node.test.value is True
+                    and SENDS & _calls(node)
+                ):
+                    unbounded.append(f"{path.name}:{function.name}")
+    assert recovering == ["connection.py:_ride_through"]
+    assert unbounded == []
+
+
+@pytest.mark.parametrize("ddl", ["CREATE TABLE {PROXY_TABLE}", "(stmt_seq INT PRIMARY KEY"])
+def test_session_fixture_ddl_is_written_once(ddl):
+    """One function builds a virtual session, for open and recovery alike."""
+    holders = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for _ in range(path.read_text(encoding="utf-8").count(ddl))
+    ]
+    assert holders == ["core/recovery.py"]
