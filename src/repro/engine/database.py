@@ -26,17 +26,6 @@ _META_CHECKPOINT = "checkpoint_lsn"
 _META_PROCEDURES = "procedures"  # (dict name -> CREATE PROCEDURE sql, snapshot lsn)
 _META_VIEWS = "views"  # (dict name -> CREATE VIEW sql, snapshot lsn)
 _META_INDEXES = "indexes"  # (dict name -> (table, column), snapshot lsn)
-#: time-travel log archive: a list of ``(start_lsn, end_lsn, raw_bytes)``
-#: segments, ascending and non-overlapping.  Truncating the log prefix
-#: would destroy the ability to replay history up to any past cut, so the
-#: truncating (quiescent) checkpoint first copies the bytes it is about to
-#: discard into this archive — extending the last segment when it joins the
-#: live log's base, else opening a new segment.  Reconstruction scans every
-#: segment plus the live log as one record stream; a *gap* between segments
-#: (``end < next start``) is legitimate — it marks history erased by a
-#: ``restore_to`` below the log base — while an *overlap* means the meta is
-#: corrupt (:class:`~repro.errors.TimeTravelError`).
-_META_TT_ARCHIVE = "timetravel_log_archive"
 
 
 class Database:
@@ -579,12 +568,16 @@ class Database:
            checkpoint LSN (a transaction committed at or below that LSN is
            in the file; one committing past it is not — no in-between);
         5. point meta at the new checkpoint;
-        6. if quiescent, drop the log prefix before the checkpoint.
+        6. if quiescent, archive the log prefix before the checkpoint for
+           time travel, then drop it from the live log.
 
         A crash between 3 and 5 leaves meta pointing at the *old*
         checkpoint; files already rewritten in step 4 carry the new stamp
         and each is self-consistent, so the per-table commit-LSN guard in
-        recovery stays exact even for a torn checkpoint.
+        recovery stays exact even for a torn checkpoint.  A crash inside
+        step 6 leaves the prefix in the archive *and* in the live log: the
+        live log is authoritative (archive reads stop at the log base) and
+        the next checkpoint's chunk replaces the stale one.
         """
         self.wal.force()
         images, procedures, views, indexes = self._clean_images()
@@ -607,24 +600,23 @@ class Database:
         return lsn
 
     def _archive_log_prefix(self, lsn: int) -> None:
-        """Copy the log bytes below ``lsn`` into the time-travel archive
-        before :meth:`checkpoint` truncates them (see ``_META_TT_ARCHIVE``).
-        Restart recovery never reads the archive — only point-in-time
-        reconstruction does — so a crash anywhere in here is harmless."""
-        base = getattr(self.storage, "log_base", 0)
+        """Append the log bytes below ``lsn``, and the commit rows the
+        in-memory index holds for them, to the time-travel archive before
+        :meth:`checkpoint` truncates them.  The chunk starts at the log
+        base and replaces anything the archive already held from there on
+        (:meth:`StableStorage.append_archive`), so the step can be repeated
+        or die half-way without harm.  A database with no time-travel
+        manager attached has no commit index: it archives the bytes alone."""
+        base = self.storage.log_base
         if lsn <= base:
             return
-        segments = list(self.storage.read_meta(_META_TT_ARCHIVE, []) or [])
-        chunk = bytes(self.storage.read_log()[: lsn - base])
-        if segments and segments[-1][1] == base:
-            start, _end, blob = segments[-1]
-            segments[-1] = (start, lsn, blob + chunk)
-        else:
-            # The archive does not join the live log (a restore_to erased
-            # history below ``base``, or the log was truncated before this
-            # feature existed): open a new segment and keep the gap.
-            segments.append((base, lsn, chunk))
-        self.storage.write_meta(_META_TT_ARCHIVE, segments)
+        index = self.wal.log_index
+        self.storage.append_archive(
+            base,
+            lsn,
+            index.rows(base, lsn) if index is not None else [],
+            self.storage.read_log()[: lsn - base],
+        )
 
 
 def _parse_index_sql(sql_text: str) -> tuple[str, str]:

@@ -72,6 +72,10 @@ class RecoveryReport:
         #: garbage bytes a torn tail write left past the last intact frame
         #: (truncated before the database comes up; 0 for a clean log)
         self.torn_tail_bytes: int = 0
+        #: ``(lsn, frame end, commit_ts or None)`` of every COMMIT in the
+        #: live log, in log order — the live half of the time-travel index,
+        #: a by-product of the one scan a boot makes
+        self.live_commits: list[tuple[int, int, float | None]] = []
 
     def __repr__(self) -> str:
         return (
@@ -114,7 +118,7 @@ def _recover(
     lock_stats: LockStats | None = None,
 ) -> tuple[Database, RecoveryReport]:
     report = RecoveryReport()
-    base = getattr(storage, "log_base", 0)
+    base = storage.log_base
     raw = storage.read_log()
     records, good_end = scan_log(raw, base_offset=base)
     report.records_scanned = len(records)
@@ -136,12 +140,14 @@ def _recover(
     #: highest rowid any record (winner or not) names, per table — losers'
     #: rowids must stay burned even though their rows are never replayed
     max_rowid: dict[str, int] = {}
-    for record in records:
+    for i, record in enumerate(records):
         if record.txn_id:
             seen.add(record.txn_id)
             max_txn_id = max(max_txn_id, record.txn_id)
         if record.type is RecordType.COMMIT:
             winners[record.txn_id] = record.lsn
+            end = records[i + 1].lsn if i + 1 < len(records) else good_end
+            report.live_commits.append((record.lsn, end, record.commit_ts))
         elif record.type is RecordType.ABORT:
             aborted.add(record.txn_id)
         if record.rowid is not None and record.table is not None:

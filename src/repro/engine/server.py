@@ -209,9 +209,10 @@ class DatabaseServer:
         self._parse_cache = ParseCache() if self.plan_cache_enabled else None
         # wire the new incarnation into time travel: the WAL stamps commits
         # with the manager's (restart-spanning) clock and publishes them to
-        # its index, which is rebuilt here from the durable history
+        # its index, which is reloaded here from the archive's commit rows
+        # and the commits recovery's scan of the live log just met
         self.time_travel.attach(self.database)
-        self.time_travel.rebuild()
+        self.time_travel.rebuild(self.last_recovery.live_commits)
         self.up = True
 
     # ----------------------------------------------------------- lifecycle
@@ -389,25 +390,13 @@ class DatabaseServer:
             # reconstruct first — any failure here leaves storage untouched
             snapshot = self.time_travel.snapshot_at_cut(cut)
             info = snapshot.info
-            base = getattr(self.storage, "log_base", 0)
-            if cut_end >= base:
-                self.storage.truncate_log_suffix(cut_end)
-            else:
-                # the cut predates the live log: drop the live log entirely
-                # and trim the archive segments back to the cut (the gap
-                # between archive end and live base is erased history)
-                self.storage.truncate_log_suffix(base)
-                from repro.engine.database import _META_TT_ARCHIVE
-
-                segments = list(self.storage.read_meta(_META_TT_ARCHIVE, []) or [])
-                kept = []
-                for start, end, blob in segments:
-                    if start >= cut_end:
-                        break
-                    if end > cut_end:
-                        end, blob = cut_end, blob[: cut_end - start]
-                    kept.append((start, end, blob))
-                self.storage.write_meta(_META_TT_ARCHIVE, kept)
+            # log first, archive second.  If the process dies between the
+            # two, what the archive still holds past the cut is either below
+            # the log base, where the table files still reflect it (the
+            # restore did not happen), or at or above it, where no read
+            # trusts the archive and the next checkpoint's chunk replaces it
+            self.storage.truncate_log_suffix(cut_end)
+            self.storage.truncate_archive(cut_end)
             discarded = self.time_travel.log_index.truncate_to(cut)
             restored = Database(
                 self.storage,

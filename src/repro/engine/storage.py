@@ -7,7 +7,13 @@ state that survives is what was explicitly written through a
 
 * **table files** — snapshots of table contents, written at checkpoints;
 * **the log** — append-only WAL bytes, forced at commit;
-* **meta entries** — small key/value items (last checkpoint LSN).
+* **meta entries** — small key/value items (last checkpoint LSN, catalog
+  snapshots) — never history, so their size does not grow with uptime;
+* **the archive** — the log prefixes checkpoints truncated, kept for time
+  travel on an append-only device of its own (see :meth:`StableStorage.
+  append_archive` for the chunk layout and the one rule that makes every
+  archive step repeatable).  Restart never reads its log bytes: a boot
+  loads only the fixed-width commit rows stored beside them.
 
 Two implementations are provided.  :class:`InMemoryStableStorage` keeps
 "disk" contents in dictionaries but snapshots every table payload on the
@@ -23,7 +29,10 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import struct
 import tempfile
+import urllib.parse
+import zlib
 from dataclasses import dataclass, field
 
 from repro.engine.schema import TableSchema
@@ -45,6 +54,32 @@ class StorageFault(Exception):
     server process (the endpoint turns it into a crash + communication
     error, exactly like a kernel panic on fsync would).
     """
+
+
+#: one archived commit: (commit LSN, end offset of its frame, commit timestamp)
+_COMMIT_ROW = struct.Struct("<QQd")
+#: archive chunk header: crc32 of the three fields, start LSN, end LSN, row count
+_ARCHIVE_HEADER = struct.Struct("<IQQI")
+#: ``wal.log`` header: magic, absolute LSN of the first log byte after it
+_LOG_HEADER = struct.Struct("<4sQ")
+_LOG_MAGIC = b"WAL1"
+
+
+def _archive_crc(start: int, end: int, n_rows: int) -> int:
+    return zlib.crc32(struct.pack("<QQI", start, end, n_rows))
+
+
+@dataclass
+class _ArchiveChunk:
+    """One live chunk of the archive: log bytes ``[start, end)`` and the
+    rows of the commits inside them.  ``at`` is the device offset of the
+    rows; the log bytes follow them.  ``end`` shrinks when a later chunk
+    supersedes this one's tail."""
+
+    start: int
+    end: int
+    n_rows: int
+    at: int
 
 
 @dataclass
@@ -157,6 +192,11 @@ class StableStorage:
     def log_size(self) -> int:
         raise NotImplementedError
 
+    @property
+    def log_base(self) -> int:
+        """Absolute LSN of the first retained log byte."""
+        raise NotImplementedError
+
     def truncate_log_prefix(self, offset: int) -> None:
         """Discard log bytes before ``offset`` (log head after a quiescent
         checkpoint).  Offsets/LSNs remain absolute."""
@@ -173,6 +213,95 @@ class StableStorage:
         raise NotImplementedError
 
     def read_meta(self, key: str, default: object = None) -> object:
+        raise NotImplementedError
+
+    # -- the time-travel archive -------------------------------------------------
+
+    #: live chunks, ascending and non-overlapping (each backend's
+    #: ``__init__`` creates the list)
+    _archive_chunks: list[_ArchiveChunk]
+
+    def append_archive(
+        self, start: int, end: int, rows: list[tuple[int, int, float]], payload: bytes
+    ) -> None:
+        """Durably archive log bytes ``[start, end)`` with the ``(lsn, end,
+        ts)`` row of every commit inside them, as one chunk::
+
+            [u32 crc][u64 start][u64 end][u32 n_rows]  n_rows x [u64 u64 f64]  bytes
+
+        **A chunk replaces whatever the archive held at or above its start
+        LSN.**  That one rule makes every archive step repeatable: a
+        checkpoint that crashed after archiving and before truncating
+        archives the same prefix again without duplicating it, and
+        ``restore_to`` erases post-cut history by appending an empty chunk
+        at the cut (:meth:`truncate_archive`).  Nothing is ever rewritten in
+        place; a chunk the device tore is ignored when the archive is opened.
+        """
+        fields = (start, end, len(rows))
+        chunk = b"".join(
+            [
+                _ARCHIVE_HEADER.pack(_archive_crc(*fields), *fields),
+                *(_COMMIT_ROW.pack(*row) for row in rows),
+                payload,
+            ]
+        )
+        at = self._write_archive(chunk)
+        self._note_chunk(start, end, len(rows), at + _ARCHIVE_HEADER.size)
+
+    def truncate_archive(self, offset: int) -> None:
+        """Discard archived history at and after absolute ``offset``."""
+        chunks = self._archive_chunks
+        if chunks and chunks[-1].end > offset:
+            self.append_archive(offset, offset, [], b"")
+
+    def _note_chunk(self, start: int, end: int, n_rows: int, at: int) -> None:
+        chunks = self._archive_chunks
+        while chunks and chunks[-1].start >= start:
+            chunks.pop()
+        if chunks and chunks[-1].end > start:
+            chunks[-1].end = start
+        if end > start:
+            chunks.append(_ArchiveChunk(start, end, n_rows, at))
+
+    def _chunks_below_log_base(self):
+        """``(chunk, stop)`` per live chunk, ``stop`` its end clipped to the
+        log base: the live log is authoritative, so whatever the archive
+        holds at or above ``log_base`` (a checkpoint died between archiving
+        and truncating) is ignored."""
+        base = self.log_base
+        for chunk in self._archive_chunks:
+            if chunk.start < base:
+                yield chunk, min(chunk.end, base)
+
+    def archive_rows(self) -> list[tuple[int, int, float]]:
+        """``(lsn, end, ts)`` of every archived commit below the log base,
+        in LSN order — fixed-width rows, no log record is decoded."""
+        rows: list[tuple[int, int, float]] = []
+        for chunk, stop in self._chunks_below_log_base():
+            raw = self._read_archive(chunk.at, chunk.n_rows * _COMMIT_ROW.size)
+            rows.extend(row for row in _COMMIT_ROW.iter_unpack(raw) if row[1] <= stop)
+        return rows
+
+    def archive_segments(self) -> list[tuple[int, int, bytes]]:
+        """``(start, end, log bytes)`` of the archived history below the log
+        base, ascending.  This is the read that costs what history weighs:
+        only point-in-time reconstruction calls it."""
+        return [
+            (
+                chunk.start,
+                stop,
+                self._read_archive(
+                    chunk.at + chunk.n_rows * _COMMIT_ROW.size, stop - chunk.start
+                ),
+            )
+            for chunk, stop in self._chunks_below_log_base()
+        ]
+
+    def _write_archive(self, chunk: bytes) -> int:
+        """Durably append to the archive device; returns where it landed."""
+        raise NotImplementedError
+
+    def _read_archive(self, offset: int, length: int) -> bytes:
         raise NotImplementedError
 
 
@@ -192,6 +321,8 @@ class InMemoryStableStorage(StableStorage):
         self._log = bytearray()
         self._log_base = 0  # absolute offset of _log[0] after truncation
         self._meta: dict[str, object] = {}
+        self._archive = bytearray()
+        self._archive_chunks = []
         #: counters exposed to benchmarks (forced writes etc.)
         self.log_appends = 0
         self.table_writes = 0
@@ -245,18 +376,36 @@ class InMemoryStableStorage(StableStorage):
     def read_meta(self, key: str, default: object = None) -> object:
         return copy.deepcopy(self._meta.get(key, default))
 
+    def _write_archive(self, chunk: bytes) -> int:
+        at = len(self._archive)
+        self._archive.extend(chunk)
+        return at
+
+    def _read_archive(self, offset: int, length: int) -> bytes:
+        return bytes(self._archive[offset : offset + length])
+
+
+
 
 class FileStableStorage(StableStorage):
     """Stable storage backed by a directory of real files.
 
     Layout::
 
-        <root>/tables/<name>.tbl   pickled TableData
-        <root>/wal.log             raw log bytes
+        <root>/tables/<name>.tbl   pickled (name, TableData); the file name
+                                   is the table name, percent-escaped
+        <root>/wal.log             [magic][u64 base LSN] + raw log bytes
         <root>/meta.pickle         pickled meta dict
+        <root>/archive.log         archive chunks (see ``append_archive``)
 
     Table and meta writes go through a temp-file + ``os.replace`` so a crash
-    mid-write never leaves a torn file.
+    mid-write never leaves a torn file.  So does a log prefix truncation:
+    the log's base LSN travels in the header of the file that one replace
+    swaps in, so no crash can leave new bytes under an old base.
+
+    The object is its directory's only writer, so it keeps the log's base
+    and length (and the archive's chunk table) instead of asking the file
+    system for them on every append.
     """
 
     def __init__(self, root: str):
@@ -264,18 +413,24 @@ class FileStableStorage(StableStorage):
         self._tables_dir = os.path.join(root, "tables")
         self._log_path = os.path.join(root, "wal.log")
         self._meta_path = os.path.join(root, "meta.pickle")
-        self._base_path = os.path.join(root, "wal.base")
+        self._archive_path = os.path.join(root, "archive.log")
         os.makedirs(self._tables_dir, exist_ok=True)
         if not os.path.exists(self._log_path):
-            with open(self._log_path, "wb"):
-                pass
+            self._atomic_write(self._log_path, _LOG_HEADER.pack(_LOG_MAGIC, 0))
+        with open(self._log_path, "rb") as handle:
+            header = handle.read(_LOG_HEADER.size)
+        if len(header) < _LOG_HEADER.size or not header.startswith(_LOG_MAGIC):
+            raise StorageFault(f"{self._log_path} is not a log file of this layout")
+        _magic, self._log_base = _LOG_HEADER.unpack(header)
+        self._log_len = os.path.getsize(self._log_path) - _LOG_HEADER.size
+        self._archive_chunks = []
+        self._archive_size = self._open_archive()
 
     # -- helpers --------------------------------------------------------------
 
     def _table_path(self, name: str) -> str:
-        # Escape path-hostile characters conservatively ('#' from temp names).
-        safe = name.replace(os.sep, "_").replace("#", "_tmp_")
-        return os.path.join(self._tables_dir, safe + ".tbl")
+        # reversible, so listing the directory lists the tables
+        return os.path.join(self._tables_dir, urllib.parse.quote(name, safe="") + ".tbl")
 
     @staticmethod
     def _atomic_write(path: str, payload: bytes) -> None:
@@ -291,6 +446,13 @@ class FileStableStorage(StableStorage):
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+
+    @staticmethod
+    def _durable_append(path: str, payload: bytes) -> None:
+        with open(path, "ab") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     # -- table files ------------------------------------------------------------
 
@@ -309,57 +471,57 @@ class FileStableStorage(StableStorage):
             os.unlink(path)
 
     def list_table_files(self) -> list[str]:
-        names = []
-        for entry in sorted(os.listdir(self._tables_dir)):
-            if not entry.endswith(".tbl"):
-                continue
-            with open(os.path.join(self._tables_dir, entry), "rb") as handle:
-                stored_name, _ = pickle.load(handle)
-            names.append(stored_name)
-        return sorted(names)
+        return sorted(
+            urllib.parse.unquote(entry[: -len(".tbl")])
+            for entry in os.listdir(self._tables_dir)
+            if entry.endswith(".tbl")
+        )
 
     # -- log -----------------------------------------------------------------------
 
     @property
     def log_base(self) -> int:
-        if os.path.exists(self._base_path):
-            with open(self._base_path, "rb") as handle:
-                return pickle.load(handle)
-        return 0
+        return self._log_base
 
     def _append_log_raw(self, payload: bytes) -> int:
-        offset = self.log_base + os.path.getsize(self._log_path)
-        with open(self._log_path, "ab") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        offset = self._log_base + self._log_len
+        self._durable_append(self._log_path, payload)
+        self._log_len += len(payload)
         return offset
 
     def read_log(self) -> bytes:
         with open(self._log_path, "rb") as handle:
-            return handle.read()
+            handle.seek(_LOG_HEADER.size)
+            raw = handle.read()
+        # every boot starts here: take the length from the device, in case
+        # an append that raised half-way left more behind than was counted
+        self._log_len = len(raw)
+        return raw
 
     def log_size(self) -> int:
-        return self.log_base + os.path.getsize(self._log_path)
+        return self._log_base + self._log_len
 
     def truncate_log_prefix(self, offset: int) -> None:
-        base = self.log_base
-        keep_from = offset - base
+        keep_from = offset - self._log_base
         if keep_from <= 0:
             return
         with open(self._log_path, "rb") as handle:
-            handle.seek(keep_from)
+            handle.seek(_LOG_HEADER.size + keep_from)
             remainder = handle.read()
-        self._atomic_write(self._log_path, remainder)
-        self._atomic_write(self._base_path, pickle.dumps(offset))
+        self._atomic_write(
+            self._log_path, _LOG_HEADER.pack(_LOG_MAGIC, offset) + remainder
+        )
+        self._log_base = offset
+        self._log_len = len(remainder)
 
     def truncate_log_suffix(self, offset: int) -> None:
-        keep_to = offset - self.log_base
-        if keep_to >= os.path.getsize(self._log_path):
+        keep_to = max(0, offset - self._log_base)
+        if keep_to >= self._log_len:
             return
-        with open(self._log_path, "rb") as handle:
-            prefix = handle.read(max(0, keep_to))
-        self._atomic_write(self._log_path, prefix)
+        with open(self._log_path, "r+b") as handle:
+            handle.truncate(_LOG_HEADER.size + keep_to)
+            os.fsync(handle.fileno())
+        self._log_len = keep_to
 
     # -- meta --------------------------------------------------------------------------
 
@@ -376,3 +538,44 @@ class FileStableStorage(StableStorage):
 
     def read_meta(self, key: str, default: object = None) -> object:
         return self._load_meta().get(key, default)
+
+    # -- archive -------------------------------------------------------------------
+
+    def _open_archive(self) -> int:
+        """Rebuild the chunk table from the chunk headers (rows and log
+        bytes are skipped, not read) and cut a torn tail; returns the
+        archive's size."""
+        if not os.path.exists(self._archive_path):
+            return 0
+        size = os.path.getsize(self._archive_path)
+        pos = 0
+        with open(self._archive_path, "rb") as handle:
+            while pos + _ARCHIVE_HEADER.size <= size:
+                handle.seek(pos)
+                crc, start, end, n_rows = _ARCHIVE_HEADER.unpack(
+                    handle.read(_ARCHIVE_HEADER.size)
+                )
+                if crc != _archive_crc(start, end, n_rows):
+                    break
+                rows_at = pos + _ARCHIVE_HEADER.size
+                chunk_end = rows_at + n_rows * _COMMIT_ROW.size + (end - start)
+                if chunk_end > size:
+                    break
+                self._note_chunk(start, end, n_rows, rows_at)
+                pos = chunk_end
+        if pos < size:
+            os.truncate(self._archive_path, pos)
+        return pos
+
+    def _write_archive(self, chunk: bytes) -> int:
+        at = self._archive_size
+        self._durable_append(self._archive_path, chunk)
+        self._archive_size += len(chunk)
+        return at
+
+    def _read_archive(self, offset: int, length: int) -> bytes:
+        if not length:
+            return b""
+        with open(self._archive_path, "rb") as handle:
+            handle.seek(offset)
+            return handle.read(length)

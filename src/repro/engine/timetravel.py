@@ -7,8 +7,10 @@ no full backups needed.  This module is that machine:
 * :class:`LogIndex` — maps commit timestamps to cut LSNs.  Commit records
   are stamped at *device-force* time (:meth:`WriteAheadLog._flush_commits`),
   so every commit covered by one group force shares one instant and a
-  batch is all-or-none under any cut.  The index is volatile and rebuilt
-  from the (archived + live) log at every boot.
+  batch is all-or-none under any cut.  The index is volatile; a boot
+  reloads it from what it reads anyway — the archive's fixed-width commit
+  rows plus the commits restart recovery's scan of the live log met — so
+  no log record is decoded for the index's sake.
 * :func:`reconstruct_at` — replays committed history up to a cut LSN into
   a fresh, throwaway-storage :class:`Database`: the read-only snapshot
   ``SELECT ... AS OF <ts>`` queries run against.
@@ -24,9 +26,10 @@ exactly restart recovery's winner set, evaluated at a past moment.
 ``AS OF ts`` resolves to the last commit whose timestamp is ``<= ts``
 (the empty database when there is none).  Uncommitted and aborted
 transactions are invisible at every cut, a quiescent checkpoint archives
-the log prefix it truncates (``_META_TT_ARCHIVE``) so no cut is ever lost,
-and ``restore_to`` *discards* post-cut history — by design, that is the
-application-error-recovery story.  See docs/TIME_TRAVEL.md.
+the log prefix it truncates (:meth:`StableStorage.append_archive`) so no
+cut is ever lost, and ``restore_to`` *discards* post-cut history — by
+design, that is the application-error-recovery story.  See
+docs/TIME_TRAVEL.md.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.errors import TimeTravelError
-from repro.engine.database import Database, _META_TT_ARCHIVE
+from repro.engine.database import Database
 from repro.engine.recovery import RecoveryReport, _replay
 from repro.engine.storage import InMemoryStableStorage, StableStorage
 from repro.engine.wal import CommitClock, RecordType, scan_log
@@ -72,9 +76,9 @@ class LogIndex:
 
     Entries arrive in LSN order with strictly increasing timestamps (the
     :class:`CommitClock` guarantees it), so both columns are sorted and
-    ``floor`` is a bisect.  Volatile: :meth:`rebuild` rescans storage at
-    boot; :meth:`note_commit` keeps it live afterwards (called by the WAL
-    after each successful device force).
+    ``floor`` is a bisect.  Volatile: :meth:`load` refills it at boot;
+    :meth:`note_commit` keeps it live afterwards (called by the WAL after
+    each successful device force).
     """
 
     def __init__(self):
@@ -131,27 +135,30 @@ class LogIndex:
                 return self._ends[i]
             return None
 
-    def rebuild(self, storage: StableStorage) -> int:
-        """Re-index every commit in the archived + live log; returns the
-        entry count.  Records missing a stamp (logs written before this
-        feature) get a synthesized monotonic timestamp."""
-        records, _start, ends = full_log_records(storage)
+    def rows(self, start: int, stop: int) -> list[tuple[int, int, float]]:
+        """``(lsn, end, ts)`` of the commits at ``start <= lsn < stop`` —
+        what a checkpoint stores beside the log prefix it archives."""
+        with self._lock:
+            i = bisect.bisect_left(self._lsns, start)
+            j = bisect.bisect_left(self._lsns, stop)
+            return list(zip(self._lsns[i:j], self._ends[i:j], self._tss[i:j]))
+
+    def load(self, rows) -> None:
+        """Replace the index with ``rows`` — ``(lsn, end, ts)`` in LSN
+        order.  A commit missing its stamp (logs written before this
+        feature) gets a synthesized monotonic one."""
         with self._lock:
             self._lsns.clear()
             self._ends.clear()
             self._tss.clear()
             last_ts = 0.0
-            for record, end in zip(records, ends):
-                if record.type is not RecordType.COMMIT:
-                    continue
-                ts = getattr(record, "commit_ts", None)
+            for lsn, end, ts in rows:
                 if ts is None or ts <= last_ts:
                     ts = last_ts + 1e-9
                 last_ts = ts
-                self._lsns.append(record.lsn)
+                self._lsns.append(lsn)
                 self._ends.append(end)
                 self._tss.append(ts)
-            return len(self._lsns)
 
 
 def full_log_records(storage: StableStorage):
@@ -163,9 +170,8 @@ def full_log_records(storage: StableStorage):
     erased by a ``restore_to`` below the log base); an *overlap* means the
     archive is corrupt and raises :class:`TimeTravelError`.
     """
-    base = getattr(storage, "log_base", 0)
-    segments = list(storage.read_meta(_META_TT_ARCHIVE, []) or [])
-    segments.append((base, None, storage.read_log()))  # the live log
+    segments = storage.archive_segments()
+    segments.append((storage.log_base, None, storage.read_log()))  # the live log
     records: list = []
     ends: list[int] = []
     prev_end = 0
@@ -320,11 +326,13 @@ class TimeTravelManager:
         database.wal.clock = self.clock
         database.wal.log_index = self.log_index
 
-    def rebuild(self) -> None:
-        """Boot-time reset: re-index full history, advance the clock past
-        every recovered stamp, drop cached snapshots."""
+    def rebuild(self, live_commits) -> None:
+        """Boot-time reset: reload the index from the archive's commit rows
+        plus ``live_commits`` (``RecoveryReport.live_commits`` — the live
+        log was decoded once, by recovery), advance the clock past every
+        recovered stamp, drop cached snapshots."""
         with self._lock:
-            self.log_index.rebuild(self.storage)
+            self.log_index.load(chain(self.storage.archive_rows(), live_commits))
             latest = self.log_index.latest()
             if latest is not None:
                 self.clock.advance_past(latest[2])

@@ -399,5 +399,4 @@ class WriteAheadLog:
 
     def read_all(self) -> list[LogRecord]:
         """Decode the durable portion of the log (what recovery will see)."""
-        base = getattr(self._storage, "log_base", 0)
-        return decode_log(self._storage.read_log(), base_offset=base)
+        return decode_log(self._storage.read_log(), base_offset=self._storage.log_base)

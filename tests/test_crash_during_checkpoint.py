@@ -10,10 +10,12 @@ write-counting bomb.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.engine import DatabaseServer
-from repro.engine.storage import InMemoryStableStorage
+from repro.engine.storage import FileStableStorage, InMemoryStableStorage
 from tests.conftest import execute
 
 
@@ -132,3 +134,191 @@ def test_repeated_bombed_checkpoints_then_success():
     assert expected_state(server) == before
     # the clean checkpoint truncated the log: little to scan
     assert report.checkpoint_lsn > 0
+
+
+# ------------------------------------------------ kill at every storage mutation
+
+#: every StableStorage method that changes what is on the device
+MUTATIONS = (
+    "append_log",
+    "write_table_file",
+    "delete_table_file",
+    "write_meta",
+    "append_archive",
+    "truncate_archive",
+    "truncate_log_prefix",
+    "truncate_log_suffix",
+)
+
+
+class _Kill(Exception):
+    """The process dies: the mutation it was about to make never happens."""
+
+
+def arm_kill(monkeypatch, storage, at: int) -> list[str]:
+    """Make the ``at``-th mutation of ``storage`` from now on raise instead
+    of running; returns the (growing) list of the mutations that ran."""
+    ran: list[str] = []
+
+    def guard(name):
+        original = getattr(storage, name)
+
+        def guarded(*args, **kwargs):
+            if len(ran) == at:
+                raise _Kill(f"killed before {name} (mutation {at})")
+            ran.append(name)
+            return original(*args, **kwargs)
+
+        return guarded
+
+    for name in MUTATIONS:
+        monkeypatch.setattr(storage, name, guard(name))
+    return ran
+
+
+def make_storage(kind: str, tmp_path):
+    if kind == "memory":
+        return InMemoryStableStorage()
+    return FileStableStorage(str(tmp_path / "db"))
+
+
+def reboot(server: DatabaseServer) -> DatabaseServer:
+    """The process is gone; come back from stable storage alone — for files,
+    as a new process would: a new storage object over the same directory."""
+    server.crash()
+    if isinstance(server.storage, FileStableStorage):
+        return DatabaseServer(FileStableStorage(server.storage.root))
+    server.restart()
+    return server
+
+
+def history(server) -> tuple[list, list]:
+    """A database with an archived prefix, a live log behind it and a stale
+    table file for the checkpoint's sweep; returns the live tables and the
+    pinned ``(ts, rows of t)`` cuts — some archived, some live."""
+    sid = server.connect()
+    pins = []
+
+    def write(sql):
+        execute(server, sid, sql)
+        pins.append((server.time_travel.clock.now(), read_t(server)))
+
+    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, sid, "CREATE TABLE doomed (k INT PRIMARY KEY)")
+    for i in range(3):
+        write(f"INSERT INTO t VALUES ({i}, {i})")
+    server.checkpoint()  # archives the prefix, writes doomed's table file
+    execute(server, sid, "DROP TABLE doomed")
+    for i in range(3, 6):
+        write(f"INSERT INTO t VALUES ({i}, {i})")
+    write("UPDATE t SET v = -1 WHERE k = 1")
+    server.disconnect(sid)
+    return read_tables(server), pins
+
+
+def read_t(server, as_of: float | None = None):
+    sid = server.connect()
+    try:
+        suffix = "" if as_of is None else f" AS OF {as_of!r}"
+        return execute(server, sid, f"SELECT k, v FROM t ORDER BY k{suffix}")
+    finally:
+        server.disconnect(sid)
+
+
+def read_tables(server):
+    return sorted(server.table_names()), read_t(server)
+
+
+def assert_intact(server, tables, pins):
+    assert read_tables(server) == tables
+    for ts, rows in pins:
+        assert read_t(server, as_of=ts) == rows
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_kill_at_every_mutation_of_a_checkpoint_sweep(kind, tmp_path_factory, monkeypatch):
+    """The process dies before the k-th storage mutation of a quiescent
+    checkpoint, for every k: the restart finds every table and every pinned
+    ``AS OF`` cut as the fault-free run left them, and so does the restart
+    after the checkpoint that follows."""
+    at = 0
+    while True:
+        server = DatabaseServer(make_storage(kind, tmp_path_factory.mktemp("sweep")))
+        tables, pins = history(server)
+        with monkeypatch.context() as patch:
+            ran = arm_kill(patch, server.storage, at)
+            try:
+                server.checkpoint()
+                killed = False
+            except _Kill:
+                killed = True
+        if not killed:
+            break
+        server = reboot(server)
+        assert_intact(server, tables, pins)
+        server.checkpoint()
+        server = reboot(server)
+        assert_intact(server, tables, pins)
+        at += 1
+    # the fault-free run made every kind of mutation a checkpoint can make
+    assert at == len(ran)
+    assert {"append_log", "write_table_file", "delete_table_file", "write_meta",
+            "append_archive", "truncate_log_prefix"} <= set(ran)
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_crash_between_archive_and_truncate_boots_and_keeps_history(kind, tmp_path, monkeypatch):
+    """The prefix is in the archive *and* still in the live log: the server
+    used to refuse to boot ("archive segments overlap at LSN 0")."""
+    server = DatabaseServer(make_storage(kind, tmp_path))
+    tables, pins = history(server)
+
+    def dies(_offset):
+        raise _Kill("killed between the archive append and the truncation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(server.storage, "truncate_log_prefix", dies)
+        with pytest.raises(_Kill):
+            server.checkpoint()
+    server = reboot(server)
+    assert_intact(server, tables, pins)
+    server.checkpoint()
+    server = reboot(server)
+    assert_intact(server, tables, pins)
+
+
+@pytest.mark.parametrize("dying_replace", [1, 2])
+def test_kill_inside_file_log_truncation_loses_no_later_commit(dying_replace, tmp_path, monkeypatch):
+    """``truncate_log_prefix`` used to be two renames (log, then base); dying
+    between them left post-checkpoint bytes under base 0, and a row committed
+    after the next boot vanished at the boot after that."""
+    server = DatabaseServer(FileStableStorage(str(tmp_path / "db")))
+    tables, pins = history(server)
+    truncate = server.storage.truncate_log_prefix
+    replace = os.replace
+    calls = []
+
+    def dying(src, dst):
+        calls.append(dst)
+        if len(calls) == dying_replace:
+            raise _Kill(f"killed before rename {dying_replace} of the truncation")
+        replace(src, dst)
+
+    def truncate_with_dying_rename(offset):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", dying)
+            truncate(offset)
+
+    monkeypatch.setattr(server.storage, "truncate_log_prefix", truncate_with_dying_rename)
+    try:
+        server.checkpoint()
+    except _Kill:
+        pass
+    assert len(calls) >= 1
+    server = reboot(server)
+    assert_intact(server, tables, pins)
+    sid = server.connect()
+    execute(server, sid, "INSERT INTO t VALUES (100, 100)")
+    server = reboot(server)
+    assert read_t(server) == tables[1] + [(100, 100)]
+    assert_intact(server, (tables[0], tables[1] + [(100, 100)]), pins)

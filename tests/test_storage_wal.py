@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.engine.schema import Column, TableSchema
@@ -47,6 +49,29 @@ def test_temp_style_names_storable(storage):
     assert storage.read_table_file("#probe").rows
 
 
+def test_table_names_map_to_distinct_files(storage):
+    """The file name encodes the table name reversibly: two names the old
+    escaping folded onto one file stay two tables."""
+    names = ["#x", "_tmp_x", "a/b", "a%2Fb", "plain"]
+    for i, name in enumerate(names, start=1):
+        storage.write_table_file(name, make_data(i))
+    assert storage.list_table_files() == sorted(names)
+    for i, name in enumerate(names, start=1):
+        assert len(storage.read_table_file(name).rows) == i
+
+
+def test_file_listing_reads_no_table_file(tmp_path, monkeypatch):
+    storage = FileStableStorage(str(tmp_path / "db"))
+    storage.write_table_file("a", make_data())
+    storage.write_table_file("#b", make_data())
+
+    def no_reads(*_args, **_kwargs):
+        raise AssertionError("listing opened a file")
+
+    monkeypatch.setattr("builtins.open", no_reads)
+    assert storage.list_table_files() == ["#b", "a"]
+
+
 def test_memory_storage_deep_copies_on_write():
     storage = InMemoryStableStorage()
     data = make_data()
@@ -86,6 +111,132 @@ def test_log_truncate_noop_for_past_offsets(storage):
     storage.append_log(b"abcd")
     storage.truncate_log_prefix(0)
     assert storage.read_log() == b"abcd"
+
+
+def test_log_truncate_suffix_then_append(storage):
+    storage.append_log(b"aaaa")
+    storage.append_log(b"bbbb")
+    storage.truncate_log_prefix(4)
+    storage.truncate_log_suffix(6)
+    assert storage.read_log() == b"bb"
+    assert storage.log_size() == 6
+    assert storage.append_log(b"cc") == 6
+    storage.truncate_log_suffix(2)  # below the base: everything retained goes
+    assert (storage.log_base, storage.read_log(), storage.log_size()) == (4, b"", 4)
+
+
+def test_file_log_base_and_length_survive_reopen(tmp_path):
+    path = str(tmp_path / "db")
+    first = FileStableStorage(path)
+    first.append_log(b"aaaabbbb")
+    first.truncate_log_prefix(4)
+    first.append_log(b"cc")
+    second = FileStableStorage(path)
+    assert (second.log_base, second.read_log(), second.log_size()) == (4, b"bbbbcc", 10)
+    assert second.append_log(b"dd") == 10
+
+
+def test_file_log_prefix_truncation_is_one_atomic_step(tmp_path, monkeypatch):
+    """Die before any rename the truncation makes: a new process finds the
+    log either untouched or truncated, never new bytes under the old base."""
+    replace = os.replace
+    for dying in (1, 2, 3):
+        path = str(tmp_path / f"db{dying}")
+        storage = FileStableStorage(path)
+        storage.append_log(b"aaaabbbb")
+        calls = []
+
+        def dying_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == dying:
+                raise OSError("killed")
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", dying_replace)
+            try:
+                storage.truncate_log_prefix(4)
+            except OSError:
+                pass
+        reopened = FileStableStorage(path)
+        assert (reopened.log_base, reopened.read_log()) in ((0, b"aaaabbbb"), (4, b"bbbb"))
+        assert reopened.log_size() == 8
+    assert len(calls) == 1  # the last round killed nothing: one rename is all there is
+
+
+# ---------------------------------------------------------------- the archive
+
+ROWS = [(0, 4, 1.5), (4, 8, 2.5)]
+
+
+def test_archive_round_trip_below_the_log_base(storage):
+    storage.append_log(b"aaaabbbbcc")
+    storage.append_archive(0, 8, ROWS, b"aaaabbbb")
+    # nothing is trusted until the live log no longer holds it
+    assert storage.archive_rows() == [] and storage.archive_segments() == []
+    storage.truncate_log_prefix(8)
+    assert storage.archive_rows() == ROWS
+    assert storage.archive_segments() == [(0, 8, b"aaaabbbb")]
+
+
+def test_archive_reads_stop_at_the_log_base(storage):
+    """A checkpoint died between archiving [0, 8) and truncating; the live
+    log was then truncated only to 4: the archive answers for [0, 4)."""
+    storage.append_log(b"aaaabbbbcc")
+    storage.append_archive(0, 8, ROWS, b"aaaabbbb")
+    storage.truncate_log_prefix(4)
+    assert storage.archive_rows() == ROWS[:1]
+    assert storage.archive_segments() == [(0, 4, b"aaaa")]
+
+
+def test_archive_chunk_replaces_what_it_overlaps(storage):
+    storage.append_log(b"aaaabbbbccccdd")
+    storage.append_archive(0, 8, ROWS, b"aaaabbbb")
+    # the same prefix again, longer (the repeated step of a checkpoint)
+    storage.append_archive(0, 12, ROWS + [(8, 12, 3.5)], b"aaaabbbbcccc")
+    storage.truncate_log_prefix(12)
+    assert storage.archive_rows() == ROWS + [(8, 12, 3.5)]
+    assert storage.archive_segments() == [(0, 12, b"aaaabbbbcccc")]
+    # a chunk starting inside another keeps the part below its start
+    storage.append_archive(4, 8, [(4, 8, 9.5)], b"BBBB")
+    assert storage.archive_rows() == [(0, 4, 1.5), (4, 8, 9.5)]
+    assert storage.archive_segments() == [(0, 4, b"aaaa"), (4, 8, b"BBBB")]
+
+
+def test_archive_truncate_and_gap(storage):
+    storage.append_log(b"aaaabbbbccccdddd")
+    storage.append_archive(0, 12, ROWS + [(8, 12, 3.5)], b"aaaabbbbcccc")
+    storage.truncate_log_prefix(12)
+    storage.truncate_archive(8)  # restore_to a cut below the log base
+    storage.truncate_archive(10)  # nothing there any more: no-op
+    assert storage.archive_rows() == ROWS
+    storage.append_log(b"eeee")
+    storage.append_archive(12, 20, [(16, 20, 4.5)], b"ddddeeee")
+    storage.truncate_log_prefix(20)
+    assert storage.archive_rows() == ROWS + [(16, 20, 4.5)]
+    assert storage.archive_segments() == [(0, 8, b"aaaabbbb"), (12, 20, b"ddddeeee")]
+    storage.truncate_archive(0)
+    assert storage.archive_rows() == [] and storage.archive_segments() == []
+
+
+def test_file_archive_survives_reopen_and_ignores_a_torn_chunk(tmp_path):
+    path = str(tmp_path / "db")
+    first = FileStableStorage(path)
+    first.append_log(b"aaaabbbbcccc")
+    first.append_archive(0, 8, ROWS, b"aaaabbbb")
+    first.append_archive(0, 12, ROWS + [(8, 12, 3.5)], b"aaaabbbbcccc")
+    first.truncate_archive(8)
+    first.truncate_log_prefix(12)
+    intact = os.path.getsize(first._archive_path)
+    first.append_archive(8, 12, [(8, 12, 3.5)], b"cccc")
+    with open(first._archive_path, "r+b") as handle:
+        handle.truncate(os.path.getsize(first._archive_path) - 3)  # the device tore it
+    second = FileStableStorage(path)
+    assert second.archive_rows() == ROWS
+    assert second.archive_segments() == [(0, 8, b"aaaabbbb")]
+    assert os.path.getsize(second._archive_path) == intact
+    second.append_archive(8, 12, [(8, 12, 3.5)], b"cccc")
+    assert FileStableStorage(path).archive_rows() == ROWS + [(8, 12, 3.5)]
 
 
 # ---------------------------------------------------------------- meta

@@ -20,9 +20,14 @@ Pins the point-in-time subsystem (docs/TIME_TRAVEL.md):
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import repro
+from repro.engine.storage import FileStableStorage, InMemoryStableStorage
+from repro.engine.timetravel import full_log_records
+from repro.engine.wal import RecordType, scan_log
 from repro.errors import (
     CatalogError,
     OperationalError,
@@ -173,6 +178,96 @@ def test_reconstruct_after_torn_wal_tail(system):
     assert len(_rows(system, f"SELECT * FROM t AS OF {_now(system)!r}")) == 4
 
 
+def test_overlapping_archive_segments_fail_loudly(system):
+    """Overlap *below* the log base cannot come from a crash (a chunk
+    replaces what it overlaps, and reads stop at the log base): it means the
+    archive is corrupt, and reconstruction says so."""
+    _run(system, "CREATE TABLE t (k INT PRIMARY KEY)", "INSERT INTO t VALUES (1)")
+    ts = _now(system)
+    system.server.checkpoint()
+    _run(system, "INSERT INTO t VALUES (2)")
+    system.server.checkpoint()
+    first, second = system.server.storage._archive_chunks
+    second.start = first.end - 1
+    with pytest.raises(TimeTravelError, match="overlap"):
+        _rows(system, f"SELECT * FROM t AS OF {ts!r}")
+
+
+# ------------------------------------------- boot work, pinned as a count
+
+
+def _store(storage, archived_commits: int, live_commits: int):
+    """A system with ``archived_commits`` commits behind a checkpoint and
+    ``live_commits`` after it; returns it with one timestamp pinned in the
+    archive, one in the live log and one before all history."""
+    system = repro.make_system(storage)
+    before_history = _now(system)
+    _run(system, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    _run(system, *(f"INSERT INTO t VALUES ({i}, 0)" for i in range(archived_commits - 1)))
+    in_archive = _now(system)
+    system.server.checkpoint()
+    _run(system, *(f"UPDATE t SET v = v + 1 WHERE k = {i}" for i in range(live_commits)))
+    in_live = _now(system)
+    return system, (before_history, in_archive, in_live)
+
+
+def _reference_index(storage):
+    """The commit index a full scan of all history yields — what every boot
+    used to compute."""
+    records, _start, ends = full_log_records(storage)
+    return [
+        (record.lsn, end, record.commit_ts)
+        for record, end in zip(records, ends)
+        if record.type is RecordType.COMMIT
+    ]
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_boot_decodes_the_live_log_once_and_no_history(kind, tmp_path, monkeypatch):
+    """Restart work is a function of the live log: at N archived commits and
+    at 8 N a boot decodes exactly the live records, the index it loads
+    equals a full scan's, and meta holds no history."""
+    from repro.engine import recovery, timetravel
+
+    decoded = []
+
+    def counting(raw, base_offset=0):
+        records, good_end = scan_log(raw, base_offset)
+        decoded.append(len(records))
+        return records, good_end
+
+    meta_sizes = []
+    for n in (12, 96):
+        storage = (
+            InMemoryStableStorage() if kind == "memory"
+            else FileStableStorage(str(tmp_path / f"db{n}"))
+        )
+        system, pins = _store(storage, archived_commits=n, live_commits=5)
+        live_records = len(system.server.database.wal.read_all())
+        system.server.crash()
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery, "scan_log", counting)
+            patch.setattr(timetravel, "scan_log", counting)
+            del decoded[:]
+            system.server.restart()
+        assert decoded == [live_records]
+
+        index = system.server.time_travel.log_index
+        reference = _reference_index(storage)
+        assert len(reference) == n + 5
+        assert list(zip(index._lsns, index._ends, index._tss)) == reference
+        before_history, in_archive, in_live = pins
+        assert index.floor(before_history) is None
+        assert index.floor(in_archive) == reference[n - 1]
+        assert index.floor(in_live) == reference[-1]
+        assert index.floor(in_archive)[0] < storage.log_base <= index.floor(in_live)[0]
+        if kind == "file":
+            meta_sizes.append(os.path.getsize(os.path.join(storage.root, "meta.pickle")))
+            assert os.path.getsize(os.path.join(storage.root, "archive.log")) > 50 * n
+    if kind == "file":
+        assert abs(meta_sizes[1] - meta_sizes[0]) <= 8  # an LSN may need a wider int
+
+
 # ------------------------------------------------------------- SQL surface
 
 
@@ -301,15 +396,13 @@ def test_restore_to_unreachable_cut_leaves_storage_untouched(system):
     """restore_to reconstructs *before* discarding anything: if the cut is
     unreachable (its history is gone), it raises and the live database is
     untouched."""
-    from repro.engine.database import _META_TT_ARCHIVE
-
     _run(system, "CREATE TABLE t (k INT PRIMARY KEY)", "INSERT INTO t VALUES (1)")
     early = _now(system)
     system.server.checkpoint()  # archives + truncates the log prefix
     _run(system, "INSERT INTO t VALUES (2)")
     # simulate lost history: throw away the archived prefix out from under
     # the manager, so the early cut predates every replayable byte
-    system.server.storage.write_meta(_META_TT_ARCHIVE, [])
+    system.server.storage.truncate_archive(0)
     system.server.time_travel._snapshots.clear()
     with pytest.raises(TimeTravelError):
         system.server.restore_to(early)
