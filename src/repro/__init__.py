@@ -168,7 +168,6 @@ def make_system(
     *,
     dsn: str = "main",
     config: PhoenixConfig | None = None,
-    plan_cache: bool = True,
     registry: MetricsRegistry | None = None,
     listen: str | None = None,
     transport: str = "auto",
@@ -176,8 +175,7 @@ def make_system(
     """Build server + wire + driver + both driver managers, ready to use.
 
     ``storage`` defaults to in-memory stable storage (instant crashes); pass
-    a :class:`FileStableStorage` for on-disk durability.  ``plan_cache``
-    toggles the server's parse/plan caches (the bench ablation's knob).
+    a :class:`FileStableStorage` for on-disk durability.
     ``registry`` lets a caller supply its own :class:`MetricsRegistry`; by
     default each system gets a fresh one.  The server, the TCP front end
     and the native driver all count into it, so
@@ -194,7 +192,7 @@ def make_system(
     """
     if registry is None:
         registry = MetricsRegistry()
-    server = DatabaseServer(storage, plan_cache=plan_cache, registry=registry)
+    server = DatabaseServer(storage, registry=registry)
     endpoint = ServerEndpoint(server)
     tcp_server = None
     if listen is not None:

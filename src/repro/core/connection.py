@@ -47,7 +47,6 @@ from repro.core.interceptor import (
     build_dml_batch,
     build_fill_batch,
     redirect_names,
-    with_false_where,
 )
 from repro.core.naming import NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
@@ -57,6 +56,7 @@ from repro.obs.tracer import get_tracer
 from repro.odbc.driver import DriverConnection, NativeDriver
 from repro.odbc.driver_manager import Connection
 from repro.sql import ast
+from repro.sql.walk import key_cursor_source, key_query, with_false_where
 
 __all__ = ["PhoenixConnection", "PhoenixStats"]
 
@@ -795,18 +795,11 @@ class PhoenixConnection(Connection):
         seq = self.names.next_seq()
         app_columns = self.probe_metadata(select)
         keys_table = self.names.keys_table(seq)
-        key_select = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(key_column))],
-            from_=select.from_,
-            where=select.where,
-            order_by=select.order_by
-            or [ast.OrderItem(ast.ColumnRef(key_column))],
-        )
         schema = TableSchema(
             name=keys_table,
             columns=(Column("k", key_col_meta.type, length=key_col_meta.length),),
         )
-        proc_name, key_count = self._materialize(seq, schema, key_select)
+        proc_name, key_count = self._materialize(seq, schema, key_query(select, key_column))
         self.stats.cursors_materialized += 1
         state = ResultState(
             seq=seq,
@@ -823,31 +816,12 @@ class PhoenixConnection(Connection):
         return state
 
     def _keyable(self, select: ast.Select) -> tuple[str, str, Column] | None:
-        """Client-side keyability check via the driver's catalog call."""
-        if not isinstance(select, ast.Select):
-            return None  # unions etc. are never key-addressable
-        if (
-            select.group_by
-            or select.having is not None
-            or select.distinct
-            or select.limit is not None
-            or select.into is not None
-            # AS OF rows live in a frozen snapshot the key cursor could not
-            # re-fetch from the live table; use default materialization
-            or getattr(select, "as_of", None) is not None
-            or not isinstance(select.from_, ast.TableName)
-        ):
+        """Client-side keyability check: the shape the server's cursors ask
+        for too, then the key via the driver's catalog call."""
+        source = key_cursor_source(select)
+        if source is None:
             return None
-        # bare aggregates collapse rows — not key-addressable either
-        from repro.engine.executor import _collect_aggregates
-
-        aggs: list = []
-        for item in select.items:
-            if not isinstance(item.expr, ast.Star):
-                _collect_aggregates(item.expr, aggs)
-        if aggs:
-            return None
-        base = select.from_.name
+        base = source.name
         try:
             schema = self._ride_through(lambda: self.app.table_schema(base))
         except RECOVERABLE_ERRORS:

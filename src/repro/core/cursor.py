@@ -26,6 +26,7 @@ from repro.core.interceptor import (
     statement_templates,
 )
 from repro.core.statements import ResultState
+from repro.errors import NotSupportedError
 from repro.net.protocol import ResultResponse
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType, StatementAttr
@@ -123,6 +124,11 @@ class PhoenixCursor(Statement):
                 persistent = connection.names.redirected_table(original)
                 connection.temp_table_map[original] = persistent
                 connection.cleanup_tables.append(persistent)
+
+        if isinstance(stmt, ast.CreateIndex) and stmt.table.lower() in connection.temp_table_map:
+            # the persistent stand-in would take the index; the temp table
+            # it stands in for does not
+            raise NotSupportedError("indexes on temp tables are not supported")
 
         # everything below references tables/procs: apply redirection
         stmt = connection.rewrite(stmt)

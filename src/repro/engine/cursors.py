@@ -29,6 +29,7 @@ from repro.engine.expressions import Env, ExpressionCompiler, Scope
 from repro.engine.results import ResultSet
 from repro.engine.schema import Column
 from repro.sql import ast
+from repro.sql.walk import key_cursor_source, key_query, with_false_where
 
 __all__ = [
     "CursorType",
@@ -112,38 +113,19 @@ class DefaultResultSetCursor(ServerCursor):
 
 
 def cursor_query_is_keyable(select: ast.Select, executor) -> tuple[str, str] | None:
-    """If ``select`` supports key-based cursors, return (table, key column).
-
-    Requirements: one plain table in FROM, a single-column primary key, no
-    grouping/aggregates/DISTINCT/LIMIT.
-    """
-    if (
-        select.group_by
-        or select.having is not None
-        or select.distinct
-        or select.limit is not None
-        or select.offset is not None
-        or select.into is not None
-    ):
-        return None
-    if not isinstance(select.from_, ast.TableName):
-        return None
-    # bare aggregates (no GROUP BY) also collapse rows — not key-addressable
-    from repro.engine.executor import _collect_aggregates
-
-    aggs: list = []
-    for item in select.items:
-        if not isinstance(item.expr, ast.Star):
-            _collect_aggregates(item.expr, aggs)
-    if aggs:
+    """If ``select`` supports key-based cursors, return (table, key column):
+    the shape Phoenix's key cursors ask for too, and a single-column primary
+    key."""
+    source = key_cursor_source(select)
+    if source is None:
         return None
     try:
-        table, _ = executor.resolve_table(select.from_.name)
+        table, _ = executor.resolve_table(source.name)
     except Exception:
         return None
     if len(table.schema.primary_key) != 1:
         return None
-    return select.from_.name.lower(), table.schema.primary_key[0]
+    return source.name.lower(), table.schema.primary_key[0]
 
 
 class _KeyCursorBase(ServerCursor):
@@ -155,12 +137,7 @@ class _KeyCursorBase(ServerCursor):
         self.table_name = table_name
         self.key_column = key_column
         self.binding = (select.from_.alias or select.from_.name).lower()
-        columns = self._plan_columns()
-        super().__init__(columns)
-
-    def _plan_columns(self) -> list[Column]:
-        probe = self.executor.execute_select(_with_false_where(self.select))
-        return probe.columns
+        super().__init__(self.executor.execute_select(with_false_where(select)).columns)
 
     def _project_row(self, base_row: tuple) -> tuple:
         """Evaluate the cursor's select list against one base-table row."""
@@ -187,14 +164,8 @@ class KeysetCursor(_KeyCursorBase):
         self.holes = 0  # rows whose key vanished before fetch (deleted)
 
     def _capture_keys(self) -> list:
-        key_query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(self.key_column))],
-            from_=self.select.from_,
-            where=self.select.where,
-            order_by=self.select.order_by
-            or [ast.OrderItem(ast.ColumnRef(self.key_column))],
-        )
-        return [row[0] for row in self.executor.execute_select(key_query).rows]
+        keys = self.executor.execute_select(key_query(self.select, self.key_column))
+        return [row[0] for row in keys.rows]
 
     @property
     def effective_type(self) -> str:
@@ -266,21 +237,6 @@ class DynamicCursor(_KeyCursorBase):
         if len(rows) < n:
             self.drained = True
         return rows, self.drained
-
-
-def _with_false_where(select: ast.Select) -> ast.Select:
-    """The metadata probe: the same trick Phoenix plays (`WHERE 0=1`)."""
-    false = ast.Binary("=", ast.Literal(0), ast.Literal(1))
-    where = false if select.where is None else ast.Binary("AND", select.where, false)
-    return ast.Select(
-        items=select.items,
-        from_=select.from_,
-        where=where,
-        group_by=list(select.group_by),
-        having=select.having,
-        order_by=[],
-        distinct=select.distinct,
-    )
 
 
 def open_cursor(executor, select: ast.Select, requested_type: str) -> ServerCursor:

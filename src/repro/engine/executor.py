@@ -47,6 +47,7 @@ from repro.engine.values import SqlType, sort_key
 from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
+from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children, walk
 
 __all__ = ["Executor"]
 
@@ -94,7 +95,6 @@ class Executor:
         session,
         *,
         metrics: EngineMetrics | None = None,
-        plan_cache: bool = True,
         stats: ExecutorStats | None = None,
     ):
         self.database = database
@@ -107,8 +107,8 @@ class Executor:
         self.metrics = metrics if metrics is not None else EngineMetrics()
         #: access-path / pipeline counters (shared server-wide when wired)
         self.stats = stats if stats is not None else ExecutorStats()
-        #: compiled-plan reuse for repeated top-level SELECTs; None = disabled
-        self._plan_cache: PlanCache | None = PlanCache() if plan_cache else None
+        #: compiled-plan reuse for repeated top-level SELECTs
+        self._plan_cache = PlanCache()
         #: statement epoch, bumped at every top-level SELECT entry; compiled
         #: closures capture this cell so "once per statement" memos (uncorrelated
         #: subqueries, derived tables, views) recompute when a cached plan is
@@ -721,7 +721,7 @@ class Executor:
             # compiled plan (uncorrelated subqueries, derived tables, views)
             # must recompute so intervening DML is visible.
             self._epoch_cell[0] += 1
-            if not params and self._plan_cache is not None:
+            if not params:
                 # Placeholder templates are cacheable too: the compiled plan
                 # reads its shared placeholder list at run time, so rebinding
                 # the list re-parameterizes the cached plan without a
@@ -768,7 +768,6 @@ class Executor:
         parse cache returns the *same* AST objects for repeated SQL text,
         and the entry pins the statement so the id stays unambiguous."""
         versions = (self.database.catalog_version, self.session.temp_version)
-        assert self._plan_cache is not None
         runner = self._plan_cache.lookup(select, versions, self.metrics)
         if runner is None:
             if isinstance(select, ast.UnionSelect):
@@ -1936,72 +1935,18 @@ def _contains_funccall(expr: ast.Expr) -> bool:
     """Does the expression contain any function call?  Used to exclude
     conjuncts from constant folding: scalar functions may be session-state
     dependent (``rowcount()``) and must keep evaluating at run time."""
-    if isinstance(expr, ast.FuncCall):
-        return True
-    if isinstance(expr, ast.Binary):
-        return _contains_funccall(expr.left) or _contains_funccall(expr.right)
-    if isinstance(expr, (ast.Unary, ast.IsNull, ast.Cast, ast.ExtractExpr)):
-        return _contains_funccall(expr.operand)
-    if isinstance(expr, ast.Between):
-        return any(_contains_funccall(e) for e in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, ast.InList):
-        return any(_contains_funccall(e) for e in (expr.operand, *expr.items))
-    if isinstance(expr, ast.Like):
-        children = [expr.operand, expr.pattern]
-        if expr.escape is not None:
-            children.append(expr.escape)
-        return any(_contains_funccall(e) for e in children)
-    if isinstance(expr, ast.CaseExpr):
-        children = [c for c in (expr.operand, expr.else_) if c is not None]
-        for cond, result in expr.whens:
-            children.extend([cond, result])
-        return any(_contains_funccall(e) for e in children)
-    if isinstance(expr, ast.SubstringExpr):
-        children = [expr.operand, expr.start]
-        if expr.length is not None:
-            children.append(expr.length)
-        return any(_contains_funccall(e) for e in children)
-    return False
+    return any(isinstance(node, ast.FuncCall) for node in walk(expr))
 
 
 def _collect_plain_refs(expr: ast.Expr, out: list[ast.ColumnRef]) -> bool:
     """Collect column refs; returns False if the expression contains a
     subquery (which disqualifies it from pushdown)."""
-    if isinstance(expr, (ast.ScalarSelect, ast.InSelect, ast.Exists)):
+    if isinstance(expr, SUBQUERY_EXPRS):
         return False
     if isinstance(expr, ast.ColumnRef):
         out.append(expr)
         return True
-    children: list[ast.Expr] = []
-    if isinstance(expr, ast.Binary):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, ast.Unary):
-        children = [expr.operand]
-    elif isinstance(expr, ast.IsNull):
-        children = [expr.operand]
-    elif isinstance(expr, ast.Between):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, ast.InList):
-        children = [expr.operand, *expr.items]
-    elif isinstance(expr, ast.Like):
-        children = [expr.operand, expr.pattern]
-        if expr.escape is not None:
-            children.append(expr.escape)
-    elif isinstance(expr, ast.FuncCall):
-        children = list(expr.args)
-    elif isinstance(expr, ast.CaseExpr):
-        children = [c for c in [expr.operand, expr.else_] if c is not None]
-        for cond, result in expr.whens:
-            children.extend([cond, result])
-    elif isinstance(expr, ast.Cast):
-        children = [expr.operand]
-    elif isinstance(expr, ast.ExtractExpr):
-        children = [expr.operand]
-    elif isinstance(expr, ast.SubstringExpr):
-        children = [expr.operand, expr.start]
-        if expr.length is not None:
-            children.append(expr.length)
-    return all(_collect_plain_refs(child, out) for child in children)
+    return all(_collect_plain_refs(child, out) for child in children(expr))
 
 
 def _env(values: list, outer_env: Env | None) -> Env:
@@ -2011,50 +1956,7 @@ def _env(values: list, outer_env: Env | None) -> Env:
 def _collect_aggregates(expr: ast.Expr, out: list[ast.FuncCall]) -> None:
     """Gather aggregate calls at this query level (do not descend into
     subqueries — their aggregates are their own)."""
-    if isinstance(expr, ast.FuncCall):
-        if expr.name.lower() in functions.AGGREGATE_NAMES:
-            out.append(expr)
-            return
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-        return
-    if isinstance(expr, (ast.ScalarSelect, ast.InSelect, ast.Exists)):
-        return
-    if isinstance(expr, ast.Binary):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, ast.Unary):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.Between):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.low, out)
-        _collect_aggregates(expr.high, out)
-    elif isinstance(expr, ast.InList):
-        _collect_aggregates(expr.operand, out)
-        for item in expr.items:
-            _collect_aggregates(item, out)
-    elif isinstance(expr, ast.Like):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.pattern, out)
-    elif isinstance(expr, ast.IsNull):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.CaseExpr):
-        if expr.operand is not None:
-            _collect_aggregates(expr.operand, out)
-        for cond, result in expr.whens:
-            _collect_aggregates(cond, out)
-            _collect_aggregates(result, out)
-        if expr.else_ is not None:
-            _collect_aggregates(expr.else_, out)
-    elif isinstance(expr, ast.Cast):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, (ast.ExtractExpr,)):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, ast.SubstringExpr):
-        _collect_aggregates(expr.operand, out)
-        _collect_aggregates(expr.start, out)
-        if expr.length is not None:
-            _collect_aggregates(expr.length, out)
+    out.extend(aggregate_calls(expr))
 
 
 def _derive_name(expr: ast.Expr) -> str:

@@ -14,10 +14,9 @@ from typing import Any, Callable
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine.values import compare, parse_date
+from repro.sql.ast import AGGREGATE_NAMES
 
 __all__ = ["SCALAR_FUNCTIONS", "AGGREGATE_NAMES", "make_accumulator", "Accumulator"]
-
-AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 
 
 def _null_safe(fn: Callable) -> Callable:

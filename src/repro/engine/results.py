@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.engine.schema import Column, TableSchema
+from repro.engine.values import type_holding
 
 __all__ = ["ResultSet", "StatementResult"]
 
@@ -26,8 +27,15 @@ class ResultSet:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def to_schema(self, table_name: str, *, primary_key: tuple[str, ...] = ()) -> TableSchema:
-        """Build a table schema that can hold this result (Phoenix Step 2).
+    def to_schema(self, table_name: str) -> TableSchema:
+        """Build a table schema that can hold this result (Phoenix Step 2)
+        and hand its values back as they are, types included.
+
+        A column's type was inferred before the query ran (``sum`` is FLOAT,
+        an unknown function VARCHAR) and a table coerces what it stores, so
+        a column whose values are not of its type's class is stored under
+        the type they have (:func:`type_holding`).  ``columns`` keeps the
+        inferred types: a query's description does not depend on who asks.
 
         Result metadata can legally repeat a name (two unaliased counts,
         ``SELECT *`` over a self-join) or leave one empty; a table cannot.
@@ -38,7 +46,11 @@ class ResultSet:
         taken = {column.name for column in self.columns}
         used: set[str] = set()
         stored = []
-        for column in self.columns:
+        for position, column in enumerate(self.columns):
+            kinds = {type(row[position]) for row in self.rows} - {type(None)}
+            holding = type_holding(kinds, column.type)
+            if holding is not column.type:
+                column = Column(column.name, holding, not_null=column.not_null)
             name = base = column.name or "col"
             suffix = 1
             while name in used or (suffix > 1 and name in taken):
@@ -49,7 +61,6 @@ class ResultSet:
         return TableSchema(
             name=table_name,
             columns=tuple(stored),
-            primary_key=primary_key,
             temporary=table_name.startswith("#"),
         )
 

@@ -133,7 +133,6 @@ class DatabaseServer:
         storage: StableStorage | None = None,
         *,
         name: str = "server",
-        plan_cache: bool = True,
         registry: MetricsRegistry | None = None,
     ):
         self.name = name
@@ -154,10 +153,8 @@ class DatabaseServer:
         self.database: Database | None = None
         self.sessions: dict[int, Session] = {}
         self._executors: dict[int, Executor] = {}
-        #: enables both the parse cache and per-session plan caches; the
-        #: bench ablation flips this off for its baseline
-        self.plan_cache_enabled = plan_cache
-        #: SQL text → parsed statements; volatile (rebuilt cold on restart)
+        #: SQL text → parsed statements; volatile (None while the server is
+        #: down, rebuilt cold on restart)
         self._parse_cache: ParseCache | None = None
         self.last_recovery: RecoveryReport | None = None
         #: monotonically increasing activity counter; every session-scoped
@@ -206,7 +203,7 @@ class DatabaseServer:
         # (standalone LockManagers keep the historical fail-fast default)
         self.database.locks.use_mutex(self._engine_mutex)
         self.database.locks.default_timeout = DEFAULT_SERVER_WAIT
-        self._parse_cache = ParseCache() if self.plan_cache_enabled else None
+        self._parse_cache = ParseCache()
         # wire the new incarnation into time travel: the WAL stamps commits
         # with the manager's (restart-spanning) clock and publishes them to
         # its index, which is reloaded here from the archive's commit rows
@@ -491,7 +488,6 @@ class DatabaseServer:
                 self.database,
                 session,
                 metrics=self.engine_metrics,
-                plan_cache=self.plan_cache_enabled,
                 stats=self.executor_stats,
             )
             self._touch(session)
@@ -714,8 +710,6 @@ class DatabaseServer:
         not cached (they raise before the put).
         """
         cache = self._parse_cache
-        if cache is None:
-            return tuple(parse_script(sql))
         statements = cache.get(sql)
         if statements is not None:
             self.engine_metrics.parse_hits += 1

@@ -375,9 +375,7 @@ class TimeTravelManager:
             from repro.engine.session import Session
 
             session = Session(user="timetravel")
-            executor = Executor(
-                database, session, metrics=self.engine_metrics, plan_cache=True
-            )
+            executor = Executor(database, session, metrics=self.engine_metrics)
             #: tells Executor.execute_select it already *is* the snapshot —
             #: a select's AS OF clause is resolved, not recursed on
             executor.as_of_cut = cut_lsn

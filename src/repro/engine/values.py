@@ -26,6 +26,7 @@ __all__ = [
     "parse_date",
     "sort_key",
     "type_from_python",
+    "type_holding",
 ]
 
 
@@ -209,6 +210,10 @@ _PYTHON_TO_SQL = {
 }
 
 
+#: the types whose values are held as another type's Python class
+_STORED_AS = {SqlType.DECIMAL: SqlType.FLOAT, SqlType.CHAR: SqlType.VARCHAR, SqlType.TEXT: SqlType.VARCHAR}
+
+
 def type_from_python(value: Any) -> SqlType:
     """Infer a SQL type from a Python value (used for computed columns in
     ``SELECT ... INTO`` / Phoenix materialized tables)."""
@@ -220,3 +225,17 @@ def type_from_python(value: Any) -> SqlType:
     if isinstance(value, datetime.date):
         return SqlType.DATE
     raise DataError(f"no SQL type for Python value {value!r}")
+
+
+def type_holding(kinds: set[type], inferred: SqlType) -> SqlType:
+    """The column type that stores values of the Python classes ``kinds``
+    as they are: ``inferred`` when they are all of its class, else the type
+    of the class they share.  Values of several classes have no such type:
+    ints among floats are stored as FLOAT, anything else as text (which at
+    least never fails to coerce)."""
+    held = {_PYTHON_TO_SQL.get(kind, SqlType.VARCHAR) for kind in kinds}
+    if held <= {_STORED_AS.get(inferred, inferred)}:
+        return inferred
+    if len(held) == 1:
+        return held.pop()
+    return SqlType.FLOAT if held == {SqlType.INT, SqlType.FLOAT} else SqlType.VARCHAR

@@ -64,6 +64,9 @@ __all__ = [
     "CreateIndex",
     "DropIndex",
     "quote_literal",
+    "AGGREGATE_NAMES",
+    "TABLE_NAME_FIELD",
+    "PROCEDURE_NAME_FIELD",
 ]
 
 #: Binary operators rendered with surrounding spaces, in precedence order
@@ -71,6 +74,8 @@ __all__ = [
 COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%", "||"})
 LOGICAL_OPS = frozenset({"AND", "OR"})
+#: The function names that aggregate rows (lower-case); any other call is scalar.
+AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 
 
 def quote_ident(name: str) -> str:
@@ -830,3 +835,29 @@ class Explain(Statement):
 
     def sql(self) -> str:
         return f"EXPLAIN {self.select.sql()}"
+
+
+#: The field of each class that holds a *table* name (for ``ColumnRef`` and
+#: ``Star`` the qualifier, which names a table when FROM gave it no alias).
+#: Declared once: every reading that cares about table names — Phoenix's
+#: temp-object redirection first of all — looks in the same places.
+TABLE_NAME_FIELD: dict[type, str] = {
+    TableName: "name",
+    ColumnRef: "table",
+    Star: "table",
+    Select: "into",
+    UnionSelect: "into",
+    Insert: "table",
+    Update: "table",
+    Delete: "table",
+    CreateTable: "name",
+    DropTable: "name",
+    CreateIndex: "table",
+}
+
+#: The field of each class that holds a *procedure* name.
+PROCEDURE_NAME_FIELD: dict[type, str] = {
+    CreateProcedure: "name",
+    DropProcedure: "name",
+    ExecProcedure: "name",
+}

@@ -50,11 +50,10 @@ def _literal(value) -> str:
     return "NULL" if value is None else repr(value)
 
 
-@pytest.fixture(scope="module")
-def engines():
-    """(run on this engine, run on sqlite) over identical seeded data:
-    ~10 % NULLs per nullable column, duplicate-heavy ``v`` and ``s`` (ties),
-    and ``r.tk`` values that dangle past ``t``'s keys (LEFT JOIN misses)."""
+def seeded_statements() -> list[str]:
+    """The schema and its seeded data, as statements: ~10 % NULLs per
+    nullable column, duplicate-heavy ``v`` and ``s`` (ties), and ``r.tk``
+    values that dangle past ``t``'s keys (LEFT JOIN misses)."""
     rng = random.Random(23)
 
     def nullable(value):
@@ -72,15 +71,20 @@ def engines():
         ],
         "r": [(i, nullable(rng.randrange(360)), rng.randrange(5)) for i in range(150)],
     }
-    server = DatabaseServer()
-    sid = server.connect()
-    lite = sqlite3.connect(":memory:")
-    loads = [
+    return SCHEMA + [
         f"INSERT INTO {name} VALUES "
         + ", ".join("(" + ", ".join(map(_literal, row)) + ")" for row in rows)
         for name, rows in tables.items()
     ]
-    for sql in SCHEMA + loads:
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """(run on this engine, run on sqlite) over identical seeded data."""
+    server = DatabaseServer()
+    sid = server.connect()
+    lite = sqlite3.connect(":memory:")
+    for sql in seeded_statements():
         execute(server, sid, sql)
         lite.execute(sql)
     yield (lambda sql: execute(server, sid, sql)), (lambda sql: lite.execute(sql).fetchall())

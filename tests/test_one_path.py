@@ -5,7 +5,9 @@ mode from the engine; these tests fail when a knob nobody reads is added, or
 when a removed one drifts back in through a default.  PR 20 folded the
 Phoenix driver's retry loops into one: they also fail when a field nothing
 sets appears, when a second handler starts calling ``recover()``, or when
-the session fixtures are spelled out twice again.
+the session fixtures are spelled out twice again.  PR 22 gave ``repro.sql``
+the one traversal of a statement: they fail when a function enumerates the
+expression classes by hand again, or the driver borrows the engine's reading.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import repro
 from repro.core import PhoenixConfig
 from repro.engine import DatabaseServer
 from repro.engine.executor import Executor
+from repro.sql import ast as sql_ast  # ``ast`` is Python's here
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -60,7 +63,9 @@ def test_every_phoenix_config_field_is_read():
     "function", [repro.make_system, DatabaseServer.__init__, Executor.__init__]
 )
 def test_no_executor_mode_parameter(function):
-    assert not {"executor", "vectorized"} & set(inspect.signature(function).parameters)
+    assert not {"executor", "vectorized", "plan_cache"} & set(
+        inspect.signature(function).parameters
+    )
 
 
 # ---------------------------------------------------------------- config fields are set
@@ -152,3 +157,55 @@ def test_session_fixture_ddl_is_written_once(ddl):
         for _ in range(path.read_text(encoding="utf-8").count(ddl))
     ]
     assert holders == ["core/recovery.py"]
+
+
+# ---------------------------------------------------------------- one reading of a statement
+
+EXPR_CLASSES = {
+    name
+    for name, cls in vars(sql_ast).items()
+    if isinstance(cls, type) and issubclass(cls, sql_ast.Expr) and cls is not sql_ast.Expr
+}
+
+
+def _expr_classes_tested(function: ast.AST) -> set[str]:
+    """The ``ast.<Expr subclass>`` names inside ``isinstance`` calls of ``function``."""
+    return {
+        node.attr
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+        for node in ast.walk(call)
+        if isinstance(node, ast.Attribute) and node.attr in EXPR_CLASSES
+    }
+
+
+def test_no_function_enumerates_the_expression_classes_again():
+    """Who a node's children are is ``repro.sql.walk``'s to say, once.  A
+    function outside ``repro.sql`` that tests for four or more expression
+    classes is a hand-written walker (there were five, each with its own
+    omissions); ``_infer_type`` is the exception — its arms are what each
+    class *means*, not where its children are."""
+    enumerating = sorted(
+        f"{path.relative_to(SRC).as_posix()}:{function.name}"
+        for path in SRC.rglob("*.py")
+        if SRC / "sql" not in path.parents
+        for function in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        if len(_expr_classes_tested(function)) >= 4
+    )
+    assert enumerating == ["engine/executor.py:_infer_type"]
+
+
+def test_the_driver_reads_statements_without_the_engine():
+    """``repro.core`` shares ``repro.sql``'s readings with the engine; it
+    does not borrow the executor's or the cursors' private helpers, and it
+    never rewrites a deep copy of a statement."""
+    for path in sorted(CORE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        imported = {
+            name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
+        }
+        assert not {"repro.engine.executor", "repro.engine.cursors"} & imported, path.name
+        assert "deepcopy" not in source, path.name

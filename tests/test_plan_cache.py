@@ -345,26 +345,6 @@ def test_surviving_procedure_is_parsed_cold_after_crash(server, parsed_texts):
     assert parsed_texts == []  # ...once
 
 
-def test_plan_cache_can_be_disabled():
-    server = DatabaseServer(plan_cache=False)
-    sid = server.connect()
-    server.execute(sid, "CREATE TABLE d (k INT PRIMARY KEY)")
-    server.execute(sid, "INSERT INTO d VALUES (1)")
-    for _ in range(3):
-        assert rows(server.execute(sid, "SELECT k FROM d")) == [(1,)]
-    snapshot = server.engine_metrics.snapshot()
-    assert snapshot["parse_hits"] == 0
-    assert snapshot["plan_hits"] == 0
-
-
-def test_make_system_passes_plan_cache_flag():
-    system = repro.make_system(plan_cache=False)
-    assert system.server.plan_cache_enabled is False
-    assert system.server._parse_cache is None
-    system = repro.make_system()
-    assert system.server.plan_cache_enabled is True
-
-
 # ---------------------------------------------------------------- fast paths
 
 
