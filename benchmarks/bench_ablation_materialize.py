@@ -11,7 +11,6 @@ alternative is built here from plain-driver calls; the driver has one path.
 from __future__ import annotations
 
 import repro
-from repro.sql import parse
 
 ROWS = 2_000
 SQL = "SELECT k, v, v * 2 AS v2 FROM abl_rows WHERE k <= 100000"
@@ -50,7 +49,7 @@ def test_materialize_round_trips_and_bytes():
         connection = (system.phoenix if mode == "proc" else system.plain).connect(system.DSN)
         before = (system.metrics.round_trips, system.metrics.bytes_sent)
         if mode == "proc":
-            _state, rows = connection.materialize_default(parse(SQL))
+            rows = connection.cursor().execute(SQL).fetchall()  # one fill request
         else:
             rows = _round_trip_rows(connection.cursor())
         assert len(rows) == ROWS  # both sides deliver the rows as well

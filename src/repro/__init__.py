@@ -157,10 +157,13 @@ class System:
         return f"{self.tcp.url}/{self.DSN}"
 
     def close(self) -> None:
-        """Stop the TCP front end (if any).  The in-process endpoint needs
-        no teardown — systems without a listener never required one."""
+        """Stop the TCP front end (if any) and end the engine's sessions:
+        each executor's compiled plans go with it, so what a closed system
+        held is freed with it by reference count (plans, their tables and
+        their executor refer to each other)."""
         if self.tcp is not None:
             self.tcp.stop()
+        self.server.end_sessions()
 
 
 def make_system(

@@ -40,17 +40,18 @@ from repro.errors import (
     ProgrammingError,
     RecoveryError,
 )
-from repro.engine.schema import Column, TableSchema
+from repro.engine.schema import Column
 from repro.net.protocol import ResultResponse
 from repro.core.config import PhoenixConfig
 from repro.core.interceptor import (
     build_dml_batch,
-    build_fill_batch,
+    inline_placeholders,
+    name_placeholders,
     redirect_names,
 )
 from repro.core.naming import NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
-from repro.core.statements import ResultState, TxnReplayLog
+from repro.core.statements import FillProcedure, ResultState, TxnReplayLog
 from repro.obs.metrics import CounterSet, gauge
 from repro.obs.tracer import get_tracer
 from repro.odbc.driver import DriverConnection, NativeDriver
@@ -123,10 +124,11 @@ class PhoenixConnection(Connection):
         self.temp_table_map: dict[str, str] = {}
         self.temp_proc_map: dict[str, str] = {}
         self.results: dict[int, ResultState] = {}
+        #: statement template -> its fill procedure (dropped at close)
+        self.fill_procs: dict[Any, FillProcedure] = {}
         self.txn_log = TxnReplayLog()
-        #: objects to drop at clean termination (paper: cleanup on success)
+        #: result tables (and the status table) to drop at clean termination
         self.cleanup_tables: list[str] = [self.names.status_table]
-        self.cleanup_procs: list[str] = []
         #: autobatch accumulator: (seq, wrapped batch SQL) of queued DML not
         #: yet shipped — flushed as one BatchExecuteRequest at the next
         #: batch-size threshold or ordering barrier (query, txn, close)
@@ -240,21 +242,32 @@ class PhoenixConnection(Connection):
     def _private_execute(self, sql: str) -> ResultResponse:
         return self._ride_through(lambda: self.private.execute(sql))
 
-    def _execute_atomic(self, statements: list[str], *, on_app: bool = False) -> ResultResponse:
+    def _execute_atomic(
+        self,
+        statements: list[str],
+        *,
+        on_app: bool = False,
+        arguments: Callable[[], list] | None = None,
+    ) -> ResultResponse:
         """Run Phoenix-generated statements as ONE transaction in one
         round trip — one log force at its COMMIT, and a crash or SQL error
         leaves none of the objects it builds (restart skips a transaction
         without a commit record).  Re-sent through recovery like any
-        idempotent request: every script starts with its own ``DROP ... IF
-        EXISTS``, so re-running one whose commit landed before the reply
-        died is safe.
+        idempotent request: a script whose commit landed before the reply
+        died starts with its own ``DROP ... IF EXISTS``, or ``arguments`` —
+        the values of its ``?``, asked for per attempt — name a new object.
         """
         if on_app and self.in_transaction:
             # the application's own transaction is the unit; its COMMIT decides
             return self._app_execute("; ".join(statements))
         script = "BEGIN TRANSACTION; " + "; ".join(statements) + "; COMMIT"
+
+        def send() -> ResultResponse:
+            connection = self.app if on_app else self.private
+            return connection.execute(script, placeholders=arguments and arguments())
+
         try:
-            return (self._app_execute if on_app else self._private_execute)(script)
+            return self._ride_through(send)
         except RECOVERABLE_ERRORS:
             raise
         except Error:
@@ -296,8 +309,10 @@ class PhoenixConnection(Connection):
             # abandoned open transaction is implicitly rolled back, not replayed
             self.results.clear()
             self.txn_log.clear()
-            drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in self.cleanup_procs]
-            drops += [f"DROP TABLE IF EXISTS {table}" for table in self.cleanup_tables]
+            procs = [*(p.name for p in self.fill_procs.values()), *self.temp_proc_map.values()]
+            drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in procs]
+            tables = [*self.cleanup_tables, *self.temp_table_map.values()]
+            drops += [f"DROP TABLE IF EXISTS {table}" for table in tables]
             with get_tracer().span("session.close", corr=self.correlation_id):
                 try:
                     self._execute_atomic(drops)
@@ -678,17 +693,17 @@ class PhoenixConnection(Connection):
             [f"DROP TABLE IF EXISTS {persistent}", create.sql()], on_app=True
         )
         self.temp_table_map[original] = persistent
-        self.cleanup_tables.append(persistent)
         return response
 
-    def handle_drop_temp_table(self, stmt: ast.DropTable) -> ResultResponse:
-        original = stmt.name.lower()
-        persistent = self.temp_table_map.pop(original, None)
+    def handle_drop_temp(self, stmt: "ast.DropTable | ast.DropProcedure") -> ResultResponse:
+        """DROP of a temp table or procedure: drop its stand-in, forget it."""
+        table = isinstance(stmt, ast.DropTable)
+        kind = "TABLE" if table else "PROCEDURE"
+        redirected = self.temp_table_map if table else self.temp_proc_map
+        persistent = redirected.pop(stmt.name.lower(), None)
         if persistent is None:
-            raise ProgrammingError(f"temp table {stmt.name} does not exist")
-        if persistent in self.cleanup_tables:
-            self.cleanup_tables.remove(persistent)
-        return self._app_execute(f"DROP TABLE IF EXISTS {persistent}")
+            raise ProgrammingError(f"temp {kind.lower()} {stmt.name} does not exist")
+        return self._app_execute(f"DROP {kind} IF EXISTS {persistent}")
 
     def handle_create_temp_proc(self, stmt: ast.CreateProcedure) -> ResultResponse:
         original = stmt.name.lower()
@@ -700,122 +715,112 @@ class PhoenixConnection(Connection):
             [f"DROP PROCEDURE IF EXISTS {persistent}", create.sql()], on_app=True
         )
         self.temp_proc_map[original] = persistent
-        self.cleanup_procs.append(persistent)
         return response
-
-    def handle_drop_temp_proc(self, stmt: ast.DropProcedure) -> ResultResponse:
-        original = stmt.name.lower()
-        persistent = self.temp_proc_map.pop(original, None)
-        if persistent is None:
-            raise ProgrammingError(f"temp procedure {stmt.name} does not exist")
-        if persistent in self.cleanup_procs:
-            self.cleanup_procs.remove(persistent)
-        return self._app_execute(f"DROP PROCEDURE IF EXISTS {persistent}")
 
     # --- query materialization --------------------------------------------------------
 
     def probe_metadata(self, select: ast.Select) -> list[Column]:
         """Result metadata in one cheap round trip (``WHERE 0=1``: the query
-        is compiled, never run) — needed only where the client itself writes
-        the DDL (key cursors)."""
+        is compiled, never run) — for key cursors only: their materialising
+        reply describes the captured keys, not the application's columns."""
         response = self._app_execute(with_false_where(select).sql())
         return list(response.columns)
 
-    def materialize_default(self, select: ast.Select) -> tuple[ResultState, list[tuple]]:
-        """A default result set in ONE request: the fill procedure runs the
-        query ``INTO`` the persistent table (the server derives the table
-        from the result it is producing and tells us what the query called
-        its columns), and the same transaction reads the table back.
-        Returns the state and its rows.  The state is registered only once
-        the rows are here, so a recovery inside the guarded request has
-        nothing to re-attach and the retried script's rows are the only
-        ones delivered."""
+    def _fill(
+        self, key: Any, query: ast.Select, values: list, *, read_back: bool
+    ) -> tuple[str, ResultResponse]:
+        """Phoenix Step 3 in ONE request: ``key``'s fill procedure — the
+        paper's: the target table and the ``values`` are its arguments — runs
+        ``query`` ``INTO`` a new table server-side (the server derives the
+        table and says what the query called its columns) and, with
+        ``read_back``, returns its rows; the first execution creates the
+        procedure in the request that first calls it.  Every attempt fills a
+        table of its own (registered for cleanup before the request leaves):
+        a re-sent request cannot trip over what a lost reply's request
+        committed.  Returns table and reply."""
+        proc = self.fill_procs.get(key)
+        if proc is None:
+            body, n_values = name_placeholders(query)
+            name = self.names.next_query_procedure()
+            params = ", ".join(["@t", *(f"@p{i}" for i in range(n_values))])
+            tail = "; SELECT * FROM @t" if read_back else ""
+            create = (
+                f"DROP PROCEDURE IF EXISTS {name}; CREATE PROCEDURE {name} ({params}) "
+                f"AS BEGIN {replace(body, into='@t').sql()}{tail} END"
+            )
+            call = f"EXEC {name} ?" + ", ?" * n_values
+            proc = self.fill_procs[key] = FillProcedure(name, n_values, [create, call])
+        if len(values) < proc.n_values:
+            raise ProgrammingError(
+                f"statement uses placeholder ?{proc.n_values} but only "
+                f"{len(values)} values were bound"
+            )
+        table = ""
+
+        def arguments() -> list:
+            nonlocal table
+            table = self.names.next_table()
+            self.cleanup_tables.append(table)
+            return [table, *values[: proc.n_values]]
+
+        get_tracer().event("interceptor.fill", procedure=proc.name)
+        response = self._execute_atomic(proc.script, arguments=arguments)
+        del proc.script[:-1]  # acknowledged: from now on it is only called
+        return table, response
+
+    def materialize_default(
+        self, select: ast.Select, values: list, key: Any
+    ) -> tuple[ResultState, list[tuple]]:
+        """A default result set (template ``select``, ``values`` bound) in
+        one request; returns the state and its rows.  The state is registered
+        only once the rows are here: a recovery inside the guarded request
+        has nothing to re-attach, the retried script's rows are the only ones
+        delivered.  The description is each reply's (tables get re-created)."""
         seq = self.names.next_seq()
-        table = self.names.result_table(seq)
-        proc_name = self.names.fill_procedure(seq)
-        self.cleanup_tables.append(table)
-        self.cleanup_procs.append(proc_name)
-        fill = replace(select, into=table).sql()
-        get_tracer().event("interceptor.fill_batch", table=table)
-        response = self._execute_atomic(
-            [
-                f"DROP TABLE IF EXISTS {table}",
-                f"DROP PROCEDURE IF EXISTS {proc_name}",
-                f"CREATE PROCEDURE {proc_name} AS BEGIN {fill} END",
-                f"EXEC {proc_name}",
-                f"SELECT * FROM {table}",
-            ]
-        )
+        table, response = self._fill(key, select, values, read_back=True)
         self.stats.queries_materialized += 1
         state = ResultState(
             seq=seq,
             kind="default",
             table=table,
-            fill_proc=proc_name,
             select=select,
             app_columns=response.into_columns,
         )
         self.results[seq] = state
         return state, list(response.rows)
 
-    def _materialize(
-        self, seq: int, schema: TableSchema, select: ast.Select
-    ) -> tuple[str, int]:
-        """A key cursor's steps 2+3: (re)create ``schema``'s table and fill
-        it from ``select`` on the server — DDL, fill procedure, EXEC and the
-        row count are one transaction, one round trip, one log force.
-        Idempotent under retry: the script drops its objects first.  Both
-        objects are registered for cleanup *before* it runs, so whatever a
-        failed attempt left behind, ``close()`` drops.  Returns the fill
-        procedure's name and the number of rows it captured.
-        """
-        table = schema.name
-        proc_name = self.names.fill_procedure(seq)
-        self.cleanup_tables.append(table)
-        self.cleanup_procs.append(proc_name)
-        response = self._execute_atomic(
-            [
-                f"DROP TABLE IF EXISTS {table}; {schema.create_table_sql()}",
-                build_fill_batch(proc_name, table, select.sql()),
-                f"SELECT count(*) FROM {table}",
-            ]
-        )
-        return proc_name, response.rows[0][0]
-
-    def materialize_cursor(self, select: ast.Select, kind: str) -> ResultState | None:
+    def materialize_cursor(
+        self, select: ast.Select, values: list, kind: str, key: Any
+    ) -> ResultState | None:
         """Persist keyset/dynamic cursor state: only the *keys* go into the
-        Phoenix table (§3 "Cursors").  Returns None when the query shape
-        cannot support a key cursor (caller falls back to default)."""
-        keyable = self._keyable(select)
-        if keyable is None:
+        Phoenix table (§3 "Cursors"), captured by the template's key
+        procedure.  Returns None when the query shape cannot support a key
+        cursor (caller falls back to default)."""
+        key_column = self._keyable(select)
+        if key_column is None:
             return None
-        base_table, key_column, key_col_meta = keyable
         if kind == "dynamic" and select.order_by:
             return None  # dynamic delivery is in key order only
         seq = self.names.next_seq()
-        app_columns = self.probe_metadata(select)
-        keys_table = self.names.keys_table(seq)
-        schema = TableSchema(
-            name=keys_table,
-            columns=(Column("k", key_col_meta.type, length=key_col_meta.length),),
+        bound = inline_placeholders(select, values)
+        app_columns = self.probe_metadata(bound)
+        keys_table, response = self._fill(
+            (key, "keys"), key_query(select, key_column), values, read_back=False
         )
-        proc_name, key_count = self._materialize(seq, schema, key_query(select, key_column))
         self.stats.cursors_materialized += 1
         state = ResultState(
             seq=seq,
             kind=kind,
             table=keys_table,
-            fill_proc=proc_name,
-            select=select,
+            select=bound,
             app_columns=app_columns,
-            base_table=base_table,
             key_column=key_column,
-            key_count=key_count,
+            key_count=response.batch_rowcounts[0],
         )
         self.results[seq] = state
         return state
 
-    def _keyable(self, select: ast.Select) -> tuple[str, str, Column] | None:
+    def _keyable(self, select: ast.Select) -> str | None:
         """Client-side keyability check: the shape the server's cursors ask
         for too, then the key via the driver's catalog call."""
         source = key_cursor_source(select)
@@ -830,9 +835,7 @@ class PhoenixConnection(Connection):
             return None
         if len(schema.primary_key) != 1:
             return None
-        key_column = schema.primary_key[0]
-        key_meta = next(c for c in schema.columns if c.name == key_column)
-        return base.lower(), key_column, key_meta
+        return schema.primary_key[0]
 
     # --- cursor block fetching ------------------------------------------------------------
 
@@ -848,7 +851,7 @@ class PhoenixConnection(Connection):
 
     def _fetch_keyset_block(self, state: ResultState, n: int) -> tuple[list[tuple], bool]:
         keys = self._app_execute(
-            f"SELECT k FROM {state.table} LIMIT {n} OFFSET {state.delivered}"
+            f"SELECT {state.key_column} FROM {state.table} LIMIT {n} OFFSET {state.delivered}"
         ).rows
         if not keys:
             return [], True
@@ -876,7 +879,7 @@ class PhoenixConnection(Connection):
         boundary = None
         if not state.keys_exhausted:
             boundary_rows = self._app_execute(
-                f"SELECT k FROM {state.table} LIMIT {n} OFFSET {state.delivered}"
+                f"SELECT {state.key_column} FROM {state.table} LIMIT {n} OFFSET {state.delivered}"
             ).rows
             state.delivered += len(boundary_rows)
             if len(boundary_rows) < n:

@@ -67,9 +67,7 @@ class PhoenixCursor(Statement):
         bound = list(placeholders or [])
         tracer = get_tracer()
         with self.connection.application_call():
-            for stmt, kind in statement_templates(sql):
-                if bound:
-                    stmt = inline_placeholders(stmt, bound)
+            for index, (stmt, kind) in enumerate(statement_templates(sql)):
                 if tracer.enabled:
                     with tracer.span(
                         "client.statement",
@@ -77,16 +75,27 @@ class PhoenixCursor(Statement):
                         sql=stmt.sql()[:80],
                         cls=kind.name,
                     ):
-                        self._execute_one(stmt, kind)
+                        self._execute_one(stmt, kind, bound, (sql, index))
                 else:
-                    self._execute_one(stmt, kind)
+                    self._execute_one(stmt, kind, bound, (sql, index))
         return self
 
-    def _execute_one(self, stmt: ast.Statement, kind: StatementClass) -> None:
-        """Dispatch one statement.  ``stmt`` may be a shared template (see
+    def _execute_one(
+        self, stmt: ast.Statement, kind: StatementClass, bound: list, key: tuple[str, int]
+    ) -> None:
+        """Dispatch one statement.  ``stmt`` is a shared template (see
         :func:`~repro.core.interceptor.statement_templates`): nothing here or
-        below modifies it."""
+        below modifies it.  ``key`` names it: its text and position there."""
         connection = self.connection
+
+        if kind is StatementClass.QUERY and not connection.in_transaction:
+            # the template's fill procedure takes the values as arguments; a
+            # template over a redirected temp object is keyed by its rewrite
+            select = connection.rewrite(stmt)
+            self._execute_query(select, bound, key if select is stmt else select.sql())
+            return
+        if bound:
+            stmt = inline_placeholders(stmt, bound)
 
         if kind is StatementClass.SET_OPTION:
             connection.set_log.append((stmt.name, stmt.value))
@@ -105,14 +114,11 @@ class PhoenixCursor(Statement):
         if kind is StatementClass.CREATE_TEMP_TABLE:
             self._absorb_ok(connection.handle_create_temp_table(stmt))
             return
-        if kind is StatementClass.DROP_TEMP_TABLE:
-            self._absorb_ok(connection.handle_drop_temp_table(stmt))
-            return
         if kind is StatementClass.CREATE_TEMP_PROC:
             self._absorb_ok(connection.handle_create_temp_proc(stmt))
             return
-        if kind is StatementClass.DROP_TEMP_PROC:
-            self._absorb_ok(connection.handle_drop_temp_proc(stmt))
+        if kind in (StatementClass.DROP_TEMP_TABLE, StatementClass.DROP_TEMP_PROC):
+            self._absorb_ok(connection.handle_drop_temp(stmt))
             return
 
         # SELECT INTO a temp table creates a temp object as a side effect —
@@ -121,9 +127,7 @@ class PhoenixCursor(Statement):
         if into and into.startswith("#"):
             original = into.lower()
             if original not in connection.temp_table_map:
-                persistent = connection.names.redirected_table(original)
-                connection.temp_table_map[original] = persistent
-                connection.cleanup_tables.append(persistent)
+                connection.temp_table_map[original] = connection.names.redirected_table(original)
 
         if isinstance(stmt, ast.CreateIndex) and stmt.table.lower() in connection.temp_table_map:
             # the persistent stand-in would take the index; the temp table
@@ -140,9 +144,6 @@ class PhoenixCursor(Statement):
             self._absorb(connection.run_in_transaction(rewritten_sql))
             return
 
-        if kind is StatementClass.QUERY:
-            self._execute_query(stmt)
-            return
         if kind in (StatementClass.DML, StatementClass.DDL, StatementClass.EXEC):
             seq, rowcount, response = connection.run_dml(rewritten_sql)
             if response is not None and response.kind == "rows":
@@ -155,27 +156,20 @@ class PhoenixCursor(Statement):
         # OTHER (CHECKPOINT, ...): pass through, retry-safe
         self._absorb(connection._app_execute(rewritten_sql))
 
-    def _execute_query(self, select: ast.Select) -> None:
+    def _execute_query(self, select: ast.Select, values: list, key) -> None:
         connection = self.connection
-        requested = self.attrs[StatementAttr.CURSOR_TYPE]
-
-        if requested in (CursorType.KEYSET, CursorType.DYNAMIC):
-            state = connection.materialize_cursor(select, requested)
-            if state is not None:
-                self._state = state
-                self.columns = state.app_columns
-                self.description = describe_columns(state.app_columns)
-                self.effective_cursor_type = requested
-                self._server_done = False
-                return
-            # unsupported shape → downgrade, like real drivers do
-
-        state, self._buffer = connection.materialize_default(select)
+        cursor_type = self.attrs[StatementAttr.CURSOR_TYPE]
+        state = None
+        if cursor_type in (CursorType.KEYSET, CursorType.DYNAMIC):
+            state = connection.materialize_cursor(select, values, cursor_type, key)
+        if state is None:  # not asked for, or unsupported shape → downgrade, like real drivers do
+            cursor_type = CursorType.FORWARD_ONLY
+            state, self._buffer = connection.materialize_default(select, values, key)
+            self._buffer_pos = 0
         self._state = state
         self.columns = state.app_columns
         self.description = describe_columns(state.app_columns)
-        self.effective_cursor_type = CursorType.FORWARD_ONLY
-        self._buffer_pos = 0
+        self.effective_cursor_type = cursor_type
         self._server_done = False
         self._epoch = connection.session_epoch
 

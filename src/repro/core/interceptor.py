@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import threading
+from typing import Callable
 
 from repro.engine.plancache import LRUCache
 from repro.errors import ProgrammingError
@@ -27,8 +28,8 @@ __all__ = [
     "redirect_names",
     "referenced_tables",
     "inline_placeholders",
+    "name_placeholders",
     "build_dml_batch",
-    "build_fill_batch",
 ]
 
 
@@ -179,36 +180,14 @@ def build_dml_batch(dml_sql: str, status_table: str, seq: int) -> str:
     )
 
 
-def build_fill_batch(proc_name: str, result_table: str, select_sql: str) -> str:
-    """Phoenix Step 3: move the result into the persistent table entirely
-    server-side, by creating and executing a stored procedure (the paper's
-    design: "all data is moved locally at the server").
-
-    Idempotent under retry: the procedure is dropped first if a previous
-    attempt got far enough to create it.
-    """
-    get_tracer().event("interceptor.fill_batch", table=result_table)
-    return (
-        f"DROP PROCEDURE IF EXISTS {proc_name}; "
-        f"CREATE PROCEDURE {proc_name} AS BEGIN "
-        f"INSERT INTO {result_table} {select_sql} END; "
-        f"EXEC {proc_name}"
-    )
-
-
 #: the statements whose ``?`` Phoenix binds (any other kind passes through)
 _BINDABLE = (ast.Select, ast.UnionSelect, ast.Insert, ast.Update, ast.Delete, ast.ExecProcedure)
 
 
-def inline_placeholders(stmt: ast.Statement, values: list) -> ast.Statement:
-    """``stmt`` with its ``?`` placeholders replaced by their bound values
-    as literals.
+def _bind(stmt: ast.Statement, bound: Callable[[int], ast.Expr]) -> ast.Statement:
+    """``stmt`` with each ``?`` replaced by ``bound(its index)``.
 
-    Phoenix rewrites and re-ships SQL text (fill procedures, wrapped DML
-    batches), so parameters must be inlined before rewriting — middleware
-    doing statement rewriting cannot keep out-of-band bindings.
-
-    A pure bind: ``stmt`` (usually a cached template) is never modified.
+    A pure rewrite: ``stmt`` (usually a cached template) is never modified.
     The result is a new tree along the paths that lead to a placeholder
     and shares every other subtree with ``stmt``; with no placeholder in
     it, it *is* ``stmt``.  An ``AS OF`` moment is not bound — it must be
@@ -217,15 +196,37 @@ def inline_placeholders(stmt: ast.Statement, values: list) -> ast.Statement:
 
     def bind(node: ast.Node) -> ast.Node:
         if node.__class__ is ast.Placeholder:
-            if node.index >= len(values):
-                raise ProgrammingError(
-                    f"statement uses placeholder ?{node.index + 1} but only "
-                    f"{len(values)} values were bound"
-                )
-            return ast.Literal(values[node.index])
+            return bound(node.index)
         moment = node.as_of if isinstance(node, (ast.Select, ast.UnionSelect)) else None
         if moment is None:
             return transform(node, bind)
         return transform(node, lambda child: child if child is moment else bind(child))
 
     return bind(stmt) if isinstance(stmt, _BINDABLE) else stmt
+
+
+def inline_placeholders(stmt: ast.Statement, values: list) -> ast.Statement:
+    """``stmt`` with its ``?`` placeholders replaced by their bound values
+    as literals.
+
+    Phoenix rewrites and re-ships SQL text (wrapped DML batches, a key
+    cursor's block fetches), so there the parameters must be inlined before
+    rewriting — middleware doing statement rewriting cannot keep out-of-band
+    bindings."""
+
+    def literal(index: int) -> ast.Literal:
+        if index >= len(values):
+            raise ProgrammingError(
+                f"statement uses placeholder ?{index + 1} but only "
+                f"{len(values)} values were bound"
+            )
+        return ast.Literal(values[index])
+
+    return _bind(stmt, literal)
+
+
+def name_placeholders(stmt: ast.Statement) -> tuple[ast.Statement, int]:
+    """``stmt`` with each ``?`` replaced by the parameter ``@p<index>`` —
+    the body of its fill procedure — and how many values it binds."""
+    indexes = [node.index for node in walk(stmt) if node.__class__ is ast.Placeholder]
+    return _bind(stmt, lambda index: ast.Param(f"p{index}")), max(indexes, default=-1) + 1

@@ -28,6 +28,8 @@ class NameAllocator:
     def __init__(self):
         self.client_id = next(_client_ids)
         self._seq = itertools.count(1)
+        self._tables = itertools.count(1)
+        self._templates = itertools.count(1)
 
     def next_seq(self) -> int:
         """Statement sequence number (also keys the status table)."""
@@ -37,14 +39,13 @@ class NameAllocator:
     def status_table(self) -> str:
         return f"phx_c{self.client_id}_status"
 
-    def result_table(self, seq: int) -> str:
-        return f"phx_c{self.client_id}_res_{seq}"
+    def next_table(self) -> str:
+        """One per *attempt* to fill a result; every logged row carries it."""
+        return f"phx_c{self.client_id}_t{next(self._tables)}"
 
-    def keys_table(self, seq: int) -> str:
-        return f"phx_c{self.client_id}_keys_{seq}"
-
-    def fill_procedure(self, seq: int) -> str:
-        return f"phx_c{self.client_id}_fill_{seq}"
+    def next_query_procedure(self) -> str:
+        """One per statement *template*, however often it is executed."""
+        return f"phx_c{self.client_id}_q{next(self._templates)}"
 
     def redirected_table(self, temp_name: str) -> str:
         """Persistent stand-in for an application temp table ``#name``."""

@@ -16,7 +16,20 @@ from typing import Any
 from repro.engine.schema import Column
 from repro.sql import ast
 
-__all__ = ["ResultState", "TxnReplayLog", "PendingCommit"]
+__all__ = ["FillProcedure", "ResultState", "TxnReplayLog"]
+
+
+@dataclass
+class FillProcedure:
+    """The paper's fill procedure (§3: ``CREATE PROCEDURE P (@T) AS INSERT
+    <query> INTO T``) of one statement template in this session: the target
+    table and the bound values are its arguments."""
+
+    name: str
+    n_values: int  # how many values the template binds
+    #: what a fill sends: the constant ``EXEC name ?, ?…``, behind the creating
+    #: statements until a reply has acknowledged them (a re-send re-creates)
+    script: list[str]
 
 
 @dataclass
@@ -31,10 +44,8 @@ class ResultState:
     seq: int
     kind: str  # "default" | "keyset" | "dynamic"
     table: str  # the persistent phx result (or keys) table
-    fill_proc: str
-    select: ast.Select  # redirected original query AST
+    select: ast.Select  # redirected query; a key cursor's has its values bound
     app_columns: list[Column]  # metadata as the application sees it
-    base_table: str | None = None  # keyset/dynamic: the underlying table
     key_column: str | None = None
     delivered: int = 0
     last_key: Any = None  # dynamic cursors: last key seen by the app
@@ -61,7 +72,7 @@ class TxnReplayLog:
     An open transaction's effects are volatile until commit, so a crash
     erases them; Phoenix replays the whole transaction (BEGIN + statements)
     against the recovered server.  The commit itself is made testable by a
-    status-table insert inside the transaction (see PendingCommit).
+    status-table insert inside the transaction (``connection.commit``).
     """
 
     statements: list[str] = field(default_factory=list)
@@ -85,13 +96,3 @@ class TxnReplayLog:
         self.statements.clear()
         self.active = False
         self.lost = False
-
-
-@dataclass
-class PendingCommit:
-    """A commit in flight: its status-table sequence number lets Phoenix
-    decide, after a crash, whether the transaction committed (probe hits)
-    or was lost (probe misses → replay)."""
-
-    seq: int
-    replay: list[str]

@@ -53,11 +53,11 @@ class Database:
         self.indexes: dict[str, tuple[str, str]] = {}
         self.locks = LockManager(stats=lock_stats)
         self.txns = TransactionManager(seed=txn_seed)
-        #: monotonic catalog version: bumped on every persistent DDL
-        #: (create/drop of tables, views, procedures, indexes), including
-        #: DDL undone by rollback.  Cached plans are validated against it —
-        #: see :mod:`repro.engine.plancache`.  Volatile: a restart builds a
-        #: fresh Database (and fresh caches), so it starts at zero again.
+        #: monotonic count of persistent DDL (create/drop of tables, views,
+        #: procedures, indexes), including DDL undone by rollback.  Cached
+        #: plans are *not* validated against it (they check what they bound:
+        #: :mod:`repro.engine.plancache`).  Volatile: a restart builds a
+        #: fresh Database, so it starts at zero again.
         self.catalog_version = 0
         #: the server's :class:`~repro.engine.timetravel.TimeTravelManager`,
         #: attached by ``DatabaseServer._boot`` (None on bare databases).
@@ -74,7 +74,7 @@ class Database:
         self.dead = True
 
     def bump_catalog_version(self) -> int:
-        """Invalidate all version-validated plan caches; returns the new version."""
+        """Count one catalog change; returns the new version."""
         self.catalog_version += 1
         return self.catalog_version
 
@@ -426,9 +426,10 @@ class Database:
         The :class:`~repro.engine.table.OrderedIndex` built here is derived
         state — never logged or snapshotted; every load path (recovery
         redo, checkpoint load, time-travel reconstruction) re-enters
-        through this method.  The catalog bump invalidates cached plans so
-        probes and top-k orderings can never reference an index that no
-        longer matches the catalog.
+        through this method.  Adding (or dropping) the structure moves the
+        table's ``version``, which invalidates the cached plans that bound
+        the table: probes and top-k orderings can never reference an index
+        that no longer matches the catalog.
         """
         self.indexes[name] = (table, column)
         if table in self.tables:

@@ -20,6 +20,7 @@ it lands; only *which* force covers a commit moves.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterator
 
 from repro.errors import (
@@ -55,6 +56,8 @@ __all__ = ["Executor"]
 _PROBE_OPS = ("=", "<", "<=", ">", ">=")
 #: the same comparison with its sides swapped (``5 < k`` is ``k > 5``)
 _FLIPPED_OP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: the names a table parameter's argument may create a table under
+_TABLE_NAME = re.compile(r"#?\w+")
 #: sentinel from bounds evaluation: the probe constant cannot be coerced to
 #: the column type, so the plan must fall back to the full scan — only the
 #: per-row predicate may decide (and raise) there, keeping error semantics
@@ -109,6 +112,9 @@ class Executor:
         self.stats = stats if stats is not None else ExecutorStats()
         #: compiled-plan reuse for repeated top-level SELECTs
         self._plan_cache = PlanCache()
+        #: while a plan is being compiled for the cache: (name, what it
+        #: resolved to) for every table or view name the plan binds
+        self._bindings: list[tuple[str, Any]] | None = None
         #: statement epoch, bumped at every top-level SELECT entry; compiled
         #: closures capture this cell so "once per statement" memos (uncorrelated
         #: subqueries, derived tables, views) recompute when a cached plan is
@@ -324,6 +330,46 @@ class Executor:
         lowered = name.lower()
         return lowered in self.session.temp_tables or self.database.has_table(lowered)
 
+    def table_name(self, name: str, params: dict[str, Any]) -> str:
+        """The table a statement names: ``name`` itself, or what the
+        procedure's caller passed for ``@name``."""
+        if name[0] != "@":
+            return name
+        value = params.get(name[1:].lower())
+        if not isinstance(value, str):
+            raise ProgrammingError(f"parameter {name} does not name a table: {value!r}")
+        return value
+
+    def _binding(self, name: str, params: dict[str, Any]) -> Any:
+        """What the FROM name ``name`` stands for right now, as a value that
+        compares equal exactly while a plan compiled against it stays valid:
+        the table object (a dropped and re-created, undone or shadowed table
+        is another object) with its version (index DDL moves it), a view's
+        text, None for nothing; for a table parameter the named table's
+        columns — such a plan finds its table at run time."""
+        lowered = self.table_name(name, params).lower()
+        table = self.session.temp_tables.get(lowered)
+        if table is None:
+            table = self.database.tables.get(lowered)
+        if name[0] == "@":
+            return None if table is None else table.schema.columns
+        if table is not None:
+            return (table, table.version)
+        return self.database.views.get(lowered)
+
+    def bind(self, name: str, params: dict[str, Any]) -> None:
+        """A plan under compilation resolves ``name``: a cached plan keeps
+        what it found, and is valid while :meth:`_binding` finds the same."""
+        if self._bindings is not None:
+            self._bindings.append((name, self._binding(name, params)))
+
+    def clear_caches(self) -> None:
+        """Drop every compiled plan and parsed procedure.  Their closures
+        hold the tables they read, and this executor holds them: cleared, a
+        dead engine is freed by reference count, not by the collector."""
+        self._plan_cache.clear()
+        self._proc_cache.clear()
+
     # ------------------------------------------------------------ DDL
 
     def _create_table(self, stmt: ast.CreateTable, txn) -> StatementResult:
@@ -469,10 +515,13 @@ class Executor:
         bound: dict[str, Any] = {}
         for (pname, ptype), arg in zip(proc.params, stmt.args):
             value = compiler.compile(arg)(env)
-            bound[pname.lower()] = Column(
-                pname.lower(), type_spec_to_sql_type(ptype), length=ptype.length
-            ).coerce(value)
+            if ptype is not None:
+                value = Column(
+                    pname.lower(), type_spec_to_sql_type(ptype), length=ptype.length
+                ).coerce(value)
+            bound[pname.lower()] = value
         result = StatementResult.ok(f"EXEC {name}")
+        into_columns = None
         for body_stmt in proc.body:
             if isinstance(body_stmt, (ast.Select, ast.UnionSelect)) and body_stmt.into is None:
                 result = StatementResult.rows(
@@ -480,6 +529,11 @@ class Executor:
                 )
             else:
                 result = self._execute_mutation(body_stmt, txn, bound, [])
+                into_columns = result.extra.get("into_columns", into_columns)
+        if into_columns is not None:
+            # the description of the body's last SELECT ... INTO rides with
+            # whatever the procedure answers (its read-back of that table)
+            result.extra["into_columns"] = into_columns
         return result
 
     # ------------------------------------------------------------ DML
@@ -672,8 +726,10 @@ class Executor:
         as for ``INSERT INTO t SELECT ... AS OF``) as a new table.  The
         table stores uniquified column names; the reply describes the
         query's own (``into_columns``)."""
-        target = stmt.into
-        assert target is not None
+        assert stmt.into is not None
+        target = self.table_name(stmt.into, params)
+        if target is not stmt.into and not _TABLE_NAME.fullmatch(target):
+            raise ProgrammingError(f"parameter {stmt.into} names no table it could create: {target!r}")
         result = self.execute_select(stmt, params=params, placeholders=placeholders)
         schema = result.to_schema(target.lower())
         if self.table_exists(schema.name):
@@ -721,15 +777,15 @@ class Executor:
             # compiled plan (uncorrelated subqueries, derived tables, views)
             # must recompute so intervening DML is visible.
             self._epoch_cell[0] += 1
-            if not params:
-                # Placeholder templates are cacheable too: the compiled plan
-                # reads its shared placeholder list at run time, so rebinding
-                # the list re-parameterizes the cached plan without a
-                # recompile (qmark binding keys the cache on the template).
-                runner = self._cached_runner(select)
-                runner.placeholders[:] = placeholders or []
-                runner.placeholders.check_bound()
-                return runner.run(None)
+            # The compiled plan reads ``?`` from its shared placeholder list
+            # and ``@name`` from its shared parameter dict at run time, so
+            # rebinding the two re-parameterizes the cached plan without a
+            # recompile: the template (of a request or of a procedure body)
+            # keys the cache.
+            runner = self._cached_runner(select, params or {})
+            runner.placeholders[:] = placeholders or []
+            runner.placeholders.check_bound()
+            return runner.run(None)
         bound = PlaceholderList(placeholders or [])
         if isinstance(select, ast.UnionSelect):
             runner = _UnionRunner(self, select, params or {}, bound, outer_scope)
@@ -761,46 +817,52 @@ class Executor:
             select, params=params, placeholders=placeholders
         )
 
-    def _cached_runner(self, select: "ast.Select | ast.UnionSelect"):
-        """Compiled plan for a cacheable top-level SELECT, reused across
-        executions while the catalog and session temp namespace are
-        unchanged.  Keys are statement object identities — the server-side
-        parse cache returns the *same* AST objects for repeated SQL text,
-        and the entry pins the statement so the id stays unambiguous."""
-        versions = (self.database.catalog_version, self.session.temp_version)
-        runner = self._plan_cache.lookup(select, versions, self.metrics)
-        if runner is None:
+    def _cached_runner(self, select: "ast.Select | ast.UnionSelect", params: dict[str, Any]):
+        """Compiled plan for a top-level SELECT with ``params`` bound,
+        reused across executions while every name it resolved stands for
+        what it stood for (see :meth:`_binding`).  Keys are statement object
+        identities — the server-side parse cache returns the *same* AST
+        objects for repeated SQL text, the procedure cache for repeated
+        ``EXEC``s, and the entry pins the statement so the id stays
+        unambiguous."""
+        runner = self._plan_cache.lookup(
+            select, lambda name: self._binding(name, params), self.metrics
+        )
+        if runner is not None:
+            runner.params.update(params)  # same names every time: the procedure's
+            return runner
+        own = dict(params)  # the plan's container, rebound above from now on
+        self._bindings = bindings = []
+        try:
             if isinstance(select, ast.UnionSelect):
-                runner = _UnionRunner(self, select, {}, PlaceholderList(), None)
+                runner = _UnionRunner(self, select, own, PlaceholderList(), None)
             else:
-                runner = _SelectPlan(self, select, {}, PlaceholderList(), None)
-            self._plan_cache.store(select, versions, runner)
+                runner = _SelectPlan(self, select, own, PlaceholderList(), None)
+        finally:
+            self._bindings = None
+        self._plan_cache.store(select, bindings, runner)
         return runner
 
     # -- SubqueryRunner protocol ------------------------------------------------
 
-    def prepare_subquery(self, select: ast.Select, scope: Scope):
+    def prepare_subquery(
+        self, select: ast.Select, scope: Scope, params: dict[str, Any], placeholders: list
+    ):
         """Plan a subquery once against ``scope``; returns (rows_fn,
         correlated).  ``rows_fn(env)`` re-runs the compiled plan with the
         outer row's environment — compilation happens exactly once per
-        statement, which is what makes correlated subqueries affordable."""
-        params = getattr(scope, "_params", None) or {}
+        statement, which is what makes correlated subqueries affordable.
+        ``params`` and ``placeholders`` are the enclosing statement's own
+        containers, so rebinding them reaches the subquery too."""
         if isinstance(select, ast.UnionSelect):
-            runner = _UnionRunner(self, select, params, [], scope)
+            runner = _UnionRunner(self, select, params, placeholders, scope)
 
             def union_rows(env: Env) -> list[tuple]:
                 return runner.run(env).rows
 
             return union_rows, runner.correlated
         probe = Scope(parent=scope)
-        plan = _SelectPlan(
-            self,
-            select,
-            params,
-            [],
-            scope,
-            probe_scope=probe,
-        )
+        plan = _SelectPlan(self, select, params, placeholders, scope, probe_scope=probe)
 
         def rows_fn(env: Env) -> list[tuple]:
             return plan.run(env).rows
@@ -825,7 +887,6 @@ class _SelectPlan:
         self.params = params
         self.placeholders = placeholders
         self.scope = probe_scope if probe_scope is not None else Scope(parent=outer_scope)
-        self.scope._params = params  # stashed for nested subquery planning
         #: Column metadata per scope slot, parallel to scope slots.
         self.slot_columns: list[Column] = []
         #: (binding, rows supplier) in scope order
@@ -845,6 +906,10 @@ class _SelectPlan:
         if ref is None:
             return
         if isinstance(ref, ast.TableName):
+            self.executor.bind(ref.name.lower(), self.params)
+            if ref.name[0] == "@":
+                self._register_table_parameter(ref)
+                return
             if not self.executor.table_exists(ref.name):
                 view = self.executor.view_definition(ref.name)
                 if view is not None:
@@ -892,6 +957,22 @@ class _SelectPlan:
             self._register_from(ref.right)
             return
         raise NotSupportedError(f"FROM element {type(ref).__name__}")
+
+    def _register_table_parameter(self, ref: ast.TableName) -> None:
+        """``FROM @t``: the plan binds the *columns* of the table the
+        argument names and finds the table again at each run, so one plan
+        serves every table of that shape.  No index path: an index belongs
+        to one table."""
+        executor, params = self.executor, self.params
+
+        def table() -> Table:
+            return executor.resolve_table(executor.table_name(ref.name, params))[0]
+
+        schema = table().schema
+        binding = (ref.alias or ref.name).lower()
+        self.scope.add_source(binding, schema.column_names)
+        self.slot_columns.extend(schema.columns)
+        self.sources.append(_Source(binding, lambda: (row for _, row in table().scan())))
 
     def _register_view(self, ref: ast.TableName, view: ast.CreateView) -> None:
         """Expand a view reference as a derived table (planned once,
@@ -983,10 +1064,11 @@ class _SelectPlan:
             if _collect_plain_refs(conjunct, refs) and not any(
                 self._is_local_ref(ref) for ref in refs
             ):
-                if not refs and not _contains_funccall(conjunct):
-                    # constant folding: no column refs at any depth and no
+                if not refs and not _varies_between_runs(conjunct):
+                    # constant folding: no column refs at any depth, no
                     # function calls (rowcount() is session-state-dependent)
-                    # — evaluate now, once per *compile*, not once per run.
+                    # and nothing bound per execution — evaluate now, once
+                    # per *compile*, not once per run.
                     try:
                         value = self.compiler.compile_predicate(conjunct)(_env([], None))
                     except Exception:
@@ -1791,6 +1873,7 @@ class _UnionRunner:
         self.union = union
         #: shared across every part's plan tree; mutated in place on rebind
         self.placeholders = placeholders
+        self.params = params
         self.plans = []
         self.correlated = False
         for part in union.parts:
@@ -1931,11 +2014,14 @@ def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
     return [expr]
 
 
-def _contains_funccall(expr: ast.Expr) -> bool:
-    """Does the expression contain any function call?  Used to exclude
-    conjuncts from constant folding: scalar functions may be session-state
-    dependent (``rowcount()``) and must keep evaluating at run time."""
-    return any(isinstance(node, ast.FuncCall) for node in walk(expr))
+def _varies_between_runs(expr: ast.Expr) -> bool:
+    """Can a row-independent expression differ from one run of its plan to
+    the next?  Used to exclude conjuncts from constant folding: scalar
+    functions may be session-state dependent (``rowcount()``), and ``?`` and
+    ``@name`` are rebound for every execution of a cached plan."""
+    return any(
+        isinstance(node, (ast.FuncCall, ast.Placeholder, ast.Param)) for node in walk(expr)
+    )
 
 
 def _collect_plain_refs(expr: ast.Expr, out: list[ast.ColumnRef]) -> bool:

@@ -167,8 +167,11 @@ class Scope:
 class SubqueryRunner(Protocol):
     """The executor-side hook expression compilation needs for subqueries."""
 
-    def prepare_subquery(self, select: ast.Select, scope: Scope):
-        """Plan ``select`` once with ``scope`` as its outer level.  Returns
+    def prepare_subquery(
+        self, select: ast.Select, scope: Scope, params: dict[str, Any], placeholders: list
+    ):
+        """Plan ``select`` once with ``scope`` as its outer level, reading
+        the enclosing statement's ``params`` and ``placeholders``.  Returns
         ``(rows_fn, correlated)`` where ``rows_fn(env)`` re-runs the plan
         for one outer row's environment."""
         ...
@@ -270,10 +273,10 @@ class ExpressionCompiler:
         self.scope = scope
         self.runner = runner
         self.agg_slots = agg_slots or {}
-        self.params = params or {}
-        # keep the *caller's* list object (even when empty): rebinding a
-        # cached plan mutates that shared list in place, and compiled
-        # placeholder reads must observe it
+        # keep the *caller's* dict and list objects (even when empty):
+        # rebinding a cached plan mutates them in place, and compiled
+        # parameter and placeholder reads must observe it
+        self.params = params if params is not None else {}
         self.placeholders = placeholders if placeholders is not None else []
 
     # -- entry point ----------------------------------------------------------
@@ -302,11 +305,15 @@ class ExpressionCompiler:
         return lambda env: env.at(depth, slot)
 
     def _compile_Param(self, expr: ast.Param) -> CompiledExpr:
+        # Read at *run* time, like a placeholder: the plan keeps one dict
+        # for its whole subplan tree and the next EXEC of the procedure
+        # rebinds it in place.  The names are the procedure's declaration,
+        # so an undeclared one is still a compile-time error.
         name = expr.name.lower()
-        if name not in self.params:
+        params = self.params
+        if name not in params:
             raise ProgrammingError(f"unbound parameter @{expr.name}")
-        value = self.params[name]
-        return lambda env: value
+        return lambda env: params[name]
 
     def _compile_Placeholder(self, expr: ast.Placeholder) -> CompiledExpr:
         # Bind at *run* time through the shared placeholder list: the plan
@@ -346,7 +353,11 @@ class ExpressionCompiler:
         if expr.op == "-":
             def _neg(env: Env) -> Any:
                 value = operand(env)
-                return None if value is None else -value
+                if value is None:
+                    return None
+                if value.__class__ not in _NUMBERS:
+                    raise _not_numbers("-", value)
+                return -value
             return _neg
         raise ProgrammingError(f"unknown unary operator {expr.op}")
 
@@ -375,13 +386,13 @@ class ExpressionCompiler:
         if op in ("+", "-"):
             return self._compile_additive(expr, op, left, right)
         if op == "*":
-            return _null_safe_binop(left, right, lambda a, b: a * b)
+            return _arithmetic(op, left, right, lambda a, b: a * b)
         if op == "/":
             def _div(a: Any, b: Any) -> Any:
                 if b == 0:
                     raise DataError("division by zero")
                 return a / b
-            return _null_safe_binop(left, right, _div)
+            return _arithmetic(op, left, right, _div)
         if op == "%":
             def _mod(a: Any, b: Any) -> Any:
                 if b == 0:
@@ -390,7 +401,7 @@ class ExpressionCompiler:
                 # Python's takes the divisor's
                 remainder = abs(a) % abs(b)
                 return -remainder if a < 0 else remainder
-            return _null_safe_binop(left, right, _mod)
+            return _arithmetic(op, left, right, _mod)
         if op == "||":
             return _null_safe_binop(left, right, lambda a, b: f"{a}{b}")
         raise ProgrammingError(f"unknown operator {expr.op}")
@@ -427,6 +438,8 @@ class ExpressionCompiler:
                 return a + datetime.timedelta(days=sign * b)
             if op == "-" and isinstance(a, datetime.date) and isinstance(b, datetime.date):
                 return (a - b).days
+            if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
+                raise _not_numbers(op, a, b)
             return a + b if sign > 0 else a - b
 
         return _add
@@ -529,7 +542,7 @@ class ExpressionCompiler:
         result cannot depend on the outer row and is safe to cache for the
         whole statement); ``rows_fn`` re-runs the compiled plan per call.
         """
-        return self.runner.prepare_subquery(select, self.scope)
+        return self.runner.prepare_subquery(select, self.scope, self.params, self.placeholders)
 
     def _compile_InSelect(self, expr: ast.InSelect) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -674,6 +687,33 @@ class ExpressionCompiler:
         if length is None:
             return lambda env: substr(operand(env), start(env))
         return lambda env: substr(operand(env), start(env), length(env))
+
+
+#: the classes arithmetic is defined on — Python would also "add" two
+#: strings, repeat one ``* 2`` and format one ``% 2``
+_NUMBERS = frozenset({int, float, bool})
+
+
+def _not_numbers(op: str, *operands: Any) -> DataError:
+    odd = next(value for value in operands if value.__class__ not in _NUMBERS)
+    return DataError(f"operator {op} needs numbers, got {odd!r}")
+
+
+def _arithmetic(
+    op: str, left: CompiledExpr, right: CompiledExpr, fn: Callable[[Any, Any], Any]
+) -> CompiledExpr:
+    """``fn`` over two numbers; NULL if either side is NULL."""
+
+    def _op(env: Env) -> Any:
+        a = left(env)
+        b = right(env)
+        if a is None or b is None:
+            return None
+        if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
+            raise _not_numbers(op, a, b)
+        return fn(a, b)
+
+    return _op
 
 
 def _null_safe_binop(

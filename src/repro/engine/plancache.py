@@ -17,22 +17,21 @@ and a parsed statement is never modified.
 
 * :class:`PlanCache` — per-session (per-:class:`~repro.engine.executor
   .Executor`) LRU mapping a parsed SELECT statement to its compiled plan.
-  Keys are object identities of statements returned by the parse cache
-  (entries pin the statement, so an id can never be reused while its entry
-  lives), which makes hits O(1) with no re-rendering.  Entries are
-  validated against a pair of monotonic version counters:
+  Keys are object identities of statements returned by the parse cache or
+  held by the procedure cache (entries pin the statement, so an id can never
+  be reused while its entry lives), which makes hits O(1) with no
+  re-rendering.  An entry is valid while **what it resolved** is unchanged:
+  compilation records, per name in a FROM clause, the object the name stood
+  for — the :class:`~repro.engine.table.Table` with its ``version`` (index
+  DDL moves it), the view's text, or for a table *parameter* the columns of
+  the table it named — and a lookup resolves the names again and compares.
+  Dropping and re-creating a table, undoing its DDL, and a temp table that
+  starts or stops shadowing it all make the name resolve to another object;
+  DDL on anything else does not touch the entry — Phoenix creates a table
+  for every SELECT it materialises, so a server-wide catalog counter would
+  evict every plan of every session at each one.
 
-  - ``Database.catalog_version`` — bumped on every persistent DDL (tables,
-    views, procedures, indexes), including undo/rollback of DDL.  Phoenix's
-    ``phx_*`` result tables, fill procedures, and redirected temp objects
-    are ordinary persistent DDL, so their churn invalidates dependent plans
-    the moment they land.
-  - ``Session.temp_version`` — bumped on every session temp-table or
-    temp-procedure create/drop, so a plan compiled against a temp object
-    (or against a persistent table a temp object later shadows) can never
-    be served stale.
-
-  A version mismatch counts as an *invalidation* and recompiles.
+  A changed binding counts as an *invalidation* and recompiles.
 
 * The **procedure cache** — per-executor ``LRUCache(PROC_CACHE_CAPACITY)``
   mapping a stored procedure's source text to its parsed ``CREATE
@@ -43,21 +42,21 @@ and a parsed statement is never modified.
   misses parses the catalog's text, which stays the durable truth.  Keyed on
   the text rather than the name, a leftover entry can never be *wrong* — a
   re-created procedure with another body has another key — only unused,
-  and the LRU bounds those.  Volatile like the session that owns it.
+  and the LRU bounds those.  Volatile like the session that owns it.  While
+  it holds a procedure the body's statements keep their identity, so their
+  plans stay in the plan cache from one ``EXEC`` to the next.
 
 The client side has the same thing in front of the wire:
 ``repro.core.interceptor.statement_templates`` keeps application texts
 parsed and classified in one process-wide ``LRUCache``.
 
-The cache is deliberately conservative: only top-level SELECT / UNION
-statements are cached, and never under procedure parameters (``@name``
-values are baked into the compiled closures, so such plans are single-use
-by construction).  ``?`` placeholders do *not* prevent caching: the compiled
-plan reads one shared placeholder list at run time and
-``Executor.execute_select`` rebinds that list per execution, so the qmark
-template is the cache key — four executions of one ``WHERE k = ?`` text with
-different values are 1 parse miss + 3 parse hits and 1 plan miss + 3 plan
-hits.
+Only top-level SELECT / UNION statements are cached — of a request or of a
+procedure body.  Neither kind of parameter prevents it: a compiled plan
+reads ``?`` placeholders from one shared list and ``@name`` parameters from
+one shared dict at run time, and ``Executor.execute_select`` rebinds both
+per execution, so the template is the cache key — four executions of one
+``WHERE k = ?`` text with different values are 1 parse miss + 3 parse hits
+and 1 plan miss + 3 plan hits, and so are four ``EXEC``s of one procedure.
 
 :class:`EngineMetrics` aggregates the hit/miss/invalidation counters and is
 surfaced through the bench harness next to the round-trip counts — the
@@ -67,7 +66,7 @@ paper's observability discipline applied to the engine's own hot path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.metrics import CounterSet
 
@@ -199,43 +198,48 @@ class ParseCache:
 
 
 class _PlanEntry:
-    __slots__ = ("stmt", "versions", "runner")
+    __slots__ = ("stmt", "bindings", "runner")
 
-    def __init__(self, stmt: Any, versions: tuple[int, int], runner: Any):
+    def __init__(self, stmt: Any, bindings: list[tuple[str, Any]], runner: Any):
         #: strong reference pins the statement object: while this entry is
         #: alive, id(stmt) cannot be reused, so identity keys are sound.
         self.stmt = stmt
-        #: (catalog_version, temp_version) the plan was compiled under
-        self.versions = versions
+        #: (name, what it resolved to) for every name the plan bound
+        self.bindings = bindings
         self.runner = runner
 
 
 class PlanCache:
-    """Parsed statement (by identity) → compiled plan, version-validated."""
+    """Parsed statement (by identity) → compiled plan, valid while every
+    name it bound still resolves to what it resolved to at compile time."""
 
     def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
         self._cache = LRUCache(capacity)
 
-    def lookup(self, stmt: Any, versions: tuple[int, int], metrics: EngineMetrics) -> Any | None:
+    def lookup(
+        self, stmt: Any, resolve: Callable[[str], Any], metrics: EngineMetrics
+    ) -> Any | None:
         """Return the cached runner for ``stmt`` if still valid, else None.
 
-        A version mismatch evicts the entry and counts an invalidation (the
-        subsequent recompile is counted as a miss by the caller's store).
+        ``resolve(name)`` is what ``name`` stands for now.  A changed
+        binding evicts the entry and counts an invalidation (the recompile
+        that follows is the miss counted here).
         """
         entry: _PlanEntry | None = self._cache.get(id(stmt))
         if entry is None or entry.stmt is not stmt:
             metrics.plan_misses += 1
             return None
-        if entry.versions != versions:
-            self._cache.pop(id(stmt))
-            metrics.plan_invalidations += 1
-            metrics.plan_misses += 1
-            return None
+        for name, bound in entry.bindings:
+            if resolve(name) != bound:
+                self._cache.pop(id(stmt))
+                metrics.plan_invalidations += 1
+                metrics.plan_misses += 1
+                return None
         metrics.plan_hits += 1
         return entry.runner
 
-    def store(self, stmt: Any, versions: tuple[int, int], runner: Any) -> None:
-        self._cache.put(id(stmt), _PlanEntry(stmt, versions, runner))
+    def store(self, stmt: Any, bindings: list[tuple[str, Any]], runner: Any) -> None:
+        self._cache.put(id(stmt), _PlanEntry(stmt, bindings, runner))
 
     def clear(self) -> None:
         self._cache.clear()

@@ -81,7 +81,8 @@ class RestartPolicy:
       past their lock acquisitions run to completion.
 
     ``bump_catalog`` models a migrated upgrade: the swapped-in engine comes
-    up with a bumped ``catalog_version`` so every cached plan revalidates.
+    up with its ``catalog_version`` ahead of a plain swap's.  (Every session
+    ends at the swap, and its cached plans with it, either way.)
     """
 
     mode: str = "deadline"
@@ -230,6 +231,11 @@ class DatabaseServer:
                 self.database.locks.invalidate()
             self.database = None
             self.sessions.clear()
+            # compiled plans hold their tables and their executor, which holds
+            # them: emptied first, the dead engine is freed by reference
+            # count — not whenever the collector next runs
+            for executor in self._executors.values():
+                executor.clear_caches()
             self._executors.clear()
             self._parse_cache = None  # caches are volatile: a restart starts cold
             # a dead server has no pending device fault — the injected torn
@@ -309,8 +315,7 @@ class DatabaseServer:
                     self._require_up()  # a mid-drain crash beat us to the swap
                     self.lifecycle = "swapping"
                     ridden = len(self.sessions)
-                    for session_id in list(self.sessions):
-                        self.disconnect(session_id)
+                    self.end_sessions()
                     self.database.checkpoint()
                     self._boot()
                     if policy.bump_catalog:
@@ -444,8 +449,7 @@ class DatabaseServer:
                     self._require_up()  # a mid-drain crash beat us here
                     self.lifecycle = "swapping"
                     ridden = len(self.sessions)
-                    for session_id in list(self.sessions):
-                        self.disconnect(session_id)
+                    self.end_sessions()
                     report = self.restore_storage_to(ts)
                     self._boot()
                     self.stats.restarts += 1
@@ -460,12 +464,18 @@ class DatabaseServer:
         report.seconds = time.monotonic() - start
         return report
 
+    def end_sessions(self) -> None:
+        """Disconnect every session (a crashed server has none left)."""
+        with self._engine_mutex:
+            if self.up:
+                for session_id in list(self.sessions):
+                    self.disconnect(session_id)
+
     def shutdown(self) -> None:
         """Clean shutdown: checkpoint, then stop."""
         with self._engine_mutex:
             self._require_up()
-            for session_id in list(self.sessions):
-                self.disconnect(session_id)
+            self.end_sessions()
             self.database.checkpoint()
             self.up = False
             self.database = None
@@ -503,7 +513,7 @@ class DatabaseServer:
                 session.current_txn = None
             session.close()
             del self.sessions[session_id]
-            del self._executors[session_id]
+            self._executors.pop(session_id).clear_caches()  # see crash()
 
     def _touch(self, session: Session) -> None:
         self.activity_epoch += 1
@@ -616,7 +626,7 @@ class DatabaseServer:
                     last_rows = result
                 elif result.kind == "rowcount":
                     batch_rowcounts.append(result.rowcount)
-                    into_columns = result.extra.get("into_columns", into_columns)
+                into_columns = result.extra.get("into_columns", into_columns)
         # Like typical clients consuming a batch: the result set survives
         # trailing non-query statements (e.g. "CREATE VIEW; SELECT; DROP
         # VIEW" — TPC-H Q15's shape); their rowcounts ride alongside, and

@@ -39,9 +39,9 @@ class Session:
         #: the rowcount() function (our @@ROWCOUNT; Phoenix's status-table
         #: wrapper records it inside the same transaction as the DML).
         self.last_rowcount: int = 0
-        #: monotonic counter bumped on every temp-table / temp-procedure
-        #: create or drop; plan-cache entries record it so a plan compiled
-        #: against (or shadowed by) a temp object is never served stale.
+        #: monotonic count of temp-table / temp-procedure creates and drops
+        #: (a cached plan notices a temp object coming or going by resolving
+        #: its names again, not by this counter)
         self.temp_version: int = 0
         #: server activity epoch of this session's last operation — stamped
         #: by the server, read by ``DatabaseServer.reap_sessions`` to find

@@ -146,6 +146,9 @@ class Table:
         #: ordered secondary indexes: column name -> OrderedIndex.
         #: Volatile (never snapshotted); rebuilt from index DDL at recovery.
         self._secondary: dict[str, OrderedIndex] = {}
+        #: moved by every change to the set of secondary indexes: a compiled
+        #: plan chose its access path from that set (see plancache.py)
+        self.version = 0
         #: cached ascending rowid order for scan(); None = needs rebuild.
         #: Inserts extend it when rowids stay monotonic (the normal case);
         #: deletes and out-of-order redo inserts invalidate it.
@@ -217,9 +220,11 @@ class Table:
         for rowid, row in self.data.rows.items():
             index.add(row[position], rowid)
         self._secondary[column] = index
+        self.version += 1
 
     def drop_secondary_index(self, column: str) -> None:
-        self._secondary.pop(column.lower(), None)
+        if self._secondary.pop(column.lower(), None) is not None:
+            self.version += 1
 
     def has_secondary_index(self, column: str) -> bool:
         return column.lower() in self._secondary

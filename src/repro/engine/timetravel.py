@@ -336,7 +336,8 @@ class TimeTravelManager:
             latest = self.log_index.latest()
             if latest is not None:
                 self.clock.advance_past(latest[2])
-            self._snapshots.clear()
+            while self._snapshots:
+                self._evict_oldest()
 
     # -- resolution -----------------------------------------------------------
 
@@ -363,6 +364,12 @@ class TimeTravelManager:
         """The cached (or freshly reconstructed) snapshot for ``ts``'s cut."""
         return self.snapshot_at_cut(self.resolve_cut(ts))
 
+    def _evict_oldest(self) -> None:
+        """Let a snapshot go — plans first: they and the snapshot's executor
+        hold each other, and with them the reconstructed database."""
+        _cut, snapshot = self._snapshots.popitem(last=False)
+        snapshot.executor.clear_caches()
+
     def snapshot_at_cut(self, cut_lsn: int) -> _Snapshot:
         with self._lock:
             snapshot = self._snapshots.get(cut_lsn)
@@ -382,7 +389,7 @@ class TimeTravelManager:
             snapshot = _Snapshot(cut_lsn, database, executor, info)
             self._snapshots[cut_lsn] = snapshot
             while len(self._snapshots) > self.max_snapshots:
-                self._snapshots.popitem(last=False)
+                self._evict_oldest()
             self.stats.reconstructions += 1
             self.stats.records_replayed += info.records_replayed
             return snapshot

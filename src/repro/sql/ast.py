@@ -680,13 +680,16 @@ class DropTable(Statement):
 
 @dataclass
 class CreateProcedure(Statement):
-    """``CREATE PROCEDURE name (@p TYPE, ...) AS stmt [; stmt ...]``.
+    """``CREATE PROCEDURE name (@p [TYPE], ...) AS stmt [; stmt ...]``.
 
-    A ``#name`` is a temporary (session-scoped) procedure.
+    A ``#name`` is a temporary (session-scoped) procedure.  An argument is
+    coerced to its parameter's declared type; a parameter declared without
+    one takes the argument as it is.  A parameter may stand where the body
+    names a table (``INTO @t``, ``FROM @t``).
     """
 
     name: str
-    params: list[tuple[str, TypeSpec]] = field(default_factory=list)
+    params: list[tuple[str, TypeSpec | None]] = field(default_factory=list)
     body: list[Statement] = field(default_factory=list)
 
     @property
@@ -696,7 +699,7 @@ class CreateProcedure(Statement):
     def sql(self) -> str:
         params = ""
         if self.params:
-            params = " (" + ", ".join(f"@{n} {t.sql()}" for n, t in self.params) + ")"
+            params = " (" + ", ".join(f"@{n} {t.sql()}" if t else f"@{n}" for n, t in self.params) + ")"
         body = "; ".join(s.sql() for s in self.body)
         # Always bracket the body: an unbracketed AS-body swallows every
         # following statement when the CREATE is embedded in a batch.

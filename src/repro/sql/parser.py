@@ -171,6 +171,13 @@ class Parser:
             return token.value.lower()
         raise self.error(f"expected {what}")
 
+    def expect_table_name(self, what: str = "table name") -> str:
+        """A table name, or — where a procedure body may address a table its
+        caller names — a parameter, kept as ``@name``."""
+        if self.peek().type is TokenType.PARAM:
+            return "@" + self.advance().value
+        return self.expect_ident(what)
+
     def skip_semicolons(self) -> None:
         while self.accept_punct(";"):
             pass
@@ -302,7 +309,7 @@ class Parser:
 
         into: str | None = None
         if self.accept_keyword("INTO"):
-            into = self.expect_ident("INTO table name")
+            into = self.expect_table_name("INTO table name")
 
         from_: ast.TableRef | None = None
         if self.accept_keyword("FROM"):
@@ -411,7 +418,7 @@ class Parser:
             self.accept_keyword("AS")
             alias = self.expect_ident("derived table alias")
             return ast.SubquerySource(select, alias)
-        name = self.expect_ident("table name")
+        name = self.expect_table_name()
         alias = None
         if self._at_as_of():
             pass  # trailing AS OF <ts>, not an alias — parse_select owns it
@@ -643,12 +650,15 @@ class Parser:
 
     def parse_create_procedure(self) -> ast.CreateProcedure:
         name = self.expect_ident("procedure name")
-        params: list[tuple[str, ast.TypeSpec]] = []
+        params: list[tuple[str, ast.TypeSpec | None]] = []
         paren = self.accept_punct("(")
         while self.peek().type is TokenType.PARAM:
             pname = self.advance().value
-            ptype = self.parse_type()
-            params.append((pname, ptype))
+            # no type: the argument reaches the body as the caller passed it
+            untyped = self.peek().type is TokenType.PUNCT or self.peek().matches(
+                TokenType.KEYWORD, "AS"
+            )
+            params.append((pname, None if untyped else self.parse_type()))
             if not self.accept_punct(","):
                 break
         if paren:

@@ -218,6 +218,16 @@ ALLOWED_DIVERGENCES = {
         "a DataError here — comparing a number with a non-numeric string is "
         "a bug in the query; sqlite orders values by storage class instead",
     ),
+    "string arithmetic (+)": (
+        "SELECT s + 1 FROM t WHERE k < 5",
+        "a DataError here — arithmetic is defined on numbers; sqlite coerces "
+        "the string to a number (0 when it does not look like one)",
+    ),
+    "string arithmetic (*)": (
+        "SELECT s * 2 FROM t WHERE k < 5",
+        "a DataError here, as for `+` (and not Python's repeated string); "
+        "sqlite coerces the string to a number",
+    ),
     "collation": (
         "SELECT k FROM t WHERE s LIKE 'S1%'",
         "LIKE is case-sensitive here, like every other string comparison; "
@@ -239,12 +249,11 @@ def test_allowed_divergence_still_diverges(engines, name):
     assert ours != reference, f"{name}: no longer diverges — drop the entry"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP: arithmetic on a string operand is unchecked")
 @pytest.mark.parametrize("sql", ["SELECT s + 1 FROM t WHERE k < 5", "SELECT s * 2 FROM t WHERE k < 5"])
 def test_string_arithmetic_is_a_data_error(engines, sql):
-    """Found by this suite, pinned not fixed: ``s + 1`` leaks a Python
-    TypeError and ``s * 2`` repeats the string; both should be DataError
-    (sqlite coerces the string to a number — not the behaviour to copy)."""
+    """Found by this suite: ``s + 1`` leaked a Python TypeError and ``s * 2``
+    repeated the string; both are a DataError (sqlite coerces the string to
+    a number — not the behaviour to copy, see ALLOWED_DIVERGENCES)."""
     with pytest.raises(DataError):
         engines[0](sql)
 

@@ -7,9 +7,9 @@ import pytest
 from repro.core.interceptor import (
     StatementClass,
     build_dml_batch,
-    build_fill_batch,
     classify,
     inline_placeholders,
+    name_placeholders,
     redirect_names,
     referenced_tables,
     statement_templates,
@@ -294,12 +294,19 @@ def test_dml_batch_structure():
     assert "rowcount()" in insert.sql()
 
 
-def test_fill_batch_via_procedure_is_idempotent_script():
-    batch = build_fill_batch("phx_fill", "phx_res", "SELECT a FROM t")
-    statements = parse_script(batch)
-    kinds = [type(s).__name__ for s in statements]
-    assert kinds == ["DropProcedure", "CreateProcedure", "ExecProcedure"]
-    assert statements[0].if_exists
+def test_name_placeholders_makes_a_procedure_body_of_a_template():
+    template = parse("SELECT a, ? AS tag FROM t WHERE b > ? AND a IN (SELECT a FROM u WHERE c = ?)")
+    body, n_values = name_placeholders(template)
+    assert n_values == 3
+    assert body.sql() == (
+        "SELECT a, @p0 AS tag FROM t "
+        "WHERE ((b > @p1) AND (a IN (SELECT a FROM u WHERE (c = @p2))))"
+    )
+    # a pure rewrite: the shared template keeps its placeholders
+    assert template.sql().count("?") == 3 and "@p" not in template.sql()
+    # nothing to name: the template itself, taking no values
+    plain = parse("SELECT a FROM t")
+    assert name_placeholders(plain) == (plain, 0)
 
 
 # ---------------------------------------------------------------- naming
@@ -314,7 +321,7 @@ def test_name_allocator_sequences():
     names = NameAllocator()
     assert names.next_seq() == 1
     assert names.next_seq() == 2
-    assert names.result_table(3) != names.keys_table(3)
+    assert names.next_table() != names.next_table()
 
 
 def test_redirected_names_strip_hash():

@@ -8,6 +8,10 @@ sets appears, when a second handler starts calling ``recover()``, or when
 the session fixtures are spelled out twice again.  PR 22 gave ``repro.sql``
 the one traversal of a statement: they fail when a function enumerates the
 expression classes by hand again, or the driver borrows the engine's reading.
+PR 23 made the fill procedure the paper's (one per statement template, the
+target table a parameter) and plan validity per dependency: they fail when a
+procedure is named per execution again, or a plan is checked against a
+server-wide counter.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import pytest
 
 import repro
 from repro.core import PhoenixConfig
+from repro.core.naming import NameAllocator
 from repro.engine import DatabaseServer
 from repro.engine.executor import Executor
 from repro.sql import ast as sql_ast  # ``ast`` is Python's here
@@ -209,3 +214,71 @@ def test_the_driver_reads_statements_without_the_engine():
         }
         assert not {"repro.engine.executor", "repro.engine.cursors"} & imported, path.name
         assert "deepcopy" not in source, path.name
+
+
+# ---------------------------------------------------------------- one fill procedure per template
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    return {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None), getattr(node, "arg", None),
+        )
+        if isinstance(name, str)
+    }
+
+
+def test_a_fill_procedure_is_named_per_template_never_per_execution():
+    """The per-execution procedure is gone, not kept beside its replacement:
+    its builder, its name and the field that held it do not exist, no text
+    the driver generates around a procedure interpolates a statement
+    sequence number, and the allocator numbers procedures on their own."""
+    gone = {"build_fill_batch", "fill_procedure", "fill_proc"}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not gone & _identifiers(tree), path.name
+        if CORE not in path.parents:
+            continue
+        for text in (n for n in ast.walk(tree) if isinstance(n, ast.JoinedStr)):
+            literal = "".join(v.value for v in text.values if isinstance(v, ast.Constant))
+            if "PROCEDURE" in literal or "EXEC " in literal:
+                assert not any("seq" in name for name in _identifiers(text)), ast.unparse(text)
+    names = NameAllocator()
+    first = names.next_query_procedure()
+    assert [names.next_seq() for _ in range(5)] == [1, 2, 3, 4, 5]
+    assert (first, names.next_query_procedure()) == (
+        f"phx_c{names.client_id}_q1", f"phx_c{names.client_id}_q2"
+    )
+    assert list(inspect.signature(NameAllocator.next_query_procedure).parameters) == ["self"]
+
+
+def test_the_keys_table_is_built_by_the_server():
+    """No client-written DDL for a Phoenix result or keys table: the only
+    CREATE TABLE texts in the driver are the session's own fixtures."""
+    creating = sorted(
+        (path.name, literal)
+        for path in CORE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for literal in [node.value]
+        if literal.lstrip().startswith("CREATE TABLE") or "create_table_sql" in literal
+    )
+    assert [name for name, _ in creating] == ["recovery.py", "recovery.py"]  # proxy, status
+    for path in CORE.glob("*.py"):
+        assert "create_table_sql" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_no_plan_is_validated_against_a_server_wide_counter():
+    """A cached plan is valid while what it resolved is unchanged
+    (``Executor._binding``); ``catalog_version`` / ``temp_version`` still
+    count DDL, and nothing that runs a statement reads them."""
+    for module in ("engine/plancache.py", "engine/executor.py", "engine/expressions.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        loads = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        assert not {"catalog_version", "temp_version"} & loads, module

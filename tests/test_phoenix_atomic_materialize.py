@@ -1,9 +1,9 @@
 """Everything Phoenix builds on a statement's behalf is ONE transaction.
 
-A default-result SELECT (fill procedure whose query creates the result
-table ``INTO`` which it runs, EXEC, and the read-back of the rows), a key
-cursor's materialisation (DDL + fill procedure + EXEC + key count),
-redirected temp objects (DROP + CREATE) and the clean-termination DROPs each
+A default-result SELECT (the template's fill procedure — created by the
+first execution, only called by later ones — whose query creates the result
+table ``INTO`` which it runs and reads the rows back), a key cursor's
+materialisation (the same, capturing keys), redirected temp objects (DROP + CREATE) and the clean-termination DROPs each
 travel as ``BEGIN TRANSACTION; ...; COMMIT`` in one request — so they cost
 one round trip and one log force, and neither a SQL error nor a crash can
 leave a half-built unit behind or hand the application a row twice.
@@ -75,29 +75,48 @@ def test_select_is_one_request_and_one_force(ready):
     cur.execute("SELECT k FROM t WHERE k <= 3 ORDER BY k")
     assert cur.fetchall() == [(1,), (2,), (3,)]
     (script,) = sent  # no probe before it, no open after it
-    assert script.startswith("BEGIN TRANSACTION; DROP TABLE IF EXISTS phx_")
-    assert "; DROP PROCEDURE IF EXISTS phx_" in script
+    proc = f"phx_c{conn.names.client_id}_q1"
     # the procedure's query builds the table it fills; no client-written DDL
-    assert "AS BEGIN SELECT k INTO phx_" in script and "CREATE TABLE" not in script
-    assert "; EXEC phx_" in script
-    assert script.endswith("_res_3; COMMIT") and "; SELECT * FROM phx_" in script
+    assert script == (
+        f"BEGIN TRANSACTION; DROP PROCEDURE IF EXISTS {proc}; "
+        f"CREATE PROCEDURE {proc} (@t) AS BEGIN "
+        "SELECT k INTO @t FROM t WHERE (k <= 3) ORDER BY k; SELECT * FROM @t END; "
+        f"EXEC {proc} ?; COMMIT"
+    )
     assert system.server.database.wal.stats.forces == forces + 1
+    # every later execution: a constant text, the table name beside it
+    del sent[:]
+    cur.execute("SELECT k FROM t WHERE k <= 3 ORDER BY k")
+    assert cur.fetchall() == [(1,), (2,), (3,)]
+    assert sent == [f"BEGIN TRANSACTION; EXEC {proc} ?; COMMIT"]
+    assert system.server.database.wal.stats.forces == forces + 2
+    assert sorted(system.server.database.procedures) == [proc]
 
 
 # ---------------------------------------------------------------- one parse
 
 
-def test_repeated_select_is_no_client_parse_one_server_parse_none_at_exec(ready, parsed_texts):
+def test_repeated_select_parses_nothing_on_either_side(ready, parsed_texts):
     system, conn, cur = ready
     text = "SELECT v FROM t WHERE k = ?"
-    cur.execute(text, [4])
+    cur.execute(text, [4])  # creates the template's procedure and calls it
     assert cur.fetchall() == [(4,)]
+    cur.execute(text, [5])  # the first EXEC-only script
+    assert cur.fetchall() == [(5,)]
+    metrics = system.server.engine_metrics
+    before = metrics.snapshot()
+    compiled = system.server.executor_stats.compiled_plans
     del parsed_texts[:]
     cur.execute(text, [7])  # was: the text, the script, the stored procedure
     assert cur.fetchall() == [(7,)]
-    (script,) = parsed_texts
-    assert script.startswith("BEGIN TRANSACTION; DROP TABLE IF EXISTS phx_")
-    assert "WHERE (k = 7)" in script and "; EXEC phx_" in script
+    assert parsed_texts == []  # a template, a text and a procedure already seen
+    after = metrics.snapshot()
+    assert after["parse_hits"] == before["parse_hits"] + 1
+    assert after["parse_misses"] == before["parse_misses"]
+    # ... and two plans: the fill's and the read-back's
+    assert after["plan_hits"] == before["plan_hits"] + 2
+    assert after["plan_misses"] == before["plan_misses"]
+    assert system.server.executor_stats.compiled_plans == compiled
 
 
 def test_repeated_wrapped_dml_is_no_client_parse_one_server_parse(ready, parsed_texts):
@@ -176,7 +195,8 @@ def test_key_cursor_still_probes_then_materializes_in_one_request(ready):
     cursor.execute("SELECT k, v FROM t WHERE k <= 3")
     assert len(sent) == 2 and "(0 = 1)" in sent[0]
     assert sent[1].startswith("BEGIN TRANSACTION") and "; EXEC phx_" in sent[1]
-    assert "CREATE TABLE phx_" in sent[1]  # the client describes the keys table
+    # the server builds the keys table from the key query it runs
+    assert "CREATE TABLE" not in sent[1] and "SELECT k INTO @t FROM t" in sent[1]
     assert system.server.database.wal.stats.forces == forces + 1
     assert sorted(cursor.fetchall()) == [(1, 1), (2, 2), (3, 3)]
 
@@ -188,11 +208,12 @@ def test_close_drops_a_whole_session_in_one_trip_and_one_force(ready):
     for _ in range(4):
         cur.execute("SELECT k FROM t")
         cur.fetchall()
-    assert len(built_for_statements(system)) == 10
+    # four result tables, ONE procedure for the one template, #scratch, #p
+    assert len(built_for_statements(system)) == 7
     sent = record_execute_sql(system)
     forces = system.server.database.wal.stats.forces
     conn.close()
-    assert len(sent) == 1 and sent[0].count("DROP ") == 11  # + the status table
+    assert len(sent) == 1 and sent[0].count("DROP ") == 8  # + the status table
     assert system.server.database.wal.stats.forces == forces + 1
     assert phoenix_objects(system) == []
 
@@ -283,13 +304,17 @@ def test_reply_lost_after_commit_is_rebuilt_not_duplicated(ready, key_cursor):
     cursor = keyset_cursor(conn) if key_cursor else cur
     cursor.execute("SELECT k, v FROM t WHERE k <= 15")
     rows = cursor.fetchall()
-    assert sorted(rows) == [(i, i) for i in range(1, 16)]  # DROP-first retry: no doubles
+    assert sorted(rows) == [(i, i) for i in range(1, 16)]  # the retry's own table: no doubles
     assert conn.stats.recoveries == 1
     if not key_cursor:
         # registered only after the retried script's rows arrived: an ordinary
         # buffered default result, nothing for that recovery to reposition
         assert cursor._state.mode == "buffered" and cursor._state.delivered == 15
-    assert len(built_for_statements(system)) == 2  # one table, one procedure
+    # one procedure (the re-sent script dropped and re-created it), the
+    # table delivered from, and the table of the request whose reply was
+    # lost — it waits for close() like every other
+    built = built_for_statements(system)
+    assert len(built) == 3 and sum("_q" in name for name in built) == 1
     conn.close()
     assert phoenix_objects(system) == []
 
@@ -332,6 +357,138 @@ def test_crash_before_the_first_fetch_repositions_at_zero(ready):
     assert [row[0] for row in cur.fetchmany(5)] == [1, 2, 3, 4, 5]
     assert [row[0] for row in cur.fetchall()] == list(range(6, 21))
     assert conn.stats.recoveries == 1
+
+
+# ---------------------------------------------------------------- a template's life
+#
+# The fill procedure of a statement template is created by the request that
+# first calls it and counts as created once that request is acknowledged;
+# until then every (re-)sent request drops and re-creates it.  From then on
+# the request is the bare EXEC, and each attempt fills a table of its own.
+
+TEMPLATE = "SELECT k, v FROM t WHERE k <= ? ORDER BY k"
+
+
+def procedures(system) -> list[str]:
+    return [name for name in phoenix_objects(system) if "_q" in name]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [FaultKind.CRASH_BEFORE_EXECUTE, FaultKind.CRASH_AFTER_EXECUTE, FaultKind.FORCE_FAIL],
+    ids=["before the commit", "after the commit", "at the commit's force"],
+)
+def test_crash_around_the_creating_script_leaves_exactly_one_procedure(ready, kind):
+    system, conn, cur = ready
+    sent = record_execute_sql(system)
+    system.faults.schedule(kind, matcher=is_materialize_script)
+    cur.execute(TEMPLATE, [3])
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
+    assert conn.stats.recoveries == 1
+    creating = [sql for sql in sent if "CREATE PROCEDURE" in sql]
+    # never acknowledged, so sent again whole: it drops what may have landed
+    assert len(creating) == 2 and creating[0] == creating[1]
+    assert "; DROP PROCEDURE IF EXISTS phx_" in creating[0]
+    (procedure,) = procedures(system)
+    del sent[:]
+    cur.execute(TEMPLATE, [2])  # acknowledged now: only called
+    assert cur.fetchall() == [(1, 1), (2, 2)]
+    assert sent == [f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT"]
+    assert procedures(system) == [procedure]
+    conn.close()
+    assert phoenix_objects(system) == []
+
+
+def test_reply_lost_after_an_exec_only_script_committed(ready):
+    """The re-sent script meets the table its lost predecessor committed —
+    and does not: each attempt names a new one."""
+    system, conn, cur = ready
+    cur.execute(TEMPLATE, [1])
+    cur.fetchall()
+    sent = record_execute_sql(system)
+    system.faults.schedule(FaultKind.CRASH_AFTER_EXECUTE, matcher=is_materialize_script)
+    cur.execute(TEMPLATE, [4])
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert conn.stats.recoveries == 1
+    scripts = [sql for sql in sent if "EXEC phx_" in sql]
+    assert len(scripts) == 2 and scripts[0] == scripts[1]  # the constant text, twice
+    assert "CREATE PROCEDURE" not in scripts[0]
+    assert len(procedures(system)) == 1
+    tables = [name for name in built_for_statements(system) if "_t" in name]
+    assert len(tables) == 3  # the first SELECT's, the lost reply's, the delivered one
+    assert cur._state.table == max(tables, key=lambda name: int(name.rpartition("_t")[2]))
+    conn.close()
+    assert phoenix_objects(system) == []
+
+
+def test_crash_between_creation_and_the_second_execution(ready, parsed_texts):
+    """The procedure is as durable as the result tables; what the crash
+    takes is the server's caches."""
+    system, conn, cur = ready
+    cur.execute(TEMPLATE, [2])
+    assert cur.fetchall() == [(1, 1), (2, 2)]
+    (procedure,) = procedures(system)
+    system.server.crash()
+    system.endpoint.restart_server()
+    assert procedures(system) == [procedure]
+    sent = record_execute_sql(system)
+    compiled = system.server.executor_stats.compiled_plans
+    del parsed_texts[:]
+    cur.execute(TEMPLATE, [3])
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
+    assert conn.stats.recoveries == 1
+    # no verification request for the procedure, and it is not re-created
+    assert [sql for sql in sent if procedure in sql] == [
+        f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT"
+    ] * 2  # the request that found the server gone, and its re-send
+    # cold: the script and the stored text are parsed, both plans compiled
+    assert f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT" in parsed_texts
+    assert any(text.startswith(f"CREATE PROCEDURE {procedure} ") for text in parsed_texts)
+    assert system.server.executor_stats.compiled_plans >= compiled + 2
+    conn.close()
+    assert phoenix_objects(system) == []
+
+
+def test_dropped_private_connection_keeps_the_procedure(ready):
+    """The server never went away: a new private session (cold caches of
+    its own) calls the procedure the old one created."""
+    system, conn, cur = ready
+    cur.execute(TEMPLATE, [2])
+    cur.fetchall()
+    cur.execute(TEMPLATE, [2])
+    cur.fetchall()
+    private = conn.private.session_id
+    sent = record_execute_sql(system)
+    system.faults.schedule(FaultKind.DROP_CONNECTION, matcher=is_materialize_script)
+    metrics = system.server.engine_metrics
+    misses = metrics.plan_misses
+    cur.execute(TEMPLATE, [3])
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
+    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
+    assert conn.private.session_id != private
+    assert not any("CREATE PROCEDURE" in sql for sql in sent)
+    # the new session compiles both plans once (+ the app session's proxy probe)
+    assert (metrics.plan_misses, metrics.plan_invalidations) == (misses + 3, 0)
+    assert len(procedures(system)) == 1
+    conn.close()
+    assert phoenix_objects(system) == []
+    assert len(system.server.sessions) == 0
+
+
+def test_description_comes_from_each_executions_reply(ready):
+    """Never from a memo beside the procedure: the application re-created
+    the table between two executions of one text."""
+    system, conn, cur = ready
+    text = "SELECT * FROM t WHERE k = ?"
+    cur.execute(text, [1])
+    assert [d[0] for d in cur.description] == ["k", "v"] and cur.fetchall() == [(1, 1)]
+    cur.execute("DROP TABLE t")
+    cur.execute("CREATE TABLE t (k INT PRIMARY KEY, name VARCHAR(10), v FLOAT)")
+    cur.execute("INSERT INTO t VALUES (1, 'one', 1.5)")
+    cur.execute(text, [1])
+    assert [d[0] for d in cur.description] == ["k", "name", "v"]
+    assert cur.fetchall() == [(1, "one", 1.5)]
+    assert (cur.description, [(1, "one", 1.5)]) == plain_answer(system, "SELECT * FROM t WHERE k = 1")
 
 
 # ---------------------------------------------------------------- any query
@@ -386,7 +543,7 @@ def test_description_and_rows_equal_the_plain_stack(ready, case):
     sent = record_execute_sql(system)
     cur.execute(sql)
     assert (cur.description, cur.fetchall()) == expected
-    materialized = [sql for sql in sent if "; EXEC phx_" in sql and "_fill_" in sql]
+    materialized = [sql for sql in sent if "; EXEC phx_" in sql and "_q1 " in sql]
     assert len(materialized) == 1 and not any("(0 = 1)" in sql for sql in sent)
     conn.close()
     assert phoenix_objects(system) == []

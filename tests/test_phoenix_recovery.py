@@ -41,7 +41,8 @@ def test_crash_between_statements_is_invisible(ready):
 
 def test_crash_during_metadata_probe(ready):
     system, conn, cur = ready
-    # only a key cursor still probes: the client writes its keys table's DDL
+    # only a key cursor still probes: its materialising reply describes the
+    # captured keys, not the application's columns
     cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
     system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "(0 = 1)")
     cur.execute("SELECT k, v FROM t ORDER BY k")
@@ -73,6 +74,29 @@ def test_crash_during_delivery_open(ready):
     rows += cur.fetchall()
     assert [r[0] for r in rows] == list(range(1, 51))
     assert system.server.stats.crashes == 2
+
+
+def test_open_results_of_one_template_recover_side_by_side(ready):
+    """One procedure, a table per execution: two deliveries of the same
+    text, interrupted mid-result, each resume at their own row — and the
+    next execution of the text after the crash still only calls the
+    procedure."""
+    system, conn, cur = ready
+    text = "SELECT k FROM t WHERE k > ? ORDER BY k"
+    other = conn.cursor()
+    cur.execute(text, [0])
+    other.execute(text, [40])
+    first, second = cur.fetchmany(7), other.fetchmany(3)
+    procedures = sorted(system.server.database.procedures)
+    assert len(procedures) == 1 and len(conn.results) == 2
+    crash_restart(system)
+    third = conn.cursor()
+    third.execute(text, [48])  # recovers; EXEC-only against cold caches
+    assert [r[0] for r in third.fetchall()] == [49, 50]
+    assert conn.stats.recoveries == 1
+    assert sorted(system.server.database.procedures) == procedures
+    assert [r[0] for r in first + cur.fetchall()] == list(range(1, 51))
+    assert [r[0] for r in second + other.fetchall()] == list(range(41, 51))
 
 
 def test_mid_fetch_crash_resumes_at_exact_position(ready):

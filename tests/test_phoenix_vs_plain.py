@@ -11,6 +11,7 @@ type a computed value comes back as.
 
 from __future__ import annotations
 
+import datetime
 import typing
 
 import pytest
@@ -190,3 +191,104 @@ def test_allowed_type_difference_still_differs(both, name):
     sql, reason = ALLOWED_TYPE_DIFFERENCES[name]
     assert reason
     assert repr(outcome(both["phoenix"], sql)) != repr(outcome(both["plain"], sql))
+
+
+# ---------------------------------------------------------------- bound values
+#
+# A repeated Phoenix SELECT is a procedure created once and called with the
+# values beside it: what is bound must reach the query as a plain
+# connection's ``?`` does — no declared parameter type in between, no value
+# frozen into a plan at the first execution.
+
+#: name -> (template, the values of its successive executions)
+BOUND = {
+    "int then float against an INT column": (
+        "SELECT k FROM t WHERE k < ? ORDER BY k", [[3], [2.5], [1], [2.5], [40]]
+    ),
+    "a quote in a string": ("SELECT k FROM q WHERE v = ?", [["it's"], ["a"], ["''"], ["it's"]]),
+    "NULL": ("SELECT k FROM q WHERE v = ? OR ? IS NULL", [[None, 1], ["a", None], [None, None]]),
+    "a date": (
+        "SELECT k FROM q WHERE d <= ? ORDER BY k",
+        [[datetime.date(1995, 6, 1)], [datetime.date(1999, 1, 1)], ["1995-01-01"]],
+    ),
+    "a value in the select list": (
+        "SELECT k, ? AS tag FROM q WHERE k <= ? ORDER BY k",
+        [["x", 2], [7, 1], [2.5, 2], [None, 2], [datetime.date(1995, 6, 1), 2], ["it's", 3]],
+    ),
+    "a conjunct without a column": ("SELECT k FROM q WHERE ? = 1 ORDER BY k", [[1], [0], [1]]),
+    "in a subquery, a list, a range, a pattern": (
+        "SELECT k FROM t WHERE k IN (SELECT tk FROM r WHERE w >= ?) AND k IN (?, ?, 3) "
+        "AND v BETWEEN ? AND 100 AND s LIKE ? ORDER BY k",
+        [[0, 1, 2, 0, "s%"], [5, 2, 4, -5, "%"], [0, 1, 2, 0, "s%"]],
+    ),
+    "in every part of a union": (
+        "SELECT k FROM q WHERE k = ? UNION SELECT k + ? FROM q WHERE k = ? ORDER BY 1",
+        [[1, 10, 2], [3, 1, 3], [1, 10, 2]],
+    ),
+    "too few values": ("SELECT k FROM q WHERE k = ? AND v = ?", [[1], [1, "a"], []]),
+}
+
+
+@pytest.fixture(scope="module")
+def both_bound(both):
+    both["plain"].execute("CREATE TABLE q (k INT PRIMARY KEY, v VARCHAR, d DATE)")
+    both["plain"].execute(
+        "INSERT INTO q VALUES (1, 'a', '1995-01-01'), (2, 'it''s', '1996-02-02'), (3, NULL, NULL)"
+    )
+    return both
+
+
+def bound_outcome(cursor, sql: str, values: list):
+    try:
+        cursor.execute(sql, values)
+    except repro.Error as exc:
+        return type(exc)
+    return cursor.fetchall()
+
+
+@pytest.mark.parametrize("name", BOUND)
+def test_bound_values_reach_the_query_as_they_do_without_phoenix(both_bound, name):
+    sql, executions = BOUND[name]
+    answers = []
+    for values in executions:
+        plain = bound_outcome(both_bound["plain"], sql, values)
+        assert repr(bound_outcome(both_bound["phoenix"], sql, values)) == repr(plain), values
+        answers.append(plain)
+    if name == "int then float against an INT column":
+        # one text, another class of value each time: each its own right answer
+        assert answers[:2] == [[(0,), (1,), (2,)], [(0,), (1,), (2,)]] and answers[2] == [(0,)]
+    if name == "too few values":
+        assert answers == [repro.ProgrammingError, [(1,)], repro.ProgrammingError]
+
+
+def test_a_template_over_a_temp_table_reads_the_table_of_that_name_now():
+    """The template's procedure names the temp table's stand-in: the same
+    text must read a re-created ``#w`` (the plan it cached was compiled
+    against the dropped one) and follow the redirection map as it changes."""
+    text = "SELECT * FROM #w WHERE k >= ? ORDER BY k"
+    seen = {}
+    for kind in KINDS:
+        connection = connect(repro.make_system(), kind)
+        cursor = connection.cursor()
+        steps = [bound_outcome(cursor, text, [0])]  # no #w yet
+        cursor.execute("CREATE TABLE #w (k INT PRIMARY KEY, v VARCHAR)")  # the map changes
+        cursor.execute("INSERT INTO #w VALUES (1, 'a'), (2, 'b')")
+        steps += [bound_outcome(cursor, text, [k]) for k in (0, 2, 0)]
+        cursor.execute("DROP TABLE #w")
+        steps.append(bound_outcome(cursor, text, [0]))
+        cursor.execute("CREATE TABLE #w (k INT PRIMARY KEY, v VARCHAR, extra INT)")
+        cursor.execute("INSERT INTO #w VALUES (5, 'e', 50)")
+        steps += [bound_outcome(cursor, text, [k]) for k in (0, 9)]
+        cursor.execute("DROP TABLE #w")
+        cursor.execute("SELECT k + 100 AS k INTO #w FROM (SELECT 1 AS k) one")  # mapped again
+        steps.append(bound_outcome(cursor, text, [0]))
+        seen[kind] = steps
+        connection.close()
+    assert seen["phoenix"] == seen["plain"]
+    assert seen["plain"] == [
+        repro.errors.CatalogError,
+        [(1, "a"), (2, "b")], [(2, "b")], [(1, "a"), (2, "b")],
+        repro.errors.CatalogError,
+        [(5, "e", 50)], [],
+        [(101,)],
+    ]

@@ -7,6 +7,10 @@ what an uncached engine would produce).
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 import repro
@@ -241,6 +245,238 @@ def test_temp_recreate_with_different_schema(server):
     assert rows(server.execute(sid, "SELECT * FROM #s")) == [(1, 2)]
 
 
+# ------------------------------------------------- validity is per dependency
+#
+# A cached plan — of a ``?`` template or of a procedure body — is checked
+# against what it resolved, not against a server-wide counter: DDL on
+# anything else leaves it alone, DDL on its own tables and views recompiles
+# it, and ``plan_invalidations`` counts exactly those.
+
+#: how to run the cached SELECT: as a request's ``?`` template, as the body
+#: of a procedure taking the value as a parameter, or as Phoenix's fill
+#: procedure does (into a table that is a parameter too, and read back)
+FORMS = {
+    "template": "SELECT v FROM t WHERE k = ?",
+    "procedure": "EXEC by_key ?",
+    "fill procedure": "EXEC fill ?, ?",
+}
+
+
+@pytest.fixture(params=FORMS)
+def hot_plan(request, server):
+    """``run(k)`` executes the cached SELECT (its plans are hot on return)
+    and answers ``(rows, plan hits, plan misses, invalidations)`` deltas."""
+    server, sid = server
+    server.execute(sid, "CREATE PROCEDURE by_key (@k) AS BEGIN SELECT v FROM t WHERE k = @k END")
+    server.execute(
+        sid,
+        "CREATE PROCEDURE fill (@t, @k) AS BEGIN "
+        "SELECT v INTO @t FROM t WHERE k = @k; SELECT * FROM @t END",
+    )
+    sql = FORMS[request.param]
+    metrics = server.engine_metrics
+    fills = request.param == "fill procedure"
+    plans = 2 if fills else 1  # the fill and its read-back
+    made = itertools.count()
+
+    def run(k: int):
+        before = (metrics.plan_hits, metrics.plan_misses, metrics.plan_invalidations)
+        values = [f"out_{next(made)}", k] if fills else [k]  # a new result table every time
+        result = rows(server.execute(sid, sql, placeholders=values))
+        after = (metrics.plan_hits, metrics.plan_misses, metrics.plan_invalidations)
+        return (result, *(b - a for a, b in zip(before, after)))
+
+    assert run(1) == ([("one",)], 0, plans, 0)
+    assert run(2) == ([("two",)], plans, 0, 0)
+    run.plans, run.server, run.sid = plans, server, sid
+    return run
+
+
+def test_cached_plan_survives_ddl_on_anything_else(hot_plan):
+    server, sid = hot_plan.server, hot_plan.sid
+    other = server.connect()
+    for ddl in (
+        "CREATE TABLE unrelated (a INT PRIMARY KEY)",
+        "CREATE INDEX on_unrelated ON unrelated (a)",
+        "CREATE VIEW over_unrelated AS SELECT a FROM unrelated",
+        "CREATE PROCEDURE unrelated_p AS BEGIN SELECT 1 END",
+        "CREATE TABLE #mine (a INT)",
+        "DROP VIEW over_unrelated",
+        "DROP TABLE unrelated",
+        "DROP PROCEDURE unrelated_p",
+    ):
+        server.execute(other if "#" not in ddl else sid, ddl)
+        assert hot_plan(3) == ([("three",)], hot_plan.plans, 0, 0), ddl
+    # a rolled-back CREATE of something else, too
+    server.execute(other, "BEGIN TRANSACTION; CREATE TABLE gone (a INT); ROLLBACK")
+    assert hot_plan(1) == ([("one",)], hot_plan.plans, 0, 0)
+
+
+def test_cached_plan_survives_another_sessions_phoenix_materialisation():
+    """Every Phoenix SELECT creates a result table, a template's first one a
+    procedure, and close() drops them all: none of it is what a plain
+    session's plan resolved."""
+    system = repro.make_system()
+    server = system.server
+    plain = server.connect()
+    server.execute(plain, "CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(20))")
+    server.execute(plain, "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+    metrics = server.engine_metrics
+    sql = "SELECT v FROM t WHERE k = ?"
+    server.execute(plain, sql, placeholders=[1])
+
+    def still_hot() -> None:
+        before = (metrics.plan_hits, metrics.plan_invalidations)
+        assert rows(server.execute(plain, sql, placeholders=[2])) == [("two",)]
+        assert (metrics.plan_hits, metrics.plan_invalidations) == (before[0] + 1, before[1])
+
+    connection = repro.connect(system)
+    cursor = connection.cursor()
+    for k in (1, 2, 1):
+        assert len(cursor.execute(sql, [k]).fetchall()) == 1
+        still_hot()
+    assert metrics.plan_invalidations == 0
+    connection.close()
+    still_hot()
+
+
+@pytest.mark.parametrize(
+    "before, change",
+    [
+        (None, "DROP TABLE t; CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(20)); "
+               "INSERT INTO t VALUES (3, 'three')"),
+        (None, "CREATE INDEX t_v ON t (v)"),
+        ("CREATE INDEX t_v ON t (v)", "DROP INDEX t_v"),
+        (None, "BEGIN TRANSACTION; DROP TABLE t; ROLLBACK"),
+    ],
+    ids=["re-created", "create index", "drop index", "rolled-back drop"],
+)
+def test_cached_plan_is_recompiled_after_ddl_on_its_own_table(hot_plan, before, change):
+    server, sid = hot_plan.server, hot_plan.sid
+    if before:
+        server.execute(sid, before)
+        hot_plan(3), hot_plan(3)  # hot again, under the index
+    server.execute(sid, change)
+    # one plan is stale: the fill's read-back binds only the shape of the
+    # table it is handed
+    assert hot_plan(3) == ([("three",)], hot_plan.plans - 1, 1, 1)
+    assert hot_plan(3) == ([("three",)], hot_plan.plans, 0, 0)
+
+
+def test_cached_plan_follows_a_temp_table_that_starts_or_stops_shadowing(server):
+    """A session's temp table hides a persistent table or view of its name.
+    (It can only *start* to over a view: CREATE TABLE refuses the name of an
+    existing table in either namespace.)"""
+    server, sid = server
+    other = server.connect()
+    metrics = server.engine_metrics
+    server.execute(sid, "CREATE VIEW x AS SELECT k FROM t WHERE k <= 2")
+    server.execute(sid, "CREATE PROCEDURE count_x AS BEGIN SELECT count(*) FROM x END")
+    forms = ("SELECT count(*) FROM x", "EXEC count_x")
+
+    def counts(expected: int, invalidated: int) -> None:
+        for sql in forms:
+            before = metrics.plan_invalidations
+            assert rows(server.execute(sid, sql)) == [(expected,)]
+            assert metrics.plan_invalidations == before + invalidated
+            assert rows(server.execute(sid, sql)) == [(expected,)]  # hot again
+            assert metrics.plan_invalidations == before + invalidated
+
+    counts(2, 0)
+    server.execute(sid, "CREATE TEMPORARY TABLE x (k INT)")  # starts shadowing the view
+    counts(0, 1)
+    server.execute(other, "DROP VIEW x")
+    server.execute(other, "CREATE TABLE x (k INT)")  # a persistent twin, still hidden
+    server.execute(other, "INSERT INTO x VALUES (1), (2), (3)")
+    counts(0, 0)
+    server.execute(sid, "DROP TABLE x")  # the temp one: stops shadowing
+    counts(3, 1)
+
+
+def test_cached_plan_is_recompiled_after_a_rolled_back_create_of_its_table(server):
+    server, sid = server
+    metrics = server.engine_metrics
+    sql = "SELECT count(*) FROM fresh"
+    server.execute(sid, "BEGIN TRANSACTION")
+    server.execute(sid, "CREATE TABLE fresh (a INT)")
+    assert rows(server.execute(sid, sql)) == [(0,)]
+    assert rows(server.execute(sid, sql)) == [(0,)]  # hot
+    server.execute(sid, "ROLLBACK")
+    invalidations = metrics.plan_invalidations
+    with pytest.raises(repro.errors.CatalogError):
+        server.execute(sid, sql)  # the plan's table is gone: not served stale
+    assert metrics.plan_invalidations == invalidations + 1
+
+
+def test_cached_plan_is_recompiled_after_its_view_is_redefined(server):
+    server, sid = server
+    metrics = server.engine_metrics
+    server.execute(sid, "CREATE VIEW some AS SELECT k FROM t WHERE k <= 1")
+    server.execute(sid, "CREATE PROCEDURE count_some AS BEGIN SELECT count(*) FROM some END")
+    for sql in ("SELECT count(*) FROM some", "EXEC count_some"):
+        assert rows(server.execute(sid, sql)) == [(1,)]
+        assert rows(server.execute(sid, sql)) == [(1,)]  # hot
+    server.execute(sid, "DROP VIEW some")
+    server.execute(sid, "CREATE VIEW some AS SELECT k FROM t WHERE k <= 2")
+    invalidations = metrics.plan_invalidations
+    for done, sql in enumerate(("SELECT count(*) FROM some", "EXEC count_some"), start=1):
+        assert rows(server.execute(sid, sql)) == [(2,)]
+        assert metrics.plan_invalidations == invalidations + done
+        assert rows(server.execute(sid, sql)) == [(2,)]
+        assert metrics.plan_invalidations == invalidations + done
+
+
+def test_read_back_plan_is_recompiled_for_a_table_of_another_shape(server):
+    """``FROM @t`` binds the columns of the table it was compiled against: a
+    table of the same shape reuses the plan, another shape recompiles it."""
+    server, sid = server
+    metrics = server.engine_metrics
+    server.execute(sid, "CREATE PROCEDURE dump (@t) AS BEGIN SELECT * FROM @t END")
+    server.execute(sid, "CREATE TABLE a (k INT PRIMARY KEY, v VARCHAR(20))")
+    server.execute(sid, "CREATE TABLE b (k INT PRIMARY KEY, v VARCHAR(20))")
+    server.execute(sid, "CREATE TABLE c (k INT PRIMARY KEY, v VARCHAR(20), w INT)")
+    server.execute(sid, "INSERT INTO a VALUES (1, 'a')")
+    server.execute(sid, "INSERT INTO b VALUES (2, 'b')")
+    server.execute(sid, "INSERT INTO c VALUES (3, 'c', 0)")
+    assert rows(server.execute(sid, "EXEC dump ?", placeholders=["a"])) == [(1, "a")]
+    before = (metrics.plan_hits, metrics.plan_invalidations)
+    assert rows(server.execute(sid, "EXEC dump ?", placeholders=["b"])) == [(2, "b")]
+    assert (metrics.plan_hits, metrics.plan_invalidations) == (before[0] + 1, before[1])
+    assert rows(server.execute(sid, "EXEC dump ?", placeholders=["c"])) == [(3, "c", 0)]
+    assert (metrics.plan_hits, metrics.plan_invalidations) == (before[0] + 1, before[1] + 1)
+    for bad in ("nowhere", "a b", 7, None):
+        with pytest.raises(repro.errors.Error):
+            server.execute(sid, "EXEC dump ?", placeholders=[bad])
+    # ... and a table is created only under a name SQL could address
+    server.execute(sid, "CREATE PROCEDURE copy_a (@t) AS BEGIN SELECT * INTO @t FROM a END")
+    for bad in ("a b", "x; DROP TABLE a", "", 7):
+        with pytest.raises(repro.errors.ProgrammingError):
+            server.execute(sid, "EXEC copy_a ?", placeholders=[bad])
+    server.execute(sid, "EXEC copy_a ?", placeholders=["a_copy"])
+    assert rows(server.execute(sid, "SELECT * FROM a_copy")) == [(1, "a")]
+
+
+def test_procedure_parameters_are_read_at_run_time(server):
+    """One compiled body serves every call: typed parameters coerce, untyped
+    ones pass the argument as it is, and a constant-looking conjunct over a
+    parameter is not folded into the plan."""
+    server, sid = server
+    compiled = server.executor_stats.compiled_plans
+    server.execute(sid, "CREATE PROCEDURE typed (@p INT) AS BEGIN SELECT k FROM t WHERE k < @p END")
+    server.execute(sid, "CREATE PROCEDURE untyped (@p) AS BEGIN SELECT k FROM t WHERE k < @p END")
+    server.execute(sid, "CREATE PROCEDURE gate (@on) AS BEGIN SELECT k FROM t WHERE @on = 1 END")
+    for value in (2.5, 3, 1, 2.5):
+        assert rows(server.execute(sid, "EXEC typed ?", placeholders=[value])) == [
+            (k,) for k in (1, 2, 3) if k < int(value)
+        ]
+        assert rows(server.execute(sid, "EXEC untyped ?", placeholders=[value])) == [
+            (k,) for k in (1, 2, 3) if k < value
+        ]
+    for on in (1, 0, 1):
+        assert len(rows(server.execute(sid, "EXEC gate ?", placeholders=[on]))) == (3 if on else 0)
+    assert server.executor_stats.compiled_plans == compiled + 3
+
+
 # ---------------------------------------------------------------- volatility
 
 
@@ -259,6 +495,32 @@ def test_caches_rebuild_cold_after_crash(server):
     server.execute(sid, "SELECT v FROM t WHERE k = 1")
     # same SQL text that used to hit now misses: the cache started cold
     assert metrics.parse_misses == base_misses + 1
+
+
+def test_a_crashed_engine_is_freed_without_the_collector():
+    """Compiled plans hold their tables and their executor, which holds
+    them; ``crash()`` empties the caches first, so the dead engine goes by
+    reference count (``peak_rss_mb`` of a crashing workload used to depend
+    on when the collector ran)."""
+    system = repro.make_system()
+    plain = repro.connect(system, phoenix=False).cursor()
+    plain.execute("CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(20))")
+    plain.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+    phoenix = repro.connect(system).cursor()
+    for cursor in (plain, phoenix):
+        for k in (1, 2, 1):  # the third execution runs cached plans
+            assert cursor.execute("SELECT v FROM t WHERE k = ?", [k]).fetchall()
+    assert system.server.engine_metrics.plan_hits >= 4
+    gc.collect()
+    gc.disable()
+    try:
+        database = weakref.ref(system.server.database)
+        table = weakref.ref(system.server.database.tables["t"])
+        system.server.crash()
+        system.server.restart()
+        assert database() is None and table() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- procedure cache
@@ -437,9 +699,10 @@ def test_plan_cache_counts_invalidation_and_miss():
     metrics = EngineMetrics()
     cache = PlanCache()
     stmt = object()
-    cache.store(stmt, (1, 0), "runner")
-    assert cache.lookup(stmt, (1, 0), metrics) == "runner"
-    assert cache.lookup(stmt, (2, 0), metrics) is None
+    table, recreated = object(), object()
+    cache.store(stmt, [("t", table)], "runner")
+    assert cache.lookup(stmt, {"t": table}.get, metrics) == "runner"
+    assert cache.lookup(stmt, {"t": recreated}.get, metrics) is None
     assert metrics.plan_invalidations == 1
     assert metrics.plan_hits == 1
     assert metrics.plan_misses == 1
