@@ -5,12 +5,12 @@ probe, server-side repositioning, the status-table wrapper — are not
 configurable: there is one path per decision, and the ablation benchmarks
 (DESIGN.md experiments A1–A4) price each alternative from plain-driver
 calls.  The fields here tune failure detection, the bounds on waiting out
-and rebuilding after one failure, the lock-conflict retry bound and the
-application-facing batching mode — each is set to a non-default value by
-some caller (``tests/test_one_path.py`` checks).  A bound with one value in
-use is a constant beside the loop that reads it: recoveries per application
-call is ``repro.core.connection.MAX_OPERATION_RETRIES``, the fleet-recovery
-pool size is the default of ``recover_all(max_workers=)``.
+and rebuilding after one failure and the lock-conflict retry bound — each
+is set to a non-default value by some caller (``tests/test_one_path.py``
+checks).  A bound with one value in use is a constant beside the loop that
+reads it: recoveries per application call is
+``repro.core.connection.MAX_OPERATION_RETRIES``, the fleet-recovery pool
+size is the default of ``recover_all(max_workers=)``.
 """
 
 from __future__ import annotations
@@ -63,17 +63,6 @@ class PhoenixConfig:
     #: how many times a recovery that is itself interrupted by another crash
     #: is restarted before giving up.
     max_recovery_attempts: int = 5
-
-    # --- wire batching ------------------------------------------------------------
-    #: accumulate autocommit wrapped DML into BatchExecuteRequests instead
-    #: of shipping each in its own round trip (flushed at the size threshold
-    #: or the next ordering barrier: query, transaction, probe, close).  Off
-    #: by default — queued statements report rowcount -1 until the flush,
-    #: which not every application tolerates; ``executemany`` batches
-    #: explicitly regardless of this switch.
-    dml_autobatch: bool = False
-    #: queued statements that trigger an autobatch flush.
-    dml_autobatch_size: int = 16
 
     # --- concurrency --------------------------------------------------------------
     #: transparent retries of a statement the server aborted as a deadlock

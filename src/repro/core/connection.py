@@ -129,10 +129,6 @@ class PhoenixConnection(Connection):
         self.txn_log = TxnReplayLog()
         #: result tables (and the status table) to drop at clean termination
         self.cleanup_tables: list[str] = [self.names.status_table]
-        #: autobatch accumulator: (seq, wrapped batch SQL) of queued DML not
-        #: yet shipped — flushed as one BatchExecuteRequest at the next
-        #: batch-size threshold or ordering barrier (query, txn, close)
-        self._dml_pending: list[tuple[int, str]] = []
 
         #: bumped by every completed recovery; cursors use it to notice that
         #: their buffered delivery was re-mapped underneath them.
@@ -198,8 +194,6 @@ class PhoenixConnection(Connection):
         request's transaction whole, so re-sending is a fresh execution
         (bounded by ``max_deadlock_retries``).
         """
-        if self._dml_pending:
-            self.flush_dml_batch()  # ordering barrier: queued DML goes first
         original: Exception | None = None
         lock_retries = 0
         with self.application_call():
@@ -300,10 +294,6 @@ class PhoenixConnection(Connection):
         (paper §3: "After the client application has successfully
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
         with self.application_call():
-            try:
-                self.flush_dml_batch()  # queued autobatch DML must land before cleanup
-            except Error:
-                pass  # best-effort: close() reclaims what it can either way
             # forget every result first: a recovery triggered *during* cleanup
             # must not try to verify/reposition tables we just dropped; an
             # abandoned open transaction is implicitly rolled back, not replayed
@@ -508,8 +498,6 @@ class PhoenixConnection(Connection):
         the reply was lost and only the logged outcome survives — the one
         place our reply-buffer (a rowcount) is narrower than the paper's.
         """
-        if self.config.dml_autobatch and not self.in_transaction:
-            return self.queue_dml(sql)
         seq = self.names.next_seq()
         batch = build_dml_batch(sql, self.names.status_table, seq)
         self.stats.dml_wrapped += 1
@@ -654,30 +642,6 @@ class PhoenixConnection(Connection):
             # backoff.
             self._ride_through(send, landed, retry_locks=LockError, scope="batch")
         return [rowcounts[seq] for seq, _sql in entries]
-
-    def queue_dml(self, sql: str) -> tuple[int, int, None]:
-        """Autobatch mode: accumulate a wrapped DML instead of shipping it.
-
-        The statement is assigned its seq and wrapper now (exactly-once
-        bookkeeping is fixed at queue time) but travels with the next flush
-        — at the batch-size threshold or the next ordering barrier.  Its
-        rowcount is not yet known, so the returned rowcount is ``-1``; a SQL
-        error it raises surfaces at the flush, like any batching API.
-        """
-        seq = self.names.next_seq()
-        batch = build_dml_batch(sql, self.names.status_table, seq)
-        self._dml_pending.append((seq, batch))
-        if len(self._dml_pending) >= max(self.config.dml_autobatch_size, 1):
-            self.flush_dml_batch()
-        return (seq, -1, None)
-
-    def flush_dml_batch(self) -> list[int]:
-        """Ship every queued autobatch DML now; returns their rowcounts."""
-        if not self._dml_pending:
-            return []
-        entries = self._dml_pending
-        self._dml_pending = []
-        return self.run_dml_batch(entries)
 
     # --- temp-object redirection ----------------------------------------------------
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 
 from repro.errors import ProgrammingError
-from repro.engine.expressions import Env, ExpressionCompiler, Scope
 from repro.engine.results import ResultSet
 from repro.engine.schema import Column
 from repro.sql import ast
@@ -112,10 +111,10 @@ class DefaultResultSetCursor(ServerCursor):
         self.position = min(position, len(self.rows))
 
 
-def cursor_query_is_keyable(select: ast.Select, executor) -> tuple[str, str] | None:
-    """If ``select`` supports key-based cursors, return (table, key column):
-    the shape Phoenix's key cursors ask for too, and a single-column primary
-    key."""
+def cursor_query_is_keyable(select: ast.Select, executor) -> str | None:
+    """If ``select`` supports key-based cursors, return the key column: it
+    has the shape Phoenix's key cursors ask for too, and its table a
+    single-column primary key."""
     source = key_cursor_source(select)
     if source is None:
         return None
@@ -125,63 +124,56 @@ def cursor_query_is_keyable(select: ast.Select, executor) -> tuple[str, str] | N
         return None
     if len(table.schema.primary_key) != 1:
         return None
-    return source.name.lower(), table.schema.primary_key[0]
+    return table.schema.primary_key[0]
 
 
 class _KeyCursorBase(ServerCursor):
-    """Shared plumbing for keyset/dynamic cursors over (table, key)."""
+    """Shared plumbing for keyset/dynamic cursors over (table, key).  Every
+    read is a SELECT through the executor — one planner, one access path —
+    run with the ``?`` values the cursor was opened with."""
 
-    def __init__(self, executor, select: ast.Select, table_name: str, key_column: str):
+    def __init__(self, executor, select: ast.Select, key_column: str, placeholders: list | None):
         self.executor = executor
         self.select = select
-        self.table_name = table_name
         self.key_column = key_column
-        self.binding = (select.from_.alias or select.from_.name).lower()
-        super().__init__(self.executor.execute_select(with_false_where(select)).columns)
+        self.placeholders = placeholders
+        super().__init__(self._run(with_false_where(select)).columns)
 
-    def _project_row(self, base_row: tuple) -> tuple:
-        """Evaluate the cursor's select list against one base-table row."""
-        table, _ = self.executor.resolve_table(self.table_name)
-        scope = Scope()
-        scope.add_source(self.binding, table.schema.column_names)
-        compiler = ExpressionCompiler(scope, self.executor)
-        env = Env(values=list(base_row))
-        values = []
-        for item in self.select.items:
-            if isinstance(item.expr, ast.Star):
-                values.extend(base_row)
-            else:
-                values.append(compiler.compile(item.expr)(env))
-        return tuple(values)
+    def _run(self, select: ast.Select, **params) -> ResultSet:
+        return self.executor.execute_select(
+            select, params=params, placeholders=self.placeholders
+        )
 
 
 class KeysetCursor(_KeyCursorBase):
     """Membership frozen at open; values read through at fetch time."""
 
-    def __init__(self, executor, select: ast.Select, table_name: str, key_column: str):
-        super().__init__(executor, select, table_name, key_column)
-        self.keys = self._capture_keys()
+    def __init__(self, executor, select: ast.Select, key_column: str, placeholders=None):
+        super().__init__(executor, select, key_column, placeholders)
+        self.keys = [row[0] for row in self._run(key_query(select, key_column)).rows]
         self.holes = 0  # rows whose key vanished before fetch (deleted)
-
-    def _capture_keys(self) -> list:
-        keys = self.executor.execute_select(key_query(self.select, self.key_column))
-        return [row[0] for row in keys.rows]
+        #: the select list of the row a captured key names now: one tree
+        #: for the cursor's life, so its plan (a PK lookup, the projection
+        #: compiled once) comes from the plan cache at every fetch
+        self.row_query = ast.Select(
+            select.items,
+            select.from_,
+            ast.Binary("=", ast.ColumnRef(key_column), ast.Param("cursor_key")),
+        )
 
     @property
     def effective_type(self) -> str:
         return CursorType.KEYSET
 
     def fetch(self, n: int) -> tuple[list[tuple], bool]:
-        table, _ = self.executor.resolve_table(self.table_name)
         out: list[tuple] = []
         while len(out) < n and self.position < len(self.keys):
-            key = self.keys[self.position]
+            rows = self._run(self.row_query, cursor_key=self.keys[self.position]).rows
             self.position += 1
-            rowid = table.lookup_key((key,))
-            if rowid is None:
+            if rows:
+                out.append(rows[0])
+            else:
                 self.holes += 1  # deleted since open: a keyset "hole"
-                continue
-            out.append(self._project_row(table.get(rowid)))
         return out, self.position >= len(self.keys)
 
     def advance_to(self, position: int) -> None:
@@ -194,12 +186,12 @@ class DynamicCursor(_KeyCursorBase):
     """Re-evaluates the predicate past the last-seen key on every block, so
     concurrent inserts/deletes are visible."""
 
-    def __init__(self, executor, select: ast.Select, table_name: str, key_column: str):
+    def __init__(self, executor, select: ast.Select, key_column: str, placeholders=None):
         if select.order_by:
             raise ProgrammingError(
                 "dynamic cursors deliver in key order; ORDER BY is not supported"
             )
-        super().__init__(executor, select, table_name, key_column)
+        super().__init__(executor, select, key_column, placeholders)
         self.last_key = None
         self.drained = False
 
@@ -228,7 +220,7 @@ class DynamicCursor(_KeyCursorBase):
     def fetch(self, n: int) -> tuple[list[tuple], bool]:
         if self.drained:
             return [], True
-        block = self.executor.execute_select(self._block_query(n))
+        block = self._run(self._block_query(n))
         rows = []
         for row in block.rows:
             rows.append(row[:-1])  # strip the tracking key column
@@ -239,16 +231,17 @@ class DynamicCursor(_KeyCursorBase):
         return rows, self.drained
 
 
-def open_cursor(executor, select: ast.Select, requested_type: str) -> ServerCursor:
-    """Open the best cursor for ``requested_type``, downgrading when the
-    query shape does not support key-based cursors."""
+def open_cursor(
+    executor, select: ast.Select, requested_type: str, placeholders: list | None = None
+) -> ServerCursor:
+    """Open the best cursor for ``requested_type`` over ``select`` with its
+    ``?`` bound to ``placeholders``, downgrading when the query shape does
+    not support key-based cursors."""
     if requested_type not in CursorType.ALL:
         raise ProgrammingError(f"unknown cursor type {requested_type!r}")
     if requested_type in (CursorType.KEYSET, CursorType.DYNAMIC):
-        keyable = cursor_query_is_keyable(select, executor)
-        if keyable is not None:
-            table_name, key_column = keyable
-            if requested_type == CursorType.KEYSET:
-                return KeysetCursor(executor, select, table_name, key_column)
-            return DynamicCursor(executor, select, table_name, key_column)
-    return DefaultResultSetCursor(executor.execute_select(select))
+        key_column = cursor_query_is_keyable(select, executor)
+        if key_column is not None:
+            cursor_class = KeysetCursor if requested_type == CursorType.KEYSET else DynamicCursor
+            return cursor_class(executor, select, key_column, placeholders)
+    return DefaultResultSetCursor(executor.execute_select(select, placeholders=placeholders))

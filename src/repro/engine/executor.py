@@ -25,6 +25,7 @@ from typing import Any, Iterator
 
 from repro.errors import (
     CatalogError,
+    DataError,
     DeadlockError,
     NotSupportedError,
     ProgrammingError,
@@ -580,74 +581,50 @@ class Executor:
         else:
             self.database.insert_row(txn, table.name, full_row)
 
-    def _dml_lock_candidates(
-        self, txn, table: Table, is_temp: bool, stmt_where, compiler, scope
-    ):
-        """Lock and return the candidate set for an UPDATE/DELETE.
+    def _dml_lock_candidates(self, txn, table: Table, is_temp: bool, where, compiler, scope):
+        """Lock and return the (rowid, row) candidates of an UPDATE/DELETE.
 
-        Point DML resolved by a primary-key probe locks only the touched
-        rows: lock, then re-probe, looping until the candidate set is
-        stable under the held row locks.  The loop is the row-granularity
-        form of the lock-before-scan rule: a candidate computed before a
-        lock wait may be a dirty read (the victim aborted mid-wait; the key
-        now lives in a different row, or nowhere), and values pre-computed
-        from it must never be applied.  Each iteration re-reads after its
-        locks are granted, so the set returned was probed entirely under
-        held locks — committed state only.
+        The access path is the SELECT planner's (:func:`_index_probe`),
+        chosen once per statement; the predicate is still applied in full
+        to what comes back.  Its kind decides the lock granularity:
 
-        Everything else — full scans, secondary-index probes, row locking
-        disabled — takes the whole-table X lock before scanning, exactly
-        as before row locks existed.
+        A primary-key probe locks only the touched rows: lock, then
+        re-probe, looping until the candidate set is stable under the held
+        row locks.  The loop is the row-granularity form of the
+        lock-before-scan rule: a candidate computed before a lock wait may
+        be a dirty read (the victim aborted mid-wait; the key now lives in
+        a different row, or nowhere), and values pre-computed from it must
+        never be applied.  Each iteration re-reads after its locks are
+        granted, so the set returned was probed entirely under held locks —
+        committed state only.
+
+        Everything else — full scans, secondary-index equality and range
+        probes, row locking disabled — takes the whole-table X lock
+        *before* the probe or scan is evaluated.
         """
+        probe = _index_probe(table, 0, _split_conjuncts(where), scope, compiler)
+        env = Env(values=[None] * scope.slot_count)
+
+        def candidates() -> list[tuple[int, tuple]]:
+            rowids = None if probe is None else _probe_rowids(table, probe, env, self.stats)
+            if rowids is None:
+                return list(table.scan())
+            return [(rowid, table.get(rowid)) for rowid in rowids]
+
         if is_temp:
-            return self._dml_candidates(table, stmt_where, compiler, scope)
-        probe = (
-            _dml_index_probe(table, stmt_where, scope, compiler)
-            if stmt_where is not None
-            else None
-        )
+            return candidates()
         if probe is None or probe[2] != "pk" or not self.database.locks.row_locking:
             self.database.lock_write(txn, table.name)
-            return self._dml_candidates(table, stmt_where, compiler, scope)
+            return candidates()
         locked: set[int] = set()
         while True:
-            candidates = self._dml_candidates(table, stmt_where, compiler, scope)
-            fresh = [rowid for rowid, _row in candidates if rowid not in locked]
+            found = candidates()
+            fresh = [rowid for rowid, _row in found if rowid not in locked]
             if not fresh:
-                return candidates
+                return found
             for rowid in fresh:
                 self.database.lock_row_write(txn, table.name, rowid)
             locked.update(fresh)
-
-    def _dml_candidates(self, table: Table, stmt_where, compiler, scope):
-        """(rowid, row) pairs a DML statement's WHERE might match.
-
-        Uses a PK/secondary index probe for a constant-equality conjunct
-        (the predicate is still applied in full afterwards); otherwise a
-        full scan.
-        """
-        if stmt_where is not None:
-            probe = _dml_index_probe(table, stmt_where, scope, compiler)
-            if probe is not None:
-                column, value_fn, probe_kind = probe
-                from repro.errors import DataError
-
-                value = value_fn(Env(values=[None] * scope.slot_count))
-                if value is None:
-                    return []
-                try:
-                    value = table.schema.column(column).coerce(value)
-                except DataError:
-                    return []
-                self.stats.index_eq_probes += 1
-                if probe_kind == "pk":
-                    rowid = table.lookup_key((value,))
-                    return [] if rowid is None else [(rowid, table.get(rowid))]
-                return [
-                    (rowid, table.get(rowid))
-                    for rowid in table.index_lookup(column, value)
-                ]
-        return list(table.scan())
 
     def _update(
         self, stmt: ast.Update, txn, params: dict[str, Any], placeholders: list
@@ -1062,7 +1039,7 @@ class _SelectPlan:
         for conjunct in _split_conjuncts(self.select.where):
             refs: list[ast.ColumnRef] = []
             if _collect_plain_refs(conjunct, refs) and not any(
-                self._is_local_ref(ref) for ref in refs
+                _is_local_ref(self.scope, ref) for ref in refs
             ):
                 if not refs and not _varies_between_runs(conjunct):
                     # constant folding: no column refs at any depth, no
@@ -1101,8 +1078,15 @@ class _SelectPlan:
                 else:
                     residual.append(conjunct)
             probe = None
-            if kind != "LEFT":
-                probe = self._index_probe(index, join_conjuncts[index])
+            table = self.sources[index].table
+            if kind != "LEFT" and table is not None:
+                probe = _index_probe(
+                    table,
+                    self.source_ranges[index][0],
+                    join_conjuncts[index],
+                    self.scope,
+                    self.compiler,
+                )
             self.join_steps.append(
                 _JoinStep(
                     kind=kind,
@@ -1113,99 +1097,6 @@ class _SelectPlan:
                 )
             )
         self.where = self._compile_conjunction(final_conjuncts)
-
-    def _index_probe(self, index: int, conjuncts: list[ast.Expr]):
-        """Pick the best access path for source ``index`` from its
-        conjuncts, ranked **PK probe > secondary equality > secondary
-        range** (full scan when nothing matches).  Range probes come from
-        ``<``, ``<=``, ``>``, ``>=`` and ``BETWEEN`` conjuncts over an
-        ordered secondary index.  Every chosen conjunct is kept in the
-        residual too — the probe only narrows the scan, it never replaces
-        the predicate."""
-        source = self.sources[index]
-        if source.table is None:
-            return None
-        table = source.table
-        start, end = self.source_ranges[index]
-
-        def local_column(col_side: ast.Expr) -> str | None:
-            if not isinstance(col_side, ast.ColumnRef):
-                return None
-            resolved = self.scope.try_resolve(col_side.name, col_side.table)
-            if resolved is None or resolved[0] != 0:
-                return None
-            slot = resolved[1]
-            if not start <= slot < end:
-                return None
-            return table.schema.columns[slot - start].name
-
-        def row_independent(value_side: ast.Expr) -> bool:
-            # the probe value must not depend on this query's rows
-            refs: list[ast.ColumnRef] = []
-            if not _collect_plain_refs(value_side, refs):
-                return False  # subquery
-            return not any(self._is_local_ref(r) for r in refs)
-
-        eq_pk: tuple[str, ast.Expr] | None = None
-        eq_secondary: tuple[str, ast.Expr] | None = None
-        #: column -> [low_expr, low_inclusive, high_expr, high_inclusive]
-        range_bounds: dict[str, list] = {}
-
-        for conjunct in conjuncts:
-            if isinstance(conjunct, ast.Binary) and conjunct.op in _PROBE_OPS:
-                for col_side, value_side, op in (
-                    (conjunct.left, conjunct.right, conjunct.op),
-                    (conjunct.right, conjunct.left, _FLIPPED_OP[conjunct.op]),
-                ):
-                    column = local_column(col_side)
-                    if column is None or not row_independent(value_side):
-                        continue
-                    if op == "=":
-                        if table.schema.primary_key == (column,):
-                            if eq_pk is None:
-                                eq_pk = (column, value_side)
-                        elif table.has_secondary_index(column):
-                            if eq_secondary is None:
-                                eq_secondary = (column, value_side)
-                    elif table.has_secondary_index(column):
-                        bounds = range_bounds.setdefault(column, [None, True, None, True])
-                        if op in (">", ">="):
-                            if bounds[0] is None:
-                                bounds[0], bounds[1] = value_side, op == ">="
-                        else:
-                            if bounds[2] is None:
-                                bounds[2], bounds[3] = value_side, op == "<="
-            elif isinstance(conjunct, ast.Between) and not conjunct.negated:
-                column = local_column(conjunct.operand)
-                if (
-                    column is not None
-                    and table.has_secondary_index(column)
-                    and row_independent(conjunct.low)
-                    and row_independent(conjunct.high)
-                ):
-                    bounds = range_bounds.setdefault(column, [None, True, None, True])
-                    if bounds[0] is None:
-                        bounds[0], bounds[1] = conjunct.low, True
-                    if bounds[2] is None:
-                        bounds[2], bounds[3] = conjunct.high, True
-
-        if eq_pk is not None:
-            column, value_side = eq_pk
-            return (column, self.compiler.compile(value_side), "pk")
-        if eq_secondary is not None:
-            column, value_side = eq_secondary
-            return (column, self.compiler.compile(value_side), "secondary")
-        if range_bounds:
-            # prefer the column bounded on both sides (tightest interval)
-            column, bounds = max(
-                range_bounds.items(),
-                key=lambda kv: (kv[1][0] is not None) + (kv[1][2] is not None),
-            )
-            low_expr, low_incl, high_expr, high_incl = bounds
-            low_fn = self.compiler.compile(low_expr) if low_expr is not None else None
-            high_fn = self.compiler.compile(high_expr) if high_expr is not None else None
-            return (column, (low_fn, low_incl, high_fn, high_incl), "range")
-        return None
 
     def _compile_conjunction(self, conjuncts: list[ast.Expr]):
         if not conjuncts:
@@ -1221,12 +1112,6 @@ class _SelectPlan:
             return True
 
         return _all
-
-    def _is_local_ref(self, ref: ast.ColumnRef) -> bool:
-        """Does this column reference resolve to one of *this* query's rows
-        (depth 0), as opposed to an outer scope?"""
-        resolved = self.scope.try_resolve(ref.name, ref.table)
-        return resolved is not None and resolved[0] == 0
 
     def _conjunct_target(self, conjunct: ast.Expr) -> int | None:
         """Earliest join step at which ``conjunct`` can run, or None to keep
@@ -1547,7 +1432,9 @@ class _SelectPlan:
         step = self.join_steps[0]
         stats = self.executor.stats
         if step.probe is not None:  # range probe on the ORDER BY column
-            bounds = self._range_probe_bounds(table, step.probe, outer_env)
+            bounds = _range_probe_bounds(
+                table, step.probe, _env([None] * self.scope.slot_count, outer_env)
+            )
             if bounds is None:
                 rowids: Any = ()
             elif bounds is _FALLBACK_SCAN:
@@ -1700,79 +1587,16 @@ class _SelectPlan:
     def _probe_rows(
         self, source: _Source, probe, outer_env: Env | None
     ) -> list[list] | None:
-        """Fetch only the rows matching an index probe (PK, secondary
-        equality, or secondary range).  Returns None when the probe cannot
-        be used this run (an uncoercible range bound) — the caller falls
-        back to the full scan so per-row error semantics are preserved."""
-        from repro.errors import DataError
-
-        column, value_fn, probe_kind = probe
+        """The rows an index probe finds, copied for the pipeline, or None
+        when the probe cannot be used this run (see :func:`_probe_rowids`):
+        the caller falls back to the full scan."""
         table = source.table
-        stats = self.executor.stats
-        if probe_kind == "range":
-            bounds = self._range_probe_bounds(table, probe, outer_env)
-            if bounds is _FALLBACK_SCAN:
-                return None
-            if bounds is None:
-                return []  # a NULL bound: the comparison is never true
-            low, high, low_incl, high_incl = bounds
-            stats.index_range_scans += 1
-            # index_range returns rowids in *key* order; re-sort to rowid
-            # (scan) order so downstream aggregation and stable sorts see
-            # rows in exactly the order the full scan would feed them —
-            # float sums and tie-breaking are order-sensitive.
-            rowids = sorted(
-                table.index_range(
-                    column, low, high,
-                    low_inclusive=low_incl, high_inclusive=high_incl,
-                )
-            )
-            return [list(table.get(rowid)) for rowid in rowids]
-        value = value_fn(_env([None] * self.scope.slot_count, outer_env))
-        if value is None:
-            return []  # NULL never equals anything
-        try:
-            value = table.schema.column(column).coerce(value)
-        except DataError:
-            return []  # incomparable constant: no row can match
-        stats.index_eq_probes += 1
-        if probe_kind == "pk":
-            rowid = table.lookup_key((value,))
-            return [] if rowid is None else [list(table.get(rowid))]
-        return [list(table.get(rowid)) for rowid in table.index_lookup(column, value)]
-
-    def _range_probe_bounds(self, table: Table, probe, outer_env: Env | None):
-        """Evaluate a range probe's bound expressions for this run.
-
-        Returns ``(low, high, low_inclusive, high_inclusive)`` with bounds
-        coerced to the column type (None = unbounded side), ``None`` when a
-        bound evaluated to SQL NULL (the range matches nothing), or
-        :data:`_FALLBACK_SCAN` when a bound cannot be coerced — the full
-        scan must run so the per-row comparison raises exactly as it would
-        without the index."""
-        from repro.errors import DataError
-
-        column, (low_fn, low_incl, high_fn, high_incl), _kind = probe
-        spec = table.schema.column(column)
-        env = _env([None] * self.scope.slot_count, outer_env)
-        low = high = None
-        if low_fn is not None:
-            low = low_fn(env)
-            if low is None:
-                return None
-            try:
-                low = spec.coerce(low)
-            except DataError:
-                return _FALLBACK_SCAN
-        if high_fn is not None:
-            high = high_fn(env)
-            if high is None:
-                return None
-            try:
-                high = spec.coerce(high)
-            except DataError:
-                return _FALLBACK_SCAN
-        return (low, high, low_incl, high_incl)
+        rowids = _probe_rowids(
+            table, probe, _env([None] * self.scope.slot_count, outer_env), self.executor.stats
+        )
+        if rowids is None:
+            return None
+        return [list(table.get(rowid)) for rowid in rowids]
 
     def _run_grouped(self, rows: list[list], outer_env: Env | None) -> list[tuple]:
         groups: dict[tuple, dict] = {}
@@ -1973,36 +1797,155 @@ def _hash_rows(rows: list[list], local_slots: list[int]) -> dict:
     return index
 
 
-def _dml_index_probe(table: Table, where: ast.Expr, scope: Scope, compiler):
-    """Find a ``col = constant`` conjunct of a DML WHERE usable as an index
-    probe (PK or secondary); returns (column, value_fn, kind) or None."""
-    for conjunct in _split_conjuncts(where):
-        if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
-            continue
-        for col_side, value_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not isinstance(col_side, ast.ColumnRef):
+def _index_probe(
+    table: Table, start: int, conjuncts: list[ast.Expr], scope: Scope, compiler: ExpressionCompiler
+):
+    """Pick the best access path into ``table`` — whose columns sit at
+    ``scope`` slots ``start``… — from the conjuncts every wanted row
+    satisfies, ranked **PK probe > secondary equality > secondary range**
+    (None = full scan).  Range probes come from ``<``, ``<=``, ``>``, ``>=``
+    and ``BETWEEN`` conjuncts over an ordered secondary index.  A conjunct
+    counts wherever it stands, and every chosen conjunct must still be
+    applied to the rows found — the probe only narrows the scan, it never
+    replaces the predicate.  SELECT (per join step), UPDATE and DELETE all
+    choose here; a DML's lock granularity follows from the kind returned
+    (``Executor._dml_lock_candidates``)."""
+    end = start + len(table.schema.columns)
+
+    def comparisons(conjunct: ast.Expr):
+        # every reading of the conjunct as <column side> <op> <value side>
+        if isinstance(conjunct, ast.Binary) and conjunct.op in _PROBE_OPS:
+            yield conjunct.left, conjunct.op, conjunct.right
+            yield conjunct.right, _FLIPPED_OP[conjunct.op], conjunct.left
+        elif isinstance(conjunct, ast.Between) and not conjunct.negated:
+            yield conjunct.operand, ">=", conjunct.low
+            yield conjunct.operand, "<=", conjunct.high
+
+    def local_column(col_side: ast.Expr) -> str | None:
+        if not isinstance(col_side, ast.ColumnRef):
+            return None
+        resolved = scope.try_resolve(col_side.name, col_side.table)
+        if resolved is None or resolved[0] != 0 or not start <= resolved[1] < end:
+            return None
+        return table.schema.columns[resolved[1] - start].name
+
+    def row_independent(value_side: ast.Expr) -> bool:
+        # the probe value must not depend on this query's rows
+        refs: list[ast.ColumnRef] = []
+        if not _collect_plain_refs(value_side, refs):
+            return False  # subquery
+        return not any(_is_local_ref(scope, r) for r in refs)
+
+    eq_pk: tuple[str, ast.Expr] | None = None
+    eq_secondary: tuple[str, ast.Expr] | None = None
+    #: column -> [low_expr, low_inclusive, high_expr, high_inclusive]
+    range_bounds: dict[str, list] = {}
+
+    for conjunct in conjuncts:
+        for col_side, op, value_side in comparisons(conjunct):
+            column = local_column(col_side)
+            if column is None or not row_independent(value_side):
                 continue
-            resolved = scope.try_resolve(col_side.name, col_side.table)
-            if resolved is None or resolved[0] != 0:
-                continue
-            refs: list[ast.ColumnRef] = []
-            if not _collect_plain_refs(value_side, refs):
-                continue
-            if any(
-                scope.try_resolve(r.name, r.table) is not None
-                and scope.try_resolve(r.name, r.table)[0] == 0
-                for r in refs
-            ):
-                continue  # depends on the row itself
-            column = table.schema.columns[resolved[1]].name
-            if table.has_secondary_index(column):
-                return (column, compiler.compile(value_side), "secondary")
-            if table.schema.primary_key == (column,):
-                return (column, compiler.compile(value_side), "pk")
+            if op == "=":
+                if table.schema.primary_key == (column,):
+                    eq_pk = eq_pk or (column, value_side)
+                elif table.has_secondary_index(column):
+                    eq_secondary = eq_secondary or (column, value_side)
+            elif table.has_secondary_index(column):
+                bounds = range_bounds.setdefault(column, [None, True, None, True])
+                side = 0 if op in (">", ">=") else 2
+                if bounds[side] is None:  # the first bound of a side wins
+                    bounds[side], bounds[side + 1] = value_side, op in (">=", "<=")
+
+    if eq_pk is not None:
+        column, value_side = eq_pk
+        return (column, compiler.compile(value_side), "pk")
+    if eq_secondary is not None:
+        column, value_side = eq_secondary
+        return (column, compiler.compile(value_side), "secondary")
+    if range_bounds:
+        # prefer the column bounded on both sides (tightest interval)
+        column, bounds = max(
+            range_bounds.items(),
+            key=lambda kv: (kv[1][0] is not None) + (kv[1][2] is not None),
+        )
+        low_expr, low_incl, high_expr, high_incl = bounds
+        low_fn = compiler.compile(low_expr) if low_expr is not None else None
+        high_fn = compiler.compile(high_expr) if high_expr is not None else None
+        return (column, (low_fn, low_incl, high_fn, high_incl), "range")
     return None
+
+
+def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[int] | None:
+    """The rowids an index probe (PK, secondary equality, or secondary
+    range) finds, in scan (rowid) order; ``env`` is the rowless environment
+    the probe's values are evaluated in.  Returns None when the probe
+    cannot be used this run (an uncoercible range bound) — the caller falls
+    back to the full scan so per-row error semantics are preserved."""
+    column, value_fn, probe_kind = probe
+    if probe_kind == "range":
+        bounds = _range_probe_bounds(table, probe, env)
+        if bounds is _FALLBACK_SCAN:
+            return None
+        if bounds is None:
+            return []  # a NULL bound: the comparison is never true
+        low, high, low_incl, high_incl = bounds
+        stats.index_range_scans += 1
+        # index_range returns rowids in *key* order; re-sort to rowid
+        # (scan) order so downstream aggregation and stable sorts see
+        # rows in exactly the order the full scan would feed them —
+        # float sums and tie-breaking are order-sensitive — and a
+        # multi-row DML logs its records in the order the scan would.
+        return sorted(
+            table.index_range(
+                column, low, high, low_inclusive=low_incl, high_inclusive=high_incl
+            )
+        )
+    value = value_fn(env)
+    if value is None:
+        return []  # NULL never equals anything
+    try:
+        value = table.schema.column(column).coerce(value)
+    except DataError:
+        return []  # incomparable constant: no row can match
+    stats.index_eq_probes += 1
+    if probe_kind == "pk":
+        rowid = table.lookup_key((value,))
+        return [] if rowid is None else [rowid]
+    return table.index_lookup(column, value)
+
+
+def _range_probe_bounds(table: Table, probe, env: Env):
+    """Evaluate a range probe's bound expressions in ``env``.
+
+    Returns ``(low, high, low_inclusive, high_inclusive)`` with bounds
+    coerced to the column type (None = unbounded side), ``None`` when a
+    bound evaluated to SQL NULL (the range matches nothing), or
+    :data:`_FALLBACK_SCAN` when a bound cannot be coerced — the full
+    scan must run so the per-row comparison raises exactly as it would
+    without the index."""
+    column, (low_fn, low_incl, high_fn, high_incl), _kind = probe
+    spec = table.schema.column(column)
+    bounds = []
+    for bound_fn in (low_fn, high_fn):
+        value = None
+        if bound_fn is not None:
+            value = bound_fn(env)
+            if value is None:
+                return None
+            try:
+                value = spec.coerce(value)
+            except DataError:
+                return _FALLBACK_SCAN
+        bounds.append(value)
+    return (*bounds, low_incl, high_incl)
+
+
+def _is_local_ref(scope: Scope, ref: ast.ColumnRef) -> bool:
+    """Does this column reference resolve to one of *this* query's rows
+    (depth 0), as opposed to an outer scope?"""
+    resolved = scope.try_resolve(ref.name, ref.table)
+    return resolved is not None and resolved[0] == 0
 
 
 def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:

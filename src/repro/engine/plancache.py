@@ -123,13 +123,16 @@ class ExecutorStats(CounterSet):
     returned, and how often the index-ordered top-k shortcut fired.
     """
 
-    #: base-table rows read (full scans + probe results + top-k streams)
+    #: base-table rows read by SELECT plans only (full scans + probe
+    #: results + top-k streams): the candidates of an UPDATE / DELETE are
+    #: not counted, whichever path found them
     rows_scanned: int = 0
     #: rows returned by SELECT plans (subquery and union parts included)
     rows_returned: int = 0
-    #: PK / secondary equality probes executed
+    #: PK / secondary equality probes executed, by SELECT plans and DML
+    #: alike (a PK point DML probes once per pass of its lock loop)
     index_eq_probes: int = 0
-    #: secondary range probes executed (<, <=, >, >=, BETWEEN)
+    #: secondary range probes executed (<, <=, >, >=, BETWEEN), likewise
     index_range_scans: int = 0
     #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
     topk_shortcuts: int = 0

@@ -608,7 +608,7 @@ class DatabaseServer:
                 and stmt.into is None
                 and cursor_type != CursorType.DEFAULT
             ):
-                cursor = open_cursor(executor, stmt, cursor_type)
+                cursor = open_cursor(executor, stmt, cursor_type, placeholders)
                 session.register_cursor(cursor)
                 result = StatementResult(
                     kind="rows",

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import DatabaseServer
+from repro.engine.wal import RecordType
 from repro.errors import (
     CatalogError,
+    DataError,
     IntegrityError,
     ProgrammingError,
     TransactionError,
@@ -99,6 +102,118 @@ def test_delete_all(session):
     execute(server, sid, "CREATE TABLE t (k INT)")
     execute(server, sid, "INSERT INTO t VALUES (1), (2)")
     assert execute(server, sid, "DELETE FROM t") == 2
+
+
+# ------------------------------------- UPDATE / DELETE find rows as SELECT does
+
+#: WHEREs over ``p`` (PK ``k``, ordered index on ``w``, rowid order is not
+#: ``w`` order): every access path the one chooser can pick, and the shapes
+#: it must refuse
+DML_WHERES = [
+    "k = 4 AND w = 5 AND v = 0",  # PK equality first ...
+    "w = 5 AND k = 4 AND v = 0",  # ... in the middle ...
+    "v = 0 AND w = 5 AND k = 4",  # ... and last: a PK probe every time
+    "4 = k",
+    "k = 99",
+    "w = 3",
+    "w = 3 AND v = 0",
+    "w < 5",
+    "w >= 5",
+    "5 >= w",
+    "w > 3 AND w <= 9",
+    "w BETWEEN 3 AND 5",
+    "w BETWEEN 9 AND 3",
+    "w BETWEEN v AND 5",  # one bound depends on the row: the other still narrows
+    "w NOT BETWEEN 3 AND 5",
+    "w > NULL",
+    "w = NULL",
+    "w = 'abc'",
+    "k = 'abc'",
+    "w > 'abc'",  # uncoercible bound: the scan's per-row error
+    "w BETWEEN 'x' AND 5",
+    "k = (SELECT min(k) FROM p)",  # subquery value: no probe
+    "w = (SELECT max(w) FROM p)",
+    "k = k",  # the value depends on the row itself: no probe
+    "w >= w",
+    "k = 4 OR w = 3",
+]
+
+
+def _probe_table():
+    server = DatabaseServer()
+    sid = server.connect()
+    execute(server, sid, "CREATE TABLE p (k INT PRIMARY KEY, w INT, v INT)")
+    execute(server, sid, "CREATE INDEX p_w ON p (w)")
+    execute(
+        server, sid,
+        "INSERT INTO p VALUES (1, 9, 0), (2, 3, 0), (3, NULL, 0), (4, 5, 0), (5, 3, 0), (6, 7, 0)",
+    )
+    return server, sid
+
+
+def _outcome(sql):
+    """What ``sql`` answers on a fresh copy of ``p``, which index paths it
+    took, and the rows left behind."""
+    server, sid = _probe_table()
+    stats = server._executors[sid].stats
+    try:
+        answer = execute(server, sid, sql)
+    except DataError as exc:
+        answer = str(exc)
+    paths = (stats.index_eq_probes > 0, stats.index_range_scans > 0)
+    return answer, paths, execute(server, sid, "SELECT k, v FROM p ORDER BY k")
+
+
+@pytest.mark.parametrize("where", DML_WHERES)
+def test_update_and_delete_touch_the_rows_select_returns(where):
+    selected, select_paths, untouched = _outcome(f"SELECT k FROM p WHERE {where} ORDER BY k")
+    updated, update_paths, after_update = _outcome(f"UPDATE p SET v = v + 1 WHERE {where}")
+    deleted, delete_paths, after_delete = _outcome(f"DELETE FROM p WHERE {where}")
+    # a counter moves for the DML exactly when it moves for the SELECT (a
+    # PK probe counts once per pass of the lock -> re-probe loop, so only
+    # the direction is comparable)
+    assert update_paths == delete_paths == select_paths
+    if isinstance(selected, str):  # the per-row error, whatever the path
+        assert updated == deleted == selected
+        assert after_update == after_delete == untouched
+        return
+    keys = [k for (k,) in selected]
+    assert updated == deleted == len(keys)
+    assert [k for k, v in after_update if v == 1] == keys
+    assert [k for k, _ in after_delete] == [k for k, _ in untouched if k not in keys]
+
+
+def test_dml_chooses_its_access_path_once(session, monkeypatch):
+    # was three times for a PK point UPDATE: once for the lock mode, once
+    # per pass of the lock -> re-probe loop
+    from repro.engine import executor
+
+    calls = []
+    chooser = executor._index_probe
+    monkeypatch.setattr(
+        executor, "_index_probe", lambda *args: calls.append(args) or chooser(*args)
+    )
+    server, sid = session
+    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, sid, "INSERT INTO t VALUES (1, 0), (2, 0)")
+    assert execute(server, sid, "UPDATE t SET v = 1 WHERE k = 2") == 1
+    assert execute(server, sid, "DELETE FROM t WHERE k = 1") == 1
+    assert len(calls) == 2
+
+
+def test_range_delete_logs_its_records_in_rowid_order(session):
+    # the index hands rowids over in key order; the scan this probe
+    # replaces logged them in rowid order, and so must the probe
+    server, sid = session
+    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, w INT)")
+    execute(server, sid, "CREATE INDEX t_w ON t (w)")
+    execute(server, sid, "INSERT INTO t VALUES (1, 9), (2, 3), (3, 7), (4, 5), (5, 8)")
+    stats = server._executors[sid].stats
+    assert execute(server, sid, "DELETE FROM t WHERE w > 4") == 4
+    assert stats.index_range_scans == 1
+    deletes = [r for r in server.database.wal.read_all() if r.type is RecordType.DELETE]
+    assert [r.before for r in deletes] == [(1, 9), (3, 7), (4, 5), (5, 8)]
+    assert [r.rowid for r in deletes] == sorted(r.rowid for r in deletes)
 
 
 def test_select_into_creates_table(session):

@@ -117,6 +117,7 @@ def _unindexed(sql: str) -> str:
 PARITY_QUERIES = [
     "SELECT k, v FROM t WHERE v >= 10 AND v < 20 ORDER BY k",
     "SELECT k FROM t WHERE v BETWEEN 5 AND 8 ORDER BY k",
+    "SELECT k FROM t WHERE v BETWEEN k - 290 AND 30 ORDER BY k",  # one bound usable: v <= 30
     "SELECT k FROM t WHERE v > 35 ORDER BY k",
     "SELECT k FROM t WHERE v <= 2 ORDER BY k",
     "SELECT k, v FROM t ORDER BY v LIMIT 9",

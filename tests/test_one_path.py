@@ -11,7 +11,8 @@ expression classes by hand again, or the driver borrows the engine's reading.
 PR 23 made the fill procedure the paper's (one per statement template, the
 target table a parameter) and plan validity per dependency: they fail when a
 procedure is named per execution again, or a plan is checked against a
-server-wide counter.
+server-wide counter.  PR 24 gave DML the SELECT planner's access paths: they
+fail when a second function starts looking rows up in an index.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def test_every_phoenix_config_field_is_set_by_some_caller():
     (``max_operation_retries`` and ``recovery_workers`` were two)."""
     fields = {field.name for field in dataclasses.fields(PhoenixConfig)}
     assert fields - _config_fields_set() == set()
-    assert len(fields) == 13
+    assert len(fields) == 11
 
 
 # ---------------------------------------------------------------- one failure path
@@ -282,3 +283,26 @@ def test_no_plan_is_validated_against_a_server_wide_counter():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
         assert not {"catalog_version", "temp_version"} & loads, module
+
+
+# ---------------------------------------------------------------- one way to find a table's rows
+
+def test_one_function_finds_the_rows_a_predicate_names():
+    """The next access path is written once: SELECT, UPDATE, DELETE and a
+    keyset cursor's fetch all reach the indexes through the shared prober
+    (the DML copy of chooser and prober knew equality only, and let the
+    order of the conjuncts pick the lock granularity).  The one named
+    exception does not look candidates up: ``_run_topk`` streams a slice of
+    an ordered index in ORDER BY order."""
+    lookups = {"lookup_key", "index_lookup", "index_range"}
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not {"_dml_index_probe", "_dml_candidates"} & _identifiers(tree), path.name
+        if SRC / "engine" in path.parents:
+            callers += [
+                f"{path.name}:{function.name}"
+                for function in _functions(tree)
+                if lookups & _calls(function)
+            ]
+    assert sorted(callers) == ["executor.py:_probe_rowids", "executor.py:_run_topk"]

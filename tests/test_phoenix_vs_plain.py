@@ -261,6 +261,40 @@ def test_bound_values_reach_the_query_as_they_do_without_phoenix(both_bound, nam
         assert answers == [repro.ProgrammingError, [(1,)], repro.ProgrammingError]
 
 
+#: name -> (template, values, rows): ``?`` where each kind of server cursor
+#: reads it — the predicate (key capture, every dynamic block), the select
+#: list (every keyset row), a query only a default result set can serve
+KEY_CURSOR_BOUND = {
+    "in the predicate": (
+        "SELECT k, v FROM n WHERE k > ?", [4], [(k, f"v{k}") for k in range(5, 10)]
+    ),
+    "in the select list": (
+        "SELECT ? AS tag, k FROM n WHERE k <= ? AND v <> ?", ["x", 3, "v2"], [("x", 1), ("x", 3)]
+    ),
+    "downgraded to a default result set": (
+        "SELECT count(*) FROM n WHERE k > ? AND k < ?", [4, 8], [(3,)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KEY_CURSOR_BOUND)
+@pytest.mark.parametrize("cursor_type", [CursorType.KEYSET, CursorType.DYNAMIC])
+@pytest.mark.parametrize("kind", KINDS)
+def test_bound_values_reach_a_server_cursor(system, kind, cursor_type, name):
+    """The plain driver's request carried the values and the server opened
+    the cursor without them: ``statement has placeholder ?1 but only 0
+    values were bound``, where Phoenix (which binds before it sends)
+    answered."""
+    sql, values, expected = KEY_CURSOR_BOUND[name]
+    loader = connect(system, "plain").cursor()
+    loader.execute("CREATE TABLE n (k INT PRIMARY KEY, v VARCHAR)")
+    loader.execute("INSERT INTO n VALUES " + ", ".join(f"({k}, 'v{k}')" for k in range(1, 10)))
+    cursor = connect(system, kind).cursor()
+    cursor.set_attr(StatementAttr.CURSOR_TYPE, cursor_type)
+    cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 2)  # several blocks, each bound
+    assert cursor.execute(sql, values).fetchall() == expected
+
+
 def test_a_template_over_a_temp_table_reads_the_table_of_that_name_now():
     """The template's procedure names the temp table's stand-in: the same
     text must read a re-created ``#w`` (the plan it cached was compiled

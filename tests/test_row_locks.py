@@ -290,6 +290,51 @@ def test_non_keyed_update_takes_whole_table_lock():
     c2.rollback()
 
 
+def _indexed_system():
+    system = _system_with_rows()
+    setup = repro.connect(system, user="setup")
+    setup.cursor().execute("CREATE INDEX acct_v ON acct (v)")
+    setup.close()
+    return system
+
+
+def test_pk_conjunct_takes_the_row_lock_wherever_it_stands():
+    # the indexed ``v = 'a'`` comes first: the chooser must still rank the
+    # PK probe above it — conjunct order does not decide lock granularity
+    system = _indexed_system()
+    c1 = repro.connect(system, user="u1")
+    c2 = repro.connect(system, user="u2")
+    c1.begin()
+    c1.cursor().execute("UPDATE acct SET v = 'x' WHERE v = 'a' AND k = 1")
+    locks = system.server.database.locks
+    assert locks.held(_only_txn(system), "acct") is LockMode.IX
+    assert locks.row_locks_held(_only_txn(system), "acct") == 1
+    c2.begin()
+    c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 2")  # not blocked
+    c1.commit()
+    c2.commit()
+    check = repro.connect(system, user="check").cursor()
+    check.execute("SELECT v FROM acct ORDER BY k")
+    assert [row[0] for row in check.fetchall()] == ["x", "y", "c"]
+
+
+@pytest.mark.parametrize("where", ["v = 'a'", "v >= 'b'", "v BETWEEN 'a' AND 'b'"])
+def test_secondary_index_paths_lock_the_table_before_probing(where):
+    # lock-before-scan holds for every path that is not a PK probe: an
+    # index narrows what is read, never what is locked
+    system = _indexed_system()
+    c1 = repro.connect(system, user="u1")
+    c2 = repro.connect(system, user="u2")
+    c1.begin()
+    c1.cursor().execute(f"UPDATE acct SET v = 'x' WHERE {where}")
+    assert system.server.database.locks.held(_only_txn(system), "acct") is LockMode.X
+    c2.begin()
+    with pytest.raises(LockError):
+        c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 3")
+    c1.rollback()
+    c2.rollback()
+
+
 def test_keyed_update_locks_only_touched_row():
     system = _system_with_rows()
     c1 = repro.connect(system, user="u1")

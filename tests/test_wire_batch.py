@@ -5,8 +5,8 @@ Covers the protocol messages, the server's deferred-force execution, the
 batched executemany client path (vs the statement-at-a-time baseline),
 partial-batch replay after mid-batch crashes and a torn WAL tail under a
 group force, the satellite fixes (``FETCH_BLOCK_SIZE`` in fetchall,
-executemany rowcount accumulation), the metrics surfaces, autobatch flush
-barriers, and the chaos batch sweep.
+executemany rowcount accumulation), the metrics surfaces, and the chaos
+batch sweep.
 """
 
 from __future__ import annotations
@@ -337,49 +337,6 @@ def test_wal_counters_survive_crash_restart():
     system.server.crash()
     system.endpoint.restart_server()
     assert system.registry.wal.forces >= before  # cumulative, never zeroed
-
-
-# ----------------------------------------------------------------- autobatch
-
-
-def test_autobatch_queues_dml_and_flushes_at_barriers():
-    config = repro.PhoenixConfig(dml_autobatch=True, dml_autobatch_size=8)
-    system = repro.make_system(config=config)
-    _create_table(system)
-    connection = system.phoenix.connect(system.DSN)
-    cursor = connection.cursor()
-    system.registry.reset()
-    cursor.execute("INSERT INTO t VALUES (1, 1.0)")
-    cursor.execute("INSERT INTO t VALUES (2, 2.0)")
-    assert cursor.rowcount == -1  # queued: outcome unknown until the flush
-    assert len(connection._dml_pending) == 2
-    assert system.registry.network.batch_requests == 0
-    # any non-DML statement is an ordering barrier: the queue flushes first
-    cursor.execute("SELECT count(*) FROM t")
-    assert cursor.fetchall() == [(2,)]
-    assert connection._dml_pending == []
-    assert system.registry.network.batch_requests == 1
-    assert system.registry.network.requests_batched == 2
-    connection.close()
-
-
-def test_autobatch_flushes_at_size_threshold_and_close():
-    config = repro.PhoenixConfig(dml_autobatch=True, dml_autobatch_size=2)
-    system = repro.make_system(config=config)
-    _create_table(system)
-    connection = system.phoenix.connect(system.DSN)
-    cursor = connection.cursor()
-    cursor.execute("INSERT INTO t VALUES (1, 1.0)")
-    cursor.execute("INSERT INTO t VALUES (2, 2.0)")  # hits the threshold
-    assert connection._dml_pending == []
-    cursor.execute("INSERT INTO t VALUES (3, 3.0)")
-    assert len(connection._dml_pending) == 1
-    connection.close()  # close() ships the stragglers
-    assert len(_table_rows(system)) == 3
-
-
-def test_autobatch_off_by_default():
-    assert repro.PhoenixConfig().dml_autobatch is False
 
 
 # ------------------------------------------------------- drain x batch straddle
