@@ -132,8 +132,8 @@ class System:
     phoenix: PhoenixDriverManager
     registry: MetricsRegistry
     DSN: str = "main"
-    #: the client transport the system's own driver rides (in-process by
-    #: default; TCP when built with ``listen=``)
+    #: the client transport the system's own driver rides (TCP when built
+    #: with ``listen=``, else in-process)
     transport: Transport | None = None
     #: the TCP front end, when built with ``listen=`` (else ``None``)
     tcp: TcpServer | None = None
@@ -173,7 +173,6 @@ def make_system(
     config: PhoenixConfig | None = None,
     registry: MetricsRegistry | None = None,
     listen: str | None = None,
-    transport: str = "auto",
 ) -> System:
     """Build server + wire + driver + both driver managers, ready to use.
 
@@ -186,34 +185,22 @@ def make_system(
 
     ``listen="host:port"`` additionally starts the asyncio TCP front end
     (:class:`TcpServer`; port ``0`` binds a free port — the bound address
-    is ``system.tcp.address`` and the full URL-DSN ``system.url``).
-    ``transport`` selects what the system's *own* driver stack rides:
-    ``"auto"`` (TCP whenever a listener was requested, else in-process),
-    ``"inprocess"``, or ``"tcp"`` — so ``repro.connect(dsn)`` against a
-    listening system already crosses real sockets.  Stop the listener with
-    ``system.close()``.
+    is ``system.tcp.address`` and the full URL-DSN ``system.url``), and the
+    system's *own* driver stack rides it — so ``repro.connect(dsn)`` against
+    a listening system already crosses real sockets.  Stop the listener
+    with ``system.close()``.
     """
     if registry is None:
         registry = MetricsRegistry()
     server = DatabaseServer(storage, registry=registry)
     endpoint = ServerEndpoint(server)
     tcp_server = None
+    client_transport: Transport = InProcessTransport(endpoint)
     if listen is not None:
         host, port = _parse_listen(listen)
         tcp_server = TcpServer(endpoint, host, port, stats=registry.net)
         tcp_server.start()
-    if transport == "auto":
-        transport = "tcp" if tcp_server is not None else "inprocess"
-    if transport == "tcp":
-        if tcp_server is None:
-            raise InterfaceError("transport='tcp' requires listen='host:port'")
-        client_transport: Transport = TcpTransport(*tcp_server.address)
-    elif transport == "inprocess":
-        client_transport = InProcessTransport(endpoint)
-    else:
-        raise InterfaceError(
-            f"unknown transport {transport!r} (expected 'auto', 'inprocess', or 'tcp')"
-        )
+        client_transport = TcpTransport(*tcp_server.address)
     native = NativeDriver(client_transport, metrics=registry.network)
     plain = DriverManager()
     plain.register_dsn(dsn, native)

@@ -815,10 +815,11 @@ class ContentionRow:
     """One (scenario, client count) point of the lock-contention experiment.
 
     Scenarios: ``hot_row_locks`` — every client updates its own key of one
-    shared table under row-granularity locking; ``hot_table_locks`` — the
-    identical workload with ``LockManager.row_locking`` forced off (the
-    pre-row-locking whole-table baseline); ``disjoint`` — each client gets
-    its own table (the no-contention upper bound).
+    shared table by primary key (row locks); ``hot_table_locks`` — the same
+    updates spelled ``WHERE k + 0 = <key>``, a predicate no index answers,
+    so each takes the whole-table X lock (the pre-row-locking baseline);
+    ``disjoint`` — each client gets its own table (the no-contention upper
+    bound).
     """
 
     scenario: str
@@ -945,10 +946,13 @@ def run_contention(
     and overlap fully.  ``disjoint`` (a private table per client) is the
     no-contention upper bound.
 
-    The hot workload is byte-identical between ``hot_row_locks`` and
-    ``hot_table_locks`` (only ``LockManager.row_locking`` differs), so
-    their durable fingerprints must match — serialization order cannot
-    matter because clients touch disjoint keys.
+    ``hot_table_locks`` prices the whole-table baseline by how the
+    statement is written, not by a switch: ``k + 0 = <key>`` selects the
+    rows ``k = <key>`` does, through the non-keyed path, which locks the
+    table *before* the scan and holds it to commit.  The two hot scenarios
+    therefore leave identical durable state, and their fingerprints must
+    match — serialization order cannot matter because clients touch
+    disjoint keys.
     """
     rows_out: list[ContentionRow] = []
     for clients in client_counts:
@@ -968,10 +972,9 @@ def run_contention(
                 ),
                 latency=latency,
             )
-            if scenario == "hot_table_locks":
-                # the ablation baseline: every row request degrades to its
-                # whole-table lock (the pre-row-locking design)
-                system.server.database.locks.row_locking = False
+            # the baseline's predicate names the key through an expression,
+            # which no index answers: the statement locks the whole table
+            key_expr = "k + 0" if scenario == "hot_table_locks" else "k"
 
             def work(connection, key: int):
                 cursor = connection.cursor()
@@ -983,7 +986,7 @@ def run_contention(
                     connection.begin()
                     for _ in range(ops_per_txn):
                         cursor.execute(
-                            f"UPDATE {tables[key]} SET v = v + 1 WHERE k = {key}"
+                            f"UPDATE {tables[key]} SET v = v + 1 WHERE {key_expr} = {key}"
                         )
                     connection.commit()
                     yield

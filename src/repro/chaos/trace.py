@@ -204,10 +204,7 @@ def _run_trace(
     schedule: tuple[tuple, ...],
     transport: str = "inprocess",
 ) -> TraceRecord:
-    if transport == "tcp":
-        system = repro.make_system(listen="127.0.0.1:0")
-    else:
-        system = repro.make_system(transport=transport)
+    system = repro.make_system(listen="127.0.0.1:0" if transport == "tcp" else None)
     try:
         return _run_trace_on(system, trace, schedule)
     finally:

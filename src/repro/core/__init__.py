@@ -10,8 +10,8 @@ Public surface (drop-in for :mod:`repro.odbc`):
   :class:`PhoenixConnection` whose cursors behave exactly like plain
   :class:`repro.odbc.Statement` objects, except that a server crash shows
   up only as latency.
-* :class:`PhoenixConfig` — failure-detection, retry and batching knobs.
-  The paper's design decisions (stored-procedure fill, ``WHERE 0=1``
+* :class:`PhoenixConfig` — the recovery sleep hook and the deadlock
+  retry bound.  The paper's design decisions (stored-procedure fill, ``WHERE 0=1``
   metadata probe, server-side repositioning, status-table wrapper) are not
   among them: each has one path here.
 """

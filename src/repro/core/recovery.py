@@ -50,13 +50,34 @@ __all__ = ["PhoenixRecovery", "RECOVERABLE_ERRORS"]
 #: errors that mean "the session may be gone" rather than "the SQL is wrong"
 RECOVERABLE_ERRORS = (CommunicationError, SessionLostError)
 
+#: pings of a dead server before the original communication error is passed
+#: to the application (paper §3: "If after a period of time Phoenix/ODBC is
+#: unable to connect ... it passes the communication error on").
+MAX_PING_ATTEMPTS = 50
+#: seconds before the *first* retry ping; later waits grow by
+#: ``PING_BACKOFF_FACTOR`` up to ``PING_MAX_INTERVAL`` — exponential backoff,
+#: a deliberate deviation from the paper's fixed ping loop (DESIGN.md §5b: a
+#: thundering herd of fixed-interval pings is exactly what a recovering
+#: server does not need).
+PING_INTERVAL = 0.05
+PING_BACKOFF_FACTOR = 2.0
+PING_MAX_INTERVAL = 2.0
+#: each wait is scaled by a factor in [1 - PING_JITTER, 1 + PING_JITTER],
+#: drawn from a stream seeded with the connection's client id: a fleet's
+#: reconnect storms de-correlate, and one run of a schedule repeats exactly.
+PING_JITTER = 0.1
+#: session builds that are themselves interrupted by another crash, before
+#: recovery gives up with :class:`RecoveryError`.
+MAX_RECOVERY_ATTEMPTS = 5
+
 
 class PhoenixRecovery:
     """Recovery engine for one Phoenix connection."""
 
     def __init__(self, connection: "PhoenixConnection"):
         self.connection = connection
-        self._jitter_rng: random.Random | None = None
+        #: the jitter stream, seeded per connection (``PING_JITTER``)
+        self._jitter_rng = random.Random(connection.names.client_id)
         #: server sessions abandoned by rebuilds, not yet reaped
         self._stale_sessions: list[int] = []
 
@@ -122,12 +143,11 @@ class PhoenixRecovery:
     def _until_built(self, build: Callable[[], None]) -> None:
         """Run ``build`` to completion; a server that crashes *again*
         mid-way just restarts the whole procedure (bounded)."""
-        attempts = max(1, self.connection.config.max_recovery_attempts)
-        for attempt in range(attempts):
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
             try:
                 return build()
             except RECOVERABLE_ERRORS as exc:
-                if attempt + 1 >= attempts:
+                if attempt + 1 >= MAX_RECOVERY_ATTEMPTS:
                     raise RecoveryError(
                         f"session recovery kept failing: {exc}"
                     ) from exc
@@ -207,26 +227,22 @@ class PhoenixRecovery:
         """Ping (on throwaway channels) until the server answers.
 
         The wait between pings backs off exponentially with deterministic
-        seeded jitter (config: ``ping_interval`` × ``ping_backoff_factor``
-        capped at ``ping_max_interval``, ±``ping_jitter``), and the whole
-        wait is bounded both by ``max_ping_attempts`` and by the optional
-        ``recovery_deadline`` wall-clock budget.
+        jitter (``PING_INTERVAL`` × ``PING_BACKOFF_FACTOR`` capped at
+        ``PING_MAX_INTERVAL``, ±``PING_JITTER``), and the whole wait is
+        bounded by ``MAX_PING_ATTEMPTS``.
 
         A ping answered with RESTARTING (the server is mid *planned*
         restart and advertises when it expects to be back) proves the
         server process is alive — the backoff interval resets to the base
-        ``ping_interval`` and does not grow, so a planned pause is polled
+        ``PING_INTERVAL`` and does not grow, so a planned pause is polled
         politely at a flat cadence instead of inheriting crash-tuned
         exponential intervals that could overshoot the swap by seconds.
         """
-        config = self.connection.config
+        sleep = self.connection.config.sleep
         tracer = get_tracer()
-        deadline: float | None = None
-        if config.recovery_deadline is not None:
-            deadline = config.clock() + config.recovery_deadline
-        interval = config.ping_interval
+        interval = PING_INTERVAL
         with tracer.span("recovery.await_server"):
-            for _ in range(config.max_ping_attempts):
+            for _ in range(MAX_PING_ATTEMPTS):
                 try:
                     self.connection.driver.ping()
                     tracer.event("recovery.ping", ok=True)
@@ -237,31 +253,20 @@ class PhoenixRecovery:
                         state=exc.state, eta_seconds=exc.eta_seconds,
                     )
                     self.connection.stats.recovery_pings += 1
-                    if deadline is not None and config.clock() >= deadline:
-                        break
-                    interval = config.ping_interval  # planned pause: flat cadence
-                    config.sleep(self._jittered(interval))
+                    interval = PING_INTERVAL  # planned pause: flat cadence
+                    sleep(self._jittered(interval))
                 except RECOVERABLE_ERRORS:
                     tracer.event("recovery.ping", ok=False)
                     self.connection.stats.recovery_pings += 1
-                    if deadline is not None and config.clock() >= deadline:
-                        break
-                    config.sleep(self._jittered(interval))
-                    interval = min(
-                        interval * config.ping_backoff_factor, config.ping_max_interval
-                    )
+                    sleep(self._jittered(interval))
+                    interval = min(interval * PING_BACKOFF_FACTOR, PING_MAX_INTERVAL)
             # paper: "If after a period of time Phoenix/ODBC is unable to
             # connect to the server ... passes the communication error on."
             raise cause
 
     def _jittered(self, interval: float) -> float:
-        """Scale a wait by a deterministic pseudo-random jitter factor."""
-        jitter = self.connection.config.ping_jitter
-        if jitter <= 0:
-            return interval
-        if self._jitter_rng is None:
-            self._jitter_rng = random.Random(self.connection.config.jitter_seed)
-        return interval * (1.0 + jitter * (2.0 * self._jitter_rng.random() - 1.0))
+        """Scale a wait by the connection's next jitter factor."""
+        return interval * (1.0 + PING_JITTER * (2.0 * self._jitter_rng.random() - 1.0))
 
     def _build_session(self) -> None:
         """The virtual-session recipe — session open and recovery's phase

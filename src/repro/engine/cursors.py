@@ -148,7 +148,7 @@ class _KeyCursorBase(ServerCursor):
 class KeysetCursor(_KeyCursorBase):
     """Membership frozen at open; values read through at fetch time."""
 
-    def __init__(self, executor, select: ast.Select, key_column: str, placeholders=None):
+    def __init__(self, executor, select: ast.Select, key_column: str, placeholders):
         super().__init__(executor, select, key_column, placeholders)
         self.keys = [row[0] for row in self._run(key_query(select, key_column)).rows]
         self.holes = 0  # rows whose key vanished before fetch (deleted)
@@ -186,7 +186,7 @@ class DynamicCursor(_KeyCursorBase):
     """Re-evaluates the predicate past the last-seen key on every block, so
     concurrent inserts/deletes are visible."""
 
-    def __init__(self, executor, select: ast.Select, key_column: str, placeholders=None):
+    def __init__(self, executor, select: ast.Select, key_column: str, placeholders):
         if select.order_by:
             raise ProgrammingError(
                 "dynamic cursors deliver in key order; ORDER BY is not supported"

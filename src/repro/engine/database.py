@@ -53,12 +53,6 @@ class Database:
         self.indexes: dict[str, tuple[str, str]] = {}
         self.locks = LockManager(stats=lock_stats)
         self.txns = TransactionManager(seed=txn_seed)
-        #: monotonic count of persistent DDL (create/drop of tables, views,
-        #: procedures, indexes), including DDL undone by rollback.  Cached
-        #: plans are *not* validated against it (they check what they bound:
-        #: :mod:`repro.engine.plancache`).  Volatile: a restart builds a
-        #: fresh Database, so it starts at zero again.
-        self.catalog_version = 0
         #: the server's :class:`~repro.engine.timetravel.TimeTravelManager`,
         #: attached by ``DatabaseServer._boot`` (None on bare databases).
         #: ``Executor`` routes ``SELECT ... AS OF`` through it.
@@ -72,11 +66,6 @@ class Database:
 
     def mark_dead(self) -> None:
         self.dead = True
-
-    def bump_catalog_version(self) -> int:
-        """Count one catalog change; returns the new version."""
-        self.catalog_version += 1
-        return self.catalog_version
 
     # ------------------------------------------------------------------ catalog
 
@@ -175,7 +164,6 @@ class Database:
             # so the table is empty by now.  The stable file (if any) is
             # reconciled away at the next checkpoint.
             self.tables.pop(record.schema.name, None)
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.DROP_TABLE, txn_id=txn_id, schema=record.schema,
                 dropped_rows={}, is_clr=True,
@@ -189,7 +177,6 @@ class Database:
                 )
             )
             self.tables[record.schema.name] = restored
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.CREATE_TABLE, txn_id=txn_id, schema=record.schema,
                 dropped_rows=dict(record.dropped_rows or {}),
@@ -197,14 +184,12 @@ class Database:
             )
         if kind is RecordType.CREATE_VIEW:
             self.views.pop(record.proc_name, None)
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.DROP_VIEW, txn_id=txn_id,
                 proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
             )
         if kind is RecordType.DROP_VIEW:
             self.views[record.proc_name] = record.proc_sql
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.CREATE_VIEW, txn_id=txn_id,
                 proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
@@ -224,14 +209,12 @@ class Database:
             )
         if kind is RecordType.CREATE_PROC:
             self.procedures.pop(record.proc_name, None)
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.DROP_PROC, txn_id=txn_id,
                 proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
             )
         if kind is RecordType.DROP_PROC:
             self.procedures[record.proc_name] = record.proc_sql
-            self.bump_catalog_version()
             return LogRecord(
                 RecordType.CREATE_PROC, txn_id=txn_id,
                 proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
@@ -250,34 +233,12 @@ class Database:
             txn.records.append(record)
         return record
 
-    def lock_read(self, txn: Transaction, table_name: str) -> None:
-        """Whole-table shared lock (non-keyed scans that must be stable)."""
-        self.locks.acquire(txn.txn_id, table_name, LockMode.SHARED)
-
     def lock_write(self, txn: Transaction, table_name: str) -> None:
         """Whole-table exclusive lock (DDL, non-keyed DML scans)."""
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE)
 
-    def lock_row_read(self, txn: Transaction, table_name: str, rowid: int) -> None:
-        """IS on the table, then S on the row; degrades to the whole-table
-        shared lock when row locking is disabled (ablation baseline)."""
-        if not self.locks.row_locking:
-            self.lock_read(txn, table_name)
-            return
-        self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_SHARED)
-        self.locks.acquire(txn.txn_id, table_name, LockMode.SHARED, row=rowid)
-
     def lock_row_write(self, txn: Transaction, table_name: str, rowid: int) -> None:
-        """IX on the table, then X on the row.
-
-        When row locking is disabled this takes the whole-table X lock in
-        one step rather than IX-then-upgrade — two baseline transactions
-        both holding IX and upgrading would deadlock on each other, a
-        conflict the pre-row-locking design never had.
-        """
-        if not self.locks.row_locking:
-            self.lock_write(txn, table_name)
-            return
+        """IX on the table, then X on the row."""
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
 
@@ -297,14 +258,10 @@ class Database:
         """
         table = self.get_table(table_name)
         row = table.schema.coerce_row(values)
-        if self.locks.row_locking:
-            self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
-            rowid = table.data.next_rowid
-            self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
-            rowid = table.data.next_rowid
-        else:
-            self.lock_write(txn, table_name)
-            rowid = table.data.next_rowid
+        self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
+        rowid = table.data.next_rowid
+        self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
+        rowid = table.data.next_rowid
         table.check_insert(row)
         record = self._log(
             txn,
@@ -361,7 +318,6 @@ class Database:
         table = Table.create(schema)
         table.data.last_lsn = record.lsn
         self.tables[schema.name] = table
-        self.bump_catalog_version()
         self.lock_write(txn, schema.name)
         return table
 
@@ -380,7 +336,6 @@ class Database:
         # NOTE: the stable table file is *not* deleted here — the DROP is not
         # durable until commit.  Checkpoint reconciles stale files away.
         del self.tables[name]
-        self.bump_catalog_version()
 
     def create_procedure(self, txn: Transaction, name: str, sql_text: str) -> None:
         if name in self.procedures:
@@ -390,7 +345,6 @@ class Database:
             LogRecord(RecordType.CREATE_PROC, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
         )
         self.procedures[name] = sql_text
-        self.bump_catalog_version()
 
     def drop_procedure(self, txn: Transaction, name: str) -> None:
         sql_text = self.get_procedure(name)
@@ -399,7 +353,6 @@ class Database:
             LogRecord(RecordType.DROP_PROC, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
         )
         del self.procedures[name]
-        self.bump_catalog_version()
 
     def create_view(self, txn: Transaction, name: str, sql_text: str) -> None:
         if name in self.views:
@@ -409,7 +362,6 @@ class Database:
             LogRecord(RecordType.CREATE_VIEW, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
         )
         self.views[name] = sql_text
-        self.bump_catalog_version()
 
     def drop_view(self, txn: Transaction, name: str) -> None:
         sql_text = self.get_view(name)
@@ -418,7 +370,6 @@ class Database:
             LogRecord(RecordType.DROP_VIEW, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
         )
         del self.views[name]
-        self.bump_catalog_version()
 
     def _attach_index(self, name: str, table: str, column: str) -> None:
         """Register the index and build its ordered structure.
@@ -434,13 +385,11 @@ class Database:
         self.indexes[name] = (table, column)
         if table in self.tables:
             self.tables[table].add_secondary_index(column)
-        self.bump_catalog_version()
 
     def _detach_index(self, name: str) -> None:
         entry = self.indexes.pop(name, None)
         if entry is None:
             return
-        self.bump_catalog_version()
         table, column = entry
         # only drop the structure if no other index covers the same column
         if table in self.tables and not any(

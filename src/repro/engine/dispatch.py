@@ -72,15 +72,7 @@ class _WorkItem:
 class SessionDispatcher:
     """Per-key FIFO work queues over a dynamic worker pool."""
 
-    def __init__(
-        self,
-        *,
-        max_workers: int = MAX_WORKERS,
-        idle_timeout: float = IDLE_TIMEOUT,
-        stats: DispatchStats | None = None,
-    ):
-        self.max_workers = max_workers
-        self.idle_timeout = idle_timeout
+    def __init__(self, *, stats: DispatchStats | None = None):
         self._cond = threading.Condition()
         #: key -> pending items; present iff the key has queued *or running*
         #: work (the running item stays at the head until it finishes)
@@ -214,7 +206,7 @@ class SessionDispatcher:
 
     def _ensure_worker(self) -> None:
         # called under the condition lock
-        if self._idle == 0 and self._workers < self.max_workers:
+        if self._idle == 0 and self._workers < MAX_WORKERS:
             self._workers += 1
             self.stats.workers_spawned += 1
             self.stats.peak_workers = max(self.stats.peak_workers, self._workers)
@@ -233,7 +225,7 @@ class SessionDispatcher:
                         self._workers -= 1
                         return
                     self._idle += 1
-                    signaled = self._cond.wait(self.idle_timeout)
+                    signaled = self._cond.wait(IDLE_TIMEOUT)
                     self._idle -= 1
                     if not signaled and (not self._ready or self._paused):
                         self._workers -= 1
@@ -274,3 +266,7 @@ class SessionDispatcher:
                 self._active -= 1
                 if self._paused and not self._active:
                     self._cond.notify_all()  # wake quiesce() waiters
+            # an idle wait must not pin the finished item: through its
+            # function's closure it holds the endpoint, the server and the
+            # database — of a closed system, perhaps, for IDLE_TIMEOUT
+            del item, key, queue

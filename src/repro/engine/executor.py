@@ -381,7 +381,6 @@ class Executor:
             raise CatalogError(f"table {schema.name} already exists")
         if schema.temporary:
             self.session.temp_tables[schema.name] = Table.create(schema)
-            self.session.temp_version += 1
         else:
             self.database.create_table(txn, schema)
         return StatementResult.ok(f"CREATE TABLE {schema.name}")
@@ -390,7 +389,6 @@ class Executor:
         name = stmt.name.lower()
         if name in self.session.temp_tables:
             del self.session.temp_tables[name]
-            self.session.temp_version += 1
             return StatementResult.ok(f"DROP TABLE {name}")
         if not self.database.has_table(name):
             if stmt.if_exists:
@@ -461,7 +459,6 @@ class Executor:
         source = stmt.sql()
         if stmt.temporary:
             self.session.temp_procedures[name] = source
-            self.session.temp_version += 1
         else:
             self.database.create_procedure(txn, name, source)
         # EXEC looks the procedure up by the text just stored, and ``stmt`` is
@@ -473,7 +470,6 @@ class Executor:
         name = stmt.name.lower()
         if name in self.session.temp_procedures:
             self._proc_cache.pop(self.session.temp_procedures.pop(name))
-            self.session.temp_version += 1
             return StatementResult.ok(f"DROP PROCEDURE {name}")
         if not self.database.has_procedure(name):
             if stmt.if_exists:
@@ -599,8 +595,8 @@ class Executor:
         committed state only.
 
         Everything else — full scans, secondary-index equality and range
-        probes, row locking disabled — takes the whole-table X lock
-        *before* the probe or scan is evaluated.
+        probes — takes the whole-table X lock *before* the probe or scan is
+        evaluated.
         """
         probe = _index_probe(table, 0, _split_conjuncts(where), scope, compiler)
         env = Env(values=[None] * scope.slot_count)
@@ -613,7 +609,7 @@ class Executor:
 
         if is_temp:
             return candidates()
-        if probe is None or probe[2] != "pk" or not self.database.locks.row_locking:
+        if probe is None or probe[2] != "pk":
             self.database.lock_write(txn, table.name)
             return candidates()
         locked: set[int] = set()
@@ -714,7 +710,6 @@ class Executor:
         if schema.temporary:
             table = Table.create(schema)
             self.session.temp_tables[schema.name] = table
-            self.session.temp_version += 1
             for row in result.rows:
                 table.insert(schema.coerce_row(list(row)))
         else:

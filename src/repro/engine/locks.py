@@ -20,9 +20,9 @@ Compatibility matrix (standard; symmetric)::
 
 A transaction's held mode on a resource is the *supremum* of everything it
 requested there (re-entrant acquires never self-conflict; ``sup(S, IX) =
-SIX``).  Past :attr:`LockManager.escalation_threshold` row locks on one
-table, a transaction **escalates**: it takes the full table lock (S for
-reads, X for writes) and drops its row locks — safe because the table lock
+SIX``).  Past :data:`ESCALATION_THRESHOLD` row locks on one table, a
+transaction **escalates**: it takes the full table lock (S for reads, X
+for writes) and drops its row locks — safe because the table lock
 can only be granted once no other transaction holds an intent on the
 table, at which point nobody else can hold or acquire row locks there.
 
@@ -85,7 +85,7 @@ DEFAULT_SERVER_WAIT = 0.25
 #: for a single full-table lock.  Large enough that OLTP-shaped
 #: transactions never escalate; small enough that a bulk statement inside
 #: an explicit transaction stops ballooning the lock table.
-DEFAULT_ESCALATION_THRESHOLD = 128
+ESCALATION_THRESHOLD = 128
 
 
 class LockMode(enum.Enum):
@@ -169,12 +169,7 @@ class LockManager:
     """Tracks two-level (table, row) locks per transaction; strict
     two-phase — released only at commit/abort via :meth:`release_all`."""
 
-    def __init__(
-        self,
-        mutex: threading.RLock | None = None,
-        *,
-        stats: LockStats | None = None,
-    ):
+    def __init__(self, *, stats: LockStats | None = None):
         # (table, rowid|None) -> {txn_id -> LockMode}
         self._locks: dict[Resource, dict[int, LockMode]] = defaultdict(dict)
         #: txn_id -> resources it holds (release_all is O(held), and an
@@ -182,7 +177,7 @@ class LockManager:
         self._held: dict[int, set[Resource]] = {}
         #: (txn_id, table) -> row locks held there (escalation trigger)
         self._row_counts: dict[tuple[int, str], int] = {}
-        self._mutex = mutex if mutex is not None else threading.RLock()
+        self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
         #: waiting txn -> set of txn_ids it is blocked behind (waits-for graph)
         self._waits_for: dict[int, set[int]] = {}
@@ -193,11 +188,6 @@ class LockManager:
         #: standalone managers keep the historical fail-fast behaviour; the
         #: server raises this to DEFAULT_SERVER_WAIT when it installs its mutex
         self.default_timeout = 0.0
-        #: row locks per (txn, table) before escalating to a table lock
-        self.escalation_threshold = DEFAULT_ESCALATION_THRESHOLD
-        #: ablation switch: False degrades every row request to its table
-        #: lock (the pre-row-locking behaviour, kept for A/B benchmarks)
-        self.row_locking = True
         #: bumped by :meth:`invalidate` (server crash) so sleepers learn the
         #: engine they were waiting on no longer exists
         self._generation = 0
@@ -299,7 +289,7 @@ class LockManager:
         without a row lock when the transaction's table-level mode already
         covers it (including after escalation), and trips escalation when
         the transaction's row-lock count on the table crosses
-        :attr:`escalation_threshold`.
+        :data:`ESCALATION_THRESHOLD`.
 
         Raises :class:`DeadlockError` when waiting would close a cycle in
         the waits-for graph (the requester is the victim), plain
@@ -309,19 +299,13 @@ class LockManager:
         with self._cond:
             self.stats.acquires += 1
             if row is not None:
-                if not self.row_locking:
-                    row = None  # ablation baseline: row requests hit the table
-                else:
-                    self.stats.row_acquires += 1
-                    table_mode = self._locks.get((table, None), {}).get(txn_id)
-                    if table_mode is not None and table_mode in _COVERS_ROW[mode]:
-                        return
-                    if (
-                        self._row_counts.get((txn_id, table), 0)
-                        >= self.escalation_threshold
-                    ):
-                        self._escalate(txn_id, table, mode, timeout)
-                        return
+                self.stats.row_acquires += 1
+                table_mode = self._locks.get((table, None), {}).get(txn_id)
+                if table_mode is not None and table_mode in _COVERS_ROW[mode]:
+                    return
+                if self._row_counts.get((txn_id, table), 0) >= ESCALATION_THRESHOLD:
+                    self._escalate(txn_id, table, mode, timeout)
+                    return
             self._acquire_resource(txn_id, (table, row), mode, timeout)
 
     def _escalate(

@@ -184,8 +184,8 @@ class ParseCache:
     issuing the same text.
     """
 
-    def __init__(self, capacity: int = PARSE_CACHE_CAPACITY):
-        self._cache = LRUCache(capacity)
+    def __init__(self):
+        self._cache = LRUCache(PARSE_CACHE_CAPACITY)
 
     def get(self, sql: str) -> tuple | None:
         return self._cache.get(sql)
@@ -216,8 +216,8 @@ class PlanCache:
     """Parsed statement (by identity) → compiled plan, valid while every
     name it bound still resolves to what it resolved to at compile time."""
 
-    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
-        self._cache = LRUCache(capacity)
+    def __init__(self):
+        self._cache = LRUCache(PLAN_CACHE_CAPACITY)
 
     def lookup(
         self, stmt: Any, resolve: Callable[[str], Any], metrics: EngineMetrics

@@ -80,14 +80,11 @@ class RestartPolicy:
     * ``immediate`` — bounce waiters right away; only statements already
       past their lock acquisitions run to completion.
 
-    ``bump_catalog`` models a migrated upgrade: the swapped-in engine comes
-    up with its ``catalog_version`` ahead of a plain swap's.  (Every session
-    ends at the swap, and its cached plans with it, either way.)
+    Every session ends at the swap, and its cached plans with it.
     """
 
     mode: str = "deadline"
     drain_timeout: float = 1.0
-    bump_catalog: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("graceful", "deadline", "immediate"):
@@ -133,10 +130,8 @@ class DatabaseServer:
         self,
         storage: StableStorage | None = None,
         *,
-        name: str = "server",
         registry: MetricsRegistry | None = None,
     ):
-        self.name = name
         self.storage = storage if storage is not None else InMemoryStableStorage()
         #: every counter set this server feeds lives in the registry, not in
         #: the volatile engine: one object per slot is threaded through
@@ -248,14 +243,14 @@ class DatabaseServer:
             self.lifecycle = "running"
             self._restart_deadline = None
             self.dispatcher.resume()
-            get_tracer().event("server.crash", server=self.name)
+            get_tracer().event("server.crash")
 
     def restart(self) -> RecoveryReport:
         """Run restart recovery and come back up (with zero sessions)."""
         with self._engine_mutex:
             if self.up:
                 raise OperationalError("server is already up")
-            with get_tracer().span("server.restart", server=self.name):
+            with get_tracer().span("server.restart"):
                 self._boot()
             self.stats.restarts += 1
             return self.last_recovery
@@ -309,7 +304,7 @@ class DatabaseServer:
         start = time.monotonic()
         bounced_before = self.lock_stats.drain_bounces
         self._drain_in_flight(policy, tracer)
-        with tracer.span("server.swap", server=self.name, bump_catalog=policy.bump_catalog):
+        with tracer.span("server.swap"):
             with self._engine_mutex:
                 try:
                     self._require_up()  # a mid-drain crash beat us to the swap
@@ -318,8 +313,6 @@ class DatabaseServer:
                     self.end_sessions()
                     self.database.checkpoint()
                     self._boot()
-                    if policy.bump_catalog:
-                        self.database.bump_catalog_version()
                     self.stats.restarts += 1
                     self.drain_stats.drains_completed += 1
                     self.drain_stats.sessions_ridden_through += ridden
@@ -340,10 +333,7 @@ class DatabaseServer:
         """The drain half of a planned restart/restore: enter ``draining``,
         quiesce the dispatcher per the policy, bounce lock waiters past the
         deadline.  On failure the barrier is lifted before re-raising."""
-        with tracer.span(
-            "server.drain", server=self.name, mode=policy.mode,
-            drain_timeout=policy.drain_timeout,
-        ):
+        with tracer.span("server.drain", mode=policy.mode, drain_timeout=policy.drain_timeout):
             self.begin_drain(policy)
             try:
                 if policy.mode == "graceful":
@@ -443,7 +433,7 @@ class DatabaseServer:
         tracer = get_tracer()
         start = time.monotonic()
         self._drain_in_flight(policy, tracer)
-        with tracer.span("server.restore", server=self.name, ts=ts):
+        with tracer.span("server.restore", ts=ts):
             with self._engine_mutex:
                 try:
                     self._require_up()  # a mid-drain crash beat us here
@@ -482,7 +472,7 @@ class DatabaseServer:
 
     def _require_up(self) -> None:
         if not self.up:
-            raise ServerCrashedError(f"server {self.name} is down")
+            raise ServerCrashedError("server is down")
 
     # ----------------------------------------------------------- sessions
 

@@ -57,6 +57,10 @@ __all__ = [
     "reconstruct_at",
 ]
 
+#: reconstructed snapshots a manager keeps (LRU) — each holds a whole
+#: database copy, and ``AS OF`` readers rarely pin more than a few cuts
+MAX_SNAPSHOTS = 4
+
 
 class TimeTravelStats(CounterSet):
     """Time-travel counters — the ``timetravel`` slot of the registry."""
@@ -302,7 +306,6 @@ class TimeTravelManager:
         *,
         stats: TimeTravelStats | None = None,
         engine_metrics=None,
-        max_snapshots: int = 4,
     ):
         self.storage = storage
         self.clock = CommitClock()
@@ -313,7 +316,6 @@ class TimeTravelManager:
 
             engine_metrics = EngineMetrics()
         self.engine_metrics = engine_metrics
-        self.max_snapshots = max_snapshots
         self._snapshots: OrderedDict[int, _Snapshot] = OrderedDict()
         self._lock = threading.RLock()
 
@@ -388,7 +390,7 @@ class TimeTravelManager:
             executor.as_of_cut = cut_lsn
             snapshot = _Snapshot(cut_lsn, database, executor, info)
             self._snapshots[cut_lsn] = snapshot
-            while len(self._snapshots) > self.max_snapshots:
+            while len(self._snapshots) > MAX_SNAPSHOTS:
                 self._evict_oldest()
             self.stats.reconstructions += 1
             self.stats.records_replayed += info.records_replayed

@@ -191,12 +191,11 @@ class CommitClock:
     of a new incarnation always stamp after recovered history.
     """
 
-    def __init__(self, time_source=time.time):
-        self._time = time_source
+    def __init__(self):
         self._last = 0.0
 
     def now(self) -> float:
-        value = self._time()
+        value = time.time()
         if value <= self._last:
             value = self._last + 1e-6
         self._last = value
@@ -215,8 +214,7 @@ class WriteAheadLog:
     a deferred-force window is open (see :meth:`begin_deferred`).
     """
 
-    def __init__(self, storage: StableStorage, *, stats: WalStats | None = None,
-                 clock: CommitClock | None = None):
+    def __init__(self, storage: StableStorage, *, stats: WalStats | None = None):
         self._storage = storage
         self._pending: list[bytes] = []
         self._pending_bytes = 0
@@ -225,10 +223,11 @@ class WriteAheadLog:
         self.stats = stats if stats is not None else WalStats()
         self._defer_forces = False
         self._deferred_forces = 0
-        #: commit-timestamp source; injectable so one clock spans every
-        #: database incarnation (timestamps must stay monotonic across
-        #: restarts even when the wall clock regresses)
-        self.clock = clock if clock is not None else CommitClock()
+        #: commit-timestamp source; ``TimeTravelManager.attach`` installs the
+        #: server's, so one clock spans every database incarnation
+        #: (timestamps must stay monotonic across restarts even when the
+        #: wall clock regresses)
+        self.clock = CommitClock()
         #: (buffer index, record) of each buffered COMMIT, so the flush can
         #: re-stamp them all with the force instant (see _flush_commits)
         self._pending_commits: list[tuple[int, LogRecord]] = []

@@ -1,13 +1,10 @@
-"""Network accounting: round trips, bytes, and simulated latency.
+"""Network accounting: round trips and bytes.
 
 The paper's design decisions are round-trip-count decisions (`WHERE 0=1`,
 server-side INSERT procedures, server-side repositioning), so the harness
 treats round trips as a first-class measurement next to wall-clock time.
-
-Latency is *simulated*: each round trip adds ``latency_seconds`` to
-:attr:`simulated_seconds` instead of sleeping, so benchmarks stay fast while
-still letting reports show what a 1 ms LAN or 30 ms WAN would do to each
-strategy.
+Wire transit time, where a benchmark wants it, is slept on the client's
+thread by ``ServerEndpoint.latency``.
 """
 
 from __future__ import annotations
@@ -24,15 +21,11 @@ class NetworkMetrics(CounterSet):
     """Counters for one channel (or aggregated across channels).
 
     Reset, merge and snapshot semantics are :class:`CounterSet`'s.
-    ``latency_seconds`` is configuration (the simulated per-round-trip
-    latency), not a counter, so it is not a declared field: ``reset()``
-    leaves it alone and ``snapshot()`` does not report it.
     """
 
     round_trips: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    simulated_seconds: float = 0.0
     #: BatchExecuteRequests sent (each is one round trip)
     batch_requests: int = 0
     #: statements that travelled inside batch requests — the round trips
@@ -45,9 +38,8 @@ class NetworkMetrics(CounterSet):
     #: distinguishable from an application statement dying in flight.
     errors_by_request_type: Counter = Counter()
 
-    def __init__(self, latency_seconds: float = 0.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.latency_seconds = latency_seconds
         #: guards the read-modify-write updates — one metrics object is
         #: shared by every channel of a driver, and under threaded dispatch
         #: many client threads record concurrently
@@ -58,7 +50,6 @@ class NetworkMetrics(CounterSet):
             self.round_trips += 1
             self.bytes_sent += sent
             self.bytes_received += received
-            self.simulated_seconds += self.latency_seconds
             self.by_request_type[request_type] += 1
 
     def record_batch(self, statements: int) -> None:
@@ -73,7 +64,6 @@ class NetworkMetrics(CounterSet):
         with self._lock:
             self.round_trips += 1
             self.bytes_sent += sent
-            self.simulated_seconds += self.latency_seconds
             self.by_request_type[request_type] += 1
             self.errors += 1
             self.errors_by_request_type[request_type] += 1

@@ -55,8 +55,8 @@ __all__ = ["TcpServer", "TcpTransport"]
 #: only fires on a genuinely wedged server, where it surfaces as
 #: :class:`~repro.errors.TimeoutError` and the wire refuses reuse (the
 #: request/response pairing on the socket is no longer trustworthy).
-DEFAULT_REQUEST_TIMEOUT = 30.0
-DEFAULT_CONNECT_TIMEOUT = 5.0
+REQUEST_TIMEOUT = 30.0
+CONNECT_TIMEOUT = 5.0
 
 _RECV_CHUNK = 65536
 
@@ -290,18 +290,9 @@ class _TcpWire:
     already enforces one layer up.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
         self._sock: socket.socket | None = None
         self._decoder = framing.FrameDecoder()
         self._frames: deque[tuple[int, bytes]] = deque()
@@ -320,7 +311,7 @@ class _TcpWire:
         except socket.timeout as exc:
             self._teardown()
             raise errors.TimeoutError(
-                f"request timed out after {self.request_timeout}s (socket)"
+                f"request timed out after {REQUEST_TIMEOUT}s (socket)"
             ) from exc
         except framing.FrameError as exc:
             self._teardown()
@@ -348,10 +339,10 @@ class _TcpWire:
 
     def _connect(self) -> None:
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
+            (self.host, self.port), timeout=CONNECT_TIMEOUT
         )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.request_timeout)
+        sock.settimeout(REQUEST_TIMEOUT)
         self._sock = sock
 
     def _read_frame(self) -> tuple[int, bytes]:
@@ -382,27 +373,12 @@ class TcpTransport(Transport):
 
     name = "tcp"
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
 
     def open_channel(self, metrics: NetworkMetrics | None = None) -> ClientChannel:
-        wire = _TcpWire(
-            self.host,
-            self.port,
-            connect_timeout=self.connect_timeout,
-            request_timeout=self.request_timeout,
-        )
-        return ClientChannel(wire, metrics=metrics)
+        return ClientChannel(_TcpWire(self.host, self.port), metrics=metrics)
 
     def describe(self) -> str:
         return f"tcp://{self.host}:{self.port}"

@@ -71,24 +71,18 @@ class ServerEndpoint:
     request/response shape, and N concurrent clients simply call in from N
     threads.
 
-    ``latency`` simulates wire transit by *sleeping* on the client's thread
-    (half outbound, half for the reply).  It defaults to zero — unit tests
-    and the chaos explorer stay instant — and the concurrency bench turns
-    it on, which is exactly where concurrent serving pays: while one
+    :attr:`latency` simulates wire transit by *sleeping* on the client's
+    thread (half outbound, half for the reply).  It starts at zero — unit
+    tests and the chaos explorer stay instant — and the concurrency bench
+    sets it, which is exactly where concurrent serving pays: while one
     client's request is in transit, the server serves everybody else.
     """
 
-    def __init__(
-        self,
-        server: DatabaseServer,
-        faults: FaultInjector | None = None,
-        *,
-        latency: float = 0.0,
-    ):
+    def __init__(self, server: DatabaseServer):
         self.server = server
-        self.faults = faults if faults is not None else FaultInjector()
+        self.faults = FaultInjector()
         #: simulated one-way-and-back wire transit per request, seconds
-        self.latency = latency
+        self.latency = 0.0
         #: bumped every restart so clients can see "same server, new life"
         self.epoch = 0
 

@@ -158,7 +158,7 @@ def render_lock_waits(records: list[dict]) -> str:
 
 def render_restarts(records: list[dict]) -> str:
     """The planned-restart section: one line per ``server.drain`` /
-    ``server.swap`` span (mode, catalog bump, duration), in trace order —
+    ``server.swap`` span (drain mode, duration), in trace order —
     the operator's view of how long each pause actually was."""
     spans = [
         r
@@ -170,17 +170,13 @@ def render_restarts(records: list[dict]) -> str:
     for record in spans:
         attrs = record.get("attrs", {})
         duration_ms = (record.get("end", 0.0) - record.get("start", 0.0)) * 1000
+        detail = ""
         if record["name"] == "server.drain":
-            detail = f"mode={attrs.get('mode', '?')}"
+            detail = f" mode={attrs.get('mode', '?')}"
             timeout = attrs.get("drain_timeout")
             if timeout is not None:
                 detail += f" drain_timeout={timeout}s"
-        else:
-            detail = f"bump_catalog={attrs.get('bump_catalog', False)}"
-        lines.append(
-            f"  {record['name']} [{attrs.get('server', '?')}] "
-            f"{detail}: {duration_ms:.2f} ms"
-        )
+        lines.append(f"  {record['name']}{detail}: {duration_ms:.2f} ms")
     return "\n".join(lines)
 
 
@@ -211,7 +207,7 @@ def render_restores(records: list[dict]) -> str:
             )
         else:
             ts = attrs.get("ts")
-            detail = f"[{attrs.get('server', '?')}] ts={'now' if ts is None else ts}"
+            detail = f"ts={'now' if ts is None else ts}"
         lines.append(f"  {record['name']} {detail}: {duration_ms:.2f} ms")
     return "\n".join(lines)
 

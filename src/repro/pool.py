@@ -49,7 +49,6 @@ class ConnectionPool:
         options: dict | None = None,
         config=None,
         checkout_timeout: float = DEFAULT_CHECKOUT_TIMEOUT,
-        ping_on_checkout: bool = True,
         stats: NetStats | None = None,
     ):
         if size < 1:
@@ -57,7 +56,6 @@ class ConnectionPool:
         self.dsn = dsn
         self.size = size
         self.checkout_timeout = checkout_timeout
-        self.ping_on_checkout = ping_on_checkout
         self.stats = stats if stats is not None else _resolve_stats(dsn)
         self._phoenix = phoenix
         self._user = user
@@ -94,7 +92,7 @@ class ConnectionPool:
         try:
             if conn is None:
                 conn = self._connect()
-            elif self.ping_on_checkout and not self._is_live(conn):
+            elif not self._is_live(conn):
                 self.stats.pool_replacement()
                 self._discard(conn)
                 conn = self._connect()

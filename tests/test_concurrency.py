@@ -10,14 +10,17 @@ parallel fleet rebuild, and the multi-client chaos oracle.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
 import repro
 from repro.chaos.multi import check_multi_run, run_multi_trace
 from repro.core.parallel import recover_all
+from repro.engine import dispatch
 from repro.engine.dispatch import SessionDispatcher
 from repro.engine.locks import LockManager, LockMode
 from repro.errors import DeadlockError, LockError, ServerCrashedError
@@ -256,6 +259,30 @@ def test_dispatcher_runs_different_keys_concurrently():
         thread.join(timeout=10)
     assert met == [True, True]
     dispatcher.close()
+
+
+def test_an_idle_worker_does_not_pin_a_closed_system(monkeypatch):
+    """A worker waiting up to ``IDLE_TIMEOUT`` for new work holds nothing of
+    the item it finished: the last request's closure reaches the endpoint,
+    the server and its database, which a closed system must free by
+    reference count, not when the worker times out."""
+    monkeypatch.setattr(dispatch, "IDLE_TIMEOUT", 5.0)  # the worker surely idles on
+    dsn = "idle-worker-pin"
+    system = repro.make_system(dsn=dsn)
+    dispatcher = system.server.dispatcher  # holds no reference to the server
+    connection = repro.connect(system, phoenix=False)
+    connection.cursor().execute("SELECT 1")
+    connection.close()  # the last dispatched request
+    gc.collect()
+    gc.disable()
+    try:
+        database = weakref.ref(system.server.database)
+        system.close()
+        del repro._systems[dsn], system, connection
+        assert database() is None
+        assert dispatcher.active_workers >= 1  # still idling
+    finally:
+        gc.enable()
 
 
 def test_concurrent_clients_on_shared_table(system):

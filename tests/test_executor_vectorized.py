@@ -295,11 +295,11 @@ def test_index_consistent_after_crash_recovery(indexed):
     assert _expected_via_scan(server, sid) == before
 
 
-def test_index_consistent_under_escalated_row_locks(indexed):
+def test_index_consistent_under_escalated_row_locks(indexed, monkeypatch):
     """A transaction whose row locks escalate to a table lock must leave
     the ordered index exactly as consistent as one that never escalated."""
     server, sid = indexed
-    server.database.locks.escalation_threshold = 3
+    monkeypatch.setattr(repro.engine.locks, "ESCALATION_THRESHOLD", 3)
     execute(server, sid, "BEGIN")
     for k in range(8):  # crosses the threshold mid-transaction
         execute(server, sid, f"UPDATE t SET v = {k + 20} WHERE k = {k}")

@@ -37,16 +37,16 @@ def test_phoenix_crash_during_keys_fill(system, phoenix_conn):
     assert [r[0] for r in ks.fetchall()] == list(range(1, 16))
 
 
-def test_phoenix_recovery_during_connect_retry_limit(system):
+def test_phoenix_recovery_during_connect_retry_limit(system, monkeypatch):
     """Connect against a permanently-down server surfaces the error after
     bounded retries (never hangs)."""
-    from repro.core import PhoenixConfig
+    from repro.core import PhoenixConfig, recovery
 
+    monkeypatch.setattr(recovery, "MAX_PING_ATTEMPTS", 2)
+    monkeypatch.setattr(recovery, "MAX_RECOVERY_ATTEMPTS", 2)
     system.server.crash()
-    config = PhoenixConfig(max_ping_attempts=2, max_recovery_attempts=2)
-    config.sleep = lambda _s: None
     with pytest.raises(CommunicationError):
-        system.phoenix.connect(system.DSN, config=config)
+        system.phoenix.connect(system.DSN, config=PhoenixConfig(sleep=lambda _s: None))
 
 
 def test_cursor_reuse_after_recovery(system, phoenix_conn):

@@ -317,14 +317,6 @@ def test_metrics_record_errors(endpoint):
     assert metrics.round_trips == 1
 
 
-def test_metrics_simulated_latency(endpoint):
-    metrics = NetworkMetrics(latency_seconds=0.001)
-    ch = ClientChannel(endpoint, metrics=metrics)
-    ch.send(PingRequest())
-    ch.send(PingRequest())
-    assert abs(metrics.simulated_seconds - 0.002) < 1e-9
-
-
 def test_metrics_merge_and_reset():
     a = NetworkMetrics()
     a.record("X", 10, 20)

@@ -12,7 +12,9 @@ PR 23 made the fill procedure the paper's (one per statement template, the
 target table a parameter) and plan validity per dependency: they fail when a
 procedure is named per execution again, or a plan is checked against a
 server-wide counter.  PR 24 gave DML the SELECT planner's access paths: they
-fail when a second function starts looking rows up in an index.
+fail when a second function starts looking rows up in an index.  PR 25 made
+every value only tests turned a constant: they fail when a config field or
+an engine or wire constructor keyword has no caller outside the tests.
 """
 
 from __future__ import annotations
@@ -74,33 +76,105 @@ def test_no_executor_mode_parameter(function):
     )
 
 
-# ---------------------------------------------------------------- config fields are set
+# ---------------------------------------------------------------- settings have callers
+
+#: where a setting's callers live.  Tests and examples are not callers: a
+#: value only a test turns is a module constant the test monkeypatches.
+CALLER_TREES = ("src", "benchmarks")
+
+
+def _caller_paths() -> list[Path]:
+    repo = SRC.parent.parent
+    return [path for top in CALLER_TREES for path in sorted((repo / top).rglob("*.py"))]
+
+
+def _caller_calls() -> list[ast.Call]:
+    return [
+        node
+        for path in _caller_paths()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
 
 def _config_fields_set() -> set[str]:
-    """Every name given a value somewhere in ``src/``, ``tests/``,
-    ``benchmarks/`` or ``examples/`` the way a config field is: by a
-    ``<...>config.name = ...`` assignment, or as a call keyword
-    (``PhoenixConfig(name=...)``, or a helper that forwards its keywords)."""
-    repo = SRC.parent.parent
-    paths = [
-        path
-        for top in ("src", "tests", "benchmarks", "examples")
-        for path in (repo / top).rglob("*.py")
-    ]
-    assigned = _config_attributes(paths, ast.Store)
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                assigned.update(keyword.arg for keyword in node.keywords)
+    """Every name given a value under ``src/`` or ``benchmarks/`` the way a
+    config field is: by a ``<...>config.name = ...`` assignment, or as a
+    call keyword (``PhoenixConfig(name=...)``, or a helper that forwards
+    its keywords)."""
+    assigned = _config_attributes(_caller_paths(), ast.Store)
+    assigned.update(keyword.arg for call in _caller_calls() for keyword in call.keywords)
     return assigned
 
 
 def test_every_phoenix_config_field_is_set_by_some_caller():
-    """A field nothing ever sets has one value in use: it is a constant
-    (``max_operation_retries`` and ``recovery_workers`` were two)."""
+    """A field no deployment or workload sets has one value in use: it is a
+    constant (``max_operation_retries`` and ``recovery_workers`` were two;
+    the ping and rebuild bounds, set only by tests, were seven more)."""
     fields = {field.name for field in dataclasses.fields(PhoenixConfig)}
     assert fields - _config_fields_set() == set()
-    assert len(fields) == 11
+    assert fields == {"sleep", "max_deadlock_retries"}
+
+
+#: constructor keywords nothing under ``src/`` or ``benchmarks/`` passes,
+#: kept on purpose — name → why
+UNPASSED_KEYWORDS = {
+    "make_system.config": "the caller's PhoenixConfig for every connection of the system",
+    "make_system.registry": "an injected counter set, shared with a caller's other systems",
+}
+
+
+def _defaulted_parameters(function: ast.FunctionDef) -> dict[str, int | None]:
+    """Parameter name → its position in a call (None: keyword only), for
+    every parameter with a default; ``self`` does not count."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args if a.arg != "self"]
+    out: dict[str, int | None] = {
+        name: positional.index(name)
+        for name in positional[len(positional) - len(args.defaults):]
+    }
+    out.update(
+        (a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    )
+    return out
+
+
+def _constructors() -> dict[str, dict[str, int | None]]:
+    """Every class under ``engine/`` and ``net/`` that defines ``__init__``,
+    and ``make_system``: name → its defaulted parameters."""
+    found = {}
+    for package in ("engine", "net"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(cls, ast.ClassDef):
+                    for function in cls.body:
+                        if isinstance(function, ast.FunctionDef) and function.name == "__init__":
+                            found[cls.name] = _defaulted_parameters(function)
+    for function in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(function, ast.FunctionDef) and function.name == "make_system":
+            found["make_system"] = _defaulted_parameters(function)
+    return found
+
+
+def test_every_constructor_keyword_is_passed_by_some_caller():
+    """A keyword nobody passes is a setting with one value in use: the
+    constant beside the code that reads it (dispatcher pool bounds, TCP
+    timeouts, cache capacities, the commit clock's time source, a server
+    name, an endpoint's fault injector were such keywords)."""
+    constructors = _constructors()
+    passed: dict[str, set] = {name: set() for name in constructors}
+    for call in _caller_calls():
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name in passed:
+            passed[name].update(k.arg for k in call.keywords)
+            passed[name].update(range(len(call.args)))
+    unpassed = {
+        f"{name}.{parameter}"
+        for name, parameters in constructors.items()
+        for parameter, position in parameters.items()
+        if parameter not in passed[name] and position not in passed[name]
+    }
+    assert unpassed == set(UNPASSED_KEYWORDS)
 
 
 # ---------------------------------------------------------------- one failure path
@@ -271,18 +345,33 @@ def test_the_keys_table_is_built_by_the_server():
         assert "create_table_sql" not in path.read_text(encoding="utf-8"), path.name
 
 
+def _identifiers_under_src() -> set[str]:
+    return {
+        name
+        for path in SRC.rglob("*.py")
+        for name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+
+
 def test_no_plan_is_validated_against_a_server_wide_counter():
     """A cached plan is valid while what it resolved is unchanged
-    (``Executor._binding``); ``catalog_version`` / ``temp_version`` still
-    count DDL, and nothing that runs a statement reads them."""
-    for module in ("engine/plancache.py", "engine/executor.py", "engine/expressions.py"):
-        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-        loads = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        }
-        assert not {"catalog_version", "temp_version"} & loads, module
+    (``Executor._binding``): the server-wide DDL counters it used to be
+    checked against do not exist."""
+    assert not {"catalog_version", "temp_version", "bump_catalog_version"} & (
+        _identifiers_under_src()
+    )
+
+
+def test_deleted_settings_stay_deleted():
+    """The table-lock ablation switch, the planned restart's catalog bump,
+    the fleet-wide jitter seed, the second (wall-clock) recovery bound and
+    the simulated-latency counter are gone, not kept beside what replaced
+    them."""
+    gone = {
+        "row_locking", "bump_catalog", "catalog_version", "temp_version",
+        "jitter_seed", "recovery_deadline", "simulated_seconds",
+    }
+    assert not gone & _identifiers_under_src()
 
 
 # ---------------------------------------------------------------- one way to find a table's rows

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import recovery
 from repro.errors import CommunicationError, RecoveryError
 from repro.net import FaultKind
 from repro.odbc.constants import CursorType, StatementAttr
@@ -234,10 +235,10 @@ def test_fast_restart_between_requests_detected_via_session_loss(ready):
     assert conn.stats.recoveries == 1
 
 
-def test_ping_exhaustion_surfaces_original_error(system):
+def test_ping_exhaustion_surfaces_original_error(system, monkeypatch):
+    monkeypatch.setattr(recovery, "MAX_PING_ATTEMPTS", 3)
     conn = system.phoenix.connect(system.DSN)
     conn.config.sleep = lambda _s: None  # never restart the server
-    conn.config.max_ping_attempts = 3
     cur = conn.cursor()
     cur.execute("CREATE TABLE t (k INT)")
     system.server.crash()

@@ -165,73 +165,34 @@ def test_ddl_invalidates_cached_plan(server):
     assert metrics.plan_invalidations == base_invalidations + 1
 
 
-def test_phx_table_churn_bumps_catalog_version(server):
-    server, sid = server
-    version = server.database.catalog_version
-    server.execute(sid, "CREATE TABLE phx_result_1 (k INT PRIMARY KEY)")
-    assert server.database.catalog_version > version
-    version = server.database.catalog_version
-    server.execute(sid, "DROP TABLE phx_result_1")
-    assert server.database.catalog_version > version
-
-
-def test_view_and_procedure_churn_bumps_catalog_version(server):
-    server, sid = server
-    version = server.database.catalog_version
-    server.execute(sid, "CREATE VIEW phx_v AS SELECT k FROM t")
-    assert server.database.catalog_version > version
-    version = server.database.catalog_version
-    server.execute(sid, "DROP VIEW phx_v")
-    assert server.database.catalog_version > version
-    version = server.database.catalog_version
-    server.execute(
-        sid, "CREATE PROCEDURE phx_fill () AS BEGIN SELECT k FROM t END"
-    )
-    assert server.database.catalog_version > version
-    version = server.database.catalog_version
-    server.execute(sid, "DROP PROCEDURE phx_fill")
-    assert server.database.catalog_version > version
-
-
-def test_ddl_rollback_bumps_catalog_version(server):
-    server, sid = server
-    server.execute(sid, "BEGIN TRANSACTION")
-    server.execute(sid, "CREATE TABLE rolled (k INT PRIMARY KEY)")
-    version = server.database.catalog_version
-    server.execute(sid, "ROLLBACK")
-    assert server.database.catalog_version > version
-
-
 def test_temp_table_redirection_invalidates(server):
     server, sid = server
-    session = server.sessions[sid]
-    version = session.temp_version
     server.execute(sid, "CREATE TABLE #t (k INT PRIMARY KEY, v VARCHAR(20))")
-    assert session.temp_version > version
     server.execute(sid, "INSERT INTO #t VALUES (1, 'only')")
     sql = "SELECT count(*) AS n FROM #t"
     assert rows(server.execute(sid, sql)) == [(1,)]
     assert rows(server.execute(sid, sql)) == [(1,)]  # plan is hot now
     metrics = server.engine_metrics
     base_invalidations = metrics.plan_invalidations
-    version = session.temp_version
     server.execute(sid, "DROP TABLE #t")
-    assert session.temp_version > version
     server.execute(sid, "CREATE TABLE #t (k INT PRIMARY KEY, v VARCHAR(20))")
     # the hot plan was compiled against the *old* #t: it must be evicted
     assert rows(server.execute(sid, sql)) == [(0,)]
     assert metrics.plan_invalidations > base_invalidations
 
 
-def test_temp_procedure_churn_bumps_temp_version(server):
+def test_recreated_temp_procedure_runs_its_new_body(server):
+    """A session's temp procedure, dropped and re-created, runs its new
+    body; in between, EXEC finds nothing."""
     server, sid = server
-    session = server.sessions[sid]
-    version = session.temp_version
-    server.execute(sid, "CREATE PROCEDURE #p () AS BEGIN SELECT k FROM t END")
-    assert session.temp_version > version
-    version = session.temp_version
+    server.execute(sid, "CREATE PROCEDURE #p () AS BEGIN SELECT v FROM t WHERE k = 1 END")
+    assert rows(server.execute(sid, "EXEC #p")) == [("one",)]
+    assert rows(server.execute(sid, "EXEC #p")) == [("one",)]  # hot
     server.execute(sid, "DROP PROCEDURE #p")
-    assert session.temp_version > version
+    with pytest.raises(repro.errors.CatalogError):
+        server.execute(sid, "EXEC #p")
+    server.execute(sid, "CREATE PROCEDURE #p () AS BEGIN SELECT v FROM t WHERE k = 3 END")
+    assert rows(server.execute(sid, "EXEC #p")) == [("three",)]
 
 
 def test_temp_recreate_with_different_schema(server):

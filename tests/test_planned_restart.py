@@ -24,6 +24,7 @@ import time
 import pytest
 
 import repro
+from repro.core import recovery
 from repro.engine.server import DrainStats, RestartPolicy
 from repro.errors import OperationalError, ServerRestartingError
 
@@ -64,7 +65,6 @@ def test_restart_policy_defaults():
     policy = RestartPolicy()
     assert policy.mode == "deadline"
     assert policy.drain_timeout > 0
-    assert policy.bump_catalog is False
 
 
 # ------------------------------------------------------- basic ride-through
@@ -97,14 +97,22 @@ def test_drain_and_restart_uses_default_policy(system):
     assert system.registry.server.drains_completed == 1
 
 
-def test_bump_catalog_invalidates_cached_plans(system):
+def test_planned_restart_starts_the_caches_cold(system):
+    """Every session ends at the swap, and its cached plans with it: the
+    swapped-in engine parses and compiles a text it has served before."""
     _make_table(system)
-    # the swapped-in engine recovers from stable storage either way; the
-    # bump must leave its catalog version strictly ahead of a plain swap's
-    system.endpoint.drain_and_restart(RestartPolicy(bump_catalog=False))
-    plain = system.server.database.catalog_version
-    system.endpoint.drain_and_restart(RestartPolicy(bump_catalog=True))
-    assert system.server.database.catalog_version > plain
+    metrics = system.server.engine_metrics
+    sql = "SELECT v FROM pr WHERE k = 0"
+    session = system.server.connect()
+    for _ in range(2):  # the second run is served from both caches
+        system.server.execute(session, sql)
+    assert metrics.plan_hits >= 1
+    system.endpoint.drain_and_restart()
+    before = (metrics.parse_misses, metrics.plan_misses, metrics.plan_hits)
+    system.server.execute(system.server.connect(), sql)
+    assert (metrics.parse_misses, metrics.plan_misses, metrics.plan_hits) == (
+        before[0] + 1, before[1] + 1, before[2]
+    )
 
 
 def test_endpoint_epoch_bumps_on_planned_restart(system):
@@ -211,16 +219,16 @@ def test_graceful_drain_waits_for_inflight_statement(system):
     connection.close()
 
 
-def test_deadline_drain_bounces_lock_waiter_retryably(system):
+def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
     _make_table(system)
     # a raw engine session holds the row lock in an open transaction
     holder = system.server.connect(user="holder")
     system.server.execute(holder, "BEGIN TRANSACTION")
     system.server.execute(holder, "UPDATE pr SET v = 99 WHERE k = 0")
 
+    monkeypatch.setattr(recovery, "PING_JITTER", 0.0)
+    monkeypatch.setattr(recovery, "PING_INTERVAL", 0.005)
     connection = system.phoenix.connect(system.DSN)
-    connection.config.ping_jitter = 0.0
-    connection.config.ping_interval = 0.005
     cursor = connection.cursor()
     waits_before = system.registry.locks.waits
     client = threading.Thread(
@@ -262,13 +270,13 @@ def test_ping_advertises_restarting_during_drain(system):
     assert system.native.ping() is not None
 
 
-def test_recovery_backoff_resets_on_restarting_advertisement(system):
+def test_recovery_backoff_resets_on_restarting_advertisement(system, monkeypatch):
     """Satellite: crash-tuned exponential backoff must flatten back to the
     base cadence the moment the server says RESTARTING."""
     _make_table(system)
+    monkeypatch.setattr(recovery, "PING_JITTER", 0.0)
+    base = recovery.PING_INTERVAL
     connection = system.phoenix.connect(system.DSN)
-    connection.config.ping_jitter = 0.0
-    base = connection.config.ping_interval
     sleeps: list[float] = []
 
     def scripted_sleep(seconds: float) -> None:

@@ -3,14 +3,16 @@
 Recovery is the one code path that *must* work while everything around it
 is failing.  These tests aim faults at the recovery machinery directly:
 pings that die, crashes between the two recovery phases, a second crash in
-the middle of transaction replay — plus the backoff/jitter/deadline
-behaviour of ``_await_server``.
+the middle of transaction replay — plus the backoff and jitter behaviour of
+``_await_server`` (its bounds are ``repro.core.recovery`` constants, which
+the tests here monkeypatch).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import recovery
 from repro.core.config import PhoenixConfig
 from repro.errors import (
     CommunicationError,
@@ -28,22 +30,33 @@ def crash_restart(system):
 
 # ----------------------------------------------------------------- backoff
 
-def collecting_config(**overrides) -> tuple[PhoenixConfig, list[float]]:
-    """A config whose sleep records every wait instead of sleeping."""
-    waits: list[float] = []
-    config = PhoenixConfig(**overrides)
-    config.sleep = waits.append
-    return config, waits
+@pytest.fixture()
+def ping_loop(monkeypatch):
+    """``set(NAME=value, …)`` overrides the ping loop's module constants in
+    ``repro.core.recovery`` for the test; ``config()`` is a
+    :class:`PhoenixConfig` whose sleep records every wait instead of
+    sleeping, into the returned list."""
+
+    class Loop:
+        @staticmethod
+        def set(**constants) -> None:
+            for name, value in constants.items():
+                monkeypatch.setattr(recovery, name, value)
+
+        @staticmethod
+        def config() -> tuple[PhoenixConfig, list[float]]:
+            waits: list[float] = []
+            return PhoenixConfig(sleep=waits.append), waits
+
+    return Loop
 
 
-def test_ping_backoff_is_exponential_and_capped(system):
-    config, waits = collecting_config(
-        ping_interval=1.0,
-        ping_backoff_factor=2.0,
-        ping_max_interval=8.0,
-        ping_jitter=0.0,
-        max_ping_attempts=6,
+def test_ping_backoff_is_exponential_and_capped(system, ping_loop):
+    ping_loop.set(
+        PING_INTERVAL=1.0, PING_BACKOFF_FACTOR=2.0, PING_MAX_INTERVAL=8.0,
+        PING_JITTER=0.0, MAX_PING_ATTEMPTS=6,
     )
+    config, waits = ping_loop.config()
     connection = system.phoenix.connect(system.DSN, config=config)
     system.server.crash()
     cause = CommunicationError("boom")
@@ -54,70 +67,58 @@ def test_ping_backoff_is_exponential_and_capped(system):
     assert connection.stats.recovery_pings == 6
 
 
-def test_ping_backoff_jitter_is_deterministic_and_bounded(system):
-    def run(seed: int) -> list[float]:
-        config, waits = collecting_config(
-            ping_interval=1.0,
-            ping_backoff_factor=2.0,
-            ping_max_interval=4.0,
-            ping_jitter=0.25,
-            jitter_seed=seed,
-            max_ping_attempts=5,
-        )
-        connection = system.phoenix.connect(system.DSN, config=config)
+def test_ping_backoff_jitter_is_deterministic_and_bounded(system, ping_loop):
+    ping_loop.set(
+        PING_INTERVAL=1.0, PING_BACKOFF_FACTOR=2.0, PING_MAX_INTERVAL=4.0,
+        PING_JITTER=0.25, MAX_PING_ATTEMPTS=5,
+    )
+
+    def run(connection) -> list[float]:
+        config, waits = ping_loop.config()
+        connection.config = config
+        connection.recovery = recovery.PhoenixRecovery(connection)  # a fresh stream
         system.server.crash()
         with pytest.raises(CommunicationError):
             connection.recovery._await_server(CommunicationError("x"))
         system.endpoint.restart_server()
         return waits
 
-    first, second, other = run(7), run(7), run(8)
-    assert first == second  # same seed, same schedule
-    assert first != other
-    for wait, base in zip(first, [1.0, 2.0, 4.0, 4.0, 4.0]):
+    one, other = (system.phoenix.connect(system.DSN) for _ in range(2))
+    first, second, third = run(one), run(one), run(other)
+    assert first == second  # same connection, same schedule
+    assert first != third
+    for wait, base in zip(first + third, [1.0, 2.0, 4.0, 4.0, 4.0] * 2):
         assert base * 0.75 <= wait <= base * 1.25  # jitter stays in ±25%
 
 
-def test_recovery_deadline_bounds_total_wait(system):
-    now = [0.0]
-    config, waits = collecting_config(
-        ping_interval=1.0,
-        ping_backoff_factor=2.0,
-        ping_max_interval=64.0,
-        ping_jitter=0.0,
-        max_ping_attempts=50,
-        recovery_deadline=10.0,
+def test_reconnect_jitter_is_seeded_per_connection(system):
+    """A fleet of connections must not wait in lock-step after one crash:
+    each draws its own jitter stream (seeded by its client id, so one run
+    of a schedule repeats exactly)."""
+    connections = [system.phoenix.connect(system.DSN) for _ in range(2)]
+    first, second = ([c.recovery._jittered(1.0) for _ in range(3)] for c in connections)
+    assert first != second
+    again = recovery.PhoenixRecovery(connections[0])
+    assert [again._jittered(1.0) for _ in range(3)] == first
+
+
+def test_a_flat_backoff_spends_the_whole_ping_budget(system, ping_loop):
+    """With a backoff factor of 1 the loop is the paper's fixed-interval
+    ping: every attempt of the budget waits the same, then the error goes
+    to the application."""
+    ping_loop.set(
+        PING_INTERVAL=0.5, PING_BACKOFF_FACTOR=1.0, PING_JITTER=0.0, MAX_PING_ATTEMPTS=7
     )
-    config.clock = lambda: now[0]
-    real_sleep = waits.append
-
-    def sleep(seconds: float) -> None:
-        real_sleep(seconds)
-        now[0] += seconds
-
-    config.sleep = sleep
+    config, waits = ping_loop.config()
     connection = system.phoenix.connect(system.DSN, config=config)
     system.server.crash()
     with pytest.raises(CommunicationError):
         connection.recovery._await_server(CommunicationError("down"))
-    # 1+2+4+8 = 15 >= 10: the deadline cuts the loop long before 50 pings
-    assert len(waits) == 4
-    assert connection.stats.recovery_pings == 5
+    assert waits == [0.5] * 7
 
 
-def test_no_deadline_means_full_ping_budget(system):
-    config, waits = collecting_config(
-        ping_interval=0.5, ping_jitter=0.0, max_ping_attempts=7
-    )
-    connection = system.phoenix.connect(system.DSN, config=config)
-    system.server.crash()
-    with pytest.raises(CommunicationError):
-        connection.recovery._await_server(CommunicationError("down"))
-    assert len(waits) == 7
-
-
-def test_await_server_returns_after_restart_mid_backoff(system):
-    config = PhoenixConfig(ping_jitter=0.0, max_ping_attempts=10)
+def test_await_server_returns_after_restart_mid_backoff(system, ping_loop):
+    ping_loop.set(PING_JITTER=0.0, MAX_PING_ATTEMPTS=10)
     restores: list[float] = []
 
     def sleep(seconds: float) -> None:
@@ -125,8 +126,7 @@ def test_await_server_returns_after_restart_mid_backoff(system):
         if len(restores) == 3:
             system.endpoint.restart_server()
 
-    config.sleep = sleep
-    connection = system.phoenix.connect(system.DSN, config=config)
+    connection = system.phoenix.connect(system.DSN, config=PhoenixConfig(sleep=sleep))
     system.server.crash()
     connection.recovery._await_server(CommunicationError("down"))  # no raise
     assert len(restores) == 3
@@ -180,10 +180,10 @@ def test_second_crash_mid_transaction_replay(ready):
     assert [r[0] for r in cur.fetchall()] == [2, 3, 10]  # applied exactly once
 
 
-def test_max_recovery_attempts_bounds_repeated_crashes(system):
-    config = PhoenixConfig(max_recovery_attempts=3, max_ping_attempts=2)
-    config.sleep = lambda _s: (
-        system.endpoint.restart_server() if not system.server.up else None
+def test_max_recovery_attempts_bounds_repeated_crashes(system, ping_loop):
+    ping_loop.set(MAX_RECOVERY_ATTEMPTS=3, MAX_PING_ATTEMPTS=2)
+    config = PhoenixConfig(
+        sleep=lambda _s: system.endpoint.restart_server() if not system.server.up else None
     )
     connection = system.phoenix.connect(system.DSN, config=config)
     cur = connection.cursor()
@@ -196,10 +196,10 @@ def test_max_recovery_attempts_bounds_repeated_crashes(system):
     assert connection.stats.recoveries == 0
 
 
-def test_recovery_error_carries_causal_chain(system):
-    config = PhoenixConfig(max_recovery_attempts=2, max_ping_attempts=1)
-    config.sleep = lambda _s: (
-        system.endpoint.restart_server() if not system.server.up else None
+def test_recovery_error_carries_causal_chain(system, ping_loop):
+    ping_loop.set(MAX_RECOVERY_ATTEMPTS=2, MAX_PING_ATTEMPTS=1)
+    config = PhoenixConfig(
+        sleep=lambda _s: system.endpoint.restart_server() if not system.server.up else None
     )
     connection = system.phoenix.connect(system.DSN, config=config)
     cur = connection.cursor()

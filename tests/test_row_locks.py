@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import repro
+from repro.engine import locks as locks_module
 from repro.engine.locks import LockManager, LockMode, LockStats
 from repro.errors import DeadlockError, LockError
 
@@ -99,22 +100,13 @@ def test_table_x_covers_row_requests():
     assert locks.row_locks_held(1, "t") == 0
 
 
-def test_row_locking_off_degrades_to_table_locks():
-    locks = LockManager()
-    locks.row_locking = False
-    locks.acquire(1, "t", LockMode.X, row=1)
-    assert locks.held(1, "t") is LockMode.X  # the ablation baseline
-    with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.X, row=2)
-
-
 # ------------------------------------------------------------ escalation
 
 
-def test_escalation_past_threshold():
+def test_escalation_past_threshold(monkeypatch):
+    monkeypatch.setattr(locks_module, "ESCALATION_THRESHOLD", 4)
     stats = LockStats()
     locks = LockManager(stats=stats)
-    locks.escalation_threshold = 4
     locks.acquire(1, "t", LockMode.IX)
     for row in range(4):
         locks.acquire(1, "t", LockMode.X, row=row)
@@ -128,9 +120,9 @@ def test_escalation_past_threshold():
     assert stats.escalations == 1
 
 
-def test_escalation_blocked_by_other_intent():
+def test_escalation_blocked_by_other_intent(monkeypatch):
+    monkeypatch.setattr(locks_module, "ESCALATION_THRESHOLD", 2)
     locks = LockManager()
-    locks.escalation_threshold = 2
     locks.acquire(1, "t", LockMode.IX)
     locks.acquire(1, "t", LockMode.X, row=1)
     locks.acquire(1, "t", LockMode.X, row=2)
