@@ -42,14 +42,21 @@ def _round_trip_rows(cursor) -> list[tuple]:
 def test_materialize_round_trips_and_bytes():
     """The design's point, asserted: the stored-procedure path costs far
     fewer round trips and orders of magnitude fewer bytes than round-
-    tripping the rows."""
+    tripping the rows.  The result is twenty fetch blocks, so Phoenix
+    materializes it: the capped read that finds it larger than one block,
+    then one fill request.  Delivery comes after, a block per request
+    through a server cursor over the result table (open, advance past the
+    first block, 19 fetches, close) — what a native server cursor pays
+    too — and sends the server no rows."""
     costs = {}
     for mode in ("proc", "client"):
         system = _system()
         connection = (system.phoenix if mode == "proc" else system.plain).connect(system.DSN)
         before = (system.metrics.round_trips, system.metrics.bytes_sent)
         if mode == "proc":
-            rows = connection.cursor().execute(SQL).fetchall()  # one fill request
+            cursor = connection.cursor().execute(SQL)
+            materialize_trips = system.metrics.round_trips - before[0]
+            rows = cursor.fetchall()
         else:
             rows = _round_trip_rows(connection.cursor())
         assert len(rows) == ROWS  # both sides deliver the rows as well
@@ -58,5 +65,7 @@ def test_materialize_round_trips_and_bytes():
         connection.close()
     proc_trips, proc_bytes = costs["proc"]
     client_trips, client_bytes = costs["client"]
-    assert proc_trips < client_trips / 5, (costs,)
+    assert materialize_trips == 2, (costs,)
+    assert proc_trips == materialize_trips + 1 + 1 + (ROWS - 100) // 100 + 1, (costs,)
+    assert materialize_trips < client_trips / 5, (costs,)
     assert proc_bytes < client_bytes / 10, (costs,)

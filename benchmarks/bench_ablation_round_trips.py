@@ -1,14 +1,17 @@
 """Ablation A5 — wire round trips per query, native vs Phoenix.
 
 Wall-clock on an in-process wire hides the network; round-trip counts do
-not.  A default-result Phoenix query is ONE request, like a native one: the
-script whose fill procedure creates the result table from the query it runs,
-fills it and reads it back in one transaction — no metadata probe before it,
-no delivery open after it — and one log force at its COMMIT.  What Phoenix
-adds per query is therefore server work and one force, not network: zero
-extra round trips at any data size.  This bench pins the counts — they are
-deterministic, so CI's ``bench-smoke`` job runs this file — and projects the
-overhead at representative RTTs.
+not.  Phoenix persists only the rows the server does not ship: a default
+result that fits one fetch block (100 rows — every TPC-H answer at
+sf=0.001) is ONE request, the statement as the native stack sends it,
+capped at one row past the block, and the reply is the whole result — no
+result table, no transaction, no log force.  A larger result is filled into
+a table by the template's fill procedure, which reads back the first block
+(``tests/test_phoenix_atomic_materialize.py`` pins that path's requests,
+A1 prices it).  What Phoenix adds to a query that fits one block is
+therefore nothing on the wire and nothing in the log.  This bench pins the
+counts — they are deterministic, so CI's ``bench-smoke`` job runs this
+file — and projects the overhead at representative RTTs.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ def test_native_query_is_one_round_trip(accounting):
 
 
 def test_phoenix_fixed_round_trip_overhead(accounting):
-    """Create-from-the-query, fill and read back are one script: exactly 1
-    trip, for every query (Q16 among them: a multi-row result)."""
+    """A result within one block is the native request: exactly 1 trip, for
+    every query (Q16 among them: a multi-row result)."""
     assert all(row.phoenix_trips == 1 for row in accounting.values())
 
 
-def test_materialised_select_costs_one_log_force(accounting):
-    """The script is one transaction: its COMMIT is the only force."""
-    assert all(row.phoenix_forces == 1 for row in accounting.values())
+def test_a_result_within_one_block_costs_no_log_force(accounting):
+    """The client holds the whole result: the server persists nothing."""
+    assert all(row.phoenix_forces == 0 for row in accounting.values())
 
 
 def test_session_cleanup_is_one_trip_and_one_force(tpch_system):

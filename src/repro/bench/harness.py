@@ -39,6 +39,7 @@ from repro.bench.skeleton import (
     symmetric_rounds,
 )
 from repro.errors import CommunicationError
+from repro.odbc.constants import StatementAttr
 from repro.workloads.tpch.datagen import TpchData, populate
 from repro.workloads.tpch.power import run_power_test
 from repro.workloads.tpch.queries import QUERY_ORDER, query_sql
@@ -237,8 +238,11 @@ def run_fig2_recovery_sweep(
     ``unread_tail`` tuples of the end (the paper leaves "a few tuples
     unread"), crash and restart the server, then measure Phoenix recovering
     the session — virtual-session phase and SQL-state phase separately —
-    and answering the outstanding fetch.  The recompute baseline re-runs
-    the query natively and re-delivers all rows.
+    and answering the outstanding fetch.  The cursor fetches blocks of
+    ``unread_tail`` rows, so the unread tuples are still on the server and
+    recovery repositions there (with the driver's 100-row block the last
+    block would already hold them: nothing left to recover).  The
+    recompute baseline re-runs the query natively and re-delivers all rows.
     """
     # default sizes bracket the paper's 2541-tuple Q11 result
     sizes = result_sizes if result_sizes is not None else [100, 500, 1000, 1750, 2500]
@@ -258,6 +262,7 @@ def run_fig2_recovery_sweep(
         connection = system.phoenix.connect(system.DSN)
         connection.config.sleep = lambda _s: None  # the server is already back
         cursor = connection.cursor()
+        cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, max(unread_tail, 1))
         sql = _bench_query(size)
         cursor.execute(sql)
         consumed = cursor.fetchmany(max(size - unread_tail, 0))

@@ -30,7 +30,7 @@ import repro
 from repro import errors
 from repro.net.faults import FaultKind
 from repro.obs.tracer import Tracer, use_tracer
-from repro.odbc.constants import CursorType, StatementAttr
+from repro.odbc.constants import DEFAULT_FETCH_BLOCK, CursorType, StatementAttr
 from repro.sql import ast
 
 __all__ = ["Step", "ChaosTrace", "TraceRecord", "probe_dml_trace", "run_trace"]
@@ -43,7 +43,9 @@ class Step:
     * ``set`` — ``cursor.execute("SET name value")``
     * ``ddl`` / ``dml`` — ``cursor.execute(sql)`` (autocommit, wrapped)
     * ``query`` — execute ``sql`` then ``fetchmany(n)`` for each n in
-      ``fetches`` (a short list leaves the delivery open mid-result)
+      ``fetches`` (a short list leaves the delivery open mid-result); a
+      ``block`` smaller than the result has it materialized and shipped a
+      block at a time
     * ``cursor_query`` — same, through a keyset server cursor
     * ``begin`` / ``commit`` / ``rollback`` — explicit transaction control
     * ``txn`` — ``cursor.execute(sql)`` inside the open transaction
@@ -59,6 +61,8 @@ class Step:
     fetches: tuple[int, ...] = ()
     rows: tuple[tuple, ...] = ()
     batch_size: int = 0
+    #: the cursor's fetch block for a query (0: the driver's default)
+    block: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,12 @@ def probe_dml_trace() -> ChaosTrace:
                 sql="INSERT INTO accounts VALUES "
                 "(1, 100.0), (2, 200.0), (3, 300.0), (4, 400.0)",
             ),
-            Step("query", sql="SELECT id, balance FROM accounts ORDER BY id", fetches=(2, 10)),
+            Step(
+                "query",
+                sql="SELECT id, balance FROM accounts ORDER BY id",
+                fetches=(2, 10),
+                block=2,
+            ),
             Step("cursor_query", sql="SELECT id, balance FROM accounts", fetches=(2, 2, 10)),
             Step("dml", sql="UPDATE accounts SET balance = balance + 5 WHERE id <= 2"),
             Step("ddl", sql="CREATE TABLE #scratch (k INT PRIMARY KEY, note VARCHAR(10))"),
@@ -99,6 +108,7 @@ def probe_dml_trace() -> ChaosTrace:
                 "query",
                 sql="SELECT id, balance FROM accounts ORDER BY id",
                 fetches=(1, 2, 5),
+                block=2,
             ),
             # batched-executemany segment: 6 wrapped INSERTs in 2 wire
             # batches of 3 — mid-batch faults land between sub-statements,
@@ -298,6 +308,7 @@ def _run_step(record, connection, cursor, index, step) -> None:
             cursor.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
         else:
             cursor.set_attr(StatementAttr.CURSOR_TYPE, CursorType.FORWARD_ONLY)
+        cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, step.block or DEFAULT_FETCH_BLOCK)
         cursor.execute(step.sql)
         offset = 0
         for n in step.fetches:

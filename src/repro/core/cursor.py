@@ -4,9 +4,11 @@ A :class:`repro.odbc.Statement` subclass — the fetch loop, ``executemany``
 rowcount rule, statement attributes and context manager are inherited — in
 which every request is intercepted per the paper's dispatch:
 
-* **queries** are materialized as persistent server tables and delivered
-  from there, so delivery can resume after a crash at the exact row where
-  the application stopped;
+* **queries** go out as the plain stack sends them; a result larger than
+  one fetch block is materialized as a persistent server table and
+  delivered from there block by block, so delivery resumes after a crash
+  at the exact row the server stopped shipping (the client keeps what it
+  holds);
 * **DML / DDL / EXEC** travel inside a wrapper transaction that records the
   outcome in the status table — exactly-once across crashes;
 * **temp objects** are transparently redirected to persistent stand-ins;
@@ -46,7 +48,6 @@ class PhoenixCursor(Statement):
     def _reset_result(self) -> None:
         self._retire_state()
         super()._reset_result()
-        self._epoch = self.connection.session_epoch
 
     def _retire_state(self) -> None:
         """The application is done with this cursor's result (it re-executed
@@ -56,7 +57,7 @@ class PhoenixCursor(Statement):
         paper says."""
         if self._state is not None:
             self._state.open = False
-            self.connection.results.pop(self._state.seq, None)
+            self.connection.release_result(self._state)
             self._state = None
 
     # ------------------------------------------------------------- execute
@@ -88,9 +89,9 @@ class PhoenixCursor(Statement):
         below modifies it.  ``key`` names it: its text and position there."""
         connection = self.connection
 
-        if kind is StatementClass.QUERY and not connection.in_transaction:
-            # the template's fill procedure takes the values as arguments; a
-            # template over a redirected temp object is keyed by its rewrite
+        if kind is StatementClass.QUERY:
+            # the values travel beside the text; a template over a
+            # redirected temp object is keyed by its rewrite
             select = connection.rewrite(stmt)
             self._execute_query(select, bound, key if select is stmt else select.sql())
             return
@@ -139,8 +140,7 @@ class PhoenixCursor(Statement):
         rewritten_sql = stmt.sql()
 
         if connection.in_transaction:
-            # pass-through + record for replay (queries buffer fully client
-            # side, so open in-transaction results need no repositioning)
+            # pass-through + record for replay
             self._absorb(connection.run_in_transaction(rewritten_sql))
             return
 
@@ -160,18 +160,24 @@ class PhoenixCursor(Statement):
         connection = self.connection
         cursor_type = self.attrs[StatementAttr.CURSOR_TYPE]
         state = None
-        if cursor_type in (CursorType.KEYSET, CursorType.DYNAMIC):
+        if cursor_type in (CursorType.KEYSET, CursorType.DYNAMIC) and not connection.in_transaction:
             state = connection.materialize_cursor(select, values, cursor_type, key)
         if state is None:  # not asked for, or unsupported shape → downgrade, like real drivers do
+            response, state = connection.query(select, values, key, self._fetch_block)
+            if state is None:  # the reply carried the whole result
+                self._absorb(response)
+                return
             cursor_type = CursorType.FORWARD_ONLY
-            state, self._buffer = connection.materialize_default(select, values, key)
-            self._buffer_pos = 0
+            self._buffer = list(response.rows)
         self._state = state
         self.columns = state.app_columns
         self.description = describe_columns(state.app_columns)
         self.effective_cursor_type = cursor_type
         self._server_done = False
-        self._epoch = connection.session_epoch
+
+    @property
+    def _fetch_block(self) -> int:
+        return max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), 1)
 
     def executemany(self, sql: str, rows: list[list]) -> "PhoenixCursor":
         """DB-API executemany — batched onto the wire when it safely can be.
@@ -233,18 +239,9 @@ class PhoenixCursor(Statement):
 
     def fetchmany(self, n: int | None = None) -> list[tuple]:
         connection = self.connection
-        state = self._state
-        if state is not None and self._epoch != connection.session_epoch:
-            # a recovery re-mapped delivery under us: drop the stale buffer
-            # (the rows are safe in the materialized table; ``delivered``
-            # marks where the application actually is)
-            self._epoch = connection.session_epoch
-            if state.kind == "default" and state.mode != "buffered":
-                self._buffer = []
-                self._buffer_pos = 0
         tracer = get_tracer()
         with connection.application_call():
-            if not tracer.enabled or state is None:
+            if not tracer.enabled or self._state is None:
                 return super().fetchmany(n)
             with tracer.span(
                 "client.fetch",
@@ -258,40 +255,22 @@ class PhoenixCursor(Statement):
     def _refill(self, wanted: int) -> bool:
         state = self._state
         if state is None:
-            return super()._refill(wanted)  # a pass-through result
+            return super()._refill(wanted)  # a result the reply carried whole
         connection = self.connection
-        block = max(int(self.attrs[StatementAttr.FETCH_BLOCK_SIZE]), 1)
+        block = self._fetch_block
         while not self._server_done:
             if state.is_cursor:
                 rows, done = connection.fetch_key_block(state, block)
                 # an all-holes keyset block yields no rows: fetch the next
                 exhausted = done and not rows
-            elif state.mode == "server_cursor":
-                # a recovery re-opens the cursor and re-advances it to
-                # state.delivered: just fetch again, from the new cursor id
-                rows, _done = connection._ride_through(
-                    lambda: connection.app.fetch(state.cursor_id, block)
-                )
-                exhausted = not rows
             else:
-                # buffered mode with a drained buffer: the result is complete
-                rows, exhausted = [], True
-            # the block may have ridden through a recovery inside the guarded
-            # call (which already advanced a re-opened server cursor past
-            # these rows) — it is as fresh as that recovery, so adopt the new
-            # epoch or the stale-buffer check would discard it for good
-            self._epoch = connection.session_epoch
+                rows, exhausted = connection.fetch_result_block(state, block)
             self._buffer = rows
             self._buffer_pos = 0
             self._server_done = exhausted
             if rows:
                 return True
         return False
-
-    def _consumed(self, count: int) -> None:
-        super()._consumed(count)
-        if self._state is not None and self._state.kind == "default":
-            self._state.delivered += count
 
     # ------------------------------------------------------------- lifecycle
 

@@ -14,10 +14,11 @@ as :meth:`PhoenixRecovery.recover`:
    table.  This phase's cost is independent of any result-set size (the
    paper's flat 0.37 s line in Figure 2).
 4. **Phase two — reinstall SQL state**: verify every materialized table
-   survived database recovery, then reposition each open default-delivery
-   result at its ``delivered`` offset server-side (open a cursor over the
-   materialized table and ADVANCE; no rows cross the wire).  Finally replay
-   the open explicit transaction, if any.
+   survived database recovery, then reposition each default result that
+   still has rows on the server at the rows it has ``shipped`` (open a
+   cursor over the materialized table and ADVANCE; no rows cross the wire —
+   what the client already holds stays in its buffer).  Finally replay the
+   open explicit transaction, if any.
 
 Both phases are timed separately into ``PhoenixStats`` — that split *is*
 Figure 2.
@@ -130,7 +131,6 @@ class PhoenixRecovery:
 
         # 3+4. rebuild
         self._until_built(lambda: self._rebuild(replay_txn))
-        connection.session_epoch += 1
         stats.recoveries += 1
         return True
 
@@ -343,27 +343,27 @@ class PhoenixRecovery:
                 ) from exc
 
     def _reinstall_deliveries(self) -> None:
-        """Re-attach every open default-delivery result at its delivered
-        position.  Keyset/dynamic cursors need nothing here — each of their
+        """Re-attach every default result that still has rows on the server
+        at the rows it has shipped (``connection.results`` forgets a drained
+        one).  Keyset/dynamic cursors need nothing here — each of their
         blocks is an independent query over persistent tables."""
-        connection = self.connection
-        for state in connection.results.values():
+        for state in self.connection.results.values():
             if state.kind == "default":
-                self._reposition(state)
+                self.reposition(state)
 
-    def _reposition(self, state: "ResultState") -> None:
+    def reposition(self, state: "ResultState") -> None:
         """Open a server cursor over the materialized table (rows stay on
-        the server) and advance it — the paper's stored-procedure
-        repositioning, "advancing through the result set on the server
-        without passing tuples to the client"."""
+        the server) and advance it past the rows the client holds — the
+        paper's stored-procedure repositioning, "advancing through the
+        result set on the server without passing tuples to the client".
+        Also how a result's second block is first reached.  The cursor is
+        the state's only once it stands at ``shipped``: an advance that
+        fails leaves the re-send to open another."""
         connection = self.connection
-        get_tracer().event(
-            "recovery.reposition", table=state.table, delivered=state.delivered
-        )
-        response = connection.app.execute(
+        get_tracer().event("recovery.reposition", table=state.table, shipped=state.shipped)
+        cursor_id = connection.app.execute(
             f"SELECT * FROM {state.table}", cursor_type="keyset"
-        )
-        state.cursor_id = response.cursor_id
-        if state.delivered:
-            connection.app.advance(state.cursor_id, state.delivered)
-        state.mode = "server_cursor"
+        ).cursor_id
+        if state.shipped:
+            connection.app.advance(cursor_id, state.shipped)
+        state.cursor_id = cursor_id

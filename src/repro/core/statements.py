@@ -34,11 +34,13 @@ class FillProcedure:
 
 @dataclass
 class ResultState:
-    """One query's materialized result (default result set or cursor).
+    """One query's materialized result: a default result set larger than
+    one fetch block, or a keyset/dynamic cursor.
 
-    ``delivered`` is the synchronization point between client and recovered
-    server state: how many rows the application has actually consumed.
-    After a crash, delivery resumes at exactly this position.
+    ``shipped`` is the synchronization point between client and recovered
+    server state: how many rows (a key cursor: keys) the server has handed
+    to the client.  The client keeps what it holds across a crash, so
+    delivery resumes at exactly this position.
     """
 
     seq: int
@@ -47,7 +49,7 @@ class ResultState:
     select: ast.Select  # redirected query; a key cursor's has its values bound
     app_columns: list[Column]  # metadata as the application sees it
     key_column: str | None = None
-    delivered: int = 0
+    shipped: int = 0
     last_key: Any = None  # dynamic cursors: last key seen by the app
     key_count: int | None = None  # keyset: number of captured keys
     keys_exhausted: bool = False  # dynamic: walked past the captured keys
@@ -55,10 +57,10 @@ class ResultState:
     #: it; the connection then forgets the state (recovery re-attaches only
     #: what ``connection.results`` still holds)
     open: bool = True
-    #: delivery mode: "buffered" (normal default result set, client buffer)
-    #: or "server_cursor" (post-recovery, server-side repositioned cursor).
-    mode: str = "buffered"
-    cursor_id: int | None = None  # server_cursor mode
+    #: a default result's server cursor over its table on the app connection,
+    #: opened at ``shipped`` by the first block read after the fill (and by
+    #: every recovery); None before that
+    cursor_id: int | None = None
 
     @property
     def is_cursor(self) -> bool:
@@ -75,7 +77,8 @@ class TxnReplayLog:
     status-table insert inside the transaction (``connection.commit``).
     """
 
-    statements: list[str] = field(default_factory=list)
+    #: (text, placeholder values) of each statement, in order
+    statements: list[tuple[str, list | None]] = field(default_factory=list)
     active: bool = False
     #: the server no longer holds the transaction (its session was rebuilt,
     #: or it was aborted as a deadlock victim): the log must be replayed
@@ -88,9 +91,9 @@ class TxnReplayLog:
         self.active = True
         self.lost = False
 
-    def record(self, sql: str) -> None:
+    def record(self, sql: str, placeholders: list | None) -> None:
         if self.active:
-            self.statements.append(sql)
+            self.statements.append((sql, placeholders))
 
     def clear(self) -> None:
         self.statements.clear()

@@ -1,12 +1,17 @@
-"""Everything Phoenix builds on a statement's behalf is ONE transaction.
+"""Phoenix persists only what the client does not hold, and everything it
+builds on a statement's behalf is ONE transaction.
 
-A default-result SELECT (the template's fill procedure — created by the
-first execution, only called by later ones — whose query creates the result
-table ``INTO`` which it runs and reads the rows back), a key cursor's
-materialisation (the same, capturing keys), redirected temp objects (DROP + CREATE) and the clean-termination DROPs each
-travel as ``BEGIN TRANSACTION; ...; COMMIT`` in one request — so they cost
-one round trip and one log force, and neither a SQL error nor a crash can
-leave a half-built unit behind or hand the application a row twice.
+A default-result SELECT goes out as the plain stack sends it, asking for
+one row more than a fetch block: when no more than a block comes back, that
+is the whole result — no table, no transaction, no log force.  A larger
+result is filled by the template's fill procedure (created by the first
+execution, only called by later ones) whose query creates the result table
+``INTO`` which it runs, and reads back the first block.  That fill, a key
+cursor's materialisation (the same, capturing keys), redirected temp
+objects (DROP + CREATE) and the clean-termination DROPs each travel as
+``BEGIN TRANSACTION; ...; COMMIT`` in one request — so they cost one round
+trip and one log force, and neither a SQL error nor a crash can leave a
+half-built unit behind or hand the application a row twice.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from repro.core import interceptor
 from repro.errors import CatalogError, DataError
 from repro.net import FaultKind
 from repro.net.protocol import ExecuteRequest
-from repro.odbc.constants import CursorType, StatementAttr
+from repro.odbc.constants import DEFAULT_FETCH_BLOCK, CursorType, StatementAttr
+
+#: the fixture cursor's fetch block: a result of three rows or more is
+#: materialized through it
+BLOCK = 2
 
 
 @pytest.fixture()
@@ -27,7 +36,13 @@ def ready(system, phoenix_conn):
     cur = phoenix_conn.cursor()
     cur.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
     cur.execute("INSERT INTO t VALUES " + ", ".join(f"({i}, {i})" for i in range(1, 21)))
+    cur.set_attr(StatementAttr.FETCH_BLOCK_SIZE, BLOCK)
     return system, phoenix_conn, cur
+
+
+def crash_restart(system):
+    system.server.crash()
+    system.endpoint.restart_server()
 
 
 def phoenix_objects(system) -> list[str]:
@@ -68,27 +83,91 @@ def keyset_cursor(conn):
 # ---------------------------------------------------------------- one trip
 
 
+def test_a_result_within_one_block_is_one_plain_request_and_no_force(ready):
+    """The statement as the plain stack sends it — its text, the values
+    beside it — capped at one row past the block: the reply holds the whole
+    result, and the server keeps nothing of it."""
+    system, conn, _cur = ready
+    cur = conn.cursor()
+    sent = record_execute_sql(system)
+    forces = system.server.database.wal.stats.forces
+    for bound in (3, 5):
+        cur.execute("SELECT k FROM t WHERE k <= ? ORDER BY k", [bound])
+        assert cur.fetchall() == [(k,) for k in range(1, bound + 1)]
+    assert sent == [f"SELECT k FROM t WHERE (k <= ?) ORDER BY k LIMIT {DEFAULT_FETCH_BLOCK + 1}"] * 2
+    assert system.server.database.wal.stats.forces == forces
+    assert built_for_statements(system) == [] and not conn.results
+    assert conn.stats.queries_materialized == 0
+
+
+@pytest.mark.parametrize("rows", [DEFAULT_FETCH_BLOCK, DEFAULT_FETCH_BLOCK + 1])
+def test_one_fetch_block_is_where_materializing_starts(system, phoenix_conn, rows):
+    cur = phoenix_conn.cursor()
+    cur.execute("CREATE TABLE wide (k INT PRIMARY KEY)")
+    cur.execute("INSERT INTO wide VALUES " + ", ".join(f"({k})" for k in range(200)))
+    sent = record_execute_sql(system)
+    forces = system.server.database.wal.stats.forces
+    cur.execute("SELECT k FROM wide WHERE k < ? ORDER BY k", [rows])
+    assert cur.fetchall() == [(k,) for k in range(rows)]
+    capped = f"SELECT k FROM wide WHERE (k < ?) ORDER BY k LIMIT {DEFAULT_FETCH_BLOCK + 1}"
+    if rows <= DEFAULT_FETCH_BLOCK:
+        assert sent == [capped]
+        assert system.server.database.wal.stats.forces == forces
+        assert built_for_statements(system) == []
+    else:
+        # the capped read, the fill, and the server cursor that ships the
+        # rest over the result table
+        (read, fill, open_rest) = sent
+        assert read == capped and "; EXEC phx_" in fill
+        assert open_rest.startswith(f"SELECT * FROM phx_c{phoenix_conn.names.client_id}_t")
+        assert system.server.database.wal.stats.forces == forces + 1
+        assert len(built_for_statements(system)) == 2  # the table, the procedure
+        assert cur._state.shipped == rows and not phoenix_conn.results  # drained
+
+
+def test_a_fill_reply_carries_at_most_one_block(ready, monkeypatch):
+    system, conn, cur = ready
+    replies = []
+    driver_connection = type(conn.private)
+    original = driver_connection.execute
+
+    def recording(self, sql, **kwargs):
+        response = original(self, sql, **kwargs)
+        if "EXEC phx_" in sql:
+            replies.append(len(response.rows))
+        return response
+
+    monkeypatch.setattr(driver_connection, "execute", recording)
+    cur.execute("SELECT k FROM t ORDER BY k")
+    assert cur.fetchall() == [(k,) for k in range(1, 21)]
+    assert replies == [BLOCK]
+
+
 def test_select_is_one_request_and_one_force(ready):
+    """A result above one block is filled by ONE request, one force."""
     system, conn, cur = ready
     sent = record_execute_sql(system)
     forces = system.server.database.wal.stats.forces
     cur.execute("SELECT k FROM t WHERE k <= 3 ORDER BY k")
-    assert cur.fetchall() == [(1,), (2,), (3,)]
-    (script,) = sent  # no probe before it, no open after it
+    read, script = sent  # the capped read; no probe, and no open yet
+    assert read == f"SELECT k FROM t WHERE (k <= 3) ORDER BY k LIMIT {BLOCK + 1}"
     proc = f"phx_c{conn.names.client_id}_q1"
-    # the procedure's query builds the table it fills; no client-written DDL
+    # the procedure's query builds the table it fills and reads back one
+    # block; no client-written DDL
     assert script == (
         f"BEGIN TRANSACTION; DROP PROCEDURE IF EXISTS {proc}; "
         f"CREATE PROCEDURE {proc} (@t) AS BEGIN "
-        "SELECT k INTO @t FROM t WHERE (k <= 3) ORDER BY k; SELECT * FROM @t END; "
+        "SELECT k INTO @t FROM t WHERE (k <= 3) ORDER BY k; "
+        f"SELECT * FROM @t LIMIT {BLOCK} END; "
         f"EXEC {proc} ?; COMMIT"
     )
     assert system.server.database.wal.stats.forces == forces + 1
+    assert cur.fetchall() == [(1,), (2,), (3,)]
     # every later execution: a constant text, the table name beside it
     del sent[:]
     cur.execute("SELECT k FROM t WHERE k <= 3 ORDER BY k")
+    assert sent == [read, f"BEGIN TRANSACTION; EXEC {proc} ?; COMMIT"]
     assert cur.fetchall() == [(1,), (2,), (3,)]
-    assert sent == [f"BEGIN TRANSACTION; EXEC {proc} ?; COMMIT"]
     assert system.server.database.wal.stats.forces == forces + 2
     assert sorted(system.server.database.procedures) == [proc]
 
@@ -98,25 +177,32 @@ def test_select_is_one_request_and_one_force(ready):
 
 def test_repeated_select_parses_nothing_on_either_side(ready, parsed_texts):
     system, conn, cur = ready
-    text = "SELECT v FROM t WHERE k = ?"
-    cur.execute(text, [4])  # creates the template's procedure and calls it
-    assert cur.fetchall() == [(4,)]
-    cur.execute(text, [5])  # the first EXEC-only script
-    assert cur.fetchall() == [(5,)]
     metrics = system.server.engine_metrics
-    before = metrics.snapshot()
-    compiled = system.server.executor_stats.compiled_plans
-    del parsed_texts[:]
-    cur.execute(text, [7])  # was: the text, the script, the stored procedure
-    assert cur.fetchall() == [(7,)]
-    assert parsed_texts == []  # a template, a text and a procedure already seen
-    after = metrics.snapshot()
-    assert after["parse_hits"] == before["parse_hits"] + 1
-    assert after["parse_misses"] == before["parse_misses"]
-    # ... and two plans: the fill's and the read-back's
-    assert after["plan_hits"] == before["plan_hits"] + 2
-    assert after["plan_misses"] == before["plan_misses"]
-    assert system.server.executor_stats.compiled_plans == compiled
+
+    def third_execution(cursor, text, values, answer):
+        """(parse hits, plan hits) of the third execution of ``text``."""
+        cursor.execute(text, values)  # the first: parsed on both sides
+        cursor.fetchall()
+        cursor.execute(text, values)
+        assert cursor.fetchall() == answer
+        before = metrics.snapshot()
+        compiled = system.server.executor_stats.compiled_plans
+        del parsed_texts[:]
+        cursor.execute(text, values)
+        assert parsed_texts == []  # a template and texts already seen
+        after = metrics.snapshot()
+        assert after["parse_misses"] == before["parse_misses"]
+        assert after["plan_misses"] == before["plan_misses"]
+        assert system.server.executor_stats.compiled_plans == compiled
+        assert cursor.fetchall() == answer
+        return after["parse_hits"] - before["parse_hits"], after["plan_hits"] - before["plan_hits"]
+
+    # within one block: the query's text and plan
+    assert third_execution(conn.cursor(), "SELECT v FROM t WHERE k = ?", [4], [(4,)]) == (1, 1)
+    # above it: the capped read's, then the fill script's text (the stored
+    # procedure is held parsed) with the fill's and the read-back's plans
+    answer = [(v,) for v in range(1, 6)]
+    assert third_execution(cur, "SELECT v FROM t WHERE k <= ? ORDER BY k", [5], answer) == (2, 3)
 
 
 def test_repeated_wrapped_dml_is_no_client_parse_one_server_parse(ready, parsed_texts):
@@ -223,9 +309,10 @@ def test_close_drops_a_whole_session_in_one_trip_and_one_force(ready):
 
 @pytest.mark.parametrize("key_cursor", [False, True], ids=["default", "keyset"])
 def test_failed_fill_leaves_nothing_and_the_session_usable(ready, key_cursor):
-    """The fill meets the zero divisor at run time, after the script's
-    CREATE PROCEDURE (and, for a key cursor, whose WHERE 0 = 1 probe
-    compiled without evaluating anything, its CREATE TABLE) executed."""
+    """A key cursor's fill meets the zero divisor at run time, after the
+    script's CREATE PROCEDURE executed (its WHERE 0 = 1 probe compiled
+    without evaluating anything); a default result meets it in the plain
+    read that comes before any fill."""
     system, conn, cur = ready
     cur.execute("UPDATE t SET v = 0 WHERE k = 9")
     failing = keyset_cursor(conn) if key_cursor else cur
@@ -307,9 +394,9 @@ def test_reply_lost_after_commit_is_rebuilt_not_duplicated(ready, key_cursor):
     assert sorted(rows) == [(i, i) for i in range(1, 16)]  # the retry's own table: no doubles
     assert conn.stats.recoveries == 1
     if not key_cursor:
-        # registered only after the retried script's rows arrived: an ordinary
-        # buffered default result, nothing for that recovery to reposition
-        assert cursor._state.mode == "buffered" and cursor._state.delivered == 15
+        # registered only after the retried script's rows arrived: nothing
+        # for that recovery to reposition, every row shipped once since
+        assert cursor._state.shipped == 15
     # one procedure (the re-sent script dropped and re-created it), the
     # table delivered from, and the table of the request whose reply was
     # lost — it waits for close() like every other
@@ -336,27 +423,61 @@ def test_no_phoenix_object_survives_a_mixed_session(ready):
     keys.execute("SELECT k FROM t WHERE k > 15")
     assert len(keys.fetchall()) == 5
     system.faults.schedule(FaultKind.FORCE_FAIL, matcher=is_materialize_script)
-    cur.execute("SELECT count(*) FROM t")
-    assert cur.fetchone() == (20,)
+    cur.execute("SELECT k, v FROM t WHERE k > 17")
+    assert len(cur.fetchall()) == 3
     conn.close()
     assert phoenix_objects(system) == []
 
 
-def test_crash_before_the_first_fetch_repositions_at_zero(ready):
-    """The rows of the one request sit in the client buffer; a crash before
-    the application fetched any re-attaches delivery at row 0 through a
-    server cursor on the app connection, over the persistent table."""
+def test_crash_before_the_first_fetch_repositions_past_the_buffer(ready):
+    """The fill's first block sits in the client buffer and stays there; a
+    crash before the application fetched any re-attaches the rest through a
+    server cursor on the app connection over the persistent table, advanced
+    past the rows the client holds."""
     system, conn, cur = ready
     cur.execute("SELECT k FROM t ORDER BY k")
-    system.server.crash()
-    system.endpoint.restart_server()
+    crash_restart(system)
     conn.cursor().execute("SELECT count(*) FROM t")  # any round trip recovers
     state = cur._state
-    assert (state.mode, state.delivered) == ("server_cursor", 0)
+    assert state.shipped == BLOCK and cur._buffer == [(1,), (2,)]
     assert state.cursor_id in system.server.sessions[conn.app.session_id].cursors
     assert [row[0] for row in cur.fetchmany(5)] == [1, 2, 3, 4, 5]
     assert [row[0] for row in cur.fetchall()] == list(range(6, 21))
     assert conn.stats.recoveries == 1
+
+
+def test_crash_after_a_small_reply_costs_that_result_nothing(ready):
+    """A result the reply carried whole is the client's: a crash before the
+    application drained it sends nothing on its behalf — no re-send, no
+    verification, no repositioning — and every row arrives once."""
+    system, conn, _cur = ready
+    cur = conn.cursor()
+    cur.execute("SELECT k FROM t ORDER BY k")
+    first = cur.fetchmany(5)
+    crash_restart(system)
+    before = system.faults.requests_seen
+    rest = cur.fetchall()
+    assert system.faults.requests_seen == before
+    assert [k for (k,) in first + rest] == list(range(1, 21))
+    sent = record_execute_sql(system)
+    conn.cursor().execute("SELECT count(*) FROM t")  # the next request recovers
+    assert conn.stats.recoveries == 1
+    assert not [sql for sql in sent if "phx_c" in sql and "_status" not in sql]
+
+
+def test_a_lost_small_reply_is_re_run(ready):
+    """CRASH_AFTER_EXECUTE on a small SELECT's own text: the application saw
+    nothing of the lost reply, so the statement simply runs again — and no
+    ``phx_`` table is built for it."""
+    system, conn, _cur = ready
+    cur = conn.cursor()
+    sent = record_execute_sql(system)
+    system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "FROM t WHERE (k <= ?)")
+    cur.execute("SELECT k, v FROM t WHERE k <= ?", [5])
+    assert cur.fetchall() == [(k, k) for k in range(1, 6)]
+    assert conn.stats.recoveries == 1
+    assert sent.count(f"SELECT k, v FROM t WHERE (k <= ?) LIMIT {DEFAULT_FETCH_BLOCK + 1}") == 2
+    assert built_for_statements(system) == []
 
 
 # ---------------------------------------------------------------- a template's life
@@ -391,9 +512,11 @@ def test_crash_around_the_creating_script_leaves_exactly_one_procedure(ready, ki
     assert "; DROP PROCEDURE IF EXISTS phx_" in creating[0]
     (procedure,) = procedures(system)
     del sent[:]
-    cur.execute(TEMPLATE, [2])  # acknowledged now: only called
-    assert cur.fetchall() == [(1, 1), (2, 2)]
-    assert sent == [f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT"]
+    cur.execute(TEMPLATE, [4])  # acknowledged now: only called
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert [sql for sql in sent if "EXEC" in sql] == [
+        f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT"
+    ]
     assert procedures(system) == [procedure]
     conn.close()
     assert phoenix_objects(system) == []
@@ -403,7 +526,7 @@ def test_reply_lost_after_an_exec_only_script_committed(ready):
     """The re-sent script meets the table its lost predecessor committed —
     and does not: each attempt names a new one."""
     system, conn, cur = ready
-    cur.execute(TEMPLATE, [1])
+    cur.execute(TEMPLATE, [3])
     cur.fetchall()
     sent = record_execute_sql(system)
     system.faults.schedule(FaultKind.CRASH_AFTER_EXECUTE, matcher=is_materialize_script)
@@ -425,22 +548,21 @@ def test_crash_between_creation_and_the_second_execution(ready, parsed_texts):
     """The procedure is as durable as the result tables; what the crash
     takes is the server's caches."""
     system, conn, cur = ready
-    cur.execute(TEMPLATE, [2])
-    assert cur.fetchall() == [(1, 1), (2, 2)]
+    cur.execute(TEMPLATE, [3])
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
     (procedure,) = procedures(system)
-    system.server.crash()
-    system.endpoint.restart_server()
+    crash_restart(system)
     assert procedures(system) == [procedure]
     sent = record_execute_sql(system)
     compiled = system.server.executor_stats.compiled_plans
     del parsed_texts[:]
-    cur.execute(TEMPLATE, [3])
-    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
+    cur.execute(TEMPLATE, [4])  # the capped read finds the server gone
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3), (4, 4)]
     assert conn.stats.recoveries == 1
     # no verification request for the procedure, and it is not re-created
     assert [sql for sql in sent if procedure in sql] == [
         f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT"
-    ] * 2  # the request that found the server gone, and its re-send
+    ]
     # cold: the script and the stored text are parsed, both plans compiled
     assert f"BEGIN TRANSACTION; EXEC {procedure} ?, ?; COMMIT" in parsed_texts
     assert any(text.startswith(f"CREATE PROCEDURE {procedure} ") for text in parsed_texts)
@@ -453,9 +575,9 @@ def test_dropped_private_connection_keeps_the_procedure(ready):
     """The server never went away: a new private session (cold caches of
     its own) calls the procedure the old one created."""
     system, conn, cur = ready
-    cur.execute(TEMPLATE, [2])
+    cur.execute(TEMPLATE, [3])
     cur.fetchall()
-    cur.execute(TEMPLATE, [2])
+    cur.execute(TEMPLATE, [3])
     cur.fetchall()
     private = conn.private.session_id
     sent = record_execute_sql(system)
@@ -463,12 +585,12 @@ def test_dropped_private_connection_keeps_the_procedure(ready):
     metrics = system.server.engine_metrics
     misses = metrics.plan_misses
     cur.execute(TEMPLATE, [3])
-    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
     assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
     assert conn.private.session_id != private
     assert not any("CREATE PROCEDURE" in sql for sql in sent)
     # the new session compiles both plans once (+ the app session's proxy probe)
     assert (metrics.plan_misses, metrics.plan_invalidations) == (misses + 3, 0)
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
     assert len(procedures(system)) == 1
     conn.close()
     assert phoenix_objects(system) == []
@@ -479,16 +601,17 @@ def test_description_comes_from_each_executions_reply(ready):
     """Never from a memo beside the procedure: the application re-created
     the table between two executions of one text."""
     system, conn, cur = ready
-    text = "SELECT * FROM t WHERE k = ?"
-    cur.execute(text, [1])
-    assert [d[0] for d in cur.description] == ["k", "v"] and cur.fetchall() == [(1, 1)]
+    text = "SELECT * FROM t WHERE k <= ?"
+    cur.execute(text, [3])
+    assert [d[0] for d in cur.description] == ["k", "v"]
+    assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
     cur.execute("DROP TABLE t")
     cur.execute("CREATE TABLE t (k INT PRIMARY KEY, name VARCHAR(10), v FLOAT)")
-    cur.execute("INSERT INTO t VALUES (1, 'one', 1.5)")
-    cur.execute(text, [1])
+    cur.execute("INSERT INTO t VALUES (1, 'one', 1.5), (2, 'two', 2.5), (3, 'three', 3.5)")
+    cur.execute(text, [3])
     assert [d[0] for d in cur.description] == ["k", "name", "v"]
-    assert cur.fetchall() == [(1, "one", 1.5)]
-    assert (cur.description, [(1, "one", 1.5)]) == plain_answer(system, "SELECT * FROM t WHERE k = 1")
+    assert (cur.description, cur.fetchall()) == plain_answer(system, "SELECT * FROM t WHERE k <= 3")
+    assert len(procedures(system)) == 1
 
 
 # ---------------------------------------------------------------- any query
@@ -528,10 +651,12 @@ PARITY_CASES = {
 
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_description_and_rows_equal_the_plain_stack(ready, case):
-    """The result table is derived on the server from whatever query runs —
-    duplicate or unnamed outputs, a join's ``*``, a UNION, a read of the
-    past, a view created by the same script — and the application sees the
-    plain stack's ``description`` and rows, from one request per SELECT."""
+    """The application sees the plain stack's ``description`` and rows
+    whichever way its result travels: whole, in the reply of the statement
+    the plain stack sends, or — above one fetch block — through a result
+    table the server derives from whatever query runs (duplicate or unnamed
+    outputs, a join's ``*``, a UNION, a read of the past, a view created by
+    the same script), filled by one request."""
     system, conn, cur = ready
     pinned = system.server.time_travel.clock.now()
     cur.execute("UPDATE t SET v = v + 100 WHERE k <= 2")
@@ -540,10 +665,15 @@ def test_description_and_rows_equal_the_plain_stack(ready, case):
     assert expected[0] is not None
     if case == "as-of":
         assert expected[1] == [(1, 1), (2, 2), (3, 3)]  # before the UPDATE above
-    sent = record_execute_sql(system)
-    cur.execute(sql)
-    assert (cur.description, cur.fetchall()) == expected
-    materialized = [sql for sql in sent if "; EXEC phx_" in sql and "_q1 " in sql]
-    assert len(materialized) == 1 and not any("(0 = 1)" in sql for sql in sent)
+    for block in (DEFAULT_FETCH_BLOCK, 1):
+        cursor = conn.cursor()
+        cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, block)
+        sent = record_execute_sql(system)
+        cursor.execute(sql)
+        assert (cursor.description, cursor.fetchall()) == expected
+        fills = [text for text in sent if "; EXEC phx_" in text]
+        assert len(fills) == (len(expected[1]) > block)
+        assert not any("(0 = 1)" in text for text in sent)
+        system.faults.cancel_all()
     conn.close()
     assert phoenix_objects(system) == []

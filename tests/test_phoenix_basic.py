@@ -172,8 +172,9 @@ def test_close_cleans_up_phoenix_objects(system):
     phoenix = system.phoenix.connect(system.DSN)
     cur = phoenix.cursor()
     cur.execute("CREATE TABLE base (k INT PRIMARY KEY)")
-    cur.execute("INSERT INTO base VALUES (1)")
-    cur.execute("SELECT * FROM base")  # materializes a result table
+    cur.execute("INSERT INTO base VALUES (1), (2)")
+    cur.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 1)
+    cur.execute("SELECT * FROM base")  # above one block: a result table
     cur.execute("CREATE TABLE #w (x INT)")  # redirected temp
     assert any(name.startswith("phx_") for name in system.server.table_names())
     phoenix.close()
@@ -200,6 +201,7 @@ def test_proxy_temp_table_exists_on_app_session_only(system):
 def test_cursor_close_releases_result_state(system, both):
     _plain, phoenix = both
     cur = phoenix.cursor()
+    cur.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 2)  # 3 rows: materialized
     cur.execute("SELECT * FROM customer")
     state = cur._state
     assert state.open

@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.engine import DatabaseServer
 from repro.engine.storage import FileStableStorage
+from repro.odbc.constants import StatementAttr
 
 
 @pytest.fixture()
@@ -81,6 +82,7 @@ def test_materialized_tables_persist_on_disk(file_system, tmp_path):
     cur = conn.cursor()
     cur.execute("CREATE TABLE t (k INT PRIMARY KEY)")
     cur.execute("INSERT INTO t VALUES (1), (2)")
+    cur.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 1)  # more than one block
     cur.execute("SELECT k FROM t")
     state = cur._state
     system.server.checkpoint()

@@ -12,12 +12,23 @@ import pytest
 from repro.core import recovery
 from repro.errors import CommunicationError, RecoveryError
 from repro.net import FaultKind
-from repro.odbc.constants import CursorType, StatementAttr
+from repro.odbc.constants import DEFAULT_FETCH_BLOCK, CursorType, StatementAttr
+
+
+#: the fetch block of the fixture's cursor: its 50-row results are
+#: materialized, one block shipped at a time
+BLOCK = 10
+
+
+def blocked_cursor(conn):
+    cursor = conn.cursor()
+    cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, BLOCK)
+    return cursor
 
 
 @pytest.fixture()
 def ready(system, phoenix_conn):
-    cur = phoenix_conn.cursor()
+    cur = blocked_cursor(phoenix_conn)
     cur.execute("CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(10))")
     cur.execute(
         "INSERT INTO t VALUES " + ", ".join(f"({i}, 'v{i}')" for i in range(1, 51))
@@ -84,20 +95,20 @@ def test_open_results_of_one_template_recover_side_by_side(ready):
     procedure."""
     system, conn, cur = ready
     text = "SELECT k FROM t WHERE k > ? ORDER BY k"
-    other = conn.cursor()
+    other = blocked_cursor(conn)
     cur.execute(text, [0])
-    other.execute(text, [40])
-    first, second = cur.fetchmany(7), other.fetchmany(3)
+    other.execute(text, [35])
+    first, second = cur.fetchmany(17), other.fetchmany(3)
     procedures = sorted(system.server.database.procedures)
     assert len(procedures) == 1 and len(conn.results) == 2
     crash_restart(system)
-    third = conn.cursor()
-    third.execute(text, [48])  # recovers; EXEC-only against cold caches
-    assert [r[0] for r in third.fetchall()] == [49, 50]
+    third = blocked_cursor(conn)
+    third.execute(text, [30])  # recovers; EXEC-only against cold caches
+    assert [r[0] for r in third.fetchall()] == list(range(31, 51))
     assert conn.stats.recoveries == 1
     assert sorted(system.server.database.procedures) == procedures
     assert [r[0] for r in first + cur.fetchall()] == list(range(1, 51))
-    assert [r[0] for r in second + other.fetchall()] == list(range(41, 51))
+    assert [r[0] for r in second + other.fetchall()] == list(range(36, 51))
 
 
 def test_mid_fetch_crash_resumes_at_exact_position(ready):
@@ -124,6 +135,25 @@ def test_double_crash_during_one_result(ready):
     got += cur.fetchall()
     assert [r[0] for r in got] == list(range(1, 51))
     assert conn.stats.recoveries == 2
+
+
+def test_a_large_result_crashed_mid_delivery_delivers_every_row_once(system, phoenix_conn):
+    """300 rows, three fetch blocks: the fill ships the first, a server
+    cursor over the result table the others.  A crash after the first block
+    and another after a block the cursor shipped each cost a re-open at the
+    rows shipped; what the client holds stays in its buffer."""
+    cur = phoenix_conn.cursor()
+    cur.execute("CREATE TABLE big (k INT PRIMARY KEY)")
+    cur.execute("INSERT INTO big VALUES " + ", ".join(f"({k})" for k in range(300)))
+    cur.execute("SELECT k FROM big ORDER BY k")
+    got = cur.fetchmany(DEFAULT_FETCH_BLOCK)  # the fill's reply
+    crash_restart(system)
+    got += cur.fetchmany(60)  # the block fetch recovers: re-opened at row 100
+    assert (phoenix_conn.stats.recoveries, cur._state.shipped) == (1, 200)
+    crash_restart(system)  # 40 rows in the client's buffer, 100 on the server
+    got += cur.fetchall()
+    assert [k for (k,) in got] == list(range(300))
+    assert (phoenix_conn.stats.recoveries, cur._state.shipped) == (2, 300)
 
 
 def test_crash_while_recovering_is_survived(ready):
@@ -213,13 +243,13 @@ def test_dropped_connection_without_crash_rebuilds_session(ready):
 
 
 def test_dropped_private_connection_keeps_the_session(ready):
-    """A default SELECT is one request on the private connection; losing
+    """A result's fill is one request on the private connection; losing
     that channel is repaired without rebuilding the application's session."""
     system, conn, cur = ready
     app_session = conn.app.session_id
-    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "count(*)")
-    cur.execute("SELECT count(*) FROM t")
-    assert cur.fetchone() == (50,)
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "EXEC phx_")
+    cur.execute("SELECT k FROM t ORDER BY k")
+    assert [k for (k,) in cur.fetchall()] == list(range(1, 51))
     assert system.server.stats.crashes == 0
     assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
     assert conn.app.session_id == app_session
@@ -244,14 +274,6 @@ def test_ping_exhaustion_surfaces_original_error(system, monkeypatch):
     system.server.crash()
     with pytest.raises(CommunicationError):
         cur.execute("SELECT count(*) FROM t")
-
-
-def test_epoch_bumps_per_recovery(ready):
-    system, conn, cur = ready
-    assert conn.session_epoch == 0
-    crash_restart(system)
-    cur.execute("SELECT 1")
-    assert conn.session_epoch == 1
 
 
 # ------------------------------------------------------------------ transactions
@@ -381,18 +403,17 @@ def test_many_crashes_across_workload(ready):
 
 def test_second_crash_inside_post_recovery_fetch(ready):
     """Regression (found by the fault-schedule property soak): a crash
-    before the first fetch flips the result to server-cursor mode; a *second*
-    crash during the very first post-recovery FETCH triggers recovery
-    inside the guarded fetch call.  The rows that fetch finally returns are
-    post-recovery fresh — the cursor must adopt the new epoch instead of
-    discarding them (the re-opened server cursor has already moved past
-    them, so discarding loses rows for good)."""
+    before the first fetch has recovery re-open the result's server cursor;
+    a *second* crash during the very first FETCH from it triggers recovery
+    inside the guarded fetch call.  The rows that fetch finally returns
+    come from the cursor that recovery re-opened at the rows shipped: none
+    is lost, none repeats."""
     system, conn, cur = ready
     from repro.net.protocol import FetchRequest
 
     cur.execute("SELECT k FROM t ORDER BY k")
     crash_restart(system)
-    conn.cursor().execute("SELECT count(*) FROM t")  # recovery 1: server-cursor mode
+    conn.cursor().execute("SELECT count(*) FROM t")  # recovery 1: re-opened
     system.faults.schedule(
         FaultKind.CRASH_BEFORE_EXECUTE,
         matcher=lambda r: isinstance(r, FetchRequest),
@@ -463,8 +484,8 @@ def test_repeated_crashes_on_retried_request(ready):
     """Each retry of an idempotent request may meet a fresh crash; the
     bounded retry loop must ride out several in a row."""
     system, conn, cur = ready
-    for i in range(4):
-        system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "count(*)", after=i)
+    for _ in range(4):
+        system.faults.schedule_on_sql(FaultKind.CRASH_BEFORE_EXECUTE, "count(*) FROM t")
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (50,)
-    assert conn.stats.recoveries >= 2
+    assert conn.stats.recoveries == 4

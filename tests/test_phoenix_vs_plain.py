@@ -156,9 +156,10 @@ TYPED_QUERIES = FIXED_QUERIES + [
 #: each is asserted to still differ, so it cannot outlive what it excuses
 ALLOWED_TYPE_DIFFERENCES = {
     "a column of several classes": (
-        "SELECT CASE WHEN k = 1 THEN k ELSE v END FROM w",
-        "no column type stores an int and a string as they are: the table "
-        "holds them as text (ints among floats: as floats)",
+        "SELECT CASE WHEN k = 1 THEN k ELSE s END FROM t",
+        "a result above one fetch block goes through a table, and no column "
+        "type stores an int and a string as they are: the table holds them "
+        "as text (ints among floats: as floats)",
     ),
 }
 

@@ -147,17 +147,19 @@ def test_periodic_crashes_complete_or_raise_within_the_budget(
 
 def _requests_for_a_crashed_update(system, conn, reexecutes: int) -> int:
     busy, held, writer = conn.cursor(), conn.cursor(), conn.cursor()
+    held.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 2)  # 6 rows: materialized
+    busy.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 2)
     held.execute("SELECT k FROM t ORDER BY k")
     first = held.fetchmany(2)
     for _ in range(reexecutes):
-        busy.execute("SELECT v FROM t WHERE k = 1")
-        busy.fetchall()
+        busy.execute("SELECT v FROM t WHERE k <= 3 ORDER BY k")
+        busy.fetchmany(1)
     before = system.faults.requests_seen
     system.faults.schedule(FaultKind.CRASH_BEFORE_EXECUTE)
     writer.execute("UPDATE t SET v = v + 1 WHERE k = 1")
     requests = system.faults.requests_seen - before
-    # the held-open cursor was repositioned server-side, at its offset
-    assert held._state.mode == "server_cursor"
+    # the held-open cursor was repositioned server-side, past what it holds
+    assert held._state.cursor_id is not None and held._state.shipped == 2
     assert first + held.fetchall() == [(k,) for k in range(1, 7)]
     for cursor in (busy, held, writer):
         cursor.close()
