@@ -18,6 +18,7 @@ Phoenix/ODBC exists.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from dataclasses import dataclass
@@ -748,7 +749,14 @@ class DatabaseServer:
     def checkpoint(self) -> int:
         with self._engine_mutex:
             self._require_up()
-            return self.database.checkpoint()
+            lsn = self.database.checkpoint()
+        # What a checkpoint leaves resident is long-lived (loaded tables,
+        # catalogue, plans): move it out of the cyclic collector's reach, or
+        # every full collection re-walks every row and lands its pause in
+        # whichever statement runs next.  Refcounting still frees it.
+        gc.collect()
+        gc.freeze()
+        return lsn
 
     def table_names(self) -> list[str]:
         with self._engine_mutex:
