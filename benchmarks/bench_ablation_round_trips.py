@@ -54,7 +54,7 @@ def test_session_cleanup_is_one_trip_and_one_force(tpch_system):
     trips = system.metrics.round_trips
     forces = system.server.database.wal.stats.forces
     connection.close()
-    assert system.metrics.round_trips - trips == 1 + 2  # the DROPs; two disconnects
+    assert system.metrics.round_trips - trips == 1 + 1  # the DROPs; the disconnect
     assert system.server.database.wal.stats.forces - forces == 1
 
 

@@ -1,25 +1,24 @@
 """The Phoenix virtual connection.
 
 The application holds a :class:`PhoenixConnection` — a *virtual* connection
-handle (paper §3 "Virtual ODBC Sessions").  Underneath live two real driver
-connections:
+handle (paper §3 "Virtual ODBC Sessions").  Underneath lives one real driver
+connection, the **app connection**, the driver connection of the inherited
+plain :class:`~repro.odbc.driver_manager.Connection` surface.  It carries
+the application's own statements (after rewriting) — queries as the plain
+stack sends them, wrapped DML/DDL, transactions, SET options, key-cursor
+blocks, the server cursor that delivers a materialized result block by
+block — and what Phoenix sends on a statement's behalf: the one-request
+script that fills a result table and reads back its first block, key-cursor
+materialisation, status-table probes, clean-up.  The paper gives the latter
+a second connection of their own; one server session here runs any number
+of statements and cursors, so one serves a virtual session (DESIGN.md §5b).
 
-* the **app connection** — carries the application's own statements
-  (after rewriting): queries as the plain stack sends them, wrapped
-  DML/DDL, transactions, SET options, key-cursor blocks and the server
-  cursor that delivers a materialized result block by block; it is the
-  driver connection of the inherited plain
-  :class:`~repro.odbc.driver_manager.Connection` surface;
-* the **private connection** — carries what Phoenix builds on a statement's
-  behalf: the one-request script that fills a result table from the query
-  it runs and reads back its first block, key-cursor materialisation,
-  status table probes, clean-up.
-
-Both are rebuilt after a crash; the virtual handle the application holds
-never changes.  All session context needed to rebuild (login, options in
-application order, temp-object maps, materialized-result registry, the open
-transaction's statement log) is kept client-side — the client survives; the
-paper only protects against *server* failures.
+The app connection is rebuilt after a crash; the virtual handle the
+application holds never changes.  All session context needed to rebuild
+(login, options in application order, temp-object maps,
+materialized-result registry, the open transaction's statement log) is kept
+client-side — the client survives; the paper only protects against
+*server* failures.
 
 There is one failure path: every request sent on the application's behalf
 goes through :meth:`PhoenixConnection._ride_through` — the only handler of
@@ -113,7 +112,6 @@ class PhoenixConnection(Connection):
     ):
         # the app connection is opened (crash-retried) by the session recipe
         super().__init__(manager, dsn, None, options or {})
-        self.private: DriverConnection = None  # type: ignore[assignment]
         self.driver = driver
         self.user = user
         self.config = config if config is not None else PhoenixConfig()
@@ -143,7 +141,7 @@ class PhoenixConnection(Connection):
         #: None when tracing is disabled (no id allocation).
         self.correlation_id = get_tracer().new_correlation_id()
 
-        # Real connections behind the virtual handle.  Session establishment
+        # The real connection behind the virtual handle.  Session establishment
         # itself must survive a crash: the recipe is recovery's phase one,
         # retried by the same bounded loop (its statements are idempotent).
         with get_tracer().span("session.open", corr=self.correlation_id, user=user, dsn=dsn):
@@ -181,8 +179,8 @@ class PhoenixConnection(Connection):
         landed, then re-send or return the logged outcome; if the server
         stays away, pass the original error on.
 
-        ``send`` looks the connections up per attempt (recovery replaces
-        them).  ``landed`` is asked after each recovery: a non-None answer
+        ``send`` looks the connection up per attempt (recovery replaces
+        it).  ``landed`` is asked after each recovery: a non-None answer
         is the logged outcome, returned in place of a re-send; a request
         without one is idempotent.  A *different* crash can hit the re-sent
         request too; each failure runs a fresh recovery cycle until the
@@ -231,42 +229,35 @@ class PhoenixConnection(Connection):
         """One idempotent request on the app connection."""
         return self._ride_through(lambda: self.app.execute(sql))
 
-    def _private_execute(self, sql: str) -> ResultResponse:
-        return self._ride_through(lambda: self.private.execute(sql))
-
     def _execute_atomic(
-        self,
-        statements: list[str],
-        *,
-        on_app: bool = False,
-        arguments: Callable[[], list] | None = None,
+        self, statements: list[str], *, arguments: Callable[[], list] | None = None
     ) -> ResultResponse:
         """Run Phoenix-generated statements as ONE transaction in one
         round trip — one log force at its COMMIT, and a crash or SQL error
         leaves none of the objects it builds (restart skips a transaction
-        without a commit record).  Re-sent through recovery like any
-        idempotent request: a script whose commit landed before the reply
-        died starts with its own ``DROP ... IF EXISTS``, or ``arguments`` —
-        the values of its ``?``, asked for per attempt — name a new object.
+        without a commit record).  Inside the application's transaction they
+        join it instead: its COMMIT decides.  Re-sent through recovery like
+        any idempotent request: a script whose commit landed before the
+        reply died starts with its own ``DROP ... IF EXISTS``, or
+        ``arguments`` — the values of its ``?``, asked for per attempt —
+        name a new object.
         """
-        if on_app and self.in_transaction:
-            # the application's own transaction is the unit; its COMMIT decides
-            return self._app_execute("; ".join(statements))
-        script = "BEGIN TRANSACTION; " + "; ".join(statements) + "; COMMIT"
-
-        def send() -> ResultResponse:
-            connection = self.app if on_app else self.private
-            return connection.execute(script, placeholders=arguments and arguments())
-
+        own = not self.in_transaction
+        script = "; ".join(statements)
+        if own:
+            script = f"BEGIN TRANSACTION; {script}; COMMIT"
         try:
-            return self._ride_through(send)
+            return self._ride_through(
+                lambda: self.app.execute(script, placeholders=arguments and arguments())
+            )
         except RECOVERABLE_ERRORS:
             raise
         except Error:
-            # a SQL error aborted the script after its BEGIN: close the
-            # transaction, or the session's next script dies on "already in
-            # progress"
-            self._rollback_wrapper_txn(self.app if on_app else self.private)
+            if own:
+                # a SQL error aborted the script after its BEGIN: close the
+                # transaction, or the session's next script dies on "already
+                # in progress"
+                self._rollback_wrapper_txn()
             raise
 
     # ------------------------------------------------------------- public API
@@ -293,31 +284,33 @@ class PhoenixConnection(Connection):
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
         with self.application_call():
             # forget every result first: a recovery triggered *during* cleanup
-            # must not try to verify/reposition tables we just dropped; an
-            # abandoned open transaction is implicitly rolled back, not replayed
+            # must not try to verify/reposition tables we just dropped
             self.results.clear()
-            self.txn_log.clear()
             procs = [*(p.name for p in self.fill_procs.values()), *self.temp_proc_map.values()]
             drops = [f"DROP PROCEDURE IF EXISTS {proc}" for proc in procs]
             tables = [*self.cleanup_tables, *self.temp_table_map.values()]
             drops += [f"DROP TABLE IF EXISTS {table}" for table in tables]
             with get_tracer().span("session.close", corr=self.correlation_id):
+                if self.in_transaction:
+                    # an abandoned transaction is rolled back, not replayed —
+                    # first, or the DROPs wait on its locks
+                    try:
+                        self.rollback()
+                    except Error:
+                        pass  # nothing left open server-side, or the server stayed down
+                    self.txn_log.clear()
                 try:
                     self._execute_atomic(drops)
                 except (RecoveryError, *RECOVERABLE_ERRORS):
                     pass  # server stayed down: orphans reclaimed out of band
-                unreaped = []
-                for connection in (self.app, self.private):
-                    try:
-                        acked = connection.disconnect()
-                    except RECOVERABLE_ERRORS:
-                        acked = False
-                    if not acked:
-                        # the DisconnectRequest died in flight: if the server is
-                        # still up the session is orphaned — reap it out of band
-                        unreaped.append(connection.session_id)
-                if unreaped:
-                    self._reap_server_sessions(unreaped)
+                try:
+                    acked = self.app.disconnect()
+                except RECOVERABLE_ERRORS:
+                    acked = False
+                if not acked:
+                    # the DisconnectRequest died in flight: if the server is
+                    # still up the session is orphaned — reap it out of band
+                    self._reap_server_sessions([self.app.session_id])
 
     def _reap_server_sessions(self, session_ids: list[int]) -> None:
         """Best-effort disconnect of orphaned server sessions by id.
@@ -538,18 +531,17 @@ class PhoenixConnection(Connection):
             self._rollback_wrapper_txn()
             raise
 
-    def _rollback_wrapper_txn(self, on: DriverConnection | None = None) -> None:
-        """Best-effort ROLLBACK of a failed wrapper transaction (a wrapped
-        DML's on the app connection unless ``on`` names the other one)."""
+    def _rollback_wrapper_txn(self) -> None:
+        """Best-effort ROLLBACK of a failed wrapper transaction."""
         try:
-            (on or self.app).execute("ROLLBACK")
+            self.app.execute("ROLLBACK")
         except Error:
             pass  # no transaction open (error hit before BEGIN) or server gone
 
     def probe_status(self, seq: int) -> int | None:
         """Read the status table for a statement's outcome (None = absent)."""
         self.stats.status_probes += 1
-        response = self._private_execute(
+        response = self._app_execute(
             f"SELECT n_rows FROM {self.names.status_table} WHERE stmt_seq = {seq}"
         )
         get_tracer().event(
@@ -569,7 +561,7 @@ class PhoenixConnection(Connection):
             return {}
         self.stats.status_probes += 1
         in_list = ", ".join(str(seq) for seq in seqs)
-        response = self._private_execute(
+        response = self._app_execute(
             f"SELECT stmt_seq, n_rows FROM {self.names.status_table} "
             f"WHERE stmt_seq IN ({in_list})"
         )
@@ -654,9 +646,7 @@ class PhoenixConnection(Connection):
         create = replace(stmt, name=persistent, temporary=False)
         # idempotent under retry: a lost reply may have left the table
         # created; any prior incarnation of this Phoenix-owned name is stale
-        response = self._execute_atomic(
-            [f"DROP TABLE IF EXISTS {persistent}", create.sql()], on_app=True
-        )
+        response = self._execute_atomic([f"DROP TABLE IF EXISTS {persistent}", create.sql()])
         self.temp_table_map[original] = persistent
         return response
 
@@ -676,9 +666,7 @@ class PhoenixConnection(Connection):
         # the body's references to other temp objects follow their redirection
         create = replace(self.rewrite(stmt), name=persistent)
         # DROP-first makes the retry after a lost reply idempotent
-        response = self._execute_atomic(
-            [f"DROP PROCEDURE IF EXISTS {persistent}", create.sql()], on_app=True
-        )
+        response = self._execute_atomic([f"DROP PROCEDURE IF EXISTS {persistent}", create.sql()])
         self.temp_proc_map[original] = persistent
         return response
 

@@ -8,17 +8,18 @@ as :meth:`PhoenixRecovery.recover`:
    success means "spurious timeout", and the caller simply retries.
 2. **Ping until the server answers** (bounded; on exhaustion the original
    communication error is passed to the application, per the paper).
-3. **Phase one — recover the virtual session**: fresh app connection with
-   the original login, replay the SET options in application order,
-   recreate the proxy table, fresh private connection, re-ensure the status
-   table.  This phase's cost is independent of any result-set size (the
+3. **Phase one — recover the virtual session**: a fresh server session with
+   the original login, the SET options replayed in application order, the
+   proxy table recreated, the status table re-ensured, abandoned sessions
+   reaped.  This phase's cost is independent of any result-set size (the
    paper's flat 0.37 s line in Figure 2).
-4. **Phase two — reinstall SQL state**: verify every materialized table
-   survived database recovery, then reposition each default result that
-   still has rows on the server at the rows it has ``shipped`` (open a
+4. **Phase two — reinstall SQL state**, in one pass over the open results:
+   reposition each default result at the rows it has ``shipped`` (open a
    cursor over the materialized table and ADVANCE; no rows cross the wire —
-   what the client already holds stays in its buffer).  Finally replay the
-   open explicit transaction, if any.
+   what the client already holds stays in its buffer), and verify each key
+   cursor's table survived database recovery — opening a default result's
+   table is its verification.  Finally replay the open explicit
+   transaction, if any.
 
 Both phases are timed separately into ``PhoenixStats`` — that split *is*
 Figure 2.
@@ -122,9 +123,7 @@ class PhoenixRecovery:
         self._await_server(cause)
 
         # 2b. server answers and the session itself survived (e.g. the
-        # timeout fired while the server was merely slow, or only the
-        # *private* connection's channel dropped) — repair what broke,
-        # keep the session.
+        # timeout fired while the server was merely slow) — keep it.
         if not connection.app.channel.broken and self._probe_session():
             stats.spurious_timeouts += 1
             return False
@@ -169,8 +168,7 @@ class PhoenixRecovery:
 
         started = time.perf_counter()
         with tracer.span("recovery.phase2.sql_state"):
-            self._verify_materialized_state()
-            self._reinstall_deliveries()
+            self._reinstall_results()
             if replay_txn and connection.txn_log.lost:
                 connection._replay_transaction()
         phase2 = time.perf_counter() - started
@@ -210,16 +208,10 @@ class PhoenixRecovery:
     def _probe_session(self) -> bool:
         """The paper's proxy test: does the session's temp table still
         exist?  Temp tables die with their session, so a hit proves the
-        session (and hence the server) survived — what may still need
-        repair is the private connection's channel.  A repair that meets a
-        fault of its own answers "no": the caller rebuilds wholesale."""
+        session (and hence the server) survived."""
         try:
             self.connection.app.execute(f"SELECT count(*) FROM {PROXY_TABLE}")
         except Exception:
-            return False
-        try:
-            self._repair_private_channel()
-        except RECOVERABLE_ERRORS:
             return False
         return True
 
@@ -271,85 +263,59 @@ class PhoenixRecovery:
     def _build_session(self) -> None:
         """The virtual-session recipe — session open and recovery's phase
         one alike (at open ``set_log`` and the stale list are simply empty):
-        fresh app + private connections with the recorded session context
-        replayed.
+        a fresh server session with the recorded session context replayed
+        and the status table ensured (persistent; idempotent for post-crash
+        rebuilds).
 
         When the server *survived* (a dropped connection, not a crash), the
-        old session ids still hold live server sessions — temp tables, open
-        transactions, locks.  They are reaped best-effort once the new
-        connections are up, so an orphaned transaction's locks never block
-        the replayed one.  The ids outlive a build that is itself
-        interrupted (its half-built sessions join them — retrying without
-        that leaks a lock-holding session per attempt), so the attempt that
-        finally succeeds reaps every session abandoned on the way.
+        old session id still holds a live server session — temp tables, an
+        open transaction, locks.  It is reaped best-effort once the new
+        session is up, so an orphaned transaction's locks never block the
+        replayed one.  The ids outlive a build that is itself interrupted
+        (its half-built session joins them — retrying without that leaks a
+        lock-holding session per attempt), so the attempt that finally
+        succeeds reaps every session abandoned on the way.
         """
         connection = self.connection
-        self._abandon(connection.app)
-        self._abandon(connection.private)
+        old = connection.app
+        if old is not None:  # session open: nothing came before
+            if old.session_id not in self._stale_sessions:
+                self._stale_sessions.append(old.session_id)
+            old.channel.close()
         connection.app = connection.driver.connect(connection.user, connection.options)
         for name, value in connection.set_log:
             connection.app.execute(ast.SetOption(name, value).sql())
         connection.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
-        self._open_private()
-
-    def _repair_private_channel(self) -> None:
-        """The session survived but the private connection's channel may
-        have died (DROP_CONNECTION on private traffic).  Open a fresh
-        private connection and reap the orphaned old session — the app
-        session, proxy table, and all materialized state are untouched."""
-        if self.connection.private.channel.broken:
-            self._abandon(self.connection.private)
-            self._open_private()
-
-    def _abandon(self, old) -> None:
-        """Close a dead connection's channel; its server session (possibly
-        still alive, holding locks) is remembered until it has been reaped."""
-        if old is None:
-            return  # session open: nothing came before
-        if old.session_id not in self._stale_sessions:
-            self._stale_sessions.append(old.session_id)
-        try:
-            old.channel.close()
-        except Exception:
-            pass
-
-    def _open_private(self) -> None:
-        """Fresh private connection, status table ensured (persistent;
-        idempotent for post-crash rebuilds), and every server session
-        abandoned on the way here reaped."""
-        connection = self.connection
-        connection.private = connection.driver.connect(connection.user, {})
-        connection.private.execute(
+        connection.app.execute(
             f"CREATE TABLE IF NOT EXISTS {connection.names.status_table} "
             f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
         )
         connection._reap_server_sessions(self._stale_sessions)
         self._stale_sessions = []
 
-    def _verify_materialized_state(self) -> None:
+    def _reinstall_results(self) -> None:
         """Paper: "first verifies that all application state materialized in
         tables on the server was recovered by the database recovery
-        mechanisms"."""
+        mechanisms" — then re-attaches it.  A default result that still has
+        rows on the server (``connection.results`` forgets a drained one) is
+        re-opened at the rows it has shipped, and that open is its
+        verification.  A keyset/dynamic cursor has nothing to re-open — each
+        of its blocks is an independent query over persistent tables — so
+        its keys table is probed."""
         connection = self.connection
         tracer = get_tracer()
         for state in connection.results.values():
             try:
-                connection.private.execute(f"SELECT count(*) FROM {state.table}")
-                tracer.event("recovery.verify_table", table=state.table, ok=True)
+                if state.kind == "default":
+                    self.reposition(state)
+                else:
+                    connection.app.execute(f"SELECT count(*) FROM {state.table}")
             except CatalogError as exc:
                 tracer.event("recovery.verify_table", table=state.table, ok=False)
                 raise RecoveryError(
                     f"materialized state {state.table} missing after database recovery"
                 ) from exc
-
-    def _reinstall_deliveries(self) -> None:
-        """Re-attach every default result that still has rows on the server
-        at the rows it has shipped (``connection.results`` forgets a drained
-        one).  Keyset/dynamic cursors need nothing here — each of their
-        blocks is an independent query over persistent tables."""
-        for state in self.connection.results.values():
-            if state.kind == "default":
-                self.reposition(state)
+            tracer.event("recovery.verify_table", table=state.table, ok=True)
 
     def reposition(self, state: "ResultState") -> None:
         """Open a server cursor over the materialized table (rows stay on

@@ -34,8 +34,8 @@ from repro.obs.metrics import CounterSet, gauge
 
 __all__ = ["SessionDispatcher", "DispatchStats"]
 
-#: hard ceiling on pool size — far above any bench (16 clients × app+private
-#: sessions), merely a backstop against runaway spawning
+#: hard ceiling on pool size — far above any bench (16 clients, one session
+#: each), merely a backstop against runaway spawning
 MAX_WORKERS = 64
 #: seconds an idle worker lingers before exiting (lazy pools stay small)
 IDLE_TIMEOUT = 0.5

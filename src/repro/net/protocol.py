@@ -114,7 +114,7 @@ class DisconnectRequest(Request):
 
 @dataclass
 class PingRequest(Request):
-    """Liveness probe (Phoenix's private connection uses this)."""
+    """Liveness probe (Phoenix recovery sends it on a throwaway channel)."""
 
 
 @dataclass

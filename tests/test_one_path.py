@@ -14,7 +14,9 @@ procedure is named per execution again, or a plan is checked against a
 server-wide counter.  PR 24 gave DML the SELECT planner's access paths: they
 fail when a second function starts looking rows up in an index.  PR 25 made
 every value only tests turned a constant: they fail when a config field or
-an engine or wire constructor keyword has no caller outside the tests.
+an engine or wire constructor keyword has no caller outside the tests.  One
+server session serves a virtual session: they fail when ``repro.core``
+opens a second one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core import PhoenixConfig
 from repro.core.naming import NameAllocator
 from repro.engine import DatabaseServer
 from repro.engine.executor import Executor
+from repro.odbc.driver import DriverConnection
 from repro.sql import ast as sql_ast  # ``ast`` is Python's here
 
 SRC = Path(repro.__file__).resolve().parent
@@ -226,6 +229,35 @@ def test_one_handler_recovers_and_one_loop_resends():
                     unbounded.append(f"{path.name}:{function.name}")
     assert recovering == ["connection.py:_ride_through"]
     assert unbounded == []
+
+
+def test_one_server_session_per_virtual_session():
+    """Phoenix sends everything on one connection: ``repro.core`` opens a
+    server session in one place, the session recipe, and a
+    ``PhoenixConnection`` holds one ``DriverConnection`` (a second one, for
+    the statements Phoenix sends on its own behalf, needed a connect, a
+    channel repair and a reap of its own)."""
+    connects = [
+        f"{path.name}:{function.name}"
+        for path in sorted(CORE.glob("*.py"))
+        for function in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "connect"
+        and "driver" in ast.unparse(node.func.value)
+    ]
+    assert connects == ["recovery.py:_build_session"]
+    system = repro.make_system()
+    connection = system.phoenix.connect(system.DSN)
+    try:
+        held = [
+            name for name, value in vars(connection).items()
+            if isinstance(value, DriverConnection)
+        ]
+        assert held == ["_driver_connection"]
+    finally:
+        connection.close()
 
 
 @pytest.mark.parametrize("ddl", ["CREATE TABLE {PROXY_TABLE}", "(stmt_seq INT PRIMARY KEY"])

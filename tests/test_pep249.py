@@ -208,6 +208,20 @@ def test_closing_the_connection_closes_its_cursors(conn):
         cursor.fetchone()
 
 
+def test_close_rolls_back_an_open_transaction_over_a_temp_table(conn, system):
+    """close() ends the session and leaves nothing behind.  Phoenix rolls
+    the transaction back first, on the session that then drops its objects,
+    so the DROPs cannot wait on the transaction's locks."""
+    cursor = conn.cursor()
+    cursor.execute("CREATE TABLE #w (x INT)")
+    conn.begin()
+    cursor.execute("INSERT INTO #w VALUES (1)")
+    conn.close()
+    assert conn.closed and len(system.server.sessions) == 0
+    names = system.server.table_names() + sorted(system.server.database.procedures)
+    assert not [name for name in names if name.startswith("phx_")]
+
+
 def test_closed_cursor_rejects_even_an_empty_executemany(conn):
     cursor = conn.cursor()
     cursor.close()

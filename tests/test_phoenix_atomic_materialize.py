@@ -128,7 +128,7 @@ def test_one_fetch_block_is_where_materializing_starts(system, phoenix_conn, row
 def test_a_fill_reply_carries_at_most_one_block(ready, monkeypatch):
     system, conn, cur = ready
     replies = []
-    driver_connection = type(conn.private)
+    driver_connection = type(conn.app)
     original = driver_connection.execute
 
     def recording(self, sql, **kwargs):
@@ -319,7 +319,7 @@ def test_failed_fill_leaves_nothing_and_the_session_usable(ready, key_cursor):
     with pytest.raises(DataError):
         failing.execute("SELECT k FROM t WHERE 10 / v > 0")
     assert built_for_statements(system) == []  # rolled back as a unit
-    # the private session's transaction was closed: the next script can BEGIN
+    # the failed script's transaction was closed: the next script can BEGIN
     failing.execute("SELECT k FROM t WHERE k <= 2")
     assert failing.fetchall() == [(1,), (2,)]
     conn.close()
@@ -571,25 +571,25 @@ def test_crash_between_creation_and_the_second_execution(ready, parsed_texts):
     assert phoenix_objects(system) == []
 
 
-def test_dropped_private_connection_keeps_the_procedure(ready):
-    """The server never went away: a new private session (cold caches of
-    its own) calls the procedure the old one created."""
+def test_dropped_channel_under_a_fill_keeps_the_procedure(ready):
+    """The server never went away: the rebuilt session (cold caches of its
+    own) calls the procedure the old one created."""
     system, conn, cur = ready
     cur.execute(TEMPLATE, [3])
     cur.fetchall()
     cur.execute(TEMPLATE, [3])
     cur.fetchall()
-    private = conn.private.session_id
+    session = conn.app.session_id
     sent = record_execute_sql(system)
     system.faults.schedule(FaultKind.DROP_CONNECTION, matcher=is_materialize_script)
     metrics = system.server.engine_metrics
     misses = metrics.plan_misses
     cur.execute(TEMPLATE, [3])
-    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
-    assert conn.private.session_id != private
+    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (1, 0)
+    assert conn.app.session_id != session
     assert not any("CREATE PROCEDURE" in sql for sql in sent)
-    # the new session compiles both plans once (+ the app session's proxy probe)
-    assert (metrics.plan_misses, metrics.plan_invalidations) == (misses + 3, 0)
+    # the new session compiles both of the procedure's plans once
+    assert (metrics.plan_misses, metrics.plan_invalidations) == (misses + 2, 0)
     assert cur.fetchall() == [(1, 1), (2, 2), (3, 3)]
     assert len(procedures(system)) == 1
     conn.close()

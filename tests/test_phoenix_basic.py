@@ -179,22 +179,21 @@ def test_close_cleans_up_phoenix_objects(system):
     assert any(name.startswith("phx_") for name in system.server.table_names())
     phoenix.close()
     assert not any(name.startswith("phx_") for name in system.server.table_names())
-    assert phoenix.app.closed and phoenix.private.closed
+    assert phoenix.app.closed
 
 
-def test_phoenix_uses_two_server_sessions(system):
+def test_phoenix_uses_one_server_session(system):
     phoenix = system.phoenix.connect(system.DSN)
-    assert len(system.server.sessions) == 2  # app + private
+    assert len(system.server.sessions) == 1
     phoenix.close()
     assert len(system.server.sessions) == 0
 
 
 def test_proxy_temp_table_exists_on_app_session_only(system):
     phoenix = system.phoenix.connect(system.DSN)
+    assert list(system.server.sessions) == [phoenix.app.session_id]
     app_session = system.server.sessions[phoenix.app.session_id]
-    private_session = system.server.sessions[phoenix.private.session_id]
     assert "#phx_proxy" in app_session.temp_tables
-    assert "#phx_proxy" not in private_session.temp_tables
     phoenix.close()
 
 

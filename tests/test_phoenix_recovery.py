@@ -158,13 +158,16 @@ def test_a_large_result_crashed_mid_delivery_delivers_every_row_once(system, pho
 
 def test_crash_while_recovering_is_survived(ready):
     system, conn, cur = ready
+    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
     cur.execute("SELECT k FROM t ORDER BY k")
     cur.fetchmany(5)
     crash_restart(system)
-    # arm a second crash that fires during recovery's verification phase
+    # arm a second crash that fires during recovery's verification phase:
+    # the probe of the key cursor's table
     system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "count(*) FROM phx_")
     conn.cursor().execute("SELECT 1")
     assert len(cur.fetchall()) == 45
+    assert system.faults.fired == [FaultKind.CRASH_AFTER_EXECUTE]
     assert conn.stats.recoveries >= 1
 
 
@@ -178,6 +181,43 @@ def test_recovery_verifies_materialized_state(ready):
     crash_restart(system)
     with pytest.raises(RecoveryError):
         conn.recovery.recover(CommunicationError("test"))
+
+
+@pytest.mark.parametrize(
+    "cursor_type", [CursorType.FORWARD_ONLY, CursorType.KEYSET], ids=["default", "keyset"]
+)
+def test_a_result_table_dropped_across_a_crash_raises_recovery_error(ready, cursor_type):
+    """The rows a lost table held cannot be delivered: the application's
+    next request recovers and learns it as RecoveryError — from the re-open
+    of a default result, from the probe of a key cursor's table."""
+    system, conn, cur = ready
+    cur.set_attr(StatementAttr.CURSOR_TYPE, cursor_type)
+    cur.execute("SELECT k FROM t ORDER BY k")
+    assert len(cur.fetchmany(BLOCK)) == BLOCK
+    vandal = system.server.connect()
+    system.server.execute(vandal, f"DROP TABLE {cur._state.table}")
+    crash_restart(system)
+    with pytest.raises(RecoveryError):
+        conn.cursor().execute("SELECT count(*) FROM t")
+
+
+def test_phase_two_opening_a_default_result_is_its_verification(ready):
+    """One pass over the open results: a default result is re-opened at the
+    rows it shipped, with no ``count(*)`` probe of its table before it."""
+    system, conn, cur = ready
+    cur.execute("SELECT k FROM t ORDER BY k")
+    first = cur.fetchmany(15)
+    table = cur._state.table
+    crash_restart(system)
+    sent: list[str] = []
+    system.faults.schedule(
+        FaultKind.HANG,
+        matcher=lambda request: sent.append(getattr(request, "sql", "")),  # never fires
+        repeat=True,
+    )
+    conn.cursor().execute("SELECT count(*) FROM t")  # recovers
+    assert [sql for sql in sent if table in sql] == [f"SELECT * FROM {table}"]
+    assert [k for (k,) in first + cur.fetchall()] == list(range(1, 51))
 
 
 # ------------------------------------------------------------------ session context
@@ -242,19 +282,40 @@ def test_dropped_connection_without_crash_rebuilds_session(ready):
     assert conn.stats.recoveries == 1
 
 
-def test_dropped_private_connection_keeps_the_session(ready):
-    """A result's fill is one request on the private connection; losing
-    that channel is repaired without rebuilding the application's session."""
+def test_dropped_channel_under_a_fill_rebuilds_the_session(ready):
+    """A result's fill travels on the session's one connection: losing that
+    channel rebuilds the session, as any dropped channel does.  The rows
+    arrive once each and the abandoned server session is reaped."""
     system, conn, cur = ready
     app_session = conn.app.session_id
     system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "EXEC phx_")
     cur.execute("SELECT k FROM t ORDER BY k")
     assert [k for (k,) in cur.fetchall()] == list(range(1, 51))
     assert system.server.stats.crashes == 0
-    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (0, 1)
-    assert conn.app.session_id == app_session
+    assert (conn.stats.recoveries, conn.stats.spurious_timeouts) == (1, 0)
+    assert conn.app.session_id != app_session
+    assert conn.stats.sessions_reaped == 1
+    assert list(system.server.sessions) == [conn.app.session_id]
     conn.close()
-    assert len(system.server.sessions) == 0  # the dropped session was reaped
+    assert len(system.server.sessions) == 0
+
+
+def test_one_server_session_per_virtual_session(ready):
+    """After open, after a fill and after a recovery the virtual session
+    holds exactly one server session; after close() it holds none."""
+    system, conn, cur = ready
+    assert list(system.server.sessions) == [conn.app.session_id]
+    cur.execute("SELECT k FROM t ORDER BY k")  # 50 rows at a 10-row block: filled
+    assert conn.stats.queries_materialized == 1
+    assert list(system.server.sessions) == [conn.app.session_id]
+    first = cur.fetchmany(BLOCK)
+    crash_restart(system)
+    rest = cur.fetchall()  # the next block's fetch recovers
+    assert [k for (k,) in first + rest] == list(range(1, 51))
+    assert conn.stats.recoveries == 1
+    assert list(system.server.sessions) == [conn.app.session_id]
+    conn.close()
+    assert len(system.server.sessions) == 0
 
 
 def test_fast_restart_between_requests_detected_via_session_loss(ready):
@@ -425,40 +486,25 @@ def test_second_crash_inside_post_recovery_fetch(ready):
 
 def test_interrupted_rebuild_reaps_every_session_it_abandoned(ready):
     """Regression (found by the multi-fault chaos sweep): recovery attempt 1
-    builds two sessions, then its verify step hangs on a live server;
-    attempt 2's second connect is dropped.  Attempt 3 must still reap
-    attempt 1's app session — the ids used to die with the interrupted
-    attempt, leaving one orphaned server session after close()."""
+    builds a session, then re-opening the open result hangs on a live
+    server; attempt 2's connect is dropped.  Attempt 3 must still reap
+    attempt 1's session — the ids used to die with the interrupted attempt,
+    leaving one orphaned server session after close()."""
     system, conn, cur = ready
     from repro.net.protocol import ConnectRequest
 
     cur.execute("SELECT k FROM t ORDER BY k")
-    first = cur.fetchmany(5)  # an open result: recovery has a table to verify
+    first = cur.fetchmany(5)  # an open result: recovery has a table to re-open
     crash_restart(system)
-    system.faults.schedule_on_sql(FaultKind.HANG, "SELECT count(*) FROM phx_")
+    system.faults.schedule_on_sql(FaultKind.HANG, "SELECT * FROM phx_")
     system.faults.schedule(
-        FaultKind.DROP_CONNECTION, matcher=lambda r: isinstance(r, ConnectRequest), after=3
+        FaultKind.DROP_CONNECTION, matcher=lambda r: isinstance(r, ConnectRequest), after=1
     )
     conn.cursor().execute("SELECT count(*) FROM t")
     rest = cur.fetchall()
     assert [r[0] for r in first + rest] == list(range(1, 51))
     assert len(system.faults.fired) == 2
-    conn.close()
-    assert len(system.server.sessions) == 0
-
-
-def test_crash_during_private_channel_repair_falls_back_to_rebuild(ready):
-    """Regression (multi-fault chaos sweep): the repair of a dropped private
-    channel is itself a request that can meet a crash — that used to escape
-    to the application; now the session is rebuilt wholesale."""
-    system, conn, cur = ready
-    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "count(*)")
-    system.faults.schedule_on_sql(
-        FaultKind.CRASH_BEFORE_EXECUTE, "CREATE TABLE IF NOT EXISTS phx_"
-    )
-    cur.execute("SELECT count(*) FROM t")
-    assert cur.fetchone() == (50,)
-    assert (system.server.stats.crashes, conn.stats.recoveries) == (1, 1)
+    assert conn.stats.sessions_reaped == 1
     conn.close()
     assert len(system.server.sessions) == 0
 

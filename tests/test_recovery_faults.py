@@ -157,9 +157,9 @@ def test_drop_connection_on_recovery_ping(ready):
 def test_crash_between_recovery_phases(ready):
     system, conn, cur = ready
     crash_restart(system)
-    # phase 1 rebuilds connections (ConnectRequests); crash the server
-    # again on the private rebuild's status-table statement — recovery
-    # restarts wholesale and still converges
+    # phase 1 rebuilds the session (a ConnectRequest, then the recipe);
+    # crash the server again on the recipe's status-table statement —
+    # recovery restarts wholesale and still converges
     system.faults.schedule_on_sql(
         FaultKind.CRASH_BEFORE_EXECUTE, "CREATE TABLE IF NOT EXISTS"
     )
