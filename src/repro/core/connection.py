@@ -43,12 +43,7 @@ from repro.errors import (
 from repro.engine.schema import Column
 from repro.net.protocol import ResultResponse
 from repro.core.config import PhoenixConfig
-from repro.core.interceptor import (
-    build_dml_batch,
-    inline_placeholders,
-    name_placeholders,
-    redirect_names,
-)
+from repro.core.interceptor import name_placeholders, placeholder_values, redirect_names
 from repro.core.naming import NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
 from repro.core.statements import FillProcedure, ResultState, TxnReplayLog
@@ -225,9 +220,9 @@ class PhoenixConnection(Connection):
                         # deadlock victim did): back off before re-sending
                         self.config.sleep(0.002 * lock_retries)
 
-    def _app_execute(self, sql: str) -> ResultResponse:
+    def _app_execute(self, sql: str, values: list | None = None) -> ResultResponse:
         """One idempotent request on the app connection."""
-        return self._ride_through(lambda: self.app.execute(sql))
+        return self._ride_through(lambda: self.app.execute(sql, placeholders=values))
 
     def _execute_atomic(
         self, statements: list[str], *, arguments: Callable[[], list] | None = None
@@ -373,7 +368,7 @@ class PhoenixConnection(Connection):
         if not self.in_transaction:
             raise ProgrammingError("no transaction in progress")
         seq = self.names.next_seq()
-        batch = f"INSERT INTO {self.names.status_table} VALUES ({seq}, 0); COMMIT"
+        batch = f"INSERT INTO {self.names.status_table} VALUES (?, 0); COMMIT"
 
         def landed() -> ResultResponse | None:
             # probe EVERY round: a retried batch may have committed just
@@ -393,7 +388,7 @@ class PhoenixConnection(Connection):
 
         with get_tracer().span("txn.commit", corr=self.correlation_id, seq=seq):
             response = self._ride_through(
-                lambda: self._txn_execute(batch), landed, replay_txn=False
+                lambda: self._txn_execute(batch, [seq]), landed, replay_txn=False
             )
         self.txn_log.clear()
         return response
@@ -480,8 +475,20 @@ class PhoenixConnection(Connection):
 
     # --- DML (autocommit) --------------------------------------------------------
 
-    def run_dml(self, sql: str) -> tuple[int, int, "ResultResponse | None"]:
-        """Execute one autocommit DML/DDL/EXEC statement exactly once.
+    def _wrapped(self, sql: str) -> str:
+        """The paper's DML wrapper around ``sql``: one transaction holding
+        the statement and a status-table insert of its outcome (rows
+        affected), one round trip.  It binds the statement's values, then
+        the sequence number — one text per statement template and session,
+        whatever the values."""
+        return (
+            f"BEGIN TRANSACTION; {sql}; "
+            f"INSERT INTO {self.names.status_table} VALUES (?, rowcount()); COMMIT"
+        )
+
+    def run_dml(self, sql: str, values: list) -> tuple[int, int, "ResultResponse | None"]:
+        """Execute one autocommit DML/DDL/EXEC statement (``?`` bound to
+        ``values``) exactly once.
 
         Returns (seq, rowcount, response).  The statement travels inside
         the paper's wrapper transaction that also records its outcome in
@@ -493,11 +500,13 @@ class PhoenixConnection(Connection):
         place our reply-buffer (a rowcount) is narrower than the paper's.
         """
         seq = self.names.next_seq()
-        batch = build_dml_batch(sql, self.names.status_table, seq)
+        batch = self._wrapped(sql)
+        arguments = [*values, seq]
         self.stats.dml_wrapped += 1
+        get_tracer().event("interceptor.wrap_dml", seq=seq)
 
         def send() -> tuple[int, int, ResultResponse]:
-            response = self.app.execute(batch)
+            response = self.app.execute(batch, placeholders=arguments)
             # batch_rowcounts ends with the status insert's own count;
             # anything before it is the wrapped statement's.  A DDL
             # contributes no entry, and its recorded outcome is 0 — the
@@ -542,7 +551,7 @@ class PhoenixConnection(Connection):
         """Read the status table for a statement's outcome (None = absent)."""
         self.stats.status_probes += 1
         response = self._app_execute(
-            f"SELECT n_rows FROM {self.names.status_table} WHERE stmt_seq = {seq}"
+            f"SELECT n_rows FROM {self.names.status_table} WHERE stmt_seq = ?", [seq]
         )
         get_tracer().event(
             "status.probe", corr=self.correlation_id, seq=seq, hit=bool(response.rows)
@@ -560,10 +569,10 @@ class PhoenixConnection(Connection):
         if not seqs:
             return {}
         self.stats.status_probes += 1
-        in_list = ", ".join(str(seq) for seq in seqs)
         response = self._app_execute(
             f"SELECT stmt_seq, n_rows FROM {self.names.status_table} "
-            f"WHERE stmt_seq IN ({in_list})"
+            f"WHERE stmt_seq IN ({', '.join('?' * len(seqs))})",
+            seqs,
         )
         landed = {row[0]: row[1] for row in response.rows}
         get_tracer().event(
@@ -576,14 +585,15 @@ class PhoenixConnection(Connection):
 
     # --- wire batching -----------------------------------------------------------
 
-    def run_dml_batch(self, entries: list[tuple[int, str]]) -> list[int]:
-        """Execute pre-wrapped DML batches in one round trip, exactly once each.
+    def run_dml_batch(self, sql: str, rows: list[list]) -> list[int]:
+        """Execute one autocommit DML statement once per row of values, in
+        one round trip, exactly once each.
 
-        ``entries`` is ``[(seq, wrapped batch SQL), ...]`` — each already the
-        paper's wrapper (BEGIN; dml; status insert; COMMIT) with its own seq.
-        The server runs them as a unit under WAL group commit: one device
-        force covers every sub-statement, and no reply is released before it
-        lands.
+        Each row runs in the paper's wrapper (BEGIN; dml; status insert;
+        COMMIT) with a sequence number of its own; the request carries the
+        wrapper's text once and the rows beside it.  The server runs them
+        as a unit under WAL group commit: one device force covers every
+        sub-statement, and no reply is released before it lands.
 
         On a transport failure Phoenix recovers the session and *resolves*
         the batch: one status-table probe finds which seqs are evidenced
@@ -597,17 +607,21 @@ class PhoenixConnection(Connection):
         transaction of the failing entry is rolled back, and the error is
         re-raised — same semantics as the statement-at-a-time loop.
 
-        Returns the per-entry rowcounts, in entry order.
+        Returns the per-row rowcounts, in row order.
         """
         from repro.net.transport import _rebuild_error
 
+        wrapper = self._wrapped(sql)
+        entries = [(self.names.next_seq(), values) for values in rows]
         rowcounts: dict[int, int] = {}
         pending = list(entries)
         self.stats.dml_wrapped += len(entries)
 
         def send() -> bool:
-            response = self.app.execute_batch([sql for _seq, sql in pending])
-            for (seq, _sql), sub in zip(pending, response.results):
+            response = self.app.execute_batch(
+                wrapper, [[*values, seq] for seq, values in pending]
+            )
+            for (seq, _values), sub in zip(pending, response.results):
                 counts = sub.batch_rowcounts
                 rowcounts[seq] = counts[0] if len(counts) > 1 else 0
             # the landed prefix is durable; what is left is the unfinished suffix
@@ -634,7 +648,7 @@ class PhoenixConnection(Connection):
             # of blocking: the unfinished suffix is resubmitted after a short
             # backoff.
             self._ride_through(send, landed, retry_locks=LockError, scope="batch")
-        return [rowcounts[seq] for seq, _sql in entries]
+        return [rowcounts[seq] for seq, _values in entries]
 
     # --- temp-object redirection ----------------------------------------------------
 
@@ -672,11 +686,12 @@ class PhoenixConnection(Connection):
 
     # --- query materialization --------------------------------------------------------
 
-    def probe_metadata(self, select: ast.Select) -> list[Column]:
+    def probe_metadata(self, select: ast.Select, values: list = ()) -> list[Column]:
         """Result metadata in one cheap round trip (``WHERE 0=1``: the query
         is compiled, never run) — for key cursors only: their materialising
         reply describes the captured keys, not the application's columns."""
-        response = self._app_execute(with_false_where(select).sql())
+        probe = with_false_where(select)
+        response = self._app_execute(probe.sql(), placeholder_values(probe, values))
         return list(response.columns)
 
     def _fill(
@@ -703,11 +718,6 @@ class PhoenixConnection(Connection):
             )
             call = f"EXEC {name} ?" + ", ?" * n_values
             proc = self.fill_procs[key] = FillProcedure(name, n_values, [create, call])
-        if len(values) < proc.n_values:
-            raise ProgrammingError(
-                f"statement uses placeholder ?{proc.n_values} but only "
-                f"{len(values)} values were bound"
-            )
         table = ""
 
         def arguments() -> list:
@@ -787,8 +797,7 @@ class PhoenixConnection(Connection):
         if kind == "dynamic" and select.order_by:
             return None  # dynamic delivery is in key order only
         seq = self.names.next_seq()
-        bound = inline_placeholders(select, values)
-        app_columns = self.probe_metadata(bound)
+        app_columns = self.probe_metadata(select, values)
         keys_table, response = self._fill(
             (key, "keys"), key_query(select, key_column), values, read_back=None
         )
@@ -797,10 +806,11 @@ class PhoenixConnection(Connection):
             seq=seq,
             kind=kind,
             table=keys_table,
-            select=bound,
+            select=select,
             app_columns=app_columns,
             key_column=key_column,
             key_count=response.batch_rowcounts[0],
+            values=values,
         )
         self.results[seq] = state
         return state
@@ -865,6 +875,18 @@ class PhoenixConnection(Connection):
             return self._fetch_keyset_block(state, n)
         return self._fetch_dynamic_block(state, n)
 
+    def _read_block(
+        self, state: ResultState, where: ast.Expr | None, extra: list, **clauses
+    ) -> list[tuple]:
+        """Rows of a key cursor: the template's select list and the key where
+        ``where`` holds; the ``?`` it adds are numbered after the template's,
+        ``extra`` holds their values."""
+        select = state.select
+        key = ast.ColumnRef(state.key_column, table=select.from_.binding)
+        block = ast.Select([*select.items, ast.SelectItem(key)], select.from_, where, **clauses)
+        values = placeholder_values(block, [*state.values, *extra])
+        return self._app_execute(block.sql(), values).rows
+
     def _fetch_keyset_block(self, state: ResultState, n: int) -> tuple[list[tuple], bool]:
         keys = self._app_execute(
             f"SELECT {state.key_column} FROM {state.table} LIMIT {n} OFFSET {state.shipped}"
@@ -872,14 +894,10 @@ class PhoenixConnection(Connection):
         if not keys:
             return [], True
         key_values = [row[0] for row in keys]
-        in_list = ", ".join(ast.quote_literal(k) for k in key_values)
-        binding = state.select.from_.alias or state.select.from_.name
-        item_sql = ", ".join(item.sql() for item in state.select.items)
-        block = self._app_execute(
-            f"SELECT {item_sql}, {binding}.{state.key_column} "
-            f"FROM {state.select.from_.sql()} "
-            f"WHERE {state.key_column} IN ({in_list})"
-        ).rows
+        holders = [ast.Placeholder(len(state.values) + i) for i in range(len(key_values))]
+        block = self._read_block(
+            state, ast.InList(ast.ColumnRef(state.key_column), holders), key_values
+        )
         by_key = {row[-1]: row[:-1] for row in block}
         # deliver in captured-key order; vanished keys are keyset "holes"
         rows = [by_key[k] for k in key_values if k in by_key]
@@ -902,27 +920,15 @@ class PhoenixConnection(Connection):
                 state.keys_exhausted = True
             if boundary_rows:
                 boundary = boundary_rows[-1][0]
-        predicates = []
-        if state.select.where is not None:
-            predicates.append(f"({state.select.where.sql()})")
-        if state.last_key is not None:
-            predicates.append(
-                f"{state.key_column} > {ast.quote_literal(state.last_key)}"
-            )
-        if boundary is not None:
-            predicates.append(
-                f"{state.key_column} <= {ast.quote_literal(boundary)}"
-            )
-        item_sql = ", ".join(item.sql() for item in state.select.items)
-        sql = (
-            f"SELECT {item_sql}, {state.key_column} FROM {state.select.from_.sql()}"
-        )
-        if predicates:
-            sql += " WHERE " + " AND ".join(predicates)
-        sql += f" ORDER BY {state.key_column}"
-        if boundary is None:
-            sql += f" LIMIT {n}"
-        block = self._app_execute(sql).rows
+        key = ast.ColumnRef(state.key_column)
+        where, extra = state.select.where, []
+        for op, value in ((">", state.last_key), ("<=", boundary)):
+            if value is not None:
+                bound = ast.Binary(op, key, ast.Placeholder(len(state.values) + len(extra)))
+                where = bound if where is None else ast.Binary("AND", where, bound)
+                extra.append(value)
+        limit = n if boundary is None else None
+        block = self._read_block(state, where, extra, order_by=[ast.OrderItem(key)], limit=limit)
         rows = [row[:-1] for row in block]
         if block:
             state.last_key = block[-1][-1]

@@ -15,20 +15,17 @@ which every request is intercepted per the paper's dispatch:
 * statements inside an explicit transaction pass through natively but are
   recorded for wholesale replay.
 
-A crash during any of this surfaces to the application only as latency.
+Every statement sent carries its own ``?`` values beside its text, as the
+plain stack sends them.  A crash during any of this surfaces to the
+application only as latency.
 """
 
 from __future__ import annotations
 
 from repro.core.connection import PhoenixConnection
-from repro.core.interceptor import (
-    StatementClass,
-    build_dml_batch,
-    inline_placeholders,
-    statement_templates,
-)
+from repro.core.interceptor import StatementClass, Template, statement_templates
 from repro.core.statements import ResultState
-from repro.errors import NotSupportedError
+from repro.errors import NotSupportedError, ProgrammingError
 from repro.net.protocol import ResultResponse
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType, StatementAttr
@@ -68,35 +65,40 @@ class PhoenixCursor(Statement):
         bound = list(placeholders or [])
         tracer = get_tracer()
         with self.connection.application_call():
-            for index, (stmt, kind) in enumerate(statement_templates(sql)):
+            for index, template in enumerate(statement_templates(sql)):
+                if len(bound) < template.values.stop:
+                    # refused before it is sent, as the plain stack's server
+                    # refuses it: a wrapper's seq would bind in their place
+                    raise ProgrammingError(
+                        f"statement has placeholder ?{template.values.stop} but only "
+                        f"{len(bound)} values were bound"
+                    )
+                values = bound[template.values]
                 if tracer.enabled:
                     with tracer.span(
                         "client.statement",
                         corr=self.connection.correlation_id,
-                        sql=stmt.sql()[:80],
-                        cls=kind.name,
+                        sql=template.stmt.sql()[:80],
+                        cls=template.kind.name,
                     ):
-                        self._execute_one(stmt, kind, bound, (sql, index))
+                        self._execute_one(template, values, (sql, index))
                 else:
-                    self._execute_one(stmt, kind, bound, (sql, index))
+                    self._execute_one(template, values, (sql, index))
         return self
 
-    def _execute_one(
-        self, stmt: ast.Statement, kind: StatementClass, bound: list, key: tuple[str, int]
-    ) -> None:
-        """Dispatch one statement.  ``stmt`` is a shared template (see
+    def _execute_one(self, template: Template, values: list, key: tuple[str, int]) -> None:
+        """Dispatch one statement, ``values`` bound to its ``?``.  The
+        template is shared (see
         :func:`~repro.core.interceptor.statement_templates`): nothing here or
         below modifies it.  ``key`` names it: its text and position there."""
         connection = self.connection
+        stmt, kind = template.stmt, template.kind
 
         if kind is StatementClass.QUERY:
-            # the values travel beside the text; a template over a
-            # redirected temp object is keyed by its rewrite
+            # a template over a redirected temp object is keyed by its rewrite
             select = connection.rewrite(stmt)
-            self._execute_query(select, bound, key if select is stmt else select.sql())
+            self._execute_query(select, values, key if select is stmt else select.sql())
             return
-        if bound:
-            stmt = inline_placeholders(stmt, bound)
 
         if kind is StatementClass.SET_OPTION:
             connection.set_log.append((stmt.name, stmt.value))
@@ -136,25 +138,28 @@ class PhoenixCursor(Statement):
             raise NotSupportedError("indexes on temp tables are not supported")
 
         # everything below references tables/procs: apply redirection
-        stmt = connection.rewrite(stmt)
-        rewritten_sql = stmt.sql()
+        rewritten_sql = connection.rewrite(stmt).sql()
 
         if connection.in_transaction:
             # pass-through + record for replay
-            self._absorb(connection.run_in_transaction(rewritten_sql))
+            self._absorb(connection.run_in_transaction(rewritten_sql, values))
             return
 
         if kind in (StatementClass.DML, StatementClass.DDL, StatementClass.EXEC):
-            seq, rowcount, response = connection.run_dml(rewritten_sql)
+            seq, rowcount, response = connection.run_dml(rewritten_sql, values)
             if response is not None and response.kind == "rows":
                 # an EXEC whose procedure returns a result set: deliver it
                 # like the native stack would
                 self._absorb(response)
+            if kind is StatementClass.DDL:
+                # PEP 249: a CREATE/DROP's count "cannot be determined" —
+                # live or logged (the status row says 0)
+                rowcount = -1
             self.rowcount = rowcount
             self.messages.append(f"#{seq}: {rowcount} rows")
             return
-        # OTHER (CHECKPOINT, ...): pass through, retry-safe
-        self._absorb(connection._app_execute(rewritten_sql))
+        # OTHER (CHECKPOINT, EXPLAIN, ...): pass through, retry-safe
+        self._absorb(connection._app_execute(rewritten_sql, values))
 
     def _execute_query(self, select: ast.Select, values: list, key) -> None:
         connection = self.connection
@@ -182,31 +187,34 @@ class PhoenixCursor(Statement):
     def executemany(self, sql: str, rows: list[list]) -> "PhoenixCursor":
         """DB-API executemany — batched onto the wire when it safely can be.
 
-        A single autocommit DML statement is wrapped per row (own seq, own
-        status row: per-statement exactly-once is unchanged) and shipped in
-        :attr:`StatementAttr.BATCH_SIZE`-sized BatchExecuteRequests, each
-        one round trip and one WAL group force server-side.  Anything else
+        A single autocommit DML statement is shipped in
+        :attr:`StatementAttr.BATCH_SIZE`-sized BatchExecuteRequests — its
+        wrapped text once, the rows beside it — each one round trip and one
+        WAL group force server-side; every row keeps its own seq and status
+        row, so per-statement exactly-once is unchanged.  Anything else
         (multi-statement scripts, explicit transactions, non-DML, batching
         disabled) falls back to the inherited statement-at-a-time loop.
         """
         self._require_open()
         with self.connection.application_call():
-            entries = self._batch_entries(sql, rows)
-            if entries is None:
+            batch = self._batch(sql, rows)
+            if batch is None:
                 return super().executemany(sql, rows)
             self._reset_result()
+            text, values = batch
             batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
             total = 0
-            for start in range(0, len(entries), batch_size):
-                counts = self.connection.run_dml_batch(entries[start : start + batch_size])
+            for start in range(0, len(values), batch_size):
+                counts = self.connection.run_dml_batch(text, values[start : start + batch_size])
                 total += sum(counts)
         self.rowcount = total
-        self.messages.append(f"{len(entries)} statements batched")
+        self.messages.append(f"{len(values)} statements batched")
         return self
 
-    def _batch_entries(self, sql: str, rows: list[list]) -> list[tuple[int, str]] | None:
-        """Build the wrapped (seq, batch SQL) entries for a batchable
-        executemany, or None when the statement must go row-at-a-time."""
+    def _batch(self, sql: str, rows: list[list]) -> tuple[str, list[list]] | None:
+        """The statement text and each row's values for a batchable
+        executemany, or None when it must go row-at-a-time (a row with too
+        few values too: the loop fails at that row, as the plain one does)."""
         connection = self.connection
         if (
             not rows
@@ -215,18 +223,13 @@ class PhoenixCursor(Statement):
         ):
             return None
         templates = statement_templates(sql)
-        if len(templates) != 1 or templates[0][1] is not StatementClass.DML:
+        if len(templates) != 1 or templates[0].kind is not StatementClass.DML:
             return None
-        template = templates[0][0]  # parsed once; binding a row builds a new tree
-        entries: list[tuple[int, str]] = []
-        for row in rows:
-            stmt = inline_placeholders(template, list(row)) if row else template
-            stmt = connection.rewrite(stmt)
-            seq = connection.names.next_seq()
-            entries.append(
-                (seq, build_dml_batch(stmt.sql(), connection.names.status_table, seq))
-            )
-        return entries
+        (template,) = templates
+        if any(len(row) < template.values.stop for row in rows):
+            return None
+        values = [list(row)[template.values] for row in rows]
+        return connection.rewrite(template.stmt).sql(), values
 
     def _absorb_ok(self, response: ResultResponse) -> None:
         """Absorb the reply of a statement Phoenix ran on the application's

@@ -3,8 +3,9 @@
 Phoenix performs "a one-pass parse to determine request type" (§3).  We do
 the honest version: parse to AST, classify, and rewrite by AST transform —
 appending ``WHERE 0=1`` for the metadata probe, redirecting temp-object
-names to their persistent stand-ins, and assembling the transaction-wrapped
-DML batches.
+names to their persistent stand-ins, naming a fill procedure's parameters.
+No rewrite splices in a bound value: every statement Phoenix sends carries
+the values of its own ``?`` beside it (:func:`placeholder_values`).
 """
 
 from __future__ import annotations
@@ -12,24 +13,22 @@ from __future__ import annotations
 import dataclasses
 import enum
 import threading
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.engine.plancache import LRUCache
-from repro.errors import ProgrammingError
-from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
 from repro.sql.walk import transform, walk, with_false_where
 
 __all__ = [
     "StatementClass",
+    "Template",
     "classify",
     "statement_templates",
     "with_false_where",
     "redirect_names",
     "referenced_tables",
-    "inline_placeholders",
+    "placeholder_values",
     "name_placeholders",
-    "build_dml_batch",
 ]
 
 
@@ -97,20 +96,38 @@ _templates = LRUCache(TEMPLATE_CACHE_CAPACITY)
 _templates_lock = threading.Lock()  # one cache, clients on many threads
 
 
-def statement_templates(sql: str) -> tuple[tuple[ast.Statement, StatementClass], ...]:
+class Template(NamedTuple):
+    """One statement of an application text."""
+
+    stmt: ast.Statement
+    kind: StatementClass
+    #: its ``?`` among the values bound to the whole text — the parser
+    #: numbers them left to right across the script, and ``stmt``'s own are
+    #: renumbered from 0, so ``bound[values]`` is what its text binds
+    values: slice
+
+
+def statement_templates(sql: str) -> tuple[Template, ...]:
     """The statements of an application text, parsed and classified — once
     per text, process-wide: parsing is pure, so every connection shares the
     result, as the server's sessions share its ``ParseCache``.
 
     What comes back is shared and is never modified: everything that turns
     a template into the statement actually sent is copy-on-write —
-    :func:`inline_placeholders` and :func:`redirect_names` through
+    :func:`redirect_names` and :func:`name_placeholders` through
     :func:`repro.sql.walk.transform`, the rest through ``dataclasses.replace``.
     """
     with _templates_lock:
         templates = _templates.get(sql)
     if templates is None:
-        templates = tuple((stmt, classify(stmt)) for stmt in parse_script(sql))
+        templates, first = [], 0
+        for stmt in parse_script(sql):
+            count = sum(1 for node in walk(stmt) if node.__class__ is ast.Placeholder)
+            if first and count:
+                stmt = _replace_placeholders(stmt, lambda index: ast.Placeholder(index - first))
+            templates.append(Template(stmt, classify(stmt), slice(first, first + count)))
+            first += count
+        templates = tuple(templates)
         if len(sql) <= TEMPLATE_MAX_CHARS:
             with _templates_lock:
                 _templates.put(sql, templates)
@@ -161,72 +178,32 @@ def referenced_tables(stmt: ast.Statement) -> set[str]:
     }
 
 
-# ------------------------------------------------------------------ batch builders
+# ------------------------------------------------------------------ placeholders
 
 
-def build_dml_batch(dml_sql: str, status_table: str, seq: int) -> str:
-    """The paper's DML wrapper: one transaction containing the statement and
-    a status-table insert of its outcome (rows affected), shipped as a
-    single round trip::
+def _replace_placeholders(stmt: ast.Statement, new: Callable[[int], ast.Expr]) -> ast.Statement:
+    """``stmt`` with each ``?`` replaced by ``new(its index)``: a new tree
+    along the paths that lead to a placeholder, sharing every other subtree
+    with ``stmt`` (usually a cached template, never modified)."""
 
-        BEGIN; <dml>; INSERT INTO <status> VALUES (<seq>, rowcount()); COMMIT
-    """
-    get_tracer().event("interceptor.wrap_dml", seq=seq)
-    return (
-        "BEGIN TRANSACTION; "
-        f"{dml_sql}; "
-        f"INSERT INTO {status_table} VALUES ({seq}, rowcount()); "
-        "COMMIT"
-    )
-
-
-#: the statements whose ``?`` Phoenix binds (any other kind passes through)
-_BINDABLE = (ast.Select, ast.UnionSelect, ast.Insert, ast.Update, ast.Delete, ast.ExecProcedure)
-
-
-def _bind(stmt: ast.Statement, bound: Callable[[int], ast.Expr]) -> ast.Statement:
-    """``stmt`` with each ``?`` replaced by ``bound(its index)``.
-
-    A pure rewrite: ``stmt`` (usually a cached template) is never modified.
-    The result is a new tree along the paths that lead to a placeholder
-    and shares every other subtree with ``stmt``; with no placeholder in
-    it, it *is* ``stmt``.  An ``AS OF`` moment is not bound — it must be
-    spelled out in the statement (see the executor's ``_as_of_timestamp``).
-    """
-
-    def bind(node: ast.Node) -> ast.Node:
+    def replace(node: ast.Node) -> ast.Node:
         if node.__class__ is ast.Placeholder:
-            return bound(node.index)
-        moment = node.as_of if isinstance(node, (ast.Select, ast.UnionSelect)) else None
-        if moment is None:
-            return transform(node, bind)
-        return transform(node, lambda child: child if child is moment else bind(child))
+            return new(node.index)
+        return transform(node, replace)
 
-    return bind(stmt) if isinstance(stmt, _BINDABLE) else stmt
+    return replace(stmt)
 
 
-def inline_placeholders(stmt: ast.Statement, values: list) -> ast.Statement:
-    """``stmt`` with its ``?`` placeholders replaced by their bound values
-    as literals.
-
-    Phoenix rewrites and re-ships SQL text (wrapped DML batches, a key
-    cursor's block fetches), so there the parameters must be inlined before
-    rewriting — middleware doing statement rewriting cannot keep out-of-band
-    bindings."""
-
-    def literal(index: int) -> ast.Literal:
-        if index >= len(values):
-            raise ProgrammingError(
-                f"statement uses placeholder ?{index + 1} but only "
-                f"{len(values)} values were bound"
-            )
-        return ast.Literal(values[index])
-
-    return _bind(stmt, literal)
+def placeholder_values(stmt: ast.Node, values: list) -> list:
+    """What a request carrying ``stmt.sql()`` binds: ``values[i]`` for each
+    ``?i`` in ``stmt``, in text order — the server numbers ``?`` left to
+    right, and a rewrite numbers the ``?`` it adds after the template's."""
+    indexes = sorted(node.index for node in walk(stmt) if node.__class__ is ast.Placeholder)
+    return [values[index] for index in indexes]
 
 
 def name_placeholders(stmt: ast.Statement) -> tuple[ast.Statement, int]:
     """``stmt`` with each ``?`` replaced by the parameter ``@p<index>`` —
     the body of its fill procedure — and how many values it binds."""
-    indexes = [node.index for node in walk(stmt) if node.__class__ is ast.Placeholder]
-    return _bind(stmt, lambda index: ast.Param(f"p{index}")), max(indexes, default=-1) + 1
+    n_values = max((n.index + 1 for n in walk(stmt) if n.__class__ is ast.Placeholder), default=0)
+    return _replace_placeholders(stmt, lambda index: ast.Param(f"p{index}")), n_values

@@ -176,8 +176,8 @@ class PhoenixRecovery:
         stats.sql_state_seconds_total += phase2
 
     def resolve_batch(
-        self, entries: list[tuple[int, str]]
-    ) -> tuple[dict[int, int], list[tuple[int, str]]]:
+        self, entries: list[tuple[int, list]]
+    ) -> tuple[dict[int, int], list[tuple[int, list]]]:
         """Partial-batch replay: split a failed batch into landed / resubmit.
 
         After the session is back, one status-table probe over the batch's
@@ -190,10 +190,11 @@ class PhoenixRecovery:
         suffix therefore cannot double-apply — the paper's probe-after-
         failure argument, at batch granularity.
 
-        Returns ``(landed {seq: rowcount}, entries to resubmit in order)``.
+        ``entries`` are ``(seq, values)``, one per row of the batch.  Returns
+        ``(landed {seq: rowcount}, entries to resubmit in order)``.
         """
-        landed = self.connection.probe_status_many([seq for seq, _sql in entries])
-        remaining = [(seq, sql) for seq, sql in entries if seq not in landed]
+        landed = self.connection.probe_status_many([seq for seq, _values in entries])
+        remaining = [entry for entry in entries if entry[0] not in landed]
         get_tracer().event(
             "recovery.resolve_batch",
             corr=self.connection.correlation_id,

@@ -46,9 +46,11 @@ class ResultState:
     seq: int
     kind: str  # "default" | "keyset" | "dynamic"
     table: str  # the persistent phx result (or keys) table
-    select: ast.Select  # redirected query; a key cursor's has its values bound
+    select: ast.Select  # the redirected template, ``?`` and all
     app_columns: list[Column]  # metadata as the application sees it
     key_column: str | None = None
+    #: a key cursor's bound values: every block it reads binds them again
+    values: list = field(default_factory=list)
     shipped: int = 0
     last_key: Any = None  # dynamic cursors: last key seen by the app
     key_count: int | None = None  # keyset: number of captured keys

@@ -631,17 +631,19 @@ class DatabaseServer:
     def execute_batch(
         self,
         session_id: int,
-        statements: list[str],
+        sql: str,
+        rows: list[list],
         *,
         stop_after: int | None = None,
     ) -> tuple[list[StatementResult], Exception | None, int]:
-        """Execute N independent SQL batches as one wire unit under WAL
-        group commit.
+        """Execute ``sql`` once per row of ``?`` values, as one wire unit
+        under WAL group commit.
 
-        Each entry runs exactly as :meth:`execute` would (own wrapper
-        transaction, own status-table row — per-statement exactly-once is
-        unchanged), but every commit-time WAL force inside the batch is
-        deferred and one group force at the batch boundary covers them all.
+        Each row runs exactly as :meth:`execute` would run ``sql`` with it
+        (own wrapper transaction, own status-table row — per-statement
+        exactly-once is unchanged), but every commit-time WAL force inside
+        the batch is deferred and one group force at the batch boundary
+        covers them all.
         The caller (the endpoint) releases no reply before this method
         returns, i.e. before the covering force landed — that is the group
         commit invariant.
@@ -654,12 +656,13 @@ class DatabaseServer:
         modelling a process kill mid-batch (the deferred commits are lost).
         """
         with self._engine_mutex:
-            return self._execute_batch_locked(session_id, statements, stop_after=stop_after)
+            return self._execute_batch_locked(session_id, sql, rows, stop_after=stop_after)
 
     def _execute_batch_locked(
         self,
         session_id: int,
-        statements: list[str],
+        sql: str,
+        rows: list[list],
         *,
         stop_after: int | None = None,
     ) -> tuple[list[StatementResult], Exception | None, int]:
@@ -669,7 +672,7 @@ class DatabaseServer:
         results: list[StatementResult] = []
         error: Exception | None = None
         error_index = -1
-        bound = len(statements) if stop_after is None else min(stop_after, len(statements))
+        bound = len(rows) if stop_after is None else min(stop_after, len(rows))
         wal.begin_deferred()
         try:
             # No lock *waits* inside a deferred window: waiting releases the
@@ -680,7 +683,9 @@ class DatabaseServer:
             with self.database.locks.no_wait():
                 for index in range(bound):
                     try:
-                        results.append(self._execute_locked(session_id, statements[index]))
+                        results.append(
+                            self._execute_locked(session_id, sql, placeholders=rows[index])
+                        )
                     except Error as exc:
                         error = exc
                         error_index = index

@@ -222,7 +222,8 @@ class FaultInjector:
         return fault
 
     def schedule_on_sql(self, kind: FaultKind, needle: str, *, after: int = 0) -> ScheduledFault:
-        """Convenience: fire when an ExecuteRequest's SQL contains ``needle``."""
+        """Convenience: fire when a request's SQL (an ExecuteRequest's, or the
+        text a BatchExecuteRequest runs per row) contains ``needle``."""
 
         def matcher(request: Request) -> bool:
             sql = getattr(request, "sql", "")
@@ -247,7 +248,7 @@ class FaultInjector:
         ``next_fault`` call and a later :attr:`last_fault_arg` read."""
         with self._lock:
             if isinstance(request, BatchExecuteRequest):
-                self.batch_requests.append((self.requests_seen, len(request.statements)))
+                self.batch_requests.append((self.requests_seen, len(request.rows)))
             self.requests_seen += 1
             for fault in self._faults:
                 if fault.check(request):

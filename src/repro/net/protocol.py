@@ -77,15 +77,18 @@ class ExecuteRequest(Request):
 
 @dataclass
 class BatchExecuteRequest(Request):
-    """N statement batches in one round trip (wire batching).
+    """One SQL text run once per row of values, in one round trip (wire
+    batching): an executemany on the wire.
 
-    Each entry is an independent SQL batch (for Phoenix: one wrapped DML
-    with its own status-table seq); the server executes them in order as a
-    unit under WAL group commit — one device force covers every
-    sub-statement's commit (see :meth:`DatabaseServer.execute_batch`).
+    Each row is an independent execution of ``sql`` (for Phoenix: the DML
+    wrapper, the row ending in its own status-table seq); the server runs
+    them in order as a unit under WAL group commit — one device force
+    covers every sub-statement's commit (see
+    :meth:`DatabaseServer.execute_batch`).
     """
 
-    statements: list[str] = field(default_factory=list)
+    sql: str = ""
+    rows: list[list] = field(default_factory=list)
 
 
 @dataclass

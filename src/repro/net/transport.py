@@ -237,14 +237,12 @@ class ServerEndpoint:
                 # commits were deferred for the group force, so the crash
                 # loses all of them).  On a non-batch request this is just
                 # CRASH_BEFORE_EXECUTE.
-                if isinstance(request, BatchExecuteRequest) and request.statements:
-                    executed = (
-                        len(request.statements) // 2 if fault_arg is None else fault_arg
-                    )
-                    executed = max(0, min(executed, len(request.statements)))
+                if isinstance(request, BatchExecuteRequest) and request.rows:
+                    executed = len(request.rows) // 2 if fault_arg is None else fault_arg
+                    executed = max(0, min(executed, len(request.rows)))
                     try:
                         self.server.execute_batch(
-                            request.session_id, request.statements, stop_after=executed
+                            request.session_id, request.sql, request.rows, stop_after=executed
                         )
                     except (errors.Error, StorageFault):
                         pass  # the kill swallows whatever the prefix raised
@@ -337,11 +335,9 @@ class ServerEndpoint:
             )
             return _result_response(result)
         if isinstance(request, BatchExecuteRequest):
-            with get_tracer().span(
-                "wire.batch", statements=len(request.statements)
-            ) as span:
+            with get_tracer().span("wire.batch", statements=len(request.rows)) as span:
                 results, error, error_index = server.execute_batch(
-                    request.session_id, request.statements
+                    request.session_id, request.sql, request.rows
                 )
                 span.set(executed=len(results), error_index=error_index)
             return BatchExecuteResponse(
@@ -496,7 +492,7 @@ class ClientChannel:
         if isinstance(request, BatchExecuteRequest):
             # counted per send attempt: the trip happens whether or not the
             # reply makes it back
-            self.metrics.record_batch(len(request.statements))
+            self.metrics.record_batch(len(request.rows))
         with get_tracer().span(
             "wire.send", request=request_type, channel=self.channel_id
         ) as span:

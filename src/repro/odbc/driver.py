@@ -150,18 +150,21 @@ class DriverConnection:
         assert isinstance(response, ResultResponse)
         return response
 
-    def execute_batch(self, statements: list[str]) -> BatchExecuteResponse:
-        """Ship N statement batches in one round trip (wire batching).
+    def execute_batch(self, sql: str, rows: list[list]) -> BatchExecuteResponse:
+        """Run ``sql`` once per row of ``?`` values, in one round trip
+        (wire batching).
 
-        The server runs them in order under WAL group commit; a SQL error
-        comes back *in-band* inside the response (``error``/``error_index``
-        with the successful prefix in ``results``) rather than raising, so
-        the caller can account for the landed prefix before surfacing it.
-        Transport failures raise as usual.
+        The server runs the rows in order under WAL group commit; a SQL
+        error comes back *in-band* inside the response
+        (``error``/``error_index`` with the successful prefix in
+        ``results``) rather than raising, so the caller can account for the
+        landed prefix before surfacing it.  Transport failures raise as usual.
         """
         self._require_open()
         response = self.channel.send(
-            BatchExecuteRequest(session_id=self.session_id, statements=list(statements))
+            BatchExecuteRequest(
+                session_id=self.session_id, sql=sql, rows=[list(row) for row in rows]
+            )
         )
         assert isinstance(response, BatchExecuteResponse)
         return response

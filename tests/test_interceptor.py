@@ -1,4 +1,4 @@
-"""Phoenix interceptor tests: classification, rewriting, batch builders."""
+"""Phoenix interceptor tests: classification, rewriting, templates."""
 
 from __future__ import annotations
 
@@ -6,18 +6,18 @@ import pytest
 
 from repro.core.interceptor import (
     StatementClass,
-    build_dml_batch,
     classify,
-    inline_placeholders,
     name_placeholders,
+    placeholder_values,
     redirect_names,
     referenced_tables,
     statement_templates,
     with_false_where,
 )
 from repro.core.naming import NameAllocator, PROXY_TABLE
-from repro.errors import ProgrammingError, SQLSyntaxError
-from repro.sql import ast, parse, parse_script
+from repro.errors import SQLSyntaxError
+from repro.sql import ast, parse
+from repro.sql.walk import walk
 
 
 # ---------------------------------------------------------------- classify
@@ -134,72 +134,6 @@ def test_referenced_tables_walks_everything():
     assert {"a", "b", "c"} <= names
 
 
-# ---------------------------------------------------------------- placeholders
-
-def test_inline_placeholders_in_where():
-    stmt = inline_placeholders(parse("SELECT a FROM t WHERE k = ? AND v = ?"), [5, "x"])
-    assert "(k = 5)" in stmt.sql() and "(v = 'x')" in stmt.sql()
-
-
-def test_inline_placeholders_in_insert_values():
-    stmt = inline_placeholders(parse("INSERT INTO t VALUES (?, ?)"), [1, "a"])
-    assert stmt.sql() == "INSERT INTO t VALUES (1, 'a')"
-
-
-def test_inline_placeholders_in_update_assignments():
-    stmt = inline_placeholders(parse("UPDATE t SET v = ? WHERE k = ?"), ["new", 3])
-    assert "v = 'new'" in stmt.sql() and "(k = 3)" in stmt.sql()
-
-
-def test_inline_placeholders_escapes_strings():
-    stmt = inline_placeholders(parse("SELECT a FROM t WHERE v = ?"), ["o'brien"])
-    assert "'o''brien'" in stmt.sql()
-
-
-def test_inline_placeholders_missing_value_raises():
-    stmt = parse("SELECT a FROM t WHERE k = ?")
-    with pytest.raises(ProgrammingError):
-        inline_placeholders(stmt, [])
-
-
-def test_inline_placeholders_in_subquery():
-    stmt = inline_placeholders(
-        parse("SELECT a FROM t WHERE k IN (SELECT k FROM s WHERE v = ?)"), [9]
-    )
-    assert "(v = 9)" in stmt.sql()
-
-
-def test_inline_placeholders_is_a_pure_bind_sharing_untouched_subtrees():
-    template = parse("SELECT a, b + 1 FROM t JOIN u ON t.x = u.x WHERE k = ? ORDER BY a")
-    rendered = template.sql()
-    bound = inline_placeholders(template, [5])
-    assert bound is not template and "(k = 5)" in bound.sql()
-    assert template.sql() == rendered  # the template still says "?"
-    # only the path to the placeholder is new
-    assert bound.items is template.items
-    assert bound.from_ is template.from_
-    assert bound.order_by is template.order_by
-    assert bound.where is not template.where and bound.where.left is template.where.left
-    # nothing to bind: the statement itself comes back
-    literal = parse("SELECT a FROM t WHERE k = 1")
-    assert inline_placeholders(literal, [9]) is literal
-
-
-def test_inline_placeholders_reaches_like_escape_union_parts_and_exec_args():
-    stmt = inline_placeholders(
-        parse("SELECT a FROM t WHERE v LIKE ? ESCAPE ? UNION SELECT b FROM u WHERE k IN (?, ?)"),
-        ["x!%", "!", 1, 2],
-    )
-    assert "LIKE 'x!%' ESCAPE '!'" in stmt.sql() and "IN (1, 2)" in stmt.sql()
-    assert inline_placeholders(parse("EXEC p ?, ?"), [1, "a"]).sql() == "EXEC p 1, 'a'"
-
-
-def test_inline_placeholders_leaves_as_of_unbound():
-    # the moment must be spelled out in the text (the engine rejects "?")
-    stmt = inline_placeholders(parse("SELECT a FROM t WHERE k = ? AS OF ?"), [1, 2.0])
-    assert stmt.sql().endswith("WHERE (k = 1) AS OF ?")
-
-
 def test_redirect_without_temp_objects_returns_the_statement_itself():
     stmt = parse("SELECT * FROM normal")
     assert redirect_names(stmt, {}) is stmt
@@ -226,8 +160,38 @@ def test_referenced_tables_leaves_the_statement_alone():
 def test_statement_templates_parse_a_text_once_and_classify_it():
     text = "SELECT a FROM t WHERE k = ?; UPDATE t SET a = ? WHERE k = ?"
     templates = statement_templates(text)
-    assert [kind for _stmt, kind in templates] == [StatementClass.QUERY, StatementClass.DML]
+    assert [t.kind for t in templates] == [StatementClass.QUERY, StatementClass.DML]
     assert statement_templates(text) is templates
+
+
+def test_each_template_binds_its_own_slice_of_the_values():
+    """The parser numbers ``?`` across the whole text; each template keeps
+    its own, numbered from 0, and the slice of the bound values they take."""
+    templates = statement_templates(
+        "SELECT a FROM t WHERE k = ?; CHECKPOINT; UPDATE t SET a = ? WHERE k = ? AND v < ?"
+    )
+    assert [t.values for t in templates] == [slice(0, 1), slice(1, 1), slice(1, 4)]
+    bound = ["k1", "a", "k2", "v"]
+    assert [bound[t.values] for t in templates] == [["k1"], [], ["a", "k2", "v"]]
+    update = templates[2].stmt
+    assert [n.index for n in walk(update) if isinstance(n, ast.Placeholder)] == [0, 1, 2]
+    assert update.sql() == "UPDATE t SET a = ? WHERE ((k = ?) AND (v < ?))"
+
+
+def test_placeholder_values_follow_the_text_of_a_rewrite():
+    """A rewrite that drops some of a template's ``?`` and appends its own
+    (numbered after the template's) binds what its text still shows, in
+    text order."""
+    template = parse("SELECT ? AS tag, k FROM t WHERE k > ? ORDER BY k")
+    probe = with_false_where(template)
+    assert placeholder_values(probe, ["x", 3]) == ["x", 3]
+    block = ast.Select(
+        template.items,
+        template.from_,
+        ast.InList(ast.ColumnRef("k"), [ast.Placeholder(2), ast.Placeholder(3)]),
+    )
+    assert block.sql().count("?") == 3
+    assert placeholder_values(block, ["x", 3, 10, 11]) == ["x", 10, 11]
 
 
 def test_statement_templates_are_bounded_and_skip_load_scripts():
@@ -261,7 +225,7 @@ def test_statement_templates_survive_threads_racing_on_a_full_cache():
         try:
             for step in range(1500):
                 text = texts[(offset + step * 7) % len(texts)]
-                ((stmt, kind),) = statement_templates(text)
+                ((stmt, kind, _values),) = statement_templates(text)
                 if stmt.sql() != text.replace("k = ?", "(k = ?)") or kind is not StatementClass.QUERY:
                     failures.append(f"{text!r} came back as {stmt.sql()!r}")
         except Exception as exc:  # a lost race inside the LRU raises KeyError
@@ -282,17 +246,7 @@ def test_statement_templates_survive_threads_racing_on_a_full_cache():
     assert len(interceptor._templates) <= interceptor.TEMPLATE_CACHE_CAPACITY
 
 
-# ---------------------------------------------------------------- batch builders
-
-def test_dml_batch_structure():
-    batch = build_dml_batch("UPDATE t SET a = 1", "phx_status", 7)
-    statements = parse_script(batch)
-    kinds = [type(s).__name__ for s in statements]
-    assert kinds == ["BeginTransaction", "Update", "Insert", "Commit"]
-    insert = statements[2]
-    assert insert.table == "phx_status"
-    assert "rowcount()" in insert.sql()
-
+# ---------------------------------------------------------------- placeholders
 
 def test_name_placeholders_makes_a_procedure_body_of_a_template():
     template = parse("SELECT a, ? AS tag FROM t WHERE b > ? AND a IN (SELECT a FROM u WHERE c = ?)")

@@ -16,7 +16,8 @@ fail when a second function starts looking rows up in an index.  PR 25 made
 every value only tests turned a constant: they fail when a config field or
 an engine or wire constructor keyword has no caller outside the tests.  One
 server session serves a virtual session: they fail when ``repro.core``
-opens a second one.
+opens a second one.  Values travel beside the text: they fail when a bound
+value or a sequence number is spliced into a statement Phoenix sends.
 """
 
 from __future__ import annotations
@@ -427,3 +428,51 @@ def test_one_function_finds_the_rows_a_predicate_names():
                 if lookups & _calls(function)
             ]
     assert sorted(callers) == ["executor.py:_probe_rowids", "executor.py:_run_topk"]
+
+
+# ---------------------------------------------------------------- values beside the text
+
+def test_no_bound_value_is_spliced_into_a_text(monkeypatch):
+    """Every statement Phoenix sends carries its values beside its text:
+    the inliner, the function that rendered a sequence number into the
+    wrapper and the batch's list of rendered texts are gone, no literal is
+    quoted in ``repro.core``, and a repeated statement is a repeated text."""
+    from repro.net.protocol import BatchExecuteRequest, ExecuteRequest
+    from repro.net.transport import ClientChannel
+
+    assert not {"inline_placeholders", "build_dml_batch"} & _identifiers_under_src()
+    fields = [f.name for f in dataclasses.fields(BatchExecuteRequest)]
+    assert fields == ["session_id", "sql", "rows"]
+    quoting = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(CORE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "quote_literal" in ast.unparse(node.func)
+    ]
+    assert quoting == []
+
+    system = repro.make_system()
+    connection = system.phoenix.connect(system.DSN)
+    cursor = connection.cursor()
+    cursor.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    cursor.execute("INSERT INTO t VALUES (1, 0), (2, 0)")
+    sent: list[str] = []
+    send = ClientChannel.send
+
+    def recording(channel, request):
+        if isinstance(request, ExecuteRequest):
+            sent.append(request.sql)
+        return send(channel, request)
+
+    monkeypatch.setattr(ClientChannel, "send", recording)
+    for i in range(20):
+        cursor.execute("UPDATE t SET v = ? WHERE k = ?", [i, 1 + i % 2])
+    for i in range(2):
+        connection.begin()
+        cursor.execute("UPDATE t SET v = ? WHERE k = ?", [100 + i, 1])
+        connection.commit()
+    wrappers = {sql for sql in sent if sql.startswith("BEGIN TRANSACTION; UPDATE")}
+    commits = {sql for sql in sent if sql.endswith("COMMIT") and "rowcount()" not in sql}
+    assert len(wrappers) == 1 and len(commits) == 1, (wrappers, commits)
+    assert cursor.execute("SELECT v FROM t ORDER BY k").fetchall() == [(101,), (19,)]
+    connection.close()

@@ -205,15 +205,19 @@ def test_repeated_select_parses_nothing_on_either_side(ready, parsed_texts):
     assert third_execution(cur, "SELECT v FROM t WHERE k <= ? ORDER BY k", [5], answer) == (2, 3)
 
 
-def test_repeated_wrapped_dml_is_no_client_parse_one_server_parse(ready, parsed_texts):
+def test_repeated_wrapped_dml_is_parsed_on_neither_side(ready, parsed_texts):
+    """The values and the sequence number travel beside the wrapper, so the
+    wrapper is one text per template and session: the server parses it once."""
     system, conn, cur = ready
     text = "UPDATE t SET v = v + ? WHERE k = ?"
     cur.execute(text, [100, 4])
+    (script,) = [t for t in parsed_texts if t.startswith("BEGIN")]
+    assert script.startswith("BEGIN TRANSACTION; UPDATE t SET v = (v + ?) WHERE (k = ?); ")
+    assert script.endswith("VALUES (?, rowcount()); COMMIT")
     del parsed_texts[:]
     cur.execute(text, [100, 7])
     assert cur.rowcount == 1
-    (script,) = parsed_texts
-    assert script.startswith("BEGIN TRANSACTION; UPDATE t SET v = (v + 100) WHERE (k = 7); ")
+    assert parsed_texts == []
     cur.execute("SELECT k FROM t WHERE v > 100 ORDER BY k")
     assert cur.fetchall() == [(4,), (7,)]
 
@@ -229,7 +233,7 @@ def test_executemany_parses_its_text_once_and_deep_copies_nothing(ready, parsed_
     cur.executemany(text, [[100 + i, i] for i in range(16)])
     assert cur.rowcount == 16
     assert parsed_texts.count(text) == 1
-    assert len(parsed_texts) == 1 + 16  # + one wrapped script per row, server-side
+    assert len(parsed_texts) == 1 + 1  # + the wrapper, once for the batch, server-side
     assert copies == []
     cur.execute("SELECT count(*) FROM t WHERE k >= 100")
     assert cur.fetchall() == [(16,)]
@@ -247,7 +251,7 @@ def test_cached_templates_are_never_modified(ready):
     cur.execute(create)
     cur.execute("INSERT INTO #t VALUES (1), (2), (3)")
     before = {
-        text: [stmt.sql() for stmt, _kind in interceptor.statement_templates(text)]
+        text: [t.stmt.sql() for t in interceptor.statement_templates(text)]
         for text in (plain, temp, create)
     }
     cur.execute(temp, [1])
@@ -259,7 +263,7 @@ def test_cached_templates_are_never_modified(ready):
     for text, rendered in before.items():
         templates = interceptor.statement_templates(text)
         assert templates is interceptor.statement_templates(text)  # cached
-        assert [stmt.sql() for stmt, _kind in templates] == rendered
+        assert [t.stmt.sql() for t in templates] == rendered
     assert before[temp] == ["SELECT n FROM #t WHERE (n > ?) ORDER BY n"]
     assert before[create] == ["CREATE TABLE #t (n INT NOT NULL PRIMARY KEY)"]  # still #t
     # a second session redirects the same template to its own name

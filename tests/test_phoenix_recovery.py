@@ -339,6 +339,19 @@ def test_ping_exhaustion_surfaces_original_error(system, monkeypatch):
 
 # ------------------------------------------------------------------ transactions
 
+def test_a_wrapped_update_with_bound_values_whose_reply_is_lost_applies_once(ready):
+    """The values and the sequence number travel beside the wrapper's text:
+    the probe after the lost reply finds the statement's status row, and the
+    rowcount it logged is the one reported."""
+    system, conn, cur = ready
+    system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "SET v = (v || ?)")
+    cur.execute("UPDATE t SET v = v || ? WHERE k <= ?", ["!", 3])
+    assert cur.rowcount == 3
+    assert (conn.stats.recoveries, conn.stats.probe_hits) == (1, 1)
+    cur.execute("SELECT v FROM t WHERE k <= 4 ORDER BY k")
+    assert cur.fetchall() == [("v1!",), ("v2!",), ("v3!",), ("v4",)]
+
+
 def test_open_transaction_replayed(ready):
     system, conn, cur = ready
     conn.begin()

@@ -17,6 +17,7 @@ import typing
 import pytest
 
 import repro
+from repro.net import FaultKind
 from repro.odbc.constants import CursorType, StatementAttr
 from repro.sql import ast, parse
 from repro.sql.walk import children
@@ -327,3 +328,247 @@ def test_a_template_over_a_temp_table_reads_the_table_of_that_name_now():
         [(5, "e", 50)], [],
         [(101,)],
     ]
+
+
+# ---------------------------------------------------------------- values beside the text
+#
+# Every statement Phoenix sends carries the values of its own ``?`` beside
+# its text.  It used to splice them into the text as literals wherever it
+# re-sent a statement — the DML wrapper, a transaction's statements, EXEC, a
+# batch entry, a key cursor's blocks: a float with no literal spelling came
+# back as "unknown column 'inf'", and a script's second statement was bound
+# to the first one's values.
+
+SPECIAL_FLOATS = {"inf": float("inf"), "-inf": float("-inf"), "nan": float("nan")}
+
+#: what every test below starts from, on either stack
+FRESH = [
+    "CREATE TABLE f (k INT PRIMARY KEY, v FLOAT, s VARCHAR)",
+    "INSERT INTO f VALUES (1, 1.0, 'a'), (2, 2.0, 'b%')",
+    "CREATE PROCEDURE setv (@x FLOAT) AS BEGIN UPDATE f SET v = @x WHERE k = 1 END",
+    "CREATE PROCEDURE sets (@k INT, @s VARCHAR) AS BEGIN UPDATE f SET s = @s WHERE k = @k END",
+]
+FRESH_ROWS = [(1, 1.0, "a"), (2, 2.0, "b%")]
+
+
+def fresh(kind: str):
+    system = repro.make_system()
+    connection = connect(system, kind)
+    cursor = connection.cursor()
+    for sql in FRESH:
+        cursor.execute(sql)
+    return system, connection, cursor
+
+
+def f_rows(connection) -> list[tuple]:
+    return connection.cursor().execute("SELECT k, v, s FROM f ORDER BY k").fetchall()
+
+
+def seen_through_both(step) -> dict[str, str]:
+    """``repr`` of what ``step(connection, cursor)`` answers and of the rows
+    of ``f`` afterwards, per stack (``nan`` is not equal to itself; its
+    ``repr`` is)."""
+    seen = {}
+    for kind in KINDS:
+        _system, connection, cursor = fresh(kind)
+        try:
+            answer = step(connection, cursor)
+        except repro.Error as exc:
+            answer = type(exc)
+        seen[kind] = repr((answer, f_rows(connection)))
+        connection.close()
+    return seen
+
+
+def in_a_transaction(sql: str, values: list):
+    def step(connection, cursor):
+        connection.begin()
+        rowcount = cursor.execute(sql, values).rowcount
+        connection.commit()
+        return rowcount
+
+    return step
+
+
+def batched(sql: str, rows: list[list]):
+    def step(connection, cursor):
+        cursor.set_attr(StatementAttr.BATCH_SIZE, len(rows))
+        return cursor.executemany(sql, rows).rowcount
+
+    return step
+
+
+def key_cursor(cursor_type: str, sql: str, values: list):
+    def step(connection, cursor):
+        cursor.set_attr(StatementAttr.CURSOR_TYPE, cursor_type)
+        cursor.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 1)  # one block per row
+        return cursor.execute(sql, values).fetchall()
+
+    return step
+
+
+#: the paths that spliced a value into a text: name -> a step over ``value``
+VALUE_PATHS = {
+    "autocommit update": lambda value: lambda _c, cursor: cursor.execute(
+        "UPDATE f SET v = ? WHERE k = ?", [value, 1]
+    ).rowcount,
+    "autocommit insert": lambda value: lambda _c, cursor: cursor.execute(
+        "INSERT INTO f VALUES (?, ?, 'c')", [3, value]
+    ).rowcount,
+    "update in a transaction": lambda value: in_a_transaction(
+        "UPDATE f SET v = ? WHERE k = ?", [value, 2]
+    ),
+    "exec": lambda value: lambda _c, cursor: cursor.execute("EXEC setv ?", [value]).rowcount,
+    "batched executemany": lambda value: batched(
+        "INSERT INTO f VALUES (?, ?, 'c')", [[3, value], [4, value]]
+    ),
+    "keyset cursor": lambda value: key_cursor(
+        CursorType.KEYSET, "SELECT k, v FROM f WHERE v < ? OR v > ?", [value, value]
+    ),
+    "dynamic cursor": lambda value: key_cursor(
+        CursorType.DYNAMIC, "SELECT k, v FROM f WHERE v < ? OR v > ?", [value, value]
+    ),
+}
+
+
+@pytest.mark.parametrize("value", SPECIAL_FLOATS)
+@pytest.mark.parametrize("path", VALUE_PATHS)
+def test_a_value_without_a_literal_reaches_the_server_as_it_does_without_phoenix(path, value):
+    seen = seen_through_both(VALUE_PATHS[path](SPECIAL_FLOATS[value]))
+    assert seen["phoenix"] == seen["plain"]
+    assert "Error" not in seen["plain"], seen["plain"]
+
+
+#: name -> (DML text, values): what a wrapper, a transaction's statement
+#: and a batch row must bind as the plain stack does
+BOUND_DML = {
+    "a quote in a string": ("UPDATE f SET s = ? WHERE k = ?", ["it's", 1]),
+    "under a subquery": (
+        "UPDATE f SET s = ? WHERE k IN (SELECT k FROM f WHERE s = ?)", ["o''k", "a"]
+    ),
+    "a pattern with an escape": ("DELETE FROM f WHERE s LIKE ? ESCAPE '!'", ["b!%"]),
+    "an escape character": ("DELETE FROM f WHERE s LIKE 'b!%' ESCAPE ?", ["!"]),
+    "exec arguments": ("EXEC sets ?, ?", [2, "it's"]),
+}
+#: ESCAPE takes a literal: a ``?`` there is the same error on both stacks
+#: (the statements Phoenix inlined used to accept it)
+REFUSED_DML = {"an escape character"}
+
+
+@pytest.mark.parametrize("how", ["autocommit", "transaction", "executemany"])
+@pytest.mark.parametrize("name", BOUND_DML)
+def test_bound_values_reach_a_statement_as_they_do_without_phoenix(name, how):
+    sql, values = BOUND_DML[name]
+    step = {
+        "autocommit": lambda _c, cursor: cursor.execute(sql, values).rowcount,
+        "transaction": in_a_transaction(sql, values),
+        "executemany": batched(sql, [values, values]),
+    }[how]
+    seen = seen_through_both(step)
+    assert seen["phoenix"] == seen["plain"]
+    if name in REFUSED_DML:
+        assert "ProgrammingError" in seen["plain"], seen["plain"]
+    else:
+        assert "Error" not in seen["plain"] and repr(FRESH_ROWS) not in seen["plain"], seen["plain"]
+
+
+#: name -> (text, values, what its last statement answers)
+SCRIPTS = {
+    "two queries": ("SELECT k FROM f WHERE k = ?; SELECT k FROM f WHERE k = ?", [1, 2], [(2,)]),
+    "an update, then a query": (
+        "UPDATE f SET s = ? WHERE k = ?; SELECT s FROM f WHERE k = ?", ["z", 1, 1], [("z",)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_each_statement_of_a_script_binds_its_own_values(name):
+    """The server numbers ``?`` across the whole text: the second statement
+    of a script binds the values after the first one's."""
+    sql, values, answer = SCRIPTS[name]
+    seen = seen_through_both(lambda _c, cursor: cursor.execute(sql, values).fetchall())
+    assert seen["phoenix"] == seen["plain"]
+    assert seen["plain"].startswith(f"({answer!r}, ")
+
+
+#: name -> (one statement, too few values for it)
+TOO_FEW = {
+    "update": ("UPDATE f SET v = ? WHERE k = ?", [5.0]),
+    "insert": ("INSERT INTO f VALUES (?, ?, ?)", [3, 3.0]),
+    "exec": ("EXEC setv ?", []),
+    "query": ("SELECT k FROM f WHERE k = ? OR v = ?", [1]),
+}
+
+
+@pytest.mark.parametrize("name", TOO_FEW)
+def test_too_few_values_are_refused_with_nothing_executed(name):
+    """Phoenix refuses the statement before it sends it (sent, the wrapper's
+    sequence number would bind in the missing value's place); the plain
+    stack's server refuses it before it runs."""
+    sql, values = TOO_FEW[name]
+    for kind in KINDS:
+        system, connection, cursor = fresh(kind)
+        network = system.registry.network
+        trips = network.round_trips
+        with pytest.raises(repro.ProgrammingError, match="placeholder"):
+            cursor.execute(sql, values)
+        if kind == "phoenix":
+            assert network.round_trips == trips  # nothing sent
+        assert f_rows(connection) == FRESH_ROWS
+        connection.close()
+
+
+def test_executemany_stops_at_a_row_with_too_few_values_as_without_phoenix():
+    seen = seen_through_both(batched("INSERT INTO f VALUES (?, ?, 'c')", [[3, 3.0], [4]]))
+    assert seen["phoenix"] == seen["plain"]
+    assert "ProgrammingError" in seen["plain"] and "(3, 3.0, 'c')" in seen["plain"]
+
+
+def test_an_as_of_moment_is_not_bound_on_either_stack():
+    seen = seen_through_both(
+        lambda _c, cursor: cursor.execute("SELECT k FROM f AS OF ?", [1.0]).fetchall()
+    )
+    assert seen["phoenix"] == seen["plain"]
+    assert "ProgrammingError" in seen["plain"]
+
+
+# ---------------------------------------------------------------- DDL rowcount
+
+#: name -> (what it needs first, one of each DDL kind Phoenix wraps)
+DDL = {
+    "create table": ([], "CREATE TABLE n (a INT)"),
+    "drop table": ([], "DROP TABLE f"),
+    "create index": ([], "CREATE INDEX f_v ON f (v)"),
+    "drop index": (["CREATE INDEX f_v ON f (v)"], "DROP INDEX f_v"),
+    "create view": ([], "CREATE VIEW fv AS SELECT k FROM f"),
+    "drop view": (["CREATE VIEW fv AS SELECT k FROM f"], "DROP VIEW fv"),
+    "create procedure": ([], "CREATE PROCEDURE np AS BEGIN SELECT 1 END"),
+    "drop procedure": ([], "DROP PROCEDURE setv"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,crash",
+    [(name, False) for name in DDL] + [("create table", True)],
+    ids=[*DDL, "create table, reply lost"],
+)
+def test_a_ddl_rowcount_cannot_be_determined(name, crash):
+    """PEP 249: -1 when the count "cannot be determined", as the plain stack
+    reports it — also when Phoenix reads the outcome of a DDL whose reply was
+    lost from the status table (which logs 0)."""
+    setup, sql = DDL[name]
+    seen = {}
+    for kind in KINDS:
+        system, connection, cursor = fresh(kind)
+        for statement in setup:
+            cursor.execute(statement)
+        if crash and kind == "phoenix":
+            connection.config.sleep = lambda _s: (
+                system.endpoint.restart_server() if not system.server.up else None
+            )
+            system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, sql)
+        seen[kind] = cursor.execute(sql).rowcount
+        if crash and kind == "phoenix":
+            assert connection.stats.probe_hits == 1
+        connection.close()
+    assert seen == {"plain": -1, "phoenix": -1}

@@ -15,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.interceptor import inline_placeholders, redirect_names, referenced_tables
+from repro.core.interceptor import (
+    name_placeholders,
+    redirect_names,
+    referenced_tables,
+    statement_templates,
+)
 from repro.errors import Error
 from repro.sql import ast, parse_script
 from repro.sql.walk import aggregate_calls, children, transform, walk
@@ -149,7 +154,8 @@ def test_rewrites_read_the_whole_statement_and_leave_it_alone(name):
         assert redirect_names(stmt, {}) is stmt
         assert redirect_names(stmt, {"no_such_table": "x"}, {"no_such_proc": "y"}) is stmt
         if not any(isinstance(node, ast.Placeholder) for node in walk(stmt)):
-            assert inline_placeholders(stmt, []) is stmt
+            body, n_values = name_placeholders(stmt)
+            assert body is stmt and n_values == 0
 
         # one name redirected: what does not hold it is shared, what does is new
         if names:
@@ -162,7 +168,16 @@ def test_rewrites_read_the_whole_statement_and_leave_it_alone(name):
 
 
 BOUND_TEXTS = {name: text for name, text in TEXTS.items() if "?" in text} | {
-    "update": "UPDATE acct SET v = v + ? WHERE k IN (SELECT k FROM w WHERE a = 1) AND j = ?"
+    "update": "UPDATE acct SET v = v + ? WHERE k IN (SELECT k FROM w WHERE a = 1) AND j = ?",
+    "everywhere a value goes": (
+        "SELECT ?, CASE WHEN k = ? THEN ? ELSE ? END AS c FROM t JOIN u ON t.x = u.x + ? "
+        "WHERE k IN (SELECT k FROM w WHERE a = ?) AND k IN (?, ?) AND v BETWEEN ? AND ? "
+        "AND s LIKE ? AND EXISTS (SELECT 1 FROM w WHERE w.k = t.k - ?) "
+        "GROUP BY k HAVING count(*) > ?"
+    ),
+    "union": "SELECT k FROM q WHERE k = ? UNION SELECT k + ? FROM q WHERE k = ? ORDER BY 1",
+    "insert": "INSERT INTO t (a, b) VALUES (?, ?), (?, -?)",
+    "a script": "SELECT k FROM f WHERE k = ?; UPDATE f SET s = ? WHERE k = ?; EXEC p ?, ?",
 }
 
 
@@ -173,10 +188,29 @@ def test_binding_shares_what_holds_no_placeholder(name):
         if not holders or not isinstance(stmt, (ast.Select, ast.UnionSelect, ast.Insert, ast.Update, ast.Delete)):
             continue
         rendered = stmt.sql()
-        bound = inline_placeholders(stmt, [7] * len(holders))
+        bound, n_values = name_placeholders(stmt)
+        assert n_values == max(n.index for n in holders) + 1
         assert not any(isinstance(n, ast.Placeholder) for n in walk(bound))
         kept = {id(node) for node in walk(bound)}
         for node in walk(stmt):
             holds = any(isinstance(n, ast.Placeholder) for n in walk(node))
             assert (id(node) in kept) != holds, node.sql()
         assert stmt.sql() == rendered
+
+
+@pytest.mark.parametrize("name", BOUND_TEXTS)
+def test_a_template_renders_its_placeholders_in_number_order(name):
+    """A statement Phoenix sends is a template rendered, with the values of
+    its ``?`` in number order beside it; the server numbers the rendered
+    ``?`` left to right, so rendering must keep them in that order (each
+    template's own are numbered from 0, whatever came before it)."""
+    if not _statements(BOUND_TEXTS[name]):
+        return
+    for template in statement_templates(BOUND_TEXTS[name]):
+        (rendered,) = parse_script(template.stmt.sql())
+        numbers = [
+            [n.index for n in walk(stmt) if isinstance(n, ast.Placeholder)]
+            for stmt in (template.stmt, rendered)
+        ]
+        assert numbers[0] == numbers[1]
+        assert sorted(numbers[0]) == list(range(len(numbers[0])))

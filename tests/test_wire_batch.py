@@ -57,7 +57,7 @@ def _is_batch(request) -> bool:
 
 def test_batch_messages_round_trip_the_wire():
     request = BatchExecuteRequest(
-        session_id=7, statements=["BEGIN TRANSACTION; X; COMMIT", "SELECT 1"]
+        session_id=7, sql="INSERT INTO t VALUES (?, ?)", rows=[[1, 1.5], [2, None]]
     )
     assert decode_message(encode_message(request)) == request
 
@@ -84,8 +84,10 @@ def test_execute_batch_coalesces_commit_forces(system):
     _create_table(system)
     session = system.server.connect()
     system.registry.reset()
-    statements = [f"INSERT INTO t VALUES ({k}, {k}.5)" for k in range(1, 5)]
-    results, error, error_index = system.server.execute_batch(session, statements)
+    rows = [[k, k + 0.5] for k in range(1, 5)]
+    results, error, error_index = system.server.execute_batch(
+        session, "INSERT INTO t VALUES (?, ?)", rows
+    )
     assert error is None and error_index == -1
     assert [r.rowcount for r in results] == [1, 1, 1, 1]
     wal = system.registry.wal
@@ -99,12 +101,10 @@ def test_execute_batch_error_prefix_is_durable(system):
     _create_table(system)
     session = system.server.connect()
     system.registry.reset()
-    statements = [
-        "INSERT INTO t VALUES (1, 1.5)",
-        "INSERT INTO t VALUES (1, 9.9)",  # duplicate key
-        "INSERT INTO t VALUES (2, 2.5)",
-    ]
-    results, error, error_index = system.server.execute_batch(session, statements)
+    rows = [[1, 1.5], [1, 9.9], [2, 2.5]]  # the second is a duplicate key
+    results, error, error_index = system.server.execute_batch(
+        session, "INSERT INTO t VALUES (?, ?)", rows
+    )
     assert len(results) == 1
     assert isinstance(error, IntegrityError)
     assert error_index == 1
@@ -120,9 +120,7 @@ def test_group_force_is_noop_for_read_only_batch(system):
     _create_table(system)
     session = system.server.connect()
     system.registry.reset()
-    results, error, _ = system.server.execute_batch(
-        session, ["SELECT count(*) FROM t", "SELECT count(*) FROM t"]
-    )
+    results, error, _ = system.server.execute_batch(session, "SELECT count(*) FROM t", [[], []])
     assert error is None and len(results) == 2
     # nothing committed, so no device force happened at the boundary
     assert system.registry.wal.forces == 0
@@ -361,10 +359,10 @@ def test_inflight_batch_group_forces_before_drain_swap():
     entered, release = threading.Event(), threading.Event()
     original = system.server.execute_batch
 
-    def slow_batch(session_id, statements, **kwargs):
+    def slow_batch(session_id, sql, rows, **kwargs):
         entered.set()
         release.wait(5.0)
-        return original(session_id, statements, **kwargs)
+        return original(session_id, sql, rows, **kwargs)
 
     system.server.execute_batch = slow_batch
     failures: list[str] = []
