@@ -34,7 +34,14 @@ from repro.errors import (
 )
 from repro.engine import functions
 from repro.engine.database import Database
-from repro.engine.expressions import Env, ExpressionCompiler, PlaceholderList, Scope
+from repro.engine.expressions import (
+    CompiledExpr,
+    Env,
+    ExpressionCompiler,
+    PlaceholderList,
+    Scope,
+    is_constant,
+)
 from repro.engine.plancache import (
     PROC_CACHE_CAPACITY,
     EngineMetrics,
@@ -49,7 +56,7 @@ from repro.engine.values import SqlType, sort_key
 from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
-from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children, walk
+from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children
 
 __all__ = ["Executor"]
 
@@ -1021,14 +1028,15 @@ class _SelectPlan:
         for index, on_expr in enumerate(on_exprs):
             join_conjuncts[index].extend(_split_conjuncts(on_expr))
 
-        #: conjuncts referencing no column of this query (e.g. Phoenix's
-        #: ``0 = 1`` metadata probe, or purely outer-correlated guards) —
-        #: evaluated once per run, not once per row.  This is what makes
-        #: ``WHERE 0=1`` effectively compile-only, as the paper assumes.
-        constant_conjuncts: list[ast.Expr] = []
+        #: conjuncts referencing no column of this query's rows (a ``?``,
+        #: an ``@name``, ``rowcount()``, outer-correlated guards) — evaluated
+        #: once per run, not once per row
+        row_independent: list[CompiledExpr] = []
 
-        #: set when a literal-only conjunct folded to not-True at compile
-        #: time — the plan is then an empty-result short circuit.
+        #: set when a conjunct folded to not-True at compile time (Phoenix's
+        #: ``0 = 1`` metadata probe) — the plan is then an empty-result
+        #: short circuit, which makes ``WHERE 0=1`` compile-only, as the
+        #: paper assumes.
         self.folded_false = False
 
         for conjunct in _split_conjuncts(self.select.where):
@@ -1036,22 +1044,11 @@ class _SelectPlan:
             if _collect_plain_refs(conjunct, refs) and not any(
                 _is_local_ref(self.scope, ref) for ref in refs
             ):
-                if not refs and not _varies_between_runs(conjunct):
-                    # constant folding: no column refs at any depth, no
-                    # function calls (rowcount() is session-state-dependent)
-                    # and nothing bound per execution — evaluate now, once
-                    # per *compile*, not once per run.
-                    try:
-                        value = self.compiler.compile_predicate(conjunct)(_env([], None))
-                    except Exception:
-                        # runtime errors (e.g. division by zero) must keep
-                        # surfacing at run time, not at EXPLAIN/compile time
-                        constant_conjuncts.append(conjunct)
-                    else:
-                        if value is not True:
-                            self.folded_false = True
-                    continue
-                constant_conjuncts.append(conjunct)
+                fn = self.compiler.compile_predicate(conjunct)
+                if not is_constant(fn):
+                    row_independent.append(fn)
+                elif fn(None) is not True:
+                    self.folded_false = True
                 continue
             target = self._conjunct_target(conjunct)
             if target is None:
@@ -1060,7 +1057,7 @@ class _SelectPlan:
                 post_conjuncts[target].append(conjunct)
             else:
                 join_conjuncts[target].append(conjunct)
-        self.constant_filter = self._compile_conjunction(constant_conjuncts)
+        self.constant_filter = _all_true(row_independent)
 
         self.join_steps: list[_JoinStep] = []
         for index, kind in enumerate(kinds):
@@ -1094,19 +1091,7 @@ class _SelectPlan:
         self.where = self._compile_conjunction(final_conjuncts)
 
     def _compile_conjunction(self, conjuncts: list[ast.Expr]):
-        if not conjuncts:
-            return None
-        fns = [self.compiler.compile_predicate(c) for c in conjuncts]
-        if len(fns) == 1:
-            return fns[0]
-
-        def _all(env: Env):
-            for fn in fns:
-                if fn(env) is not True:
-                    return False
-            return True
-
-        return _all
+        return _all_true([self.compiler.compile_predicate(c) for c in conjuncts])
 
     def _conjunct_target(self, conjunct: ast.Expr) -> int | None:
         """Earliest join step at which ``conjunct`` can run, or None to keep
@@ -1480,22 +1465,20 @@ class _SelectPlan:
         stats = self.executor.stats
         if len(self.sources) == 1:
             # single-source fast path: no join product to build, so each row
-            # is copied once (scan or probe result), padded in place, and
+            # is copied once (scan or probe result) with its pad, and
             # filtered through one reused environment
             source = self.sources[0]
             step = self.join_steps[0]
             start, end = self.source_ranges[0]
             pad = [None] * (total_width - end)
+            found = None
             if step.probe is not None:
-                rows = self._probe_rows(source, step.probe, outer_env)
-                if rows is None:
-                    rows = [list(row) for row in source.rows_fn()]
-            else:
-                rows = [list(row) for row in source.rows_fn()]
+                found = self._probe_rows(source, step.probe, outer_env)
+            if found is None:
+                found = source.rows_fn()
+            rows = [list(row) + pad for row in found] if pad else [list(row) for row in found]
             if source.table is not None:
                 stats.rows_scanned += len(rows)
-            if pad:
-                rows = [row + pad for row in rows]
             residual = step.residual
             if residual is not None:
                 env = _env([], outer_env)
@@ -1513,11 +1496,12 @@ class _SelectPlan:
             width = end - start
             pad_after = total_width - end
             pad = [None] * pad_after
-            right_rows = None
+            found = None
             if step.probe is not None:
-                right_rows = self._probe_rows(source, step.probe, outer_env)
-            if right_rows is None:
-                right_rows = [list(row) for row in source.rows_fn()]
+                found = self._probe_rows(source, step.probe, outer_env)
+            if found is None:
+                found = source.rows_fn()
+            right_rows = [list(row) for row in found]
             if source.table is not None:
                 stats.rows_scanned += len(right_rows)
 
@@ -1581,64 +1565,54 @@ class _SelectPlan:
 
     def _probe_rows(
         self, source: _Source, probe, outer_env: Env | None
-    ) -> list[list] | None:
-        """The rows an index probe finds, copied for the pipeline, or None
-        when the probe cannot be used this run (see :func:`_probe_rowids`):
-        the caller falls back to the full scan."""
+    ) -> list[tuple] | None:
+        """The rows an index probe finds, as stored, or None when the probe
+        cannot be used this run (see :func:`_probe_rowids`): the caller
+        falls back to the full scan."""
         table = source.table
         rowids = _probe_rowids(
             table, probe, _env([None] * self.scope.slot_count, outer_env), self.executor.stats
         )
         if rowids is None:
             return None
-        return [list(table.get(rowid)) for rowid in rowids]
+        return [table.get(rowid) for rowid in rowids]
 
     def _run_grouped(self, rows: list[list], outer_env: Env | None) -> list[tuple]:
-        groups: dict[tuple, dict] = {}
-        order: list[tuple] = []
+        key_fns = self.group_key_fns
+        arg_fns = self.agg_arg_fns
+        agg_nodes = self.agg_nodes
+        make_accumulator = functions.make_accumulator
+
+        def accumulators() -> list[functions.Accumulator]:
+            return [
+                make_accumulator(node.name, star=node.star, distinct=node.distinct)
+                for node in agg_nodes
+            ]
+
+        #: group key -> (representative row, accumulators), in first-seen order
+        groups: dict[tuple, tuple[list, list]] = {}
         env = _env([], outer_env)
         for row in rows:
             env.values = row
-            key = tuple(fn(env) for fn in self.group_key_fns)
+            key = tuple([fn(env) for fn in key_fns])
             group = groups.get(key)
             if group is None:
-                group = {
-                    "rep": row,
-                    "accs": [
-                        functions.make_accumulator(
-                            node.name, star=node.star, distinct=node.distinct
-                        )
-                        for node in self.agg_nodes
-                    ],
-                }
-                groups[key] = group
-                order.append(key)
-            for acc, arg_fn in zip(group["accs"], self.agg_arg_fns):
+                group = groups[key] = (row, accumulators())
+            for acc, arg_fn in zip(group[1], arg_fns):
                 acc.add(1 if arg_fn is None else arg_fn(env))
         if not groups and not self.group_exprs:
             # aggregate over empty input: one all-NULL/zero row
-            groups[()] = {
-                "rep": [None] * self.scope.slot_count,
-                "accs": [
-                    functions.make_accumulator(
-                        node.name, star=node.star, distinct=node.distinct
-                    )
-                    for node in self.agg_nodes
-                ],
-            }
-            order.append(())
+            groups[()] = ([None] * self.scope.slot_count, accumulators())
 
         out_rows: list[tuple] = []
         ordering_rows: list[list] = []
-        n_aggs = len(self.agg_nodes)
+        n_aggs = len(agg_nodes)
         width = self.scope.slot_count
-        for key in order:
-            group = groups[key]
-            rep = list(group["rep"])
+        for rep, accs in groups.values():
             # place aggregate results in their synthetic slots (the last
             # n_aggs slots, allocated in agg_nodes order)
-            agg_values = [acc.result() for acc in group["accs"]]
-            full = rep[: width - n_aggs] + agg_values if n_aggs else rep
+            agg_values = [acc.result() for acc in accs]
+            full = rep[: width - n_aggs] + agg_values if n_aggs else list(rep)
             env = _env(full, outer_env)
             if self.having_fn is not None and self.having_fn(env) is not True:
                 continue
@@ -1875,7 +1849,7 @@ def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[i
     """The rowids an index probe (PK, secondary equality, or secondary
     range) finds, in scan (rowid) order; ``env`` is the rowless environment
     the probe's values are evaluated in.  Returns None when the probe
-    cannot be used this run (an uncoercible range bound) — the caller falls
+    cannot be used this run (an uncoercible range bound, a NaN) — the caller falls
     back to the full scan so per-row error semantics are preserved."""
     column, value_fn, probe_kind = probe
     if probe_kind == "range":
@@ -1903,6 +1877,8 @@ def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[i
         value = table.schema.column(column).coerce(value)
     except DataError:
         return []  # incomparable constant: no row can match
+    if value != value:
+        return None  # NaN: the index cannot find a NaN it holds; compare can
     stats.index_eq_probes += 1
     if probe_kind == "pk":
         rowid = table.lookup_key((value,))
@@ -1932,6 +1908,8 @@ def _range_probe_bounds(table: Table, probe, env: Env):
                 value = spec.coerce(value)
             except DataError:
                 return _FALLBACK_SCAN
+            if value != value:
+                return _FALLBACK_SCAN  # NaN: compare orders it, bisect cannot
         bounds.append(value)
     return (*bounds, low_incl, high_incl)
 
@@ -1952,14 +1930,20 @@ def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
     return [expr]
 
 
-def _varies_between_runs(expr: ast.Expr) -> bool:
-    """Can a row-independent expression differ from one run of its plan to
-    the next?  Used to exclude conjuncts from constant folding: scalar
-    functions may be session-state dependent (``rowcount()``), and ``?`` and
-    ``@name`` are rebound for every execution of a cached plan."""
-    return any(
-        isinstance(node, (ast.FuncCall, ast.Placeholder, ast.Param)) for node in walk(expr)
-    )
+def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:
+    """One filter out of compiled predicates: true when each is true."""
+    if not fns:
+        return None
+    if len(fns) == 1:
+        return fns[0]
+
+    def _all(env: Env):
+        for fn in fns:
+            if fn(env) is not True:
+                return False
+        return True
+
+    return _all
 
 
 def _collect_plain_refs(expr: ast.Expr, out: list[ast.ColumnRef]) -> bool:

@@ -9,6 +9,15 @@ makes TPC-H-scale scans tolerable in pure Python.
 Three-valued logic: predicate closures return ``True``/``False``/``None``;
 the executor treats only ``True`` as satisfying WHERE/HAVING/ON.
 
+Compilation folds bottom-up: a literal compiles to a constant, and any
+other node whose compiled operands are all constants is evaluated once, at
+compile time — except a function call, a ``?``, an ``@name`` and a
+subquery, which are never constant.  Constness is read off the compiled
+operands, not found by walking the tree again: DML compiles its WHERE and
+SET on every execution.  A comparison whose two values are of a pair in
+:data:`~repro.engine.values.DIRECT_PAIRS` applies Python's operator to them
+directly; every other pair goes through :func:`~repro.engine.values.compare`.
+
 Subqueries are compiled through a callback into the executor (to avoid an
 import cycle the executor passes itself in as the ``SubqueryRunner``).
 Uncorrelated subqueries are detected at compile time — their result is
@@ -19,13 +28,14 @@ from __future__ import annotations
 
 import datetime
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine import functions
-from repro.engine.values import add_interval, coerce_value, compare, parse_date
+from repro.engine.values import DIRECT_PAIRS, add_interval, coerce_value, compare, parse_date
 from repro.engine.schema import type_spec_to_sql_type
 from repro.sql import ast
 
@@ -36,6 +46,7 @@ __all__ = [
     "ExpressionCompiler",
     "PlaceholderList",
     "SubqueryRunner",
+    "is_constant",
     "like_to_regex",
 ]
 
@@ -251,6 +262,81 @@ def _truthy(value: Any) -> Any:
     return bool(value)
 
 
+def _three_valued(fn: CompiledExpr) -> CompiledExpr:
+    """Mark ``fn`` as returning only True/False/None: used as a predicate,
+    it needs no :func:`_truthy` around it."""
+    fn.three_valued = True
+    return fn
+
+
+def _constant(value: Any) -> CompiledExpr:
+    """What a literal compiles to, and what folding makes of a node over
+    constants."""
+
+    def constant(env: Env) -> Any:
+        return value
+
+    constant.constant = True
+    constant.three_valued = value is None or value.__class__ is bool
+    return constant
+
+
+def is_constant(fn: CompiledExpr) -> bool:
+    """Did ``fn`` fold to a constant at compile time?  Then ``fn(None)`` is
+    its value, the same at every run."""
+    return getattr(fn, "constant", False)
+
+
+def _folded(fn: CompiledExpr, *operands: CompiledExpr) -> CompiledExpr:
+    """``fn`` evaluated once, now, when every operand is a constant.  An
+    evaluation that raises keeps ``fn``: the error belongs to the runs that
+    evaluate the expression (a filter over an empty table raises nothing)."""
+    for operand in operands:
+        if not is_constant(operand):
+            return fn
+    try:
+        value = fn(None)
+    except Exception:
+        return fn
+    return _constant(value)
+
+
+def _predicate(fn: CompiledExpr) -> CompiledExpr:
+    """``fn`` used as a filter: its result normalized to True/False/None."""
+    if getattr(fn, "three_valued", False):
+        return fn
+    if is_constant(fn):
+        return _constant(_truthy(fn(None)))
+    return lambda env: _truthy(fn(env))
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """``compare(a, b) == 0``, with ``==`` applied directly to a direct pair."""
+    if (a.__class__, b.__class__) in DIRECT_PAIRS:
+        if a == b:
+            return True
+        if a == a and b == b:  # no NaN: Python's "unequal" is SQL's
+            return False
+    return compare(a, b) == 0
+
+
+#: comparison operator -> (the Python operator that answers it for a direct
+#: pair, the answer when that operator holds, the test on compare's -1/0/1).
+#: Every Python comparison with a NaN is false, so a false one is taken as
+#: the answer only once neither side is NaN.
+_COMPARISONS: dict[str, tuple[Callable[[Any, Any], bool], bool, Callable[[int], bool]]] = {
+    "=": (operator.eq, True, lambda c: c == 0),
+    "<>": (operator.eq, False, lambda c: c != 0),
+    "<": (operator.lt, True, lambda c: c < 0),
+    "<=": (operator.le, True, lambda c: c <= 0),
+    ">": (operator.gt, True, lambda c: c > 0),
+    ">=": (operator.ge, True, lambda c: c >= 0),
+}
+
+#: EXTRACT's parts: the ``datetime.date`` attribute each reads
+_DATE_PARTS = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
+
+
 class ExpressionCompiler:
     """Compiles AST expressions against a scope.
 
@@ -289,14 +375,12 @@ class ExpressionCompiler:
 
     def compile_predicate(self, expr: ast.Expr) -> CompiledExpr:
         """Compile an expression used as a filter (result normalized to 3VL)."""
-        inner = self.compile(expr)
-        return lambda env: _truthy(inner(env))
+        return _predicate(self.compile(expr))
 
     # -- leaves ------------------------------------------------------------------
 
     def _compile_Literal(self, expr: ast.Literal) -> CompiledExpr:
-        value = parse_date(str(expr.value)) if expr.is_date else expr.value
-        return lambda env: value
+        return _constant(parse_date(str(expr.value)) if expr.is_date else expr.value)
 
     def _compile_ColumnRef(self, expr: ast.ColumnRef) -> CompiledExpr:
         depth, slot = self.scope.resolve(expr.name, expr.table)
@@ -346,10 +430,14 @@ class ExpressionCompiler:
     def _compile_Unary(self, expr: ast.Unary) -> CompiledExpr:
         operand = self.compile(expr.operand)
         if expr.op.upper() == "NOT":
+            condition = _predicate(operand)
+
+            @_three_valued
             def _not(env: Env) -> Any:
-                value = _truthy(operand(env))
+                value = condition(env)
                 return None if value is None else not value
-            return _not
+
+            return _folded(_not, operand)
         if expr.op == "-":
             def _neg(env: Env) -> Any:
                 value = operand(env)
@@ -358,14 +446,14 @@ class ExpressionCompiler:
                 if value.__class__ not in _NUMBERS:
                     raise _not_numbers("-", value)
                 return -value
-            return _neg
+            return _folded(_neg, operand)
         raise ProgrammingError(f"unknown unary operator {expr.op}")
 
     def _compile_Binary(self, expr: ast.Binary) -> CompiledExpr:
         op = expr.op.upper()
         if op in ("+", "-") and isinstance(expr.right, ast.IntervalLiteral):
-            # date ± INTERVAL must be folded before the operand compiles
-            # (a bare IntervalLiteral has no value of its own)
+            # date ± INTERVAL takes its amount from the AST before the
+            # operand compiles (a bare IntervalLiteral has no value of its own)
             base = self.compile(expr.left)
             amount, unit = expr.right.amount, expr.right.unit
             sign = 1 if op == "+" else -1
@@ -374,19 +462,24 @@ class ExpressionCompiler:
                 value = base(env)
                 return None if value is None else add_interval(value, amount, unit, sign)
 
-            return _date_shift
+            return _folded(_date_shift, base)
         left = self.compile(expr.left)
         right = self.compile(expr.right)
-        if op == "AND":
-            return lambda env: _kleene_and(_truthy(left(env)), _truthy(right(env)))
-        if op == "OR":
-            return lambda env: _kleene_or(_truthy(left(env)), _truthy(right(env)))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
+        return _folded(self._binary(expr, op, left, right), left, right)
+
+    def _binary(
+        self, expr: ast.Binary, op: str, left: CompiledExpr, right: CompiledExpr
+    ) -> CompiledExpr:
+        if op in ("AND", "OR"):
+            kleene = _kleene_and if op == "AND" else _kleene_or
+            first, second = _predicate(left), _predicate(right)
+            return _three_valued(lambda env: kleene(first(env), second(env)))
+        if op in _COMPARISONS:
             return self._compile_comparison(op, left, right)
         if op in ("+", "-"):
             return self._compile_additive(expr, op, left, right)
         if op == "*":
-            return _arithmetic(op, left, right, lambda a, b: a * b)
+            return _arithmetic(op, left, right, operator.mul)
         if op == "/":
             def _div(a: Any, b: Any) -> Any:
                 if b == 0:
@@ -408,18 +501,19 @@ class ExpressionCompiler:
 
     @staticmethod
     def _compile_comparison(op: str, left: CompiledExpr, right: CompiledExpr) -> CompiledExpr:
-        tests: dict[str, Callable[[int], bool]] = {
-            "=": lambda c: c == 0,
-            "<>": lambda c: c != 0,
-            "<": lambda c: c < 0,
-            "<=": lambda c: c <= 0,
-            ">": lambda c: c > 0,
-            ">=": lambda c: c >= 0,
-        }
-        test = tests[op]
+        direct, when_true, test = _COMPARISONS[op]
+        when_false = not when_true
 
+        @_three_valued
         def _cmp(env: Env) -> Any:
-            c = compare(left(env), right(env))
+            a = left(env)
+            b = right(env)
+            if (a.__class__, b.__class__) in DIRECT_PAIRS:
+                if direct(a, b):
+                    return when_true
+                if a == a and b == b:  # no NaN: Python's false is SQL's
+                    return when_false
+            c = compare(a, b)
             return None if c is None else test(c)
 
         return _cmp
@@ -428,19 +522,20 @@ class ExpressionCompiler:
         self, expr: ast.Binary, op: str, left: CompiledExpr, right: CompiledExpr
     ) -> CompiledExpr:
         sign = 1 if op == "+" else -1
+        apply = operator.add if op == "+" else operator.sub
 
         def _add(env: Env) -> Any:
             a = left(env)
             b = right(env)
             if a is None or b is None:
                 return None
+            if a.__class__ in _NUMBERS and b.__class__ in _NUMBERS:
+                return apply(a, b)
             if isinstance(a, datetime.date) and isinstance(b, int):
                 return a + datetime.timedelta(days=sign * b)
             if op == "-" and isinstance(a, datetime.date) and isinstance(b, datetime.date):
                 return (a - b).days
-            if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
-                raise _not_numbers(op, a, b)
-            return a + b if sign > 0 else a - b
+            raise _not_numbers(op, a, b)
 
         return _add
 
@@ -452,8 +547,8 @@ class ExpressionCompiler:
     def _compile_IsNull(self, expr: ast.IsNull) -> CompiledExpr:
         operand = self.compile(expr.operand)
         if expr.negated:
-            return lambda env: operand(env) is not None
-        return lambda env: operand(env) is None
+            return _folded(_three_valued(lambda env: operand(env) is not None), operand)
+        return _folded(_three_valued(lambda env: operand(env) is None), operand)
 
     def _compile_Between(self, expr: ast.Between) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -461,10 +556,21 @@ class ExpressionCompiler:
         high = self.compile(expr.high)
         negated = expr.negated
 
+        @_three_valued
         def _between(env: Env) -> Any:
             value = operand(env)
-            lo = compare(value, low(env))
-            hi = compare(value, high(env))
+            low_value = low(env)
+            high_value = high(env)
+            cls = value.__class__
+            if (cls, low_value.__class__) in DIRECT_PAIRS and (
+                cls, high_value.__class__
+            ) in DIRECT_PAIRS:
+                if low_value <= value <= high_value:
+                    return not negated
+                if value == value and low_value == low_value and high_value == high_value:
+                    return negated  # no NaN: Python's false is SQL's
+            lo = compare(value, low_value)
+            hi = compare(value, high_value)
             if lo is None or hi is None:
                 # ``value >= low AND value <= high`` in three-valued logic: a
                 # NULL bound leaves the answer unknown unless the other bound
@@ -477,29 +583,30 @@ class ExpressionCompiler:
                 result = lo >= 0 and hi <= 0
             return not result if negated else result
 
-        return _between
+        return _folded(_between, operand, low, high)
 
     def _compile_InList(self, expr: ast.InList) -> CompiledExpr:
         operand = self.compile(expr.operand)
         items = [self.compile(item) for item in expr.items]
         negated = expr.negated
 
+        @_three_valued
         def _in_fixed(env: Env) -> Any:
             value = operand(env)
             if value is None:
                 return None
             saw_null = False
             for item in items:
-                c = compare(value, item(env))
-                if c is None:
+                other = item(env)
+                if other is None:
                     saw_null = True
-                elif c == 0:
-                    return True if not negated else False
+                elif _equal(value, other):
+                    return not negated
             if saw_null:
                 return None
-            return False if not negated else True
+            return negated
 
-        return _in_fixed
+        return _folded(_in_fixed, operand, *items)
 
     def _compile_Like(self, expr: ast.Like) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -512,6 +619,7 @@ class ExpressionCompiler:
         if isinstance(expr.pattern, ast.Literal):
             regex = like_to_regex(str(expr.pattern.value), escape_char)
 
+            @_three_valued
             def _like_const(env: Env) -> Any:
                 value = operand(env)
                 if value is None:
@@ -519,9 +627,10 @@ class ExpressionCompiler:
                 matched = regex.match(str(value)) is not None
                 return not matched if negated else matched
 
-            return _like_const
+            return _folded(_like_const, operand)
         pattern = self.compile(expr.pattern)
 
+        @_three_valued
         def _like(env: Env) -> Any:
             value = operand(env)
             pat = pattern(env)
@@ -530,7 +639,7 @@ class ExpressionCompiler:
             matched = like_to_regex(str(pat), escape_char).match(str(value)) is not None
             return not matched if negated else matched
 
-        return _like
+        return _folded(_like, operand, pattern)
 
     # -- subqueries ---------------------------------------------------------------------
 
@@ -563,6 +672,7 @@ class ExpressionCompiler:
 
         cached_gather = _statement_memo(self.runner, gather)
 
+        @_three_valued
         def _in_select_fixed(env: Env) -> Any:
             value = operand(env)
             if value is None:
@@ -584,6 +694,7 @@ class ExpressionCompiler:
         negated = expr.negated
         cached_found = _statement_memo(self.runner, lambda env: bool(rows_fn(env)))
 
+        @_three_valued
         def _exists(env: Env) -> Any:
             if correlated:
                 found = bool(rows_fn(env))
@@ -639,33 +750,39 @@ class ExpressionCompiler:
     def _compile_CaseExpr(self, expr: ast.CaseExpr) -> CompiledExpr:
         whens = [(self.compile(c), self.compile(r)) for c, r in expr.whens]
         else_ = self.compile(expr.else_) if expr.else_ is not None else None
+        parts = [fn for pair in whens for fn in pair] + ([else_] if else_ is not None else [])
         if expr.operand is None:
+            conditions = [(_predicate(cond), result) for cond, result in whens]
+
             def _case(env: Env) -> Any:
-                for cond, result in whens:
-                    if _truthy(cond(env)) is True:
+                for cond, result in conditions:
+                    if cond(env) is True:
                         return result(env)
                 return else_(env) if else_ is not None else None
-            return _case
+            return _folded(_case, *parts)
         operand = self.compile(expr.operand)
 
         def _case_operand(env: Env) -> Any:
             value = operand(env)
             for cond, result in whens:
-                if compare(value, cond(env)) == 0:
+                other = cond(env)
+                if value is not None and other is not None and _equal(value, other):
                     return result(env)
             return else_(env) if else_ is not None else None
 
-        return _case_operand
+        return _folded(_case_operand, operand, *parts)
 
     def _compile_Cast(self, expr: ast.Cast) -> CompiledExpr:
         operand = self.compile(expr.operand)
         sql_type = type_spec_to_sql_type(expr.type)
         length = expr.type.length
-        return lambda env: coerce_value(operand(env), sql_type, length=length)
+        return _folded(lambda env: coerce_value(operand(env), sql_type, length=length), operand)
 
     def _compile_ExtractExpr(self, expr: ast.ExtractExpr) -> CompiledExpr:
         operand = self.compile(expr.operand)
-        part = expr.part.upper()
+        field = _DATE_PARTS.get(expr.part.upper())
+        if field is None:
+            raise ProgrammingError(f"cannot EXTRACT {expr.part}")
 
         def _extract(env: Env) -> Any:
             value = operand(env)
@@ -675,9 +792,9 @@ class ExpressionCompiler:
                 value = parse_date(value)
             if not isinstance(value, datetime.date):
                 raise DataError(f"EXTRACT requires a date, got {value!r}")
-            return {"YEAR": value.year, "MONTH": value.month, "DAY": value.day}[part]
+            return getattr(value, field)
 
-        return _extract
+        return _folded(_extract, operand)
 
     def _compile_SubstringExpr(self, expr: ast.SubstringExpr) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -685,8 +802,10 @@ class ExpressionCompiler:
         length = self.compile(expr.length) if expr.length is not None else None
         substr = functions.SCALAR_FUNCTIONS["substring"]
         if length is None:
-            return lambda env: substr(operand(env), start(env))
-        return lambda env: substr(operand(env), start(env), length(env))
+            return _folded(lambda env: substr(operand(env), start(env)), operand, start)
+        return _folded(
+            lambda env: substr(operand(env), start(env), length(env)), operand, start, length
+        )
 
 
 #: the classes arithmetic is defined on — Python would also "add" two

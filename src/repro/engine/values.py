@@ -6,7 +6,8 @@ Values are plain Python objects — ``int``, ``float``, ``str``, ``bool``,
 paper's behaviour does not depend on exact decimal semantics).
 
 Comparison follows SQL three-valued logic: any comparison involving NULL
-yields ``None`` (UNKNOWN), which predicates treat as not-true.
+yields ``None`` (UNKNOWN), which predicates treat as not-true.  Floats
+order as in PostgreSQL: NaN equals NaN and sorts above every number.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "SqlType",
     "coerce_value",
     "compare",
-    "sql_equal",
+    "DIRECT_PAIRS",
     "add_interval",
     "parse_date",
     "sort_key",
@@ -138,30 +139,37 @@ def _comparable_pair(left: Any, right: Any) -> tuple[Any, Any]:
     return left, right
 
 
+#: the class pairs ``_comparable_pair`` leaves as they are.  Python's own
+#: operators order them as :func:`compare` does, except that every Python
+#: comparison with a NaN is false: a caller that applies them directly must
+#: send a pair with a NaN to ``compare``.
+DIRECT_PAIRS = frozenset({
+    (int, int), (int, float), (float, int), (float, float),
+    (str, str), (datetime.date, datetime.date),
+})
+
+
 def compare(left: Any, right: Any) -> int | None:
     """Three-valued SQL comparison.
 
-    Returns ``None`` when either side is NULL, else -1/0/1.
+    Returns ``None`` when either side is NULL, else -1/0/1.  NaN equals NaN
+    and sorts above every number, as in PostgreSQL.
     """
     if left is None or right is None:
         return None
-    left, right = _comparable_pair(left, right)
+    if (left.__class__, right.__class__) not in DIRECT_PAIRS:
+        left, right = _comparable_pair(left, right)
     try:
         if left < right:
             return -1
         if left > right:
             return 1
-        return 0
     except TypeError as exc:
         raise DataError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"
         ) from exc
-
-
-def sql_equal(left: Any, right: Any) -> bool | None:
-    """SQL ``=`` with NULL → UNKNOWN."""
-    result = compare(left, right)
-    return None if result is None else result == 0
+    # equal, or unordered because a side is NaN (the one value unequal to itself)
+    return (left != left) - (right != right)
 
 
 def add_interval(value: Any, amount: int, unit: str, sign: int = 1) -> datetime.date:
@@ -188,8 +196,12 @@ def add_interval(value: Any, amount: int, unit: str, sign: int = 1) -> datetime.
 def _days_in_month(year: int, month: int) -> int:
     if month == 12:
         return 31
-    first_next = datetime.date(year + (month == 12), month % 12 + 1, 1)
+    first_next = datetime.date(year, month + 1, 1)
     return (first_next - datetime.timedelta(days=1)).day
+
+
+#: the key of a NaN: after every other value's ``(True, value)``
+_NAN_KEY = (2, 0)
 
 
 #: Sort group tags: NULLs first, then everything else by value.  Mixed-type
@@ -197,7 +209,9 @@ def _days_in_month(year: int, month: int) -> int:
 #: sort_key is only used on homogeneous columns.
 def sort_key(value: Any):
     """Key function for ORDER BY (NULLs sort first, like PostgreSQL ASC
-    NULLS FIRST)."""
+    NULLS FIRST; NaN sorts above every number, as in :func:`compare`)."""
+    if value != value:
+        return _NAN_KEY
     return (value is not None, value)
 
 

@@ -3,11 +3,17 @@ details not covered by the SELECT-level tests."""
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError, ProgrammingError
+from repro.engine.expressions import is_constant
 from repro.engine.functions import SCALAR_FUNCTIONS, make_accumulator
+from repro.engine.values import compare
 from tests.conftest import execute
+from tests.test_values import compiled, evaluate
 
 
 # ---------------------------------------------------------------- scalar fns
@@ -184,3 +190,179 @@ def test_date_plus_days_integer(session):
     server, sid = session
     rows = execute(server, sid, "SELECT DATE '1998-02-27' + 2")
     assert rows == [(datetime.date(1998, 3, 1),)]
+
+
+# ---------------------------------------------------------------- typed comparisons
+#
+# A comparison over two ints, floats, strings or dates applies Python's
+# operator directly; every other pair goes through ``compare``.  Each
+# compiled closure must answer what ``compare`` answers — or raise the same
+# DataError — for every mix of classes a value can arrive as.
+
+NAN = float("nan")
+
+#: every class a comparison can meet, with the values at its edges
+POOL = [
+    None,
+    0, 1, -3, 2,
+    0.0, -0.0, 1.0, 2.5, float("inf"), float("-inf"), NAN,
+    True, False,
+    "", "a", "b", "abc", "1", "2.5", "nan", "-inf",
+    datetime.date(1995, 1, 1), datetime.date(1998, 12, 1),
+    "1995-01-01", "1998-12-01",
+]
+values = st.sampled_from(POOL)
+
+#: operator -> its test on compare's -1/0/1
+TESTS = {
+    "=": lambda c: c == 0,
+    "<>": lambda c: c != 0,
+    "<": lambda c: c < 0,
+    "<=": lambda c: c <= 0,
+    ">": lambda c: c > 0,
+    ">=": lambda c: c >= 0,
+}
+
+
+def answer(fn, *args):
+    """What ``fn(*args)`` answers, or the DataError it raises, comparably."""
+    try:
+        return repr(fn(*args))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def reference_comparison(op, a, b):
+    c = compare(a, b)
+    return None if c is None else TESTS[op](c)
+
+
+def kleene_and(left, right):
+    if left is False or right is False:
+        return False
+    return None if left is None or right is None else True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(TESTS)), a=values, b=values)
+def test_a_compiled_comparison_answers_as_compare_does(op, a, b):
+    assert answer(evaluate, f"? {op} ?", a, b) == answer(reference_comparison, op, a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(negated=st.booleans(), value=values, low=values, high=values)
+def test_a_compiled_between_answers_as_compare_does(negated, value, low, high):
+    def reference():
+        result = kleene_and(
+            reference_comparison(">=", value, low), reference_comparison("<=", value, high)
+        )
+        return result if result is None or not negated else not result
+
+    word = "NOT BETWEEN" if negated else "BETWEEN"
+    assert answer(evaluate, f"? {word} ? AND ?", value, low, high) == answer(reference)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(negated=st.booleans(), value=values, items=st.lists(values, min_size=1, max_size=3))
+def test_a_compiled_in_list_answers_as_compare_does(negated, value, items):
+    def reference():
+        if value is None:
+            return None
+        saw_null = False
+        for item in items:
+            c = compare(value, item)
+            if c is None:
+                saw_null = True
+            elif c == 0:
+                return not negated
+        return None if saw_null else negated
+
+    word = "NOT IN" if negated else "IN"
+    text = f"? {word} ({', '.join('?' for _ in items)})"
+    assert answer(evaluate, text, value, *items) == answer(reference)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=values, first=values, second=values)
+def test_a_compiled_case_operand_answers_as_compare_does(value, first, second):
+    def reference():
+        for when, result in ((first, 1), (second, 2)):
+            if compare(value, when) == 0:
+                return result
+        return 3
+
+    text = "CASE ? WHEN ? THEN 1 WHEN ? THEN 2 ELSE 3 END"
+    assert answer(evaluate, text, value, first, second) == answer(reference)
+
+
+# ---------------------------------------------------------------- constant folding
+
+@pytest.mark.parametrize("text", [
+    "DATE '1998-12-01' - INTERVAL '90' DAY",
+    "0.06 - 0.01",
+    "NOT -1 > CAST('0' AS INT)",
+    "1 = 1 AND NULL",
+    "NULL IS NULL OR 2 IN (1, 3) OR 2 BETWEEN 1 AND 3",
+    "CASE 1 WHEN 1 THEN EXTRACT(YEAR FROM DATE '1998-12-01') END",
+    "SUBSTRING('abc' FROM 2) LIKE 'b%'",
+])
+def test_an_operator_over_constants_compiles_to_a_constant(text):
+    assert is_constant(compiled(text))
+
+
+@pytest.mark.parametrize("text", [
+    "? + 1", "-?", "CAST(? AS INT)", "1 IN (?)", "upper('a') = 'A'", "1 / 0",
+    "CASE WHEN 1 = 1 THEN 1 ELSE 1 / 0 END",
+])
+def test_an_operator_over_a_value_known_only_at_run_time_does_not(text):
+    assert not is_constant(compiled(text, 1))
+
+
+def test_a_raising_constant_raises_only_when_it_is_evaluated(session):
+    """``1/0`` cannot fold: its closure stays, and raises per row evaluated."""
+    server, sid = session
+    execute(server, sid, "CREATE TABLE e (k INT PRIMARY KEY, v INT)")
+    assert execute(server, sid, "SELECT k FROM e WHERE v < 1/0") == []
+    execute(server, sid, "INSERT INTO e VALUES (1, 1)")
+    with pytest.raises(DataError, match="division by zero"):
+        execute(server, sid, "SELECT k FROM e WHERE v < 1/0")
+
+
+def test_constants_fold_where_they_stand(session):
+    server, sid = session
+    execute(server, sid, "CREATE TABLE e (k INT PRIMARY KEY, d DATE, f FLOAT)")
+    execute(server, sid, "INSERT INTO e VALUES (1, '1998-09-01', 0.05), (2, '1998-09-03', 0.07)")
+    sql = (
+        "SELECT k FROM e WHERE d <= DATE '1998-12-01' - INTERVAL '90' DAY "
+        "AND f BETWEEN 0.06 - 0.01 AND 0.06 + 0.01 AND NOT -k > CAST('0' AS INT)"
+    )
+    assert execute(server, sid, sql) == [(1,)]
+
+
+@pytest.mark.parametrize("name", ["?", "@p", "rowcount()"])
+def test_a_value_bound_per_execution_never_folds(session, name):
+    """Four executions of one cached text, four values: four answers."""
+    server, sid = session
+    execute(server, sid, "CREATE TABLE e (k INT PRIMARY KEY, v INT)")
+    execute(server, sid, "INSERT INTO e VALUES (1, 0), (2, 0), (3, 0), (4, 0)")
+    execute(
+        server, sid,
+        "CREATE PROCEDURE p (@x INT) AS BEGIN SELECT k FROM e WHERE k <= @x + 0 ORDER BY k END",
+    )
+    metrics = server.engine_metrics
+    answers = []
+    for n in (1, 2, 3, 4):
+        if name == "?":
+            result = server.execute(
+                sid, "SELECT k FROM e WHERE k <= ? + 0 ORDER BY k", placeholders=[n]
+            )
+        elif name == "@p":
+            result = server.execute(sid, f"EXEC p {n}")
+        else:
+            execute(server, sid, f"UPDATE e SET v = v + 1 WHERE k <= {n}")
+            result = server.execute(sid, "SELECT k FROM e WHERE k <= rowcount() + 0 ORDER BY k")
+        answers.append(result.result_set.rows)
+        if n == 1:
+            hits = metrics.plan_hits
+    assert metrics.plan_hits == hits + 3
+    assert answers == [[(k,) for k in range(1, n + 1)] for n in (1, 2, 3, 4)]

@@ -532,6 +532,52 @@ def test_an_as_of_moment_is_not_bound_on_either_stack():
     assert "ProgrammingError" in seen["plain"]
 
 
+# ---------------------------------------------------------------- NaN
+#
+# A bound NaN used to match every row: ``compare`` found NaN neither below
+# nor above anything, so it called it equal.  NaN now orders as in
+# PostgreSQL — equal to NaN, above every number — in WHERE, MIN/MAX, NULLIF
+# and ORDER BY alike.  (sqlite binds NaN as NULL: it cannot be the oracle.)
+
+NAN = float("nan")
+NAN_IN_ROW_1 = ("UPDATE f SET v = ? WHERE k = 1", [NAN])
+NAN_IN_ROW_2 = ("UPDATE f SET v = ? WHERE k = 2", [NAN])
+INDEX_ON_V = ("CREATE INDEX f_v ON f (v)", [])
+
+#: name -> (statements run first, the query, its values, its answer)
+NAN_ORDER = {
+    "v = NaN": ([], "SELECT k FROM f WHERE v = ?", [NAN], []),
+    "v IN (NaN, 9)": ([], "SELECT k FROM f WHERE v IN (?, 9)", [NAN], []),
+    "v BETWEEN NaN AND 2": ([], "SELECT k FROM f WHERE v BETWEEN ? AND 2", [NAN], []),
+    "v <> NaN": ([], "SELECT k FROM f WHERE v <> ? ORDER BY k", [NAN], [(1,), (2,)]),
+    "NaN = NaN": ([NAN_IN_ROW_2], "SELECT k FROM f WHERE v = ?", [NAN], [(2,)]),
+    "NaN = NaN through an index": (
+        [INDEX_ON_V, NAN_IN_ROW_2], "SELECT k FROM f WHERE v = ?", [NAN], [(2,)]
+    ),
+    "an index range from NaN": (
+        [INDEX_ON_V], "SELECT k FROM f WHERE v BETWEEN ? AND 2", [NAN], []
+    ),
+    "min": ([NAN_IN_ROW_1], "SELECT min(v) FROM f", [], [(2.0,)]),
+    "max": ([NAN_IN_ROW_2], "SELECT max(v) FROM f", [], [(NAN,)]),
+    "nullif": ([], "SELECT nullif(v, ?) FROM f ORDER BY k", [NAN], [(1.0,), (2.0,)]),
+    "order by": ([NAN_IN_ROW_1], "SELECT k FROM f ORDER BY v", [], [(2,), (1,)]),
+}
+
+
+@pytest.mark.parametrize("name", NAN_ORDER)
+def test_nan_equals_nan_and_sorts_above_every_number(name):
+    setup, sql, values, answer = NAN_ORDER[name]
+
+    def step(_connection, cursor):
+        for statement, statement_values in setup:
+            cursor.execute(statement, statement_values)
+        return cursor.execute(sql, values).fetchall()
+
+    seen = seen_through_both(step)
+    assert seen["phoenix"] == seen["plain"]
+    assert seen["plain"].startswith(f"({answer!r}, "), seen["plain"]
+
+
 # ---------------------------------------------------------------- DDL rowcount
 
 #: name -> (what it needs first, one of each DDL kind Phoenix wraps)

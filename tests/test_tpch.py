@@ -4,6 +4,7 @@ sanity, refresh functions, and the power-test driver."""
 from __future__ import annotations
 
 import datetime
+import hashlib
 
 import pytest
 
@@ -160,6 +161,21 @@ def test_q13_counts_every_customer(loaded):
     system, data = loaded
     rows = q(system, query_sql("Q13", data.sf))
     assert sum(dist for _count, dist in rows) == len(data.rows["customer"])
+
+
+#: sha256 of the rows of the 22 queries at sf 0.001, data seed 42 (the
+#: benchmark's database), in query-number order: a change to the executor
+#: must leave every answer byte-identical, row order and float bits included
+ANSWERS_DIGEST = "56981e7ef213c69319861691972a86a118ca7c1462a7d1d03981c622d6980116"
+
+
+def test_the_answers_of_the_22_queries_are_pinned():
+    system = repro.make_system()
+    data = populate(system, sf=0.001, seed=42, checkpoint=False)
+    digest = hashlib.sha256()
+    for query_id in sorted(QUERY_ORDER, key=lambda name: int(name[1:])):
+        digest.update(f"{query_id} {q(system, query_sql(query_id, data.sf))!r}\n".encode())
+    assert digest.hexdigest() == ANSWERS_DIGEST
 
 
 def test_queries_named_in_paper_exist():

@@ -7,6 +7,7 @@ import datetime
 import pytest
 
 from repro.errors import DataError
+from repro.engine.expressions import Env, ExpressionCompiler, PlaceholderList, Scope
 from repro.engine.values import (
     SqlType,
     add_interval,
@@ -14,9 +15,9 @@ from repro.engine.values import (
     compare,
     parse_date,
     sort_key,
-    sql_equal,
     type_from_python,
 )
+from repro.sql import parse
 
 
 # ---------------------------------------------------------------- coercion
@@ -121,10 +122,35 @@ def test_compare_incomparable_types_raise():
         compare(datetime.date(2000, 1, 1), 5)
 
 
+def test_nan_equals_nan_and_sorts_above_every_number():
+    """PostgreSQL's order (Python's makes every comparison with NaN false)."""
+    nan = float("nan")
+    assert compare(nan, float("nan")) == 0
+    assert compare(nan, float("inf")) == 1
+    assert compare(-1, nan) == -1
+    assert compare("nan", 5) == 1
+    ordered = sorted([nan, 1.0, None, float("inf"), -0.0, 7], key=sort_key)
+    assert repr(ordered) == "[None, -0.0, 1.0, 7, inf, nan]"
+
+
+def compiled(sql_expr: str, *values):
+    """``sql_expr`` compiled as a statement's expressions are, with
+    ``values`` bound to its ``?``."""
+    expr = parse(f"SELECT {sql_expr}").items[0].expr
+    return ExpressionCompiler(Scope(), None, placeholders=PlaceholderList(values)).compile(expr)
+
+
+def evaluate(sql_expr: str, *values):
+    """What ``sql_expr`` answers with ``values`` bound to its ``?`` (a
+    ``?`` never folds, so this runs the per-row closures)."""
+    return compiled(sql_expr, *values)(Env([]))
+
+
 def test_sql_equal():
-    assert sql_equal(1, 1.0) is True
-    assert sql_equal("a", "b") is False
-    assert sql_equal(None, 1) is None
+    """SQL ``=`` with NULL → UNKNOWN, as the compiled operator answers it."""
+    assert evaluate("? = ?", 1, 1.0) is True
+    assert evaluate("? = ?", "a", "b") is False
+    assert evaluate("? = ?", None, 1) is None
 
 
 # ---------------------------------------------------------------- intervals
