@@ -21,6 +21,7 @@ it lands; only *which* force covers a commit moves.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Any, Iterator
 
 from repro.errors import (
@@ -52,11 +53,11 @@ from repro.engine.plancache import (
 from repro.engine.results import ResultSet, StatementResult
 from repro.engine.schema import Column, schema_from_ast, type_spec_to_sql_type
 from repro.engine.table import Table
-from repro.engine.values import SqlType, sort_key
+from repro.engine.values import SqlType, compares_directly, sort_key
 from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
-from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children
+from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children, walk
 
 __all__ = ["Executor"]
 
@@ -71,6 +72,8 @@ _TABLE_NAME = re.compile(r"#?\w+")
 #: per-row predicate may decide (and raise) there, keeping error semantics
 #: identical to the unprobed path.
 _FALLBACK_SCAN = object()
+#: the probe kinds valued from a join's outer row -> the index each reads
+_JOIN_PROBES = {"pk join": "pk", "secondary join": "secondary"}
 
 
 def _as_of_timestamp(expr: "ast.Expr") -> float:
@@ -899,7 +902,7 @@ class _SelectPlan:
             self.scope.add_source(binding, table.schema.column_names)
             self.slot_columns.extend(table.schema.columns)
             self.sources.append(
-                _Source(binding, lambda t=table: (row for _, row in t.scan()), table=table)
+                _Source(binding, table.rows, table=table)
             )
             return
         if isinstance(ref, ast.SubquerySource):
@@ -921,13 +924,13 @@ class _SelectPlan:
             holder: dict[str, Any] = {}
             epoch_cell = self.executor._epoch_cell
 
-            def derived_rows_cached() -> Iterator[tuple]:
+            def derived_rows_cached() -> list[tuple]:
                 # memoized per statement epoch, not per plan object: a cached
                 # plan re-run after DML must re-evaluate the derived table.
                 if holder.get("epoch") != epoch_cell[0]:
                     holder["r"] = meta.run(None).rows
                     holder["epoch"] = epoch_cell[0]
-                return iter(holder["r"])
+                return holder["r"]
 
             self.sources.append(_Source(ref.alias.lower(), derived_rows_cached))
             return
@@ -951,7 +954,7 @@ class _SelectPlan:
         binding = (ref.alias or ref.name).lower()
         self.scope.add_source(binding, schema.column_names)
         self.slot_columns.extend(schema.columns)
-        self.sources.append(_Source(binding, lambda: (row for _, row in table().scan())))
+        self.sources.append(_Source(binding, lambda: table().rows()))
 
     def _register_view(self, ref: ast.TableName, view: ast.CreateView) -> None:
         """Expand a view reference as a derived table (planned once,
@@ -968,27 +971,45 @@ class _SelectPlan:
         holder: dict[str, Any] = {}
         epoch_cell = self.executor._epoch_cell
 
-        def view_rows() -> Iterator[tuple]:
+        def view_rows() -> list[tuple]:
             if holder.get("epoch") != epoch_cell[0]:
                 holder["r"] = meta.run(None).rows
                 holder["epoch"] = epoch_cell[0]
-            return iter(holder["r"])
+            return holder["r"]
 
         self.sources.append(_Source(binding, view_rows))
 
     def _plan_joins(self) -> None:
-        """Plan join execution: conjunct pushdown + hash equi-joins.
+        """Plan the join pipeline: where each conjunct runs, and how each
+        step finds its inner rows.
 
-        WHERE is split into AND-conjuncts; each conjunct that references
-        only base columns is evaluated at the *earliest* join step where all
-        its columns are bound (selection pushdown), and a ``col = col``
-        conjunct across two sources becomes a hash-join key.  Conjuncts
-        containing subqueries or outer references stay in the final WHERE —
-        their evaluation context is subtler and correctness wins.
+        WHERE is split into AND-conjuncts, and so is the ON of an inner
+        join, which filters as WHERE does.  Each conjunct is compiled once.
+        One that reads no row of this query (a ``?``, an outer reference,
+        an uncorrelated subquery alone) runs once per run; one with a
+        correlated subquery runs in the final WHERE; any other runs at the
+        step of the latest source its column references name — an
+        uncorrelated subquery is a value there, like a literal.  At step
+        *k* a conjunct is one of:
 
-        Semantics guard: pushed WHERE conjuncts whose step is a LEFT join
-        are applied *after* the join (as post-filters), since filtering
-        inside a LEFT join would change which rows get NULL-padded.
+        * an equi key: ``col = col`` linking an earlier source to source
+          *k*, over two column types whose values compare directly (hashing
+          an INT against a VARCHAR would miss what ``=`` finds);
+        * a local filter: it reads source *k* alone (and values constant
+          for the run), and is applied to each inner row before the row is
+          hashed or joined;
+        * a residual: applied to each joined row, which ends at source *k*
+          — a conjunct placed by its latest source reads no slot past it.
+
+        The ON of a LEFT join stays at its step, split the same way (a
+        residual there that names a later source reads NULL for it).  A
+        WHERE conjunct whose step is a LEFT join is a post filter, applied
+        after the join pads its rows: filtering inside would change which
+        rows get NULL-padded.
+
+        A step whose equi key is the inner table's one-column primary key,
+        or has a secondary index, can look each outer row's key up instead
+        of hashing the table: :meth:`_join` decides per run.
         """
         # absolute slot range per source
         self.source_ranges: list[tuple[int, int]] = []
@@ -1002,7 +1023,7 @@ class _SelectPlan:
         kinds: list[str] = []
         on_exprs: list[ast.Expr | None] = []
 
-        def walk(ref: ast.TableRef | None) -> None:
+        def visit(ref: ast.TableRef | None) -> None:
             if ref is None:
                 return
             if isinstance(ref, (ast.TableName, ast.SubquerySource)):
@@ -1010,114 +1031,119 @@ class _SelectPlan:
                 on_exprs.append(None)
                 return
             if isinstance(ref, ast.Join):
-                walk(ref.left)
+                visit(ref.left)
                 if isinstance(ref.right, ast.Join):
                     raise NotSupportedError("right-nested joins are not supported")
-                walk(ref.right)
+                visit(ref.right)
                 kinds[-1] = ref.kind
                 on_exprs[-1] = ref.on
                 return
             raise NotSupportedError(f"FROM element {type(ref).__name__}")
 
-        walk(self.select.from_)
+        visit(self.select.from_)
 
-        join_conjuncts: list[list[ast.Expr]] = [[] for _ in self.sources]
-        post_conjuncts: list[list[ast.Expr]] = [[] for _ in self.sources]
-        final_conjuncts: list[ast.Expr] = []
-
-        for index, on_expr in enumerate(on_exprs):
-            join_conjuncts[index].extend(_split_conjuncts(on_expr))
-
+        #: per step: (conjunct, compiled, reads this step's source alone)
+        at_step: list[list[tuple[ast.Expr, CompiledExpr, bool]]] = [[] for _ in self.sources]
+        post: list[list[CompiledExpr]] = [[] for _ in self.sources]
+        final: list[CompiledExpr] = []
         #: conjuncts referencing no column of this query's rows (a ``?``,
         #: an ``@name``, ``rowcount()``, outer-correlated guards) — evaluated
         #: once per run, not once per row
         row_independent: list[CompiledExpr] = []
-
         #: set when a conjunct folded to not-True at compile time (Phoenix's
         #: ``0 = 1`` metadata probe) — the plan is then an empty-result
         #: short circuit, which makes ``WHERE 0=1`` compile-only, as the
         #: paper assumes.
         self.folded_false = False
 
-        for conjunct in _split_conjuncts(self.select.where):
-            refs: list[ast.ColumnRef] = []
-            if _collect_plain_refs(conjunct, refs) and not any(
-                _is_local_ref(self.scope, ref) for ref in refs
-            ):
-                fn = self.compiler.compile_predicate(conjunct)
+        def place(conjunct: ast.Expr) -> None:
+            fn, correlated = self.compiler.compile_conjunct(conjunct)
+            if correlated:
+                final.append(fn)
+                return
+            read = self._sources_read(conjunct)
+            if not read:
                 if not is_constant(fn):
                     row_independent.append(fn)
                 elif fn(None) is not True:
                     self.folded_false = True
-                continue
-            target = self._conjunct_target(conjunct)
-            if target is None:
-                final_conjuncts.append(conjunct)
-            elif kinds[target] == "LEFT":
-                post_conjuncts[target].append(conjunct)
+                return
+            target = max(read)
+            if kinds[target] == "LEFT":
+                post[target].append(fn)
             else:
-                join_conjuncts[target].append(conjunct)
+                at_step[target].append((conjunct, fn, read == {target}))
+
+        for index, on_expr in enumerate(on_exprs):
+            for conjunct in _split_conjuncts(on_expr):
+                if kinds[index] != "LEFT":
+                    place(conjunct)
+                    continue
+                fn, correlated = self.compiler.compile_conjunct(conjunct)
+                local = not correlated and self._sources_read(conjunct) <= {index}
+                at_step[index].append((conjunct, fn, local))
+        for conjunct in _split_conjuncts(self.select.where):
+            place(conjunct)
         self.constant_filter = _all_true(row_independent)
 
         self.join_steps: list[_JoinStep] = []
         for index, kind in enumerate(kinds):
             equi: list[tuple[int, int]] = []
-            residual: list[ast.Expr] = []
-            for conjunct in join_conjuncts[index]:
+            local: list[CompiledExpr] = []
+            residual: list[CompiledExpr] = []
+            for conjunct, fn, reads_own_source in at_step[index]:
                 pair = self._equi_pair(conjunct, index)
                 if pair is not None:
-                    equi.append(pair)  # LEFT joins hash on ON-equality too
+                    equi.append(pair)
+                elif reads_own_source:
+                    local.append(fn)
                 else:
-                    residual.append(conjunct)
-            probe = None
+                    residual.append(fn)
             table = self.sources[index].table
-            if kind != "LEFT" and table is not None:
+            probe = lookup = None
+            if table is not None and kind != "LEFT":
                 probe = _index_probe(
                     table,
                     self.source_ranges[index][0],
-                    join_conjuncts[index],
+                    [conjunct for conjunct, _fn, own in at_step[index] if own],
                     self.scope,
                     self.compiler,
                 )
+            if table is not None and probe is None and index > 0:
+                lookup = _lookup_probe(table, equi)
             self.join_steps.append(
                 _JoinStep(
                     kind=kind,
                     equi=equi,
-                    residual=self._compile_conjunction(residual),
-                    post=self._compile_conjunction(post_conjuncts[index]),
+                    local=_all_true(local),
+                    residual=_all_true(residual),
+                    post=_all_true(post[index]),
                     probe=probe,
+                    lookup=lookup,
                 )
             )
-        self.where = self._compile_conjunction(final_conjuncts)
+        self.where = _all_true(final)
 
-    def _compile_conjunction(self, conjuncts: list[ast.Expr]):
-        return _all_true([self.compiler.compile_predicate(c) for c in conjuncts])
-
-    def _conjunct_target(self, conjunct: ast.Expr) -> int | None:
-        """Earliest join step at which ``conjunct`` can run, or None to keep
-        it in the final WHERE (subqueries, outer refs, unresolvable)."""
-        refs: list[ast.ColumnRef] = []
-        if not _collect_plain_refs(conjunct, refs):
-            return None  # contains a subquery
-        target = 0
-        for ref in refs:
+    def _sources_read(self, conjunct: ast.Expr) -> set[int]:
+        """The sources whose columns ``conjunct`` names outside its
+        subqueries (an outer reference names none of them)."""
+        read = set()
+        for ref in _plain_refs(conjunct):
             resolved = self.scope.try_resolve(ref.name, ref.table)
-            if resolved is None:
-                return None
-            depth, slot = resolved
-            if depth > 0:
-                continue  # outer reference: constant w.r.t. this query's rows
-            for index, (start, end) in enumerate(self.source_ranges):
-                if start <= slot < end:
-                    target = max(target, index)
-                    break
-            else:
-                return None  # synthetic slot (aggregate) — not valid in WHERE
-        return target
+            if resolved is not None and resolved[0] == 0:
+                read.add(self._source_of(resolved[1]))
+        return read
+
+    def _source_of(self, slot: int) -> int:
+        for index, (start, end) in enumerate(self.source_ranges):
+            if start <= slot < end:
+                return index
+        raise AssertionError(f"slot {slot} belongs to no source")
 
     def _equi_pair(self, conjunct: ast.Expr, step: int) -> tuple[int, int] | None:
         """If ``conjunct`` is ``left_col = right_col`` linking an earlier
-        source to source ``step``, return (left_abs_slot, right_local_slot)."""
+        source to source ``step``, and the two columns' values compare
+        directly, return (left_abs_slot, right_local_slot)."""
         if not (
             isinstance(conjunct, ast.Binary)
             and conjunct.op == "="
@@ -1134,10 +1160,14 @@ class _SelectPlan:
         start, end = self.source_ranges[step]
         a, b = sides
         if start <= a < end and b < start:
-            return (b, a - start)
-        if start <= b < end and a < start:
-            return (a, b - start)
-        return None
+            outer, inner = b, a
+        elif start <= b < end and a < start:
+            outer, inner = a, b
+        else:
+            return None
+        if not compares_directly(self.slot_columns[outer].type, self.slot_columns[inner].type):
+            return None  # ``=`` casts one side first: a hash would miss its matches
+        return (outer, inner - start)
 
     # -- projection planning ----------------------------------------------------
 
@@ -1302,19 +1332,26 @@ class _SelectPlan:
                     head = f"{label} {source.binding} ({column} = const)"
             elif index == 0:
                 head = f"Scan {source.binding}"
-            elif step.kind == "CROSS" and not step.equi:
-                head = f"NestedLoop(CROSS) {source.binding}"
             elif step.equi:
                 keys = ", ".join(
                     f"{self._slot_name(left)} = {source.binding}.{self._local_name(index, right)}"
                     for left, right in step.equi
                 )
                 head = f"HashJoin({step.kind}) {source.binding} ON {keys}"
+                if step.lookup is not None:
+                    column, _value_fn, probe_kind = step.lookup
+                    index_name = "primary key" if probe_kind == "pk join" else f"index on {column}"
+                    head = (
+                        f"IndexJoin({step.kind}) {source.binding} ON {keys} ({index_name} "
+                        "looked up per outer row; HashJoin when the outer side is not smaller)"
+                    )
             else:
                 head = f"NestedLoop({step.kind}) {source.binding}"
             notes = []
+            if step.local is not None:
+                notes.append(f"local prefilter (residual filter on {source.binding} rows)")
             if step.residual is not None:
-                notes.append("residual filter")
+                notes.append("residual filter on joined rows")
             if step.post is not None:
                 notes.append("post filter")
             lines.append(head + (f"  [{', '.join(notes)}]" if notes else ""))
@@ -1323,7 +1360,7 @@ class _SelectPlan:
         if self.constant_filter is not None:
             lines.append("ConstantFilter (evaluated once per run)")
         if self.where is not None:
-            lines.append("Filter (final WHERE: subqueries / outer refs)")
+            lines.append("Filter (final WHERE: correlated subqueries)")
         if self.grouped:
             keys = ", ".join(e.sql() for e in self.group_exprs) or "<all rows>"
             lines.append(f"Aggregate by [{keys}] computing {len(self.agg_nodes)} aggregate(s)")
@@ -1379,7 +1416,7 @@ class _SelectPlan:
             # compiled closures read slot offsets out of it, so
             # rebinding ``values`` is all a new row costs
             env = _env([], outer_env)
-            kept: list[list] = []
+            kept: list[tuple] = []
             for r in rows:
                 env.values = r
                 if where(env) is True:
@@ -1428,12 +1465,10 @@ class _SelectPlan:
                 )
         else:
             rowids = table.index_ordered(column, desc=desc)
-        residual = step.residual
+        local = step.local
         where = self.where
         offset = select.offset or 0
         need = select.limit + offset
-        start, end = self.source_ranges[0]
-        pad = [None] * (self.scope.slot_count - end)
         env = _env([], outer_env)
         item_fns = self.item_fns
         get = table.get
@@ -1441,11 +1476,8 @@ class _SelectPlan:
         scanned = 0
         for rowid in rowids:
             scanned += 1
-            row = list(get(rowid))
-            if pad:
-                row += pad
-            env.values = row
-            if residual is not None and residual(env) is not True:
+            env.values = get(rowid)
+            if local is not None and local(env) is not True:
                 continue
             if where is not None and where(env) is not True:
                 continue
@@ -1456,112 +1488,159 @@ class _SelectPlan:
         stats.topk_shortcuts += 1
         return out[offset:] if offset else out
 
-    def _source_rows(self, outer_env: Env | None) -> list[list]:
-        """Join pipeline: hash joins on the planned equi-keys, nested loops
-        otherwise, with pushed filters applied at each step."""
+    def _source_rows(self, outer_env: Env | None) -> list[tuple]:
+        """Join pipeline: the first source's rows its local filters keep,
+        then one :meth:`_join` per further source.  A row is a tuple of the
+        sources' values so far: a stored row is shared, not copied, and a
+        join builds each joined row once.  No row carries the aggregate
+        slots — grouping builds its own rows with them."""
         if not self.sources:
-            return [[]]
-        total_width = self.scope.slot_count
-        stats = self.executor.stats
-        if len(self.sources) == 1:
-            # single-source fast path: no join product to build, so each row
-            # is copied once (scan or probe result) with its pad, and
-            # filtered through one reused environment
-            source = self.sources[0]
-            step = self.join_steps[0]
-            start, end = self.source_ranges[0]
-            pad = [None] * (total_width - end)
-            found = None
-            if step.probe is not None:
-                found = self._probe_rows(source, step.probe, outer_env)
-            if found is None:
-                found = source.rows_fn()
-            rows = [list(row) + pad for row in found] if pad else [list(row) for row in found]
-            if source.table is not None:
-                stats.rows_scanned += len(rows)
-            residual = step.residual
-            if residual is not None:
-                env = _env([], outer_env)
-                kept: list[list] = []
+            return [()]
+        rows = self._inner_rows(0, outer_env)
+        for index in range(1, len(self.sources)):
+            rows = self._join(index, rows, outer_env)
+        return rows
+
+    def _inner_rows(self, index: int, outer_env: Env | None) -> list[tuple]:
+        """Every row of source ``index`` its local filters keep, in scan
+        order: what its constant index probe finds, else the whole source."""
+        source, step = self.sources[index], self.join_steps[index]
+        found = None
+        if step.probe is not None:
+            found = self._probe_rows(source, step.probe, outer_env)
+        if found is None:
+            found = source.rows_fn()
+        if source.table is not None:
+            self.executor.stats.rows_scanned += len(found)
+        keep = self._local_filter(index, outer_env)
+        return found if keep is None else keep(found)
+
+    def _local_filter(self, index: int, outer_env: Env | None):
+        """A function from rows of source ``index`` to those its local
+        filters pass, or None when it has none.  The filters read only that
+        source's slots, so a row is placed at them and nothing is copied
+        for the first source."""
+        local = self.join_steps[index].local
+        if local is None:
+            return None
+        start, end = self.source_ranges[index]
+        env = _env([None] * end, outer_env)
+        if start == 0:
+            def keep(rows: list[tuple]) -> list[tuple]:
+                kept = []
                 for row in rows:
                     env.values = row
-                    if residual(env) is True:
+                    if local(env) is True:
                         kept.append(row)
-                rows = kept
-            return rows
-        current: list[list] = [[]]
-        shared_env = _env([], outer_env)
-        for index, (source, step) in enumerate(zip(self.sources, self.join_steps)):
-            start, end = self.source_ranges[index]
-            width = end - start
-            pad_after = total_width - end
-            pad = [None] * pad_after
-            found = None
-            if step.probe is not None:
-                found = self._probe_rows(source, step.probe, outer_env)
-            if found is None:
-                found = source.rows_fn()
-            right_rows = [list(row) for row in found]
-            if source.table is not None:
-                stats.rows_scanned += len(right_rows)
+                return kept
+        else:
+            placed = env.values
 
-            def passes(fn, candidate: list) -> bool:
-                if fn is None:
-                    return True
-                shared_env.values = candidate + pad
-                return fn(shared_env) is True
+            def keep(rows: list[tuple]) -> list[tuple]:
+                kept = []
+                for row in rows:
+                    placed[start:] = row
+                    if local(env) is True:
+                        kept.append(row)
+                return kept
+        return keep
 
-            next_rows: list[list] = []
-            if step.equi and step.kind != "LEFT":
-                index_map = _hash_rows(right_rows, [local for _, local in step.equi])
-                left_slots = [abs_slot for abs_slot, _ in step.equi]
-                for left in current:
-                    key = tuple(left[slot] for slot in left_slots)
-                    if None in key:
-                        continue  # NULL never equi-joins
-                    for right in index_map.get(key, ()):
-                        candidate = left + right
-                        if passes(step.residual, candidate) and passes(step.post, candidate):
-                            next_rows.append(candidate)
-            elif step.kind == "LEFT":
-                index_map = (
-                    _hash_rows(right_rows, [local for _, local in step.equi])
-                    if step.equi
-                    else None
-                )
-                left_slots = [abs_slot for abs_slot, _ in step.equi]
-                null_right = [None] * width
-                for left in current:
-                    matched = False
-                    if index_map is not None:
-                        key = tuple(left[slot] for slot in left_slots)
-                        candidates = () if None in key else index_map.get(key, ())
-                    else:
-                        candidates = right_rows
-                    for right in candidates:
-                        candidate = left + right
-                        if passes(step.residual, candidate):
-                            matched = True
-                            if passes(step.post, candidate):
-                                next_rows.append(candidate)
-                    if not matched:
-                        candidate = left + null_right
-                        if passes(step.post, candidate):
-                            next_rows.append(candidate)
+    def _join(self, index: int, outer: list[tuple], outer_env: Env | None) -> list[tuple]:
+        """Join the rows so far to source ``index``.  Each outer row meets
+        the inner rows that pass the step's local filters and match its
+        equi keys: found by looking its key up in the inner table's index
+        when the step has one and the outer side has fewer rows than the
+        inner table, else by hashing every inner row that passes (a nested
+        loop without equi keys).  Both ways give each outer row its
+        matches in rowid order, so the joined rows come out in the same
+        order — float sums and sort ties see no difference.  The residual
+        filters each joined row; a LEFT join pads an outer row that kept no
+        match."""
+        source, step = self.sources[index], self.join_steps[index]
+        start, end = self.source_ranges[index]
+        left_slots = [slot for slot, _ in step.equi]
+        right_slots = [local for _, local in step.equi]
+        if step.lookup is not None and len(outer) < source.table.row_count():
+            matches = self._lookup_matches(index, left_slots, right_slots, outer_env)
+        else:
+            inner = self._inner_rows(index, outer_env)
+            if step.equi:
+                # a key holding NULL is never bucketed, so never found
+                buckets = _hash_rows(inner, right_slots)
+                outer_key = itemgetter(*left_slots)
+
+                def matches(left: tuple) -> list[tuple]:
+                    return buckets.get(outer_key(left), ())
             else:
-                for left in current:
-                    for right in right_rows:
-                        candidate = left + right
-                        if passes(step.residual, candidate) and passes(step.post, candidate):
-                            next_rows.append(candidate)
-            current = next_rows
-        # pad to full width (synthetic agg slots)
-        if self.source_ranges:
-            end = self.source_ranges[-1][1]
-            if total_width > end:
-                tail = [None] * (total_width - end)
-                current = [row + tail for row in current]
-        return current
+                def matches(left: tuple) -> list[tuple]:
+                    return inner
+
+        residual, post = step.residual, step.post
+        env = _env([], outer_env)
+        joined: list[tuple] = []
+        if step.kind != "LEFT":
+            for left in outer:
+                for right in matches(left):
+                    row = left + right
+                    if residual is not None:
+                        env.values = row
+                        if residual(env) is not True:
+                            continue
+                    joined.append(row)
+            return joined
+        null_right = (None,) * (end - start)
+        # an ON conjunct may name a source joined later: it reads NULL there
+        pad = (None,) * (self.source_ranges[-1][1] - end)
+        for left in outer:
+            matched = False
+            for right in matches(left):
+                row = left + right
+                if residual is not None:
+                    env.values = row + pad
+                    if residual(env) is not True:
+                        continue
+                matched = True
+                if post is not None:
+                    env.values = row
+                    if post(env) is not True:
+                        continue
+                joined.append(row)
+            if not matched:
+                row = left + null_right
+                env.values = row
+                if post is None or post(env) is True:
+                    joined.append(row)
+        return joined
+
+    def _lookup_matches(
+        self, index: int, left_slots: list[int], right_slots: list[int], outer_env: Env | None
+    ):
+        """The index path of :meth:`_join`: a function from an outer row
+        to the inner rows its key finds through the step's per-row probe
+        (:func:`_probe_rowids`) that match every equi key and pass the
+        local filters."""
+        source, step = self.sources[index], self.join_steps[index]
+        table, probe = source.table, step.lookup
+        stats = self.executor.stats
+        keep = self._local_filter(index, outer_env)
+        get = table.get
+        env = _env([], outer_env)
+        several = len(left_slots) > 1
+        outer_key, inner_key = itemgetter(*left_slots), itemgetter(*right_slots)
+
+        def matches(left: tuple) -> list[tuple]:
+            env.values = left
+            found = [get(rowid) for rowid in _probe_rowids(table, probe, env, stats)]
+            stats.rows_scanned += len(found)
+            if several:
+                # the probe matched one key; a hash matches all of them
+                key = outer_key(left)
+                if None in key:
+                    return []
+                found = [row for row in found if inner_key(row) == key]
+            return found if keep is None else keep(found)
+
+        return matches
 
     def _probe_rows(
         self, source: _Source, probe, outer_env: Env | None
@@ -1570,14 +1649,12 @@ class _SelectPlan:
         cannot be used this run (see :func:`_probe_rowids`): the caller
         falls back to the full scan."""
         table = source.table
-        rowids = _probe_rowids(
-            table, probe, _env([None] * self.scope.slot_count, outer_env), self.executor.stats
-        )
+        rowids = _probe_rowids(table, probe, _env([], outer_env), self.executor.stats)
         if rowids is None:
             return None
         return [table.get(rowid) for rowid in rowids]
 
-    def _run_grouped(self, rows: list[list], outer_env: Env | None) -> list[tuple]:
+    def _run_grouped(self, rows: list[tuple], outer_env: Env | None) -> list[tuple]:
         key_fns = self.group_key_fns
         arg_fns = self.agg_arg_fns
         agg_nodes = self.agg_nodes
@@ -1590,7 +1667,7 @@ class _SelectPlan:
             ]
 
         #: group key -> (representative row, accumulators), in first-seen order
-        groups: dict[tuple, tuple[list, list]] = {}
+        groups: dict[tuple, tuple[tuple, list]] = {}
         env = _env([], outer_env)
         for row in rows:
             env.values = row
@@ -1602,17 +1679,14 @@ class _SelectPlan:
                 acc.add(1 if arg_fn is None else arg_fn(env))
         if not groups and not self.group_exprs:
             # aggregate over empty input: one all-NULL/zero row
-            groups[()] = ([None] * self.scope.slot_count, accumulators())
+            groups[()] = ((None,) * (self.scope.slot_count - len(agg_nodes)), accumulators())
 
         out_rows: list[tuple] = []
-        ordering_rows: list[list] = []
-        n_aggs = len(agg_nodes)
-        width = self.scope.slot_count
+        ordering_rows: list[tuple] = []
         for rep, accs in groups.values():
             # place aggregate results in their synthetic slots (the last
-            # n_aggs slots, allocated in agg_nodes order)
-            agg_values = [acc.result() for acc in accs]
-            full = rep[: width - n_aggs] + agg_values if n_aggs else list(rep)
+            # len(agg_nodes) slots, allocated in agg_nodes order)
+            full = rep + tuple([acc.result() for acc in accs])
             env = _env(full, outer_env)
             if self.having_fn is not None and self.having_fn(env) is not True:
                 continue
@@ -1727,8 +1801,9 @@ class _UnionRunner:
 
 
 class _Source:
-    """One FROM source: binding name, a fresh-iterator supplier, and (for
-    base tables) the Table object — the planner needs it for index probes."""
+    """One FROM source: binding name, a supplier of its rows in scan order
+    (a list the caller may keep but must not change), and (for base tables)
+    the Table object — the planner needs it for index probes."""
 
     def __init__(self, binding: str, rows_fn, table=None):
         self.binding = binding
@@ -1739,13 +1814,16 @@ class _Source:
 class _JoinStep:
     """Execution plan for one join step (aligned with one source)."""
 
-    __slots__ = ("kind", "equi", "residual", "post", "probe")
+    __slots__ = ("kind", "equi", "local", "residual", "post", "probe", "lookup")
 
-    def __init__(self, kind: str, equi, residual, post, probe=None):
+    def __init__(self, kind: str, equi, local, residual, post, probe=None, lookup=None):
         self.kind = kind
         #: [(left_absolute_slot, right_local_slot)] hash-join keys
         self.equi = equi
-        #: remaining join condition (ON + pushed WHERE for inner joins)
+        #: conjuncts reading this source alone, applied to its rows before
+        #: they are joined (for a LEFT join: from its ON only)
+        self.local = local
+        #: the rest of the join condition, applied to each joined row
         self.residual = residual
         #: pushed WHERE conjuncts applied after a LEFT join pads its rows
         self.post = post
@@ -1753,17 +1831,48 @@ class _JoinStep:
         #: kind is "pk" / "secondary" (payload = value_fn) or "range"
         #: (payload = (low_fn, low_inclusive, high_fn, high_inclusive))
         self.probe = probe
+        #: (column_name, value_fn, "pk join" / "secondary join"): the probe
+        #: this step may make per outer row instead of hashing the table;
+        #: value_fn reads the outer row's equi key
+        self.lookup = lookup
 
 
-def _hash_rows(rows: list[list], local_slots: list[int]) -> dict:
-    """Bucket rows by their key tuple; NULL keys never participate."""
-    index: dict[tuple, list] = {}
+def _hash_rows(rows: list[tuple], local_slots: list[int]) -> dict:
+    """Bucket rows, in order, by their key: the value at the one slot, or
+    the tuple of values at several.  A key holding NULL is left out: NULL
+    never equi-joins."""
+    key_of = itemgetter(*local_slots)
+    several = len(local_slots) > 1
+    buckets: dict = {}
     for row in rows:
-        key = tuple(row[slot] for slot in local_slots)
-        if None in key:
+        key = key_of(row)
+        if key is None or several and None in key:
             continue
-        index.setdefault(key, []).append(row)
-    return index
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    return buckets
+
+
+def _lookup_probe(table: Table, equi: list[tuple[int, int]]):
+    """The probe a join step into ``table`` can make per outer row: on an
+    equi key whose inner column is the table's one-column primary key
+    (first choice) or has a secondary index, valued from the outer row's
+    key.  None when no equi key has an index."""
+    found = None
+    for outer_slot, local in equi:
+        column = table.schema.columns[local].name
+
+        def outer_key(env: Env, slot: int = outer_slot) -> Any:
+            return env.values[slot]
+
+        if table.schema.primary_key == (column,):
+            return (column, outer_key, "pk join")
+        if found is None and table.has_secondary_index(column):
+            found = (column, outer_key, "secondary join")
+    return found
 
 
 def _index_probe(
@@ -1800,10 +1909,9 @@ def _index_probe(
 
     def row_independent(value_side: ast.Expr) -> bool:
         # the probe value must not depend on this query's rows
-        refs: list[ast.ColumnRef] = []
-        if not _collect_plain_refs(value_side, refs):
-            return False  # subquery
-        return not any(_is_local_ref(scope, r) for r in refs)
+        if any(isinstance(node, SUBQUERY_EXPRS) for node in walk(value_side)):
+            return False
+        return not any(_is_local_ref(scope, r) for r in _plain_refs(value_side))
 
     eq_pk: tuple[str, ast.Expr] | None = None
     eq_secondary: tuple[str, ast.Expr] | None = None
@@ -1848,9 +1956,12 @@ def _index_probe(
 def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[int] | None:
     """The rowids an index probe (PK, secondary equality, or secondary
     range) finds, in scan (rowid) order; ``env`` is the rowless environment
-    the probe's values are evaluated in.  Returns None when the probe
-    cannot be used this run (an uncoercible range bound, a NaN) — the caller falls
-    back to the full scan so per-row error semantics are preserved."""
+    the probe's values are evaluated in — for a join probe, the outer row.
+    Returns None when the probe cannot be used this run (an uncoercible
+    range bound, a NaN) — the caller falls back to the full scan so per-row
+    error semantics are preserved.  A join probe's value is looked up as it
+    is: its equi key compares directly, so the index finds what hashing
+    the table would, and it is never None."""
     column, value_fn, probe_kind = probe
     if probe_kind == "range":
         bounds = _range_probe_bounds(table, probe, env)
@@ -1873,12 +1984,16 @@ def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[i
     value = value_fn(env)
     if value is None:
         return []  # NULL never equals anything
-    try:
-        value = table.schema.column(column).coerce(value)
-    except DataError:
-        return []  # incomparable constant: no row can match
-    if value != value:
-        return None  # NaN: the index cannot find a NaN it holds; compare can
+    joined = _JOIN_PROBES.get(probe_kind)
+    if joined is not None:
+        probe_kind = joined
+    else:
+        try:
+            value = table.schema.column(column).coerce(value)
+        except DataError:
+            return []  # incomparable constant: no row can match
+        if value != value:
+            return None  # NaN: the index cannot find a NaN it holds; compare can
     stats.index_eq_probes += 1
     if probe_kind == "pk":
         rowid = table.lookup_key((value,))
@@ -1946,15 +2061,14 @@ def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:
     return _all
 
 
-def _collect_plain_refs(expr: ast.Expr, out: list[ast.ColumnRef]) -> bool:
-    """Collect column refs; returns False if the expression contains a
-    subquery (which disqualifies it from pushdown)."""
-    if isinstance(expr, SUBQUERY_EXPRS):
-        return False
+def _plain_refs(expr: ast.Node) -> Iterator[ast.ColumnRef]:
+    """The column references of ``expr`` outside its subqueries (the
+    operand of an ``IN (SELECT …)`` is outside)."""
     if isinstance(expr, ast.ColumnRef):
-        out.append(expr)
-        return True
-    return all(_collect_plain_refs(child, out) for child in children(expr))
+        yield expr
+    elif not isinstance(expr, (ast.Select, ast.UnionSelect)):
+        for child in children(expr):
+            yield from _plain_refs(child)
 
 
 def _env(values: list, outer_env: Env | None) -> Env:

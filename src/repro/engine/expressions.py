@@ -364,6 +364,9 @@ class ExpressionCompiler:
         # parameter and placeholder reads must observe it
         self.params = params if params is not None else {}
         self.placeholders = placeholders if placeholders is not None else []
+        #: how many of the subqueries compiled so far read the row they are
+        #: evaluated for (see :meth:`compile_conjunct`)
+        self.correlated_subqueries = 0
 
     # -- entry point ----------------------------------------------------------
 
@@ -376,6 +379,15 @@ class ExpressionCompiler:
     def compile_predicate(self, expr: ast.Expr) -> CompiledExpr:
         """Compile an expression used as a filter (result normalized to 3VL)."""
         return _predicate(self.compile(expr))
+
+    def compile_conjunct(self, expr: ast.Expr) -> tuple[CompiledExpr, bool]:
+        """Compile a filter, and say whether a subquery in it is correlated.
+        The answer comes from the one planning of each subquery that
+        compiling does anyway: planning a subquery again to ask would parse
+        each view it reads again."""
+        before = self.correlated_subqueries
+        fn = self.compile_predicate(expr)
+        return fn, self.correlated_subqueries != before
 
     # -- leaves ------------------------------------------------------------------
 
@@ -651,7 +663,11 @@ class ExpressionCompiler:
         result cannot depend on the outer row and is safe to cache for the
         whole statement); ``rows_fn`` re-runs the compiled plan per call.
         """
-        return self.runner.prepare_subquery(select, self.scope, self.params, self.placeholders)
+        rows_fn, correlated = self.runner.prepare_subquery(
+            select, self.scope, self.params, self.placeholders
+        )
+        self.correlated_subqueries += correlated
+        return rows_fn, correlated
 
     def _compile_InSelect(self, expr: ast.InSelect) -> CompiledExpr:
         operand = self.compile(expr.operand)

@@ -194,12 +194,20 @@ class Table:
         monotonic inserts, so repeated scans (the analytic hot path) stop
         paying an O(n log n) sort each.
         """
+        rows = self.data.rows
+        for rowid in self._rowids_in_order():
+            yield rowid, rows[rowid]
+
+    def rows(self) -> list[tuple]:
+        """Every row in rowid order: what :meth:`scan` yields, without the
+        ids, read in one pass."""
+        return list(map(self.data.rows.__getitem__, self._rowids_in_order()))
+
+    def _rowids_in_order(self) -> list[int]:
         order = self._scan_order
         if order is None:
             order = self._scan_order = sorted(self.data.rows)
-        rows = self.data.rows
-        for rowid in order:
-            yield rowid, rows[rowid]
+        return order
 
     def get(self, rowid: int) -> tuple | None:
         return self.data.rows.get(rowid)

@@ -23,6 +23,7 @@ __all__ = [
     "coerce_value",
     "compare",
     "DIRECT_PAIRS",
+    "compares_directly",
     "add_interval",
     "parse_date",
     "sort_key",
@@ -147,6 +148,21 @@ DIRECT_PAIRS = frozenset({
     (int, int), (int, float), (float, int), (float, float),
     (str, str), (datetime.date, datetime.date),
 })
+
+#: the Python class a column of each type holds its values as
+_HELD_AS = {
+    SqlType.INT: int, SqlType.FLOAT: float, SqlType.DECIMAL: float,
+    SqlType.CHAR: str, SqlType.VARCHAR: str, SqlType.TEXT: str,
+    SqlType.DATE: datetime.date, SqlType.BOOLEAN: bool,
+}
+
+
+def compares_directly(left: SqlType, right: SqlType) -> bool:
+    """Do the values of a ``left`` column and a ``right`` column form a pair
+    in :data:`DIRECT_PAIRS`?  Then ``=`` between them is Python's equality,
+    and hashing them (or looking one up in an index of the other) finds what
+    ``=`` finds — NaN aside, which a hash keeps apart from every other NaN."""
+    return (_HELD_AS[left], _HELD_AS[right]) in DIRECT_PAIRS
 
 
 def compare(left: Any, right: Any) -> int | None:

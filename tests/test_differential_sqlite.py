@@ -15,7 +15,8 @@ both (Sáenz-Pérez, PAPERS.md: an SQL DBMS as the reference back end):
   reference's un-limited answer.
 
 The dialect intersection is what the fixed queries and the Hypothesis
-strategy stay inside; where the engines are *meant* to disagree is
+strategies (selects, joins, DML predicates) stay inside; where the engines
+are *meant* to disagree is
 :data:`ALLOWED_DIVERGENCES`, the one allow-list, and each entry is asserted
 to still diverge so it cannot outlive the behaviour it excuses.  (TPC-H
 through sqlite needs a dialect translator — ``DATE '…' ± INTERVAL``,
@@ -43,6 +44,8 @@ SCHEMA = [
     "CREATE INDEX iv ON t (v)",
     "CREATE INDEX istr ON t (s)",
     "CREATE TABLE r (id INT PRIMARY KEY, tk INT, w INT)",
+    "CREATE TABLE d (id INT PRIMARY KEY, tv INT, g INT)",
+    "CREATE INDEX idtv ON d (tv)",
 ]
 
 
@@ -53,7 +56,10 @@ def _literal(value) -> str:
 def seeded_statements() -> list[str]:
     """The schema and its seeded data, as statements: ~10 % NULLs per
     nullable column, duplicate-heavy ``v`` and ``s`` (ties), and ``r.tk``
-    values that dangle past ``t``'s keys (LEFT JOIN misses)."""
+    values that dangle past ``t``'s keys (LEFT JOIN misses), and a small
+    ``d`` whose indexed ``tv`` repeats ``t.v``'s values (a join step into
+    ``t`` from ``d`` has fewer outer rows than inner ones, from ``t`` into
+    ``d`` more)."""
     rng = random.Random(23)
 
     def nullable(value):
@@ -70,6 +76,7 @@ def seeded_statements() -> list[str]:
             for k in range(300)
         ],
         "r": [(i, nullable(rng.randrange(360)), rng.randrange(5)) for i in range(150)],
+        "d": [(i, nullable(rng.randrange(40)), rng.randrange(5)) for i in range(20)],
     }
     return SCHEMA + [
         f"INSERT INTO {name} VALUES "
@@ -79,13 +86,20 @@ def seeded_statements() -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def engines():
-    """(run on this engine, run on sqlite) over identical seeded data."""
+def seeded_server():
     server = DatabaseServer()
     sid = server.connect()
-    lite = sqlite3.connect(":memory:")
     for sql in seeded_statements():
         execute(server, sid, sql)
+    return server, sid
+
+
+@pytest.fixture(scope="module")
+def engines(seeded_server):
+    """(run on this engine, run on sqlite) over identical seeded data."""
+    server, sid = seeded_server
+    lite = sqlite3.connect(":memory:")
+    for sql in seeded_statements():
         lite.execute(sql)
     lite.commit()  # the DML test rolls back: the seed must not go with it
     yield (lambda sql: execute(server, sid, sql)), (lambda sql: lite.execute(sql).fetchall())
@@ -338,6 +352,109 @@ def selects(draw) -> str:
 @given(selects())
 def test_generated_select_matches_sqlite(engines, sql):
     assert_same_answer(engines, sql)
+
+
+# ------------------------------------------------- generated joins
+
+#: table -> its integer-valued columns (``f`` is a FLOAT: its quarters meet
+#: integers), the join columns: ``t.k``, ``r.id`` and ``d.id`` are primary
+#: keys, ``t.v`` and ``d.tv`` are indexed, the rest are neither; ``v``,
+#: ``tk``, ``w``, ``tv`` and ``g`` repeat values and hold NULLs
+JOIN_COLUMNS = {"t": ["k", "v", "f"], "r": ["id", "tk", "w"], "d": ["id", "tv", "g"]}
+
+
+@st.composite
+def _local_filters(draw, alias: str, table: str) -> str:
+    """A conjunct naming ``alias`` alone."""
+    column = f"{alias}.{draw(st.sampled_from(JOIN_COLUMNS[table]))}"
+    literal = draw(st.integers(min_value=-2, max_value=40))
+    return draw(st.sampled_from([
+        f"{column} {draw(_comparisons)} {literal}",
+        f"{column} IS NULL",
+        f"{column} IS NOT NULL",
+        f"{column} BETWEEN {literal} AND {literal + 10}",
+    ]))
+
+
+@st.composite
+def _subquery_filters(draw, alias: str, table: str) -> str:
+    """An uncorrelated subquery conjunct: ``IN``, ``EXISTS`` or a scalar."""
+    column = f"{alias}.{draw(st.sampled_from(JOIN_COLUMNS[table]))}"
+    literal = draw(st.integers(min_value=0, max_value=4))
+    return draw(st.sampled_from([
+        f"{column} IN (SELECT tk FROM r WHERE w = {literal})",
+        f"{column} NOT IN (SELECT tv FROM d WHERE g = {literal})",
+        f"EXISTS (SELECT 1 FROM d WHERE g = {literal})",
+        f"NOT EXISTS (SELECT 1 FROM r WHERE w = {literal + 3})",
+        f"{column} {draw(_comparisons)} (SELECT MAX(tv) FROM d WHERE g = {literal})",
+    ]))
+
+
+@st.composite
+def joins(draw) -> str:
+    """Two or three tables, each after the first joined to an earlier one
+    by ``CROSS JOIN`` and a WHERE equality, ``JOIN … ON`` or ``LEFT JOIN … ON``
+    (whose ON may carry a filter on the joined table alone), with local
+    filters, a cross-source comparison and an uncorrelated subquery
+    conjunct in WHERE."""
+    tables = draw(st.lists(st.sampled_from(sorted(JOIN_COLUMNS)), min_size=2, max_size=3))
+    aliases = [f"a{i}" for i in range(len(tables))]
+    source = f"{tables[0]} a0"
+    where = []
+    for i in range(1, len(tables)):
+        partner = draw(st.integers(min_value=0, max_value=i - 1))
+        key = (
+            f"a{partner}.{draw(st.sampled_from(JOIN_COLUMNS[tables[partner]]))} = "
+            f"a{i}.{draw(st.sampled_from(JOIN_COLUMNS[tables[i]]))}"
+        )
+        how = draw(st.sampled_from(["CROSS JOIN", "JOIN", "LEFT JOIN"]))
+        if how == "CROSS JOIN":  # a comma would bind a later JOIN to this table
+            source += f" CROSS JOIN {tables[i]} a{i}"
+            where.append(key)
+        else:
+            on = [key] + draw(st.lists(_local_filters(aliases[i], tables[i]), max_size=1))
+            source += f" {how} {tables[i]} a{i} ON {' AND '.join(on)}"
+    for alias, table in zip(aliases, tables):
+        where += draw(st.lists(_local_filters(alias, table), max_size=1))
+    if draw(st.booleans()):
+        left, right = draw(st.permutations(range(len(tables))))[:2]
+        where.append(
+            f"a{left}.{draw(st.sampled_from(JOIN_COLUMNS[tables[left]]))} "
+            f"{draw(_comparisons)} a{right}.{draw(st.sampled_from(JOIN_COLUMNS[tables[right]]))}"
+        )
+    index = draw(st.integers(min_value=0, max_value=len(tables) - 1))
+    where += draw(st.lists(_subquery_filters(aliases[index], tables[index]), max_size=1))
+    items = ", ".join(
+        f"{alias}.{column}" for alias, table in zip(aliases, tables) for column in JOIN_COLUMNS[table]
+    )
+    return f"SELECT {items} FROM {source}" + (f" WHERE {' AND '.join(where)}" if where else "")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(joins())
+def test_generated_join_matches_sqlite(engines, sql):
+    assert_same_answer(engines, sql)
+
+
+@pytest.mark.parametrize(
+    "sql,looks_up",
+    [
+        ("SELECT a0.id, a1.k FROM d a0 JOIN t a1 ON a0.tv = a1.v", True),
+        ("SELECT a0.id, a1.k FROM d a0, t a1 WHERE a0.g = a1.k", True),
+        ("SELECT a0.k, a1.id FROM t a0 JOIN d a1 ON a0.v = a1.tv", False),
+        ("SELECT a0.k, a1.id FROM t a0 LEFT JOIN d a1 ON a0.v = a1.id AND a1.g > 1", False),
+        ("SELECT a0.id, a1.k FROM d a0 LEFT JOIN t a1 ON a0.tv = a1.v AND a1.f > 0", True),
+    ],
+)
+def test_a_join_step_looks_keys_up_when_its_outer_side_is_smaller(
+    engines, seeded_server, sql, looks_up
+):
+    """Both ways of a join step run under the generator: ``d`` (20 rows)
+    looks its keys up in ``t`` (300), ``t`` hashes ``d``."""
+    stats = seeded_server[0].executor_stats
+    probes = stats.index_eq_probes
+    assert_same_answer(engines, sql)
+    assert (stats.index_eq_probes > probes) == looks_up
 
 
 # ------------------------------------------------- generated WHERE under DML

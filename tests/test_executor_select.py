@@ -351,6 +351,39 @@ def test_scalar_subquery_in_having(join_db):
     assert rows == [(1, 12.0), (2, 9.0)]
 
 
+# ---------------------------------------------------------------- evaluation order
+#
+# DESIGN.md §5b "Join steps filter before they join": a conjunct that names
+# one source runs on that source's rows before they are joined — on every
+# row when the step hashes the source, on the rows an index finds when it
+# looks keys up — and an uncorrelated subquery runs where its conjunct does.
+# So a row no join partner reaches can fail a filter that used to run only
+# on joined rows.  PostgreSQL filters at the scan too.
+
+
+def test_a_local_filter_runs_on_rows_no_join_partner_reaches(join_db):
+    server, sid = join_db
+    execute(server, sid, "CREATE TABLE n (ck INT, code VARCHAR(5))")  # no index: hashed
+    execute(server, sid, "INSERT INTO n VALUES (1, '42'), (9, 'x')")
+    # only (1, '42') has a partner in c; the CAST fails on (9, 'x')
+    with pytest.raises(DataError):
+        q(join_db, "SELECT name FROM c JOIN n ON c.ck = n.ck WHERE CAST(n.code AS INT) > 0")
+    # what the join used to answer, when the CAST ran on joined rows only
+    assert q(
+        join_db,
+        "SELECT name FROM c JOIN n ON c.ck = n.ck WHERE n.ck <> 9 AND CAST(n.code AS INT) > 0",
+    ) == [("ann",)]
+
+
+def test_an_uncorrelated_subquery_runs_under_an_empty_join(join_db):
+    # cyd has no orders: the join is empty, and the scalar subquery (three
+    # rows) used to wait for a joined row that never came
+    sql = "SELECT name FROM c JOIN o ON c.ck = o.ck WHERE c.name = 'cyd' AND c.ck {} (SELECT ck FROM o)"
+    with pytest.raises(ProgrammingError, match="more than one row"):
+        q(join_db, sql.format("="))
+    assert q(join_db, sql.format("IN")) == []
+
+
 def test_constant_false_where_short_circuits(db):
     server, sid = db
     before = server.stats.rows_returned

@@ -57,8 +57,49 @@ def test_explain_constant_filter(db):
 
 
 def test_explain_subquery_filter_stays_final(db):
-    lines = plan(db, "SELECT name FROM c WHERE ck IN (SELECT ck FROM o)")
+    """A correlated subquery reads the row it is asked about: its conjunct
+    waits for the whole joined row."""
+    lines = plan(db, "SELECT name FROM c WHERE EXISTS (SELECT 1 FROM o WHERE o.ck = c.ck)")
+    assert lines[0] == "Scan c"
     assert any("final WHERE" in line for line in lines)
+
+
+def test_explain_uncorrelated_subquery_filters_at_its_step(db):
+    """An uncorrelated ``IN (SELECT …)`` is a value like a literal: its
+    conjunct filters the rows of the source it names, before the join."""
+    lines = plan(db, "SELECT name FROM c, o WHERE c.ck = o.ck AND o.ok IN (SELECT ck FROM c)")
+    assert lines[0] == "Scan c"
+    assert lines[1] == "HashJoin(CROSS) o ON c.ck = o.ck  [local prefilter (residual filter on o rows)]"
+    assert not any("final WHERE" in line for line in lines)
+
+
+def test_explain_local_and_cross_source_filters(db):
+    lines = plan(db, "SELECT name FROM c JOIN o ON c.ck = o.ck AND o.amt > 2 AND o.amt > c.ck")
+    assert lines[1] == (
+        "HashJoin(INNER) o ON c.ck = o.ck  "
+        "[local prefilter (residual filter on o rows), residual filter on joined rows]"
+    )
+
+
+def test_explain_index_join_per_outer_row(db):
+    lines = plan(db, "SELECT name FROM o JOIN c ON c.ck = o.ck")
+    assert lines[1] == (
+        "IndexJoin(INNER) c ON o.ck = c.ck (primary key looked up per outer row; "
+        "HashJoin when the outer side is not smaller)"
+    )
+    server, sid = db
+    execute(server, sid, "CREATE INDEX o_ck ON o (ck)")
+    lines = plan(db, "SELECT name FROM c LEFT JOIN o ON c.ck = o.ck")
+    assert lines[1].startswith("IndexJoin(LEFT) o ON c.ck = o.ck (index on ck looked up")
+
+
+def test_explain_mixed_type_equality_is_no_join_key(db):
+    """``=`` between an INT and a VARCHAR casts the string: a hash of the
+    two values would miss what it finds, so it is a residual."""
+    server, sid = db
+    execute(server, sid, "CREATE TABLE r (id INT PRIMARY KEY, s VARCHAR(10))")
+    lines = plan(db, "SELECT name FROM c JOIN r ON c.ck = r.s")
+    assert lines[1] == "NestedLoop(INNER) r  [residual filter on joined rows]"
 
 
 def test_explain_aggregate_sort_limit(db):

@@ -578,6 +578,55 @@ def test_nan_equals_nan_and_sorts_above_every_number(name):
     assert seen["plain"].startswith(f"({answer!r}, "), seen["plain"]
 
 
+# ---------------------------------------------------------------- mixed-type join keys
+#
+# ``=`` between an INT and a VARCHAR, or a DATE and a VARCHAR, casts the
+# string before it compares.  As a join key the pair used to be hashed as it
+# was, and the hash missed what ``=`` finds: the join answered [] where the
+# same ``=`` as a predicate answered a row (sqlite agrees with the
+# predicate).  A join hashes or probes only a pair whose values compare
+# directly; any other ``=`` is a residual, evaluated as a predicate is.
+
+MIXED_TYPE_TABLES = [
+    "CREATE TABLE jt (k INT PRIMARY KEY, d DATE)",
+    "INSERT INTO jt VALUES (1, '2020-01-01'), (2, '2020-01-02')",
+    "CREATE TABLE jr (id INT PRIMARY KEY, s VARCHAR(10))",
+    "INSERT INTO jr VALUES (10, '1'), (11, '7')",
+    "CREATE TABLE jq (id INT PRIMARY KEY, s VARCHAR(10))",
+    "INSERT INTO jq VALUES (20, '2020-01-02')",
+]
+
+#: name -> (as a join key, as a predicate, what both answer)
+MIXED_TYPE_KEYS = {
+    "INT = VARCHAR": (
+        "SELECT jt.k, jr.id FROM jt JOIN jr ON jt.k = jr.s",
+        "SELECT jt.k, jr.id FROM jt, jr WHERE jr.s = jt.k OR 1 = 0",
+        [(1, 10)],
+    ),
+    "DATE = VARCHAR": (
+        "SELECT jt.k, jq.id FROM jt JOIN jq ON jt.d = jq.s",
+        "SELECT jt.k, jq.id FROM jt, jq WHERE jq.s = jt.d OR 1 = 0",
+        [(2, 20)],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def both_mixed(both):
+    for sql in MIXED_TYPE_TABLES:
+        both["plain"].execute(sql)
+    return both
+
+
+@pytest.mark.parametrize("name", MIXED_TYPE_KEYS)
+def test_a_mixed_type_join_key_finds_what_equality_finds(both_mixed, name):
+    join, predicate, answer = MIXED_TYPE_KEYS[name]
+    for sql in (join, predicate):
+        plain = outcome(both_mixed["plain"], sql)
+        assert repr(outcome(both_mixed["phoenix"], sql)) == repr(plain)
+        assert plain == answer, sql
+
+
 # ---------------------------------------------------------------- DDL rowcount
 
 #: name -> (what it needs first, one of each DDL kind Phoenix wraps)

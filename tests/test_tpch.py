@@ -178,6 +178,46 @@ def test_the_answers_of_the_22_queries_are_pinned():
     assert digest.hexdigest() == ANSWERS_DIGEST
 
 
+#: query -> the join lines of its plan: which step looks lineitem up per
+#: outer row, and where each filter runs (Q18's uncorrelated IN subquery
+#: at the orders step, not after the three-way join)
+INDEX_JOIN = "looked up per outer row; HashJoin when the outer side is not smaller)"
+PLAN_SHAPES = {
+    "Q3": [
+        "Scan customer  [local prefilter (residual filter on customer rows)]",
+        "IndexJoin(CROSS) orders ON customer.c_custkey = orders.o_custkey (index on o_custkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on lineitem rows)]",
+    ],
+    "Q10": [
+        "Scan customer",
+        "IndexJoin(CROSS) orders ON customer.c_custkey = orders.o_custkey (index on o_custkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on lineitem rows)]",
+        "IndexJoin(CROSS) nation ON customer.c_nationkey = nation.n_nationkey (primary key "
+        f"{INDEX_JOIN}",
+    ],
+    "Q18": [
+        "Scan customer",
+        "IndexJoin(CROSS) orders ON customer.c_custkey = orders.o_custkey (index on o_custkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}",
+    ],
+}
+
+
+@pytest.mark.parametrize("query_id", PLAN_SHAPES)
+def test_join_plan_shapes(loaded, query_id):
+    system, data = loaded
+    lines = [line for (line,) in q(system, "EXPLAIN " + query_sql(query_id, data.sf))]
+    joins = PLAN_SHAPES[query_id]
+    assert lines[: len(joins)] == joins
+    assert lines[len(joins)].startswith("Aggregate by")  # no final WHERE
+
+
 def test_queries_named_in_paper_exist():
     # the rows the paper's Table 1 excerpt names
     for query_id in ("Q16",):
