@@ -39,9 +39,11 @@ from repro.engine.expressions import (
     CompiledExpr,
     Env,
     ExpressionCompiler,
+    FLIPPED,
     PlaceholderList,
     Scope,
     is_constant,
+    slot_of,
 )
 from repro.engine.plancache import (
     PROC_CACHE_CAPACITY,
@@ -53,7 +55,7 @@ from repro.engine.plancache import (
 from repro.engine.results import ResultSet, StatementResult
 from repro.engine.schema import Column, schema_from_ast, type_spec_to_sql_type
 from repro.engine.table import Table
-from repro.engine.values import SqlType, compares_directly, sort_key
+from repro.engine.values import SqlType, compares_directly, one_nan, sort_key
 from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
 from repro.sql import ast, parse_script
@@ -63,8 +65,6 @@ __all__ = ["Executor"]
 
 #: comparison operators usable as index probes (equality or range bound)
 _PROBE_OPS = ("=", "<", "<=", ">", ">=")
-#: the same comparison with its sides swapped (``5 < k`` is ``k > 5``)
-_FLIPPED_OP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: the names a table parameter's argument may create a table under
 _TABLE_NAME = re.compile(r"#?\w+")
 #: sentinel from bounds evaluation: the probe constant cannot be coerced to
@@ -1215,11 +1215,7 @@ class _SelectPlan:
             agg_slots: dict[int, int] = {}
             for node in agg_nodes:
                 agg_slots[id(node)] = self.scope.add_synthetic_slot()
-            self.group_key_fns = [self.compiler.compile(e) for e in group_exprs]
-            self.agg_arg_fns = [
-                None if node.star else self.compiler.compile(node.args[0])
-                for node in agg_nodes
-            ]
+            self._plan_grouping([self.compiler.compile(e) for e in group_exprs])
             post_compiler = ExpressionCompiler(
                 self.scope,
                 self.executor,
@@ -1240,10 +1236,37 @@ class _SelectPlan:
             self.item_fns = [self.compiler.compile(expr) for expr, _ in self.items]
             self.having_fn = None
             self.order_fns = self._compile_order(self.compiler)
+        #: the select list's slots when every item is a column of the row:
+        #: the output rows are then one ``itemgetter`` over the rows, not a
+        #: closure call per item and row
+        self.project_slots = None
+        slots = [slot_of(fn) for fn in self.item_fns]
+        if not self.grouped and slots and None not in slots:
+            self.project_slots = slots
 
         self.output_columns = [
             _infer_column(expr, name, self.slot_columns, self.scope)
             for expr, name in self.items
+        ]
+
+    def _plan_grouping(self, key_fns: list[CompiledExpr]) -> None:
+        """How :meth:`_run_grouped` keys a row and reads each aggregate's
+        arguments: through ``itemgetter`` where they are columns of the row,
+        through the compiled closures elsewhere."""
+        self.group_key_fns = key_fns
+        slots = [slot_of(fn) for fn in key_fns]
+        #: the key of a row when every GROUP BY key is a column of it
+        self.group_key = itemgetter(*slots) if slots and None not in slots else None
+        #: per aggregate: (a group's rows, env) -> its argument values, in
+        #: order; ``count(*)`` counts the rows themselves
+        self.agg_args = [
+            (lambda rows, env: rows) if node.star
+            else _values_of(self.compiler.compile(node.args[0]))
+            for node in self.agg_nodes
+        ]
+        self.agg_folds = [
+            functions.make_accumulator(node.name, star=node.star, distinct=node.distinct).fold
+            for node in self.agg_nodes
         ]
 
     def _dealias(self, expr: ast.Expr) -> ast.Expr:
@@ -1401,15 +1424,14 @@ class _SelectPlan:
         return ResultSet(self.output_columns, out_rows)
 
     def _run_rows(self, outer_env: Env | None) -> list[tuple]:
-        if self.folded_false:
-            return []
-        if self.constant_filter is not None:
-            probe_env = _env([None] * self.scope.slot_count, outer_env)
-            if self.constant_filter(probe_env) is not True:
-                return []
-        if self.topk is not None:
+        if self._passes_no_row(outer_env):
+            # nothing is read, but an aggregate without GROUP BY still
+            # answers its one row over no input
+            rows: list[tuple] = []
+        elif self.topk is not None:
             return self._run_topk(outer_env)
-        rows = self._source_rows(outer_env)
+        else:
+            rows = self._source_rows(outer_env)
         if self.where is not None:
             where = self.where
             # one reused environment for the whole filter pass — the
@@ -1426,15 +1448,32 @@ class _SelectPlan:
         if self.grouped:
             out_rows = self._run_grouped(rows, outer_env)
         else:
-            item_fns = self.item_fns
-            env = _env([], outer_env)
-            out_rows = []
-            for r in rows:
-                env.values = r
-                out_rows.append(tuple(fn(env) for fn in item_fns))
+            slots = self.project_slots
+            if slots is None:
+                item_fns = self.item_fns
+                env = _env([], outer_env)
+                out_rows = []
+                for r in rows:
+                    env.values = r
+                    out_rows.append(tuple(fn(env) for fn in item_fns))
+            elif len(slots) == 1:
+                (slot,) = slots
+                out_rows = [(r[slot],) for r in rows]
+            else:
+                out_rows = list(map(itemgetter(*slots), rows))
             self._ordering_rows = rows  # parallel to out_rows, for ORDER BY
 
         return self._order_distinct_limit(out_rows, outer_env)
+
+    def _passes_no_row(self, outer_env: Env | None) -> bool:
+        """Did WHERE fold to not-true, or is a conjunct that reads no row
+        not true for this run?"""
+        if self.folded_false:
+            return True
+        if self.constant_filter is None:
+            return False
+        probe_env = _env([None] * self.scope.slot_count, outer_env)
+        return self.constant_filter(probe_env) is not True
 
     def _run_topk(self, outer_env: Env | None) -> list[tuple]:
         """Index-ordered top-k: stream rowids in ORDER BY order (optionally
@@ -1655,42 +1694,37 @@ class _SelectPlan:
         return [table.get(rowid) for rowid in rowids]
 
     def _run_grouped(self, rows: list[tuple], outer_env: Env | None) -> list[tuple]:
-        key_fns = self.group_key_fns
-        arg_fns = self.agg_arg_fns
-        agg_nodes = self.agg_nodes
-        make_accumulator = functions.make_accumulator
+        """Bucket the rows by group key — every row's key is evaluated
+        before any aggregate argument — then fold each aggregate over each
+        bucket's argument values, in input order."""
+        if self.group_exprs:
+            key_of = self.group_key
+            if key_of is None:
+                key_fns = self.group_key_fns
+                key_env = _env([], outer_env)
 
-        def accumulators() -> list[functions.Accumulator]:
-            return [
-                make_accumulator(node.name, star=node.star, distinct=node.distinct)
-                for node in agg_nodes
-            ]
+                def key_of(row: tuple) -> tuple:
+                    key_env.values = row
+                    return tuple([fn(key_env) for fn in key_fns])
 
-        #: group key -> (representative row, accumulators), in first-seen order
-        groups: dict[tuple, tuple[tuple, list]] = {}
+            groups = list(_buckets(rows, key_of).values())
+        else:
+            groups = [rows]  # one group of every row, even of none
+        no_row = (None,) * (self.scope.slot_count - len(self.agg_nodes))
+        aggregates = list(zip(self.agg_folds, self.agg_args))
+        arg_env = _env([], outer_env)
         env = _env([], outer_env)
-        for row in rows:
-            env.values = row
-            key = tuple([fn(env) for fn in key_fns])
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (row, accumulators())
-            for acc, arg_fn in zip(group[1], arg_fns):
-                acc.add(1 if arg_fn is None else arg_fn(env))
-        if not groups and not self.group_exprs:
-            # aggregate over empty input: one all-NULL/zero row
-            groups[()] = ((None,) * (self.scope.slot_count - len(agg_nodes)), accumulators())
-
         out_rows: list[tuple] = []
         ordering_rows: list[tuple] = []
-        for rep, accs in groups.values():
+        for bucket in groups:
             # place aggregate results in their synthetic slots (the last
             # len(agg_nodes) slots, allocated in agg_nodes order)
-            full = rep + tuple([acc.result() for acc in accs])
-            env = _env(full, outer_env)
+            first = bucket[0] if bucket else no_row
+            full = first + tuple([fold(args(bucket, arg_env)) for fold, args in aggregates])
+            env.values = full
             if self.having_fn is not None and self.having_fn(env) is not True:
                 continue
-            out_rows.append(tuple(fn(env) for fn in self.item_fns))
+            out_rows.append(tuple([fn(env) for fn in self.item_fns]))
             ordering_rows.append(full)
         self._ordering_rows = ordering_rows
         return out_rows
@@ -1699,28 +1733,23 @@ class _SelectPlan:
         select = self.select
         rows = out_rows
         if select.distinct:
-            seen = set()
-            deduped = []
-            deduped_ordering = []
-            for row, orow in zip(rows, self._ordering_rows):
-                if row not in seen:
-                    seen.add(row)
-                    deduped.append(row)
-                    deduped_ordering.append(orow)
-            rows = deduped
-            self._ordering_rows = deduped_ordering
+            kept = _distinct_positions(rows)
+            rows = [rows[i] for i in kept]
+            self._ordering_rows = [self._ordering_rows[i] for i in kept]
         if self.order_fns:
             indexed = list(zip(rows, self._ordering_rows))
             sort_env = _env([], outer_env)
-            for kind, key, desc in reversed(self.order_fns):
+            keys = []
+            for kind, key, desc in self.order_fns:
                 if kind == "position":
-                    indexed.sort(key=lambda pair: sort_key(pair[0][key]), reverse=desc)
+                    keys.append((lambda pair, position=key: pair[0][position], desc))
                 else:
-                    def _key(pair, key=key):
+                    def _value(pair, key=key):
                         sort_env.values = pair[1]
-                        return sort_key(key(sort_env))
+                        return key(sort_env)
 
-                    indexed.sort(key=_key, reverse=desc)
+                    keys.append((_value, desc))
+            _sort(indexed, keys)
             rows = [pair[0] for pair in indexed]
         if select.offset is not None:
             rows = rows[select.offset :]
@@ -1763,13 +1792,7 @@ class _UnionRunner:
             rows.extend(part_rows)
             # plain UNION dedupes everything accumulated so far (left-assoc)
             if index > 0 and not self.union.all_flags[index - 1]:
-                seen: set = set()
-                deduped: list[tuple] = []
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        deduped.append(row)
-                rows = deduped
+                rows = [rows[i] for i in _distinct_positions(rows)]
         rows = self._order_limit(rows)
         return ResultSet(self.output_columns, rows)
 
@@ -1777,7 +1800,7 @@ class _UnionRunner:
         union = self.union
         if union.order_by:
             name_to_index = {c.name: i for i, c in enumerate(self.output_columns)}
-            keys: list[tuple[int, bool]] = []
+            keys = []
             for order in union.order_by:
                 expr = order.expr
                 if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
@@ -1790,9 +1813,9 @@ class _UnionRunner:
                     raise ProgrammingError(
                         "UNION ORDER BY must name an output column or position"
                     )
-                keys.append((position, order.desc))
-            for position, desc in reversed(keys):
-                rows = sorted(rows, key=lambda r: sort_key(r[position]), reverse=desc)
+                keys.append((itemgetter(position), order.desc))
+            rows = list(rows)
+            _sort(rows, keys)
         if union.offset is not None:
             rows = rows[union.offset :]
         if union.limit is not None:
@@ -1856,6 +1879,73 @@ def _hash_rows(rows: list[tuple], local_slots: list[int]) -> dict:
     return buckets
 
 
+def _buckets(rows: list[tuple], key_of) -> dict:
+    """Rows by ``key_of(row)``, keys in first-seen order and each bucket's
+    rows in input order.  A NaN in a key is filed under the one
+    :data:`~repro.engine.values.NAN`: NaN groups with NaN."""
+    buckets: dict = {}
+    for row in rows:
+        key = key_of(row)
+        bucket = buckets.get(key)
+        if bucket is None:
+            key = one_nan(key)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+                continue
+        bucket.append(row)
+    return buckets
+
+
+def _distinct_positions(rows: list[tuple]) -> list[int]:
+    """The position of the first of each set of equal rows, in order (a
+    NaN equals a NaN)."""
+    seen: set = set()
+    first: list[int] = []
+    for position, row in enumerate(rows):
+        if row not in seen:
+            row = one_nan(row)
+            if row not in seen:
+                seen.add(row)
+                first.append(position)
+    return first
+
+
+def _sort(items: list, keys: list[tuple[Any, bool]]) -> None:
+    """Sort ``items`` in place by ORDER BY ``keys``: (item -> the value it
+    sorts by, descending?) in order of precedence, NULLs first and NaN above
+    every number (:func:`~repro.engine.values.sort_key`).  Each run of
+    consecutive keys with one direction is one stable sort on a tuple of
+    sort keys; runs sort last first, so an earlier run decides and a later
+    one orders its ties."""
+    runs: list[tuple[list, bool]] = []
+    for value_of, desc in keys:
+        if runs and runs[-1][1] == desc:
+            runs[-1][0].append(value_of)
+        else:
+            runs.append(([value_of], desc))
+    for values_of, desc in reversed(runs):
+        items.sort(key=lambda item: tuple([sort_key(v(item)) for v in values_of]), reverse=desc)
+
+
+def _values_of(fn: CompiledExpr):
+    """A function from a group's rows to the values of ``fn`` over them, in
+    order — an ``itemgetter`` map when ``fn`` reads a column of the row."""
+    slot = slot_of(fn)
+    if slot is not None:
+        getter = itemgetter(slot)
+        return lambda rows, env: list(map(getter, rows))
+
+    def values(rows: list[tuple], env: Env) -> list:
+        out = []
+        for row in rows:
+            env.values = row
+            out.append(fn(env))
+        return out
+
+    return values
+
+
 def _lookup_probe(table: Table, equi: list[tuple[int, int]]):
     """The probe a join step into ``table`` can make per outer row: on an
     equi key whose inner column is the table's one-column primary key
@@ -1894,7 +1984,7 @@ def _index_probe(
         # every reading of the conjunct as <column side> <op> <value side>
         if isinstance(conjunct, ast.Binary) and conjunct.op in _PROBE_OPS:
             yield conjunct.left, conjunct.op, conjunct.right
-            yield conjunct.right, _FLIPPED_OP[conjunct.op], conjunct.left
+            yield conjunct.right, FLIPPED[conjunct.op], conjunct.left
         elif isinstance(conjunct, ast.Between) and not conjunct.negated:
             yield conjunct.operand, ">=", conjunct.low
             yield conjunct.operand, "<=", conjunct.high
@@ -2051,6 +2141,9 @@ def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:
         return None
     if len(fns) == 1:
         return fns[0]
+    if len(fns) == 2:
+        first, second = fns
+        return lambda env: first(env) is True and second(env) is True
 
     def _all(env: Env):
         for fn in fns:

@@ -18,6 +18,16 @@ SET on every execution.  A comparison whose two values are of a pair in
 :data:`~repro.engine.values.DIRECT_PAIRS` applies Python's operator to them
 directly; every other pair goes through :func:`~repro.engine.values.compare`.
 
+A column of this query's row compiles to a read that carries its slot, as a
+folded constant carries its value.  The shapes a scan filters by most —
+``column <op> constant`` either way round, ``column <op> column``,
+``column [NOT] BETWEEN constant AND constant`` and ``x [NOT] IN (constants)``
+— look at both once, at compile time, and compile to one closure that reads
+the slot and compares with the bound constant (or tests membership in a
+``frozenset``).  A row value whose class does not pair directly with the
+constant, a NULL and a NaN fall through to ``compare``, as the generic
+closure does; a NULL or NaN constant keeps the generic closure.
+
 Subqueries are compiled through a callback into the executor (to avoid an
 import cycle the executor passes itself in as the ``SubqueryRunner``).
 Uncorrelated subqueries are detected at compile time — their result is
@@ -31,7 +41,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine import functions
@@ -46,8 +56,10 @@ __all__ = [
     "ExpressionCompiler",
     "PlaceholderList",
     "SubqueryRunner",
+    "FLIPPED",
     "is_constant",
     "like_to_regex",
+    "slot_of",
 ]
 
 #: A compiled expression: env → value.
@@ -287,6 +299,34 @@ def is_constant(fn: CompiledExpr) -> bool:
     return getattr(fn, "constant", False)
 
 
+def slot_of(fn: CompiledExpr) -> int | None:
+    """The slot ``fn`` reads when it is a column of this query's row, as
+    it stands (``env.values[slot]``); else None."""
+    return getattr(fn, "slot", None)
+
+
+#: class -> the classes whose values pair with its values in DIRECT_PAIRS
+_PARTNERS: dict[type, frozenset] = {
+    cls: frozenset(a for a, b in DIRECT_PAIRS if b is cls) for _a, cls in DIRECT_PAIRS
+}
+
+
+def _partners(constants: list[CompiledExpr]) -> frozenset:
+    """The classes a row value must be of to compare directly with every
+    one of ``constants`` — empty unless each folded to a value that is not
+    NULL or NaN."""
+    found = None
+    for fn in constants:
+        if not is_constant(fn):
+            return frozenset()
+        value = fn(None)
+        if value != value:  # NaN
+            return frozenset()
+        partners = _PARTNERS.get(value.__class__, frozenset())
+        found = partners if found is None else found & partners
+    return found or frozenset()
+
+
 def _folded(fn: CompiledExpr, *operands: CompiledExpr) -> CompiledExpr:
     """``fn`` evaluated once, now, when every operand is a constant.  An
     evaluation that raises keeps ``fn``: the error belongs to the runs that
@@ -332,6 +372,9 @@ _COMPARISONS: dict[str, tuple[Callable[[Any, Any], bool], bool, Callable[[int], 
     ">": (operator.gt, True, lambda c: c > 0),
     ">=": (operator.ge, True, lambda c: c >= 0),
 }
+
+#: each comparison operator with its sides swapped (``5 < k`` is ``k > 5``)
+FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: EXTRACT's parts: the ``datetime.date`` attribute each reads
 _DATE_PARTS = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
@@ -397,7 +440,11 @@ class ExpressionCompiler:
     def _compile_ColumnRef(self, expr: ast.ColumnRef) -> CompiledExpr:
         depth, slot = self.scope.resolve(expr.name, expr.table)
         if depth == 0:
-            return lambda env: env.values[slot]
+            def column(env: Env) -> Any:
+                return env.values[slot]
+
+            column.slot = slot
+            return column
         return lambda env: env.at(depth, slot)
 
     def _compile_Param(self, expr: ast.Param) -> CompiledExpr:
@@ -515,6 +562,27 @@ class ExpressionCompiler:
     def _compile_comparison(op: str, left: CompiledExpr, right: CompiledExpr) -> CompiledExpr:
         direct, when_true, test = _COMPARISONS[op]
         when_false = not when_true
+        left_slot, right_slot = slot_of(left), slot_of(right)
+        if left_slot is not None and right_slot is not None:
+
+            @_three_valued
+            def _cmp_columns(env: Env) -> Any:
+                values = env.values
+                a = values[left_slot]
+                b = values[right_slot]
+                if (a.__class__, b.__class__) in DIRECT_PAIRS:
+                    if direct(a, b):
+                        return when_true
+                    if a == a and b == b:  # no NaN: Python's false is SQL's
+                        return when_false
+                c = compare(a, b)
+                return None if c is None else test(c)
+
+            return _cmp_columns
+        if left_slot is not None and _partners([right]):
+            return _compare_constant(op, left_slot, right(None), constant_first=False)
+        if right_slot is not None and _partners([left]):
+            return _compare_constant(op, right_slot, left(None), constant_first=True)
 
         @_three_valued
         def _cmp(env: Env) -> Any:
@@ -567,6 +635,22 @@ class ExpressionCompiler:
         low = self.compile(expr.low)
         high = self.compile(expr.high)
         negated = expr.negated
+        slot = slot_of(operand)
+        partners = _partners([low, high])
+        if slot is not None and partners:
+            low_value, high_value = low(None), high(None)
+
+            @_three_valued
+            def _between_constants(env: Env) -> Any:
+                value = env.values[slot]
+                if value.__class__ in partners:
+                    if low_value <= value <= high_value:
+                        return not negated
+                    if value == value:
+                        return negated  # no NaN: Python's false is SQL's
+                return _between_by_compare(value, low_value, high_value, negated)
+
+            return _between_constants
 
         @_three_valued
         def _between(env: Env) -> Any:
@@ -581,19 +665,7 @@ class ExpressionCompiler:
                     return not negated
                 if value == value and low_value == low_value and high_value == high_value:
                     return negated  # no NaN: Python's false is SQL's
-            lo = compare(value, low_value)
-            hi = compare(value, high_value)
-            if lo is None or hi is None:
-                # ``value >= low AND value <= high`` in three-valued logic: a
-                # NULL bound leaves the answer unknown unless the other bound
-                # already fails — ``5 BETWEEN 9 AND NULL`` is false, so its
-                # NOT is true
-                if (lo is None or lo >= 0) and (hi is None or hi <= 0):
-                    return None
-                result = False
-            else:
-                result = lo >= 0 and hi <= 0
-            return not result if negated else result
+            return _between_by_compare(value, low_value, high_value, negated)
 
         return _folded(_between, operand, low, high)
 
@@ -601,22 +673,27 @@ class ExpressionCompiler:
         operand = self.compile(expr.operand)
         items = [self.compile(item) for item in expr.items]
         negated = expr.negated
+        partners = _partners(items)
+        if partners and not is_constant(operand):
+            constants = [item(None) for item in items]
+            members = frozenset(constants)
+            slot = slot_of(operand)
+
+            @_three_valued
+            def _in_set(env: Env) -> Any:
+                value = operand(env) if slot is None else env.values[slot]
+                if value.__class__ in partners:
+                    if value in members:
+                        return not negated
+                    if value == value:
+                        return negated  # no NaN: not in the set is unequal
+                return _in_values(value, constants, negated)
+
+            return _in_set
 
         @_three_valued
         def _in_fixed(env: Env) -> Any:
-            value = operand(env)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                other = item(env)
-                if other is None:
-                    saw_null = True
-                elif _equal(value, other):
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+            return _in_values(operand(env), (item(env) for item in items), negated)
 
         return _folded(_in_fixed, operand, *items)
 
@@ -862,3 +939,59 @@ def _null_safe_binop(
         return fn(a, b)
 
     return _op
+
+
+def _compare_constant(op: str, slot: int, constant: Any, *, constant_first: bool) -> CompiledExpr:
+    """``column <op> constant`` (or ``constant <op> column``) over the row
+    value at ``slot``: Python's operator, sides flipped to put the column
+    first, when the value's class pairs directly with the constant's; else
+    ``compare`` over the sides as written (its errors name them in order)."""
+    direct, when_true, _test = _COMPARISONS[FLIPPED[op] if constant_first else op]
+    when_false = not when_true
+    test = _COMPARISONS[op][2]
+    partners = _PARTNERS[constant.__class__]
+
+    @_three_valued
+    def _cmp_constant(env: Env) -> Any:
+        a = env.values[slot]
+        if a.__class__ in partners:
+            if direct(a, constant):
+                return when_true
+            if a == a:  # no NaN: Python's false is SQL's
+                return when_false
+        c = compare(constant, a) if constant_first else compare(a, constant)
+        return None if c is None else test(c)
+
+    return _cmp_constant
+
+
+def _between_by_compare(value: Any, low: Any, high: Any, negated: bool) -> Any:
+    """``value [NOT] BETWEEN low AND high`` through ``compare``."""
+    lo = compare(value, low)
+    hi = compare(value, high)
+    if lo is None or hi is None:
+        # ``value >= low AND value <= high`` in three-valued logic: a NULL
+        # bound leaves the answer unknown unless the other bound already
+        # fails — ``5 BETWEEN 9 AND NULL`` is false, so its NOT is true
+        if (lo is None or lo >= 0) and (hi is None or hi <= 0):
+            return None
+        result = False
+    else:
+        result = lo >= 0 and hi <= 0
+    return not result if negated else result
+
+
+def _in_values(value: Any, others: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN (others)``: the first equal item answers, and only
+    then is no further item evaluated."""
+    if value is None:
+        return None
+    saw_null = False
+    for other in others:
+        if other is None:
+            saw_null = True
+        elif _equal(value, other):
+            return not negated
+    if saw_null:
+        return None
+    return negated

@@ -2,18 +2,20 @@
 
 Scalar functions are plain callables over Python values with SQL NULL
 propagation handled per-function (most return NULL on NULL input; COALESCE
-and friends do not).  Aggregates are accumulator classes the group-by
-executor drives.
+and friends do not).  Aggregates are accumulator classes whose ``fold``
+the group-by executor calls once per group with the group's argument values.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import math
+import operator
 from typing import Any, Callable
 
 from repro.errors import DataError, ProgrammingError
-from repro.engine.values import compare, parse_date
+from repro.engine.values import compare, one_nan, parse_date
 from repro.sql.ast import AGGREGATE_NAMES
 
 __all__ = ["SCALAR_FUNCTIONS", "AGGREGATE_NAMES", "make_accumulator", "Accumulator"]
@@ -89,113 +91,79 @@ SCALAR_FUNCTIONS: dict[str, Callable] = {
 
 
 class Accumulator:
-    """Base aggregate accumulator: feed values with :meth:`add`, read the
-    aggregate with :meth:`result`.  SQL semantics: NULLs are skipped (except
+    """Base aggregate: :meth:`fold` one group's argument values, in input
+    order, into the aggregate.  SQL semantics: NULLs are skipped (except
     COUNT(*)); empty input yields NULL (except COUNT → 0)."""
 
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
+    def fold(self, values: list) -> Any:
         raise NotImplementedError
 
 
 class _Count(Accumulator):
-    def __init__(self):
-        self.n = 0
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.n += 1
-
-    def result(self) -> int:
-        return self.n
+    def fold(self, values: list) -> int:
+        return len(values) - values.count(None)
 
 
 class _CountStar(Accumulator):
-    def __init__(self):
-        self.n = 0
+    def fold(self, values: list) -> int:
+        return len(values)
 
-    def add(self, value: Any) -> None:
-        self.n += 1
 
-    def result(self) -> int:
-        return self.n
+def _present(values: list) -> list:
+    """``values`` without its NULLs."""
+    return [value for value in values if value is not None]
 
 
 class _Sum(Accumulator):
-    def __init__(self):
-        self.total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-
-    def result(self) -> Any:
-        return self.total
+    def fold(self, values: list) -> Any:
+        # left to right, one ``+`` per value: the builtin ``sum`` compensates
+        # float rounding since CPython 3.12, and a float sum depends on order
+        present = _present(values)
+        return functools.reduce(operator.add, present) if present else None
 
 
 class _Avg(Accumulator):
-    def __init__(self):
-        self.total = 0.0
-        self.n = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total += value
-        self.n += 1
-
-    def result(self) -> float | None:
-        return self.total / self.n if self.n else None
+    def fold(self, values: list) -> float | None:
+        present = _present(values)
+        return functools.reduce(operator.add, present, 0.0) / len(present) if present else None
 
 
 class _Min(Accumulator):
-    def __init__(self):
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or compare(value, self.best) < 0:
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
+    def fold(self, values: list) -> Any:
+        best: Any = None
+        for value in values:
+            if value is not None and (best is None or compare(value, best) < 0):
+                best = value
+        return best
 
 
 class _Max(Accumulator):
-    def __init__(self):
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or compare(value, self.best) > 0:
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
+    def fold(self, values: list) -> Any:
+        best: Any = None
+        for value in values:
+            if value is not None and (best is None or compare(value, best) > 0):
+                best = value
+        return best
 
 
 class _Distinct(Accumulator):
-    """Wrapper dropping duplicate inputs before the inner accumulator."""
+    """The inner aggregate over the first of each set of equal values (a
+    NaN equals a NaN)."""
 
     def __init__(self, inner: Accumulator):
         self.inner = inner
-        self.seen: set = set()
 
-    def add(self, value: Any) -> None:
-        if value is None or value in self.seen:
-            if value is None:
-                self.inner.add(value)  # inner skips NULLs itself
-            return
-        self.seen.add(value)
-        self.inner.add(value)
-
-    def result(self) -> Any:
-        return self.inner.result()
+    def fold(self, values: list) -> Any:
+        seen: set = set()
+        kept = []
+        for value in values:
+            if value is None or value in seen:
+                continue
+            value = one_nan(value)
+            if value not in seen:
+                seen.add(value)
+                kept.append(value)
+        return self.inner.fold(kept)
 
 
 _AGGREGATES = {
@@ -208,7 +176,8 @@ _AGGREGATES = {
 
 
 def make_accumulator(name: str, *, star: bool = False, distinct: bool = False) -> Accumulator:
-    """Instantiate the accumulator for an aggregate call."""
+    """The accumulator for an aggregate call: it keeps no state, so one
+    serves every group of a plan."""
     lowered = name.lower()
     if star:
         if lowered != "count":

@@ -24,6 +24,8 @@ __all__ = [
     "compare",
     "DIRECT_PAIRS",
     "compares_directly",
+    "NAN",
+    "one_nan",
     "add_interval",
     "parse_date",
     "sort_key",
@@ -163,6 +165,23 @@ def compares_directly(left: SqlType, right: SqlType) -> bool:
     and hashing them (or looking one up in an index of the other) finds what
     ``=`` finds — NaN aside, which a hash keeps apart from every other NaN."""
     return (_HELD_AS[left], _HELD_AS[right]) in DIRECT_PAIRS
+
+
+#: the NaN that grouping, DISTINCT, ``count(DISTINCT …)`` and UNION file
+#: every NaN under: Python hashes each NaN object apart, and SQL (as in
+#: PostgreSQL) calls NaN equal to NaN
+NAN = float("nan")
+
+
+def one_nan(key: Any) -> Any:
+    """``key`` — a value, or a tuple of values — with every NaN in it
+    replaced by :data:`NAN`.  A hashed operator calls it only after a lookup
+    missed, so a key without a NaN costs nothing more."""
+    if key.__class__ is tuple:
+        if any(value != value for value in key):
+            return tuple([NAN if value != value else value for value in key])
+        return key
+    return NAN if key != key else key
 
 
 def compare(left: Any, right: Any) -> int | None:

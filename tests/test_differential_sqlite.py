@@ -15,7 +15,7 @@ both (Sáenz-Pérez, PAPERS.md: an SQL DBMS as the reference back end):
   reference's un-limited answer.
 
 The dialect intersection is what the fixed queries and the Hypothesis
-strategies (selects, joins, DML predicates) stay inside; where the engines
+strategies (selects, joins, aggregates, DML predicates) stay inside; where the engines
 are *meant* to disagree is
 :data:`ALLOWED_DIVERGENCES`, the one allow-list, and each entry is asserted
 to still diverge so it cannot outlive the behaviour it excuses.  (TPC-H
@@ -180,6 +180,7 @@ FIXED_QUERIES = PARITY_QUERIES + [
     "SELECT w, COUNT(DISTINCT tk) FROM r GROUP BY w ORDER BY w",
     "SELECT DISTINCT s, v FROM t WHERE v < 4",
     "SELECT COUNT(*), SUM(v), MIN(v), MAX(s) FROM t WHERE k < 0",
+    "SELECT COUNT(v), MAX(s) FROM t WHERE 0 = 1",  # folded false: still one row
     # joins: self, inner, LEFT (dangling and NULL keys), correlated subqueries
     "SELECT a.k, b.k FROM t a JOIN t b ON a.v = b.k WHERE a.k < 40 ORDER BY a.k",
     "SELECT t.k, r.id FROM t JOIN r ON r.tk = t.k WHERE r.w = 2 ORDER BY r.id",
@@ -455,6 +456,73 @@ def test_a_join_step_looks_keys_up_when_its_outer_side_is_smaller(
     probes = stats.index_eq_probes
     assert_same_answer(engines, sql)
     assert (stats.index_eq_probes > probes) == looks_up
+
+
+# ------------------------------------------------- generated aggregates
+
+#: GROUP BY keys: columns, and expressions over integers (``%`` on a FLOAT
+#: truncates in sqlite first)
+_GROUP_KEYS = ["v", "s", "f", "k % 7", "v % 4", "v + k % 3"]
+#: aggregate arguments: integers and quarters, exact in binary, so sqlite's
+#: left-to-right SUM agrees with ours with no tolerance
+_AGGREGATE_ARGS = ["v", "f", "k", "v * 2 - k", "f + v"]
+
+
+@st.composite
+def _aggregates(draw) -> str:
+    name = draw(st.sampled_from(["count", "sum", "avg", "min", "max", "count distinct"]))
+    if name == "count" and draw(st.booleans()):
+        return "COUNT(*)"
+    argument = draw(st.sampled_from(_AGGREGATE_ARGS + (["s"] if name in ("min", "max") else [])))
+    if name == "count distinct":
+        return f"COUNT(DISTINCT {argument})"
+    return f"{name.upper()}({argument})"
+
+
+@st.composite
+def grouped_selects(draw) -> str:
+    """GROUP BY over one or two keys (or none), aggregates beside the keys,
+    an optional WHERE and HAVING, ordered by the first output column."""
+    keys = draw(st.lists(st.sampled_from(_GROUP_KEYS), max_size=2, unique=True))
+    aggregates = draw(st.lists(_aggregates(), min_size=1, max_size=3))
+    sql = f"SELECT {', '.join(keys + aggregates)} FROM t"
+    where = draw(st.none() | _predicates(1))
+    if where is not None:
+        sql += f" WHERE {where.sql()}"
+    if keys:
+        sql += f" GROUP BY {', '.join(keys)}"
+        if draw(st.booleans()):
+            having = draw(st.sampled_from([
+                f"COUNT(*) > {draw(st.integers(0, 12))}",
+                f"SUM(v) > {draw(st.integers(0, 300))}",
+                f"MIN(f) < {draw(st.integers(-50, 50))}",
+                f"COUNT(DISTINCT s) >= {draw(st.integers(1, 4))}",
+            ]))
+            sql += f" HAVING {having}"
+    if draw(st.booleans()):
+        sql += " ORDER BY 1"
+    return sql
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grouped_selects())
+def test_generated_aggregate_matches_sqlite(engines, sql):
+    assert_same_answer(engines, sql)
+
+
+def test_a_group_sum_adds_left_to_right_in_input_order():
+    """Two groups interleaved, each of 1e16, 1.0 and -1e16 in another
+    order: one ``+`` per value in input order leaves group 1 at 0.0 (1e16 +
+    1.0 rounds back to 1e16) and group 2 at 1.0.  A compensated sum (the
+    builtin ``sum`` since CPython 3.12, ``math.fsum``) answers 1.0 for both,
+    and a reordered one can answer 0.0 for group 2."""
+    rows = [(1, 1, 1e16), (2, 2, -1e16), (3, 1, 1.0), (4, 2, 1e16), (5, 1, -1e16), (6, 2, 1.0)]
+    server = DatabaseServer()
+    sid = server.connect()
+    execute(server, sid, "CREATE TABLE o (k INT PRIMARY KEY, g INT, x FLOAT)")
+    execute(server, sid, f"INSERT INTO o VALUES {', '.join(map(repr, rows))}")
+    answer = execute(server, sid, "SELECT g, SUM(x), AVG(x) FROM o GROUP BY g ORDER BY g")
+    assert answer == [(1, 0.0, 0.0), (2, 1.0, 1.0 / 3)]
 
 
 # ------------------------------------------------- generated WHERE under DML

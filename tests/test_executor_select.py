@@ -358,7 +358,9 @@ def test_scalar_subquery_in_having(join_db):
 # row when the step hashes the source, on the rows an index finds when it
 # looks keys up — and an uncorrelated subquery runs where its conjunct does.
 # So a row no join partner reaches can fail a filter that used to run only
-# on joined rows.  PostgreSQL filters at the scan too.
+# on joined rows.  PostgreSQL filters at the scan too.  Grouping buckets the
+# rows by key before it folds any aggregate, so it evaluates every row's key
+# before any aggregate argument.
 
 
 def test_a_local_filter_runs_on_rows_no_join_partner_reaches(join_db):
@@ -382,6 +384,19 @@ def test_an_uncorrelated_subquery_runs_under_an_empty_join(join_db):
     with pytest.raises(ProgrammingError, match="more than one row"):
         q(join_db, sql.format("="))
     assert q(join_db, sql.format("IN")) == []
+
+
+def test_grouping_evaluates_every_key_before_any_aggregate_argument(session):
+    server, sid = session
+    execute(server, sid, "CREATE TABLE e (k INT PRIMARY KEY, g VARCHAR(5), x VARCHAR(5))")
+    # row 1's argument fails, and row 2's key: the key's error surfaces
+    execute(server, sid, "INSERT INTO e VALUES (1, '1', 'x'), (2, 'y', '2')")
+    sql = "SELECT CAST(g AS INT), sum(CAST(x AS INT)) FROM e GROUP BY CAST(g AS INT)"
+    with pytest.raises(DataError, match="'y'"):
+        execute(server, sid, sql)
+    execute(server, sid, "UPDATE e SET g = '2' WHERE k = 2")
+    with pytest.raises(DataError, match="'x'"):
+        execute(server, sid, sql)
 
 
 def test_constant_false_where_short_circuits(db):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError, ProgrammingError
-from repro.engine.expressions import is_constant
+from repro.engine.expressions import Env, ExpressionCompiler, Scope, is_constant
 from repro.engine.functions import SCALAR_FUNCTIONS, make_accumulator
 from repro.engine.values import compare
+from repro.sql import ast, parse
 from tests.conftest import execute
 from tests.test_values import compiled, evaluate
 
@@ -70,9 +71,8 @@ def test_date_function_parses():
 # ---------------------------------------------------------------- accumulators
 
 def feed(acc, values):
-    for v in values:
-        acc.add(v)
-    return acc.result()
+    """What ``acc`` folds one group's argument values into."""
+    return acc.fold(list(values))
 
 
 def test_count_skips_nulls():
@@ -249,37 +249,41 @@ def test_a_compiled_comparison_answers_as_compare_does(op, a, b):
     assert answer(evaluate, f"? {op} ?", a, b) == answer(reference_comparison, op, a, b)
 
 
+def reference_between(value, low, high, negated):
+    result = kleene_and(
+        reference_comparison(">=", value, low), reference_comparison("<=", value, high)
+    )
+    return result if result is None or not negated else not result
+
+
+def reference_in(value, items, negated):
+    if value is None:
+        return None
+    saw_null = False
+    for item in items:
+        c = compare(value, item)
+        if c is None:
+            saw_null = True
+        elif c == 0:
+            return not negated
+    return None if saw_null else negated
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(negated=st.booleans(), value=values, low=values, high=values)
 def test_a_compiled_between_answers_as_compare_does(negated, value, low, high):
-    def reference():
-        result = kleene_and(
-            reference_comparison(">=", value, low), reference_comparison("<=", value, high)
-        )
-        return result if result is None or not negated else not result
-
     word = "NOT BETWEEN" if negated else "BETWEEN"
-    assert answer(evaluate, f"? {word} ? AND ?", value, low, high) == answer(reference)
+    assert answer(evaluate, f"? {word} ? AND ?", value, low, high) == answer(
+        reference_between, value, low, high, negated
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(negated=st.booleans(), value=values, items=st.lists(values, min_size=1, max_size=3))
 def test_a_compiled_in_list_answers_as_compare_does(negated, value, items):
-    def reference():
-        if value is None:
-            return None
-        saw_null = False
-        for item in items:
-            c = compare(value, item)
-            if c is None:
-                saw_null = True
-            elif c == 0:
-                return not negated
-        return None if saw_null else negated
-
     word = "NOT IN" if negated else "IN"
     text = f"? {word} ({', '.join('?' for _ in items)})"
-    assert answer(evaluate, text, value, *items) == answer(reference)
+    assert answer(evaluate, text, value, *items) == answer(reference_in, value, items, negated)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -293,6 +297,86 @@ def test_a_compiled_case_operand_answers_as_compare_does(value, first, second):
 
     text = "CASE ? WHEN ? THEN 1 WHEN ? THEN 2 ELSE 3 END"
     assert answer(evaluate, text, value, first, second) == answer(reference)
+
+
+# ---------------------------------------------------------------- compiled shapes
+#
+# A ``?`` never folds, so the tests above never meet a column beside a
+# constant.  These drive the shapes that compile to one slot-reading closure
+# — ``col op lit`` either way round, ``col op col``, ``col [NOT] BETWEEN lit
+# AND lit``, ``col [NOT] IN (lit, …)`` — with row values and constants from
+# the same POOL.  The constants are ``ast.Literal`` nodes, so a NaN or ±inf
+# constant (no SQL spelling) is covered too; the reference is ``compare``.
+
+
+def over_row(expr: ast.Expr, a, b=None):
+    """What ``expr`` answers for the row ``(a, b)`` of columns ``a``, ``b``."""
+    return over_row_compiled(expr)(Env([a, b]))
+
+
+def over_row_compiled(expr: ast.Expr):
+    scope = Scope()
+    scope.add_source("r", ["a", "b"])
+    return ExpressionCompiler(scope, None).compile(expr)
+
+
+COLUMN_A, COLUMN_B = ast.ColumnRef("a"), ast.ColumnRef("b")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(TESTS)), a=values, constant=values, column_first=st.booleans())
+def test_a_column_against_a_constant_answers_as_compare_does(op, a, constant, column_first):
+    if column_first:
+        expr, sides = ast.Binary(op, COLUMN_A, ast.Literal(constant)), (a, constant)
+    else:
+        expr, sides = ast.Binary(op, ast.Literal(constant), COLUMN_A), (constant, a)
+    assert answer(over_row, expr, a) == answer(reference_comparison, op, *sides)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(TESTS)), a=values, b=values)
+def test_a_column_against_a_column_answers_as_compare_does(op, a, b):
+    expr = ast.Binary(op, COLUMN_A, COLUMN_B)
+    assert answer(over_row, expr, a, b) == answer(reference_comparison, op, a, b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(negated=st.booleans(), value=values, low=values, high=values)
+def test_a_column_between_constants_answers_as_compare_does(negated, value, low, high):
+    expr = ast.Between(COLUMN_A, ast.Literal(low), ast.Literal(high), negated)
+    assert answer(over_row, expr, value) == answer(reference_between, value, low, high, negated)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(negated=st.booleans(), value=values, items=st.lists(values, min_size=1, max_size=3))
+def test_a_column_in_constants_answers_as_compare_does(negated, value, items):
+    expr = ast.InList(COLUMN_A, [ast.Literal(item) for item in items], negated)
+    assert answer(over_row, expr, value) == answer(reference_in, value, items, negated)
+
+
+@pytest.mark.parametrize("text,closure", [
+    ("a < 5", "_cmp_constant"),
+    ("DATE '1998-12-01' - INTERVAL '90' DAY >= a", "_cmp_constant"),
+    ("a = b", "_cmp_columns"),
+    ("a NOT BETWEEN 0.05 AND 0.07", "_between_constants"),
+    ("a IN (1, 2.5, 3)", "_in_set"),
+    ("a IN ('MAIL', 'SHIP')", "_in_set"),
+    # what keeps the generic closure: a NULL constant, a class that never
+    # pairs directly, classes no one row value pairs with, no column
+    ("a < NULL", "_cmp"),
+    ("a = TRUE", "_cmp"),
+    ("a BETWEEN 1 AND 'z'", "_between"),
+    ("a IN (1, 'x')", "_in_fixed"),
+    ("a + 0 < 5", "_cmp"),
+])
+def test_each_shape_compiles_to_its_closure(text, closure):
+    assert over_row_compiled(parse(f"SELECT {text}").items[0].expr).__name__ == closure
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf")])
+def test_a_nan_constant_keeps_the_generic_closure(value):
+    fn = over_row_compiled(ast.Binary("<", COLUMN_A, ast.Literal(value)))
+    assert fn.__name__ == ("_cmp" if value != value else "_cmp_constant")
 
 
 # ---------------------------------------------------------------- constant folding

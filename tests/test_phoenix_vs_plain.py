@@ -564,18 +564,66 @@ NAN_ORDER = {
 }
 
 
-@pytest.mark.parametrize("name", NAN_ORDER)
-def test_nan_equals_nan_and_sorts_above_every_number(name):
-    setup, sql, values, answer = NAN_ORDER[name]
+def answers_after(setup, sql: str, values: list) -> dict[str, str]:
+    """What ``sql`` answers on either stack after the ``setup`` statements."""
 
     def step(_connection, cursor):
         for statement, statement_values in setup:
             cursor.execute(statement, statement_values)
         return cursor.execute(sql, values).fetchall()
 
-    seen = seen_through_both(step)
+    return seen_through_both(step)
+
+
+@pytest.mark.parametrize("name", NAN_ORDER)
+def test_nan_equals_nan_and_sorts_above_every_number(name):
+    setup, sql, values, answer = NAN_ORDER[name]
+    seen = answers_after(setup, sql, values)
     assert seen["phoenix"] == seen["plain"]
     assert seen["plain"].startswith(f"({answer!r}, "), seen["plain"]
+
+
+#: three NaN rows, each its own float object, beside the 1.0 of row 1
+THREE_NANS = [NAN_IN_ROW_2, ("INSERT INTO f VALUES (3, ?, 'c'), (4, ?, 'd')", [NAN, NAN])]
+
+#: name -> (the query, its answer over THREE_NANS): the hashed operators
+#: file every NaN under one, as ``WHERE v = NaN`` finds all three (each used
+#: to hash its NaN apart: 4, 4 rows, 4 groups, 4 rows)
+NAN_HASHED = {
+    "where": ("SELECT k FROM f WHERE v = ? ORDER BY k", [NAN], [(2,), (3,), (4,)]),
+    "count(DISTINCT)": ("SELECT count(DISTINCT v) FROM f", [], [(2,)]),
+    "DISTINCT": ("SELECT DISTINCT v FROM f", [], [(1.0,), (NAN,)]),
+    "GROUP BY": ("SELECT v, count(*) FROM f GROUP BY v ORDER BY v", [], [(1.0, 1), (NAN, 3)]),
+    "UNION": (
+        "SELECT v FROM f WHERE k < 3 UNION SELECT v FROM f WHERE k > 2", [], [(1.0,), (NAN,)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_HASHED)
+def test_grouping_distinct_and_union_file_every_nan_under_one(name):
+    sql, values, answer = NAN_HASHED[name]
+    seen = answers_after(THREE_NANS, sql, values)
+    assert seen["phoenix"] == seen["plain"]
+    assert seen["plain"].startswith(f"({answer!r}, "), seen["plain"]
+
+
+def test_an_equi_join_still_hashes_each_nan_apart():
+    """The rest of the anomaly, exactly as DESIGN.md §5b documents it: a
+    hash join keeps a NaN key apart from every other NaN, while ``=`` as a
+    residual predicate calls them equal."""
+    setup = [
+        NAN_IN_ROW_2,
+        ("CREATE TABLE g (k INT PRIMARY KEY, w FLOAT)", []),  # no index on w: hashed
+        ("INSERT INTO g VALUES (1, ?), (2, 1.0)", [NAN]),
+    ]
+    hashed = answers_after(setup, "SELECT f.k, g.k FROM f JOIN g ON f.v = g.w ORDER BY f.k", [])
+    compared = answers_after(
+        setup, "SELECT f.k, g.k FROM f, g WHERE f.v + 0 = g.w ORDER BY f.k", []
+    )
+    for seen, answer in ((hashed, [(1, 2)]), (compared, [(1, 2), (2, 1)])):
+        assert seen["phoenix"] == seen["plain"]
+        assert seen["plain"].startswith(f"({answer!r}, "), seen["plain"]
 
 
 # ---------------------------------------------------------------- mixed-type join keys

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+from operator import itemgetter
 
 import pytest
 
 import repro
+from repro.engine import executor as executor_module
+from repro.engine.expressions import ExpressionCompiler, is_constant
+from repro.sql import ast
 from repro.workloads.tpch import (
     QUERIES,
     ddl_statements,
@@ -216,6 +220,84 @@ def test_join_plan_shapes(loaded, query_id):
     joins = PLAN_SHAPES[query_id]
     assert lines[: len(joins)] == joins
     assert lines[len(joins)].startswith("Aggregate by")  # no final WHERE
+
+
+#: the comparison operators a compiled shape covers
+COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+
+
+def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(loaded, monkeypatch):
+    """A refactor that drops a compiled shape fails here, not only in the
+    timing gate.  Over the 22 queries: every ``column <op> constant`` (either
+    way round), constant-bounded BETWEEN and constant IN list whose
+    constants pair directly with some row value reads its slot in one
+    closure, and every GROUP BY of plain columns keys rows with
+    ``itemgetter``."""
+    system, data = loaded
+    compiled = []  # (compiler, node, closure), in compile order
+    plans = []
+    compile_expr = ExpressionCompiler.compile
+    plan_grouping = executor_module._SelectPlan._plan_grouping
+
+    def recording_compile(compiler, expr):
+        fn = compile_expr(compiler, expr)
+        compiled.append((compiler, expr, fn))
+        return fn
+
+    def recording_grouping(plan, key_fns):
+        plan_grouping(plan, key_fns)
+        plans.append(plan)
+
+    monkeypatch.setattr(ExpressionCompiler, "compile", recording_compile)
+    monkeypatch.setattr(executor_module._SelectPlan, "_plan_grouping", recording_grouping)
+    for query_id in QUERY_ORDER:
+        q(system, query_sql(query_id, data.sf))
+
+    def column(compiler, node) -> bool:
+        if not isinstance(node, ast.ColumnRef):
+            return False
+        resolved = compiler.scope.try_resolve(node.name, node.table)
+        return resolved is not None and resolved[0] == 0
+
+    def comparable(fn) -> bool:
+        if not is_constant(fn):
+            return False
+        value = fn(None)
+        return value == value and type(value) in {int, float, str, datetime.date}
+
+    latest: dict[int, object] = {}  # node -> its closure in the compile at hand
+    found = {"_cmp_constant": 0, "_between_constants": 0, "_in_set": 0}
+    for compiler, node, fn in compiled:
+        latest[id(node)] = fn
+        expected = None
+        if isinstance(node, ast.Binary) and node.op in COMPARISONS:
+            left, right = latest[id(node.left)], latest[id(node.right)]
+            if (column(compiler, node.left) and comparable(right)) or (
+                column(compiler, node.right) and comparable(left)
+            ):
+                expected = "_cmp_constant"
+        elif isinstance(node, ast.Between):
+            bounds = (latest[id(node.low)], latest[id(node.high)])
+            if column(compiler, node.operand) and all(map(comparable, bounds)):
+                expected = "_between_constants"
+        elif isinstance(node, ast.InList):
+            items = [latest[id(item)] for item in node.items]
+            if column(compiler, node.operand) and all(map(comparable, items)):
+                if len({type(item(None)) for item in items}) == 1:
+                    expected = "_in_set"
+        if expected is not None:
+            assert fn.__name__ == expected, node.sql()
+            found[expected] += 1
+    # the counts at sf 0.0005: a guard that checks nothing must not pass
+    assert found["_cmp_constant"] >= 53 and found["_between_constants"] >= 9, found
+    assert found["_in_set"] >= 6, found
+
+    plain_keys = 0
+    for plan in plans:
+        if plan.group_exprs and all(column(plan.compiler, e) for e in plan.group_exprs):
+            assert isinstance(plan.group_key, itemgetter), plan.select.sql()
+            plain_keys += 1
+    assert plain_keys >= 20, plain_keys
 
 
 def test_queries_named_in_paper_exist():
