@@ -67,13 +67,15 @@ __all__ = ["Executor"]
 _PROBE_OPS = ("=", "<", "<=", ">", ">=")
 #: the names a table parameter's argument may create a table under
 _TABLE_NAME = re.compile(r"#?\w+")
-#: sentinel from bounds evaluation: the probe constant cannot be coerced to
-#: the column type, so the plan must fall back to the full scan — only the
-#: per-row predicate may decide (and raise) there, keeping error semantics
-#: identical to the unprobed path.
+#: sentinel from a probe value's evaluation: the index cannot stand in for
+#: the per-row comparison (:func:`_probe_value`), so the plan must fall back
+#: to the full scan — only the per-row predicate may decide (and raise)
+#: there, keeping answers and errors identical to the unprobed path.
 _FALLBACK_SCAN = object()
 #: the probe kinds valued from a join's outer row -> the index each reads
 _JOIN_PROBES = {"pk join": "pk", "secondary join": "secondary"}
+#: the probe kinds valued from an ``IN (…)`` list -> the index each reads
+_LIST_PROBES = {"pk list": "pk", "secondary list": "secondary"}
 
 
 def _as_of_timestamp(expr: "ast.Expr") -> float:
@@ -594,7 +596,8 @@ class Executor:
         chosen once per statement; the predicate is still applied in full
         to what comes back.  Its kind decides the lock granularity:
 
-        A primary-key probe locks only the touched rows: lock, then
+        A primary-key probe — equality or ``IN (…)`` list — locks only the
+        touched rows: lock, then
         re-probe, looping until the candidate set is stable under the held
         row locks.  The loop is the row-granularity form of the
         lock-before-scan rule: a candidate computed before a lock wait may
@@ -604,9 +607,9 @@ class Executor:
         granted, so the set returned was probed entirely under held locks —
         committed state only.
 
-        Everything else — full scans, secondary-index equality and range
-        probes — takes the whole-table X lock *before* the probe or scan is
-        evaluated.
+        Everything else — full scans, secondary-index equality, list and
+        range probes — takes the whole-table X lock *before* the probe or
+        scan is evaluated.
         """
         probe = _index_probe(table, 0, _split_conjuncts(where), scope, compiler)
         env = Env(values=[None] * scope.slot_count)
@@ -619,7 +622,7 @@ class Executor:
 
         if is_temp:
             return candidates()
-        if probe is None or probe[2] != "pk":
+        if probe is None or probe[2] not in ("pk", "pk list"):
             self.database.lock_write(txn, table.name)
             return candidates()
         locked: set[int] = set()
@@ -1351,8 +1354,14 @@ class _SelectPlan:
                         parts.append(f"{column} {'<=' if high_incl else '<'} const")
                     head = f"IndexRange {source.binding} ({' AND '.join(parts)})"
                 else:
-                    label = "PkLookup" if probe_kind == "pk" else "IndexScan"
-                    head = f"{label} {source.binding} ({column} = const)"
+                    index = _LIST_PROBES.get(probe_kind, probe_kind)
+                    label = "PkLookup" if index == "pk" else "IndexScan"
+                    if probe_kind in _LIST_PROBES:
+                        count = len(payload)
+                        match = f"IN {count} value{'' if count == 1 else 's'}"
+                    else:
+                        match = "= const"
+                    head = f"{label} {source.binding} ({column} {match})"
             elif index == 0:
                 head = f"Scan {source.binding}"
             elif step.equi:
@@ -1851,7 +1860,8 @@ class _JoinStep:
         #: pushed WHERE conjuncts applied after a LEFT join pads its rows
         self.post = post
         #: (column_name, payload, kind) index probe replacing the full scan;
-        #: kind is "pk" / "secondary" (payload = value_fn) or "range"
+        #: kind is "pk" / "secondary" (payload = value_fn), "pk list" /
+        #: "secondary list" (payload = [item_fn, …]) or "range"
         #: (payload = (low_fn, low_inclusive, high_fn, high_inclusive))
         self.probe = probe
         #: (column_name, value_fn, "pk join" / "secondary join"): the probe
@@ -1970,24 +1980,17 @@ def _index_probe(
 ):
     """Pick the best access path into ``table`` — whose columns sit at
     ``scope`` slots ``start``… — from the conjuncts every wanted row
-    satisfies, ranked **PK probe > secondary equality > secondary range**
-    (None = full scan).  Range probes come from ``<``, ``<=``, ``>``, ``>=``
-    and ``BETWEEN`` conjuncts over an ordered secondary index.  A conjunct
+    satisfies, ranked **PK probe > secondary equality > PK list > secondary
+    list > secondary range** (None = full scan).  A list probe comes from an
+    ``IN (…)`` list whose every item is row-independent; range probes come
+    from ``<``, ``<=``, ``>``, ``>=`` and ``BETWEEN`` conjuncts over an
+    ordered secondary index (:func:`_probe_readings`).  A conjunct
     counts wherever it stands, and every chosen conjunct must still be
     applied to the rows found — the probe only narrows the scan, it never
     replaces the predicate.  SELECT (per join step), UPDATE and DELETE all
     choose here; a DML's lock granularity follows from the kind returned
     (``Executor._dml_lock_candidates``)."""
     end = start + len(table.schema.columns)
-
-    def comparisons(conjunct: ast.Expr):
-        # every reading of the conjunct as <column side> <op> <value side>
-        if isinstance(conjunct, ast.Binary) and conjunct.op in _PROBE_OPS:
-            yield conjunct.left, conjunct.op, conjunct.right
-            yield conjunct.right, FLIPPED[conjunct.op], conjunct.left
-        elif isinstance(conjunct, ast.Between) and not conjunct.negated:
-            yield conjunct.operand, ">=", conjunct.low
-            yield conjunct.operand, "<=", conjunct.high
 
     def local_column(col_side: ast.Expr) -> str | None:
         if not isinstance(col_side, ast.ColumnRef):
@@ -2005,19 +2008,28 @@ def _index_probe(
 
     eq_pk: tuple[str, ast.Expr] | None = None
     eq_secondary: tuple[str, ast.Expr] | None = None
+    in_pk: tuple[str, list[ast.Expr]] | None = None
+    in_secondary: tuple[str, list[ast.Expr]] | None = None
     #: column -> [low_expr, low_inclusive, high_expr, high_inclusive]
     range_bounds: dict[str, list] = {}
 
     for conjunct in conjuncts:
-        for col_side, op, value_side in comparisons(conjunct):
+        for col_side, op, value_side in _probe_readings(conjunct):
             column = local_column(col_side)
-            if column is None or not row_independent(value_side):
+            values = value_side if op == "IN" else [value_side]
+            if column is None or not all(map(row_independent, values)):
                 continue
+            is_pk = table.schema.primary_key == (column,)
             if op == "=":
-                if table.schema.primary_key == (column,):
+                if is_pk:
                     eq_pk = eq_pk or (column, value_side)
                 elif table.has_secondary_index(column):
                     eq_secondary = eq_secondary or (column, value_side)
+            elif op == "IN":
+                if is_pk:
+                    in_pk = in_pk or (column, value_side)
+                elif table.has_secondary_index(column):
+                    in_secondary = in_secondary or (column, value_side)
             elif table.has_secondary_index(column):
                 bounds = range_bounds.setdefault(column, [None, True, None, True])
                 side = 0 if op in (">", ">=") else 2
@@ -2030,6 +2042,10 @@ def _index_probe(
     if eq_secondary is not None:
         column, value_side = eq_secondary
         return (column, compiler.compile(value_side), "secondary")
+    for in_list, kind in ((in_pk, "pk list"), (in_secondary, "secondary list")):
+        if in_list is not None:
+            column, items = in_list
+            return (column, [compiler.compile(item) for item in items], kind)
     if range_bounds:
         # prefer the column bounded on both sides (tightest interval)
         column, bounds = max(
@@ -2043,15 +2059,31 @@ def _index_probe(
     return None
 
 
+def _probe_readings(conjunct: ast.Expr):
+    """Every reading of ``conjunct`` an index can serve, as ``(column side,
+    op, value side)``: a comparison either way round, a ``BETWEEN`` as its
+    two bounds, an ``IN (…)`` list as ``(operand, "IN", items)``.  A negated
+    ``BETWEEN`` or ``IN`` has none."""
+    if isinstance(conjunct, ast.Binary) and conjunct.op in _PROBE_OPS:
+        yield conjunct.left, conjunct.op, conjunct.right
+        yield conjunct.right, FLIPPED[conjunct.op], conjunct.left
+    elif isinstance(conjunct, ast.Between) and not conjunct.negated:
+        yield conjunct.operand, ">=", conjunct.low
+        yield conjunct.operand, "<=", conjunct.high
+    elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+        yield conjunct.operand, "IN", conjunct.items
+
+
 def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[int] | None:
-    """The rowids an index probe (PK, secondary equality, or secondary
-    range) finds, in scan (rowid) order; ``env`` is the rowless environment
-    the probe's values are evaluated in — for a join probe, the outer row.
-    Returns None when the probe cannot be used this run (an uncoercible
-    range bound, a NaN) — the caller falls back to the full scan so per-row
-    error semantics are preserved.  A join probe's value is looked up as it
-    is: its equi key compares directly, so the index finds what hashing
-    the table would, and it is never None."""
+    """The rowids an index probe (PK or secondary equality, PK or secondary
+    list, secondary range) finds, in scan (rowid) order; ``env`` is the
+    rowless environment the probe's values are evaluated in — for a join
+    probe, the outer row.  Returns None when the probe cannot be used this
+    run (a value or bound :func:`_probe_value` refuses) — the caller falls
+    back to the full scan, so the per-row predicate decides, and raises,
+    exactly as it does without the index.  A join
+    probe's value is looked up as it is: its equi key compares directly, so
+    the index finds what hashing the table would, and it is never None."""
     column, value_fn, probe_kind = probe
     if probe_kind == "range":
         bounds = _range_probe_bounds(table, probe, env)
@@ -2071,6 +2103,24 @@ def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[i
                 column, low, high, low_inclusive=low_incl, high_inclusive=high_incl
             )
         )
+    listed = _LIST_PROBES.get(probe_kind)
+    if listed is not None:
+        spec = table.schema.column(column)
+        keys = set()
+        for item_fn in value_fn:
+            value = item_fn(env)
+            if value is None:
+                continue  # a NULL item equals nothing
+            value = _probe_value(spec, value)
+            if value is _FALLBACK_SCAN:
+                return None
+            keys.add(value)
+        stats.index_eq_probes += len(keys)
+        if listed == "pk":
+            found = [table.lookup_key((key,)) for key in keys]
+            return sorted(rowid for rowid in found if rowid is not None)
+        # each key's postings are disjoint: merged, then sorted to scan order
+        return sorted(rowid for key in keys for rowid in table.index_lookup(column, key))
     value = value_fn(env)
     if value is None:
         return []  # NULL never equals anything
@@ -2078,12 +2128,9 @@ def _probe_rowids(table: Table, probe, env: Env, stats: ExecutorStats) -> list[i
     if joined is not None:
         probe_kind = joined
     else:
-        try:
-            value = table.schema.column(column).coerce(value)
-        except DataError:
-            return []  # incomparable constant: no row can match
-        if value != value:
-            return None  # NaN: the index cannot find a NaN it holds; compare can
+        value = _probe_value(table.schema.column(column), value)
+        if value is _FALLBACK_SCAN:
+            return None
     stats.index_eq_probes += 1
     if probe_kind == "pk":
         rowid = table.lookup_key((value,))
@@ -2109,14 +2156,28 @@ def _range_probe_bounds(table: Table, probe, env: Env):
             value = bound_fn(env)
             if value is None:
                 return None
-            try:
-                value = spec.coerce(value)
-            except DataError:
+            value = _probe_value(spec, value)
+            if value is _FALLBACK_SCAN:
                 return _FALLBACK_SCAN
-            if value != value:
-                return _FALLBACK_SCAN  # NaN: compare orders it, bisect cannot
         bounds.append(value)
     return (*bounds, low_incl, high_incl)
+
+
+def _probe_value(spec: Column, value: Any) -> Any:
+    """A non-NULL probe value coerced to the probed column's type, or
+    :data:`_FALLBACK_SCAN` when the index cannot stand in for the per-row
+    comparison: the value cannot be coerced (the comparison raises), it is
+    a NaN (the comparison finds the NaNs an index can neither find nor
+    order), or it is not text and the column is (the comparison casts each
+    text to the value's type, so ``5`` equals ``'5'`` and ``'05'`` alike,
+    where the index holds one spelling)."""
+    try:
+        coerced = spec.coerce(value)
+    except DataError:
+        return _FALLBACK_SCAN
+    if coerced != coerced or (coerced.__class__ is str and value.__class__ is not str):
+        return _FALLBACK_SCAN
+    return coerced
 
 
 def _is_local_ref(scope: Scope, ref: ast.ColumnRef) -> bool:

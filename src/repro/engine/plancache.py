@@ -130,7 +130,8 @@ class ExecutorStats(CounterSet):
     #: rows returned by SELECT plans (subquery and union parts included)
     rows_returned: int = 0
     #: PK / secondary equality probes executed, by SELECT plans and DML
-    #: alike (a PK point DML probes once per pass of its lock loop)
+    #: alike (a PK point DML probes once per pass of its lock loop); an
+    #: ``IN (…)`` list counts one per distinct value it looks up
     index_eq_probes: int = 0
     #: secondary range probes executed (<, <=, >, >=, BETWEEN), likewise
     index_range_scans: int = 0

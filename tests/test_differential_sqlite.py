@@ -538,6 +538,10 @@ def test_generated_dml_matches_sqlite(engines, predicate):
     uses (``v`` and ``s`` are indexed, ``k`` is the key): the rows one
     touches — its rowcount, and the table it leaves — are sqlite's.  Each
     statement runs inside a transaction rolled back on both engines."""
+    assert_same_dml(engines, predicate)
+
+
+def assert_same_dml(engines, predicate: ast.Expr) -> None:
     ours_run, reference_run = engines
     for head in DML_HEADS:
         sql = f"{head} WHERE {predicate.sql()}"
@@ -551,3 +555,26 @@ def test_generated_dml_matches_sqlite(engines, predicate):
         finally:
             ours_run("ROLLBACK")
             reference_run("ROLLBACK")
+
+
+# ------------------------------------------------- generated IN (…) lists
+
+#: ``col [NOT] IN (…)`` over the key ``k``, the indexed ``v`` and the
+#: unindexed ``f``: a list probe for the first two unless negated, with
+#: repeated, NULL and non-integral items
+_in_lists = st.builds(
+    ast.InList,
+    st.sampled_from(["k", "v", "f"]).map(_column),
+    st.lists(st.one_of(_ints, _quarters, _null), min_size=1, max_size=6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_in_lists, st.none() | _predicates(1))
+def test_generated_in_list_matches_sqlite(engines, in_list, other):
+    """A list alone or beside another conjunct, in a SELECT and under
+    UPDATE and DELETE."""
+    where = in_list if other is None else ast.Binary("AND", in_list, other)
+    assert_same_answer(engines, f"SELECT k, v, f, s FROM t WHERE {where.sql()}")
+    assert_same_dml(engines, where)

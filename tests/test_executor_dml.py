@@ -136,7 +136,18 @@ DML_WHERES = [
     "k = k",  # the value depends on the row itself: no probe
     "w >= w",
     "k = 4 OR w = 3",
+    "k IN (4, 2, 4)",  # a PK list: each distinct key looked up once
+    "k IN (99)",
+    "w IN (3, NULL)",  # a secondary list: the NULL item is skipped
+    "w IN (3, 'abc')",  # an uncoercible item: the scan's per-row error
+    "k IN (1, k)",  # an item depends on the row: no probe
+    "k NOT IN (1, 2)",
+    "w IN (3, 7) AND k = 5",  # PK equality outranks the list
+    "k IN (?, 5)",  # a bound item (BOUND)
 ]
+
+#: the value every ``?`` of a DML_WHERES entry is bound to
+BOUND = 2
 
 
 def _probe_table():
@@ -151,15 +162,23 @@ def _probe_table():
     return server, sid
 
 
+def _run_on_p(sql):
+    """What ``sql`` answers on a fresh copy of ``p`` (its error's text, if
+    it raises), and the server and session it ran in."""
+    server, sid = _probe_table()
+    try:
+        result = server.execute(sid, sql, placeholders=[BOUND] * sql.count("?"))
+    except DataError as exc:
+        return str(exc), server, sid
+    answer = result.result_set.rows if result.kind == "rows" else result.rowcount
+    return answer, server, sid
+
+
 def _outcome(sql):
     """What ``sql`` answers on a fresh copy of ``p``, which index paths it
     took, and the rows left behind."""
-    server, sid = _probe_table()
+    answer, server, sid = _run_on_p(sql)
     stats = server._executors[sid].stats
-    try:
-        answer = execute(server, sid, sql)
-    except DataError as exc:
-        answer = str(exc)
     paths = (stats.index_eq_probes > 0, stats.index_range_scans > 0)
     return answer, paths, execute(server, sid, "SELECT k, v FROM p ORDER BY k")
 
@@ -181,6 +200,25 @@ def test_update_and_delete_touch_the_rows_select_returns(where):
     assert updated == deleted == len(keys)
     assert [k for k, v in after_update if v == 1] == keys
     assert [k for k, _ in after_delete] == [k for k, _ in untouched if k not in keys]
+
+
+@pytest.mark.parametrize(
+    "where, lookups, read",
+    [
+        ("k IN (4, 2, 4)", 2, 2),
+        ("k IN (99)", 1, 0),
+        ("w IN (3, NULL)", 1, 2),
+        ("w IN (3, 'abc')", 0, 6),  # back to the scan
+        ("k IN (1, k)", 0, 6),
+        ("k NOT IN (1, 2)", 0, 6),
+        ("w IN (3, 7) AND k = 5", 1, 1),
+        ("k IN (?, 5)", 2, 2),
+    ],
+)
+def test_a_list_looks_up_each_distinct_item_once(where, lookups, read):
+    _answer, server, sid = _run_on_p(f"SELECT k FROM p WHERE {where}")
+    stats = server._executors[sid].stats
+    assert (stats.index_eq_probes, stats.rows_scanned) == (lookups, read)
 
 
 def test_dml_chooses_its_access_path_once(session, monkeypatch):
@@ -214,6 +252,20 @@ def test_range_delete_logs_its_records_in_rowid_order(session):
     deletes = [r for r in server.database.wal.read_all() if r.type is RecordType.DELETE]
     assert [r.before for r in deletes] == [(1, 9), (3, 7), (4, 5), (5, 8)]
     assert [r.rowid for r in deletes] == sorted(r.rowid for r in deletes)
+
+
+@pytest.mark.parametrize("where", ["w IN (8, 3, 9, 5)", "k IN (5, 1, 4, 3)"])
+def test_list_delete_logs_its_records_in_rowid_order(session, where):
+    # the list's keys are looked up in no particular order; the records
+    # are still logged in the order the scan would have logged them
+    server, sid = session
+    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, w INT)")
+    execute(server, sid, "CREATE INDEX t_w ON t (w)")
+    execute(server, sid, "INSERT INTO t VALUES (5, 9), (2, 4), (4, 8), (1, 5), (3, 3)")
+    assert execute(server, sid, f"DELETE FROM t WHERE {where}") == 4
+    assert server._executors[sid].stats.index_eq_probes >= 4
+    deletes = [r for r in server.database.wal.read_all() if r.type is RecordType.DELETE]
+    assert [r.before for r in deletes] == [(5, 9), (4, 8), (1, 5), (3, 3)]
 
 
 def test_select_into_creates_table(session):

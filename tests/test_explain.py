@@ -93,6 +93,23 @@ def test_explain_index_join_per_outer_row(db):
     assert lines[1].startswith("IndexJoin(LEFT) o ON c.ck = o.ck (index on ck looked up")
 
 
+def test_explain_names_a_list_probe(db):
+    """An ``IN (…)`` list over the primary key or an indexed column is a
+    probe, named with its number of values; ``NOT IN`` scans."""
+    assert plan(db, "SELECT amt FROM o WHERE ok IN (2, 5)")[0] == (
+        "PkLookup o (ok IN 2 values)  [local prefilter (residual filter on o rows)]"
+    )
+    server, sid = db
+    execute(server, sid, "CREATE INDEX o_ck ON o (ck)")
+    assert plan(db, "SELECT amt FROM o WHERE ck IN (7)")[0].startswith(
+        "IndexScan o (ck IN 1 value)"
+    )
+    assert plan(db, "SELECT amt FROM o WHERE ck IN (7) AND ok = 1")[0].startswith(
+        "PkLookup o (ok = const)"
+    )
+    assert plan(db, "SELECT amt FROM o WHERE ck NOT IN (7)")[0].startswith("Scan o")
+
+
 def test_explain_mixed_type_equality_is_no_join_key(db):
     """``=`` between an INT and a VARCHAR casts the string: a hash of the
     two values would miss what it finds, so it is a residual."""

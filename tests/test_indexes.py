@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CatalogError, NotSupportedError
+from repro.errors import CatalogError, DataError, NotSupportedError
 from tests.conftest import execute
 
 
@@ -98,9 +98,35 @@ def test_probe_combined_with_other_predicates(db):
     assert rows == expected
 
 
-def test_probe_with_incomparable_constant_matches_nothing(db):
+def test_probe_with_incomparable_constant_raises_as_the_scan_does(db):
+    """An index never changes whether a statement errors: an equality or
+    list value the column's type cannot hold sends the probe back to the
+    scan, whose per-row comparison raises (it answered ``[]`` once)."""
     server, sid = db
-    assert execute(server, sid, "SELECT k FROM t WHERE k = 'abc'") == []
+
+    def error(where):
+        with pytest.raises(DataError) as raised:
+            execute(server, sid, f"SELECT k FROM t WHERE {where}")
+        return str(raised.value)
+
+    unindexed = error("k + 0 = 'abc'")
+    assert error("g = 'abc'") == unindexed  # no index on g
+    assert error("k = 'abc'") == unindexed  # the primary key
+    assert error("k IN (1, 'abc')") == error("k + 0 IN (1, 'abc')")
+
+
+@pytest.mark.parametrize("where", ["s = 5", "s IN (5, 7)", "s >= 5 AND s <= 5"])
+def test_a_number_finds_in_a_text_column_what_the_scan_finds(session, where):
+    """``'05' = 5`` casts the text to a number: an index of the spellings
+    cannot find every text equal to a number, so a number sends the probe
+    back to the scan."""
+    server, sid = session
+    execute(server, sid, "CREATE TABLE n (k INT PRIMARY KEY, s VARCHAR(5))")
+    execute(server, sid, "INSERT INTO n VALUES (1, '05'), (2, '5'), (3, '6')")
+    scanned = execute(server, sid, f"SELECT k FROM n WHERE {where} ORDER BY k")
+    execute(server, sid, "CREATE INDEX n_s ON n (s)")
+    assert execute(server, sid, f"SELECT k FROM n WHERE {where} ORDER BY k") == scanned
+    assert scanned == [(1,), (2,)]
 
 
 def test_probe_value_can_be_expression(db):

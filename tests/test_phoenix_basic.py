@@ -238,6 +238,55 @@ def test_keyset_cursor_through_phoenix(both):
     assert phoenix.stats.cursors_materialized == 1
 
 
+def _executor_counts(system) -> tuple[int, int]:
+    counters = system.registry.snapshot()["executor"]
+    return counters["index_eq_probes"], counters["rows_scanned"]
+
+
+def test_a_keyset_block_looks_its_keys_up(both, system, monkeypatch):
+    """A keyset block is read with ``WHERE <key> IN (<block's keys>)``: a
+    primary-key list probe reads the block's rows, not the table."""
+    plain, phoenix = both
+    plain.cursor().execute(
+        "INSERT INTO customer VALUES "
+        + ", ".join(f"({i}, 'c{i}', 0.0)" for i in range(4, 21))
+    )
+    reads = []
+    read_block = type(phoenix)._read_block
+
+    def counted(connection, *args, **kwargs):
+        before = _executor_counts(system)
+        rows = read_block(connection, *args, **kwargs)
+        after = _executor_counts(system)
+        reads.append((after[0] - before[0], after[1] - before[1], len(rows)))
+        return rows
+
+    monkeypatch.setattr(type(phoenix), "_read_block", counted)
+    cur = phoenix.cursor()
+    cur.set_attr(StatementAttr.CURSOR_TYPE, CursorType.KEYSET)
+    cur.set_attr(StatementAttr.FETCH_BLOCK_SIZE, 8)
+    cur.execute("SELECT c_id, c_name FROM customer")
+    assert [r[0] for r in cur.fetchall()] == list(range(1, 21))
+    # (keys looked up, rows read, rows returned) per block of 8 keys
+    assert reads == [(8, 8, 8), (8, 8, 8), (4, 4, 4)]
+
+
+def test_a_batch_status_probe_looks_its_sequence_numbers_up(both, system):
+    _plain, phoenix = both
+    cur = phoenix.cursor()
+    for i in range(6):
+        cur.execute("UPDATE customer SET c_bal = ? WHERE c_id = 1", [float(i)])
+    seqs = [row[0] for row in phoenix.app.execute(
+        f"SELECT stmt_seq FROM {phoenix.names.status_table}"
+    ).rows]
+    assert len(seqs) == 6
+    before = _executor_counts(system)
+    landed = phoenix.probe_status_many([seqs[1], seqs[4], max(seqs) + 100])
+    after = _executor_counts(system)
+    assert sorted(landed) == [seqs[1], seqs[4]]
+    assert (after[0] - before[0], after[1] - before[1]) == (3, 2)
+
+
 def test_keyset_downgrades_on_join(both):
     _plain, phoenix = both
     cur = phoenix.cursor()

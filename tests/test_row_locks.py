@@ -310,7 +310,9 @@ def test_pk_conjunct_takes_the_row_lock_wherever_it_stands():
     assert [row[0] for row in check.fetchall()] == ["x", "y", "c"]
 
 
-@pytest.mark.parametrize("where", ["v = 'a'", "v >= 'b'", "v BETWEEN 'a' AND 'b'"])
+@pytest.mark.parametrize(
+    "where", ["v = 'a'", "v >= 'b'", "v BETWEEN 'a' AND 'b'", "v IN ('a', 'b')"]
+)
 def test_secondary_index_paths_lock_the_table_before_probing(where):
     # lock-before-scan holds for every path that is not a PK probe: an
     # index narrows what is read, never what is locked
@@ -325,6 +327,55 @@ def test_secondary_index_paths_lock_the_table_before_probing(where):
         c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 3")
     c1.rollback()
     c2.rollback()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("DELETE FROM acct WHERE k IN (1, 3)", "DELETE FROM acct WHERE k IN (2, 4)"),
+        ("UPDATE acct SET v = 'x' WHERE k IN (1, 3)", "UPDATE acct SET v = 'y' WHERE k IN (2)"),
+    ],
+)
+def test_disjoint_pk_lists_coexist(first, second):
+    # a PK list locks the rows it finds, like a PK equality: two writers of
+    # disjoint key lists of one table do not wait for each other
+    system = _system_with_rows()
+    c1 = repro.connect(system, user="u1")
+    c2 = repro.connect(system, user="u2")
+    c1.begin()
+    c1.cursor().execute(first)
+    locks = system.server.database.locks
+    assert locks.held(_only_txn(system), "acct") is LockMode.IX
+    assert locks.row_locks_held(_only_txn(system), "acct") == 2
+    c2.begin()
+    c2.cursor().execute(second)
+    assert system.registry.snapshot()["locks"]["waits"] == 0
+    c1.commit()
+    c2.commit()
+    check = repro.connect(system, user="check").cursor()
+    check.execute("SELECT k, v FROM acct ORDER BY k")
+    left = check.fetchall()
+    if first.startswith("DELETE"):
+        assert left == []
+    else:
+        assert left == [(1, "x"), (2, "y"), (3, "x")]
+
+
+def test_overlapping_pk_lists_wait():
+    system = _system_with_rows()
+    c1 = repro.connect(system, user="u1")
+    c2 = repro.connect(system, user="u2")
+    c1.begin()
+    c1.cursor().execute("UPDATE acct SET v = 'x' WHERE k IN (1, 2)")
+    c2.begin()
+    with pytest.raises(LockError):  # waits on row 2 until the server's lock wait runs out
+        c2.cursor().execute("DELETE FROM acct WHERE k IN (2, 3)")
+    assert system.registry.snapshot()["locks"]["waits"] >= 1
+    c2.rollback()
+    c1.commit()
+    check = repro.connect(system, user="check").cursor()
+    check.execute("SELECT k, v FROM acct ORDER BY k")
+    assert check.fetchall() == [(1, "x"), (2, "x"), (3, "c")]
 
 
 def test_keyed_update_locks_only_touched_row():

@@ -344,6 +344,28 @@ def test_rf2_deletes_then_reload_restores(loaded):
     assert q(system, "SELECT count(*) FROM lineitem") == before_items
 
 
+def test_rf2_deletes_look_their_keys_up(loaded):
+    """RF2's ``DELETE … WHERE <orderkey> IN (…)`` is a list probe: lineitem
+    through its l_orderkey index (one pass under the table lock), orders
+    through its primary key (two passes: probe, lock the rows, probe
+    again), one lookup per key each pass."""
+    system, data = loaded
+    sid = system.server.connect()
+    stats = system.server._executors[sid].stats
+    lookups = []
+    for txn in rf2_statements(data):
+        system.server.execute(sid, "BEGIN")
+        for sql in txn:
+            before = stats.index_eq_probes
+            system.server.execute(sid, sql)
+            keys = len(sql[sql.index("(") + 1:-1].split(","))
+            lookups.append((sql.split()[2], (stats.index_eq_probes - before) / keys))
+        system.server.execute(sid, "COMMIT")
+    reload_deleted(data, lambda sql: system.server.execute(sid, sql))
+    system.server.disconnect(sid)
+    assert lookups == [("lineitem", 1), ("orders", 2)] * 2
+
+
 def test_rf_transactions_split_in_two(data):
     assert len(rf1_statements(data)) == 2
     assert len(rf2_statements(data)) == 2
