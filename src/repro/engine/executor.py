@@ -76,6 +76,31 @@ _FALLBACK_SCAN = object()
 _JOIN_PROBES = {"pk join": "pk", "secondary join": "secondary"}
 #: the probe kinds valued from an ``IN (…)`` list -> the index each reads
 _LIST_PROBES = {"pk list": "pk", "secondary list": "secondary"}
+#: the share of a source's rows a filter on it keeps, by the filter's shape
+#: — static defaults in System R's manner: no statistics, no sampling, no
+#: look at a parameter's value.  ``column = value`` keeps 1/distinct count
+#: when a primary key or index knows it, else the ``=`` share; an ``IN``
+#: list of *k* items keeps *k* times the ``=`` share.
+_SELECTIVITY = {
+    "=": 1 / 10,
+    "<": 1 / 3,  # a one-sided range
+    "BETWEEN": 1 / 4,  # a two-sided range: BETWEEN, or bounds on both sides
+    "LIKE": 1 / 10,
+    "NOT": 9 / 10,  # <>, NOT, NOT IN, NOT BETWEEN, NOT LIKE, IS NOT NULL
+    "columns": 1 / 3,  # column <op> column of one source
+    "subquery": 1 / 2,  # IN (SELECT …), EXISTS, a comparison with a subquery
+}
+#: the rows a source without a row count is estimated at: a derived
+#: table, a view or a table parameter (none of which has an index)
+_DERIVED_ROWS = 100.0
+#: what a row fetched through an index lookup costs, in rows scanned: a
+#: probe per outer row, and the lookup's rows filtered a few at a time
+_INDEX_FETCH = 3.0
+#: what :meth:`_SelectPlan._reads` finds in a literal: no source, no subquery
+_READS_NOTHING = (frozenset(), False)
+#: the column of a reordered plan's anonymous slot after each source's
+#: columns: the row's position in that source's scan
+_POSITION = Column("#position", SqlType.INT)
 
 
 def _as_of_timestamp(expr: "ast.Expr") -> float:
@@ -846,13 +871,12 @@ class Executor:
                 return runner.run(env).rows
 
             return union_rows, runner.correlated
-        probe = Scope(parent=scope)
-        plan = _SelectPlan(self, select, params, placeholders, scope, probe_scope=probe)
+        plan = _SelectPlan(self, select, params, placeholders, scope)
 
         def rows_fn(env: Env) -> list[tuple]:
             return plan.run(env).rows
 
-        return rows_fn, probe.used_parent
+        return rows_fn, plan.scope.used_parent
 
 
 class _SelectPlan:
@@ -865,18 +889,22 @@ class _SelectPlan:
         params: dict[str, Any],
         placeholders: list,
         outer_scope: Scope | None,
-        probe_scope: Scope | None = None,
     ):
         self.executor = executor
         self.select = select
         self.params = params
         self.placeholders = placeholders
-        self.scope = probe_scope if probe_scope is not None else Scope(parent=outer_scope)
+        #: name resolution for this query level; its ``used_parent`` says
+        #: whether the query is correlated
+        self.scope = Scope(parent=outer_scope)
         #: Column metadata per scope slot, parallel to scope slots.
         self.slot_columns: list[Column] = []
-        #: (binding, rows supplier) in scope order
+        #: (binding, rows supplier) in scope order — the order the joins run
         self.sources: list[_Source] = []
         self._register_from(select.from_)
+        #: the bindings in the order the FROM list names them: ``*`` expands so
+        self.from_bindings = [source.binding for source in self.sources]
+        self._plan_join_order()
         self.compiler = ExpressionCompiler(
             self.scope, executor, params=params, placeholders=placeholders
         )
@@ -902,11 +930,7 @@ class _SelectPlan:
                     return
             table, _ = self.executor.resolve_table(ref.name)
             binding = (ref.alias or ref.name).lower()
-            self.scope.add_source(binding, table.schema.column_names)
-            self.slot_columns.extend(table.schema.columns)
-            self.sources.append(
-                _Source(binding, table.rows, table=table)
-            )
+            self._add_source(_Source(binding, table.rows, table.schema.columns, table=table))
             return
         if isinstance(ref, ast.SubquerySource):
             # Derived tables are planned now (their column metadata becomes
@@ -920,10 +944,7 @@ class _SelectPlan:
                 meta = _SelectPlan(
                     self.executor, ref.select, self.params, self.placeholders, self.scope.parent
                 )
-            self.scope.add_source(ref.alias, [c.name for c in meta.output_columns])
-            self.slot_columns.extend(
-                Column(c.name, c.type, length=c.length) for c in meta.output_columns
-            )
+            columns = [Column(c.name, c.type, length=c.length) for c in meta.output_columns]
             holder: dict[str, Any] = {}
             epoch_cell = self.executor._epoch_cell
 
@@ -935,7 +956,7 @@ class _SelectPlan:
                     holder["epoch"] = epoch_cell[0]
                 return holder["r"]
 
-            self.sources.append(_Source(ref.alias.lower(), derived_rows_cached))
+            self._add_source(_Source(ref.alias.lower(), derived_rows_cached, columns))
             return
         if isinstance(ref, ast.Join):
             self._register_from(ref.left)
@@ -953,11 +974,8 @@ class _SelectPlan:
         def table() -> Table:
             return executor.resolve_table(executor.table_name(ref.name, params))[0]
 
-        schema = table().schema
         binding = (ref.alias or ref.name).lower()
-        self.scope.add_source(binding, schema.column_names)
-        self.slot_columns.extend(schema.columns)
-        self.sources.append(_Source(binding, lambda: table().rows()))
+        self._add_source(_Source(binding, lambda: table().rows(), table().schema.columns))
 
     def _register_view(self, ref: ast.TableName, view: ast.CreateView) -> None:
         """Expand a view reference as a derived table (planned once,
@@ -966,11 +984,9 @@ class _SelectPlan:
         meta = _SelectPlan(self.executor, view.select, self.params, self.placeholders, None)
         names = view.columns or [c.name for c in meta.output_columns]
         binding = (ref.alias or ref.name).lower()
-        self.scope.add_source(binding, names)
-        self.slot_columns.extend(
-            Column(name, c.type, length=c.length)
-            for name, c in zip(names, meta.output_columns)
-        )
+        columns = [
+            Column(name, c.type, length=c.length) for name, c in zip(names, meta.output_columns)
+        ]
         holder: dict[str, Any] = {}
         epoch_cell = self.executor._epoch_cell
 
@@ -980,7 +996,320 @@ class _SelectPlan:
                 holder["epoch"] = epoch_cell[0]
             return holder["r"]
 
-        self.sources.append(_Source(binding, view_rows))
+        self._add_source(_Source(binding, view_rows, columns))
+
+    def _add_source(self, source: "_Source") -> None:
+        """Append ``source`` to the scope, its columns, and the sources."""
+        self.scope.add_source(source.binding, [column.name for column in source.columns])
+        self.slot_columns.extend(source.columns)
+        self.sources.append(source)
+
+    def _plan_join_order(self) -> None:
+        """Choose the order the joins run in, before anything is compiled.
+
+        A FROM list of two or more sources whose steps are all inner or
+        cross joins may run in any order: :meth:`_choose_order` picks the
+        one its static estimates price cheapest, FROM order on a tie.  A
+        list with a LEFT join runs as written.  For such a list the planner
+        also closes the column equalities between sources into equivalence
+        classes (any connected order gets an equi key) and derives the local
+        filters a disjunction implies (:meth:`_implied_filters`).
+
+        When the order changes, :meth:`_run_in` lays the plan out in run
+        order, and :meth:`_source_rows` sorts the joined rows back into FROM
+        order after the last step: every later stage sees the rows, in the
+        order, that the FROM-order plan would give it.
+        """
+        kinds, on_exprs = _from_steps(self.select.from_)
+        #: per source, in run order: does each row carry its scan position?
+        self.positioned = [False] * len(self.sources)
+        self.source_ranges = self._ranges()
+        #: a row -> the scan positions that put it back in FROM order, when
+        #: the joins run in another order; None when they run in FROM order
+        self.restore = None
+        #: per step, in run order: its join kind and its ON
+        self.step_kinds, self.step_on = kinds, on_exprs
+        #: filters on one source a disjunction implies, placed beside WHERE's
+        self.implied: list[ast.Expr] = []
+        #: columns equated across sources, as absolute slots, per class
+        self.classes: list[list[int]] = []
+        #: conjunct id -> the sources (run order) it reads, found on the way
+        self.conjunct_reads: dict[int, frozenset] = {}
+        #: conjunct id -> its :meth:`_column_pair`, likewise
+        self.column_pairs: dict[int, tuple[int, int] | None] = {}
+        if len(self.sources) < 2 or "LEFT" in kinds:
+            return
+        #: node id -> what :meth:`_reads` found, while FROM order holds
+        self._read_memo: dict[int, tuple[frozenset, bool]] = {}
+        #: slot -> what :meth:`_distinct` found, likewise
+        self._distinct_memo: dict[int, float | None] = {}
+        conjuncts = [c for on in on_exprs for c in _split_conjuncts(on)]
+        conjuncts += _split_conjuncts(self.select.where)
+        self.implied = self._implied_filters(conjuncts)
+        conjuncts += self.implied
+        self.classes = self._equivalence_classes(conjuncts)
+        order = self._choose_order(conjuncts, self.classes)
+        run_of = {index: step for step, index in enumerate(order)}
+        self.conjunct_reads = {
+            id(c): frozenset(run_of[i] for i in self._reads(c)[0]) for c in conjuncts
+        }
+        del self._read_memo, self._distinct_memo
+        if order != sorted(order):
+            self._run_in(order, run_of)
+            # the FROM list's first source joins the way its second step does
+            self.step_kinds = [kinds[i] if i else kinds[1] for i in order]
+            self.step_kinds[0] = "FIRST"
+            self.step_on = [on_exprs[i] for i in order]
+
+    def _run_in(self, order: list[int], run_of: dict[int, int]) -> None:
+        """Lay the sources, the scope and the column metadata out in run
+        ``order``, and set :attr:`restore` to put the joined rows back.
+
+        Rows come out in lexicographic order of the sources' scan positions
+        taken in run order, and FROM order sorts them taken in FROM order.
+        A stable sort on the positions of the first FROM sources leaves ties
+        in run order, which is FROM order for the sources after them when
+        those run in FROM order: only the first sources carry a position,
+        in a slot past their columns."""
+        keyed = len(order) - 1
+        while keyed and run_of[keyed - 1] < run_of[keyed]:
+            keyed -= 1
+        sources, from_ranges = self.sources, self.source_ranges
+        self.sources = [sources[index] for index in order]
+        self.positioned = [index < keyed for index in order]
+        self.source_ranges = self._ranges()
+        moved = list(range(from_ranges[-1][1]))  # FROM-order slot -> run-order slot
+        for index, (start, end) in enumerate(from_ranges):
+            run_start = self.source_ranges[run_of[index]][0]
+            moved[start:end] = range(run_start, run_start + end - start)
+        self.scope = self.scope.reordered(order, moved, self.source_ranges[-1][1])
+        self.slot_columns = []
+        for source, positioned in zip(self.sources, self.positioned):
+            self.slot_columns += source.columns
+            if positioned:
+                self.slot_columns.append(_POSITION)
+        self.restore = itemgetter(*(self.source_ranges[run_of[i]][1] - 1 for i in range(keyed)))
+        self.classes = [sorted(moved[slot] for slot in members) for members in self.classes]
+        self.column_pairs = {
+            key: pair and (moved[pair[0]], moved[pair[1]])
+            for key, pair in self.column_pairs.items()
+        }
+
+    def _ranges(self) -> list[tuple[int, int]]:
+        """Each source's absolute slot range, in scope order: its columns
+        and, in a reordered plan, its position slot."""
+        ranges, offset = [], 0
+        #: absolute slot -> the source it belongs to
+        self.slot_sources = []
+        for index, source in enumerate(self.sources):
+            width = len(source.columns) + self.positioned[index]
+            ranges.append((offset, offset + width))
+            self.slot_sources += [index] * width
+            offset += width
+        return ranges
+
+    def _implied_filters(self, conjuncts: list[ast.Expr]) -> list[ast.Expr]:
+        """The filters on one source that OR conjuncts imply.  When every
+        arm of an OR over several sources has conjuncts that read source *s*
+        alone, the OR of those parts holds for every row the OR keeps: it
+        filters *s* before *s* is joined, and the OR itself stays to decide.
+        Q7's ``(n1 = … AND n2 = …) OR (n1 = … AND n2 = …)`` gives ``n1`` and
+        ``n2`` a two-value filter each."""
+        implied = []
+        for conjunct in conjuncts:
+            arms = _split_conjuncts(conjunct, "OR")
+            if len(arms) < 2:
+                continue
+            read = self._reads(conjunct)[0]
+            if len(read) < 2:
+                continue
+            arm_parts = [_split_conjuncts(arm) for arm in arms]
+            for source in sorted(read):
+                implied_arms = []
+                for parts in arm_parts:
+                    own = [part for part in parts if self._reads(part) == ({source}, False)]
+                    if not own:
+                        break
+                    implied_arms.append(_joined(own, "AND"))
+                else:
+                    implied.append(_joined(implied_arms, "OR"))
+        return implied
+
+    def _equivalence_classes(self, conjuncts: list[ast.Expr]) -> list[list[int]]:
+        """The column equalities between sources, closed transitively: each
+        class lists the absolute slots of columns whose values are equal in
+        every row the query keeps.  Only pairs that compare directly join a
+        class (:meth:`_column_pair`), and the classes of directly comparable
+        types (numbers, texts, dates) never mix, so any two members compare
+        directly."""
+        parent: dict[int, int] = {}
+
+        def root(slot: int) -> int:
+            while parent.get(slot, slot) != slot:
+                slot = parent[slot]
+            return slot
+
+        for conjunct in conjuncts:
+            pair = self.column_pairs[id(conjunct)] = self._column_pair(conjunct)
+            if pair is not None:
+                low, high = sorted(map(root, pair))
+                if low != high:
+                    parent[high] = parent[low] = low
+        classes: dict[int, list[int]] = {}
+        for slot in sorted(parent):
+            classes.setdefault(root(slot), []).append(slot)
+        return list(classes.values())
+
+    def _choose_order(self, conjuncts: list[ast.Expr], classes: list[list[int]]) -> list[int]:
+        """The run order (FROM indices) :func:`_cheapest_order` prices
+        lowest, from static estimates: a table's row count (a derived
+        table, view or table parameter is :data:`_DERIVED_ROWS` rows and has
+        no index), the share of its rows its own conjuncts keep
+        (:meth:`_local_share`), and per equivalence class the distinct
+        count that divides a join's fan-out — the largest a primary key or
+        index knows of, else the larger member source's row count."""
+        rows = [
+            float(source.table.row_count()) if source.table is not None else _DERIVED_ROWS
+            for source in self.sources
+        ]
+        own: list[list[ast.Expr]] = [[] for _ in self.sources]
+        for conjunct in conjuncts:
+            read = self._reads(conjunct)[0]
+            if len(read) == 1:
+                own[min(read)].append(conjunct)
+        kept, scanned, probed = [], [], []
+        for index, conjuncts_of in enumerate(own):
+            share, fetched = self._local_share(index, conjuncts_of)
+            kept.append(rows[index] * share)
+            scanned.append(rows[index] * fetched)
+            probed.append(fetched < 1.0)
+        links: list[list[tuple[int, float, float | None]]] = [[] for _ in self.sources]
+        for members in classes:
+            by_source: dict[int, list[float | None]] = {}
+            for slot in members:
+                by_source.setdefault(self._source_of(slot), []).append(self._distinct(slot))
+            known = [count for counts in by_source.values() for count in counts if count]
+            distinct = max(known) if known else max(rows[index] for index in by_source)
+            mask = sum(1 << index for index in by_source)
+            for index, counts in by_source.items():
+                per_probe = None
+                if not probed[index]:
+                    per_probe = min(
+                        (rows[index] / count for count in counts if count), default=None
+                    )
+                links[index].append((mask & ~(1 << index), max(distinct, 1.0), per_probe))
+        return _cheapest_order(rows, scanned, kept, links)
+
+    def _local_share(self, index: int, conjuncts: list[ast.Expr]) -> tuple[float, float]:
+        """(the share of source ``index``'s rows its own ``conjuncts`` keep,
+        the share a constant index probe would fetch: 1.0 when none
+        would).  Bounds on one column from separate conjuncts price as one
+        range: two-sided when both sides are bounded."""
+        share = fetched = 1.0
+        bounds: dict[int, tuple[set, bool]] = {}  # slot -> (sides, indexed)
+        for conjunct in conjuncts:
+            part, indexed = self._selectivity(conjunct, index, bounds)
+            share *= part
+            if indexed:
+                fetched = min(fetched, part)
+        for sides, indexed in bounds.values():
+            part = _SELECTIVITY["BETWEEN" if len(sides) == 2 else "<"]
+            share *= part
+            if indexed:
+                fetched = min(fetched, part)
+        return share, fetched
+
+    def _selectivity(self, conjunct: ast.Expr, index: int, bounds: dict | None):
+        """(the share of source ``index``'s rows ``conjunct`` keeps, could
+        an index probe fetch them) by the conjunct's shape
+        (:data:`_SELECTIVITY`), reading it as :func:`_probe_readings`
+        does.  A one-sided bound on a column is entered in ``bounds`` and
+        priced by the caller when ``bounds`` is given."""
+        negated = (
+            getattr(conjunct, "negated", False)
+            or isinstance(conjunct, ast.Unary) and conjunct.op.upper() == "NOT"
+        )
+        if self._reads(conjunct)[1]:
+            return _SELECTIVITY["NOT" if negated else "subquery"], False
+        if isinstance(conjunct, ast.Binary):
+            op = conjunct.op.upper()
+            if op == "AND" or op == "OR":
+                left, _ = self._selectivity(conjunct.left, index, None)
+                right, _ = self._selectivity(conjunct.right, index, None)
+                return (left * right if op == "AND" else min(1.0, left + right)), False
+            negated = op == "<>" or op == "!="
+        sides = []
+        compared = False
+        for column_side, op, value_side in _probe_readings(conjunct):
+            compared = True
+            values = value_side if op == "IN" else [value_side]
+            if any(self._reads(value)[0] for value in values) or not self._reads(column_side)[0]:
+                continue
+            slot = _column_slot(self.scope, column_side)
+            distinct = None if slot is None else self._distinct(slot)
+            if op in ("=", "IN"):
+                equal = 1.0 / distinct if distinct else _SELECTIVITY["="]
+                return min(1.0, equal * len(values)), distinct is not None
+            sides.append((slot, op in (">", ">=")))
+        if len(sides) == 2:  # BETWEEN
+            slot = sides[0][0]
+            return _SELECTIVITY["BETWEEN"], slot is not None and self._distinct(slot) is not None
+        if sides:
+            slot, lower = sides[0]
+            if bounds is None or slot is None:
+                return _SELECTIVITY["<"], False
+            entry = bounds.setdefault(slot, (set(), self._distinct(slot) is not None))
+            entry[0].add(lower)
+            return 1.0, False
+        if compared:  # column <op> column, both of this source
+            return _SELECTIVITY["columns"], False
+        if negated:
+            return _SELECTIVITY["NOT"], False
+        if isinstance(conjunct, ast.Like):
+            return _SELECTIVITY["LIKE"], False
+        return 1.0, False
+
+    def _reads(self, expr: ast.Node) -> tuple[frozenset, bool]:
+        """(the sources ``expr`` reads, as :meth:`_sources_read` finds them;
+        does it hold a subquery?) — remembered for every node under
+        ``expr``, so choosing the order reads each conjunct once."""
+        memo = self._read_memo
+        found = memo.get(id(expr))
+        if found is not None:
+            return found
+        if isinstance(expr, ast.ColumnRef):
+            slot = _column_slot(self.scope, expr)
+            found = (frozenset(() if slot is None else (self._source_of(slot),)), False)
+        elif isinstance(expr, (ast.Literal, ast.Select, ast.UnionSelect)):
+            found = _READS_NOTHING
+        else:
+            read, subquery = frozenset(), isinstance(expr, SUBQUERY_EXPRS)
+            for child in children(expr):
+                child_read, child_subquery = self._reads(child)
+                read |= child_read
+                subquery = subquery or child_subquery
+            found = (read, subquery)
+        memo[id(expr)] = found
+        return found
+
+    def _distinct(self, slot: int) -> float | None:
+        """How many distinct values the column at ``slot`` holds, when a
+        one-column primary key (its row count) or a secondary index (its
+        key count) says; else None."""
+        memo = self._distinct_memo
+        if slot in memo:
+            return memo[slot]
+        index = self._source_of(slot)
+        table = self.sources[index].table
+        found = None
+        if table is not None:
+            name = self.slot_columns[slot].name
+            if table.schema.primary_key == (name,):
+                found = float(table.row_count())
+            elif table.has_secondary_index(name):
+                found = float(table.index_key_count(name))
+        memo[slot] = found
+        return found
 
     def _plan_joins(self) -> None:
         """Plan the join pipeline: where each conjunct runs, and how each
@@ -1004,6 +1333,11 @@ class _SelectPlan:
         * a residual: applied to each joined row, which ends at source *k*
           — a conjunct placed by its latest source reads no slot past it.
 
+        A step also gets an equi key from each equivalence class with a
+        column at source *k* and one earlier that no conjunct's key covers,
+        and the filters :meth:`_implied_filters` derived run as local
+        filters beside the rest.
+
         The ON of a LEFT join stays at its step, split the same way (a
         residual there that names a later source reads NULL for it).  A
         WHERE conjunct whose step is a LEFT join is a post filter, applied
@@ -1014,36 +1348,7 @@ class _SelectPlan:
         or has a secondary index, can look each outer row's key up instead
         of hashing the table: :meth:`_join` decides per run.
         """
-        # absolute slot range per source
-        self.source_ranges: list[tuple[int, int]] = []
-        offset = 0
-        for source in self.sources:
-            width = len(self.scope.columns_of(source.binding))
-            self.source_ranges.append((offset, offset + width))
-            offset += width
-
-        # collect per-step kind and ON expression from the FROM tree
-        kinds: list[str] = []
-        on_exprs: list[ast.Expr | None] = []
-
-        def visit(ref: ast.TableRef | None) -> None:
-            if ref is None:
-                return
-            if isinstance(ref, (ast.TableName, ast.SubquerySource)):
-                kinds.append("FIRST" if not kinds else "CROSS")
-                on_exprs.append(None)
-                return
-            if isinstance(ref, ast.Join):
-                visit(ref.left)
-                if isinstance(ref.right, ast.Join):
-                    raise NotSupportedError("right-nested joins are not supported")
-                visit(ref.right)
-                kinds[-1] = ref.kind
-                on_exprs[-1] = ref.on
-                return
-            raise NotSupportedError(f"FROM element {type(ref).__name__}")
-
-        visit(self.select.from_)
+        kinds, on_exprs = self.step_kinds, self.step_on
 
         #: per step: (conjunct, compiled, reads this step's source alone)
         at_step: list[list[tuple[ast.Expr, CompiledExpr, bool]]] = [[] for _ in self.sources]
@@ -1085,9 +1390,20 @@ class _SelectPlan:
                 fn, correlated = self.compiler.compile_conjunct(conjunct)
                 local = not correlated and self._sources_read(conjunct) <= {index}
                 at_step[index].append((conjunct, fn, local))
-        for conjunct in _split_conjuncts(self.select.where):
+        for conjunct in _split_conjuncts(self.select.where) + self.implied:
             place(conjunct)
         self.constant_filter = _all_true(row_independent)
+
+        #: per step: (class, its first column, its first column at the step)
+        #: for each equivalence class that reaches the step from an earlier one
+        class_keys: list[list[tuple[list[int], int, int]]] = [[] for _ in self.sources]
+        for members in self.classes:
+            reached = {self._source_of(members[0])}
+            for slot in members[1:]:
+                step = self._source_of(slot)
+                if step not in reached:
+                    reached.add(step)
+                    class_keys[step].append((members, members[0], slot))
 
         self.join_steps: list[_JoinStep] = []
         for index, kind in enumerate(kinds):
@@ -1102,6 +1418,10 @@ class _SelectPlan:
                     local.append(fn)
                 else:
                     residual.append(fn)
+            start = self.source_ranges[index][0]
+            for members, outer, inner in class_keys[index]:
+                if not any(start + right in members for _, right in equi):
+                    equi.append((outer, inner - start))
             table = self.sources[index].table
             probe = lookup = None
             if table is not None and kind != "LEFT":
@@ -1130,6 +1450,9 @@ class _SelectPlan:
     def _sources_read(self, conjunct: ast.Expr) -> set[int]:
         """The sources whose columns ``conjunct`` names outside its
         subqueries (an outer reference names none of them)."""
+        found = self.conjunct_reads.get(id(conjunct))
+        if found is not None:
+            return set(found)
         read = set()
         for ref in _plain_refs(conjunct):
             resolved = self.scope.try_resolve(ref.name, ref.table)
@@ -1138,39 +1461,35 @@ class _SelectPlan:
         return read
 
     def _source_of(self, slot: int) -> int:
-        for index, (start, end) in enumerate(self.source_ranges):
-            if start <= slot < end:
-                return index
-        raise AssertionError(f"slot {slot} belongs to no source")
+        return self.slot_sources[slot]
 
     def _equi_pair(self, conjunct: ast.Expr, step: int) -> tuple[int, int] | None:
-        """If ``conjunct`` is ``left_col = right_col`` linking an earlier
-        source to source ``step``, and the two columns' values compare
-        directly, return (left_abs_slot, right_local_slot)."""
-        if not (
-            isinstance(conjunct, ast.Binary)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
+        """If ``conjunct`` is a :meth:`_column_pair` linking an earlier
+        source to source ``step``, return (left_abs_slot, right_local_slot)."""
+        key = id(conjunct)
+        pair = self.column_pairs[key] if key in self.column_pairs else self._column_pair(conjunct)
+        if pair is None:
             return None
-        sides = []
-        for ref in (conjunct.left, conjunct.right):
-            resolved = self.scope.try_resolve(ref.name, ref.table)
-            if resolved is None or resolved[0] != 0:
-                return None
-            sides.append(resolved[1])
         start, end = self.source_ranges[step]
-        a, b = sides
+        a, b = pair
         if start <= a < end and b < start:
-            outer, inner = b, a
-        elif start <= b < end and a < start:
-            outer, inner = a, b
-        else:
+            return (b, a - start)
+        if start <= b < end and a < start:
+            return (a, b - start)
+        return None
+
+    def _column_pair(self, conjunct: ast.Expr) -> tuple[int, int] | None:
+        """If ``conjunct`` is ``col = col`` over columns of two different
+        sources whose values compare directly, their absolute slots."""
+        if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
             return None
-        if not compares_directly(self.slot_columns[outer].type, self.slot_columns[inner].type):
+        a = _column_slot(self.scope, conjunct.left)
+        b = _column_slot(self.scope, conjunct.right)
+        if a is None or b is None or self._source_of(a) == self._source_of(b):
+            return None
+        if not compares_directly(self.slot_columns[a].type, self.slot_columns[b].type):
             return None  # ``=`` casts one side first: a hash would miss its matches
-        return (outer, inner - start)
+        return (a, b)
 
     # -- projection planning ----------------------------------------------------
 
@@ -1180,9 +1499,7 @@ class _SelectPlan:
         for item in self.select.items:
             expr = item.expr
             if isinstance(expr, ast.Star):
-                bindings = (
-                    [expr.table.lower()] if expr.table else [b for b, _ in self.scope.sources]
-                )
+                bindings = [expr.table.lower()] if expr.table else self.from_bindings
                 for binding in bindings:
                     for name in self.scope.columns_of(binding):
                         items.append((ast.ColumnRef(name, table=binding), name))
@@ -1342,6 +1659,11 @@ class _SelectPlan:
         select = self.select
         if not self.sources:
             lines.append("Result: constant row")
+        if self.restore is not None:
+            lines.append(
+                f"Join order {', '.join(s.binding for s in self.sources)} by estimated cost "
+                f"(rows restored to FROM order {', '.join(self.from_bindings)})"
+            )
         for index, (source, step) in enumerate(zip(self.sources, self.join_steps)):
             if step.probe is not None:
                 column, payload, probe_kind = step.probe
@@ -1547,11 +1869,15 @@ class _SelectPlan:
         rows = self._inner_rows(0, outer_env)
         for index in range(1, len(self.sources)):
             rows = self._join(index, rows, outer_env)
+        if self.restore is not None:
+            # the steps ran in estimated-cost order: back to FROM order
+            rows.sort(key=self.restore)
         return rows
 
     def _inner_rows(self, index: int, outer_env: Env | None) -> list[tuple]:
         """Every row of source ``index`` its local filters keep, in scan
-        order: what its constant index probe finds, else the whole source."""
+        order: what its constant index probe finds, else the whole source.
+        A row of a positioned source carries its position among them."""
         source, step = self.sources[index], self.join_steps[index]
         found = None
         if step.probe is not None:
@@ -1560,20 +1886,36 @@ class _SelectPlan:
             found = source.rows_fn()
         if source.table is not None:
             self.executor.stats.rows_scanned += len(found)
-        keep = self._local_filter(index, outer_env)
-        return found if keep is None else keep(found)
+        positioned = self.positioned[index]
+        keep = self._local_filter(index, outer_env, positions=positioned)
+        if keep is not None:
+            return keep(found)
+        if positioned:
+            return [row + (position,) for position, row in enumerate(found)]
+        return found
 
-    def _local_filter(self, index: int, outer_env: Env | None):
+    def _local_filter(self, index: int, outer_env: Env | None, positions: bool = False):
         """A function from rows of source ``index`` to those its local
         filters pass, or None when it has none.  The filters read only that
         source's slots, so a row is placed at them and nothing is copied
-        for the first source."""
+        for the first source.  With ``positions``, each row kept is copied
+        with its position in the rows given appended."""
         local = self.join_steps[index].local
         if local is None:
             return None
         start, end = self.source_ranges[index]
         env = _env([None] * end, outer_env)
-        if start == 0:
+        if positions:
+            placed = env.values
+
+            def keep(rows: list[tuple]) -> list[tuple]:
+                kept = []
+                for position, row in enumerate(rows):
+                    placed[start:] = row
+                    if local(env) is True:
+                        kept.append(row + (position,))
+                return kept
+        elif start == 0:
             def keep(rows: list[tuple]) -> list[tuple]:
                 kept = []
                 for row in rows:
@@ -1603,7 +1945,15 @@ class _SelectPlan:
         matches in rowid order, so the joined rows come out in the same
         order — float sums and sort ties see no difference.  The residual
         filters each joined row; a LEFT join pads an outer row that kept no
-        match."""
+        match.
+
+        The joined rows are thus in lexicographic order of the sources'
+        scan positions taken in run order.  When the steps run in another
+        order than the FROM list's, the rows of the first FROM sources
+        carry their positions (their rowids on the lookup path, their
+        places in the scan otherwise) and :meth:`_source_rows` sorts the
+        last step's rows by them once: the order the FROM-order pipeline
+        gives."""
         source, step = self.sources[index], self.join_steps[index]
         start, end = self.source_ranges[index]
         left_slots = [slot for slot, _ in step.equi]
@@ -1675,6 +2025,10 @@ class _SelectPlan:
         env = _env([], outer_env)
         several = len(left_slots) > 1
         outer_key, inner_key = itemgetter(*left_slots), itemgetter(*right_slots)
+        if self.positioned[index]:
+            # the rowid is the row's position in its scan
+            def get(rowid: int, stored=table.get) -> tuple:
+                return stored(rowid) + (rowid,)
 
         def matches(left: tuple) -> list[tuple]:
             env.values = left
@@ -1782,10 +2136,9 @@ class _UnionRunner:
         self.plans = []
         self.correlated = False
         for part in union.parts:
-            probe = Scope(parent=outer_scope)
-            plan = _SelectPlan(executor, part, params, placeholders, outer_scope, probe_scope=probe)
+            plan = _SelectPlan(executor, part, params, placeholders, outer_scope)
             self.plans.append(plan)
-            self.correlated = self.correlated or probe.used_parent
+            self.correlated = self.correlated or plan.scope.used_parent
         widths = {len(p.output_columns) for p in self.plans}
         if len(widths) != 1:
             raise ProgrammingError(
@@ -1834,12 +2187,14 @@ class _UnionRunner:
 
 class _Source:
     """One FROM source: binding name, a supplier of its rows in scan order
-    (a list the caller may keep but must not change), and (for base tables)
-    the Table object — the planner needs it for index probes."""
+    (a list the caller may keep but must not change), its columns, and (for
+    base tables) the Table object — the planner needs it for index probes
+    and row counts."""
 
-    def __init__(self, binding: str, rows_fn, table=None):
+    def __init__(self, binding: str, rows_fn, columns: list[Column], table=None):
         self.binding = binding
         self.rows_fn = rows_fn
+        self.columns = columns
         self.table = table
 
 
@@ -2187,13 +2542,137 @@ def _is_local_ref(scope: Scope, ref: ast.ColumnRef) -> bool:
     return resolved is not None and resolved[0] == 0
 
 
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    """Flatten a predicate into AND-ed conjuncts."""
+def _split_conjuncts(expr: ast.Expr | None, op: str = "AND") -> list[ast.Expr]:
+    """Flatten a predicate into AND-ed conjuncts (or OR-ed arms)."""
     if expr is None:
         return []
-    if isinstance(expr, ast.Binary) and expr.op.upper() == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
+    if isinstance(expr, ast.Binary) and expr.op.upper() == op:
+        return _split_conjuncts(expr.left, op) + _split_conjuncts(expr.right, op)
     return [expr]
+
+
+def _joined(parts: list[ast.Expr], op: str) -> ast.Expr:
+    """``parts`` joined left to right by ``op`` (AND or OR)."""
+    expr = parts[0]
+    for part in parts[1:]:
+        expr = ast.Binary(op, expr, part)
+    return expr
+
+
+def _column_slot(scope: Scope, expr: ast.Expr) -> int | None:
+    """The slot of ``expr`` when it is a column of this query's rows."""
+    if not isinstance(expr, ast.ColumnRef):
+        return None
+    resolved = scope.try_resolve(expr.name, expr.table)
+    return resolved[1] if resolved is not None and resolved[0] == 0 else None
+
+
+def _from_steps(ref: ast.TableRef | None) -> tuple[list[str], list[ast.Expr | None]]:
+    """Per FROM source, in written order: the kind of join that adds it
+    (``FIRST`` for the first) and its ON."""
+    kinds: list[str] = []
+    on_exprs: list[ast.Expr | None] = []
+
+    def visit(ref: ast.TableRef | None) -> None:
+        if ref is None:
+            return
+        if isinstance(ref, (ast.TableName, ast.SubquerySource)):
+            kinds.append("FIRST" if not kinds else "CROSS")
+            on_exprs.append(None)
+            return
+        if isinstance(ref, ast.Join):
+            visit(ref.left)
+            if isinstance(ref.right, ast.Join):
+                raise NotSupportedError("right-nested joins are not supported")
+            visit(ref.right)
+            kinds[-1] = ref.kind
+            on_exprs[-1] = ref.on
+            return
+        raise NotSupportedError(f"FROM element {type(ref).__name__}")
+
+    visit(ref)
+    return kinds, on_exprs
+
+
+def _cheapest_order(rows, scanned, kept, links) -> list[int]:
+    """The join order, as FROM indices, of least estimated cost.
+
+    Per source: ``rows`` in all, ``scanned`` by reading it without a join
+    key (all of them, or what a constant index probe fetches), ``kept`` by
+    its own filters, and ``links``: per equivalence class it is in, (the
+    bit mask of the class's other sources, the distinct count dividing a
+    join's fan-out, rows one index lookup fetches or None).  From each
+    start the search adds, greedily, the source whose step
+    (:func:`_step_estimate`) costs least among those an equi key links to
+    the sources so far — a source no key links only when none is left.  A
+    start's total is what its scan fetches and keeps plus its steps'
+    costs; the cheapest total wins, and FROM position breaks every tie.
+    At most n starts × n steps × n candidates, and fewer: the cheapest
+    starts go first, and a start stops once its total passes the best or
+    it joins a set of sources an earlier start joined for less — the rows
+    estimated for a set do not depend on the order that joined it, so
+    neither does the greedy way on from it."""
+    count = len(rows)
+    best: list[int] = list(range(count))
+    best_cost = float("inf")
+    #: sources joined (bit mask) -> the cheapest (total, order) that got there
+    reached: dict[int, tuple[float, list[int]]] = {}
+    for first, start in sorted((scanned[i] + kept[i], i) for i in range(count)):
+        order, joined = [start], 1 << start
+        outer = kept[start]
+        total = first
+        while len(order) < count and total <= best_cost:
+            if reached.setdefault(joined, (total, order[:])) < (total, order):
+                break
+            pick = cross = None
+            for candidate in range(count):
+                if joined >> candidate & 1:
+                    continue
+                cost, produced, linked = _step_estimate(
+                    candidate, joined, outer, rows, scanned, kept, links
+                )
+                if linked:
+                    if pick is None or cost < pick_cost:
+                        pick, pick_cost, pick_rows = candidate, cost, produced
+                elif pick is None and (cross is None or cost < cross_cost):
+                    cross, cross_cost, cross_rows = candidate, cost, produced
+            if pick is None:
+                pick, pick_cost, pick_rows = cross, cross_cost, cross_rows
+            order.append(pick)
+            joined |= 1 << pick
+            outer = pick_rows
+            total += pick_cost
+        if len(order) == count and (total, order) < (best_cost, best):
+            best, best_cost = order, total
+    return best
+
+
+def _step_estimate(source, joined, outer, rows, scanned, kept, links):
+    """(cost, rows produced, linked by an equi key?) of joining ``source``
+    to ``outer`` estimated rows of the sources in bit mask ``joined``.
+
+    An equi step's fan-out is the rows ``source`` keeps divided by each
+    linking class's distinct count (System R); a step with no key is a
+    cross product.  It fetches what :meth:`_SelectPlan._join` would: by
+    index lookups when a linking column has an index and the outer side
+    has fewer rows than the table — each such row weighs
+    :data:`_INDEX_FETCH` scanned rows — else by reading the source and
+    hashing the rows its filters keep.  Cost = rows fetched (and hashed) +
+    rows produced."""
+    produced = outer * kept[source]
+    linked = False
+    per_probe = None
+    for others, distinct, probe_rows in links[source]:
+        if others & joined:
+            linked = True
+            produced /= distinct
+            if probe_rows is not None and (per_probe is None or probe_rows < per_probe):
+                per_probe = probe_rows
+    if per_probe is not None and outer < rows[source]:
+        fetched = outer * per_probe * _INDEX_FETCH
+    else:  # read, and the rows kept hashed: what a first step costs too
+        fetched = scanned[source] + kept[source]
+    return fetched + produced, produced, linked
 
 
 def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:

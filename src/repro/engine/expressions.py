@@ -138,6 +138,20 @@ class Scope:
             self._unqualified.setdefault(name.lower(), []).append(slot)
             self._slot_count += 1
 
+    def reordered(self, order: list[int], moved: list[int], slot_count: int) -> "Scope":
+        """A scope over the same sources (and parent) with the sources in
+        ``order`` — indices into :attr:`sources` — and each column's slot
+        ``moved[slot]``, of ``slot_count`` slots: what a name resolves to
+        moves with its source."""
+        scope = Scope(self.parent)
+        scope._sources = [self._sources[index] for index in order]
+        scope._slot_count = slot_count
+        scope._qualified = {key: moved[slot] for key, slot in self._qualified.items()}
+        scope._unqualified = {
+            name: [moved[slot] for slot in slots] for name, slots in self._unqualified.items()
+        }
+        return scope
+
     def add_synthetic_slot(self) -> int:
         """Reserve one anonymous slot (aggregate results); returns its index."""
         slot = self._slot_count

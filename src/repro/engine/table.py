@@ -136,6 +136,10 @@ class OrderedIndex:
     def __len__(self) -> int:
         return len(self._nulls) + sum(len(p) for p in self._postings.values())
 
+    def key_count(self) -> int:
+        """How many distinct non-NULL keys the index holds."""
+        return len(self._keys)
+
 
 class Table:
     """In-memory table: row store + PK index + ordered secondary indexes."""
@@ -236,6 +240,10 @@ class Table:
 
     def has_secondary_index(self, column: str) -> bool:
         return column.lower() in self._secondary
+
+    def index_key_count(self, column: str) -> int:
+        """How many distinct non-NULL values the index on ``column`` holds."""
+        return self._secondary[column.lower()].key_count()
 
     def index_lookup(self, column: str, value) -> list[int]:
         """Rowids whose ``column`` equals ``value`` (sorted postings — no

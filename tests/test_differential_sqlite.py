@@ -25,6 +25,7 @@ through sqlite needs a dialect translator — ``DATE '…' ± INTERVAL``,
 
 from __future__ import annotations
 
+import itertools
 import random
 import sqlite3
 from collections import Counter
@@ -442,7 +443,9 @@ def test_generated_join_matches_sqlite(engines, sql):
     [
         ("SELECT a0.id, a1.k FROM d a0 JOIN t a1 ON a0.tv = a1.v", True),
         ("SELECT a0.id, a1.k FROM d a0, t a1 WHERE a0.g = a1.k", True),
-        ("SELECT a0.k, a1.id FROM t a0 JOIN d a1 ON a0.v = a1.tv", False),
+        # written t first, run d first: d's rows look t's keys up
+        ("SELECT a0.k, a1.id FROM t a0 JOIN d a1 ON a0.v = a1.tv", True),
+        ("SELECT a0.k, a1.k FROM t a0 JOIN t a1 ON a0.v = a1.v", False),
         ("SELECT a0.k, a1.id FROM t a0 LEFT JOIN d a1 ON a0.v = a1.id AND a1.g > 1", False),
         ("SELECT a0.id, a1.k FROM d a0 LEFT JOIN t a1 ON a0.tv = a1.v AND a1.f > 0", True),
     ],
@@ -451,7 +454,10 @@ def test_a_join_step_looks_keys_up_when_its_outer_side_is_smaller(
     engines, seeded_server, sql, looks_up
 ):
     """Both ways of a join step run under the generator: ``d`` (20 rows)
-    looks its keys up in ``t`` (300), ``t`` hashes ``d``."""
+    looks its keys up in ``t`` (300) — in whichever order the FROM list
+    names them — and ``t`` joined to itself (300 outer rows, not fewer
+    than the table's) hashes it, as ``t`` hashes ``d`` under a LEFT join,
+    which runs in FROM order."""
     stats = seeded_server[0].executor_stats
     probes = stats.index_eq_probes
     assert_same_answer(engines, sql)
@@ -523,6 +529,131 @@ def test_a_group_sum_adds_left_to_right_in_input_order():
     execute(server, sid, f"INSERT INTO o VALUES {', '.join(map(repr, rows))}")
     answer = execute(server, sid, "SELECT g, SUM(x), AVG(x) FROM o GROUP BY g ORDER BY g")
     assert answer == [(1, 0.0, 0.0), (2, 1.0, 1.0 / 3)]
+
+
+def test_a_group_sum_over_a_reordered_join_adds_in_from_order():
+    """The rows of the group-sum test above, spread over a join the planner
+    reorders: ``w`` — small, selectively filtered, listed last — runs
+    first (``o``'s index could look its keys up), and its rows meet ``o``'s
+    in reverse.  Joined in that order the
+    sums would see group 2 as 1.0, 1e16, -1e16 and answer 0.0; the rows
+    are put back in FROM order before grouping, so both groups answer as
+    the FROM order feeds them."""
+    rows = [(1, 1, 1e16, 6), (2, 2, -1e16, 5), (3, 1, 1.0, 4),
+            (4, 2, 1e16, 3), (5, 1, -1e16, 2), (6, 2, 1.0, 1)]
+    server = DatabaseServer()
+    sid = server.connect()
+    execute(server, sid, "CREATE TABLE o (k INT PRIMARY KEY, g INT, x FLOAT, wk INT)")
+    execute(server, sid, "CREATE INDEX iowk ON o (wk)")
+    execute(server, sid, f"INSERT INTO o VALUES {', '.join(map(repr, rows))}")
+    execute(server, sid, "CREATE TABLE w (id INT PRIMARY KEY, keep INT)")
+    execute(server, sid, "INSERT INTO w VALUES (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)")
+    sql = (
+        "SELECT g, SUM(x), AVG(x) FROM o, w WHERE o.wk = w.id AND w.keep = 1 "
+        "GROUP BY g ORDER BY g"
+    )
+    plan = [line for (line,) in execute(server, sid, "EXPLAIN " + sql)]
+    assert plan[0].startswith("Join order w, o ")
+    assert execute(server, sid, sql) == [(1, 0.0, 0.0), (2, 1.0, 1.0 / 3)]
+
+
+#: per table: its primary key, the column a join step can find one row by
+JOIN_KEYS = {"t": "k", "r": "id", "d": "id"}
+#: Python's reading of each comparison, for the nested-loop reference
+PYTHON_OPS = {
+    "=": lambda a, b: a == b, "<>": lambda a, b: a != b, "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b, ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+}
+
+
+@st.composite
+def inner_joins(draw):
+    """Two to four tables in a comma FROM list, each after the first
+    linked to an earlier one by an equality on a primary key (either side
+    may hold it), with local filters: (tables, keys, filters), keys as
+    (earlier alias index, its column, this column), filters as (alias
+    index, column, op, literal)."""
+    tables = draw(st.lists(st.sampled_from(sorted(JOIN_COLUMNS)), min_size=2, max_size=4))
+    keys = []
+    for i in range(1, len(tables)):
+        partner = draw(st.integers(min_value=0, max_value=i - 1))
+        if draw(st.booleans()):  # the new table's key: one match per row so far
+            keys.append((partner, draw(st.sampled_from(JOIN_COLUMNS[tables[partner]])),
+                         JOIN_KEYS[tables[i]]))
+        else:
+            keys.append((partner, JOIN_KEYS[tables[partner]],
+                         draw(st.sampled_from(JOIN_COLUMNS[tables[i]]))))
+    filters = []
+    for i, table in enumerate(tables):
+        for _ in range(draw(st.integers(min_value=0, max_value=1))):
+            filters.append((i, draw(st.sampled_from(JOIN_COLUMNS[table])),
+                            draw(_comparisons), draw(st.integers(min_value=0, max_value=40))))
+    return tables, keys, filters
+
+
+def _inner_join_sql(items: str, tables, keys, filters, order) -> str:
+    """The join as SQL, its FROM list in ``order`` (alias indexes)."""
+    conjuncts = [f"a{p}.{left} = a{i}.{right}" for i, (p, left, right) in enumerate(keys, 1)]
+    conjuncts += [f"a{i}.{column} {op} {literal}" for i, column, op, literal in filters]
+    source = ", ".join(f"{tables[i]} a{i}" for i in order)
+    return f"SELECT {items} FROM {source} WHERE {' AND '.join(conjuncts)}"
+
+
+def _nested_loop(rows_of, tables, keys, filters) -> list[tuple]:
+    """The join the FROM-order plan computes, by nested loops: each table's
+    rows in scan order, each row so far meeting the next table's rows that
+    match its key in scan order; a joined row is the tables' rows side by
+    side."""
+    def passes(i, row):
+        return all(
+            row[JOIN_COLUMNS[tables[i]].index(column)] is not None
+            and PYTHON_OPS[op](row[JOIN_COLUMNS[tables[i]].index(column)], literal)
+            for j, column, op, literal in filters if j == i
+        )
+
+    joined = [(row,) for row in rows_of[tables[0]] if passes(0, row)]
+    for i, (partner, left, right) in enumerate(keys, 1):
+        found: dict = {}
+        at = JOIN_COLUMNS[tables[i]].index(right)
+        for row in rows_of[tables[i]]:
+            if row[at] is not None and passes(i, row):
+                found.setdefault(row[at], []).append(row)
+        left_at = JOIN_COLUMNS[tables[partner]].index(left)
+        joined = [
+            rows + (row,)
+            for rows in joined
+            if rows[partner][left_at] is not None
+            for row in found.get(rows[partner][left_at], ())
+        ]
+    return [tuple(value for row in rows for value in row) for rows in joined]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(inner_joins())
+def test_an_inner_join_answers_the_same_in_every_from_order(engines, join):
+    """However an inner-only FROM list is written, the answer is sqlite's
+    (as a multiset); as written, it is the FROM-order nested loop's, row for
+    row, and a FLOAT sum over it adds in that order, float bits and all —
+    whichever order the planner runs the steps in."""
+    ours, _reference = engines
+    tables, keys, filters = join
+    items = ", ".join(
+        f"a{i}.{column}" for i, table in enumerate(tables) for column in JOIN_COLUMNS[table]
+    )
+    rows_of = {table: ours(f"SELECT {', '.join(JOIN_COLUMNS[table])} FROM {table}")
+               for table in set(tables)}
+    expected = _nested_loop(rows_of, tables, keys, filters)
+    written = list(range(len(tables)))
+    assert ours(_inner_join_sql(items, tables, keys, filters, written)) == expected
+    summed = f"SUM(a{len(tables) - 1}.{JOIN_COLUMNS[tables[-1]][1]} / 3.0)"
+    at = sum(len(JOIN_COLUMNS[table]) for table in tables[:-1]) + 1
+    total = None
+    for row in expected:
+        if row[at] is not None:
+            total = row[at] / 3.0 if total is None else total + row[at] / 3.0
+    assert ours(_inner_join_sql(summed, tables, keys, filters, written)) == [(total,)]
+    for order in itertools.permutations(written):
+        assert_same_answer(engines, _inner_join_sql(items, tables, keys, filters, order))
 
 
 # ------------------------------------------------- generated WHERE under DML

@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.engine import executor as executor_module
 from repro.engine.expressions import ExpressionCompiler, is_constant
-from repro.sql import ast
+from repro.sql import ast, parse
 from repro.workloads.tpch import (
     QUERIES,
     ddl_statements,
@@ -182,9 +182,12 @@ def test_the_answers_of_the_22_queries_are_pinned():
     assert digest.hexdigest() == ANSWERS_DIGEST
 
 
-#: query -> the join lines of its plan: which step looks lineitem up per
-#: outer row, and where each filter runs (Q18's uncorrelated IN subquery
-#: at the orders step, not after the three-way join)
+#: query -> the join lines of its plan: the order the estimates pick (a
+#: reordered plan names it on its first line), which step looks a table up
+#: per outer row, and where each filter runs (Q18's uncorrelated IN subquery
+#: at the orders step, not after the three-way join; Q17's and Q21's
+#: correlated subqueries after the last step).  Q8's joins are its derived
+#: table's.
 INDEX_JOIN = "looked up per outer row; HashJoin when the outer side is not smaller)"
 PLAN_SHAPES = {
     "Q3": [
@@ -194,21 +197,84 @@ PLAN_SHAPES = {
         "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
         f"{INDEX_JOIN}  [local prefilter (residual filter on lineitem rows)]",
     ],
-    "Q10": [
-        "Scan customer",
+    "Q5": [
+        "Join order supplier, nation, region, customer, orders, lineitem by estimated cost "
+        "(rows restored to FROM order customer, orders, lineitem, supplier, nation, region)",
+        "Scan supplier",
+        "IndexJoin(CROSS) nation ON supplier.s_nationkey = nation.n_nationkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) region ON nation.n_regionkey = region.r_regionkey (primary key "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on region rows)]",
+        "HashJoin(CROSS) customer ON supplier.s_nationkey = customer.c_nationkey",
         "IndexJoin(CROSS) orders ON customer.c_custkey = orders.o_custkey (index on o_custkey "
         f"{INDEX_JOIN}  [local prefilter (residual filter on orders rows)]",
-        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
-        f"{INDEX_JOIN}  [local prefilter (residual filter on lineitem rows)]",
-        "IndexJoin(CROSS) nation ON customer.c_nationkey = nation.n_nationkey (primary key "
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey, "
+        "supplier.s_suppkey = lineitem.l_suppkey (index on l_orderkey "
         f"{INDEX_JOIN}",
     ],
-    "Q18": [
-        "Scan customer",
+    "Q8": [
+        "Join order n1, region, customer, orders, lineitem, supplier, n2, part by estimated cost "
+        "(rows restored to FROM order part, supplier, lineitem, orders, customer, n1, n2, region)",
+        "Scan n1",
+        "IndexJoin(CROSS) region ON n1.n_regionkey = region.r_regionkey (primary key "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on region rows)]",
+        "HashJoin(CROSS) customer ON n1.n_nationkey = customer.c_nationkey",
         "IndexJoin(CROSS) orders ON customer.c_custkey = orders.o_custkey (index on o_custkey "
         f"{INDEX_JOIN}  [local prefilter (residual filter on orders rows)]",
         "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
         f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) supplier ON lineitem.l_suppkey = supplier.s_suppkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) n2 ON supplier.s_nationkey = n2.n_nationkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) part ON lineitem.l_partkey = part.p_partkey (primary key "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on part rows)]",
+    ],
+    "Q10": [
+        "Join order orders, customer, nation, lineitem by estimated cost "
+        "(rows restored to FROM order customer, orders, lineitem, nation)",
+        "Scan orders  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) customer ON orders.o_custkey = customer.c_custkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) nation ON customer.c_nationkey = nation.n_nationkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on lineitem rows)]",
+    ],
+    "Q12": [
+        "Join order lineitem, orders by estimated cost "
+        "(rows restored to FROM order orders, lineitem)",
+        "Scan lineitem  [local prefilter (residual filter on lineitem rows)]",
+        "IndexJoin(CROSS) orders ON lineitem.l_orderkey = orders.o_orderkey (primary key "
+        f"{INDEX_JOIN}",
+    ],
+    "Q17": [
+        "Join order part, lineitem by estimated cost (rows restored to FROM order lineitem, part)",
+        "Scan part  [local prefilter (residual filter on part rows)]",
+        "IndexJoin(CROSS) lineitem ON part.p_partkey = lineitem.l_partkey (index on l_partkey "
+        f"{INDEX_JOIN}",
+        "Filter (final WHERE: correlated subqueries)",
+    ],
+    "Q18": [
+        "Join order orders, customer, lineitem by estimated cost "
+        "(rows restored to FROM order customer, orders, lineitem)",
+        "Scan orders  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) customer ON orders.o_custkey = customer.c_custkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) lineitem ON orders.o_orderkey = lineitem.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}",
+    ],
+    "Q21": [
+        "Join order orders, l1, supplier, nation by estimated cost "
+        "(rows restored to FROM order supplier, l1, orders, nation)",
+        "Scan orders  [local prefilter (residual filter on orders rows)]",
+        "IndexJoin(CROSS) l1 ON orders.o_orderkey = l1.l_orderkey (index on l_orderkey "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on l1 rows)]",
+        "IndexJoin(CROSS) supplier ON l1.l_suppkey = supplier.s_suppkey (primary key "
+        f"{INDEX_JOIN}",
+        "IndexJoin(CROSS) nation ON supplier.s_nationkey = nation.n_nationkey (primary key "
+        f"{INDEX_JOIN}  [local prefilter (residual filter on nation rows)]",
+        "Filter (final WHERE: correlated subqueries)",
     ],
 }
 
@@ -216,10 +282,35 @@ PLAN_SHAPES = {
 @pytest.mark.parametrize("query_id", PLAN_SHAPES)
 def test_join_plan_shapes(loaded, query_id):
     system, data = loaded
-    lines = [line for (line,) in q(system, "EXPLAIN " + query_sql(query_id, data.sf))]
+    select = parse(query_sql(query_id, data.sf))
+    if isinstance(select.from_, ast.SubquerySource):
+        select = select.from_.select  # the joins are the derived table's
+    lines = [line for (line,) in q(system, "EXPLAIN " + select.sql())]
     joins = PLAN_SHAPES[query_id]
     assert lines[: len(joins)] == joins
-    assert lines[len(joins)].startswith("Aggregate by")  # no final WHERE
+    # every other conjunct runs at a step: no (further) final WHERE
+    assert lines[len(joins)].startswith(("Aggregate by", "Project"))
+
+
+def test_no_plan_of_the_22_queries_joins_by_cross_product(loaded, monkeypatch):
+    """Equivalence classes give every connected order an equi key, and the
+    search adds a source no key links only when none is left: no plan of
+    the 22 queries — subqueries and derived tables included — has a
+    ``NestedLoop(CROSS)`` step.  In FROM order Q2, Q8 and Q9 had one."""
+    system, data = loaded
+    plans = []
+    plan_joins = executor_module._SelectPlan._plan_joins
+
+    def recording(plan):
+        plan_joins(plan)
+        plans.append(plan)
+
+    monkeypatch.setattr(executor_module._SelectPlan, "_plan_joins", recording)
+    for query_id in QUERY_ORDER:
+        q(system, query_sql(query_id, data.sf))
+    steps = [line for plan in plans for line in plan.describe()]
+    assert any(line.startswith("IndexJoin") for line in steps)
+    assert not [line for line in steps if line.startswith("NestedLoop")]
 
 
 #: the comparison operators a compiled shape covers
