@@ -2602,16 +2602,14 @@ def _cheapest_order(rows, scanned, kept, links) -> list[int]:
     its own filters, and ``links``: per equivalence class it is in, (the
     bit mask of the class's other sources, the distinct count dividing a
     join's fan-out, rows one index lookup fetches or None).  From each
-    start the search adds, greedily, the source whose step
-    (:func:`_step_estimate`) costs least among those an equi key links to
-    the sources so far — a source no key links only when none is left.  A
-    start's total is what its scan fetches and keeps plus its steps'
-    costs; the cheapest total wins, and FROM position breaks every tie.
-    At most n starts × n steps × n candidates, and fewer: the cheapest
-    starts go first, and a start stops once its total passes the best or
-    it joins a set of sources an earlier start joined for less — the rows
-    estimated for a set do not depend on the order that joined it, so
-    neither does the greedy way on from it."""
+    start the search adds, greedily, the source whose step costs least
+    (:func:`_next_step`).  A start's total is what its scan fetches and
+    keeps plus its steps' costs; the cheapest total wins, and FROM position
+    breaks every tie.  At most n starts × n steps, each pricing at most n
+    candidates, and fewer: the cheapest starts go first, and a start stops
+    once its total passes the best or it joins a set of sources an earlier
+    start joined for less — the rows estimated for a set do not depend on
+    the order that joined it, so neither does the greedy way on from it."""
     count = len(rows)
     best: list[int] = list(range(count))
     best_cost = float("inf")
@@ -2624,55 +2622,51 @@ def _cheapest_order(rows, scanned, kept, links) -> list[int]:
         while len(order) < count and total <= best_cost:
             if reached.setdefault(joined, (total, order[:])) < (total, order):
                 break
-            pick = cross = None
-            for candidate in range(count):
-                if joined >> candidate & 1:
-                    continue
-                cost, produced, linked = _step_estimate(
-                    candidate, joined, outer, rows, scanned, kept, links
-                )
-                if linked:
-                    if pick is None or cost < pick_cost:
-                        pick, pick_cost, pick_rows = candidate, cost, produced
-                elif pick is None and (cross is None or cost < cross_cost):
-                    cross, cross_cost, cross_rows = candidate, cost, produced
-            if pick is None:
-                pick, pick_cost, pick_rows = cross, cross_cost, cross_rows
+            pick, cost, outer = _next_step(joined, outer, rows, scanned, kept, links)
             order.append(pick)
             joined |= 1 << pick
-            outer = pick_rows
-            total += pick_cost
+            total += cost
         if len(order) == count and (total, order) < (best_cost, best):
             best, best_cost = order, total
     return best
 
 
-def _step_estimate(source, joined, outer, rows, scanned, kept, links):
-    """(cost, rows produced, linked by an equi key?) of joining ``source``
-    to ``outer`` estimated rows of the sources in bit mask ``joined``.
+def _next_step(joined, outer, rows, scanned, kept, links):
+    """(source, cost, rows produced) of the cheapest step from the sources in
+    bit mask ``joined`` (``outer`` estimated rows): among the sources an
+    equi key links to them, else — a cross product — among all the rest;
+    the earlier FROM position on a tie.
 
-    An equi step's fan-out is the rows ``source`` keeps divided by each
-    linking class's distinct count (System R); a step with no key is a
-    cross product.  It fetches what :meth:`_SelectPlan._join` would: by
-    index lookups when a linking column has an index and the outer side
-    has fewer rows than the table — each such row weighs
-    :data:`_INDEX_FETCH` scanned rows — else by reading the source and
-    hashing the rows its filters keep.  Cost = rows fetched (and hashed) +
-    rows produced."""
-    produced = outer * kept[source]
-    linked = False
-    per_probe = None
-    for others, distinct, probe_rows in links[source]:
-        if others & joined:
-            linked = True
-            produced /= distinct
-            if probe_rows is not None and (per_probe is None or probe_rows < per_probe):
-                per_probe = probe_rows
-    if per_probe is not None and outer < rows[source]:
-        fetched = outer * per_probe * _INDEX_FETCH
-    else:  # read, and the rows kept hashed: what a first step costs too
-        fetched = scanned[source] + kept[source]
-    return fetched + produced, produced, linked
+    An equi step's fan-out is the rows the source keeps divided by each
+    linking class's distinct count (System R).  A step fetches what
+    :meth:`_SelectPlan._join` would: by index lookups when a linking column
+    has an index and the outer side has fewer rows than the table — each
+    such row weighs :data:`_INDEX_FETCH` scanned rows — else by reading the
+    source and hashing the rows its filters keep.  Cost = rows fetched (and
+    hashed) + rows produced."""
+    best = cross = None
+    for source in range(len(rows)):
+        if joined >> source & 1:
+            continue
+        produced = outer * kept[source]
+        linked = False
+        per_probe = None
+        for others, distinct, probe_rows in links[source]:
+            if others & joined:
+                linked = True
+                produced /= distinct
+                if probe_rows is not None and (per_probe is None or probe_rows < per_probe):
+                    per_probe = probe_rows
+        if per_probe is not None and outer < rows[source]:
+            cost = outer * per_probe * _INDEX_FETCH + produced
+        else:  # read, and the rows kept hashed: what a first step costs too
+            cost = scanned[source] + kept[source] + produced
+        if linked:
+            if best is None or cost < best[1]:
+                best = (source, cost, produced)
+        elif best is None and (cross is None or cost < cross[1]):
+            cross = (source, cost, produced)
+    return best or cross
 
 
 def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:

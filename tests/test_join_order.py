@@ -170,9 +170,9 @@ def test_a_single_source_statement_never_reaches_the_estimator(db, monkeypatch):
 
 def test_a_chain_of_twelve_tables_plans_in_bounded_work(monkeypatch):
     """Twelve tables in a chain, written in scrambled order: the search
-    makes at most n³ step estimates (n starts × n steps × n candidates —
-    no enumeration of the 12! orders) and finds a plan with no cross
-    product whose answer is the chain's."""
+    takes at most n² greedy steps (n starts × n steps), each pricing at
+    most n candidates — n³ estimates, no enumeration of the 12! orders —
+    and finds a plan with no cross product whose answer is the chain's."""
     server = DatabaseServer()
     sid = server.connect()
     count = 12
@@ -186,16 +186,17 @@ def test_a_chain_of_twelve_tables_plans_in_bounded_work(monkeypatch):
         + " WHERE " + " AND ".join(f"c{i}.nxt = c{i + 1}.id" for i in range(count - 1))
         + " AND c0.id < 3"
     )
-    estimates = []
-    step_estimate = executor_module._step_estimate
+    steps = []
+    next_step = executor_module._next_step
 
-    def counting(*args):
-        estimates.append(args)
-        return step_estimate(*args)
+    def counting(joined, *args):
+        steps.append(bin(joined).count("1"))  # the sources joined so far
+        return next_step(joined, *args)
 
-    monkeypatch.setattr(executor_module, "_step_estimate", counting)
+    monkeypatch.setattr(executor_module, "_next_step", counting)
     plan = explain(server, sid, sql)
-    assert 0 < len(estimates) <= count ** 3
+    assert 0 < len(steps) <= count ** 2
+    assert sum(count - joined for joined in steps) <= count ** 3  # candidates priced
     assert plan[0].startswith("Join order ")
     assert not any(line.startswith("NestedLoop") for line in plan)
 
