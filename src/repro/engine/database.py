@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.errors import CatalogError, TransactionError
 from repro.engine.locks import LockManager, LockMode, LockStats
+from repro.engine.plancache import PROC_CACHE_CAPACITY, LRUCache, PlanCache
 from repro.engine.schema import TableSchema
 from repro.engine.storage import StableStorage, TableData
 from repro.engine.table import Table
@@ -53,6 +54,11 @@ class Database:
         self.indexes: dict[str, tuple[str, str]] = {}
         self.locks = LockManager(stats=lock_stats)
         self.txns = TransactionManager(seed=txn_seed)
+        #: compiled SELECT plans, shared by every session of this
+        #: incarnation and volatile with it (:mod:`repro.engine.plancache`)
+        self.plans = PlanCache()
+        #: stored procedure text -> its parsed CREATE PROCEDURE, likewise
+        self.procedure_parses = LRUCache(PROC_CACHE_CAPACITY)
         #: the server's :class:`~repro.engine.timetravel.TimeTravelManager`,
         #: attached by ``DatabaseServer._boot`` (None on bare databases).
         #: ``Executor`` routes ``SELECT ... AS OF`` through it.

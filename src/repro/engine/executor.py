@@ -40,18 +40,13 @@ from repro.engine.expressions import (
     Env,
     ExpressionCompiler,
     FLIPPED,
-    PlaceholderList,
+    RunContext,
     Scope,
     is_constant,
     slot_of,
+    statement_memo,
 )
-from repro.engine.plancache import (
-    PROC_CACHE_CAPACITY,
-    EngineMetrics,
-    ExecutorStats,
-    LRUCache,
-    PlanCache,
-)
+from repro.engine.plancache import EngineMetrics, ExecutorStats
 from repro.engine.results import ResultSet, StatementResult
 from repro.engine.schema import Column, schema_from_ast, type_spec_to_sql_type
 from repro.engine.table import Table
@@ -140,24 +135,10 @@ class Executor:
     ):
         self.database = database
         self.session = session  # repro.engine.session.Session
-        #: stored procedure text -> its parsed CREATE PROCEDURE.  Primed by
-        #: CREATE (the statement in hand *is* the parse of the text stored),
-        #: filled by a cold EXEC; volatile, like the session that owns it.
-        self._proc_cache = LRUCache(PROC_CACHE_CAPACITY)
         #: shared server-wide counters (a private set when standalone)
         self.metrics = metrics if metrics is not None else EngineMetrics()
         #: access-path / pipeline counters (shared server-wide when wired)
         self.stats = stats if stats is not None else ExecutorStats()
-        #: compiled-plan reuse for repeated top-level SELECTs
-        self._plan_cache = PlanCache()
-        #: while a plan is being compiled for the cache: (name, what it
-        #: resolved to) for every table or view name the plan binds
-        self._bindings: list[tuple[str, Any]] | None = None
-        #: statement epoch, bumped at every top-level SELECT entry; compiled
-        #: closures capture this cell so "once per statement" memos (uncorrelated
-        #: subqueries, derived tables, views) recompute when a cached plan is
-        #: re-run — see expressions._statement_memo.
-        self._epoch_cell: list[int] = [0]
 
     # ------------------------------------------------------------ entry point
 
@@ -203,12 +184,10 @@ class Executor:
                         else (" ALL" if stmt.select.all_flags[i - 1] else "")
                     )
                     lines.append(f"Union{flag} part {i + 1}:")
-                    part_plan = _SelectPlan(self, part, params or {}, placeholders or [], None)
+                    part_plan = _SelectPlan(_Planner(self, params or {}), part, None)
                     lines.extend("  " + line for line in part_plan.describe())
             else:
-                plan = _SelectPlan(
-                    self, stmt.select, params or {}, placeholders or [], None
-                )
+                plan = _SelectPlan(_Planner(self, params or {}), stmt.select, None)
                 lines = plan.describe()
             return StatementResult.rows(
                 ResultSet(
@@ -227,12 +206,13 @@ class Executor:
         txn = self._begin_txn() if autocommit else self.session.current_txn
         statement_mark = len(txn.records)
         try:
-            bound = PlaceholderList(placeholders or [])
-            result = self._execute_mutation(stmt, txn, params or {}, bound)
+            run = RunContext(self, placeholders or [], params or {})
+            planner = _Planner(self, run.params)
+            result = self._execute_mutation(stmt, txn, planner, run)
             # a ?-template needing more values than were bound must error
             # even when no row was touched (e.g. a filter over an empty
             # table); the raise lands in the rollback path below
-            bound.check_bound()
+            _check_bound(planner.required, run.placeholders)
         except BaseException as exc:
             if self.database.dead:
                 # The server crashed out from under this statement (e.g. a
@@ -316,21 +296,23 @@ class Executor:
         drop the parse that was primed for it."""
         for record in records:
             if record.type is RecordType.CREATE_PROC:
-                self._proc_cache.pop(record.proc_sql)
+                self.database.procedure_parses.pop(record.proc_sql)
 
     # ------------------------------------------------------------ mutation dispatch
 
     def _execute_mutation(
-        self, stmt: ast.Statement, txn, params: dict[str, Any], placeholders: list
+        self, stmt: ast.Statement, txn, planner: "_Planner", run: RunContext
     ) -> StatementResult:
+        """Run a mutation: ``planner`` compiles its expressions, ``run``
+        holds the values they read."""
         if isinstance(stmt, (ast.Select, ast.UnionSelect)):  # SELECT ... INTO
-            return self._select_into(stmt, txn, params, placeholders)
+            return self._select_into(stmt, txn, run)
         if isinstance(stmt, ast.Insert):
-            return self._insert(stmt, txn, params, placeholders)
+            return self._insert(stmt, txn, planner, run)
         if isinstance(stmt, ast.Update):
-            return self._update(stmt, txn, params, placeholders)
+            return self._update(stmt, txn, planner, run)
         if isinstance(stmt, ast.Delete):
-            return self._delete(stmt, txn, params, placeholders)
+            return self._delete(stmt, txn, planner, run)
         if isinstance(stmt, ast.CreateTable):
             return self._create_table(stmt, txn)
         if isinstance(stmt, ast.DropTable):
@@ -348,7 +330,7 @@ class Executor:
         if isinstance(stmt, ast.DropProcedure):
             return self._drop_procedure(stmt, txn)
         if isinstance(stmt, ast.ExecProcedure):
-            return self._exec_procedure(stmt, txn, params, placeholders)
+            return self._exec_procedure(stmt, txn, planner, run)
         raise NotSupportedError(f"statement {type(stmt).__name__} is not supported")
 
     # ------------------------------------------------------------ name resolution
@@ -394,19 +376,6 @@ class Executor:
         if table is not None:
             return (table, table.version)
         return self.database.views.get(lowered)
-
-    def bind(self, name: str, params: dict[str, Any]) -> None:
-        """A plan under compilation resolves ``name``: a cached plan keeps
-        what it found, and is valid while :meth:`_binding` finds the same."""
-        if self._bindings is not None:
-            self._bindings.append((name, self._binding(name, params)))
-
-    def clear_caches(self) -> None:
-        """Drop every compiled plan and parsed procedure.  Their closures
-        hold the tables they read, and this executor holds them: cleared, a
-        dead engine is freed by reference count, not by the collector."""
-        self._plan_cache.clear()
-        self._proc_cache.clear()
 
     # ------------------------------------------------------------ DDL
 
@@ -459,7 +428,7 @@ class Executor:
             raise CatalogError(f"name {name} is already in use")
         # plan the defining query now: unknown tables/columns fail at
         # CREATE VIEW time, not first use (and the column list must fit)
-        meta = _SelectPlan(self, stmt.select, {}, [], None)
+        meta = _SelectPlan(_Planner(self, {}), stmt.select, None)
         if stmt.columns and len(stmt.columns) != len(meta.output_columns):
             raise CatalogError(
                 f"view {name} names {len(stmt.columns)} columns but its query "
@@ -500,26 +469,26 @@ class Executor:
             self.database.create_procedure(txn, name, source)
         # EXEC looks the procedure up by the text just stored, and ``stmt`` is
         # what parsing that text yields: keep it, so the EXEC parses nothing
-        self._proc_cache.put(source, stmt)
+        self.database.procedure_parses.put(source, stmt)
         return StatementResult.ok(f"CREATE PROCEDURE {name}")
 
     def _drop_procedure(self, stmt: ast.DropProcedure, txn) -> StatementResult:
         name = stmt.name.lower()
         if name in self.session.temp_procedures:
-            self._proc_cache.pop(self.session.temp_procedures.pop(name))
+            self.database.procedure_parses.pop(self.session.temp_procedures.pop(name))
             return StatementResult.ok(f"DROP PROCEDURE {name}")
         if not self.database.has_procedure(name):
             if stmt.if_exists:
                 return StatementResult.ok(f"procedure {name} absent")
             raise CatalogError(f"procedure {name} does not exist")
-        self._proc_cache.pop(self.database.get_procedure(name))
+        self.database.procedure_parses.pop(self.database.get_procedure(name))
         self.database.drop_procedure(txn, name)
         return StatementResult.ok(f"DROP PROCEDURE {name}")
 
     # ------------------------------------------------------------ procedures
 
     def _exec_procedure(
-        self, stmt: ast.ExecProcedure, txn, params: dict[str, Any], placeholders: list
+        self, stmt: ast.ExecProcedure, txn, planner: "_Planner", run: RunContext
     ) -> StatementResult:
         name = stmt.name.lower()
         source = self.session.temp_procedures.get(name) or (
@@ -527,7 +496,8 @@ class Executor:
         )
         if source is None:
             raise CatalogError(f"procedure {name} does not exist")
-        proc = self._proc_cache.get(source)
+        parses = self.database.procedure_parses
+        proc = parses.get(source)
         if proc is None:
             from repro.sql import parse
 
@@ -535,17 +505,14 @@ class Executor:
             if not isinstance(parsed, ast.CreateProcedure):
                 raise CatalogError(f"stored text of {name} is not a procedure")
             proc = parsed
-            self._proc_cache.put(source, proc)
+            parses.put(source, proc)
         if len(stmt.args) != len(proc.params):
             raise ProgrammingError(
                 f"procedure {name} expects {len(proc.params)} args, got {len(stmt.args)}"
             )
         # Evaluate call arguments in a rowless scope (constants / outer params).
-        scope = Scope()
-        compiler = ExpressionCompiler(
-            scope, self, params=params, placeholders=placeholders
-        )
-        env = Env(values=[])
+        compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
+        env = Env([], run=run)
         bound: dict[str, Any] = {}
         for (pname, ptype), arg in zip(proc.params, stmt.args):
             value = compiler.compile(arg)(env)
@@ -562,7 +529,9 @@ class Executor:
                     self.execute_select(body_stmt, params=bound)
                 )
             else:
-                result = self._execute_mutation(body_stmt, txn, bound, [])
+                result = self._execute_mutation(
+                    body_stmt, txn, _Planner(self, bound), RunContext(self, [], bound)
+                )
                 into_columns = result.extra.get("into_columns", into_columns)
         if into_columns is not None:
             # the description of the body's last SELECT ... INTO rides with
@@ -573,7 +542,7 @@ class Executor:
     # ------------------------------------------------------------ DML
 
     def _insert(
-        self, stmt: ast.Insert, txn, params: dict[str, Any], placeholders: list
+        self, stmt: ast.Insert, txn, planner: "_Planner", run: RunContext
     ) -> StatementResult:
         table, is_temp = self.resolve_table(stmt.table)
         schema = table.schema
@@ -594,14 +563,15 @@ class Executor:
 
         count = 0
         if stmt.select is not None:
-            result = self.execute_select(stmt.select, params=params, placeholders=placeholders)
+            result = self.execute_select(
+                stmt.select, params=run.params, placeholders=run.placeholders
+            )
             for row in result.rows:
                 self._insert_row(table, is_temp, txn, make_full_row(list(row)))
                 count += 1
         else:
-            scope = Scope()
-            compiler = ExpressionCompiler(scope, self, params=params, placeholders=placeholders)
-            env = Env(values=[])
+            compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
+            env = Env([], run=run)
             for row_exprs in stmt.rows or []:
                 values = [compiler.compile(e)(env) for e in row_exprs]
                 self._insert_row(table, is_temp, txn, make_full_row(values))
@@ -614,7 +584,7 @@ class Executor:
         else:
             self.database.insert_row(txn, table.name, full_row)
 
-    def _dml_lock_candidates(self, txn, table: Table, is_temp: bool, where, compiler, scope):
+    def _dml_lock_candidates(self, txn, table: Table, is_temp: bool, where, compiler, scope, run):
         """Lock and return the (rowid, row) candidates of an UPDATE/DELETE.
 
         The access path is the SELECT planner's (:func:`_index_probe`),
@@ -637,7 +607,7 @@ class Executor:
         scan is evaluated.
         """
         probe = _index_probe(table, 0, _split_conjuncts(where), scope, compiler)
-        env = Env(values=[None] * scope.slot_count)
+        env = Env([None] * scope.slot_count, run=run)
 
         def candidates() -> list[tuple[int, tuple]]:
             rowids = None if probe is None else _probe_rowids(table, probe, env, self.stats)
@@ -661,13 +631,13 @@ class Executor:
             locked.update(fresh)
 
     def _update(
-        self, stmt: ast.Update, txn, params: dict[str, Any], placeholders: list
+        self, stmt: ast.Update, txn, planner: "_Planner", run: RunContext
     ) -> StatementResult:
         table, is_temp = self.resolve_table(stmt.table)
         schema = table.schema
         scope = Scope()
         scope.add_source(stmt.table, schema.column_names)
-        compiler = ExpressionCompiler(scope, self, params=params, placeholders=placeholders)
+        compiler = ExpressionCompiler(scope, planner, params=planner.params)
         where = compiler.compile_predicate(stmt.where) if stmt.where is not None else None
         assignments = [
             (schema.column_index(col.lower()), compiler.compile(expr))
@@ -683,13 +653,13 @@ class Executor:
         # scan must not chase its own writes.
         targets: list[tuple[int, tuple]] = []
         for rowid, row in self._dml_lock_candidates(
-            txn, table, is_temp, stmt.where, compiler, scope
+            txn, table, is_temp, stmt.where, compiler, scope, run
         ):
-            env = Env(values=list(row))
+            env = Env(list(row), run=run)
             if where is None or where(env) is True:
                 targets.append((rowid, row))
         for rowid, row in targets:
-            env = Env(values=list(row))
+            env = Env(list(row), run=run)
             new_row = list(row)
             for index, value_fn in assignments:
                 new_row[index] = value_fn(env)
@@ -700,12 +670,12 @@ class Executor:
         return StatementResult.count(len(targets), f"UPDATE {len(targets)}")
 
     def _delete(
-        self, stmt: ast.Delete, txn, params: dict[str, Any], placeholders: list
+        self, stmt: ast.Delete, txn, planner: "_Planner", run: RunContext
     ) -> StatementResult:
         table, is_temp = self.resolve_table(stmt.table)
         scope = Scope()
         scope.add_source(stmt.table, table.schema.column_names)
-        compiler = ExpressionCompiler(scope, self, params=params, placeholders=placeholders)
+        compiler = ExpressionCompiler(scope, planner, params=planner.params)
         where = compiler.compile_predicate(stmt.where) if stmt.where is not None else None
         # Same lock-before-scan rule as UPDATE: the candidate set must not
         # reflect another transaction's uncommitted rows.  Keyed point
@@ -713,9 +683,9 @@ class Executor:
         targets = [
             rowid
             for rowid, row in self._dml_lock_candidates(
-                txn, table, is_temp, stmt.where, compiler, scope
+                txn, table, is_temp, stmt.where, compiler, scope, run
             )
-            if where is None or where(Env(values=list(row))) is True
+            if where is None or where(Env(list(row), run=run)) is True
         ]
         for rowid in targets:
             if is_temp:
@@ -725,11 +695,7 @@ class Executor:
         return StatementResult.count(len(targets), f"DELETE {len(targets)}")
 
     def _select_into(
-        self,
-        stmt: "ast.Select | ast.UnionSelect",
-        txn,
-        params: dict[str, Any],
-        placeholders: list,
+        self, stmt: "ast.Select | ast.UnionSelect", txn, run: RunContext
     ) -> StatementResult:
         """``SELECT ... INTO t`` — materialize the result of any query the
         executor can run (a UNION, an ``AS OF`` read of the past: the rows
@@ -738,10 +704,10 @@ class Executor:
         table stores uniquified column names; the reply describes the
         query's own (``into_columns``)."""
         assert stmt.into is not None
-        target = self.table_name(stmt.into, params)
+        target = self.table_name(stmt.into, run.params)
         if target is not stmt.into and not _TABLE_NAME.fullmatch(target):
             raise ProgrammingError(f"parameter {stmt.into} names no table it could create: {target!r}")
-        result = self.execute_select(stmt, params=params, placeholders=placeholders)
+        result = self.execute_select(stmt, params=run.params, placeholders=run.placeholders)
         schema = result.to_schema(target.lower())
         if self.table_exists(schema.name):
             raise CatalogError(f"table {schema.name} already exists")
@@ -766,44 +732,24 @@ class Executor:
         *,
         params: dict[str, Any] | None = None,
         placeholders: list | None = None,
-        outer_scope: Scope | None = None,
-        outer_env: Env | None = None,
     ) -> ResultSet:
-        """Run the full SELECT pipeline and return a materialized result."""
-        top_level = outer_scope is None and outer_env is None
-        if (
-            top_level
-            and getattr(select, "as_of", None) is not None
-            and getattr(self, "as_of_cut", None) is None
-        ):
+        """Run a top-level SELECT through the database's plan cache and
+        return a materialized result."""
+        if getattr(select, "as_of", None) is not None and getattr(self, "as_of_cut", None) is None:
             # Point-in-time query: route to the snapshot executor for the
             # cut.  Snapshot executors carry ``as_of_cut`` — they already
             # *are* the requested moment, so they fall through and run the
             # same AST normally (the as_of field is resolved, not recursed
             # on).
             return self._execute_as_of(select, params=params, placeholders=placeholders)
-        if top_level:
-            # new statement epoch: per-statement memos inside any reused
-            # compiled plan (uncorrelated subqueries, derived tables, views)
-            # must recompute so intervening DML is visible.
-            self._epoch_cell[0] += 1
-            # The compiled plan reads ``?`` from its shared placeholder list
-            # and ``@name`` from its shared parameter dict at run time, so
-            # rebinding the two re-parameterizes the cached plan without a
-            # recompile: the template (of a request or of a procedure body)
-            # keys the cache.
-            runner = self._cached_runner(select, params or {})
-            runner.placeholders[:] = placeholders or []
-            runner.placeholders.check_bound()
-            return runner.run(None)
-        bound = PlaceholderList(placeholders or [])
-        if isinstance(select, ast.UnionSelect):
-            runner = _UnionRunner(self, select, params or {}, bound, outer_scope)
-            bound.check_bound()
-            return runner.run(outer_env)
-        plan = _SelectPlan(self, select, params or {}, bound, outer_scope)
-        bound.check_bound()
-        return plan.run(outer_env)
+        params = params or {}
+        placeholders = placeholders or []
+        # The compiled plan reads ``?`` and ``@name`` from the run context
+        # it is handed, so the template (of a request or of a procedure
+        # body) keys the cache and no value is bound into the plan.
+        runner = self._cached_runner(select, params)
+        _check_bound(runner.placeholders_required, placeholders)
+        return runner.run(Env([], run=RunContext(self, placeholders, params)))
 
     def _execute_as_of(
         self,
@@ -828,72 +774,98 @@ class Executor:
         )
 
     def _cached_runner(self, select: "ast.Select | ast.UnionSelect", params: dict[str, Any]):
-        """Compiled plan for a top-level SELECT with ``params`` bound,
-        reused across executions while every name it resolved stands for
+        """Compiled plan for a top-level SELECT, from the database's plan
+        cache while every name it resolved stands, in this session, for
         what it stood for (see :meth:`_binding`).  Keys are statement object
         identities — the server-side parse cache returns the *same* AST
         objects for repeated SQL text, the procedure cache for repeated
         ``EXEC``s, and the entry pins the statement so the id stays
         unambiguous."""
-        runner = self._plan_cache.lookup(
-            select, lambda name: self._binding(name, params), self.metrics
-        )
-        if runner is not None:
-            runner.params.update(params)  # same names every time: the procedure's
-            return runner
-        own = dict(params)  # the plan's container, rebound above from now on
-        self._bindings = bindings = []
-        try:
-            if isinstance(select, ast.UnionSelect):
-                runner = _UnionRunner(self, select, own, PlaceholderList(), None)
-            else:
-                runner = _SelectPlan(self, select, own, PlaceholderList(), None)
-        finally:
-            self._bindings = None
-        self._plan_cache.store(select, bindings, runner)
+        plans = self.database.plans
+        runner = plans.lookup(select, lambda name: self._binding(name, params), self.metrics)
+        if runner is None:
+            planner = _Planner(self, params, cached=True)
+            runner = _compile(planner, select, None)
+            plans.store(select, planner.bindings, runner, planner.sizes)
         return runner
+
+
+class _Planner:
+    """What compiling one statement reads and records.  It lives for one
+    compile: no plan keeps it, so a compiled plan holds no session.
+
+    ``executor`` is the compiling session's — names resolve in its session.
+    ``params`` are the ``@name`` values in force: their names are what the
+    statement may read, and a table parameter's value names the table whose
+    columns ``FROM @t`` is compiled against.  ``required`` counts the ``?``
+    values the statement needs.  For a plan compiled for the cache,
+    ``bindings`` and ``sizes`` collect what its validity rests on
+    (:class:`~repro.engine.plancache.PlanCache`).
+    """
+
+    def __init__(self, executor: Executor, params: dict[str, Any], cached: bool = False):
+        self.executor = executor
+        self.params = params
+        self.required = 0
+        #: (name, what it resolved to) per FROM name; None when not cached
+        self.bindings: list[tuple[str, Any]] | None = [] if cached else None
+        #: (table, its row count now) per table bound
+        self.sizes: list[tuple[Table, int]] = []
+
+    def bind(self, name: str) -> None:
+        """The plan resolves ``name``: a cached plan keeps what it found,
+        and is valid while :meth:`Executor._binding` finds the same."""
+        if self.bindings is None:
+            return
+        bound = self.executor._binding(name, self.params)
+        self.bindings.append((name, bound))
+        if name[0] != "@" and isinstance(bound, tuple):  # (table, version)
+            self.sizes.append((bound[0], bound[0].row_count()))
 
     # -- SubqueryRunner protocol ------------------------------------------------
 
-    def prepare_subquery(
-        self, select: ast.Select, scope: Scope, params: dict[str, Any], placeholders: list
-    ):
+    def prepare_subquery(self, select: ast.Select, scope: Scope):
         """Plan a subquery once against ``scope``; returns (rows_fn,
         correlated).  ``rows_fn(env)`` re-runs the compiled plan with the
         outer row's environment — compilation happens exactly once per
-        statement, which is what makes correlated subqueries affordable.
-        ``params`` and ``placeholders`` are the enclosing statement's own
-        containers, so rebinding them reaches the subquery too."""
-        if isinstance(select, ast.UnionSelect):
-            runner = _UnionRunner(self, select, params, placeholders, scope)
-
-            def union_rows(env: Env) -> list[tuple]:
-                return runner.run(env).rows
-
-            return union_rows, runner.correlated
-        plan = _SelectPlan(self, select, params, placeholders, scope)
+        statement, which is what makes correlated subqueries affordable."""
+        plan = _compile(self, select, scope)
 
         def rows_fn(env: Env) -> list[tuple]:
             return plan.run(env).rows
 
+        if isinstance(plan, _UnionRunner):
+            return rows_fn, plan.correlated
         return rows_fn, plan.scope.used_parent
 
 
-class _SelectPlan:
-    """One compiled SELECT: scope, compiled filters, and the row pipeline."""
+def _compile(planner: _Planner, select: "ast.Select | ast.UnionSelect", outer_scope: Scope | None):
+    """The plan of a SELECT or a UNION, with ``outer_scope`` as its outer
+    level."""
+    if isinstance(select, ast.UnionSelect):
+        return _UnionRunner(planner, select, outer_scope)
+    return _SelectPlan(planner, select, outer_scope)
 
-    def __init__(
-        self,
-        executor: Executor,
-        select: ast.Select,
-        params: dict[str, Any],
-        placeholders: list,
-        outer_scope: Scope | None,
-    ):
-        self.executor = executor
+
+def _check_bound(required: int, placeholders: list) -> None:
+    """Refuse a run given fewer ``?`` values than the statement needs."""
+    if len(placeholders) < required:
+        raise ProgrammingError(
+            f"statement has placeholder ?{required} but only "
+            f"{len(placeholders)} values were bound"
+        )
+
+
+class _SelectPlan:
+    """One compiled SELECT: scope, compiled filters, and the row pipeline.
+
+    Immutable once compiled and free of any session: a run reads what
+    varies from the :class:`~repro.engine.expressions.RunContext` of the
+    environment it is handed, so one plan serves every session of its
+    database, interleaved runs included."""
+
+    def __init__(self, planner: _Planner, select: ast.Select, outer_scope: Scope | None):
         self.select = select
-        self.params = params
-        self.placeholders = placeholders
         #: name resolution for this query level; its ``used_parent`` says
         #: whether the query is correlated
         self.scope = Scope(parent=outer_scope)
@@ -901,102 +873,82 @@ class _SelectPlan:
         self.slot_columns: list[Column] = []
         #: (binding, rows supplier) in scope order — the order the joins run
         self.sources: list[_Source] = []
-        self._register_from(select.from_)
+        self._register_from(planner, select.from_)
         #: the bindings in the order the FROM list names them: ``*`` expands so
         self.from_bindings = [source.binding for source in self.sources]
         self._plan_join_order()
-        self.compiler = ExpressionCompiler(
-            self.scope, executor, params=params, placeholders=placeholders
-        )
-        self._plan_joins()
-        self._plan_projection()
+        compiler = ExpressionCompiler(self.scope, planner, params=planner.params)
+        self._plan_joins(compiler)
+        self._plan_projection(planner, compiler)
         self._plan_topk()
-        executor.stats.compiled_plans += 1
+        #: the ``?`` values a run needs: those of the whole statement on a
+        #: top-level plan, compiled last
+        self.placeholders_required = planner.required
+        planner.executor.stats.compiled_plans += 1
 
     # -- FROM ---------------------------------------------------------------
 
-    def _register_from(self, ref: ast.TableRef | None) -> None:
+    def _register_from(self, planner: _Planner, ref: ast.TableRef | None) -> None:
         if ref is None:
             return
         if isinstance(ref, ast.TableName):
-            self.executor.bind(ref.name.lower(), self.params)
+            executor = planner.executor
+            planner.bind(ref.name.lower())
             if ref.name[0] == "@":
-                self._register_table_parameter(ref)
+                self._register_table_parameter(planner, ref)
                 return
-            if not self.executor.table_exists(ref.name):
-                view = self.executor.view_definition(ref.name)
+            if not executor.table_exists(ref.name):
+                view = executor.view_definition(ref.name)
                 if view is not None:
-                    self._register_view(ref, view)
+                    self._register_view(planner, ref, view)
                     return
-            table, _ = self.executor.resolve_table(ref.name)
+            table, _ = executor.resolve_table(ref.name)
             binding = (ref.alias or ref.name).lower()
-            self._add_source(_Source(binding, table.rows, table.schema.columns, table=table))
+            rows = table.rows
+            self._add_source(
+                _Source(binding, lambda env: rows(), table.schema.columns, table=table)
+            )
             return
         if isinstance(ref, ast.SubquerySource):
             # Derived tables are planned now (their column metadata becomes
             # scope slots) and evaluated lazily once per statement — they
             # cannot see sibling FROM items, only the statement's outer scope.
-            if isinstance(ref.select, ast.UnionSelect):
-                meta = _UnionRunner(
-                    self.executor, ref.select, self.params, self.placeholders, self.scope.parent
-                )
-            else:
-                meta = _SelectPlan(
-                    self.executor, ref.select, self.params, self.placeholders, self.scope.parent
-                )
+            meta = _compile(planner, ref.select, self.scope.parent)
             columns = [Column(c.name, c.type, length=c.length) for c in meta.output_columns]
-            holder: dict[str, Any] = {}
-            epoch_cell = self.executor._epoch_cell
-
-            def derived_rows_cached() -> list[tuple]:
-                # memoized per statement epoch, not per plan object: a cached
-                # plan re-run after DML must re-evaluate the derived table.
-                if holder.get("epoch") != epoch_cell[0]:
-                    holder["r"] = meta.run(None).rows
-                    holder["epoch"] = epoch_cell[0]
-                return holder["r"]
-
-            self._add_source(_Source(ref.alias.lower(), derived_rows_cached, columns))
+            self._add_source(_Source(ref.alias.lower(), _once_per_run(meta), columns))
             return
         if isinstance(ref, ast.Join):
-            self._register_from(ref.left)
-            self._register_from(ref.right)
+            self._register_from(planner, ref.left)
+            self._register_from(planner, ref.right)
             return
         raise NotSupportedError(f"FROM element {type(ref).__name__}")
 
-    def _register_table_parameter(self, ref: ast.TableName) -> None:
+    def _register_table_parameter(self, planner: _Planner, ref: ast.TableName) -> None:
         """``FROM @t``: the plan binds the *columns* of the table the
-        argument names and finds the table again at each run, so one plan
-        serves every table of that shape.  No index path: an index belongs
-        to one table."""
-        executor, params = self.executor, self.params
+        argument names and finds the table again at each run, in the
+        running session, so one plan serves every table of that shape.  No
+        index path: an index belongs to one table."""
+        name = ref.name
+        executor = planner.executor
+        columns = executor.resolve_table(executor.table_name(name, planner.params))[0].schema.columns
 
-        def table() -> Table:
-            return executor.resolve_table(executor.table_name(ref.name, params))[0]
+        def rows(env: Env) -> list[tuple]:
+            run = env.run
+            return run.executor.resolve_table(run.executor.table_name(name, run.params))[0].rows()
 
-        binding = (ref.alias or ref.name).lower()
-        self._add_source(_Source(binding, lambda: table().rows(), table().schema.columns))
+        self._add_source(_Source((ref.alias or name).lower(), rows, columns))
 
-    def _register_view(self, ref: ast.TableName, view: ast.CreateView) -> None:
+    def _register_view(self, planner: _Planner, ref: ast.TableName, view: ast.CreateView) -> None:
         """Expand a view reference as a derived table (planned once,
         evaluated lazily once per statement), applying the view's declared
         column names."""
-        meta = _SelectPlan(self.executor, view.select, self.params, self.placeholders, None)
+        meta = _SelectPlan(planner, view.select, None)
         names = view.columns or [c.name for c in meta.output_columns]
         binding = (ref.alias or ref.name).lower()
         columns = [
             Column(name, c.type, length=c.length) for name, c in zip(names, meta.output_columns)
         ]
-        holder: dict[str, Any] = {}
-        epoch_cell = self.executor._epoch_cell
-
-        def view_rows() -> list[tuple]:
-            if holder.get("epoch") != epoch_cell[0]:
-                holder["r"] = meta.run(None).rows
-                holder["epoch"] = epoch_cell[0]
-            return holder["r"]
-
-        self._add_source(_Source(binding, view_rows, columns))
+        self._add_source(_Source(binding, _once_per_run(meta), columns))
 
     def _add_source(self, source: "_Source") -> None:
         """Append ``source`` to the scope, its columns, and the sources."""
@@ -1311,7 +1263,7 @@ class _SelectPlan:
         memo[slot] = found
         return found
 
-    def _plan_joins(self) -> None:
+    def _plan_joins(self, compiler: ExpressionCompiler) -> None:
         """Plan the join pipeline: where each conjunct runs, and how each
         step finds its inner rows.
 
@@ -1365,7 +1317,7 @@ class _SelectPlan:
         self.folded_false = False
 
         def place(conjunct: ast.Expr) -> None:
-            fn, correlated = self.compiler.compile_conjunct(conjunct)
+            fn, correlated = compiler.compile_conjunct(conjunct)
             if correlated:
                 final.append(fn)
                 return
@@ -1387,7 +1339,7 @@ class _SelectPlan:
                 if kinds[index] != "LEFT":
                     place(conjunct)
                     continue
-                fn, correlated = self.compiler.compile_conjunct(conjunct)
+                fn, correlated = compiler.compile_conjunct(conjunct)
                 local = not correlated and self._sources_read(conjunct) <= {index}
                 at_step[index].append((conjunct, fn, local))
         for conjunct in _split_conjuncts(self.select.where) + self.implied:
@@ -1430,7 +1382,7 @@ class _SelectPlan:
                     self.source_ranges[index][0],
                     [conjunct for conjunct, _fn, own in at_step[index] if own],
                     self.scope,
-                    self.compiler,
+                    compiler,
                 )
             if table is not None and probe is None and index > 0:
                 lookup = _lookup_probe(table, equi)
@@ -1508,7 +1460,7 @@ class _SelectPlan:
             items.append((expr, name.lower()))
         return items
 
-    def _plan_projection(self) -> None:
+    def _plan_projection(self, planner: _Planner, compiler: ExpressionCompiler) -> None:
         select = self.select
         self.items = self._expand_items()
         self.aliases = {
@@ -1535,13 +1487,9 @@ class _SelectPlan:
             agg_slots: dict[int, int] = {}
             for node in agg_nodes:
                 agg_slots[id(node)] = self.scope.add_synthetic_slot()
-            self._plan_grouping([self.compiler.compile(e) for e in group_exprs])
+            self._plan_grouping(compiler, [compiler.compile(e) for e in group_exprs])
             post_compiler = ExpressionCompiler(
-                self.scope,
-                self.executor,
-                agg_slots=agg_slots,
-                params=self.params,
-                placeholders=self.placeholders,
+                self.scope, planner, agg_slots=agg_slots, params=planner.params
             )
             self.item_fns = [post_compiler.compile(expr) for expr, _ in self.items]
             self.having_fn = (
@@ -1553,9 +1501,9 @@ class _SelectPlan:
         else:
             if select.having is not None:
                 raise ProgrammingError("HAVING requires GROUP BY or aggregates")
-            self.item_fns = [self.compiler.compile(expr) for expr, _ in self.items]
+            self.item_fns = [compiler.compile(expr) for expr, _ in self.items]
             self.having_fn = None
-            self.order_fns = self._compile_order(self.compiler)
+            self.order_fns = self._compile_order(compiler)
         #: the select list's slots when every item is a column of the row:
         #: the output rows are then one ``itemgetter`` over the rows, not a
         #: closure call per item and row
@@ -1569,7 +1517,7 @@ class _SelectPlan:
             for expr, name in self.items
         ]
 
-    def _plan_grouping(self, key_fns: list[CompiledExpr]) -> None:
+    def _plan_grouping(self, compiler: ExpressionCompiler, key_fns: list[CompiledExpr]) -> None:
         """How :meth:`_run_grouped` keys a row and reads each aggregate's
         arguments: through ``itemgetter`` where they are columns of the row,
         through the compiled closures elsewhere."""
@@ -1581,7 +1529,7 @@ class _SelectPlan:
         #: order; ``count(*)`` counts the rows themselves
         self.agg_args = [
             (lambda rows, env: rows) if node.star
-            else _values_of(self.compiler.compile(node.args[0]))
+            else _values_of(compiler.compile(node.args[0]))
             for node in self.agg_nodes
         ]
         self.agg_folds = [
@@ -1749,12 +1697,14 @@ class _SelectPlan:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self, outer_env: Env | None) -> ResultSet:
+    def run(self, outer_env: Env) -> ResultSet:
+        """Run the plan for the outer row ``outer_env`` (a rowless one at
+        the top level), whose run context carries what the run reads."""
         out_rows = self._run_rows(outer_env)
-        self.executor.stats.rows_returned += len(out_rows)
+        outer_env.run.stats.rows_returned += len(out_rows)
         return ResultSet(self.output_columns, out_rows)
 
-    def _run_rows(self, outer_env: Env | None) -> list[tuple]:
+    def _run_rows(self, outer_env: Env) -> list[tuple]:
         if self._passes_no_row(outer_env):
             # nothing is read, but an aggregate without GROUP BY still
             # answers its one row over no input
@@ -1777,7 +1727,7 @@ class _SelectPlan:
             rows = kept
 
         if self.grouped:
-            out_rows = self._run_grouped(rows, outer_env)
+            out_rows, rows = self._run_grouped(rows, outer_env)
         else:
             slots = self.project_slots
             if slots is None:
@@ -1792,11 +1742,10 @@ class _SelectPlan:
                 out_rows = [(r[slot],) for r in rows]
             else:
                 out_rows = list(map(itemgetter(*slots), rows))
-            self._ordering_rows = rows  # parallel to out_rows, for ORDER BY
+        # ``rows`` are parallel to ``out_rows``: what ORDER BY reads
+        return self._order_distinct_limit(out_rows, rows, outer_env)
 
-        return self._order_distinct_limit(out_rows, outer_env)
-
-    def _passes_no_row(self, outer_env: Env | None) -> bool:
+    def _passes_no_row(self, outer_env: Env) -> bool:
         """Did WHERE fold to not-true, or is a conjunct that reads no row
         not true for this run?"""
         if self.folded_false:
@@ -1806,7 +1755,7 @@ class _SelectPlan:
         probe_env = _env([None] * self.scope.slot_count, outer_env)
         return self.constant_filter(probe_env) is not True
 
-    def _run_topk(self, outer_env: Env | None) -> list[tuple]:
+    def _run_topk(self, outer_env: Env) -> list[tuple]:
         """Index-ordered top-k: stream rowids in ORDER BY order (optionally
         restricted to the range probe's slice of the index) and stop at
         offset+limit accepted rows — no materialize, no sort."""
@@ -1817,7 +1766,7 @@ class _SelectPlan:
         source = self.sources[0]
         table = source.table
         step = self.join_steps[0]
-        stats = self.executor.stats
+        stats = outer_env.run.stats
         if step.probe is not None:  # range probe on the ORDER BY column
             bounds = _range_probe_bounds(
                 table, step.probe, _env([None] * self.scope.slot_count, outer_env)
@@ -1858,7 +1807,7 @@ class _SelectPlan:
         stats.topk_shortcuts += 1
         return out[offset:] if offset else out
 
-    def _source_rows(self, outer_env: Env | None) -> list[tuple]:
+    def _source_rows(self, outer_env: Env) -> list[tuple]:
         """Join pipeline: the first source's rows its local filters keep,
         then one :meth:`_join` per further source.  A row is a tuple of the
         sources' values so far: a stored row is shared, not copied, and a
@@ -1874,7 +1823,7 @@ class _SelectPlan:
             rows.sort(key=self.restore)
         return rows
 
-    def _inner_rows(self, index: int, outer_env: Env | None) -> list[tuple]:
+    def _inner_rows(self, index: int, outer_env: Env) -> list[tuple]:
         """Every row of source ``index`` its local filters keep, in scan
         order: what its constant index probe finds, else the whole source.
         A row of a positioned source carries its position among them."""
@@ -1883,9 +1832,9 @@ class _SelectPlan:
         if step.probe is not None:
             found = self._probe_rows(source, step.probe, outer_env)
         if found is None:
-            found = source.rows_fn()
+            found = source.rows_fn(outer_env)
         if source.table is not None:
-            self.executor.stats.rows_scanned += len(found)
+            outer_env.run.stats.rows_scanned += len(found)
         positioned = self.positioned[index]
         keep = self._local_filter(index, outer_env, positions=positioned)
         if keep is not None:
@@ -1894,7 +1843,7 @@ class _SelectPlan:
             return [row + (position,) for position, row in enumerate(found)]
         return found
 
-    def _local_filter(self, index: int, outer_env: Env | None, positions: bool = False):
+    def _local_filter(self, index: int, outer_env: Env, positions: bool = False):
         """A function from rows of source ``index`` to those its local
         filters pass, or None when it has none.  The filters read only that
         source's slots, so a row is placed at them and nothing is copied
@@ -1935,7 +1884,7 @@ class _SelectPlan:
                 return kept
         return keep
 
-    def _join(self, index: int, outer: list[tuple], outer_env: Env | None) -> list[tuple]:
+    def _join(self, index: int, outer: list[tuple], outer_env: Env) -> list[tuple]:
         """Join the rows so far to source ``index``.  Each outer row meets
         the inner rows that pass the step's local filters and match its
         equi keys: found by looking its key up in the inner table's index
@@ -2011,7 +1960,7 @@ class _SelectPlan:
         return joined
 
     def _lookup_matches(
-        self, index: int, left_slots: list[int], right_slots: list[int], outer_env: Env | None
+        self, index: int, left_slots: list[int], right_slots: list[int], outer_env: Env
     ):
         """The index path of :meth:`_join`: a function from an outer row
         to the inner rows its key finds through the step's per-row probe
@@ -2019,7 +1968,7 @@ class _SelectPlan:
         local filters."""
         source, step = self.sources[index], self.join_steps[index]
         table, probe = source.table, step.lookup
-        stats = self.executor.stats
+        stats = outer_env.run.stats
         keep = self._local_filter(index, outer_env)
         get = table.get
         env = _env([], outer_env)
@@ -2045,21 +1994,25 @@ class _SelectPlan:
         return matches
 
     def _probe_rows(
-        self, source: _Source, probe, outer_env: Env | None
+        self, source: _Source, probe, outer_env: Env
     ) -> list[tuple] | None:
         """The rows an index probe finds, as stored, or None when the probe
         cannot be used this run (see :func:`_probe_rowids`): the caller
         falls back to the full scan."""
         table = source.table
-        rowids = _probe_rowids(table, probe, _env([], outer_env), self.executor.stats)
+        rowids = _probe_rowids(table, probe, _env([], outer_env), outer_env.run.stats)
         if rowids is None:
             return None
         return [table.get(rowid) for rowid in rowids]
 
-    def _run_grouped(self, rows: list[tuple], outer_env: Env | None) -> list[tuple]:
+    def _run_grouped(
+        self, rows: list[tuple], outer_env: Env
+    ) -> tuple[list[tuple], list[tuple]]:
         """Bucket the rows by group key — every row's key is evaluated
         before any aggregate argument — then fold each aggregate over each
-        bucket's argument values, in input order."""
+        bucket's argument values, in input order.  Returns the output rows
+        and, parallel to them, each group's row with its aggregates: what
+        ORDER BY reads."""
         if self.group_exprs:
             key_of = self.group_key
             if key_of is None:
@@ -2089,18 +2042,19 @@ class _SelectPlan:
                 continue
             out_rows.append(tuple([fn(env) for fn in self.item_fns]))
             ordering_rows.append(full)
-        self._ordering_rows = ordering_rows
-        return out_rows
+        return out_rows, ordering_rows
 
-    def _order_distinct_limit(self, out_rows: list[tuple], outer_env: Env | None) -> list[tuple]:
+    def _order_distinct_limit(
+        self, out_rows: list[tuple], ordering_rows: list[tuple], outer_env: Env
+    ) -> list[tuple]:
         select = self.select
         rows = out_rows
         if select.distinct:
             kept = _distinct_positions(rows)
             rows = [rows[i] for i in kept]
-            self._ordering_rows = [self._ordering_rows[i] for i in kept]
+            ordering_rows = [ordering_rows[i] for i in kept]
         if self.order_fns:
-            indexed = list(zip(rows, self._ordering_rows))
+            indexed = list(zip(rows, ordering_rows))
             sort_env = _env([], outer_env)
             keys = []
             for kind, key, desc in self.order_fns:
@@ -2128,15 +2082,12 @@ class _UnionRunner:
     ``run(env)``), so derived tables and subqueries can hold unions.
     """
 
-    def __init__(self, executor, union, params, placeholders, outer_scope):
+    def __init__(self, planner: _Planner, union: ast.UnionSelect, outer_scope: Scope | None):
         self.union = union
-        #: shared across every part's plan tree; mutated in place on rebind
-        self.placeholders = placeholders
-        self.params = params
         self.plans = []
         self.correlated = False
         for part in union.parts:
-            plan = _SelectPlan(executor, part, params, placeholders, outer_scope)
+            plan = _SelectPlan(planner, part, outer_scope)
             self.plans.append(plan)
             self.correlated = self.correlated or plan.scope.used_parent
         widths = {len(p.output_columns) for p in self.plans}
@@ -2146,8 +2097,10 @@ class _UnionRunner:
             )
         #: metadata comes from the first part (standard SQL behaviour)
         self.output_columns = self.plans[0].output_columns
+        #: the ``?`` values a run needs (see :class:`_SelectPlan`)
+        self.placeholders_required = planner.required
 
-    def run(self, outer_env: Env | None) -> ResultSet:
+    def run(self, outer_env: Env) -> ResultSet:
         rows: list[tuple] = []
         for index, plan in enumerate(self.plans):
             part_rows = plan.run(outer_env).rows
@@ -2187,9 +2140,9 @@ class _UnionRunner:
 
 class _Source:
     """One FROM source: binding name, a supplier of its rows in scan order
-    (a list the caller may keep but must not change), its columns, and (for
-    base tables) the Table object — the planner needs it for index probes
-    and row counts."""
+    (called with the run's outer environment; a list the caller may keep but
+    must not change), its columns, and (for base tables) the Table object —
+    the planner needs it for index probes and row counts."""
 
     def __init__(self, binding: str, rows_fn, columns: list[Column], table=None):
         self.binding = binding
@@ -2698,8 +2651,14 @@ def _plain_refs(expr: ast.Node) -> Iterator[ast.ColumnRef]:
             yield from _plain_refs(child)
 
 
-def _env(values: list, outer_env: Env | None) -> Env:
-    return Env(values=values, parent=outer_env)
+def _env(values: list, outer_env: Env) -> Env:
+    return Env(values, outer_env, outer_env.run)
+
+
+def _once_per_run(plan: "_SelectPlan | _UnionRunner"):
+    """The rows supplier of a derived table or a view: ``plan`` run once
+    per execution, with no outer row (it cannot see sibling FROM items)."""
+    return statement_memo(lambda env: plan.run(Env([], run=env.run)).rows)
 
 
 def _collect_aggregates(expr: ast.Expr, out: list[ast.FuncCall]) -> None:

@@ -29,9 +29,14 @@ constant, a NULL and a NaN fall through to ``compare``, as the generic
 closure does; a NULL or NaN constant keeps the generic closure.
 
 Subqueries are compiled through a callback into the executor (to avoid an
-import cycle the executor passes itself in as the ``SubqueryRunner``).
+import cycle the executor passes its planner in as the ``SubqueryRunner``).
 Uncorrelated subqueries are detected at compile time — their result is
 computed lazily once and cached for the statement.
+
+A compiled closure holds no session: what varies per execution — the
+``?`` and ``@name`` values, the session's ``rowcount()``, the statement's
+memos — is read from the :class:`RunContext` its environment carries, so
+one compiled plan serves every session of its database.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import datetime
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol
 
 from repro.errors import DataError, ProgrammingError
@@ -54,50 +58,54 @@ __all__ = [
     "Env",
     "CompiledExpr",
     "ExpressionCompiler",
-    "PlaceholderList",
+    "RunContext",
     "SubqueryRunner",
     "FLIPPED",
     "is_constant",
     "like_to_regex",
     "slot_of",
+    "statement_memo",
 ]
 
 #: A compiled expression: env → value.
 CompiledExpr = Callable[["Env"], Any]
 
 
-class PlaceholderList(list):
-    """The shared placeholder container for one plan tree.
+class RunContext:
+    """What one execution of a compiled plan reads besides its rows.
 
-    One instance is threaded (by reference) through every compiler and
-    subplan of a plan; compiled placeholder reads resolve against it at run
-    time, so rebinding a cached plan is ``plan.placeholders[:] = values``.
-    Compilation records the template's highest placeholder ordinal in
-    :attr:`required`, letting plan entry validate the bound-value count
-    before any row is evaluated.
+    A compiled plan holds no session: it is shared by every session of its
+    database.  Each execution builds one context and hands it down the
+    plan tree on its row environments (:attr:`Env.run`):
+
+    * ``executor`` — the session's executor: its temp tables, its last
+      ``rowcount()``, the table a ``FROM @t`` names;
+    * ``placeholders`` — the ``?`` values; ``params`` — the ``@name`` values;
+    * ``stats`` — the counters the run adds to;
+    * ``memo`` — what is computed once per execution (uncorrelated
+      subqueries, derived tables, views), which dies with the context.
     """
 
-    __slots__ = ("required",)
+    __slots__ = ("executor", "placeholders", "params", "stats", "memo")
 
-    def __init__(self, values: Any = ()):
-        super().__init__(values)
-        #: number of values the compiled template needs (max ?-index + 1)
-        self.required = 0
-
-    def check_bound(self) -> None:
-        if len(self) < self.required:
-            raise ProgrammingError(
-                f"statement has placeholder ?{self.required} but only "
-                f"{len(self)} values were bound"
-            )
+    def __init__(self, executor: Any, placeholders: Any, params: dict):
+        self.executor = executor
+        self.placeholders = placeholders
+        self.params = params
+        self.stats = None if executor is None else executor.stats
+        self.memo: dict = {}
 
 
-@dataclass
 class Env:
-    """Runtime row environment: flat slot values + optional outer env."""
+    """Runtime row environment: flat slot values, the outer row's
+    environment, and the execution's :class:`RunContext`."""
 
-    values: list
-    parent: "Env | None" = None
+    __slots__ = ("values", "parent", "run")
+
+    def __init__(self, values: list, parent: "Env | None" = None, run: RunContext | None = None):
+        self.values = values
+        self.parent = parent
+        self.run = run
 
     def at(self, depth: int, slot: int) -> Any:
         env: Env | None = self
@@ -202,13 +210,14 @@ class Scope:
 
 
 class SubqueryRunner(Protocol):
-    """The executor-side hook expression compilation needs for subqueries."""
+    """The executor-side hook expression compilation needs: it plans
+    subqueries and counts the ``?`` values the statement needs."""
 
-    def prepare_subquery(
-        self, select: ast.Select, scope: Scope, params: dict[str, Any], placeholders: list
-    ):
-        """Plan ``select`` once with ``scope`` as its outer level, reading
-        the enclosing statement's ``params`` and ``placeholders``.  Returns
+    #: the ``?`` values the statement compiled so far needs (max index + 1)
+    required: int
+
+    def prepare_subquery(self, select: ast.Select, scope: Scope):
+        """Plan ``select`` once with ``scope`` as its outer level.  Returns
         ``(rows_fn, correlated)`` where ``rows_fn(env)`` re-runs the plan
         for one outer row's environment."""
         ...
@@ -240,29 +249,28 @@ def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
-def _statement_memo(runner: Any, compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
-    """Memoize ``compute`` for the duration of one top-level statement.
+def statement_memo(compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
+    """``compute`` evaluated once per execution of its plan.
 
-    Uncorrelated subquery results are safe to reuse *within* a statement
-    but not across statements: with plan caching, the same compiled closure
-    now serves many executions, and intervening DML (possibly from another
-    session) must be visible.  The executor bumps ``runner._epoch_cell[0]``
-    at every top-level statement entry; we recompute whenever the recorded
-    epoch no longer matches.  Runners without an epoch cell (plain
-    SubqueryRunner implementations in tests) degrade to compute-once, the
-    pre-cache behavior.
+    An uncorrelated subquery, a derived table and a view give one answer
+    within a statement but not across statements: a cached plan serves many
+    executions, and DML in between (of any session) must be visible.  The
+    value is kept in the execution's :attr:`RunContext.memo`, so it dies
+    with the execution and two executions share nothing.
     """
-    epoch_cell = getattr(runner, "_epoch_cell", None) or [0]
-    state: dict[str, Any] = {}
 
     def memoized(env: Env) -> Any:
-        token = epoch_cell[0]
-        if state.get("epoch") != token or "value" not in state:
-            state["value"] = compute(env)
-            state["epoch"] = token
-        return state["value"]
+        memo = env.run.memo
+        value = memo.get(compute, _UNSET)
+        if value is _UNSET:
+            value = memo[compute] = compute(env)
+        return value
 
     return memoized
+
+
+#: what :func:`statement_memo` finds for a value not computed yet
+_UNSET = object()
 
 
 def _kleene_and(left: Any, right: Any) -> Any:
@@ -400,8 +408,8 @@ class ExpressionCompiler:
     ``agg_slots`` maps ``id(FuncCall-node) → slot`` for post-group-by
     compilation, where aggregate calls become slot reads instead of being
     evaluated (the group-by executor fills those slots per group).
-    ``params`` maps parameter names / placeholder indexes to values bound
-    by the client or procedure call.
+    ``params`` holds the ``@name`` parameters a statement may read (their
+    values are read at run time, from :attr:`RunContext.params`).
     """
 
     def __init__(
@@ -410,17 +418,12 @@ class ExpressionCompiler:
         runner: SubqueryRunner,
         *,
         agg_slots: dict[int, int] | None = None,
-        params: dict[str, Any] | None = None,
-        placeholders: list | None = None,
+        params: Any = (),
     ):
         self.scope = scope
         self.runner = runner
         self.agg_slots = agg_slots or {}
-        # keep the *caller's* dict and list objects (even when empty):
-        # rebinding a cached plan mutates them in place, and compiled
-        # parameter and placeholder reads must observe it
-        self.params = params if params is not None else {}
-        self.placeholders = placeholders if placeholders is not None else []
+        self.params = params
         #: how many of the subqueries compiled so far read the row they are
         #: evaluated for (see :meth:`compile_conjunct`)
         self.correlated_subqueries = 0
@@ -462,30 +465,25 @@ class ExpressionCompiler:
         return lambda env: env.at(depth, slot)
 
     def _compile_Param(self, expr: ast.Param) -> CompiledExpr:
-        # Read at *run* time, like a placeholder: the plan keeps one dict
-        # for its whole subplan tree and the next EXEC of the procedure
-        # rebinds it in place.  The names are the procedure's declaration,
+        # Read at *run* time, like a placeholder: one plan serves every
+        # EXEC of the procedure.  The names are the procedure's declaration,
         # so an undeclared one is still a compile-time error.
         name = expr.name.lower()
-        params = self.params
-        if name not in params:
+        if name not in self.params:
             raise ProgrammingError(f"unbound parameter @{expr.name}")
-        return lambda env: params[name]
+        return lambda env: env.run.params[name]
 
     def _compile_Placeholder(self, expr: ast.Placeholder) -> CompiledExpr:
-        # Bind at *run* time through the shared placeholder list: the plan
-        # keeps one list object for its whole subplan tree, and rebinding
-        # (plan-cache reuse of a parameterized template) mutates that list
-        # in place — compiled closures see fresh values with no recompile.
-        values = self.placeholders
+        # Read at *run* time from the execution's values: one plan serves
+        # every binding of a ``?`` template.  The runner counts what the
+        # statement needs, so plan entry can reject too few values up front
+        # (a filter over an empty table would otherwise never read one).
         index = expr.index
-        if isinstance(values, PlaceholderList):
-            # record the template's requirement on the shared container so
-            # plan entry can reject too-few bound values up front (a filter
-            # over an empty table would otherwise never evaluate the read)
-            values.required = max(values.required, index + 1)
+        if self.runner is not None:
+            self.runner.required = max(self.runner.required, index + 1)
 
         def _read(env: Env) -> Any:
+            values = env.run.placeholders
             if index >= len(values):
                 raise ProgrammingError(
                     f"statement has placeholder ?{index + 1} but only "
@@ -754,9 +752,7 @@ class ExpressionCompiler:
         result cannot depend on the outer row and is safe to cache for the
         whole statement); ``rows_fn`` re-runs the compiled plan per call.
         """
-        rows_fn, correlated = self.runner.prepare_subquery(
-            select, self.scope, self.params, self.placeholders
-        )
+        rows_fn, correlated = self.runner.prepare_subquery(select, self.scope)
         self.correlated_subqueries += correlated
         return rows_fn, correlated
 
@@ -777,7 +773,7 @@ class ExpressionCompiler:
                     values.add(row[0])
             return values, saw_null
 
-        cached_gather = _statement_memo(self.runner, gather)
+        cached_gather = statement_memo(gather)
 
         @_three_valued
         def _in_select_fixed(env: Env) -> Any:
@@ -799,7 +795,7 @@ class ExpressionCompiler:
     def _compile_Exists(self, expr: ast.Exists) -> CompiledExpr:
         rows_fn, correlated = self._subquery_rows(expr.select)
         negated = expr.negated
-        cached_found = _statement_memo(self.runner, lambda env: bool(rows_fn(env)))
+        cached_found = statement_memo(lambda env: bool(rows_fn(env)))
 
         @_three_valued
         def _exists(env: Env) -> Any:
@@ -824,7 +820,7 @@ class ExpressionCompiler:
                 raise ProgrammingError("scalar subquery must return one column")
             return rows[0][0]
 
-        cached_scalar = _statement_memo(self.runner, scalar)
+        cached_scalar = statement_memo(scalar)
 
         def _scalar_select(env: Env) -> Any:
             if correlated:
@@ -839,8 +835,7 @@ class ExpressionCompiler:
         name = expr.name.lower()
         if name == "rowcount" and not expr.args:
             # @@ROWCOUNT analog: affected rows of the session's last DML.
-            runner = self.runner
-            return lambda env: getattr(runner, "session").last_rowcount
+            return lambda env: env.run.executor.session.last_rowcount
         if name in functions.AGGREGATE_NAMES:
             slot = self.agg_slots.get(id(expr))
             if slot is None:

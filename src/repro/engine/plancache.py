@@ -15,36 +15,57 @@ and a parsed statement is never modified.
   **volatile**: ``crash()`` discards it and restart recovery starts cold,
   exactly like every other non-logged structure.
 
-* :class:`PlanCache` — per-session (per-:class:`~repro.engine.executor
-  .Executor`) LRU mapping a parsed SELECT statement to its compiled plan.
+* :class:`PlanCache` — one per database incarnation (``Database.plans``):
+  a parsed SELECT statement → its compiled plans, shared by every session.
   Keys are object identities of statements returned by the parse cache or
   held by the procedure cache (entries pin the statement, so an id can never
   be reused while its entry lives), which makes hits O(1) with no
-  re-rendering.  An entry is valid while **what it resolved** is unchanged:
-  compilation records, per name in a FROM clause, the object the name stood
-  for — the :class:`~repro.engine.table.Table` with its ``version`` (index
-  DDL moves it), the view's text, or for a table *parameter* the columns of
-  the table it named — and a lookup resolves the names again and compares.
-  Dropping and re-creating a table, undoing its DDL, and a temp table that
-  starts or stops shadowing it all make the name resolve to another object;
-  DDL on anything else does not touch the entry — Phoenix creates a table
-  for every SELECT it materialises, so a server-wide catalog counter would
-  evict every plan of every session at each one.
+  re-rendering.  A compiled plan holds no session — each execution hands it
+  a :class:`~repro.engine.expressions.RunContext` with the session's
+  executor, its ``?`` and ``@name`` values and its memos — so the first
+  session to run a text compiles it and every later one reuses the plan.
+  It lives and dies with its database: a crash, a planned restart, a
+  rewind and a time-travel snapshot's eviction drop the plans together
+  with the tables they read.
 
-  A changed binding counts as an *invalidation* and recompiles.
+  A plan is valid while **what it resolved** is unchanged, as seen from the
+  session that looks: compilation records, per name in a FROM clause, the
+  object the name stood for — the :class:`~repro.engine.table.Table` with
+  its ``version`` (index DDL moves it), the view's text, or for a table
+  *parameter* the columns of the table it named — and a lookup resolves the
+  names again in the looking session and compares.  Dropping and
+  re-creating a table, undoing its DDL, and a temp table that starts or
+  stops shadowing it all make the name resolve to another object; DDL on
+  anything else does not touch the plan — Phoenix creates a table for
+  every SELECT it materialises, so a server-wide catalog counter would
+  evict every plan at each one.  One statement keeps up to
+  :data:`PLAN_VARIANTS` plans, most recently used first, so a session whose
+  temp table shadows a name gets a plan of its own without evicting the
+  one every other session runs.
 
-* The **procedure cache** — per-executor ``LRUCache(PROC_CACHE_CAPACITY)``
-  mapping a stored procedure's source text to its parsed ``CREATE
-  PROCEDURE``.  ``Executor._create_procedure`` primes it with the statement
-  it is executing (which *is* the parse of the text it stores), so the
-  ``EXEC`` that follows in a Phoenix script parses nothing; ``DROP
-  PROCEDURE`` and a rolled-back ``CREATE`` drop the entry; an ``EXEC`` that
-  misses parses the catalog's text, which stays the durable truth.  Keyed on
-  the text rather than the name, a leftover entry can never be *wrong* — a
-  re-created procedure with another body has another key — only unused,
-  and the LRU bounds those.  Volatile like the session that owns it.  While
-  it holds a procedure the body's statements keep their identity, so their
-  plans stay in the plan cache from one ``EXEC`` to the next.
+  **Staleness by size.**  The join order is chosen from the row counts the
+  compile saw, and a plan now outlives many sessions: a plan is also stale
+  once a table it bound holds more than :data:`GROWTH` times the rows it
+  held at compile, or fewer than 1/:data:`GROWTH` of them.  A refresh
+  stream that adds or removes a small share of a table never trips it; a
+  table loaded after its first query recompiles that query once per
+  doubling.
+
+  A lookup that finds plans for the statement but none valid counts as an
+  *invalidation* and recompiles.
+
+* The **procedure cache** — ``Database.procedure_parses``, an
+  ``LRUCache(PROC_CACHE_CAPACITY)`` beside the plan cache, mapping a stored
+  procedure's source text to its parsed ``CREATE PROCEDURE``.
+  ``Executor._create_procedure`` primes it with the statement it is
+  executing (which *is* the parse of the text it stores), so the ``EXEC``
+  that follows in a Phoenix script parses nothing; ``DROP PROCEDURE`` and a
+  rolled-back ``CREATE`` drop the entry; an ``EXEC`` that misses parses the
+  catalog's text, which stays the durable truth.  Keyed on the text rather
+  than the name, a leftover entry can never be *wrong* — a re-created
+  procedure with another body has another key — only unused, and the LRU
+  bounds those.  While it holds a procedure the body's statements keep
+  their identity for every session, so their plans are shared too.
 
 The client side has the same thing in front of the wire:
 ``repro.core.interceptor.statement_templates`` keeps application texts
@@ -52,11 +73,11 @@ parsed and classified in one process-wide ``LRUCache``.
 
 Only top-level SELECT / UNION statements are cached — of a request or of a
 procedure body.  Neither kind of parameter prevents it: a compiled plan
-reads ``?`` placeholders from one shared list and ``@name`` parameters from
-one shared dict at run time, and ``Executor.execute_select`` rebinds both
-per execution, so the template is the cache key — four executions of one
-``WHERE k = ?`` text with different values are 1 parse miss + 3 parse hits
-and 1 plan miss + 3 plan hits, and so are four ``EXEC``s of one procedure.
+reads ``?`` placeholders and ``@name`` parameters from its execution's run
+context, so the template is the cache key — four executions of one
+``WHERE k = ?`` text with different values, from one session or four, are
+1 parse miss + 3 parse hits and 1 plan miss + 3 plan hits, and so are four
+``EXEC``s of one procedure.
 
 :class:`EngineMetrics` aggregates the hit/miss/invalidation counters and is
 surfaced through the bench harness next to the round-trip counts — the
@@ -74,10 +95,16 @@ __all__ = ["EngineMetrics", "ExecutorStats", "LRUCache", "ParseCache", "PlanCach
 
 #: Server-wide parse cache capacity (distinct SQL texts).
 PARSE_CACHE_CAPACITY = 256
-#: Per-session plan cache capacity (distinct cached statements).
-PLAN_CACHE_CAPACITY = 128
-#: Per-session procedure cache capacity (distinct stored procedure texts).
-PROC_CACHE_CAPACITY = 64
+#: Plan cache capacity of one database (distinct cached statements).
+PLAN_CACHE_CAPACITY = 256
+#: Compiled plans kept per statement, for sessions that resolve its names
+#: to different objects (a temp table shadowing a persistent one).
+PLAN_VARIANTS = 4
+#: A plan is stale once a table it bound has grown or shrunk past this
+#: factor since compile: its join order read the old row count.
+GROWTH = 2
+#: Procedure cache capacity of one database (distinct stored procedure texts).
+PROC_CACHE_CAPACITY = 128
 
 
 class EngineMetrics(CounterSet):
@@ -201,21 +228,44 @@ class ParseCache:
         return len(self._cache)
 
 
-class _PlanEntry:
-    __slots__ = ("stmt", "bindings", "runner")
+class _Plan:
+    """One compiled plan of a statement, with what it was compiled against."""
 
-    def __init__(self, stmt: Any, bindings: list[tuple[str, Any]], runner: Any):
+    __slots__ = ("bindings", "sizes", "runner")
+
+    def __init__(self, bindings: list[tuple[str, Any]], sizes: list[tuple[Any, int]], runner: Any):
+        #: (name, what it resolved to) for every name the plan bound
+        self.bindings = bindings
+        #: (table, its row count at compile) for every table it bound
+        self.sizes = sizes
+        self.runner = runner
+
+    def fits(self, resolve: Callable[[str], Any]) -> bool:
+        for name, bound in self.bindings:
+            if resolve(name) != bound:
+                return False
+        for table, rows in self.sizes:
+            now = table.row_count()
+            if now > rows * GROWTH or rows > now * GROWTH:
+                return False
+        return True
+
+
+class _PlanEntry:
+    __slots__ = ("stmt", "plans")
+
+    def __init__(self, stmt: Any):
         #: strong reference pins the statement object: while this entry is
         #: alive, id(stmt) cannot be reused, so identity keys are sound.
         self.stmt = stmt
-        #: (name, what it resolved to) for every name the plan bound
-        self.bindings = bindings
-        self.runner = runner
+        #: most recently used first, at most PLAN_VARIANTS
+        self.plans: list[_Plan] = []
 
 
 class PlanCache:
-    """Parsed statement (by identity) → compiled plan, valid while every
-    name it bound still resolves to what it resolved to at compile time."""
+    """Parsed statement (by identity) → compiled plans, each valid while
+    every name it bound still resolves to what it resolved to at compile
+    time and every table it bound is within :data:`GROWTH` of its size."""
 
     def __init__(self):
         self._cache = LRUCache(PLAN_CACHE_CAPACITY)
@@ -223,30 +273,42 @@ class PlanCache:
     def lookup(
         self, stmt: Any, resolve: Callable[[str], Any], metrics: EngineMetrics
     ) -> Any | None:
-        """Return the cached runner for ``stmt`` if still valid, else None.
+        """Return a cached runner for ``stmt`` valid for the looking
+        session, else None.
 
-        ``resolve(name)`` is what ``name`` stands for now.  A changed
-        binding evicts the entry and counts an invalidation (the recompile
+        ``resolve(name)`` is what ``name`` stands for now, in that session.
+        Plans that do not fit stay for the sessions they fit; a statement
+        with plans none of which fits counts an invalidation (the recompile
         that follows is the miss counted here).
         """
         entry: _PlanEntry | None = self._cache.get(id(stmt))
         if entry is None or entry.stmt is not stmt:
             metrics.plan_misses += 1
             return None
-        for name, bound in entry.bindings:
-            if resolve(name) != bound:
-                self._cache.pop(id(stmt))
-                metrics.plan_invalidations += 1
-                metrics.plan_misses += 1
-                return None
-        metrics.plan_hits += 1
-        return entry.runner
+        plans = entry.plans
+        for index, plan in enumerate(plans):
+            if plan.fits(resolve):
+                if index:
+                    plans.insert(0, plans.pop(index))
+                metrics.plan_hits += 1
+                return plan.runner
+        metrics.plan_invalidations += 1
+        metrics.plan_misses += 1
+        return None
 
-    def store(self, stmt: Any, bindings: list[tuple[str, Any]], runner: Any) -> None:
-        self._cache.put(id(stmt), _PlanEntry(stmt, bindings, runner))
-
-    def clear(self) -> None:
-        self._cache.clear()
+    def store(
+        self,
+        stmt: Any,
+        bindings: list[tuple[str, Any]],
+        runner: Any,
+        sizes: list[tuple[Any, int]] = (),
+    ) -> None:
+        entry: _PlanEntry | None = self._cache.get(id(stmt))
+        if entry is None or entry.stmt is not stmt:
+            entry = _PlanEntry(stmt)
+            self._cache.put(id(stmt), entry)
+        entry.plans.insert(0, _Plan(bindings, list(sizes), runner))
+        del entry.plans[PLAN_VARIANTS:]
 
     def __len__(self) -> int:
         return len(self._cache)

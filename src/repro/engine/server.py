@@ -225,13 +225,8 @@ class DatabaseServer:
             if self.database is not None:
                 self.database.mark_dead()
                 self.database.locks.invalidate()
-            self.database = None
+            self.database = None  # and with it its plan and procedure caches
             self.sessions.clear()
-            # compiled plans hold their tables and their executor, which holds
-            # them: emptied first, the dead engine is freed by reference
-            # count — not whenever the collector next runs
-            for executor in self._executors.values():
-                executor.clear_caches()
             self._executors.clear()
             self._parse_cache = None  # caches are volatile: a restart starts cold
             # a dead server has no pending device fault — the injected torn
@@ -504,7 +499,7 @@ class DatabaseServer:
                 session.current_txn = None
             session.close()
             del self.sessions[session_id]
-            self._executors.pop(session_id).clear_caches()  # see crash()
+            del self._executors[session_id]
 
     def _touch(self, session: Session) -> None:
         self.activity_epoch += 1
@@ -712,7 +707,7 @@ class DatabaseServer:
         """Parse a SQL batch through the server-wide parse cache.
 
         Repeated statement texts come back as the *same* AST objects —
-        which is what keys the per-session plan caches.  Parse errors are
+        which is what keys the database's plan cache.  Parse errors are
         not cached (they raise before the put).
         """
         cache = self._parse_cache

@@ -338,8 +338,7 @@ class TimeTravelManager:
             latest = self.log_index.latest()
             if latest is not None:
                 self.clock.advance_past(latest[2])
-            while self._snapshots:
-                self._evict_oldest()
+            self._snapshots.clear()
 
     # -- resolution -----------------------------------------------------------
 
@@ -366,12 +365,6 @@ class TimeTravelManager:
         """The cached (or freshly reconstructed) snapshot for ``ts``'s cut."""
         return self.snapshot_at_cut(self.resolve_cut(ts))
 
-    def _evict_oldest(self) -> None:
-        """Let a snapshot go — plans first: they and the snapshot's executor
-        hold each other, and with them the reconstructed database."""
-        _cut, snapshot = self._snapshots.popitem(last=False)
-        snapshot.executor.clear_caches()
-
     def snapshot_at_cut(self, cut_lsn: int) -> _Snapshot:
         with self._lock:
             snapshot = self._snapshots.get(cut_lsn)
@@ -391,7 +384,9 @@ class TimeTravelManager:
             snapshot = _Snapshot(cut_lsn, database, executor, info)
             self._snapshots[cut_lsn] = snapshot
             while len(self._snapshots) > MAX_SNAPSHOTS:
-                self._evict_oldest()
+                # the oldest goes, and with its reconstructed database the
+                # plans compiled against it
+                self._snapshots.popitem(last=False)
             self.stats.reconstructions += 1
             self.stats.records_replayed += info.records_replayed
             return snapshot

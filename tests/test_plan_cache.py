@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
+import threading
+import time
+import types
 import weakref
 
 import pytest
 
 import repro
-from repro.engine.expressions import like_to_regex
+from repro.engine import executor as executor_module
+from repro.engine import timetravel
+from repro.engine.database import Database
+from repro.engine.expressions import Env, RunContext, like_to_regex
 from repro.engine.plancache import (
+    GROWTH,
     PROC_CACHE_CAPACITY,
     EngineMetrics,
     LRUCache,
@@ -438,6 +446,256 @@ def test_procedure_parameters_are_read_at_run_time(server):
     assert server.executor_stats.compiled_plans == compiled + 3
 
 
+# ------------------------------------------------- one cache per database
+#
+# A compiled plan holds no session: the first session to run a text compiles
+# it, every later session runs the same plan with its own values, its own
+# temp tables and its own memos, and the plan dies with its database.
+
+
+def test_a_plan_compiled_by_one_session_serves_the_next(server):
+    server, sid = server
+    metrics, stats = server.engine_metrics, server.executor_stats
+    sql = "SELECT v FROM t WHERE k = ?"
+    assert rows(server.execute(sid, sql, placeholders=[1])) == [("one",)]
+    compiled, hits = stats.compiled_plans, metrics.plan_hits
+    for k, answer in ((2, "two"), (3, "three"), (1, "one")):
+        other = server.connect()
+        assert rows(server.execute(other, sql, placeholders=[k])) == [(answer,)]
+        server.disconnect(other)
+    assert (stats.compiled_plans, metrics.plan_hits) == (compiled, hits + 3)
+
+
+def test_a_session_whose_temp_table_shadows_the_name_gets_a_plan_of_its_own(server):
+    server, sid = server
+    shadowing = server.connect()
+    metrics, stats = server.engine_metrics, server.executor_stats
+    server.execute(sid, "CREATE VIEW x AS SELECT k FROM t WHERE k <= 2")
+    sql = "SELECT count(*) FROM x"
+    assert rows(server.execute(sid, sql)) == [(2,)]
+    server.execute(shadowing, "CREATE TEMPORARY TABLE x (k INT)")  # hides the view
+    server.execute(shadowing, "INSERT INTO x VALUES (7)")
+    invalidations = metrics.plan_invalidations
+    assert rows(server.execute(shadowing, sql)) == [(1,)]
+    assert metrics.plan_invalidations == invalidations + 1
+    compiled, hits = stats.compiled_plans, metrics.plan_hits
+    for _ in range(3):
+        assert rows(server.execute(sid, sql)) == [(2,)]
+        assert rows(server.execute(shadowing, sql)) == [(1,)]
+    # each session keeps hitting its own plan: nothing evicted the other's
+    assert (stats.compiled_plans, metrics.plan_hits) == (compiled, hits + 6)
+    assert metrics.plan_invalidations == invalidations + 1
+
+
+def test_a_procedure_body_is_compiled_once_across_sessions(server):
+    server, sid = server
+    other = server.connect()
+    stats = server.executor_stats
+    server.execute(sid, "CREATE PROCEDURE by_k (@k) AS BEGIN SELECT v FROM t WHERE k = @k END")
+    compiled = stats.compiled_plans
+    for session, k, answer in ((sid, 1, "one"), (other, 2, "two"), (other, 3, "three"), (sid, 2, "two")):
+        assert rows(server.execute(session, "EXEC by_k ?", placeholders=[k])) == [(answer,)]
+    assert stats.compiled_plans == compiled + 1
+
+
+def test_a_procedure_whose_body_repeats_the_callers_text(server):
+    """The request's statement and the body's are two parses of one text:
+    two plans, each compiled once, each with its own values."""
+    server, sid = server
+    other = server.connect()
+    stats, metrics = server.executor_stats, server.engine_metrics
+    text = "SELECT v FROM t WHERE k <= 2 ORDER BY k"
+    server.execute(sid, f"CREATE PROCEDURE same AS BEGIN {text} END")
+    compiled = stats.compiled_plans
+    for session in (sid, other, sid, other):
+        assert rows(server.execute(session, f"EXEC same; {text}")) == [("one",), ("two",)]
+        assert rows(server.execute(session, "EXEC same")) == [("one",), ("two",)]
+    assert stats.compiled_plans == compiled + 2
+    assert metrics.plan_invalidations == 0
+
+
+def test_two_sessions_interleave_one_template_through_the_dispatcher():
+    system = repro.make_system()
+    setup = repro.connect(system, phoenix=False).cursor()
+    setup.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    setup.executemany("INSERT INTO t VALUES (?, ?)", [[k, k * k] for k in range(40)])
+    sql = "SELECT v FROM t WHERE k = ? OR k = ? ORDER BY v"
+    setup.execute(sql, [0, 1])
+    metrics = system.server.engine_metrics
+    misses = metrics.plan_misses
+    wrong: list = []
+    start = threading.Barrier(2)
+
+    def client(offset: int) -> None:
+        cursor = repro.connect(system, phoenix=False).cursor()
+        start.wait()
+        for k in range(offset, 40, 2):
+            answer = cursor.execute(sql, [k, 39 - k]).fetchall()
+            if answer != sorted([(k * k,), ((39 - k) ** 2,)]):
+                wrong.append((k, answer))
+
+    threads = [threading.Thread(target=client, args=(offset,)) for offset in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert wrong == []
+    assert metrics.plan_misses == misses  # forty executions, no compile
+    system.close()
+
+
+def test_a_table_that_grows_tenfold_recompiles_its_plans_once(server):
+    """The join order read the row counts a compile saw: a table that grows
+    or shrinks past GROWTH makes its plans stale; a small change does not."""
+    server, sid = server
+    metrics = server.engine_metrics
+    sql = "SELECT count(*) FROM t a JOIN t b ON a.k = b.k"
+    assert rows(server.execute(sid, sql)) == [(3,)]
+    server.execute(sid, "INSERT INTO t VALUES (4, 'four')")  # 3 -> 4 rows
+    before = (metrics.plan_hits, metrics.plan_invalidations)
+    assert rows(server.execute(sid, sql)) == [(4,)]
+    assert (metrics.plan_hits, metrics.plan_invalidations) == (before[0] + 1, before[1])
+    values = ", ".join(f"({k}, 'v{k}')" for k in range(5, 41))
+    server.execute(sid, f"INSERT INTO t VALUES {values}")  # 4 -> 40 rows
+    invalidations = metrics.plan_invalidations
+    assert rows(server.execute(sid, sql)) == [(40,)]
+    assert metrics.plan_invalidations == invalidations + 1
+    assert rows(server.execute(sid, sql)) == [(40,)]
+    assert metrics.plan_invalidations == invalidations + 1
+    server.execute(sid, "DELETE FROM t WHERE k > 10")  # 40 -> 10 rows: neither plan fits
+    assert rows(server.execute(sid, sql)) == [(10,)]
+    assert metrics.plan_invalidations == invalidations + 2
+    assert GROWTH == 2
+
+
+def test_an_as_of_plan_lives_and_dies_with_its_snapshot(monkeypatch):
+    """The plan of an ``AS OF`` query hangs off the snapshot's reconstructed
+    database: evicting the snapshot frees both without the collector."""
+    monkeypatch.setattr(timetravel, "MAX_SNAPSHOTS", 1)
+    server = DatabaseServer()
+    sid = server.connect()
+    server.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY)")
+    server.execute(sid, "INSERT INTO t VALUES (1)")
+    then = server.time_travel.clock.now()
+    server.execute(sid, "INSERT INTO t VALUES (2)")
+    later = server.time_travel.clock.now()
+    metrics = server.engine_metrics
+    sql = f"SELECT count(*) FROM t AS OF {then!r}"
+    assert rows(server.execute(sid, sql)) == [(1,)]
+    hits = metrics.plan_hits
+    assert rows(server.execute(sid, sql)) == [(1,)]
+    assert metrics.plan_hits == hits + 1
+    snapshot = server.time_travel.snapshot_at(then)
+    assert len(snapshot.database.plans) == 1 and len(server.database.plans) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        database = weakref.ref(snapshot.database)
+        del snapshot
+        # another cut evicts the only snapshot kept
+        assert rows(server.execute(sid, f"SELECT count(*) FROM t AS OF {later!r}")) == [(2,)]
+        assert database() is None
+    finally:
+        gc.enable()
+
+
+def _reachable(root) -> list:
+    """Every object ``root`` holds, transitively — through a function's
+    closure and defaults, not its module's globals."""
+    seen: set[int] = set()
+    found, stack = [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+#: a ``?`` template with what a run keeps per execution or per session: an
+#: uncorrelated subquery, a derived table and a view (memos), ``rowcount()``,
+#: and grouping and ordering (the rows ORDER BY reads)
+SHARED_SQL = (
+    "SELECT d.v, count(*) AS n FROM (SELECT k, v FROM t WHERE k >= ?) d "
+    "JOIN low ON low.k = d.k WHERE d.k IN (SELECT k FROM t WHERE v <> ?) "
+    "AND rowcount() >= 0 GROUP BY d.v ORDER BY n DESC, d.v"
+)
+
+
+def _shared_plan(server, sid):
+    server.execute(sid, "CREATE VIEW low AS SELECT k FROM t WHERE k < 40")
+    server.execute(sid, f"INSERT INTO t VALUES {', '.join(f'({k}, {chr(97 + k % 5)!r})' for k in range(4, 60))}")
+    server.execute(sid, SHARED_SQL, placeholders=[0, "a"])
+    (stmt,) = server._parse(SHARED_SQL)
+    return stmt, server.database.plans.lookup(
+        stmt, lambda name: server.executor_for(sid)._binding(name, {}), server.engine_metrics
+    )
+
+
+def test_a_cached_plan_holds_no_session(server):
+    server, sid = server
+    _stmt, plan = _shared_plan(server, sid)
+    assert plan is not None
+    held = _reachable(plan)
+    kinds = {type(obj).__name__ for obj in held}
+    assert not kinds & {"Executor", "Session", "RunContext", "_Planner", "DatabaseServer"}, kinds
+    assert not any(isinstance(obj, Database) for obj in held)
+
+
+def test_one_cached_plan_runs_on_two_threads_at_once(server):
+    """Threads — more than the cores, two sessions — call one cached plan's
+    run directly, each with contexts of its own session and values, under a
+    tiny switch interval: every answer is a fresh compile's."""
+    server, sid = server
+    stmt, plan = _shared_plan(server, sid)
+    executors = [server.executor_for(sid), server.executor_for(server.connect())]
+    bindings = [[low, letter] for low in (0, 5, 20, 38) for letter in "abz"]
+    expected = {
+        (index, tuple(values)): executor_module._compile(
+            executor_module._Planner(executor, {}), stmt, None
+        ).run(Env([], run=RunContext(executor, values, {}))).rows
+        for index, executor in enumerate(executors)
+        for values in bindings
+    }
+    assert len({tuple(answer) for answer in expected.values()}) > len(bindings) // 2
+    wrong: list = []
+    runs = [0] * 4
+
+    def hammer(worker: int, deadline: float) -> None:
+        index = worker % 2
+        executor = executors[index]
+        while time.monotonic() < deadline:
+            for values in bindings[worker::4] + bindings[(worker + 1) % 4 :: 4]:
+                got = plan.run(Env([], run=RunContext(executor, values, {}))).rows
+                runs[worker] += 1
+                if got != expected[(index, tuple(values))]:
+                    wrong.append((worker, values, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 0.5
+        threads = [threading.Thread(target=hammer, args=(i, deadline)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert min(runs) > 0
+
+
 # ---------------------------------------------------------------- volatility
 
 
@@ -497,7 +755,7 @@ def test_exec_after_create_parses_nothing(server, parsed_texts):
 
 def test_procedure_cache_stays_bounded_over_create_exec_drop_cycles(server):
     server, sid = server
-    cache = server.executor_for(sid)._proc_cache
+    cache = server.database.procedure_parses
     for i in range(1000):
         server.execute(sid, f"CREATE PROCEDURE p{i} AS BEGIN SELECT {i} END")
         assert rows(server.execute(sid, f"EXEC p{i}")) == [(i,)]
@@ -526,7 +784,7 @@ def test_recreated_procedure_runs_its_new_body(server):
 
 def test_rolled_back_create_procedure_leaves_no_cached_parse(server):
     server, sid = server
-    cache = server.executor_for(sid)._proc_cache
+    cache = server.database.procedure_parses
     server.execute(sid, "BEGIN TRANSACTION")
     server.execute(sid, "CREATE PROCEDURE p AS BEGIN SELECT 1 END")
     assert len(cache) == 1
@@ -667,7 +925,9 @@ def test_plan_cache_counts_invalidation_and_miss():
     assert metrics.plan_invalidations == 1
     assert metrics.plan_hits == 1
     assert metrics.plan_misses == 1
-    assert len(cache) == 0
+    # the plan stays for the sessions that still resolve ``t`` to ``table``
+    assert len(cache) == 1
+    assert cache.lookup(stmt, {"t": table}.get, metrics) == "runner"
 
 
 def test_parse_cache_returns_same_objects():

@@ -41,6 +41,13 @@ def loaded():
     return system, data
 
 
+def cold():
+    """A loaded system whose plan cache is empty: the module's shared one
+    has run every query, and plans are compiled once per database."""
+    system = repro.make_system()
+    return system, populate(system, sf=SF, seed=7)
+
+
 def q(system, sql):
     sid = system.server.connect()
     try:
@@ -292,17 +299,17 @@ def test_join_plan_shapes(loaded, query_id):
     assert lines[len(joins)].startswith(("Aggregate by", "Project"))
 
 
-def test_no_plan_of_the_22_queries_joins_by_cross_product(loaded, monkeypatch):
+def test_no_plan_of_the_22_queries_joins_by_cross_product(monkeypatch):
     """Equivalence classes give every connected order an equi key, and the
     search adds a source no key links only when none is left: no plan of
     the 22 queries — subqueries and derived tables included — has a
     ``NestedLoop(CROSS)`` step.  In FROM order Q2, Q8 and Q9 had one."""
-    system, data = loaded
+    system, data = cold()
     plans = []
     plan_joins = executor_module._SelectPlan._plan_joins
 
-    def recording(plan):
-        plan_joins(plan)
+    def recording(plan, compiler):
+        plan_joins(plan, compiler)
         plans.append(plan)
 
     monkeypatch.setattr(executor_module._SelectPlan, "_plan_joins", recording)
@@ -317,16 +324,16 @@ def test_no_plan_of_the_22_queries_joins_by_cross_product(loaded, monkeypatch):
 COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 
 
-def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(loaded, monkeypatch):
+def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeypatch):
     """A refactor that drops a compiled shape fails here, not only in the
     timing gate.  Over the 22 queries: every ``column <op> constant`` (either
     way round), constant-bounded BETWEEN and constant IN list whose
     constants pair directly with some row value reads its slot in one
     closure, and every GROUP BY of plain columns keys rows with
     ``itemgetter``."""
-    system, data = loaded
+    system, data = cold()
     compiled = []  # (compiler, node, closure), in compile order
-    plans = []
+    plans = []  # (plan, its compiler)
     compile_expr = ExpressionCompiler.compile
     plan_grouping = executor_module._SelectPlan._plan_grouping
 
@@ -335,9 +342,9 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(loaded,
         compiled.append((compiler, expr, fn))
         return fn
 
-    def recording_grouping(plan, key_fns):
-        plan_grouping(plan, key_fns)
-        plans.append(plan)
+    def recording_grouping(plan, compiler, key_fns):
+        plan_grouping(plan, compiler, key_fns)
+        plans.append((plan, compiler))
 
     monkeypatch.setattr(ExpressionCompiler, "compile", recording_compile)
     monkeypatch.setattr(executor_module._SelectPlan, "_plan_grouping", recording_grouping)
@@ -384,8 +391,8 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(loaded,
     assert found["_in_set"] >= 6, found
 
     plain_keys = 0
-    for plan in plans:
-        if plan.group_exprs and all(column(plan.compiler, e) for e in plan.group_exprs):
+    for plan, compiler in plans:
+        if plan.group_exprs and all(column(compiler, e) for e in plan.group_exprs):
             assert isinstance(plan.group_key, itemgetter), plan.select.sql()
             plain_keys += 1
     assert plain_keys >= 20, plain_keys

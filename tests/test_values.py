@@ -7,7 +7,7 @@ import datetime
 import pytest
 
 from repro.errors import DataError
-from repro.engine.expressions import Env, ExpressionCompiler, PlaceholderList, Scope
+from repro.engine.expressions import Env, ExpressionCompiler, RunContext, Scope
 from repro.engine.values import (
     SqlType,
     add_interval,
@@ -133,17 +133,16 @@ def test_nan_equals_nan_and_sorts_above_every_number():
     assert repr(ordered) == "[None, -0.0, 1.0, 7, inf, nan]"
 
 
-def compiled(sql_expr: str, *values):
-    """``sql_expr`` compiled as a statement's expressions are, with
-    ``values`` bound to its ``?``."""
+def compiled(sql_expr: str):
+    """``sql_expr`` compiled as a statement's expressions are."""
     expr = parse(f"SELECT {sql_expr}").items[0].expr
-    return ExpressionCompiler(Scope(), None, placeholders=PlaceholderList(values)).compile(expr)
+    return ExpressionCompiler(Scope(), None).compile(expr)
 
 
 def evaluate(sql_expr: str, *values):
     """What ``sql_expr`` answers with ``values`` bound to its ``?`` (a
     ``?`` never folds, so this runs the per-row closures)."""
-    return compiled(sql_expr, *values)(Env([]))
+    return compiled(sql_expr)(Env([], run=RunContext(None, values, {})))
 
 
 def test_sql_equal():
