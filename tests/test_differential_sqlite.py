@@ -20,7 +20,7 @@ are *meant* to disagree is
 :data:`ALLOWED_DIVERGENCES`, the one allow-list, and each entry is asserted
 to still diverge so it cannot outlive the behaviour it excuses.  (TPC-H
 through sqlite needs a dialect translator — ``DATE '…' ± INTERVAL``,
-``EXTRACT`` — and is a ROADMAP item, not this file.)
+``EXTRACT`` — and is ``tests/test_tpch_sqlite.py``.)
 """
 
 from __future__ import annotations
