@@ -18,6 +18,12 @@ repro.bench.reporting <name>`` must name a registered experiment (or
 ``all``), and every ``BENCH_*.json`` they name must exist at the repo root —
 so a retired experiment is a dead pointer.
 
+A backticked private Python name in ``README.md``, ``DESIGN.md`` and
+``docs/*.md`` (not ``docs/HISTORY.md``) — ``_name``, ``Class._name`` or
+``module._name``, with or without ``()`` — must be defined (``def``,
+``class`` or an assignment) somewhere under ``src/``: a helper deleted or
+renamed without its prose changing is a dead pointer.
+
 The "Metrics" section of ``docs/OBSERVABILITY.md`` is checked against the
 code the same way: its table (registry slot · class · counters) must list
 exactly the slots and counter names of
@@ -172,6 +178,39 @@ def check_artifacts(path: Path, root: Path) -> list[str]:
     return problems
 
 
+#: a backticked private name: ``_name``, ``Class._name``, ``module._name``,
+#: optionally called — a dunder is not private
+_PRIVATE_NAME = re.compile(r"`(?:\w+\.)*(_[A-Za-z0-9]\w*)(?:\(\))?`")
+#: what defines a name in Python source: ``def``/``class``, or an
+#: assignment (annotated or not, to a plain or a ``self.`` attribute)
+_DEFINITION = re.compile(
+    r"^\s*(?:(?:async\s+)?def|class)\s+(\w+)|^\s*(?:self\.)?(\w+)\s*(?::[^=\n]*)?=(?!=)",
+    re.MULTILINE,
+)
+
+
+def defined_names(root: Path) -> set[str]:
+    """Every name ``def``, ``class`` or an assignment defines under
+    ``src/``."""
+    names: set[str] = set()
+    for source in sorted((root / "src").rglob("*.py")):
+        for match in _DEFINITION.finditer(source.read_text(encoding="utf-8")):
+            names.add(match.group(1) or match.group(2))
+    return names
+
+
+def check_private_names(path: Path, root: Path, defined: set[str]) -> list[str]:
+    """The file's backticked private names that nothing under ``src/``
+    defines (fenced code skipped)."""
+    text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.DOTALL)
+    where = path.relative_to(root)
+    return [
+        f"{where}: `{name}` — not defined under src/"
+        for name in sorted(set(_PRIVATE_NAME.findall(text)))
+        if name not in defined
+    ]
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
     files = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
@@ -185,6 +224,10 @@ def main(argv: list[str]) -> int:
     for path in [root / "EXPERIMENTS.md", root / "DESIGN.md", *files]:
         if path.exists() and path.name != "HISTORY.md":
             problems.extend(check_artifacts(path, root))
+    defined = defined_names(root)
+    for path in [root / "DESIGN.md", *files]:
+        if path.exists() and path.name != "HISTORY.md":
+            problems.extend(check_private_names(path, root, defined))
     metrics_doc = root / "docs" / "OBSERVABILITY.md"
     if metrics_doc.exists():
         problems.extend(check_metrics(metrics_doc, root))
@@ -192,7 +235,7 @@ def main(argv: list[str]) -> int:
         print(problem)
     print(
         f"checked {checked} file(s): {len(problems)} dead link(s), experiment(s), "
-        "artifact(s) or counter name(s)"
+        "artifact(s), private name(s) or counter name(s)"
     )
     return 1 if problems else 0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     CatalogError,
@@ -36,14 +36,15 @@ from repro.errors import (
 from repro.engine import functions
 from repro.engine.database import Database
 from repro.engine.expressions import (
-    CompiledExpr,
+    Code,
+    Emitter,
     Env,
     ExpressionCompiler,
     FLIPPED,
     RunContext,
     Scope,
-    is_constant,
-    slot_of,
+    all_true,
+    row_function,
     statement_memo,
 )
 from repro.engine.plancache import EngineMetrics, ExecutorStats
@@ -1303,13 +1304,13 @@ class _SelectPlan:
         kinds, on_exprs = self.step_kinds, self.step_on
 
         #: per step: (conjunct, compiled, reads this step's source alone)
-        at_step: list[list[tuple[ast.Expr, CompiledExpr, bool]]] = [[] for _ in self.sources]
-        post: list[list[CompiledExpr]] = [[] for _ in self.sources]
-        final: list[CompiledExpr] = []
+        at_step: list[list[tuple[ast.Expr, Code, bool]]] = [[] for _ in self.sources]
+        post: list[list[Code]] = [[] for _ in self.sources]
+        final: list[Code] = []
         #: conjuncts referencing no column of this query's rows (a ``?``,
         #: an ``@name``, ``rowcount()``, outer-correlated guards) — evaluated
         #: once per run, not once per row
-        row_independent: list[CompiledExpr] = []
+        row_independent: list[Code] = []
         #: set when a conjunct folded to not-True at compile time (Phoenix's
         #: ``0 = 1`` metadata probe) — the plan is then an empty-result
         #: short circuit, which makes ``WHERE 0=1`` compile-only, as the
@@ -1317,34 +1318,35 @@ class _SelectPlan:
         self.folded_false = False
 
         def place(conjunct: ast.Expr) -> None:
-            fn, correlated = compiler.compile_conjunct(conjunct)
+            code, correlated = compiler.compile_conjunct(conjunct)
             if correlated:
-                final.append(fn)
+                final.append(code)
                 return
             read = self._sources_read(conjunct)
             if not read:
-                if not is_constant(fn):
-                    row_independent.append(fn)
-                elif fn(None) is not True:
+                if not code.constant:
+                    row_independent.append(code)
+                elif code.value is not True:
                     self.folded_false = True
                 return
             target = max(read)
             if kinds[target] == "LEFT":
-                post[target].append(fn)
+                post[target].append(code)
             else:
-                at_step[target].append((conjunct, fn, read == {target}))
+                at_step[target].append((conjunct, code, read == {target}))
 
         for index, on_expr in enumerate(on_exprs):
             for conjunct in _split_conjuncts(on_expr):
                 if kinds[index] != "LEFT":
                     place(conjunct)
                     continue
-                fn, correlated = compiler.compile_conjunct(conjunct)
+                code, correlated = compiler.compile_conjunct(conjunct)
                 local = not correlated and self._sources_read(conjunct) <= {index}
-                at_step[index].append((conjunct, fn, local))
+                at_step[index].append((conjunct, code, local))
         for conjunct in _split_conjuncts(self.select.where) + self.implied:
             place(conjunct)
-        self.constant_filter = _all_true(row_independent)
+        #: the conjuncts that read no row, as one ``env → bool``
+        self.constant_filter = all_true(row_independent)
 
         #: per step: (class, its first column, its first column at the step)
         #: for each equivalence class that reaches the step from an earlier one
@@ -1360,17 +1362,17 @@ class _SelectPlan:
         self.join_steps: list[_JoinStep] = []
         for index, kind in enumerate(kinds):
             equi: list[tuple[int, int]] = []
-            local: list[CompiledExpr] = []
-            residual: list[CompiledExpr] = []
-            for conjunct, fn, reads_own_source in at_step[index]:
+            local: list[Code] = []
+            residual: list[Code] = []
+            for conjunct, code, reads_own_source in at_step[index]:
                 pair = self._equi_pair(conjunct, index)
                 if pair is not None:
                     equi.append(pair)
                 elif reads_own_source:
-                    local.append(fn)
+                    local.append(code)
                 else:
-                    residual.append(fn)
-            start = self.source_ranges[index][0]
+                    residual.append(code)
+            start, end = self.source_ranges[index]
             for members, outer, inner in class_keys[index]:
                 if not any(start + right in members for _, right in equi):
                     equi.append((outer, inner - start))
@@ -1386,18 +1388,19 @@ class _SelectPlan:
                 )
             if table is not None and probe is None and index > 0:
                 lookup = _lookup_probe(table, equi)
-            self.join_steps.append(
-                _JoinStep(
-                    kind=kind,
-                    equi=equi,
-                    local=_all_true(local),
-                    residual=_all_true(residual),
-                    post=_all_true(post[index]),
-                    probe=probe,
-                    lookup=lookup,
+            step = _JoinStep(kind, equi, local, residual, post[index], probe, lookup)
+            positioned = self.positioned[index]
+            if local:
+                step.scan_filter = _filter_rows(local, start, positions=positioned)
+                step.lookup_filter = (
+                    _filter_rows(local, start) if positioned and lookup else step.scan_filter
                 )
-            )
-        self.where = _all_true(final)
+            if index:
+                step.join = _join_rows(step, start, end, self.source_ranges[-1][1])
+            self.join_steps.append(step)
+        #: the WHERE conjuncts with a correlated subquery, after the last step
+        self.where_codes = final
+        self.where = _filter_rows(final, 0) if final else None
 
     def _sources_read(self, conjunct: ast.Expr) -> set[int]:
         """The sources whose columns ``conjunct`` names outside its
@@ -1487,7 +1490,7 @@ class _SelectPlan:
             agg_slots: dict[int, int] = {}
             for node in agg_nodes:
                 agg_slots[id(node)] = self.scope.add_synthetic_slot()
-            self._plan_grouping(compiler, [compiler.compile(e) for e in group_exprs])
+            self._plan_grouping(compiler, [compiler.code(e) for e in group_exprs])
             post_compiler = ExpressionCompiler(
                 self.scope, planner, agg_slots=agg_slots, params=planner.params
             )
@@ -1501,41 +1504,47 @@ class _SelectPlan:
         else:
             if select.having is not None:
                 raise ProgrammingError("HAVING requires GROUP BY or aggregates")
-            self.item_fns = [compiler.compile(expr) for expr, _ in self.items]
+            self.item_codes = [compiler.code(expr) for expr, _ in self.items]
             self.having_fn = None
             self.order_fns = self._compile_order(compiler)
         #: the select list's slots when every item is a column of the row:
-        #: the output rows are then one ``itemgetter`` over the rows, not a
-        #: closure call per item and row
-        self.project_slots = None
-        slots = [slot_of(fn) for fn in self.item_fns]
-        if not self.grouped and slots and None not in slots:
-            self.project_slots = slots
+        #: the output rows are then one ``itemgetter`` over the rows; else
+        #: ``project`` computes them in one generated loop
+        self.project_slots = self.project = None
+        if not self.grouped:
+            slots = [code.slot for code in self.item_codes]
+            if slots and None not in slots:
+                self.project_slots = slots
+            else:
+                self.project = _project_rows(self.item_codes)
 
         self.output_columns = [
             _infer_column(expr, name, self.slot_columns, self.scope)
             for expr, name in self.items
         ]
 
-    def _plan_grouping(self, compiler: ExpressionCompiler, key_fns: list[CompiledExpr]) -> None:
-        """How :meth:`_run_grouped` keys a row and reads each aggregate's
-        arguments: through ``itemgetter`` where they are columns of the row,
-        through the compiled closures elsewhere."""
-        self.group_key_fns = key_fns
-        slots = [slot_of(fn) for fn in key_fns]
+    def _plan_grouping(self, compiler: ExpressionCompiler, key_codes: list[Code]) -> None:
+        """How :meth:`_run_grouped` keys the rows and folds each group's
+        aggregates: an ``itemgetter`` key where every GROUP BY key is a
+        column of the row, else one generated loop over the rows; and one
+        generated function per group for the aggregates."""
+        slots = [code.slot for code in key_codes]
         #: the key of a row when every GROUP BY key is a column of it
         self.group_key = itemgetter(*slots) if slots and None not in slots else None
-        #: per aggregate: (a group's rows, env) -> its argument values, in
-        #: order; ``count(*)`` counts the rows themselves
-        self.agg_args = [
-            (lambda rows, env: rows) if node.star
-            else _values_of(compiler.compile(node.args[0]))
-            for node in self.agg_nodes
-        ]
-        self.agg_folds = [
-            functions.make_accumulator(node.name, star=node.star, distinct=node.distinct).fold
-            for node in self.agg_nodes
-        ]
+        #: (rows, env) -> each row's key, when some key is not a column
+        self.group_keys = (
+            _group_keys(key_codes) if key_codes and self.group_key is None else None
+        )
+        #: (a group's rows, env) -> its aggregates' values, in order
+        self.aggregate = _aggregate_rows(
+            [
+                (
+                    functions.make_accumulator(node.name, star=node.star, distinct=node.distinct).fold,
+                    None if node.star else compiler.code(node.args[0]),
+                )
+                for node in self.agg_nodes
+            ]
+        )
 
     def _dealias(self, expr: ast.Expr) -> ast.Expr:
         """Replace a bare alias reference with the aliased expression."""
@@ -1575,7 +1584,7 @@ class _SelectPlan:
         if len(select.order_by) != 1 or len(self.order_fns) != 1:
             return
         step = self.join_steps[0]
-        if step.post is not None:
+        if step.post:
             return
         expr = self._dealias(select.order_by[0].expr)
         if not isinstance(expr, ast.ColumnRef):
@@ -1597,6 +1606,12 @@ class _SelectPlan:
             # selective than streaming the whole index — keep the probe path
             return
         self.topk = (column, select.order_by[0].desc)
+        #: per row: the local filters, the final WHERE, the select list
+        self.topk_fns = (
+            all_true(step.local),
+            all_true(self.where_codes),
+            [row_function(code) for code in self.item_codes],
+        )
 
     # -- plan introspection -------------------------------------------------------
 
@@ -1650,11 +1665,11 @@ class _SelectPlan:
             else:
                 head = f"NestedLoop({step.kind}) {source.binding}"
             notes = []
-            if step.local is not None:
+            if step.local:
                 notes.append(f"local prefilter (residual filter on {source.binding} rows)")
-            if step.residual is not None:
+            if step.residual:
                 notes.append("residual filter on joined rows")
-            if step.post is not None:
+            if step.post:
                 notes.append("post filter")
             lines.append(head + (f"  [{', '.join(notes)}]" if notes else ""))
         if self.folded_false:
@@ -1714,29 +1729,14 @@ class _SelectPlan:
         else:
             rows = self._source_rows(outer_env)
         if self.where is not None:
-            where = self.where
-            # one reused environment for the whole filter pass — the
-            # compiled closures read slot offsets out of it, so
-            # rebinding ``values`` is all a new row costs
-            env = _env([], outer_env)
-            kept: list[tuple] = []
-            for r in rows:
-                env.values = r
-                if where(env) is True:
-                    kept.append(r)
-            rows = kept
+            rows = self.where(rows, _env([], outer_env))
 
         if self.grouped:
             out_rows, rows = self._run_grouped(rows, outer_env)
         else:
             slots = self.project_slots
             if slots is None:
-                item_fns = self.item_fns
-                env = _env([], outer_env)
-                out_rows = []
-                for r in rows:
-                    env.values = r
-                    out_rows.append(tuple(fn(env) for fn in item_fns))
+                out_rows = self.project(rows, _env([], outer_env))
             elif len(slots) == 1:
                 (slot,) = slots
                 out_rows = [(r[slot],) for r in rows]
@@ -1784,12 +1784,10 @@ class _SelectPlan:
                 )
         else:
             rowids = table.index_ordered(column, desc=desc)
-        local = step.local
-        where = self.where
+        local, where, item_fns = self.topk_fns
         offset = select.offset or 0
         need = select.limit + offset
         env = _env([], outer_env)
-        item_fns = self.item_fns
         get = table.get
         out: list[tuple] = []
         scanned = 0
@@ -1835,54 +1833,11 @@ class _SelectPlan:
             found = source.rows_fn(outer_env)
         if source.table is not None:
             outer_env.run.stats.rows_scanned += len(found)
-        positioned = self.positioned[index]
-        keep = self._local_filter(index, outer_env, positions=positioned)
-        if keep is not None:
-            return keep(found)
-        if positioned:
+        if step.scan_filter is not None:
+            return step.scan_filter(found, _env([], outer_env))
+        if self.positioned[index]:
             return [row + (position,) for position, row in enumerate(found)]
         return found
-
-    def _local_filter(self, index: int, outer_env: Env, positions: bool = False):
-        """A function from rows of source ``index`` to those its local
-        filters pass, or None when it has none.  The filters read only that
-        source's slots, so a row is placed at them and nothing is copied
-        for the first source.  With ``positions``, each row kept is copied
-        with its position in the rows given appended."""
-        local = self.join_steps[index].local
-        if local is None:
-            return None
-        start, end = self.source_ranges[index]
-        env = _env([None] * end, outer_env)
-        if positions:
-            placed = env.values
-
-            def keep(rows: list[tuple]) -> list[tuple]:
-                kept = []
-                for position, row in enumerate(rows):
-                    placed[start:] = row
-                    if local(env) is True:
-                        kept.append(row + (position,))
-                return kept
-        elif start == 0:
-            def keep(rows: list[tuple]) -> list[tuple]:
-                kept = []
-                for row in rows:
-                    env.values = row
-                    if local(env) is True:
-                        kept.append(row)
-                return kept
-        else:
-            placed = env.values
-
-            def keep(rows: list[tuple]) -> list[tuple]:
-                kept = []
-                for row in rows:
-                    placed[start:] = row
-                    if local(env) is True:
-                        kept.append(row)
-                return kept
-        return keep
 
     def _join(self, index: int, outer: list[tuple], outer_env: Env) -> list[tuple]:
         """Join the rows so far to source ``index``.  Each outer row meets
@@ -1904,7 +1859,6 @@ class _SelectPlan:
         last step's rows by them once: the order the FROM-order pipeline
         gives."""
         source, step = self.sources[index], self.join_steps[index]
-        start, end = self.source_ranges[index]
         left_slots = [slot for slot, _ in step.equi]
         right_slots = [local for _, local in step.equi]
         if step.lookup is not None and len(outer) < source.table.row_count():
@@ -1922,42 +1876,7 @@ class _SelectPlan:
                 def matches(left: tuple) -> list[tuple]:
                     return inner
 
-        residual, post = step.residual, step.post
-        env = _env([], outer_env)
-        joined: list[tuple] = []
-        if step.kind != "LEFT":
-            for left in outer:
-                for right in matches(left):
-                    row = left + right
-                    if residual is not None:
-                        env.values = row
-                        if residual(env) is not True:
-                            continue
-                    joined.append(row)
-            return joined
-        null_right = (None,) * (end - start)
-        # an ON conjunct may name a source joined later: it reads NULL there
-        pad = (None,) * (self.source_ranges[-1][1] - end)
-        for left in outer:
-            matched = False
-            for right in matches(left):
-                row = left + right
-                if residual is not None:
-                    env.values = row + pad
-                    if residual(env) is not True:
-                        continue
-                matched = True
-                if post is not None:
-                    env.values = row
-                    if post(env) is not True:
-                        continue
-                joined.append(row)
-            if not matched:
-                row = left + null_right
-                env.values = row
-                if post is None or post(env) is True:
-                    joined.append(row)
-        return joined
+        return step.join(outer, matches, _env([], outer_env))
 
     def _lookup_matches(
         self, index: int, left_slots: list[int], right_slots: list[int], outer_env: Env
@@ -1969,7 +1888,7 @@ class _SelectPlan:
         source, step = self.sources[index], self.join_steps[index]
         table, probe = source.table, step.lookup
         stats = outer_env.run.stats
-        keep = self._local_filter(index, outer_env)
+        keep = step.lookup_filter
         get = table.get
         env = _env([], outer_env)
         several = len(left_slots) > 1
@@ -1989,7 +1908,7 @@ class _SelectPlan:
                 if None in key:
                     return []
                 found = [row for row in found if inner_key(row) == key]
-            return found if keep is None else keep(found)
+            return found if keep is None else keep(found, env)
 
         return matches
 
@@ -2014,20 +1933,15 @@ class _SelectPlan:
         and, parallel to them, each group's row with its aggregates: what
         ORDER BY reads."""
         if self.group_exprs:
-            key_of = self.group_key
-            if key_of is None:
-                key_fns = self.group_key_fns
-                key_env = _env([], outer_env)
-
-                def key_of(row: tuple) -> tuple:
-                    key_env.values = row
-                    return tuple([fn(key_env) for fn in key_fns])
-
-            groups = list(_buckets(rows, key_of).values())
+            if self.group_key is not None:
+                keys = map(self.group_key, rows)
+            else:
+                keys = self.group_keys(rows, _env([], outer_env))
+            groups = list(_buckets(rows, keys).values())
         else:
             groups = [rows]  # one group of every row, even of none
         no_row = (None,) * (self.scope.slot_count - len(self.agg_nodes))
-        aggregates = list(zip(self.agg_folds, self.agg_args))
+        aggregate = self.aggregate
         arg_env = _env([], outer_env)
         env = _env([], outer_env)
         out_rows: list[tuple] = []
@@ -2036,7 +1950,7 @@ class _SelectPlan:
             # place aggregate results in their synthetic slots (the last
             # len(agg_nodes) slots, allocated in agg_nodes order)
             first = bucket[0] if bucket else no_row
-            full = first + tuple([fold(args(bucket, arg_env)) for fold, args in aggregates])
+            full = first + aggregate(bucket, arg_env)
             env.values = full
             if self.having_fn is not None and self.having_fn(env) is not True:
                 continue
@@ -2154,7 +2068,10 @@ class _Source:
 class _JoinStep:
     """Execution plan for one join step (aligned with one source)."""
 
-    __slots__ = ("kind", "equi", "local", "residual", "post", "probe", "lookup")
+    __slots__ = (
+        "kind", "equi", "local", "residual", "post", "probe", "lookup",
+        "scan_filter", "lookup_filter", "join",
+    )
 
     def __init__(self, kind: str, equi, local, residual, post, probe=None, lookup=None):
         self.kind = kind
@@ -2167,6 +2084,14 @@ class _JoinStep:
         self.residual = residual
         #: pushed WHERE conjuncts applied after a LEFT join pads its rows
         self.post = post
+        #: (rows, env) -> the rows of the source the local filters keep, each
+        #: with its scan position appended when the source is positioned;
+        #: ``lookup_filter`` likewise for rows the lookup path found (which
+        #: carry their position already); None without local filters
+        self.scan_filter = self.lookup_filter = None
+        #: (outer rows, outer row -> its inner rows, env) -> the joined rows
+        #: the residual keeps (padded, and post-filtered, for a LEFT join)
+        self.join = None
         #: (column_name, payload, kind) index probe replacing the full scan;
         #: kind is "pk" / "secondary" (payload = value_fn), "pk list" /
         #: "secondary list" (payload = [item_fn, …]) or "range"
@@ -2176,6 +2101,119 @@ class _JoinStep:
         #: this step may make per outer row instead of hashing the table;
         #: value_fn reads the outer row's equi key
         self.lookup = lookup
+
+
+# -- generated pipeline steps ---------------------------------------------------
+#
+# Each step's per-row work is one function, written by an
+# :class:`~repro.engine.expressions.Emitter` and compiled once per shape.  A
+# step function takes the rows and an environment whose ``run`` (and outer
+# row) the bound callables read; it sets ``env.values`` to the row only when
+# one of them reads the row through it (a correlated subquery).
+
+
+def _filter_rows(codes: list[Code], start: int, positions: bool = False) -> Callable:
+    """(rows, env) -> the rows every predicate of ``codes`` passes, in
+    order.  The rows are those of the source whose first slot is ``start``;
+    with ``positions`` each row kept carries its position among them."""
+    gen = Emitter(base=start)
+    gen.line("kept = []")
+    gen.line("append = kept.append")
+    with gen.block("for position, row in enumerate(rows):" if positions else "for row in rows:"):
+        gen.when_env_row_read("env.values = row")
+        gen.filter(codes)
+        gen.line("append(row + (position,))" if positions else "append(row)")
+    gen.line("return kept")
+    # a correlated conjunct runs after the last step, over whole rows
+    assert not (start and gen.reads_env_row)
+    return gen.function("_filter", "rows, env")
+
+
+def _join_rows(step: "_JoinStep", start: int, end: int, width: int) -> Callable:
+    """(outer rows, outer row -> its inner rows, env) -> the joined rows of
+    ``step``, whose source has slots ``start``…``end`` of ``width``: each outer row meets each of its inner rows, and the residual
+    keeps the joined row.  A LEFT join pads an outer row that kept no
+    match with NULLs, and its post filters see the rows padded; an ON
+    conjunct that names a later source reads NULL there."""
+    residual, post = step.residual, step.post
+    if step.kind != "LEFT" and not residual:
+        gen = Emitter()
+        gen.line("return [left + right for left in outer for right in matches(left)]")
+        return gen.function("_join", "outer, matches, env")
+    gen = Emitter(limit=end)
+    gen.line("joined = []")
+    gen.line("append = joined.append")
+    with gen.block("for left in outer:"):
+        if step.kind == "LEFT":
+            gen.line("matched = False")
+        with gen.block("for right in matches(left):"):
+            gen.line("row = left + right")
+            if residual:
+                padded = f"row + {gen.bind((None,) * (width - end))}" if width > end else "row"
+                gen.when_env_row_read(f"env.values = {padded}")
+                gen.filter(residual)
+            if step.kind == "LEFT":
+                gen.line("matched = True")
+                gen.when_env_row_read("env.values = row")
+                gen.filter(post)
+            gen.line("append(row)")
+        if step.kind == "LEFT":
+            with gen.block("if not matched:"):
+                gen.line(f"row = left + {gen.bind((None,) * (end - start))}")
+                gen.when_env_row_read("env.values = row")
+                gen.filter(post)
+                gen.line("append(row)")
+    gen.line("return joined")
+    return gen.function("_join", "outer, matches, env")
+
+
+def _project_rows(codes: list[Code]) -> Callable:
+    """(rows, env) -> each row's select list."""
+    gen = Emitter()
+    gen.line("out = []")
+    gen.line("append = out.append")
+    with gen.block("for row in rows:"):
+        gen.when_env_row_read("env.values = row")
+        gen.line(f"append(({''.join(code.emit(gen) + ', ' for code in codes)}))")
+    gen.line("return out")
+    return gen.function("_project", "rows, env")
+
+
+def _group_keys(codes: list[Code]) -> Callable:
+    """(rows, env) -> each row's GROUP BY key, a tuple, every row's key
+    computed before any aggregate argument."""
+    gen = Emitter()
+    gen.line("keys = []")
+    gen.line("append = keys.append")
+    with gen.block("for row in rows:"):
+        gen.when_env_row_read("env.values = row")
+        gen.line(f"append(({''.join(code.emit(gen) + ', ' for code in codes)}))")
+    gen.line("return keys")
+    return gen.function("_group_keys", "rows, env")
+
+
+def _aggregate_rows(aggregates: list[tuple[Callable, "Code | None"]]) -> Callable:
+    """(a group's rows, env) -> the tuple of its aggregates, each ``fold``
+    over its argument's values in input order (``count(*)``, with no
+    argument, over the rows themselves), one aggregate after the other."""
+    gen = Emitter()
+    folded = []
+    for fold, argument in aggregates:
+        fold_name = gen.bind(fold, "a")
+        if argument is None:
+            folded.append(gen.assign(f"{fold_name}(rows)"))
+        elif argument.slot is not None:
+            getter = gen.bind(itemgetter(argument.slot), "g")
+            folded.append(gen.assign(f"{fold_name}(list(map({getter}, rows)))"))
+        else:
+            values = gen.temp()
+            gen.line(f"{values} = []")
+            with gen.block("for row in rows:"):
+                gen.when_env_row_read("env.values = row")
+                gen.line(f"{values}.append({argument.emit(gen)})")
+            folded.append(gen.assign(f"{fold_name}({values})"))
+    gen.line(f"return ({''.join(name + ', ' for name in folded)})")
+    return gen.function("_aggregate", "rows, env")
 
 
 def _hash_rows(rows: list[tuple], local_slots: list[int]) -> dict:
@@ -2197,13 +2235,12 @@ def _hash_rows(rows: list[tuple], local_slots: list[int]) -> dict:
     return buckets
 
 
-def _buckets(rows: list[tuple], key_of) -> dict:
-    """Rows by ``key_of(row)``, keys in first-seen order and each bucket's
-    rows in input order.  A NaN in a key is filed under the one
-    :data:`~repro.engine.values.NAN`: NaN groups with NaN."""
+def _buckets(rows: list[tuple], keys: Iterable) -> dict:
+    """Rows by their ``keys`` (parallel to them), keys in first-seen order
+    and each bucket's rows in input order.  A NaN in a key is filed under
+    the one :data:`~repro.engine.values.NAN`: NaN groups with NaN."""
     buckets: dict = {}
-    for row in rows:
-        key = key_of(row)
+    for key, row in zip(keys, rows):
         bucket = buckets.get(key)
         if bucket is None:
             key = one_nan(key)
@@ -2244,24 +2281,6 @@ def _sort(items: list, keys: list[tuple[Any, bool]]) -> None:
             runs.append(([value_of], desc))
     for values_of, desc in reversed(runs):
         items.sort(key=lambda item: tuple([sort_key(v(item)) for v in values_of]), reverse=desc)
-
-
-def _values_of(fn: CompiledExpr):
-    """A function from a group's rows to the values of ``fn`` over them, in
-    order — an ``itemgetter`` map when ``fn`` reads a column of the row."""
-    slot = slot_of(fn)
-    if slot is not None:
-        getter = itemgetter(slot)
-        return lambda rows, env: list(map(getter, rows))
-
-    def values(rows: list[tuple], env: Env) -> list:
-        out = []
-        for row in rows:
-            env.values = row
-            out.append(fn(env))
-        return out
-
-    return values
 
 
 def _lookup_probe(table: Table, equi: list[tuple[int, int]]):
@@ -2620,25 +2639,6 @@ def _next_step(joined, outer, rows, scanned, kept, links):
         elif best is None and (cross is None or cost < cross[1]):
             cross = (source, cost, produced)
     return best or cross
-
-
-def _all_true(fns: list[CompiledExpr]) -> CompiledExpr | None:
-    """One filter out of compiled predicates: true when each is true."""
-    if not fns:
-        return None
-    if len(fns) == 1:
-        return fns[0]
-    if len(fns) == 2:
-        first, second = fns
-        return lambda env: first(env) is True and second(env) is True
-
-    def _all(env: Env):
-        for fn in fns:
-            if fn(env) is not True:
-                return False
-        return True
-
-    return _all
 
 
 def _plain_refs(expr: ast.Node) -> Iterator[ast.ColumnRef]:

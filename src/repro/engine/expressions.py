@@ -1,13 +1,36 @@
-"""Expression compilation: AST → Python closures.
+"""Expression compilation: AST → Python source → one generated function.
 
 Expressions are compiled once per statement against a :class:`Scope`
-(name→slot resolution) and then evaluated per row against an :class:`Env`
-(the flat row values, chained to outer rows for correlated subqueries).
-This keeps per-row work to attribute-free closure calls, which is what
-makes TPC-H-scale scans tolerable in pure Python.
+(name→slot resolution) into a :class:`Code`: what the expression *emits*
+into a generated Python function.  There is one emitter and two wrappers:
 
-Three-valued logic: predicate closures return ``True``/``False``/``None``;
-the executor treats only ``True`` as satisfying WHERE/HAVING/ON.
+* :func:`row_function` — ``env → value``, one expression evaluated for one
+  row environment (:class:`Env`: the flat row values, chained to outer rows
+  for correlated subqueries).  DML's WHERE and SET, HAVING, ORDER BY keys,
+  a plan's once-per-run filter and constant folding use it;
+  :meth:`ExpressionCompiler.compile` returns it.
+* a loop over rows — the executor writes one per pipeline step (a source's
+  local filters, a join step, the final WHERE, the group keys, the
+  aggregate arguments, the projection) with an :class:`Emitter`, so a
+  step's per-row work is straight-line code in one function.
+
+Every node that has a source form emits it: slot reads, constants (bound
+as names of the function's namespace, never spliced in as literals),
+arithmetic, date arithmetic, comparisons, three-valued AND/OR/NOT,
+``IS [NOT] NULL``, ``[NOT] BETWEEN``, ``[NOT] IN`` and CASE.  Every other
+node — function calls, LIKE, CAST, EXTRACT, SUBSTRING, subqueries, ``?``,
+``@name``, ``rowcount()`` — is bound into the namespace as a callable and
+called with the operand values the function computed, and with the
+:class:`Env` when it reads the run.  Because constants are names, a
+generated source depends only on the plan's shape; :func:`_code_of`
+memoizes source text → code object, so a plan compiled again (after a
+crash, a restart, a rewind) compiles no Python.
+
+Three-valued logic: predicates answer ``True``/``False``/``None``; the
+executor treats only ``True`` as satisfying WHERE/HAVING/ON.  Each
+generated function evaluates the operands the SQL evaluates, in order: AND,
+OR and arithmetic evaluate both sides before looking at NULL, so every
+error an operand raises is raised.
 
 Compilation folds bottom-up: a literal compiles to a constant, and any
 other node whose compiled operands are all constants is evaluated once, at
@@ -16,24 +39,19 @@ subquery, which are never constant.  Constness is read off the compiled
 operands, not found by walking the tree again: DML compiles its WHERE and
 SET on every execution.  A comparison whose two values are of a pair in
 :data:`~repro.engine.values.DIRECT_PAIRS` applies Python's operator to them
-directly; every other pair goes through :func:`~repro.engine.values.compare`.
-
-A column of this query's row compiles to a read that carries its slot, as a
-folded constant carries its value.  The shapes a scan filters by most —
-``column <op> constant`` either way round, ``column <op> column``,
-``column [NOT] BETWEEN constant AND constant`` and ``x [NOT] IN (constants)``
-— look at both once, at compile time, and compile to one closure that reads
-the slot and compares with the bound constant (or tests membership in a
-``frozenset``).  A row value whose class does not pair directly with the
-constant, a NULL and a NaN fall through to ``compare``, as the generic
-closure does; a NULL or NaN constant keeps the generic closure.
+directly; every other pair, a NULL and a NaN go through
+:func:`~repro.engine.values.compare`.  The shapes a scan filters by most —
+``column <op> constant`` either way round, ``column [NOT] BETWEEN constant
+AND constant`` and ``x [NOT] IN (constants)`` — test the row value's class
+against the classes that pair directly with the constants (none for a NULL
+or NaN constant), and an IN list of such constants is a ``frozenset``.
 
 Subqueries are compiled through a callback into the executor (to avoid an
 import cycle the executor passes its planner in as the ``SubqueryRunner``).
 Uncorrelated subqueries are detected at compile time — their result is
 computed lazily once and cached for the statement.
 
-A compiled closure holds no session: what varies per execution — the
+A compiled expression holds no session: what varies per execution — the
 ``?`` and ``@name`` values, the session's ``rowcount()``, the statement's
 memos — is read from the :class:`RunContext` its environment carries, so
 one compiled plan serves every session of its database.
@@ -41,11 +59,14 @@ one compiled plan serves every session of its database.
 
 from __future__ import annotations
 
+import builtins
 import datetime
 import functools
-import operator
 import re
-from typing import Any, Callable, Iterable, Protocol
+import textwrap
+import types
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine import functions
@@ -56,18 +77,22 @@ from repro.sql import ast
 __all__ = [
     "Scope",
     "Env",
+    "Code",
     "CompiledExpr",
+    "Emitter",
     "ExpressionCompiler",
     "RunContext",
     "SubqueryRunner",
     "FLIPPED",
+    "all_true",
     "is_constant",
     "like_to_regex",
+    "row_function",
     "slot_of",
     "statement_memo",
 ]
 
-#: A compiled expression: env → value.
+#: A compiled expression's per-row function: env → value.
 CompiledExpr = Callable[["Env"], Any]
 
 
@@ -106,14 +131,6 @@ class Env:
         self.values = values
         self.parent = parent
         self.run = run
-
-    def at(self, depth: int, slot: int) -> Any:
-        env: Env | None = self
-        for _ in range(depth):
-            assert env is not None
-            env = env.parent
-        assert env is not None
-        return env.values[slot]
 
 
 class Scope:
@@ -249,6 +266,19 @@ def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
+@functools.lru_cache(maxsize=1024)
+def _code_of(source: str) -> types.CodeType:
+    """The code object of the one function ``source`` defines.
+
+    Memoized by source text: a generated source depends only on the shape
+    of what it evaluates (constants are names of its namespace), so every
+    plan of one shape — in any database incarnation, after any crash —
+    shares one ``compile()``.  The memo holds code objects only: no
+    constant, table or session."""
+    module = compile(source, "<generated>", "exec")
+    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
+
+
 def statement_memo(compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
     """``compute`` evaluated once per execution of its plan.
 
@@ -273,103 +303,207 @@ def statement_memo(compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
 _UNSET = object()
 
 
-def _kleene_and(left: Any, right: Any) -> Any:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
+# -- the emitter ---------------------------------------------------------------
+
+
+class Code:
+    """A compiled expression: ``emit(gen)`` appends the statements that
+    compute its value to the :class:`Emitter` ``gen`` and returns the name
+    that holds the value.
+
+    ``constant`` says it folded at compile time (then ``value`` is its
+    value); ``slot`` is the slot it reads when it is a column of this
+    query's row, as it stands; ``three_valued`` says it answers only
+    True/False/None, so used as a predicate it needs no normalizing."""
+
+    __slots__ = ("emit", "constant", "value", "slot", "three_valued", "function")
+
+    def __init__(self, emit: Callable[["Emitter"], str], three_valued: bool = False):
+        self.emit = emit
+        self.constant = False
+        self.value = None
+        self.slot: int | None = None
+        self.three_valued = three_valued
+        #: its :func:`row_function`, once built
+        self.function: CompiledExpr | None = None
+
+
+class Emitter:
+    """The source of one generated function, written line by line.
+
+    Rows are read as ``row``: a slot read emits ``row[slot - base]``, so a
+    loop over one source's rows reads them where they stand, and a slot at
+    or past ``limit`` (a LEFT join's sources after its step) reads NULL.
+    Outer rows are read through ``env``.  Names bound into the namespace
+    are numbered in emission order, so the source depends only on the
+    shape of what is emitted."""
+
+    def __init__(self, base: int = 0, limit: int | None = None):
+        self.base = base
+        self.limit = limit
+        self.lines: list[Any] = []
+        self.namespace: dict[str, Any] = {}
+        self.indent = ""
+        self.temps = 0
+        #: did an emitted expression read ``row``?
+        self.reads_row = False
+        #: did a bound callable read the row through ``env.values``?
+        self.reads_env_row = False
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.indent + text)
+
+    def lines_of(self, text: str) -> None:
+        """Each line of the indented block ``text``, at the current indent."""
+        for line in textwrap.dedent(text).splitlines():
+            if line.strip():
+                self.line(line)
+
+    @contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.line(header)
+        outer = self.indent
+        self.indent += "    "
+        try:
+            yield
+        finally:
+            self.indent = outer
+
+    def when_row_read(self, text: str) -> None:
+        """A line kept only if the function reads ``row`` (``row =
+        env.values``, at the top of a per-row function)."""
+        self.lines.append((self.indent + text, "reads_row"))
+
+    def when_env_row_read(self, text: str) -> None:
+        """A line kept only if a bound callable reads the row through
+        ``env.values`` (a correlated subquery)."""
+        self.lines.append((self.indent + text, "reads_env_row"))
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def assign(self, expression: str) -> str:
+        name = self.temp()
+        self.line(f"{name} = {expression}")
+        return name
+
+    def bind(self, obj: Any, prefix: str = "c") -> str:
+        """A name of the namespace for ``obj``: ``c…`` a constant, ``f…`` a
+        callable, ``p…`` / ``m…`` a class or member set."""
+        name = f"{prefix}{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def call(self, fn: Callable, *args: str) -> str:
+        return self.assign(f"{self.bind(fn, 'f')}({', '.join(args)})")
+
+    def column(self, slot: int) -> str:
+        if self.limit is not None and slot >= self.limit:
+            return self.bind(None)
+        self.reads_row = True
+        return self.assign(f"row[{slot - self.base}]")
+
+    def predicate(self, code: Code) -> str:
+        """``code``'s value normalized to True/False/None."""
+        name = code.emit(self)
+        if code.three_valued:
+            return name
+        return self.assign(f"None if {name} is None else bool({name})")
+
+    def filter(self, codes: list[Code], otherwise: str = "continue") -> None:
+        """Each predicate in turn; the first not True runs ``otherwise``
+        (the later ones are not evaluated)."""
+        for code in codes:
+            name = self.predicate(code)
+            with self.block(f"if {name} is not True:"):
+                self.line(otherwise)
+
+    def function(self, name: str, params: str) -> Callable:
+        """The function of the lines written, built from the memoized code
+        object of its source."""
+        body = []
+        for line in self.lines:
+            if isinstance(line, tuple):
+                line, condition = line
+                if not getattr(self, condition):
+                    continue
+            body.append(f"    {line}\n")
+        source = f"def {name}({params}):\n{''.join(body)}"
+        fn = types.FunctionType(_code_of(source), {**_HELPERS, **self.namespace}, name)
+        fn.source = source
+        return fn
+
+
+def row_function(code: Code) -> CompiledExpr:
+    """``code`` as ``env → value`` (built once per :class:`Code`)."""
+    if code.function is None:
+        gen = Emitter()
+        gen.when_row_read("row = env.values")
+        gen.line(f"return {code.emit(gen)}")
+        fn = gen.function("_row", "env")
+        fn.code = code
+        code.function = fn
+    return code.function
+
+
+def all_true(codes: list[Code]) -> CompiledExpr | None:
+    """One ``env → bool`` filter: each predicate of ``codes`` is True (None
+    when there is none)."""
+    if not codes:
         return None
-    return True
+    gen = Emitter()
+    gen.when_row_read("row = env.values")
+    gen.filter(codes, "return False")
+    gen.line("return True")
+    return gen.function("_all_true", "env")
 
 
-def _kleene_or(left: Any, right: Any) -> Any:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
+def _code(fn: "Code | CompiledExpr") -> Code:
+    return fn if isinstance(fn, Code) else fn.code
 
 
-def _truthy(value: Any) -> Any:
-    """Normalize a value used as a predicate to True/False/None."""
-    if value is None:
-        return None
-    return bool(value)
-
-
-def _three_valued(fn: CompiledExpr) -> CompiledExpr:
-    """Mark ``fn`` as returning only True/False/None: used as a predicate,
-    it needs no :func:`_truthy` around it."""
-    fn.three_valued = True
-    return fn
-
-
-def _constant(value: Any) -> CompiledExpr:
-    """What a literal compiles to, and what folding makes of a node over
-    constants."""
-
-    def constant(env: Env) -> Any:
-        return value
-
-    constant.constant = True
-    constant.three_valued = value is None or value.__class__ is bool
-    return constant
-
-
-def is_constant(fn: CompiledExpr) -> bool:
+def is_constant(fn: "Code | CompiledExpr") -> bool:
     """Did ``fn`` fold to a constant at compile time?  Then ``fn(None)`` is
-    its value, the same at every run."""
-    return getattr(fn, "constant", False)
+    its value (``fn.value`` for a :class:`Code`), the same at every run."""
+    return _code(fn).constant
 
 
-def slot_of(fn: CompiledExpr) -> int | None:
+def slot_of(fn: "Code | CompiledExpr") -> int | None:
     """The slot ``fn`` reads when it is a column of this query's row, as
     it stands (``env.values[slot]``); else None."""
-    return getattr(fn, "slot", None)
+    return _code(fn).slot
 
 
-#: class -> the classes whose values pair with its values in DIRECT_PAIRS
-_PARTNERS: dict[type, frozenset] = {
-    cls: frozenset(a for a, b in DIRECT_PAIRS if b is cls) for _a, cls in DIRECT_PAIRS
-}
+def _between_by_compare(value: Any, low: Any, high: Any, negated: bool) -> Any:
+    """``value [NOT] BETWEEN low AND high`` through ``compare``."""
+    lo = compare(value, low)
+    hi = compare(value, high)
+    if lo is None or hi is None:
+        # ``value >= low AND value <= high`` in three-valued logic: a NULL
+        # bound leaves the answer unknown unless the other bound already
+        # fails — ``5 BETWEEN 9 AND NULL`` is false, so its NOT is true
+        if (lo is None or lo >= 0) and (hi is None or hi <= 0):
+            return None
+        result = False
+    else:
+        result = lo >= 0 and hi <= 0
+    return not result if negated else result
 
 
-def _partners(constants: list[CompiledExpr]) -> frozenset:
-    """The classes a row value must be of to compare directly with every
-    one of ``constants`` — empty unless each folded to a value that is not
-    NULL or NaN."""
-    found = None
-    for fn in constants:
-        if not is_constant(fn):
-            return frozenset()
-        value = fn(None)
-        if value != value:  # NaN
-            return frozenset()
-        partners = _PARTNERS.get(value.__class__, frozenset())
-        found = partners if found is None else found & partners
-    return found or frozenset()
-
-
-def _folded(fn: CompiledExpr, *operands: CompiledExpr) -> CompiledExpr:
-    """``fn`` evaluated once, now, when every operand is a constant.  An
-    evaluation that raises keeps ``fn``: the error belongs to the runs that
-    evaluate the expression (a filter over an empty table raises nothing)."""
-    for operand in operands:
-        if not is_constant(operand):
-            return fn
-    try:
-        value = fn(None)
-    except Exception:
-        return fn
-    return _constant(value)
-
-
-def _predicate(fn: CompiledExpr) -> CompiledExpr:
-    """``fn`` used as a filter: its result normalized to True/False/None."""
-    if getattr(fn, "three_valued", False):
-        return fn
-    if is_constant(fn):
-        return _constant(_truthy(fn(None)))
-    return lambda env: _truthy(fn(env))
+def _in_values(value: Any, others: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN (others)`` through ``compare``."""
+    if value is None:
+        return None
+    saw_null = False
+    for other in others:
+        if other is None:
+            saw_null = True
+        elif _equal(value, other):
+            return not negated
+    if saw_null:
+        return None
+    return negated
 
 
 def _equal(a: Any, b: Any) -> bool:
@@ -382,17 +516,110 @@ def _equal(a: Any, b: Any) -> bool:
     return compare(a, b) == 0
 
 
+#: the namespace every generated function starts from
+_HELPERS = {
+    "__builtins__": builtins,
+    "_DIRECT_PAIRS": DIRECT_PAIRS,
+    "_NUMBERS": functions.NUMBERS,
+    "_DataError": DataError,
+    "_compare": compare,
+    "_not_numbers": functions.not_numbers,
+    "_add_interval": add_interval,
+    "_date": datetime.date,
+    "_timedelta": datetime.timedelta,
+    "_between_by_compare": _between_by_compare,
+    "_in_values": _in_values,
+    "_equal": _equal,
+}
+
+#: class -> the classes whose values pair with its values in DIRECT_PAIRS
+_PARTNERS: dict[type, frozenset] = {
+    cls: frozenset(a for a, b in DIRECT_PAIRS if b is cls) for _a, cls in DIRECT_PAIRS
+}
+
+
+def _partners(constants: list[Code]) -> frozenset:
+    """The classes a value must be of to compare directly with every one
+    of ``constants`` — empty unless each folded to a value that is not NULL
+    or NaN."""
+    found = None
+    for code in constants:
+        if not code.constant:
+            return frozenset()
+        value = code.value
+        if value != value:  # NaN
+            return frozenset()
+        partners = _PARTNERS.get(value.__class__, frozenset())
+        found = partners if found is None else found & partners
+    return found or frozenset()
+
+
+def _constant(value: Any) -> Code:
+    """What a literal compiles to, and what folding makes of a node over
+    constants."""
+    code = Code(lambda gen: gen.bind(value), value is None or value.__class__ is bool)
+    code.constant = True
+    code.value = value
+    return code
+
+
+def _folded(code: Code, *operands: Code) -> Code:
+    """``code`` evaluated once, now, when every operand is a constant.  An
+    evaluation that raises keeps ``code``: the error belongs to the runs
+    that evaluate the expression (a filter over an empty table raises
+    nothing)."""
+    for operand in operands:
+        if not operand.constant:
+            return code
+    try:
+        value = row_function(code)(None)
+    except Exception:
+        return code
+    return _constant(value)
+
+
+def _predicate(code: Code) -> Code:
+    """``code`` used as a filter: its value normalized to True/False/None."""
+    if code.three_valued:
+        return code
+    if code.constant:
+        return _constant(None if code.value is None else bool(code.value))
+    return Code(lambda gen: gen.predicate(code), three_valued=True)
+
+
+def _applied(fn: Callable, *operands: Code) -> Code:
+    """``fn`` bound into the namespace and called with the operands'
+    values; folded when they are constants."""
+
+    def emit(gen: Emitter) -> str:
+        return gen.call(fn, *[operand.emit(gen) for operand in operands])
+
+    return _folded(Code(emit), *operands)
+
+
+def _with_env(fn: Callable, *operands: Code, env_row: bool = False, three_valued: bool = False) -> Code:
+    """``fn`` bound into the namespace and called with the environment and
+    the operands' values; ``env_row`` when it reads the row through
+    ``env.values``.  Never constant."""
+
+    def emit(gen: Emitter) -> str:
+        args = [operand.emit(gen) for operand in operands]
+        gen.reads_env_row |= env_row
+        return gen.call(fn, "env", *args)
+
+    return Code(emit, three_valued)
+
+
 #: comparison operator -> (the Python operator that answers it for a direct
-#: pair, the answer when that operator holds, the test on compare's -1/0/1).
-#: Every Python comparison with a NaN is false, so a false one is taken as
-#: the answer only once neither side is NaN.
-_COMPARISONS: dict[str, tuple[Callable[[Any, Any], bool], bool, Callable[[int], bool]]] = {
-    "=": (operator.eq, True, lambda c: c == 0),
-    "<>": (operator.eq, False, lambda c: c != 0),
-    "<": (operator.lt, True, lambda c: c < 0),
-    "<=": (operator.le, True, lambda c: c <= 0),
-    ">": (operator.gt, True, lambda c: c > 0),
-    ">=": (operator.ge, True, lambda c: c >= 0),
+#: pair with no NaN, the answer that operator gives when a side is NaN —
+#: then ``compare`` answers —, the test on compare's -1/0/1)
+_COMPARISONS: dict[str, tuple[str, bool, str]] = {
+    "=": ("==", False, "== 0"),
+    "<>": ("!=", True, "!= 0"),
+    "<": ("<", False, "< 0"),
+    "<=": ("<=", False, "<= 0"),
+    ">": (">", False, "> 0"),
+    ">=": (">=", False, ">= 0"),
 }
 
 #: each comparison operator with its sides swapped (``5 < k`` is ``k > 5``)
@@ -400,6 +627,127 @@ FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: EXTRACT's parts: the ``datetime.date`` attribute each reads
 _DATE_PARTS = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
+
+
+def _comparison(op: str, left: Code, right: Code) -> Code:
+    """``left <op> right``: Python's operator on a direct pair with no NaN,
+    else ``compare`` over the sides as written (its errors name them in
+    order).  A column beside a constant that pairs directly has its class
+    tested against the constant's partners."""
+    python_op, on_nan, test = _COMPARISONS[op]
+    if left.slot is not None and _partners([right]):
+        known, column_first = right, True
+    elif right.slot is not None and _partners([left]):
+        known, column_first = left, False
+        python_op = _COMPARISONS[FLIPPED[op]][0]
+    else:
+        known = None
+
+    def emit(gen: Emitter) -> str:
+        a, b = left.emit(gen), right.emit(gen)
+        t, c = gen.temp(), gen.temp()
+        if known is None:
+            direct = (
+                f"({a}.__class__, {b}.__class__) not in _DIRECT_PAIRS "
+                f"or ({t} := {a} {python_op} {b}) is {on_nan} and ({a} != {a} or {b} != {b})"
+            )
+        else:
+            value, constant = (a, b) if column_first else (b, a)
+            partners = gen.bind(_PARTNERS[known.value.__class__], "p")
+            direct = (
+                f"{value}.__class__ not in {partners} "
+                f"or ({t} := {value} {python_op} {constant}) is {on_nan} and {value} != {value}"
+            )
+        gen.lines_of(f"""
+            if {direct}:
+                {c} = _compare({a}, {b})
+                {t} = None if {c} is None else {c} {test}
+        """)
+        return t
+
+    return _folded(Code(emit, three_valued=True), left, right)
+
+
+def _arithmetic(op: str, left: Code, right: Code) -> Code:
+    """``left <op> right`` over two numbers (and, for ``+`` and ``-``, a
+    date and a number of days, or two dates); NULL if either side is
+    NULL; a DataError over anything else.  A check a constant operand
+    always passes is left out."""
+
+    def emit(gen: Emitter) -> str:
+        a, b = left.emit(gen), right.emit(gen)
+        t = gen.temp()
+        nulls = [f"{x} is None" for x, code in ((a, left), (b, right)) if not _known_number(code)]
+        numbers = [
+            f"{x}.__class__ in _NUMBERS" for x, code in ((a, left), (b, right))
+            if not _known_number(code)
+        ]
+        if op in ("+", "-"):
+            body = f"{t} = {a} {op} {b}"
+        elif op == "*":
+            body = f"{t} = {a} * {b}"
+        else:
+            zero = "" if _known_number(right) and right.value != 0 else (
+                f"if {b} == 0:\n    raise _DataError('division by zero')\n"
+            )
+            if op == "/":
+                body = f"{zero}{t} = {a} / {b}"
+            else:
+                # SQL remainder takes the sign of the dividend (-7 % 3 = -1);
+                # Python's takes the divisor's
+                body = f"{zero}{t} = abs({a}) % abs({b})\nif {a} < 0:\n    {t} = -{t}"
+        branches = []
+        if nulls:
+            branches.append((" or ".join(nulls), f"{t} = None"))
+        if not numbers:
+            _chain(gen, branches, body)
+            return t
+        branches.append((" and ".join(numbers), body))
+        if op in ("+", "-"):
+            days = b if op == "+" else f"-{b}"
+            branches.append(
+                (f"isinstance({a}, _date) and isinstance({b}, int)",
+                 f"{t} = {a} + _timedelta(days={days})")
+            )
+        if op == "-":
+            branches.append(
+                (f"isinstance({a}, _date) and isinstance({b}, _date)", f"{t} = ({a} - {b}).days")
+            )
+        _chain(gen, branches, f"raise _not_numbers({op!r}, {a}, {b})")
+        return t
+
+    return _folded(Code(emit), left, right)
+
+
+def _known_number(code: Code) -> bool:
+    """Is ``code`` a constant number: no NULL and class check needed?"""
+    return code.constant and code.value.__class__ in functions.NUMBERS
+
+
+def _chain(gen: Emitter, branches: list[tuple[str, str]], otherwise: str | None) -> None:
+    """``if``/``elif`` over (condition, lines) and ``else`` ``otherwise``."""
+    for index, (condition, lines) in enumerate(branches):
+        with gen.block(f"{'el' if index else ''}if {condition}:"):
+            gen.lines_of(lines)
+    if otherwise is None:
+        return
+    if not branches:
+        gen.lines_of(otherwise)
+        return
+    with gen.block("else:"):
+        gen.lines_of(otherwise)
+
+
+def _guarded(gen: Emitter, parts: list[Callable[[], None]], done: str) -> None:
+    """Emit each of ``parts`` in turn, each after the first only while
+    ``done`` is still False: what the first to answer answers, without
+    evaluating the rest (and with no nesting per part)."""
+    for index, part in enumerate(parts):
+        if index == 0:
+            part()
+            continue
+        with gen.block(f"if not {done}:"):
+            part()
 
 
 class ExpressionCompiler:
@@ -428,52 +776,55 @@ class ExpressionCompiler:
         #: evaluated for (see :meth:`compile_conjunct`)
         self.correlated_subqueries = 0
 
-    # -- entry point ----------------------------------------------------------
+    # -- entry points ---------------------------------------------------------
 
-    def compile(self, expr: ast.Expr) -> CompiledExpr:
+    def code(self, expr: ast.Expr) -> Code:
+        """``expr`` compiled to what it emits into a generated function."""
         method = getattr(self, "_compile_" + type(expr).__name__, None)
         if method is None:
             raise ProgrammingError(f"cannot compile expression {type(expr).__name__}")
         return method(expr)
 
+    def compile(self, expr: ast.Expr) -> CompiledExpr:
+        """``expr`` compiled to its per-row function (:func:`row_function`)."""
+        return row_function(self.code(expr))
+
     def compile_predicate(self, expr: ast.Expr) -> CompiledExpr:
         """Compile an expression used as a filter (result normalized to 3VL)."""
-        return _predicate(self.compile(expr))
+        return row_function(_predicate(self.code(expr)))
 
-    def compile_conjunct(self, expr: ast.Expr) -> tuple[CompiledExpr, bool]:
+    def compile_conjunct(self, expr: ast.Expr) -> tuple[Code, bool]:
         """Compile a filter, and say whether a subquery in it is correlated.
         The answer comes from the one planning of each subquery that
         compiling does anyway: planning a subquery again to ask would parse
         each view it reads again."""
         before = self.correlated_subqueries
-        fn = self.compile_predicate(expr)
-        return fn, self.correlated_subqueries != before
+        code = _predicate(self.code(expr))
+        return code, self.correlated_subqueries != before
 
     # -- leaves ------------------------------------------------------------------
 
-    def _compile_Literal(self, expr: ast.Literal) -> CompiledExpr:
+    def _compile_Literal(self, expr: ast.Literal) -> Code:
         return _constant(parse_date(str(expr.value)) if expr.is_date else expr.value)
 
-    def _compile_ColumnRef(self, expr: ast.ColumnRef) -> CompiledExpr:
+    def _compile_ColumnRef(self, expr: ast.ColumnRef) -> Code:
         depth, slot = self.scope.resolve(expr.name, expr.table)
         if depth == 0:
-            def column(env: Env) -> Any:
-                return env.values[slot]
+            code = Code(lambda gen: gen.column(slot))
+            code.slot = slot
+            return code
+        return Code(lambda gen: gen.assign(f"env{'.parent' * depth}.values[{slot}]"))
 
-            column.slot = slot
-            return column
-        return lambda env: env.at(depth, slot)
-
-    def _compile_Param(self, expr: ast.Param) -> CompiledExpr:
+    def _compile_Param(self, expr: ast.Param) -> Code:
         # Read at *run* time, like a placeholder: one plan serves every
         # EXEC of the procedure.  The names are the procedure's declaration,
         # so an undeclared one is still a compile-time error.
         name = expr.name.lower()
         if name not in self.params:
             raise ProgrammingError(f"unbound parameter @{expr.name}")
-        return lambda env: env.run.params[name]
+        return _with_env(lambda env: env.run.params[name])
 
-    def _compile_Placeholder(self, expr: ast.Placeholder) -> CompiledExpr:
+    def _compile_Placeholder(self, expr: ast.Placeholder) -> Code:
         # Read at *run* time from the execution's values: one plan serves
         # every binding of a ``?`` template.  The runner counts what the
         # statement needs, so plan entry can reject too few values up front
@@ -491,226 +842,176 @@ class ExpressionCompiler:
                 )
             return values[index]
 
-        return _read
+        return _with_env(_read)
 
-    def _compile_Star(self, expr: ast.Star) -> CompiledExpr:
+    def _compile_Star(self, expr: ast.Star) -> Code:
         raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
 
     # -- operators -------------------------------------------------------------------
 
-    def _compile_Unary(self, expr: ast.Unary) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+    def _compile_Unary(self, expr: ast.Unary) -> Code:
+        operand = self.code(expr.operand)
         if expr.op.upper() == "NOT":
             condition = _predicate(operand)
 
-            @_three_valued
-            def _not(env: Env) -> Any:
-                value = condition(env)
-                return None if value is None else not value
+            def emit_not(gen: Emitter) -> str:
+                value = condition.emit(gen)
+                return gen.assign(f"None if {value} is None else not {value}")
 
-            return _folded(_not, operand)
+            return _folded(Code(emit_not, three_valued=True), operand)
         if expr.op == "-":
-            def _neg(env: Env) -> Any:
-                value = operand(env)
-                if value is None:
-                    return None
-                if value.__class__ not in _NUMBERS:
-                    raise _not_numbers("-", value)
-                return -value
-            return _folded(_neg, operand)
+
+            def emit_neg(gen: Emitter) -> str:
+                value = operand.emit(gen)
+                t = gen.temp()
+                _chain(
+                    gen,
+                    [(f"{value} is None", f"{t} = None"),
+                     (f"{value}.__class__ in _NUMBERS", f"{t} = -{value}")],
+                    f"raise _not_numbers('-', {value})",
+                )
+                return t
+
+            return _folded(Code(emit_neg), operand)
         raise ProgrammingError(f"unknown unary operator {expr.op}")
 
-    def _compile_Binary(self, expr: ast.Binary) -> CompiledExpr:
+    def _compile_Binary(self, expr: ast.Binary) -> Code:
         op = expr.op.upper()
         if op in ("+", "-") and isinstance(expr.right, ast.IntervalLiteral):
             # date ± INTERVAL takes its amount from the AST before the
             # operand compiles (a bare IntervalLiteral has no value of its own)
-            base = self.compile(expr.left)
+            base = self.code(expr.left)
             amount, unit = expr.right.amount, expr.right.unit
             sign = 1 if op == "+" else -1
 
-            def _date_shift(env: Env) -> Any:
-                value = base(env)
-                return None if value is None else add_interval(value, amount, unit, sign)
+            def emit_shift(gen: Emitter) -> str:
+                value = base.emit(gen)
+                return gen.assign(
+                    f"None if {value} is None else _add_interval("
+                    f"{value}, {gen.bind(amount)}, {gen.bind(unit)}, {sign})"
+                )
 
-            return _folded(_date_shift, base)
-        left = self.compile(expr.left)
-        right = self.compile(expr.right)
-        return _folded(self._binary(expr, op, left, right), left, right)
-
-    def _binary(
-        self, expr: ast.Binary, op: str, left: CompiledExpr, right: CompiledExpr
-    ) -> CompiledExpr:
+            return _folded(Code(emit_shift), base)
+        left = self.code(expr.left)
+        right = self.code(expr.right)
         if op in ("AND", "OR"):
-            kleene = _kleene_and if op == "AND" else _kleene_or
-            first, second = _predicate(left), _predicate(right)
-            return _three_valued(lambda env: kleene(first(env), second(env)))
+            return _folded(_kleene(op, _predicate(left), _predicate(right)), left, right)
         if op in _COMPARISONS:
-            return self._compile_comparison(op, left, right)
-        if op in ("+", "-"):
-            return self._compile_additive(expr, op, left, right)
-        if op == "*":
-            return _arithmetic(op, left, right, operator.mul)
-        if op == "/":
-            def _div(a: Any, b: Any) -> Any:
-                if b == 0:
-                    raise DataError("division by zero")
-                return a / b
-            return _arithmetic(op, left, right, _div)
-        if op == "%":
-            def _mod(a: Any, b: Any) -> Any:
-                if b == 0:
-                    raise DataError("division by zero")
-                # SQL remainder takes the sign of the dividend (-7 % 3 = -1);
-                # Python's takes the divisor's
-                remainder = abs(a) % abs(b)
-                return -remainder if a < 0 else remainder
-            return _arithmetic(op, left, right, _mod)
+            return _comparison(op, left, right)
+        if op in ("+", "-", "*", "/", "%"):
+            return _arithmetic(op, left, right)
         if op == "||":
-            return _null_safe_binop(left, right, lambda a, b: f"{a}{b}")
+
+            def emit_concat(gen: Emitter) -> str:
+                a, b = left.emit(gen), right.emit(gen)
+                return gen.assign(f"None if {a} is None or {b} is None else f'{{{a}}}{{{b}}}'")
+
+            return _folded(Code(emit_concat), left, right)
         raise ProgrammingError(f"unknown operator {expr.op}")
 
-    @staticmethod
-    def _compile_comparison(op: str, left: CompiledExpr, right: CompiledExpr) -> CompiledExpr:
-        direct, when_true, test = _COMPARISONS[op]
-        when_false = not when_true
-        left_slot, right_slot = slot_of(left), slot_of(right)
-        if left_slot is not None and right_slot is not None:
-
-            @_three_valued
-            def _cmp_columns(env: Env) -> Any:
-                values = env.values
-                a = values[left_slot]
-                b = values[right_slot]
-                if (a.__class__, b.__class__) in DIRECT_PAIRS:
-                    if direct(a, b):
-                        return when_true
-                    if a == a and b == b:  # no NaN: Python's false is SQL's
-                        return when_false
-                c = compare(a, b)
-                return None if c is None else test(c)
-
-            return _cmp_columns
-        if left_slot is not None and _partners([right]):
-            return _compare_constant(op, left_slot, right(None), constant_first=False)
-        if right_slot is not None and _partners([left]):
-            return _compare_constant(op, right_slot, left(None), constant_first=True)
-
-        @_three_valued
-        def _cmp(env: Env) -> Any:
-            a = left(env)
-            b = right(env)
-            if (a.__class__, b.__class__) in DIRECT_PAIRS:
-                if direct(a, b):
-                    return when_true
-                if a == a and b == b:  # no NaN: Python's false is SQL's
-                    return when_false
-            c = compare(a, b)
-            return None if c is None else test(c)
-
-        return _cmp
-
-    def _compile_additive(
-        self, expr: ast.Binary, op: str, left: CompiledExpr, right: CompiledExpr
-    ) -> CompiledExpr:
-        sign = 1 if op == "+" else -1
-        apply = operator.add if op == "+" else operator.sub
-
-        def _add(env: Env) -> Any:
-            a = left(env)
-            b = right(env)
-            if a is None or b is None:
-                return None
-            if a.__class__ in _NUMBERS and b.__class__ in _NUMBERS:
-                return apply(a, b)
-            if isinstance(a, datetime.date) and isinstance(b, int):
-                return a + datetime.timedelta(days=sign * b)
-            if op == "-" and isinstance(a, datetime.date) and isinstance(b, datetime.date):
-                return (a - b).days
-            raise _not_numbers(op, a, b)
-
-        return _add
-
-    def _compile_IntervalLiteral(self, expr: ast.IntervalLiteral) -> CompiledExpr:
+    def _compile_IntervalLiteral(self, expr: ast.IntervalLiteral) -> Code:
         raise ProgrammingError("INTERVAL is only valid in date +/- INTERVAL arithmetic")
 
     # -- predicates -----------------------------------------------------------------
 
-    def _compile_IsNull(self, expr: ast.IsNull) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        if expr.negated:
-            return _folded(_three_valued(lambda env: operand(env) is not None), operand)
-        return _folded(_three_valued(lambda env: operand(env) is None), operand)
+    def _compile_IsNull(self, expr: ast.IsNull) -> Code:
+        operand = self.code(expr.operand)
+        test = "is not None" if expr.negated else "is None"
 
-    def _compile_Between(self, expr: ast.Between) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
+        def emit(gen: Emitter) -> str:
+            return gen.assign(f"{operand.emit(gen)} {test}")
+
+        return _folded(Code(emit, three_valued=True), operand)
+
+    def _compile_Between(self, expr: ast.Between) -> Code:
+        operand = self.code(expr.operand)
+        low = self.code(expr.low)
+        high = self.code(expr.high)
         negated = expr.negated
-        slot = slot_of(operand)
-        partners = _partners([low, high])
-        if slot is not None and partners:
-            low_value, high_value = low(None), high(None)
+        partners = frozenset() if operand.slot is None else _partners([low, high])
 
-            @_three_valued
-            def _between_constants(env: Env) -> Any:
-                value = env.values[slot]
-                if value.__class__ in partners:
-                    if low_value <= value <= high_value:
-                        return not negated
-                    if value == value:
-                        return negated  # no NaN: Python's false is SQL's
-                return _between_by_compare(value, low_value, high_value, negated)
+        def emit(gen: Emitter) -> str:
+            value, lo, hi = operand.emit(gen), low.emit(gen), high.emit(gen)
+            t = gen.temp()
+            if partners:
+                direct = (
+                    f"{value}.__class__ not in {gen.bind(partners, 'p')} "
+                    f"or ({t} := {lo} <= {value} <= {hi}) is False and {value} != {value}"
+                )
+            else:
+                direct = (
+                    f"({value}.__class__, {lo}.__class__) not in _DIRECT_PAIRS "
+                    f"or ({value}.__class__, {hi}.__class__) not in _DIRECT_PAIRS "
+                    f"or ({t} := {lo} <= {value} <= {hi}) is False "
+                    f"and ({value} != {value} or {lo} != {lo} or {hi} != {hi})"
+                )
+            _chain(
+                gen,
+                [(direct, f"{t} = _between_by_compare({value}, {lo}, {hi}, {negated})")],
+                f"{t} = not {t}" if negated else None,
+            )
+            return t
 
-            return _between_constants
+        return _folded(Code(emit, three_valued=True), operand, low, high)
 
-        @_three_valued
-        def _between(env: Env) -> Any:
-            value = operand(env)
-            low_value = low(env)
-            high_value = high(env)
-            cls = value.__class__
-            if (cls, low_value.__class__) in DIRECT_PAIRS and (
-                cls, high_value.__class__
-            ) in DIRECT_PAIRS:
-                if low_value <= value <= high_value:
-                    return not negated
-                if value == value and low_value == low_value and high_value == high_value:
-                    return negated  # no NaN: Python's false is SQL's
-            return _between_by_compare(value, low_value, high_value, negated)
-
-        return _folded(_between, operand, low, high)
-
-    def _compile_InList(self, expr: ast.InList) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        items = [self.compile(item) for item in expr.items]
+    def _compile_InList(self, expr: ast.InList) -> Code:
+        operand = self.code(expr.operand)
+        items = [self.code(item) for item in expr.items]
         negated = expr.negated
-        partners = _partners(items)
-        if partners and not is_constant(operand):
-            constants = [item(None) for item in items]
-            members = frozenset(constants)
-            slot = slot_of(operand)
+        partners = frozenset() if operand.constant else _partners(items)
+        if partners:
+            constants = tuple(item.value for item in items)
 
-            @_three_valued
-            def _in_set(env: Env) -> Any:
-                value = operand(env) if slot is None else env.values[slot]
-                if value.__class__ in partners:
-                    if value in members:
-                        return not negated
-                    if value == value:
-                        return negated  # no NaN: not in the set is unequal
-                return _in_values(value, constants, negated)
+            def emit_set(gen: Emitter) -> str:
+                value = operand.emit(gen)
+                t = gen.temp()
+                direct = (
+                    f"{value}.__class__ not in {gen.bind(partners, 'p')} "
+                    f"or ({t} := {value} in {gen.bind(frozenset(constants), 'm')}) is False "
+                    f"and {value} != {value}"
+                )
+                _chain(
+                    gen,
+                    [(direct, f"{t} = _in_values({value}, {gen.bind(constants)}, {negated})")],
+                    f"{t} = not {t}" if negated else None,
+                )
+                return t
 
-            return _in_set
+            return Code(emit_set, three_valued=True)
 
-        @_three_valued
-        def _in_fixed(env: Env) -> Any:
-            return _in_values(operand(env), (item(env) for item in items), negated)
+        def emit_items(gen: Emitter) -> str:
+            # the first equal item answers, and only then is no further
+            # item evaluated; a NULL operand evaluates no item
+            value = operand.emit(gen)
+            t, found, saw_null = gen.temp(), gen.temp(), gen.temp()
+            gen.line(f"{t} = None")
+            with gen.block(f"if {value} is not None:"):
+                gen.line(f"{found} = {saw_null} = False")
 
-        return _folded(_in_fixed, operand, *items)
+                def part(item: Code) -> Callable[[], None]:
+                    def emit_item() -> None:
+                        other = item.emit(gen)
+                        _chain(
+                            gen,
+                            [(f"{other} is None", f"{saw_null} = True"),
+                             (f"_equal({value}, {other})", f"{found} = True")],
+                            None,
+                        )
 
-    def _compile_Like(self, expr: ast.Like) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+                    return emit_item
+
+                _guarded(gen, [part(item) for item in items], found)
+                _chain(
+                    gen,
+                    [(found, f"{t} = {not negated}"), (f"not {saw_null}", f"{t} = {negated}")],
+                    None,
+                )
+            return t
+
+        return _folded(Code(emit_items, three_valued=True), operand, *items)
+
+    def _compile_Like(self, expr: ast.Like) -> Code:
+        operand = self.code(expr.operand)
         negated = expr.negated
         escape_char: str | None = None
         if expr.escape is not None:
@@ -720,27 +1021,24 @@ class ExpressionCompiler:
         if isinstance(expr.pattern, ast.Literal):
             regex = like_to_regex(str(expr.pattern.value), escape_char)
 
-            @_three_valued
-            def _like_const(env: Env) -> Any:
-                value = operand(env)
+            def _like_const(value: Any) -> Any:
                 if value is None:
                     return None
                 matched = regex.match(str(value)) is not None
                 return not matched if negated else matched
 
-            return _folded(_like_const, operand)
-        pattern = self.compile(expr.pattern)
+            code = _applied(_like_const, operand)
+        else:
 
-        @_three_valued
-        def _like(env: Env) -> Any:
-            value = operand(env)
-            pat = pattern(env)
-            if value is None or pat is None:
-                return None
-            matched = like_to_regex(str(pat), escape_char).match(str(value)) is not None
-            return not matched if negated else matched
+            def _like(value: Any, pat: Any) -> Any:
+                if value is None or pat is None:
+                    return None
+                matched = like_to_regex(str(pat), escape_char).match(str(value)) is not None
+                return not matched if negated else matched
 
-        return _folded(_like, operand, pattern)
+            code = _applied(_like, operand, self.code(expr.pattern))
+        code.three_valued = True
+        return code
 
     # -- subqueries ---------------------------------------------------------------------
 
@@ -756,8 +1054,8 @@ class ExpressionCompiler:
         self.correlated_subqueries += correlated
         return rows_fn, correlated
 
-    def _compile_InSelect(self, expr: ast.InSelect) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+    def _compile_InSelect(self, expr: ast.InSelect) -> Code:
+        operand = self.code(expr.operand)
         rows_fn, correlated = self._subquery_rows(expr.select)
         negated = expr.negated
 
@@ -775,9 +1073,7 @@ class ExpressionCompiler:
 
         cached_gather = statement_memo(gather)
 
-        @_three_valued
-        def _in_select_fixed(env: Env) -> Any:
-            value = operand(env)
+        def _in_select(env: Env, value: Any) -> Any:
             if value is None:
                 return None
             if correlated:
@@ -790,14 +1086,13 @@ class ExpressionCompiler:
                 return None
             return negated
 
-        return _in_select_fixed
+        return _with_env(_in_select, operand, env_row=correlated, three_valued=True)
 
-    def _compile_Exists(self, expr: ast.Exists) -> CompiledExpr:
+    def _compile_Exists(self, expr: ast.Exists) -> Code:
         rows_fn, correlated = self._subquery_rows(expr.select)
         negated = expr.negated
         cached_found = statement_memo(lambda env: bool(rows_fn(env)))
 
-        @_three_valued
         def _exists(env: Env) -> Any:
             if correlated:
                 found = bool(rows_fn(env))
@@ -805,9 +1100,9 @@ class ExpressionCompiler:
                 found = cached_found(env)
             return not found if negated else found
 
-        return _exists
+        return _with_env(_exists, env_row=correlated, three_valued=True)
 
-    def _compile_ScalarSelect(self, expr: ast.ScalarSelect) -> CompiledExpr:
+    def _compile_ScalarSelect(self, expr: ast.ScalarSelect) -> Code:
         rows_fn, correlated = self._subquery_rows(expr.select)
 
         def scalar(env: Env) -> Any:
@@ -820,74 +1115,84 @@ class ExpressionCompiler:
                 raise ProgrammingError("scalar subquery must return one column")
             return rows[0][0]
 
-        cached_scalar = statement_memo(scalar)
-
-        def _scalar_select(env: Env) -> Any:
-            if correlated:
-                return scalar(env)
-            return cached_scalar(env)
-
-        return _scalar_select
+        return _with_env(scalar if correlated else statement_memo(scalar), env_row=correlated)
 
     # -- functions & friends ---------------------------------------------------------------
 
-    def _compile_FuncCall(self, expr: ast.FuncCall) -> CompiledExpr:
+    def _compile_FuncCall(self, expr: ast.FuncCall) -> Code:
         name = expr.name.lower()
         if name == "rowcount" and not expr.args:
             # @@ROWCOUNT analog: affected rows of the session's last DML.
-            return lambda env: env.run.executor.session.last_rowcount
+            return _with_env(lambda env: env.run.executor.session.last_rowcount)
         if name in functions.AGGREGATE_NAMES:
             slot = self.agg_slots.get(id(expr))
             if slot is None:
                 raise ProgrammingError(
                     f"aggregate {name}() is not allowed here (no GROUP BY context)"
                 )
-            return lambda env: env.values[slot]
+            return Code(lambda gen: gen.column(slot))
         fn = functions.SCALAR_FUNCTIONS.get(name)
         if fn is None:
             raise ProgrammingError(f"unknown function {expr.name}")
-        args = [self.compile(a) for a in expr.args]
-        return lambda env: fn(*[a(env) for a in args])
+        args = [self.code(a) for a in expr.args]
 
-    def _compile_CaseExpr(self, expr: ast.CaseExpr) -> CompiledExpr:
-        whens = [(self.compile(c), self.compile(r)) for c, r in expr.whens]
-        else_ = self.compile(expr.else_) if expr.else_ is not None else None
-        parts = [fn for pair in whens for fn in pair] + ([else_] if else_ is not None else [])
-        if expr.operand is None:
-            conditions = [(_predicate(cond), result) for cond, result in whens]
+        def emit(gen: Emitter) -> str:
+            return gen.call(fn, *[arg.emit(gen) for arg in args])
 
-            def _case(env: Env) -> Any:
-                for cond, result in conditions:
-                    if cond(env) is True:
-                        return result(env)
-                return else_(env) if else_ is not None else None
-            return _folded(_case, *parts)
-        operand = self.compile(expr.operand)
+        return Code(emit)
 
-        def _case_operand(env: Env) -> Any:
-            value = operand(env)
-            for cond, result in whens:
-                other = cond(env)
-                if value is not None and other is not None and _equal(value, other):
-                    return result(env)
-            return else_(env) if else_ is not None else None
+    def _compile_CaseExpr(self, expr: ast.CaseExpr) -> Code:
+        whens = [(self.code(c), self.code(r)) for c, r in expr.whens]
+        else_ = self.code(expr.else_) if expr.else_ is not None else None
+        parts = [code for pair in whens for code in pair] + ([else_] if else_ is not None else [])
+        operand = self.code(expr.operand) if expr.operand is not None else None
 
-        return _folded(_case_operand, operand, *parts)
+        def emit(gen: Emitter) -> str:
+            # the first WHEN that holds answers; no later WHEN, and no
+            # other THEN, is evaluated
+            value = operand.emit(gen) if operand is not None else None
+            t, done = gen.temp(), gen.temp()
+            gen.line(f"{t} = None")
+            gen.line(f"{done} = False")
 
-    def _compile_Cast(self, expr: ast.Cast) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+            def when(condition: Code, result: Code) -> Callable[[], None]:
+                def emit_when() -> None:
+                    if value is None:
+                        holds = f"{gen.predicate(condition)} is True"
+                    else:
+                        other = condition.emit(gen)
+                        holds = f"{value} is not None and {other} is not None and _equal({value}, {other})"
+                    with gen.block(f"if {holds}:"):
+                        gen.line(f"{t} = {result.emit(gen)}")
+                        gen.line(f"{done} = True")
+
+                return emit_when
+
+            def otherwise() -> None:
+                gen.line(f"{t} = {else_.emit(gen)}")
+
+            steps = [when(condition, result) for condition, result in whens]
+            _guarded(gen, steps + ([otherwise] if else_ is not None else []), done)
+            return t
+
+        if operand is not None:
+            parts.insert(0, operand)
+        return _folded(Code(emit), *parts)
+
+    def _compile_Cast(self, expr: ast.Cast) -> Code:
         sql_type = type_spec_to_sql_type(expr.type)
         length = expr.type.length
-        return _folded(lambda env: coerce_value(operand(env), sql_type, length=length), operand)
+        return _applied(
+            lambda value: coerce_value(value, sql_type, length=length), self.code(expr.operand)
+        )
 
-    def _compile_ExtractExpr(self, expr: ast.ExtractExpr) -> CompiledExpr:
-        operand = self.compile(expr.operand)
+    def _compile_ExtractExpr(self, expr: ast.ExtractExpr) -> Code:
+        operand = self.code(expr.operand)
         field = _DATE_PARTS.get(expr.part.upper())
         if field is None:
             raise ProgrammingError(f"cannot EXTRACT {expr.part}")
 
-        def _extract(env: Env) -> Any:
-            value = operand(env)
+        def _extract(value: Any) -> Any:
             if value is None:
                 return None
             if isinstance(value, str):
@@ -896,111 +1201,24 @@ class ExpressionCompiler:
                 raise DataError(f"EXTRACT requires a date, got {value!r}")
             return getattr(value, field)
 
-        return _folded(_extract, operand)
+        return _applied(_extract, operand)
 
-    def _compile_SubstringExpr(self, expr: ast.SubstringExpr) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        start = self.compile(expr.start)
-        length = self.compile(expr.length) if expr.length is not None else None
-        substr = functions.SCALAR_FUNCTIONS["substring"]
-        if length is None:
-            return _folded(lambda env: substr(operand(env), start(env)), operand, start)
-        return _folded(
-            lambda env: substr(operand(env), start(env), length(env)), operand, start, length
-        )
+    def _compile_SubstringExpr(self, expr: ast.SubstringExpr) -> Code:
+        operands = [self.code(expr.operand), self.code(expr.start)]
+        if expr.length is not None:
+            operands.append(self.code(expr.length))
+        return _applied(functions.SCALAR_FUNCTIONS["substring"], *operands)
 
 
-#: the classes arithmetic is defined on — Python would also "add" two
-#: strings, repeat one ``* 2`` and format one ``% 2``
-_NUMBERS = frozenset({int, float, bool})
+def _kleene(op: str, left: Code, right: Code) -> Code:
+    """Three-valued AND / OR over two predicates, both evaluated."""
 
+    def emit(gen: Emitter) -> str:
+        a, b = left.emit(gen), right.emit(gen)
+        if op == "AND":
+            # past the first test both are True or None: ``and`` answers
+            return gen.assign(f"False if {a} is False or {b} is False else {a} and {b}")
+        # past the first test both are False or None
+        return gen.assign(f"True if {a} is True or {b} is True else ({a} if {a} is None else {b})")
 
-def _not_numbers(op: str, *operands: Any) -> DataError:
-    odd = next(value for value in operands if value.__class__ not in _NUMBERS)
-    return DataError(f"operator {op} needs numbers, got {odd!r}")
-
-
-def _arithmetic(
-    op: str, left: CompiledExpr, right: CompiledExpr, fn: Callable[[Any, Any], Any]
-) -> CompiledExpr:
-    """``fn`` over two numbers; NULL if either side is NULL."""
-
-    def _op(env: Env) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is None or b is None:
-            return None
-        if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
-            raise _not_numbers(op, a, b)
-        return fn(a, b)
-
-    return _op
-
-
-def _null_safe_binop(
-    left: CompiledExpr, right: CompiledExpr, fn: Callable[[Any, Any], Any]
-) -> CompiledExpr:
-    def _op(env: Env) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is None or b is None:
-            return None
-        return fn(a, b)
-
-    return _op
-
-
-def _compare_constant(op: str, slot: int, constant: Any, *, constant_first: bool) -> CompiledExpr:
-    """``column <op> constant`` (or ``constant <op> column``) over the row
-    value at ``slot``: Python's operator, sides flipped to put the column
-    first, when the value's class pairs directly with the constant's; else
-    ``compare`` over the sides as written (its errors name them in order)."""
-    direct, when_true, _test = _COMPARISONS[FLIPPED[op] if constant_first else op]
-    when_false = not when_true
-    test = _COMPARISONS[op][2]
-    partners = _PARTNERS[constant.__class__]
-
-    @_three_valued
-    def _cmp_constant(env: Env) -> Any:
-        a = env.values[slot]
-        if a.__class__ in partners:
-            if direct(a, constant):
-                return when_true
-            if a == a:  # no NaN: Python's false is SQL's
-                return when_false
-        c = compare(constant, a) if constant_first else compare(a, constant)
-        return None if c is None else test(c)
-
-    return _cmp_constant
-
-
-def _between_by_compare(value: Any, low: Any, high: Any, negated: bool) -> Any:
-    """``value [NOT] BETWEEN low AND high`` through ``compare``."""
-    lo = compare(value, low)
-    hi = compare(value, high)
-    if lo is None or hi is None:
-        # ``value >= low AND value <= high`` in three-valued logic: a NULL
-        # bound leaves the answer unknown unless the other bound already
-        # fails — ``5 BETWEEN 9 AND NULL`` is false, so its NOT is true
-        if (lo is None or lo >= 0) and (hi is None or hi <= 0):
-            return None
-        result = False
-    else:
-        result = lo >= 0 and hi <= 0
-    return not result if negated else result
-
-
-def _in_values(value: Any, others: Iterable[Any], negated: bool) -> Any:
-    """``value [NOT] IN (others)``: the first equal item answers, and only
-    then is no further item evaluated."""
-    if value is None:
-        return None
-    saw_null = False
-    for other in others:
-        if other is None:
-            saw_null = True
-        elif _equal(value, other):
-            return not negated
-    if saw_null:
-        return None
-    return negated
+    return Code(emit, three_valued=True)

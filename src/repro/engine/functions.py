@@ -18,7 +18,10 @@ from repro.errors import DataError, ProgrammingError
 from repro.engine.values import compare, one_nan, parse_date
 from repro.sql.ast import AGGREGATE_NAMES
 
-__all__ = ["SCALAR_FUNCTIONS", "AGGREGATE_NAMES", "make_accumulator", "Accumulator"]
+__all__ = [
+    "SCALAR_FUNCTIONS", "AGGREGATE_NAMES", "NUMBERS", "make_accumulator", "Accumulator",
+    "not_numbers",
+]
 
 
 def _null_safe(fn: Callable) -> Callable:
@@ -114,18 +117,53 @@ def _present(values: list) -> list:
     return [value for value in values if value is not None]
 
 
+#: the classes arithmetic is defined on — Python would also "add" two
+#: strings, repeat one ``* 2`` and format one ``% 2``
+NUMBERS = frozenset({int, float, bool})
+
+
+def not_numbers(op: str, *operands: Any) -> DataError:
+    """The error arithmetic raises over ``operands``, naming the first of
+    them that is not a number."""
+    odd = next(value for value in operands if value.__class__ not in NUMBERS)
+    return DataError(f"operator {op} needs numbers, got {odd!r}")
+
+
 class _Sum(Accumulator):
+    """Left to right, one ``+`` per value: the builtin ``sum`` compensates
+    float rounding since CPython 3.12, and a float sum depends on order.
+    Over anything but numbers it raises what ``+`` raises: the values are
+    not checked one by one — ``+`` refuses most mixes itself, and the class
+    of the total gives away the rest (strings concatenate, one date or
+    string is its own total).  A sum of booleans is an int."""
+
     def fold(self, values: list) -> Any:
-        # left to right, one ``+`` per value: the builtin ``sum`` compensates
-        # float rounding since CPython 3.12, and a float sum depends on order
         present = _present(values)
-        return functools.reduce(operator.add, present) if present else None
+        if not present:
+            return None
+        try:
+            total = functools.reduce(operator.add, present)
+        except TypeError:
+            raise not_numbers("+", *present) from None
+        if total.__class__ is bool:
+            return int(total)
+        if total.__class__ not in NUMBERS:
+            raise not_numbers("+", *present)
+        return total
 
 
 class _Avg(Accumulator):
+    """The sum over the count; over anything but numbers it raises what
+    ``+`` raises (the float it starts from refuses every other class)."""
+
     def fold(self, values: list) -> float | None:
         present = _present(values)
-        return functools.reduce(operator.add, present, 0.0) / len(present) if present else None
+        if not present:
+            return None
+        try:
+            return functools.reduce(operator.add, present, 0.0) / len(present)
+        except TypeError:
+            raise not_numbers("+", *present) from None
 
 
 class _Min(Accumulator):

@@ -266,11 +266,19 @@ def test_allowed_divergence_still_diverges(engines, name):
     assert ours != reference, f"{name}: no longer diverges — drop the entry"
 
 
-@pytest.mark.parametrize("sql", ["SELECT s + 1 FROM t WHERE k < 5", "SELECT s * 2 FROM t WHERE k < 5"])
+@pytest.mark.parametrize("sql", [
+    "SELECT s + 1 FROM t WHERE k < 5",
+    "SELECT s * 2 FROM t WHERE k < 5",
+    "SELECT sum(s) FROM t",
+    "SELECT avg(s) FROM t",
+    "SELECT sum(DATE '1998-12-01' + k) FROM t WHERE k < 5",  # sum(d) over dates
+])
 def test_string_arithmetic_is_a_data_error(engines, sql):
     """Found by this suite: ``s + 1`` leaked a Python TypeError and ``s * 2``
     repeated the string; both are a DataError (sqlite coerces the string to
-    a number — not the behaviour to copy, see ALLOWED_DIVERGENCES)."""
+    a number — not the behaviour to copy, see ALLOWED_DIVERGENCES).  So are
+    ``sum`` and ``avg`` over strings or dates: ``sum(s)`` concatenated, and
+    the others leaked a TypeError."""
     with pytest.raises(DataError):
         engines[0](sql)
 

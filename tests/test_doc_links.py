@@ -90,3 +90,27 @@ def test_checker_flags_an_undocumented_registry_slot(tmp_path):
     problems = check_doc_links.check_metrics(docs / "OBSERVABILITY.md", tmp_path)
     assert [p.split(" — ")[1] for p in problems] == ["in snapshot(), not documented"] * 4
     assert all("`dispatch`." in p for p in problems)
+
+
+def test_checker_flags_a_private_name_nothing_defines(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "class _Plan:\n    def _run(self):\n        self._rows = []\n\n_MEMO: dict = {}\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "GUIDE.md"
+    doc.write_text(
+        "`_Plan._run()`, `_rows`, `pkg.mod._MEMO` and `__init__` are fine;\n"
+        "`_gone` and `_Plan._deleted()` are not.\n\n```\n`_in_a_fence`\n```\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "docs" / "HISTORY.md").write_text("`_retired_long_ago`\n", encoding="utf-8")
+    defined = check_doc_links.defined_names(tmp_path)
+    assert check_doc_links.check_private_names(doc, tmp_path, defined) == [
+        "docs/GUIDE.md: `_deleted` — not defined under src/",
+        "docs/GUIDE.md: `_gone` — not defined under src/",
+    ]
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 1
+    doc.write_text("`_Plan._run()`\n", encoding="utf-8")
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError, ProgrammingError
-from repro.engine.expressions import Env, ExpressionCompiler, Scope, is_constant
+from repro.engine.executor import _filter_rows, _project_rows
+from repro.engine.expressions import Env, ExpressionCompiler, RunContext, Scope, is_constant
 from repro.engine.functions import SCALAR_FUNCTIONS, make_accumulator
-from repro.engine.values import compare
+from repro.engine.values import add_interval, compare
 from repro.sql import ast, parse
 from tests.conftest import execute
 from tests.test_values import compiled, evaluate
@@ -100,6 +101,51 @@ def test_min_max_with_strings():
 def test_distinct_wrapper():
     assert feed(make_accumulator("sum", distinct=True), [1, 1, 2, 2, 3]) == 6
     assert feed(make_accumulator("count", distinct=True), [1, 1, None, 2]) == 2
+
+
+@pytest.mark.parametrize("name,values,odd", [
+    ("sum", ["x", "y"], "x"),  # concatenated
+    ("sum", ["x"], "x"),  # one string is its own total
+    ("sum", [datetime.date(1998, 1, 1)], datetime.date(1998, 1, 1)),
+    ("sum", [datetime.date(1998, 1, 1), datetime.date(1998, 1, 2)], datetime.date(1998, 1, 1)),
+    ("sum", [None, 1, "x"], "x"),
+    ("avg", ["x", "y"], "x"),
+    ("avg", [datetime.date(1998, 1, 1)], datetime.date(1998, 1, 1)),
+])
+def test_sum_and_avg_over_non_numbers_raise_what_plus_raises(name, values, odd):
+    with pytest.raises(DataError) as raised:
+        feed(make_accumulator(name), values)
+    assert str(raised.value) == f"operator + needs numbers, got {odd!r}"
+    # the error ``odd + odd`` raises, word for word
+    assert answer(evaluate, "? + ?", odd, odd) == f"DataError: {raised.value}"
+
+
+@pytest.mark.parametrize("values,total", [([True], 1), ([True, True], 2), ([False], 0)])
+def test_a_sum_of_booleans_is_an_int(values, total):
+    result = feed(make_accumulator("sum"), values)
+    assert result == total and type(result) is int
+
+
+@pytest.mark.parametrize("kind", ["plain", "phoenix"])
+def test_sum_over_non_numbers_is_a_data_error_through_both_drivers(system, kind):
+    """``sum(d)`` and ``avg(s)`` leaked a raw TypeError through both PEP 249
+    drivers; a one-row ``sum(b)`` answered True where two rows answer 2."""
+    import repro
+
+    connection = (system.phoenix if kind == "phoenix" else system.plain).connect(system.DSN)
+    cursor = connection.cursor()
+    cursor.execute("CREATE TABLE agg (k INT PRIMARY KEY, s VARCHAR(5), d DATE, b BOOLEAN)")
+    cursor.execute("INSERT INTO agg VALUES (1, 'x', '1998-01-01', TRUE)")
+    for sql in ("SELECT sum(s) FROM agg", "SELECT sum(d) FROM agg", "SELECT avg(s) FROM agg",
+                "SELECT avg(d) FROM agg"):
+        with pytest.raises(repro.errors.DataError):
+            cursor.execute(sql)
+    cursor.execute("SELECT sum(b) FROM agg")
+    assert cursor.fetchall() == [(1,)]
+    cursor.execute("INSERT INTO agg VALUES (2, 'y', '1998-01-02', TRUE)")
+    cursor.execute("SELECT sum(b) FROM agg")
+    assert cursor.fetchall() == [(2,)]
+    connection.close()
 
 
 def test_star_only_valid_for_count():
@@ -354,6 +400,35 @@ def test_a_column_in_constants_answers_as_compare_does(negated, value, items):
     assert answer(over_row, expr, value) == answer(reference_in, value, items, negated)
 
 
+#: each shape, named after the closure it compiled to before expressions
+#: became generated source -> what its source form must contain and what it
+#: must not.  Every form keeps the ``compare`` fallback.
+SHAPES = {
+    # a column against a constant: the column's class against the classes
+    # that pair directly with the constant
+    "_cmp_constant": (".__class__ not in p", "_DIRECT_PAIRS"),
+    "_between_constants": (".__class__ not in p", "_DIRECT_PAIRS"),
+    # a constant IN list: membership in a frozenset of the constants
+    "_in_set": (".__class__ not in p", "_equal("),
+    # the generic forms: both classes looked up as a direct pair
+    "_cmp_columns": ("_DIRECT_PAIRS", ".__class__ not in p"),
+    "_cmp": ("_DIRECT_PAIRS", ".__class__ not in p"),
+    "_between": ("_DIRECT_PAIRS", ".__class__ not in p"),
+    # the items one by one, each through ``compare`` unless directly equal
+    "_in_fixed": ("_equal(", ".__class__ not in p"),
+}
+
+
+def source_of(fn) -> str:
+    return fn.source
+
+
+def bound_callables(fn) -> list[str]:
+    """The names of callables bound into ``fn``'s namespace by the
+    compiler (function calls, LIKE, subqueries, ``?`` …): ``f0``, ``f1``…"""
+    return [name for name in fn.__globals__ if name[0] == "f" and name[1:].isdigit()]
+
+
 @pytest.mark.parametrize("text,closure", [
     ("a < 5", "_cmp_constant"),
     ("DATE '1998-12-01' - INTERVAL '90' DAY >= a", "_cmp_constant"),
@@ -361,7 +436,7 @@ def test_a_column_in_constants_answers_as_compare_does(negated, value, items):
     ("a NOT BETWEEN 0.05 AND 0.07", "_between_constants"),
     ("a IN (1, 2.5, 3)", "_in_set"),
     ("a IN ('MAIL', 'SHIP')", "_in_set"),
-    # what keeps the generic closure: a NULL constant, a class that never
+    # what takes the generic form: a NULL constant, a class that never
     # pairs directly, classes no one row value pairs with, no column
     ("a < NULL", "_cmp"),
     ("a = TRUE", "_cmp"),
@@ -370,13 +445,222 @@ def test_a_column_in_constants_answers_as_compare_does(negated, value, items):
     ("a + 0 < 5", "_cmp"),
 ])
 def test_each_shape_compiles_to_its_closure(text, closure):
-    assert over_row_compiled(parse(f"SELECT {text}").items[0].expr).__name__ == closure
+    """Each shape compiles to its source form, with no bound callable: the
+    row's values are read and compared in the generated function itself.
+    (``closure`` names the shape by the closure it once compiled to.)"""
+    fn = over_row_compiled(parse(f"SELECT {text}").items[0].expr)
+    has, lacks = SHAPES[closure]
+    assert has in source_of(fn) and lacks not in source_of(fn), source_of(fn)
+    assert "_compare(" in source_of(fn) or "_in_values(" in source_of(fn) or closure == "_in_fixed"
+    assert bound_callables(fn) == []
+    if closure in ("_in_set",):
+        assert any(isinstance(value, frozenset) for value in fn.__globals__.values())
 
 
 @pytest.mark.parametrize("value", [NAN, float("inf")])
 def test_a_nan_constant_keeps_the_generic_closure(value):
+    """A NaN constant pairs directly with no class: its comparison takes the
+    generic form, where a NaN goes through ``compare``; ±inf is a number."""
     fn = over_row_compiled(ast.Binary("<", COLUMN_A, ast.Literal(value)))
-    assert fn.__name__ == ("_cmp" if value != value else "_cmp_constant")
+    has, lacks = SHAPES["_cmp" if value != value else "_cmp_constant"]
+    assert has in source_of(fn) and lacks not in source_of(fn), source_of(fn)
+
+
+def test_a_constant_is_a_name_not_a_literal():
+    """The source depends only on the shape: two constants, one source, one
+    code object."""
+    first = over_row_compiled(parse("SELECT a < 12345 AND b = 'xyz'").items[0].expr)
+    second = over_row_compiled(parse("SELECT a < 67890 AND b = 'uvw'").items[0].expr)
+    assert first.source == second.source
+    assert first.__code__ is second.__code__
+    assert "12345" not in first.source and "xyz" not in first.source
+
+
+# ---------------------------------------------------------------- arithmetic
+#
+# Every arithmetic form against a reference evaluator written here, over the
+# same POOL: NULL, NaN, ±inf, booleans, strings and dates.  Each form runs
+# through both wrappers of the one emitter — the per-row function, and a
+# generated loop over a list of rows whose classes mix, so a row that takes
+# the fallback (or raises) in the middle of a loop is covered — with its
+# operands as ``?`` values, as two columns, and as a column beside a constant
+# (a constant number needs no NULL or class check, so its source differs).
+
+ARITHMETIC = ["+", "-", "*", "/", "%"]
+NUMBER_CLASSES = (int, float, bool)
+
+
+def reference_arithmetic(op, a, b):
+    if a is None or b is None:
+        return None
+    if type(a) in NUMBER_CLASSES and type(b) in NUMBER_CLASSES:
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if b == 0:
+            raise DataError("division by zero")
+        if op == "/":
+            return a / b
+        remainder = abs(a) % abs(b)  # SQL's sign: the dividend's
+        return -remainder if a < 0 else remainder
+    if op in ("+", "-") and isinstance(a, datetime.date) and isinstance(b, int):
+        return a + datetime.timedelta(days=b if op == "+" else -b)
+    if op == "-" and isinstance(a, datetime.date) and isinstance(b, datetime.date):
+        return (a - b).days
+    odd = a if type(a) not in NUMBER_CLASSES else b
+    raise DataError(f"operator {op} needs numbers, got {odd!r}")
+
+
+def reference_negation(a):
+    if a is None:
+        return None
+    if type(a) not in NUMBER_CLASSES:
+        raise DataError(f"operator - needs numbers, got {a!r}")
+    return -a
+
+
+def reference_interval(sign, amount, unit):
+    def shift(a, _b=None):
+        return None if a is None else add_interval(a, amount, unit, sign)
+
+    return shift
+
+
+def truthy(value):
+    return None if value is None else bool(value)
+
+
+rows_of_two = st.lists(st.tuples(values, values), min_size=1, max_size=6)
+
+
+def over_rows(expr: ast.Expr, rows: list[tuple]):
+    """What ``expr`` answers over ``rows`` of columns ``a``, ``b`` through
+    the generated loops: (the projection's values, the rows the filter
+    keeps), each the DataError of the first row that raises instead."""
+    scope = Scope()
+    scope.add_source("r", ["a", "b"])
+    compiler = ExpressionCompiler(scope, None)
+    env = Env([], run=RunContext(None, [], {}))
+    project = _project_rows([compiler.code(expr)])
+    keep = _filter_rows([compiler.compile_conjunct(expr)[0]], 0)
+    return (
+        answer(lambda: [value for (value,) in project(rows, env)]),
+        answer(lambda: keep(rows, env)),
+    )
+
+
+def reference_over_rows(reference, rows: list[tuple]):
+    return (
+        answer(lambda: [reference(*row) for row in rows]),
+        answer(lambda: [row for row in rows if truthy(reference(*row)) is True]),
+    )
+
+
+def per_row(expr: ast.Expr, rows: list[tuple]) -> list:
+    fn = over_row_compiled(expr)
+    return [answer(fn, Env(list(row))) for row in rows]
+
+
+def assert_both_wrappers(expr: ast.Expr, rows: list[tuple], reference) -> None:
+    assert per_row(expr, rows) == [answer(reference, *row) for row in rows], expr.sql()
+    assert over_rows(expr, rows) == reference_over_rows(reference, rows), expr.sql()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(op=st.sampled_from(ARITHMETIC), a=values, b=values)
+def test_a_compiled_arithmetic_operator_answers_as_the_reference_does(op, a, b):
+    assert answer(evaluate, f"? {op} ?", a, b) == answer(reference_arithmetic, op, a, b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    op=st.sampled_from(ARITHMETIC),
+    rows=rows_of_two,
+    constant=values,
+    form=st.sampled_from(["columns", "column first", "constant first"]),
+)
+def test_arithmetic_over_rows_answers_as_the_reference_does(op, rows, constant, form):
+    if form == "columns":
+        expr = ast.Binary(op, COLUMN_A, COLUMN_B)
+
+        def reference(a, b):
+            return reference_arithmetic(op, a, b)
+    elif form == "column first":
+        expr = ast.Binary(op, COLUMN_A, ast.Literal(constant))
+
+        def reference(a, b):
+            return reference_arithmetic(op, a, constant)
+    else:
+        expr = ast.Binary(op, ast.Literal(constant), COLUMN_A)
+
+        def reference(a, b):
+            return reference_arithmetic(op, constant, a)
+    assert_both_wrappers(expr, rows, reference)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=rows_of_two)
+def test_negation_over_rows_answers_as_the_reference_does(rows):
+    assert answer(evaluate, "-?", rows[0][0]) == answer(reference_negation, rows[0][0])
+    assert_both_wrappers(ast.Unary("-", COLUMN_A), rows, lambda a, b: reference_negation(a))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=rows_of_two,
+    sign=st.sampled_from([1, -1]),
+    amount=st.sampled_from([0, 1, 3, 90]),
+    unit=st.sampled_from(["DAY", "MONTH", "YEAR"]),
+)
+def test_date_interval_arithmetic_over_rows_answers_as_the_reference_does(rows, sign, amount, unit):
+    op = "+" if sign == 1 else "-"
+    reference = reference_interval(sign, amount, unit)
+    assert answer(evaluate, f"? {op} INTERVAL '{amount}' {unit}", rows[0][0]) == answer(
+        reference, rows[0][0]
+    )
+    expr = ast.Binary(op, COLUMN_A, ast.IntervalLiteral(amount, unit))
+    assert_both_wrappers(expr, rows, reference)
+
+
+#: every comparison shape: (expression over a, b and a constant, reference)
+def comparison_shapes(op, constant, low, high, items, negated):
+    def between(a, b):
+        return reference_between(a, low, high, negated)
+
+    return [
+        (ast.Binary(op, COLUMN_A, COLUMN_B), lambda a, b: reference_comparison(op, a, b)),
+        (ast.Binary(op, COLUMN_A, ast.Literal(constant)),
+         lambda a, b: reference_comparison(op, a, constant)),
+        (ast.Binary(op, ast.Literal(constant), COLUMN_A),
+         lambda a, b: reference_comparison(op, constant, a)),
+        (ast.Between(COLUMN_A, ast.Literal(low), ast.Literal(high), negated), between),
+        (ast.Between(COLUMN_A, COLUMN_B, ast.Literal(high), negated),
+         lambda a, b: reference_between(a, b, high, negated)),
+        (ast.InList(COLUMN_A, [ast.Literal(item) for item in items], negated),
+         lambda a, b: reference_in(a, items, negated)),
+        (ast.InList(COLUMN_A, [COLUMN_B] + [ast.Literal(item) for item in items], negated),
+         lambda a, b: reference_in(a, [b] + items, negated)),
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    op=st.sampled_from(sorted(TESTS)),
+    rows=rows_of_two,
+    constant=values,
+    low=values,
+    high=values,
+    items=st.lists(values, min_size=1, max_size=3),
+    negated=st.booleans(),
+)
+def test_each_comparison_shape_over_rows_answers_as_compare_does(
+    op, rows, constant, low, high, items, negated
+):
+    for expr, reference in comparison_shapes(op, constant, low, high, items, negated):
+        assert_both_wrappers(expr, rows, reference)
 
 
 # ---------------------------------------------------------------- constant folding

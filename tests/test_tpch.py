@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.engine import executor as executor_module
-from repro.engine.expressions import ExpressionCompiler, is_constant
+from repro.engine.expressions import Emitter, ExpressionCompiler, is_constant, row_function
 from repro.sql import ast, parse
 from repro.workloads.tpch import (
     QUERIES,
@@ -328,25 +328,27 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
     """A refactor that drops a compiled shape fails here, not only in the
     timing gate.  Over the 22 queries: every ``column <op> constant`` (either
     way round), constant-bounded BETWEEN and constant IN list whose
-    constants pair directly with some row value reads its slot in one
-    closure, and every GROUP BY of plain columns keys rows with
-    ``itemgetter``."""
+    constants pair directly with some row value tests the column's class
+    against the constants' partner classes in its generated source (an IN
+    list looks the value up in a ``frozenset``), and every GROUP BY of plain
+    columns keys rows with ``itemgetter``.  (The name is the closures'
+    these shapes once compiled to.)"""
     system, data = cold()
-    compiled = []  # (compiler, node, closure), in compile order
+    compiled = []  # (compiler, node, code), in compile order
     plans = []  # (plan, its compiler)
-    compile_expr = ExpressionCompiler.compile
+    compile_code = ExpressionCompiler.code
     plan_grouping = executor_module._SelectPlan._plan_grouping
 
-    def recording_compile(compiler, expr):
-        fn = compile_expr(compiler, expr)
-        compiled.append((compiler, expr, fn))
-        return fn
+    def recording_code(compiler, expr):
+        code = compile_code(compiler, expr)
+        compiled.append((compiler, expr, code))
+        return code
 
-    def recording_grouping(plan, compiler, key_fns):
-        plan_grouping(plan, compiler, key_fns)
+    def recording_grouping(plan, compiler, key_codes):
+        plan_grouping(plan, compiler, key_codes)
         plans.append((plan, compiler))
 
-    monkeypatch.setattr(ExpressionCompiler, "compile", recording_compile)
+    monkeypatch.setattr(ExpressionCompiler, "code", recording_code)
     monkeypatch.setattr(executor_module._SelectPlan, "_plan_grouping", recording_grouping)
     for query_id in QUERY_ORDER:
         q(system, query_sql(query_id, data.sf))
@@ -357,16 +359,16 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
         resolved = compiler.scope.try_resolve(node.name, node.table)
         return resolved is not None and resolved[0] == 0
 
-    def comparable(fn) -> bool:
-        if not is_constant(fn):
+    def comparable(code) -> bool:
+        if not is_constant(code):
             return False
-        value = fn(None)
+        value = code.value
         return value == value and type(value) in {int, float, str, datetime.date}
 
-    latest: dict[int, object] = {}  # node -> its closure in the compile at hand
+    latest: dict[int, object] = {}  # node -> its code in the compile at hand
     found = {"_cmp_constant": 0, "_between_constants": 0, "_in_set": 0}
-    for compiler, node, fn in compiled:
-        latest[id(node)] = fn
+    for compiler, node, code in compiled:
+        latest[id(node)] = code
         expected = None
         if isinstance(node, ast.Binary) and node.op in COMPARISONS:
             left, right = latest[id(node.left)], latest[id(node.right)]
@@ -381,10 +383,15 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
         elif isinstance(node, ast.InList):
             items = [latest[id(item)] for item in node.items]
             if column(compiler, node.operand) and all(map(comparable, items)):
-                if len({type(item(None)) for item in items}) == 1:
+                if len({type(item.value) for item in items}) == 1:
                     expected = "_in_set"
         if expected is not None:
-            assert fn.__name__ == expected, node.sql()
+            source = row_function(code).source
+            assert ".__class__ not in p" in source, (node.sql(), source)
+            assert "_DIRECT_PAIRS" not in source, (node.sql(), source)
+            if expected == "_in_set":
+                assert any(isinstance(v, frozenset) for k, v in row_function(code).__globals__.items()
+                           if k[0] == "m"), node.sql()
             found[expected] += 1
     # the counts at sf 0.0005: a guard that checks nothing must not pass
     assert found["_cmp_constant"] >= 53 and found["_between_constants"] >= 9, found
@@ -396,6 +403,29 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
             assert isinstance(plan.group_key, itemgetter), plan.select.sql()
             plain_keys += 1
     assert plain_keys >= 20, plain_keys
+
+
+@pytest.mark.parametrize("query_id", ["Q1", "Q6"])
+def test_the_pipelines_of_q1_and_q6_call_no_bound_callable(monkeypatch, query_id):
+    """Q1's and Q6's per-row work — the ``lineitem`` filter, Q1's group
+    keys, both queries' aggregate arguments — is source in their generated
+    step functions: nothing is called per row but the aggregates' folds."""
+    system, data = cold()
+    generated = []
+    function = Emitter.function
+
+    def recording_function(gen, name, params):
+        fn = function(gen, name, params)
+        generated.append(fn)
+        return fn
+
+    monkeypatch.setattr(Emitter, "function", recording_function)
+    q(system, query_sql(query_id, data.sf))
+    pipelines = [fn for fn in generated if fn.__name__ in ("_filter", "_aggregate", "_project")]
+    assert {fn.__name__ for fn in pipelines} >= {"_filter", "_aggregate"}
+    for fn in pipelines:
+        called = [name for name in fn.__globals__ if name[0] == "f" and name[1:].isdigit()]
+        assert called == [], fn.source
 
 
 def test_queries_named_in_paper_exist():
