@@ -63,10 +63,8 @@ import builtins
 import datetime
 import functools
 import re
-import textwrap
 import types
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine import functions
@@ -267,16 +265,18 @@ def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
 
 
 @functools.lru_cache(maxsize=1024)
-def _code_of(source: str) -> types.CodeType:
-    """The code object of the one function ``source`` defines.
+def _code_of(source: str) -> tuple[types.CodeType, str]:
+    """The code object of the one function ``source`` defines (and the
+    source, one string for every function built from it).
 
     Memoized by source text: a generated source depends only on the shape
     of what it evaluates (constants are names of its namespace), so every
     plan of one shape — in any database incarnation, after any crash —
-    shares one ``compile()``.  The memo holds code objects only: no
-    constant, table or session."""
+    shares one ``compile()``.  The memo holds code objects and their text
+    only: no constant, table or session."""
     module = compile(source, "<generated>", "exec")
-    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
+    code = next(const for const in module.co_consts if isinstance(const, types.CodeType))
+    return code, source
 
 
 def statement_memo(compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
@@ -341,9 +341,13 @@ class Emitter:
     def __init__(self, base: int = 0, limit: int | None = None):
         self.base = base
         self.limit = limit
-        self.lines: list[Any] = []
+        self.lines: list[str] = []
+        #: (index in ``lines``, the flag that keeps that line)
+        self.conditional: list[tuple[int, str]] = []
         self.namespace: dict[str, Any] = {}
         self.indent = ""
+        #: the indents of the blocks open around the current line
+        self.outer: list[str] = []
         self.temps = 0
         #: did an emitted expression read ``row``?
         self.reads_row = False
@@ -354,30 +358,35 @@ class Emitter:
         self.lines.append(self.indent + text)
 
     def lines_of(self, text: str) -> None:
-        """Each line of the indented block ``text``, at the current indent."""
-        for line in textwrap.dedent(text).splitlines():
-            if line.strip():
-                self.line(line)
+        """Each line of ``text``, at the current indent."""
+        for line in text.split("\n"):
+            self.lines.append(self.indent + line)
 
-    @contextmanager
-    def block(self, header: str) -> Iterator[None]:
+    def block(self, header: str) -> "Emitter":
+        """``with gen.block(header):`` — the lines written inside are
+        indented under ``header``."""
         self.line(header)
-        outer = self.indent
+        self.outer.append(self.indent)
         self.indent += "    "
-        try:
-            yield
-        finally:
-            self.indent = outer
+        return self
+
+    def __enter__(self) -> "Emitter":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.indent = self.outer.pop()
 
     def when_row_read(self, text: str) -> None:
         """A line kept only if the function reads ``row`` (``row =
         env.values``, at the top of a per-row function)."""
-        self.lines.append((self.indent + text, "reads_row"))
+        self.conditional.append((len(self.lines), "reads_row"))
+        self.line(text)
 
     def when_env_row_read(self, text: str) -> None:
         """A line kept only if a bound callable reads the row through
         ``env.values`` (a correlated subquery)."""
-        self.lines.append((self.indent + text, "reads_env_row"))
+        self.conditional.append((len(self.lines), "reads_env_row"))
+        self.line(text)
 
     def temp(self) -> str:
         self.temps += 1
@@ -390,7 +399,8 @@ class Emitter:
 
     def bind(self, obj: Any, prefix: str = "c") -> str:
         """A name of the namespace for ``obj``: ``c…`` a constant, ``f…`` a
-        callable, ``p…`` / ``m…`` a class or member set."""
+        callable a node is evaluated by, ``p…`` / ``m…`` a class or member
+        set (the executor adds ``a…`` folds and ``g…`` getters)."""
         name = f"{prefix}{len(self.namespace)}"
         self.namespace[name] = obj
         return name
@@ -422,15 +432,12 @@ class Emitter:
     def function(self, name: str, params: str) -> Callable:
         """The function of the lines written, built from the memoized code
         object of its source."""
-        body = []
-        for line in self.lines:
-            if isinstance(line, tuple):
-                line, condition = line
-                if not getattr(self, condition):
-                    continue
-            body.append(f"    {line}\n")
-        source = f"def {name}({params}):\n{''.join(body)}"
-        fn = types.FunctionType(_code_of(source), {**_HELPERS, **self.namespace}, name)
+        lines = self.lines
+        for index, condition in reversed(self.conditional):
+            if not getattr(self, condition):
+                del lines[index]
+        code, source = _code_of(f"def {name}({params}):\n    " + "\n    ".join(lines) + "\n")
+        fn = types.FunctionType(code, {**_HELPERS, **self.namespace}, name)
         fn.source = source
         return fn
 
@@ -560,6 +567,10 @@ def _constant(value: Any) -> Code:
     code = Code(lambda gen: gen.bind(value), value is None or value.__class__ is bool)
     code.constant = True
     code.value = value
+    # its per-row function needs no source (an INSERT's VALUES, a probe's
+    # IN list, are mostly literals)
+    code.function = lambda env: value
+    code.function.code = code
     return code
 
 
@@ -607,7 +618,12 @@ def _with_env(fn: Callable, *operands: Code, env_row: bool = False, three_valued
         gen.reads_env_row |= env_row
         return gen.call(fn, "env", *args)
 
-    return Code(emit, three_valued)
+    code = Code(emit, three_valued)
+    if not operands:
+        # its per-row function is ``fn`` itself
+        code.function = fn
+        fn.code = code
+    return code
 
 
 #: comparison operator -> (the Python operator that answers it for a direct
@@ -658,11 +674,9 @@ def _comparison(op: str, left: Code, right: Code) -> Code:
                 f"{value}.__class__ not in {partners} "
                 f"or ({t} := {value} {python_op} {constant}) is {on_nan} and {value} != {value}"
             )
-        gen.lines_of(f"""
-            if {direct}:
-                {c} = _compare({a}, {b})
-                {t} = None if {c} is None else {c} {test}
-        """)
+        with gen.block(f"if {direct}:"):
+            gen.line(f"{c} = _compare({a}, {b})")
+            gen.line(f"{t} = None if {c} is None else {c} {test}")
         return t
 
     return _folded(Code(emit, three_valued=True), left, right)
