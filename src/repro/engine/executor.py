@@ -516,7 +516,7 @@ class Executor:
         env = Env([], run=run)
         bound: dict[str, Any] = {}
         for (pname, ptype), arg in zip(proc.params, stmt.args):
-            value = compiler.compile(arg)(env)
+            value = compiler.value(arg, env)
             if ptype is not None:
                 value = Column(
                     pname.lower(), type_spec_to_sql_type(ptype), length=ptype.length
@@ -574,7 +574,7 @@ class Executor:
             compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
             env = Env([], run=run)
             for row_exprs in stmt.rows or []:
-                values = [compiler.compile(e)(env) for e in row_exprs]
+                values = [compiler.value(e, env) for e in row_exprs]
                 self._insert_row(table, is_temp, txn, make_full_row(values))
                 count += 1
         return StatementResult.count(count, f"INSERT {count}")

@@ -443,8 +443,18 @@ class Emitter:
 
 
 def row_function(code: Code) -> CompiledExpr:
-    """``code`` as ``env → value`` (built once per :class:`Code`)."""
-    if code.function is None:
+    """``code`` as ``env → value`` (built once per :class:`Code`).  A
+    constant's and a column's need no source: a probe's IN list is mostly
+    literals, and an ORDER BY key or an aggregate's value mostly a slot."""
+    if code.function is None and code.constant:
+        value = code.value
+        code.function = lambda env: value
+        code.function.code = code
+    elif code.function is None and code.slot is not None:
+        slot = code.slot
+        code.function = lambda env: env.values[slot]
+        code.function.code = code
+    elif code.function is None:
         gen = Emitter()
         gen.when_row_read("row = env.values")
         gen.line(f"return {code.emit(gen)}")
@@ -463,7 +473,7 @@ def all_true(codes: list[Code]) -> CompiledExpr | None:
     gen.when_row_read("row = env.values")
     gen.filter(codes, "return False")
     gen.line("return True")
-    return gen.function("_all_true", "env")
+    return gen.function("_conjunction", "env")
 
 
 def _code(fn: "Code | CompiledExpr") -> Code:
@@ -567,10 +577,6 @@ def _constant(value: Any) -> Code:
     code = Code(lambda gen: gen.bind(value), value is None or value.__class__ is bool)
     code.constant = True
     code.value = value
-    # its per-row function needs no source (an INSERT's VALUES, a probe's
-    # IN list, are mostly literals)
-    code.function = lambda env: value
-    code.function.code = code
     return code
 
 
@@ -650,87 +656,98 @@ def _comparison(op: str, left: Code, right: Code) -> Code:
     else ``compare`` over the sides as written (its errors name them in
     order).  A column beside a constant that pairs directly has its class
     tested against the constant's partners."""
-    python_op, on_nan, test = _COMPARISONS[op]
     if left.slot is not None and _partners([right]):
-        known, column_first = right, True
+        known, form = right, "column first"
     elif right.slot is not None and _partners([left]):
-        known, column_first = left, False
-        python_op = _COMPARISONS[FLIPPED[op]][0]
+        known, form = left, "constant first"
     else:
-        known = None
+        known, form = None, "generic"
+    source = _comparison_source(op, form)
 
     def emit(gen: Emitter) -> str:
         a, b = left.emit(gen), right.emit(gen)
         t, c = gen.temp(), gen.temp()
-        if known is None:
-            direct = (
-                f"({a}.__class__, {b}.__class__) not in _DIRECT_PAIRS "
-                f"or ({t} := {a} {python_op} {b}) is {on_nan} and ({a} != {a} or {b} != {b})"
-            )
-        else:
-            value, constant = (a, b) if column_first else (b, a)
-            partners = gen.bind(_PARTNERS[known.value.__class__], "p")
-            direct = (
-                f"{value}.__class__ not in {partners} "
-                f"or ({t} := {value} {python_op} {constant}) is {on_nan} and {value} != {value}"
-            )
-        with gen.block(f"if {direct}:"):
-            gen.line(f"{c} = _compare({a}, {b})")
-            gen.line(f"{t} = None if {c} is None else {c} {test}")
+        p = "" if known is None else gen.bind(_PARTNERS[known.value.__class__], "p")
+        gen.lines_of(source.format(a=a, b=b, t=t, c=c, p=p))
         return t
 
     return _folded(Code(emit, three_valued=True), left, right)
 
 
-def _arithmetic(op: str, left: Code, right: Code) -> Code:
+@functools.lru_cache(maxsize=None)
+def _comparison_source(op: str, form: str) -> str:
+    """The source of ``{t} = {a} <op> {b}`` (``{c}`` a temporary, ``{p}``
+    the partner classes of the constant in a ``column first`` / ``constant
+    first`` form)."""
+    python_op, on_nan, test = _COMPARISONS[FLIPPED[op] if form == "constant first" else op]
+    test = _COMPARISONS[op][2]
+    if form == "generic":
+        direct = (
+            "({a}.__class__, {b}.__class__) not in _DIRECT_PAIRS "
+            f"or ({{t}} := {{a}} {python_op} {{b}}) is {on_nan} and ({{a}} != {{a}} or {{b}} != {{b}})"
+        )
+    else:
+        value, constant = ("{a}", "{b}") if form == "column first" else ("{b}", "{a}")
+        direct = (
+            f"{value}.__class__ not in {{p}} "
+            f"or ({{t}} := {value} {python_op} {constant}) is {on_nan} and {value} != {value}"
+        )
+    return _if_chain(
+        [(direct, f"{{c}} = _compare({{a}}, {{b}})\n{{t}} = None if {{c}} is None else {{c}} {test}")],
+        None,
+    )
+
+
+def _arithmetic_code(op: str, left: Code, right: Code) -> Code:
     """``left <op> right`` over two numbers (and, for ``+`` and ``-``, a
     date and a number of days, or two dates); NULL if either side is
     NULL; a DataError over anything else.  A check a constant operand
     always passes is left out."""
+    source = _arithmetic_source(
+        op, _known_number(left), _known_number(right),
+        not (_known_number(right) and right.value != 0),
+    )
 
     def emit(gen: Emitter) -> str:
         a, b = left.emit(gen), right.emit(gen)
         t = gen.temp()
-        nulls = [f"{x} is None" for x, code in ((a, left), (b, right)) if not _known_number(code)]
-        numbers = [
-            f"{x}.__class__ in _NUMBERS" for x, code in ((a, left), (b, right))
-            if not _known_number(code)
-        ]
-        if op in ("+", "-"):
-            body = f"{t} = {a} {op} {b}"
-        elif op == "*":
-            body = f"{t} = {a} * {b}"
-        else:
-            zero = "" if _known_number(right) and right.value != 0 else (
-                f"if {b} == 0:\n    raise _DataError('division by zero')\n"
-            )
-            if op == "/":
-                body = f"{zero}{t} = {a} / {b}"
-            else:
-                # SQL remainder takes the sign of the dividend (-7 % 3 = -1);
-                # Python's takes the divisor's
-                body = f"{zero}{t} = abs({a}) % abs({b})\nif {a} < 0:\n    {t} = -{t}"
-        branches = []
-        if nulls:
-            branches.append((" or ".join(nulls), f"{t} = None"))
-        if not numbers:
-            _chain(gen, branches, body)
-            return t
-        branches.append((" and ".join(numbers), body))
-        if op in ("+", "-"):
-            days = b if op == "+" else f"-{b}"
-            branches.append(
-                (f"isinstance({a}, _date) and isinstance({b}, int)",
-                 f"{t} = {a} + _timedelta(days={days})")
-            )
-        if op == "-":
-            branches.append(
-                (f"isinstance({a}, _date) and isinstance({b}, _date)", f"{t} = ({a} - {b}).days")
-            )
-        _chain(gen, branches, f"raise _not_numbers({op!r}, {a}, {b})")
+        gen.lines_of(source.format(a=a, b=b, t=t))
         return t
 
     return _folded(Code(emit), left, right)
+
+
+@functools.lru_cache(maxsize=None)
+def _arithmetic_source(op: str, left_known: bool, right_known: bool, zero_check: bool) -> str:
+    """The source of ``{t} = {a} <op> {b}``: ``*_known`` when that side is
+    a constant number, ``zero_check`` unless the divisor is a constant
+    other than zero."""
+    a, b, t = "{a}", "{b}", "{t}"
+    unknown = [x for x, known in ((a, left_known), (b, right_known)) if not known]
+    if op in ("+", "-", "*"):
+        body = f"{t} = {a} {op} {b}"
+    else:
+        zero = f"if {b} == 0:\n    raise _DataError('division by zero')\n" if zero_check else ""
+        if op == "/":
+            body = f"{zero}{t} = {a} / {b}"
+        else:
+            # SQL remainder takes the sign of the dividend (-7 % 3 = -1);
+            # Python's takes the divisor's
+            body = f"{zero}{t} = abs({a}) % abs({b})\nif {a} < 0:\n    {t} = -{t}"
+    if not unknown:
+        return body
+    branches = [
+        (" or ".join(f"{x} is None" for x in unknown), f"{t} = None"),
+        (" and ".join(f"{x}.__class__ in _NUMBERS" for x in unknown), body),
+    ]
+    if op in ("+", "-"):
+        days = b if op == "+" else f"-{b}"
+        branches.append(
+            (f"isinstance({a}, _date) and isinstance({b}, int)", f"{t} = {a} + _timedelta(days={days})")
+        )
+    if op == "-":
+        branches.append((f"isinstance({a}, _date) and isinstance({b}, _date)", f"{t} = ({a} - {b}).days"))
+    return _if_chain(branches, f"raise _not_numbers({op!r}, {a}, {b})")
 
 
 def _known_number(code: Code) -> bool:
@@ -739,17 +756,24 @@ def _known_number(code: Code) -> bool:
 
 
 def _chain(gen: Emitter, branches: list[tuple[str, str]], otherwise: str | None) -> None:
-    """``if``/``elif`` over (condition, lines) and ``else`` ``otherwise``."""
-    for index, (condition, lines) in enumerate(branches):
-        with gen.block(f"{'el' if index else ''}if {condition}:"):
-            gen.lines_of(lines)
-    if otherwise is None:
-        return
-    if not branches:
-        gen.lines_of(otherwise)
-        return
-    with gen.block("else:"):
-        gen.lines_of(otherwise)
+    """Emit :func:`_if_chain` over names known only now."""
+    gen.lines_of(_if_chain(branches, otherwise))
+
+
+def _if_chain(branches: list[tuple[str, str]], otherwise: str | None) -> str:
+    """The source of ``if``/``elif`` over (condition, body) and ``else``
+    ``otherwise`` (a body may span lines; with no branch, ``otherwise``
+    alone)."""
+    lines = []
+    for index, (condition, body) in enumerate(branches):
+        lines.append(f"{'el' if index else ''}if {condition}:")
+        lines += ["    " + line for line in body.split("\n")]
+    if otherwise is not None and branches:
+        lines.append("else:")
+        lines += ["    " + line for line in otherwise.split("\n")]
+    elif otherwise is not None:
+        lines.append(otherwise)
+    return "\n".join(lines)
 
 
 def _guarded(gen: Emitter, parts: list[Callable[[], None]], done: str) -> None:
@@ -802,6 +826,12 @@ class ExpressionCompiler:
     def compile(self, expr: ast.Expr) -> CompiledExpr:
         """``expr`` compiled to its per-row function (:func:`row_function`)."""
         return row_function(self.code(expr))
+
+    def value(self, expr: ast.Expr, env: Env) -> Any:
+        """``expr`` evaluated once, for ``env``: a constant builds no
+        function (an INSERT's VALUES are mostly literals)."""
+        code = self.code(expr)
+        return code.value if code.constant else row_function(code)(env)
 
     def compile_predicate(self, expr: ast.Expr) -> CompiledExpr:
         """Compile an expression used as a filter (result normalized to 3VL)."""
@@ -913,7 +943,7 @@ class ExpressionCompiler:
         if op in _COMPARISONS:
             return _comparison(op, left, right)
         if op in ("+", "-", "*", "/", "%"):
-            return _arithmetic(op, left, right)
+            return _arithmetic_code(op, left, right)
         if op == "||":
 
             def emit_concat(gen: Emitter) -> str:
@@ -1144,7 +1174,9 @@ class ExpressionCompiler:
                 raise ProgrammingError(
                     f"aggregate {name}() is not allowed here (no GROUP BY context)"
                 )
-            return Code(lambda gen: gen.column(slot))
+            code = Code(lambda gen: gen.column(slot))
+            code.slot = slot
+            return code
         fn = functions.SCALAR_FUNCTIONS.get(name)
         if fn is None:
             raise ProgrammingError(f"unknown function {expr.name}")
