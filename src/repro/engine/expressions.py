@@ -64,6 +64,7 @@ import datetime
 import functools
 import re
 import types
+import weakref
 from typing import Any, Callable, Iterable, Protocol
 
 from repro.errors import DataError, ProgrammingError
@@ -83,10 +84,9 @@ __all__ = [
     "SubqueryRunner",
     "FLIPPED",
     "all_true",
-    "is_constant",
     "like_to_regex",
     "row_function",
-    "slot_of",
+    "source_of",
     "statement_memo",
 ]
 
@@ -264,10 +264,18 @@ def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
+#: each generated code object's source, while the code object lives
+_SOURCES: "weakref.WeakKeyDictionary[types.CodeType, str]" = weakref.WeakKeyDictionary()
+
+
+def source_of(fn: Callable) -> str:
+    """The source of a generated function."""
+    return _SOURCES[fn.__code__]
+
+
 @functools.lru_cache(maxsize=1024)
-def _code_of(source: str) -> tuple[types.CodeType, str]:
-    """The code object of the one function ``source`` defines (and the
-    source, one string for every function built from it).
+def _code_of(source: str) -> types.CodeType:
+    """The code object of the one function ``source`` defines.
 
     Memoized by source text: a generated source depends only on the shape
     of what it evaluates (constants are names of its namespace), so every
@@ -276,7 +284,8 @@ def _code_of(source: str) -> tuple[types.CodeType, str]:
     only: no constant, table or session."""
     module = compile(source, "<generated>", "exec")
     code = next(const for const in module.co_consts if isinstance(const, types.CodeType))
-    return code, source
+    _SOURCES[code] = source
+    return code
 
 
 def statement_memo(compute: Callable[[Env], Any]) -> Callable[[Env], Any]:
@@ -314,7 +323,11 @@ class Code:
     ``constant`` says it folded at compile time (then ``value`` is its
     value); ``slot`` is the slot it reads when it is a column of this
     query's row, as it stands; ``three_valued`` says it answers only
-    True/False/None, so used as a predicate it needs no normalizing."""
+    True/False/None, so used as a predicate it needs no normalizing;
+    ``function`` is the callable of the environment the node is, when it
+    is one (``?``, ``@name``, ``rowcount()``, a subquery).  A function built
+    for a node refers to the node, never the other way round: compiling
+    makes no reference cycle for the collector to find."""
 
     __slots__ = ("emit", "constant", "value", "slot", "three_valued", "function")
 
@@ -324,7 +337,6 @@ class Code:
         self.value = None
         self.slot: int | None = None
         self.three_valued = three_valued
-        #: its :func:`row_function`, once built
         self.function: CompiledExpr | None = None
 
 
@@ -359,8 +371,8 @@ class Emitter:
 
     def lines_of(self, text: str) -> None:
         """Each line of ``text``, at the current indent."""
-        for line in text.split("\n"):
-            self.lines.append(self.indent + line)
+        indent = self.indent
+        self.lines += [indent + line for line in text.split("\n")]
 
     def block(self, header: str) -> "Emitter":
         """``with gen.block(header):`` — the lines written inside are
@@ -393,8 +405,9 @@ class Emitter:
         return f"t{self.temps}"
 
     def assign(self, expression: str) -> str:
-        name = self.temp()
-        self.line(f"{name} = {expression}")
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.lines.append(f"{self.indent}{name} = {expression}")
         return name
 
     def bind(self, obj: Any, prefix: str = "c") -> str:
@@ -436,32 +449,33 @@ class Emitter:
         for index, condition in reversed(self.conditional):
             if not getattr(self, condition):
                 del lines[index]
-        code, source = _code_of(f"def {name}({params}):\n    " + "\n    ".join(lines) + "\n")
-        fn = types.FunctionType(code, {**_HELPERS, **self.namespace}, name)
-        fn.source = source
-        return fn
+        code = _code_of(f"def {name}({params}):\n    " + "\n    ".join(lines) + "\n")
+        return types.FunctionType(code, {**_HELPERS, **self.namespace}, name)
 
 
 def row_function(code: Code) -> CompiledExpr:
-    """``code`` as ``env → value`` (built once per :class:`Code`).  A
-    constant's and a column's need no source: a probe's IN list is mostly
-    literals, and an ORDER BY key or an aggregate's value mostly a slot."""
-    if code.function is None and code.constant:
+    """``code`` as ``env → value``.  A node that is a callable of the
+    environment is its own; a constant's and a column's need no source: a
+    probe's IN list is mostly literals, and an ORDER BY key or an
+    aggregate's value mostly a slot."""
+    if code.function is not None:
+        return code.function
+    if code.constant:
         value = code.value
-        code.function = lambda env: value
-        code.function.code = code
-    elif code.function is None and code.slot is not None:
+
+        def fn(env: Env) -> Any:
+            return value
+    elif code.slot is not None:
         slot = code.slot
-        code.function = lambda env: env.values[slot]
-        code.function.code = code
-    elif code.function is None:
+
+        def fn(env: Env) -> Any:
+            return env.values[slot]
+    else:
         gen = Emitter()
         gen.when_row_read("row = env.values")
         gen.line(f"return {code.emit(gen)}")
         fn = gen.function("_row", "env")
-        fn.code = code
-        code.function = fn
-    return code.function
+    return fn
 
 
 def all_true(codes: list[Code]) -> CompiledExpr | None:
@@ -474,22 +488,6 @@ def all_true(codes: list[Code]) -> CompiledExpr | None:
     gen.filter(codes, "return False")
     gen.line("return True")
     return gen.function("_conjunction", "env")
-
-
-def _code(fn: "Code | CompiledExpr") -> Code:
-    return fn if isinstance(fn, Code) else fn.code
-
-
-def is_constant(fn: "Code | CompiledExpr") -> bool:
-    """Did ``fn`` fold to a constant at compile time?  Then ``fn(None)`` is
-    its value (``fn.value`` for a :class:`Code`), the same at every run."""
-    return _code(fn).constant
-
-
-def slot_of(fn: "Code | CompiledExpr") -> int | None:
-    """The slot ``fn`` reads when it is a column of this query's row, as
-    it stands (``env.values[slot]``); else None."""
-    return _code(fn).slot
 
 
 def _between_by_compare(value: Any, low: Any, high: Any, negated: bool) -> Any:
@@ -626,9 +624,7 @@ def _with_env(fn: Callable, *operands: Code, env_row: bool = False, three_valued
 
     code = Code(emit, three_valued)
     if not operands:
-        # its per-row function is ``fn`` itself
         code.function = fn
-        fn.code = code
     return code
 
 
@@ -818,10 +814,10 @@ class ExpressionCompiler:
 
     def code(self, expr: ast.Expr) -> Code:
         """``expr`` compiled to what it emits into a generated function."""
-        method = getattr(self, "_compile_" + type(expr).__name__, None)
+        method = _COMPILERS.get(expr.__class__)
         if method is None:
             raise ProgrammingError(f"cannot compile expression {type(expr).__name__}")
-        return method(expr)
+        return method(self, expr)
 
     def compile(self, expr: ast.Expr) -> CompiledExpr:
         """``expr`` compiled to its per-row function (:func:`row_function`)."""
@@ -1254,6 +1250,14 @@ class ExpressionCompiler:
         if expr.length is not None:
             operands.append(self.code(expr.length))
         return _applied(functions.SCALAR_FUNCTIONS["substring"], *operands)
+
+
+#: AST class -> the :class:`ExpressionCompiler` method that compiles it
+_COMPILERS = {
+    getattr(ast, name[len("_compile_"):]): method
+    for name, method in vars(ExpressionCompiler).items()
+    if name.startswith("_compile_")
+}
 
 
 def _kleene(op: str, left: Code, right: Code) -> Code:

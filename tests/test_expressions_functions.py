@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError, ProgrammingError
 from repro.engine.executor import _filter_rows, _project_rows
-from repro.engine.expressions import Env, ExpressionCompiler, RunContext, Scope, is_constant
+from repro.engine.expressions import Env, ExpressionCompiler, RunContext, Scope, source_of
 from repro.engine.functions import SCALAR_FUNCTIONS, make_accumulator
 from repro.engine.values import add_interval, compare
 from repro.sql import ast, parse
@@ -419,10 +419,6 @@ SHAPES = {
 }
 
 
-def source_of(fn) -> str:
-    return fn.source
-
-
 def bound_callables(fn) -> list[str]:
     """The names of callables bound into ``fn``'s namespace by the
     compiler (function calls, LIKE, subqueries, ``?`` …): ``f0``, ``f1``…"""
@@ -471,9 +467,9 @@ def test_a_constant_is_a_name_not_a_literal():
     code object."""
     first = over_row_compiled(parse("SELECT a < 12345 AND b = 'xyz'").items[0].expr)
     second = over_row_compiled(parse("SELECT a < 67890 AND b = 'uvw'").items[0].expr)
-    assert first.source == second.source
+    assert source_of(first) == source_of(second)
     assert first.__code__ is second.__code__
-    assert "12345" not in first.source and "xyz" not in first.source
+    assert "12345" not in source_of(first) and "xyz" not in source_of(first)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -665,6 +661,11 @@ def test_each_comparison_shape_over_rows_answers_as_compare_does(
 
 # ---------------------------------------------------------------- constant folding
 
+
+def code_of(sql_expr: str):
+    """``sql_expr`` compiled as a statement's expressions are, as a ``Code``."""
+    return ExpressionCompiler(Scope(), None).code(parse(f"SELECT {sql_expr}").items[0].expr)
+
 @pytest.mark.parametrize("text", [
     "DATE '1998-12-01' - INTERVAL '90' DAY",
     "0.06 - 0.01",
@@ -675,7 +676,7 @@ def test_each_comparison_shape_over_rows_answers_as_compare_does(
     "SUBSTRING('abc' FROM 2) LIKE 'b%'",
 ])
 def test_an_operator_over_constants_compiles_to_a_constant(text):
-    assert is_constant(compiled(text))
+    assert code_of(text).constant
 
 
 @pytest.mark.parametrize("text", [
@@ -683,7 +684,7 @@ def test_an_operator_over_constants_compiles_to_a_constant(text):
     "CASE WHEN 1 = 1 THEN 1 ELSE 1 / 0 END",
 ])
 def test_an_operator_over_a_value_known_only_at_run_time_does_not(text):
-    assert not is_constant(compiled(text))
+    assert not code_of(text).constant
 
 
 def test_a_raising_constant_raises_only_when_it_is_evaluated(session):

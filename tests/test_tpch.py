@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.engine import executor as executor_module
-from repro.engine.expressions import Emitter, ExpressionCompiler, is_constant, row_function
+from repro.engine.expressions import Emitter, ExpressionCompiler, row_function, source_of
 from repro.sql import ast, parse
 from repro.workloads.tpch import (
     QUERIES,
@@ -360,7 +360,7 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
         return resolved is not None and resolved[0] == 0
 
     def comparable(code) -> bool:
-        if not is_constant(code):
+        if not code.constant:
             return False
         value = code.value
         return value == value and type(value) in {int, float, str, datetime.date}
@@ -386,7 +386,7 @@ def test_the_hot_shapes_of_the_22_queries_compile_to_their_fast_closures(monkeyp
                 if len({type(item.value) for item in items}) == 1:
                     expected = "_in_set"
         if expected is not None:
-            source = row_function(code).source
+            source = source_of(row_function(code))
             assert ".__class__ not in p" in source, (node.sql(), source)
             assert "_DIRECT_PAIRS" not in source, (node.sql(), source)
             if expected == "_in_set":
@@ -425,7 +425,7 @@ def test_the_pipelines_of_q1_and_q6_call_no_bound_callable(monkeypatch, query_id
     assert {fn.__name__ for fn in pipelines} >= {"_filter", "_aggregate"}
     for fn in pipelines:
         called = [name for name in fn.__globals__ if name[0] == "f" and name[1:].isdigit()]
-        assert called == [], fn.source
+        assert called == [], source_of(fn)
 
 
 def test_queries_named_in_paper_exist():
