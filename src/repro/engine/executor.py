@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import (
     CatalogError,
@@ -1526,15 +1526,12 @@ class _SelectPlan:
     def _plan_grouping(self, compiler: ExpressionCompiler, key_codes: list[Code]) -> None:
         """How :meth:`_run_grouped` keys the rows and folds each group's
         aggregates: an ``itemgetter`` key where every GROUP BY key is a
-        column of the row, else one generated loop over the rows; and one
+        column of the row, else each key's per-row function; and one
         generated function per group for the aggregates."""
         slots = [code.slot for code in key_codes]
         #: the key of a row when every GROUP BY key is a column of it
         self.group_key = itemgetter(*slots) if slots and None not in slots else None
-        #: (rows, env) -> each row's key, when some key is not a column
-        self.group_keys = (
-            _group_keys(key_codes) if key_codes and self.group_key is None else None
-        )
+        self.group_key_fns = [row_function(code) for code in key_codes]
         #: (a group's rows, env) -> its aggregates' values, in order
         self.aggregate = _aggregate_rows(
             [
@@ -1933,11 +1930,16 @@ class _SelectPlan:
         and, parallel to them, each group's row with its aggregates: what
         ORDER BY reads."""
         if self.group_exprs:
-            if self.group_key is not None:
-                keys = map(self.group_key, rows)
-            else:
-                keys = self.group_keys(rows, _env([], outer_env))
-            groups = list(_buckets(rows, keys).values())
+            key_of = self.group_key
+            if key_of is None:
+                key_fns = self.group_key_fns
+                key_env = _env([], outer_env)
+
+                def key_of(row: tuple) -> tuple:
+                    key_env.values = row
+                    return tuple([fn(key_env) for fn in key_fns])
+
+            groups = list(_buckets(rows, key_of).values())
         else:
             groups = [rows]  # one group of every row, even of none
         no_row = (None,) * (self.scope.slot_count - len(self.agg_nodes))
@@ -2179,19 +2181,6 @@ def _project_rows(codes: list[Code]) -> Callable:
     return gen.function("_project", "rows, env")
 
 
-def _group_keys(codes: list[Code]) -> Callable:
-    """(rows, env) -> each row's GROUP BY key, a tuple, every row's key
-    computed before any aggregate argument."""
-    gen = Emitter()
-    gen.line("keys = []")
-    gen.line("append = keys.append")
-    with gen.block("for row in rows:"):
-        gen.when_env_row_read("env.values = row")
-        gen.line(f"append(({''.join(code.emit(gen) + ', ' for code in codes)}))")
-    gen.line("return keys")
-    return gen.function("_group_keys", "rows, env")
-
-
 def _aggregate_rows(aggregates: list[tuple[Callable, "Code | None"]]) -> Callable:
     """(a group's rows, env) -> the tuple of its aggregates, each ``fold``
     over its argument's values in input order (``count(*)``, with no
@@ -2235,12 +2224,13 @@ def _hash_rows(rows: list[tuple], local_slots: list[int]) -> dict:
     return buckets
 
 
-def _buckets(rows: list[tuple], keys: Iterable) -> dict:
-    """Rows by their ``keys`` (parallel to them), keys in first-seen order
-    and each bucket's rows in input order.  A NaN in a key is filed under
-    the one :data:`~repro.engine.values.NAN`: NaN groups with NaN."""
+def _buckets(rows: list[tuple], key_of) -> dict:
+    """Rows by ``key_of(row)``, keys in first-seen order and each bucket's
+    rows in input order.  A NaN in a key is filed under the one
+    :data:`~repro.engine.values.NAN`: NaN groups with NaN."""
     buckets: dict = {}
-    for key, row in zip(keys, rows):
+    for row in rows:
+        key = key_of(row)
         bucket = buckets.get(key)
         if bucket is None:
             key = one_nan(key)

@@ -7,12 +7,12 @@ into a generated Python function.  There is one emitter and two wrappers:
 * :func:`row_function` — ``env → value``, one expression evaluated for one
   row environment (:class:`Env`: the flat row values, chained to outer rows
   for correlated subqueries).  DML's WHERE and SET, HAVING, ORDER BY keys,
-  a plan's once-per-run filter and constant folding use it;
-  :meth:`ExpressionCompiler.compile` returns it.
+  a plan's once-per-run filter, computed GROUP BY keys and constant
+  folding use it; :meth:`ExpressionCompiler.compile` returns it.
 * a loop over rows — the executor writes one per pipeline step (a source's
-  local filters, a join step, the final WHERE, the group keys, the
-  aggregate arguments, the projection) with an :class:`Emitter`, so a
-  step's per-row work is straight-line code in one function.
+  local filters, a join step, the final WHERE, the aggregate arguments, the
+  projection) with an :class:`Emitter`, so a step's per-row work is
+  straight-line code in one function.
 
 Every node that has a source form emits it: slot reads, constants (bound
 as names of the function's namespace, never spliced in as literals),
