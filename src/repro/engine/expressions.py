@@ -350,21 +350,22 @@ class Emitter:
     are numbered in emission order, so the source depends only on the
     shape of what is emitted."""
 
+    #: the indent of the current line
+    indent = ""
+    #: the temporaries named so far
+    temps = 0
+    #: did a bound callable read the row through ``env.values``?
+    reads_env_row = False
+
     def __init__(self, base: int = 0, limit: int | None = None):
         self.base = base
         self.limit = limit
         self.lines: list[str] = []
-        #: (index in ``lines``, the flag that keeps that line)
-        self.conditional: list[tuple[int, str]] = []
+        #: indices in ``lines`` kept only if ``reads_env_row``
+        self.env_row_lines: list[int] = []
         self.namespace: dict[str, Any] = {}
-        self.indent = ""
         #: the indents of the blocks open around the current line
         self.outer: list[str] = []
-        self.temps = 0
-        #: did an emitted expression read ``row``?
-        self.reads_row = False
-        #: did a bound callable read the row through ``env.values``?
-        self.reads_env_row = False
 
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
@@ -388,16 +389,10 @@ class Emitter:
     def __exit__(self, *exc_info: Any) -> None:
         self.indent = self.outer.pop()
 
-    def when_row_read(self, text: str) -> None:
-        """A line kept only if the function reads ``row`` (``row =
-        env.values``, at the top of a per-row function)."""
-        self.conditional.append((len(self.lines), "reads_row"))
-        self.line(text)
-
     def when_env_row_read(self, text: str) -> None:
         """A line kept only if a bound callable reads the row through
         ``env.values`` (a correlated subquery)."""
-        self.conditional.append((len(self.lines), "reads_env_row"))
+        self.env_row_lines.append(len(self.lines))
         self.line(text)
 
     def temp(self) -> str:
@@ -424,7 +419,6 @@ class Emitter:
     def column(self, slot: int) -> str:
         if self.limit is not None and slot >= self.limit:
             return self.bind(None)
-        self.reads_row = True
         return self.assign(f"row[{slot - self.base}]")
 
     def predicate(self, code: Code) -> str:
@@ -439,15 +433,14 @@ class Emitter:
         (the later ones are not evaluated)."""
         for code in codes:
             name = self.predicate(code)
-            with self.block(f"if {name} is not True:"):
-                self.line(otherwise)
+            self.lines += [f"{self.indent}if {name} is not True:", f"{self.indent}    {otherwise}"]
 
     def function(self, name: str, params: str) -> Callable:
         """The function of the lines written, built from the memoized code
         object of its source."""
         lines = self.lines
-        for index, condition in reversed(self.conditional):
-            if not getattr(self, condition):
+        if not self.reads_env_row:
+            for index in reversed(self.env_row_lines):
                 del lines[index]
         code = _code_of(f"def {name}({params}):\n    " + "\n    ".join(lines) + "\n")
         return types.FunctionType(code, {**_HELPERS, **self.namespace}, name)
@@ -472,7 +465,7 @@ def row_function(code: Code) -> CompiledExpr:
             return env.values[slot]
     else:
         gen = Emitter()
-        gen.when_row_read("row = env.values")
+        gen.line("row = env.values")
         gen.line(f"return {code.emit(gen)}")
         fn = gen.function("_row", "env")
     return fn
@@ -484,7 +477,7 @@ def all_true(codes: list[Code]) -> CompiledExpr | None:
     if not codes:
         return None
     gen = Emitter()
-    gen.when_row_read("row = env.values")
+    gen.line("row = env.values")
     gen.filter(codes, "return False")
     gen.line("return True")
     return gen.function("_conjunction", "env")
@@ -587,10 +580,14 @@ def _folded(code: Code, *operands: Code) -> Code:
         if not operand.constant:
             return code
     try:
-        value = row_function(code)(None)
+        value = row_function(code)(_NO_ROW)
     except Exception:
         return code
     return _constant(value)
+
+
+#: the environment a constant expression is folded in: it reads no row
+_NO_ROW = Env([])
 
 
 def _predicate(code: Code) -> Code:
@@ -618,9 +615,10 @@ def _with_env(fn: Callable, *operands: Code, env_row: bool = False, three_valued
     ``env.values``.  Never constant."""
 
     def emit(gen: Emitter) -> str:
-        args = [operand.emit(gen) for operand in operands]
-        gen.reads_env_row |= env_row
-        return gen.call(fn, "env", *args)
+        args = "".join(", " + operand.emit(gen) for operand in operands)
+        if env_row:
+            gen.reads_env_row = True
+        return gen.assign(f"{gen.bind(fn, 'f')}(env{args})")
 
     code = Code(emit, three_valued)
     if not operands:
