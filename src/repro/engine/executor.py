@@ -2133,10 +2133,11 @@ def _filter_rows(codes: list[Code], start: int, positions: bool = False) -> Call
 
 def _join_rows(step: "_JoinStep", start: int, end: int, width: int) -> Callable:
     """(outer rows, outer row -> its inner rows, env) -> the joined rows of
-    ``step``, whose source has slots ``start``…``end`` of ``width``: each outer row meets each of its inner rows, and the residual
-    keeps the joined row.  A LEFT join pads an outer row that kept no
-    match with NULLs, and its post filters see the rows padded; an ON
-    conjunct that names a later source reads NULL there."""
+    ``step``, whose source has slots ``start``…``end`` of ``width``: each
+    outer row meets each of its inner rows, and the residual keeps the
+    joined row.  A LEFT join pads an outer row that kept no match with
+    NULLs, and its post filters see the rows padded; an ON conjunct that
+    names a later source reads NULL there."""
     residual, post = step.residual, step.post
     if step.kind != "LEFT" and not residual:
         gen = Emitter()

@@ -15,7 +15,7 @@ from repro.engine.functions import SCALAR_FUNCTIONS, make_accumulator
 from repro.engine.values import add_interval, compare
 from repro.sql import ast, parse
 from tests.conftest import execute
-from tests.test_values import compiled, evaluate
+from tests.test_values import evaluate
 
 
 # ---------------------------------------------------------------- scalar fns
