@@ -400,8 +400,7 @@ class Emitter:
         return f"t{self.temps}"
 
     def assign(self, expression: str) -> str:
-        self.temps += 1
-        name = f"t{self.temps}"
+        name = self.temp()
         self.lines.append(f"{self.indent}{name} = {expression}")
         return name
 
