@@ -28,10 +28,10 @@ from repro.bench.skeleton import (
     derived,
     durable_fingerprint,
     loaded_system,
-    operator_restart,
     require_identical,
     run_clients,
 )
+from repro.chaos.trace import operator_restart
 from repro.errors import CommunicationError
 from repro.odbc.constants import StatementAttr
 from repro.workloads.tpch.datagen import TpchData, populate
@@ -707,11 +707,11 @@ def run_concurrency(
 
     **Contention** — :func:`run_contention` at ``contention_clients``.
 
-    **Multi-client chaos** — ``repro.chaos.multi.sweep_multi`` at
+    **Multi-client chaos** — ``repro.chaos.sweep_multi`` at
     ``chaos_clients``: the correctness companion of the numbers above (k
     clients mid-flight at a crash, per-client exactly-once oracle).
     """
-    from repro.chaos.multi import sweep_multi
+    from repro.chaos import sweep_multi
     from repro.core.parallel import recover_all
 
     result = ConcurrencyResult(

@@ -10,13 +10,9 @@ Usage::
 
 :data:`EXPERIMENTS` holds one :class:`~repro.bench.skeleton.Experiment`
 per artifact; the CLI, CI and the examples all go through it
-(``EXPERIMENTS[name].runner(...)``, ``.render(result)``).  The ``chaos``
-entry is the chaos sweep's: its runner and result type live in
-:mod:`repro.chaos.explorer`, and ``python -m repro.chaos`` (the sweep's own
-CLI, with its stride and transport flags) prints this table too.
-``BENCH_chaos.json`` is regenerated only by that command (``--seed 2000
---random-runs 150 --transport inprocess tcp --json BENCH_chaos.json``);
-``chaos`` here runs one in-process sweep.  Output mirrors
+(``EXPERIMENTS[name].runner(...)``, ``.render(result)``).  The chaos sweep
+is not one of them: ``python -m repro.chaos`` prints its table and writes
+``BENCH_chaos.json``.  Output mirrors
 the paper's layout: Table 1's columns are query id, result rows, native
 seconds, Phoenix seconds, difference, ratio; Figure 2 prints the two
 stacked components per result size (the figure's bars) plus the recompute
@@ -37,7 +33,6 @@ import json
 
 from repro.bench import harness
 from repro.bench.skeleton import Experiment, Table, payload
-from repro.chaos.explorer import ChaosResult, run_sweep
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -55,20 +50,6 @@ def _fig2_bars(points: list[harness.Fig2Point]) -> list[str]:
         for p in points
     ]
     return ["", *bars, "        V = virtual session, S = SQL state (stacked, like the figure)"]
-
-
-def _chaos_footer(results: list[ChaosResult]) -> list[str]:
-    return [
-        line
-        for r in results
-        for line in (
-            f"{r.transport}: {r.recovered_fraction:.1%} recovered, "
-            f"{r.total_recoveries} recoveries "
-            f"(phase 1 mean {r.mean_virtual_session_seconds * 1e3:.3f} ms, "
-            f"phase 2 mean {r.mean_sql_state_seconds * 1e3:.3f} ms)",
-            *(f"FAILING {f['schedule']}: {f['violations']}" for f in r.failures),
-        )
-    ]
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
@@ -112,27 +93,6 @@ register(Experiment(
         "{r.driver:10} {r.sessions_total:>9} {r.sessions_completed:>10} "
         "{r.availability:>12.0%} {r.crashes:>13}",
     )],
-))
-
-register(Experiment(
-    "chaos", "chaos", lambda **kw: [report.summary() for report in run_sweep(**kw)],
-    ChaosResult,
-    "Experiment CH. Crash-schedule sweep vs the exactly-once oracle",
-    [Table(
-        ("Transport", "Fault kind", "Runs", "Recovered", "Recoveries"),
-        "{r[0]:10} {r[1]:22} {r[2][runs]:>5.0f} {r[2][recovered_fraction]:>9.0%} "
-        "{r[2][recoveries]:>11.0f}",
-        rows=lambda results: [
-            (r.transport, kind, cell) for r in results for kind, cell in r.by_kind.items()
-        ],
-        caption=lambda results: [
-            f"golden run ({r.transport}): {r.golden_requests} wire requests; "
-            f"seed {r.seed}; {r.runs} faulted runs in {r.elapsed_seconds:.1f}s"
-            for r in results
-        ],
-        footer=_chaos_footer,
-    )],
-    options={"seed": "seed"},
 ))
 
 register(Experiment(
@@ -217,7 +177,7 @@ register(Experiment(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", choices=[*EXPERIMENTS, "all"])
-    parser.add_argument("--seed", type=int, default=0, help="chaos multi-fault seed")
+    parser.add_argument("--seed", type=int, default=0, help="recovery breakdown seed")
     parser.add_argument("--sf", type=float, default=0.001, help="TPC-H scale factor")
     parser.add_argument("--reps", type=int, default=3, help="power test repetitions")
     parser.add_argument(

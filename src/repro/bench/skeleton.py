@@ -14,9 +14,9 @@ rely on are written once here: :func:`fold_fingerprint` /
 :func:`require_identical` (the fingerprint guard), :func:`load` /
 :func:`loaded_system` and :func:`server_rows` / :func:`durable_fingerprint`
 (set-up and read-back that bypass the drivers under test),
-:func:`run_clients` (barrier-started threaded clients) and
-:func:`operator_restart` (the operator, compressed into the recovery
-sleep).
+:func:`run_clients` (barrier-started threaded clients).  The operator,
+compressed into the recovery sleep, is
+:func:`repro.chaos.trace.operator_restart`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "fold_fingerprint",
     "load",
     "loaded_system",
-    "operator_restart",
     "payload",
     "require_identical",
     "run_clients",
@@ -261,19 +260,3 @@ def run_clients(
         except Exception as exc:
             errors.append(f"close: {type(exc).__name__}: {exc}")
     return ClientRun(seconds, errors)
-
-
-def operator_restart(system: "repro.System") -> Callable[[float], None]:
-    """A ``PhoenixConfig.sleep`` hook standing in for the operator: Phoenix
-    recovery "waits" by restarting the crashed server, so downtime is
-    compressed to zero for a deterministic bench.  Locked, so concurrent
-    recoveries do not double-restart and wipe the sessions the first
-    restart's recoveries just rebuilt."""
-    restarting = threading.Lock()
-
-    def sleep(_seconds: float) -> None:
-        with restarting:
-            if not system.server.up:
-                system.endpoint.restart_server()
-
-    return sleep

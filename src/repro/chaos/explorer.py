@@ -8,12 +8,13 @@ mid-drain and mid-restore faults at every index — and the oracle compares
 each run against the golden record.  A seeded random mode layers 2+ faults
 per run on top; its schedules derive from ``random.Random(seed)`` only, so
 any failure reproduces from the printed seed.  The transport is a
-parameter: the same sweep runs in-process or over real sockets.
+parameter: the same sweep runs in-process or over real sockets, and so
+is the trace: one client or k.
 
 ``python -m repro.chaos`` is the sweep's one front end (CI runs it, and it
-alone regenerates ``BENCH_chaos.json``): it runs :func:`run_sweep`, as the
-``chaos`` experiment of ``repro.bench.reporting`` does, and
-:class:`ChaosResult` (:meth:`ChaosReport.summary`) is their document.
+alone regenerates ``BENCH_chaos.json``): it runs :func:`run_sweep`, and
+:meth:`ChaosReport.summary` is the document.  :func:`sweep_multi` is the
+k-client crash sweep the concurrency experiment reports.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.chaos.multi import multi_client_trace
 from repro.chaos.oracle import check_run
 from repro.chaos.trace import ChaosTrace, TraceRecord, probe_dml_trace, run_trace
 from repro.net.faults import (
@@ -39,9 +41,9 @@ __all__ = [
     "TRANSPORTS",
     "ChaosExplorer",
     "ChaosReport",
-    "ChaosResult",
     "ChaosRunResult",
     "run_sweep",
+    "sweep_multi",
 ]
 
 #: entries are (request_index, kind) or (request_index, kind, arg)
@@ -60,13 +62,13 @@ class ChaosRunResult:
 
     schedule: Schedule
     violations: list[str]
-    completed: bool
     fired: tuple[str, ...]
     recoveries: int
-    requests_seen: int
+    deadlock_retries: int
     virtual_session_seconds: float
     sql_state_seconds: float
-    error: str = ""
+    #: the client whose COMMIT a targeted crash hit (``run_trace(victim=)``)
+    victim: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -79,6 +81,8 @@ class ChaosRunResult:
             arg = entry[2] if len(entry) > 2 else None
             suffix = f"[{arg}]" if arg is not None else ""
             parts.append(f"{kind.value}{suffix}@{after}")
+        if self.victim is not None:
+            parts.append(f"crash_before_execute@commit of client {self.victim}")
         return f"[{', '.join(parts)}]"
 
 
@@ -140,52 +144,33 @@ class ChaosReport:
             for label, group in groups.items()
         }
 
-    def summary(self) -> ChaosResult:
-        return ChaosResult(
-            transport=self.transport,
-            seed=self.seed,
-            golden_requests=self.golden_requests,
-            runs=self.runs,
-            recovered_fraction=self.recovered_fraction,
-            total_recoveries=self.total_recoveries,
-            mean_virtual_session_seconds=self.mean_virtual_session_seconds,
-            mean_sql_state_seconds=self.mean_sql_state_seconds,
-            elapsed_seconds=self.elapsed_seconds,
-            by_kind=self.by_kind,
-            failures=[
+    def summary(self) -> dict:
+        """The sweep as ``BENCH_chaos.json`` documents it.
+        ``recovered_fraction`` is the headline (1.0 = every schedule passed
+        the exactly-once oracle); the per-kind cells and the phase-1/phase-2
+        recovery-time split say *where* recovery spends its time under each
+        fault shape; ``failures`` is empty on a green sweep."""
+        return {
+            "transport": self.transport,
+            "seed": self.seed,
+            "golden_requests": self.golden_requests,
+            "runs": self.runs,
+            "recovered_fraction": self.recovered_fraction,
+            "total_recoveries": self.total_recoveries,
+            "mean_virtual_session_seconds": self.mean_virtual_session_seconds,
+            "mean_sql_state_seconds": self.mean_sql_state_seconds,
+            "elapsed_seconds": self.elapsed_seconds,
+            "by_kind": self.by_kind,
+            "failures": [
                 {"schedule": r.describe(), "violations": r.violations}
                 for r in self.failures
             ],
-        )
-
-
-@dataclass
-class ChaosResult:
-    """A sweep as the ``chaos`` experiment documents it
-    (:meth:`ChaosReport.summary`).  ``recovered_fraction`` is the headline
-    (1.0 = every schedule passed the exactly-once oracle); the per-kind
-    cells and the phase-1/phase-2 recovery-time split say *where* recovery
-    spends its time under each fault shape; ``failures`` is empty on a
-    green sweep."""
-
-    transport: str
-    seed: int
-    golden_requests: int
-    runs: int
-    recovered_fraction: float
-    total_recoveries: int
-    mean_virtual_session_seconds: float
-    mean_sql_state_seconds: float
-    elapsed_seconds: float
-    #: fault kind -> {"runs", "recovered_fraction", "recoveries"}
-    by_kind: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: failing schedules, rendered
-    failures: list[dict] = field(default_factory=list)
+        }
 
 
 class ChaosExplorer:
-    """Drives sweeps of one trace over one transport and judges every run
-    against its golden."""
+    """Drives sweeps of one trace — one client or k — over one transport
+    and judges every run against its golden."""
 
     def __init__(
         self, trace: ChaosTrace | None = None, *, seed: int = 0, transport: str = "inprocess"
@@ -205,20 +190,25 @@ class ChaosExplorer:
 
     # -- running ------------------------------------------------------------
 
-    def run_schedule(self, schedule: Schedule, *, tracer=None) -> ChaosRunResult:
-        """Run one faulted schedule; pass a ``repro.obs.Tracer`` to capture
-        the run as a span trace (see :func:`repro.chaos.trace.run_trace`)."""
-        record = run_trace(self.trace, schedule, tracer=tracer, transport=self.transport)
+    def run_schedule(
+        self, schedule: Schedule, *, victim: int | None = None, tracer=None
+    ) -> ChaosRunResult:
+        """Run one faulted schedule (``victim``: a targeted crash on that
+        client's COMMIT); pass a ``repro.obs.Tracer`` to capture the run as
+        a span trace (see :func:`repro.chaos.trace.run_trace`)."""
+        record = run_trace(
+            self.trace, schedule, victim=victim, tracer=tracer, transport=self.transport
+        )
+        clients = record.clients
         return ChaosRunResult(
             schedule=tuple(schedule),
             violations=check_run(self.golden, record),
-            completed=record.completed,
             fired=record.fired,
             recoveries=record.recoveries,
-            requests_seen=record.requests_seen,
-            virtual_session_seconds=record.virtual_session_seconds,
-            sql_state_seconds=record.sql_state_seconds,
-            error=record.error,
+            deadlock_retries=sum(c.deadlock_retries for c in clients),
+            virtual_session_seconds=sum(c.virtual_session_seconds for c in clients),
+            sql_state_seconds=sum(c.sql_state_seconds for c in clients),
+            victim=victim,
         )
 
     def placements(self, kind: FaultKind, *, stride: int = 1) -> list[Schedule]:
@@ -312,3 +302,40 @@ def run_sweep(
         )
         for transport in transports
     ]
+
+
+def sweep_multi(
+    clients: tuple[int, ...] = (1, 4, 16),
+    *,
+    positions: tuple[float, ...] = (0.25, 0.5, 0.75),
+) -> dict[int, dict]:
+    """The k-client crash sweep: for each client count, positional crashes
+    at fractions of the golden request count and one targeted crash on
+    client 0's commit with everyone mid-transaction.
+
+    Returns ``{k: {"runs", "recovered", "recovered_fraction", "crashes",
+    "recoveries", "deadlock_retries", "violations"}}``; each violation
+    names its run's schedule.
+    """
+    summary: dict[int, dict] = {}
+    for k in clients:
+        explorer = ChaosExplorer(multi_client_trace(k))
+        requests = explorer.golden.requests_seen
+        results = [
+            explorer.run_schedule(
+                ((max(1, int(requests * fraction)), FaultKind.CRASH_BEFORE_EXECUTE),)
+            )
+            for fraction in positions
+        ]
+        results.append(explorer.run_schedule((), victim=0))
+        recovered = sum(1 for r in results if r.ok)
+        summary[k] = {
+            "runs": len(results),
+            "recovered": recovered,
+            "recovered_fraction": recovered / len(results),
+            "crashes": sum(len(r.fired) for r in results),
+            "recoveries": sum(r.recoveries for r in results),
+            "deadlock_retries": sum(r.deadlock_retries for r in results),
+            "violations": [f"{r.describe()} {v}" for r in results for v in r.violations],
+        }
+    return summary

@@ -1,49 +1,34 @@
-"""Multi-client chaos: k concurrent sessions, a crash, exactly-once each.
+"""The k-client chaos workload: k concurrent sessions, a crash, exactly-once each.
 
-The single-client explorer (:mod:`repro.chaos.explorer`) sweeps crash
-positions over one session's wire trace.  Under concurrent serving the
-sharper question is: when the server dies while *k* clients are mid-flight
-— several of them inside explicit transactions — does **every** client
+The one-client trace (:func:`repro.chaos.trace.probe_dml_trace`) sweeps
+crash positions over one session.  Under concurrent serving the sharper
+question is: when the server dies while *k* clients are mid-flight —
+several of them inside explicit transactions — does **every** client
 still observe exactly-once execution?
 
-Determinism under concurrency needs care: the global interleaving of wire
-requests is scheduler-dependent, so there is no meaningful global golden
-trace.  What *is* deterministic is each client's own story — every client
-works a disjoint key range of one shared table, its requests are ordered
-per-session by the dispatcher, and its statement sequence numbers are
-allocated client-side.  The oracle therefore compares **per client**:
-observations (row blocks, DML rowcounts, commit acks, in order), the
-client's own status-table rows, and finally the shared table's content
-fingerprint (the union of the disjoint ranges is interleaving-independent).
+:func:`multi_client_trace` is that workload, run and judged by the same
+runner, oracle and explorer as the one-client trace.  The global
+interleaving of wire requests is scheduler-dependent, so the golden run's
+request count varies from run to run and a positional fault lands on
+whichever request is *i*-th.  What *is* deterministic is each client's own
+story — every client works a disjoint key range of one shared table and a
+wallet table of its own, its requests are ordered per session by the
+dispatcher, and its statement sequence numbers are allocated client-side —
+so the oracle compares client *i* with the golden run's client *i*, and
+then the tables' fingerprints (the union of the disjoint ranges is
+interleaving-independent).
 
-Two crash shapes:
-
-* **positional** — a one-shot crash on the N-th wire request, whoever sent
-  it (the classic explorer sweep, now racing k clients);
-* **targeted** — a :class:`~repro.net.faults.ScheduledFault` with
-  ``session_id`` set so the server dies exactly when the victim client's
-  COMMIT arrives, while a barrier guarantees every other client is holding
-  an open transaction at that moment.
+Each client's script has a ``barrier`` step inside its explicit
+transaction.  ``run_trace(..., victim=i)`` arms a session-targeted crash
+there: the server dies exactly when client *i*'s COMMIT arrives, while
+every other client holds its open transaction at the barrier.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from repro.chaos.trace import ChaosTrace, Step
 
-import repro
-from repro.chaos.trace import Step, _ensure_up, _fingerprint, _read_status, _run_step
-from repro.net.faults import FaultKind
-
-__all__ = [
-    "SHARED_TABLE",
-    "ClientRecord",
-    "MultiTraceRecord",
-    "client_steps",
-    "run_multi_trace",
-    "check_multi_run",
-    "sweep_multi",
-]
+__all__ = ["SHARED_TABLE", "client_steps", "multi_client_trace", "wallet_table"]
 
 SHARED_TABLE = "chaos_accounts"
 
@@ -63,13 +48,15 @@ def wallet_table(index: int) -> str:
     return f"chaos_wallet_{index}"
 
 
-def client_steps(index: int) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+def client_steps(index: int) -> tuple[Step, ...]:
     """Client ``index``'s deterministic workload over its own key range,
-    split at the mid-transaction barrier point (between the two halves the
-    client holds an open explicit transaction on its wallet table)."""
+    with the barrier inside its explicit transaction on its wallet table."""
     base = 100 * (index + 1)
     wallet = wallet_table(index)
-    pre = (
+    return (
+        # concurrent transactions wait on each other's locks: a generous
+        # server-side wait before a conflict surfaces to the application
+        Step("set", name="lock_timeout", value=30000),
         Step(
             "ddl",
             sql=f"CREATE TABLE {wallet} (id INT PRIMARY KEY, balance FLOAT)",
@@ -91,8 +78,7 @@ def client_steps(index: int) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
             "txn",
             sql=f"UPDATE {wallet} SET balance = balance - 5 WHERE id = 1",
         ),
-    )
-    post = (
+        Step("barrier"),
         Step(
             "txn",
             sql=f"UPDATE {wallet} SET balance = balance + 5 WHERE id = 2",
@@ -126,268 +112,13 @@ def client_steps(index: int) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
             fetches=(1,),
         ),
     )
-    return pre, post
 
 
-@dataclass
-class ClientRecord:
-    """One client's deterministic story, as it saw it."""
-
-    index: int
-    observations: list[tuple] = field(default_factory=list)
-    status_rows: frozenset | None = None
-    completed: bool = False
-    error: str = ""
-    recoveries: int = 0
-    deadlock_retries: int = 0
-
-
-@dataclass
-class MultiTraceRecord:
-    """Everything one multi-client run produced."""
-
-    clients: list[ClientRecord] = field(default_factory=list)
-    #: table name -> canonically sorted rows: the shared table plus every
-    #: client's wallet table (server-side reads)
-    fingerprints: dict[str, tuple] = field(default_factory=dict)
-    requests_seen: int = 0
-    fired: tuple[str, ...] = ()
-    orphan_sessions: int = 0
-    orphan_cursors: int = 0
-    leftover_tables: tuple[str, ...] = ()
-
-    @property
-    def completed(self) -> bool:
-        return all(c.completed for c in self.clients)
-
-
-def run_multi_trace(
-    clients: int,
-    *,
-    schedule: tuple[tuple, ...] = (),
-    crash_victim: int | None = None,
-) -> MultiTraceRecord:
-    """Run ``clients`` concurrent sessions of the multi-client workload.
-
-    ``schedule`` arms positional one-shot faults (``(request_index,
-    FaultKind)`` pairs, like :func:`repro.chaos.trace.run_trace`).
-    ``crash_victim`` instead arms a *session-targeted* crash after the
-    barrier: the server dies when that client's COMMIT request arrives,
-    with every client mid-transaction.
-    """
-    system = repro.make_system()
-    config = system.phoenix.config
-    # concurrent clients conflict on the shared table's lock: give the
-    # no-wait batch resubmission a deep retry budget and transactions a
-    # generous server-side wait before a conflict surfaces to the app
-    config.max_deadlock_retries = 64
-    options = {"lock_timeout": 30000}
-
-    restart_lock = threading.Lock()
-
-    def sleep(_seconds: float) -> None:
-        # the operator/watchdog stand-in; locked so concurrent recoveries
-        # don't double-restart (a second restart would wipe the sessions
-        # the first restart's recoveries just rebuilt)
-        with restart_lock:
-            if not system.server.up:
-                system.endpoint.restart_server()
-
-    config.sleep = sleep
-    for entry in schedule:
-        after, kind = entry[0], entry[1]
-        arg = entry[2] if len(entry) > 2 else None
-        system.faults.schedule(kind, after=after, arg=arg)
-
-    # the shared table exists before any client starts (direct server
-    # session: off the wire, immune to the fault schedule)
-    loader = system.server.connect(user="chaos-loader")
-    system.server.execute(
-        loader, f"CREATE TABLE {SHARED_TABLE} (id INT PRIMARY KEY, balance FLOAT)"
+def multi_client_trace(clients: int) -> ChaosTrace:
+    """``clients`` concurrent sessions of :func:`client_steps` over one
+    shared table, which exists before any client starts."""
+    return ChaosTrace(
+        clients=tuple(client_steps(i) for i in range(clients)),
+        tables=(SHARED_TABLE, *(wallet_table(i) for i in range(clients))),
+        setup=(f"CREATE TABLE {SHARED_TABLE} (id INT PRIMARY KEY, balance FLOAT)",),
     )
-    system.server.disconnect(loader)
-
-    records = [ClientRecord(index=i) for i in range(clients)]
-    connections: list = [None] * clients
-    barrier = threading.Barrier(clients + 1)
-    go = threading.Event()
-
-    def run_client(i: int) -> None:
-        record = records[i]
-        pre, post = client_steps(i)
-        cursor = None
-        try:
-            connections[i] = system.phoenix.connect(
-                system.DSN, user=f"client{i}", options=dict(options)
-            )
-            cursor = connections[i].cursor()
-            for index, step in enumerate(pre):
-                _run_step(record, connections[i], cursor, index, step)
-        except Exception as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            try:
-                barrier.wait(timeout=60)
-            except threading.BrokenBarrierError:
-                pass
-        go.wait(timeout=60)
-        if record.error or cursor is None:
-            return
-        try:
-            for index, step in enumerate(post):
-                _run_step(record, connections[i], cursor, len(pre) + index, step)
-            record.completed = True
-        except Exception as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-
-    threads = [
-        threading.Thread(target=run_client, args=(i,), name=f"chaos-client-{i}")
-        for i in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        barrier.wait(timeout=60)
-    except threading.BrokenBarrierError:
-        pass
-    if crash_victim is not None and connections[crash_victim] is not None:
-        victim = connections[crash_victim]
-        system.faults.schedule(
-            FaultKind.CRASH_BEFORE_EXECUTE,
-            session_id=victim.app.session_id,
-            matcher=lambda request: "COMMIT" in getattr(request, "sql", ""),
-        )
-    go.set()
-    for thread in threads:
-        thread.join(timeout=120)
-
-    # --- server-side ground truth, read off the wire ------------------------
-    _ensure_up(system)
-    for i, connection in enumerate(connections):
-        if connection is None:
-            continue
-        records[i].status_rows = _read_status(system, connection.names.status_table)
-        records[i].recoveries = connection.stats.recoveries
-        records[i].deadlock_retries = connection.stats.deadlock_retries
-
-    record = MultiTraceRecord(clients=records)
-    record.fingerprints[SHARED_TABLE] = _fingerprint(system, SHARED_TABLE)
-    for i in range(clients):
-        record.fingerprints[wallet_table(i)] = _fingerprint(system, wallet_table(i))
-
-    # --- clean close, then post-close hygiene ------------------------------
-    for i, connection in enumerate(connections):
-        if connection is None:
-            continue
-        try:
-            connection.close()
-        except Exception as exc:
-            if records[i].completed:
-                records[i].completed = False
-                records[i].error = f"close failed: {type(exc).__name__}: {exc}"
-    _ensure_up(system)
-    record.orphan_sessions = len(system.server.sessions)
-    record.orphan_cursors = sum(len(s.cursors) for s in system.server.sessions.values())
-    record.leftover_tables = tuple(
-        name for name in system.server.table_names() if name.startswith("phx_")
-    )
-    record.requests_seen = system.faults.requests_seen
-    record.fired = tuple(kind.value for kind in system.faults.fired)
-    return record
-
-
-def check_multi_run(golden: MultiTraceRecord, run: MultiTraceRecord) -> list[str]:
-    """Per-client exactly-once comparison; returns violations (empty = pass)."""
-    violations: list[str] = []
-    for expected, actual in zip(golden.clients, run.clients):
-        prefix = f"client {actual.index}"
-        if not actual.completed:
-            violations.append(f"{prefix} did not complete cleanly: {actual.error}")
-        if actual.observations != expected.observations:
-            violations.append(
-                f"{prefix} observations diverged: "
-                f"{_first_diff(expected.observations, actual.observations)}"
-            )
-        if actual.status_rows != expected.status_rows:
-            violations.append(
-                f"{prefix} status rows diverged (lost or duplicated statements): "
-                f"golden {sorted(expected.status_rows or ())}, "
-                f"run {sorted(actual.status_rows or ())}"
-            )
-    for table, expected_rows in golden.fingerprints.items():
-        actual_rows = run.fingerprints.get(table)
-        if actual_rows != expected_rows:
-            violations.append(
-                f"table {table} diverged: golden {len(expected_rows)} rows, "
-                f"run {len(actual_rows or ())} rows"
-            )
-    if run.orphan_sessions:
-        violations.append(
-            f"{run.orphan_sessions} orphaned server session(s) after clean close"
-        )
-    if run.leftover_tables != golden.leftover_tables:
-        violations.append(
-            f"leftover phx_* objects after close: {sorted(run.leftover_tables)}"
-        )
-    return violations
-
-
-def _first_diff(golden: list, run: list) -> str:
-    for i, (expected, actual) in enumerate(zip(golden, run)):
-        if expected != actual:
-            return f"observation {i}: expected {expected!r}, got {actual!r}"
-    if len(run) < len(golden):
-        return f"truncated at {len(run)}/{len(golden)}"
-    return f"extra observations past {len(golden)}"
-
-
-def sweep_multi(
-    clients: tuple[int, ...] = (1, 4, 16),
-    *,
-    positions: tuple[float, ...] = (0.25, 0.5, 0.75),
-) -> dict[int, dict]:
-    """The multi-client crash sweep: for each client count, a golden run,
-    positional crashes at fractions of the golden request trace, and one
-    targeted crash on a commit with everyone mid-transaction.
-
-    Returns ``{k: {"runs", "recovered", "recovered_fraction", "crashes",
-    "recoveries", "deadlock_retries", "violations"}}``.
-    """
-    summary: dict[int, dict] = {}
-    for k in clients:
-        golden = run_multi_trace(k)
-        if not golden.completed:
-            failed = [c for c in golden.clients if not c.completed]
-            raise RuntimeError(
-                f"golden run with {k} clients failed: "
-                + "; ".join(f"client {c.index}: {c.error}" for c in failed)
-            )
-        runs: list[MultiTraceRecord] = []
-        for fraction in positions:
-            after = max(1, int(golden.requests_seen * fraction))
-            runs.append(
-                run_multi_trace(
-                    k, schedule=((after, FaultKind.CRASH_BEFORE_EXECUTE),)
-                )
-            )
-        runs.append(run_multi_trace(k, crash_victim=0))
-        violations: list[str] = []
-        recovered = 0
-        for run in runs:
-            bad = check_multi_run(golden, run)
-            if bad:
-                violations.extend(bad)
-            else:
-                recovered += 1
-        summary[k] = {
-            "runs": len(runs),
-            "recovered": recovered,
-            "recovered_fraction": recovered / len(runs),
-            "crashes": sum(len(run.fired) for run in runs),
-            "recoveries": sum(c.recoveries for run in runs for c in run.clients),
-            "deadlock_retries": sum(
-                c.deadlock_retries for run in runs for c in run.clients
-            ),
-            "violations": violations,
-        }
-    return summary

@@ -1,16 +1,19 @@
 """The exactly-once oracle: golden run vs. faulted run.
 
-Each check maps to one of the paper's guarantees:
+Each client of the faulted run is judged against the same client of the
+golden run (with more than one client, its violations are prefixed
+``client i:``), then the run as a whole.  Each check maps to one of the
+paper's guarantees:
 
 * **observations** — everything the application saw must be bit-identical
   to the golden run: result-set blocks at their recorded offsets (gap-free
   and duplicate-free delivery), DML rowcounts, commit/rollback
   acknowledgements in order.  A lost or duplicated commit reply, a skipped
   or re-delivered row, or an application-visible error all surface here.
-* **status rows** — the Phoenix status table is the server-side truth of
-  which wrapped statements and commits ran; set equality with the golden
-  run means every DML applied exactly once (no row: lost; extra or
-  diverging row: duplicated/diverged).
+* **status rows** — a client's Phoenix status table is the server-side
+  truth of which of its wrapped statements and commits ran; set equality
+  with the golden run means every DML applied exactly once (no row: lost;
+  extra or diverging row: duplicated/diverged).
 * **fingerprints** — direct table content comparison, independent of the
   status table, so a bug that fooled the testable-state machinery is still
   caught.
@@ -24,7 +27,7 @@ Each check maps to one of the paper's guarantees:
 
 from __future__ import annotations
 
-from repro.chaos.trace import TraceRecord
+from repro.chaos.trace import ClientRecord, TraceRecord
 
 __all__ = ["check_run"]
 
@@ -32,15 +35,10 @@ __all__ = ["check_run"]
 def check_run(golden: TraceRecord, run: TraceRecord) -> list[str]:
     """Compare ``run`` against ``golden``; returns violations (empty = pass)."""
     violations: list[str] = []
-
-    if not run.completed:
-        violations.append(f"run did not complete cleanly: {run.error}")
-
-    if run.observations != golden.observations:
-        violations.append(_first_divergence(golden.observations, run.observations))
-
-    if run.status_rows != golden.status_rows:
-        violations.extend(_status_diff(golden.status_rows, run.status_rows))
+    several = len(golden.clients) > 1
+    for i, (expected, actual) in enumerate(zip(golden.clients, run.clients)):
+        prefix = f"client {i}: " if several else ""
+        violations += [prefix + v for v in _check_client(expected, actual)]
 
     for table, expected in golden.fingerprints.items():
         actual = run.fingerprints.get(table)
@@ -63,6 +61,17 @@ def check_run(golden: TraceRecord, run: TraceRecord) -> list[str]:
         violations.append(
             f"leftover phx_* objects after close: {sorted(run.leftover_tables)}"
         )
+    return violations
+
+
+def _check_client(golden: ClientRecord, run: ClientRecord) -> list[str]:
+    violations: list[str] = []
+    if not run.completed:
+        violations.append(f"run did not complete cleanly: {run.error}")
+    if run.observations != golden.observations:
+        violations.append(_first_divergence(golden.observations, run.observations))
+    if run.status_rows != golden.status_rows:
+        violations.extend(_status_diff(golden.status_rows, run.status_rows))
     return violations
 
 

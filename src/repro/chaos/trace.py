@@ -1,30 +1,34 @@
 """The chaos workload trace and its runner.
 
-A :class:`ChaosTrace` is a deterministic application script covering every
-Phoenix mechanism the paper describes: SET options, wrapped DDL/DML,
-materialized default result sets with partial fetches, a keyset cursor,
-temp-object redirection, explicit transactions (committed and rolled
-back), and clean close.  :func:`run_trace` executes it against a fresh
-:func:`repro.make_system` deployment — optionally under a fault schedule —
-and returns a :class:`TraceRecord`:
+A :class:`ChaosTrace` is one deterministic application script per client.
+:func:`probe_dml_trace` is the one-client trace covering every Phoenix
+mechanism the paper describes: SET options, wrapped DDL/DML, materialized
+default result sets with partial fetches, a keyset cursor, temp-object
+redirection, explicit transactions (committed and rolled back), batched
+executemany, and clean close; :func:`repro.chaos.multi.multi_client_trace`
+is its k-client sibling.  :func:`run_trace` executes a trace against a
+fresh :func:`repro.make_system` deployment — optionally under a fault
+schedule — and returns a :class:`TraceRecord`:
 
-* ``observations`` — everything the *application* saw, in order (row blocks
-  at their delivered offsets, DML rowcounts, commit acknowledgements);
-* ``status_rows`` — the Phoenix status table read server-side (bypassing
-  the wire, so the read cannot meet a scheduled fault);
+* per client (:class:`ClientRecord`): ``observations`` — everything the
+  *application* saw, in order (row blocks at their delivered offsets, DML
+  rowcounts, commit acknowledgements); ``status_rows`` — its Phoenix status
+  table read server-side (bypassing the wire, so the read cannot meet a
+  scheduled fault); whether it completed, its recoveries and their phases;
 * ``fingerprints`` — each user table's full content, read server-side and
   canonically sorted;
 * post-close hygiene: orphaned sessions/cursors and leftover ``phx_*``
   objects on the server.
 
 The oracle (:mod:`repro.chaos.oracle`) compares a faulted run's record
-against the fault-free golden record field by field.
+against the fault-free golden record, client by client, then field by field.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import repro
 from repro import errors
@@ -33,7 +37,15 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.odbc.constants import DEFAULT_FETCH_BLOCK, CursorType, StatementAttr
 from repro.sql import ast
 
-__all__ = ["Step", "ChaosTrace", "TraceRecord", "probe_dml_trace", "run_trace"]
+__all__ = [
+    "ChaosTrace",
+    "ClientRecord",
+    "Step",
+    "TraceRecord",
+    "operator_restart",
+    "probe_dml_trace",
+    "run_trace",
+]
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,8 @@ class Step:
     * ``executemany`` — ``cursor.executemany(sql, rows)`` with the wire
       batch size set to ``batch_size`` (exercises BatchExecuteRequest +
       WAL group commit, including partial-batch replay under faults)
+    * ``barrier`` — wait until every client of the trace reaches it (with
+      one client it never waits)
     """
 
     op: str
@@ -67,15 +81,18 @@ class Step:
 
 @dataclass(frozen=True)
 class ChaosTrace:
-    steps: tuple[Step, ...]
+    #: one step script per client; each runs on its own Phoenix connection
+    clients: tuple[tuple[Step, ...], ...]
     #: user tables to fingerprint (must survive the trace)
     tables: tuple[str, ...]
+    #: statements run on a direct server session before any client starts
+    setup: tuple[str, ...] = ()
 
 
 def probe_dml_trace() -> ChaosTrace:
     """The canonical probe/DML trace the chaos sweep explores."""
     return ChaosTrace(
-        steps=(
+        clients=((
             Step("set", name="lock_timeout", value=1000),
             Step("ddl", sql="CREATE TABLE accounts (id INT PRIMARY KEY, balance FLOAT)"),
             Step(
@@ -132,25 +149,37 @@ def probe_dml_trace() -> ChaosTrace:
                 sql="SELECT count(*), sum(balance) FROM accounts",
                 fetches=(1,),
             ),
-        ),
+        ),),
         tables=("accounts",),
     )
+
+
+@dataclass
+class ClientRecord:
+    """One client's story: what its application saw, and its recoveries."""
+
+    #: ordered application-visible events: ("rows", step, offset, rows),
+    #: ("dml", step, rowcount), ("commit", step), ("rollback", step), ...
+    observations: list[tuple] = field(default_factory=list)
+    #: (stmt_seq, n_rows) rows of the client's Phoenix status table, read
+    #: server-side; None = the table did not exist
+    status_rows: frozenset | None = None
+    completed: bool = False
+    error: str = ""
+    recoveries: int = 0
+    deadlock_retries: int = 0
+    virtual_session_seconds: float = 0.0
+    sql_state_seconds: float = 0.0
 
 
 @dataclass
 class TraceRecord:
     """Everything one run of a trace produced — the oracle's raw material."""
 
-    #: ordered application-visible events: ("rows", step, offset, rows),
-    #: ("dml", step, rowcount), ("commit", step), ("rollback", step), ...
-    observations: list[tuple] = field(default_factory=list)
-    #: (stmt_seq, n_rows) rows of the Phoenix status table, read
-    #: server-side; None = the table did not exist
-    status_rows: frozenset | None = None
+    #: one record per client of the trace, in trace order
+    clients: list[ClientRecord] = field(default_factory=list)
     #: table name -> canonically sorted tuple of its rows (server-side read)
     fingerprints: dict[str, tuple] = field(default_factory=dict)
-    completed: bool = False
-    error: str = ""
     #: wire requests the fault injector inspected over the whole run
     requests_seen: int = 0
     #: (request_index, sub-statement count) of every BatchExecuteRequest —
@@ -161,35 +190,77 @@ class TraceRecord:
     orphan_sessions: int = 0
     orphan_cursors: int = 0
     leftover_tables: tuple[str, ...] = ()
-    recoveries: int = 0
-    spurious_timeouts: int = 0
-    sessions_reaped: int = 0
-    recovery_pings: int = 0
-    virtual_session_seconds: float = 0.0
-    sql_state_seconds: float = 0.0
     #: (step_index, ts) moments pinned between steps while the run executed
+    #: (one-client traces only)
     time_travel_cuts: tuple = ()
     #: end-of-run ``AS OF`` replay failures: each pinned moment must
     #: reproduce the table fingerprints captured when it was pinned
     time_travel_violations: tuple[str, ...] = ()
+
+    @property
+    def completed(self) -> bool:
+        return all(client.completed for client in self.clients)
+
+    @property
+    def error(self) -> str:
+        return "; ".join(
+            f"client {i}: {client.error}" for i, client in enumerate(self.clients) if client.error
+        )
+
+    @property
+    def recoveries(self) -> int:
+        return sum(client.recoveries for client in self.clients)
+
+    @property
+    def observations(self) -> list[list[tuple]]:
+        return [client.observations for client in self.clients]
+
+    @property
+    def status_rows(self) -> list[frozenset | None]:
+        return [client.status_rows for client in self.clients]
+
+
+def operator_restart(system: "repro.System") -> Callable[[float], None]:
+    """A ``PhoenixConfig.sleep`` hook standing in for the operator or
+    watchdog the paper assumes: recovery "waits" by restarting the crashed
+    server, so downtime is compressed to zero.  Locked, so concurrent
+    recoveries do not double-restart and wipe the sessions the first
+    restart's recoveries just rebuilt."""
+    restarting = threading.Lock()
+
+    def sleep(_seconds: float) -> None:
+        with restarting:
+            if not system.server.up:
+                system.endpoint.restart_server()
+
+    return sleep
 
 
 def run_trace(
     trace: ChaosTrace,
     schedule: tuple[tuple, ...] = (),
     *,
+    victim: int | None = None,
     tracer: Tracer | None = None,
     transport: str = "inprocess",
 ) -> TraceRecord:
     """Run ``trace`` on a fresh system under ``schedule`` and record it.
 
-    ``schedule`` is a tuple of ``(request_index, FaultKind)`` pairs — or
-    ``(request_index, FaultKind, arg)`` triples for kinds that take an
-    argument (CRASH_MID_BATCH's sub-statement position); each
+    Every client of the trace runs its steps on its own Phoenix connection
+    and thread; the trace's ``setup`` runs first on a direct server
+    session.  ``schedule`` is a tuple of ``(request_index, FaultKind)``
+    pairs — or ``(request_index, FaultKind, arg)`` triples for kinds that
+    take an argument (CRASH_MID_BATCH's sub-statement position); each
     becomes a one-shot fault armed before the first request, so index *i*
-    fires on the i-th wire request (0-based).  The injected ``sleep``
-    restarts a downed server, standing in for the operator/watchdog the
-    paper assumes — recovery waits out the outage and proceeds.
+    fires on the i-th wire request (0-based), whichever client sends it.
+    The recovery sleep is :func:`operator_restart`: recovery waits out the
+    outage and proceeds.
+
+    ``victim`` arms a session-targeted crash when the clients pass the
+    trace's ``barrier`` step: the server dies when client ``victim``'s
+    COMMIT arrives, and no other client takes a step past the barrier
+    until that COMMIT has returned (crash and recovery included), so every
+    other client holds its open transaction through the crash.
 
     Pass a ``tracer`` (:class:`repro.obs.Tracer`) to capture the whole run
     as a span trace — it is installed process-wide for the run's duration
@@ -205,73 +276,114 @@ def run_trace(
     """
     if tracer is not None:
         with use_tracer(tracer):
-            return _run_trace(trace, schedule, transport)
-    return _run_trace(trace, schedule, transport)
+            return _run_trace(trace, schedule, victim, transport)
+    return _run_trace(trace, schedule, victim, transport)
 
 
 def _run_trace(
-    trace: ChaosTrace,
-    schedule: tuple[tuple, ...],
-    transport: str = "inprocess",
+    trace: ChaosTrace, schedule: tuple[tuple, ...], victim: int | None, transport: str
 ) -> TraceRecord:
     system = repro.make_system(listen="127.0.0.1:0" if transport == "tcp" else None)
     try:
-        return _run_trace_on(system, trace, schedule)
+        return _run_trace_on(system, trace, schedule, victim)
     finally:
         system.close()  # stops the TCP listener; no-op in-process
 
 
 def _run_trace_on(
-    system, trace: ChaosTrace, schedule: tuple[tuple, ...]
+    system, trace: ChaosTrace, schedule: tuple[tuple, ...], victim: int | None
 ) -> TraceRecord:
     config = system.phoenix.config
-
-    def sleep(_seconds: float) -> None:
-        if not system.server.up:
-            system.endpoint.restart_server()
-
-    config.sleep = sleep
+    config.sleep = operator_restart(system)
+    # concurrent clients' batches lose no-wait lock conflicts to each
+    # other: give their resubmission a deep retry budget
+    config.max_deadlock_retries = 64
     for entry in schedule:
         after, kind = entry[0], entry[1]
         arg = entry[2] if len(entry) > 2 else None
         system.faults.schedule(kind, after=after, arg=arg)
+    # set-up runs off the wire, immune to the fault schedule
+    loader = system.server.connect("chaos-loader")
+    for sql in trace.setup:
+        system.server.execute(loader, sql)
+    system.server.disconnect(loader)
 
-    record = TraceRecord()
-    connection = None
-    tt_cuts: list[tuple[int, float, dict[str, tuple]]] = []
-    try:
-        connection = system.phoenix.connect(system.DSN)
-        cursor = connection.cursor()
-        for index, step in enumerate(trace.steps):
-            _run_step(record, connection, cursor, index, step)
-            _pin_time_travel_cut(system, connection, trace, index, tt_cuts)
-        record.completed = True
-    except Exception as exc:  # the oracle reports it; nothing may escape
-        record.error = f"{type(exc).__name__}: {exc}"
+    clients = len(trace.clients)
+    record = TraceRecord(clients=[ClientRecord() for _ in range(clients)])
+    connections: list = [None] * clients
+    # a stamp taken between one client's steps could race another's commit
+    tt_cuts: list[tuple[int, float, dict[str, tuple]]] | None = [] if clients == 1 else None
+    victim_committed = threading.Event()
+
+    def arm_victim() -> None:
+        if victim is not None and connections[victim] is not None:
+            system.faults.schedule(
+                FaultKind.CRASH_BEFORE_EXECUTE,
+                session_id=connections[victim].app.session_id,
+                matcher=lambda request: "COMMIT" in getattr(request, "sql", ""),
+            )
+
+    barrier = threading.Barrier(clients, action=arm_victim, timeout=60)
+
+    def run_client(i: int) -> None:
+        client = record.clients[i]
+        try:
+            connections[i] = connection = system.phoenix.connect(system.DSN)
+            cursor = connection.cursor()
+            for index, step in enumerate(trace.clients[i]):
+                if step.op == "barrier":
+                    barrier.wait()
+                    if victim not in (None, i):
+                        victim_committed.wait(timeout=60)
+                    continue
+                _run_step(client, connection, cursor, index, step)
+                if i == victim and step.op == "commit":
+                    victim_committed.set()
+                if tt_cuts is not None:
+                    _pin_time_travel_cut(system, connection, trace, index, tt_cuts)
+            client.completed = True
+        except Exception as exc:  # the oracle reports it; nothing may escape
+            client.error = f"{type(exc).__name__}: {exc}"
+            barrier.abort()  # a client that died must not strand the rest
+        finally:
+            if i == victim:
+                victim_committed.set()
+
+    threads = [
+        threading.Thread(target=run_client, args=(i,), name=f"chaos-client-{i}")
+        for i in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
     # --- server-side ground truth, read off the wire (fault-immune) --------
     _ensure_up(system)
-    if connection is not None:
-        record.status_rows = _read_status(system, connection.names.status_table)
+    for client, connection in zip(record.clients, connections):
+        if connection is not None:
+            client.status_rows = _read_status(system, connection.names.status_table)
     for table in trace.tables:
         record.fingerprints[table] = _fingerprint(system, table)
-    record.time_travel_cuts = tuple((index, ts) for index, ts, _ in tt_cuts)
-    record.time_travel_violations = tuple(_replay_time_travel_cuts(system, tt_cuts))
+    if tt_cuts is not None:
+        record.time_travel_cuts = tuple((index, ts) for index, ts, _ in tt_cuts)
+        record.time_travel_violations = tuple(_replay_time_travel_cuts(system, tt_cuts))
 
     # --- clean close, then post-close hygiene ------------------------------
-    if connection is not None:
+    for client, connection in zip(record.clients, connections):
+        if connection is None:
+            continue
         try:
             connection.close()
         except Exception as exc:
-            if record.completed:
-                record.completed = False
-                record.error = f"close failed: {type(exc).__name__}: {exc}"
-        record.recoveries = connection.stats.recoveries
-        record.spurious_timeouts = connection.stats.spurious_timeouts
-        record.sessions_reaped = connection.stats.sessions_reaped
-        record.recovery_pings = connection.stats.recovery_pings
-        record.virtual_session_seconds = connection.stats.virtual_session_seconds_total
-        record.sql_state_seconds = connection.stats.sql_state_seconds_total
+            if client.completed:
+                client.completed = False
+                client.error = f"close failed: {type(exc).__name__}: {exc}"
+        stats = connection.stats
+        client.recoveries = stats.recoveries
+        client.deadlock_retries = stats.deadlock_retries
+        client.virtual_session_seconds = stats.virtual_session_seconds_total
+        client.sql_state_seconds = stats.sql_state_seconds_total
     _ensure_up(system)
     record.orphan_sessions = len(system.server.sessions)
     record.orphan_cursors = sum(

@@ -110,7 +110,7 @@ class Template(NamedTuple):
 def statement_templates(sql: str) -> tuple[Template, ...]:
     """The statements of an application text, parsed and classified — once
     per text, process-wide: parsing is pure, so every connection shares the
-    result, as the server's sessions share its ``ParseCache``.
+    result, as the server's sessions share its parse cache.
 
     What comes back is shared and is never modified: everything that turns
     a template into the statement actually sent is copy-on-write —

@@ -9,11 +9,13 @@ reuse layers, the :class:`LRUCache` they are all made of, and the counters
 that prove they work.  The rule they share: one parse per statement text,
 and a parsed statement is never modified.
 
-* :class:`ParseCache` — server-wide LRU mapping raw SQL text to the parsed
-  statement tuple.  Parsing is pure, so entries are shared across sessions.
-  The cache lives on the :class:`~repro.engine.server.DatabaseServer` and is
-  **volatile**: ``crash()`` discards it and restart recovery starts cold,
-  exactly like every other non-logged structure.
+* The **parse cache** — ``DatabaseServer._parse_cache``, an
+  ``LRUCache(PARSE_CACHE_CAPACITY)`` mapping raw SQL text to the parsed
+  statement tuple.  Parsing is pure, so entries are shared across sessions;
+  the server treats a parsed statement as immutable (only the client-side
+  Phoenix interceptor rewrites ASTs, and it parses its own copies).  The
+  cache is **volatile**: ``crash()`` discards it and restart recovery
+  starts cold, exactly like every other non-logged structure.
 
 * :class:`PlanCache` — one per database incarnation (``Database.plans``):
   a parsed SELECT statement → its compiled plans, shared by every session.
@@ -91,7 +93,7 @@ from typing import Any, Callable
 
 from repro.obs.metrics import CounterSet
 
-__all__ = ["EngineMetrics", "ExecutorStats", "LRUCache", "ParseCache", "PlanCache"]
+__all__ = ["EngineMetrics", "ExecutorStats", "LRUCache", "PlanCache"]
 
 #: Server-wide parse cache capacity (distinct SQL texts).
 PARSE_CACHE_CAPACITY = 256
@@ -201,31 +203,6 @@ class LRUCache:
 
     def __contains__(self, key: Any) -> bool:
         return key in self._entries
-
-
-class ParseCache:
-    """SQL text → parsed statement tuple (server-wide, volatile).
-
-    Statements handed out are shared: the server-side executor treats parsed
-    ASTs as immutable (only the *client-side* Phoenix interceptor rewrites
-    ASTs, and it parses its own copies), so one parse serves every session
-    issuing the same text.
-    """
-
-    def __init__(self):
-        self._cache = LRUCache(PARSE_CACHE_CAPACITY)
-
-    def get(self, sql: str) -> tuple | None:
-        return self._cache.get(sql)
-
-    def put(self, sql: str, statements: tuple) -> None:
-        self._cache.put(sql, tuple(statements))
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
 
 class _Plan:

@@ -36,7 +36,7 @@ from repro.engine.database import Database
 from repro.engine.dispatch import SessionDispatcher
 from repro.engine.executor import Executor
 from repro.engine.locks import DEFAULT_SERVER_WAIT, LockStats
-from repro.engine.plancache import EngineMetrics, ExecutorStats, ParseCache
+from repro.engine.plancache import PARSE_CACHE_CAPACITY, EngineMetrics, ExecutorStats, LRUCache
 from repro.engine.recovery import RecoveryReport, recover
 from repro.engine.results import StatementResult
 from repro.engine.session import Session
@@ -152,7 +152,7 @@ class DatabaseServer:
         self._executors: dict[int, Executor] = {}
         #: SQL text → parsed statements; volatile (None while the server is
         #: down, rebuilt cold on restart)
-        self._parse_cache: ParseCache | None = None
+        self._parse_cache: LRUCache | None = None
         self.last_recovery: RecoveryReport | None = None
         #: monotonically increasing activity counter; every session-scoped
         #: operation stamps its session with the current value, which is
@@ -200,7 +200,7 @@ class DatabaseServer:
         # (standalone LockManagers keep the historical fail-fast default)
         self.database.locks.use_mutex(self._engine_mutex)
         self.database.locks.default_timeout = DEFAULT_SERVER_WAIT
-        self._parse_cache = ParseCache()
+        self._parse_cache = LRUCache(PARSE_CACHE_CAPACITY)
         # wire the new incarnation into time travel: the WAL stamps commits
         # with the manager's (restart-spanning) clock and publishes them to
         # its index, which is reloaded here from the archive's commit rows

@@ -3,7 +3,11 @@
 Messages cross the "wire" as pickled bytes — not because pickle is a great
 wire format, but because serializing at all keeps the boundary honest: the
 client cannot share live objects with the server, and the metrics layer can
-count real message sizes.
+count real message sizes.  Decoding admits only the classes a message is
+made of (the ``Message`` subclasses defined here, a result's ``Column``
+with its ``SqlType``, and ``datetime.date`` values): any other class or
+callable named in the bytes is refused before it is looked up, so a peer
+cannot make the decoder run code.
 
 Every request carries the session id it operates on (like a TDS connection
 carries its login context); ``ConnectRequest`` is the exception.
@@ -11,11 +15,15 @@ carries its login context); ``ConnectRequest`` is the exception.
 
 from __future__ import annotations
 
+import datetime
+import io
 import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import errors
 from repro.engine.schema import Column
+from repro.engine.values import SqlType
 
 __all__ = [
     "Message",
@@ -233,5 +241,35 @@ def encode_message(message: Message) -> bytes:
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+#: (module, name) -> class, for every class a decoded message may name
+_WIRE_CLASSES = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in [
+        *(v for v in list(globals().values()) if isinstance(v, type) and issubclass(v, Message)),
+        Column,
+        SqlType,
+        datetime.date,
+    ]
+}
+
+
+class _WireUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> type:
+        try:
+            return _WIRE_CLASSES[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(f"{module}.{name} may not cross the wire") from None
+
+
 def decode_message(raw: bytes) -> Message:
-    return pickle.loads(raw)
+    """Decode one message; bytes that name any class outside the protocol,
+    or that are not a message at all, raise ``CommunicationError``."""
+    try:
+        message = _WireUnpickler(io.BytesIO(raw)).load()
+    except Exception as exc:
+        raise errors.CommunicationError(f"protocol error: {exc}") from None
+    if not isinstance(message, Message):
+        raise errors.CommunicationError(
+            f"protocol error: {type(message).__name__} is not a message"
+        )
+    return message

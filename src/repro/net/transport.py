@@ -183,7 +183,10 @@ class ServerEndpoint:
         """Decode + session key + caller correlation — shared by
         :meth:`handle` and :meth:`submit`."""
         request = decode_message(raw_request)
-        assert isinstance(request, Request)
+        if not isinstance(request, Request):
+            raise errors.CommunicationError(
+                f"protocol error: {type(request).__name__} is not a request"
+            )
         # session-scoped requests serialize per session; connects and pings
         # carry no session and dispatch independently (unique key)
         key = getattr(request, "session_id", None)
@@ -498,6 +501,7 @@ class ClientChannel:
         ) as span:
             try:
                 raw_response = self.wire.roundtrip(raw)
+                response = decode_message(raw_response)
             except errors.TimeoutError:
                 # a client-side timeout abandons the request but not the socket:
                 # the server may just be slow (Phoenix probes to find out)
@@ -507,7 +511,6 @@ class ClientChannel:
                 self.broken = True
                 self.metrics.record_error(request_type, len(raw))
                 raise
-            response = decode_message(raw_response)
             self.metrics.record(request_type, len(raw), len(raw_response))
             span.set(bytes_out=len(raw), bytes_in=len(raw_response))
             if isinstance(response, ErrorResponse):

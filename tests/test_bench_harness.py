@@ -15,7 +15,8 @@ from repro.bench.harness import (
     run_table1_power_comparison,
 )
 from repro.bench.reporting import EXPERIMENTS
-from repro.chaos import SWEPT_FAULTS
+from repro.chaos import SWEPT_FAULTS, run_sweep
+from repro.chaos.__main__ import render
 from repro.net.faults import STORAGE_FAULTS, WIRE_FAULTS
 from repro.workloads.tpch.datagen import populate
 
@@ -94,9 +95,10 @@ def test_recovery_breakdown_has_one_row_per_fault_kind():
 
 
 def test_chaos_experiment_recovers_every_thinned_schedule():
-    [result] = EXPERIMENTS["chaos"].runner(stride=8, random_runs=2)
-    assert result.recovered_fraction == 1.0 and not result.failures
-    assert list(result.by_kind) == [k.value for k in SWEPT_FAULTS] + ["multi_fault"]
-    assert result.runs == sum(cell["runs"] for cell in result.by_kind.values())
-    assert result.by_kind["multi_fault"]["runs"] == 2
-    assert "inprocess: 100.0% recovered" in EXPERIMENTS["chaos"].render([result])
+    [report] = run_sweep(stride=8, random_runs=2)
+    result = report.summary()
+    assert result["recovered_fraction"] == 1.0 and not result["failures"]
+    assert list(result["by_kind"]) == [k.value for k in SWEPT_FAULTS] + ["multi_fault"]
+    assert result["runs"] == sum(cell["runs"] for cell in result["by_kind"].values())
+    assert result["by_kind"]["multi_fault"]["runs"] == 2
+    assert "inprocess: 100.0% recovered" in render([result])

@@ -45,26 +45,31 @@ def test_golden_run_against_itself_passes_oracle(explorer):
 
 # ------------------------------------------------------------------ the oracle
 
+def _with_client(record, **changes):
+    """``record`` with fields of its one client replaced."""
+    [client] = record.clients
+    return dataclasses.replace(record, clients=[dataclasses.replace(client, **changes)])
+
+
 def test_oracle_catches_lost_observation(explorer):
-    tampered = dataclasses.replace(
-        explorer.golden, observations=explorer.golden.observations[:-1]
-    )
+    [client] = explorer.golden.clients
+    tampered = _with_client(explorer.golden, observations=client.observations[:-1])
     violations = check_run(explorer.golden, tampered)
     assert any("truncated" in v for v in violations)
 
 
 def test_oracle_catches_duplicated_status_row(explorer):
-    rows = set(explorer.golden.status_rows)
+    rows = set(explorer.golden.clients[0].status_rows)
     seq = max(s for s, _ in rows)
     rows.add((seq + 1, 99))
-    tampered = dataclasses.replace(explorer.golden, status_rows=frozenset(rows))
+    tampered = _with_client(explorer.golden, status_rows=frozenset(rows))
     violations = check_run(explorer.golden, tampered)
     assert any("duplicated" in v for v in violations)
 
 
 def test_oracle_catches_lost_status_row(explorer):
-    rows = sorted(explorer.golden.status_rows)[:-1]
-    tampered = dataclasses.replace(explorer.golden, status_rows=frozenset(rows))
+    rows = sorted(explorer.golden.clients[0].status_rows)[:-1]
+    tampered = _with_client(explorer.golden, status_rows=frozenset(rows))
     violations = check_run(explorer.golden, tampered)
     assert any("lost" in v for v in violations)
 
@@ -122,7 +127,7 @@ def test_crash_between_transaction_phases(explorer):
     # fire at every request of the explicit-transaction window (begin ..
     # commit); exactly-once for the commit is the paper's §3 acid test
     begin_i = next(
-        i for i, o in enumerate(golden.observations) if o[0] == "begin"
+        i for i, o in enumerate(golden.clients[0].observations) if o[0] == "begin"
     )
     assert begin_i > 0
     for index in range(25, 40):

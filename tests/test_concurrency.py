@@ -18,13 +18,13 @@ import weakref
 import pytest
 
 import repro
-from repro.chaos.multi import check_multi_run, run_multi_trace
+from repro.chaos import ChaosExplorer, check_run, multi_client_trace, run_trace
 from repro.core.parallel import recover_all
 from repro.engine import dispatch
 from repro.engine.dispatch import SessionDispatcher
 from repro.engine.locks import LockManager, LockMode
 from repro.errors import DeadlockError, LockError, ServerCrashedError
-from repro.net.faults import FaultKind
+from repro.net.faults import STORAGE_FAULTS, WIRE_FAULTS, FaultKind
 
 
 # ---------------------------------------------------------------- lock waits
@@ -376,27 +376,48 @@ def test_recover_all_is_idempotent_when_server_survived(system):
 # ---------------------------------------------------------------- multi-client chaos
 
 
-def test_multi_client_golden_trace_is_clean():
-    golden = run_multi_trace(2)
-    assert golden.completed, [c.error for c in golden.clients]
+TRANSPORTS = pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+
+
+@TRANSPORTS
+def test_multi_client_golden_trace_is_clean(transport):
+    trace = multi_client_trace(2)
+    golden = run_trace(trace, transport=transport)
+    assert golden.completed, golden.error
     assert golden.orphan_sessions == 0
     assert golden.leftover_tables == ()
-    assert check_multi_run(golden, run_multi_trace(2)) == []
+    assert check_run(golden, run_trace(trace, transport=transport)) == []
 
 
-def test_multi_client_positional_crash_recovers_exactly_once():
-    golden = run_multi_trace(2)
-    crashed = run_multi_trace(
-        2, schedule=((golden.requests_seen // 2, FaultKind.CRASH_BEFORE_EXECUTE),)
+@TRANSPORTS
+def test_multi_client_positional_crash_recovers_exactly_once(transport):
+    trace = multi_client_trace(2)
+    golden = run_trace(trace, transport=transport)
+    crashed = run_trace(
+        trace,
+        ((golden.requests_seen // 2, FaultKind.CRASH_BEFORE_EXECUTE),),
+        transport=transport,
     )
     assert crashed.fired == ("crash_before_execute",)
-    assert check_multi_run(golden, crashed) == []
+    assert check_run(golden, crashed) == []
 
 
-def test_multi_client_targeted_commit_crash_recovers_exactly_once():
-    golden = run_multi_trace(3)
-    crashed = run_multi_trace(3, crash_victim=0)
+@TRANSPORTS
+def test_multi_client_targeted_commit_crash_recovers_exactly_once(transport):
+    trace = multi_client_trace(3)
+    golden = run_trace(trace, transport=transport)
+    crashed = run_trace(trace, victim=0, transport=transport)
     assert crashed.fired == ("crash_before_execute",)
-    assert check_multi_run(golden, crashed) == []
+    assert check_run(golden, crashed) == []
     # every client was mid-transaction: all of them recovered
     assert sum(c.recoveries for c in crashed.clients) >= 3
+
+
+def test_strided_sweep_over_two_clients_recovers_every_schedule():
+    """Every wire and storage fault kind at every 3rd request of two
+    interleaving clients; the oracle judges each client on its own."""
+    explorer = ChaosExplorer(multi_client_trace(2))
+    report = explorer.sweep(WIRE_FAULTS + STORAGE_FAULTS, stride=3)
+    assert report.runs == 6 * len(range(0, explorer.golden.requests_seen, 3))
+    assert report.recovered_fraction == 1.0, report.summary()["failures"]
+    assert report.total_recoveries > 0

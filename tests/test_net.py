@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import datetime
+import pickle
+import socket
+
 import pytest
 
+import repro
 from repro import errors
 from repro.engine import DatabaseServer
+from repro.engine.schema import Column
+from repro.engine.values import SqlType
+from repro.net import framing, protocol
 from repro.net import FaultInjector, FaultKind, NetworkMetrics, ServerEndpoint
 from repro.net.protocol import (
     ConnectRequest,
@@ -15,11 +23,13 @@ from repro.net.protocol import (
     FetchRequest,
     PingRequest,
     PongResponse,
+    Message,
     ResultResponse,
     TableSchemaRequest,
     decode_message,
     encode_message,
 )
+from repro.net.tcp import TcpTransport
 from repro.net.transport import ClientChannel
 
 
@@ -41,14 +51,82 @@ def connect(endpoint) -> tuple[ClientChannel, int]:
 # ---------------------------------------------------------------- protocol
 
 def test_message_serialization_round_trip():
-    message = ExecuteRequest(session_id=3, sql="SELECT 1", cursor_type="keyset")
-    again = decode_message(encode_message(message))
-    assert again == message
+    types = [
+        v for v in vars(protocol).values() if isinstance(v, type) and issubclass(v, Message)
+    ]
+    assert len(types) > 20
+    messages = [message_type() for message_type in types] + [
+        ExecuteRequest(session_id=3, sql="SELECT 1", cursor_type="keyset"),
+        ResultResponse(
+            kind="rows",
+            columns=[Column("d", SqlType.DATE), Column("x", SqlType.FLOAT, not_null=True)],
+            rows=[(datetime.date(2000, 3, 1), 1.5), (None, float("inf"))],
+        ),
+    ]
+    for message in messages:
+        assert decode_message(encode_message(message)) == message
 
 
 def test_serialization_produces_real_bytes():
     raw = encode_message(PingRequest())
     assert isinstance(raw, bytes) and len(raw) > 0
+
+
+#: what a planted payload's callable saw; empty while nothing ran it
+PLANTED_CALLS: list = []
+
+
+def _planted(*args):
+    PLANTED_CALLS.append(args)
+    return PingRequest()
+
+
+class _Payload:
+    def __reduce__(self):
+        return _planted, ("ran",)
+
+
+def test_decode_refuses_a_payload_that_names_a_callable():
+    raw = pickle.dumps(_Payload())
+    with pytest.raises(errors.CommunicationError, match="may not cross the wire"):
+        decode_message(raw)
+    assert PLANTED_CALLS == []
+    with pytest.raises(errors.CommunicationError, match="not a message"):
+        decode_message(pickle.dumps((1, "x")))
+
+
+def test_endpoint_refuses_a_response_sent_as_a_request(endpoint):
+    with pytest.raises(errors.CommunicationError, match="not a request"):
+        endpoint.handle(encode_message(PongResponse()))
+
+
+def _read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
+    decoder = framing.FrameDecoder()
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return None
+        frames = decoder.feed(data)
+        if frames:
+            return frames[0]
+
+
+def test_tcp_connection_sending_a_planted_payload_is_closed_and_others_served():
+    system = repro.make_system(listen="127.0.0.1:0")
+    try:
+        bystander = repro.NativeDriver(TcpTransport(*system.tcp.address))
+        session = bystander.connect("bystander")
+        with socket.create_connection(system.tcp.address, timeout=10) as attacker:
+            frame = framing.encode_frame(framing.FRAME_REQUEST, pickle.dumps(_Payload()))
+            attacker.sendall(frame)
+            frame_type, payload = _read_frame(attacker)
+            assert frame_type == framing.FRAME_FATAL
+            assert "may not cross the wire" in framing.decode_notice(payload)[1]
+            assert _read_frame(attacker) is None  # the server closed it
+        assert PLANTED_CALLS == []
+        assert session.execute("SELECT 1").rows == [(1,)]
+    finally:
+        system.close()
 
 
 # ---------------------------------------------------------------- dispatch

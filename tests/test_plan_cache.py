@@ -26,8 +26,8 @@ from repro.engine.plancache import (
     GROWTH,
     PROC_CACHE_CAPACITY,
     EngineMetrics,
+    PARSE_CACHE_CAPACITY,
     LRUCache,
-    ParseCache,
     PlanCache,
 )
 from repro.engine.schema import TableSchema, Column
@@ -931,7 +931,7 @@ def test_plan_cache_counts_invalidation_and_miss():
 
 
 def test_parse_cache_returns_same_objects():
-    cache = ParseCache()
+    cache = LRUCache(PARSE_CACHE_CAPACITY)
     stmts = (object(), object())
     cache.put("SELECT 1", stmts)
     got = cache.get("SELECT 1")

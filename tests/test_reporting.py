@@ -11,13 +11,23 @@ import pytest
 from repro.bench import harness, reporting
 from repro.bench.harness import Fig2Point, Table1Row
 from repro.bench.skeleton import payload
-from repro.chaos import SWEPT_FAULTS, ChaosResult
+from repro.chaos import SWEPT_FAULTS, ChaosReport, ChaosRunResult
+from repro.chaos import __main__ as chaos_cli
+from repro.net.faults import FaultKind
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _chaos_cell() -> dict:
-    return {"runs": 4, "recovered_fraction": 1.0, "recoveries": 3}
+def _chaos_reports() -> list[ChaosReport]:
+    """A canned chaos sweep per transport: one run of each fault kind, then
+    one multi-fault run, each recovering once."""
+    schedules = [((3, kind),) for kind in SWEPT_FAULTS]
+    schedules.append(((3, FaultKind.HANG), (9, FaultKind.DROP_CONNECTION)))
+    results = [ChaosRunResult(s, [], (), 1, 0, 0.001, 0.001) for s in schedules]
+    return [
+        ChaosReport(golden_requests=45, results=results, transport=transport)
+        for transport in ("inprocess", "tcp")
+    ]
 
 
 #: one canned result per registered experiment, shaped like a real run
@@ -30,22 +40,6 @@ STUBS = {
     "availability": [
         harness.AvailabilityResult("native", 20, 14, 6),
         harness.AvailabilityResult("phoenix", 20, 20, 19),
-    ],
-    "chaos": [
-        ChaosResult(
-            transport=transport,
-            seed=0,
-            golden_requests=45,
-            runs=40,
-            recovered_fraction=1.0,
-            total_recoveries=27,
-            mean_virtual_session_seconds=0.001,
-            mean_sql_state_seconds=0.001,
-            elapsed_seconds=1.0,
-            by_kind={kind.value: _chaos_cell() for kind in SWEPT_FAULTS}
-            | {"multi_fault": _chaos_cell()},
-        )
-        for transport in ("inprocess", "tcp")
     ],
     "recovery_breakdown": [
         harness.RecoveryBreakdownRow("hang", 12, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -113,14 +107,15 @@ def test_cli_all(stubbed, capsys, tmp_path):
     assert list(document) == [e.key for e in reporting.EXPERIMENTS.values()]
 
 
-def test_cli_chaos(stubbed, capsys):
-    """A table's declared footer is rendered under its rows."""
-    assert reporting.main(["chaos"]) == 0
+def test_cli_chaos(monkeypatch, capsys):
+    """The chaos sweep's own CLI renders its table, footer under the rows."""
+    monkeypatch.setattr(chaos_cli, "run_sweep", lambda **kw: _chaos_reports())
+    assert chaos_cli.main(["--transport", "inprocess", "tcp"]) == 0
     out = capsys.readouterr().out
     assert "Experiment CH" in out
     assert "multi_fault" in out and "crash_mid_restore" in out
-    assert "inprocess: 100.0% recovered, 27 recoveries" in out
-    assert "tcp: 100.0% recovered, 27 recoveries" in out
+    assert "inprocess: 100.0% recovered, 10 recoveries" in out
+    assert "tcp: 100.0% recovered, 10 recoveries" in out
 
 
 def test_cli_json_artifact(stubbed, capsys, tmp_path):
@@ -181,8 +176,12 @@ def _assert_same_keys(ours, committed, where: str) -> None:
         _assert_same_keys(ours[0], committed[0], f"{where}[]")
 
 
-@pytest.mark.parametrize("name", list(reporting.EXPERIMENTS))
+@pytest.mark.parametrize("name", [*reporting.EXPERIMENTS, "chaos"])
 def test_derived_json_keys_match_the_committed_artifact(name):
+    if name == "chaos":  # the chaos sweep's document is ChaosReport.summary()
+        ours = [report.summary() for report in _chaos_reports()]
+        _assert_same_keys(ours, _committed_documents()["chaos"], "chaos")
+        return
     experiment = reporting.EXPERIMENTS[name]
     rows = STUBS[name] if isinstance(STUBS[name], list) else [STUBS[name]]
     assert all(isinstance(row, experiment.result_type) for row in rows)
