@@ -31,6 +31,7 @@ full sweep (CI's ``chaos-smoke`` job), prints its table and, with
 """
 
 from repro.chaos.explorer import (
+    RECOVERY_FAULTS,
     SWEPT_FAULTS,
     ChaosExplorer,
     ChaosReport,
@@ -43,6 +44,7 @@ from repro.chaos.oracle import check_run
 from repro.chaos.trace import ChaosTrace, Step, TraceRecord, probe_dml_trace, run_trace
 
 __all__ = [
+    "RECOVERY_FAULTS",
     "SWEPT_FAULTS",
     "ChaosExplorer",
     "ChaosReport",

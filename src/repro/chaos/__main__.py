@@ -9,6 +9,8 @@ per transport under the ``chaos`` key; this command, with CI's flags
 one that regenerates ``BENCH_chaos.json``.  Exits 1 on any oracle
 violation, printing the seed and the exact failing schedule so the run
 reproduces with ``ChaosExplorer(seed=N, transport=T).run_schedule(schedule)``.
+``--second-order`` sweeps crashes and drops inside recovery instead: at
+every request of every session rebuild a single wire fault triggers.
 With ``--trace-dir DIR`` every failing schedule is re-run under a tracer
 and its span trace written to ``DIR`` as JSONL — the violation report names
 the file, and ``python -m repro.obs --load FILE`` renders the timeline.
@@ -70,6 +72,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run the sweep over each of these transports",
     )
     parser.add_argument(
+        "--second-order",
+        action="store_true",
+        help="place crash/drop faults at every request of every rebuild a "
+        "single wire fault triggers, instead of every kind alone",
+    )
+    parser.add_argument(
         "--json",
         dest="json_path",
         metavar="PATH",
@@ -89,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         stride=args.stride,
         random_runs=args.random_runs,
         transports=tuple(args.transport),
+        second_order=args.second_order,
     )
     summaries = [report.summary() for report in reports]
     print(render(summaries))

@@ -11,6 +11,11 @@ any failure reproduces from the printed seed.  The transport is a
 parameter: the same sweep runs in-process or over real sockets, and so
 is the trace: one client or k.
 
+A *second-order* sweep aims at recovery itself: every single wire fault
+whose run rebuilds the session is run once under a tracer, the requests
+its recoveries sent are read off the ``recovery`` spans, and each of
+``RECOVERY_FAULTS`` is placed at each of them on top of the first fault.
+
 ``python -m repro.chaos`` is the sweep's one front end (CI runs it, and it
 alone regenerates ``BENCH_chaos.json``): it runs :func:`run_sweep`, and
 :meth:`ChaosReport.summary` is the document.  :func:`sweep_multi` is the
@@ -27,6 +32,7 @@ from functools import cached_property
 from repro.chaos.multi import multi_client_trace
 from repro.chaos.oracle import check_run
 from repro.chaos.trace import ChaosTrace, TraceRecord, probe_dml_trace, run_trace
+from repro.obs.tracer import Tracer
 from repro.net.faults import (
     BATCH_FAULTS,
     DRAIN_FAULTS,
@@ -37,6 +43,7 @@ from repro.net.faults import (
 )
 
 __all__ = [
+    "RECOVERY_FAULTS",
     "SWEPT_FAULTS",
     "TRANSPORTS",
     "ChaosExplorer",
@@ -51,6 +58,17 @@ Schedule = tuple[tuple, ...]
 
 #: every fault kind a sweep places, in sweep order
 SWEPT_FAULTS = WIRE_FAULTS + STORAGE_FAULTS + BATCH_FAULTS + DRAIN_FAULTS + RESTORE_FAULTS
+
+#: the kinds a second-order schedule places at each request a recovery sent
+RECOVERY_FAULTS = (
+    FaultKind.CRASH_BEFORE_EXECUTE,
+    FaultKind.CRASH_AFTER_EXECUTE,
+    FaultKind.DROP_CONNECTION,
+)
+
+#: how the server refuses a request while it is down — before the fault
+#: injector inspects it, so such a request takes no request index
+_REFUSED = "ServerCrashedError: connection refused: server is down"
 
 #: what ``run_trace(transport=...)`` accepts
 TRANSPORTS = ("inprocess", "tcp")
@@ -69,6 +87,15 @@ class ChaosRunResult:
     sql_state_seconds: float
     #: the client whose COMMIT a targeted crash hit (``run_trace(victim=)``)
     victim: int | None = None
+    #: the ``by_kind`` cell the run counts in: its kind for a single fault
+    #: (the default), ``<kind> in recovery`` for a second-order schedule,
+    #: else ``multi_fault``
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            single = len(self.schedule) == 1
+            self.label = self.schedule[0][1].value if single else "multi_fault"
 
     @property
     def ok(self) -> bool:
@@ -129,12 +156,12 @@ class ChaosReport:
     @property
     def by_kind(self) -> dict[str, dict[str, float]]:
         """One cell per fault kind of the single-fault runs, in sweep order,
-        then ``multi_fault`` for the seeded multi-fault runs: how many runs,
+        then ``multi_fault`` for the seeded multi-fault runs (second-order
+        runs count per kind, as ``<kind> in recovery``): how many runs,
         the share the oracle passed, and the recoveries they took."""
         groups: dict[str, list[ChaosRunResult]] = {}
         for r in self.results:
-            label = r.schedule[0][1].value if len(r.schedule) == 1 else "multi_fault"
-            groups.setdefault(label, []).append(r)
+            groups.setdefault(r.label, []).append(r)
         return {
             label: {
                 "runs": len(group),
@@ -178,6 +205,8 @@ class ChaosExplorer:
         self.trace = trace if trace is not None else probe_dml_trace()
         self.seed = seed
         self.transport = transport
+        #: stride -> :meth:`recovery_requests`' answer
+        self._recovery_requests: dict[int, list[tuple[tuple, tuple[int, ...]]]] = {}
 
     @cached_property
     def golden(self) -> TraceRecord:
@@ -191,11 +220,18 @@ class ChaosExplorer:
     # -- running ------------------------------------------------------------
 
     def run_schedule(
-        self, schedule: Schedule, *, victim: int | None = None, tracer=None
+        self,
+        schedule: Schedule,
+        *,
+        victim: int | None = None,
+        tracer=None,
+        label: str | None = None,
     ) -> ChaosRunResult:
         """Run one faulted schedule (``victim``: a targeted crash on that
         client's COMMIT); pass a ``repro.obs.Tracer`` to capture the run as
-        a span trace (see :func:`repro.chaos.trace.run_trace`)."""
+        a span trace (see :func:`repro.chaos.trace.run_trace`).  ``label``
+        names the run's ``by_kind`` cell (default: its kind when it places
+        one fault, else ``multi_fault``)."""
         record = run_trace(
             self.trace, schedule, victim=victim, tracer=tracer, transport=self.transport
         )
@@ -209,9 +245,12 @@ class ChaosExplorer:
             virtual_session_seconds=sum(c.virtual_session_seconds for c in clients),
             sql_state_seconds=sum(c.sql_state_seconds for c in clients),
             victim=victim,
+            label=label or "",
         )
 
-    def placements(self, kind: FaultKind, *, stride: int = 1) -> list[Schedule]:
+    def placements(
+        self, kind: FaultKind, *, stride: int = 1, second_order: bool = False
+    ) -> list[Schedule]:
         """The single-fault schedules that place ``kind`` at every crash
         point (``stride`` thins the grid for quick smoke runs).
 
@@ -225,7 +264,19 @@ class ChaosExplorer:
         window, arg 1 after the checkpoint or the storage rewrite, before
         the fresh engine boots.  Every placement must degrade into ordinary
         crash recovery with exactly-once outcomes.
+
+        ``second_order`` places ``kind`` inside recovery instead: one
+        two-fault schedule per request that a rebuilding single wire fault's
+        recoveries sent (:meth:`recovery_requests`), the first fault kept.
+        ``stride`` thins both grids: the first faults' indexes, then every
+        ``stride``-th of the schedules they yield.
         """
+        if second_order:
+            return [
+                (first, (index, kind))
+                for first, requests in self.recovery_requests(stride=stride)
+                for index in requests
+            ][::stride]
         indexes = range(0, self.golden.requests_seen, stride)
         if kind in BATCH_FAULTS:
             return [
@@ -237,24 +288,72 @@ class ChaosExplorer:
             return [((index, kind, arg),) for index in indexes for arg in (0, 1)]
         return [((index, kind),) for index in indexes]
 
+    def recovery_requests(self, *, stride: int = 1) -> list[tuple[tuple, tuple[int, ...]]]:
+        """``(fault, request indexes)`` for every wire fault at every
+        ``stride``-th golden index whose run rebuilt the session: the
+        indexes of the requests the run sent inside its ``recovery`` spans,
+        in order.  Each first fault is run once, traced; the answer is kept
+        per stride."""
+        found = self._recovery_requests.get(stride)
+        if found is None:
+            found = self._recovery_requests[stride] = [
+                (entry, requests)
+                for kind in WIRE_FAULTS
+                for (entry,) in self.placements(kind, stride=stride)
+                if (requests := self._requests_in_recovery(entry))
+            ]
+        return found
+
+    def _requests_in_recovery(self, entry: tuple) -> tuple[int, ...]:
+        tracer = Tracer(seed=self.seed)
+        record = run_trace(self.trace, (entry,), tracer=tracer, transport=self.transport)
+        if not record.recoveries:
+            return ()
+        spans = [r for r in tracer.records if r["kind"] == "span"]
+        windows = [(s["start"], s["end"]) for s in spans if s["name"] == "recovery"]
+        # a request takes the next index when the fault injector inspects
+        # it, which every request the server does not refuse as down does,
+        # first thing in its server.dispatch span
+        inspected = sorted(
+            (s for s in spans if s["name"] == "server.dispatch" and s["error"] != _REFUSED),
+            key=lambda s: s["start"],
+        )
+        if len(inspected) != record.requests_seen:
+            raise RuntimeError(
+                f"{len(inspected)} dispatch spans for {record.requests_seen} requests"
+            )
+        return tuple(
+            index
+            for index, span in enumerate(inspected)
+            if any(start <= span["start"] <= end for start, end in windows)
+        )
+
     def sweep(
         self,
         kinds: tuple[FaultKind, ...] = SWEPT_FAULTS,
         *,
         stride: int = 1,
         random_runs: int = 0,
+        second_order: bool = False,
     ) -> ChaosReport:
-        """Every placement of every kind in ``kinds``, then ``random_runs``
-        seeded multi-fault schedules, each judged by the oracle."""
-        schedules = [s for kind in kinds for s in self.placements(kind, stride=stride)]
-        schedules += self.random_schedules(random_runs)
+        """Every placement of every kind in ``kinds`` (second-order ones
+        with ``second_order``), then ``random_runs`` seeded multi-fault
+        schedules, each judged by the oracle."""
+        labelled = [
+            (f"{kind.value} in recovery" if second_order else None, schedule)
+            for kind in kinds
+            for schedule in self.placements(kind, stride=stride, second_order=second_order)
+        ]
+        labelled += [("multi_fault", s) for s in self.random_schedules(random_runs)]
         report = ChaosReport(
             golden_requests=self.golden.requests_seen,
             seed=self.seed,
             transport=self.transport,
         )
         started = time.perf_counter()
-        report.results = [self.run_schedule(schedule) for schedule in schedules]
+        report.results = [
+            self.run_schedule(schedule, label=label) for label, schedule in labelled
+        ]
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
@@ -291,14 +390,17 @@ def run_sweep(
     stride: int = 1,
     random_runs: int = 24,
     transports: tuple[str, ...] = ("inprocess",),
+    second_order: bool = False,
 ) -> list[ChaosReport]:
     """The chaos sweep, one :class:`ChaosReport` per transport: every
     placement of every fault kind (thinned by ``stride``) plus ``random_runs``
     multi-fault schedules derived from ``seed`` alone, so a failure
-    reproduces from the document's recorded seed."""
+    reproduces from the document's recorded seed.  ``second_order`` sweeps
+    ``RECOVERY_FAULTS`` inside every rebuild instead of every kind alone."""
+    kinds = RECOVERY_FAULTS if second_order else SWEPT_FAULTS
     return [
         ChaosExplorer(seed=seed, transport=transport).sweep(
-            stride=stride, random_runs=random_runs
+            kinds, stride=stride, random_runs=random_runs, second_order=second_order
         )
         for transport in transports
     ]
