@@ -79,7 +79,8 @@ class PhoenixStats(CounterSet):
     #: statements transparently re-run after the server aborted them as a
     #: deadlock victim (or a batch entry lost its no-wait lock conflict)
     deadlock_retries: int = 0
-    #: failed ping attempts while waiting out a server outage
+    #: connects (recovery's ping) not answered with a session while waiting
+    #: out an outage — one per backoff wait
     recovery_pings: int = 0
     #: orphaned server sessions this connection disconnected best-effort
     sessions_reaped: int = 0
@@ -168,6 +169,7 @@ class PhoenixConnection(Connection):
         replay_txn: bool = True,
         retry_locks: type[LockError] | tuple = (),
         scope: str | None = None,
+        probe: Callable[[], list[int]] | None = None,
     ) -> Any:
         """The paper's §3 protocol, once: on a communication error recover
         the virtual session, test whether the request's effect already
@@ -177,7 +179,9 @@ class PhoenixConnection(Connection):
         ``send`` looks the connection up per attempt (recovery replaces
         it).  ``landed`` is asked after each recovery: a non-None answer
         is the logged outcome, returned in place of a re-send; a request
-        without one is idempotent.  A *different* crash can hit the re-sent
+        without one is idempotent.  ``probe`` names the status-table seqs
+        ``landed`` will ask about: a rebuild reads them in its session
+        recipe, so the question costs no request of its own.  A *different* crash can hit the re-sent
         request too; each failure runs a fresh recovery cycle until the
         application call's budget is spent (recover() itself gives up when
         the server stays down, so this terminates either way).
@@ -196,7 +200,9 @@ class PhoenixConnection(Connection):
                     if not self._recoveries_left:
                         raise original
                     self._recoveries_left -= 1
-                    self.recovery.recover(exc, replay_txn=replay_txn)
+                    self.recovery.recover(
+                        exc, replay_txn=replay_txn, probe=probe() if probe else ()
+                    )
                     if landed is not None:
                         outcome = landed()
                         if outcome is not None:
@@ -388,7 +394,10 @@ class PhoenixConnection(Connection):
 
         with get_tracer().span("txn.commit", corr=self.correlation_id, seq=seq):
             response = self._ride_through(
-                lambda: self._txn_execute(batch, [seq]), landed, replay_txn=False
+                lambda: self._txn_execute(batch, [seq]),
+                landed,
+                replay_txn=False,
+                probe=lambda: [seq],
             )
         self.txn_log.clear()
         return response
@@ -529,7 +538,9 @@ class PhoenixConnection(Connection):
             # the server, so the status row never landed and resubmitting is
             # a fresh exactly-once execution.  No rollback needed — the
             # abort already released everything.
-            return self._ride_through(send, landed, retry_locks=DeadlockError, scope="dml")
+            return self._ride_through(
+                send, landed, retry_locks=DeadlockError, scope="dml", probe=lambda: [seq]
+            )
         except (DeadlockError, *RECOVERABLE_ERRORS):
             raise
         except Error:
@@ -548,17 +559,18 @@ class PhoenixConnection(Connection):
             pass  # no transaction open (error hit before BEGIN) or server gone
 
     def probe_status(self, seq: int) -> int | None:
-        """Read the status table for a statement's outcome (None = absent)."""
+        """Read the status table for a statement's outcome (None = absent)
+        — the answer the session recipe of the recovery just made read, if
+        it did."""
         self.stats.status_probes += 1
-        response = self._app_execute(
-            f"SELECT n_rows FROM {self.names.status_table} WHERE stmt_seq = ?", [seq]
-        )
-        get_tracer().event(
-            "status.probe", corr=self.correlation_id, seq=seq, hit=bool(response.rows)
-        )
-        if response.rows:
-            return response.rows[0][0]
-        return None
+        probed = self.recovery.take_probed([seq])
+        if probed is None:
+            response = self._app_execute(
+                f"SELECT n_rows FROM {self.names.status_table} WHERE stmt_seq = ?", [seq]
+            )
+            probed = {seq: response.rows[0][0]} if response.rows else {}
+        get_tracer().event("status.probe", corr=self.correlation_id, seq=seq, hit=seq in probed)
+        return probed.get(seq)
 
     def probe_status_many(self, seqs: list[int]) -> dict[int, int]:
         """Probe the status table for many statements in one round trip.
@@ -569,12 +581,14 @@ class PhoenixConnection(Connection):
         if not seqs:
             return {}
         self.stats.status_probes += 1
-        response = self._app_execute(
-            f"SELECT stmt_seq, n_rows FROM {self.names.status_table} "
-            f"WHERE stmt_seq IN ({', '.join('?' * len(seqs))})",
-            seqs,
-        )
-        landed = {row[0]: row[1] for row in response.rows}
+        landed = self.recovery.take_probed(seqs)
+        if landed is None:
+            response = self._app_execute(
+                f"SELECT stmt_seq, n_rows FROM {self.names.status_table} "
+                f"WHERE stmt_seq IN ({', '.join('?' * len(seqs))})",
+                seqs,
+            )
+            landed = dict(response.rows)
         get_tracer().event(
             "status.probe_batch",
             corr=self.correlation_id,
@@ -647,7 +661,13 @@ class PhoenixConnection(Connection):
             # commits), so a conflict with another session fails fast instead
             # of blocking: the unfinished suffix is resubmitted after a short
             # backoff.
-            self._ride_through(send, landed, retry_locks=LockError, scope="batch")
+            self._ride_through(
+                send,
+                landed,
+                retry_locks=LockError,
+                scope="batch",
+                probe=lambda: [seq for seq, _values in pending],
+            )
         return [rowcounts[seq] for seq, _values in entries]
 
     # --- temp-object redirection ----------------------------------------------------

@@ -1,25 +1,31 @@
 """Phoenix session recovery: detect, decide, rebuild, re-sync.
 
 The paper's protocol (§3 "Server and Session Crash Recovery"), implemented
-as :meth:`PhoenixRecovery.recover`:
+as :meth:`PhoenixRecovery.recover`.  Its logical steps are the paper's; its
+requests are as few as they allow — a recovery after a crash is a failed
+connect, a connect, and one request per open default result:
 
-1. **Decide whether anything actually died.**  A timeout with a healthy
-   channel might be a slow server — probe the session's temp proxy table;
-   success means "spurious timeout", and the caller simply retries.
-2. **Ping until the server answers** (bounded; on exhaustion the original
-   communication error is passed to the application, per the paper).
-3. **Phase one — recover the virtual session**: a fresh server session with
-   the original login, the SET options replayed in application order, the
-   proxy table recreated, the status table re-ensured, abandoned sessions
-   reaped.  This phase's cost is independent of any result-set size (the
-   paper's flat 0.37 s line in Figure 2).
-4. **Phase two — reinstall SQL state**, in one pass over the open results:
-   reposition each default result at the rows it has ``shipped`` (open a
-   cursor over the materialized table and ADVANCE; no rows cross the wire —
-   what the client already holds stays in its buffer), and verify each key
-   cursor's table survived database recovery — opening a default result's
-   table is its verification.  Finally replay the open explicit
-   transaction, if any.
+1. **Decide whether anything actually died.**  A failure that left the
+   channel healthy (a timeout might be a slow server) — probe the
+   session's temp proxy table; success means "spurious", and the caller
+   simply retries.
+2. **Phase one — recover the virtual session, in one request**: a connect
+   that carries the *session recipe* — the abandoned sessions to reap, the
+   SET options replayed in application order, the proxy table recreated,
+   the status table re-ensured and, for the request being guarded, its
+   status probe.  The server runs it in the fresh session before it
+   replies.  The connect is also the ping: one the server does not answer
+   is retried after a backoff wait (bounded; on exhaustion the original
+   communication error is passed to the application, per the paper).  This
+   phase's cost is independent of any result-set size (the paper's flat
+   0.37 s line in Figure 2).
+3. **Phase two — reinstall SQL state**, in one pass over the open results:
+   re-open each default result at the rows it has ``shipped`` (one request:
+   a server cursor over the materialized table that already stands there;
+   no rows cross the wire — what the client already holds stays in its
+   buffer), and verify each key cursor's table survived database recovery
+   — opening a default result's table is its verification.  Finally replay
+   the open explicit transaction, if any.
 
 Both phases are timed separately into ``PhoenixStats`` — that split *is*
 Figure 2.
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     CatalogError,
@@ -37,7 +43,6 @@ from repro.errors import (
     RecoveryError,
     ServerRestartingError,
     SessionLostError,
-    TimeoutError,
 )
 from repro.core.naming import PROXY_TABLE
 from repro.obs.tracer import get_tracer
@@ -52,14 +57,15 @@ __all__ = ["PhoenixRecovery", "RECOVERABLE_ERRORS"]
 #: errors that mean "the session may be gone" rather than "the SQL is wrong"
 RECOVERABLE_ERRORS = (CommunicationError, SessionLostError)
 
-#: pings of a dead server before the original communication error is passed
-#: to the application (paper §3: "If after a period of time Phoenix/ODBC is
-#: unable to connect ... it passes the communication error on").
+#: connects a dead server fails before the original communication error is
+#: passed to the application (paper §3: "If after a period of time
+#: Phoenix/ODBC is unable to connect ... it passes the communication error
+#: on").  A connect is the ping: the names keep the paper's word.
 MAX_PING_ATTEMPTS = 50
-#: seconds before the *first* retry ping; later waits grow by
+#: seconds before the *first* retried connect; later waits grow by
 #: ``PING_BACKOFF_FACTOR`` up to ``PING_MAX_INTERVAL`` — exponential backoff,
 #: a deliberate deviation from the paper's fixed ping loop (DESIGN.md §5b: a
-#: thundering herd of fixed-interval pings is exactly what a recovering
+#: thundering herd of fixed-interval connects is exactly what a recovering
 #: server does not need).
 PING_INTERVAL = 0.05
 PING_BACKOFF_FACTOR = 2.0
@@ -68,7 +74,7 @@ PING_MAX_INTERVAL = 2.0
 #: drawn from a stream seeded with the connection's client id: a fleet's
 #: reconnect storms de-correlate, and one run of a schedule repeats exactly.
 PING_JITTER = 0.1
-#: session builds that are themselves interrupted by another crash, before
+#: rebuilds whose phase two is itself interrupted by another crash, before
 #: recovery gives up with :class:`RecoveryError`.
 MAX_RECOVERY_ATTEMPTS = 5
 
@@ -82,98 +88,101 @@ class PhoenixRecovery:
         self._jitter_rng = random.Random(connection.names.client_id)
         #: server sessions abandoned by rebuilds, not yet reaped
         self._stale_sessions: list[int] = []
+        #: what the last session build's recipe probed: (the seqs, {seq:
+        #: logged rowcount} of those that landed); taken by the first status
+        #: probe that asks for them (:meth:`take_probed`)
+        self._probed: tuple[frozenset[int], dict[int, int]] | None = None
 
     # ------------------------------------------------------------------ entry
 
-    def recover(self, cause: Exception, *, replay_txn: bool = True) -> bool:
+    def recover(
+        self, cause: Exception, *, replay_txn: bool = True, probe: list[int] = ()
+    ) -> bool:
         """Bring the virtual session back to life (or raise).
 
         Returns True when the session was actually rebuilt, False when the
         failure turned out to be spurious (the session survived).  A rebuild
         marks an open transaction ``txn_log.lost``; ``replay_txn=False``
         leaves it so, letting transaction handling own the replay decision
-        (commit probes the status table first).
+        (commit probes the status table first).  ``probe``: the status-table
+        seqs of the request being guarded — a rebuild reads them in its
+        recipe, and the caller's "did it land?" probe takes the answer
+        (:meth:`take_probed`) instead of sending one.
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._recover_impl(cause, replay_txn=replay_txn)
+            return self._recover_impl(cause, replay_txn=replay_txn, probe=probe)
         with tracer.span(
             "recovery",
             corr=self.connection.correlation_id,
             cause=type(cause).__name__,
         ) as span:
-            rebuilt = self._recover_impl(cause, replay_txn=replay_txn)
+            rebuilt = self._recover_impl(cause, replay_txn=replay_txn, probe=probe)
             span.set(outcome="rebuilt" if rebuilt else "spurious")
             return rebuilt
 
-    def _recover_impl(self, cause: Exception, *, replay_txn: bool) -> bool:
+    def _recover_impl(self, cause: Exception, *, replay_txn: bool, probe: list[int]) -> bool:
         connection = self.connection
         stats = connection.stats
-        tracer = get_tracer()
+        self._probed = None
 
-        # 1. spurious timeout? (channel still healthy)
-        if isinstance(cause, TimeoutError) and not connection.app.channel.broken:
-            with tracer.span("recovery.detect"):
+        # 1. spurious? A channel that is still healthy (a timeout, or a
+        # server that answered "no such session") may lead to a session that
+        # survived: the probe on it is then also the proof the server is up
+        if not connection.app.channel.broken:
+            with get_tracer().span("recovery.detect"):
                 survived = self._probe_session()
             if survived:
                 stats.spurious_timeouts += 1
                 return False
 
-        # 2. wait for the server
-        self._await_server(cause)
-
-        # 2b. server answers and the session itself survived (e.g. the
-        # timeout fired while the server was merely slow) — keep it.
-        if not connection.app.channel.broken and self._probe_session():
-            stats.spurious_timeouts += 1
-            return False
-
-        # 3+4. rebuild
-        self._until_built(lambda: self._rebuild(replay_txn))
+        # 2+3. rebuild
+        self._rebuild(cause, replay_txn, probe)
         stats.recoveries += 1
         return True
 
     def open_session(self) -> None:
-        """Session open: the recipe of phase one, under the same bounded
-        loop — a server that dies while the session is being set up is
-        waited out and the setup starts over."""
-        self._until_built(self._build_session)
+        """Session open: phase one's connect — the same recipe, under the
+        same bounded wait for a server that is not answering."""
+        self._build_session(None)
 
-    def _until_built(self, build: Callable[[], None]) -> None:
-        """Run ``build`` to completion; a server that crashes *again*
-        mid-way just restarts the whole procedure (bounded)."""
-        for attempt in range(MAX_RECOVERY_ATTEMPTS):
-            try:
-                return build()
-            except RECOVERABLE_ERRORS as exc:
-                if attempt + 1 >= MAX_RECOVERY_ATTEMPTS:
-                    raise RecoveryError(
-                        f"session recovery kept failing: {exc}"
-                    ) from exc
-                self._await_server(exc)
-
-    def _rebuild(self, replay_txn: bool) -> None:
-        """Phases one and two, each timed into ``PhoenixStats``."""
+    def _rebuild(self, cause: Exception, replay_txn: bool, probe: list[int]) -> None:
+        """Phases one and two, each timed into ``PhoenixStats``.  A crash
+        inside phase two starts the rebuild over (``MAX_RECOVERY_ATTEMPTS``
+        in all); a server that stays away fails phase one with ``cause``."""
         connection = self.connection
         stats = connection.stats
-        tracer = get_tracer()
-        started = time.perf_counter()
-        with tracer.span("recovery.phase1.virtual_session"):
-            self._build_session()
-        phase1 = time.perf_counter() - started
-        stats.last_virtual_session_seconds = phase1
-        stats.virtual_session_seconds_total += phase1
-        # an open transaction died with the old session
-        connection.txn_log.lost = connection.txn_log.active
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
+            phase1 = self._build_session(cause, probe)
+            stats.last_virtual_session_seconds = phase1
+            stats.virtual_session_seconds_total += phase1
+            # an open transaction died with the old session
+            connection.txn_log.lost = connection.txn_log.active
 
-        started = time.perf_counter()
-        with tracer.span("recovery.phase2.sql_state"):
-            self._reinstall_results()
-            if replay_txn and connection.txn_log.lost:
-                connection._replay_transaction()
-        phase2 = time.perf_counter() - started
-        stats.last_sql_state_seconds = phase2
-        stats.sql_state_seconds_total += phase2
+            started = time.perf_counter()
+            try:
+                with get_tracer().span("recovery.phase2.sql_state"):
+                    self._reinstall_results()
+                    if replay_txn and connection.txn_log.lost:
+                        connection._replay_transaction()
+            except RECOVERABLE_ERRORS as exc:
+                if attempt + 1 >= MAX_RECOVERY_ATTEMPTS:
+                    raise RecoveryError(f"session recovery kept failing: {exc}") from exc
+                continue
+            phase2 = time.perf_counter() - started
+            stats.last_sql_state_seconds = phase2
+            stats.sql_state_seconds_total += phase2
+            return
+
+    def take_probed(self, seqs: list[int]) -> dict[int, int] | None:
+        """The last session build's answer for ``seqs`` — ``{seq: logged
+        rowcount}`` of those that landed — when its recipe probed every one
+        of them; None when it did not (the caller probes itself).  An answer
+        is given once: it is true only of the session the build opened."""
+        probed, self._probed = self._probed, None
+        if probed is None or not seqs or not probed[0].issuperset(seqs):
+            return None
+        return {seq: probed[1][seq] for seq in seqs if seq in probed[1]}
 
     def resolve_batch(
         self, entries: list[tuple[int, list]]
@@ -216,66 +225,41 @@ class PhoenixRecovery:
             return False
         return True
 
-    def _await_server(self, cause: Exception) -> None:
-        """Ping (on throwaway channels) until the server answers.
-
-        The wait between pings backs off exponentially with deterministic
-        jitter (``PING_INTERVAL`` × ``PING_BACKOFF_FACTOR`` capped at
-        ``PING_MAX_INTERVAL``, ±``PING_JITTER``), and the whole wait is
-        bounded by ``MAX_PING_ATTEMPTS``.
-
-        A ping answered with RESTARTING (the server is mid *planned*
-        restart and advertises when it expects to be back) proves the
-        server process is alive — the backoff interval resets to the base
-        ``PING_INTERVAL`` and does not grow, so a planned pause is polled
-        politely at a flat cadence instead of inheriting crash-tuned
-        exponential intervals that could overshoot the swap by seconds.
-        """
-        sleep = self.connection.config.sleep
-        tracer = get_tracer()
-        interval = PING_INTERVAL
-        with tracer.span("recovery.await_server"):
-            for _ in range(MAX_PING_ATTEMPTS):
-                try:
-                    self.connection.driver.ping()
-                    tracer.event("recovery.ping", ok=True)
-                    return
-                except ServerRestartingError as exc:
-                    tracer.event(
-                        "recovery.ping", ok=False, restarting=True,
-                        state=exc.state, eta_seconds=exc.eta_seconds,
-                    )
-                    self.connection.stats.recovery_pings += 1
-                    interval = PING_INTERVAL  # planned pause: flat cadence
-                    sleep(self._jittered(interval))
-                except RECOVERABLE_ERRORS:
-                    tracer.event("recovery.ping", ok=False)
-                    self.connection.stats.recovery_pings += 1
-                    sleep(self._jittered(interval))
-                    interval = min(interval * PING_BACKOFF_FACTOR, PING_MAX_INTERVAL)
-            # paper: "If after a period of time Phoenix/ODBC is unable to
-            # connect to the server ... passes the communication error on."
-            raise cause
-
     def _jittered(self, interval: float) -> float:
         """Scale a wait by the connection's next jitter factor."""
         return interval * (1.0 + PING_JITTER * (2.0 * self._jitter_rng.random() - 1.0))
 
-    def _build_session(self) -> None:
-        """The virtual-session recipe — session open and recovery's phase
-        one alike (at open ``set_log`` and the stale list are simply empty):
-        a fresh server session with the recorded session context replayed
-        and the status table ensured (persistent; idempotent for post-crash
-        rebuilds).
+    def _build_session(self, cause: Exception | None, probe: list[int] = ()) -> float:
+        """Phase one — session open and recovery alike — in one request: a
+        connect carrying the virtual-session recipe, retried until the
+        server answers.  Returns the answered connect's seconds.
 
-        When the server *survived* (a dropped connection, not a crash), the
-        old session id still holds a live server session — temp tables, an
-        open transaction, locks.  It is reaped best-effort once the new
-        session is up, so an orphaned transaction's locks never block the
-        replayed one.  The ids outlive a build that is itself interrupted
-        (its half-built session joins them — retrying without that leaks a
-        lock-holding session per attempt), so the attempt that finally
-        succeeds reaps every session abandoned on the way.
+        The recipe (the server runs it in the new session before replying):
+        reap every session this client abandoned — when the server
+        *survived* (a dropped connection, not a crash) the old session still
+        holds temp tables, maybe an open transaction and its locks, and they
+        go before anything else runs; replay the recorded SETs in order;
+        recreate the proxy table; ensure the status table (persistent;
+        idempotent after a crash); and read the status rows of ``probe``,
+        the guarded request's seqs — the reap went first, so that answer is
+        final.  A reply lost after the recipe ran costs nothing: the
+        session it opened holds no lock and no transaction, and the retry
+        builds afresh.  The stale ids outlive connects that fail (an
+        abandoned session joins them), so the one that is answered reaps
+        every session given up on the way.
+
+        The connect is the ping: one that fails is retried after a wait
+        that backs off exponentially with deterministic jitter
+        (``PING_INTERVAL`` × ``PING_BACKOFF_FACTOR`` capped at
+        ``PING_MAX_INTERVAL``, ±``PING_JITTER``), ``MAX_PING_ATTEMPTS``
+        connects in all; then ``cause`` — the original communication error —
+        is passed on (at open, the last connect's).  A connect answered
+        RESTARTING (the server is mid *planned* restart and advertises when
+        it expects to be back) proves the server process alive — the
+        interval resets to the base ``PING_INTERVAL`` and does not grow, so
+        a planned pause is polled politely at a flat cadence instead of
+        inheriting crash-tuned exponential intervals that could overshoot
+        the swap by seconds.
         """
         connection = self.connection
         old = connection.app
@@ -283,16 +267,57 @@ class PhoenixRecovery:
             if old.session_id not in self._stale_sessions:
                 self._stale_sessions.append(old.session_id)
             old.channel.close()
-        connection.app = connection.driver.connect(connection.user, connection.options)
-        for name, value in connection.set_log:
-            connection.app.execute(ast.SetOption(name, value).sql())
-        connection.app.execute(f"CREATE TABLE {PROXY_TABLE} (x INT)")
-        connection.app.execute(
-            f"CREATE TABLE IF NOT EXISTS {connection.names.status_table} "
-            f"(stmt_seq INT PRIMARY KEY, n_rows INT)"
-        )
-        connection._reap_server_sessions(self._stale_sessions)
-        self._stale_sessions = []
+        status = connection.names.status_table
+        recipe = [ast.SetOption(name, value).sql() for name, value in connection.set_log]
+        recipe += [
+            f"CREATE TABLE {PROXY_TABLE} (x INT)",
+            f"CREATE TABLE IF NOT EXISTS {status} (stmt_seq INT PRIMARY KEY, n_rows INT)",
+        ]
+        if probe:
+            recipe.append(
+                f"SELECT stmt_seq, n_rows FROM {status} "
+                f"WHERE stmt_seq IN ({', '.join('?' * len(probe))})"
+            )
+        sleep = connection.config.sleep
+        tracer = get_tracer()
+        interval = PING_INTERVAL
+        for _ in range(MAX_PING_ATTEMPTS):
+            started = time.perf_counter()
+            try:
+                with tracer.span("recovery.phase1.virtual_session"):
+                    app = connection.driver.connect(
+                        connection.user,
+                        connection.options,
+                        recipe="; ".join(recipe),
+                        placeholders=list(probe),
+                        reap=self._stale_sessions,
+                    )
+            except ServerRestartingError as exc:
+                tracer.event(
+                    "recovery.ping", ok=False, restarting=True,
+                    state=exc.state, eta_seconds=exc.eta_seconds,
+                )
+                failure = exc
+                wait = interval = PING_INTERVAL  # planned pause: flat cadence
+            except RECOVERABLE_ERRORS as exc:
+                tracer.event("recovery.ping", ok=False)
+                failure = exc
+                wait, interval = interval, min(interval * PING_BACKOFF_FACTOR, PING_MAX_INTERVAL)
+            else:
+                seconds = time.perf_counter() - started
+                tracer.event("recovery.ping", ok=True)
+                connection.app = app
+                connection.stats.sessions_reaped += len(app.opened.reaped)
+                self._stale_sessions = []
+                if probe:
+                    self._probed = (frozenset(probe), dict(app.opened.result.rows))
+                return seconds
+            connection.stats.recovery_pings += 1
+            with tracer.span("recovery.await_server"):
+                sleep(self._jittered(wait))
+        # paper: "If after a period of time Phoenix/ODBC is unable to
+        # connect to the server ... passes the communication error on."
+        raise cause or failure
 
     def _reinstall_results(self) -> None:
         """Paper: "first verifies that all application state materialized in
@@ -320,17 +345,9 @@ class PhoenixRecovery:
 
     def reposition(self, state: "ResultState") -> None:
         """Open a server cursor over the materialized table (rows stay on
-        the server) and advance it past the rows the client holds — the
-        paper's stored-procedure repositioning, "advancing through the
-        result set on the server without passing tuples to the client".
-        Also how a result's second block is first reached.  The cursor is
-        the state's only once it stands at ``shipped``: an advance that
-        fails leaves the re-send to open another."""
-        connection = self.connection
+        the server) already advanced past the rows the client holds, in one
+        request — the paper's stored-procedure repositioning, "advancing
+        through the result set on the server without passing tuples to the
+        client".  Also how a result's second block is first reached."""
         get_tracer().event("recovery.reposition", table=state.table, shipped=state.shipped)
-        cursor_id = connection.app.execute(
-            f"SELECT * FROM {state.table}", cursor_type="keyset"
-        ).cursor_id
-        if state.shipped:
-            connection.app.advance(cursor_id, state.shipped)
-        state.cursor_id = cursor_id
+        state.cursor_id = self.connection.app.advance(f"SELECT * FROM {state.table}", state.shipped)

@@ -6,8 +6,10 @@
   storage),
 * the live :class:`~repro.engine.session.Session` objects,
 
-and exposes the operations the wire protocol maps onto: ``connect``,
-``execute``, ``fetch``, ``advance``, ``close_cursor``, ``disconnect``.
+and exposes the operations the wire protocol maps onto: ``connect`` (with
+``disconnect_sessions`` for the sessions a connect reaps), ``execute``
+(which can open a server cursor already ``advance``-d), ``fetch``,
+``close_cursor``, ``disconnect``.
 
 Fault injection drives :meth:`crash` — which throws away every volatile
 object exactly as a process kill would — and :meth:`restart`, which runs
@@ -501,6 +503,18 @@ class DatabaseServer:
             del self.sessions[session_id]
             del self._executors[session_id]
 
+    def disconnect_sessions(self, session_ids: list[int]) -> list[int]:
+        """Disconnect every listed session that still exists (open
+        transactions abort, locks go) and return their ids — what a connect
+        reaps for a client before its new session opens; an id that is
+        already gone is skipped."""
+        with self._engine_mutex:
+            self._require_up()
+            reaped = [sid for sid in dict.fromkeys(session_ids) if sid in self.sessions]
+            for session_id in reaped:
+                self.disconnect(session_id)
+            return reaped
+
     def _touch(self, session: Session) -> None:
         self.activity_epoch += 1
         session.last_epoch = self.activity_epoch
@@ -559,17 +573,23 @@ class DatabaseServer:
         *,
         placeholders: list | None = None,
         cursor_type: str = CursorType.DEFAULT,
+        position: int = 0,
     ) -> StatementResult:
         """Parse and execute a SQL batch for a session.
 
         SELECT statements honour ``cursor_type``: the default materializes
         the whole result in the reply (a *default result set*); keyset and
         dynamic open a server cursor and return only metadata +
-        ``cursor_id`` — the client then block-fetches.
+        ``cursor_id`` — the client then block-fetches, from row
+        ``position`` on (the cursor is :meth:`advance`-d there first).
         """
         with self._engine_mutex:
             return self._execute_locked(
-                session_id, sql, placeholders=placeholders, cursor_type=cursor_type
+                session_id,
+                sql,
+                placeholders=placeholders,
+                cursor_type=cursor_type,
+                position=position,
             )
 
     def _execute_locked(
@@ -579,6 +599,7 @@ class DatabaseServer:
         *,
         placeholders: list | None = None,
         cursor_type: str = CursorType.DEFAULT,
+        position: int = 0,
     ) -> StatementResult:
         self._require_up()
         session = self._session(session_id)
@@ -596,6 +617,8 @@ class DatabaseServer:
             ):
                 cursor = open_cursor(executor, stmt, cursor_type, placeholders)
                 session.register_cursor(cursor)
+                if position:
+                    self.advance(session_id, cursor.cursor_id, position)
                 result = StatementResult(
                     kind="rows",
                     result_set=None,

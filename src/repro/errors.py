@@ -136,7 +136,7 @@ class ServerRestartingError(CommunicationError):
     """The server is executing a *planned* restart (drain/swap) rather than
     having crashed.  Statements bounced off the drain barrier had their
     transaction aborted server-side first (like a deadlock victim), so they
-    are safely retryable; pings answered with this error carry the advertised
+    are safely retryable; connects answered with this error carry the advertised
     restart state and expected remaining pause so the client can wait
     politely instead of backing off on crash-tuned intervals."""
 

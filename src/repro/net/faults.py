@@ -12,7 +12,7 @@ cares about:
   from the previous case; distinguishing them is exactly why Phoenix logs
   DML outcomes in a status table ("testable state", §3).
 * ``HANG`` — the server stays up but the reply never comes; the client's
-  timeout fires.  Phoenix must then ping to decide crash vs. slow network.
+  timeout fires.  Phoenix must then probe to decide crash vs. slow network.
 
 Two further shapes live *below* the wire, at the storage device (the fault
 classes instant-restore/recovery work injects into the log):

@@ -33,8 +33,8 @@ class NetworkMetrics(CounterSet):
     requests_batched: int = 0
     errors: int = 0
     by_request_type: Counter = Counter()
-    #: failed round trips broken down by request type — recovery's ping
-    #: storms against a down server show up here as PingRequest errors,
+    #: failed round trips broken down by request type — recovery's connect
+    #: storms against a down server show up here as ConnectRequest errors,
     #: distinguishable from an application statement dying in flight.
     errors_by_request_type: Counter = Counter()
 

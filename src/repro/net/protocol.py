@@ -10,7 +10,11 @@ callable named in the bytes is refused before it is looked up, so a peer
 cannot make the decoder run code.
 
 Every request carries the session id it operates on (like a TDS connection
-carries its login context); ``ConnectRequest`` is the exception.
+carries its login context); ``ConnectRequest`` is the exception.  A field
+added to replace a request kind names the kind it retired: a connect is the
+liveness probe and carries the session recipe (``PingRequest`` and
+``PongResponse`` went), and an execute can open a server cursor already
+standing at a row (``AdvanceRequest`` went).
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ __all__ = [
     "BatchExecuteRequest",
     "BatchExecuteResponse",
     "FetchRequest",
-    "AdvanceRequest",
     "CloseCursorRequest",
     "DisconnectRequest",
-    "PingRequest",
     "TableSchemaRequest",
     "TableSchemaResponse",
     "ConnectResponse",
@@ -45,7 +47,6 @@ __all__ = [
     "FetchResponse",
     "OkResponse",
     "ErrorResponse",
-    "PongResponse",
     "RestartingResponse",
     "encode_message",
     "decode_message",
@@ -72,8 +73,23 @@ class Response(Message):
 
 @dataclass
 class ConnectRequest(Request):
+    """Open a session, and run the *session recipe* in it before replying.
+
+    A server that answers a connect is alive, so the connect is also the
+    liveness probe (it retired ``PingRequest``); mid planned restart it is
+    answered with :class:`RestartingResponse`.  The recipe is what the new
+    session needs before its first statement: ``reap`` lists sessions to
+    disconnect first (a client's abandoned ones — their locks go before
+    anything runs), then ``sql`` runs, with ``placeholders``, in the new
+    session; its reply is :attr:`ConnectResponse.result`.  A SQL error in
+    the recipe disconnects the new session and comes back in-band.
+    """
+
     user: str = "app"
     options: dict[str, Any] = field(default_factory=dict)
+    sql: str = ""
+    placeholders: list = field(default_factory=list)
+    reap: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -81,6 +97,10 @@ class ExecuteRequest(Request):
     sql: str = ""
     placeholders: list = field(default_factory=list)
     cursor_type: str = "default"
+    #: a server cursor opened by this request stands at this row — the
+    #: next fetch starts there and no row before it crosses the wire (it
+    #: retired ``AdvanceRequest``)
+    position: int = 0
 
 
 @dataclass
@@ -106,14 +126,6 @@ class FetchRequest(Request):
 
 
 @dataclass
-class AdvanceRequest(Request):
-    """Server-side cursor reposition — no rows travel back."""
-
-    cursor_id: int = 0
-    position: int = 0
-
-
-@dataclass
 class CloseCursorRequest(Request):
     cursor_id: int = 0
 
@@ -121,11 +133,6 @@ class CloseCursorRequest(Request):
 @dataclass
 class DisconnectRequest(Request):
     pass
-
-
-@dataclass
-class PingRequest(Request):
-    """Liveness probe (Phoenix recovery sends it on a throwaway channel)."""
 
 
 @dataclass
@@ -144,6 +151,10 @@ class TableSchemaRequest(Request):
 class ConnectResponse(Response):
     session_id: int = 0
     server_epoch: int = 0
+    #: the recipe's reply (its last query's rows), None without a recipe
+    result: "ResultResponse | None" = None
+    #: the ``reap`` ids that named a live session, now disconnected
+    reaped: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -211,14 +222,8 @@ class BatchExecuteResponse(Response):
 
 
 @dataclass
-class PongResponse(Response):
-    server_epoch: int = 0
-    up_sessions: int = 0
-
-
-@dataclass
 class RestartingResponse(Response):
-    """Ping reply while a *planned* restart is in progress.
+    """Connect reply while a *planned* restart is in progress.
 
     The server is alive (this reply proves it) but paused: ``state`` is the
     lifecycle phase (``draining``/``swapping``) and ``eta_seconds`` the

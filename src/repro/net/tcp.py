@@ -30,9 +30,8 @@ request until restart) or the recovered one.
 :class:`TcpTransport` is the client half: a
 :class:`~repro.net.transport.Transport` whose channels each own one
 blocking socket (lazy-connected on first send, ``TCP_NODELAY``).  The
-Phoenix driver opens throwaway channels for pings and a fresh channel per
-(re)connect, so recovery exercises genuine reconnects with zero driver
-changes.
+Phoenix driver opens a fresh channel per (re)connect — recovery's ping —
+so recovery exercises genuine reconnects with zero driver changes.
 """
 
 from __future__ import annotations
@@ -120,8 +119,7 @@ class TcpServer:
     :attr:`address` / :attr:`url`).  The server is a *front end*, not the
     engine: it keeps accepting while the engine is crashed or draining, so
     clients always reach something that can tell them what is wrong —
-    which is what makes reconnect-and-ping recovery work over real
-    sockets.
+    which is what makes reconnect recovery work over real sockets.
     """
 
     def __init__(
@@ -222,7 +220,7 @@ class TcpServer:
 
     def _post_reply(self, conn: _ServerConnection, value, exc) -> None:
         # runs on a dispatch worker (or synchronously on the loop for the
-        # ping bypass): hop back to the loop, the only thread that writes
+        # planned-restart connect bypass): hop back to the loop, the only thread that writes
         loop = self._loop
         if loop is None:
             return  # server stopped while the request was in flight

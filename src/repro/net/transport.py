@@ -33,7 +33,6 @@ from repro.net.faults import FaultInjector, FaultKind
 from repro.net.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
 from repro.net.protocol import (
-    AdvanceRequest,
     BatchExecuteRequest,
     BatchExecuteResponse,
     CloseCursorRequest,
@@ -45,8 +44,6 @@ from repro.net.protocol import (
     FetchRequest,
     FetchResponse,
     OkResponse,
-    PingRequest,
-    PongResponse,
     Request,
     Response,
     RestartingResponse,
@@ -141,7 +138,7 @@ class ServerEndpoint:
         so the request is enqueued and ``callback(raw_response, exc)`` is
         invoked on the dispatch worker once it has run (check ``exc``
         first; it carries the CommunicationError subclasses that
-        :meth:`handle` would raise).  The planned-restart ping bypass and
+        :meth:`handle` would raise).  The planned-restart connect bypass and
         decode failures invoke the callback synchronously on the caller.
 
         ``frame_attrs`` (the TCP server passes peer + byte counts) opens a
@@ -187,8 +184,8 @@ class ServerEndpoint:
             raise errors.CommunicationError(
                 f"protocol error: {type(request).__name__} is not a request"
             )
-        # session-scoped requests serialize per session; connects and pings
-        # carry no session and dispatch independently (unique key)
+        # session-scoped requests serialize per session; connects carry no
+        # session and dispatch independently (unique key)
         key = getattr(request, "session_id", None)
         if key is None:
             key = object()
@@ -199,13 +196,14 @@ class ServerEndpoint:
         return request, key, corr
 
     def _restarting_bypass(self, request: Request) -> bytes | None:
-        # Pings bypass the dispatcher while a *planned* restart is in
+        # Connects bypass the dispatcher while a *planned* restart is in
         # progress: parked behind the drain barrier they could tell the
-        # client nothing until the swap is over — answered here, they
+        # client nothing until the swap is over (and a recipe run in the
+        # draining engine would die with it) — answered here, they
         # advertise RESTARTING + the expected remaining pause, which is
         # what lets the driver back off politely instead of treating
         # the pause as a crash.
-        if isinstance(request, PingRequest) and self.server.up:
+        if isinstance(request, ConnectRequest) and self.server.up:
             state = self.server.lifecycle
             if state != "running":
                 return encode_message(
@@ -327,14 +325,28 @@ class ServerEndpoint:
     def _dispatch(self, request: Request) -> Response:
         server = self.server
         if isinstance(request, ConnectRequest):
+            reaped = server.disconnect_sessions(request.reap)
             session_id = server.connect(request.user, request.options)
-            return ConnectResponse(session_id=session_id, server_epoch=self.epoch)
+            result = None
+            if request.sql:
+                try:
+                    result = _result_response(
+                        server.execute(session_id, request.sql, placeholders=request.placeholders)
+                    )
+                except errors.Error:
+                    if server.session_exists(session_id):
+                        server.disconnect(session_id)  # no half-built session stays
+                    raise
+            return ConnectResponse(
+                session_id=session_id, server_epoch=self.epoch, result=result, reaped=reaped
+            )
         if isinstance(request, ExecuteRequest):
             result = server.execute(
                 request.session_id,
                 request.sql,
                 placeholders=request.placeholders,
                 cursor_type=request.cursor_type,
+                position=request.position,
             )
             return _result_response(result)
         if isinstance(request, BatchExecuteRequest):
@@ -355,17 +367,12 @@ class ServerEndpoint:
         if isinstance(request, FetchRequest):
             rows, done = server.fetch(request.session_id, request.cursor_id, request.n)
             return FetchResponse(rows=rows, done=done)
-        if isinstance(request, AdvanceRequest):
-            server.advance(request.session_id, request.cursor_id, request.position)
-            return OkResponse(message="advanced")
         if isinstance(request, CloseCursorRequest):
             server.close_cursor(request.session_id, request.cursor_id)
             return OkResponse(message="cursor closed")
         if isinstance(request, DisconnectRequest):
             server.disconnect(request.session_id)
             return OkResponse(message="bye")
-        if isinstance(request, PingRequest):
-            return PongResponse(server_epoch=self.epoch, up_sessions=len(server.sessions))
         if isinstance(request, TableSchemaRequest):
             schema = server.table_schema(request.session_id, request.table)
             return TableSchemaResponse(

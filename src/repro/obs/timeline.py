@@ -4,8 +4,9 @@
 tree (span nesting from parent links, events interleaved at their
 timestamps).  :class:`RecoveryTimeline` is the paper-facing view: it finds
 every ``recovery`` span in a trace and rebuilds the named phases the
-protocol defines — detection probe, ping wait, phase 1 (virtual session),
-phase 2 (SQL state) — with per-phase durations and the ping count, which is
+protocol defines — detection probe, the wait between connects, phase 1
+(virtual session: each connect attempt), phase 2 (SQL state) — with
+per-phase durations and the ping (connect attempt) count, which is
 exactly the decomposition behind Figure 2's stacked bars.
 """
 

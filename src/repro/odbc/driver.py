@@ -14,19 +14,25 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import InterfaceError, ServerRestartingError, SessionLostError
+from repro.errors import (
+    CommunicationError,
+    InterfaceError,
+    ServerRestartingError,
+    SessionLostError,
+)
 from repro.net.metrics import NetworkMetrics
 from repro.net.protocol import (
-    AdvanceRequest,
     BatchExecuteRequest,
     BatchExecuteResponse,
     CloseCursorRequest,
     ConnectRequest,
+    ConnectResponse,
     DisconnectRequest,
     ExecuteRequest,
     FetchRequest,
-    PingRequest,
-    PongResponse,
+    FetchResponse,
+    Request,
+    Response,
     RestartingResponse,
     ResultResponse,
     TableSchemaRequest,
@@ -41,6 +47,20 @@ from repro.net.transport import (
 from repro.obs.tracer import get_tracer
 
 __all__ = ["NativeDriver", "DriverConnection"]
+
+
+def _send(channel: ClientChannel, request: Request, expected: type[Response]) -> Response:
+    """One round trip whose reply must be an ``expected``: a peer that
+    answers with anything else is not speaking this protocol, so the
+    channel is broken and the failure is a ``CommunicationError`` (a check
+    that holds under ``python -O`` too)."""
+    response = channel.send(request)
+    if not isinstance(response, expected):
+        channel.close()
+        raise CommunicationError(
+            f"protocol error: {type(response).__name__} answered a {type(request).__name__}"
+        )
+    return response
 
 
 class NativeDriver:
@@ -64,36 +84,59 @@ class NativeDriver:
     def _open_channel(self) -> ClientChannel:
         return self.transport.open_channel(metrics=self.metrics)
 
-    def connect(self, user: str = "app", options: dict[str, Any] | None = None) -> "DriverConnection":
-        with get_tracer().span("driver.connect", user=user) as span:
-            channel = self._open_channel()
-            response = channel.send(ConnectRequest(user=user, options=dict(options or {})))
-            span.set(session_id=response.session_id)
-            return DriverConnection(self, channel, response.session_id, user)
+    def connect(
+        self,
+        user: str = "app",
+        options: dict[str, Any] | None = None,
+        *,
+        recipe: str = "",
+        placeholders: list | None = None,
+        reap: list[int] = (),
+    ) -> "DriverConnection":
+        """Open a session on a new channel; the server disconnects the
+        ``reap`` sessions first and runs ``recipe`` (with ``placeholders``)
+        in the new session before it replies — the reply is the
+        connection's :attr:`~DriverConnection.opened`.
 
-    def ping(self) -> PongResponse:
-        """Liveness probe on a throwaway channel (so a dead server does not
-        break any long-lived connection state).
-
-        A server mid-planned-restart answers with
-        :class:`~repro.net.protocol.RestartingResponse`; that surfaces as
+        A connect is also the liveness probe: a server that is down fails
+        it, and one mid planned restart answers
+        :class:`~repro.net.protocol.RestartingResponse`, which surfaces as
         :class:`~repro.errors.ServerRestartingError` carrying the advertised
         state and remaining pause, so the caller's backoff can distinguish
-        a polite wait from a crash."""
-        channel = self._open_channel()
-        try:
-            response = channel.send(PingRequest())
+        a polite wait from a crash.  The channel of a failed connect is
+        closed."""
+        with get_tracer().span("driver.connect", user=user) as span:
+            channel = self._open_channel()
+            request = ConnectRequest(
+                user=user,
+                options=dict(options or {}),
+                sql=recipe,
+                placeholders=list(placeholders or []),
+                reap=list(reap),
+            )
+            try:
+                response = _send(channel, request, (ConnectResponse, RestartingResponse))
+            except BaseException:
+                channel.close()
+                raise
             if isinstance(response, RestartingResponse):
+                channel.close()
                 raise ServerRestartingError(
                     f"server restarting ({response.state}), "
                     f"expected back in {response.eta_seconds:.3f}s",
                     state=response.state,
                     eta_seconds=response.eta_seconds,
                 )
-            assert isinstance(response, PongResponse)
-            return response
-        finally:
-            channel.close()
+            span.set(session_id=response.session_id)
+            return DriverConnection(self, channel, response, user)
+
+    def ping(self) -> ConnectResponse:
+        """Is the server there?  A connect with no recipe, disconnected at
+        once — the same question Phoenix recovery's connect answers, without
+        keeping the session.  Raises as :meth:`connect` does."""
+        connection = self.connect()
+        connection.disconnect()
+        return connection.opened
 
     def disconnect_session(self, session_id: int) -> None:
         """Disconnect a server session by id over a throwaway channel.
@@ -112,10 +155,14 @@ class NativeDriver:
 class DriverConnection:
     """One live connection (channel + server session)."""
 
-    def __init__(self, driver: NativeDriver, channel: ClientChannel, session_id: int, user: str):
+    def __init__(
+        self, driver: NativeDriver, channel: ClientChannel, opened: ConnectResponse, user: str
+    ):
         self.driver = driver
         self.channel = channel
-        self.session_id = session_id
+        #: the connect's reply: the session, the recipe's result, the reaped
+        self.opened = opened
+        self.session_id = opened.session_id
         self.user = user
         self.closed = False
 
@@ -137,18 +184,17 @@ class DriverConnection:
         *,
         placeholders: list | None = None,
         cursor_type: str = "default",
+        position: int = 0,
     ) -> ResultResponse:
         self._require_open()
-        response = self.channel.send(
-            ExecuteRequest(
-                session_id=self.session_id,
-                sql=sql,
-                placeholders=list(placeholders or []),
-                cursor_type=cursor_type,
-            )
+        request = ExecuteRequest(
+            session_id=self.session_id,
+            sql=sql,
+            placeholders=list(placeholders or []),
+            cursor_type=cursor_type,
+            position=position,
         )
-        assert isinstance(response, ResultResponse)
-        return response
+        return _send(self.channel, request, ResultResponse)
 
     def execute_batch(self, sql: str, rows: list[list]) -> BatchExecuteResponse:
         """Run ``sql`` once per row of ``?`` values, in one round trip
@@ -161,37 +207,29 @@ class DriverConnection:
         landed prefix before surfacing it.  Transport failures raise as usual.
         """
         self._require_open()
-        response = self.channel.send(
-            BatchExecuteRequest(
-                session_id=self.session_id, sql=sql, rows=[list(row) for row in rows]
-            )
+        request = BatchExecuteRequest(
+            session_id=self.session_id, sql=sql, rows=[list(row) for row in rows]
         )
-        assert isinstance(response, BatchExecuteResponse)
-        return response
+        return _send(self.channel, request, BatchExecuteResponse)
 
     def fetch(self, cursor_id: int, n: int) -> tuple[list[tuple], bool]:
         self._require_open()
-        response = self.channel.send(
-            FetchRequest(session_id=self.session_id, cursor_id=cursor_id, n=n)
-        )
+        request = FetchRequest(session_id=self.session_id, cursor_id=cursor_id, n=n)
+        response = _send(self.channel, request, FetchResponse)
         return response.rows, response.done
 
-    def advance(self, cursor_id: int, position: int) -> None:
-        self._require_open()
-        self.channel.send(
-            AdvanceRequest(
-                session_id=self.session_id, cursor_id=cursor_id, position=position
-            )
-        )
+    def advance(self, sql: str, position: int) -> int:
+        """Open a keyset server cursor over ``sql`` standing at row
+        ``position``, in one request, and return its id: the paper's
+        repositioning, "advancing through the result set on the server
+        without passing tuples to the client"."""
+        return self.execute(sql, cursor_type="keyset", position=position).cursor_id
 
     def table_schema(self, table: str) -> TableSchemaResponse:
         """Catalog lookup (the SQLPrimaryKeys/SQLColumns analog)."""
         self._require_open()
-        response = self.channel.send(
-            TableSchemaRequest(session_id=self.session_id, table=table)
-        )
-        assert isinstance(response, TableSchemaResponse)
-        return response
+        request = TableSchemaRequest(session_id=self.session_id, table=table)
+        return _send(self.channel, request, TableSchemaResponse)
 
     def close_cursor(self, cursor_id: int) -> None:
         self._require_open()

@@ -21,8 +21,6 @@ from repro.net.protocol import (
     ErrorResponse,
     ExecuteRequest,
     FetchRequest,
-    PingRequest,
-    PongResponse,
     Message,
     ResultResponse,
     TableSchemaRequest,
@@ -54,7 +52,10 @@ def test_message_serialization_round_trip():
     types = [
         v for v in vars(protocol).values() if isinstance(v, type) and issubclass(v, Message)
     ]
-    assert len(types) > 20
+    # the three bases, seven request kinds and eight response kinds: a
+    # connect is the ping and an execute opens a cursor at a position, so
+    # PingRequest, PongResponse and AdvanceRequest are gone
+    assert len(types) == 18
     messages = [message_type() for message_type in types] + [
         ExecuteRequest(session_id=3, sql="SELECT 1", cursor_type="keyset"),
         ResultResponse(
@@ -68,7 +69,7 @@ def test_message_serialization_round_trip():
 
 
 def test_serialization_produces_real_bytes():
-    raw = encode_message(PingRequest())
+    raw = encode_message(ConnectRequest())
     assert isinstance(raw, bytes) and len(raw) > 0
 
 
@@ -78,7 +79,7 @@ PLANTED_CALLS: list = []
 
 def _planted(*args):
     PLANTED_CALLS.append(args)
-    return PingRequest()
+    return ConnectRequest()
 
 
 class _Payload:
@@ -97,7 +98,7 @@ def test_decode_refuses_a_payload_that_names_a_callable():
 
 def test_endpoint_refuses_a_response_sent_as_a_request(endpoint):
     with pytest.raises(errors.CommunicationError, match="not a request"):
-        endpoint.handle(encode_message(PongResponse()))
+        endpoint.handle(encode_message(ConnectResponse()))
 
 
 def _read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
@@ -169,7 +170,7 @@ def test_sql_errors_travel_in_band_and_rebuild(endpoint):
     with pytest.raises(errors.CatalogError):
         ch.send(ExecuteRequest(session_id=sid, sql="SELECT * FROM missing"))
     # channel still usable after an in-band error
-    assert ch.send(PingRequest()).server_epoch == 0
+    assert ch.send(ExecuteRequest(session_id=sid, sql="SELECT 1")).rows == [(1,)]
 
 
 def test_unknown_error_type_falls_back_to_database_error():
@@ -180,14 +181,14 @@ def test_unknown_error_type_falls_back_to_database_error():
 
 
 def test_ping_reports_epoch_and_sessions(endpoint):
-    ch, sid = connect(endpoint)
-    pong = ch.send(PingRequest())
-    assert isinstance(pong, PongResponse)
-    assert pong.up_sessions == 1
+    """The connect is the ping: its reply carries the server's epoch and
+    the session it opened."""
+    reply = channel(endpoint).send(ConnectRequest())
+    assert isinstance(reply, ConnectResponse) and reply.server_epoch == 0
+    assert list(endpoint.server.sessions) == [reply.session_id]
     endpoint.server.crash()
     endpoint.restart_server()
-    ch2 = channel(endpoint)
-    assert ch2.send(PingRequest()).server_epoch == 1
+    assert channel(endpoint).send(ConnectRequest()).server_epoch == 1
 
 
 # ---------------------------------------------------------------- faults
@@ -236,9 +237,9 @@ def test_broken_channel_stays_broken(endpoint):
     ch, sid = connect(endpoint)
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
-        ch.send(PingRequest())
+        ch.send(ConnectRequest())
     with pytest.raises(errors.CommunicationError):
-        ch.send(PingRequest())  # no retry sneaks through a dead socket
+        ch.send(ConnectRequest())  # no retry sneaks through a dead socket
 
 
 def test_requests_to_down_server_refused(endpoint):
@@ -246,7 +247,7 @@ def test_requests_to_down_server_refused(endpoint):
     endpoint.server.crash()
     ch2 = channel(endpoint)
     with pytest.raises(errors.ServerCrashedError):
-        ch2.send(PingRequest())
+        ch2.send(ConnectRequest())
 
 
 def test_session_lost_error_after_fast_restart(endpoint):
@@ -276,14 +277,14 @@ def test_repeating_fault(endpoint):
     for _ in range(3):
         ch = channel(endpoint)
         with pytest.raises(errors.TimeoutError):
-            ch.send(PingRequest())
+            ch.send(ConnectRequest())
     assert endpoint.faults.pending == 1
 
 
 def test_cancel_all(endpoint):
     endpoint.faults.schedule(FaultKind.HANG)
     endpoint.faults.cancel_all()
-    assert channel(endpoint).send(PingRequest())
+    assert channel(endpoint).send(ConnectRequest())
 
 
 def test_fires_remaining_counts_down(endpoint):
@@ -291,10 +292,10 @@ def test_fires_remaining_counts_down(endpoint):
     assert fault.fires_remaining == 1
     assert fault.matches_until_fire == 2
     ch = channel(endpoint)
-    ch.send(PingRequest())
+    ch.send(ConnectRequest())
     assert fault.matches_until_fire == 1
     with pytest.raises(errors.TimeoutError):
-        channel(endpoint).send(PingRequest())
+        channel(endpoint).send(ConnectRequest())
     assert fault.fires_remaining == 0
     assert fault.matches_until_fire is None
 
@@ -306,7 +307,7 @@ def test_fires_remaining_for_repeating_and_periodic(endpoint):
     periodic = endpoint.faults.schedule(FaultKind.HANG, every=3)
     assert periodic.matches_until_fire == 3
     for _ in range(2):
-        channel(endpoint).send(PingRequest())
+        channel(endpoint).send(ConnectRequest())
     assert periodic.matches_until_fire == 1
 
 
@@ -320,7 +321,7 @@ def test_after_counts_matching_requests_only(endpoint):
     ch, sid = connect(endpoint)  # ConnectRequest does not match
     ch.send(ExecuteRequest(session_id=sid, sql="SELECT 1"))  # match 1: skipped
     assert fault.matches_until_fire == 1
-    ch.send(PingRequest())  # non-match: no effect
+    ch.send(ConnectRequest())  # non-match: no effect
     assert fault.matches_until_fire == 1
     with pytest.raises(errors.TimeoutError):
         ch.send(ExecuteRequest(session_id=sid, sql="SELECT 2"))
@@ -390,7 +391,7 @@ def test_metrics_record_errors(endpoint):
     ch = ClientChannel(endpoint, metrics=metrics)
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
-        ch.send(PingRequest())
+        ch.send(ConnectRequest())
     assert metrics.errors == 1
     assert metrics.round_trips == 1
 
@@ -410,15 +411,15 @@ def test_metrics_errors_broken_down_by_request_type(endpoint):
     metrics = NetworkMetrics()
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
-        ClientChannel(endpoint, metrics=metrics).send(PingRequest())
+        ClientChannel(endpoint, metrics=metrics).send(FetchRequest())
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
         ClientChannel(endpoint, metrics=metrics).send(ConnectRequest())
-    assert metrics.errors_by_request_type["PingRequest"] == 1
+    assert metrics.errors_by_request_type["FetchRequest"] == 1
     assert metrics.errors_by_request_type["ConnectRequest"] == 1
     assert metrics.errors == 2
     assert metrics.snapshot()["errors_by_request_type"] == {
-        "PingRequest": 1,
+        "FetchRequest": 1,
         "ConnectRequest": 1,
     }
     metrics.reset()
@@ -427,12 +428,12 @@ def test_metrics_errors_broken_down_by_request_type(endpoint):
 
 def test_metrics_merge_combines_error_breakdown():
     a = NetworkMetrics()
-    a.record_error("PingRequest", 5)
+    a.record_error("ConnectRequest", 5)
     b = NetworkMetrics()
-    b.record_error("PingRequest", 5)
+    b.record_error("ConnectRequest", 5)
     b.record_error("ExecuteRequest", 9)
     a.merge(b)
-    assert a.errors_by_request_type == {"PingRequest": 2, "ExecuteRequest": 1}
+    assert a.errors_by_request_type == {"ConnectRequest": 2, "ExecuteRequest": 1}
 
 
 def test_recovery_ping_traffic_visible_in_system_metrics():
@@ -446,11 +447,12 @@ def test_recovery_ping_traffic_visible_in_system_metrics():
     )
     cur = connection.cursor()
     cur.execute("CREATE TABLE t (k INT PRIMARY KEY)")
-    before_pings = system.metrics.by_request_type.get("PingRequest", 0)
+    before_connects = system.metrics.by_request_type["ConnectRequest"]
     system.server.crash()
     cur.execute("INSERT INTO t VALUES (1)")
-    # the recovery pings ride the shared driver metrics: failed attempts in
-    # the error breakdown, the successful one in the round-trip counts
-    assert system.metrics.by_request_type["PingRequest"] > before_pings
-    assert system.metrics.errors_by_request_type.get("PingRequest", 0) >= 1
+    # the recovery's connects (its pings) ride the shared driver metrics:
+    # failed attempts in the error breakdown, the answered one in the
+    # round-trip counts
+    assert system.metrics.by_request_type["ConnectRequest"] > before_connects
+    assert system.metrics.errors_by_request_type.get("ConnectRequest", 0) >= 1
     assert connection.stats.recovery_pings >= 1

@@ -7,7 +7,10 @@ import pytest
 from repro import errors
 from repro.engine import DatabaseServer
 from repro.net import FaultKind, ServerEndpoint
+from repro.net.protocol import ConnectResponse, OkResponse, encode_message
+from repro.net.transport import ClientChannel, Transport
 from repro.odbc import DriverManager, NativeDriver
+from repro.odbc.driver import DriverConnection
 from repro.odbc.constants import CursorType, StatementAttr
 
 
@@ -180,14 +183,50 @@ def test_native_cursor_lost_on_crash(stack, conn):
 
 
 def test_driver_ping_uses_throwaway_channel(stack):
+    """The connect is the ping: each rides a channel of its own, so a dead
+    server breaks no long-lived connection; ``ping()`` is a connect that
+    disconnects at once."""
     server, endpoint, manager = stack
     driver = manager.driver_for("db")
-    assert driver.ping().server_epoch == 0
+    assert driver.connect().opened.server_epoch == 0
     server.crash()
     with pytest.raises(errors.ServerCrashedError):
-        driver.ping()
+        driver.connect()
     endpoint.restart_server()
     assert driver.ping().server_epoch == 1  # fresh channel each time
+    assert not server.sessions
+
+
+class _WrongReplyTransport(Transport):
+    """A peer that answers every request with an ``OkResponse``."""
+
+    def open_channel(self, metrics=None) -> ClientChannel:
+        return ClientChannel(self, metrics=metrics)
+
+    def roundtrip(self, raw: bytes) -> bytes:
+        return encode_message(OkResponse())
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        ("execute", ("SELECT 1",)),
+        ("execute_batch", ("INSERT INTO t VALUES (?)", [[1]])),
+        ("fetch", (1, 10)),
+        ("table_schema", ("t",)),
+    ],
+)
+def test_a_reply_of_the_wrong_type_breaks_the_channel(call, args):
+    """The driver checks each reply's type with a test that ``python -O``
+    keeps: a wrong one is a protocol error, and the channel is broken."""
+    driver = NativeDriver(_WrongReplyTransport())
+    with pytest.raises(errors.CommunicationError, match="protocol error"):
+        driver.connect()
+    channel = driver.transport.open_channel()
+    connection = DriverConnection(driver, channel, ConnectResponse(session_id=1), "app")
+    with pytest.raises(errors.CommunicationError, match="protocol error: OkResponse"):
+        getattr(connection, call)(*args)
+    assert connection.broken
 
 
 def test_table_schema_catalog_call(stack, conn):

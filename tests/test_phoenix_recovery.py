@@ -548,3 +548,137 @@ def test_repeated_crashes_on_retried_request(ready):
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (50,)
     assert conn.stats.recoveries == 4
+
+
+# ------------------------------------------------------------------ request counts
+#
+# Session open is one request, and so is phase one of a recovery: a connect
+# that carries the session recipe (reap, SET replay, proxy, status table and
+# the guarded request's status probe).  Phase two is one request per open
+# default result.
+
+
+def _sent_since(system, before: dict[str, int]) -> dict[str, int]:
+    """Requests sent since ``before`` (a copy of the metrics' breakdown), by type."""
+    now = system.metrics.by_request_type
+    return {kind: n - before.get(kind, 0) for kind, n in now.items() if n != before.get(kind, 0)}
+
+
+def _is_connect(request) -> bool:
+    return type(request).__name__ == "ConnectRequest"
+
+
+def test_session_open_is_one_connect(system):
+    before = dict(system.metrics.by_request_type)
+    conn = system.phoenix.connect(system.DSN)
+    assert _sent_since(system, before) == {"ConnectRequest": 1}
+    assert list(system.server.sessions) == [conn.app.session_id]
+    assert "#phx_proxy" in system.server.sessions[conn.app.session_id].temp_tables
+    assert conn.names.status_table in system.server.table_names()
+    conn.close()
+
+
+def test_a_lost_dml_reply_beside_an_open_result_costs_three_requests(ready):
+    """After the DML whose reply the crash took: a connect the down server
+    refuses, the connect whose recipe also reads the DML's status row (a
+    hit: no re-send), and the held result's re-open at the rows it shipped.
+    The update lands once."""
+    system, conn, cur = ready
+    cur.execute("CREATE TABLE wallet (id INT PRIMARY KEY, v INT)")
+    cur.execute("INSERT INTO wallet VALUES (1, 0)")
+    held = blocked_cursor(conn)
+    held.execute("SELECT k FROM t ORDER BY k")
+    delivered = held.fetchmany(BLOCK + 1)  # past the first block: a server cursor
+    system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "UPDATE wallet SET")
+    before = dict(system.metrics.by_request_type)
+    cur.execute("UPDATE wallet SET v = v + 1 WHERE id = 1")
+    assert cur.rowcount == 1
+    assert _sent_since(system, before) == {"ExecuteRequest": 2, "ConnectRequest": 2}
+    assert (conn.stats.recoveries, conn.stats.probe_hits, conn.stats.recovery_pings) == (1, 1, 1)
+    cur.execute("SELECT v FROM wallet WHERE id = 1")
+    assert cur.fetchall() == [(1,)]
+    delivered += held.fetchall()
+    assert [k for (k,) in delivered] == list(range(1, 51))
+
+
+@pytest.mark.parametrize("kind", [FaultKind.DROP_CONNECTION, FaultKind.CRASH_AFTER_EXECUTE])
+def test_a_fault_on_the_recipe_connect_leaves_no_orphan_holding_locks(ready, kind):
+    """The server survives a dropped channel, and so does the session it
+    carried — with its open transaction and row lock.  The recovery's own
+    connect then meets ``kind``: dropped before the recipe ran, or the
+    server dies after it ran and before the reply.  The next connect reaps
+    what is left, the transaction is replayed without waiting on a lock,
+    and one server session remains."""
+    system, conn, cur = ready
+    conn.begin()
+    cur.execute("UPDATE t SET v = 'x' WHERE k = 1")
+    cur.execute("SET lock_timeout 50")
+    system.faults.schedule_on_sql(FaultKind.DROP_CONNECTION, "UPDATE t SET")
+    system.faults.schedule(kind, matcher=_is_connect)
+    cur.execute("UPDATE t SET v = 'y' WHERE k = 2")
+    conn.commit()
+    assert system.faults.fired == [FaultKind.DROP_CONNECTION, kind]
+    assert conn.stats.recoveries == 1 and conn.stats.replayed_txns == 1
+    assert list(system.server.sessions) == [conn.app.session_id]
+    cur.execute("SELECT k, v FROM t WHERE k <= 2 ORDER BY k")
+    assert cur.fetchall() == [(1, "x"), (2, "y")]
+
+
+def test_set_replay_order_survives_recovery(ready):
+    """The recipe replays the SETs in application order: the last value of
+    an option set three times is the one the rebuilt session holds, crash
+    after crash."""
+    system, conn, cur = ready
+    for statement in ("SET lock_timeout 500", "SET a 1", "SET lock_timeout 700", "SET a 2",
+                      "SET lock_timeout 600"):
+        cur.execute(statement)
+    for _ in range(2):
+        crash_restart(system)
+        cur.execute("SELECT 1")
+        options = system.server.sessions[conn.app.session_id].options
+        assert (options["lock_timeout"], options["a"]) == (600, 2)
+    assert conn.stats.recoveries == 2
+
+
+def test_a_crash_recovery_shaped_session_still_restarts_the_engine_four_times(ready):
+    """The benchmark's crash_recovery slice in small: an aggregate held open
+    past its first block across four cycles of a point read (its needle,
+    ``EXEC phx_``, matches only a materialized result's fill) and an UPDATE
+    whose reply a crash takes.  The faults stay on: four engine restarts,
+    and no request recovery sends carries either needle.  29 requests for 8
+    statements, as in the benchmark (56 when recovery was nine requests)."""
+    system, conn, cur = ready
+    cur.execute("CREATE TABLE wallet (id INT PRIMARY KEY, v INT)")
+    cur.execute("INSERT INTO wallet VALUES (1, 0)")
+    cur.execute("CREATE TABLE detail (k INT PRIMARY KEY, v INT)")
+    cur.execute("INSERT INTO detail VALUES " + ", ".join(f"({k}, {k % 7})" for k in range(100)))
+    conn.close()
+    sent: list[str] = []
+    system.faults.schedule(
+        FaultKind.HANG, matcher=lambda r: sent.append(getattr(r, "sql", "")), repeat=True
+    )
+    restarts, before = system.server.stats.restarts, system.metrics.round_trips
+    conn = system.phoenix.connect(system.DSN)
+    conn.config.sleep = lambda _s: system.endpoint.restart_server() if not system.server.up else None
+    held = blocked_cursor(conn)
+    held.execute("SELECT k % 30, sum(v), count(*) FROM detail GROUP BY k % 30 ORDER BY 1")
+    delivered = held.fetchmany(BLOCK)
+    for k in (3, 14, 15, 92):
+        point = conn.cursor()
+        system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "EXEC phx_")
+        point.execute("SELECT k, v FROM detail WHERE k = ?", [k])
+        assert point.fetchall() == [(k, k % 7)]
+        delivered += held.fetchmany(1)
+        system.faults.schedule_on_sql(FaultKind.CRASH_AFTER_EXECUTE, "UPDATE wallet SET")
+        conn.cursor().execute("UPDATE wallet SET v = v + 1 WHERE id = 1")
+        delivered += held.fetchmany(1)
+    delivered += held.fetchall()
+    conn.close()
+    assert system.server.stats.restarts - restarts == 4
+    assert system.metrics.round_trips - before == 29
+    assert [g for g, _total, _n in delivered] == list(range(30))
+    assert sum(1 for sql in sent if "EXEC phx_" in sql) == 1  # the held result's fill
+    assert sum(1 for sql in sent if "UPDATE wallet SET" in sql) == 4  # no re-send
+    system.faults.cancel_all()
+    loader = system.server.connect()
+    assert system.server.execute(loader, "SELECT v FROM wallet").result_set.rows == [(4,)]

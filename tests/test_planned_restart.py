@@ -261,13 +261,13 @@ def test_ping_advertises_restarting_during_drain(system):
     system.server.begin_drain(policy)
     try:
         with pytest.raises(ServerRestartingError) as info:
-            system.native.ping()
+            system.native.connect()  # a connect is the ping
         assert info.value.state == "draining"
         assert 0.0 < info.value.eta_seconds <= 30.0
     finally:
         _lift_drain(system.server)
-    # barrier lifted: the same probe now pongs
-    assert system.native.ping() is not None
+    # barrier lifted: the same connect now opens a session
+    assert system.native.connect().session_id in system.server.sessions
 
 
 def test_recovery_backoff_resets_on_restarting_advertisement(system, monkeypatch):
@@ -293,8 +293,8 @@ def test_recovery_backoff_resets_on_restarting_advertisement(system, monkeypatch
     system.server.crash()
     cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
 
-    # two crash pings back off (base, 2*base); the RESTARTING answers reset
-    # the interval to base and hold it flat
+    # two connects to the crashed server back off (base, 2*base); the
+    # RESTARTING answers reset the interval to base and hold it flat
     assert sleeps == [base, base * 2, base, base]
     cursor.execute("SELECT v FROM pr WHERE k = 0")
     assert cursor.fetchall() == [(1,)]

@@ -2,10 +2,11 @@
 
 Recovery is the one code path that *must* work while everything around it
 is failing.  These tests aim faults at the recovery machinery directly:
-pings that die, crashes between the two recovery phases, a second crash in
-the middle of transaction replay — plus the backoff and jitter behaviour of
-``_await_server`` (its bounds are ``repro.core.recovery`` constants, which
-the tests here monkeypatch).
+connects (a connect is recovery's ping) that die, crashes between the two
+recovery phases, a second crash in the middle of transaction replay — plus
+the backoff and jitter between connects the server does not answer (its
+bounds are ``repro.core.recovery`` constants, which the tests here
+monkeypatch).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def test_ping_backoff_is_exponential_and_capped(system, ping_loop):
     system.server.crash()
     cause = CommunicationError("boom")
     with pytest.raises(CommunicationError) as excinfo:
-        connection.recovery._await_server(cause)
+        connection.recovery.recover(cause)
     assert excinfo.value is cause  # the original error surfaces, per paper
     assert waits == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
     assert connection.stats.recovery_pings == 6
@@ -79,7 +80,7 @@ def test_ping_backoff_jitter_is_deterministic_and_bounded(system, ping_loop):
         connection.recovery = recovery.PhoenixRecovery(connection)  # a fresh stream
         system.server.crash()
         with pytest.raises(CommunicationError):
-            connection.recovery._await_server(CommunicationError("x"))
+            connection.recovery.recover(CommunicationError("x"))
         system.endpoint.restart_server()
         return waits
 
@@ -104,8 +105,8 @@ def test_reconnect_jitter_is_seeded_per_connection(system):
 
 def test_a_flat_backoff_spends_the_whole_ping_budget(system, ping_loop):
     """With a backoff factor of 1 the loop is the paper's fixed-interval
-    ping: every attempt of the budget waits the same, then the error goes
-    to the application."""
+    ping (a connect): every attempt of the budget waits the same, then the
+    error goes to the application."""
     ping_loop.set(
         PING_INTERVAL=0.5, PING_BACKOFF_FACTOR=1.0, PING_JITTER=0.0, MAX_PING_ATTEMPTS=7
     )
@@ -113,7 +114,7 @@ def test_a_flat_backoff_spends_the_whole_ping_budget(system, ping_loop):
     connection = system.phoenix.connect(system.DSN, config=config)
     system.server.crash()
     with pytest.raises(CommunicationError):
-        connection.recovery._await_server(CommunicationError("down"))
+        connection.recovery.recover(CommunicationError("down"))
     assert waits == [0.5] * 7
 
 
@@ -128,7 +129,7 @@ def test_await_server_returns_after_restart_mid_backoff(system, ping_loop):
 
     connection = system.phoenix.connect(system.DSN, config=PhoenixConfig(sleep=sleep))
     system.server.crash()
-    connection.recovery._await_server(CommunicationError("down"))  # no raise
+    assert connection.recovery.recover(CommunicationError("down"))  # no raise
     assert len(restores) == 3
 
 
@@ -145,9 +146,9 @@ def ready(system, phoenix_conn):
 def test_drop_connection_on_recovery_ping(ready):
     system, conn, cur = ready
     crash_restart(system)
-    # the recovery ping itself meets a dropped connection; the next ping
-    # attempt (after backoff) succeeds and recovery completes normally
-    system.faults.schedule(FaultKind.DROP_CONNECTION, matcher=_is_ping)
+    # the recovery's connect (its ping) meets a dropped connection; the
+    # next connect (after backoff) succeeds and recovery completes normally
+    system.faults.schedule(FaultKind.DROP_CONNECTION, matcher=_is_connect)
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (3,)
     assert conn.stats.recoveries == 1
@@ -157,9 +158,9 @@ def test_drop_connection_on_recovery_ping(ready):
 def test_crash_between_recovery_phases(ready):
     system, conn, cur = ready
     crash_restart(system)
-    # phase 1 rebuilds the session (a ConnectRequest, then the recipe);
-    # crash the server again on the recipe's status-table statement —
-    # recovery restarts wholesale and still converges
+    # phase 1 rebuilds the session in one ConnectRequest carrying the
+    # recipe; crash the server again on the recipe's status-table statement
+    # — recovery connects again and still converges
     system.faults.schedule_on_sql(
         FaultKind.CRASH_BEFORE_EXECUTE, "CREATE TABLE IF NOT EXISTS"
     )
@@ -221,10 +222,10 @@ def test_recovery_error_carries_causal_chain(system, ping_loop):
 def test_hang_mid_recovery_is_survivable(ready):
     system, conn, cur = ready
     crash_restart(system)
-    system.faults.schedule(FaultKind.HANG, matcher=_is_ping)
+    system.faults.schedule(FaultKind.HANG, matcher=_is_connect)
     cur.execute("SELECT count(*) FROM t")
     assert cur.fetchone() == (3,)
 
 
-def _is_ping(request) -> bool:
-    return type(request).__name__ == "PingRequest"
+def _is_connect(request) -> bool:
+    return type(request).__name__ == "ConnectRequest"

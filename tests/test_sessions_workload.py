@@ -103,7 +103,7 @@ def test_money_conserved_across_phoenix_sessions(prepared):
 
 
 def test_periodic_fault_fires_every_n(system):
-    from repro.net.protocol import PingRequest
+    from repro.net.protocol import ConnectRequest
     from repro.net.transport import ClientChannel
 
     fired = []
@@ -111,7 +111,7 @@ def test_periodic_fault_fires_every_n(system):
     for i in range(7):
         channel = ClientChannel(system.endpoint)
         try:
-            channel.send(PingRequest())
+            channel.send(ConnectRequest())
             fired.append(False)
         except repro.errors.TimeoutError:
             fired.append(True)

@@ -14,7 +14,7 @@ from repro.chaos.oracle import check_run
 from repro.chaos.trace import probe_dml_trace, run_trace
 from repro.net import framing
 from repro.net.faults import FaultKind
-from repro.net.protocol import ConnectRequest, PingRequest, PongResponse
+from repro.net.protocol import ConnectRequest, ConnectResponse, ExecuteRequest, ResultResponse
 from repro.net.tcp import TcpTransport
 from repro.net.transport import InProcessTransport
 
@@ -150,20 +150,20 @@ def test_transport_matrix_same_driver_surface(tcp_system):
     host, port = tcp_system.tcp.address
     for transport in (InProcessTransport(tcp_system.endpoint), TcpTransport(host, port)):
         driver = repro.NativeDriver(transport)
-        pong = driver.ping()
-        assert isinstance(pong, PongResponse)
         dc = driver.connect("matrix")
+        assert isinstance(dc.opened, ConnectResponse)
         assert dc.execute("SELECT 1").rows == [(1,)]
         dc.disconnect()
 
 
 def test_ping_bypass_answers_restarting_over_tcp(tcp_system):
-    """The drain-window ping bypass crosses the socket tier too."""
+    """The drain-window bypass of the connect (recovery's ping) crosses the
+    socket tier too."""
     tcp_system.server.begin_drain()
     try:
         driver = repro.NativeDriver(TcpTransport(*tcp_system.tcp.address))
         with pytest.raises(errors.ServerRestartingError):
-            driver.ping()
+            driver.connect()
     finally:
         tcp_system.server.crash()
         tcp_system.endpoint.restart_server()
@@ -256,7 +256,8 @@ def test_phoenix_recovers_over_new_socket(tcp_system):
 
 def test_idle_session_soak(tcp_system):
     """SOAK_SESSIONS concurrent idle TCP sessions on one event loop:
-    connect them all, hold them open, ping every one, 0 errors."""
+    connect them all, hold them open, ask every session for a row, 0
+    errors."""
     host, port = tcp_system.tcp.address
     transport = TcpTransport(host, port)
     metrics = repro.NetworkMetrics()
@@ -269,9 +270,9 @@ def test_idle_session_soak(tcp_system):
         assert len(tcp_system.server.sessions) >= SOAK_SESSIONS
         snap = tcp_system.registry.snapshot()["net"]
         assert snap["connections_open"] >= SOAK_SESSIONS
-        for channel, _session_id in channels:
-            pong = channel.send(PingRequest())
-            assert isinstance(pong, PongResponse)
+        for channel, session_id in channels:
+            reply = channel.send(ExecuteRequest(session_id=session_id, sql="SELECT 1"))
+            assert isinstance(reply, ResultResponse) and reply.rows == [(1,)]
         assert metrics.errors == 0
     finally:
         for channel, _session_id in channels:
@@ -467,4 +468,4 @@ def test_connect_refused_is_communication_error():
     probe.close()
     driver = repro.NativeDriver(TcpTransport("127.0.0.1", port))
     with pytest.raises(errors.CommunicationError):
-        driver.ping()
+        driver.connect()
