@@ -181,10 +181,11 @@ class PhoenixConnection(Connection):
         is the logged outcome, returned in place of a re-send; a request
         without one is idempotent.  ``probe`` names the status-table seqs
         ``landed`` will ask about: a rebuild reads them in its session
-        recipe, so the question costs no request of its own.  A *different* crash can hit the re-sent
-        request too; each failure runs a fresh recovery cycle until the
-        application call's budget is spent (recover() itself gives up when
-        the server stays down, so this terminates either way).
+        recipe, so the question costs no request of its own.  A *different*
+        crash can hit the re-sent request too; each failure runs a fresh
+        recovery cycle until the application call's budget is spent
+        (recover() itself gives up when the server stays down, so this
+        terminates either way).
         ``retry_locks``: lock errors after which the server has aborted the
         request's transaction whole, so re-sending is a fresh execution
         (bounded by ``max_deadlock_retries``).
@@ -316,13 +317,12 @@ class PhoenixConnection(Connection):
     def _reap_server_sessions(self, session_ids: list[int]) -> None:
         """Best-effort disconnect of orphaned server sessions by id.
 
-        Used when this client abandoned a session without the server
-        noticing: a dropped connection mid-session (recovery rebuilt onto
-        fresh sessions) or a disconnect whose request died in flight.  Each
-        id gets a few attempts on throwaway channels; a session that is
-        already gone (crash took it, or the disconnect did land) counts as
-        reaped.  Never raises — the server-side ``reap_sessions`` hook is
-        the backstop for anything left behind.
+        Used when close()'s disconnect died in flight (a recovery's rebuild
+        reaps what it abandoned in its own connect).  Each id gets a few
+        attempts on throwaway channels; a session that is already gone
+        (crash took it, or the disconnect did land) counts as reaped.  Never
+        raises — the server-side ``reap_sessions`` hook is the backstop for
+        anything left behind.
         """
         from repro.errors import ServerCrashedError, SessionLostError
 

@@ -49,7 +49,9 @@ from repro.obs.tracer import get_tracer
 __all__ = ["NativeDriver", "DriverConnection"]
 
 
-def _send(channel: ClientChannel, request: Request, expected: type[Response]) -> Response:
+def _send(
+    channel: ClientChannel, request: Request, expected: type[Response] | tuple[type, ...]
+) -> Response:
     """One round trip whose reply must be an ``expected``: a peer that
     answers with anything else is not speaking this protocol, so the
     channel is broken and the failure is a ``CommunicationError`` (a check
@@ -116,17 +118,16 @@ class NativeDriver:
             )
             try:
                 response = _send(channel, request, (ConnectResponse, RestartingResponse))
+                if isinstance(response, RestartingResponse):
+                    raise ServerRestartingError(
+                        f"server restarting ({response.state}), "
+                        f"expected back in {response.eta_seconds:.3f}s",
+                        state=response.state,
+                        eta_seconds=response.eta_seconds,
+                    )
             except BaseException:
                 channel.close()
                 raise
-            if isinstance(response, RestartingResponse):
-                channel.close()
-                raise ServerRestartingError(
-                    f"server restarting ({response.state}), "
-                    f"expected back in {response.eta_seconds:.3f}s",
-                    state=response.state,
-                    eta_seconds=response.eta_seconds,
-                )
             span.set(session_id=response.session_id)
             return DriverConnection(self, channel, response, user)
 

@@ -205,8 +205,8 @@ def test_second_order_schedules_place_a_fault_at_each_recovery_request(explorer)
 
 
 def test_strided_second_order_sweep_recovers_every_schedule(explorer):
-    """Tier-1's slice of the second-order sweep (CI runs stride 3, and the
-    full density is ``python -m repro.chaos --second-order``)."""
+    """Tier-1's slice of the second-order sweep; CI's chaos-smoke runs the
+    full density, ``python -m repro.chaos --second-order``."""
     report = explorer.sweep(RECOVERY_FAULTS, stride=5, second_order=True)
     assert list(report.by_kind) == [f"{kind.value} in recovery" for kind in RECOVERY_FAULTS]
     assert report.runs > 10
