@@ -225,7 +225,7 @@ class ChaosExplorer:
         *,
         victim: int | None = None,
         tracer=None,
-        label: str | None = None,
+        label: str = "",
     ) -> ChaosRunResult:
         """Run one faulted schedule (``victim``: a targeted crash on that
         client's COMMIT); pass a ``repro.obs.Tracer`` to capture the run as
@@ -245,7 +245,7 @@ class ChaosExplorer:
             virtual_session_seconds=sum(c.virtual_session_seconds for c in clients),
             sql_state_seconds=sum(c.sql_state_seconds for c in clients),
             victim=victim,
-            label=label or "",
+            label=label,
         )
 
     def placements(
@@ -340,7 +340,7 @@ class ChaosExplorer:
         with ``second_order``), then ``random_runs`` seeded multi-fault
         schedules, each judged by the oracle."""
         labelled = [
-            (f"{kind.value} in recovery" if second_order else None, schedule)
+            (f"{kind.value} in recovery" if second_order else "", schedule)
             for kind in kinds
             for schedule in self.placements(kind, stride=stride, second_order=second_order)
         ]
