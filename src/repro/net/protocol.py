@@ -87,6 +87,8 @@ class ConnectRequest(Request):
 
     user: str = "app"
     options: dict[str, Any] = field(default_factory=dict)
+    #: the recipe — ``sql``, ``placeholders`` and ``reap`` came with the
+    #: connect becoming the ping (they retired ``PingRequest``)
     sql: str = ""
     placeholders: list = field(default_factory=list)
     reap: list[int] = field(default_factory=list)
@@ -151,7 +153,8 @@ class TableSchemaRequest(Request):
 class ConnectResponse(Response):
     session_id: int = 0
     server_epoch: int = 0
-    #: the recipe's reply (its last query's rows), None without a recipe
+    #: the recipe's reply (its last query's rows), None without a recipe;
+    #: with ``reaped`` it retired ``PongResponse``
     result: "ResultResponse | None" = None
     #: the ``reap`` ids that named a live session, now disconnected
     reaped: list[int] = field(default_factory=list)
