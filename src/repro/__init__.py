@@ -45,7 +45,7 @@ from repro.errors import (
     Warning,
 )
 from repro.core import PhoenixConfig, PhoenixConnection, PhoenixCursor, PhoenixDriverManager
-from repro.engine import DatabaseServer, RestartPolicy
+from repro.engine import DatabaseServer
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage, StableStorage
 from repro.net import (
     FaultInjector,
@@ -93,7 +93,6 @@ __all__ = [
     "NotSupportedError",
     # the simulated deployment
     "DatabaseServer",
-    "RestartPolicy",
     "ServerEndpoint",
     "Transport",
     "InProcessTransport",

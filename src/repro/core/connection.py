@@ -321,8 +321,7 @@ class PhoenixConnection(Connection):
         reaps what it abandoned in its own connect).  Each id gets a few
         attempts on throwaway channels; a session that is already gone
         (crash took it, or the disconnect did land) counts as reaped.  Never
-        raises — the server-side ``reap_sessions`` hook is the backstop for
-        anything left behind.
+        raises: a session left behind lives until the server restarts.
         """
         from repro.errors import ServerCrashedError, SessionLostError
 

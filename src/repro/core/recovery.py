@@ -41,7 +41,6 @@ from repro.errors import (
     CatalogError,
     CommunicationError,
     RecoveryError,
-    ServerRestartingError,
     SessionLostError,
 )
 from repro.core.naming import PROXY_TABLE
@@ -253,13 +252,7 @@ class PhoenixRecovery:
         (``PING_INTERVAL`` × ``PING_BACKOFF_FACTOR`` capped at
         ``PING_MAX_INTERVAL``, ±``PING_JITTER``), ``MAX_PING_ATTEMPTS``
         connects in all; then ``cause`` — the original communication error —
-        is passed on (at open, the last connect's).  A connect answered
-        RESTARTING (the server is mid *planned* restart and advertises when
-        it expects to be back) proves the server process alive — the
-        interval resets to the base ``PING_INTERVAL`` and does not grow, so
-        a planned pause is polled politely at a flat cadence instead of
-        inheriting crash-tuned exponential intervals that could overshoot
-        the swap by seconds.
+        is passed on (at open, the last connect's).
         """
         connection = self.connection
         old = connection.app
@@ -292,13 +285,6 @@ class PhoenixRecovery:
                         placeholders=list(probe),
                         reap=self._stale_sessions,
                     )
-            except ServerRestartingError as exc:
-                tracer.event(
-                    "recovery.ping", ok=False, restarting=True,
-                    state=exc.state, eta_seconds=exc.eta_seconds,
-                )
-                failure = exc
-                wait = interval = PING_INTERVAL  # planned pause: flat cadence
             except RECOVERABLE_ERRORS as exc:
                 tracer.event("recovery.ping", ok=False)
                 failure = exc

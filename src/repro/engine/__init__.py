@@ -17,12 +17,11 @@ Phoenix/ODBC depends on (see DESIGN.md §2):
 """
 
 from repro.engine.schema import Column, TableSchema
-from repro.engine.server import DatabaseServer, DrainStats, RestartPolicy
+from repro.engine.server import DatabaseServer, DrainStats
 from repro.engine.values import SqlType
 
 __all__ = [
     "DatabaseServer",
-    "RestartPolicy",
     "DrainStats",
     "TableSchema",
     "Column",

@@ -197,8 +197,9 @@ class SessionDispatcher:
             return True
 
     def keys_with_pending(self) -> set[Any]:
-        """Keys with queued or running work — sessions the reaper must not
-        treat as abandoned just because the drain barrier parked them."""
+        """Keys with queued or running work.  Nothing in the engine reads
+        it: tests wait on it to see a request park behind the drain
+        barrier."""
         with self._cond:
             return set(self._queues)
 

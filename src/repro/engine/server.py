@@ -12,8 +12,9 @@ and exposes the operations the wire protocol maps onto: ``connect`` (with
 ``close_cursor``, ``disconnect``.
 
 Fault injection drives :meth:`crash` — which throws away every volatile
-object exactly as a process kill would — and :meth:`restart`, which runs
-restart recovery from stable storage.  Committed tables come back; sessions,
+object exactly as a process kill would, and which a failed log write calls
+itself (the engine is fail-stop) — and :meth:`restart`, which runs restart
+recovery from stable storage.  Committed tables come back; sessions,
 temp tables, and open cursors do not.  That asymmetry is the entire reason
 Phoenix/ODBC exists.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import gc
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -52,10 +54,14 @@ from repro.sql import ast, parse_script
 __all__ = [
     "DatabaseServer",
     "ServerStats",
-    "RestartPolicy",
     "DrainStats",
     "RestoreReport",
 ]
+
+
+#: seconds a planned restart waits for in-flight work before it bounces the
+#: statements still waiting for a lock (see ``_drain_in_flight``)
+DRAIN_TIMEOUT = 1.0
 
 
 class ServerStats(CounterSet):
@@ -68,30 +74,6 @@ class ServerStats(CounterSet):
     connects: int = 0
     crashes: int = 0
     restarts: int = 0
-
-
-@dataclass
-class RestartPolicy:
-    """How :meth:`DatabaseServer.drain_and_restart` treats in-flight work.
-
-    * ``graceful`` — wait however long it takes for every in-flight
-      statement to finish; nothing is bounced.
-    * ``deadline`` — wait up to ``drain_timeout`` seconds, then bounce
-      every lock waiter with a retryable
-      :class:`~repro.errors.ServerRestartingError` (their transactions are
-      aborted like deadlock victims) and finish the drain.
-    * ``immediate`` — bounce waiters right away; only statements already
-      past their lock acquisitions run to completion.
-
-    Every session ends at the swap, and its cached plans with it.
-    """
-
-    mode: str = "deadline"
-    drain_timeout: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("graceful", "deadline", "immediate"):
-            raise ValueError(f"unknown restart mode: {self.mode!r}")
 
 
 class DrainStats(CounterSet):
@@ -156,20 +138,12 @@ class DatabaseServer:
         #: down, rebuilt cold on restart)
         self._parse_cache: LRUCache | None = None
         self.last_recovery: RecoveryReport | None = None
-        #: monotonically increasing activity counter; every session-scoped
-        #: operation stamps its session with the current value, which is
-        #: what :meth:`reap_sessions` compares against.  Cumulative across
-        #: restarts (it describes the simulation timeline, like stats).
-        self.activity_epoch = 0
         self.up = False
         #: planned-restart state machine: ``running`` → ``draining`` →
         #: ``swapping`` → ``running``.  Orthogonal to :attr:`up`, which stays
         #: True for the whole planned restart — the server is not *dead*,
         #: merely pausing; a crash mid-drain resets this to ``running``.
         self.lifecycle = "running"
-        #: monotonic deadline of the current drain window (None outside a
-        #: planned restart) — what the RESTARTING ping reply advertises
-        self._restart_deadline: float | None = None
         #: Engine-wide mutex: every public operation runs under it, so the
         #: worker threads of the dispatch layer interleave at *statement*
         #: granularity while engine structures (catalog, WAL, sessions) see
@@ -197,19 +171,29 @@ class DatabaseServer:
         self.database, self.last_recovery = recover(
             self.storage, wal_stats=self.wal_stats, lock_stats=self.lock_stats
         )
+        self._install(self.database)
+        self._parse_cache = LRUCache(PARSE_CACHE_CAPACITY)
+        # the new incarnation's commit index is reloaded from the archive's
+        # commit rows and the commits recovery's scan of the live log just met
+        self.time_travel.rebuild(self.last_recovery.live_commits)
+        self.up = True
+
+    def _install(self, database: Database) -> None:
+        """Wire an engine incarnation into this server."""
         # the lock manager waits on the engine mutex so blocked statements
         # release the engine, and the server grants waiters a real budget
         # (standalone LockManagers keep the historical fail-fast default)
-        self.database.locks.use_mutex(self._engine_mutex)
-        self.database.locks.default_timeout = DEFAULT_SERVER_WAIT
-        self._parse_cache = LRUCache(PARSE_CACHE_CAPACITY)
-        # wire the new incarnation into time travel: the WAL stamps commits
-        # with the manager's (restart-spanning) clock and publishes them to
-        # its index, which is reloaded here from the archive's commit rows
-        # and the commits recovery's scan of the live log just met
-        self.time_travel.attach(self.database)
-        self.time_travel.rebuild(self.last_recovery.live_commits)
-        self.up = True
+        database.locks.use_mutex(self._engine_mutex)
+        database.locks.default_timeout = DEFAULT_SERVER_WAIT
+        # fail-stop: a failed log write crashes the server inside the mutex
+        # hold that met it, so no other session commits after the torn frame.
+        # Weakly: a database must not keep its server alive, or a closed
+        # system would wait for the cycle collector to be freed
+        server = weakref.ref(self)
+        database.wal.on_fault = lambda: server().crash()
+        # the WAL stamps commits with time travel's (restart-spanning) clock
+        # and publishes them to its index
+        self.time_travel.attach(database)
 
     # ----------------------------------------------------------- lifecycle
 
@@ -235,12 +219,10 @@ class DatabaseServer:
             # write / failed force models the crash moment itself
             self.storage.clear_append_fault()
             self.stats.crashes += 1
-            # a crash during a planned drain aborts the drain: lift the
-            # barrier so parked requests run, observe the dead server, and
-            # enter the normal (unplanned) recovery path instead of hanging
-            self.lifecycle = "running"
-            self._restart_deadline = None
-            self.dispatcher.resume()
+            # a crash during a planned drain aborts the drain: parked
+            # requests run, observe the dead server, and enter the normal
+            # (unplanned) recovery path instead of hanging
+            self._end_drain()
             get_tracer().event("server.crash")
 
     def restart(self) -> RecoveryReport:
@@ -255,101 +237,99 @@ class DatabaseServer:
 
     # ------------------------------------------------------ planned restart
 
-    def begin_drain(self, policy: RestartPolicy | None = None) -> None:
+    def begin_drain(self) -> None:
         """Enter the ``draining`` state: the dispatcher stops claiming new
-        work (submissions park inside their wire threads), pings start
-        answering RESTARTING.  Split out of :meth:`drain_and_restart` so
-        fault injection can crash the server *inside* the drain window."""
-        policy = policy if policy is not None else RestartPolicy()
+        work, so every request — a connect too — parks inside its wire
+        thread until the barrier lifts.  Split out of the planned restart
+        so fault injection can crash the server *inside* the drain window."""
         with self._engine_mutex:
             self._require_up()
             if self.lifecycle != "running":
                 raise OperationalError("a planned restart is already in progress")
             self.lifecycle = "draining"
-            # graceful mode has no bound, but the advertised ETA still uses
-            # drain_timeout as the operator's estimate of the pause
-            self._restart_deadline = time.monotonic() + policy.drain_timeout
             self.drain_stats.drains_started += 1
         self.dispatcher.pause()
 
-    def restart_eta_seconds(self) -> float:
-        """Remaining seconds of the advertised drain window (0 when past
-        the deadline or when no planned restart is in progress)."""
-        deadline = self._restart_deadline
-        if deadline is None:
-            return 0.0
-        return max(0.0, deadline - time.monotonic())
+    def _end_drain(self) -> None:
+        """Lift the drain barrier: the one way out of a planned restart,
+        whether it completed, failed, or a crash cut it short."""
+        self.lifecycle = "running"
+        self.dispatcher.resume()
 
-    def drain_and_restart(self, policy: RestartPolicy | None = None) -> RecoveryReport:
+    def drain_and_restart(self) -> RecoveryReport:
         """Planned restart: drain in-flight work, checkpoint, swap in a
         fresh engine instance, resume — without ever going *down*.
 
-        New wire requests park behind the dispatcher's drain barrier for
-        the duration (their clients see a bounded pause, not an error);
-        in-flight statements run to completion, or — past the policy's
-        drain deadline — lock waiters are bounced with a retryable
-        :class:`~repro.errors.ServerRestartingError`.  All sessions are
-        then disconnected (open transactions abort cleanly), the database
-        checkpoints, and a fresh engine boots from stable storage: every
-        Phoenix client rides through on the existing recovery path, which
-        finds the server up, its session gone, and rebuilds it.
-
         Must be called from an administrative thread, never from a
-        dispatcher worker (the quiesce would wait on itself).
+        dispatcher worker (the quiesce would wait on itself) nor from a
+        thread that then connects (the connect would park behind the
+        barrier this thread holds).
         """
-        policy = policy if policy is not None else RestartPolicy()
+        self._planned_swap("server.swap", lambda: self.database.checkpoint())
+        return self.last_recovery
+
+    def _planned_swap(self, span: str, rewrite, **attrs):
+        """The one choreography of :meth:`drain_and_restart` and
+        :meth:`restore_to`; they differ only in ``rewrite``, the step
+        between ending the sessions and booting the fresh engine.
+
+        New wire requests — connects included — park behind the
+        dispatcher's drain barrier for the duration (their clients see a
+        bounded pause, not an error); in-flight statements run to
+        completion, and lock waiters still waiting after
+        :data:`DRAIN_TIMEOUT` are bounced with a retryable
+        :class:`~repro.errors.ServerRestartingError`.  Every session is then
+        disconnected (open transactions abort), ``rewrite`` runs, and a
+        fresh engine boots from stable storage: each Phoenix client rides
+        through on the paper's recovery path, whose connect — parked until
+        now — finds the server up and its session gone.
+
+        Returns ``(rewrite's result, sessions ridden through)``.
+        """
         tracer = get_tracer()
         start = time.monotonic()
         bounced_before = self.lock_stats.drain_bounces
-        self._drain_in_flight(policy, tracer)
-        with tracer.span("server.swap"):
+        self._drain_in_flight(tracer)
+        with tracer.span(span, **attrs):
             with self._engine_mutex:
                 try:
                     self._require_up()  # a mid-drain crash beat us to the swap
                     self.lifecycle = "swapping"
                     ridden = len(self.sessions)
                     self.end_sessions()
-                    self.database.checkpoint()
+                    result = rewrite()
                     self._boot()
                     self.stats.restarts += 1
                     self.drain_stats.drains_completed += 1
                     self.drain_stats.sessions_ridden_through += ridden
                 finally:
-                    self.lifecycle = "running"
-                    self._restart_deadline = None
-                    self.dispatcher.resume()
-        pause = time.monotonic() - start
+                    self._end_drain()
         self.drain_stats.statements_bounced += (
             self.lock_stats.drain_bounces - bounced_before
         )
         self.drain_stats.max_pause_seconds = max(
-            self.drain_stats.max_pause_seconds, pause
+            self.drain_stats.max_pause_seconds, time.monotonic() - start
         )
-        return self.last_recovery
+        return result, ridden
 
-    def _drain_in_flight(self, policy: RestartPolicy, tracer) -> None:
-        """The drain half of a planned restart/restore: enter ``draining``,
-        quiesce the dispatcher per the policy, bounce lock waiters past the
-        deadline.  On failure the barrier is lifted before re-raising."""
-        with tracer.span("server.drain", mode=policy.mode, drain_timeout=policy.drain_timeout):
-            self.begin_drain(policy)
+    def _drain_in_flight(self, tracer) -> None:
+        """The drain half of a planned swap: enter ``draining``, wait up to
+        :data:`DRAIN_TIMEOUT` for the dispatcher to quiesce, then bounce the
+        lock waiters and wait out the statements that are genuinely
+        executing.  On failure the barrier is lifted before re-raising."""
+        timeout = DRAIN_TIMEOUT
+        with tracer.span("server.drain", drain_timeout=timeout):
+            self.begin_drain()
             try:
-                if policy.mode == "graceful":
+                if not self.dispatcher.quiesce(timeout):
+                    # evict lock waiters (their txns abort like deadlock
+                    # victims): their releasers may be parked at the barrier
+                    self.database.locks.bounce_waiters()
                     self.dispatcher.quiesce(None)
-                else:
-                    timeout = policy.drain_timeout if policy.mode == "deadline" else 0.0
-                    if not self.dispatcher.quiesce(timeout):
-                        # deadline passed: evict lock waiters (their txns
-                        # abort like deadlock victims) and wait out the
-                        # statements that are genuinely executing
-                        self.database.locks.bounce_waiters()
-                        self.dispatcher.quiesce(None)
             except BaseException:
                 # drain failed (e.g. a concurrent crash() raced us): lift
                 # the barrier rather than leave parked requests hanging
-                self.lifecycle = "running"
-                self._restart_deadline = None
-                self.dispatcher.resume()
+                self._end_drain()
                 raise
 
     # ------------------------------------------------------------ time travel
@@ -398,7 +378,7 @@ class DatabaseServer:
                 lock_stats=self.lock_stats,
             )
             restored.indexes = dict(snapshot.database.indexes)
-            self.time_travel.attach(restored)
+            self._install(restored)
             restored.checkpoint()
             self.time_travel.stats.commits_discarded += discarded
             return RestoreReport(
@@ -410,45 +390,23 @@ class DatabaseServer:
                 tables=info.tables,
             )
 
-    def restore_to(
-        self, ts: float, policy: RestartPolicy | None = None
-    ) -> RestoreReport:
+    def restore_to(self, ts: float | None) -> RestoreReport:
         """Restore the database to its state as of ``ts`` — application
         error recovery from the log (Talius et al.; docs/TIME_TRAVEL.md).
 
-        The choreography is a planned restart with the engine swap replaced
-        by a storage rewrite: drain in-flight work behind the dispatcher
-        barrier, disconnect every session (open transactions abort), rewrite
-        stable storage to the cut via :meth:`restore_storage_to`, boot a
-        fresh engine from it, resume.  Every Phoenix session rides through
-        on the ordinary recovery path.  Commits after the cut are *erased*
-        — that is the point — so the caller chooses ``ts`` with care.
-
-        Must be called from an administrative thread, never a dispatcher
-        worker (the quiesce would wait on itself).
+        A planned restart whose swap rewrites stable storage to the cut
+        (:meth:`restore_storage_to`) where a restart checkpoints; every
+        Phoenix session rides through on the ordinary recovery path.
+        Commits after the cut are *erased* — that is the point — so the
+        caller chooses ``ts`` with care.  Called as
+        :meth:`drain_and_restart` is.
         """
-        policy = policy if policy is not None else RestartPolicy()
-        tracer = get_tracer()
         start = time.monotonic()
-        self._drain_in_flight(policy, tracer)
-        with tracer.span("server.restore", ts=ts):
-            with self._engine_mutex:
-                try:
-                    self._require_up()  # a mid-drain crash beat us here
-                    self.lifecycle = "swapping"
-                    ridden = len(self.sessions)
-                    self.end_sessions()
-                    report = self.restore_storage_to(ts)
-                    self._boot()
-                    self.stats.restarts += 1
-                    self.drain_stats.drains_completed += 1
-                    self.drain_stats.sessions_ridden_through += ridden
-                    self.time_travel.stats.restores_completed += 1
-                    report.sessions_ridden = ridden
-                finally:
-                    self.lifecycle = "running"
-                    self._restart_deadline = None
-                    self.dispatcher.resume()
+        report, ridden = self._planned_swap(
+            "server.restore", lambda: self.restore_storage_to(ts), ts=ts
+        )
+        self.time_travel.stats.restores_completed += 1
+        report.sessions_ridden = ridden
         report.seconds = time.monotonic() - start
         return report
 
@@ -488,7 +446,6 @@ class DatabaseServer:
                 metrics=self.engine_metrics,
                 stats=self.executor_stats,
             )
-            self._touch(session)
             self.stats.connects += 1
             return session.session_id
 
@@ -515,37 +472,9 @@ class DatabaseServer:
                 self.disconnect(session_id)
             return reaped
 
-    def _touch(self, session: Session) -> None:
-        self.activity_epoch += 1
-        session.last_epoch = self.activity_epoch
-
-    def reap_sessions(self, older_than_epoch: int) -> list[int]:
-        """Administrative GC hook: disconnect every session whose last
-        activity predates ``older_than_epoch`` (open transactions are
-        aborted by the disconnect).  A client that loses its connection
-        without a crash (network glitch) leaves its old session orphaned —
-        Phoenix reaps its own orphans best-effort during recovery, and this
-        hook is the server-side backstop an operator (or test) can drive.
-        Returns the reaped session ids."""
-        with self._engine_mutex:
-            self._require_up()
-            # A session parked behind the drain barrier looks idle (its last
-            # request is queued, not stamped) but its client is alive and
-            # blocked mid-request — reaping it would turn a planned pause
-            # into a lost session.
-            parked = self.dispatcher.keys_with_pending()
-            reaped = []
-            for session_id, session in list(self.sessions.items()):
-                if session.last_epoch < older_than_epoch and session_id not in parked:
-                    self.disconnect(session_id)
-                    reaped.append(session_id)
-            return reaped
-
     def _session(self, session_id: int) -> Session:
         try:
-            session = self.sessions[session_id]
-            self._touch(session)
-            return session
+            return self.sessions[session_id]
         except KeyError:
             # The server is up but this session is gone — it died in a crash
             # + fast restart, or was disconnected.  A distinct error type so
@@ -709,9 +638,9 @@ class DatabaseServer:
                         error_index = index
                         break
         except BaseException:
-            # a device fault (StorageFault) mid-batch: the server is about
-            # to be crashed by the endpoint — leave the deferred commits
-            # un-forced; they die with the volatile engine
+            # a device fault (StorageFault) mid-batch has crashed the
+            # server — leave the deferred commits un-forced; they died with
+            # the volatile engine
             wal.end_deferred()
             raise
         if stop_after is not None:

@@ -39,10 +39,6 @@ class Session:
         #: the rowcount() function (our @@ROWCOUNT; Phoenix's status-table
         #: wrapper records it inside the same transaction as the DML).
         self.last_rowcount: int = 0
-        #: server activity epoch of this session's last operation — stamped
-        #: by the server, read by ``DatabaseServer.reap_sessions`` to find
-        #: sessions orphaned by a dropped connection.
-        self.last_epoch: int = 0
         self.closed = False
 
     def register_cursor(self, cursor: ServerCursor) -> int:

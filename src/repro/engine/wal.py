@@ -31,6 +31,11 @@ Correctness notes (see DESIGN.md §5):
   atomic log append.  A crash before the batch lands leaves the transaction
   a loser (undone again from scratch — idempotent because redo rebuilds the
   pre-undo state first); after it lands the transaction is cleanly aborted.
+* **Fail-stop on a device fault.** A failed device append is never retried
+  and nothing is appended after it: the log refuses every later append and
+  force, and its ``on_fault`` hook (the server's ``crash``) runs before the
+  fault leaves the log — so no commit is acknowledged past a torn frame,
+  which restart's scan would cut.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.engine.schema import TableSchema
-from repro.engine.storage import StableStorage
+from repro.engine.storage import StableStorage, StorageFault
 from repro.obs.metrics import CounterSet
 from repro.obs.tracer import get_tracer
 
@@ -235,6 +240,11 @@ class WriteAheadLog:
         #: called after each successful device force, once per commit record
         #: it covered
         self.log_index = None
+        #: called once, with no arguments, when a device append fails —
+        #: before the fault propagates (the server installs its ``crash``)
+        self.on_fault = None
+        #: the device fault this log met; set, it refuses every later write
+        self._fault: StorageFault | None = None
 
     # counter views (back-compat with direct ``wal.forces`` readers)
 
@@ -256,8 +266,23 @@ class WriteAheadLog:
         """
         return self._storage.log_size() + self._pending_bytes
 
+    def _refuse_after_fault(self) -> None:
+        if self._fault is not None:
+            raise StorageFault(f"log refuses writes after a device fault ({self._fault})")
+
+    def _write(self, payload: bytes) -> None:
+        """One device append; a fault there stops the log for good."""
+        try:
+            self._storage.append_log(payload)
+        except StorageFault as exc:
+            self._fault = exc
+            if self.on_fault is not None:
+                self.on_fault()
+            raise
+
     def append(self, record: LogRecord) -> int:
         """Buffer one record (volatile until the next force); returns its LSN."""
+        self._refuse_after_fault()
         record.lsn = self._next_lsn()
         if record.type is RecordType.COMMIT:
             # provisional stamp: a float *now* so the frame length is final
@@ -313,6 +338,7 @@ class WriteAheadLog:
         what makes them durable — callers must not release any commit
         acknowledgement before that group force lands.
         """
+        self._refuse_after_fault()
         if self._defer_forces:
             self._deferred_forces += 1
             return self._next_lsn()
@@ -322,7 +348,7 @@ class WriteAheadLog:
             payload = b"".join(self._pending)
             self._pending.clear()
             self._pending_bytes = 0
-            self._storage.append_log(payload)
+            self._write(payload)
             self._publish_commits(published)
             get_tracer().event("wal.force", records=flushed, bytes=len(payload))
         self.stats.forces += 1
@@ -371,6 +397,7 @@ class WriteAheadLog:
         Used for CLR batches and checkpoint records (see module docstring).
         Returns the LSNs assigned to ``records``.
         """
+        self._refuse_after_fault()
         lsns: list[int] = []
         frames: list[bytes] = []
         for record in records:
@@ -386,7 +413,7 @@ class WriteAheadLog:
         self.stats.records_written += len(records)
         self.stats.forces += 1
         if payload:
-            self._storage.append_log(payload)
+            self._write(payload)
             self._publish_commits(published)
             get_tracer().event(
                 "wal.force", records=len(records), bytes=len(payload), atomic_batch=True

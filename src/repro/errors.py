@@ -133,17 +133,9 @@ class ServerCrashedError(CommunicationError):
 
 
 class ServerRestartingError(CommunicationError):
-    """The server is executing a *planned* restart (drain/swap) rather than
-    having crashed.  Statements bounced off the drain barrier had their
-    transaction aborted server-side first (like a deadlock victim), so they
-    are safely retryable; connects answered with this error carry the advertised
-    restart state and expected remaining pause so the client can wait
-    politely instead of backing off on crash-tuned intervals."""
-
-    def __init__(self, message: str, *, state: str = "draining", eta_seconds: float = 0.0):
-        super().__init__(message)
-        self.state = state
-        self.eta_seconds = eta_seconds
+    """A lock waiter was bounced by a *planned* restart's drain.  Its
+    transaction was aborted server-side first (like a deadlock victim), so
+    the statement is safely retryable once its session is rebuilt."""
 
 
 class SessionLostError(OperationalError):

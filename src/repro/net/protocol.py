@@ -47,7 +47,6 @@ __all__ = [
     "FetchResponse",
     "OkResponse",
     "ErrorResponse",
-    "RestartingResponse",
     "encode_message",
     "decode_message",
 ]
@@ -76,8 +75,9 @@ class ConnectRequest(Request):
     """Open a session, and run the *session recipe* in it before replying.
 
     A server that answers a connect is alive, so the connect is also the
-    liveness probe (it retired ``PingRequest``); mid planned restart it is
-    answered with :class:`RestartingResponse`.  The recipe is what the new
+    liveness probe (it retired ``PingRequest``); mid planned restart it
+    waits behind the drain barrier like any request, and the swapped-in
+    engine answers it.  The recipe is what the new
     session needs before its first statement: ``reap`` lists sessions to
     disconnect first (a client's abandoned ones — their locks go before
     anything runs), then ``sql`` runs, with ``placeholders``, in the new
@@ -152,7 +152,6 @@ class TableSchemaRequest(Request):
 @dataclass
 class ConnectResponse(Response):
     session_id: int = 0
-    server_epoch: int = 0
     #: the recipe's reply (its last query's rows), None without a recipe;
     #: with ``reaped`` it retired ``PongResponse``
     result: "ResultResponse | None" = None
@@ -222,21 +221,6 @@ class BatchExecuteResponse(Response):
     results: list[ResultResponse] = field(default_factory=list)
     error: ErrorResponse | None = None
     error_index: int = -1
-
-
-@dataclass
-class RestartingResponse(Response):
-    """Connect reply while a *planned* restart is in progress.
-
-    The server is alive (this reply proves it) but paused: ``state`` is the
-    lifecycle phase (``draining``/``swapping``) and ``eta_seconds`` the
-    advertised remaining pause, so the client waits politely at a flat
-    interval instead of applying crash-tuned exponential backoff.
-    """
-
-    state: str = "draining"
-    eta_seconds: float = 0.0
-    server_epoch: int = 0
 
 
 @dataclass

@@ -46,7 +46,6 @@ from repro.net.protocol import (
     OkResponse,
     Request,
     Response,
-    RestartingResponse,
     ResultResponse,
     TableSchemaRequest,
     TableSchemaResponse,
@@ -80,28 +79,10 @@ class ServerEndpoint:
         self.faults = FaultInjector()
         #: simulated one-way-and-back wire transit per request, seconds
         self.latency = 0.0
-        #: bumped every restart so clients can see "same server, new life"
-        self.epoch = 0
 
     def restart_server(self):
-        """Restart the crashed server and bump the epoch."""
-        report = self.server.restart()
-        self.epoch += 1
-        return report
-
-    def drain_and_restart(self, policy=None):
-        """Planned restart (drain + engine swap) and bump the epoch."""
-        report = self.server.drain_and_restart(policy)
-        self.epoch += 1
-        return report
-
-    def restore_to(self, ts=None, policy=None):
-        """Restore the database to its state as of ``ts`` (drain + storage
-        rewrite + fresh boot; see ``DatabaseServer.restore_to``) and bump
-        the epoch — to clients this is a planned restart they ride through."""
-        report = self.server.restore_to(ts, policy=policy)
-        self.epoch += 1
-        return report
+        """Restart the crashed server (``DatabaseServer.restart``)."""
+        return self.server.restart()
 
     # -- the wire ------------------------------------------------------------
 
@@ -117,9 +98,6 @@ class ServerEndpoint:
         if self.latency:
             time.sleep(self.latency / 2)
         try:
-            bypass = self._restarting_bypass(request)
-            if bypass is not None:
-                return bypass
             return self.server.dispatcher.run(key, lambda: self._serve(request, corr))
         finally:
             if self.latency:
@@ -138,8 +116,8 @@ class ServerEndpoint:
         so the request is enqueued and ``callback(raw_response, exc)`` is
         invoked on the dispatch worker once it has run (check ``exc``
         first; it carries the CommunicationError subclasses that
-        :meth:`handle` would raise).  The planned-restart connect bypass and
-        decode failures invoke the callback synchronously on the caller.
+        :meth:`handle` would raise).  Decode failures invoke the callback
+        synchronously on the caller.
 
         ``frame_attrs`` (the TCP server passes peer + byte counts) opens a
         ``net.frame`` span around the server-side body so the socket tier
@@ -149,12 +127,8 @@ class ServerEndpoint:
         """
         try:
             request, key, corr = self._prepare(raw_request)
-            bypass = self._restarting_bypass(request)
         except Exception as exc:
             callback(None, exc)
-            return
-        if bypass is not None:
-            callback(bypass, None)
             return
 
         if frame_attrs is None:
@@ -195,26 +169,6 @@ class ServerEndpoint:
         corr = caller_span.corr if caller_span is not None else None
         return request, key, corr
 
-    def _restarting_bypass(self, request: Request) -> bytes | None:
-        # Connects bypass the dispatcher while a *planned* restart is in
-        # progress: parked behind the drain barrier they could tell the
-        # client nothing until the swap is over (and a recipe run in the
-        # draining engine would die with it) — answered here, they
-        # advertise RESTARTING + the expected remaining pause, which is
-        # what lets the driver back off politely instead of treating
-        # the pause as a crash.
-        if isinstance(request, ConnectRequest) and self.server.up:
-            state = self.server.lifecycle
-            if state != "running":
-                return encode_message(
-                    RestartingResponse(
-                        state=state,
-                        eta_seconds=self.server.restart_eta_seconds(),
-                        server_epoch=self.epoch,
-                    )
-                )
-        return None
-
     def _serve(self, request: Request, corr: str | None = None) -> bytes:
         """The server-side body of one request (runs on a dispatch worker)."""
         tracer = get_tracer()
@@ -247,7 +201,7 @@ class ServerEndpoint:
                         )
                     except (errors.Error, StorageFault):
                         pass  # the kill swallows whatever the prefix raised
-                self.server.crash()
+                self._kill()
                 raise errors.CommunicationError(
                     "connection reset by peer (server crashed mid-batch)"
                 )
@@ -266,9 +220,9 @@ class ServerEndpoint:
                 if fault_arg:
                     try:
                         self.server.checkpoint()
-                    except errors.Error:
+                    except (errors.Error, StorageFault):
                         pass
-                self.server.crash()
+                self._kill()
                 raise errors.CommunicationError(
                     "connection reset by peer (server crashed mid-drain)"
                 )
@@ -287,9 +241,9 @@ class ServerEndpoint:
                 if fault_arg:
                     try:
                         self.server.restore_storage_to(None)
-                    except errors.Error:
+                    except (errors.Error, StorageFault):
                         pass
-                self.server.crash()
+                self._kill()
                 raise errors.CommunicationError(
                     "connection reset by peer (server crashed mid-restore)"
                 )
@@ -303,9 +257,10 @@ class ServerEndpoint:
             try:
                 response = self._dispatch(request)
             except StorageFault as exc:
-                # the log device failed under the server: that is a process
-                # kill, not an SQL error — nothing in-band can describe it
-                self.server.crash()
+                # the log device failed under the server, and the server
+                # crashed itself at the failed write (the engine is
+                # fail-stop): a process kill, not an SQL error — nothing
+                # in-band can describe it
                 raise errors.CommunicationError(
                     f"connection reset by peer (server crashed: {exc})"
                 ) from exc
@@ -319,6 +274,12 @@ class ServerEndpoint:
                     "connection reset by peer (server crashed before replying)"
                 )
             return encode_message(response)
+
+    def _kill(self) -> None:
+        """The process kill of a fault that let some work run first — unless
+        that work met a device fault, which already crashed the server."""
+        if self.server.up:
+            self.server.crash()
 
     # -- dispatch --------------------------------------------------------------
 
@@ -337,9 +298,7 @@ class ServerEndpoint:
                     if server.session_exists(session_id):
                         server.disconnect(session_id)  # no half-built session stays
                     raise
-            return ConnectResponse(
-                session_id=session_id, server_epoch=self.epoch, result=result, reaped=reaped
-            )
+            return ConnectResponse(session_id=session_id, result=result, reaped=reaped)
         if isinstance(request, ExecuteRequest):
             result = server.execute(
                 request.session_id,

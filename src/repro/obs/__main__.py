@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         "--restarts",
         action="store_true",
         help="print the planned-restart section: every server.drain / "
-        "server.swap span with its mode and duration",
+        "server.swap span with its duration",
     )
     parser.add_argument(
         "--restores",
@@ -158,7 +158,7 @@ def render_lock_waits(records: list[dict]) -> str:
 
 def render_restarts(records: list[dict]) -> str:
     """The planned-restart section: one line per ``server.drain`` /
-    ``server.swap`` span (drain mode, duration), in trace order —
+    ``server.swap`` span (drain timeout, duration), in trace order —
     the operator's view of how long each pause actually was."""
     spans = [
         r
@@ -168,14 +168,9 @@ def render_restarts(records: list[dict]) -> str:
     spans.sort(key=lambda r: r.get("start", 0.0))
     lines = [f"planned restarts: {sum(1 for r in spans if r['name'] == 'server.drain')}"]
     for record in spans:
-        attrs = record.get("attrs", {})
         duration_ms = (record.get("end", 0.0) - record.get("start", 0.0)) * 1000
-        detail = ""
-        if record["name"] == "server.drain":
-            detail = f" mode={attrs.get('mode', '?')}"
-            timeout = attrs.get("drain_timeout")
-            if timeout is not None:
-                detail += f" drain_timeout={timeout}s"
+        timeout = record.get("attrs", {}).get("drain_timeout")  # drain spans only
+        detail = "" if timeout is None else f" drain_timeout={timeout}s"
         lines.append(f"  {record['name']}{detail}: {duration_ms:.2f} ms")
     return "\n".join(lines)
 

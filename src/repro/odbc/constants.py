@@ -1,4 +1,4 @@
-"""ODBC-flavoured constants: cursor types, statement attributes, rc codes.
+"""ODBC-flavoured constants: cursor types and statement attributes.
 
 String-valued rather than the standard's integers — the *shape* of the API
 (attributes set on a statement before execute decide delivery mode) is what
@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "CursorType",
     "StatementAttr",
-    "ReturnCode",
     "DEFAULT_FETCH_BLOCK",
     "DEFAULT_BATCH_SIZE",
 ]
@@ -32,20 +31,9 @@ class StatementAttr:
 
     CURSOR_TYPE = "cursor_type"
     FETCH_BLOCK_SIZE = "fetch_block_size"
-    QUERY_TIMEOUT = "query_timeout"
     #: statements per wire batch for executemany (the SQL_ATTR_PARAMSET_SIZE
     #: analog); 1 = one round trip per statement
     BATCH_SIZE = "batch_size"
-
-
-class ReturnCode:
-    """SQL/CLI-style return codes surfaced by the handle API."""
-
-    SUCCESS = 0
-    SUCCESS_WITH_INFO = 1
-    NO_DATA = 100
-    ERROR = -1
-    INVALID_HANDLE = -2
 
 
 #: rows per FETCH round trip for server cursors

@@ -17,7 +17,6 @@ from typing import Any
 from repro.errors import (
     CommunicationError,
     InterfaceError,
-    ServerRestartingError,
     SessionLostError,
 )
 from repro.net.metrics import NetworkMetrics
@@ -33,7 +32,6 @@ from repro.net.protocol import (
     FetchResponse,
     Request,
     Response,
-    RestartingResponse,
     ResultResponse,
     TableSchemaRequest,
     TableSchemaResponse,
@@ -101,12 +99,9 @@ class NativeDriver:
         connection's :attr:`~DriverConnection.opened`.
 
         A connect is also the liveness probe: a server that is down fails
-        it, and one mid planned restart answers
-        :class:`~repro.net.protocol.RestartingResponse`, which surfaces as
-        :class:`~repro.errors.ServerRestartingError` carrying the advertised
-        state and remaining pause, so the caller's backoff can distinguish
-        a polite wait from a crash.  The channel of a failed connect is
-        closed."""
+        it, and one mid planned restart holds it behind the drain barrier
+        until the swapped-in engine answers.  The channel of a failed
+        connect is closed."""
         with get_tracer().span("driver.connect", user=user) as span:
             channel = self._open_channel()
             request = ConnectRequest(
@@ -117,14 +112,7 @@ class NativeDriver:
                 reap=list(reap),
             )
             try:
-                response = _send(channel, request, (ConnectResponse, RestartingResponse))
-                if isinstance(response, RestartingResponse):
-                    raise ServerRestartingError(
-                        f"server restarting ({response.state}), "
-                        f"expected back in {response.eta_seconds:.3f}s",
-                        state=response.state,
-                        eta_seconds=response.eta_seconds,
-                    )
+                response = _send(channel, request, ConnectResponse)
             except BaseException:
                 channel.close()
                 raise

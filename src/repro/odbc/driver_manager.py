@@ -194,7 +194,6 @@ class Statement:
         self.attrs: dict[str, Any] = {
             StatementAttr.CURSOR_TYPE: CursorType.FORWARD_ONLY,
             StatementAttr.FETCH_BLOCK_SIZE: DEFAULT_FETCH_BLOCK,
-            StatementAttr.QUERY_TIMEOUT: None,
             # the plain stack has no wire batching, so this never changes
             # behaviour here; Phoenix's executemany reads it
             StatementAttr.BATCH_SIZE: DEFAULT_BATCH_SIZE,

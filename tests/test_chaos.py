@@ -250,24 +250,6 @@ def test_cli_exits_nonzero_and_traces_each_failing_schedule(tmp_path, capsys, mo
 
 # ------------------------------------------------------------- session reaping
 
-def test_reap_sessions_disconnects_only_stale(system):
-    server = system.server
-    old = server.connect("stale")
-    cutoff_epoch = server.activity_epoch
-    young = server.connect("fresh")
-    reaped = server.reap_sessions(older_than_epoch=cutoff_epoch + 1)
-    assert reaped == [old]
-    assert old not in server.sessions and young in server.sessions
-
-
-def test_session_activity_epoch_advances_on_use(system):
-    server = system.server
-    sid = server.connect("worker")
-    first = server.sessions[sid].last_epoch
-    server.execute(sid, "SELECT 1")
-    assert server.sessions[sid].last_epoch > first
-
-
 def test_drop_mid_txn_leaves_no_lock_holding_orphan(explorer):
     # DROP_CONNECTION while a transaction holds locks: the old session must
     # be reaped during recovery or it would block the replay forever

@@ -188,12 +188,13 @@ def test_driver_ping_uses_throwaway_channel(stack):
     disconnects at once."""
     server, endpoint, manager = stack
     driver = manager.driver_for("db")
-    assert driver.connect().opened.server_epoch == 0
+    opened = driver.connect().opened
+    assert list(server.sessions) == [opened.session_id]
     server.crash()
     with pytest.raises(errors.ServerCrashedError):
         driver.connect()
     endpoint.restart_server()
-    assert driver.ping().server_epoch == 1  # fresh channel each time
+    assert driver.ping().session_id != opened.session_id  # fresh channel each time
     assert not server.sessions
 
 

@@ -14,7 +14,9 @@ procedure is named per execution again, or a plan is checked against a
 server-wide counter.  PR 24 gave DML the SELECT planner's access paths: they
 fail when a second function starts looking rows up in an index.  PR 25 made
 every value only tests turned a constant: they fail when a config field or
-an engine or wire constructor keyword has no caller outside the tests.  One
+an engine or wire constructor keyword has no caller outside the tests, and
+the planned restart's policy argument showed that a defaulted keyword of a
+server or endpoint method is such a setting too.  One
 server session serves a virtual session: they fail when ``repro.core``
 opens a second one.  Values travel beside the text: they fail when a bound
 value or a sequence number is spliced into a statement Phoenix sends.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,8 @@ from repro.core import PhoenixConfig
 from repro.core.naming import NameAllocator
 from repro.engine import DatabaseServer
 from repro.engine.executor import Executor
+from repro.net.transport import ServerEndpoint
+from repro.odbc.constants import StatementAttr
 from repro.odbc.driver import DriverConnection
 from repro.sql import ast as sql_ast  # ``ast`` is Python's here
 
@@ -160,12 +165,31 @@ def _constructors() -> dict[str, dict[str, int | None]]:
     return found
 
 
+#: classes whose public methods' defaulted keywords are settings as well
+SETTINGS_METHOD_CLASSES = (DatabaseServer, ServerEndpoint)
+
+
+def _public_methods() -> dict[str, dict[str, int | None]]:
+    """Every public method of :data:`SETTINGS_METHOD_CLASSES`: method name
+    → its defaulted parameters."""
+    found = {}
+    for cls in SETTINGS_METHOD_CLASSES:
+        [tree] = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+        for function in tree.body:
+            if isinstance(function, ast.FunctionDef) and not function.name.startswith("_"):
+                found[function.name] = _defaulted_parameters(function)
+    return found
+
+
 def test_every_constructor_keyword_is_passed_by_some_caller():
     """A keyword nobody passes is a setting with one value in use: the
     constant beside the code that reads it (dispatcher pool bounds, TCP
     timeouts, cache capacities, the commit clock's time source, a server
-    name, an endpoint's fault injector were such keywords)."""
-    constructors = _constructors()
+    name, an endpoint's fault injector were such keywords).  The server's
+    and the endpoint's public methods count as constructors here: the
+    planned restart's three-mode policy was a method argument only tests
+    passed."""
+    constructors = {**_constructors(), **_public_methods()}
     passed: dict[str, set] = {name: set() for name in constructors}
     for call in _caller_calls():
         name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -179,6 +203,23 @@ def test_every_constructor_keyword_is_passed_by_some_caller():
         if parameter not in passed[name] and position not in passed[name]
     }
     assert unpassed == set(UNPASSED_KEYWORDS)
+
+
+def test_every_statement_attribute_is_read():
+    """An attribute a statement stores but no code reads is a knob that does
+    nothing (``QUERY_TIMEOUT`` was one): every one is looked up in a
+    statement's ``attrs`` somewhere under ``src/``."""
+    declared = {name for name in vars(StatementAttr) if name.isupper()}
+    read = {
+        node.slice.attr
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.slice, ast.Attribute)
+        and getattr(node.slice.value, "id", None) == "StatementAttr"
+    }
+    assert declared == read
 
 
 # ---------------------------------------------------------------- one failure path
@@ -397,12 +438,17 @@ def test_no_plan_is_validated_against_a_server_wide_counter():
 
 def test_deleted_settings_stay_deleted():
     """The table-lock ablation switch, the planned restart's catalog bump,
-    the fleet-wide jitter seed, the second (wall-clock) recovery bound and
-    the simulated-latency counter are gone, not kept beside what replaced
-    them."""
+    the fleet-wide jitter seed, the second (wall-clock) recovery bound, the
+    simulated-latency counter, the planned restart's policy, RESTARTING
+    answer, ETA and epoch, the test-only session reaper, the unread query
+    timeout and the unused return codes are gone, not kept beside what
+    replaced them."""
     gone = {
         "row_locking", "bump_catalog", "catalog_version", "temp_version",
         "jitter_seed", "recovery_deadline", "simulated_seconds",
+        "RestartPolicy", "RestartingResponse", "restart_eta_seconds",
+        "_restarting_bypass", "server_epoch", "reap_sessions", "activity_epoch",
+        "last_epoch", "QUERY_TIMEOUT", "ReturnCode",
     }
     assert not gone & _identifiers_under_src()
 

@@ -27,7 +27,6 @@ def hard_restart(system, tmp_path=None):
     old = system.endpoint.server
     system.endpoint.server = reborn
     system.server = reborn
-    system.endpoint.epoch += 1
     return reborn
 
 

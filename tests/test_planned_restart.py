@@ -6,11 +6,10 @@ the planned-maintenance path built on the same recovery machinery:
 * ``drain_and_restart`` under a 16-client workload completes with zero
   client-visible errors and exactly-once effects (the PR's acceptance
   line);
-* the drain barrier parks new work, graceful drains wait out in-flight
-  statements, deadline drains bounce lock waiters retryably;
-* pings answered ``RESTARTING`` reset the driver's backoff to a flat
-  cadence instead of inheriting crash-tuned exponential intervals;
-* ``reap_sessions`` spares sessions parked behind the drain barrier;
+* the drain barrier parks new work — a connect too, which the swapped-in
+  engine answers on the first try — drains wait out in-flight statements,
+  and lock waiters still waiting after ``DRAIN_TIMEOUT`` are bounced
+  retryably;
 * crashes *during* a drain or swap recover exactly-once like any other
   crash (chaos sweep);
 * drain counters surface in ``MetricsRegistry.snapshot()["server"]``.
@@ -25,16 +24,9 @@ import pytest
 
 import repro
 from repro.core import recovery
-from repro.engine.server import DrainStats, RestartPolicy
-from repro.errors import OperationalError, ServerRestartingError
-
-
-def _lift_drain(server) -> None:
-    """Manually end a drain a test started with ``begin_drain`` (the test
-    stands in for the swap half of ``drain_and_restart``)."""
-    server.lifecycle = "running"
-    server._restart_deadline = None
-    server.dispatcher.resume()
+from repro.engine import server as server_module
+from repro.engine.server import DrainStats
+from repro.errors import OperationalError
 
 
 def _make_table(system, rows: int = 1) -> None:
@@ -53,20 +45,6 @@ def _rows(system) -> list[tuple]:
     return rows
 
 
-# ------------------------------------------------------------- policy object
-
-
-def test_restart_policy_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        RestartPolicy(mode="yolo")
-
-
-def test_restart_policy_defaults():
-    policy = RestartPolicy()
-    assert policy.mode == "deadline"
-    assert policy.drain_timeout > 0
-
-
 # ------------------------------------------------------- basic ride-through
 
 
@@ -76,9 +54,7 @@ def test_single_session_rides_through_planned_restart(system):
     cursor = connection.cursor()
     cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
 
-    report = system.endpoint.drain_and_restart(
-        RestartPolicy(mode="deadline", drain_timeout=0.2)
-    )
+    report = system.server.drain_and_restart()
     assert report is not None
     assert system.server.up and system.server.lifecycle == "running"
 
@@ -91,8 +67,9 @@ def test_single_session_rides_through_planned_restart(system):
 
 
 def test_drain_and_restart_uses_default_policy(system):
+    """The one drain timeout, ``DRAIN_TIMEOUT``, is the whole policy."""
     _make_table(system)
-    system.endpoint.drain_and_restart()
+    system.server.drain_and_restart()
     assert system.server.lifecycle == "running"
     assert system.registry.server.drains_completed == 1
 
@@ -107,18 +84,12 @@ def test_planned_restart_starts_the_caches_cold(system):
     for _ in range(2):  # the second run is served from both caches
         system.server.execute(session, sql)
     assert metrics.plan_hits >= 1
-    system.endpoint.drain_and_restart()
+    system.server.drain_and_restart()
     before = (metrics.parse_misses, metrics.plan_misses, metrics.plan_hits)
     system.server.execute(system.server.connect(), sql)
     assert (metrics.parse_misses, metrics.plan_misses, metrics.plan_hits) == (
         before[0] + 1, before[1] + 1, before[2]
     )
-
-
-def test_endpoint_epoch_bumps_on_planned_restart(system):
-    before = system.endpoint.epoch
-    system.endpoint.drain_and_restart()
-    assert system.endpoint.epoch == before + 1
 
 
 def test_begin_drain_while_draining_raises(system):
@@ -127,13 +98,13 @@ def test_begin_drain_while_draining_raises(system):
         with pytest.raises(OperationalError):
             system.server.begin_drain()
     finally:
-        _lift_drain(system.server)
+        system.server._end_drain()
 
 
 # ------------------------------------------------ the 16-client acceptance
 
 
-def test_drain_under_16_clients_zero_errors(system):
+def test_drain_under_16_clients_zero_errors(system, monkeypatch):
     clients, ops = 16, 6
     _make_table(system, rows=clients)
     system.endpoint.latency = 0.001
@@ -159,7 +130,8 @@ def test_drain_under_16_clients_zero_errors(system):
         thread.start()
     barrier.wait()
     time.sleep(0.004)  # let the workload get airborne
-    system.endpoint.drain_and_restart(RestartPolicy(mode="deadline", drain_timeout=0.5))
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.5)
+    system.server.drain_and_restart()
     for thread in threads:
         thread.join()
 
@@ -198,10 +170,7 @@ def test_graceful_drain_waits_for_inflight_statement(system):
     client.start()
     assert entered.wait(5.0)
 
-    drainer = threading.Thread(
-        target=system.endpoint.drain_and_restart,
-        args=(RestartPolicy(mode="graceful"),),
-    )
+    drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
     time.sleep(0.05)
     # the drain must be parked behind the in-flight statement, not past it
@@ -240,7 +209,8 @@ def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
         assert time.monotonic() < deadline, "client never reached the lock wait"
         time.sleep(0.001)
 
-    system.endpoint.drain_and_restart(RestartPolicy(mode="deadline", drain_timeout=0.02))
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.02)
+    system.server.drain_and_restart()
     client.join(5.0)
     assert not client.is_alive()
 
@@ -253,104 +223,92 @@ def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
     connection.close()
 
 
-# --------------------------------------------------- RESTARTING advertising
+# ------------------------------------------------------------- parked connect
 
 
-def test_ping_advertises_restarting_during_drain(system):
-    policy = RestartPolicy(mode="deadline", drain_timeout=30.0)
-    system.server.begin_drain(policy)
-    try:
-        with pytest.raises(ServerRestartingError) as info:
-            system.native.connect()  # a connect is the ping
-        assert info.value.state == "draining"
-        assert 0.0 < info.value.eta_seconds <= 30.0
-    finally:
-        _lift_drain(system.server)
-    # barrier lifted: the same connect now opens a session
-    assert system.native.connect().session_id in system.server.sessions
+def connect_parks_behind_drain(system, driver) -> None:
+    """A connect issued after ``begin_drain`` parks behind the barrier like
+    any request, and the swapped-in engine answers it with one
+    ``ConnectRequest`` — no RESTARTING round trip, no backoff — while a
+    Phoenix session parked beside it rebuilds in one connect.
 
+    ``driver`` is a native driver of the test's own (its counts are the
+    parked connect's alone); ``tests/test_tcp.py`` runs this over the
+    socket.  The drain runs on a thread of its own, and every connect and
+    statement issued mid drain on another: one issued on the thread that
+    holds the drain would park forever.
+    """
+    _make_table(system, rows=2)
+    rider = system.phoenix.connect(system.DSN)
+    rider_cursor = rider.cursor()
+    rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
+    holder = system.phoenix.connect(system.DSN)
 
-def test_recovery_backoff_resets_on_restarting_advertisement(system, monkeypatch):
-    """Satellite: crash-tuned exponential backoff must flatten back to the
-    base cadence the moment the server says RESTARTING."""
-    _make_table(system)
-    monkeypatch.setattr(recovery, "PING_JITTER", 0.0)
-    base = recovery.PING_INTERVAL
-    connection = system.phoenix.connect(system.DSN)
-    sleeps: list[float] = []
+    # the holder's statement is in flight when the drain begins, and holds
+    # the drain open until the test releases it
+    entered, release = threading.Event(), threading.Event()
+    original = system.server.execute
 
-    def scripted_sleep(seconds: float) -> None:
-        sleeps.append(seconds)
-        if len(sleeps) == 2:
-            # the process is back mid planned restart: up, barrier still on
-            system.endpoint.restart_server()
-            system.server.lifecycle = "draining"
-        elif len(sleeps) == 4:
-            system.server.lifecycle = "running"
+    def slow_execute(session_id, sql, **kwargs):
+        if "k = 1" in sql:
+            entered.set()
+            release.wait(5.0)
+        return original(session_id, sql, **kwargs)
 
-    connection.config.sleep = scripted_sleep
-    cursor = connection.cursor()
-    system.server.crash()
-    cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
+    system.server.execute = slow_execute
+    failures: list[str] = []
+    opened = []
 
-    # two connects to the crashed server back off (base, 2*base); the
-    # RESTARTING answers reset the interval to base and hold it flat
-    assert sleeps == [base, base * 2, base, base]
-    cursor.execute("SELECT v FROM pr WHERE k = 0")
-    assert cursor.fetchall() == [(1,)]
-    connection.close()
+    def run(fn, *args) -> threading.Thread:
+        def body() -> None:
+            try:
+                fn(*args)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(f"{type(exc).__name__}: {exc}")
 
-
-# --------------------------------------------------------------- reap guard
-
-
-def test_reap_spares_sessions_parked_behind_drain_barrier(system):
-    """Satellite regression: a drain under 16 idle-looking clients loses no
-    sessions to the reaper — parked requests prove the client is alive."""
-    clients = 16
-    _make_table(system, rows=clients)
-    connections = [
-        system.phoenix.connect(system.DSN, user=f"r{i}") for i in range(clients)
-    ]
-    cursors = [c.cursor() for c in connections]
-    for i, cursor in enumerate(cursors):
-        cursor.execute(f"SELECT v FROM pr WHERE k = {i}")
-
-    system.server.begin_drain(RestartPolicy(mode="deadline", drain_timeout=30.0))
-    threads = [
-        threading.Thread(
-            target=cursors[i].execute, args=(f"UPDATE pr SET v = v + 1 WHERE k = {i}",)
-        )
-        for i in range(clients)
-    ]
-    for thread in threads:
+        thread = threading.Thread(target=body)
         thread.start()
+        return thread
+
+    holding = run(holder.cursor().execute, "UPDATE pr SET v = v + 1 WHERE k = 1")
+    assert entered.wait(5.0)
+    connects = system.registry.network.by_request_type["ConnectRequest"]
+    draining = run(system.server.drain_and_restart)
     deadline = time.monotonic() + 5.0
-    while len(system.server.dispatcher.keys_with_pending()) < clients:
-        assert time.monotonic() < deadline, "clients never parked behind the barrier"
+    while system.server.lifecycle != "draining":
+        assert time.monotonic() < deadline, "the drain never began"
         time.sleep(0.001)
 
-    # every session's last activity predates this cutoff, so an unguarded
-    # reaper would disconnect every one of them mid-pause — including the
-    # 16 app sessions whose UPDATE is parked behind the barrier
-    parked = system.server.dispatcher.keys_with_pending()
-    cutoff = system.server.activity_epoch + 1
-    reaped = system.server.reap_sessions(older_than_epoch=cutoff)
-    app_sessions = {c.app.session_id for c in connections}
-    assert set(reaped).isdisjoint(parked)
-    assert set(reaped).isdisjoint(app_sessions), "reaper killed a parked session"
-    assert app_sessions <= set(system.server.sessions)
+    connecting = run(lambda: opened.append(driver.connect("parked")))
+    riding = run(rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
+    # the holder's session is running; the connect and the rider wait
+    while len(system.server.dispatcher.keys_with_pending()) < 3:
+        assert time.monotonic() < deadline, "the connect never parked behind the barrier"
+        time.sleep(0.001)
+    assert connecting.is_alive() and opened == [] and failures == []
 
-    _lift_drain(system.server)
-    for thread in threads:
+    release.set()
+    for thread in (holding, draining, connecting, riding):
         thread.join(5.0)
         assert not thread.is_alive()
-    # zero sessions lost from the clients' side: every parked UPDATE landed
-    # exactly once, with no recovery forced by the reaper
-    assert _rows(system) == [(i, 1) for i in range(clients)]
-    assert sum(c.stats.recoveries for c in connections) == 0
-    for connection in connections:
-        connection.close()
+    assert failures == []
+    assert system.registry.server.drains_completed == 1
+    # answered by the swapped-in engine (the swap ended every older session)
+    [parked] = opened
+    assert parked.session_id in system.server.sessions
+    assert driver.metrics.by_request_type["ConnectRequest"] == 1
+    assert not driver.metrics.errors_by_request_type
+    # the rider rebuilt in one connect, without a single retried ping
+    assert rider.stats.recoveries == 1 and rider.stats.recovery_pings == 0
+    assert system.registry.network.by_request_type["ConnectRequest"] == connects + 1
+    assert _rows(system) == [(0, 2), (1, 1)]
+    parked.disconnect()
+    rider.close()
+    holder.close()
+
+
+def test_connect_mid_drain_parks_until_the_swapped_in_engine_answers(system):
+    connect_parks_behind_drain(system, repro.NativeDriver(system.endpoint))
 
 
 # ------------------------------------------------------------- chaos: drain
@@ -388,11 +346,12 @@ def test_crash_after_begin_drain_recovers(system):
 # ------------------------------------------------------------------ metrics
 
 
-def test_drain_stats_surface_in_registry_snapshot(system):
+def test_drain_stats_surface_in_registry_snapshot(system, monkeypatch):
     _make_table(system)
     connection = system.phoenix.connect(system.DSN)
     connection.cursor().execute("SELECT v FROM pr WHERE k = 0")
-    system.endpoint.drain_and_restart(RestartPolicy(mode="immediate"))
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.0)
+    system.server.drain_and_restart()
 
     section = system.registry.snapshot()["server"]
     assert section["drains_started"] == 1
@@ -404,13 +363,13 @@ def test_drain_stats_surface_in_registry_snapshot(system):
 
 
 def test_drain_stats_reset_with_registry(system):
-    system.endpoint.drain_and_restart()
+    system.server.drain_and_restart()
     system.registry.reset()
     assert system.registry.server.snapshot() == DrainStats().snapshot()
 
 
 def test_drain_stats_cumulative_across_restarts(system):
     for _ in range(3):
-        system.endpoint.drain_and_restart()
+        system.server.drain_and_restart()
     assert system.registry.server.drains_completed == 3
     assert system.server.stats.restarts == 3

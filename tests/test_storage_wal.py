@@ -441,3 +441,92 @@ def test_restart_recovery_truncates_torn_tail(storage):
     sid = server.connect()
     result = server.execute(sid, "SELECT k FROM t ORDER BY k")
     assert result.result_set.rows == [(1,), (3,)]
+
+
+def test_the_log_refuses_writes_after_a_device_fault(storage):
+    """Fail-stop: after one failed device append the log accepts nothing —
+    no buffered record, no force, no atomic batch — and reports the fault
+    to its ``on_fault`` hook exactly once."""
+    from repro.engine.storage import StorageFault
+
+    wal = WriteAheadLog(storage)
+    faults = []
+    wal.on_fault = lambda: faults.append(True)
+    wal.append(record(1))
+    storage.inject_append_fault("torn")
+    with pytest.raises(StorageFault):
+        wal.force()
+    size = storage.log_size()
+    for write in (lambda: wal.append(record(2)), wal.force, lambda: wal.append_forced([record(3)])):
+        with pytest.raises(StorageFault):
+            write()
+    assert storage.log_size() == size and faults == [True]
+
+
+# ------------------------------------------------------------ fail-stop engine
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+@pytest.mark.parametrize("mode", ["torn", "fail"])
+def test_no_commit_is_acknowledged_after_a_failed_log_write(mode, transport):
+    """Session A's commit meets a device fault; session B's INSERT, sent the
+    moment the fault happens, must not be acknowledged: the server crashes
+    inside the engine-mutex hold that met the fault, so no commit lands
+    after a torn frame (restart's scan would cut it).  An endpoint that
+    crashes the server only after the fault has left the engine gives B
+    that window — the crash below waits for B to use it."""
+    import threading
+
+    import repro
+    from repro import errors
+    from repro.engine.storage import StorageFault
+
+    system = repro.make_system(listen="127.0.0.1:0" if transport == "tcp" else None)
+    try:
+        server, storage = system.server, system.server.storage
+        a, b = system.native.connect("a"), system.native.connect("b")
+        a.execute("CREATE TABLE t (k INT PRIMARY KEY)")
+        a.execute("INSERT INTO t VALUES (0)")
+
+        faulted, b_done = threading.Event(), threading.Event()
+        b_outcome: list[str] = []
+        append_log, crash = storage.append_log, server.crash
+
+        def watched_append(payload):
+            try:
+                return append_log(payload)
+            except StorageFault:
+                faulted.set()
+                raise
+
+        def insert_b() -> None:
+            faulted.wait(5.0)
+            try:
+                b.execute("INSERT INTO t VALUES (2)")
+                b_outcome.append("acknowledged")
+            except errors.CommunicationError:
+                b_outcome.append("refused")
+            finally:
+                b_done.set()
+
+        def crash_after_b() -> None:
+            b_done.wait(0.5)  # B cannot finish while the crash holds the mutex
+            crash()
+
+        storage.append_log = watched_append
+        server.crash = crash_after_b
+        b_thread = threading.Thread(target=insert_b)
+        b_thread.start()
+        storage.inject_append_fault(mode)
+        with pytest.raises(errors.CommunicationError):
+            a.execute("INSERT INTO t VALUES (1)")
+        b_thread.join(5.0)
+        assert b_outcome == ["refused"]
+        assert server.stats.crashes == 1  # one crash per fault
+
+        server.restart()
+        checker = server.connect()
+        rows = server.execute(checker, "SELECT k FROM t ORDER BY k").result_set.rows
+        assert rows == [(0,)]  # every acknowledged row, and no other
+    finally:
+        system.close()

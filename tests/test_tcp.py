@@ -17,6 +17,7 @@ from repro.net.faults import FaultKind
 from repro.net.protocol import ConnectRequest, ConnectResponse, ExecuteRequest, ResultResponse
 from repro.net.tcp import TcpTransport
 from repro.net.transport import InProcessTransport
+from tests.test_planned_restart import connect_parks_behind_drain
 
 #: CI runs a reduced soak (REPRO_TCP_SOAK=300); the default is the
 #: acceptance-level thousand
@@ -156,17 +157,11 @@ def test_transport_matrix_same_driver_surface(tcp_system):
         dc.disconnect()
 
 
-def test_ping_bypass_answers_restarting_over_tcp(tcp_system):
-    """The drain-window bypass of the connect (recovery's ping) crosses the
-    socket tier too."""
-    tcp_system.server.begin_drain()
-    try:
-        driver = repro.NativeDriver(TcpTransport(*tcp_system.tcp.address))
-        with pytest.raises(errors.ServerRestartingError):
-            driver.connect()
-    finally:
-        tcp_system.server.crash()
-        tcp_system.endpoint.restart_server()
+def test_connect_mid_drain_parks_over_tcp(tcp_system):
+    """The parked connect of ``tests/test_planned_restart.py``, with the
+    stack and the parked connect both on the socket tier."""
+    driver = repro.NativeDriver(TcpTransport(*tcp_system.tcp.address))
+    connect_parks_behind_drain(tcp_system, driver)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import time
 import pytest
 
 import repro
+from repro.engine import server as server_module
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage
 from repro.engine.timetravel import full_log_records
 from repro.engine.wal import RecordType, scan_log
@@ -433,13 +434,13 @@ def test_phoenix_rides_through_restore_to_now(phoenix_conn, system):
     cursor = phoenix_conn.cursor()
     cursor.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
     cursor.execute("INSERT INTO t VALUES (1, 1)")
-    system.endpoint.restore_to(None)
+    system.server.restore_to(None)
     cursor.execute("UPDATE t SET v = 2 WHERE k = 1")  # session recovered
     cursor.execute("SELECT v FROM t WHERE k = 1")
     assert cursor.fetchall() == [(2,)]
 
 
-def test_restore_to_now_under_16_clients_zero_errors(system):
+def test_restore_to_now_under_16_clients_zero_errors(system, monkeypatch):
     clients, ops = 16, 6
     _run(
         system,
@@ -471,9 +472,8 @@ def test_restore_to_now_under_16_clients_zero_errors(system):
         thread.start()
     barrier.wait()
     time.sleep(0.004)  # let the workload get airborne
-    report = system.endpoint.restore_to(
-        None, policy=repro.RestartPolicy(mode="deadline", drain_timeout=0.5)
-    )
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.5)
+    report = system.server.restore_to(None)
     for thread in threads:
         thread.join()
 

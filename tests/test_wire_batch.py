@@ -347,8 +347,6 @@ def test_inflight_batch_group_forces_before_drain_swap():
     import threading
     import time
 
-    from repro.engine.server import RestartPolicy
-
     system = repro.make_system()
     _create_table(system)
     connection = system.phoenix.connect(system.DSN)
@@ -378,10 +376,7 @@ def test_inflight_batch_group_forces_before_drain_swap():
     client = threading.Thread(target=run_batch)
     client.start()
     assert entered.wait(5.0)
-    drainer = threading.Thread(
-        target=system.endpoint.drain_and_restart,
-        args=(RestartPolicy(mode="graceful"),),
-    )
+    drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
     time.sleep(0.05)
     # the swap must be parked behind the in-flight batch
@@ -409,8 +404,6 @@ def test_batch_parked_behind_drain_resolves_exactly_once_after_swap():
     none twice, none dropped."""
     import threading
     import time
-
-    from repro.engine.server import RestartPolicy
 
     system = repro.make_system()
     _create_table(system)
@@ -451,10 +444,7 @@ def test_batch_parked_behind_drain_resolves_exactly_once_after_swap():
     blocker_thread = threading.Thread(target=run_blocker)
     blocker_thread.start()
     assert entered.wait(5.0)  # the blocker holds the drain open
-    drainer = threading.Thread(
-        target=system.endpoint.drain_and_restart,
-        args=(RestartPolicy(mode="graceful"),),
-    )
+    drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
     deadline = time.monotonic() + 5.0
     while system.server.lifecycle != "draining":
