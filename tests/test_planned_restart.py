@@ -226,6 +226,57 @@ def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
 # ------------------------------------------------------------- parked connect
 
 
+def _spawn(failures: list[str], fn, *args) -> threading.Thread:
+    """Run ``fn(*args)`` on a thread of its own; an exception it raises is
+    recorded in ``failures``."""
+
+    def body() -> None:
+        try:
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001 — reported by the caller
+            failures.append(f"{type(exc).__name__}: {exc}")
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    return thread
+
+
+def _begin_held_drain(system, failures: list[str]):
+    """Start ``drain_and_restart`` on a thread of its own and hold it open:
+    a Phoenix session's statement on row 1 is in flight when the drain
+    begins and runs until the returned event is set.
+
+    Returns ``(release, threads, holder)``; ``threads`` are the holder's
+    statement and the drain, to be joined after ``release.set()``.
+    """
+    holder = system.phoenix.connect(system.DSN)
+    entered, release = threading.Event(), threading.Event()
+    original = system.server.execute
+
+    def slow_execute(session_id, sql, **kwargs):
+        if "k = 1" in sql:
+            entered.set()
+            release.wait(5.0)
+        return original(session_id, sql, **kwargs)
+
+    system.server.execute = slow_execute
+    holding = _spawn(failures, holder.cursor().execute, "UPDATE pr SET v = v + 1 WHERE k = 1")
+    assert entered.wait(5.0)
+    draining = _spawn(failures, system.server.drain_and_restart)
+    deadline = time.monotonic() + 5.0
+    while system.server.lifecycle != "draining":
+        assert time.monotonic() < deadline, "the drain never began"
+        time.sleep(0.001)
+    return release, [holding, draining], holder
+
+
+def _wait_for_parked(system, count: int) -> None:
+    deadline = time.monotonic() + 5.0
+    while len(system.server.dispatcher.keys_with_pending()) < count:
+        assert time.monotonic() < deadline, "the request never parked behind the barrier"
+        time.sleep(0.001)
+
+
 def connect_parks_behind_drain(system, driver) -> None:
     """A connect issued after ``begin_drain`` parks behind the barrier like
     any request, and the swapped-in engine answers it with one
@@ -242,53 +293,19 @@ def connect_parks_behind_drain(system, driver) -> None:
     rider = system.phoenix.connect(system.DSN)
     rider_cursor = rider.cursor()
     rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
-    holder = system.phoenix.connect(system.DSN)
-
-    # the holder's statement is in flight when the drain begins, and holds
-    # the drain open until the test releases it
-    entered, release = threading.Event(), threading.Event()
-    original = system.server.execute
-
-    def slow_execute(session_id, sql, **kwargs):
-        if "k = 1" in sql:
-            entered.set()
-            release.wait(5.0)
-        return original(session_id, sql, **kwargs)
-
-    system.server.execute = slow_execute
     failures: list[str] = []
     opened = []
 
-    def run(fn, *args) -> threading.Thread:
-        def body() -> None:
-            try:
-                fn(*args)
-            except Exception as exc:  # noqa: BLE001 — reported below
-                failures.append(f"{type(exc).__name__}: {exc}")
-
-        thread = threading.Thread(target=body)
-        thread.start()
-        return thread
-
-    holding = run(holder.cursor().execute, "UPDATE pr SET v = v + 1 WHERE k = 1")
-    assert entered.wait(5.0)
+    release, threads, holder = _begin_held_drain(system, failures)
     connects = system.registry.network.by_request_type["ConnectRequest"]
-    draining = run(system.server.drain_and_restart)
-    deadline = time.monotonic() + 5.0
-    while system.server.lifecycle != "draining":
-        assert time.monotonic() < deadline, "the drain never began"
-        time.sleep(0.001)
-
-    connecting = run(lambda: opened.append(driver.connect("parked")))
-    riding = run(rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
+    connecting = _spawn(failures, lambda: opened.append(driver.connect("parked")))
+    riding = _spawn(failures, rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
     # the holder's session is running; the connect and the rider wait
-    while len(system.server.dispatcher.keys_with_pending()) < 3:
-        assert time.monotonic() < deadline, "the connect never parked behind the barrier"
-        time.sleep(0.001)
+    _wait_for_parked(system, 3)
     assert connecting.is_alive() and opened == [] and failures == []
 
     release.set()
-    for thread in (holding, draining, connecting, riding):
+    for thread in (*threads, connecting, riding):
         thread.join(5.0)
         assert not thread.is_alive()
     assert failures == []
@@ -309,6 +326,38 @@ def connect_parks_behind_drain(system, driver) -> None:
 
 def test_connect_mid_drain_parks_until_the_swapped_in_engine_answers(system):
     connect_parks_behind_drain(system, repro.NativeDriver(system.endpoint))
+
+
+def test_session_parked_by_drain_recovers_without_backoff(system, monkeypatch):
+    """A Phoenix session whose statement parks behind a planned restart's
+    barrier recovers on the swapped-in engine at once: its first connect
+    succeeds, so it never pings again and never sleeps a backoff step.
+    A ping interval far above the join timeout makes any backoff fail the
+    test rather than only slow it."""
+    monkeypatch.setattr(recovery, "PING_JITTER", 0.0)
+    monkeypatch.setattr(recovery, "PING_INTERVAL", 30.0)
+    _make_table(system, rows=2)
+    rider = system.phoenix.connect(system.DSN)
+    rider_cursor = rider.cursor()
+    rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
+    failures: list[str] = []
+
+    release, threads, holder = _begin_held_drain(system, failures)
+    riding = _spawn(failures, rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
+    _wait_for_parked(system, 2)
+    assert riding.is_alive() and failures == []
+
+    release.set()
+    for thread in (*threads, riding):
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert failures == []
+    assert rider.stats.recoveries == 1
+    assert rider.stats.recovery_pings == 0
+    # the parked statement ran once, on the swapped-in engine
+    assert _rows(system) == [(0, 2), (1, 1)]
+    rider.close()
+    holder.close()
 
 
 # ------------------------------------------------------------- chaos: drain
