@@ -3,8 +3,9 @@
 Not a Phoenix design decision but an engine one the evaluation leans on:
 Q4/Q17/Q20/Q21's correlated subqueries re-probe lineitem per outer row.
 With the customary FK indexes those probes are hash lookups; without them
-each probe is a full scan.  This bench pins the gap (and explains why the
-workload's DDL creates the indexes, like every real TPC-H kit).
+each probe is a full scan.  This bench pins the gap as a count of rows read
+(and explains why the workload's DDL creates the indexes, like every real
+TPC-H kit).
 """
 
 from __future__ import annotations
@@ -51,17 +52,20 @@ def systems():
 
 
 def test_indexes_give_order_of_magnitude(systems):
-    import time
-
-    timings = {}
+    """Counted, not timed: the rows each correlated query's plans read
+    (``ExecutorStats.rows_scanned``) fall by 10x or more with the FK
+    indexes — at sf=0.0005 1,980 rows against 156,430 over the three."""
+    scanned = {}
     for indexed in (True, False):
         system, data = systems[indexed]
+        executor = system.registry.executor
         connection = system.plain.connect(system.DSN)
         cursor = connection.cursor()
-        started = time.perf_counter()
         for query_id in CORRELATED:
+            before = executor.rows_scanned
             cursor.execute(query_sql(query_id, data.sf))
             cursor.fetchall()
-        timings[indexed] = time.perf_counter() - started
+            scanned[indexed, query_id] = executor.rows_scanned - before
         connection.close()
-    assert timings[True] < timings[False] / 3, timings
+    for query_id in CORRELATED:
+        assert scanned[True, query_id] * 10 <= scanned[False, query_id], scanned

@@ -43,6 +43,18 @@ def test_a_result_within_one_block_costs_no_log_force(accounting):
     assert all(row.phoenix_forces == 0 for row in accounting.values())
 
 
+def test_session_open_is_one_trip_and_one_force(tpch_system):
+    """The connect's recipe creates the proxy, a temp table, which costs
+    the log nothing, and the session's status table: its one force."""
+    system, _data = tpch_system
+    trips = system.metrics.round_trips
+    forces = system.server.database.wal.stats.forces
+    connection = system.phoenix.connect(system.DSN)
+    assert system.metrics.round_trips - trips == 1
+    assert system.server.database.wal.stats.forces - forces == 1
+    connection.close()
+
+
 def test_session_cleanup_is_one_trip_and_one_force(tpch_system):
     """close() drops every object of the session in one transaction."""
     system, _data = tpch_system

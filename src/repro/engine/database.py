@@ -6,6 +6,12 @@ first (write-ahead rule).  Volatile session state (temp tables, cursors)
 lives in :mod:`repro.engine.session` and never touches the log — which is
 precisely why it dies in a crash and why Phoenix has to re-materialize it.
 
+A transaction's BEGIN record is written lazily, just before its first
+durable record (:meth:`Database._log`), and one that wrote none commits or
+aborts with no record and no force.  So temp-table work, reads and no-op
+DDL (``CREATE TABLE IF NOT EXISTS`` on a table that exists) cost the log
+nothing, like work in SQL Server's ``tempdb``.
+
 Restart recovery (:mod:`repro.engine.recovery`) reconstructs a Database from
 stable storage alone.
 """
@@ -112,25 +118,28 @@ class Database:
     # ------------------------------------------------------------- transactions
 
     def begin(self) -> Transaction:
-        txn = self.txns.begin()
-        self.wal.append(LogRecord(RecordType.BEGIN, txn_id=txn.txn_id))
-        return txn
+        """Start a transaction; nothing is logged until :meth:`_log`."""
+        return self.txns.begin()
 
     def commit(self, txn: Transaction) -> None:
-        """Write and force the commit record, then release locks."""
+        """Write and force the commit record, then release locks.  A
+        transaction that never logged has nothing to make durable."""
         txn.require_active()
-        self.wal.append(LogRecord(RecordType.COMMIT, txn_id=txn.txn_id))
-        self.wal.force()
+        if txn.logged:
+            self.wal.append(LogRecord(RecordType.COMMIT, txn_id=txn.txn_id))
+            self.wal.force()
         self.txns.finish(txn, TxnState.COMMITTED)
         self.locks.release_all(txn.txn_id)
 
     def abort(self, txn: Transaction) -> None:
         """Undo the transaction in memory, then append its CLR batch + ABORT
-        record as one atomic forced write (see wal.py docstring)."""
+        record as one atomic forced write (see wal.py docstring).  A
+        transaction that never logged has nothing to undo or to log."""
         txn.require_active()
-        clrs = [self._undo_record(record) for record in reversed(txn.records)]
-        clrs.append(LogRecord(RecordType.ABORT, txn_id=txn.txn_id))
-        self.wal.append_forced(clrs)
+        if txn.logged:
+            clrs = [self._undo_record(record) for record in reversed(txn.records)]
+            clrs.append(LogRecord(RecordType.ABORT, txn_id=txn.txn_id))
+            self.wal.append_forced(clrs)
         self.txns.finish(txn, TxnState.ABORTED)
         self.locks.release_all(txn.txn_id)
 
@@ -231,6 +240,9 @@ class Database:
 
     def _log(self, txn: Transaction, record: LogRecord) -> LogRecord:
         txn.require_active()
+        if not txn.logged:
+            self.wal.append(LogRecord(RecordType.BEGIN, txn_id=txn.txn_id))
+            txn.logged = True
         if not record.is_clr:
             txn.next_rec_id += 1
             record.rec_id = txn.next_rec_id
@@ -519,13 +531,16 @@ class Database:
         1. force the WAL (write-ahead rule: every image effect is logged);
         2. build clean images — active transactions' effects undone in the
            copies (see :meth:`_clean_images`);
-        3. append + force a CHECKPOINT record noting in-flight transactions;
+        3. append + force a CHECKPOINT record noting in-flight transactions
+           (those that logged: one that has not yet will write its BEGIN
+           past this record);
         4. write every table file from its clean image, stamped with the
            checkpoint LSN (a transaction committed at or below that LSN is
            in the file; one committing past it is not — no in-between);
         5. point meta at the new checkpoint;
-        6. if quiescent, archive the log prefix before the checkpoint for
-           time travel, then drop it from the live log.
+        6. if no transaction in flight has logged, archive the log prefix
+           before the checkpoint for time travel, then drop it from the
+           live log.
 
         A crash between 3 and 5 leaves meta pointing at the *old*
         checkpoint; files already rewritten in step 4 carry the new stamp
@@ -537,7 +552,7 @@ class Database:
         """
         self.wal.force()
         images, procedures, views, indexes = self._clean_images()
-        active = tuple(self.txns.active_ids())
+        active = tuple(self.txns.logged_ids())
         (lsn,) = self.wal.append_forced(
             [LogRecord(RecordType.CHECKPOINT, active_txns=active)]
         )

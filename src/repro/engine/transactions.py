@@ -1,9 +1,11 @@
 """Transaction objects and state tracking.
 
 A :class:`Transaction` remembers the WAL records it produced so abort can
-undo them in reverse.  Lifecycle: ACTIVE → COMMITTED | ABORTED.  The logged
-mutation API lives on :class:`~repro.engine.database.Database`; this module
-only carries state.
+undo them in reverse, and whether it has logged anything at all: its BEGIN
+record is written with its first durable record, so a transaction that
+changes nothing durable never reaches the log.  Lifecycle: ACTIVE →
+COMMITTED | ABORTED.  The logged mutation API lives on
+:class:`~repro.engine.database.Database`; this module only carries state.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class Transaction:
     #: monotone per-transaction record counter (rec_id source); never
     #: decreases even when statement rollback trims ``records``
     next_rec_id: int = 0
+    #: set once the BEGIN record is in the log (with the first durable
+    #: record); a transaction that never logged commits and aborts without
+    #: a record or a force
+    logged: bool = False
 
     def require_active(self) -> None:
         if self.state is not TxnState.ACTIVE:
@@ -43,7 +49,9 @@ class TransactionManager:
     """Hands out transaction ids and tracks active transactions.
 
     Ids restart from max(logged ids)+1 after recovery so ids never collide
-    across a crash (``seed`` is supplied by restart recovery).
+    across a crash (``seed`` is supplied by restart recovery); the id of a
+    transaction that never logged may be handed out again, since nothing
+    durable names it.
     """
 
     def __init__(self, seed: int = 0):
@@ -62,6 +70,10 @@ class TransactionManager:
 
     def active_ids(self) -> list[int]:
         return sorted(self._active)
+
+    def logged_ids(self) -> list[int]:
+        """Active transactions that have written to the log."""
+        return sorted(t for t, txn in self._active.items() if txn.logged)
 
     def get(self, txn_id: int) -> Transaction | None:
         return self._active.get(txn_id)

@@ -177,9 +177,10 @@ class WalStats(CounterSet):
     """
 
     records_written: int = 0
-    #: device forces actually performed
+    #: device forces actually performed: one per device append; a force
+    #: call that finds nothing to write counts nothing
     forces: int = 0
-    #: group forces performed (each counts once in ``forces`` too)
+    #: group forces that wrote (each counts once in ``forces`` too)
     group_forces: int = 0
     #: commit-time forces absorbed by a group force instead of hitting the
     #: device: ``deferred - 1`` per non-empty group (the batch savings)
@@ -342,17 +343,24 @@ class WriteAheadLog:
         if self._defer_forces:
             self._deferred_forces += 1
             return self._next_lsn()
-        if self._pending:
-            flushed = len(self._pending)
-            published = self._flush_commits()
-            payload = b"".join(self._pending)
-            self._pending.clear()
-            self._pending_bytes = 0
-            self._write(payload)
-            self._publish_commits(published)
-            get_tracer().event("wal.force", records=flushed, bytes=len(payload))
-        self.stats.forces += 1
+        self._flush()
         return self._storage.log_size()
+
+    def _flush(self) -> bool:
+        """Write the buffer to the device, if it holds anything; returns
+        whether it did (only a write counts as a force)."""
+        if not self._pending:
+            return False
+        flushed = len(self._pending)
+        published = self._flush_commits()
+        payload = b"".join(self._pending)
+        self._pending.clear()
+        self._pending_bytes = 0
+        self._write(payload)
+        self._publish_commits(published)
+        self.stats.forces += 1
+        get_tracer().event("wal.force", records=flushed, bytes=len(payload))
+        return True
 
     # -- group commit ---------------------------------------------------------
 
@@ -383,13 +391,11 @@ class WriteAheadLog:
         """Close the deferred window with one device force covering every
         force absorbed inside it; returns the durable log size."""
         deferred = self.end_deferred()
-        if deferred == 0:
-            return self._storage.log_size()
-        size = self.force()
-        self.stats.group_forces += 1
-        self.stats.forces_coalesced += deferred - 1
-        get_tracer().event("wal.group_force", coalesced=deferred)
-        return size
+        if deferred and self._flush():
+            self.stats.group_forces += 1
+            self.stats.forces_coalesced += deferred - 1
+            get_tracer().event("wal.group_force", coalesced=deferred)
+        return self._storage.log_size()
 
     def append_forced(self, records: list[LogRecord]) -> list[int]:
         """Append ``records`` and force, as one atomic storage append.
@@ -411,10 +417,10 @@ class WriteAheadLog:
         self._pending.clear()
         self._pending_bytes = 0
         self.stats.records_written += len(records)
-        self.stats.forces += 1
         if payload:
             self._write(payload)
             self._publish_commits(published)
+            self.stats.forces += 1
             get_tracer().event(
                 "wal.force", records=len(records), bytes=len(payload), atomic_batch=True
             )

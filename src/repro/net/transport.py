@@ -160,9 +160,7 @@ class ServerEndpoint:
             )
         # session-scoped requests serialize per session; connects carry no
         # session and dispatch independently (unique key)
-        key = getattr(request, "session_id", None)
-        if key is None:
-            key = object()
+        key = object() if isinstance(request, ConnectRequest) else request.session_id
         # correlation crosses the thread hop explicitly: the worker's span
         # stack is its own, so inheritance alone would drop the session chain
         caller_span = get_tracer().current

@@ -261,6 +261,53 @@ def test_dispatcher_runs_different_keys_concurrently():
     dispatcher.close()
 
 
+@pytest.mark.parametrize("listen", [None, "127.0.0.1:0"], ids=["inprocess", "tcp"])
+def test_a_connect_waiting_on_a_lock_does_not_hold_up_another_clients_connect(listen):
+    """Connects carry no session, so each dispatches under a key of its own:
+    one whose recipe parks in a row-lock wait leaves the next client's
+    connect free to run."""
+    system = repro.make_system(dsn=f"connect-keys-{listen}", listen=listen)
+    server = system.server
+    holder = server.connect(user="holder")
+    for sql in (
+        "CREATE TABLE lk (k INT PRIMARY KEY, v INT)",
+        "INSERT INTO lk VALUES (1, 0)",
+        "BEGIN TRANSACTION",
+        "UPDATE lk SET v = 1 WHERE k = 1",
+    ):
+        server.execute(holder, sql)
+    opened: dict[str, object] = {}
+
+    def connect(user, **kwargs):
+        opened[user] = system.native.connect(user, **kwargs)
+
+    waiter = threading.Thread(
+        target=connect,
+        args=("waiter",),
+        kwargs={"options": {"lock_timeout": 10_000}, "recipe": "UPDATE lk SET v = 2 WHERE k = 1"},
+    )
+    waiter.start()
+    deadline = time.monotonic() + 5.0
+    while not server.database.locks.waiting():
+        assert time.monotonic() < deadline, "the recipe never waited on the row lock"
+        time.sleep(0.001)
+    second = threading.Thread(target=connect, args=("second",))
+    second.start()
+    second.join(5.0)
+    try:
+        assert not second.is_alive(), "the second connect queued behind the waiting one"
+        assert waiter.is_alive() and "waiter" not in opened
+    finally:
+        server.execute(holder, "COMMIT")
+        waiter.join(5.0)
+        second.join(5.0)
+    assert set(opened) == {"waiter", "second"}
+    assert server.execute(holder, "SELECT v FROM lk").result_set.rows == [(2,)]
+    for connection in opened.values():
+        connection.disconnect()
+    system.close()
+
+
 def test_an_idle_worker_does_not_pin_a_closed_system(monkeypatch):
     """A worker waiting up to ``IDLE_TIMEOUT`` for new work holds nothing of
     the item it finished: the last request's closure reaches the endpoint,
