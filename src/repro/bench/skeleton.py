@@ -182,7 +182,7 @@ def server_rows(system: "repro.System", sql: str) -> list:
     stack whose behaviour is being judged."""
     verifier = system.server.connect(user="verifier")
     try:
-        return system.server.execute(verifier, sql).result_set.rows
+        return system.server.execute(verifier, sql).rows
     finally:
         system.server.disconnect(verifier)
 

@@ -475,7 +475,7 @@ def _replay_time_travel_cuts(system, cuts) -> list[str]:
                 result = system.server.execute(
                     session_id, f"SELECT * FROM {table} AS OF {ts!r}"
                 )
-                actual = tuple(sorted(result.result_set.rows))
+                actual = tuple(sorted(result.rows))
             except errors.CatalogError:
                 actual = ("<missing>",)
             except errors.Error as exc:
@@ -511,7 +511,7 @@ def _read_status(system, status_table: str) -> frozenset | None:
         result = system.server.execute(
             session_id, f"SELECT stmt_seq, n_rows FROM {status_table}"
         )
-        return frozenset(result.result_set.rows)
+        return frozenset(result.rows)
     except errors.CatalogError:
         return None
     finally:
@@ -524,7 +524,7 @@ def _fingerprint(system, table: str) -> tuple:
     session_id = _server_session(system)
     try:
         result = system.server.execute(session_id, f"SELECT * FROM {table}")
-        return tuple(sorted(result.result_set.rows))
+        return tuple(sorted(result.rows))
     except errors.CatalogError:
         return ("<missing>",)
     finally:

@@ -41,7 +41,7 @@ from repro.errors import (
     RecoveryError,
 )
 from repro.engine.schema import Column
-from repro.net.protocol import ResultResponse
+from repro.engine.results import StatementResult
 from repro.core.config import PhoenixConfig
 from repro.core.interceptor import name_placeholders, placeholder_values, redirect_names
 from repro.core.naming import NameAllocator
@@ -227,13 +227,13 @@ class PhoenixConnection(Connection):
                         # deadlock victim did): back off before re-sending
                         self.config.sleep(0.002 * lock_retries)
 
-    def _app_execute(self, sql: str, values: list | None = None) -> ResultResponse:
+    def _app_execute(self, sql: str, values: list | None = None) -> StatementResult:
         """One idempotent request on the app connection."""
         return self._ride_through(lambda: self.app.execute(sql, placeholders=values))
 
     def _execute_atomic(
         self, statements: list[str], *, arguments: Callable[[], list] | None = None
-    ) -> ResultResponse:
+    ) -> StatementResult:
         """Run Phoenix-generated statements as ONE transaction in one
         round trip — one log force at its COMMIT, and a crash or SQL error
         leaves none of the objects it builds (restart skips a transaction
@@ -366,7 +366,7 @@ class PhoenixConnection(Connection):
             self._app_execute("BEGIN TRANSACTION")
         self.txn_log.begin()
 
-    def commit(self) -> ResultResponse:
+    def commit(self) -> StatementResult:
         """Commit with testable state: a status-table insert rides inside
         the transaction, so a lost COMMIT reply is decidable afterwards."""
         self._require_open()
@@ -375,7 +375,7 @@ class PhoenixConnection(Connection):
         seq = self.names.next_seq()
         batch = f"INSERT INTO {self.names.status_table} VALUES (?, 0); COMMIT"
 
-        def landed() -> ResultResponse | None:
+        def landed() -> StatementResult | None:
             # probe EVERY round: a retried batch may have committed just
             # before its reply died — replaying then would double-commit
             if self.probe_status(seq) is None:
@@ -389,7 +389,7 @@ class PhoenixConnection(Connection):
             # commit
             self._rollback_wrapper_txn()
             self.stats.probe_hits += 1
-            return ResultResponse(kind="ok", message="COMMIT (recovered)")
+            return StatementResult(kind="ok", message="COMMIT (recovered)")
 
         with get_tracer().span("txn.commit", corr=self.correlation_id, seq=seq):
             response = self._ride_through(
@@ -401,15 +401,15 @@ class PhoenixConnection(Connection):
         self.txn_log.clear()
         return response
 
-    def rollback(self) -> ResultResponse:
+    def rollback(self) -> StatementResult:
         self._require_open()
         if not self.in_transaction:
             raise ProgrammingError("no transaction in progress")
 
-        def landed() -> ResultResponse | None:
+        def landed() -> StatementResult | None:
             if self.txn_log.lost:
                 # a crash rolls the transaction back by definition
-                return ResultResponse(kind="ok", message="ROLLBACK (by crash)")
+                return StatementResult(kind="ok", message="ROLLBACK (by crash)")
             return None  # spurious: the transaction is still open — re-send
 
         with get_tracer().span("txn.rollback", corr=self.correlation_id):
@@ -450,14 +450,14 @@ class PhoenixConnection(Connection):
         self.txn_log.lost = False
         self.stats.replayed_txns += 1
 
-    def _txn_execute(self, sql: str, placeholders: list | None = None) -> ResultResponse:
+    def _txn_execute(self, sql: str, placeholders: list | None = None) -> StatementResult:
         """One request inside the open transaction: a session that lost the
         transaction gets it replayed first."""
         if self.txn_log.lost:
             self._replay_transaction()
         return self.app.execute(sql, placeholders=placeholders)
 
-    def run_in_transaction(self, sql: str, placeholders: list | None = None) -> ResultResponse:
+    def run_in_transaction(self, sql: str, placeholders: list | None = None) -> StatementResult:
         """Execute a statement (``?`` bound to ``placeholders``) inside the
         app's explicit transaction.
 
@@ -494,7 +494,7 @@ class PhoenixConnection(Connection):
             f"INSERT INTO {self.names.status_table} VALUES (?, rowcount()); COMMIT"
         )
 
-    def run_dml(self, sql: str, values: list) -> tuple[int, int, "ResultResponse | None"]:
+    def run_dml(self, sql: str, values: list) -> tuple[int, int, "StatementResult | None"]:
         """Execute one autocommit DML/DDL/EXEC statement (``?`` bound to
         ``values``) exactly once.
 
@@ -513,7 +513,7 @@ class PhoenixConnection(Connection):
         self.stats.dml_wrapped += 1
         get_tracer().event("interceptor.wrap_dml", seq=seq)
 
-        def send() -> tuple[int, int, ResultResponse]:
+        def send() -> tuple[int, int, StatementResult]:
             response = self.app.execute(batch, placeholders=arguments)
             # batch_rowcounts ends with the status insert's own count;
             # anything before it is the wrapped statement's.  A DDL
@@ -671,7 +671,7 @@ class PhoenixConnection(Connection):
 
     # --- temp-object redirection ----------------------------------------------------
 
-    def handle_create_temp_table(self, stmt: ast.CreateTable) -> ResultResponse:
+    def handle_create_temp_table(self, stmt: ast.CreateTable) -> StatementResult:
         """Rewrite CREATE of a temp table into a persistent Phoenix table
         and remember the mapping (§3 "Temporary Objects")."""
         original = stmt.name.lower()
@@ -683,7 +683,7 @@ class PhoenixConnection(Connection):
         self.temp_table_map[original] = persistent
         return response
 
-    def handle_drop_temp(self, stmt: "ast.DropTable | ast.DropProcedure") -> ResultResponse:
+    def handle_drop_temp(self, stmt: "ast.DropTable | ast.DropProcedure") -> StatementResult:
         """DROP of a temp table or procedure: drop its stand-in, forget it."""
         table = isinstance(stmt, ast.DropTable)
         kind = "TABLE" if table else "PROCEDURE"
@@ -693,7 +693,7 @@ class PhoenixConnection(Connection):
             raise ProgrammingError(f"temp {kind.lower()} {stmt.name} does not exist")
         return self._app_execute(f"DROP {kind} IF EXISTS {persistent}")
 
-    def handle_create_temp_proc(self, stmt: ast.CreateProcedure) -> ResultResponse:
+    def handle_create_temp_proc(self, stmt: ast.CreateProcedure) -> StatementResult:
         original = stmt.name.lower()
         persistent = self.names.redirected_procedure(original)
         # the body's references to other temp objects follow their redirection
@@ -715,7 +715,7 @@ class PhoenixConnection(Connection):
 
     def _fill(
         self, key: Any, query: ast.Select, values: list, *, read_back: int | None
-    ) -> tuple[str, ResultResponse]:
+    ) -> tuple[str, StatementResult]:
         """Phoenix Step 3 in ONE request: ``key``'s fill procedure — the
         paper's: the target table and the ``values`` are its arguments — runs
         ``query`` ``INTO`` a new table server-side (the server derives the
@@ -752,7 +752,7 @@ class PhoenixConnection(Connection):
 
     def query(
         self, select: ast.Select, values: list, key: Any, block: int
-    ) -> tuple[ResultResponse, ResultState | None]:
+    ) -> tuple[StatementResult, ResultState | None]:
         """A default result set (template ``select``, ``values`` bound),
         sent as the plain stack sends it: the statement's text on the app
         connection, the values beside it.
@@ -781,7 +781,7 @@ class PhoenixConnection(Connection):
 
     def materialize_default(
         self, select: ast.Select, values: list, key: Any, block: int
-    ) -> tuple[ResultResponse, ResultState]:
+    ) -> tuple[StatementResult, ResultState]:
         """A default result larger than one ``block``, in one request: the
         template's fill procedure runs the query into a new table and reads
         back the first block, the rest stays on the server

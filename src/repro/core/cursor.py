@@ -26,7 +26,7 @@ from repro.core.connection import PhoenixConnection
 from repro.core.interceptor import StatementClass, Template, statement_templates
 from repro.core.statements import ResultState
 from repro.errors import NotSupportedError, ProgrammingError
-from repro.net.protocol import ResultResponse
+from repro.engine.results import StatementResult
 from repro.obs.tracer import get_tracer
 from repro.odbc.constants import CursorType, StatementAttr
 from repro.odbc.driver_manager import Statement, describe_columns
@@ -231,7 +231,7 @@ class PhoenixCursor(Statement):
         values = [list(row)[template.values] for row in rows]
         return connection.rewrite(template.stmt).sql(), values
 
-    def _absorb_ok(self, response: ResultResponse) -> None:
+    def _absorb_ok(self, response: StatementResult) -> None:
         """Absorb the reply of a statement Phoenix ran on the application's
         behalf (SET, COMMIT, a redirected temp-object DDL): only its message
         is the application's to see."""

@@ -18,9 +18,10 @@ holding that lock needs a free worker for the commit that will release it.
 A fixed-size pool could pin every worker behind one holder and deadlock
 the server against itself.
 
-Callers block in :meth:`run` until their request's turn comes and its
-function finishes — the wire keeps its synchronous request/response shape;
-concurrency comes from many client threads calling in at once.
+:meth:`submit` never blocks: a request's reply is delivered to its
+callback on the worker that ran it.  A client that waits for that callback
+keeps the wire's synchronous request/response shape; concurrency comes from
+many clients calling in at once.
 """
 
 from __future__ import annotations
@@ -52,59 +53,29 @@ class DispatchStats(CounterSet):
     peak_queued: int = gauge(0)
 
 
-class _WorkItem:
-    __slots__ = ("fn", "done", "value", "exc", "callback")
-
-    def __init__(
-        self,
-        fn: Callable[[], Any],
-        callback: Callable[[Any, BaseException | None], None] | None = None,
-    ):
-        self.fn = fn
-        self.done = threading.Event()
-        self.value: Any = None
-        self.exc: BaseException | None = None
-        #: completion hook for :meth:`SessionDispatcher.submit` — invoked on
-        #: the worker thread after the item finishes (``done`` already set)
-        self.callback = callback
-
-
 class SessionDispatcher:
     """Per-key FIFO work queues over a dynamic worker pool."""
 
     def __init__(self, *, stats: DispatchStats | None = None):
         self._cond = threading.Condition()
         #: key -> pending items; present iff the key has queued *or running*
-        #: work (the running item stays at the head until it finishes)
-        self._queues: dict[Any, deque[_WorkItem]] = {}
+        #: work (the running item stays at the head until it finishes); an
+        #: item is ``(fn, callback)``
+        self._queues: dict[Any, deque[tuple[Callable, Callable]]] = {}
         #: keys whose head item is runnable and unclaimed
         self._ready: deque[Any] = deque()
         self._workers = 0
         self._idle = 0
         self._closed = False
         #: drain barrier: while set, workers claim no new items — submissions
-        #: still queue (their callers park in :meth:`run`) and in-flight items
-        #: run to completion
+        #: still queue (their callers wait for their callbacks) and in-flight
+        #: items run to completion
         self._paused = False
         #: items currently executing on workers (claimed, not yet finished)
         self._active = 0
         self.stats = stats if stats is not None else DispatchStats()
 
     # ----------------------------------------------------------- submission
-
-    def run(self, key: Any, fn: Callable[[], Any]) -> Any:
-        """Enqueue ``fn`` under ``key`` and block until it has run.
-
-        Returns ``fn``'s result or re-raises its exception in the calling
-        thread.  Items under the same key run strictly in submission order,
-        one at a time; items under different keys run concurrently.
-        """
-        item = _WorkItem(fn)
-        self._enqueue(key, item)
-        item.done.wait()
-        if item.exc is not None:
-            raise item.exc
-        return item.value
 
     def submit(
         self,
@@ -114,18 +85,15 @@ class SessionDispatcher:
     ) -> None:
         """Enqueue ``fn`` under ``key`` without blocking the caller.
 
-        The asyncio serving tier's entry point: the event loop must never
-        park in :meth:`run`, so completion is delivered by invoking
-        ``callback(value, exc)`` on the worker thread that ran the item
-        (exactly one of the two is non-``None`` unless ``fn`` returned
-        ``None``; check ``exc`` first).  Ordering guarantees are identical
-        to :meth:`run` — same-key items run FIFO, one at a time.  A raised
+        Completion is delivered by invoking ``callback(value, exc)`` on the
+        worker thread that ran the item (exactly one of the two is
+        non-``None`` unless ``fn`` returned ``None``; check ``exc`` first).
+        Items under the same key run strictly in submission order, one at
+        a time; items under different keys run concurrently.  A raised
         callback is swallowed: the reply path owns its own error handling
         and must not poison the worker.
         """
-        self._enqueue(key, _WorkItem(fn, callback))
-
-    def _enqueue(self, key: Any, item: _WorkItem) -> None:
+        item = (fn, callback)
         with self._cond:
             if self._closed:
                 raise RuntimeError("dispatcher is closed")
@@ -161,8 +129,8 @@ class SessionDispatcher:
     # ----------------------------------------------------------- drain barrier
 
     def pause(self) -> None:
-        """Stop claiming new items.  Submissions keep queuing (callers park
-        inside :meth:`run`); items already on a worker run to completion."""
+        """Stop claiming new items.  Submissions keep queuing (callers wait
+        for their callbacks); items already on a worker run to completion."""
         with self._cond:
             self._paused = True
 
@@ -232,7 +200,7 @@ class SessionDispatcher:
                         self._workers -= 1
                         return
                 key = self._ready.popleft()
-                item = self._queues[key][0]
+                fn, callback = self._queues[key][0]
                 self._active += 1
                 if self._ready:
                     # more keys are runnable than workers were woken: two
@@ -244,17 +212,15 @@ class SessionDispatcher:
                     # remains re-arms the pool.
                     self._ensure_worker()
                     self._cond.notify()
+            value = exc = None
             try:
-                item.value = item.fn()
-            except BaseException as exc:  # delivered to the submitting thread
-                item.exc = exc
-            finally:
-                item.done.set()
-                if item.callback is not None:
-                    try:
-                        item.callback(item.value, item.exc)
-                    except Exception:
-                        pass  # see submit(): the reply path owns its errors
+                value = fn()
+            except BaseException as raised:  # delivered to the callback
+                exc = raised
+            try:
+                callback(value, exc)
+            except Exception:
+                pass  # see submit(): the reply path owns its errors
             with self._cond:
                 queue = self._queues[key]
                 queue.popleft()
@@ -270,4 +236,4 @@ class SessionDispatcher:
             # an idle wait must not pin the finished item: through its
             # function's closure it holds the endpoint, the server and the
             # database — of a closed system, perhaps, for IDLE_TIMEOUT
-            del item, key, queue
+            del fn, callback, value, exc, key, queue

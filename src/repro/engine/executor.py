@@ -54,7 +54,8 @@ from repro.engine.table import Table
 from repro.engine.values import SqlType, compares_directly, one_nan, sort_key
 from repro.engine.wal import RecordType
 from repro.obs.tracer import get_tracer
-from repro.sql import ast, parse_script
+# benchmarks/e2e/tracing.py wraps this module's own parse_script binding
+from repro.sql import ast, parse_script  # noqa: F401
 from repro.sql.walk import SUBQUERY_EXPRS, aggregate_calls, children, walk
 
 __all__ = ["Executor"]
@@ -190,17 +191,15 @@ class Executor:
             else:
                 plan = _SelectPlan(_Planner(self, params or {}), stmt.select, None)
                 lines = plan.describe()
-            return StatementResult.rows(
-                ResultSet(
-                    columns=[Column("plan", SqlType.VARCHAR)],
-                    rows=[(line,) for line in lines],
-                )
+            return StatementResult(
+                kind="rows",
+                columns=[Column("plan", SqlType.VARCHAR)],
+                rows=[(line,) for line in lines],
             )
         if isinstance(stmt, (ast.Select, ast.UnionSelect)) and stmt.into is None:
-            result_set = self.execute_select(
-                stmt, params=params, placeholders=placeholders
+            return StatementResult.of(
+                self.execute_select(stmt, params=params, placeholders=placeholders)
             )
-            return StatementResult.rows(result_set)
 
         # Everything else mutates: run inside a transaction.
         autocommit = self.session.current_txn is None
@@ -246,13 +245,6 @@ class Executor:
         self.session.last_rowcount = (
             result.rowcount if result.kind == "rowcount" else 0
         )
-        return result
-
-    def execute_sql(self, sql: str, **kwargs) -> StatementResult:
-        """Parse and execute a batch; returns the last statement's result."""
-        result = StatementResult.ok()
-        for stmt in parse_script(sql):
-            result = self.execute(stmt, **kwargs)
         return result
 
     # ------------------------------------------------------------ transactions
@@ -523,21 +515,18 @@ class Executor:
                 ).coerce(value)
             bound[pname.lower()] = value
         result = StatementResult.ok(f"EXEC {name}")
-        into_columns = None
+        into_columns = []
         for body_stmt in proc.body:
             if isinstance(body_stmt, (ast.Select, ast.UnionSelect)) and body_stmt.into is None:
-                result = StatementResult.rows(
-                    self.execute_select(body_stmt, params=bound)
-                )
+                result = StatementResult.of(self.execute_select(body_stmt, params=bound))
             else:
                 result = self._execute_mutation(
                     body_stmt, txn, _Planner(self, bound), RunContext(self, [], bound)
                 )
-                into_columns = result.extra.get("into_columns", into_columns)
-        if into_columns is not None:
-            # the description of the body's last SELECT ... INTO rides with
-            # whatever the procedure answers (its read-back of that table)
-            result.extra["into_columns"] = into_columns
+                into_columns = result.into_columns or into_columns
+        # the description of the body's last SELECT ... INTO rides with
+        # whatever the procedure answers (its read-back of that table)
+        result.into_columns = into_columns
         return result
 
     # ------------------------------------------------------------ DML
@@ -722,7 +711,7 @@ class Executor:
             for row in result.rows:
                 self.database.insert_row(txn, schema.name, list(row))
         outcome = StatementResult.count(len(result.rows), f"SELECT INTO {schema.name}")
-        outcome.extra["into_columns"] = result.columns
+        outcome.into_columns = result.columns
         return outcome
 
     # ------------------------------------------------------------ SELECT pipeline

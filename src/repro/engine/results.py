@@ -70,23 +70,36 @@ class ResultSet:
 
 @dataclass
 class StatementResult:
-    """Outcome of one statement.
+    """Outcome of one statement batch, from the executor to the client's
+    cursor: the engine returns it and the wire carries it as it is.
 
     ``kind``:
 
-    * ``"rows"`` — a query; ``result_set`` is populated (or a cursor was
-      opened — then ``cursor_id`` is set and rows stream via FETCH);
+    * ``"rows"`` — a query; either its ``rows`` ride inline (a *default
+      result set*) or a server cursor was opened — then ``cursor_id`` is
+      set, ``rows`` is empty and rows stream via FETCH;
     * ``"rowcount"`` — DML; ``rowcount`` is the affected-tuple count (the
       state the paper's status table makes testable);
     * ``"ok"`` — DDL / transaction control / SET.
     """
 
-    kind: str
-    result_set: ResultSet | None = None
+    kind: str = "ok"
+    columns: list[Column] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     rowcount: int = 0
     message: str = ""
     cursor_id: int | None = None
-    extra: dict = field(default_factory=dict)
+    #: the type a server cursor was opened as (a query no key serves
+    #: downgrades a keyset or dynamic request)
+    effective_cursor_type: str = "default"
+    #: affected-row counts of every DML statement in the batch, in order —
+    #: how a transaction-wrapped batch still reports the inner statement's
+    #: rowcount when the final statement is the COMMIT
+    batch_rowcounts: list[int] = field(default_factory=list)
+    #: the query's own column description for the batch's last
+    #: ``SELECT ... INTO`` — the table it created stores uniquified names,
+    #: so reading it back (``columns``) cannot say what the query called them
+    into_columns: list[Column] = field(default_factory=list)
 
     @classmethod
     def ok(cls, message: str = "") -> "StatementResult":
@@ -97,5 +110,13 @@ class StatementResult:
         return cls(kind="rowcount", rowcount=rowcount, message=message)
 
     @classmethod
-    def rows(cls, result_set: ResultSet) -> "StatementResult":
-        return cls(kind="rows", result_set=result_set)
+    def of(cls, result_set: ResultSet) -> "StatementResult":
+        return cls(kind="rows", columns=result_set.columns, rows=result_set.rows)
+
+    @property
+    def result_set(self) -> ResultSet | None:
+        """An inline result's rows as a :class:`ResultSet` (``None`` for
+        any other outcome); ``benchmarks/e2e/harness.py`` reads it."""
+        if self.kind != "rows" or self.cursor_id is not None:
+            return None
+        return ResultSet(self.columns, self.rows)

@@ -550,29 +550,26 @@ class DatabaseServer:
                     self.advance(session_id, cursor.cursor_id, position)
                 result = StatementResult(
                     kind="rows",
-                    result_set=None,
+                    columns=cursor.columns,
                     cursor_id=cursor.cursor_id,
-                    extra={
-                        "columns": cursor.columns,
-                        "effective_cursor_type": cursor.effective_type,
-                    },
+                    effective_cursor_type=cursor.effective_type,
                 )
             else:
                 result = executor.execute(stmt, placeholders=placeholders)
-                if result.kind == "rows" and result.result_set is not None:
-                    self.stats.rows_returned += len(result.result_set.rows)
+                if result.kind == "rows":
+                    self.stats.rows_returned += len(result.rows)
                     last_rows = result
                 elif result.kind == "rowcount":
                     batch_rowcounts.append(result.rowcount)
-                into_columns = result.extra.get("into_columns", into_columns)
+                into_columns = result.into_columns or into_columns
         # Like typical clients consuming a batch: the result set survives
         # trailing non-query statements (e.g. "CREATE VIEW; SELECT; DROP
         # VIEW" — TPC-H Q15's shape); their rowcounts ride alongside, and
         # so does the description of the batch's last SELECT ... INTO.
         if result.kind != "rows" and last_rows is not None:
             result = last_rows
-        result.extra["batch_rowcounts"] = batch_rowcounts
-        result.extra["into_columns"] = into_columns
+        result.batch_rowcounts = batch_rowcounts
+        result.into_columns = into_columns
         return result
 
     def execute_batch(

@@ -77,7 +77,3 @@ class TransactionManager:
 
     def get(self, txn_id: int) -> Transaction | None:
         return self._active.get(txn_id)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)

@@ -47,10 +47,6 @@ class SqlType(enum.Enum):
     BOOLEAN = "BOOLEAN"
 
     @property
-    def is_numeric(self) -> bool:
-        return self in (SqlType.INT, SqlType.FLOAT, SqlType.DECIMAL)
-
-    @property
     def is_text(self) -> bool:
         return self in (SqlType.CHAR, SqlType.VARCHAR, SqlType.TEXT)
 

@@ -284,6 +284,11 @@ class WriteAheadLog:
     def append(self, record: LogRecord) -> int:
         """Buffer one record (volatile until the next force); returns its LSN."""
         self._refuse_after_fault()
+        return self._buffer(record)
+
+    def _buffer(self, record: LogRecord) -> int:
+        """Stamp ``record`` with its LSN, encode it and add its frame to the
+        buffer; returns the LSN."""
         record.lsn = self._next_lsn()
         if record.type is RecordType.COMMIT:
             # provisional stamp: a float *now* so the frame length is final
@@ -404,26 +409,8 @@ class WriteAheadLog:
         Returns the LSNs assigned to ``records``.
         """
         self._refuse_after_fault()
-        lsns: list[int] = []
-        frames: list[bytes] = []
-        for record in records:
-            record.lsn = self._next_lsn()
-            frame = encode_record(record)
-            frames.append(frame)
-            self._pending_bytes += len(frame)
-            lsns.append(record.lsn)
-        published = self._flush_commits()
-        payload = b"".join(self._pending) + b"".join(frames)
-        self._pending.clear()
-        self._pending_bytes = 0
-        self.stats.records_written += len(records)
-        if payload:
-            self._write(payload)
-            self._publish_commits(published)
-            self.stats.forces += 1
-            get_tracer().event(
-                "wal.force", records=len(records), bytes=len(payload), atomic_batch=True
-            )
+        lsns = [self._buffer(record) for record in records]
+        self._flush()
         return lsns
 
     def pending_count(self) -> int:

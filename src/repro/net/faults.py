@@ -119,9 +119,7 @@ class ScheduledFault:
     the fault armed after it fires (default one-shot — the injector removes
     the fault the first time it fires).  ``every`` makes a repeating fault
     *periodic*: it fires on each Nth matching request — the chaos schedule
-    availability experiments use.  :attr:`fires_remaining` and
-    :attr:`matches_until_fire` expose the pending state so a schedule
-    explorer can introspect what is still armed.
+    availability experiments use.
     """
 
     kind: FaultKind
@@ -156,24 +154,6 @@ class ScheduledFault:
             self._fired += 1
         return fires
 
-    @property
-    def fires_remaining(self) -> int | None:
-        """How many more times this fault can fire: ``None`` for repeating
-        faults (unbounded), else 1 until the one-shot fires, then 0."""
-        if self.repeat:
-            return None
-        return 0 if self._fired else 1
-
-    @property
-    def matches_until_fire(self) -> int | None:
-        """Matching requests left before the next firing (1 = the next
-        match fires).  ``None`` once a one-shot has already fired."""
-        if self.every is not None:
-            return self.every - (self._seen % self.every)
-        if self.fires_remaining == 0:
-            return None
-        return max(self.after - self._seen, 0) + 1
-
 
 class FaultInjector:
     """Holds the schedule and decides, per request, what fate it meets."""
@@ -191,9 +171,6 @@ class FaultInjector:
         #: inspected — the chaos explorer's golden run reads this to learn
         #: which crash points have *interior* positions to sweep.
         self.batch_requests: list[tuple[int, int]] = []
-        #: ``arg`` of the most recently fired fault (endpoint reads this to
-        #: position a CRASH_MID_BATCH kill)
-        self.last_fault_arg: int | None = None
 
     def schedule(
         self,
@@ -235,17 +212,9 @@ class FaultInjector:
         with self._lock:
             self._faults.clear()
 
-    def next_fault(self, request: Request) -> FaultKind | None:
-        """The fault (if any) that fires for this request."""
-        kind, _arg = self.next_fault_with_arg(request)
-        return kind
-
-    def next_fault_with_arg(
-        self, request: Request
-    ) -> tuple[FaultKind | None, int | None]:
-        """Like :meth:`next_fault`, but returns ``(kind, arg)`` atomically —
-        under threaded dispatch another request's fault may fire between a
-        ``next_fault`` call and a later :attr:`last_fault_arg` read."""
+    def next_fault(self, request: Request) -> tuple[FaultKind | None, int | None]:
+        """The fault (if any) that fires for this request, with its ``arg``
+        (one atomic decision under threaded dispatch)."""
         with self._lock:
             if isinstance(request, BatchExecuteRequest):
                 self.batch_requests.append((self.requests_seen, len(request.rows)))
@@ -255,7 +224,6 @@ class FaultInjector:
                     if not fault.repeat:
                         self._faults.remove(fault)
                     self.fired.append(fault.kind)
-                    self.last_fault_arg = fault.arg
                     return fault.kind, fault.arg
         return None, None
 

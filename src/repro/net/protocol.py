@@ -4,10 +4,11 @@ Messages cross the "wire" as pickled bytes — not because pickle is a great
 wire format, but because serializing at all keeps the boundary honest: the
 client cannot share live objects with the server, and the metrics layer can
 count real message sizes.  Decoding admits only the classes a message is
-made of (the ``Message`` subclasses defined here, a result's ``Column``
-with its ``SqlType``, and ``datetime.date`` values): any other class or
-callable named in the bytes is refused before it is looked up, so a peer
-cannot make the decoder run code.
+made of (the ``Message`` subclasses defined here, the engine's
+``StatementResult`` with its ``Column`` and ``SqlType``, and
+``datetime.date`` values): any other class or callable named in the bytes is
+refused before it is looked up, so a peer cannot make the decoder run code.
+A statement's reply is the engine's ``StatementResult`` itself.
 
 Every request carries the session id it operates on (like a TDS connection
 carries its login context); ``ConnectRequest`` is the exception.  A field
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import errors
+from repro.engine.results import StatementResult
 from repro.engine.schema import Column
 from repro.engine.values import SqlType
 
@@ -43,7 +45,6 @@ __all__ = [
     "TableSchemaRequest",
     "TableSchemaResponse",
     "ConnectResponse",
-    "ResultResponse",
     "FetchResponse",
     "OkResponse",
     "ErrorResponse",
@@ -154,35 +155,9 @@ class ConnectResponse(Response):
     session_id: int = 0
     #: the recipe's reply (its last query's rows), None without a recipe;
     #: with ``reaped`` it retired ``PongResponse``
-    result: "ResultResponse | None" = None
+    result: StatementResult | None = None
     #: the ``reap`` ids that named a live session, now disconnected
     reaped: list[int] = field(default_factory=list)
-
-
-@dataclass
-class ResultResponse(Response):
-    """Outcome of an ExecuteRequest.
-
-    ``kind`` mirrors :class:`~repro.engine.results.StatementResult`:
-    ``rows`` (with either inline ``rows`` for a default result set or a
-    ``cursor_id`` for server cursors), ``rowcount``, or ``ok``.
-    """
-
-    kind: str = "ok"
-    columns: list[Column] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = 0
-    message: str = ""
-    cursor_id: int | None = None
-    effective_cursor_type: str = "default"
-    #: affected-row counts of every DML statement in the batch, in order —
-    #: how a transaction-wrapped batch still reports the inner statement's
-    #: rowcount when the final statement is the COMMIT.
-    batch_rowcounts: list[int] = field(default_factory=list)
-    #: the query's own column description for the batch's last
-    #: ``SELECT ... INTO`` — the table it created stores uniquified names, so
-    #: reading it back (``columns``) cannot say what the query called them.
-    into_columns: list[Column] = field(default_factory=list)
 
 
 @dataclass
@@ -209,7 +184,7 @@ class ErrorResponse(Response):
 class BatchExecuteResponse(Response):
     """Outcome of a :class:`BatchExecuteRequest`.
 
-    ``results`` holds one :class:`ResultResponse` per executed sub-batch,
+    ``results`` holds one :class:`StatementResult` per executed sub-batch,
     in request order.  On a SQL error, ``results`` is the successful prefix
     and ``error``/``error_index`` describe the failing sub-batch; the
     suffix after it was not executed.  Transport-level failures never reach
@@ -218,7 +193,7 @@ class BatchExecuteResponse(Response):
     no reply before the force that covers it lands).
     """
 
-    results: list[ResultResponse] = field(default_factory=list)
+    results: list[StatementResult] = field(default_factory=list)
     error: ErrorResponse | None = None
     error_index: int = -1
 
@@ -229,7 +204,7 @@ class TableSchemaResponse(Response):
     primary_key: tuple[str, ...] = ()
 
 
-def encode_message(message: Message) -> bytes:
+def encode_message(message: Message | StatementResult) -> bytes:
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -238,6 +213,7 @@ _WIRE_CLASSES = {
     (cls.__module__, cls.__qualname__): cls
     for cls in [
         *(v for v in list(globals().values()) if isinstance(v, type) and issubclass(v, Message)),
+        StatementResult,
         Column,
         SqlType,
         datetime.date,
@@ -253,14 +229,14 @@ class _WireUnpickler(pickle.Unpickler):
             raise pickle.UnpicklingError(f"{module}.{name} may not cross the wire") from None
 
 
-def decode_message(raw: bytes) -> Message:
+def decode_message(raw: bytes) -> Message | StatementResult:
     """Decode one message; bytes that name any class outside the protocol,
     or that are not a message at all, raise ``CommunicationError``."""
     try:
         message = _WireUnpickler(io.BytesIO(raw)).load()
     except Exception as exc:
         raise errors.CommunicationError(f"protocol error: {exc}") from None
-    if not isinstance(message, Message):
+    if not isinstance(message, (Message, StatementResult)):
         raise errors.CommunicationError(
             f"protocol error: {type(message).__name__} is not a message"
         )

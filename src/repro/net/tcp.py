@@ -377,6 +377,3 @@ class TcpTransport(Transport):
 
     def open_channel(self, metrics: NetworkMetrics | None = None) -> ClientChannel:
         return ClientChannel(_TcpWire(self.host, self.port), metrics=metrics)
-
-    def describe(self) -> str:
-        return f"tcp://{self.host}:{self.port}"

@@ -12,21 +12,25 @@ even if the server is back.
 
 The channel's byte round trip is pluggable: a :class:`Transport` opens
 channels over some wire, and the channel delegates ``raw bytes -> raw
-bytes`` to the wire object behind it.  :class:`InProcessTransport` is the
-direct ``endpoint.handle`` call (zero-copy, same process);
+bytes`` to the wire object behind it.  Both wires enter the server through
+:meth:`ServerEndpoint.submit`: :class:`InProcessTransport` is its own wire
+(it submits the bytes and waits for the reply, same process), and
 :class:`~repro.net.tcp.TcpTransport` is a real socket to a
-:class:`~repro.net.tcp.TcpServer`.  Everything above the wire — metrics,
-tracing, the broken-channel contract, in-band SQL error rebuilding — is
-shared, so the Phoenix driver, the plain ODBC stack, chaos traces, and the
-benches run unchanged over either transport.
+:class:`~repro.net.tcp.TcpServer`, whose event loop submits them.
+Everything above the wire — metrics, tracing, the broken-channel contract,
+in-band SQL error rebuilding — is shared, so the Phoenix driver, the plain
+ODBC stack, chaos traces, and the benches run unchanged over either
+transport.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 
 from repro import errors
+from repro.engine.results import StatementResult
 from repro.engine.server import DatabaseServer
 from repro.engine.storage import StorageFault
 from repro.net.faults import FaultInjector, FaultKind
@@ -46,7 +50,6 @@ from repro.net.protocol import (
     OkResponse,
     Request,
     Response,
-    ResultResponse,
     TableSchemaRequest,
     TableSchemaResponse,
     decode_message,
@@ -55,6 +58,15 @@ from repro.net.protocol import (
 
 __all__ = ["ServerEndpoint", "ClientChannel", "Transport", "InProcessTransport"]
 
+#: the mid-swap crash faults: where the kill lands, and the rewrite step of
+#: ``DatabaseServer._planned_swap`` that arg 1 lets run first — a planned
+#: restart's checkpoint, or a restore *to now*, so every committed
+#: transaction survives and the exactly-once oracle still applies
+_MID_SWAP = {
+    FaultKind.CRASH_MID_DRAIN: ("mid-drain", lambda server: server.checkpoint()),
+    FaultKind.CRASH_MID_RESTORE: ("mid-restore", lambda server: server.restore_storage_to(None)),
+}
+
 
 class ServerEndpoint:
     """The server side of the wire: dispatch + fault injection.
@@ -62,16 +74,14 @@ class ServerEndpoint:
     Requests are routed through the server's
     :class:`~repro.engine.dispatch.SessionDispatcher`: one session's
     requests run strictly in order, while different sessions' requests run
-    on worker threads and interleave inside the engine.  The calling client
-    thread blocks for its reply — the wire keeps its synchronous
-    request/response shape, and N concurrent clients simply call in from N
-    threads.
+    on worker threads and interleave inside the engine.
 
-    :attr:`latency` simulates wire transit by *sleeping* on the client's
-    thread (half outbound, half for the reply).  It starts at zero — unit
-    tests and the chaos explorer stay instant — and the concurrency bench
-    sets it, which is exactly where concurrent serving pays: while one
-    client's request is in transit, the server serves everybody else.
+    :attr:`latency` simulates in-process wire transit: the
+    :class:`InProcessTransport` *sleeps* on the client's thread (half
+    outbound, half for the reply).  It starts at zero — unit tests and the
+    chaos explorer stay instant — and the concurrency bench sets it, which
+    is exactly where concurrent serving pays: while one client's request is
+    in transit, the server serves everybody else.
     """
 
     def __init__(self, server: DatabaseServer):
@@ -86,23 +96,6 @@ class ServerEndpoint:
 
     # -- the wire ------------------------------------------------------------
 
-    def handle(self, raw_request: bytes) -> bytes:
-        """Process one serialized request; returns the serialized response.
-
-        Raises :class:`~repro.errors.CommunicationError` subclasses for
-        transport-level failures (crash, hang, drop) — exactly what a real
-        socket layer would surface.  SQL-level errors travel *in-band* as
-        :class:`ErrorResponse`.
-        """
-        request, key, corr = self._prepare(raw_request)
-        if self.latency:
-            time.sleep(self.latency / 2)
-        try:
-            return self.server.dispatcher.run(key, lambda: self._serve(request, corr))
-        finally:
-            if self.latency:
-                time.sleep(self.latency / 2)
-
     def submit(
         self,
         raw_request: bytes,
@@ -110,14 +103,16 @@ class ServerEndpoint:
         *,
         frame_attrs: dict | None = None,
     ) -> None:
-        """Non-blocking :meth:`handle` for the asyncio serving tier.
+        """Serve one serialized request without blocking the caller: the
+        one way into the server, for every transport.
 
-        The TCP front end's event loop must never park in the dispatcher,
-        so the request is enqueued and ``callback(raw_response, exc)`` is
+        The request is enqueued and ``callback(raw_response, exc)`` is
         invoked on the dispatch worker once it has run (check ``exc``
-        first; it carries the CommunicationError subclasses that
-        :meth:`handle` would raise).  Decode failures invoke the callback
-        synchronously on the caller.
+        first).  ``exc`` carries :class:`~repro.errors.CommunicationError`
+        subclasses for transport-level failures (crash, hang, drop) —
+        exactly what a real socket layer would surface; SQL-level errors
+        travel *in-band* as :class:`ErrorResponse`.  Decode failures invoke
+        the callback synchronously on the caller.
 
         ``frame_attrs`` (the TCP server passes peer + byte counts) opens a
         ``net.frame`` span around the server-side body so the socket tier
@@ -151,8 +146,7 @@ class ServerEndpoint:
             callback(None, errors.ServerCrashedError(f"dispatcher rejected request: {exc}"))
 
     def _prepare(self, raw_request: bytes):
-        """Decode + session key + caller correlation — shared by
-        :meth:`handle` and :meth:`submit`."""
+        """Decode + session key + caller correlation."""
         request = decode_message(raw_request)
         if not isinstance(request, Request):
             raise errors.CommunicationError(
@@ -174,7 +168,7 @@ class ServerEndpoint:
             if not self.server.up:
                 raise errors.ServerCrashedError("connection refused: server is down")
 
-            fault, fault_arg = self.faults.next_fault_with_arg(request)
+            fault, fault_arg = self.faults.next_fault(request)
             if fault is not None:
                 tracer.event("fault.fired", fault=fault.value)
             if fault is FaultKind.CRASH_BEFORE_EXECUTE:
@@ -203,47 +197,27 @@ class ServerEndpoint:
                 raise errors.CommunicationError(
                     "connection reset by peer (server crashed mid-batch)"
                 )
-            if fault is FaultKind.CRASH_MID_DRAIN:
-                # A planned restart begins while this request is already on
-                # a worker, and the process is killed inside it: arg 0 dies
-                # in the drain window (before the checkpoint), arg 1 during
-                # the swap (after the checkpoint, before the fresh engine
-                # boots).  Either way the planned restart degrades into the
-                # unplanned crash path — crash() lifts the drain barrier so
-                # parked requests observe the dead server and recover.
+            if fault in _MID_SWAP:
+                # A planned restart or a restore_to begins while this
+                # request is already on a worker, and the process is killed
+                # inside it: arg 0 dies in the drain window, arg 1 after the
+                # swap's rewrite step, before the fresh engine boots.  Either
+                # way the swap degrades into the unplanned crash path —
+                # crash() lifts the drain barrier so parked requests observe
+                # the dead server and recover.
+                where, rewrite = _MID_SWAP[fault]
                 try:
                     self.server.begin_drain()
                 except errors.OperationalError:
                     pass  # already draining/down — the kill below still lands
                 if fault_arg:
                     try:
-                        self.server.checkpoint()
+                        rewrite(self.server)
                     except (errors.Error, StorageFault):
                         pass
                 self._kill()
                 raise errors.CommunicationError(
-                    "connection reset by peer (server crashed mid-drain)"
-                )
-            if fault is FaultKind.CRASH_MID_RESTORE:
-                # A restore_to begins while this request is already on a
-                # worker, and the process is killed inside it: arg 0 dies in
-                # the drain window (storage untouched), arg 1 after the
-                # storage rewrite — a restore *to now*, so every committed
-                # transaction survives and the exactly-once oracle still
-                # applies — but before the fresh engine boots.  Either way
-                # the restore degrades into the unplanned crash path.
-                try:
-                    self.server.begin_drain()
-                except errors.OperationalError:
-                    pass  # already draining/down — the kill below still lands
-                if fault_arg:
-                    try:
-                        self.server.restore_storage_to(None)
-                    except (errors.Error, StorageFault):
-                        pass
-                self._kill()
-                raise errors.CommunicationError(
-                    "connection reset by peer (server crashed mid-restore)"
+                    f"connection reset by peer (server crashed {where})"
                 )
             if fault is FaultKind.TORN_WAL_TAIL:
                 # armed on the device; fires at this request's first log append
@@ -281,7 +255,7 @@ class ServerEndpoint:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, request: Request) -> Response:
+    def _dispatch(self, request: Request) -> Response | StatementResult:
         server = self.server
         if isinstance(request, ConnectRequest):
             reaped = server.disconnect_sessions(request.reap)
@@ -289,8 +263,8 @@ class ServerEndpoint:
             result = None
             if request.sql:
                 try:
-                    result = _result_response(
-                        server.execute(session_id, request.sql, placeholders=request.placeholders)
+                    result = server.execute(
+                        session_id, request.sql, placeholders=request.placeholders
                     )
                 except errors.Error:
                     if server.session_exists(session_id):
@@ -298,14 +272,13 @@ class ServerEndpoint:
                     raise
             return ConnectResponse(session_id=session_id, result=result, reaped=reaped)
         if isinstance(request, ExecuteRequest):
-            result = server.execute(
+            return server.execute(
                 request.session_id,
                 request.sql,
                 placeholders=request.placeholders,
                 cursor_type=request.cursor_type,
                 position=request.position,
             )
-            return _result_response(result)
         if isinstance(request, BatchExecuteRequest):
             with get_tracer().span("wire.batch", statements=len(request.rows)) as span:
                 results, error, error_index = server.execute_batch(
@@ -313,7 +286,7 @@ class ServerEndpoint:
                 )
                 span.set(executed=len(results), error_index=error_index)
             return BatchExecuteResponse(
-                results=[_result_response(r) for r in results],
+                results=results,
                 error=(
                     ErrorResponse(error_type=type(error).__name__, message=str(error))
                     if error is not None
@@ -338,37 +311,6 @@ class ServerEndpoint:
         raise errors.InterfaceError(f"unknown request type {type(request).__name__}")
 
 
-def _result_response(result) -> ResultResponse:
-    """Convert a :class:`StatementResult` into its wire shape."""
-    if result.kind == "rows":
-        if result.cursor_id is not None:
-            return ResultResponse(
-                kind="rows",
-                columns=result.extra["columns"],
-                cursor_id=result.cursor_id,
-                effective_cursor_type=result.extra["effective_cursor_type"],
-            )
-        return ResultResponse(
-            kind="rows",
-            columns=result.result_set.columns,
-            rows=result.result_set.rows,
-            into_columns=result.extra.get("into_columns", []),
-        )
-    if result.kind == "rowcount":
-        return ResultResponse(
-            kind="rowcount",
-            rowcount=result.rowcount,
-            message=result.message,
-            batch_rowcounts=result.extra.get("batch_rowcounts", []),
-            into_columns=result.extra.get("into_columns", []),
-        )
-    return ResultResponse(
-        kind="ok",
-        message=result.message,
-        batch_rowcounts=result.extra.get("batch_rowcounts", []),
-    )
-
-
 _channel_ids = itertools.count(1)
 
 
@@ -389,30 +331,11 @@ class Transport:
     def open_channel(self, metrics: NetworkMetrics | None = None) -> "ClientChannel":
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release transport-wide resources (channels close individually)."""
-
-    def describe(self) -> str:
-        return self.name
-
-
-class _InProcessWire:
-    """The zero-copy wire: a direct call into the endpoint."""
-
-    __slots__ = ("endpoint",)
-
-    def __init__(self, endpoint: ServerEndpoint):
-        self.endpoint = endpoint
-
-    def roundtrip(self, raw_request: bytes) -> bytes:
-        return self.endpoint.handle(raw_request)
-
-    def close(self) -> None:
-        pass
-
 
 class InProcessTransport(Transport):
-    """Today's direct ``endpoint.handle`` call behind the Transport API."""
+    """The same-process wire: the channel's bytes go straight to
+    :meth:`ServerEndpoint.submit`, and the calling thread waits for the
+    reply — the TCP path with the socket taken out."""
 
     name = "inprocess"
 
@@ -420,7 +343,32 @@ class InProcessTransport(Transport):
         self.endpoint = endpoint
 
     def open_channel(self, metrics: NetworkMetrics | None = None) -> "ClientChannel":
-        return ClientChannel(self.endpoint, metrics=metrics)
+        return ClientChannel(self, metrics=metrics)
+
+    def roundtrip(self, raw_request: bytes) -> bytes:
+        replied = threading.Event()
+        reply: list = []
+
+        def deliver(raw_response, exc) -> None:
+            reply.append((raw_response, exc))
+            replied.set()
+
+        latency = self.endpoint.latency
+        if latency:
+            time.sleep(latency / 2)
+        try:
+            self.endpoint.submit(raw_request, deliver)
+            replied.wait()
+        finally:
+            if latency:
+                time.sleep(latency / 2)
+        raw_response, exc = reply.pop()
+        if exc is not None:
+            raise exc
+        return raw_response
+
+    def close(self) -> None:
+        """A channel's close: no socket to release."""
 
 
 class ClientChannel:
@@ -430,9 +378,8 @@ class ClientChannel:
     ``ConnectRequest`` — but the channel mirrors a socket's lifecycle:
     usable until the first communication error, then permanently broken.
 
-    ``wire`` is either a :class:`ServerEndpoint` (the historical
-    constructor shape, wrapped in the in-process wire) or any object with
-    ``roundtrip(bytes) -> bytes`` and ``close()``.
+    ``wire`` is any object with ``roundtrip(bytes) -> bytes`` and
+    ``close()``.
     """
 
     def __init__(
@@ -441,15 +388,11 @@ class ClientChannel:
         metrics: NetworkMetrics | None = None,
     ):
         self.channel_id = next(_channel_ids)
-        if isinstance(wire, ServerEndpoint):
-            wire = _InProcessWire(wire)
         self.wire = wire
-        #: the endpoint behind an in-process wire; ``None`` over a socket
-        self.endpoint = getattr(wire, "endpoint", None)
         self.metrics = metrics if metrics is not None else NetworkMetrics()
         self.broken = False
 
-    def send(self, request: Request) -> Response:
+    def send(self, request: Request) -> Response | StatementResult:
         """One round trip.  Raises CommunicationError subclasses on
         transport failure and re-raises SQL errors shipped in-band."""
         if self.broken:

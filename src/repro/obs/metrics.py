@@ -34,7 +34,6 @@ import inspect
 from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
-from typing import Iterable
 
 __all__ = ["CounterSet", "Histogram", "MetricsRegistry", "gauge"]
 
@@ -159,10 +158,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
 
     def quantile(self, q: float) -> float:
         """Upper bucket edge at cumulative fraction ``q`` (0 < q <= 1) —

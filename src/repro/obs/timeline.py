@@ -101,9 +101,6 @@ class RecoveryTimeline:
             ))
         return cls(views)
 
-    def total_phase_seconds(self, name: str) -> float:
-        return sum(view.phase_seconds(name) for view in self.recoveries)
-
     def render(self) -> str:
         """Human-readable phase breakdown, one block per recovery."""
         if not self.recoveries:

@@ -206,14 +206,6 @@ class Tracer:
 
     # ------------------------------------------------------------------ export
 
-    def correlation_ids(self) -> list[str]:
-        """Distinct correlation ids in record order."""
-        seen: dict[str, None] = {}
-        for record in self.records:
-            if record["corr"] is not None:
-                seen.setdefault(record["corr"])
-        return list(seen)
-
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 

@@ -2,9 +2,7 @@
 
 :class:`NativeDriver` knows how to reach one database server — through a
 :class:`~repro.net.transport.Transport` whose channels carry the wire
-(in-process endpoint call or a real TCP socket; a bare
-:class:`~repro.net.transport.ServerEndpoint` is accepted and wrapped for
-the historical constructor shape) — and exposes the low-level connection
+(in-process or a real TCP socket) — and exposes the low-level connection
 operations the driver manager builds statements on.  It performs no
 recovery of any kind: a communication error breaks the connection and is
 the application's problem — which is the baseline behaviour Phoenix fixes.
@@ -19,6 +17,7 @@ from repro.errors import (
     InterfaceError,
     SessionLostError,
 )
+from repro.engine.results import StatementResult
 from repro.net.metrics import NetworkMetrics
 from repro.net.protocol import (
     BatchExecuteRequest,
@@ -32,16 +31,10 @@ from repro.net.protocol import (
     FetchResponse,
     Request,
     Response,
-    ResultResponse,
     TableSchemaRequest,
     TableSchemaResponse,
 )
-from repro.net.transport import (
-    ClientChannel,
-    InProcessTransport,
-    ServerEndpoint,
-    Transport,
-)
+from repro.net.transport import ClientChannel, Transport
 from repro.obs.tracer import get_tracer
 
 __all__ = ["NativeDriver", "DriverConnection"]
@@ -68,16 +61,11 @@ class NativeDriver:
 
     def __init__(
         self,
-        transport: Transport | ServerEndpoint,
+        transport: Transport,
         *,
         metrics: NetworkMetrics | None = None,
     ):
-        if isinstance(transport, ServerEndpoint):
-            transport = InProcessTransport(transport)
         self.transport = transport
-        #: the endpoint behind an in-process transport; ``None`` over TCP
-        #: (kept because tests and tools reach the fault injector this way)
-        self.endpoint = getattr(transport, "endpoint", None)
         #: shared metrics for every channel this driver opens
         self.metrics = metrics if metrics is not None else NetworkMetrics()
 
@@ -174,7 +162,7 @@ class DriverConnection:
         placeholders: list | None = None,
         cursor_type: str = "default",
         position: int = 0,
-    ) -> ResultResponse:
+    ) -> StatementResult:
         self._require_open()
         request = ExecuteRequest(
             session_id=self.session_id,
@@ -183,7 +171,7 @@ class DriverConnection:
             cursor_type=cursor_type,
             position=position,
         )
-        return _send(self.channel, request, ResultResponse)
+        return _send(self.channel, request, StatementResult)
 
     def execute_batch(self, sql: str, rows: list[list]) -> BatchExecuteResponse:
         """Run ``sql`` once per row of ``?`` values, in one round trip

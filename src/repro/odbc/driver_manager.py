@@ -23,7 +23,7 @@ from typing import Any
 from repro import errors
 from repro.errors import InterfaceError, ProgrammingError
 from repro.engine.schema import Column
-from repro.net.protocol import ResultResponse
+from repro.engine.results import StatementResult
 from repro.odbc.constants import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_FETCH_BLOCK,
@@ -170,7 +170,7 @@ class Connection:
         if self.closed:
             raise InterfaceError("connection is closed")
 
-    def _execute_raw(self, sql: str) -> ResultResponse:
+    def _execute_raw(self, sql: str) -> StatementResult:
         self._require_open()
         return self._driver_connection.execute(sql)
 
@@ -236,7 +236,7 @@ class Statement:
         self._absorb(response)
         return self
 
-    def _absorb(self, response: ResultResponse) -> None:
+    def _absorb(self, response: StatementResult) -> None:
         if response.kind == "rows":
             self.columns = response.columns
             self.description = describe_columns(response.columns)

@@ -170,11 +170,6 @@ class ConnectionPool:
         self.close()
 
     @property
-    def in_use(self) -> int:
-        with self._cond:
-            return self._in_use
-
-    @property
     def idle(self) -> int:
         with self._cond:
             return len(self._idle)

@@ -69,11 +69,6 @@ __all__ = [
     "PROCEDURE_NAME_FIELD",
 ]
 
-#: Binary operators rendered with surrounding spaces, in precedence order
-#: (used by the parser; kept here so renderers and parser agree).
-COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
-ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%", "||"})
-LOGICAL_OPS = frozenset({"AND", "OR"})
 #: The function names that aggregate rows (lower-case); any other call is scalar.
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 

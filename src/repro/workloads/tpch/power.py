@@ -46,10 +46,6 @@ class PowerReport:
     def total_query_seconds(self) -> float:
         return sum(r.seconds for r in self.results if r.name.startswith("Q"))
 
-    @property
-    def total_update_seconds(self) -> float:
-        return sum(r.seconds for r in self.results if r.name.startswith("RF"))
-
 
 def run_power_test(
     connection,

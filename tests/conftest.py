@@ -74,8 +74,8 @@ def parsed_texts(monkeypatch):
 def execute(server, session_id, sql):
     """Convenience: run SQL, return rows for queries / rowcount for DML."""
     result = server.execute(session_id, sql)
-    if result.kind == "rows" and result.result_set is not None:
-        return result.result_set.rows
+    if result.kind == "rows":
+        return result.rows
     if result.kind == "rowcount":
         return result.rowcount
     return None

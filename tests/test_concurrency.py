@@ -216,6 +216,13 @@ def test_phoenix_retries_deadlock_victim_transparently(system):
 # ---------------------------------------------------------------- dispatcher
 
 
+def _run(dispatcher: SessionDispatcher, key, fn) -> None:
+    """Submit ``fn`` under ``key`` and wait for its callback."""
+    done = threading.Event()
+    dispatcher.submit(key, fn, lambda value, exc: done.set())
+    done.wait()
+
+
 def test_dispatcher_preserves_per_key_order():
     dispatcher = SessionDispatcher()
     seen: list[int] = []
@@ -226,7 +233,7 @@ def test_dispatcher_preserves_per_key_order():
             with lock:
                 seen.append(i)
 
-        dispatcher.run("s1", fn)
+        _run(dispatcher, "s1", fn)
 
     threads = []
     for i in range(20):
@@ -250,7 +257,7 @@ def test_dispatcher_runs_different_keys_concurrently():
         met.append(True)
 
     threads = [
-        threading.Thread(target=dispatcher.run, args=(key, fn))
+        threading.Thread(target=_run, args=(dispatcher, key, fn))
         for key in ("s1", "s2")
     ]
     for thread in threads:
@@ -302,7 +309,7 @@ def test_a_connect_waiting_on_a_lock_does_not_hold_up_another_clients_connect(li
         waiter.join(5.0)
         second.join(5.0)
     assert set(opened) == {"waiter", "second"}
-    assert server.execute(holder, "SELECT v FROM lk").result_set.rows == [(2,)]
+    assert server.execute(holder, "SELECT v FROM lk").rows == [(2,)]
     for connection in opened.values():
         connection.disconnect()
     system.close()

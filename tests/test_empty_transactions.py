@@ -145,7 +145,7 @@ def test_a_crash_after_empty_commits_recovers_the_same_state():
     report = server.restart()
     assert report.loser_txns == []
     session = server.connect()
-    assert server.execute(session, "SELECT k, v FROM kv").result_set.rows == [(1, 1)]
+    assert server.execute(session, "SELECT k, v FROM kv").rows == [(1, 1)]
     assert server.table_names() == ["kv"]
     # the next incarnation logs as before: its BEGIN goes out with its insert
     server.execute(session, "INSERT INTO kv VALUES (2, 2)")

@@ -20,7 +20,7 @@ def db(session):
 def open_cursor(db, sql, cursor_type):
     server, sid = db
     result = server.execute(sid, sql, cursor_type=cursor_type)
-    return result.cursor_id, result.extra["effective_cursor_type"]
+    return result.cursor_id, result.effective_cursor_type
 
 
 def test_default_cursor_block_fetch(db):
@@ -95,7 +95,7 @@ def test_downgrade_on_composite_pk(session):
     execute(server, sid, "CREATE TABLE c (a INT, b INT, PRIMARY KEY (a, b))")
     execute(server, sid, "INSERT INTO c VALUES (1, 1)")
     result = server.execute(sid, "SELECT a FROM c", cursor_type=CursorType.KEYSET)
-    assert result.extra["effective_cursor_type"] == CursorType.DEFAULT
+    assert result.effective_cursor_type == CursorType.DEFAULT
 
 
 def test_advance_skips_server_side(db):
@@ -155,4 +155,4 @@ def test_default_cursor_type_returns_rows_inline(db):
     server, sid = db
     result = server.execute(sid, "SELECT k FROM t", cursor_type=CursorType.DEFAULT)
     assert result.cursor_id is None
-    assert len(result.result_set.rows) == 20
+    assert len(result.rows) == 20

@@ -170,7 +170,7 @@ def _run_on_p(sql):
         result = server.execute(sid, sql, placeholders=[BOUND] * sql.count("?"))
     except DataError as exc:
         return str(exc), server, sid
-    answer = result.result_set.rows if result.kind == "rows" else result.rowcount
+    answer = result.rows if result.kind == "rows" else result.rowcount
     return answer, server, sid
 
 
@@ -285,7 +285,7 @@ def test_select_into_stores_duplicate_output_names_uniquely(session):
     execute(server, sid, "INSERT INTO src VALUES (1, 10)")
     result = server.execute(sid, "SELECT k, k AS k_2, k, v + 1, v + 1 INTO copy FROM src")
     assert result.rowcount == 1
-    described = [c.name for c in result.extra["into_columns"]]
+    described = [c.name for c in result.into_columns]
     assert described[:3] == ["k", "k_2", "k"] and described[3] == described[4]
     stored = server.table_schema(sid, "copy").column_names
     assert stored[:3] == ["k", "k_2", "k_3"] and len(set(stored)) == 5
@@ -471,7 +471,7 @@ def test_batch_rowcounts_collected(server):
     result = server.execute(
         sid, "BEGIN; INSERT INTO t VALUES (1), (2); INSERT INTO t VALUES (3); COMMIT"
     )
-    assert result.extra["batch_rowcounts"] == [2, 1]
+    assert result.batch_rowcounts == [2, 1]
 
 
 def test_placeholders_bind_positionally(server):
@@ -479,7 +479,7 @@ def test_placeholders_bind_positionally(server):
     execute(server, sid, "CREATE TABLE t (k INT, v VARCHAR(5))")
     server.execute(sid, "INSERT INTO t VALUES (?, ?)", placeholders=[7, "x"])
     result = server.execute(sid, "SELECT v FROM t WHERE k = ?", placeholders=[7])
-    assert result.result_set.rows == [("x",)]
+    assert result.rows == [("x",)]
 
 
 def test_unbound_placeholder_rejected(server):

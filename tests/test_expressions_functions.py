@@ -730,7 +730,7 @@ def test_a_value_bound_per_execution_never_folds(session, name):
         else:
             execute(server, sid, f"UPDATE e SET v = v + 1 WHERE k <= {n}")
             result = server.execute(sid, "SELECT k FROM e WHERE k <= rowcount() + 0 ORDER BY k")
-        answers.append(result.result_set.rows)
+        answers.append(result.rows)
         if n == 1:
             hits = metrics.plan_hits
     assert metrics.plan_hits == hits + 3

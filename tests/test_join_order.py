@@ -58,10 +58,10 @@ def test_star_and_table_star_keep_from_order(db):
     """``*`` names the sources' columns in FROM order and ``t.*`` its own
     table's, whatever order the steps run in."""
     server, sid = db
-    result = server.execute(sid, "SELECT * " + REORDERED).result_set
+    result = server.execute(sid, "SELECT * " + REORDERED)
     assert [c.name for c in result.columns] == ["k", "v", "s", "id", "bv", "tag"]
     assert result.rows == [(k, 3, f"s{k % 3}", 1, 3, "x") for k in range(3, 60, 7)]
-    result = server.execute(sid, "SELECT small.*, big.* " + REORDERED).result_set
+    result = server.execute(sid, "SELECT small.*, big.* " + REORDERED)
     assert [c.name for c in result.columns] == ["id", "bv", "tag", "k", "v", "s"]
     assert result.rows[0] == (1, 3, "x", 3, 3, "s0")
 

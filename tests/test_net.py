@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro import errors
 from repro.engine import DatabaseServer
+from repro.engine.results import StatementResult
 from repro.engine.schema import Column
 from repro.engine.values import SqlType
 from repro.net import framing, protocol
@@ -22,13 +23,12 @@ from repro.net.protocol import (
     ExecuteRequest,
     FetchRequest,
     Message,
-    ResultResponse,
     TableSchemaRequest,
     decode_message,
     encode_message,
 )
 from repro.net.tcp import TcpTransport
-from repro.net.transport import ClientChannel
+from repro.net.transport import ClientChannel, InProcessTransport
 
 
 @pytest.fixture()
@@ -36,8 +36,8 @@ def endpoint():
     return ServerEndpoint(DatabaseServer())
 
 
-def channel(endpoint) -> ClientChannel:
-    return ClientChannel(endpoint)
+def channel(endpoint, metrics=None) -> ClientChannel:
+    return InProcessTransport(endpoint).open_channel(metrics)
 
 
 def connect(endpoint) -> tuple[ClientChannel, int]:
@@ -52,17 +52,29 @@ def test_message_serialization_round_trip():
     types = [
         v for v in vars(protocol).values() if isinstance(v, type) and issubclass(v, Message)
     ]
-    # the three bases, seven request kinds and seven response kinds: a
+    # the three bases, seven request kinds and six response kinds: a
     # connect is the ping and an execute opens a cursor at a position, so
-    # PingRequest, PongResponse and AdvanceRequest are gone, and a connect
-    # mid planned restart parks behind the drain, so RestartingResponse is
-    assert len(types) == 17
+    # PingRequest, PongResponse and AdvanceRequest are gone, a connect mid
+    # planned restart parks behind the drain, so RestartingResponse is, and
+    # a statement's reply is the engine's StatementResult, so ResultResponse is
+    assert len(types) == 16
     messages = [message_type() for message_type in types] + [
         ExecuteRequest(session_id=3, sql="SELECT 1", cursor_type="keyset"),
-        ResultResponse(
+        StatementResult(
             kind="rows",
             columns=[Column("d", SqlType.DATE), Column("x", SqlType.FLOAT, not_null=True)],
             rows=[(datetime.date(2000, 3, 1), 1.5), (None, float("inf"))],
+        ),
+        StatementResult(
+            kind="rowcount", rowcount=2, batch_rowcounts=[2, 1],
+            into_columns=[Column("k", SqlType.INT)],
+        ),
+        StatementResult(
+            kind="rows", columns=[Column("k", SqlType.INT)], cursor_id=4,
+            effective_cursor_type="keyset",
+        ),
+        ConnectResponse(
+            session_id=5, result=StatementResult(kind="rows", rows=[(1,)]), reaped=[2]
         ),
     ]
     for message in messages:
@@ -99,7 +111,7 @@ def test_decode_refuses_a_payload_that_names_a_callable():
 
 def test_endpoint_refuses_a_response_sent_as_a_request(endpoint):
     with pytest.raises(errors.CommunicationError, match="not a request"):
-        endpoint.handle(encode_message(ConnectResponse()))
+        InProcessTransport(endpoint).roundtrip(encode_message(ConnectResponse()))
 
 
 def _read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
@@ -136,7 +148,7 @@ def test_tcp_connection_sending_a_planted_payload_is_closed_and_others_served():
 def test_connect_and_execute(endpoint):
     ch, sid = connect(endpoint)
     response = ch.send(ExecuteRequest(session_id=sid, sql="SELECT 1 + 1"))
-    assert isinstance(response, ResultResponse)
+    assert isinstance(response, StatementResult)
     assert response.rows == [(2,)]
     assert [c.name for c in response.columns]
 
@@ -289,28 +301,27 @@ def test_cancel_all(endpoint):
     assert channel(endpoint).send(ConnectRequest())
 
 
-def test_fires_remaining_counts_down(endpoint):
+def test_a_one_shot_fault_fires_once_after_its_skips(endpoint):
     fault = endpoint.faults.schedule(FaultKind.HANG, after=1)
-    assert fault.fires_remaining == 1
-    assert fault.matches_until_fire == 2
-    ch = channel(endpoint)
-    ch.send(ConnectRequest())
-    assert fault.matches_until_fire == 1
+    assert endpoint.faults.pending == 1
+    channel(endpoint).send(ConnectRequest())  # the skipped request
     with pytest.raises(errors.TimeoutError):
-        channel(endpoint).send(ConnectRequest())
-    assert fault.fires_remaining == 0
-    assert fault.matches_until_fire is None
+        channel(endpoint).send(ConnectRequest())  # the second request hangs
+    assert endpoint.faults.fired == [fault.kind]
+    assert endpoint.faults.pending == 0  # fired, disarmed
+    assert channel(endpoint).send(ConnectRequest())
 
 
-def test_fires_remaining_for_repeating_and_periodic(endpoint):
-    repeating = endpoint.faults.schedule(FaultKind.HANG, repeat=True)
-    assert repeating.fires_remaining is None  # unbounded
-    endpoint.faults.cancel_all()
-    periodic = endpoint.faults.schedule(FaultKind.HANG, every=3)
-    assert periodic.matches_until_fire == 3
-    for _ in range(2):
-        channel(endpoint).send(ConnectRequest())
-    assert periodic.matches_until_fire == 1
+def test_a_periodic_fault_fires_on_every_third_request_and_stays_armed(endpoint):
+    endpoint.faults.schedule(FaultKind.HANG, every=3)
+    hung = []
+    for index in range(1, 10):
+        try:
+            channel(endpoint).send(ConnectRequest())
+        except errors.TimeoutError:
+            hung.append(index)
+    assert hung == [3, 6, 9]
+    assert endpoint.faults.pending == 1
 
 
 def test_after_counts_matching_requests_only(endpoint):
@@ -322,11 +333,11 @@ def test_after_counts_matching_requests_only(endpoint):
     )
     ch, sid = connect(endpoint)  # ConnectRequest does not match
     ch.send(ExecuteRequest(session_id=sid, sql="SELECT 1"))  # match 1: skipped
-    assert fault.matches_until_fire == 1
     ch.send(ConnectRequest())  # non-match: no effect
-    assert fault.matches_until_fire == 1
+    assert endpoint.faults.fired == []
     with pytest.raises(errors.TimeoutError):
         ch.send(ExecuteRequest(session_id=sid, sql="SELECT 2"))
+    assert endpoint.faults.fired == [fault.kind]
 
 
 # ---------------------------------------------------------------- storage faults
@@ -381,7 +392,7 @@ def test_storage_fault_then_recovery_keeps_earlier_commits(endpoint):
 
 def test_metrics_count_round_trips_and_bytes(endpoint):
     metrics = NetworkMetrics()
-    ch = ClientChannel(endpoint, metrics=metrics)
+    ch = channel(endpoint, metrics)
     ch.send(ConnectRequest())
     assert metrics.round_trips == 1
     assert metrics.bytes_sent > 0 and metrics.bytes_received > 0
@@ -390,7 +401,7 @@ def test_metrics_count_round_trips_and_bytes(endpoint):
 
 def test_metrics_record_errors(endpoint):
     metrics = NetworkMetrics()
-    ch = ClientChannel(endpoint, metrics=metrics)
+    ch = channel(endpoint, metrics)
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
         ch.send(ConnectRequest())
@@ -413,10 +424,10 @@ def test_metrics_errors_broken_down_by_request_type(endpoint):
     metrics = NetworkMetrics()
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
-        ClientChannel(endpoint, metrics=metrics).send(FetchRequest())
+        channel(endpoint, metrics).send(FetchRequest())
     endpoint.faults.schedule(FaultKind.DROP_CONNECTION)
     with pytest.raises(errors.CommunicationError):
-        ClientChannel(endpoint, metrics=metrics).send(ConnectRequest())
+        channel(endpoint, metrics).send(ConnectRequest())
     assert metrics.errors_by_request_type["FetchRequest"] == 1
     assert metrics.errors_by_request_type["ConnectRequest"] == 1
     assert metrics.errors == 2

@@ -8,7 +8,7 @@ from repro import errors
 from repro.engine import DatabaseServer
 from repro.net import FaultKind, ServerEndpoint
 from repro.net.protocol import ConnectResponse, OkResponse, encode_message
-from repro.net.transport import ClientChannel, Transport
+from repro.net.transport import ClientChannel, InProcessTransport, Transport
 from repro.odbc import DriverManager, NativeDriver
 from repro.odbc.driver import DriverConnection
 from repro.odbc.constants import CursorType, StatementAttr
@@ -19,7 +19,7 @@ def stack():
     server = DatabaseServer()
     endpoint = ServerEndpoint(server)
     manager = DriverManager()
-    manager.register_dsn("db", NativeDriver(endpoint))
+    manager.register_dsn("db", NativeDriver(InProcessTransport(endpoint)))
     return server, endpoint, manager
 
 
@@ -206,6 +206,9 @@ class _WrongReplyTransport(Transport):
 
     def roundtrip(self, raw: bytes) -> bytes:
         return encode_message(OkResponse())
+
+    def close(self) -> None:
+        pass
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import re
 import textwrap
 from pathlib import Path
 
@@ -449,8 +450,25 @@ def test_deleted_settings_stay_deleted():
         "RestartPolicy", "RestartingResponse", "restart_eta_seconds",
         "_restarting_bypass", "server_epoch", "reap_sessions", "activity_epoch",
         "last_epoch", "QUERY_TIMEOUT", "ReturnCode",
+        # the second serving entry and the second result shape
+        "_InProcessWire", "_WorkItem", "_result_response", "ResultResponse",
+        # the fault injector's unread API
+        "next_fault_with_arg", "last_fault_arg", "fires_remaining", "matches_until_fire",
+        # definitions nothing named
+        "execute_sql", "active_count", "is_numeric", "record_many",
+        "total_phase_seconds", "correlation_ids", "in_use", "total_update_seconds",
+        "COMPARISON_OPS", "ARITHMETIC_OPS", "LOGICAL_OPS",
     }
     assert not gone & _identifiers_under_src()
+    # names other code also uses as identifiers
+    from repro.engine.dispatch import SessionDispatcher
+    from repro.engine.results import StatementResult
+    from repro.net.transport import Transport
+
+    assert not hasattr(ServerEndpoint, "handle")
+    assert not hasattr(SessionDispatcher, "run")
+    assert not hasattr(Transport, "close") and not hasattr(Transport, "describe")
+    assert "extra" not in {field.name for field in dataclasses.fields(StatementResult)}
 
 
 # ---------------------------------------------------------------- one way to find a table's rows
@@ -522,3 +540,122 @@ def test_no_bound_value_is_spliced_into_a_text(monkeypatch):
     assert len(wrappers) == 1 and len(commits) == 1, (wrappers, commits)
     assert cursor.execute("SELECT v FROM t ORDER BY k").fetchall() == [(101,), (19,)]
     connection.close()
+
+
+# ---------------------------------------------------------------- one path from driver to engine
+
+def test_an_in_process_request_enters_the_server_through_submit(monkeypatch):
+    """The in-process wire is the TCP path with the socket taken out: each
+    request is exactly one ``SessionDispatcher.submit``, as a socket's is."""
+    from repro.engine.dispatch import SessionDispatcher
+    from repro.net.transport import ClientChannel
+
+    system = repro.make_system()
+    connection = repro.connect(system, phoenix=False)
+    cursor = connection.cursor()
+    sent, submitted = [], []
+    send, submit = ClientChannel.send, SessionDispatcher.submit
+
+    def counting_send(channel, request):
+        sent.append(type(request).__name__)
+        return send(channel, request)
+
+    def counting_submit(dispatcher, key, fn, callback):
+        submitted.append(key)
+        return submit(dispatcher, key, fn, callback)
+
+    monkeypatch.setattr(ClientChannel, "send", counting_send)
+    monkeypatch.setattr(SessionDispatcher, "submit", counting_submit)
+    cursor.execute("CREATE TABLE t (k INT PRIMARY KEY)")
+    cursor.executemany("INSERT INTO t VALUES (?)", [[1], [2]])
+    assert cursor.execute("SELECT k FROM t ORDER BY k").fetchall() == [(1,), (2,)]
+    connection.close()
+    assert sent and len(submitted) == len(sent)
+    system.close()
+
+
+#: definitions called by name from outside the source, with the reason
+CALLED_BY_NAME = {
+    "find_class": "pickle.Unpickler calls it for every class a payload names",
+    "connection_made": "asyncio calls it on a Protocol when a socket connects",
+    "connection_lost": "asyncio calls it on a Protocol when a socket closes",
+    "data_received": "asyncio calls it on a Protocol with each chunk read",
+}
+#: a prefix of definitions dispatched by name, with the reason
+CALLED_BY_PREFIX = {
+    "_compile_": "ExpressionCompiler dispatches on the node's class name",
+}
+ROOT = SRC.parent.parent
+
+
+def _docstring_nodes(tree: ast.AST) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _names_used(tree: ast.AST, strings: bool = True) -> set[str]:
+    """Every name ``tree`` reads: names, attributes, imports, keywords and,
+    with ``strings``, the words of its non-docstring strings
+    (``setattr(module, "NAME")``, a ``"Class.method"`` patch target) —
+    never a definition's own name."""
+    docstrings = _docstring_nodes(tree)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.keyword) and node.arg:
+            used.add(node.arg)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return used
+
+
+def _definitions(tree: ast.Module):
+    """Module functions, classes, their methods and module constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node.lineno
+
+
+def test_every_definition_is_named_somewhere():
+    """Code nothing calls is deleted, not kept: every function, method,
+    class and module constant under ``src/`` is named somewhere under
+    ``src/``, ``tests/``, ``benchmarks/`` or ``scripts/`` other than at its
+    own definition — or is called by name from outside (the allow-lists).
+    The strings of this file do not count: its lists name deleted code."""
+    used: set[str] = set()
+    for folder in ("src", "tests", "benchmarks", "scripts"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _names_used(tree, strings=path.resolve() != Path(__file__).resolve())
+    unnamed = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in used
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in CALLED_BY_NAME
+        and not name.startswith(tuple(CALLED_BY_PREFIX))
+    ]
+    assert unnamed == []

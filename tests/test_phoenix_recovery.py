@@ -681,4 +681,4 @@ def test_a_crash_recovery_shaped_session_still_restarts_the_engine_four_times(re
     assert sum(1 for sql in sent if "UPDATE wallet SET" in sql) == 4  # no re-send
     system.faults.cancel_all()
     loader = system.server.connect()
-    assert system.server.execute(loader, "SELECT v FROM wallet").result_set.rows == [(4,)]
+    assert system.server.execute(loader, "SELECT v FROM wallet").rows == [(4,)]

@@ -46,7 +46,7 @@ def server():
 
 
 def rows(result):
-    return result.result_set.rows
+    return result.rows
 
 
 # ---------------------------------------------------------------- parse cache

@@ -40,7 +40,7 @@ def _make_table(system, rows: int = 1) -> None:
 def _rows(system) -> list[tuple]:
     checker = system.server.connect(user="checker")
     data = system.server.execute(checker, "SELECT k, v FROM pr ORDER BY k")
-    rows = data.result_set.rows
+    rows = data.rows
     system.server.disconnect(checker)
     return rows
 
@@ -325,7 +325,7 @@ def connect_parks_behind_drain(system, driver) -> None:
 
 
 def test_connect_mid_drain_parks_until_the_swapped_in_engine_answers(system):
-    connect_parks_behind_drain(system, repro.NativeDriver(system.endpoint))
+    connect_parks_behind_drain(system, repro.NativeDriver(system.transport))
 
 
 def test_session_parked_by_drain_recovers_without_backoff(system, monkeypatch):

@@ -53,7 +53,7 @@ def run(fault_plan) -> tuple[list, list]:
     if not system.server.up:
         system.endpoint.restart_server()
     sid = system.server.connect()
-    final = system.server.execute(sid, "SELECT k, v FROM w ORDER BY k").result_set.rows
+    final = system.server.execute(sid, "SELECT k, v FROM w ORDER BY k").rows
     return observations, final
 
 

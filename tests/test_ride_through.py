@@ -55,7 +55,7 @@ def _quiesce(system) -> None:
 
 def _server_read(system, sql: str):
     """Read server-side, bypassing the wire and its fault schedule."""
-    return system.server.execute(system.server.connect(), sql).result_set.rows
+    return system.server.execute(system.server.connect(), sql).rows
 
 
 UPDATE = "UPDATE wallet SET v = v + 1 WHERE id = 1"

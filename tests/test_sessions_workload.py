@@ -99,17 +99,16 @@ def test_money_conserved_across_phoenix_sessions(prepared):
         system.endpoint.restart_server()
     loader = system.server.connect()
     after = system.server.execute(loader, "SELECT sum(balance) FROM accounts")
-    assert abs(before.result_set.rows[0][0] - after.result_set.rows[0][0]) < 1e-6
+    assert abs(before.rows[0][0] - after.rows[0][0]) < 1e-6
 
 
 def test_periodic_fault_fires_every_n(system):
     from repro.net.protocol import ConnectRequest
-    from repro.net.transport import ClientChannel
 
     fired = []
     system.faults.schedule(FaultKind.HANG, every=3)
     for i in range(7):
-        channel = ClientChannel(system.endpoint)
+        channel = system.transport.open_channel()
         try:
             channel.send(ConnectRequest())
             fired.append(False)

@@ -440,7 +440,7 @@ def test_restart_recovery_truncates_torn_tail(storage):
     server.restart()
     sid = server.connect()
     result = server.execute(sid, "SELECT k FROM t ORDER BY k")
-    assert result.result_set.rows == [(1,), (3,)]
+    assert result.rows == [(1,), (3,)]
 
 
 def test_the_log_refuses_writes_after_a_device_fault(storage):
@@ -526,7 +526,7 @@ def test_no_commit_is_acknowledged_after_a_failed_log_write(mode, transport):
 
         server.restart()
         checker = server.connect()
-        rows = server.execute(checker, "SELECT k FROM t ORDER BY k").result_set.rows
+        rows = server.execute(checker, "SELECT k FROM t ORDER BY k").rows
         assert rows == [(0,)]  # every acknowledged row, and no other
     finally:
         system.close()

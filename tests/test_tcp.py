@@ -14,7 +14,8 @@ from repro.chaos.oracle import check_run
 from repro.chaos.trace import probe_dml_trace, run_trace
 from repro.net import framing
 from repro.net.faults import FaultKind
-from repro.net.protocol import ConnectRequest, ConnectResponse, ExecuteRequest, ResultResponse
+from repro.engine.results import StatementResult
+from repro.net.protocol import ConnectRequest, ConnectResponse, ExecuteRequest
 from repro.net.tcp import TcpTransport
 from repro.net.transport import InProcessTransport
 from tests.test_planned_restart import connect_parks_behind_drain
@@ -267,7 +268,7 @@ def test_idle_session_soak(tcp_system):
         assert snap["connections_open"] >= SOAK_SESSIONS
         for channel, session_id in channels:
             reply = channel.send(ExecuteRequest(session_id=session_id, sql="SELECT 1"))
-            assert isinstance(reply, ResultResponse) and reply.rows == [(1,)]
+            assert isinstance(reply, StatementResult) and reply.rows == [(1,)]
         assert metrics.errors == 0
     finally:
         for channel, _session_id in channels:

@@ -43,7 +43,7 @@ def _rows(system, sql: str):
     session = system.server.connect(user="checker")
     try:
         result = system.server.execute(session, sql)
-        return sorted(result.result_set.rows)
+        return sorted(result.rows)
     finally:
         system.server.disconnect(session)
 

@@ -52,8 +52,8 @@ def q(system, sql):
     sid = system.server.connect()
     try:
         result = system.server.execute(sid, sql)
-        if result.result_set is not None:
-            return result.result_set.rows
+        if result.kind == "rows":
+            return result.rows
         return result.rowcount
     finally:
         system.server.disconnect(sid)

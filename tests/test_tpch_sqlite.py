@@ -91,7 +91,7 @@ def engines():
             )
 
     def ours(sql: str) -> list[tuple]:
-        return system.server.execute(sid, sql).result_set.rows
+        return system.server.execute(sid, sql).rows
 
     def reference(sql: str) -> list[tuple]:
         rows = []

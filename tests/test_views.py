@@ -146,7 +146,7 @@ def test_batch_result_set_survives_trailing_statements(db):
         "SELECT count(*) FROM q15v; "
         "DROP VIEW q15v",
     )
-    assert result.result_set.rows == [(4,)]
+    assert result.rows == [(4,)]
 
 
 def test_q15_through_both_managers(system):

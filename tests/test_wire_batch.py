@@ -18,11 +18,11 @@ from repro.chaos import ChaosExplorer
 from repro.errors import IntegrityError
 from repro.net import FaultKind
 from repro.net.faults import BATCH_FAULTS, STORAGE_FAULTS, WIRE_FAULTS
+from repro.engine.results import StatementResult
 from repro.net.protocol import (
     BatchExecuteRequest,
     BatchExecuteResponse,
     ErrorResponse,
-    ResultResponse,
     decode_message,
     encode_message,
 )
@@ -39,7 +39,7 @@ def _table_rows(system, sql: str = "SELECT k, v FROM t ORDER BY k") -> list[tupl
     session = system.server.connect(user="check")
     result = system.server.execute(session, sql)
     system.server.disconnect(session)
-    return result.result_set.rows
+    return result.rows
 
 
 def _auto_restart(system, connection) -> None:
@@ -62,7 +62,7 @@ def test_batch_messages_round_trip_the_wire():
     assert decode_message(encode_message(request)) == request
 
     response = BatchExecuteResponse(
-        results=[ResultResponse(kind="rowcount", rowcount=1, batch_rowcounts=[1, 1])],
+        results=[StatementResult(kind="rowcount", rowcount=1, batch_rowcounts=[1, 1])],
         error=ErrorResponse(error_type="IntegrityError", message="duplicate key"),
         error_index=1,
     )
