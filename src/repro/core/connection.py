@@ -29,9 +29,8 @@ the caller hands it (the table in docs/RECOVERY.md).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import (
     DeadlockError,
@@ -43,7 +42,14 @@ from repro.errors import (
 from repro.engine.schema import Column
 from repro.engine.results import StatementResult
 from repro.core.config import PhoenixConfig
-from repro.core.interceptor import name_placeholders, placeholder_values, redirect_names
+from repro.core.interceptor import (
+    Rendering,
+    Template,
+    name_placeholders,
+    placeholder_values,
+    redirect_names,
+    render,
+)
 from repro.core.naming import NameAllocator
 from repro.core.recovery import RECOVERABLE_ERRORS, PhoenixRecovery
 from repro.core.statements import FillProcedure, ResultState, TxnReplayLog
@@ -124,9 +130,21 @@ class PhoenixConnection(Connection):
         self.txn_log = TxnReplayLog()
         #: result tables (and the status table) to drop at clean termination
         self.cleanup_tables: list[str] = [self.names.status_table]
+        #: the tail of every DML wrapper (:meth:`_wrapped`)
+        self._status_insert = (
+            f"INSERT INTO {self.names.status_table} VALUES (?, rowcount()); COMMIT"
+        )
 
         #: recoveries the running application call may still trigger; None
-        #: between application calls (see :meth:`application_call`)
+        #: between application calls.  One budget is the scope of an
+        #: application call (``execute`` / ``executemany`` / a ``fetch*`` that
+        #: can send / ``close``, or else the outermost :meth:`_ride_through`):
+        #: everything the call sends, nested sends included (the status probe
+        #: inside a commit, the blocks of one fetch), draws on the same
+        #: ``MAX_OPERATION_RETRIES``, so the worst case is that many
+        #: recoveries — not that many per request, multiplied through every
+        #: nested retry.  Each scope sets and clears it inline: the no-fault
+        #: path pays no frame for it.
         self._recoveries_left: int | None = None
 
         self.recovery = PhoenixRecovery(self)
@@ -144,22 +162,6 @@ class PhoenixConnection(Connection):
             self.recovery.open_session()
 
     # ------------------------------------------------------------- the failure path
-
-    @contextmanager
-    def application_call(self) -> Iterator[None]:
-        """Scope of one recovery budget: everything the application call
-        sends, nested sends included (the status probe inside a commit, the
-        blocks of one fetch), draws on the same ``MAX_OPERATION_RETRIES``,
-        so the worst case is that many recoveries — not that many per
-        request, multiplied through every nested retry."""
-        if self._recoveries_left is not None:
-            yield  # nested: the enclosing call's budget
-            return
-        self._recoveries_left = MAX_OPERATION_RETRIES
-        try:
-            yield
-        finally:
-            self._recoveries_left = None
 
     def _ride_through(
         self,
@@ -192,7 +194,10 @@ class PhoenixConnection(Connection):
         """
         original: Exception | None = None
         lock_retries = 0
-        with self.application_call():
+        outermost = self._recoveries_left is None
+        if outermost:
+            self._recoveries_left = MAX_OPERATION_RETRIES
+        try:
             while True:
                 try:
                     return send()
@@ -226,6 +231,9 @@ class PhoenixConnection(Connection):
                         # a no-wait conflict never waited server-side (a
                         # deadlock victim did): back off before re-sending
                         self.config.sleep(0.002 * lock_retries)
+        finally:
+            if outermost:
+                self._recoveries_left = None
 
     def _app_execute(self, sql: str, values: list | None = None) -> StatementResult:
         """One idempotent request on the app connection."""
@@ -284,7 +292,9 @@ class PhoenixConnection(Connection):
         """Clean termination: drop every Phoenix-managed server object
         (paper §3: "After the client application has successfully
         terminated, Phoenix/ODBC cleans up all persistent structures")."""
-        with self.application_call():
+        # an application call of its own: one recovery budget for all of it
+        self._recoveries_left = MAX_OPERATION_RETRIES
+        try:
             # forget every result first: a recovery triggered *during* cleanup
             # must not try to verify/reposition tables we just dropped
             self.results.clear()
@@ -313,6 +323,8 @@ class PhoenixConnection(Connection):
                     # the DisconnectRequest died in flight: if the server is
                     # still up the session is orphaned — reap it out of band
                     self._reap_server_sessions([self.app.session_id])
+        finally:
+            self._recoveries_left = None
 
     def _reap_server_sessions(self, session_ids: list[int]) -> None:
         """Best-effort disconnect of orphaned server sessions by id.
@@ -346,6 +358,18 @@ class PhoenixConnection(Connection):
         """``stmt`` with temp-object redirection applied — ``stmt`` itself
         when this session has redirected nothing, a rewritten copy otherwise."""
         return redirect_names(stmt, self.temp_table_map, self.temp_proc_map)
+
+    def rendered(self, template: Template) -> Rendering:
+        """What ``template`` sends on this session: its own rendering, made
+        when it was parsed — unless this session redirects a temp object it
+        names, and then its :meth:`rewrite`, rendered now.  Nothing is kept:
+        a redirection made or dropped later is seen by the next execution."""
+        tables, procedures = self.temp_table_map, self.temp_proc_map
+        if (tables and not template.tables.isdisjoint(tables)) or (
+            procedures and not template.procedures.isdisjoint(procedures)
+        ):
+            return render(self.rewrite(template.stmt), template.kind)
+        return template.rendering
 
     @property
     def in_transaction(self) -> bool:
@@ -489,10 +513,7 @@ class PhoenixConnection(Connection):
         affected), one round trip.  It binds the statement's values, then
         the sequence number — one text per statement template and session,
         whatever the values."""
-        return (
-            f"BEGIN TRANSACTION; {sql}; "
-            f"INSERT INTO {self.names.status_table} VALUES (?, rowcount()); COMMIT"
-        )
+        return f"BEGIN TRANSACTION; {sql}; {self._status_insert}"
 
     def run_dml(self, sql: str, values: list) -> tuple[int, int, "StatementResult | None"]:
         """Execute one autocommit DML/DDL/EXEC statement (``?`` bound to
@@ -511,7 +532,9 @@ class PhoenixConnection(Connection):
         batch = self._wrapped(sql)
         arguments = [*values, seq]
         self.stats.dml_wrapped += 1
-        get_tracer().event("interceptor.wrap_dml", seq=seq)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event("interceptor.wrap_dml", seq=seq)
 
         def send() -> tuple[int, int, StatementResult]:
             response = self.app.execute(batch, placeholders=arguments)
@@ -751,11 +774,11 @@ class PhoenixConnection(Connection):
         return table, response
 
     def query(
-        self, select: ast.Select, values: list, key: Any, block: int
+        self, sent: Rendering, values: list, key: Any, block: int
     ) -> tuple[StatementResult, ResultState | None]:
-        """A default result set (template ``select``, ``values`` bound),
-        sent as the plain stack sends it: the statement's text on the app
-        connection, the values beside it.
+        """A default result set (a template as :meth:`rendered`, ``values``
+        bound), sent as the plain stack sends it: the statement's text on
+        the app connection, the values beside it.
 
         The server persists only the rows it does not ship: the paper
         materializes a result because the rows not yet delivered live only
@@ -769,15 +792,12 @@ class PhoenixConnection(Connection):
         client buffers, and the materialized result's state (None when the
         reply carried the whole result)."""
         if self.in_transaction:
-            return self.run_in_transaction(select.sql(), values), None
-        capped = select
-        if select.limit is None or select.limit > block + 1:
-            capped = replace(select, limit=block + 1)
-        text = capped.sql()
+            return self.run_in_transaction(sent.text, values), None
+        text = sent.capped(block)
         response = self._ride_through(lambda: self.app.execute(text, placeholders=values))
         if len(response.rows) <= block:
             return response, None
-        return self.materialize_default(select, values, key, block)
+        return self.materialize_default(sent.stmt, values, key, block)
 
     def materialize_default(
         self, select: ast.Select, values: list, key: Any, block: int

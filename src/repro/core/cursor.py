@@ -22,8 +22,8 @@ application only as latency.
 
 from __future__ import annotations
 
-from repro.core.connection import PhoenixConnection
-from repro.core.interceptor import StatementClass, Template, statement_templates
+from repro.core.connection import MAX_OPERATION_RETRIES, PhoenixConnection
+from repro.core.interceptor import Rendering, StatementClass, Template, statement_templates
 from repro.core.statements import ResultState
 from repro.errors import NotSupportedError, ProgrammingError
 from repro.engine.results import StatementResult
@@ -34,6 +34,25 @@ from repro.sql import ast
 from repro.sql import parse_script  # noqa: F401 — a name benchmarks/e2e/tracing.py wraps
 
 __all__ = ["PhoenixCursor"]
+
+# The per-statement dispatch reads module globals and tests tuples: on
+# Python 3.11 reading a member off its enum class costs several times a
+# global read, and a set lookup calls ``Enum.__hash__``, written in Python;
+# a tuple compares by identity first.
+_QUERY, _DDL = StatementClass.QUERY, StatementClass.DDL
+#: statements that change the session context Phoenix rebuilds after a crash
+_SESSION_CONTEXT = (
+    StatementClass.SET_OPTION,
+    StatementClass.TXN_BEGIN,
+    StatementClass.TXN_COMMIT,
+    StatementClass.TXN_ROLLBACK,
+    StatementClass.CREATE_TEMP_TABLE,
+    StatementClass.CREATE_TEMP_PROC,
+    StatementClass.DROP_TEMP_TABLE,
+    StatementClass.DROP_TEMP_PROC,
+)
+#: autocommit statements that travel inside the paper's status wrapper
+_WRAPPED = (StatementClass.DML, StatementClass.DDL, StatementClass.EXEC)
 
 
 class PhoenixCursor(Statement):
@@ -64,7 +83,11 @@ class PhoenixCursor(Statement):
         self._reset_result()
         bound = list(placeholders or [])
         tracer = get_tracer()
-        with self.connection.application_call():
+        connection = self.connection
+        outermost = connection._recoveries_left is None  # an application call
+        if outermost:
+            connection._recoveries_left = MAX_OPERATION_RETRIES
+        try:
             for index, template in enumerate(statement_templates(sql)):
                 if len(bound) < template.values.stop:
                     # refused before it is sent, as the plain stack's server
@@ -77,13 +100,16 @@ class PhoenixCursor(Statement):
                 if tracer.enabled:
                     with tracer.span(
                         "client.statement",
-                        corr=self.connection.correlation_id,
-                        sql=template.stmt.sql()[:80],
+                        corr=connection.correlation_id,
+                        sql=template.rendering.text[:80],
                         cls=template.kind.name,
                     ):
                         self._execute_one(template, values, (sql, index))
                 else:
                     self._execute_one(template, values, (sql, index))
+        finally:
+            if outermost:
+                connection._recoveries_left = None
         return self
 
     def _execute_one(self, template: Template, values: list, key: tuple[str, int]) -> None:
@@ -94,34 +120,14 @@ class PhoenixCursor(Statement):
         connection = self.connection
         stmt, kind = template.stmt, template.kind
 
-        if kind is StatementClass.QUERY:
+        if kind is _QUERY:
             # a template over a redirected temp object is keyed by its rewrite
-            select = connection.rewrite(stmt)
-            self._execute_query(select, values, key if select is stmt else select.sql())
+            sent = connection.rendered(template)
+            self._execute_query(sent, values, key if sent is template.rendering else sent.text)
             return
 
-        if kind is StatementClass.SET_OPTION:
-            connection.set_log.append((stmt.name, stmt.value))
-            self._absorb_ok(connection._app_execute(stmt.sql()))
-            return
-        if kind is StatementClass.TXN_BEGIN:
-            connection.begin()
-            self.messages.append("BEGIN")
-            return
-        if kind is StatementClass.TXN_COMMIT:
-            self._absorb_ok(connection.commit())
-            return
-        if kind is StatementClass.TXN_ROLLBACK:
-            self._absorb_ok(connection.rollback())
-            return
-        if kind is StatementClass.CREATE_TEMP_TABLE:
-            self._absorb_ok(connection.handle_create_temp_table(stmt))
-            return
-        if kind is StatementClass.CREATE_TEMP_PROC:
-            self._absorb_ok(connection.handle_create_temp_proc(stmt))
-            return
-        if kind in (StatementClass.DROP_TEMP_TABLE, StatementClass.DROP_TEMP_PROC):
-            self._absorb_ok(connection.handle_drop_temp(stmt))
+        if kind in _SESSION_CONTEXT:
+            self._execute_session_context(template)
             return
 
         # SELECT INTO a temp table creates a temp object as a side effect —
@@ -138,20 +144,20 @@ class PhoenixCursor(Statement):
             raise NotSupportedError("indexes on temp tables are not supported")
 
         # everything below references tables/procs: apply redirection
-        rewritten_sql = connection.rewrite(stmt).sql()
+        rewritten_sql = connection.rendered(template).text
 
         if connection.in_transaction:
             # pass-through + record for replay
             self._absorb(connection.run_in_transaction(rewritten_sql, values))
             return
 
-        if kind in (StatementClass.DML, StatementClass.DDL, StatementClass.EXEC):
+        if kind in _WRAPPED:
             seq, rowcount, response = connection.run_dml(rewritten_sql, values)
             if response is not None and response.kind == "rows":
                 # an EXEC whose procedure returns a result set: deliver it
                 # like the native stack would
                 self._absorb(response)
-            if kind is StatementClass.DDL:
+            if kind is _DDL:
                 # PEP 249: a CREATE/DROP's count "cannot be determined" —
                 # live or logged (the status row says 0)
                 rowcount = -1
@@ -161,14 +167,37 @@ class PhoenixCursor(Statement):
         # OTHER (CHECKPOINT, EXPLAIN, ...): pass through, retry-safe
         self._absorb(connection._app_execute(rewritten_sql, values))
 
-    def _execute_query(self, select: ast.Select, values: list, key) -> None:
+    def _execute_session_context(self, template: Template) -> None:
+        """A statement that changes the session context Phoenix rebuilds
+        after a crash (options, the transaction, temp objects): Phoenix runs
+        it on the application's behalf."""
+        connection = self.connection
+        stmt, kind = template.stmt, template.kind
+        if kind is StatementClass.SET_OPTION:
+            connection.set_log.append((stmt.name, stmt.value))
+            self._absorb_ok(connection._app_execute(template.rendering.text))
+        elif kind is StatementClass.TXN_BEGIN:
+            connection.begin()
+            self.messages.append("BEGIN")
+        elif kind is StatementClass.TXN_COMMIT:
+            self._absorb_ok(connection.commit())
+        elif kind is StatementClass.TXN_ROLLBACK:
+            self._absorb_ok(connection.rollback())
+        elif kind is StatementClass.CREATE_TEMP_TABLE:
+            self._absorb_ok(connection.handle_create_temp_table(stmt))
+        elif kind is StatementClass.CREATE_TEMP_PROC:
+            self._absorb_ok(connection.handle_create_temp_proc(stmt))
+        else:  # DROP_TEMP_TABLE, DROP_TEMP_PROC
+            self._absorb_ok(connection.handle_drop_temp(stmt))
+
+    def _execute_query(self, sent: Rendering, values: list, key) -> None:
         connection = self.connection
         cursor_type = self.attrs[StatementAttr.CURSOR_TYPE]
         state = None
         if cursor_type in (CursorType.KEYSET, CursorType.DYNAMIC) and not connection.in_transaction:
-            state = connection.materialize_cursor(select, values, cursor_type, key)
+            state = connection.materialize_cursor(sent.stmt, values, cursor_type, key)
         if state is None:  # not asked for, or unsupported shape → downgrade, like real drivers do
-            response, state = connection.query(select, values, key, self._fetch_block)
+            response, state = connection.query(sent, values, key, self._fetch_block)
             if state is None:  # the reply carried the whole result
                 self._absorb(response)
                 return
@@ -196,7 +225,11 @@ class PhoenixCursor(Statement):
         disabled) falls back to the inherited statement-at-a-time loop.
         """
         self._require_open()
-        with self.connection.application_call():
+        connection = self.connection
+        outermost = connection._recoveries_left is None  # an application call
+        if outermost:
+            connection._recoveries_left = MAX_OPERATION_RETRIES
+        try:
             batch = self._batch(sql, rows)
             if batch is None:
                 return super().executemany(sql, rows)
@@ -205,8 +238,11 @@ class PhoenixCursor(Statement):
             batch_size = max(int(self.attrs[StatementAttr.BATCH_SIZE]), 1)
             total = 0
             for start in range(0, len(values), batch_size):
-                counts = self.connection.run_dml_batch(text, values[start : start + batch_size])
+                counts = connection.run_dml_batch(text, values[start : start + batch_size])
                 total += sum(counts)
+        finally:
+            if outermost:
+                connection._recoveries_left = None
         self.rowcount = total
         self.messages.append(f"{len(values)} statements batched")
         return self
@@ -229,7 +265,7 @@ class PhoenixCursor(Statement):
         if any(len(row) < template.values.stop for row in rows):
             return None
         values = [list(row)[template.values] for row in rows]
-        return connection.rewrite(template.stmt).sql(), values
+        return connection.rendered(template).text, values
 
     def _absorb_ok(self, response: StatementResult) -> None:
         """Absorb the reply of a statement Phoenix ran on the application's
@@ -241,9 +277,15 @@ class PhoenixCursor(Statement):
     # ------------------------------------------------------------- fetch
 
     def fetchmany(self, n: int | None = None) -> list[tuple]:
+        if self._server_done:
+            # the rest of the result is buffered: nothing can be sent
+            return super().fetchmany(n)
         connection = self.connection
         tracer = get_tracer()
-        with connection.application_call():
+        outermost = connection._recoveries_left is None  # an application call
+        if outermost:
+            connection._recoveries_left = MAX_OPERATION_RETRIES
+        try:
             if not tracer.enabled or self._state is None:
                 return super().fetchmany(n)
             with tracer.span(
@@ -254,6 +296,9 @@ class PhoenixCursor(Statement):
                 out = super().fetchmany(n)
                 span.set(rows=len(out))
                 return out
+        finally:
+            if outermost:
+                connection._recoveries_left = None
 
     def _refill(self, wanted: int) -> bool:
         state = self._state

@@ -6,27 +6,33 @@ appending ``WHERE 0=1`` for the metadata probe, redirecting temp-object
 names to their persistent stand-ins, naming a fill procedure's parameters.
 No rewrite splices in a bound value: every statement Phoenix sends carries
 the values of its own ``?`` beside it (:func:`placeholder_values`).
+
+A template is rendered when it is parsed: its text, and a query's text with
+the LIMIT cap of any fetch block, are strings from then on.  A session
+renders again only a template that names one of its redirected temp objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import threading
-from typing import Callable, NamedTuple
+import functools
+import os
+from typing import Callable, Iterable, NamedTuple
 
-from repro.engine.plancache import LRUCache
 from repro.sql import ast, parse_script
 from repro.sql.walk import transform, walk, with_false_where
 
 __all__ = [
     "StatementClass",
+    "Rendering",
     "Template",
     "classify",
     "statement_templates",
     "with_false_where",
     "redirect_names",
     "referenced_tables",
+    "render",
     "placeholder_values",
     "name_placeholders",
 ]
@@ -92,8 +98,37 @@ TEMPLATE_CACHE_CAPACITY = 128
 #: a longer text is a load script, not a statement an application repeats
 TEMPLATE_MAX_CHARS = 8192
 
-_templates = LRUCache(TEMPLATE_CACHE_CAPACITY)
-_templates_lock = threading.Lock()  # one cache, clients on many threads
+
+class Rendering(NamedTuple):
+    """A statement and the text it sends, rendered once."""
+
+    stmt: ast.Statement
+    #: ``stmt.sql()``
+    text: str
+    #: a QUERY's text either side of the number of its LIMIT (see
+    #: :meth:`capped`); None for any other statement
+    cap: tuple[str, str] | None
+
+    def capped(self, block: int) -> str:
+        """A QUERY's text asking for at most one row more than a fetch
+        ``block``: a larger or missing LIMIT becomes ``block + 1``."""
+        limit = self.stmt.limit
+        if limit is not None and limit <= block + 1:
+            return self.text
+        head, tail = self.cap
+        return f"{head}{block + 1}{tail}"
+
+
+def render(stmt: ast.Statement, kind: StatementClass) -> Rendering:
+    """``stmt``'s texts: a template's, when it is parsed, or a session's
+    rewrite of a template that names a redirected temp object."""
+    cap = None
+    if kind is StatementClass.QUERY:
+        # the renderer's texts for two LIMITs differ in its number alone
+        zero = dataclasses.replace(stmt, limit=0).sql()
+        head = os.path.commonprefix((zero, dataclasses.replace(stmt, limit=1).sql()))
+        cap = (head, zero[len(head) + 1 :])
+    return Rendering(stmt, stmt.sql(), cap)
 
 
 class Template(NamedTuple):
@@ -105,33 +140,55 @@ class Template(NamedTuple):
     #: numbers them left to right across the script, and ``stmt``'s own are
     #: renumbered from 0, so ``bound[values]`` is what its text binds
     values: slice
+    #: what it sends on a session that redirects none of :attr:`tables` and
+    #: :attr:`procedures`
+    rendering: Rendering
+    #: the table and procedure names it references (lower-cased)
+    tables: frozenset[str]
+    procedures: frozenset[str]
 
 
 def statement_templates(sql: str) -> tuple[Template, ...]:
-    """The statements of an application text, parsed and classified — once
-    per text, process-wide: parsing is pure, so every connection shares the
-    result, as the server's sessions share its parse cache.
+    """The statements of an application text, parsed, classified and
+    rendered — once per text, process-wide: parsing is pure, so every
+    connection shares the result, as the server's sessions share its parse
+    cache.
 
     What comes back is shared and is never modified: everything that turns
     a template into the statement actually sent is copy-on-write —
     :func:`redirect_names` and :func:`name_placeholders` through
     :func:`repro.sql.walk.transform`, the rest through ``dataclasses.replace``.
     """
-    with _templates_lock:
-        templates = _templates.get(sql)
-    if templates is None:
-        templates, first = [], 0
-        for stmt in parse_script(sql):
-            count = sum(1 for node in walk(stmt) if node.__class__ is ast.Placeholder)
-            if first and count:
-                stmt = _replace_placeholders(stmt, lambda index: ast.Placeholder(index - first))
-            templates.append(Template(stmt, classify(stmt), slice(first, first + count)))
-            first += count
-        templates = tuple(templates)
-        if len(sql) <= TEMPLATE_MAX_CHARS:
-            with _templates_lock:
-                _templates.put(sql, templates)
-    return templates
+    if len(sql) > TEMPLATE_MAX_CHARS:
+        return _parse_templates(sql)
+    return _templates(sql)
+
+
+def _parse_templates(sql: str) -> tuple[Template, ...]:
+    templates, first = [], 0
+    for stmt in parse_script(sql):
+        nodes = list(walk(stmt))
+        count = sum(1 for node in nodes if node.__class__ is ast.Placeholder)
+        if first and count:
+            stmt = _replace_placeholders(stmt, lambda index: ast.Placeholder(index - first))
+        kind = classify(stmt)
+        templates.append(
+            Template(
+                stmt,
+                kind,
+                slice(first, first + count),
+                render(stmt, kind),
+                _referenced(nodes, ast.TABLE_NAME_FIELD),
+                _referenced(nodes, ast.PROCEDURE_NAME_FIELD),
+            )
+        )
+        first += count
+    return tuple(templates)
+
+
+#: one cache for clients on many threads: ``lru_cache`` locks its own
+#: bookkeeping (a text parsed twice in a race is the same pure result)
+_templates = functools.lru_cache(maxsize=TEMPLATE_CACHE_CAPACITY)(_parse_templates)
 
 
 # --------------------------------------------------------------------- rewriting
@@ -168,14 +225,19 @@ def redirect_names(
     return rename(stmt)
 
 
-def referenced_tables(stmt: ast.Statement) -> set[str]:
+def referenced_tables(stmt: ast.Statement) -> frozenset[str]:
     """Every table name a statement references (lower-cased): what
-    :func:`redirect_names` would look up.  Tests check redirection with it."""
-    return {
+    :func:`redirect_names` would look up."""
+    return _referenced(walk(stmt), ast.TABLE_NAME_FIELD)
+
+
+def _referenced(nodes: Iterable[ast.Node], name_field: dict[type, str]) -> frozenset[str]:
+    """The names ``nodes`` hold in their ``name_field`` fields, lower-cased."""
+    return frozenset(
         name.lower()
-        for node in walk(stmt)
-        if (field := ast.TABLE_NAME_FIELD.get(node.__class__)) and (name := getattr(node, field))
-    }
+        for node in nodes
+        if (field := name_field.get(node.__class__)) and (name := getattr(node, field))
+    )
 
 
 # ------------------------------------------------------------------ placeholders

@@ -71,7 +71,8 @@ and a parsed statement is never modified.
 
 The client side has the same thing in front of the wire:
 ``repro.core.interceptor.statement_templates`` keeps application texts
-parsed and classified in one process-wide ``LRUCache``.
+parsed, classified and rendered in one process-wide LRU
+(``functools.lru_cache``).
 
 Only top-level SELECT / UNION statements are cached — of a request or of a
 procedure body.  Neither kind of parameter prevents it: a compiled plan

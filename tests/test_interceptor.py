@@ -199,7 +199,7 @@ def test_statement_templates_are_bounded_and_skip_load_scripts():
 
     for i in range(interceptor.TEMPLATE_CACHE_CAPACITY + 20):
         statement_templates(f"SELECT {i}")
-    assert len(interceptor._templates) == interceptor.TEMPLATE_CACHE_CAPACITY
+    assert interceptor._templates.cache_info().currsize == interceptor.TEMPLATE_CACHE_CAPACITY
     load = "INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(3000))
     assert len(load) > interceptor.TEMPLATE_MAX_CHARS
     assert statement_templates(load) is not statement_templates(load)
@@ -225,7 +225,8 @@ def test_statement_templates_survive_threads_racing_on_a_full_cache():
         try:
             for step in range(1500):
                 text = texts[(offset + step * 7) % len(texts)]
-                ((stmt, kind, _values),) = statement_templates(text)
+                (template,) = statement_templates(text)
+                stmt, kind = template.stmt, template.kind
                 if stmt.sql() != text.replace("k = ?", "(k = ?)") or kind is not StatementClass.QUERY:
                     failures.append(f"{text!r} came back as {stmt.sql()!r}")
         except Exception as exc:  # a lost race inside the LRU raises KeyError
@@ -243,7 +244,7 @@ def test_statement_templates_survive_threads_racing_on_a_full_cache():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(interceptor._templates) <= interceptor.TEMPLATE_CACHE_CAPACITY
+    assert interceptor._templates.cache_info().currsize <= interceptor.TEMPLATE_CACHE_CAPACITY
 
 
 # ---------------------------------------------------------------- placeholders

@@ -227,7 +227,7 @@ def test_executemany_parses_its_text_once_and_deep_copies_nothing(ready, parsed_
     copies = []
     original = copy.deepcopy
     monkeypatch.setattr(copy, "deepcopy", lambda *a, **k: copies.append(a) or original(*a, **k))
-    interceptor._templates.clear()
+    interceptor._templates.cache_clear()
     text = "INSERT INTO t VALUES (?, ?)"
     cur.set_attr(StatementAttr.BATCH_SIZE, 16)
     cur.executemany(text, [[100 + i, i] for i in range(16)])
