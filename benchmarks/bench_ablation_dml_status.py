@@ -37,3 +37,31 @@ def test_wrapper_buys_exactly_once():
     assert cursor.fetchone() == (1,)
     assert connection.stats.probe_hits == 1
     connection.close()
+
+
+def test_wrapped_dml_compiles_two_plans_per_database():
+    """The wrapper makes each application DML two statements — the DML and
+    the status insert — and the engine plans each once per database: N
+    wrapped executions compile 2 plans, however large N, and after a
+    restart (a new database) a new session compiles them again, once."""
+    system = repro.make_system()
+    loader = system.server.connect()
+    system.server.execute(loader, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    system.server.execute(loader, "INSERT INTO t VALUES (1, 0), (2, 0)")
+    system.server.disconnect(loader)
+    stats = system.server.executor_stats
+    for k, restart in ((1, False), (2, True)):
+        if restart:
+            system.server.crash()
+            system.server.restart()
+        connection = repro.connect(system)
+        cursor = connection.cursor()
+        for executions in (1, 25):
+            before = stats.compiled_plans
+            for _ in range(executions):
+                cursor.execute("UPDATE t SET v = v + 1 WHERE k = ?", [k])
+                assert cursor.rowcount == 1
+            assert stats.compiled_plans - before == (2 if executions == 1 else 0)
+        connection.close()
+    cursor = repro.connect(system, phoenix=False).cursor()
+    assert cursor.execute("SELECT v FROM t ORDER BY k").fetchall() == [(26,), (26,)]

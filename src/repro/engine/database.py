@@ -60,7 +60,7 @@ class Database:
         self.indexes: dict[str, tuple[str, str]] = {}
         self.locks = LockManager(stats=lock_stats)
         self.txns = TransactionManager(seed=txn_seed)
-        #: compiled SELECT plans, shared by every session of this
+        #: compiled plans (SELECT and DML), shared by every session of this
         #: incarnation and volatile with it (:mod:`repro.engine.plancache`)
         self.plans = PlanCache()
         #: stored procedure text -> its parsed CREATE PROCEDURE, likewise

@@ -206,13 +206,9 @@ class Executor:
         txn = self._begin_txn() if autocommit else self.session.current_txn
         statement_mark = len(txn.records)
         try:
-            run = RunContext(self, placeholders or [], params or {})
-            planner = _Planner(self, run.params)
-            result = self._execute_mutation(stmt, txn, planner, run)
-            # a ?-template needing more values than were bound must error
-            # even when no row was touched (e.g. a filter over an empty
-            # table); the raise lands in the rollback path below
-            _check_bound(planner.required, run.placeholders)
+            result = self._execute_mutation(
+                stmt, txn, RunContext(self, placeholders or [], params or {})
+            )
         except BaseException as exc:
             if self.database.dead:
                 # The server crashed out from under this statement (e.g. a
@@ -293,19 +289,16 @@ class Executor:
 
     # ------------------------------------------------------------ mutation dispatch
 
-    def _execute_mutation(
-        self, stmt: ast.Statement, txn, planner: "_Planner", run: RunContext
-    ) -> StatementResult:
-        """Run a mutation: ``planner`` compiles its expressions, ``run``
-        holds the values they read."""
+    def _execute_mutation(self, stmt: ast.Statement, txn, run: RunContext) -> StatementResult:
+        """Run a mutation; ``run`` holds the values its plan reads."""
         if isinstance(stmt, (ast.Select, ast.UnionSelect)):  # SELECT ... INTO
             return self._select_into(stmt, txn, run)
         if isinstance(stmt, ast.Insert):
-            return self._insert(stmt, txn, planner, run)
+            return self._insert(self._dml_plan(stmt, run), txn, run)
         if isinstance(stmt, ast.Update):
-            return self._update(stmt, txn, planner, run)
+            return self._update(self._dml_plan(stmt, run), txn, run)
         if isinstance(stmt, ast.Delete):
-            return self._delete(stmt, txn, planner, run)
+            return self._delete(self._dml_plan(stmt, run), txn, run)
         if isinstance(stmt, ast.CreateTable):
             return self._create_table(stmt, txn)
         if isinstance(stmt, ast.DropTable):
@@ -323,7 +316,7 @@ class Executor:
         if isinstance(stmt, ast.DropProcedure):
             return self._drop_procedure(stmt, txn)
         if isinstance(stmt, ast.ExecProcedure):
-            return self._exec_procedure(stmt, txn, planner, run)
+            return self._exec_procedure(stmt, txn, run)
         raise NotSupportedError(f"statement {type(stmt).__name__} is not supported")
 
     # ------------------------------------------------------------ name resolution
@@ -480,9 +473,7 @@ class Executor:
 
     # ------------------------------------------------------------ procedures
 
-    def _exec_procedure(
-        self, stmt: ast.ExecProcedure, txn, planner: "_Planner", run: RunContext
-    ) -> StatementResult:
+    def _exec_procedure(self, stmt: ast.ExecProcedure, txn, run: RunContext) -> StatementResult:
         name = stmt.name.lower()
         source = self.session.temp_procedures.get(name) or (
             self.database.procedures.get(name)
@@ -503,8 +494,9 @@ class Executor:
             raise ProgrammingError(
                 f"procedure {name} expects {len(proc.params)} args, got {len(stmt.args)}"
             )
-        # Evaluate call arguments in a rowless scope (constants / outer params).
-        compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
+        # Evaluate call arguments in a rowless scope (constants / outer params);
+        # a ``?`` past the values bound raises as it is read.
+        compiler = ExpressionCompiler(Scope(), _Planner(self, run.params), params=run.params)
         env = Env([], run=run)
         bound: dict[str, Any] = {}
         for (pname, ptype), arg in zip(proc.params, stmt.args):
@@ -520,9 +512,7 @@ class Executor:
             if isinstance(body_stmt, (ast.Select, ast.UnionSelect)) and body_stmt.into is None:
                 result = StatementResult.of(self.execute_select(body_stmt, params=bound))
             else:
-                result = self._execute_mutation(
-                    body_stmt, txn, _Planner(self, bound), RunContext(self, [], bound)
-                )
+                result = self._execute_mutation(body_stmt, txn, RunContext(self, [], bound))
                 into_columns = result.into_columns or into_columns
         # the description of the body's last SELECT ... INTO rides with
         # whatever the procedure answers (its read-back of that table)
@@ -531,40 +521,42 @@ class Executor:
 
     # ------------------------------------------------------------ DML
 
-    def _insert(
-        self, stmt: ast.Insert, txn, planner: "_Planner", run: RunContext
-    ) -> StatementResult:
-        table, is_temp = self.resolve_table(stmt.table)
-        schema = table.schema
-        if stmt.columns is not None:
-            positions = [schema.column_index(c.lower()) for c in stmt.columns]
+    def _dml_plan(self, stmt: "ast.Insert | ast.Update | ast.Delete", run: RunContext):
+        """The plan of an INSERT, UPDATE or DELETE, from the database's plan
+        cache, refused when fewer ``?`` values are bound than it reads.  An
+        INSERT whose VALUES are all literals, or whose rows come from a
+        SELECT (cached as itself), compiles nothing of its own: its plan is
+        made for the one run and not kept — kept, it would be a copy of the
+        statement's rows."""
+        if isinstance(stmt, ast.Insert) and not _computes_values(stmt):
+            plan = _InsertPlan(_Planner(self, run.params), stmt)
         else:
-            positions = list(range(len(schema.columns)))
+            plan = self._cached_runner(stmt, run.params)
+        _check_bound(plan.placeholders_required, run.placeholders)
+        return plan
 
-        def make_full_row(values: list) -> list:
-            if len(values) != len(positions):
-                raise ProgrammingError(
-                    f"INSERT expects {len(positions)} values, got {len(values)}"
-                )
-            full: list = [None] * len(schema.columns)
-            for pos, value in zip(positions, values):
-                full[pos] = value
-            return full
+    def _target(self, plan: "_InsertPlan | _DmlPlan", run: RunContext) -> tuple[Table, bool]:
+        """The table a DML plan writes, found in the running session (a
+        table parameter names it anew at each call); (table, is_temp)."""
+        return self.resolve_table(self.table_name(plan.table, run.params))
 
+    def _insert(self, plan: "_InsertPlan", txn, run: RunContext) -> StatementResult:
+        table, is_temp = self._target(plan, run)
         count = 0
-        if stmt.select is not None:
+        if plan.select is not None:
             result = self.execute_select(
-                stmt.select, params=run.params, placeholders=run.placeholders
+                plan.select, params=run.params, placeholders=run.placeholders
             )
             for row in result.rows:
-                self._insert_row(table, is_temp, txn, make_full_row(list(row)))
+                self._insert_row(table, is_temp, txn, plan.full_row(row))
                 count += 1
         else:
-            compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
             env = Env([], run=run)
-            for row_exprs in stmt.rows or []:
-                values = [compiler.value(e, env) for e in row_exprs]
-                self._insert_row(table, is_temp, txn, make_full_row(values))
+            for values, computed in plan.rows:
+                full = values[:]
+                for position, value_fn in computed:
+                    full[position] = value_fn(env)
+                self._insert_row(table, is_temp, txn, full)
                 count += 1
         return StatementResult.count(count, f"INSERT {count}")
 
@@ -574,12 +566,13 @@ class Executor:
         else:
             self.database.insert_row(txn, table.name, full_row)
 
-    def _dml_lock_candidates(self, txn, table: Table, is_temp: bool, where, compiler, scope, run):
+    def _dml_lock_candidates(self, txn, table: Table, is_temp: bool, plan: "_DmlPlan", run):
         """Lock and return the (rowid, row) candidates of an UPDATE/DELETE.
 
         The access path is the SELECT planner's (:func:`_index_probe`),
-        chosen once per statement; the predicate is still applied in full
-        to what comes back.  Its kind decides the lock granularity:
+        chosen when the statement was planned; the predicate is still
+        applied in full to what comes back.  Its kind decides the lock
+        granularity:
 
         A primary-key probe — equality or ``IN (…)`` list — locks only the
         touched rows: lock, then
@@ -596,8 +589,8 @@ class Executor:
         range probes — takes the whole-table X lock *before* the probe or
         scan is evaluated.
         """
-        probe = _index_probe(table, 0, _split_conjuncts(where), scope, compiler)
-        env = Env([None] * scope.slot_count, run=run)
+        probe = plan.probe
+        env = Env([None] * plan.slot_count, run=run)
 
         def candidates() -> list[tuple[int, tuple]]:
             rowids = None if probe is None else _probe_rowids(table, probe, env, self.stats)
@@ -620,19 +613,10 @@ class Executor:
                 self.database.lock_row_write(txn, table.name, rowid)
             locked.update(fresh)
 
-    def _update(
-        self, stmt: ast.Update, txn, planner: "_Planner", run: RunContext
-    ) -> StatementResult:
-        table, is_temp = self.resolve_table(stmt.table)
+    def _update(self, plan: "_DmlPlan", txn, run: RunContext) -> StatementResult:
+        table, is_temp = self._target(plan, run)
         schema = table.schema
-        scope = Scope()
-        scope.add_source(stmt.table, schema.column_names)
-        compiler = ExpressionCompiler(scope, planner, params=planner.params)
-        where = compiler.compile_predicate(stmt.where) if stmt.where is not None else None
-        assignments = [
-            (schema.column_index(col.lower()), compiler.compile(expr))
-            for col, expr in stmt.assignments
-        ]
+        where = plan.where
         # Lock before evaluating anything row-dependent: candidate rows and
         # assignment inputs must never be computed from another
         # transaction's uncommitted writes — a waiter that pre-computed new
@@ -642,16 +626,14 @@ class Executor:
         # Snapshot first: assignments must see pre-statement values and the
         # scan must not chase its own writes.
         targets: list[tuple[int, tuple]] = []
-        for rowid, row in self._dml_lock_candidates(
-            txn, table, is_temp, stmt.where, compiler, scope, run
-        ):
+        for rowid, row in self._dml_lock_candidates(txn, table, is_temp, plan, run):
             env = Env(list(row), run=run)
             if where is None or where(env) is True:
                 targets.append((rowid, row))
         for rowid, row in targets:
             env = Env(list(row), run=run)
             new_row = list(row)
-            for index, value_fn in assignments:
+            for index, value_fn in plan.assignments:
                 new_row[index] = value_fn(env)
             if is_temp:
                 table.update(rowid, schema.coerce_row(new_row))
@@ -659,22 +641,15 @@ class Executor:
                 self.database.update_row(txn, table.name, rowid, new_row)
         return StatementResult.count(len(targets), f"UPDATE {len(targets)}")
 
-    def _delete(
-        self, stmt: ast.Delete, txn, planner: "_Planner", run: RunContext
-    ) -> StatementResult:
-        table, is_temp = self.resolve_table(stmt.table)
-        scope = Scope()
-        scope.add_source(stmt.table, table.schema.column_names)
-        compiler = ExpressionCompiler(scope, planner, params=planner.params)
-        where = compiler.compile_predicate(stmt.where) if stmt.where is not None else None
+    def _delete(self, plan: "_DmlPlan", txn, run: RunContext) -> StatementResult:
+        table, is_temp = self._target(plan, run)
+        where = plan.where
         # Same lock-before-scan rule as UPDATE: the candidate set must not
         # reflect another transaction's uncommitted rows.  Keyed point
         # deletes lock just the touched rows; the rest lock the table.
         targets = [
             rowid
-            for rowid, row in self._dml_lock_candidates(
-                txn, table, is_temp, stmt.where, compiler, scope, run
-            )
+            for rowid, row in self._dml_lock_candidates(txn, table, is_temp, plan, run)
             if where is None or where(Env(list(row), run=run)) is True
         ]
         for rowid in targets:
@@ -763,20 +738,24 @@ class Executor:
             select, params=params, placeholders=placeholders
         )
 
-    def _cached_runner(self, select: "ast.Select | ast.UnionSelect", params: dict[str, Any]):
-        """Compiled plan for a top-level SELECT, from the database's plan
-        cache while every name it resolved stands, in this session, for
-        what it stood for (see :meth:`_binding`).  Keys are statement object
-        identities — the server-side parse cache returns the *same* AST
-        objects for repeated SQL text, the procedure cache for repeated
-        ``EXEC``s, and the entry pins the statement so the id stays
-        unambiguous."""
+    def _cached_runner(self, stmt: ast.Statement, params: dict[str, Any]):
+        """Compiled plan for a top-level SELECT, UPDATE, DELETE or INSERT …
+        VALUES, from the database's plan cache while every name it resolved
+        stands, in this session, for what it stood for (see
+        :meth:`_binding`).  Keys are statement object identities — the
+        server-side parse cache returns the *same* AST objects for repeated
+        SQL text, the procedure cache for repeated ``EXEC``s, and the entry
+        pins the statement so the id stays unambiguous."""
         plans = self.database.plans
-        runner = plans.lookup(select, lambda name: self._binding(name, params), self.metrics)
+        runner = plans.lookup(stmt, lambda name: self._binding(name, params), self.metrics)
         if runner is None:
             planner = _Planner(self, params, cached=True)
-            runner = _compile(planner, select, None)
-            plans.store(select, planner.bindings, runner, planner.sizes)
+            if isinstance(stmt, (ast.Select, ast.UnionSelect)):
+                runner = _compile(planner, stmt, None)
+            else:
+                runner = (_InsertPlan if isinstance(stmt, ast.Insert) else _DmlPlan)(planner, stmt)
+                self.stats.compiled_plans += 1
+            plans.store(stmt, planner.bindings, runner, planner.sizes)
         return runner
 
 
@@ -802,14 +781,17 @@ class _Planner:
         #: (table, its row count now) per table bound
         self.sizes: list[tuple[Table, int]] = []
 
-    def bind(self, name: str) -> None:
+    def bind(self, name: str, sized: bool = True) -> None:
         """The plan resolves ``name``: a cached plan keeps what it found,
-        and is valid while :meth:`Executor._binding` finds the same."""
+        and is valid while :meth:`Executor._binding` finds the same.  A
+        table the plan reads ``sized`` also keeps its row count, which its
+        join order was chosen from; a DML target is found through its
+        indexes, whatever its size."""
         if self.bindings is None:
             return
         bound = self.executor._binding(name, self.params)
         self.bindings.append((name, bound))
-        if name[0] != "@" and isinstance(bound, tuple):  # (table, version)
+        if sized and name[0] != "@" and isinstance(bound, tuple):  # (table, version)
             self.sizes.append((bound[0], bound[0].row_count()))
 
     # -- SubqueryRunner protocol ------------------------------------------------
@@ -835,6 +817,99 @@ def _compile(planner: _Planner, select: "ast.Select | ast.UnionSelect", outer_sc
     if isinstance(select, ast.UnionSelect):
         return _UnionRunner(planner, select, outer_scope)
     return _SelectPlan(planner, select, outer_scope)
+
+
+class _DmlPlan:
+    """One compiled UPDATE or DELETE: its WHERE, its SET functions (none for
+    a DELETE), the access path :func:`_index_probe` chose into the target
+    and the width of the row environment.
+
+    Like a SELECT plan it holds no session: a run finds the target in the
+    running session (:meth:`Executor._target`), and the plan is valid while
+    the name resolves to the table — and the index set — it was compiled
+    against.  A table parameter (``UPDATE @t``) binds the columns of the
+    table it named, so one plan serves every table of that shape, and takes
+    no index path: an index belongs to one table."""
+
+    __slots__ = ("table", "where", "assignments", "probe", "slot_count", "placeholders_required")
+
+    def __init__(self, planner: _Planner, stmt: "ast.Update | ast.Delete"):
+        executor = planner.executor
+        name = self.table = stmt.table
+        planner.bind(name.lower(), sized=False)
+        table, _ = executor.resolve_table(executor.table_name(name, planner.params))
+        schema = table.schema
+        scope = Scope()
+        scope.add_source(name, schema.column_names)
+        compiler = ExpressionCompiler(scope, planner, params=planner.params)
+        self.where = compiler.compile_predicate(stmt.where) if stmt.where is not None else None
+        self.assignments = [
+            (schema.column_index(column.lower()), compiler.compile(expr))
+            for column, expr in (stmt.assignments if isinstance(stmt, ast.Update) else ())
+        ]
+        self.probe = (
+            None if name[0] == "@"
+            else _index_probe(table, 0, _split_conjuncts(stmt.where), scope, compiler)
+        )
+        self.slot_count = scope.slot_count
+        self.placeholders_required = planner.required
+
+
+class _InsertPlan:
+    """One INSERT: the target's column positions, and either its source
+    SELECT or its VALUES rows — each as the row's values with a function in
+    place of every value a run computes (``?``, ``@name``, ``rowcount()``,
+    a subquery, a function call).  Cached only when some value is computed
+    (:meth:`Executor._dml_plan`)."""
+
+    __slots__ = ("table", "positions", "width", "select", "rows", "placeholders_required")
+
+    def __init__(self, planner: _Planner, stmt: ast.Insert):
+        executor = planner.executor
+        name = self.table = stmt.table
+        planner.bind(name.lower(), sized=False)
+        schema = executor.resolve_table(executor.table_name(name, planner.params))[0].schema
+        if stmt.columns is not None:
+            self.positions = [schema.column_index(c.lower()) for c in stmt.columns]
+        else:
+            self.positions = list(range(len(schema.columns)))
+        self.width = len(schema.columns)
+        self.select = stmt.select
+        compiler = ExpressionCompiler(Scope(), planner, params=planner.params)
+        #: per VALUES row: (its values, None where computed; [(position, function)])
+        self.rows: list[tuple[list, list[tuple[int, Callable]]]] = []
+        for row_exprs in stmt.rows or ():
+            self._check_width(len(row_exprs))
+            values: list = [None] * self.width
+            computed = []
+            for position, expr in zip(self.positions, row_exprs):
+                code = compiler.code(expr)
+                if code.constant:
+                    values[position] = code.value
+                else:
+                    computed.append((position, row_function(code)))
+            self.rows.append((values, computed))
+        self.placeholders_required = planner.required
+
+    def _check_width(self, count: int) -> None:
+        if count != len(self.positions):
+            raise ProgrammingError(f"INSERT expects {len(self.positions)} values, got {count}")
+
+    def full_row(self, row: tuple) -> list:
+        """A row of the source SELECT placed at the target's positions."""
+        self._check_width(len(row))
+        full: list = [None] * self.width
+        for position, value in zip(self.positions, row):
+            full[position] = value
+        return full
+
+
+def _computes_values(stmt: ast.Insert) -> bool:
+    """Does a VALUES item of ``stmt`` compute anything — is it not a bare
+    literal?  Only such an INSERT has a plan worth keeping."""
+    return stmt.rows is not None and not all(
+        expr.__class__ is ast.Literal for row in stmt.rows for expr in row
+    )
 
 
 def _check_bound(required: int, placeholders: list) -> None:

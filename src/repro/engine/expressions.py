@@ -36,15 +36,16 @@ Compilation folds bottom-up: a literal compiles to a constant, and any
 other node whose compiled operands are all constants is evaluated once, at
 compile time — except a function call, a ``?``, an ``@name`` and a
 subquery, which are never constant.  Constness is read off the compiled
-operands, not found by walking the tree again: DML compiles its WHERE and
-SET on every execution.  A comparison whose two values are of a pair in
-:data:`~repro.engine.values.DIRECT_PAIRS` applies Python's operator to them
-directly; every other pair, a NULL and a NaN go through
-:func:`~repro.engine.values.compare`.  The shapes a scan filters by most —
-``column <op> constant`` either way round, ``column [NOT] BETWEEN constant
-AND constant`` and ``x [NOT] IN (constants)`` — test the row value's class
-against the classes that pair directly with the constants (none for a NULL
-or NaN constant), and an IN list of such constants is a ``frozenset``.
+operands, not found by walking the tree again: an INSERT whose VALUES are
+all literals compiles them on every execution.  A comparison whose two
+values are of a pair in :data:`~repro.engine.values.DIRECT_PAIRS` applies
+Python's operator to them directly; every other pair, a NULL and a NaN go
+through :func:`~repro.engine.values.compare`.  The shapes a scan filters by
+most — ``column <op> constant`` either way round, ``column [NOT] BETWEEN
+constant AND constant`` and ``x [NOT] IN (constants)`` — test the row
+value's class against the classes that pair directly with the constants
+(none for a NULL or NaN constant), and an IN list of such constants is a
+``frozenset``.
 
 Subqueries are compiled through a callback into the executor (to avoid an
 import cycle the executor passes its planner in as the ``SubqueryRunner``).
@@ -822,7 +823,7 @@ class ExpressionCompiler:
 
     def value(self, expr: ast.Expr, env: Env) -> Any:
         """``expr`` evaluated once, for ``env``: a constant builds no
-        function (an INSERT's VALUES are mostly literals)."""
+        function (an ``EXEC``'s arguments are mostly ``?`` and literals)."""
         code = self.code(expr)
         return code.value if code.constant else row_function(code)(env)
 

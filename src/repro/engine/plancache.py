@@ -18,7 +18,7 @@ and a parsed statement is never modified.
   starts cold, exactly like every other non-logged structure.
 
 * :class:`PlanCache` — one per database incarnation (``Database.plans``):
-  a parsed SELECT statement → its compiled plans, shared by every session.
+  a parsed statement → its compiled plans, shared by every session.
   Keys are object identities of statements returned by the parse cache or
   held by the procedure cache (entries pin the statement, so an id can never
   be reused while its entry lives), which makes hits O(1) with no
@@ -74,13 +74,20 @@ The client side has the same thing in front of the wire:
 parsed, classified and rendered in one process-wide LRU
 (``functools.lru_cache``).
 
-Only top-level SELECT / UNION statements are cached — of a request or of a
-procedure body.  Neither kind of parameter prevents it: a compiled plan
-reads ``?`` placeholders and ``@name`` parameters from its execution's run
-context, so the template is the cache key — four executions of one
-``WHERE k = ?`` text with different values, from one session or four, are
-1 parse miss + 3 parse hits and 1 plan miss + 3 plan hits, and so are four
-``EXEC``s of one procedure.
+Every top-level SELECT / UNION, UPDATE, DELETE and INSERT … VALUES is
+cached — of a request or of a procedure body.  A DML plan holds its
+compiled WHERE, its SET or VALUES functions and the access path it chose;
+its target binds like a FROM name, with no row count (the path reads
+indexes, not sizes).  An INSERT whose VALUES are all literals, or whose
+rows come from a SELECT (cached as itself), compiles nothing of its own and
+is not kept: a plan of it would be a copy of its rows.  Neither kind of
+parameter prevents caching: a compiled plan reads ``?`` placeholders,
+``@name`` parameters and ``rowcount()`` from its execution's run context,
+so the template is the cache key — four executions of one ``WHERE k = ?``
+text with different values, from one session or four, are 1 parse miss + 3
+parse hits and 1 plan miss + 3 plan hits, and so are four ``EXEC``s of one
+procedure.  Phoenix's DML wrapper (``<dml>; INSERT INTO <status> VALUES (?,
+rowcount())``) is two plans, compiled once per text.
 
 :class:`EngineMetrics` aggregates the hit/miss/invalidation counters and is
 surfaced through the bench harness next to the round-trip counts — the
@@ -167,8 +174,10 @@ class ExecutorStats(CounterSet):
     index_range_scans: int = 0
     #: ORDER BY ... LIMIT served by index-ordered streaming (no sort)
     topk_shortcuts: int = 0
-    #: SELECT plans compiled; a plan-cache hit compiles nothing, so a
-    #: warmed-up window reads 0 here
+    #: plans compiled — SELECT plans (subqueries, views and EXPLAIN
+    #: included) and the UPDATE, DELETE and INSERT … VALUES plans the cache
+    #: keeps; a plan-cache hit compiles nothing, so a warmed-up window
+    #: reads 0 here
     compiled_plans: int = 0
 
 

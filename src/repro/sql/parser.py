@@ -433,7 +433,7 @@ class Parser:
     def parse_insert(self) -> ast.Insert:
         self.expect_keyword("INSERT")
         self.expect_keyword("INTO")
-        table = self.expect_ident("table name")
+        table = self.expect_table_name()
         columns: list[str] | None = None
         if self.peek().matches(TokenType.PUNCT, "(") and self._looks_like_column_list():
             self.expect_punct("(")
@@ -474,7 +474,7 @@ class Parser:
 
     def parse_update(self) -> ast.Update:
         self.expect_keyword("UPDATE")
-        table = self.expect_ident("table name")
+        table = self.expect_table_name()
         self.expect_keyword("SET")
         assignments = [self._parse_assignment()]
         while self.accept_punct(","):
@@ -491,7 +491,7 @@ class Parser:
     def parse_delete(self) -> ast.Delete:
         self.expect_keyword("DELETE")
         self.expect_keyword("FROM")
-        table = self.expect_ident("table name")
+        table = self.expect_table_name()
         where = self.parse_expr() if self.accept_keyword("WHERE") else None
         return ast.Delete(table, where)
 

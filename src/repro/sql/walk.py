@@ -80,10 +80,29 @@ def _transform_items(items, fn):
 
 
 def children(node: Node) -> list[Node]:
-    """The nodes directly under ``node``, in field order."""
+    """The nodes directly under ``node``, in field order: the ones
+    :func:`transform` hands its ``fn``, read off the fields without
+    rebuilding a list."""
     found: list[Node] = []
-    transform(node, lambda child: found.append(child) or child)
+    for name in _node_fields(node.__class__):
+        value = getattr(node, name)
+        if value is None:
+            continue
+        if isinstance(value, Node):
+            found.append(value)
+        else:
+            _collect_items(value, found)
     return found
+
+
+def _collect_items(items, found: list[Node]) -> None:
+    """Append the nodes in a list or tuple to ``found``, nested tuples
+    included, in the order :func:`_transform_items` visits them."""
+    for item in items:
+        if isinstance(item, Node):
+            found.append(item)
+        elif item.__class__ is list or item.__class__ is tuple:
+            _collect_items(item, found)
 
 
 def walk(node: Node) -> Iterator[Node]:

@@ -103,6 +103,43 @@ def test_transform_is_one_level_and_copy_on_write():
     assert stmt.sql() == "SELECT (a + 1) FROM t WHERE (b = 2)"
 
 
+def _children_by_transform(node: ast.Node) -> list[ast.Node]:
+    """What ``transform`` hands its function: the reading ``children`` must
+    agree with, node for node."""
+    found: list[ast.Node] = []
+    transform(node, lambda child: found.append(child) or child)
+    return found
+
+
+def _walk_by_transform(node: ast.Node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children_by_transform(node)))
+
+
+def _wire_texts() -> list[str]:
+    """Every statement text Phoenix sends in the pinned wire script."""
+    recorded = json.loads((Path(__file__).parent / "data" / "phoenix_wire_texts.json").read_text())
+    return [text for _kind, text, _values in recorded]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [query_sql(q) for q in QUERY_ORDER] + _wire_texts(),
+    ids=[f"tpch:{q}" for q in QUERY_ORDER] + [f"wire:{i}" for i in range(len(_wire_texts()))],
+)
+def test_walk_yields_the_nodes_transform_visits_by_identity_and_in_order(text):
+    for stmt in parse_script(text):
+        walked = list(walk(stmt))
+        reference = list(_walk_by_transform(stmt))
+        assert len(walked) == len(reference)
+        assert all(a is b for a, b in zip(walked, reference))
+        for node in walked:
+            assert [id(c) for c in children(node)] == [id(c) for c in _children_by_transform(node)]
+
+
 def test_aggregate_calls_stop_at_subqueries_and_at_aggregates():
     stmt = parse_script(
         "SELECT sum(a) + max(abs(b)), (SELECT min(c) FROM u), upper(d) FROM t "
