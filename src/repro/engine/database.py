@@ -25,7 +25,7 @@ from repro.engine.schema import TableSchema
 from repro.engine.storage import StableStorage, TableData
 from repro.engine.table import Table
 from repro.engine.transactions import Transaction, TransactionManager, TxnState
-from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog
+from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog, inverse
 
 __all__ = ["Database"]
 
@@ -137,104 +137,64 @@ class Database:
         transaction that never logged has nothing to undo or to log."""
         txn.require_active()
         if txn.logged:
-            clrs = [self._undo_record(record) for record in reversed(txn.records)]
+            clrs = self._undo(txn.records)
             clrs.append(LogRecord(RecordType.ABORT, txn_id=txn.txn_id))
             self.wal.append_forced(clrs)
         self.txns.finish(txn, TxnState.ABORTED)
         self.locks.release_all(txn.txn_id)
 
-    def _undo_record(self, record: LogRecord) -> LogRecord:
-        """Apply the inverse of ``record`` in memory and return its CLR."""
-        clr = self._undo_record_inner(record)
-        clr.compensates = record.rec_id
-        return clr
+    def _undo(self, records: list[LogRecord]) -> list[LogRecord]:
+        """Apply the inverse of each of ``records``, last first; returns
+        the CLRs in the order they were applied."""
+        clrs = [inverse(record) for record in reversed(records)]
+        for clr in clrs:
+            self.apply(clr)
+        return clrs
 
-    def _undo_record_inner(self, record: LogRecord) -> LogRecord:
+    def apply(self, record: LogRecord) -> None:
+        """Give one data or DDL record its effect on the tables, their
+        rows and index structures, the procedures and the views.
+
+        This is the only place a record changes the database: the logged
+        mutation methods below apply the record they log, abort and
+        statement rollback apply each record's :func:`inverse`, a
+        checkpoint applies the inverses to a copy (:meth:`_clean_images`),
+        and restart recovery and time travel apply the winners' records.
+        The callers check and lock; this trusts the record.
+        """
         kind = record.type
-        txn_id = record.txn_id
-        if kind is RecordType.INSERT:
-            table = self.get_table(record.table)
-            before = table.delete(record.rowid)
-            return LogRecord(
-                RecordType.DELETE, txn_id=txn_id, table=record.table,
-                rowid=record.rowid, before=before, is_clr=True,
-            )
-        if kind is RecordType.DELETE:
-            table = self.get_table(record.table)
-            table.insert(record.before, rowid=record.rowid)
-            return LogRecord(
-                RecordType.INSERT, txn_id=txn_id, table=record.table,
-                rowid=record.rowid, after=record.before, is_clr=True,
-            )
         if kind is RecordType.UPDATE:
-            table = self.get_table(record.table)
-            table.update(record.rowid, record.before)
-            return LogRecord(
-                RecordType.UPDATE, txn_id=txn_id, table=record.table,
-                rowid=record.rowid, before=record.after, after=record.before,
-                is_clr=True,
-            )
-        if kind is RecordType.CREATE_TABLE:
-            # Rows inserted by the same txn were undone already (reverse order),
-            # so the table is empty by now.  The stable file (if any) is
-            # reconciled away at the next checkpoint.
-            self.tables.pop(record.schema.name, None)
-            return LogRecord(
-                RecordType.DROP_TABLE, txn_id=txn_id, schema=record.schema,
-                dropped_rows={}, is_clr=True,
-            )
-        if kind is RecordType.DROP_TABLE:
-            restored = Table(
+            self.tables[record.table].update(record.rowid, record.after)
+        elif kind is RecordType.INSERT:
+            self.tables[record.table].insert(record.after, rowid=record.rowid)
+        elif kind is RecordType.DELETE:
+            self.tables[record.table].delete(record.rowid)
+        elif kind is RecordType.CREATE_TABLE:
+            # a CLR that undoes a DROP TABLE carries the rows back
+            self.tables[record.schema.name] = Table(
                 TableData(
                     schema=record.schema,
                     rows=dict(record.dropped_rows or {}),
                     next_rowid=record.next_rowid or 1,
                 )
             )
-            self.tables[record.schema.name] = restored
-            return LogRecord(
-                RecordType.CREATE_TABLE, txn_id=txn_id, schema=record.schema,
-                dropped_rows=dict(record.dropped_rows or {}),
-                next_rowid=record.next_rowid, is_clr=True,
-            )
-        if kind is RecordType.CREATE_VIEW:
-            self.views.pop(record.proc_name, None)
-            return LogRecord(
-                RecordType.DROP_VIEW, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        if kind is RecordType.DROP_VIEW:
-            self.views[record.proc_name] = record.proc_sql
-            return LogRecord(
-                RecordType.CREATE_VIEW, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        if kind is RecordType.CREATE_INDEX:
-            self._detach_index(record.proc_name)
-            return LogRecord(
-                RecordType.DROP_INDEX, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        if kind is RecordType.DROP_INDEX:
-            table, column = _parse_index_sql(record.proc_sql)
-            self._attach_index(record.proc_name, table, column)
-            return LogRecord(
-                RecordType.CREATE_INDEX, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        if kind is RecordType.CREATE_PROC:
-            self.procedures.pop(record.proc_name, None)
-            return LogRecord(
-                RecordType.DROP_PROC, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        if kind is RecordType.DROP_PROC:
+        elif kind is RecordType.DROP_TABLE:
+            # the stable file (if any) is reconciled away at the next checkpoint
+            self.tables.pop(record.schema.name, None)
+        elif kind is RecordType.CREATE_PROC:
             self.procedures[record.proc_name] = record.proc_sql
-            return LogRecord(
-                RecordType.CREATE_PROC, txn_id=txn_id,
-                proc_name=record.proc_name, proc_sql=record.proc_sql, is_clr=True,
-            )
-        raise TransactionError(f"cannot undo record type {kind}")
+        elif kind is RecordType.DROP_PROC:
+            self.procedures.pop(record.proc_name, None)
+        elif kind is RecordType.CREATE_VIEW:
+            self.views[record.proc_name] = record.proc_sql
+        elif kind is RecordType.DROP_VIEW:
+            self.views.pop(record.proc_name, None)
+        elif kind is RecordType.CREATE_INDEX:
+            self._attach_index(record.proc_name, *_parse_index_sql(record.proc_sql))
+        elif kind is RecordType.DROP_INDEX:
+            self._detach_index(record.proc_name)
+        else:
+            raise TransactionError(f"a {kind.value} record changes no data")
 
     # ------------------------------------------------------- logged mutation API
 
@@ -281,15 +241,13 @@ class Database:
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
         rowid = table.data.next_rowid
         table.check_insert(row)
-        record = self._log(
+        self.apply(self._log(
             txn,
             LogRecord(
                 RecordType.INSERT, txn_id=txn.txn_id, table=table_name,
                 rowid=rowid, after=row,
             ),
-        )
-        table.insert(row, rowid=rowid)
-        table.data.last_lsn = record.lsn
+        ))
         return rowid
 
     def delete_row(self, txn: Transaction, table_name: str, rowid: int) -> tuple:
@@ -298,16 +256,14 @@ class Database:
         before = table.get(rowid)
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
-        record = self._log(
+        self.apply(self._log(
             txn,
             LogRecord(
                 RecordType.DELETE, txn_id=txn.txn_id, table=table_name,
                 rowid=rowid, before=before,
             ),
-        )
-        deleted = table.delete(rowid)
-        table.data.last_lsn = record.lsn
-        return deleted
+        ))
+        return before
 
     def update_row(self, txn: Transaction, table_name: str, rowid: int, new_values: list) -> None:
         table = self.get_table(table_name)
@@ -317,88 +273,78 @@ class Database:
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
         table.check_update(rowid, new_row)
-        record = self._log(
+        self.apply(self._log(
             txn,
             LogRecord(
                 RecordType.UPDATE, txn_id=txn.txn_id, table=table_name,
                 rowid=rowid, before=before, after=new_row,
             ),
-        )
-        table.update(rowid, new_row)
-        table.data.last_lsn = record.lsn
+        ))
 
     def create_table(self, txn: Transaction, schema: TableSchema) -> Table:
         if schema.name in self.tables:
             raise CatalogError(f"table {schema.name} already exists")
-        record = self._log(
+        self.apply(self._log(
             txn, LogRecord(RecordType.CREATE_TABLE, txn_id=txn.txn_id, schema=schema)
-        )
-        table = Table.create(schema)
-        table.data.last_lsn = record.lsn
-        self.tables[schema.name] = table
+        ))
         self.lock_write(txn, schema.name)
-        return table
+        return self.tables[schema.name]
 
     def drop_table(self, txn: Transaction, name: str) -> None:
         table = self.get_table(name)
         self.lock_write(txn, name)
         for index_name in self.table_indexes(name):
             self.drop_index(txn, index_name)
-        self._log(
+        # NOTE: the stable table file is *not* deleted here — the DROP is not
+        # durable until commit.  Checkpoint reconciles stale files away.
+        self.apply(self._log(
             txn,
             LogRecord(
                 RecordType.DROP_TABLE, txn_id=txn.txn_id, schema=table.schema,
                 dropped_rows=dict(table.data.rows), next_rowid=table.data.next_rowid,
             ),
-        )
-        # NOTE: the stable table file is *not* deleted here — the DROP is not
-        # durable until commit.  Checkpoint reconciles stale files away.
-        del self.tables[name]
+        ))
 
     def create_procedure(self, txn: Transaction, name: str, sql_text: str) -> None:
         if name in self.procedures:
             raise CatalogError(f"procedure {name} already exists")
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.CREATE_PROC, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        self.procedures[name] = sql_text
+        ))
 
     def drop_procedure(self, txn: Transaction, name: str) -> None:
         sql_text = self.get_procedure(name)
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.DROP_PROC, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        del self.procedures[name]
+        ))
 
     def create_view(self, txn: Transaction, name: str, sql_text: str) -> None:
         if name in self.views:
             raise CatalogError(f"view {name} already exists")
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.CREATE_VIEW, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        self.views[name] = sql_text
+        ))
 
     def drop_view(self, txn: Transaction, name: str) -> None:
         sql_text = self.get_view(name)
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.DROP_VIEW, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        del self.views[name]
+        ))
 
     def _attach_index(self, name: str, table: str, column: str) -> None:
         """Register the index and build its ordered structure.
 
         The :class:`~repro.engine.table.OrderedIndex` built here is derived
-        state — never logged or snapshotted; every load path (recovery
-        redo, checkpoint load, time-travel reconstruction) re-enters
-        through this method.  Adding (or dropping) the structure moves the
-        table's ``version``, which invalidates the cached plans that bound
-        the table: probes and top-k orderings can never reference an index
-        that no longer matches the catalog.
+        state — never logged or snapshotted; a CREATE INDEX record reaches
+        it through :meth:`apply`, and a loaded table image through
+        :meth:`attach_indexes`.  Adding (or dropping) the structure moves
+        the table's ``version``, which invalidates the cached plans that
+        bound the table: probes and top-k orderings can never reference an
+        index that no longer matches the catalog.
         """
         self.indexes[name] = (table, column)
         if table in self.tables:
@@ -415,43 +361,53 @@ class Database:
         ):
             self.tables[table].drop_secondary_index(column)
 
+    def attach_indexes(self) -> None:
+        """Build the structure of every catalogued index over the tables a
+        restart or a time-travel reconstruction loaded (a structure already
+        built stays as it is); an index whose table is gone — dropped
+        without its index record surviving — leaves the catalog."""
+        for name, (table_name, column) in list(self.indexes.items()):
+            table = self.tables.get(table_name)
+            if table is None:
+                del self.indexes[name]
+            else:
+                table.add_secondary_index(column)
+
     def create_index(self, txn: Transaction, name: str, table: str, column: str) -> None:
         if name in self.indexes:
             raise CatalogError(f"index {name} already exists")
         table_obj = self.get_table(table)
         table_obj.schema.column_index(column)  # validate the column exists
         sql_text = f"CREATE INDEX {name} ON {table} ({column})"
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.CREATE_INDEX, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        self._attach_index(name, table, column)
+        ))
 
     def drop_index(self, txn: Transaction, name: str) -> None:
         if name not in self.indexes:
             raise CatalogError(f"index {name} does not exist")
         table, column = self.indexes[name]
         sql_text = f"CREATE INDEX {name} ON {table} ({column})"
-        self._log(
+        self.apply(self._log(
             txn,
             LogRecord(RecordType.DROP_INDEX, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
-        )
-        self._detach_index(name)
+        ))
 
     def rollback_statement(self, txn: Transaction, mark: int) -> None:
         """Partial rollback: undo the transaction's records past ``mark``
         (statement-level atomicity for a failed statement inside an explicit
         transaction).
 
-        The CLRs go out as one atomic log append; each names the record it
-        compensates, so restart undo — should the transaction later lose —
-        skips the already-compensated records.
+        The CLRs go out as one atomic log append.  They belong to the
+        transaction like its other records: restart replays them with it if
+        it commits and skips them with it if it loses.
         """
         txn.require_active()
         to_undo = txn.records[mark:]
         if not to_undo:
             return
-        clrs = [self._undo_record(record) for record in reversed(to_undo)]
+        clrs = self._undo(to_undo)
         del txn.records[mark:]
         self.wal.append_forced(clrs)
 
@@ -470,58 +426,48 @@ class Database:
         the image's snapshot LSN — whole transactions are replayed or
         skipped, never individual records.
 
-        Undo is applied to copies in reverse global LSN order across all
-        active transactions (their in-memory undo trails), leaving the live
-        tables untouched.  ``next_rowid`` is *not* rolled back for undone
-        inserts: rowids are never reused, and keeping the high-water mark in
-        the image means a loser's rowids stay burned even though its rows
-        never reach the file.
+        Undo is applied in reverse global LSN order across all active
+        transactions (their in-memory undo trails), as :func:`inverse`
+        records applied to a scratch database that holds a copy of each
+        table they name, leaving the live tables untouched.  ``next_rowid``
+        is *not* rolled back for undone inserts: rowids are never reused,
+        and keeping the high-water mark in the image means a loser's rowids
+        stay burned even though their rows never reach the file.
         """
-        images = {
-            name: TableData(
-                schema=table.schema,
-                rows=dict(table.data.rows),
-                next_rowid=table.data.next_rowid,
-            )
-            for name, table in self.tables.items()
+        pending = sorted(
+            (
+                record
+                for txn_id in self.txns.active_ids()
+                for record in self.txns.get(txn_id).records
+            ),
+            key=lambda r: r.lsn,
+            reverse=True,
+        )
+        named = {
+            record.table or record.schema.name
+            for record in pending
+            if record.table or record.schema
         }
-        procedures = dict(self.procedures)
-        views = dict(self.views)
-        indexes = dict(self.indexes)
-        pending = [
-            record
-            for txn_id in self.txns.active_ids()
-            for record in self.txns.get(txn_id).records
-        ]
-        for record in sorted(pending, key=lambda r: r.lsn, reverse=True):
-            kind = record.type
-            if kind is RecordType.INSERT:
-                images[record.table].rows.pop(record.rowid, None)
-            elif kind is RecordType.DELETE:
-                images[record.table].rows[record.rowid] = record.before
-            elif kind is RecordType.UPDATE:
-                images[record.table].rows[record.rowid] = record.before
-            elif kind is RecordType.CREATE_TABLE:
-                images.pop(record.schema.name, None)
-            elif kind is RecordType.DROP_TABLE:
-                images[record.schema.name] = TableData(
-                    schema=record.schema,
-                    rows=dict(record.dropped_rows or {}),
-                    next_rowid=record.next_rowid or 1,
-                )
-            elif kind is RecordType.CREATE_VIEW:
-                views.pop(record.proc_name, None)
-            elif kind is RecordType.DROP_VIEW:
-                views[record.proc_name] = record.proc_sql
-            elif kind is RecordType.CREATE_PROC:
-                procedures.pop(record.proc_name, None)
-            elif kind is RecordType.DROP_PROC:
-                procedures[record.proc_name] = record.proc_sql
-            elif kind is RecordType.CREATE_INDEX:
-                indexes.pop(record.proc_name, None)
-            elif kind is RecordType.DROP_INDEX:
-                indexes[record.proc_name] = _parse_index_sql(record.proc_sql)
-        return images, procedures, views, indexes
+        image = Database(
+            self.storage,
+            tables={
+                name: Table(self.tables[name].data.snapshot())
+                for name in named
+                if name in self.tables
+            },
+            procedures=dict(self.procedures),
+            views=dict(self.views),
+        )
+        image.indexes = dict(self.indexes)
+        for record in pending:
+            image.apply(inverse(record))
+        tables = {
+            name: table.data.snapshot()
+            for name, table in self.tables.items()
+            if name not in named
+        }
+        tables.update((name, table.data) for name, table in image.tables.items())
+        return tables, image.procedures, image.views, image.indexes
 
     def checkpoint(self) -> int:
         """Write a clean checkpoint; returns the checkpoint record's LSN.

@@ -39,7 +39,6 @@ not bring applications back.
 
 from __future__ import annotations
 
-from repro.errors import RecoveryError
 from repro.engine.database import (
     Database,
     _META_CHECKPOINT,
@@ -226,13 +225,7 @@ def _recover(
             table.data.next_rowid = highest + 1
 
     # ---- rebuild volatile index structures -------------------------------------
-    for name, (table_name, column) in list(database.indexes.items()):
-        table = database.tables.get(table_name)
-        if table is None:
-            # table dropped without its index record surviving — reconcile
-            del database.indexes[name]
-            continue
-        table.add_secondary_index(column)
+    database.attach_indexes()
 
     return database, report
 
@@ -248,81 +241,30 @@ def _replay(
     """Apply one winner record unless its whole transaction predates the
     target's snapshot.  CLRs from statement-level rollbacks are part of the
     winner's stream and replay like any other record (a CLR DELETE deletes)."""
-    kind = record.type
-    if kind in (RecordType.BEGIN, RecordType.COMMIT, RecordType.CHECKPOINT):
+    if record.type in _MARKERS:
         return
-    if kind is RecordType.CREATE_TABLE:
-        if commit_lsn <= snapshot_lsn.get(record.schema.name, 0):
+    if record.schema is not None:  # a table's CREATE or DROP
+        target_lsn = snapshot_lsn.get(record.schema.name, 0)
+    elif record.table is not None:  # a row's INSERT, DELETE or UPDATE
+        # a table missing here was dropped later in the log by another
+        # winner (its row history is moot) — a missing CREATE would mean a
+        # truncated-too-far log, which the quiescent-only truncation rule
+        # prevents
+        if record.table not in database.tables:
             report.records_skipped += 1
             return
-        database.tables[record.schema.name] = Table(
-            TableData(
-                schema=record.schema,
-                rows=dict(record.dropped_rows or {}),
-                next_rowid=record.next_rowid or 1,
-                last_lsn=record.lsn,
-            )
-        )
-        report.records_redone += 1
-        return
-    if kind is RecordType.DROP_TABLE:
-        if commit_lsn <= snapshot_lsn.get(record.schema.name, 0):
-            report.records_skipped += 1
-            return
-        database.tables.pop(record.schema.name, None)
-        database.storage.delete_table_file(record.schema.name)
-        report.records_redone += 1
-        return
-    if kind in _CATALOG_TYPES:
-        if commit_lsn <= proc_lsn:
-            report.records_skipped += 1
-            return
-        if kind is RecordType.CREATE_PROC:
-            database.procedures[record.proc_name] = record.proc_sql
-        elif kind is RecordType.DROP_PROC:
-            database.procedures.pop(record.proc_name, None)
-        elif kind is RecordType.CREATE_VIEW:
-            database.views[record.proc_name] = record.proc_sql
-        elif kind is RecordType.DROP_VIEW:
-            database.views.pop(record.proc_name, None)
-        elif kind is RecordType.CREATE_INDEX:
-            from repro.engine.database import _parse_index_sql
-
-            database.indexes[record.proc_name] = _parse_index_sql(record.proc_sql)
-        elif kind is RecordType.DROP_INDEX:
-            database.indexes.pop(record.proc_name, None)
-        report.records_redone += 1
-        return
-
-    if commit_lsn <= snapshot_lsn.get(record.table, 0):
+        target_lsn = snapshot_lsn.get(record.table, 0)
+    else:  # procedure, view and index DDL: the catalog snapshot
+        target_lsn = proc_lsn
+    if commit_lsn <= target_lsn:
         report.records_skipped += 1
         return
-    table = database.tables.get(record.table)
-    if table is None:
-        # The table was dropped later in the log by another winner (its row
-        # history is moot) — a missing CREATE would mean a truncated-too-far
-        # log, which the quiescent-only truncation rule prevents.
-        report.records_skipped += 1
-        return
-    if kind is RecordType.INSERT:
-        table.insert(record.after, rowid=record.rowid)
-    elif kind is RecordType.DELETE:
-        table.delete(record.rowid)
-    elif kind is RecordType.UPDATE:
-        table.update(record.rowid, record.after)
-    else:
-        raise RecoveryError(f"unexpected record type {kind}")
-    table.data.last_lsn = record.lsn
+    database.apply(record)
     report.records_redone += 1
+    if record.schema is not None and record.schema.name not in database.tables:
+        # a replayed DROP TABLE: its file would bring the table back
+        database.storage.delete_table_file(record.schema.name)
 
 
-_CATALOG_TYPES = frozenset(
-    (
-        RecordType.CREATE_PROC,
-        RecordType.DROP_PROC,
-        RecordType.CREATE_VIEW,
-        RecordType.DROP_VIEW,
-        RecordType.CREATE_INDEX,
-        RecordType.DROP_INDEX,
-    )
-)
+#: records that mark a transaction's or the log's progress and change no data
+_MARKERS = frozenset((RecordType.BEGIN, RecordType.COMMIT, RecordType.CHECKPOINT))

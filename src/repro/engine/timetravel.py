@@ -262,12 +262,7 @@ def reconstruct_at(
             if commit_lsn is None:
                 continue
             _replay(record, commit_lsn, database, snapshot_lsn, 0, report)
-        for name, (table_name, column) in list(database.indexes.items()):
-            table = database.tables.get(table_name)
-            if table is None:
-                del database.indexes[name]
-                continue
-            table.add_secondary_index(column)
+        database.attach_indexes()
         info.records_replayed = report.records_redone
         info.tables = len(database.tables)
         #: marks the database as a frozen point-in-time snapshot

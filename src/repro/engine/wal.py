@@ -55,6 +55,7 @@ from repro.obs.tracer import get_tracer
 __all__ = [
     "RecordType",
     "LogRecord",
+    "inverse",
     "WalStats",
     "CommitClock",
     "WriteAheadLog",
@@ -125,6 +126,53 @@ class LogRecord:
     #: ``AS OF``).  The time-travel LogIndex maps these to cut LSNs.
     commit_ts: float | None = None
     lsn: int = field(default=-1, compare=False)  # assigned when appended
+
+
+#: each data and DDL kind and the kind that undoes it
+_INVERSE_KIND = {
+    RecordType.INSERT: RecordType.DELETE,
+    RecordType.DELETE: RecordType.INSERT,
+    RecordType.UPDATE: RecordType.UPDATE,
+    RecordType.CREATE_TABLE: RecordType.DROP_TABLE,
+    RecordType.DROP_TABLE: RecordType.CREATE_TABLE,
+    RecordType.CREATE_PROC: RecordType.DROP_PROC,
+    RecordType.DROP_PROC: RecordType.CREATE_PROC,
+    RecordType.CREATE_VIEW: RecordType.DROP_VIEW,
+    RecordType.DROP_VIEW: RecordType.CREATE_VIEW,
+    RecordType.CREATE_INDEX: RecordType.DROP_INDEX,
+    RecordType.DROP_INDEX: RecordType.CREATE_INDEX,
+}
+
+
+def inverse(record: LogRecord) -> LogRecord:
+    """The compensation record (CLR) that undoes ``record``.
+
+    Undo is redo of the inverse: abort, statement rollback and a
+    checkpoint's clean images all apply it with ``Database.apply``, the
+    one function that gives a record its effect.  The images swap (an
+    INSERT's row is its DELETE's before image, an UPDATE's images trade
+    places), a CREATE and its DROP carry the same payload, and a table's
+    rows travel as ``dropped_rows``: none for undoing a CREATE TABLE, the
+    dropped ones (with ``next_rowid``) for undoing a DROP TABLE.
+    """
+    kind = _INVERSE_KIND.get(record.type)
+    if kind is None:
+        raise ValueError(f"a {record.type.value} record has no inverse")
+    return LogRecord(
+        kind,
+        txn_id=record.txn_id,
+        table=record.table,
+        rowid=record.rowid,
+        before=record.after,
+        after=record.before,
+        schema=record.schema,
+        dropped_rows=None if record.schema is None else dict(record.dropped_rows or {}),
+        next_rowid=record.next_rowid,
+        proc_name=record.proc_name,
+        proc_sql=record.proc_sql,
+        is_clr=True,
+        compensates=record.rec_id,
+    )
 
 
 def encode_record(record: LogRecord) -> bytes:
