@@ -203,12 +203,8 @@ class Database:
         if not txn.logged:
             self.wal.append(LogRecord(RecordType.BEGIN, txn_id=txn.txn_id))
             txn.logged = True
-        if not record.is_clr:
-            txn.next_rec_id += 1
-            record.rec_id = txn.next_rec_id
         self.wal.append(record)
-        if not record.is_clr:
-            txn.records.append(record)
+        txn.records.append(record)
         return record
 
     def lock_write(self, txn: Transaction, table_name: str) -> None:

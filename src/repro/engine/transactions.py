@@ -32,9 +32,6 @@ class Transaction:
     txn_id: int
     state: TxnState = TxnState.ACTIVE
     records: list[LogRecord] = field(default_factory=list)
-    #: monotone per-transaction record counter (rec_id source); never
-    #: decreases even when statement rollback trims ``records``
-    next_rec_id: int = 0
     #: set once the BEGIN record is in the log (with the first durable
     #: record); a transaction that never logged commits and aborts without
     #: a record or a force

@@ -25,12 +25,14 @@ Correctness notes (see DESIGN.md §5):
 
 * **Logical records.** Each data record carries table name, row id, and
   before/after images; redo and undo are deterministic by row id.
+* **Undo is redo of the inverse.** A record's effect is written once
+  (``Database.apply``); undoing it applies its :func:`inverse`, a CLR.
 * **CLRs as atomic batches.** Instead of per-record compensation with
-  undoNextLSN chaining, an abort (at runtime or during restart undo) applies
-  the undo in memory and then appends all CLRs plus the ABORT record as one
-  atomic log append.  A crash before the batch lands leaves the transaction
-  a loser (undone again from scratch — idempotent because redo rebuilds the
-  pre-undo state first); after it lands the transaction is cleanly aborted.
+  undoNextLSN chaining, an abort applies the inverses in memory and then
+  appends all CLRs plus the ABORT record as one atomic log append (a
+  statement rollback appends its CLRs the same way).  A crash before the
+  batch lands leaves the transaction a loser, which REDO-only restart
+  skips whole; after it lands the transaction is cleanly aborted.
 * **Fail-stop on a device fault.** A failed device append is never retried
   and nothing is appended after it: the log refuses every later append and
   force, and its ``on_fault`` hook (the server's ``crash``) runs before the
@@ -92,12 +94,19 @@ class LogRecord:
     * INSERT: table, rowid, after
     * DELETE: table, rowid, before
     * UPDATE: table, rowid, before, after
-    * CREATE_TABLE: schema
-    * DROP_TABLE: schema, dropped_rows (for undo)
+    * CREATE_TABLE: schema; a CLR that undoes a DROP_TABLE also carries
+      the dropped rows as dropped_rows and their next_rowid
+    * DROP_TABLE: schema, dropped_rows, next_rowid (what undo restores;
+      a CLR that undoes a CREATE_TABLE carries an empty dropped_rows)
     * CREATE_PROC / DROP_PROC: proc_name, proc_sql
     * CREATE_VIEW / DROP_VIEW: proc_name, proc_sql (same fields, view text)
+    * CREATE_INDEX / DROP_INDEX: proc_name, proc_sql (same fields: the
+      index name and its ``CREATE INDEX <name> ON <table> (<column>)``)
+    * BEGIN / ABORT: txn_id only
+    * COMMIT: txn_id, commit_ts
     * CHECKPOINT: active_txns (ids of transactions in flight)
-    * is_clr marks a compensation record (never undone itself)
+    * is_clr marks a compensation record: an :func:`inverse`, written by
+      abort and statement rollback, never undone itself
     """
 
     type: RecordType
@@ -113,13 +122,6 @@ class LogRecord:
     proc_sql: str | None = None
     active_txns: tuple[int, ...] = ()
     is_clr: bool = False
-    #: per-transaction sequence number of this record (data records only);
-    #: lets a CLR name exactly which record it compensates
-    rec_id: int = 0
-    #: for CLRs: the rec_id of the record this compensates.  Restart undo
-    #: skips compensated records — that is what makes statement-level
-    #: rollback (partial undo inside a live transaction) crash-safe.
-    compensates: int | None = None
     #: COMMIT records only: the wall-clock instant the commit became
     #: durable, stamped at *device-force* time so every commit covered by
     #: one group force shares one instant (a batch is all-or-none under
@@ -171,7 +173,6 @@ def inverse(record: LogRecord) -> LogRecord:
         proc_name=record.proc_name,
         proc_sql=record.proc_sql,
         is_clr=True,
-        compensates=record.rec_id,
     )
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import IntegrityError
-from repro.engine.wal import RecordType
 from tests.conftest import execute
 
 
@@ -63,7 +62,7 @@ def test_failed_ddl_in_txn(db):
 
 def test_compensated_records_not_double_undone_after_crash(db):
     """The crash-safety core: statement CLRs are in the durable log; the
-    loser's undo must skip the records they compensate."""
+    restart must skip them with the rest of the loser's records."""
     server, sid = db
     execute(server, sid, "INSERT INTO t VALUES (1, 0)")
     execute(server, sid, "BEGIN")
@@ -75,21 +74,6 @@ def test_compensated_records_not_double_undone_after_crash(db):
     server.restart()
     sid = server.connect()
     assert execute(server, sid, "SELECT k FROM t ORDER BY k") == [(1,)]
-
-
-def test_clrs_carry_compensates_ids(db):
-    server, sid = db
-    execute(server, sid, "BEGIN")
-    with pytest.raises(IntegrityError):
-        execute(server, sid, "INSERT INTO t VALUES (1, 0), (1, 0)")
-    server.database.wal.force()
-    records = server.database.wal.read_all()
-    clrs = [r for r in records if r.is_clr]
-    assert clrs, "statement rollback must log CLRs"
-    assert all(r.compensates for r in clrs)
-    data = [r for r in records if not r.is_clr and r.type is RecordType.INSERT]
-    assert {r.compensates for r in clrs} <= {r.rec_id for r in data}
-    execute(server, sid, "COMMIT")
 
 
 def test_multiple_failed_statements_one_txn(db):
