@@ -422,10 +422,10 @@ class Database:
         the image's snapshot LSN — whole transactions are replayed or
         skipped, never individual records.
 
-        Undo is applied in reverse global LSN order across all active
-        transactions (their in-memory undo trails), as :func:`inverse`
-        records applied to a scratch database that holds a copy of each
-        table they name, leaving the live tables untouched.  ``next_rowid``
+        Undo runs in reverse global LSN order across all active
+        transactions (their in-memory undo trails), on a scratch database
+        that holds a copy of each table they name, leaving the live tables
+        untouched.  ``next_rowid``
         is *not* rolled back for undone inserts: rowids are never reused,
         and keeping the high-water mark in the image means a loser's rowids
         stay burned even though their rows never reach the file.
@@ -437,7 +437,6 @@ class Database:
                 for record in self.txns.get(txn_id).records
             ),
             key=lambda r: r.lsn,
-            reverse=True,
         )
         named = {
             record.table or record.schema.name
@@ -455,8 +454,7 @@ class Database:
             views=dict(self.views),
         )
         image.indexes = dict(self.indexes)
-        for record in pending:
-            image.apply(inverse(record))
+        image._undo(pending)
         tables = {
             name: table.data.snapshot()
             for name, table in self.tables.items()

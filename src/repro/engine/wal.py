@@ -296,16 +296,6 @@ class WriteAheadLog:
         #: the device fault this log met; set, it refuses every later write
         self._fault: StorageFault | None = None
 
-    # counter views (back-compat with direct ``wal.forces`` readers)
-
-    @property
-    def records_written(self) -> int:
-        return self.stats.records_written
-
-    @property
-    def forces(self) -> int:
-        return self.stats.forces
-
     def _next_lsn(self) -> int:
         """LSN the next appended record will land at.
 

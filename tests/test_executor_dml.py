@@ -420,12 +420,13 @@ def test_temp_table_shadowing_and_session_scope(server):
 
 def test_temp_table_dml_not_logged(server):
     sid = server.connect()
-    records_before = server.database.wal.records_written
+    records_before = server.database.wal.stats.records_written
     execute(server, sid, "CREATE TABLE #w (k INT)")
     execute(server, sid, "INSERT INTO #w VALUES (1)")
     execute(server, sid, "UPDATE #w SET k = 2")
     execute(server, sid, "DELETE FROM #w")
-    # only the implicit BEGIN/COMMIT frames hit the log, no data records
+    # a transaction that makes nothing durable logs nothing, not even BEGIN
+    assert server.database.wal.stats.records_written == records_before
     data_records = [
         r for r in server.database.wal.read_all() if r.table == "#w"
     ]

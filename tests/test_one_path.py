@@ -19,7 +19,9 @@ the planned restart's policy argument showed that a defaulted keyword of a
 server or endpoint method is such a setting too.  One
 server session serves a virtual session: they fail when ``repro.core``
 opens a second one.  Values travel beside the text: they fail when a bound
-value or a sequence number is spliced into a statement Phoenix sends.
+value or a sequence number is spliced into a statement Phoenix sends.  A
+log record has one meaning: they fail when a function other than
+``Database.apply`` or ``inverse`` branches on a record's kind.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.core import PhoenixConfig
 from repro.core.naming import NameAllocator
 from repro.engine import DatabaseServer
 from repro.engine.executor import Executor
+from repro.engine.wal import RecordType
 from repro.net.transport import ServerEndpoint
 from repro.odbc.constants import StatementAttr
 from repro.odbc.driver import DriverConnection
@@ -492,6 +495,43 @@ def test_one_function_finds_the_rows_a_predicate_names():
                 if lookups & _calls(function)
             ]
     assert sorted(callers) == ["executor.py:_probe_rowids", "executor.py:_run_topk"]
+
+
+# ---------------------------------------------------------------- one meaning per log record
+
+#: the data and DDL record kinds: every kind but the markers of a
+#: transaction's or the log's progress
+RECORD_KINDS = set(RecordType.__members__) - {"BEGIN", "COMMIT", "ABORT", "CHECKPOINT"}
+#: the functions that may branch on them: the record's meaning, its
+#: inverse, and the executor's eviction of a rolled-back procedure's parse
+#: (a cache entry, not database state)
+RECORD_KIND_BRANCHES = {
+    "engine/database.py:apply",
+    "engine/wal.py:inverse",
+    "engine/executor.py:_forget_procedures",
+}
+
+
+def test_one_function_says_what_a_record_does():
+    """What a log record does to the database is written once, in
+    ``Database.apply``; undo is the apply of its ``inverse``.  Abort,
+    statement rollback, a checkpoint's clean images, restart and time
+    travel each had a per-kind copy of it before (four in all), each with
+    its own omissions.  A comparison against a data or DDL kind anywhere
+    else is such a copy."""
+    branching = {
+        f"{path.relative_to(SRC).as_posix()}:{function.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for function in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        for compare in ast.walk(function)
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Attribute)
+        and node.attr in RECORD_KINDS
+        and getattr(node.value, "id", None) == "RecordType"
+    }
+    assert branching <= RECORD_KIND_BRANCHES, sorted(branching - RECORD_KIND_BRANCHES)
+    assert "engine/database.py:apply" in branching
 
 
 # ---------------------------------------------------------------- values beside the text
