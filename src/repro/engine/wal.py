@@ -157,18 +157,15 @@ def inverse(record: LogRecord) -> LogRecord:
     rows travel as ``dropped_rows``: none for undoing a CREATE TABLE, the
     dropped ones (with ``next_rowid``) for undoing a DROP TABLE.
     """
-    kind = _INVERSE_KIND.get(record.type)
-    if kind is None:
-        raise ValueError(f"a {record.type.value} record has no inverse")
     return LogRecord(
-        kind,
+        _INVERSE_KIND[record.type],
         txn_id=record.txn_id,
         table=record.table,
         rowid=record.rowid,
         before=record.after,
         after=record.before,
         schema=record.schema,
-        dropped_rows=None if record.schema is None else dict(record.dropped_rows or {}),
+        dropped_rows=None if record.schema is None else record.dropped_rows or {},
         next_rowid=record.next_rowid,
         proc_name=record.proc_name,
         proc_sql=record.proc_sql,
