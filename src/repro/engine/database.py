@@ -179,7 +179,8 @@ class Database:
                 )
             )
         elif kind is RecordType.DROP_TABLE:
-            # the stable file (if any) is reconciled away at the next checkpoint
+            # the stable file, if any, goes at the next checkpoint (a
+            # restart that replays the DROP deletes it at once)
             self.tables.pop(record.schema.name, None)
         elif kind is RecordType.CREATE_PROC:
             self.procedures[record.proc_name] = record.proc_sql

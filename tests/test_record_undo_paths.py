@@ -79,30 +79,23 @@ def state(server: DatabaseServer) -> dict:
     }
 
 
-def crash_and_restart(server: DatabaseServer) -> None:
-    server.crash()
-    server.restart()
-
-
-def checkpoint_then_restart(server: DatabaseServer) -> None:
-    server.checkpoint()
-    crash_and_restart(server)
-
-
-def restart_without_checkpoint(server: DatabaseServer) -> None:
-    server.database.wal.force()  # the loser's records are in the log
-    crash_and_restart(server)
-
-
 def rollback(server: DatabaseServer, sid: int) -> None:
     execute(server, sid, "ROLLBACK")
 
 
-PATHS = {
-    "rollback": rollback,
-    "checkpoint_in_flight": lambda server, _sid: checkpoint_then_restart(server),
-    "restart_no_checkpoint": lambda server, _sid: restart_without_checkpoint(server),
-}
+def checkpoint_in_flight(server: DatabaseServer, _sid: int) -> None:
+    server.checkpoint()
+    server.crash()
+    server.restart()
+
+
+def restart_no_checkpoint(server: DatabaseServer, _sid: int) -> None:
+    server.database.wal.force()  # the loser's records are in the log
+    server.crash()
+    server.restart()
+
+
+PATHS = {path.__name__: path for path in (rollback, checkpoint_in_flight, restart_no_checkpoint)}
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
