@@ -29,7 +29,9 @@ from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog, inv
 
 __all__ = ["Database"]
 
-_META_CHECKPOINT = "checkpoint_lsn"
+#: (redo start, commit-clock reading): the LSN restart starts reading the
+#: log at, and a timestamp no commit below it exceeds
+_META_REDO = "redo"
 _META_PROCEDURES = "procedures"  # (dict name -> CREATE PROCEDURE sql, snapshot lsn)
 _META_VIEWS = "views"  # (dict name -> CREATE VIEW sql, snapshot lsn)
 _META_INDEXES = "indexes"  # (dict name -> (table, column), snapshot lsn)
@@ -60,6 +62,9 @@ class Database:
         self.indexes: dict[str, tuple[str, str]] = {}
         self.locks = LockManager(stats=lock_stats)
         self.txns = TransactionManager(seed=txn_seed)
+        #: where restart starts reading the log: the last checkpoint taken
+        #: with no logged transaction in flight (recovery sets it from meta)
+        self.redo_start = 0
         #: compiled plans (SELECT and DML), shared by every session of this
         #: incarnation and volatile with it (:mod:`repro.engine.plancache`)
         self.plans = PlanCache()
@@ -217,6 +222,13 @@ class Database:
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
 
+    def _wait_out_key(self, txn: Transaction, table_name: str, key: tuple) -> None:
+        """Wait until no other transaction holds the primary-key value an
+        INSERT or a key-changing UPDATE writes (one that vacated it may
+        still roll back); a key nobody locks costs no acquire."""
+        if self.locks.held_by_another(txn.txn_id, table_name, key):
+            self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=key)
+
     def insert_row(self, txn: Transaction, table_name: str, values: list) -> int:
         """Coerce, lock, log, and insert one row; returns its rowid.
 
@@ -237,6 +249,8 @@ class Database:
         rowid = table.data.next_rowid
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
         rowid = table.data.next_rowid
+        if table.schema.primary_key:
+            self._wait_out_key(txn, table_name, table.schema.key_of(row))
         table.check_insert(row)
         self.apply(self._log(
             txn,
@@ -253,6 +267,11 @@ class Database:
         before = table.get(rowid)
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
+        if table.schema.primary_key:
+            # until this transaction ends its undo may need the key it frees
+            # back, so no other transaction may take it
+            key = table.schema.key_of(before)
+            self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=key)
         self.apply(self._log(
             txn,
             LogRecord(
@@ -269,6 +288,13 @@ class Database:
         before = table.get(rowid)
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
+        schema = table.schema
+        if schema.primary_key:
+            old_key, new_key = schema.key_of(before), schema.key_of(new_row)
+            if new_key != old_key:
+                # lock the key it frees, as delete_row does
+                self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=old_key)
+                self._wait_out_key(txn, table_name, new_key)
         table.check_update(rowid, new_row)
         self.apply(self._log(
             txn,
@@ -391,6 +417,17 @@ class Database:
             LogRecord(RecordType.DROP_INDEX, txn_id=txn.txn_id, proc_name=name, proc_sql=sql_text),
         ))
 
+    def close_unended(self, txn_ids: list[int]) -> None:
+        """End transactions the log leaves open — a crash's losers, or
+        those a ``restore_to`` cut off — with one bare ABORT record each,
+        in one forced write: no CLRs, since none of their effects is in the
+        tables.  Later reads of the log then see every one of them ended,
+        before a boot hands its id out again."""
+        if txn_ids:
+            self.wal.append_forced(
+                [LogRecord(RecordType.ABORT, txn_id=txn_id) for txn_id in txn_ids]
+            )
+
     def rollback_statement(self, txn: Transaction, mark: int) -> None:
         """Partial rollback: undo the transaction's records past ``mark``
         (statement-level atomicity for a failed statement inside an explicit
@@ -475,21 +512,18 @@ class Database:
         3. append + force a CHECKPOINT record noting in-flight transactions
            (those that logged: one that has not yet will write its BEGIN
            past this record);
-        4. write every table file from its clean image, stamped with the
-           checkpoint LSN (a transaction committed at or below that LSN is
-           in the file; one committing past it is not — no in-between);
-        5. point meta at the new checkpoint;
-        6. if no transaction in flight has logged, archive the log prefix
-           before the checkpoint for time travel, then drop it from the
-           live log.
+        4. write every table file and the catalog from its clean image,
+           stamped with the checkpoint LSN (a transaction committed at or
+           below that LSN is in the file; one committing past it is not —
+           no in-between), then delete the files of dropped tables;
+        5. if no transaction in flight has logged, move the redo start to
+           the checkpoint, and note the redo start in meta.
 
-        A crash between 3 and 5 leaves meta pointing at the *old*
-        checkpoint; files already rewritten in step 4 carry the new stamp
-        and each is self-consistent, so the per-table commit-LSN guard in
-        recovery stays exact even for a torn checkpoint.  A crash inside
-        step 6 leaves the prefix in the archive *and* in the live log: the
-        live log is authoritative (archive reads stop at the log base) and
-        the next checkpoint's chunk replaces the stale one.
+        A crash between 3 and 5 leaves meta at the *old* redo start; files
+        already rewritten in step 4 carry the new stamp and each is
+        self-consistent, so the per-table commit-LSN guard in recovery stays
+        exact even for a torn checkpoint.  Nothing is cut from the log: the
+        bytes below the redo start are the history time travel reads.
         """
         self.wal.force()
         images, procedures, views, indexes = self._clean_images()
@@ -497,38 +531,45 @@ class Database:
         (lsn,) = self.wal.append_forced(
             [LogRecord(RecordType.CHECKPOINT, active_txns=active)]
         )
-        for name, data in images.items():
-            data.last_lsn = lsn
-            self.storage.write_table_file(name, data)
-        for stale in set(self.storage.list_table_files()) - set(images):
-            self.storage.delete_table_file(stale)
-        self.storage.write_meta(_META_PROCEDURES, (procedures, lsn))
-        self.storage.write_meta(_META_VIEWS, (views, lsn))
-        self.storage.write_meta(_META_INDEXES, (indexes, lsn))
-        self.storage.write_meta(_META_CHECKPOINT, lsn)
+        self._write_images(lsn, images, procedures, views, indexes)
         if not active:
-            self._archive_log_prefix(lsn)
-            self.storage.truncate_log_prefix(lsn)
+            self.redo_start = lsn
+        self._note_redo_start()
         return lsn
 
-    def _archive_log_prefix(self, lsn: int) -> None:
-        """Append the log bytes below ``lsn``, and the commit rows the
-        in-memory index holds for them, to the time-travel archive before
-        :meth:`checkpoint` truncates them.  The chunk starts at the log
-        base and replaces anything the archive already held from there on
-        (:meth:`StableStorage.append_archive`), so the step can be repeated
-        or die half-way without harm.  A database with no time-travel
-        manager attached has no commit index: it archives the bytes alone."""
-        base = self.storage.log_base
-        if lsn <= base:
-            return
-        index = self.wal.log_index
-        self.storage.append_archive(
-            base,
-            lsn,
-            index.rows(base, lsn) if index is not None else [],
-            self.storage.read_log()[: lsn - base],
+    def write_cut(self, cut_lsn: int) -> None:
+        """Write this database — the state at ``cut_lsn`` that time travel
+        reconstructed — to the device as images stamped ``cut_lsn``, under
+        a redo start of 0: the first step of ``restore_to``.
+
+        The redo start goes first.  Until ``restore_to`` cuts the log after
+        the cut, a restart replays every transaction committed past the cut
+        onto these images, which is the state before the restore; after
+        that, no new record can land at or below any image's stamp.
+        """
+        self.redo_start = 0
+        self._note_redo_start()
+        self._write_images(
+            cut_lsn,
+            {name: table.data for name, table in self.tables.items()},
+            self.procedures,
+            self.views,
+            self.indexes,
         )
+
+    def _write_images(self, stamp, tables, procedures, views, indexes) -> None:
+        for name, data in tables.items():
+            data.last_lsn = stamp
+            self.storage.write_table_file(name, data)
+        self.storage.write_meta(_META_PROCEDURES, (procedures, stamp))
+        self.storage.write_meta(_META_VIEWS, (views, stamp))
+        self.storage.write_meta(_META_INDEXES, (indexes, stamp))
+        for stale in set(self.storage.list_table_files()) - set(tables):
+            self.storage.delete_table_file(stale)
+
+    def _note_redo_start(self) -> None:
+        # every commit the log holds was stamped before this clock reading
+        self.storage.write_meta(_META_REDO, (self.redo_start, self.wal.clock.now()))
 
 
 def _parse_index_sql(sql_text: str) -> tuple[str, str]:

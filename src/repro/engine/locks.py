@@ -142,8 +142,9 @@ _COVERS_ROW: dict[LockMode, frozenset[LockMode]] = {
     _X: frozenset((_X,)),
 }
 
-#: a resource is (table, rowid) — rowid None means the table itself
-Resource = tuple[str, "int | None"]
+#: a resource is (table, rowid) — rowid None means the table itself, and a
+#: tuple is a primary-key value (the key a DELETE or an UPDATE vacates)
+Resource = tuple[str, "int | tuple | None"]
 
 
 class LockStats(CounterSet):
@@ -175,7 +176,9 @@ class LockManager:
         #: txn_id -> resources it holds (release_all is O(held), and an
         #: empty entry is how release_all knows nothing could be freed)
         self._held: dict[int, set[Resource]] = {}
-        #: (txn_id, table) -> row locks held there (escalation trigger)
+        #: (txn_id, table) -> row locks held there (escalation trigger; key
+        #: locks are not counted — a transaction takes at most one per row it
+        #: locks — but go with the row locks when the table lock replaces them)
         self._row_counts: dict[tuple[int, str], int] = {}
         self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
@@ -432,7 +435,7 @@ class LockManager:
         holders[txn_id] = mode if current is None else _SUP[(current, mode)]
         if current is None:
             self._held.setdefault(txn_id, set()).add(resource)
-            if resource[1] is not None:
+            if type(resource[1]) is int:  # a row, not the table or a key
                 key = (txn_id, resource[0])
                 self._row_counts[key] = self._row_counts.get(key, 0) + 1
 
@@ -466,7 +469,9 @@ class LockManager:
     @staticmethod
     def _resource_name(resource: Resource) -> str:
         table, row = resource
-        return table if row is None else f"{table} row {row}"
+        if row is None:
+            return table
+        return f"{table} {'key' if isinstance(row, tuple) else 'row'} {row}"
 
     def _conflict_error(
         self, txn_id: int, resource: Resource, mode: LockMode, *, waited: bool = False
@@ -513,6 +518,11 @@ class LockManager:
     def holders(self, table: str, row: int | None = None) -> dict[int, LockMode]:
         with self._mutex:
             return dict(self._locks.get((table, row), {}))
+
+    def held_by_another(self, txn_id: int, table: str, row) -> bool:
+        """Whether a transaction other than ``txn_id`` holds ``row``."""
+        with self._mutex:
+            return any(t != txn_id for t in self._locks.get((table, row), ()))
 
     def row_locks_held(self, txn_id: int, table: str) -> int:
         """How many row locks the transaction holds on ``table`` (0 after

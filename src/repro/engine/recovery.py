@@ -7,10 +7,12 @@ the copies before the files go out (:meth:`Database._clean_images`) — so a
 table file contains exactly the effects of transactions that committed at
 or before its snapshot LSN.  That turns restart into two cheap passes:
 
-1. **Analysis** — scan the durable log (truncating any torn tail);
-   classify each transaction as *winner* (has a COMMIT), *aborted* (has an
-   ABORT — its effects were already undone in memory and the clean images
-   never saw them), or *loser* (no terminator).
+1. **Analysis** — scan the durable log from the *redo start* the last
+   quiescent checkpoint noted in meta (truncating any torn tail); classify
+   each transaction as *winner* (has a COMMIT), *aborted* (has an ABORT —
+   its effects were already undone in memory and the clean images never
+   saw them), or *loser* (no terminator).  The bytes below the redo start
+   are history: a boot decodes none of them.
 2. **Redo winners forward** — replay winners' records in log order,
    whole-transaction-at-a-time: a winner's records are applied iff its
    *commit* LSN is past the target table's snapshot LSN (catalog records
@@ -41,9 +43,9 @@ from __future__ import annotations
 
 from repro.engine.database import (
     Database,
-    _META_CHECKPOINT,
     _META_INDEXES,
     _META_PROCEDURES,
+    _META_REDO,
     _META_VIEWS,
 )
 from repro.engine.locks import LockStats
@@ -59,7 +61,8 @@ class RecoveryReport:
     """What a restart did — surfaced for tests, logging, and benchmarks."""
 
     def __init__(self):
-        self.checkpoint_lsn: int = 0
+        #: the LSN the log was read from (bytes below it are history)
+        self.redo_start: int = 0
         self.records_scanned: int = 0
         self.records_redone: int = 0
         #: records skipped without inspection because their transaction lost,
@@ -71,14 +74,14 @@ class RecoveryReport:
         #: garbage bytes a torn tail write left past the last intact frame
         #: (truncated before the database comes up; 0 for a clean log)
         self.torn_tail_bytes: int = 0
-        #: ``(lsn, frame end, commit_ts or None)`` of every COMMIT in the
-        #: live log, in log order — the live half of the time-travel index,
-        #: a by-product of the one scan a boot makes
-        self.live_commits: list[tuple[int, int, float | None]] = []
+        #: no commit in the whole log is stamped later than this: the clock
+        #: reading meta holds for the history below the redo start, or the
+        #: latest stamp the scan met
+        self.last_commit_ts: float = 0.0
 
     def __repr__(self) -> str:
         return (
-            f"RecoveryReport(checkpoint={self.checkpoint_lsn}, "
+            f"RecoveryReport(redo_start={self.redo_start}, "
             f"scanned={self.records_scanned}, redone={self.records_redone}, "
             f"skipped={self.records_skipped}, losers={self.loser_txns}, "
             f"tables={self.tables_loaded}, torn_tail={self.torn_tail_bytes})"
@@ -117,44 +120,36 @@ def _recover(
     lock_stats: LockStats | None = None,
 ) -> tuple[Database, RecoveryReport]:
     report = RecoveryReport()
-    base = storage.log_base
-    raw = storage.read_log()
-    records, good_end = scan_log(raw, base_offset=base)
+    start, clock_reading = storage.read_meta(_META_REDO, (0, 0.0))
+    raw = storage.read_log(start)
+    records, good_end = scan_log(raw, base_offset=start)
+    report.redo_start = start
     report.records_scanned = len(records)
-    report.torn_tail_bytes = base + len(raw) - good_end
+    report.torn_tail_bytes = start + len(raw) - good_end
     if report.torn_tail_bytes:
         # A torn tail is dead weight *and* a trap: appending after it would
         # put every future record beyond the scan's reach.  Cut it now.
         storage.truncate_log_suffix(good_end)
 
-    checkpoint_lsn = int(storage.read_meta(_META_CHECKPOINT, 0) or 0)
-    report.checkpoint_lsn = checkpoint_lsn
-
     # ---- analysis ----------------------------------------------------------
-    #: winner txn -> LSN of its COMMIT record (the replay guard value)
-    winners: dict[int, int] = {}
-    aborted: set[int] = set()
-    seen: set[int] = set()
+    commit_of, losers = attribute(records)
     max_txn_id = 0
+    committed: set[int] = set()
     #: highest rowid any record (winner or not) names, per table — losers'
     #: rowids must stay burned even though their rows are never replayed
     max_rowid: dict[str, int] = {}
-    for i, record in enumerate(records):
-        if record.txn_id:
-            seen.add(record.txn_id)
-            max_txn_id = max(max_txn_id, record.txn_id)
+    for record in records:
+        if record.txn_id > max_txn_id:
+            max_txn_id = record.txn_id
         if record.type is RecordType.COMMIT:
-            winners[record.txn_id] = record.lsn
-            end = records[i + 1].lsn if i + 1 < len(records) else good_end
-            report.live_commits.append((record.lsn, end, record.commit_ts))
-        elif record.type is RecordType.ABORT:
-            aborted.add(record.txn_id)
+            committed.add(record.txn_id)
+            clock_reading = max(clock_reading, record.commit_ts)
         if record.rowid is not None and record.table is not None:
             if record.rowid > max_rowid.get(record.table, 0):
                 max_rowid[record.table] = record.rowid
-    losers = sorted(seen - set(winners) - aborted)
     report.loser_txns = losers
-    report.committed_txns = sorted(winners)
+    report.committed_txns = sorted(committed)
+    report.last_commit_ts = clock_reading
 
     # ---- load snapshots -----------------------------------------------------
     tables: dict[str, Table] = {}
@@ -185,8 +180,7 @@ def _recover(
         lock_stats=lock_stats,
     )
     database.indexes = dict(index_snapshot[0])
-    # recovery replays through a fresh WAL object; keep the one Database made
-    wal = database.wal
+    database.redo_start = start
 
     # ---- redo winners forward (REDO-only restart) ----------------------
     # One pass in log order: a record is applied iff its transaction
@@ -194,8 +188,7 @@ def _recover(
     # replayed or skipped, never individual records.  Log order across
     # the surviving records preserves every cross-transaction per-row
     # ordering 2PL established at run time.
-    for record in records:
-        commit_lsn = winners.get(record.txn_id)
+    for record, commit_lsn in zip(records, commit_of):
         if commit_lsn is None:
             if record.type not in (
                 RecordType.BEGIN,
@@ -206,14 +199,9 @@ def _recover(
             continue
         _replay(record, commit_lsn, database, snapshot_lsn, proc_lsn, report)
 
-    # Close every loser with one bare ABORT record — no CLRs, nothing to
-    # undo: the clean images never contained loser effects and the
-    # replay never applied them.  The batch makes the next restart's
-    # analysis see these transactions ended.
-    if losers:
-        wal.append_forced(
-            [LogRecord(RecordType.ABORT, txn_id=txn_id) for txn_id in losers]
-        )
+    # Close every loser: the clean images never contained loser effects
+    # and the replay never applied them.
+    database.close_unended(losers)
 
     # ---- burn skipped rowids ----------------------------------------------
     # Rowids are never reused: a fresh insert must not land on a rowid a
@@ -228,6 +216,34 @@ def _recover(
     database.attach_indexes()
 
     return database, report
+
+
+def attribute(records: list[LogRecord]) -> tuple[list[int | None], list[int]]:
+    """Match each record to the COMMIT that closes its transaction.
+
+    Returns ``(commit_of, open_txns)``: ``commit_of[i]`` is the LSN of the
+    COMMIT of ``records[i]``'s transaction (None while it is open, or when
+    it aborted), ``open_txns`` the ids with records and no COMMIT or ABORT
+    yet, ascending.  A transaction id names one transaction only until it
+    ends — each boot seeds ids from the log it reads, so a log read from
+    further back than the redo start (time travel, or the restart after a
+    ``restore_to`` that died) meets an id again — so a COMMIT claims the
+    records since its id last ended, and an ABORT drops them.
+    """
+    commit_of: list[int | None] = [None] * len(records)
+    pending: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        if not record.txn_id:  # a CHECKPOINT belongs to no transaction
+            continue
+        if record.type is RecordType.COMMIT:
+            commit_of[i] = record.lsn
+            for j in pending.pop(record.txn_id, ()):
+                commit_of[j] = record.lsn
+        elif record.type is RecordType.ABORT:
+            pending.pop(record.txn_id, None)
+        else:
+            pending.setdefault(record.txn_id, []).append(i)
+    return commit_of, sorted(pending)
 
 
 def _replay(
@@ -248,8 +264,7 @@ def _replay(
     elif record.table is not None:  # a row's INSERT, DELETE or UPDATE
         # a table missing here was dropped later in the log by another
         # winner (its row history is moot) — a missing CREATE would mean a
-        # truncated-too-far log, which the quiescent-only truncation rule
-        # prevents
+        # redo start past it, which only a quiescent checkpoint moves
         if record.table not in database.tables:
             report.records_skipped += 1
             return

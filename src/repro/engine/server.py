@@ -173,9 +173,9 @@ class DatabaseServer:
         )
         self._install(self.database)
         self._parse_cache = LRUCache(PARSE_CACHE_CAPACITY)
-        # the new incarnation's commit index is reloaded from the archive's
-        # commit rows and the commits recovery's scan of the live log just met
-        self.time_travel.rebuild(self.last_recovery.live_commits)
+        # the commit clock starts past every stamp in history; the commit
+        # index loads from the log when a reader first asks for it
+        self.time_travel.reset(self.last_recovery.last_commit_ts)
         self.up = True
 
     def _install(self, database: Database) -> None:
@@ -338,13 +338,21 @@ class DatabaseServer:
         """The destructive half of :meth:`restore_to`: rewrite stable
         storage so its durable state is exactly the cut for ``ts``.
 
-        Order is fail-safe: the cut is reconstructed (read-only) *before*
-        anything is discarded, then post-cut log bytes are truncated and
-        the reconstructed state is checkpointed onto the device — after
-        which an ordinary boot (or crash recovery, if the process dies
-        right here: see CRASH_MID_RESTORE) comes up at the cut.  ``ts``
-        None means "now": the latest committed state, which discards no
-        commits — the no-op restore chaos exploits.
+        Order is fail-safe, and a process death at any step boots either the
+        state before the restore or the cut:
+
+        1. reconstruct the cut (read-only) — a failure leaves storage as
+           it was;
+        2. write the cut's table images and catalog, stamped with the cut,
+           under a redo start of 0, and delete the files of tables the cut
+           lacks (:meth:`Database.write_cut`) — the whole log is still
+           there, so a restart replays every later commit onto them;
+        3. cut the log after the cut's commit, and close the transactions
+           the cut leaves open with bare ABORT records (their ends are gone);
+        4. checkpoint, which moves the redo start past the cut.
+
+        ``ts`` None means "now": the latest committed state, which discards
+        no commits — the no-op restore chaos exploits.
 
         Callers must hold the engine quiet (drained or about to crash);
         the in-memory engine still reflects *pre*-restore state afterwards
@@ -357,28 +365,22 @@ class DatabaseServer:
             self.time_travel.stats.restores_started += 1
             cut = self.time_travel.resolve_cut(ts)
             cut_end = self.time_travel.cut_end(cut)
-            # reconstruct first — any failure here leaves storage untouched
             snapshot = self.time_travel.snapshot_at_cut(cut)
             info = snapshot.info
-            # log first, archive second.  If the process dies between the
-            # two, what the archive still holds past the cut is either below
-            # the log base, where the table files still reflect it (the
-            # restore did not happen), or at or above it, where no read
-            # trusts the archive and the next checkpoint's chunk replaces it
-            self.storage.truncate_log_suffix(cut_end)
-            self.storage.truncate_archive(cut_end)
-            discarded = self.time_travel.log_index.truncate_to(cut)
             restored = Database(
                 self.storage,
                 tables=snapshot.database.tables,
                 procedures=snapshot.database.procedures,
                 views=snapshot.database.views,
-                txn_seed=info.max_txn_id,
                 wal_stats=self.wal_stats,
                 lock_stats=self.lock_stats,
             )
             restored.indexes = dict(snapshot.database.indexes)
             self._install(restored)
+            restored.write_cut(cut)
+            self.storage.truncate_log_suffix(cut_end)
+            discarded = self.time_travel.log_index.truncate_to(cut)
+            restored.close_unended(info.open_txns)
             restored.checkpoint()
             self.time_travel.stats.commits_discarded += discarded
             return RestoreReport(

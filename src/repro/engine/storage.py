@@ -6,14 +6,13 @@ state that survives is what was explicitly written through a
 :class:`StableStorage` implementation:
 
 * **table files** — snapshots of table contents, written at checkpoints;
-* **the log** — append-only WAL bytes, forced at commit;
-* **meta entries** — small key/value items (last checkpoint LSN, catalog
-  snapshots) — never history, so their size does not grow with uptime;
-* **the archive** — the log prefixes checkpoints truncated, kept for time
-  travel on an append-only device of its own (see :meth:`StableStorage.
-  append_archive` for the chunk layout and the one rule that makes every
-  archive step repeatable).  Restart never reads its log bytes: a boot
-  loads only the fixed-width commit rows stored beside them.
+* **the log** — append-only WAL bytes, forced at commit.  It is the whole
+  committed history: nothing is cut from its front, so time travel reads
+  the same bytes restart does.  Restart reads it from the *redo start* a
+  checkpoint notes in meta; the log is cut only at a torn tail and by
+  ``restore_to`` (:meth:`StableStorage.truncate_log_suffix`);
+* **meta entries** — small key/value items (the redo start, catalog
+  snapshots) — never history, so their size does not grow with uptime.
 
 Two implementations are provided.  :class:`InMemoryStableStorage` keeps
 "disk" contents in dictionaries but snapshots every table payload on the
@@ -29,10 +28,8 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-import struct
 import tempfile
 import urllib.parse
-import zlib
 from dataclasses import dataclass, field
 
 from repro.engine.schema import TableSchema
@@ -56,30 +53,8 @@ class StorageFault(Exception):
     """
 
 
-#: one archived commit: (commit LSN, end offset of its frame, commit timestamp)
-_COMMIT_ROW = struct.Struct("<QQd")
-#: archive chunk header: crc32 of the three fields, start LSN, end LSN, row count
-_ARCHIVE_HEADER = struct.Struct("<IQQI")
-#: ``wal.log`` header: magic, absolute LSN of the first log byte after it
-_LOG_HEADER = struct.Struct("<4sQ")
-_LOG_MAGIC = b"WAL1"
-
-
-def _archive_crc(start: int, end: int, n_rows: int) -> int:
-    return zlib.crc32(struct.pack("<QQI", start, end, n_rows))
-
-
-@dataclass
-class _ArchiveChunk:
-    """One live chunk of the archive: log bytes ``[start, end)`` and the
-    rows of the commits inside them.  ``at`` is the device offset of the
-    rows; the log bytes follow them.  ``end`` shrinks when a later chunk
-    supersedes this one's tail."""
-
-    start: int
-    end: int
-    n_rows: int
-    at: int
+#: the first bytes of ``wal.log``; an LSN is a byte offset after them
+_LOG_MAGIC = b"WAL2"
 
 
 @dataclass
@@ -186,25 +161,17 @@ class StableStorage:
 
     # -- the log ------------------------------------------------------------
 
-    def read_log(self) -> bytes:
+    def read_log(self, start: int = 0) -> bytes:
+        """The durable log bytes from LSN ``start`` on."""
         raise NotImplementedError
 
     def log_size(self) -> int:
         raise NotImplementedError
 
-    @property
-    def log_base(self) -> int:
-        """Absolute LSN of the first retained log byte."""
-        raise NotImplementedError
-
-    def truncate_log_prefix(self, offset: int) -> None:
-        """Discard log bytes before ``offset`` (log head after a quiescent
-        checkpoint).  Offsets/LSNs remain absolute."""
-        raise NotImplementedError
-
     def truncate_log_suffix(self, offset: int) -> None:
-        """Discard log bytes at and after absolute ``offset`` (a torn tail
-        found by restart recovery).  Later appends land at ``offset``."""
+        """Discard log bytes at and after ``offset`` (a torn tail found by
+        restart recovery, or the history ``restore_to`` erases).  Later
+        appends land at ``offset``."""
         raise NotImplementedError
 
     # -- meta ----------------------------------------------------------------
@@ -213,95 +180,6 @@ class StableStorage:
         raise NotImplementedError
 
     def read_meta(self, key: str, default: object = None) -> object:
-        raise NotImplementedError
-
-    # -- the time-travel archive -------------------------------------------------
-
-    #: live chunks, ascending and non-overlapping (each backend's
-    #: ``__init__`` creates the list)
-    _archive_chunks: list[_ArchiveChunk]
-
-    def append_archive(
-        self, start: int, end: int, rows: list[tuple[int, int, float]], payload: bytes
-    ) -> None:
-        """Durably archive log bytes ``[start, end)`` with the ``(lsn, end,
-        ts)`` row of every commit inside them, as one chunk::
-
-            [u32 crc][u64 start][u64 end][u32 n_rows]  n_rows x [u64 u64 f64]  bytes
-
-        **A chunk replaces whatever the archive held at or above its start
-        LSN.**  That one rule makes every archive step repeatable: a
-        checkpoint that crashed after archiving and before truncating
-        archives the same prefix again without duplicating it, and
-        ``restore_to`` erases post-cut history by appending an empty chunk
-        at the cut (:meth:`truncate_archive`).  Nothing is ever rewritten in
-        place; a chunk the device tore is ignored when the archive is opened.
-        """
-        fields = (start, end, len(rows))
-        chunk = b"".join(
-            [
-                _ARCHIVE_HEADER.pack(_archive_crc(*fields), *fields),
-                *(_COMMIT_ROW.pack(*row) for row in rows),
-                payload,
-            ]
-        )
-        at = self._write_archive(chunk)
-        self._note_chunk(start, end, len(rows), at + _ARCHIVE_HEADER.size)
-
-    def truncate_archive(self, offset: int) -> None:
-        """Discard archived history at and after absolute ``offset``."""
-        chunks = self._archive_chunks
-        if chunks and chunks[-1].end > offset:
-            self.append_archive(offset, offset, [], b"")
-
-    def _note_chunk(self, start: int, end: int, n_rows: int, at: int) -> None:
-        chunks = self._archive_chunks
-        while chunks and chunks[-1].start >= start:
-            chunks.pop()
-        if chunks and chunks[-1].end > start:
-            chunks[-1].end = start
-        if end > start:
-            chunks.append(_ArchiveChunk(start, end, n_rows, at))
-
-    def _chunks_below_log_base(self):
-        """``(chunk, stop)`` per live chunk, ``stop`` its end clipped to the
-        log base: the live log is authoritative, so whatever the archive
-        holds at or above ``log_base`` (a checkpoint died between archiving
-        and truncating) is ignored."""
-        base = self.log_base
-        for chunk in self._archive_chunks:
-            if chunk.start < base:
-                yield chunk, min(chunk.end, base)
-
-    def archive_rows(self) -> list[tuple[int, int, float]]:
-        """``(lsn, end, ts)`` of every archived commit below the log base,
-        in LSN order — fixed-width rows, no log record is decoded."""
-        rows: list[tuple[int, int, float]] = []
-        for chunk, stop in self._chunks_below_log_base():
-            raw = self._read_archive(chunk.at, chunk.n_rows * _COMMIT_ROW.size)
-            rows.extend(row for row in _COMMIT_ROW.iter_unpack(raw) if row[1] <= stop)
-        return rows
-
-    def archive_segments(self) -> list[tuple[int, int, bytes]]:
-        """``(start, end, log bytes)`` of the archived history below the log
-        base, ascending.  This is the read that costs what history weighs:
-        only point-in-time reconstruction calls it."""
-        return [
-            (
-                chunk.start,
-                stop,
-                self._read_archive(
-                    chunk.at + chunk.n_rows * _COMMIT_ROW.size, stop - chunk.start
-                ),
-            )
-            for chunk, stop in self._chunks_below_log_base()
-        ]
-
-    def _write_archive(self, chunk: bytes) -> int:
-        """Durably append to the archive device; returns where it landed."""
-        raise NotImplementedError
-
-    def _read_archive(self, offset: int, length: int) -> bytes:
         raise NotImplementedError
 
 
@@ -319,10 +197,7 @@ class InMemoryStableStorage(StableStorage):
     def __init__(self):
         self._tables: dict[str, TableData] = {}
         self._log = bytearray()
-        self._log_base = 0  # absolute offset of _log[0] after truncation
         self._meta: dict[str, object] = {}
-        self._archive = bytearray()
-        self._archive_chunks = []
         #: counters exposed to benchmarks (forced writes etc.)
         self.log_appends = 0
         self.table_writes = 0
@@ -341,50 +216,25 @@ class InMemoryStableStorage(StableStorage):
         return sorted(self._tables)
 
     def _append_log_raw(self, payload: bytes) -> int:
-        offset = self._log_base + len(self._log)
+        offset = len(self._log)
         self._log.extend(payload)
         self.log_appends += 1
         return offset
 
-    def read_log(self) -> bytes:
-        return bytes(self._log)
-
-    @property
-    def log_base(self) -> int:
-        """Absolute LSN of the first retained log byte."""
-        return self._log_base
+    def read_log(self, start: int = 0) -> bytes:
+        return bytes(self._log[start:])
 
     def log_size(self) -> int:
-        return self._log_base + len(self._log)
-
-    def truncate_log_prefix(self, offset: int) -> None:
-        keep_from = offset - self._log_base
-        if keep_from <= 0:
-            return
-        del self._log[:keep_from]
-        self._log_base = offset
+        return len(self._log)
 
     def truncate_log_suffix(self, offset: int) -> None:
-        keep_to = offset - self._log_base
-        if keep_to >= len(self._log):
-            return
-        del self._log[max(0, keep_to):]
+        del self._log[offset:]
 
     def write_meta(self, key: str, value: object) -> None:
         self._meta[key] = copy.deepcopy(value)
 
     def read_meta(self, key: str, default: object = None) -> object:
         return copy.deepcopy(self._meta.get(key, default))
-
-    def _write_archive(self, chunk: bytes) -> int:
-        at = len(self._archive)
-        self._archive.extend(chunk)
-        return at
-
-    def _read_archive(self, offset: int, length: int) -> bytes:
-        return bytes(self._archive[offset : offset + length])
-
-
 
 
 class FileStableStorage(StableStorage):
@@ -394,18 +244,15 @@ class FileStableStorage(StableStorage):
 
         <root>/tables/<name>.tbl   pickled (name, TableData); the file name
                                    is the table name, percent-escaped
-        <root>/wal.log             [magic][u64 base LSN] + raw log bytes
+        <root>/wal.log             [magic] + raw log bytes
         <root>/meta.pickle         pickled meta dict
-        <root>/archive.log         archive chunks (see ``append_archive``)
 
     Table and meta writes go through a temp-file + ``os.replace`` so a crash
-    mid-write never leaves a torn file.  So does a log prefix truncation:
-    the log's base LSN travels in the header of the file that one replace
-    swaps in, so no crash can leave new bytes under an old base.
+    mid-write never leaves a torn file.  The log is only ever appended to
+    or cut at its end.
 
-    The object is its directory's only writer, so it keeps the log's base
-    and length (and the archive's chunk table) instead of asking the file
-    system for them on every append.
+    The object is its directory's only writer, so it keeps the log's length
+    instead of asking the file system for it on every append.
     """
 
     def __init__(self, root: str):
@@ -413,18 +260,13 @@ class FileStableStorage(StableStorage):
         self._tables_dir = os.path.join(root, "tables")
         self._log_path = os.path.join(root, "wal.log")
         self._meta_path = os.path.join(root, "meta.pickle")
-        self._archive_path = os.path.join(root, "archive.log")
         os.makedirs(self._tables_dir, exist_ok=True)
         if not os.path.exists(self._log_path):
-            self._atomic_write(self._log_path, _LOG_HEADER.pack(_LOG_MAGIC, 0))
+            self._atomic_write(self._log_path, _LOG_MAGIC)
         with open(self._log_path, "rb") as handle:
-            header = handle.read(_LOG_HEADER.size)
-        if len(header) < _LOG_HEADER.size or not header.startswith(_LOG_MAGIC):
-            raise StorageFault(f"{self._log_path} is not a log file of this layout")
-        _magic, self._log_base = _LOG_HEADER.unpack(header)
-        self._log_len = os.path.getsize(self._log_path) - _LOG_HEADER.size
-        self._archive_chunks = []
-        self._archive_size = self._open_archive()
+            if handle.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
+                raise StorageFault(f"{self._log_path} is not a log file of this layout")
+        self._log_len = os.path.getsize(self._log_path) - len(_LOG_MAGIC)
 
     # -- helpers --------------------------------------------------------------
 
@@ -479,49 +321,31 @@ class FileStableStorage(StableStorage):
 
     # -- log -----------------------------------------------------------------------
 
-    @property
-    def log_base(self) -> int:
-        return self._log_base
-
     def _append_log_raw(self, payload: bytes) -> int:
-        offset = self._log_base + self._log_len
+        offset = self._log_len
         self._durable_append(self._log_path, payload)
         self._log_len += len(payload)
         return offset
 
-    def read_log(self) -> bytes:
+    def read_log(self, start: int = 0) -> bytes:
         with open(self._log_path, "rb") as handle:
-            handle.seek(_LOG_HEADER.size)
+            handle.seek(len(_LOG_MAGIC) + start)
             raw = handle.read()
-        # every boot starts here: take the length from the device, in case
-        # an append that raised half-way left more behind than was counted
-        self._log_len = len(raw)
+            # every boot starts here: take the length from the device, in
+            # case an append that raised half-way left more than was counted
+            self._log_len = os.fstat(handle.fileno()).st_size - len(_LOG_MAGIC)
         return raw
 
     def log_size(self) -> int:
-        return self._log_base + self._log_len
-
-    def truncate_log_prefix(self, offset: int) -> None:
-        keep_from = offset - self._log_base
-        if keep_from <= 0:
-            return
-        with open(self._log_path, "rb") as handle:
-            handle.seek(_LOG_HEADER.size + keep_from)
-            remainder = handle.read()
-        self._atomic_write(
-            self._log_path, _LOG_HEADER.pack(_LOG_MAGIC, offset) + remainder
-        )
-        self._log_base = offset
-        self._log_len = len(remainder)
+        return self._log_len
 
     def truncate_log_suffix(self, offset: int) -> None:
-        keep_to = max(0, offset - self._log_base)
-        if keep_to >= self._log_len:
+        if offset >= self._log_len:
             return
         with open(self._log_path, "r+b") as handle:
-            handle.truncate(_LOG_HEADER.size + keep_to)
+            handle.truncate(len(_LOG_MAGIC) + offset)
             os.fsync(handle.fileno())
-        self._log_len = keep_to
+        self._log_len = offset
 
     # -- meta --------------------------------------------------------------------------
 
@@ -538,44 +362,3 @@ class FileStableStorage(StableStorage):
 
     def read_meta(self, key: str, default: object = None) -> object:
         return self._load_meta().get(key, default)
-
-    # -- archive -------------------------------------------------------------------
-
-    def _open_archive(self) -> int:
-        """Rebuild the chunk table from the chunk headers (rows and log
-        bytes are skipped, not read) and cut a torn tail; returns the
-        archive's size."""
-        if not os.path.exists(self._archive_path):
-            return 0
-        size = os.path.getsize(self._archive_path)
-        pos = 0
-        with open(self._archive_path, "rb") as handle:
-            while pos + _ARCHIVE_HEADER.size <= size:
-                handle.seek(pos)
-                crc, start, end, n_rows = _ARCHIVE_HEADER.unpack(
-                    handle.read(_ARCHIVE_HEADER.size)
-                )
-                if crc != _archive_crc(start, end, n_rows):
-                    break
-                rows_at = pos + _ARCHIVE_HEADER.size
-                chunk_end = rows_at + n_rows * _COMMIT_ROW.size + (end - start)
-                if chunk_end > size:
-                    break
-                self._note_chunk(start, end, n_rows, rows_at)
-                pos = chunk_end
-        if pos < size:
-            os.truncate(self._archive_path, pos)
-        return pos
-
-    def _write_archive(self, chunk: bytes) -> int:
-        at = self._archive_size
-        self._durable_append(self._archive_path, chunk)
-        self._archive_size += len(chunk)
-        return at
-
-    def _read_archive(self, offset: int, length: int) -> bytes:
-        if not length:
-            return b""
-        with open(self._archive_path, "rb") as handle:
-            handle.seek(offset)
-            return handle.read(length)

@@ -2,33 +2,33 @@
 
 The WAL already records every change the database ever committed; Talius
 et al. (PAPERS.md) observe that this makes the log itself a time machine —
-no full backups needed.  This module is that machine:
+no full backups needed.  This module is that machine, and ``wal.log`` is
+its one source: nothing is ever cut from the front of the log.
 
 * :class:`LogIndex` — maps commit timestamps to cut LSNs.  Commit records
   are stamped at *device-force* time (:meth:`WriteAheadLog._flush_commits`),
   so every commit covered by one group force shares one instant and a
-  batch is all-or-none under any cut.  The index is volatile; a boot
-  reloads it from what it reads anyway — the archive's fixed-width commit
-  rows plus the commits restart recovery's scan of the live log met — so
-  no log record is decoded for the index's sake.
+  batch is all-or-none under any cut.  The index is volatile and loads on
+  first use (``AS OF``, ``restore_to``) from one scan of the log; a boot
+  decodes nothing below the redo start for it, and starts the commit
+  clock past history from what meta and restart's scan hold.
 * :func:`reconstruct_at` — replays committed history up to a cut LSN into
   a fresh, throwaway-storage :class:`Database`: the read-only snapshot
   ``SELECT ... AS OF <ts>`` queries run against.
 * :class:`TimeTravelManager` — owns the clock, the index, and an LRU cache
   of reconstructed snapshots (one executor *per cut*, so plan caching is
   naturally keyed per cut).  ``DatabaseServer`` attaches one per system;
-  ``restore_to(ts)`` uses :func:`restore_storage_to` to rewrite stable
-  storage to a cut and then boots a fresh engine from it.
+  ``DatabaseServer.restore_to(ts)`` writes a reconstructed cut to stable
+  storage, cuts the log after it and boots a fresh engine from it.
 
 **Cut semantics.**  A *cut* is the LSN of a COMMIT record; the state at a
 cut is every transaction whose commit LSN is ``<= cut``, in log order —
 exactly restart recovery's winner set, evaluated at a past moment.
 ``AS OF ts`` resolves to the last commit whose timestamp is ``<= ts``
 (the empty database when there is none).  Uncommitted and aborted
-transactions are invisible at every cut, a quiescent checkpoint archives
-the log prefix it truncates (:meth:`StableStorage.append_archive`) so no
-cut is ever lost, and ``restore_to`` *discards* post-cut history — by
-design, that is the application-error-recovery story.  See
+transactions are invisible at every cut, a checkpoint cuts nothing from
+the log so no cut is ever lost, and ``restore_to`` *discards* post-cut
+history — by design, that is the application-error-recovery story.  See
 docs/TIME_TRAVEL.md.
 """
 
@@ -37,12 +37,11 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 from repro.errors import TimeTravelError
 from repro.engine.database import Database
-from repro.engine.recovery import RecoveryReport, _replay
+from repro.engine.recovery import RecoveryReport, _replay, attribute
 from repro.engine.storage import InMemoryStableStorage, StableStorage
 from repro.engine.wal import CommitClock, RecordType, scan_log
 from repro.obs.metrics import CounterSet
@@ -53,7 +52,6 @@ __all__ = [
     "ReconstructInfo",
     "TimeTravelManager",
     "TimeTravelStats",
-    "full_log_records",
     "reconstruct_at",
 ]
 
@@ -76,13 +74,13 @@ class TimeTravelStats(CounterSet):
 
 
 class LogIndex:
-    """Commit timestamp → cut LSN, over the full archived + live history.
+    """Commit timestamp → cut LSN, over the whole log.
 
-    Entries arrive in LSN order with strictly increasing timestamps (the
+    Entries arrive in LSN order with non-decreasing timestamps (the
     :class:`CommitClock` guarantees it), so both columns are sorted and
-    ``floor`` is a bisect.  Volatile: :meth:`load` refills it at boot;
-    :meth:`note_commit` keeps it live afterwards (called by the WAL after
-    each successful device force).
+    ``floor`` is a bisect.  Volatile, and empty until :meth:`load` reads the
+    log; afterwards :meth:`note_commit` keeps it live (called by the WAL
+    after each successful device force).
     """
 
     def __init__(self):
@@ -90,12 +88,16 @@ class LogIndex:
         self._lsns: list[int] = []
         self._ends: list[int] = []
         self._tss: list[float] = []
+        #: whether :meth:`load` has read the log since the last :meth:`clear`
+        self.loaded = False
 
     def __len__(self) -> int:
         return len(self._lsns)
 
     def note_commit(self, lsn: int, end: int, ts: float) -> None:
         with self._lock:
+            if not self.loaded:
+                return  # the load's scan will meet this commit
             if self._tss and ts <= self._tss[-1]:
                 ts = self._tss[-1] + 1e-9  # defensive: keep bisect valid
             self._lsns.append(lsn)
@@ -110,12 +112,6 @@ class LogIndex:
             if i == 0:
                 return None
             return self._lsns[i - 1], self._ends[i - 1], self._tss[i - 1]
-
-    def latest(self) -> tuple[int, int, float] | None:
-        with self._lock:
-            if not self._lsns:
-                return None
-            return self._lsns[-1], self._ends[-1], self._tss[-1]
 
     def cuts(self) -> list[tuple[float, int]]:
         """Every known cut as ``(ts, lsn)``, oldest first."""
@@ -139,61 +135,29 @@ class LogIndex:
                 return self._ends[i]
             return None
 
-    def rows(self, start: int, stop: int) -> list[tuple[int, int, float]]:
-        """``(lsn, end, ts)`` of the commits at ``start <= lsn < stop`` —
-        what a checkpoint stores beside the log prefix it archives."""
+    def load(self, storage: StableStorage) -> None:
+        """Fill the index from one scan of the whole log, unless it is
+        loaded already."""
         with self._lock:
-            i = bisect.bisect_left(self._lsns, start)
-            j = bisect.bisect_left(self._lsns, stop)
-            return list(zip(self._lsns[i:j], self._ends[i:j], self._tss[i:j]))
+            if self.loaded:
+                return
+            records, good_end = scan_log(storage.read_log())
+            for i, record in enumerate(records):
+                if record.type is RecordType.COMMIT:
+                    self._lsns.append(record.lsn)
+                    self._ends.append(
+                        records[i + 1].lsn if i + 1 < len(records) else good_end
+                    )
+                    self._tss.append(record.commit_ts)
+            self.loaded = True
 
-    def load(self, rows) -> None:
-        """Replace the index with ``rows`` — ``(lsn, end, ts)`` in LSN
-        order.  A commit missing its stamp (logs written before this
-        feature) gets a synthesized monotonic one."""
+    def clear(self) -> None:
+        """Forget every entry (a boot: the next reader loads the log)."""
         with self._lock:
             self._lsns.clear()
             self._ends.clear()
             self._tss.clear()
-            last_ts = 0.0
-            for lsn, end, ts in rows:
-                if ts is None or ts <= last_ts:
-                    ts = last_ts + 1e-9
-                last_ts = ts
-                self._lsns.append(lsn)
-                self._ends.append(end)
-                self._tss.append(ts)
-
-
-def full_log_records(storage: StableStorage):
-    """Decode the *entire* committed history: archive segments + live log.
-
-    Returns ``(records, start_lsn, ends)`` where ``ends[i]`` is the end
-    offset of ``records[i]``'s frame (what a restore truncating *after*
-    that record keeps).  Gaps between segments are legitimate (history
-    erased by a ``restore_to`` below the log base); an *overlap* means the
-    archive is corrupt and raises :class:`TimeTravelError`.
-    """
-    segments = storage.archive_segments()
-    segments.append((storage.log_base, None, storage.read_log()))  # the live log
-    records: list = []
-    ends: list[int] = []
-    prev_end = 0
-    for seg_start, seg_end, blob in segments:
-        if seg_start < prev_end:
-            raise TimeTravelError(
-                f"time-travel archive segments overlap at LSN {seg_start} "
-                f"(previous segment ends at {prev_end}): history is corrupt"
-            )
-        seg_records, good_end = scan_log(blob, base_offset=seg_start)
-        for i, record in enumerate(seg_records):
-            records.append(record)
-            ends.append(
-                seg_records[i + 1].lsn if i + 1 < len(seg_records) else good_end
-            )
-        prev_end = good_end if seg_end is None else seg_end
-    start = segments[0][0]
-    return records, start, ends
+            self.loaded = False
 
 
 @dataclass
@@ -206,62 +170,43 @@ class ReconstructInfo:
     records_replayed: int = 0
     tables: int = 0
     winners: int = 0
-    #: highest transaction id anywhere in the scanned history — restore
-    #: seeds the fresh engine past it so ids are never reused across a cut
-    max_txn_id: int = 0
+    #: transactions with records at or below the cut and no COMMIT or
+    #: ABORT there — restore_to closes them, since it cuts their ends away
+    open_txns: list[int] = field(default_factory=list)
 
 
 def reconstruct_at(
-    storage: StableStorage, cut_lsn: int
+    storage: StableStorage, cut_lsn: int, cut_end: int
 ) -> tuple[Database, ReconstructInfo]:
-    """Replay committed history up to ``cut_lsn`` into a fresh Database.
+    """Replay committed history up to ``cut_lsn`` — the log bytes below
+    ``cut_end``, the end of its COMMIT frame — into a fresh Database.
 
     The returned database lives on a *throwaway* in-memory storage: replay
     side effects (dropped-table file deletes) must never touch the real
     device, and nothing the snapshot does is durable.  Reconstruction
-    reuses restart recovery's ``_replay`` with the winner set restricted
-    to commits at or below the cut — the snapshot is exactly what a crash
-    recovery at that moment would have produced.
+    reuses restart recovery's ``attribute`` and ``_replay``: the snapshot
+    is exactly what a crash recovery at that moment would have produced.
     """
     with get_tracer().span("timetravel.reconstruct", cut=cut_lsn) as span:
-        records, start, _ends = full_log_records(storage)
-        if cut_lsn < start:
+        records, good_end = scan_log(storage.read_log()[:cut_end])
+        if good_end < cut_end:
             raise TimeTravelError(
-                f"cut LSN {cut_lsn} predates the replayable history "
-                f"(archive starts at {start})"
+                f"the log ends at LSN {good_end}, before the commit at cut "
+                f"LSN {cut_lsn} that ends at {cut_end}: history is missing"
             )
-        info = ReconstructInfo(cut_lsn=cut_lsn, records_scanned=len(records))
-        # Attribute each record to the COMMIT that closes it.  Transaction
-        # ids are *reused* across server incarnations (each boot reseeds),
-        # so a bare txn-id → commit map would fold two different
-        # transactions into one; instead a forward walk tracks the open
-        # incarnation per id — a COMMIT claims the records accumulated
-        # since the id's last closure, an ABORT discards them.
-        commit_of: dict[int, int] = {}  # record index -> owning commit LSN
-        pending: dict[int, list[int]] = {}
-        winners = 0
-        for i, record in enumerate(records):
-            if record.txn_id > info.max_txn_id:
-                info.max_txn_id = record.txn_id
-            pending.setdefault(record.txn_id, []).append(i)
-            if record.type is RecordType.COMMIT:
-                indices = pending.pop(record.txn_id, [])
-                if record.lsn <= cut_lsn:
-                    winners += 1
-                    for idx in indices:
-                        commit_of[idx] = record.lsn
-            elif record.type is RecordType.ABORT:
-                pending.pop(record.txn_id, None)
-        info.winners = winners
-
+        commit_of, open_txns = attribute(records)
+        info = ReconstructInfo(
+            cut_lsn=cut_lsn,
+            records_scanned=len(records),
+            winners=sum(record.type is RecordType.COMMIT for record in records),
+            open_txns=open_txns,
+        )
         database = Database(InMemoryStableStorage(), tables={}, procedures={}, views={})
         report = RecoveryReport()
         snapshot_lsn: dict[str, int] = {}
-        for i, record in enumerate(records):
-            commit_lsn = commit_of.get(i)
-            if commit_lsn is None:
-                continue
-            _replay(record, commit_lsn, database, snapshot_lsn, 0, report)
+        for record, commit_lsn in zip(records, commit_of):
+            if commit_lsn is not None:
+                _replay(record, commit_lsn, database, snapshot_lsn, 0, report)
         database.attach_indexes()
         info.records_replayed = report.records_redone
         info.tables = len(database.tables)
@@ -291,8 +236,8 @@ class TimeTravelManager:
     """The server's time-travel surface: clock + index + snapshot cache.
 
     One manager spans every database incarnation of a server (like the
-    stats objects): the clock stays monotonic across restarts and the
-    index is rebuilt from storage at each boot via :meth:`rebuild`.
+    stats objects): the clock stays monotonic across restarts, and each
+    boot empties the index via :meth:`reset`.
     """
 
     def __init__(
@@ -323,24 +268,27 @@ class TimeTravelManager:
         database.wal.clock = self.clock
         database.wal.log_index = self.log_index
 
-    def rebuild(self, live_commits) -> None:
-        """Boot-time reset: reload the index from the archive's commit rows
-        plus ``live_commits`` (``RecoveryReport.live_commits`` — the live
-        log was decoded once, by recovery), advance the clock past every
-        recovered stamp, drop cached snapshots."""
+    def reset(self, last_commit_ts: float) -> None:
+        """Boot-time reset: start the clock past ``last_commit_ts`` (the
+        latest stamp in history, ``RecoveryReport.last_commit_ts``), and
+        drop the index and the cached snapshots — the next reader loads the
+        index from the log."""
         with self._lock:
-            self.log_index.load(chain(self.storage.archive_rows(), live_commits))
-            latest = self.log_index.latest()
-            if latest is not None:
-                self.clock.advance_past(latest[2])
+            self.clock.advance_past(last_commit_ts)
+            self.log_index.clear()
             self._snapshots.clear()
+
+    def index(self) -> LogIndex:
+        """The commit index, loaded from the log on first use."""
+        self.log_index.load(self.storage)
+        return self.log_index
 
     # -- resolution -----------------------------------------------------------
 
     def resolve_cut(self, ts: float) -> int:
         """The cut LSN ``AS OF ts`` means: the last commit at or before
         ``ts``, or 0 (the empty database) when ``ts`` predates them all."""
-        entry = self.log_index.floor(ts)
+        entry = self.index().floor(ts)
         return entry[0] if entry is not None else 0
 
     def cut_end(self, cut_lsn: int) -> int:
@@ -349,7 +297,7 @@ class TimeTravelManager:
         start of history."""
         if cut_lsn == 0:
             return 0
-        end = self.log_index.end_for(cut_lsn)
+        end = self.index().end_for(cut_lsn)
         if end is None:
             raise TimeTravelError(f"no commit at cut LSN {cut_lsn}")
         return end
@@ -367,7 +315,7 @@ class TimeTravelManager:
                 self._snapshots.move_to_end(cut_lsn)
                 self.stats.snapshot_hits += 1
                 return snapshot
-            database, info = reconstruct_at(self.storage, cut_lsn)
+            database, info = reconstruct_at(self.storage, cut_lsn, self.cut_end(cut_lsn))
             from repro.engine.executor import Executor
             from repro.engine.session import Session
 

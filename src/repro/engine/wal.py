@@ -187,8 +187,8 @@ def scan_log(raw: bytes, base_offset: int = 0) -> tuple[list[LogRecord], int]:
     ``base_offset + len(raw)`` when the log is clean, smaller when a torn
     tail write left garbage bytes that restart recovery must truncate
     (appending after them would make every later record unreachable to
-    this scan).  ``base_offset`` is the absolute LSN of ``raw[0]`` (log
-    truncation keeps LSNs absolute)."""
+    this scan).  ``base_offset`` is the LSN of ``raw[0]`` (restart reads
+    the log from its redo start)."""
     records: list[LogRecord] = []
     pos = 0
     total = len(raw)
@@ -454,4 +454,4 @@ class WriteAheadLog:
 
     def read_all(self) -> list[LogRecord]:
         """Decode the durable portion of the log (what recovery will see)."""
-        return decode_log(self._storage.read_log(), base_offset=self._storage.log_base)
+        return decode_log(self._storage.read_log())

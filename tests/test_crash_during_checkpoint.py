@@ -1,4 +1,5 @@
-"""Storage-level fault injection: crash in the middle of a checkpoint.
+"""Storage-level fault injection: crash in the middle of a checkpoint or
+of a ``restore_to``.
 
 DESIGN.md §5 and recovery.py claim each checkpoint step is crash-safe: a
 failure after some table files are written but before the checkpoint
@@ -9,8 +10,6 @@ write-counting bomb.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -132,8 +131,8 @@ def test_repeated_bombed_checkpoints_then_success():
     server.crash()
     report = server.restart()
     assert expected_state(server) == before
-    # the clean checkpoint truncated the log: little to scan
-    assert report.checkpoint_lsn > 0
+    # the clean checkpoint moved the redo start: little to scan
+    assert report.redo_start > 0 and report.records_scanned == 1
 
 
 # ------------------------------------------------ kill at every storage mutation
@@ -144,9 +143,6 @@ MUTATIONS = (
     "write_table_file",
     "delete_table_file",
     "write_meta",
-    "append_archive",
-    "truncate_archive",
-    "truncate_log_prefix",
     "truncate_log_suffix",
 )
 
@@ -193,9 +189,10 @@ def reboot(server: DatabaseServer) -> DatabaseServer:
 
 
 def history(server) -> tuple[list, list]:
-    """A database with an archived prefix, a live log behind it and a stale
-    table file for the checkpoint's sweep; returns the live tables and the
-    pinned ``(ts, rows of t)`` cuts — some archived, some live."""
+    """A database with a checkpoint behind it, more log past that and a
+    stale table file for the next checkpoint's sweep; returns the live
+    tables and the pinned ``(ts, rows of t)`` cuts — some below the redo
+    start, some past it."""
     sid = server.connect()
     pins = []
 
@@ -207,7 +204,7 @@ def history(server) -> tuple[list, list]:
     execute(server, sid, "CREATE TABLE doomed (k INT PRIMARY KEY)")
     for i in range(3):
         write(f"INSERT INTO t VALUES ({i}, {i})")
-    server.checkpoint()  # archives the prefix, writes doomed's table file
+    server.checkpoint()  # moves the redo start, writes doomed's table file
     execute(server, sid, "DROP TABLE doomed")
     for i in range(3, 6):
         write(f"INSERT INTO t VALUES ({i}, {i})")
@@ -235,12 +232,26 @@ def assert_intact(server, tables, pins):
         assert read_t(server, as_of=ts) == rows
 
 
+def commit_after_reboot(server, tables, pins) -> DatabaseServer:
+    """Commit a row on the rebooted server, reboot once more and find it:
+    no log record written after a boot may fall at or below the stamp of a
+    table file (restart would skip it)."""
+    sid = server.connect()
+    execute(server, sid, "INSERT INTO t VALUES (100, 100)")
+    server.disconnect(sid)
+    server = reboot(server)
+    assert read_tables(server) == (tables[0], sorted(tables[1] + [(100, 100)]))
+    assert all(read_t(server, as_of=ts) == rows for ts, rows in pins)
+    return server
+
+
 @pytest.mark.parametrize("kind", ["memory", "file"])
 def test_kill_at_every_mutation_of_a_checkpoint_sweep(kind, tmp_path_factory, monkeypatch):
     """The process dies before the k-th storage mutation of a quiescent
     checkpoint, for every k: the restart finds every table and every pinned
-    ``AS OF`` cut as the fault-free run left them, and so does the restart
-    after the checkpoint that follows."""
+    ``AS OF`` cut as the fault-free run left them, a row committed after it
+    survives the next restart, and so does all of it the restart after the
+    checkpoint that follows."""
     at = 0
     while True:
         server = DatabaseServer(make_storage(kind, tmp_path_factory.mktemp("sweep")))
@@ -256,69 +267,68 @@ def test_kill_at_every_mutation_of_a_checkpoint_sweep(kind, tmp_path_factory, mo
             break
         server = reboot(server)
         assert_intact(server, tables, pins)
+        server = commit_after_reboot(server, tables, pins)
         server.checkpoint()
         server = reboot(server)
-        assert_intact(server, tables, pins)
+        assert read_tables(server) == (tables[0], sorted(tables[1] + [(100, 100)]))
         at += 1
     # the fault-free run made every kind of mutation a checkpoint can make
     assert at == len(ran)
-    assert {"append_log", "write_table_file", "delete_table_file", "write_meta",
-            "append_archive", "truncate_log_prefix"} <= set(ran)
+    assert {"append_log", "write_table_file", "delete_table_file", "write_meta"} <= set(ran)
+
+
+def restore_history(server):
+    """Pin a cut, then write past it: a table the cut lacks, a table the cut
+    has and the present does not, and a checkpoint taken while a transaction
+    is in flight, which stamps table files past the cut and leaves the redo
+    start where it was.  Returns the cut's timestamp and the state at the
+    cut and now, as :func:`read_tables` shows them."""
+    sid = server.connect()
+    execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, sid, "CREATE TABLE doomed (k INT PRIMARY KEY)")
+    execute(server, sid, "INSERT INTO t VALUES (1, 1)")
+    ts = server.time_travel.clock.now()
+    at_cut = read_tables(server)
+    execute(server, sid, "INSERT INTO t VALUES (2, 2)")
+    execute(server, sid, "DROP TABLE doomed")
+    execute(server, sid, "CREATE TABLE later (k INT PRIMARY KEY)")
+    straddler = server.connect()
+    execute(server, straddler, "BEGIN TRANSACTION")
+    execute(server, straddler, "INSERT INTO t VALUES (50, 50)")
+    server.checkpoint()
+    execute(server, straddler, "ROLLBACK")
+    execute(server, sid, "INSERT INTO t VALUES (3, 3)")
+    server.disconnect(straddler)
+    server.disconnect(sid)
+    return ts, at_cut, read_tables(server)
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])
-def test_crash_between_archive_and_truncate_boots_and_keeps_history(kind, tmp_path, monkeypatch):
-    """The prefix is in the archive *and* still in the live log: the server
-    used to refuse to boot ("archive segments overlap at LSN 0")."""
-    server = DatabaseServer(make_storage(kind, tmp_path))
-    tables, pins = history(server)
-
-    def dies(_offset):
-        raise _Kill("killed between the archive append and the truncation")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(server.storage, "truncate_log_prefix", dies)
-        with pytest.raises(_Kill):
-            server.checkpoint()
-    server = reboot(server)
-    assert_intact(server, tables, pins)
-    server.checkpoint()
-    server = reboot(server)
-    assert_intact(server, tables, pins)
-
-
-@pytest.mark.parametrize("dying_replace", [1, 2])
-def test_kill_inside_file_log_truncation_loses_no_later_commit(dying_replace, tmp_path, monkeypatch):
-    """``truncate_log_prefix`` used to be two renames (log, then base); dying
-    between them left post-checkpoint bytes under base 0, and a row committed
-    after the next boot vanished at the boot after that."""
-    server = DatabaseServer(FileStableStorage(str(tmp_path / "db")))
-    tables, pins = history(server)
-    truncate = server.storage.truncate_log_prefix
-    replace = os.replace
-    calls = []
-
-    def dying(src, dst):
-        calls.append(dst)
-        if len(calls) == dying_replace:
-            raise _Kill(f"killed before rename {dying_replace} of the truncation")
-        replace(src, dst)
-
-    def truncate_with_dying_rename(offset):
+def test_kill_at_every_mutation_of_a_restore_to_a_past_cut(kind, tmp_path_factory, monkeypatch):
+    """The process dies before the k-th storage mutation of ``restore_to``,
+    for every k: the restart shows the state before the restore or the
+    restored state, nothing in between, and a row committed after it
+    survives the next restart (a restore that cut the log before writing
+    the cut's files once lost it: its LSN fell below a file's stamp)."""
+    at = 0
+    while True:
+        server = DatabaseServer(make_storage(kind, tmp_path_factory.mktemp("restore")))
+        ts, at_cut, before = restore_history(server)
         with monkeypatch.context() as patch:
-            patch.setattr(os, "replace", dying)
-            truncate(offset)
-
-    monkeypatch.setattr(server.storage, "truncate_log_prefix", truncate_with_dying_rename)
-    try:
-        server.checkpoint()
-    except _Kill:
-        pass
-    assert len(calls) >= 1
-    server = reboot(server)
-    assert_intact(server, tables, pins)
-    sid = server.connect()
-    execute(server, sid, "INSERT INTO t VALUES (100, 100)")
-    server = reboot(server)
-    assert read_t(server) == tables[1] + [(100, 100)]
-    assert_intact(server, (tables[0], tables[1] + [(100, 100)]), pins)
+            ran = arm_kill(patch, server.storage, at)
+            try:
+                server.restore_to(ts)
+                killed = False
+            except _Kill:
+                killed = True
+        if not killed:
+            break
+        server = reboot(server)
+        state = read_tables(server)
+        assert state in (before, at_cut), (at, ran)
+        commit_after_reboot(server, state, [])
+        at += 1
+    assert read_tables(server) == at_cut
+    assert at == len(ran)
+    assert {"write_meta", "write_table_file", "delete_table_file",
+            "truncate_log_suffix", "append_log"} <= set(ran)

@@ -92,7 +92,7 @@ def test_a_phoenix_session_forces_only_to_create_its_status_table(system):
     connection.close()
 
 
-def test_checkpoint_beside_an_open_read_only_transaction_truncates_the_log():
+def test_checkpoint_beside_a_read_only_transaction_moves_the_redo_start():
     system = repro.make_system(dsn="empty-txns-checkpoint")
     server = system.server
     writer = server.connect(user="writer")
@@ -105,22 +105,22 @@ def test_checkpoint_beside_an_open_read_only_transaction_truncates_the_log():
     assert open_txn is not None and not open_txn.logged
 
     lsn = server.checkpoint()
-    assert server.storage.log_base == lsn  # the prefix went to the archive
+    assert server.database.redo_start == lsn  # restart reads from here on
     [checkpoint] = [
-        r for r in decode_log(server.storage.read_log(), server.storage.log_base)
+        r for r in decode_log(server.storage.read_log(lsn), lsn)
         if r.type is RecordType.CHECKPOINT
     ]
     assert checkpoint.active_txns == ()
 
-    # a transaction that has logged still holds the prefix back
+    # a transaction that has logged still holds the redo start back
     server.execute(writer, "BEGIN TRANSACTION")
     server.execute(writer, "UPDATE kv SET v = 2 WHERE k = 1")
     logged = server.sessions[writer].current_txn
-    lsn = server.checkpoint()
-    assert server.storage.log_base < lsn
+    redo_start, lsn = lsn, server.checkpoint()
+    assert server.database.redo_start == redo_start < lsn
     [checkpoint] = [
-        r for r in decode_log(server.storage.read_log(), server.storage.log_base)
-        if r.type is RecordType.CHECKPOINT and r.lsn == lsn
+        r for r in decode_log(server.storage.read_log(lsn), lsn)
+        if r.type is RecordType.CHECKPOINT
     ]
     assert checkpoint.active_txns == (logged.txn_id,)
     server.execute(writer, "ROLLBACK")
@@ -149,7 +149,7 @@ def test_a_crash_after_empty_commits_recovers_the_same_state():
     assert server.table_names() == ["kv"]
     # the next incarnation logs as before: its BEGIN goes out with its insert
     server.execute(session, "INSERT INTO kv VALUES (2, 2)")
-    records = decode_log(server.storage.read_log(), server.storage.log_base)
+    records = decode_log(server.storage.read_log())
     assert [r.type for r in records[-3:]] == [
         RecordType.BEGIN, RecordType.INSERT, RecordType.COMMIT
     ]

@@ -104,16 +104,20 @@ def test_checkpoint_then_more_work(server):
     assert rows(server, "SELECT k FROM t") == [(2,)]
 
 
-def test_quiescent_checkpoint_truncates_log(server):
+def test_quiescent_checkpoint_moves_the_redo_start(server):
+    """Restart reads the log from the last quiescent checkpoint on; the
+    bytes before it stay, as history."""
     sid = server.connect()
     execute(server, sid, "CREATE TABLE t (k INT PRIMARY KEY)")
     for i in range(20):
         execute(server, sid, f"INSERT INTO t VALUES ({i})")
-    size_before = server.storage.log_size() - server.storage.log_base
-    server.checkpoint()
-    retained = server.storage.log_size() - server.storage.log_base
-    assert retained < size_before
-    crashed_and_restarted(server)
+    before = server.storage.read_log()
+    lsn = server.checkpoint()
+    assert server.storage.read_log().startswith(before)
+    assert lsn == len(before)
+    report = crashed_and_restarted(server).last_recovery
+    assert report.redo_start == lsn
+    assert report.records_scanned == 1  # the CHECKPOINT record
     assert rows(server, "SELECT count(*) FROM t") == [(20,)]
 
 

@@ -445,7 +445,8 @@ def test_deleted_settings_stay_deleted():
     the fleet-wide jitter seed, the second (wall-clock) recovery bound, the
     simulated-latency counter, the planned restart's policy, RESTARTING
     answer, ETA and epoch, the test-only session reaper, the unread query
-    timeout and the unused return codes are gone, not kept beside what
+    timeout, the unused return codes and the time-travel archive with the
+    log-prefix truncation it served are gone, not kept beside what
     replaced them."""
     gone = {
         "row_locking", "bump_catalog", "catalog_version", "temp_version",
@@ -461,6 +462,9 @@ def test_deleted_settings_stay_deleted():
         "execute_sql", "active_count", "is_numeric", "record_many",
         "total_phase_seconds", "correlation_ids", "in_use", "total_update_seconds",
         "COMPARISON_OPS", "ARITHMETIC_OPS", "LOGICAL_OPS",
+        # a second history device beside the log, and cutting the log's front
+        "append_archive", "truncate_archive", "archive_rows", "archive_segments",
+        "truncate_log_prefix", "log_base", "_archive_log_prefix", "live_commits",
     }
     assert not gone & _identifiers_under_src()
     # names other code also uses as identifiers

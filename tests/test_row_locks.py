@@ -402,3 +402,106 @@ def test_lock_stats_in_registry_snapshot():
     assert snapshot["acquires"] > 0
     assert snapshot["row_acquires"] > 0
     assert snapshot["deadlocks"] == 0
+
+
+# --------------------------------------------- the primary key a writer vacates
+
+
+#: statements that vacate primary key 1 of ``t``
+_VACATE = {
+    "update": "UPDATE t SET k = 2 WHERE k = 1",
+    "delete": "DELETE FROM t WHERE k = 1",
+}
+
+
+def _key_vacated_in_flight(kind):
+    """Session A vacates key 1 in an open transaction; returns the server,
+    A's session and B's (whose lock waits give up after 20 ms)."""
+    from repro.engine import DatabaseServer
+    from tests.conftest import execute
+
+    server = DatabaseServer()
+    a, b = server.connect(), server.connect()
+    execute(server, a, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, a, "INSERT INTO t VALUES (1, 10)")
+    execute(server, b, "SET lock_timeout 20")
+    execute(server, a, "BEGIN TRANSACTION")
+    execute(server, a, _VACATE[kind])
+    return server, a, b
+
+
+@pytest.mark.parametrize("end", ["rollback", "checkpoint, crash", "crash"])
+@pytest.mark.parametrize("kind", sorted(_VACATE))
+def test_a_vacated_primary_key_stays_with_its_writer(kind, end):
+    """B's INSERT of the key an open transaction vacated waits on that
+    transaction's key lock instead of taking the key.  It used to be
+    accepted, and then A's ROLLBACK, a checkpoint taken with A in flight
+    and every restart raised IntegrityError on the duplicate."""
+    from tests.conftest import execute
+
+    server, a, b = _key_vacated_in_flight(kind)
+    with pytest.raises(LockError, match="t key \\(1,\\)"):
+        execute(server, b, "INSERT INTO t VALUES (1, 99)")
+    if end == "rollback":
+        execute(server, a, "ROLLBACK")
+    else:
+        if end.startswith("checkpoint"):
+            server.checkpoint()
+        server.database.wal.force()  # A's records reach the log: a loser
+        server.crash()
+        server.restart()
+    checker = server.connect()
+    assert execute(server, checker, "SELECT k, v FROM t ORDER BY k") == [(1, 10)]
+
+
+@pytest.mark.parametrize("outcome", ["COMMIT", "ROLLBACK"])
+@pytest.mark.parametrize("kind", sorted(_VACATE))
+def test_an_insert_of_a_vacated_key_runs_when_its_writer_ends(kind, outcome):
+    """The waiting INSERT goes on when A ends: it takes the key A gave up,
+    or meets the row A's rollback brought back."""
+    from repro.errors import IntegrityError
+    from tests.conftest import execute
+
+    server, a, b = _key_vacated_in_flight(kind)
+    execute(server, b, "SET lock_timeout 5000")
+    result: list = []
+
+    def insert():
+        try:
+            result.append(execute(server, b, "INSERT INTO t VALUES (1, 99)"))
+        except IntegrityError as exc:
+            result.append(exc)
+
+    waiter = threading.Thread(target=insert)
+    waiter.start()
+    while waiter.is_alive() and not server.database.locks.waiting():
+        waiter.join(0.001)
+    assert not result  # B waits for A
+    execute(server, a, outcome)
+    waiter.join(5.0)
+    rows = execute(server, server.connect(), "SELECT k, v FROM t ORDER BY k")
+    if outcome == "COMMIT":
+        assert result == [1]
+        assert rows == [(1, 99)] + ([(2, 10)] if kind == "update" else [])
+    else:
+        assert isinstance(result[0], IntegrityError)
+        assert rows == [(1, 10)]
+
+
+def test_a_key_nobody_locks_costs_no_acquire():
+    """An INSERT checks the key's holders before it asks for the key: with
+    nobody there it takes its intent and row locks only, as before."""
+    from repro.engine import DatabaseServer
+    from tests.conftest import execute
+
+    server = DatabaseServer()
+    session = server.connect()
+    execute(server, session, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    stats = server.database.locks.stats
+    before = stats.acquires
+    execute(server, session, "INSERT INTO t VALUES (1, 10)")
+    assert stats.acquires - before == 2  # IX on t, X on the new row
+    before = stats.acquires
+    execute(server, session, "DELETE FROM t WHERE k = 1")
+    # IX and X on the row (the probe, then the delete), X on the key it frees
+    assert stats.acquires - before == 5

@@ -8,14 +8,15 @@ Pins the point-in-time subsystem (docs/TIME_TRAVEL.md):
   sub-statements (all-or-none: a group force stamps one shared instant),
   and at a moment inside an aborted transaction's window (losers are
   invisible).
-* History survives everything that truncates the live log — quiescent
-  checkpoints (the archive), a torn-tail crash, a ``restore_to`` below
-  the live base — old cuts must keep answering exactly afterward.
+* History survives checkpoints (nothing is cut from the front of the
+  log), a torn-tail crash and a ``restore_to`` to a cut before a
+  checkpoint — old cuts must keep answering exactly afterward.
 * The SQL surface rejects what cannot mean anything: placeholders,
   subquery/view placement, ``SELECT INTO``.
-* ``restore_to`` erases post-cut commits, rides clients through, and a
-  process death inside either restore window degrades to ordinary crash
-  recovery (chaos sweep).
+* ``restore_to`` erases post-cut commits, rides clients through, closes
+  the transactions its cut leaves open, and a process death inside either
+  restore window degrades to ordinary crash recovery (chaos sweep; the
+  kill at each storage mutation is in tests/test_crash_during_checkpoint.py).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import pytest
 import repro
 from repro.engine import server as server_module
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage
-from repro.engine.timetravel import full_log_records
 from repro.engine.wal import RecordType, scan_log
 from repro.errors import (
     CatalogError,
@@ -153,7 +153,7 @@ def test_cuts_survive_checkpoint_truncation(system):
     for i in range(4):
         _run(system, f"INSERT INTO t VALUES ({i}, {i})")
         pins.append((_now(system), _rows(system, "SELECT * FROM t")))
-    system.server.database.checkpoint()  # archives + truncates the live log
+    system.server.database.checkpoint()  # moves the redo start past them
     _run(system, "INSERT INTO t VALUES (99, 99)")
     system.server.database.checkpoint()
     for ts, expected in pins:
@@ -181,43 +181,28 @@ def test_reconstruct_after_torn_wal_tail(system):
     assert len(_rows(system, f"SELECT * FROM t AS OF {_now(system)!r}")) == 4
 
 
-def test_overlapping_archive_segments_fail_loudly(system):
-    """Overlap *below* the log base cannot come from a crash (a chunk
-    replaces what it overlaps, and reads stop at the log base): it means the
-    archive is corrupt, and reconstruction says so."""
-    _run(system, "CREATE TABLE t (k INT PRIMARY KEY)", "INSERT INTO t VALUES (1)")
-    ts = _now(system)
-    system.server.checkpoint()
-    _run(system, "INSERT INTO t VALUES (2)")
-    system.server.checkpoint()
-    first, second = system.server.storage._archive_chunks
-    second.start = first.end - 1
-    with pytest.raises(TimeTravelError, match="overlap"):
-        _rows(system, f"SELECT * FROM t AS OF {ts!r}")
-
-
 # ------------------------------------------- boot work, pinned as a count
 
 
-def _store(storage, archived_commits: int, live_commits: int):
-    """A system with ``archived_commits`` commits behind a checkpoint and
-    ``live_commits`` after it; returns it with one timestamp pinned in the
-    archive, one in the live log and one before all history."""
+def _store(storage, history_commits: int, live_commits: int):
+    """A system with ``history_commits`` commits behind a quiescent
+    checkpoint and ``live_commits`` after it; returns it with one timestamp
+    pinned before all history, one below the redo start and one past it."""
     system = repro.make_system(storage)
     before_history = _now(system)
     _run(system, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
-    _run(system, *(f"INSERT INTO t VALUES ({i}, 0)" for i in range(archived_commits - 1)))
-    in_archive = _now(system)
+    _run(system, *(f"INSERT INTO t VALUES ({i}, 0)" for i in range(history_commits - 1)))
+    in_history = _now(system)
     system.server.checkpoint()
     _run(system, *(f"UPDATE t SET v = v + 1 WHERE k = {i}" for i in range(live_commits)))
     in_live = _now(system)
-    return system, (before_history, in_archive, in_live)
+    return system, (before_history, in_history, in_live)
 
 
 def _reference_index(storage):
-    """The commit index a full scan of all history yields — what every boot
-    used to compute."""
-    records, _start, ends = full_log_records(storage)
+    """The commit index a full scan of the log yields."""
+    records, good_end = scan_log(storage.read_log())
+    ends = [record.lsn for record in records[1:]] + [good_end]
     return [
         (record.lsn, end, record.commit_ts)
         for record, end in zip(records, ends)
@@ -227,9 +212,10 @@ def _reference_index(storage):
 
 @pytest.mark.parametrize("kind", ["memory", "file"])
 def test_boot_decodes_the_live_log_once_and_no_history(kind, tmp_path, monkeypatch):
-    """Restart work is a function of the live log: at N archived commits and
-    at 8 N a boot decodes exactly the live records, the index it loads
-    equals a full scan's, and meta holds no history."""
+    """Restart work is a function of the log past the redo start: at N
+    commits below it and at 8 N a boot decodes exactly the records from the
+    redo start on, the index the first ``AS OF`` loads (one scan) equals a
+    full scan's, and meta stays flat."""
     from repro.engine import recovery, timetravel
 
     decoded = []
@@ -245,28 +231,37 @@ def test_boot_decodes_the_live_log_once_and_no_history(kind, tmp_path, monkeypat
             InMemoryStableStorage() if kind == "memory"
             else FileStableStorage(str(tmp_path / f"db{n}"))
         )
-        system, pins = _store(storage, archived_commits=n, live_commits=5)
-        live_records = len(system.server.database.wal.read_all())
+        system, pins = _store(storage, history_commits=n, live_commits=5)
+        redo_start = system.server.database.redo_start
+        assert redo_start > 50 * n  # the history stays in the log
+        live_records = len(scan_log(storage.read_log(redo_start))[0])
         system.server.crash()
+        index = system.server.time_travel.log_index
         with monkeypatch.context() as patch:
             patch.setattr(recovery, "scan_log", counting)
             patch.setattr(timetravel, "scan_log", counting)
             del decoded[:]
             system.server.restart()
-        assert decoded == [live_records]
+            assert decoded == [live_records]
+            assert system.server.last_recovery.redo_start == redo_start
+            assert not index.loaded and len(index) == 0
+            del decoded[:]
+            before_history, in_history, in_live = pins
+            _rows(system, f"SELECT * FROM t AS OF {in_history!r}")
+            # one scan loads the index, one decodes the history up to the cut
+            assert decoded[0] == len(scan_log(storage.read_log())[0])
+            assert len(decoded) == 2
 
-        index = system.server.time_travel.log_index
         reference = _reference_index(storage)
         assert len(reference) == n + 5
         assert list(zip(index._lsns, index._ends, index._tss)) == reference
-        before_history, in_archive, in_live = pins
         assert index.floor(before_history) is None
-        assert index.floor(in_archive) == reference[n - 1]
+        assert index.floor(in_history) == reference[n - 1]
         assert index.floor(in_live) == reference[-1]
-        assert index.floor(in_archive)[0] < storage.log_base <= index.floor(in_live)[0]
+        assert index.floor(in_history)[0] < redo_start <= index.floor(in_live)[0]
         if kind == "file":
             meta_sizes.append(os.path.getsize(os.path.join(storage.root, "meta.pickle")))
-            assert os.path.getsize(os.path.join(storage.root, "archive.log")) > 50 * n
+            assert sorted(os.listdir(storage.root)) == ["meta.pickle", "tables", "wal.log"]
     if kind == "file":
         assert abs(meta_sizes[1] - meta_sizes[0]) <= 8  # an LSN may need a wider int
 
@@ -377,14 +372,14 @@ def test_restore_inside_aborted_txn_window(system):
 
 
 def test_restore_below_live_base_after_checkpoint(system):
-    """Case B: the cut predates the live log (it lives in the archive);
-    restore trims archive segments and the server keeps working —
-    including later checkpoints opening a fresh segment past the gap."""
+    """The cut predates the redo start (a checkpoint came after it): the
+    restore cuts the log there and the server keeps working — later
+    checkpoints and cuts included."""
     _run(system, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
     _run(system, "INSERT INTO t VALUES (1, 1)")
     ts = _now(system)
     _run(system, "INSERT INTO t VALUES (2, 2)")
-    system.server.database.checkpoint()  # cut's commit now sits in the archive
+    system.server.database.checkpoint()  # cut's commit is now below the redo start
     _run(system, "INSERT INTO t VALUES (3, 3)")
     system.server.restore_to(ts)
     assert _rows(system, "SELECT * FROM t") == [(1, 1)]
@@ -395,21 +390,64 @@ def test_restore_below_live_base_after_checkpoint(system):
     assert _rows(system, "SELECT * FROM t") == [(1, 1), (4, 4), (5, 5)]
 
 
+def _durable(storage):
+    """Everything on the device, read through the storage interface."""
+    from repro.engine import database
+
+    tables = {
+        name: (data.rows, data.next_rowid, data.last_lsn)
+        for name in storage.list_table_files()
+        for data in [storage.read_table_file(name)]
+    }
+    meta = [
+        storage.read_meta(key)
+        for key in (database._META_REDO, database._META_PROCEDURES,
+                    database._META_VIEWS, database._META_INDEXES)
+    ]
+    return storage.read_log(), tables, meta
+
+
 def test_restore_to_unreachable_cut_leaves_storage_untouched(system):
     """restore_to reconstructs *before* discarding anything: if the cut is
-    unreachable (its history is gone), it raises and the live database is
-    untouched."""
+    unreachable (its history is gone), it raises and neither the device nor
+    the live database changes."""
     _run(system, "CREATE TABLE t (k INT PRIMARY KEY)", "INSERT INTO t VALUES (1)")
     early = _now(system)
-    system.server.checkpoint()  # archives + truncates the log prefix
+    system.server.checkpoint()
     _run(system, "INSERT INTO t VALUES (2)")
-    # simulate lost history: throw away the archived prefix out from under
-    # the manager, so the early cut predates every replayable byte
-    system.server.storage.truncate_archive(0)
-    system.server.time_travel._snapshots.clear()
-    with pytest.raises(TimeTravelError):
+    # simulate lost history: the log loses the early cut's commit out from
+    # under the index that still names it
+    storage = system.server.storage
+    _lsn, end, _ts = system.server.time_travel.index().floor(early)
+    storage.truncate_log_suffix(end - 1)
+    durable = _durable(storage)
+    with pytest.raises(TimeTravelError, match="history is missing"):
         system.server.restore_to(early)
+    assert _durable(storage) == durable
     assert _rows(system, "SELECT * FROM t") == [(1,), (2,)]
+
+
+def test_restore_closes_the_transactions_its_cut_leaves_open(system):
+    """A transaction whose records reached the log before the cut's commit
+    and whose COMMIT came after it loses its end to the cut.  The restore
+    ends it with an ABORT, so when a later boot hands its id out again, no
+    read of the log credits the old records to the new transaction."""
+    _run(system, "CREATE TABLE t (k INT PRIMARY KEY, v INT)", "INSERT INTO t VALUES (1, 1)")
+    straddler = system.server.connect(user="straddler")
+    system.server.execute(straddler, "BEGIN TRANSACTION")
+    system.server.execute(straddler, "INSERT INTO t VALUES (50, 50)")
+    _run(system, "INSERT INTO t VALUES (2, 2)")  # its force takes the 50 along
+    ts = _now(system)
+    system.server.execute(straddler, "COMMIT")
+    system.server.disconnect(straddler)
+    system.server.restore_to(ts)
+    assert _rows(system, "SELECT * FROM t") == [(1, 1), (2, 2)]
+    # the boot after the restore reads from its checkpoint: ids start over
+    for k in range(3, 9):
+        _run(system, f"INSERT INTO t VALUES ({k}, {k})")
+    expected = [(1, 1), (2, 2)] + [(k, k) for k in range(3, 9)]
+    assert _rows(system, "SELECT * FROM t") == expected
+    assert _rows(system, f"SELECT * FROM t AS OF {_now(system)!r}") == expected
 
 
 def test_restore_to_now_discards_nothing(system):
