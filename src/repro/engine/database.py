@@ -236,21 +236,23 @@ class Database:
         into the log buffer, so a failed insert never leaves a phantom
         record behind; the rowid is pre-assigned for the same reason.
 
-        Lock order: table IX first (that acquire may wait), *then* read
-        ``next_rowid`` and take X on it — a fresh rowid has no other
-        holders, so the row acquire only ever waits when it trips
-        escalation into a full table lock; the re-read afterwards picks up
-        any rowids consumed during such a wait (the escalated table X
-        covers whichever rowid we end up using).
+        Lock order: table IX first, then the wait for the row's key (both
+        may wait), *then* read ``next_rowid`` and take X on it — a fresh
+        rowid has no other holders, so the row acquire only ever waits when
+        it trips escalation into a full table lock; the re-read afterwards
+        picks up any rowids consumed during such a wait (the escalated
+        table X covers whichever rowid we end up using).  Waiting on the key
+        while holding the next rowid would block every other INSERT into
+        the table, the key's holder's own included.
         """
         table = self.get_table(table_name)
         row = table.schema.coerce_row(values)
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
+        if table.schema.primary_key:
+            self._wait_out_key(txn, table_name, table.schema.key_of(row))
         rowid = table.data.next_rowid
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
         rowid = table.data.next_rowid
-        if table.schema.primary_key:
-            self._wait_out_key(txn, table_name, table.schema.key_of(row))
         table.check_insert(row)
         self.apply(self._log(
             txn,

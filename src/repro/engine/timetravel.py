@@ -78,7 +78,8 @@ class LogIndex:
 
     Entries arrive in LSN order with non-decreasing timestamps (the
     :class:`CommitClock` guarantees it), so both columns are sorted and
-    ``floor`` is a bisect.  Volatile, and empty until :meth:`load` reads the
+    ``floor`` is a bisect; the commits of one group force share a stamp,
+    and ``floor`` takes the last of them.  Volatile, and empty until :meth:`load` reads the
     log; afterwards :meth:`note_commit` keeps it live (called by the WAL
     after each successful device force).
     """
@@ -98,8 +99,6 @@ class LogIndex:
         with self._lock:
             if not self.loaded:
                 return  # the load's scan will meet this commit
-            if self._tss and ts <= self._tss[-1]:
-                ts = self._tss[-1] + 1e-9  # defensive: keep bisect valid
             self._lsns.append(lsn)
             self._ends.append(end)
             self._tss.append(ts)

@@ -240,8 +240,7 @@ def commit_after_reboot(server, tables, pins) -> DatabaseServer:
     execute(server, sid, "INSERT INTO t VALUES (100, 100)")
     server.disconnect(sid)
     server = reboot(server)
-    assert read_tables(server) == (tables[0], sorted(tables[1] + [(100, 100)]))
-    assert all(read_t(server, as_of=ts) == rows for ts, rows in pins)
+    assert_intact(server, (tables[0], sorted(tables[1] + [(100, 100)])), pins)
     return server
 
 
@@ -270,7 +269,7 @@ def test_kill_at_every_mutation_of_a_checkpoint_sweep(kind, tmp_path_factory, mo
         server = commit_after_reboot(server, tables, pins)
         server.checkpoint()
         server = reboot(server)
-        assert read_tables(server) == (tables[0], sorted(tables[1] + [(100, 100)]))
+        assert_intact(server, (tables[0], sorted(tables[1] + [(100, 100)])), pins)
         at += 1
     # the fault-free run made every kind of mutation a checkpoint can make
     assert at == len(ran)

@@ -505,3 +505,28 @@ def test_a_key_nobody_locks_costs_no_acquire():
     execute(server, session, "DELETE FROM t WHERE k = 1")
     # IX and X on the row (the probe, then the delete), X on the key it frees
     assert stats.acquires - before == 5
+
+
+@pytest.mark.parametrize("kind", sorted(_VACATE))
+def test_the_writer_of_a_vacated_key_inserts_while_another_waits_on_it(kind):
+    """While B's INSERT waits on the key A vacated, A's own INSERT of an
+    unrelated key goes through: B waits holding no lock on the table's next
+    rowid, so A meets no waits-for cycle."""
+    from tests.conftest import execute
+
+    server, a, b = _key_vacated_in_flight(kind)
+    execute(server, b, "SET lock_timeout 5000")
+    result: list = []
+    waiter = threading.Thread(
+        target=lambda: result.append(execute(server, b, "INSERT INTO t VALUES (1, 99)"))
+    )
+    waiter.start()
+    while waiter.is_alive() and not server.database.locks.waiting():
+        waiter.join(0.001)
+    assert not result  # B waits for A
+    assert execute(server, a, "INSERT INTO t VALUES (5, 50)") == 1
+    execute(server, a, "COMMIT")
+    waiter.join(5.0)
+    assert result == [1]
+    rows = execute(server, server.connect(), "SELECT k, v FROM t ORDER BY k")
+    assert rows == [(1, 99)] + ([(2, 10)] if kind == "update" else []) + [(5, 50)]

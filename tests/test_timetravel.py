@@ -30,6 +30,7 @@ import pytest
 import repro
 from repro.engine import server as server_module
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage
+from repro.engine.timetravel import LogIndex
 from repro.engine.wal import RecordType, scan_log
 from repro.errors import (
     CatalogError,
@@ -125,9 +126,12 @@ def test_temp_tables_invisible_to_as_of(system):
 
 def test_no_cut_splits_a_group_forced_batch(phoenix_conn, system):
     """Every sub-statement commit covered by one group force shares one
-    commit timestamp, so any AS OF sees the batch whole or not at all."""
+    commit timestamp, so any AS OF sees the batch whole or not at all —
+    whether the index met the batch live or loads it from the log."""
     cursor = phoenix_conn.cursor()
     cursor.execute("CREATE TABLE b (k INT PRIMARY KEY, v INT)")
+    index = system.server.time_travel.log_index
+    index.load(system.server.storage)  # the batch's commits arrive live
     before = _now(system)
     cursor.executemany("INSERT INTO b VALUES (?, ?)", [[i, i] for i in range(8)])
     after = _now(system)
@@ -135,13 +139,15 @@ def test_no_cut_splits_a_group_forced_batch(phoenix_conn, system):
     assert len(_rows(system, f"SELECT * FROM b AS OF {after!r}")) == 8
     # walk every commit timestamp the log index knows in the window: the
     # batch's rows must appear 0-then-8, never a strict subset
-    index = system.server.time_travel.log_index
     sizes = set()
     for ts, _lsn in index.cuts():
         if before <= ts <= after:
             sizes.add(len(_rows(system, f"SELECT * FROM b AS OF {ts!r}")))
     assert sizes <= {0, 8}
     assert 8 in sizes
+    loaded = LogIndex()
+    loaded.load(system.server.storage)
+    assert loaded.cuts() == index.cuts()
 
 
 # ------------------------------------------------- history survives truncation
