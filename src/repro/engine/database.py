@@ -18,6 +18,8 @@ stable storage alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.errors import CatalogError, TransactionError
 from repro.engine.locks import LockManager, LockMode, LockStats
 from repro.engine.plancache import PROC_CACHE_CAPACITY, LRUCache, PlanCache
@@ -29,12 +31,26 @@ from repro.engine.wal import LogRecord, RecordType, WalStats, WriteAheadLog, inv
 
 __all__ = ["Database"]
 
-#: (redo start, commit-clock reading): the LSN restart starts reading the
-#: log at, and a timestamp no commit below it exceeds
-_META_REDO = "redo"
-_META_PROCEDURES = "procedures"  # (dict name -> CREATE PROCEDURE sql, snapshot lsn)
-_META_VIEWS = "views"  # (dict name -> CREATE VIEW sql, snapshot lsn)
-_META_INDEXES = "indexes"  # (dict name -> (table, column), snapshot lsn)
+#: the one meta entry, a :class:`CheckpointMeta`
+_META = "checkpoint"
+
+
+@dataclass
+class CheckpointMeta:
+    """What a checkpoint notes beside the table files, in one meta write;
+    the defaults are a device no checkpoint has touched."""
+
+    #: the LSN restart starts reading the log at
+    redo_start: int = 0
+    #: no commit below the redo start is stamped later than this
+    clock: float = 0.0
+    #: the catalog as of ``catalog_lsn``: name -> CREATE PROCEDURE / CREATE
+    #: VIEW source text, and index name -> (table, column)
+    procedures: dict[str, str] = field(default_factory=dict)
+    views: dict[str, str] = field(default_factory=dict)
+    indexes: dict[str, tuple[str, str]] = field(default_factory=dict)
+    #: a catalog record committed at or below this LSN is in the catalog
+    catalog_lsn: int = 0
 
 
 class Database:
@@ -218,7 +234,8 @@ class Database:
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE)
 
     def lock_row_write(self, txn: Transaction, table_name: str, rowid: int) -> None:
-        """IX on the table, then X on the row."""
+        """IX on the table, then X on the row: what a keyed UPDATE or
+        DELETE takes on each row it names before it reads it."""
         self.locks.acquire(txn.txn_id, table_name, LockMode.INTENT_EXCLUSIVE)
         self.locks.acquire(txn.txn_id, table_name, LockMode.EXCLUSIVE, row=rowid)
 
@@ -264,8 +281,14 @@ class Database:
         return rowid
 
     def delete_row(self, txn: Transaction, table_name: str, rowid: int) -> tuple:
+        """Log and delete one row; returns its values.
+
+        The caller already holds X on the row (:meth:`lock_row_write`) or
+        on the table (:meth:`lock_write`) — the executor takes either before
+        it reads the rows a statement deletes — so this takes only the lock
+        on the primary key the row frees.
+        """
         table = self.get_table(table_name)
-        self.lock_row_write(txn, table_name, rowid)
         before = table.get(rowid)
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
@@ -284,9 +307,14 @@ class Database:
         return before
 
     def update_row(self, txn: Transaction, table_name: str, rowid: int, new_values: list) -> None:
+        """Coerce, log and apply one row's new values.
+
+        The caller already holds X on the row or on the table, as for
+        :meth:`delete_row`; a key-moving update also locks the key it frees
+        and waits out another transaction's lock on the key it takes.
+        """
         table = self.get_table(table_name)
         new_row = table.schema.coerce_row(list(new_values))
-        self.lock_row_write(txn, table_name, rowid)
         before = table.get(rowid)
         if before is None:
             raise CatalogError(f"rowid {rowid} not found in {table_name}")
@@ -514,18 +542,20 @@ class Database:
         3. append + force a CHECKPOINT record noting in-flight transactions
            (those that logged: one that has not yet will write its BEGIN
            past this record);
-        4. write every table file and the catalog from its clean image,
-           stamped with the checkpoint LSN (a transaction committed at or
-           below that LSN is in the file; one committing past it is not —
-           no in-between), then delete the files of dropped tables;
+        4. write every table file from its clean image, stamped with the
+           checkpoint LSN (a transaction committed at or below that LSN is
+           in the file; one committing past it is not — no in-between),
+           then delete the files of dropped tables;
         5. if no transaction in flight has logged, move the redo start to
-           the checkpoint, and note the redo start in meta.
+           the checkpoint; write the redo start and the clean catalog,
+           stamped like the files, as the one meta entry.
 
-        A crash between 3 and 5 leaves meta at the *old* redo start; files
-        already rewritten in step 4 carry the new stamp and each is
-        self-consistent, so the per-table commit-LSN guard in recovery stays
-        exact even for a torn checkpoint.  Nothing is cut from the log: the
-        bytes below the redo start are the history time travel reads.
+        A crash between 3 and 5 leaves meta at the *old* redo start and
+        catalog; files already rewritten in step 4 carry the new stamp and
+        each is self-consistent, so the per-table commit-LSN guard in
+        recovery stays exact even for a torn checkpoint.  Nothing is cut
+        from the log: the bytes below the redo start are the history time
+        travel reads.
         """
         self.wal.force()
         images, procedures, views, indexes = self._clean_images()
@@ -533,10 +563,10 @@ class Database:
         (lsn,) = self.wal.append_forced(
             [LogRecord(RecordType.CHECKPOINT, active_txns=active)]
         )
-        self._write_images(lsn, images, procedures, views, indexes)
+        self._write_images(lsn, images)
         if not active:
             self.redo_start = lsn
-        self._note_redo_start()
+        self._write_meta(lsn, procedures, views, indexes)
         return lsn
 
     def write_cut(self, cut_lsn: int) -> None:
@@ -544,34 +574,33 @@ class Database:
         reconstructed — to the device as images stamped ``cut_lsn``, under
         a redo start of 0: the first step of ``restore_to``.
 
-        The redo start goes first.  Until ``restore_to`` cuts the log after
-        the cut, a restart replays every transaction committed past the cut
-        onto these images, which is the state before the restore; after
-        that, no new record can land at or below any image's stamp.
+        The redo start goes first, beside the catalog meta already holds.
+        Until ``restore_to`` cuts the log after the cut, a restart replays
+        every transaction committed past the cut onto these images, which
+        is the state before the restore; after that, no new record can land
+        at or below any image's stamp.
         """
         self.redo_start = 0
-        self._note_redo_start()
-        self._write_images(
-            cut_lsn,
-            {name: table.data for name, table in self.tables.items()},
-            self.procedures,
-            self.views,
-            self.indexes,
-        )
+        held = self.storage.read_meta(_META, CheckpointMeta())
+        self._write_meta(held.catalog_lsn, held.procedures, held.views, held.indexes)
+        self._write_images(cut_lsn, {name: table.data for name, table in self.tables.items()})
+        self._write_meta(cut_lsn, self.procedures, self.views, self.indexes)
 
-    def _write_images(self, stamp, tables, procedures, views, indexes) -> None:
+    def _write_images(self, stamp: int, tables: dict[str, TableData]) -> None:
         for name, data in tables.items():
             data.last_lsn = stamp
             self.storage.write_table_file(name, data)
-        self.storage.write_meta(_META_PROCEDURES, (procedures, stamp))
-        self.storage.write_meta(_META_VIEWS, (views, stamp))
-        self.storage.write_meta(_META_INDEXES, (indexes, stamp))
         for stale in set(self.storage.list_table_files()) - set(tables):
             self.storage.delete_table_file(stale)
 
-    def _note_redo_start(self) -> None:
+    def _write_meta(self, catalog_lsn: int, procedures, views, indexes) -> None:
         # every commit the log holds was stamped before this clock reading
-        self.storage.write_meta(_META_REDO, (self.redo_start, self.wal.clock.now()))
+        self.storage.write_meta(
+            _META,
+            CheckpointMeta(
+                self.redo_start, self.wal.clock.now(), procedures, views, indexes, catalog_lsn
+            ),
+        )
 
 
 def _parse_index_sql(sql_text: str) -> tuple[str, str]:

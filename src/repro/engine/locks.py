@@ -1,33 +1,24 @@
-"""Multi-granularity lock manager: row/key locks under table intent locks.
+"""Row and key locks under table intent locks: the two modes the engine takes.
 
-The engine used to take whole-table S/X locks, so one hot table serialized
-every writer behind a single X holder.  Locking is now **two-level**
-(Gray's multi-granularity protocol): a transaction that wants a row first
-takes an *intent* lock on the table (IS for row reads, IX for row writes),
-then the actual S/X lock on the ``(table, rowid)`` resource.  Whole-table
-operations (non-keyed scans, DDL) still take plain table S/X — the intent
-modes are what make the two granularities conflict correctly without the
-table-level path ever enumerating row locks.
+A transaction that writes a row it can name first takes **IX** (intent
+exclusive) on the table, then **X** on the ``(table, rowid)`` resource —
+or on ``(table, key)``, the primary-key value a DELETE or a key-moving
+UPDATE vacates and an INSERT waits out.  DDL and every DML statement that
+cannot name its rows before it reads them (non-keyed scans, secondary-index
+paths) take **X** on the whole table.  Reads take no lock at all (DESIGN.md
+§5b: they are read-uncommitted until ROADMAP item 10's commit-clock
+snapshots land).
 
-Compatibility matrix (standard; symmetric)::
+Compatibility is one rule: IX coexists with IX, and X with nothing.  A
+transaction's held mode on a resource is the stronger of what it asked
+for there (re-entrant acquires never self-conflict).  Holding table X
+covers every row of the table.  Past :data:`ESCALATION_THRESHOLD` row locks
+on one table a transaction **escalates**: it takes table X and drops its
+row and key locks — safe because table X can only be granted once no other
+transaction holds IX on the table, at which point nobody else can hold or
+acquire row locks there.
 
-          IS   IX   S    SIX  X
-    IS    ✓    ✓    ✓    ✓    ✗
-    IX    ✓    ✓    ✗    ✗    ✗
-    S     ✓    ✗    ✓    ✗    ✗
-    SIX   ✓    ✗    ✗    ✗    ✗
-    X     ✗    ✗    ✗    ✗    ✗
-
-A transaction's held mode on a resource is the *supremum* of everything it
-requested there (re-entrant acquires never self-conflict; ``sup(S, IX) =
-SIX``).  Past :data:`ESCALATION_THRESHOLD` row locks on one table, a
-transaction **escalates**: it takes the full table lock (S for reads, X
-for writes) and drops its row locks — safe because the table lock
-can only be granted once no other transaction holds an intent on the
-table, at which point nobody else can hold or acquire row locks there.
-
-Waiting, deadlines, and crash behaviour are unchanged from the
-table-granular design, now operating on ``(table, rowid)`` resources:
+Waiting, deadlines, and crash behaviour:
 
 * a **timeout** — per-transaction (``SET lock_timeout <ms>`` via
   :meth:`set_timeout`) falling back to :attr:`LockManager.default_timeout`
@@ -35,27 +26,21 @@ table-granular design, now operating on ``(table, rowid)`` resources:
   :data:`DEFAULT_SERVER_WAIT`).
 * a **waits-for-graph deadlock detector** — edges are transaction →
   transaction regardless of which granularity the conflict is at, so
-  cycles that pass through a row lock on one side and a table (or intent)
-  lock on the other are caught by the same DFS.  The requester is the
-  victim and raises :class:`~repro.errors.DeadlockError`.
+  cycles that pass through a row lock on one side and a table lock on the
+  other are caught by the same DFS.  The requester is the victim and
+  raises :class:`~repro.errors.DeadlockError`.
 * **no-wait windows** — inside a WAL group-commit deferred window the
   worker must never sleep on any lock (row or table): waiting releases
   the engine mutex and another session's commit would be acknowledged
   before the covering group force.  :meth:`no_wait` marks the thread.
-* :meth:`invalidate` (server crash) drops all two-level state and wakes
-  every sleeper into :class:`~repro.errors.ServerCrashedError`.
+* :meth:`invalidate` (server crash) drops all lock state and wakes every
+  sleeper into :class:`~repro.errors.ServerCrashedError`.
 
 The condition variable is built over the engine-wide mutex the server
 installs via :meth:`use_mutex`; waiting releases the engine.  Every
 completed wait emits a ``lock.wait`` trace event carrying the table, row,
 requested mode, wait time, and the waits-for edges observed when the
-waiter went to sleep — which is how the observability CLI reconstructs
-the live graph after the fact.
-
-S→X upgrade semantics (pinned by regression tests before waits landed)
-fall out of the matrix: the upgrade is granted iff no *other* transaction
-holds the resource — the upgrader's own re-entrant shared acquires never
-block its own upgrade.
+waiter went to sleep — what ``python -m repro.obs --locks`` renders.
 """
 
 from __future__ import annotations
@@ -89,58 +74,12 @@ ESCALATION_THRESHOLD = 128
 
 
 class LockMode(enum.Enum):
-    SHARED = "S"
-    EXCLUSIVE = "X"
-    INTENT_SHARED = "IS"
     INTENT_EXCLUSIVE = "IX"
-    SHARED_INTENT_EXCLUSIVE = "SIX"
-    # short aliases (enum aliasing by value): LockMode.IX is LockMode.INTENT_EXCLUSIVE
-    S = "S"
-    X = "X"
-    IS = "IS"
-    IX = "IX"
-    SIX = "SIX"
+    EXCLUSIVE = "X"
 
 
-_IS = LockMode.INTENT_SHARED
-_IX = LockMode.INTENT_EXCLUSIVE
-_S = LockMode.SHARED
-_SIX = LockMode.SHARED_INTENT_EXCLUSIVE
 _X = LockMode.EXCLUSIVE
 
-#: mode -> the set of modes another transaction may hold concurrently
-_COMPAT: dict[LockMode, frozenset[LockMode]] = {
-    _IS: frozenset((_IS, _IX, _S, _SIX)),
-    _IX: frozenset((_IS, _IX)),
-    _S: frozenset((_IS, _S)),
-    _SIX: frozenset((_IS,)),
-    _X: frozenset(),
-}
-
-#: pairwise supremum of the mode lattice (held mode after a re-request)
-_SUP: dict[tuple[LockMode, LockMode], LockMode] = {}
-for _a in LockMode:
-    for _b in LockMode:
-        if _a is _b:
-            _SUP[(_a, _b)] = _a
-        elif _X in (_a, _b):
-            _SUP[(_a, _b)] = _X
-        elif _SIX in (_a, _b) or {_a, _b} == {_IX, _S}:
-            _SUP[(_a, _b)] = _SIX
-        elif _a is _IS:
-            _SUP[(_a, _b)] = _b
-        elif _b is _IS:
-            _SUP[(_a, _b)] = _a
-        else:  # unreachable: remaining pairs are covered above
-            _SUP[(_a, _b)] = _X
-del _a, _b
-
-#: table-level modes that make an explicit row lock of the given mode
-#: redundant (holding table X covers every row; S/SIX cover row reads)
-_COVERS_ROW: dict[LockMode, frozenset[LockMode]] = {
-    _S: frozenset((_S, _SIX, _X)),
-    _X: frozenset((_X,)),
-}
 
 #: a resource is (table, rowid) — rowid None means the table itself, and a
 #: tuple is a primary-key value (the key a DELETE or an UPDATE vacates)
@@ -184,8 +123,6 @@ class LockManager:
         self._cond = threading.Condition(self._mutex)
         #: waiting txn -> set of txn_ids it is blocked behind (waits-for graph)
         self._waits_for: dict[int, set[int]] = {}
-        #: waiting txn -> (table, row, mode) it is asking for (graph labels)
-        self._wait_info: dict[int, tuple[str, int | None, LockMode]] = {}
         #: per-transaction wait budget override, seconds (``SET lock_timeout``)
         self._timeouts: dict[int, float] = {}
         #: standalone managers keep the historical fail-fast behaviour; the
@@ -250,7 +187,6 @@ class LockManager:
             self._held.clear()
             self._row_counts.clear()
             self._waits_for.clear()
-            self._wait_info.clear()
             self._timeouts.clear()
             self._generation += 1
             self._cond.notify_all()
@@ -275,23 +211,16 @@ class LockManager:
     # ----------------------------------------------------------- acquisition
 
     def acquire(
-        self,
-        txn_id: int,
-        table: str,
-        mode: LockMode,
-        *,
-        row: int | None = None,
-        timeout: float | None = None,
+        self, txn_id: int, table: str, mode: LockMode, *, row: int | None = None
     ) -> None:
         """Grant or upgrade a lock on ``table`` (or on row ``row`` of it),
         waiting if necessary.
 
-        Row requests must be S or X and the caller must already hold the
-        matching intent (IS/IX) on the table — :class:`~repro.engine
-        .database.Database` wraps both steps.  A row request is satisfied
-        without a row lock when the transaction's table-level mode already
-        covers it (including after escalation), and trips escalation when
-        the transaction's row-lock count on the table crosses
+        A row request is X, and the caller already holds IX on the table —
+        :meth:`~repro.engine.database.Database.lock_row_write` takes both.
+        It is satisfied without a row lock when the transaction holds table
+        X (including after escalation), and trips escalation when the
+        transaction's row-lock count on the table reaches
         :data:`ESCALATION_THRESHOLD`.
 
         Raises :class:`DeadlockError` when waiting would close a cycle in
@@ -303,27 +232,23 @@ class LockManager:
             self.stats.acquires += 1
             if row is not None:
                 self.stats.row_acquires += 1
-                table_mode = self._locks.get((table, None), {}).get(txn_id)
-                if table_mode is not None and table_mode in _COVERS_ROW[mode]:
+                if self._locks.get((table, None), {}).get(txn_id) is _X:
                     return
                 if self._row_counts.get((txn_id, table), 0) >= ESCALATION_THRESHOLD:
-                    self._escalate(txn_id, table, mode, timeout)
+                    self._escalate(txn_id, table)
                     return
-            self._acquire_resource(txn_id, (table, row), mode, timeout)
+            self._acquire_resource(txn_id, (table, row), mode)
 
-    def _escalate(
-        self, txn_id: int, table: str, mode: LockMode, timeout: float | None
-    ) -> None:
-        """Trade the transaction's row locks on ``table`` for one full
-        table lock (S for a read request, X for a write request).
+    def _escalate(self, txn_id: int, table: str) -> None:
+        """Trade the transaction's row and key locks on ``table`` for table X.
 
         The table lock waits like any other acquire; once granted, no other
-        transaction holds an intent on the table, hence none holds (or can
-        acquire) row locks there — dropping ours frees memory without
-        letting anyone slip past.
+        transaction holds IX on the table, hence none holds (or can acquire)
+        row locks there — dropping ours frees memory without letting anyone
+        slip past.
         """
         self.stats.escalations += 1
-        self._acquire_resource(txn_id, (table, None), mode, timeout)
+        self._acquire_resource(txn_id, (table, None), _X)
         held = self._held.get(txn_id, set())
         for resource in [r for r in held if r[0] == table and r[1] is not None]:
             holders = self._locks.get(resource)
@@ -334,23 +259,15 @@ class LockManager:
             held.discard(resource)
         self._row_counts.pop((txn_id, table), None)
 
-    def _acquire_resource(
-        self,
-        txn_id: int,
-        resource: Resource,
-        mode: LockMode,
-        timeout: float | None,
-    ) -> None:
+    def _acquire_resource(self, txn_id: int, resource: Resource, mode: LockMode) -> None:
         """The grant/wait loop, shared by table- and row-level requests."""
         if self._try_grant(txn_id, resource, mode):
             return
-        budget = timeout
-        if budget is None:
-            budget = self._timeouts.get(txn_id, self.default_timeout)
+        budget = self._timeouts.get(txn_id, self.default_timeout)
         if budget <= 0 or getattr(self._no_wait, "depth", 0):
             # no-wait (batch) windows keep their LockError contract — the
             # client's batch resubmission path owns that error shape
-            raise self._conflict_error(txn_id, resource, mode)
+            raise self._conflict_error(txn_id, resource)
         if self._draining:
             self.stats.drain_bounces += 1
             raise ServerRestartingError(
@@ -370,7 +287,6 @@ class LockManager:
                 if not blockers:  # freed between checks
                     break
                 self._waits_for[txn_id] = blockers
-                self._wait_info[txn_id] = (resource[0], resource[1], mode)
                 if not graph_at_sleep:
                     graph_at_sleep = {
                         t: sorted(b) for t, b in self._waits_for.items()
@@ -385,7 +301,7 @@ class LockManager:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self.stats.wait_timeouts += 1
-                    raise self._conflict_error(txn_id, resource, mode, waited=True)
+                    raise self._conflict_error(txn_id, resource, waited=True)
                 self._cond.wait(remaining)
                 if self._generation != generation:
                     raise ServerCrashedError(
@@ -402,7 +318,6 @@ class LockManager:
                     return
         finally:
             self._waits_for.pop(txn_id, None)
-            self._wait_info.pop(txn_id, None)
             waited = time.monotonic() - wait_started
             self.stats.total_wait_time += waited
             get_tracer().event(
@@ -417,14 +332,7 @@ class LockManager:
         self._grant(txn_id, resource, mode)
 
     def _try_grant(self, txn_id: int, resource: Resource, mode: LockMode) -> bool:
-        holders = self._locks[resource]
-        current = holders.get(txn_id)
-        target = mode if current is None else _SUP[(current, mode)]
-        if current is target:
-            return True  # already covered (re-entrant)
-        if any(
-            t != txn_id and target not in _COMPAT[m] for t, m in holders.items()
-        ):
+        if self._blockers(txn_id, resource, mode):
             return False
         self._grant(txn_id, resource, mode)
         return True
@@ -432,7 +340,8 @@ class LockManager:
     def _grant(self, txn_id: int, resource: Resource, mode: LockMode) -> None:
         holders = self._locks[resource]
         current = holders.get(txn_id)
-        holders[txn_id] = mode if current is None else _SUP[(current, mode)]
+        if current is not _X:
+            holders[txn_id] = mode
         if current is None:
             self._held.setdefault(txn_id, set()).add(resource)
             if type(resource[1]) is int:  # a row, not the table or a key
@@ -440,14 +349,14 @@ class LockManager:
                 self._row_counts[key] = self._row_counts.get(key, 0) + 1
 
     def _blockers(self, txn_id: int, resource: Resource, mode: LockMode) -> set[int]:
-        """Transactions (other than the requester) preventing the grant."""
+        """Transactions (other than the requester) preventing the grant:
+        IX coexists with IX, X with nothing, and a held X covers either."""
         holders = self._locks[resource]
         current = holders.get(txn_id)
-        target = mode if current is None else _SUP[(current, mode)]
-        if current is target:
+        if current is _X or current is mode:
             return set()
         return {
-            t for t, m in holders.items() if t != txn_id and target not in _COMPAT[m]
+            t for t, m in holders.items() if t != txn_id and (mode is _X or m is _X)
         }
 
     def _in_cycle(self, start: int) -> bool:
@@ -474,16 +383,12 @@ class LockManager:
         return f"{table} {'key' if isinstance(row, tuple) else 'row'} {row}"
 
     def _conflict_error(
-        self, txn_id: int, resource: Resource, mode: LockMode, *, waited: bool = False
+        self, txn_id: int, resource: Resource, *, waited: bool = False
     ) -> LockError:
         suffix = " (lock wait timeout)" if waited else ""
-        name = self._resource_name(resource)
-        if mode in (_S, _IS):
-            return LockError(
-                f"transaction {txn_id} blocked: {name} is exclusively locked{suffix}"
-            )
         return LockError(
-            f"transaction {txn_id} blocked: {name} is locked by another transaction{suffix}"
+            f"transaction {txn_id} blocked: {self._resource_name(resource)} "
+            f"is locked by another transaction{suffix}"
         )
 
     # ----------------------------------------------------------- release / introspection
@@ -534,23 +439,3 @@ class LockManager:
         """Snapshot of the waits-for graph (observability/tests)."""
         with self._mutex:
             return {t: set(b) for t, b in self._waits_for.items()}
-
-    def waits_for_graph(self) -> list[dict]:
-        """The live waits-for graph with resource labels, one entry per
-        waiter — what ``python -m repro.obs --locks`` renders."""
-        with self._mutex:
-            out = []
-            for txn_id, blockers in sorted(self._waits_for.items()):
-                table, row, mode = self._wait_info.get(
-                    txn_id, ("?", None, LockMode.EXCLUSIVE)
-                )
-                out.append(
-                    {
-                        "txn": txn_id,
-                        "waits_for": sorted(blockers),
-                        "table": table,
-                        "row": row,
-                        "mode": mode.value,
-                    }
-                )
-            return out

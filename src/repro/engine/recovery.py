@@ -41,13 +41,7 @@ not bring applications back.
 
 from __future__ import annotations
 
-from repro.engine.database import (
-    Database,
-    _META_INDEXES,
-    _META_PROCEDURES,
-    _META_REDO,
-    _META_VIEWS,
-)
+from repro.engine.database import _META, CheckpointMeta, Database
 from repro.engine.locks import LockStats
 from repro.engine.storage import StableStorage, TableData
 from repro.engine.table import Table
@@ -120,7 +114,8 @@ def _recover(
     lock_stats: LockStats | None = None,
 ) -> tuple[Database, RecoveryReport]:
     report = RecoveryReport()
-    start, clock_reading = storage.read_meta(_META_REDO, (0, 0.0))
+    meta: CheckpointMeta = storage.read_meta(_META, CheckpointMeta())
+    start, clock_reading = meta.redo_start, meta.clock
     raw = storage.read_log(start)
     records, good_end = scan_log(raw, base_offset=start)
     report.redo_start = start
@@ -163,23 +158,16 @@ def _recover(
         name: table.data.last_lsn for name, table in tables.items()
     }
 
-    proc_snapshot = storage.read_meta(_META_PROCEDURES, ({}, 0)) or ({}, 0)
-    procedures: dict[str, str] = dict(proc_snapshot[0])
-    proc_lsn = int(proc_snapshot[1])
-    view_snapshot = storage.read_meta(_META_VIEWS, ({}, 0)) or ({}, 0)
-    views: dict[str, str] = dict(view_snapshot[0])
-    index_snapshot = storage.read_meta(_META_INDEXES, ({}, 0)) or ({}, 0)
-
     database = Database(
         storage,
         tables=tables,
-        procedures=procedures,
-        views=views,
+        procedures=meta.procedures,
+        views=meta.views,
         txn_seed=max_txn_id,
         wal_stats=wal_stats,
         lock_stats=lock_stats,
     )
-    database.indexes = dict(index_snapshot[0])
+    database.indexes = meta.indexes
     database.redo_start = start
 
     # ---- redo winners forward (REDO-only restart) ----------------------
@@ -197,7 +185,7 @@ def _recover(
             ):
                 report.records_skipped += 1
             continue
-        _replay(record, commit_lsn, database, snapshot_lsn, proc_lsn, report)
+        _replay(record, commit_lsn, database, snapshot_lsn, meta.catalog_lsn, report)
 
     # Close every loser: the clean images never contained loser effects
     # and the replay never applied them.
@@ -251,7 +239,7 @@ def _replay(
     commit_lsn: int,
     database: Database,
     snapshot_lsn: dict[str, int],
-    proc_lsn: int,
+    catalog_lsn: int,
     report: RecoveryReport,
 ) -> None:
     """Apply one winner record unless its whole transaction predates the
@@ -270,7 +258,7 @@ def _replay(
             return
         target_lsn = snapshot_lsn.get(record.table, 0)
     else:  # procedure, view and index DDL: the catalog snapshot
-        target_lsn = proc_lsn
+        target_lsn = catalog_lsn
     if commit_lsn <= target_lsn:
         report.records_skipped += 1
         return

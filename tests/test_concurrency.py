@@ -37,8 +37,10 @@ def test_wait_until_holder_releases():
     acquired = threading.Event()
 
     def waiter():
-        locks.acquire(2, "t", LockMode.EXCLUSIVE, timeout=5.0)
+        locks.acquire(2, "t", LockMode.EXCLUSIVE)
         acquired.set()
+
+    locks.set_timeout(2, 5.0)
 
     thread = threading.Thread(target=waiter)
     thread.start()
@@ -56,8 +58,9 @@ def test_wait_budget_expires_as_lock_error():
     locks = LockManager()
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     started = time.monotonic()
+    locks.set_timeout(2, 0.05)
     with pytest.raises(LockError, match="lock wait timeout"):
-        locks.acquire(2, "t", LockMode.EXCLUSIVE, timeout=0.05)
+        locks.acquire(2, "t", LockMode.EXCLUSIVE)
     assert time.monotonic() - started >= 0.05
     assert locks.stats.wait_timeouts == 1
 
@@ -68,16 +71,17 @@ def test_standalone_manager_still_fails_fast():
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     started = time.monotonic()
     with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.SHARED)
+        locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
     assert time.monotonic() - started < 0.05
 
 
 def test_no_wait_window_overrides_timeout():
     locks = LockManager()
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
+    locks.set_timeout(2, 5.0)
     with locks.no_wait():
         with pytest.raises(LockError):
-            locks.acquire(2, "t", LockMode.EXCLUSIVE, timeout=5.0)
+            locks.acquire(2, "t", LockMode.EXCLUSIVE)
 
 
 def test_invalidate_wakes_sleepers_with_server_crashed():
@@ -87,9 +91,11 @@ def test_invalidate_wakes_sleepers_with_server_crashed():
 
     def waiter():
         try:
-            locks.acquire(2, "t", LockMode.EXCLUSIVE, timeout=30.0)
+            locks.acquire(2, "t", LockMode.EXCLUSIVE)
         except Exception as exc:
             failure.append(exc)
+
+    locks.set_timeout(2, 30.0)
 
     thread = threading.Thread(target=waiter)
     thread.start()
@@ -100,26 +106,27 @@ def test_invalidate_wakes_sleepers_with_server_crashed():
     assert isinstance(failure[0], ServerCrashedError)
 
 
-# ------------------------------------------------------- S->X upgrade (pinned)
+# ------------------------------------------------------- IX->X upgrade (pinned)
 
 
 def test_upgrade_still_granted_when_sole_holder_after_reentry():
-    # regression pin: the upgrader's own re-entrant shares never block it
+    # regression pin: the upgrader's own re-entrant intents never block it
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
-    locks.acquire(1, "t", LockMode.SHARED)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     assert locks.held(1, "t") is LockMode.EXCLUSIVE
 
 
-def test_upgrade_waits_for_other_reader_then_succeeds():
+def test_upgrade_waits_for_other_intent_then_succeeds():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
-    locks.acquire(2, "t", LockMode.SHARED)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.set_timeout(1, 5.0)
     upgraded = threading.Event()
 
     def upgrader():
-        locks.acquire(1, "t", LockMode.EXCLUSIVE, timeout=5.0)
+        locks.acquire(1, "t", LockMode.EXCLUSIVE)
         upgraded.set()
 
     thread = threading.Thread(target=upgrader)
@@ -139,13 +146,14 @@ def test_waits_for_cycle_kills_the_requester():
     locks = LockManager()
     locks.acquire(1, "a", LockMode.EXCLUSIVE)
     locks.acquire(2, "b", LockMode.EXCLUSIVE)
+    locks.default_timeout = 30.0
     parked = threading.Event()
     outcome: list = []
 
     def waiter():
         parked.set()
         try:
-            locks.acquire(1, "b", LockMode.EXCLUSIVE, timeout=30.0)
+            locks.acquire(1, "b", LockMode.EXCLUSIVE)
             outcome.append("granted")
         except DeadlockError:
             outcome.append("deadlock")
@@ -159,7 +167,7 @@ def test_waits_for_cycle_kills_the_requester():
         time.sleep(0.01)
     # txn 2 closing the cycle is the victim: it raises, txn 1 keeps waiting
     with pytest.raises(DeadlockError, match="victim"):
-        locks.acquire(2, "a", LockMode.EXCLUSIVE, timeout=30.0)
+        locks.acquire(2, "a", LockMode.EXCLUSIVE)
     assert locks.stats.deadlocks == 1
     locks.release_all(2)  # the victim's abort frees txn 1
     thread.join(timeout=5)

@@ -15,38 +15,38 @@ from repro.engine.wal import RecordType
 
 # ---------------------------------------------------------------- locks
 
-def test_shared_locks_coexist():
+def test_intent_locks_coexist():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
-    locks.acquire(2, "t", LockMode.SHARED)
-    assert locks.held(1, "t") is LockMode.SHARED
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    assert locks.held(1, "t") is LockMode.INTENT_EXCLUSIVE
 
 
 def test_exclusive_conflicts_with_any_other_holder():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
     with pytest.raises(LockError):
         locks.acquire(2, "t", LockMode.EXCLUSIVE)
 
 
-def test_shared_blocked_by_exclusive():
+def test_intent_blocked_by_exclusive():
     locks = LockManager()
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.SHARED)
+        locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
 
 
 def test_upgrade_when_sole_holder():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     assert locks.held(1, "t") is LockMode.EXCLUSIVE
 
 
-def test_upgrade_blocked_by_other_reader():
+def test_upgrade_blocked_by_other_intent():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.SHARED)
-    locks.acquire(2, "t", LockMode.SHARED)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
     with pytest.raises(LockError):
         locks.acquire(1, "t", LockMode.EXCLUSIVE)
 
@@ -55,13 +55,14 @@ def test_exclusive_is_reentrant():
     locks = LockManager()
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
     locks.acquire(1, "t", LockMode.EXCLUSIVE)
-    locks.acquire(1, "t", LockMode.SHARED)  # already covered
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)  # already covered
+    assert locks.held(1, "t") is LockMode.EXCLUSIVE
 
 
 def test_release_all_frees_everything():
     locks = LockManager()
     locks.acquire(1, "a", LockMode.EXCLUSIVE)
-    locks.acquire(1, "b", LockMode.SHARED)
+    locks.acquire(1, "b", LockMode.INTENT_EXCLUSIVE)
     locks.release_all(1)
     locks.acquire(2, "a", LockMode.EXCLUSIVE)
     assert locks.holders("b") == {}
@@ -237,7 +238,9 @@ def test_cross_txn_inserts_no_longer_conflict():
 
 def test_cross_txn_same_row_write_conflict():
     """The write-write conflict the old table lock caught still exists at
-    row granularity: two transactions updating the *same* row collide."""
+    row granularity: two transactions locking the *same* row to update it
+    collide (the writer locks the row, as the executor does, before
+    ``update_row``)."""
     db = make_db()
     setup = db.begin()
     db.create_table(setup, schema())
@@ -245,11 +248,13 @@ def test_cross_txn_same_row_write_conflict():
     db.commit(setup)
     t1 = db.begin()
     t2 = db.begin()
+    db.lock_row_write(t1, "t", rowid)
     db.update_row(t1, "t", rowid, [1, "t1"])
     with pytest.raises(LockError):
-        db.update_row(t2, "t", rowid, [1, "t2"])
+        db.lock_row_write(t2, "t", rowid)
     db.commit(t1)
-    db.update_row(t2, "t", rowid, [1, "t2"])  # row lock released by commit
+    db.lock_row_write(t2, "t", rowid)  # row lock released by commit
+    db.update_row(t2, "t", rowid, [1, "t2"])
     db.commit(t2)
     assert db.get_table("t").get(rowid) == (1, "t2")
 

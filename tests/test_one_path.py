@@ -445,8 +445,9 @@ def test_deleted_settings_stay_deleted():
     the fleet-wide jitter seed, the second (wall-clock) recovery bound, the
     simulated-latency counter, the planned restart's policy, RESTARTING
     answer, ETA and epoch, the test-only session reaper, the unread query
-    timeout, the unused return codes and the time-travel archive with the
-    log-prefix truncation it served are gone, not kept beside what
+    timeout, the unused return codes, the time-travel archive with the
+    log-prefix truncation it served, the lock modes no statement requests
+    and the per-part catalog meta entries are gone, not kept beside what
     replaced them."""
     gone = {
         "row_locking", "bump_catalog", "catalog_version", "temp_version",
@@ -465,6 +466,12 @@ def test_deleted_settings_stay_deleted():
         # a second history device beside the log, and cutting the log's front
         "append_archive", "truncate_archive", "archive_rows", "archive_segments",
         "truncate_log_prefix", "log_base", "_archive_log_prefix", "live_commits",
+        # the shared half of the lock lattice, which nothing requests, and
+        # the waits-for view only a test read
+        "SHARED", "INTENT_SHARED", "SHARED_INTENT_EXCLUSIVE", "SIX", "_SUP",
+        "_COVERS_ROW", "waits_for_graph", "_wait_info",
+        # one meta entry per checkpoint, not one per catalog part
+        "_META_PROCEDURES", "_META_VIEWS", "_META_INDEXES",
     }
     assert not gone & _identifiers_under_src()
     # names other code also uses as identifiers

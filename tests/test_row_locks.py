@@ -1,10 +1,11 @@
-"""Row-granularity locking under table intent locks (multi-granularity).
+"""Row-granularity locking under table intent locks (IX and X only).
 
-Pins the compatibility matrix, row S→X upgrades, lock escalation, deadlock
-cycles that pass through row locks, and — at the SQL level — that keyed DML
-locks only the touched rows while non-keyed scans keep the whole-table
-fallback.  Companion to ``test_locks_transactions.py`` (which pins the
-table-level semantics the engine started with).
+Pins the compatibility matrix, lock escalation, deadlock cycles that pass
+through row locks, and — at the SQL level — that keyed DML locks only the
+touched rows while non-keyed scans keep the whole-table fallback, how many
+acquires each statement makes, and that reads take no lock.  Companion to
+``test_locks_transactions.py`` (which pins the table-level semantics the
+engine started with).
 """
 
 import threading
@@ -15,23 +16,17 @@ import repro
 from repro.engine import locks as locks_module
 from repro.engine.locks import LockManager, LockMode, LockStats
 from repro.errors import DeadlockError, LockError
+from repro.obs import Tracer, use_tracer
+from repro.obs.__main__ import render_lock_waits
 
 
 # ------------------------------------------------------------ compatibility
 
 
-#: the standard multi-granularity matrix: (held, requested) -> compatible
+#: (held, requested) -> compatible: IX coexists with IX, X with nothing
 _MATRIX = {
-    ("IS", "IS"): True, ("IS", "IX"): True, ("IS", "S"): True,
-    ("IS", "SIX"): True, ("IS", "X"): False,
-    ("IX", "IS"): True, ("IX", "IX"): True, ("IX", "S"): False,
-    ("IX", "SIX"): False, ("IX", "X"): False,
-    ("S", "IS"): True, ("S", "IX"): False, ("S", "S"): True,
-    ("S", "SIX"): False, ("S", "X"): False,
-    ("SIX", "IS"): True, ("SIX", "IX"): False, ("SIX", "S"): False,
-    ("SIX", "SIX"): False, ("SIX", "X"): False,
-    ("X", "IS"): False, ("X", "IX"): False, ("X", "S"): False,
-    ("X", "SIX"): False, ("X", "X"): False,
+    ("IX", "IX"): True, ("IX", "X"): False,
+    ("X", "IX"): False, ("X", "X"): False,
 }
 
 
@@ -48,15 +43,15 @@ def test_intent_compatibility_matrix(held, requested):
 
 
 def test_supremum_after_rerequest():
-    # holding IX and asking S must leave the txn at SIX, which then blocks
-    # another txn's IX (plain S would not be enough to model "reads all,
-    # writes some")
+    # the held mode is the stronger of the two asked for, in either order:
+    # IX then X holds X, and a later IX does not weaken it
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.S)
-    assert locks.held(1, "t") is LockMode.SIX
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    assert locks.held(1, "t") is LockMode.EXCLUSIVE
     with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.IX)
+        locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
 
 
 # ------------------------------------------------------------ row locks
@@ -64,37 +59,18 @@ def test_supremum_after_rerequest():
 
 def test_row_locks_under_intents_coexist():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=1)
-    locks.acquire(2, "t", LockMode.IX)
-    locks.acquire(2, "t", LockMode.X, row=2)  # different row: fine
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=1)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.EXCLUSIVE, row=2)  # different row: fine
     with pytest.raises(LockError):
-        locks.acquire(2, "t", LockMode.X, row=1)  # same row: conflict
-
-
-def test_row_shared_to_exclusive_upgrade():
-    locks = LockManager()
-    locks.acquire(1, "t", LockMode.IS)
-    locks.acquire(1, "t", LockMode.S, row=7)
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=7)  # own upgrade never self-blocks
-    assert locks.held(1, "t", row=7) is LockMode.X
-
-
-def test_row_upgrade_blocked_by_other_reader():
-    locks = LockManager()
-    for txn in (1, 2):
-        locks.acquire(txn, "t", LockMode.IS)
-        locks.acquire(txn, "t", LockMode.S, row=7)
-    locks.acquire(1, "t", LockMode.IX)
-    with pytest.raises(LockError):
-        locks.acquire(1, "t", LockMode.X, row=7)
+        locks.acquire(2, "t", LockMode.EXCLUSIVE, row=1)  # same row: conflict
 
 
 def test_table_x_covers_row_requests():
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.X)
-    locks.acquire(1, "t", LockMode.X, row=3)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=3)
     # covered by the table lock: no row resource materializes
     assert locks.held(1, "t", row=3) is None
     assert locks.row_locks_held(1, "t") == 0
@@ -107,30 +83,30 @@ def test_escalation_past_threshold(monkeypatch):
     monkeypatch.setattr(locks_module, "ESCALATION_THRESHOLD", 4)
     stats = LockStats()
     locks = LockManager(stats=stats)
-    locks.acquire(1, "t", LockMode.IX)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
     for row in range(4):
-        locks.acquire(1, "t", LockMode.X, row=row)
+        locks.acquire(1, "t", LockMode.EXCLUSIVE, row=row)
     assert locks.row_locks_held(1, "t") == 4
-    locks.acquire(1, "t", LockMode.X, row=99)  # the threshold-crossing one
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=99)  # the threshold-crossing one
     assert stats.escalations == 1
-    assert locks.held(1, "t") is LockMode.X
+    assert locks.held(1, "t") is LockMode.EXCLUSIVE
     assert locks.row_locks_held(1, "t") == 0  # row locks traded away
     # and the table lock keeps covering later row requests without re-escalating
-    locks.acquire(1, "t", LockMode.X, row=100)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=100)
     assert stats.escalations == 1
 
 
 def test_escalation_blocked_by_other_intent(monkeypatch):
     monkeypatch.setattr(locks_module, "ESCALATION_THRESHOLD", 2)
     locks = LockManager()
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=1)
-    locks.acquire(1, "t", LockMode.X, row=2)
-    locks.acquire(2, "t", LockMode.IX)
-    locks.acquire(2, "t", LockMode.X, row=50)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=1)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=2)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.EXCLUSIVE, row=50)
     # txn 1's escalation needs table X, which txn 2's intent blocks
     with pytest.raises(LockError):
-        locks.acquire(1, "t", LockMode.X, row=3)
+        locks.acquire(1, "t", LockMode.EXCLUSIVE, row=3)
     # nothing was half-escalated: existing row locks survive
     assert locks.row_locks_held(1, "t") == 2
 
@@ -141,16 +117,16 @@ def test_escalation_blocked_by_other_intent(monkeypatch):
 def test_deadlock_cycle_through_row_locks():
     locks = LockManager()
     locks.default_timeout = 10.0  # the detector should fire long before this
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=1)
-    locks.acquire(2, "t", LockMode.IX)
-    locks.acquire(2, "t", LockMode.X, row=2)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=1)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(2, "t", LockMode.EXCLUSIVE, row=2)
 
     outcome: dict[str, object] = {}
 
     def second_waiter() -> None:
         try:
-            locks.acquire(2, "t", LockMode.X, row=1)
+            locks.acquire(2, "t", LockMode.EXCLUSIVE, row=1)
             outcome["granted"] = True
         except Exception as exc:
             outcome["error"] = exc
@@ -163,7 +139,7 @@ def test_deadlock_cycle_through_row_locks():
         threading.Event().wait(0.001)
     # txn 1 -> row 2 closes the cycle; the requester is the victim
     with pytest.raises(DeadlockError):
-        locks.acquire(1, "t", LockMode.X, row=2)
+        locks.acquire(1, "t", LockMode.EXCLUSIVE, row=2)
     locks.release_all(1)  # victim aborts; txn 2's wait is granted
     thread.join(timeout=5)
     assert outcome.get("granted") is True
@@ -173,15 +149,15 @@ def test_deadlock_cycle_through_row_locks():
 def test_deadlock_cycle_across_row_and_table_granularity():
     locks = LockManager()
     locks.default_timeout = 10.0
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=1)
-    locks.acquire(2, "u", LockMode.X)
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=1)
+    locks.acquire(2, "u", LockMode.EXCLUSIVE)
 
     outcome: dict[str, object] = {}
 
     def second_waiter() -> None:
         try:
-            locks.acquire(2, "t", LockMode.X, row=1)  # row wait on one side...
+            locks.acquire(2, "t", LockMode.EXCLUSIVE, row=1)  # row wait on one side...
             outcome["granted"] = True
         except Exception as exc:
             outcome["error"] = exc
@@ -193,44 +169,37 @@ def test_deadlock_cycle_across_row_and_table_granularity():
             break
         threading.Event().wait(0.001)
     with pytest.raises(DeadlockError):
-        locks.acquire(1, "u", LockMode.S)  # ...table wait on the other
+        locks.acquire(1, "u", LockMode.EXCLUSIVE)  # ...table wait on the other
     locks.release_all(1)
     thread.join(timeout=5)
     assert outcome.get("granted") is True
     locks.release_all(2)
 
 
-def test_waits_for_graph_labels_row_resources():
+def test_lock_wait_event_labels_row_resources():
+    """A finished wait leaves a ``lock.wait`` trace event naming the table,
+    the row, the mode asked for and the waits-for edges seen at sleep —
+    the fields ``python -m repro.obs --locks`` renders."""
     locks = LockManager()
     locks.default_timeout = 10.0
-    locks.acquire(1, "t", LockMode.IX)
-    locks.acquire(1, "t", LockMode.X, row=5)
-
-    seen: list[list[dict]] = []
-
-    def waiter() -> None:
-        try:
-            locks.acquire(2, "t", LockMode.X, row=5, timeout=0.5)
-        except LockError:
-            pass
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    for _ in range(1000):
-        graph = locks.waits_for_graph()
-        if graph:
-            seen.append(graph)
-            break
-        threading.Event().wait(0.001)
-    locks.release_all(1)
-    thread.join(timeout=5)
-    assert seen, "waiter never appeared in the waits-for graph"
-    (entry,) = seen[0]
-    assert entry["txn"] == 2
-    assert entry["waits_for"] == [1]
-    assert entry["table"] == "t"
-    assert entry["row"] == 5
-    assert entry["mode"] == "X"
+    locks.acquire(1, "t", LockMode.INTENT_EXCLUSIVE)
+    locks.acquire(1, "t", LockMode.EXCLUSIVE, row=5)
+    locks.acquire(2, "t", LockMode.INTENT_EXCLUSIVE)
+    with use_tracer(Tracer(enabled=True)) as tracer:
+        waiter = threading.Thread(
+            target=lambda: locks.acquire(2, "t", LockMode.EXCLUSIVE, row=5)
+        )
+        waiter.start()
+        while waiter.is_alive() and not locks.waiting():
+            waiter.join(0.001)
+        locks.release_all(1)
+        waiter.join(timeout=5)
+    (event,) = [r for r in tracer.records if r["name"] == "lock.wait"]
+    attrs = event["attrs"]
+    assert (attrs["table"], attrs["row"], attrs["mode"]) == ("t", 5, "X")
+    assert attrs["waits_for"] == {"2": [1]}
+    assert "t row 5 X" in render_lock_waits(tracer.records)
+    assert "waits-for: txn 2 -> [1]" in render_lock_waits(tracer.records)
     locks.release_all(2)
 
 
@@ -274,7 +243,7 @@ def test_non_keyed_update_takes_whole_table_lock():
     c1.cursor().execute("UPDATE acct SET v = 'x' WHERE v = 'a'")  # non-keyed
     assert system.server.database.locks.held(
         _only_txn(system), "acct"
-    ) is LockMode.X
+    ) is LockMode.EXCLUSIVE
     c2.begin()
     with pytest.raises(LockError):
         c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 3")
@@ -299,7 +268,7 @@ def test_pk_conjunct_takes_the_row_lock_wherever_it_stands():
     c1.begin()
     c1.cursor().execute("UPDATE acct SET v = 'x' WHERE v = 'a' AND k = 1")
     locks = system.server.database.locks
-    assert locks.held(_only_txn(system), "acct") is LockMode.IX
+    assert locks.held(_only_txn(system), "acct") is LockMode.INTENT_EXCLUSIVE
     assert locks.row_locks_held(_only_txn(system), "acct") == 1
     c2.begin()
     c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 2")  # not blocked
@@ -321,7 +290,7 @@ def test_secondary_index_paths_lock_the_table_before_probing(where):
     c2 = repro.connect(system, user="u2")
     c1.begin()
     c1.cursor().execute(f"UPDATE acct SET v = 'x' WHERE {where}")
-    assert system.server.database.locks.held(_only_txn(system), "acct") is LockMode.X
+    assert system.server.database.locks.held(_only_txn(system), "acct") is LockMode.EXCLUSIVE
     c2.begin()
     with pytest.raises(LockError):
         c2.cursor().execute("UPDATE acct SET v = 'y' WHERE k = 3")
@@ -345,7 +314,7 @@ def test_disjoint_pk_lists_coexist(first, second):
     c1.begin()
     c1.cursor().execute(first)
     locks = system.server.database.locks
-    assert locks.held(_only_txn(system), "acct") is LockMode.IX
+    assert locks.held(_only_txn(system), "acct") is LockMode.INTENT_EXCLUSIVE
     assert locks.row_locks_held(_only_txn(system), "acct") == 2
     c2.begin()
     c2.cursor().execute(second)
@@ -385,7 +354,7 @@ def test_keyed_update_locks_only_touched_row():
     c1.cursor().execute("UPDATE acct SET v = 'x' WHERE k = 2")
     locks = system.server.database.locks
     txn = _only_txn(system)
-    assert locks.held(txn, "acct") is LockMode.IX
+    assert locks.held(txn, "acct") is LockMode.INTENT_EXCLUSIVE
     assert locks.row_locks_held(txn, "acct") == 1
     c1.commit()
 
@@ -503,8 +472,34 @@ def test_a_key_nobody_locks_costs_no_acquire():
     assert stats.acquires - before == 2  # IX on t, X on the new row
     before = stats.acquires
     execute(server, session, "DELETE FROM t WHERE k = 1")
-    # IX and X on the row (the probe, then the delete), X on the key it frees
-    assert stats.acquires - before == 5
+    # IX and X on the row the probe found, X on the key it frees
+    assert stats.acquires - before == 3
+
+
+@pytest.mark.parametrize(
+    "sql, acquires",
+    [
+        ("UPDATE t SET v = 5 WHERE k = 1", 2),  # IX, X on the row
+        ("UPDATE t SET v = v + 1", 1),  # X on the table covers the three rows
+        ("SELECT k, v FROM t WHERE k = 1", 0),
+        ("SELECT k, v FROM t", 0),
+    ],
+)
+def test_each_written_row_is_locked_once(sql, acquires):
+    """The executor locks the rows a DML statement writes before it reads
+    them, and ``Database.update_row`` / ``delete_row`` take no second lock
+    on them; reads take none."""
+    from repro.engine import DatabaseServer
+    from tests.conftest import execute
+
+    server = DatabaseServer()
+    session = server.connect()
+    execute(server, session, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, session, "INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+    stats = server.database.locks.stats
+    before = stats.acquires
+    execute(server, session, sql)
+    assert stats.acquires - before == acquires
 
 
 @pytest.mark.parametrize("kind", sorted(_VACATE))
@@ -530,3 +525,23 @@ def test_the_writer_of_a_vacated_key_inserts_while_another_waits_on_it(kind):
     assert result == [1]
     rows = execute(server, server.connect(), "SELECT k, v FROM t ORDER BY k")
     assert rows == [(1, 99)] + ([(2, 10)] if kind == "update" else []) + [(5, 50)]
+
+
+def test_reads_see_uncommitted_writes():
+    """Reads take no lock, so they are read-uncommitted: B sees A's
+    uncommitted UPDATE and INSERT, then neither once A rolls back.  This
+    pins the anomaly DESIGN.md §5b documents; commit-clock snapshot reads
+    (ROADMAP item 10) are what would close it."""
+    from repro.engine import DatabaseServer
+    from tests.conftest import execute
+
+    server = DatabaseServer()
+    a, b = server.connect(), server.connect()
+    execute(server, a, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, a, "INSERT INTO t VALUES (1, 1)")
+    execute(server, a, "BEGIN TRANSACTION")
+    execute(server, a, "UPDATE t SET v = 99 WHERE k = 1")
+    execute(server, a, "INSERT INTO t VALUES (2, 2)")
+    assert execute(server, b, "SELECT k, v FROM t ORDER BY k") == [(1, 99), (2, 2)]
+    execute(server, a, "ROLLBACK")
+    assert execute(server, b, "SELECT k, v FROM t ORDER BY k") == [(1, 1)]

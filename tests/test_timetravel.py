@@ -405,12 +405,7 @@ def _durable(storage):
         for name in storage.list_table_files()
         for data in [storage.read_table_file(name)]
     }
-    meta = [
-        storage.read_meta(key)
-        for key in (database._META_REDO, database._META_PROCEDURES,
-                    database._META_VIEWS, database._META_INDEXES)
-    ]
-    return storage.read_log(), tables, meta
+    return storage.read_log(), tables, storage.read_meta(database._META)
 
 
 def test_restore_to_unreachable_cut_leaves_storage_untouched(system):
