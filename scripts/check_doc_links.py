@@ -22,7 +22,12 @@ A backticked private Python name in ``README.md``, ``DESIGN.md`` and
 ``docs/*.md`` (not ``docs/HISTORY.md``) — ``_name``, ``Class._name`` or
 ``module._name``, with or without ``()`` — must be defined (``def``,
 ``class`` or an assignment) somewhere under ``src/``: a helper deleted or
-renamed without its prose changing is a dead pointer.
+renamed without its prose changing is a dead pointer.  So must a public
+one: inline code that begins ``repro.`` in ``README.md``, ``DESIGN.md``,
+``EXPERIMENTS.md`` and ``docs/*.md`` (not ``docs/HISTORY.md``) — say
+``repro.connect("main")`` — must name a module or attribute that exists:
+its longest importable module prefix is imported, the rest looked up with
+``getattr``.
 
 The "Metrics" section of ``docs/OBSERVABILITY.md`` is checked against the
 code the same way: its table (registry slot · class · counters) must list
@@ -32,7 +37,7 @@ without its row changing is a dead pointer too.
 
 Exit status 0 = clean, 1 = problems (each printed as
 ``file: link — reason``).  Needs only the checkout: ``repro`` is imported
-from ``src/`` when it is not installed.
+from its ``src/``.
 
 Usage::
 
@@ -41,6 +46,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -131,11 +137,8 @@ def documented_counters(path: Path) -> dict[str, set[str]]:
 def check_metrics(path: Path, root: Path) -> list[str]:
     """The documented counters vs. a fresh system's registry snapshot,
     both directions."""
-    try:
-        import repro
-    except ImportError:
-        sys.path.insert(0, str(root / "src"))
-        import repro
+    _import_from_checkout(root)
+    import repro
 
     snapshot = repro.make_system().registry.snapshot()
     actual = {
@@ -152,6 +155,12 @@ def check_metrics(path: Path, root: Path) -> list[str]:
     return problems
 
 
+def _import_from_checkout(root: Path) -> None:
+    """Put the checkout's ``src/`` first on the import path, if it has one."""
+    if (root / "src").is_dir() and str(root / "src") not in sys.path:
+        sys.path.insert(0, str(root / "src"))
+
+
 _REPORTING_COMMAND = re.compile(r"python3? -m repro\.bench\.reporting[ \t]+(\w+)")
 _BENCH_ARTIFACT = re.compile(r"\bBENCH_\w+\.json\b")
 
@@ -159,8 +168,7 @@ _BENCH_ARTIFACT = re.compile(r"\bBENCH_\w+\.json\b")
 def check_artifacts(path: Path, root: Path) -> list[str]:
     """The file's ``repro.bench.reporting`` experiment names and
     ``BENCH_*.json`` names."""
-    if (root / "src").is_dir() and str(root / "src") not in sys.path:
-        sys.path.insert(0, str(root / "src"))
+    _import_from_checkout(root)
     from repro.bench.reporting import EXPERIMENTS
 
     where = path.relative_to(root)
@@ -211,6 +219,48 @@ def check_private_names(path: Path, root: Path, defined: set[str]) -> list[str]:
     ]
 
 
+#: an inline code span, which may wrap a line
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+#: the dotted name a span starting ``repro.`` begins with
+_PUBLIC_NAME = re.compile(r"repro(?:\.\w+)+")
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from the
+    longest importable module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def public_names(path: Path) -> list[str]:
+    """The dotted names of the file's inline code spans that begin
+    ``repro.`` (fenced code skipped)."""
+    text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.DOTALL)
+    spans = (span.group(1) for span in _CODE_SPAN.finditer(text))
+    return [match.group() for match in map(_PUBLIC_NAME.match, spans) if match]
+
+
+def check_public_names(path: Path, root: Path) -> list[str]:
+    """The file's ``repro.`` names that do not resolve."""
+    _import_from_checkout(root)
+    where = path.relative_to(root)
+    return [
+        f"{where}: `{name}` — no such module or attribute"
+        for name in sorted(set(public_names(path)))
+        if not resolves(name)
+    ]
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
     files = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
@@ -224,6 +274,7 @@ def main(argv: list[str]) -> int:
     for path in [root / "EXPERIMENTS.md", root / "DESIGN.md", *files]:
         if path.exists() and path.name != "HISTORY.md":
             problems.extend(check_artifacts(path, root))
+            problems.extend(check_public_names(path, root))
     defined = defined_names(root)
     for path in [root / "DESIGN.md", *files]:
         if path.exists() and path.name != "HISTORY.md":
@@ -235,7 +286,7 @@ def main(argv: list[str]) -> int:
         print(problem)
     print(
         f"checked {checked} file(s): {len(problems)} dead link(s), experiment(s), "
-        "artifact(s), private name(s) or counter name(s)"
+        "artifact(s), private or public name(s) or counter name(s)"
     )
     return 1 if problems else 0
 

@@ -102,7 +102,6 @@ __all__ = [
     "FaultKind",
     "NetworkMetrics",
     "NetStats",
-    "ConnectionPool",
     "MetricsRegistry",
     "DriverManager",
     "NativeDriver",
@@ -189,14 +188,15 @@ def make_system(
     a listening system already crosses real sockets.  Stop the listener
     with ``system.close()``.
     """
+    address = _parse_listen(listen) if listen is not None else None
     if registry is None:
         registry = MetricsRegistry()
     server = DatabaseServer(storage, registry=registry)
     endpoint = ServerEndpoint(server)
     tcp_server = None
     client_transport: Transport = InProcessTransport(endpoint)
-    if listen is not None:
-        host, port = _parse_listen(listen)
+    if address is not None:
+        host, port = address
         tcp_server = TcpServer(endpoint, host, port, stats=registry.net)
         tcp_server.start()
         client_transport = TcpTransport(*tcp_server.address)
@@ -227,12 +227,17 @@ def _parse_listen(listen: str) -> tuple[str, int]:
         raise InterfaceError(
             f"invalid listen address {listen!r}: expected 'host:port'"
         )
-    try:
-        return host, int(port)
-    except ValueError:
+    return host, _parse_port(port, f"listen address {listen!r}")
+
+
+def _parse_port(port: str, where: str) -> int:
+    """A port's text → its number, an integer in 0–65535 (0 = pick a free
+    one when listening)."""
+    if not port.isdecimal() or int(port) > 65535:
         raise InterfaceError(
-            f"invalid listen address {listen!r}: port must be an integer"
-        ) from None
+            f"invalid {where}: port must be an integer in 0-65535"
+        )
+    return int(port)
 
 
 #: module-level DSN → System registry backing :func:`connect`'s PEP 249
@@ -303,12 +308,13 @@ def _parse_url_dsn(url: str) -> tuple[str, int, str]:
     parts = urlsplit(url)
     if parts.scheme != "tcp":
         raise InterfaceError(f"unsupported DSN scheme {parts.scheme!r} in {url!r}")
-    if parts.hostname is None or parts.port is None:
+    _, sep, port = parts.netloc.rpartition(":")
+    if parts.hostname is None or not sep:
         raise InterfaceError(
             f"invalid URL DSN {url!r}: expected tcp://host:port/<name>"
         )
     name = parts.path.lstrip("/") or "main"
-    return parts.hostname, parts.port, name
+    return parts.hostname, _parse_port(port, f"URL DSN {url!r}"), name
 
 
 def _url_stack(url: str) -> tuple[DriverManager, PhoenixDriverManager, str]:
@@ -326,6 +332,3 @@ def _url_stack(url: str) -> tuple[DriverManager, PhoenixDriverManager, str]:
         stack = _url_stacks[key] = (plain_manager, phoenix_manager)
     return (*stack, key)
 
-
-# imported last: repro.pool imports this module back at call time
-from repro.pool import ConnectionPool  # noqa: E402

@@ -6,8 +6,8 @@ or on ``(table, key)``, the primary-key value a DELETE or a key-moving
 UPDATE vacates and an INSERT waits out.  DDL and every DML statement that
 cannot name its rows before it reads them (non-keyed scans, secondary-index
 paths) take **X** on the whole table.  Reads take no lock at all (DESIGN.md
-§5b: they are read-uncommitted until ROADMAP item 10's commit-clock
-snapshots land).
+§5b: they are read-uncommitted until ROADMAP item 32's committed view
+lands).
 
 Compatibility is one rule: IX coexists with IX, and X with nothing.  A
 transaction's held mode on a resource is the stronger of what it asked
@@ -216,12 +216,12 @@ class LockManager:
         """Grant or upgrade a lock on ``table`` (or on row ``row`` of it),
         waiting if necessary.
 
-        A row request is X, and the caller already holds IX on the table —
-        :meth:`~repro.engine.database.Database.lock_row_write` takes both.
-        It is satisfied without a row lock when the transaction holds table
-        X (including after escalation), and trips escalation when the
-        transaction's row-lock count on the table reaches
-        :data:`ESCALATION_THRESHOLD`.
+        A request on a table the transaction holds X on (including after
+        escalation) is covered: it returns at once and counts in no
+        statistic.  A row request is X, and the caller already holds IX on
+        the table — :meth:`~repro.engine.database.Database.lock_row_write`
+        takes both.  It trips escalation when the transaction's row-lock
+        count on the table reaches :data:`ESCALATION_THRESHOLD`.
 
         Raises :class:`DeadlockError` when waiting would close a cycle in
         the waits-for graph (the requester is the victim), plain
@@ -229,11 +229,11 @@ class LockManager:
         :class:`ServerCrashedError` when the server dies mid-wait.
         """
         with self._cond:
+            if self._locks.get((table, None), {}).get(txn_id) is _X:
+                return
             self.stats.acquires += 1
             if row is not None:
                 self.stats.row_acquires += 1
-                if self._locks.get((table, None), {}).get(txn_id) is _X:
-                    return
                 if self._row_counts.get((txn_id, table), 0) >= ESCALATION_THRESHOLD:
                     self._escalate(txn_id, table)
                     return

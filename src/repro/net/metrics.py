@@ -70,15 +70,13 @@ class NetworkMetrics(CounterSet):
 
 
 class NetStats(CounterSet):
-    """Socket-tier and pool counters — the ``net`` slot of the registry.
+    """Socket-tier counters — the ``net`` slot of the registry.
 
-    Fed by :class:`~repro.net.tcp.TcpServer` (accepts, frames, bytes) and
-    :class:`repro.ConnectionPool` (checkouts, pings, replacements).
-    ``connections_open`` and ``pool_in_use`` are gauges — they describe
-    current state, so ``reset()`` leaves them alone.
+    Fed by :class:`~repro.net.tcp.TcpServer` (accepts, frames, bytes).
+    ``connections_open`` is a gauge — it describes current state, so
+    ``reset()`` leaves it alone.
     """
 
-    # socket tier (TcpServer)
     connections_accepted: int = 0
     connections_closed: int = 0
     connections_open: int = gauge(0)
@@ -89,19 +87,10 @@ class NetStats(CounterSet):
     #: TIMEOUT/FATAL frames sent — transport-level failures delivered
     #: to clients (in-band SQL errors are ordinary RESPONSE frames)
     fatal_frames_sent: int = 0
-    # pool tier (ConnectionPool)
-    pool_checkouts: int = 0
-    pool_checkins: int = 0
-    pool_pings: int = 0
-    pool_replacements: int = 0
-    pool_exhausted: int = 0
-    pool_in_use: int = gauge(0)
 
     def __init__(self) -> None:
         super().__init__()
         self._lock = threading.Lock()
-
-    # -- socket tier ---------------------------------------------------------
 
     def connection_opened(self) -> None:
         with self._lock:
@@ -124,27 +113,3 @@ class NetStats(CounterSet):
             self.bytes_sent += nbytes
             if fatal:
                 self.fatal_frames_sent += 1
-
-    # -- pool tier -----------------------------------------------------------
-
-    def pool_checkout(self) -> None:
-        with self._lock:
-            self.pool_checkouts += 1
-            self.pool_in_use += 1
-
-    def pool_checkin(self) -> None:
-        with self._lock:
-            self.pool_checkins += 1
-            self.pool_in_use -= 1
-
-    def pool_ping(self) -> None:
-        with self._lock:
-            self.pool_pings += 1
-
-    def pool_replacement(self) -> None:
-        with self._lock:
-            self.pool_replacements += 1
-
-    def pool_exhaustion(self) -> None:
-        with self._lock:
-            self.pool_exhausted += 1

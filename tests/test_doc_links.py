@@ -114,3 +114,25 @@ def test_checker_flags_a_private_name_nothing_defines(tmp_path):
     assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 1
     doc.write_text("`_Plan._run()`\n", encoding="utf-8")
     assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0
+
+
+def test_checker_flags_a_public_name_that_is_gone(tmp_path):
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "GUIDE.md"
+    doc.write_text(
+        '`repro.connect("main")`, `repro.engine.locks.LockManager.acquire` and\n'
+        "`repro.obs` resolve; `repro.engine.locks.LockManager.waits_for_graph(\n)`\n"
+        "and `repro.engine.locks.LockMode.SHARED` do not.\n\n"
+        "```\n`repro.in_a_fence`\n```\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "docs" / "HISTORY.md").write_text(
+        "`repro.engine.locks.LockMode.SHARED`\n", encoding="utf-8"
+    )
+    assert check_doc_links.check_public_names(doc, tmp_path) == [
+        "docs/GUIDE.md: `repro.engine.locks.LockManager.waits_for_graph` — no such module or attribute",
+        "docs/GUIDE.md: `repro.engine.locks.LockMode.SHARED` — no such module or attribute",
+    ]
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 1
+    doc.write_text('`repro.connect("main")`\n', encoding="utf-8")
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0

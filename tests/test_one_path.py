@@ -446,9 +446,9 @@ def test_deleted_settings_stay_deleted():
     simulated-latency counter, the planned restart's policy, RESTARTING
     answer, ETA and epoch, the test-only session reaper, the unread query
     timeout, the unused return codes, the time-travel archive with the
-    log-prefix truncation it served, the lock modes no statement requests
-    and the per-part catalog meta entries are gone, not kept beside what
-    replaced them."""
+    log-prefix truncation it served, the lock modes no statement requests,
+    the per-part catalog meta entries and the client-side connection pool
+    are gone, not kept beside what replaced them."""
     gone = {
         "row_locking", "bump_catalog", "catalog_version", "temp_version",
         "jitter_seed", "recovery_deadline", "simulated_seconds",
@@ -472,8 +472,15 @@ def test_deleted_settings_stay_deleted():
         "_COVERS_ROW", "waits_for_graph", "_wait_info",
         # one meta entry per checkpoint, not one per catalog part
         "_META_PROCEDURES", "_META_VIEWS", "_META_INDEXES",
+        # a connection pool beside repro.connect, and its counters: a Phoenix
+        # connection already outlives a crash
+        "ConnectionPool", "_resolve_stats", "DEFAULT_CHECKOUT_TIMEOUT",
+        "pool_checkouts", "pool_checkins", "pool_pings", "pool_replacements",
+        "pool_exhausted", "pool_in_use", "pool_checkout", "pool_checkin",
+        "pool_ping", "pool_replacement", "pool_exhaustion",
     }
     assert not gone & _identifiers_under_src()
+    assert not (SRC / "pool.py").exists()
     # names other code also uses as identifiers
     from repro.engine.dispatch import SessionDispatcher
     from repro.engine.results import StatementResult

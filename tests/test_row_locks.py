@@ -502,6 +502,30 @@ def test_each_written_row_is_locked_once(sql, acquires):
     assert stats.acquires - before == acquires
 
 
+def test_a_request_table_x_covers_is_not_counted():
+    """A non-keyed DELETE takes table X; the keys its rows free, and every
+    later request of the same transaction on the table, are covered by it
+    and count no acquire."""
+    from repro.engine import DatabaseServer
+    from tests.conftest import execute
+
+    server = DatabaseServer()
+    session = server.connect()
+    execute(server, session, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, session, "INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4)")
+    stats = server.database.locks.stats
+    execute(server, session, "BEGIN TRANSACTION")
+    before = stats.acquires
+    execute(server, session, "DELETE FROM t WHERE v >= 2")  # three rows
+    assert stats.acquires - before == 1  # X on t; the three keys are covered
+    before = stats.acquires
+    execute(server, session, "INSERT INTO t VALUES (2, 20)")
+    execute(server, session, "UPDATE t SET v = 5 WHERE k = 1")
+    assert stats.acquires == before
+    execute(server, session, "COMMIT")
+    assert execute(server, session, "SELECT k, v FROM t ORDER BY k") == [(1, 5), (2, 20)]
+
+
 @pytest.mark.parametrize("kind", sorted(_VACATE))
 def test_the_writer_of_a_vacated_key_inserts_while_another_waits_on_it(kind):
     """While B's INSERT waits on the key A vacated, A's own INSERT of an

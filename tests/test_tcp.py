@@ -1,5 +1,5 @@
 """The real-socket serving tier: framing, TCP parity, recovery over real
-sockets, idle-session scale, pooling, and the PEP 249 context managers."""
+sockets, idle-session scale, and the PEP 249 context managers."""
 
 from __future__ import annotations
 
@@ -135,6 +135,14 @@ def test_url_dsn_validation():
         repro.connect("tcp://nohost/db")  # no port
     with pytest.raises(errors.InterfaceError):
         repro._parse_url_dsn("udp://127.0.0.1:1/x")
+    # a port that is not an integer in 0-65535, in a URL DSN or a listen
+    # address (which fails in parsing, before any listener starts)
+    for dsn in ("tcp://h:abc/x", "tcp://h:99999/x"):
+        with pytest.raises(errors.InterfaceError, match="port"):
+            repro.connect(dsn)
+    for listen in ("127.0.0.1:99999", "127.0.0.1:-1"):
+        with pytest.raises(errors.InterfaceError, match="port"):
+            repro.make_system(dsn="bad-port", listen=listen)
 
 
 def test_registry_name_dsns_keep_working():
@@ -276,113 +284,30 @@ def test_idle_session_soak(tcp_system):
 
 
 # --------------------------------------------------------------------------
-# pooling
+# an idle session across a server crash
 # --------------------------------------------------------------------------
 
 
-def test_pool_checkout_exhaustion(tcp_system):
-    pool = repro.ConnectionPool(tcp_system.DSN, 2, phoenix=False, checkout_timeout=0.05)
-    a = pool.checkout()
-    b = pool.checkout()
-    with pytest.raises(errors.OperationalError):
-        pool.checkout()
-    snap = tcp_system.registry.snapshot()["net"]
-    assert snap["pool_exhausted"] == 1
-    assert snap["pool_in_use"] == 2
-    pool.checkin(a)
-    c = pool.checkout()  # the freed slot is reusable
-    pool.checkin(b)
-    pool.checkin(c)
-    pool.close()
-
-
-def test_pool_replaces_broken_connection(tcp_system):
-    """A plain connection broken by a server crash fails the checkout
-    liveness probe and is replaced with a fresh one."""
-    pool = repro.ConnectionPool(tcp_system.DSN, 1, phoenix=False)
-    conn = pool.checkout()
-    cursor = conn.cursor()
-    cursor.execute("CREATE TABLE p (k INT PRIMARY KEY)")
-    tcp_system.faults.schedule(FaultKind.CRASH_AFTER_EXECUTE, after=0)
-    with pytest.raises(errors.CommunicationError):
-        cursor.execute("INSERT INTO p VALUES (1)")
-    pool.checkin(conn)  # broken: discarded, slot freed
-    tcp_system.endpoint.restart_server()
-    replacement = pool.checkout()
-    assert replacement is not conn
-    assert replacement.cursor().execute("SELECT 1").fetchall() == [(1,)]
-    pool.checkin(replacement)
-    pool.close()
-
-
-def test_pool_replaces_stale_session_via_probe(tcp_system):
-    """An *idle* pooled connection whose server restarted passes a naive
-    server ping but fails the session probe — checkout must replace it."""
-    pool = repro.ConnectionPool(tcp_system.DSN, 1, phoenix=False)
-    conn = pool.checkout()
-    conn.cursor().execute("SELECT 1")
-    pool.checkin(conn)
-    # crash + restart while the connection sits idle in the pool: its
-    # channel never saw the failure, but its server session is gone
+@pytest.mark.parametrize("phoenix", [False, True], ids=["plain", "phoenix"])
+def test_idle_connection_across_crash(tcp_system, phoenix):
+    """A connection runs a statement, then sits idle while the server
+    crashes and restarts: no request was in flight, so its channel never
+    saw the failure, but its server session is gone.  The next statement
+    fails on a plain connection; a Phoenix connection recovers the session
+    and answers on the same object — the paper's claim, with no change to
+    the application."""
+    connection = repro.connect(tcp_system, phoenix=phoenix)
+    connection.cursor().execute("SELECT 1")
     tcp_system.server.crash()
     tcp_system.endpoint.restart_server()
-    replacements_before = tcp_system.registry.net.pool_replacements
-    fresh = pool.checkout()
-    assert tcp_system.registry.net.pool_replacements == replacements_before + 1
-    assert fresh.cursor().execute("SELECT 1").fetchall() == [(1,)]
-    pool.checkin(fresh)
-    pool.close()
-
-
-def test_phoenix_pool_rides_through_crash_without_replacement(tcp_system):
-    """The paper's claim at pool scale: phoenix members pass the same
-    probe by recovering — zero replacements."""
-    config = tcp_system.phoenix.config
-    _auto_restart(tcp_system, config)
-    pool = repro.ConnectionPool(tcp_system.DSN, 1, phoenix=True, config=config)
-    conn = pool.checkout()
-    conn.cursor().execute("CREATE TABLE phx_pool_t (k INT PRIMARY KEY)")
-    pool.checkin(conn)
-    tcp_system.server.crash()
-    tcp_system.endpoint.restart_server()
-    again = pool.checkout()  # probe triggers phoenix recovery, not replacement
-    assert again is conn
-    assert tcp_system.registry.net.pool_replacements == 0
-    pool.checkin(again)
-    pool.close()
-
-
-def test_pool_url_dsn_counters_land_in_system_registry(tcp_system):
-    """A pool built from a ``tcp://`` URL resolves its counters to the
-    owning system's registry via the name embedded in the URL — the
-    normal TCP usage must not silo its stats in a private object."""
-    pool = repro.ConnectionPool(tcp_system.url, 1, phoenix=False)
-    assert pool.stats is tcp_system.registry.net
-    checkouts_before = tcp_system.registry.net.pool_checkouts
-    conn = pool.checkout()
-    assert tcp_system.registry.net.pool_checkouts == checkouts_before + 1
-    pool.checkin(conn)
-    pool.close()
-
-
-def test_pool_connection_context_manager_commits(tcp_system):
-    pool = repro.ConnectionPool(tcp_system.DSN, 2, phoenix=False)
-    with pool.connection() as conn:
-        cursor = conn.cursor()
-        cursor.execute("CREATE TABLE pc (k INT PRIMARY KEY)")
-        conn.begin()
-        cursor.execute("INSERT INTO pc VALUES (1)")
-        # block exit commits the open transaction and checks the conn in
-    with pool.connection() as conn:
-        assert conn.cursor().execute("SELECT * FROM pc").fetchall() == [(1,)]
-    with pytest.raises(RuntimeError):
-        with pool.connection() as conn:
-            conn.begin()
-            conn.cursor().execute("INSERT INTO pc VALUES (2)")
-            raise RuntimeError("abort")
-    with pool.connection() as conn:
-        assert conn.cursor().execute("SELECT * FROM pc").fetchall() == [(1,)]
-    pool.close()
+    cursor = connection.cursor()
+    if not phoenix:
+        with pytest.raises(errors.SessionLostError):
+            cursor.execute("SELECT 1")
+    else:
+        assert cursor.execute("SELECT 1").fetchall() == [(1,)]
+        assert connection.stats.recoveries == 1
+    connection.close()
 
 
 # --------------------------------------------------------------------------
