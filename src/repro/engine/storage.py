@@ -54,7 +54,7 @@ class StorageFault(Exception):
 
 
 #: the first bytes of ``wal.log``; an LSN is a byte offset after them
-_LOG_MAGIC = b"WAL2"
+_LOG_MAGIC = b"WAL3"
 
 
 @dataclass

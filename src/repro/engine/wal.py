@@ -2,10 +2,16 @@
 
 Record framing on stable storage::
 
-    [u32 length][u32 crc32][pickled LogRecord payload]
+    [u32 length][u32 crc32][pickled tuple: kind code, field values...]
 
-The CRC lets recovery detect a torn tail write and stop cleanly there (the
-classic "read until the first bad frame" scan).
+The payload is positional: the kind's code, then the record's field values
+in ``LogRecord`` order with the trailing defaults left out, and no LSN (a
+record's LSN is its frame's offset).  No class path or field name is
+written, so a frame is about as long as its values: BEGIN 26 bytes, COMMIT
+40, a Phoenix status-row INSERT 52, an UPDATE of a 40-character row about
+95, a CREATE TABLE about 340 (its ``TableSchema`` pickles whole).  The CRC
+lets recovery detect a torn tail write and stop cleanly there (the classic
+"read until the first bad frame" scan).
 
 The :class:`WriteAheadLog` buffers records in volatile memory and only moves
 them to stable storage on :meth:`force` — so a crash loses exactly the
@@ -43,11 +49,12 @@ Correctness notes (see DESIGN.md §5):
 from __future__ import annotations
 
 import enum
+import operator
 import pickle
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.engine.schema import TableSchema
 from repro.engine.storage import StableStorage, StorageFault
@@ -107,6 +114,9 @@ class LogRecord:
     * CHECKPOINT: active_txns (ids of transactions in flight)
     * is_clr marks a compensation record: an :func:`inverse`, written by
       abort and statement rollback, never undone itself
+
+    A log frame lists the fields in this order (see :func:`encode_record`),
+    so moving or adding one is a new log layout.
     """
 
     type: RecordType
@@ -115,6 +125,11 @@ class LogRecord:
     rowid: int | None = None
     before: tuple | None = None
     after: tuple | None = None
+    #: COMMIT records only: the wall-clock instant the commit became
+    #: durable, stamped at *device-force* time so every commit covered by
+    #: one group force shares one instant (a batch is all-or-none under
+    #: ``AS OF``).  The time-travel LogIndex maps these to cut LSNs.
+    commit_ts: float | None = None
     schema: TableSchema | None = None
     dropped_rows: dict[int, tuple] | None = None
     next_rowid: int | None = None
@@ -122,11 +137,6 @@ class LogRecord:
     proc_sql: str | None = None
     active_txns: tuple[int, ...] = ()
     is_clr: bool = False
-    #: COMMIT records only: the wall-clock instant the commit became
-    #: durable, stamped at *device-force* time so every commit covered by
-    #: one group force shares one instant (a batch is all-or-none under
-    #: ``AS OF``).  The time-travel LogIndex maps these to cut LSNs.
-    commit_ts: float | None = None
     lsn: int = field(default=-1, compare=False)  # assigned when appended
 
 
@@ -173,9 +183,26 @@ def inverse(record: LogRecord) -> LogRecord:
     )
 
 
+#: a frame's kind code is the kind's position here
+_KINDS = tuple(RecordType)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+#: the payload's fields after the kind code, in ``LogRecord`` order (so the
+#: decoder passes them positionally); ``lsn`` is the frame's offset
+_FIELDS = [f for f in fields(LogRecord) if f.name not in ("type", "lsn")]
+_FIELD_VALUES = operator.attrgetter(*(f.name for f in _FIELDS))
+_DEFAULTS = tuple(f.default for f in _FIELDS)
+
+
 def encode_record(record: LogRecord) -> bytes:
-    """Frame one record for the log."""
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    """Frame one record for the log: its kind code and field values, the
+    fields equal to their defaults at the end left out."""
+    values = _FIELD_VALUES(record)
+    n = len(values)
+    while n and values[n - 1] == _DEFAULTS[n - 1]:
+        n -= 1
+    payload = pickle.dumps(
+        (_KIND_CODE[record.type],) + values[:n], protocol=pickle.HIGHEST_PROTOCOL
+    )
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -201,9 +228,8 @@ def scan_log(raw: bytes, base_offset: int = 0) -> tuple[list[LogRecord], int]:
         payload = raw[start:end]
         if zlib.crc32(payload) != crc:
             break  # corrupt tail
-        record: LogRecord = pickle.loads(payload)
-        record.lsn = base_offset + pos
-        records.append(record)
+        code, *values = pickle.loads(payload)
+        records.append(LogRecord(_KINDS[code], *values, lsn=base_offset + pos))
         pos = end
     return records, base_offset + pos
 
@@ -343,26 +369,18 @@ class WriteAheadLog:
         """Re-stamp every buffered COMMIT with one shared force instant.
 
         Returns ``(lsn, end_offset, ts)`` per commit for the log-index
-        publish that follows a successful device append.  Re-encoding with
-        a new float timestamp cannot change the frame length (floats pickle
-        fixed-size); if it somehow did, the provisional stamp is kept —
-        LSN-as-byte-offset arithmetic must never shift.
+        publish that follows a successful device append.  Re-encoding
+        moves no LSN: a stamp is a float, and a pickled float is always
+        eight bytes, so the frame keeps its length.
         """
         if not self._pending_commits:
             return []
         ts = self.clock.now()
         published: list[tuple[int, int, float]] = []
         for index, record in self._pending_commits:
-            old_frame = self._pending[index]
-            provisional = record.commit_ts
             record.commit_ts = ts
-            frame = encode_record(record)
-            if len(frame) == len(old_frame):
-                self._pending[index] = frame
-            else:  # pragma: no cover - float stamps are fixed-size
-                record.commit_ts = provisional
-                frame = old_frame
-            published.append((record.lsn, record.lsn + len(frame), record.commit_ts))
+            frame = self._pending[index] = encode_record(record)
+            published.append((record.lsn, record.lsn + len(frame), ts))
         self._pending_commits.clear()
         return published
 

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.engine.schema import Column, TableSchema
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage, TableData
 from repro.engine.values import SqlType
-from repro.engine.wal import LogRecord, RecordType, WriteAheadLog, decode_log, encode_record
+from repro.engine.wal import (
+    LogRecord,
+    RecordType,
+    WriteAheadLog,
+    decode_log,
+    encode_record,
+    inverse,
+    scan_log,
+)
 
 
 def make_data(n: int = 2) -> TableData:
@@ -128,16 +139,19 @@ def test_file_log_length_survives_reopen(tmp_path):
 
 
 def test_file_log_of_another_layout_is_refused(tmp_path):
-    """A ``wal.log`` that does not start with this layout's magic — the
-    old one carried a base LSN after a magic of its own — is not read as
-    log bytes (a scan would take it for a torn tail and cut it)."""
+    """A ``wal.log`` that does not start with this layout's magic is not
+    read as log bytes: the first layout carried a base LSN after a magic of
+    its own (a scan would take it for a torn tail and cut it), the second
+    pickled whole ``LogRecord`` objects (a scan would misread every frame)."""
     from repro.engine.storage import StorageFault
 
-    path = tmp_path / "db"
-    path.mkdir()
-    (path / "wal.log").write_bytes(b"WAL1" + bytes(8))
-    with pytest.raises(StorageFault, match="not a log file"):
-        FileStableStorage(str(path))
+    old_frame = b"\x05\x00\x00\x00" + bytes(4) + b"stale"
+    for number, old_log in enumerate([b"WAL1" + bytes(8), b"WAL2" + old_frame]):
+        path = tmp_path / f"db{number}"
+        path.mkdir()
+        (path / "wal.log").write_bytes(old_log)
+        with pytest.raises(StorageFault, match="not a log file"):
+            FileStableStorage(str(path))
 
 
 # ---------------------------------------------------------------- meta
@@ -196,6 +210,116 @@ def test_decode_respects_base_offset():
     raw = encode_record(record(1))
     decoded = decode_log(raw, base_offset=100)
     assert decoded[0].lsn == 100
+
+
+def _codec_cases() -> list[LogRecord]:
+    """One record of every kind, the inverse of every data and DDL kind,
+    and the field values a positional payload could confuse."""
+    schema = TableSchema(
+        "acct", (Column("k", SqlType.INT, not_null=True), Column("pad", SqlType.VARCHAR, 40)),
+        primary_key=("k",),
+    )
+    row, new_row = (7, "p" * 40), (7, "q" * 40)
+    index_sql = "CREATE INDEX acct_pad ON acct (pad)"
+    data_and_ddl = [
+        LogRecord(RecordType.INSERT, txn_id=3, table="acct", rowid=7, after=row),
+        LogRecord(RecordType.DELETE, txn_id=3, table="acct", rowid=7, before=row),
+        LogRecord(RecordType.UPDATE, txn_id=3, table="acct", rowid=7, before=row, after=new_row),
+        LogRecord(RecordType.CREATE_TABLE, txn_id=3, schema=schema),
+        LogRecord(RecordType.DROP_TABLE, txn_id=3, schema=schema, dropped_rows={7: row}, next_rowid=8),
+        LogRecord(RecordType.DROP_TABLE, txn_id=3, schema=schema, dropped_rows={}, next_rowid=1),
+        LogRecord(RecordType.CREATE_PROC, txn_id=3, proc_name="p", proc_sql="CREATE PROCEDURE p AS SELECT 1"),
+        LogRecord(RecordType.DROP_PROC, txn_id=3, proc_name="p", proc_sql="CREATE PROCEDURE p AS SELECT 1"),
+        LogRecord(RecordType.CREATE_VIEW, txn_id=3, proc_name="v", proc_sql="CREATE VIEW v AS SELECT 1"),
+        LogRecord(RecordType.DROP_VIEW, txn_id=3, proc_name="v", proc_sql="CREATE VIEW v AS SELECT 1"),
+        LogRecord(RecordType.CREATE_INDEX, txn_id=3, proc_name="acct_pad", proc_sql=index_sql),
+        LogRecord(RecordType.DROP_INDEX, txn_id=3, proc_name="acct_pad", proc_sql=index_sql),
+    ]
+    return [
+        LogRecord(RecordType.BEGIN, txn_id=3),
+        LogRecord(RecordType.COMMIT, txn_id=3, commit_ts=1.7e9),
+        LogRecord(RecordType.ABORT, txn_id=3),
+        LogRecord(RecordType.CHECKPOINT),
+        LogRecord(RecordType.CHECKPOINT, active_txns=(3, 300, 70000)),
+        *data_and_ddl,
+        *(inverse(r) for r in data_and_ddl),
+    ]
+
+
+def test_every_record_round_trips_field_equal():
+    cases = _codec_cases()
+    assert {r.type for r in cases} == set(RecordType)
+    # the CLR that undoes a CREATE TABLE carries an empty dict of rows
+    # where the CREATE itself carries None: both must come back as they went
+    assert any(r.dropped_rows == {} and r.is_clr for r in cases)
+    assert any(r.schema is not None and r.dropped_rows is None for r in cases)
+    frames = [encode_record(r) for r in cases]
+    decoded, good_end = scan_log(b"".join(frames), base_offset=40)
+    assert decoded == cases
+    assert good_end == 40 + sum(map(len, frames))
+    offsets = [40 + sum(map(len, frames[:i])) for i in range(len(frames))]
+    assert [r.lsn for r in decoded] == offsets
+
+
+def test_a_frame_holds_values_not_names():
+    """The payload is positional: no class path and no field name.  (A
+    DDL record's schema pickles as itself, so the names its own pickle
+    spells — its module path ``...schema``, a column's ``type`` — are
+    not held against the frame.)"""
+    names = [f.name for f in dataclasses.fields(LogRecord)]
+    for record in _codec_cases():
+        frame = encode_record(record)
+        schema_pickle = pickle.dumps(record.schema, protocol=pickle.HIGHEST_PROTOCOL)
+        for word in ["LogRecord", "RecordType", *names]:
+            if word.encode() not in schema_pickle:
+                assert word.encode() not in frame, (record.type, word)
+
+
+def test_frame_sizes_per_kind():
+    txn_id = 70000  # past a two-byte pickled int
+    begin = LogRecord(RecordType.BEGIN, txn_id=txn_id)
+    commit = LogRecord(RecordType.COMMIT, txn_id=txn_id, commit_ts=1.7e9)
+    # a 40-character row of the shape oltp_point updates: the pad is
+    # unchanged, so both images share it
+    before = (4021, 17, f"pad-{4021:036d}")
+    update = LogRecord(
+        RecordType.UPDATE, txn_id=txn_id, table="acct", rowid=4022,
+        before=before, after=(4021, 18, before[2]),
+    )
+    assert len(encode_record(begin)) <= 32
+    assert len(encode_record(commit)) <= 48
+    assert len(encode_record(update)) <= 110
+
+
+def test_restamping_a_commit_never_changes_its_frame_length():
+    """The flush re-stamps each buffered COMMIT with the force instant
+    after its LSN and the LSNs after it were handed out, so the stamp may
+    not change the frame's length: whatever the stamp, the frame is as long."""
+    stamps = [0.0, 1e-6, 1.7e9, 1e15]
+    lengths = {
+        len(encode_record(LogRecord(RecordType.COMMIT, txn_id=70000, commit_ts=ts)))
+        for ts in stamps
+    }
+    assert len(lengths) == 1
+
+    class Clock:
+        def __init__(self):
+            self.stamps = iter(stamps)
+
+        def now(self):
+            return next(self.stamps)
+
+    storage = InMemoryStableStorage()
+    wal = WriteAheadLog(storage)
+    wal.clock = Clock()
+    for _ in range(2):  # provisional 0.0 then 1e-6, then 1.7e9 then 1e15
+        commit_lsn = wal.append(LogRecord(RecordType.COMMIT, txn_id=70000))
+        next_lsn = wal.append(record(1))
+        wal.force()
+        durable = decode_log(storage.read_log())
+        assert [r.lsn for r in durable[-2:]] == [commit_lsn, next_lsn]
+        assert durable[-1] == record(1)
+    assert [r.commit_ts for r in durable if r.type is RecordType.COMMIT] == [1e-6, 1e15]
 
 
 def test_wal_buffers_until_force():
