@@ -29,6 +29,11 @@ one: inline code that begins ``repro.`` in ``README.md``, ``DESIGN.md``,
 its longest importable module prefix is imported, the rest looked up with
 ``getattr``.
 
+A documented command line ``python -m repro.<module> …`` in those files,
+fenced code included, may name only the ``--flags`` its module's parser
+has: a ``repro`` module (or package ``__main__``) that exposes
+``build_parser()`` is asked for its option strings; ``main`` never runs.
+
 The "Metrics" section of ``docs/OBSERVABILITY.md`` is checked against the
 code the same way: its table (registry slot · class · counters) must list
 exactly the slots and counter names of
@@ -261,6 +266,48 @@ def check_public_names(path: Path, root: Path) -> list[str]:
     ]
 
 
+#: a documented command line: the module it runs, then the rest of the
+#: line up to a closing backtick or a shell comment
+_MODULE_COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)([^`#\n]*)")
+_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def parser_flags(module_name: str) -> set[str] | None:
+    """The option strings of ``module_name``'s ``build_parser()`` (a
+    package's ``__main__`` is what ``-m`` runs), or None when the module
+    exposes no parser."""
+    for name in (module_name + ".__main__", module_name):
+        try:
+            module = importlib.import_module(name)
+        except ModuleNotFoundError:
+            continue
+        build = getattr(module, "build_parser", None)
+        if build is not None:
+            return set(build()._option_string_actions)
+    return None
+
+
+def check_cli_flags(path: Path, root: Path) -> list[str]:
+    """The file's documented ``python -m repro.…`` flags that the module's
+    parser lacks."""
+    _import_from_checkout(root)
+    where = path.relative_to(root)
+    known: dict[str, set[str] | None] = {}
+    problems = []
+    for module_name, rest in _MODULE_COMMAND.findall(path.read_text(encoding="utf-8")):
+        if module_name not in known:
+            known[module_name] = parser_flags(module_name)
+        flags = known[module_name]
+        if flags is None:
+            continue
+        problems += [
+            f"{where}: `python -m {module_name} {flag}` — no such flag"
+            for flag in _FLAG.findall(rest)
+            if flag not in flags
+        ]
+    return sorted(set(problems))
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
     files = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
@@ -275,6 +322,7 @@ def main(argv: list[str]) -> int:
         if path.exists() and path.name != "HISTORY.md":
             problems.extend(check_artifacts(path, root))
             problems.extend(check_public_names(path, root))
+            problems.extend(check_cli_flags(path, root))
     defined = defined_names(root)
     for path in [root / "DESIGN.md", *files]:
         if path.exists() and path.name != "HISTORY.md":
@@ -286,7 +334,7 @@ def main(argv: list[str]) -> int:
         print(problem)
     print(
         f"checked {checked} file(s): {len(problems)} dead link(s), experiment(s), "
-        "artifact(s), private or public name(s) or counter name(s)"
+        "artifact(s), private or public name(s), CLI flag(s) or counter name(s)"
     )
     return 1 if problems else 0
 

@@ -174,7 +174,8 @@ register(Experiment(
     options={"contention_rounds": "contention_rounds"},
 ))
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line, apart from running it (the doc checker reads its flags)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", choices=[*EXPERIMENTS, "all"])
     parser.add_argument("--seed", type=int, default=0, help="recovery breakdown seed")
@@ -194,7 +195,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="also write the run's results as a machine-readable JSON artifact",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     selected = EXPERIMENTS if args.artifact == "all" else [args.artifact]
     document: dict[str, object] = {}

@@ -52,7 +52,8 @@ def render(summaries: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line, apart from running it (the doc checker reads its flags)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
         description="Systematic crash-schedule sweep with the exactly-once oracle.",
@@ -90,7 +91,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="re-run each failing schedule traced; write span traces here",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     reports = run_sweep(
         seed=args.seed,

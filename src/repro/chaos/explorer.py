@@ -260,9 +260,9 @@ class ChaosExplorer:
         the group force has not, so all its deferred commits die).
         CRASH_MID_DRAIN and CRASH_MID_RESTORE begin a planned restart or a
         ``restore_to`` (to now, so the golden comparison stays valid) at
-        each index and kill the process inside it: arg 0 in the drain
-        window, arg 1 after the checkpoint or the storage rewrite, before
-        the fresh engine boots.  Every placement must degrade into ordinary
+        each index and kill the process inside it: arg 0 before the
+        checkpoint or the storage rewrite, arg 1 after it, before the fresh
+        engine boots.  Every placement must degrade into ordinary
         crash recovery with exactly-once outcomes.
 
         ``second_order`` places ``kind`` inside recovery instead: one

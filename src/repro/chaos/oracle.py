@@ -21,8 +21,9 @@ paper's guarantees:
   sessions or cursors and no leftover ``phx_*`` objects.
 * **time travel** — moments pinned between steps while the run executed
   must still reconstruct (``AS OF``) to the fingerprints captured live,
-  across every crash, recovery, and checkpoint truncation in between
-  (the run carries its violations in ``time_travel_violations``).
+  across every crash, recovery, checkpoint and restore to now in between:
+  the log holds every commit, so each pinned cut stays reachable (the run
+  carries its violations in ``time_travel_violations``).
 """
 
 from __future__ import annotations

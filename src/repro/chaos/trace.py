@@ -447,7 +447,7 @@ def _pin_time_travel_cut(system, connection, trace, index, cuts) -> None:
     is a guaranteed-valid cut) and fingerprint every user table server-side.
     At the end of the run ``AS OF <stamp>`` must reproduce each fingerprint
     exactly — the log is the time machine (docs/TIME_TRAVEL.md).  Best
-    effort: a server that is down or mid-drain pins nothing, and neither
+    effort: a server that is down pins nothing, and neither
     does a step inside an open application transaction — the live
     fingerprint would see that transaction's uncommitted rows, which no
     cut may ever show (``AS OF`` reads committed state only)."""
@@ -459,14 +459,15 @@ def _pin_time_travel_cut(system, connection, trace, index, cuts) -> None:
         ts = system.server.time_travel.clock.now()
         fps = {table: _fingerprint(system, table) for table in trace.tables}
     except errors.Error:
-        return  # crashed/draining under a fault: no cut to pin
+        return  # crashed under a fault: no cut to pin
     cuts.append((index, ts, fps))
 
 
 def _replay_time_travel_cuts(system, cuts) -> list[str]:
     """End-of-run check: every pinned moment must still reconstruct to the
     fingerprints captured live — across every crash, recovery, checkpoint
-    truncation, and restore the run performed in between."""
+    (which only moves the redo start: the log keeps every commit), and
+    restore *to now* the run performed in between."""
     violations: list[str] = []
     for index, ts, fps in cuts:
         for table, expected in fps.items():

@@ -27,7 +27,6 @@ many clients calling in at once.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable
 
@@ -67,12 +66,6 @@ class SessionDispatcher:
         self._workers = 0
         self._idle = 0
         self._closed = False
-        #: drain barrier: while set, workers claim no new items — submissions
-        #: still queue (their callers wait for their callbacks) and in-flight
-        #: items run to completion
-        self._paused = False
-        #: items currently executing on workers (claimed, not yet finished)
-        self._active = 0
         self.stats = stats if stats is not None else DispatchStats()
 
     # ----------------------------------------------------------- submission
@@ -102,9 +95,8 @@ class SessionDispatcher:
                 queue = self._queues[key] = deque()
                 queue.append(item)
                 self._ready.append(key)
-                if not self._paused:  # paused: resume() restarts the cascade
-                    self._ensure_worker()
-                    self._cond.notify()
+                self._ensure_worker()
+                self._cond.notify()
             else:
                 # the key is busy (running or queued): the worker finishing
                 # its head item re-readies the key — no notify needed
@@ -126,51 +118,6 @@ class SessionDispatcher:
         with self._cond:
             return self._workers
 
-    # ----------------------------------------------------------- drain barrier
-
-    def pause(self) -> None:
-        """Stop claiming new items.  Submissions keep queuing (callers wait
-        for their callbacks); items already on a worker run to completion."""
-        with self._cond:
-            self._paused = True
-
-    def resume(self) -> None:
-        """Lift the drain barrier and restart the claim cascade."""
-        with self._cond:
-            if not self._paused:
-                return
-            self._paused = False
-            if self._ready:
-                self._ensure_worker()
-            self._cond.notify_all()
-
-    def quiesce(self, timeout: float | None = None) -> bool:
-        """Wait (while paused) until no item is executing on any worker.
-
-        Returns ``True`` when in-flight work reached zero, ``False`` on
-        timeout.  ``timeout=0`` is a pure poll.  Must be called *after*
-        :meth:`pause`; otherwise new claims can race the wait down to a
-        meaningless instant.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._active:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
-            return True
-
-    def keys_with_pending(self) -> set[Any]:
-        """Keys with queued or running work.  Nothing in the engine reads
-        it: tests wait on it to see a request park behind the drain
-        barrier."""
-        with self._cond:
-            return set(self._queues)
-
     # ----------------------------------------------------------- pool
 
     def _ensure_worker(self) -> None:
@@ -189,19 +136,18 @@ class SessionDispatcher:
     def _worker(self) -> None:
         while True:
             with self._cond:
-                while not self._ready or self._paused:
+                while not self._ready:
                     if self._closed:
                         self._workers -= 1
                         return
                     self._idle += 1
                     signaled = self._cond.wait(IDLE_TIMEOUT)
                     self._idle -= 1
-                    if not signaled and (not self._ready or self._paused):
+                    if not signaled and not self._ready:
                         self._workers -= 1
                         return
                 key = self._ready.popleft()
                 fn, callback = self._queues[key][0]
-                self._active += 1
                 if self._ready:
                     # more keys are runnable than workers were woken: two
                     # near-simultaneous submissions can both observe the
@@ -226,13 +172,9 @@ class SessionDispatcher:
                 queue.popleft()
                 if queue:
                     self._ready.append(key)
-                    if not self._paused:
-                        self._cond.notify()
+                    self._cond.notify()
                 else:
                     del self._queues[key]
-                self._active -= 1
-                if self._paused and not self._active:
-                    self._cond.notify_all()  # wake quiesce() waiters
             # an idle wait must not pin the finished item: through its
             # function's closure it holds the endpoint, the server and the
             # database — of a closed system, perhaps, for IDLE_TIMEOUT

@@ -30,7 +30,6 @@ from repro.errors import (
     DeadlockError,
     NotSupportedError,
     ProgrammingError,
-    ServerRestartingError,
     TransactionError,
 )
 from repro.engine import functions
@@ -216,12 +215,11 @@ class Executor:
                 # gone, so there is nothing to undo — and above all no WAL
                 # write may happen after the crash point.
                 self.session.current_txn = None
-            elif isinstance(exc, (DeadlockError, ServerRestartingError)):
-                # Deadlock victim, or a waiter bounced off the planned-restart
-                # drain barrier: the *whole* transaction aborts — its locks
-                # must release so the surviving side (or the drain) can
-                # proceed.  The client sees a distinguishable, retryable
-                # error (the transaction is gone, so a replay is safe).
+            elif isinstance(exc, DeadlockError):
+                # Deadlock victim: the *whole* transaction aborts — its locks
+                # must release so the surviving side can proceed.  The
+                # client sees a distinguishable, retryable error (the
+                # transaction is gone, so a replay is safe).
                 self._abort(txn)
                 self.session.current_txn = None
             elif autocommit:

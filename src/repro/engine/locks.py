@@ -33,8 +33,9 @@ Waiting, deadlines, and crash behaviour:
   worker must never sleep on any lock (row or table): waiting releases
   the engine mutex and another session's commit would be acknowledged
   before the covering group force.  :meth:`no_wait` marks the thread.
-* :meth:`invalidate` (server crash) drops all lock state and wakes every
-  sleeper into :class:`~repro.errors.ServerCrashedError`.
+* :meth:`invalidate` (server crash, planned swap or shutdown) drops all
+  lock state and wakes every sleeper into
+  :class:`~repro.errors.ServerCrashedError`.
 
 The condition variable is built over the engine-wide mutex the server
 installs via :meth:`use_mutex`; waiting releases the engine.  Every
@@ -50,12 +51,7 @@ import threading
 import time
 from collections import defaultdict
 
-from repro.errors import (
-    DeadlockError,
-    LockError,
-    ServerCrashedError,
-    ServerRestartingError,
-)
+from repro.errors import DeadlockError, LockError, ServerCrashedError
 from repro.obs.metrics import CounterSet
 from repro.obs.tracer import get_tracer
 
@@ -100,8 +96,6 @@ class LockStats(CounterSet):
     deadlocks: int = 0
     #: row-lock sets traded for a full table lock
     escalations: int = 0
-    #: waiters evicted (or fail-fasted) by a planned-restart drain
-    drain_bounces: int = 0
     total_wait_time: float = 0.0
 
 
@@ -128,18 +122,9 @@ class LockManager:
         #: standalone managers keep the historical fail-fast behaviour; the
         #: server raises this to DEFAULT_SERVER_WAIT when it installs its mutex
         self.default_timeout = 0.0
-        #: bumped by :meth:`invalidate` (server crash) so sleepers learn the
-        #: engine they were waiting on no longer exists
+        #: bumped by :meth:`invalidate` (the engine's teardown) so sleepers
+        #: learn the engine they were waiting on no longer exists
         self._generation = 0
-        #: bumped by :meth:`bounce_waiters` (planned-restart drain deadline)
-        #: so sleepers raise a retryable ServerRestartingError
-        self._bounce_generation = 0
-        #: set by :meth:`bounce_waiters`: the drain deadline has passed, so
-        #: *new* wait attempts fail fast with ServerRestartingError too (a
-        #: statement still in flight must not park behind a lock held by a
-        #: transaction whose releasing commit is itself parked behind the
-        #: drain barrier).  Never cleared: the swap discards this manager.
-        self._draining = False
         self._no_wait = threading.local()
         #: injectable so the counters survive database incarnations
         self.stats = stats if stats is not None else LockStats()
@@ -178,11 +163,12 @@ class LockManager:
         commit be acknowledged before the covering force."""
         return self._NoWaitWindow(self)
 
-    def invalidate(self) -> None:
-        """Server crash: drop all lock state and wake every sleeper so it
-        raises :class:`ServerCrashedError` instead of waiting on an engine
-        that no longer exists."""
+    def invalidate(self) -> int:
+        """The engine's teardown: drop all lock state and wake every sleeper
+        so it raises :class:`ServerCrashedError` instead of waiting on an
+        engine that no longer exists.  Returns how many sleepers it woke."""
         with self._cond:
+            evicted = len(self._waits_for)
             self._locks.clear()
             self._held.clear()
             self._row_counts.clear()
@@ -190,23 +176,7 @@ class LockManager:
             self._timeouts.clear()
             self._generation += 1
             self._cond.notify_all()
-
-    def bounce_waiters(self) -> int:
-        """Planned-restart drain deadline: wake every sleeping waiter so it
-        raises :class:`ServerRestartingError` instead of blocking the drain.
-
-        Unlike :meth:`invalidate` this keeps all granted lock state — only
-        *waiters* are evicted; each one's transaction is then aborted by the
-        executor exactly like a deadlock victim, so the statement is safely
-        retryable after the swap.  Returns the number of waiters evicted.
-        """
-        with self._cond:
-            bounced = len(self._waits_for)
-            self._bounce_generation += 1
-            self._draining = True
-            self.stats.drain_bounces += bounced
-            self._cond.notify_all()
-            return bounced
+            return evicted
 
     # ----------------------------------------------------------- acquisition
 
@@ -268,14 +238,7 @@ class LockManager:
             # no-wait (batch) windows keep their LockError contract — the
             # client's batch resubmission path owns that error shape
             raise self._conflict_error(txn_id, resource)
-        if self._draining:
-            self.stats.drain_bounces += 1
-            raise ServerRestartingError(
-                f"server draining for planned restart: transaction {txn_id} "
-                f"must not wait for a lock on {self._resource_name(resource)}"
-            )
         generation = self._generation
-        bounce_generation = self._bounce_generation
         deadline = time.monotonic() + budget
         self.stats.waits += 1
         wait_started = time.monotonic()
@@ -307,12 +270,6 @@ class LockManager:
                     raise ServerCrashedError(
                         f"server crashed while transaction {txn_id} "
                         f"waited for a lock on {self._resource_name(resource)}"
-                    )
-                if self._bounce_generation != bounce_generation:
-                    raise ServerRestartingError(
-                        f"server draining for planned restart: transaction "
-                        f"{txn_id} bounced off its lock wait on "
-                        f"{self._resource_name(resource)}"
                     )
                 if self._try_grant(txn_id, resource, mode):
                     return

@@ -59,11 +59,6 @@ __all__ = [
 ]
 
 
-#: seconds a planned restart waits for in-flight work before it bounces the
-#: statements still waiting for a lock (see ``_drain_in_flight``)
-DRAIN_TIMEOUT = 1.0
-
-
 class ServerStats(CounterSet):
     """Counters for the server object — the ``activity`` slot of the
     registry.  Cumulative across crashes/restarts: they describe the
@@ -79,9 +74,10 @@ class ServerStats(CounterSet):
 class DrainStats(CounterSet):
     """Planned-restart counters — the ``server`` slot of the registry."""
 
-    drains_started: int = 0
-    drains_completed: int = 0
-    statements_bounced: int = 0
+    #: completed engine swaps (``drain_and_restart`` and ``restore_to``)
+    swaps_completed: int = 0
+    #: lock waiters a swap woke on its dead engine (their statements abort)
+    waiters_evicted: int = 0
     sessions_ridden_through: int = 0
     max_pause_seconds: float = 0.0
 
@@ -139,11 +135,6 @@ class DatabaseServer:
         self._parse_cache: LRUCache | None = None
         self.last_recovery: RecoveryReport | None = None
         self.up = False
-        #: planned-restart state machine: ``running`` → ``draining`` →
-        #: ``swapping`` → ``running``.  Orthogonal to :attr:`up`, which stays
-        #: True for the whole planned restart — the server is not *dead*,
-        #: merely pausing; a crash mid-drain resets this to ``running``.
-        self.lifecycle = "running"
         #: Engine-wide mutex: every public operation runs under it, so the
         #: worker threads of the dispatch layer interleave at *statement*
         #: granularity while engine structures (catalog, WAL, sessions) see
@@ -152,7 +143,8 @@ class DatabaseServer:
         #: table lock releases the engine so other sessions can run and
         #: eventually commit (see :mod:`repro.engine.locks`).  The mutex
         #: survives crashes: it guards the *server*, not one database
-        #: incarnation.
+        #: incarnation.  A planned swap holds it from start to finish, so
+        #: it is the whole of a planned restart's barrier.
         self._engine_mutex = threading.RLock()
         #: per-session FIFO dispatch over a dynamic worker pool — the wire
         #: endpoint routes every request through it
@@ -197,32 +189,36 @@ class DatabaseServer:
 
     # ----------------------------------------------------------- lifecycle
 
-    def crash(self) -> None:
-        """Kill the server: all volatile state is gone, stable storage stays.
+    def _tear_down(self) -> int:
+        """End the engine incarnation — the one teardown of :meth:`crash`,
+        a planned swap and :meth:`shutdown`.
 
-        Under concurrency a crash can hit while other sessions' statements
-        are mid-flight (most visibly: asleep in a lock wait).  Marking the
-        database dead and invalidating the lock manager wakes every waiter
-        into :class:`~repro.errors.ServerCrashedError` and tells their
-        cleanup paths that no undo — and no post-crash WAL write — may run.
+        Marking the database dead and invalidating its lock manager wakes
+        every statement asleep in a lock wait (the only statements that run
+        without holding the engine mutex) into
+        :class:`~repro.errors.ServerCrashedError`, and tells their cleanup
+        paths that no undo — and no WAL write — may run.  Returns how many
+        waiters it evicted.
         """
+        self.up = False
+        evicted = 0
+        if self.database is not None:
+            self.database.mark_dead()
+            evicted = self.database.locks.invalidate()
+        self.database = None  # and with it its plan and procedure caches
+        self.sessions.clear()
+        self._executors.clear()
+        self._parse_cache = None  # caches are volatile: a restart starts cold
+        return evicted
+
+    def crash(self) -> None:
+        """Kill the server: all volatile state is gone, stable storage stays."""
         with self._engine_mutex:
-            self.up = False
-            if self.database is not None:
-                self.database.mark_dead()
-                self.database.locks.invalidate()
-            self.database = None  # and with it its plan and procedure caches
-            self.sessions.clear()
-            self._executors.clear()
-            self._parse_cache = None  # caches are volatile: a restart starts cold
+            self._tear_down()
             # a dead server has no pending device fault — the injected torn
             # write / failed force models the crash moment itself
             self.storage.clear_append_fault()
             self.stats.crashes += 1
-            # a crash during a planned drain aborts the drain: parked
-            # requests run, observe the dead server, and enter the normal
-            # (unplanned) recovery path instead of hanging
-            self._end_drain()
             get_tracer().event("server.crash")
 
     def restart(self) -> RecoveryReport:
@@ -237,34 +233,9 @@ class DatabaseServer:
 
     # ------------------------------------------------------ planned restart
 
-    def begin_drain(self) -> None:
-        """Enter the ``draining`` state: the dispatcher stops claiming new
-        work, so every request — a connect too — parks inside its wire
-        thread until the barrier lifts.  Split out of the planned restart
-        so fault injection can crash the server *inside* the drain window."""
-        with self._engine_mutex:
-            self._require_up()
-            if self.lifecycle != "running":
-                raise OperationalError("a planned restart is already in progress")
-            self.lifecycle = "draining"
-            self.drain_stats.drains_started += 1
-        self.dispatcher.pause()
-
-    def _end_drain(self) -> None:
-        """Lift the drain barrier: the one way out of a planned restart,
-        whether it completed, failed, or a crash cut it short."""
-        self.lifecycle = "running"
-        self.dispatcher.resume()
-
     def drain_and_restart(self) -> RecoveryReport:
-        """Planned restart: drain in-flight work, checkpoint, swap in a
-        fresh engine instance, resume — without ever going *down*.
-
-        Must be called from an administrative thread, never from a
-        dispatcher worker (the quiesce would wait on itself) nor from a
-        thread that then connects (the connect would park behind the
-        barrier this thread holds).
-        """
+        """Planned restart: end every session, checkpoint, and swap in a
+        fresh engine instance — without ever going *down*."""
         self._planned_swap("server.swap", lambda: self.database.checkpoint())
         return self.last_recovery
 
@@ -273,64 +244,33 @@ class DatabaseServer:
         :meth:`restore_to`; they differ only in ``rewrite``, the step
         between ending the sessions and booting the fresh engine.
 
-        New wire requests — connects included — park behind the
-        dispatcher's drain barrier for the duration (their clients see a
-        bounded pause, not an error); in-flight statements run to
-        completion, and lock waiters still waiting after
-        :data:`DRAIN_TIMEOUT` are bounced with a retryable
-        :class:`~repro.errors.ServerRestartingError`.  Every session is then
-        disconnected (open transactions abort), ``rewrite`` runs, and a
-        fresh engine boots from stable storage: each Phoenix client rides
-        through on the paper's recovery path, whose connect — parked until
-        now — finds the server up and its session gone.
+        The swap holds the engine mutex from start to finish: it ends every
+        session (open transactions abort), runs ``rewrite``, tears the old
+        engine down (evicting its lock waiters, as a crash does) and boots
+        a fresh one from stable storage.  :attr:`up` stays True, so a
+        request that arrives meanwhile waits for the mutex, meets the new
+        engine and finds its session gone: each Phoenix client rides
+        through on the paper's recovery path, in one connect.
 
         Returns ``(rewrite's result, sessions ridden through)``.
         """
-        tracer = get_tracer()
-        start = time.monotonic()
-        bounced_before = self.lock_stats.drain_bounces
-        self._drain_in_flight(tracer)
-        with tracer.span(span, **attrs):
-            with self._engine_mutex:
-                try:
-                    self._require_up()  # a mid-drain crash beat us to the swap
-                    self.lifecycle = "swapping"
-                    ridden = len(self.sessions)
-                    self.end_sessions()
-                    result = rewrite()
-                    self._boot()
-                    self.stats.restarts += 1
-                    self.drain_stats.drains_completed += 1
-                    self.drain_stats.sessions_ridden_through += ridden
-                finally:
-                    self._end_drain()
-        self.drain_stats.statements_bounced += (
-            self.lock_stats.drain_bounces - bounced_before
-        )
-        self.drain_stats.max_pause_seconds = max(
-            self.drain_stats.max_pause_seconds, time.monotonic() - start
-        )
+        with self._engine_mutex, get_tracer().span(span, **attrs):
+            start = time.monotonic()
+            self._require_up()
+            ridden = len(self.sessions)
+            self.end_sessions()
+            result = rewrite()
+            evicted = self._tear_down()
+            self._boot()
+            self.stats.restarts += 1
+            stats = self.drain_stats
+            stats.swaps_completed += 1
+            stats.waiters_evicted += evicted
+            stats.sessions_ridden_through += ridden
+            stats.max_pause_seconds = max(
+                stats.max_pause_seconds, time.monotonic() - start
+            )
         return result, ridden
-
-    def _drain_in_flight(self, tracer) -> None:
-        """The drain half of a planned swap: enter ``draining``, wait up to
-        :data:`DRAIN_TIMEOUT` for the dispatcher to quiesce, then bounce the
-        lock waiters and wait out the statements that are genuinely
-        executing.  On failure the barrier is lifted before re-raising."""
-        timeout = DRAIN_TIMEOUT
-        with tracer.span("server.drain", drain_timeout=timeout):
-            self.begin_drain()
-            try:
-                if not self.dispatcher.quiesce(timeout):
-                    # evict lock waiters (their txns abort like deadlock
-                    # victims): their releasers may be parked at the barrier
-                    self.database.locks.bounce_waiters()
-                    self.dispatcher.quiesce(None)
-            except BaseException:
-                # drain failed (e.g. a concurrent crash() raced us): lift
-                # the barrier rather than leave parked requests hanging
-                self._end_drain()
-                raise
 
     # ------------------------------------------------------------ time travel
 
@@ -354,9 +294,8 @@ class DatabaseServer:
         ``ts`` None means "now": the latest committed state, which discards
         no commits — the no-op restore chaos exploits.
 
-        Callers must hold the engine quiet (drained or about to crash);
-        the in-memory engine still reflects *pre*-restore state afterwards
-        and must be thrown away (:meth:`_boot` or :meth:`crash`).
+        The in-memory engine still reflects *pre*-restore state afterwards
+        and must be thrown away (a swap's fresh boot, or :meth:`crash`).
         """
         with self._engine_mutex:
             self._require_up()
@@ -400,8 +339,7 @@ class DatabaseServer:
         (:meth:`restore_storage_to`) where a restart checkpoints; every
         Phoenix session rides through on the ordinary recovery path.
         Commits after the cut are *erased* — that is the point — so the
-        caller chooses ``ts`` with care.  Called as
-        :meth:`drain_and_restart` is.
+        caller chooses ``ts`` with care.
         """
         start = time.monotonic()
         report, ridden = self._planned_swap(
@@ -420,13 +358,13 @@ class DatabaseServer:
                     self.disconnect(session_id)
 
     def shutdown(self) -> None:
-        """Clean shutdown: checkpoint, then stop."""
+        """Clean shutdown: end the sessions, checkpoint, then stop — a lock
+        waiter the ended sessions would have freed is evicted, not run."""
         with self._engine_mutex:
             self._require_up()
             self.end_sessions()
             self.database.checkpoint()
-            self.up = False
-            self.database = None
+            self._tear_down()
 
     def _require_up(self) -> None:
         if not self.up:

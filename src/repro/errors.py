@@ -28,7 +28,6 @@ __all__ = [
     "CommunicationError",
     "TimeoutError",
     "ServerCrashedError",
-    "ServerRestartingError",
     "SessionLostError",
     "RecoveryError",
     "TimeTravelError",
@@ -132,12 +131,6 @@ class ServerCrashedError(CommunicationError):
     not yet been restarted."""
 
 
-class ServerRestartingError(CommunicationError):
-    """A lock waiter was bounced by a *planned* restart's drain.  Its
-    transaction was aborted server-side first (like a deadlock victim), so
-    the statement is safely retryable once its session is rebuilt."""
-
-
 class SessionLostError(OperationalError):
     """The server is reachable again but the original session (and all its
     volatile state) is gone — the outcome of the temp-table proxy probe."""
@@ -149,7 +142,8 @@ class RecoveryError(Error):
 
 
 class TimeTravelError(OperationalError):
-    """A point-in-time request (``AS OF`` / ``restore_to``) names a moment
-    the log can no longer reconstruct — typically a timestamp older than
-    the time-travel horizon established when a quiescent checkpoint
-    truncated the log prefix (see docs/TIME_TRAVEL.md)."""
+    """A point-in-time request (``AS OF`` / ``restore_to``) names a cut the
+    log cannot reconstruct: the log ends before the cut's COMMIT frame (its
+    tail is torn or was cut off), or no commit sits at the cut LSN.  The
+    log is the whole history, so any moment it still holds is reachable
+    (see docs/TIME_TRAVEL.md)."""

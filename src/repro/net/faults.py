@@ -69,15 +69,14 @@ class FaultKind(enum.Enum):
     #: partial-batch replay.  On a non-batch request this degenerates to
     #: CRASH_BEFORE_EXECUTE.
     CRASH_MID_BATCH = "crash_mid_batch"
-    #: a planned restart (drain + swap) begins at this request and the
-    #: process is killed inside it: ``arg`` 0 dies in the drain window
-    #: (nothing checkpointed), ``arg`` 1 during the swap (after the
-    #: checkpoint, before the fresh engine boots).  Either way the planned
-    #: restart must degrade into the ordinary crash-recovery path with
-    #: exactly-once outcomes intact.
+    #: a planned restart begins at this request and the process is killed
+    #: inside its swap: ``arg`` 0 before the checkpoint (nothing
+    #: checkpointed), ``arg`` 1 after it, before the fresh engine boots.
+    #: Either way the planned restart must degrade into the ordinary
+    #: crash-recovery path with exactly-once outcomes intact.
     CRASH_MID_DRAIN = "crash_mid_drain"
     #: a ``restore_to`` begins at this request and the process is killed
-    #: inside it: ``arg`` 0 dies in the drain window (storage untouched),
+    #: inside it: ``arg`` 0 before the storage rewrite (storage untouched),
     #: ``arg`` 1 after the storage rewrite (a restore *to now*, preserving
     #: all committed state) but before the fresh engine boots.  Either way
     #: the restore must degrade into ordinary crash recovery with
@@ -99,10 +98,10 @@ STORAGE_FAULTS = (FaultKind.TORN_WAL_TAIL, FaultKind.FORCE_FAIL)
 #: faults that target positions *inside* a batched wire request
 BATCH_FAULTS = (FaultKind.CRASH_MID_BATCH,)
 
-#: faults that kill the server inside a *planned* restart (drain/swap)
+#: faults that kill the server inside a *planned* restart's swap
 DRAIN_FAULTS = (FaultKind.CRASH_MID_DRAIN,)
 
-#: faults that kill the server inside a ``restore_to`` (drain/rewrite/boot)
+#: faults that kill the server inside a ``restore_to`` (rewrite/boot)
 RESTORE_FAULTS = (FaultKind.CRASH_MID_RESTORE,)
 
 

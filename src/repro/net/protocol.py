@@ -77,8 +77,9 @@ class ConnectRequest(Request):
 
     A server that answers a connect is alive, so the connect is also the
     liveness probe (it retired ``PingRequest``); mid planned restart it
-    waits behind the drain barrier like any request, and the swapped-in
-    engine answers it.  The recipe is what the new
+    waits for the engine mutex like any request, and the swapped-in engine
+    answers it.  Reap, session open and recipe run under one mutex hold, so
+    a swap never lands between them.  The recipe is what the new
     session needs before its first statement: ``reap`` lists sessions to
     disconnect first (a client's abandoned ones — their locks go before
     anything runs), then ``sql`` runs, with ``placeholders``, in the new

@@ -117,7 +117,7 @@ class TcpServer:
     ``start()`` spins up the event loop on a daemon thread and binds the
     listener (``port=0`` picks a free port; the bound address is then in
     :attr:`address` / :attr:`url`).  The server is a *front end*, not the
-    engine: it keeps accepting while the engine is crashed or draining, so
+    engine: it keeps accepting while the engine is crashed or swapping, so
     clients always reach something that can tell them what is wrong —
     which is what makes reconnect recovery work over real sockets.
     """

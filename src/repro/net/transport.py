@@ -59,9 +59,10 @@ from repro.net.protocol import (
 __all__ = ["ServerEndpoint", "ClientChannel", "Transport", "InProcessTransport"]
 
 #: the mid-swap crash faults: where the kill lands, and the rewrite step of
-#: ``DatabaseServer._planned_swap`` that arg 1 lets run first — a planned
-#: restart's checkpoint, or a restore *to now*, so every committed
-#: transaction survives and the exactly-once oracle still applies
+#: ``DatabaseServer._planned_swap`` that arg 1 lets run first (arg 0 kills
+#: before it) — a planned restart's checkpoint, or a restore *to now*, so
+#: every committed transaction survives and the exactly-once oracle still
+#: applies
 _MID_SWAP = {
     FaultKind.CRASH_MID_DRAIN: ("mid-drain", lambda server: server.checkpoint()),
     FaultKind.CRASH_MID_RESTORE: ("mid-restore", lambda server: server.restore_storage_to(None)),
@@ -200,16 +201,10 @@ class ServerEndpoint:
             if fault in _MID_SWAP:
                 # A planned restart or a restore_to begins while this
                 # request is already on a worker, and the process is killed
-                # inside it: arg 0 dies in the drain window, arg 1 after the
-                # swap's rewrite step, before the fresh engine boots.  Either
-                # way the swap degrades into the unplanned crash path —
-                # crash() lifts the drain barrier so parked requests observe
-                # the dead server and recover.
+                # inside it: arg 0 before the swap's rewrite step, arg 1
+                # after it, before the fresh engine boots.  Either way the
+                # swap degrades into the unplanned crash path.
                 where, rewrite = _MID_SWAP[fault]
-                try:
-                    self.server.begin_drain()
-                except errors.OperationalError:
-                    pass  # already draining/down — the kill below still lands
                 if fault_arg:
                     try:
                         rewrite(self.server)
@@ -258,18 +253,21 @@ class ServerEndpoint:
     def _dispatch(self, request: Request) -> Response | StatementResult:
         server = self.server
         if isinstance(request, ConnectRequest):
-            reaped = server.disconnect_sessions(request.reap)
-            session_id = server.connect(request.user, request.options)
-            result = None
-            if request.sql:
-                try:
-                    result = server.execute(
-                        session_id, request.sql, placeholders=request.placeholders
-                    )
-                except errors.Error:
-                    if server.session_exists(session_id):
-                        server.disconnect(session_id)  # no half-built session stays
-                    raise
+            # one engine-mutex hold: a planned swap lands before or after a
+            # whole connect, never between its session open and its recipe
+            with server._engine_mutex:
+                reaped = server.disconnect_sessions(request.reap)
+                session_id = server.connect(request.user, request.options)
+                result = None
+                if request.sql:
+                    try:
+                        result = server.execute(
+                            session_id, request.sql, placeholders=request.placeholders
+                        )
+                    except errors.Error:
+                        if server.session_exists(session_id):
+                            server.disconnect(session_id)  # no half-built session stays
+                        raise
             return ConnectResponse(session_id=session_id, result=result, reaped=reaped)
         if isinstance(request, ExecuteRequest):
             return server.execute(

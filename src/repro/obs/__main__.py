@@ -36,7 +36,8 @@ def _parse_fault(spec: str) -> tuple[int, FaultKind]:
         ) from None
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line, apart from running it (the doc checker reads its flags)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Trace a faulted chaos run (or inspect a saved trace).",
@@ -67,8 +68,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--restarts",
         action="store_true",
-        help="print the planned-restart section: every server.drain / "
-        "server.swap span with its duration",
+        help="print the planned-restart section: every server.swap span "
+        "with its duration",
     )
     parser.add_argument(
         "--restores",
@@ -83,7 +84,11 @@ def main(argv: list[str] | None = None) -> int:
         "representative query mix over an indexed table, plus the executor "
         "counters showing which path each query actually took (no trace run)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.plans:
         print(render_plans())
@@ -157,21 +162,17 @@ def render_lock_waits(records: list[dict]) -> str:
 
 
 def render_restarts(records: list[dict]) -> str:
-    """The planned-restart section: one line per ``server.drain`` /
-    ``server.swap`` span (drain timeout, duration), in trace order —
-    the operator's view of how long each pause actually was."""
+    """The planned-restart section: one line per ``server.swap`` span, in
+    trace order — the operator's view of how long each pause actually was
+    (a swap holds the engine mutex for its whole span)."""
     spans = [
-        r
-        for r in records
-        if r.get("kind") == "span" and r.get("name") in ("server.drain", "server.swap")
+        r for r in records if r.get("kind") == "span" and r.get("name") == "server.swap"
     ]
     spans.sort(key=lambda r: r.get("start", 0.0))
-    lines = [f"planned restarts: {sum(1 for r in spans if r['name'] == 'server.drain')}"]
+    lines = [f"planned restarts: {len(spans)}"]
     for record in spans:
         duration_ms = (record.get("end", 0.0) - record.get("start", 0.0)) * 1000
-        timeout = record.get("attrs", {}).get("drain_timeout")  # drain spans only
-        detail = "" if timeout is None else f" drain_timeout={timeout}s"
-        lines.append(f"  {record['name']}{detail}: {duration_ms:.2f} ms")
+        lines.append(f"  {record['name']}: {duration_ms:.2f} ms")
     return "\n".join(lines)
 
 

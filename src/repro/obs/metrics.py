@@ -210,7 +210,6 @@ _SPAN_HISTOGRAMS = {
     "recovery.phase1.virtual_session": "recovery.phase1",
     "recovery.phase2.sql_state": "recovery.phase2",
     "engine.recovery": "engine.recovery",
-    "server.drain": "server.drain",
     "server.swap": "server.swap",
     "server.restore": "server.restore",
     "timetravel.reconstruct": "timetravel.reconstruct",

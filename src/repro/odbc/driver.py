@@ -87,8 +87,8 @@ class NativeDriver:
         connection's :attr:`~DriverConnection.opened`.
 
         A connect is also the liveness probe: a server that is down fails
-        it, and one mid planned restart holds it behind the drain barrier
-        until the swapped-in engine answers.  The channel of a failed
+        it, and one mid planned restart holds it on the engine mutex until
+        the swapped-in engine answers.  The channel of a failed
         connect is closed."""
         with get_tracer().span("driver.connect", user=user) as span:
             channel = self._open_channel()

@@ -136,3 +136,21 @@ def test_checker_flags_a_public_name_that_is_gone(tmp_path):
     assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 1
     doc.write_text('`repro.connect("main")`\n', encoding="utf-8")
     assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0
+
+
+def test_checker_flags_a_documented_cli_flag_the_parser_lacks(tmp_path):
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "GUIDE.md"
+    doc.write_text(
+        "`python -m repro.chaos --seed 1 --stride 11` and\n\n"
+        "```\npython -m repro.obs --restarts --drain-timeout 1  # --not-a-flag\n```\n\n"
+        "`python -m repro.bench.reporting fig2 --reps 2 --fast`\n",
+        encoding="utf-8",
+    )
+    assert check_doc_links.check_cli_flags(doc, tmp_path) == [
+        "docs/GUIDE.md: `python -m repro.bench.reporting --fast` — no such flag",
+        "docs/GUIDE.md: `python -m repro.obs --drain-timeout` — no such flag",
+    ]
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 1
+    doc.write_text("`python -m repro.obs --restarts --locks`\n", encoding="utf-8")
+    assert check_doc_links.main(["check_doc_links.py", str(tmp_path)]) == 0

@@ -7,9 +7,12 @@ whole Phoenix layer leans on (DESIGN.md §2, substitution table).
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, CommunicationError
 from repro.engine import DatabaseServer
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage
 
@@ -294,6 +297,42 @@ def test_shutdown_is_clean(server):
     server.shutdown()
     server2 = DatabaseServer(server.storage)
     assert rows(server2, "SELECT count(*) FROM t") == [(1,)]
+
+
+def test_shutdown_evicts_a_lock_waiter_instead_of_running_it(server):
+    """Shutdown ends the sessions, which frees the lock a waiter sleeps on.
+    The waiter must wake on the torn-down engine into a
+    CommunicationError: it must not commit after the shutdown, so the
+    restart redoes nothing and the row keeps its value."""
+    holder = server.connect()
+    execute(server, holder, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+    execute(server, holder, "INSERT INTO t VALUES (0, 0)")
+    execute(server, holder, "BEGIN TRANSACTION")
+    execute(server, holder, "UPDATE t SET v = 5 WHERE k = 0")
+    waiter = server.connect()
+    execute(server, waiter, "SET lock_timeout 5000")
+    outcome = []
+
+    def wait_for_the_row() -> None:
+        try:
+            outcome.append(execute(server, waiter, "UPDATE t SET v = v + 1 WHERE k = 0"))
+        except Exception as exc:  # noqa: BLE001 — asserted below
+            outcome.append(exc)
+
+    thread = threading.Thread(target=wait_for_the_row)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while not server.database.locks.waiting():
+        assert time.monotonic() < deadline, "the waiter never reached the lock wait"
+        time.sleep(0.001)
+    server.shutdown()
+    thread.join(5.0)
+    assert not thread.is_alive()
+
+    [error] = outcome
+    assert isinstance(error, CommunicationError)
+    assert server.restart().records_redone == 0
+    assert rows(server, "SELECT k, v FROM t") == [(0, 0)]
 
 
 def test_stats_track_crashes_and_restarts(server):

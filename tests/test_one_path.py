@@ -447,8 +447,10 @@ def test_deleted_settings_stay_deleted():
     answer, ETA and epoch, the test-only session reaper, the unread query
     timeout, the unused return codes, the time-travel archive with the
     log-prefix truncation it served, the lock modes no statement requests,
-    the per-part catalog meta entries and the client-side connection pool
-    are gone, not kept beside what replaced them."""
+    the per-part catalog meta entries, the client-side connection pool and
+    the planned restart's drain barrier beside the engine mutex (its
+    lifecycle, timeout, lock-waiter bounce and error class) are gone, not
+    kept beside what replaced them."""
     gone = {
         "row_locking", "bump_catalog", "catalog_version", "temp_version",
         "jitter_seed", "recovery_deadline", "simulated_seconds",
@@ -478,6 +480,12 @@ def test_deleted_settings_stay_deleted():
         "pool_checkouts", "pool_checkins", "pool_pings", "pool_replacements",
         "pool_exhausted", "pool_in_use", "pool_checkout", "pool_checkin",
         "pool_ping", "pool_replacement", "pool_exhaustion",
+        # a drain barrier beside the engine mutex, which already serializes
+        # every engine operation a planned swap must wait for
+        "begin_drain", "_end_drain", "_drain_in_flight", "lifecycle", "DRAIN_TIMEOUT",
+        "quiesce", "keys_with_pending", "_paused", "bounce_waiters",
+        "_bounce_generation", "_draining", "drain_bounces", "ServerRestartingError",
+        "drains_started", "drains_completed", "statements_bounced",
     }
     assert not gone & _identifiers_under_src()
     assert not (SRC / "pool.py").exists()
@@ -488,6 +496,8 @@ def test_deleted_settings_stay_deleted():
 
     assert not hasattr(ServerEndpoint, "handle")
     assert not hasattr(SessionDispatcher, "run")
+    assert not {"pause", "resume", "_active"} & set(vars(SessionDispatcher))
+    assert not hasattr(SessionDispatcher(), "_active")
     assert not hasattr(Transport, "close") and not hasattr(Transport, "describe")
     assert "extra" not in {field.name for field in dataclasses.fields(StatementResult)}
 

@@ -1,18 +1,19 @@
-"""Planned restarts: drain, engine swap, and client ride-through.
+"""Planned restarts: one engine swap under the engine mutex, and client
+ride-through.
 
 The paper only covers *unplanned* failure (DESIGN.md §5b); these tests pin
 the planned-maintenance path built on the same recovery machinery:
 
 * ``drain_and_restart`` under a 16-client workload completes with zero
-  client-visible errors and exactly-once effects (the PR's acceptance
-  line);
-* the drain barrier parks new work — a connect too, which the swapped-in
-  engine answers on the first try — drains wait out in-flight statements,
-  and lock waiters still waiting after ``DRAIN_TIMEOUT`` are bounced
-  retryably;
-* crashes *during* a drain or swap recover exactly-once like any other
-  crash (chaos sweep);
-* drain counters surface in ``MetricsRegistry.snapshot()["server"]``.
+  client-visible errors and exactly-once effects;
+* the swap holds the engine mutex from start to finish: a statement or
+  batch holding the mutex finishes first, a request that arrives meanwhile
+  waits — a connect too, which the swapped-in engine answers on the first
+  try — and a lock waiter is evicted as at a crash, its client riding
+  through;
+* crashes *during* a swap recover exactly-once like any other crash (chaos
+  sweep);
+* swap counters surface in ``MetricsRegistry.snapshot()["server"]``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import pytest
 
 import repro
 from repro.core import recovery
-from repro.engine import server as server_module
 from repro.engine.server import DrainStats
-from repro.errors import OperationalError
+from repro.errors import CommunicationError, ServerCrashedError
 
 
 def _make_table(system, rows: int = 1) -> None:
@@ -56,7 +56,7 @@ def test_single_session_rides_through_planned_restart(system):
 
     report = system.server.drain_and_restart()
     assert report is not None
-    assert system.server.up and system.server.lifecycle == "running"
+    assert system.server.up
 
     # the very next statement triggers session recovery, then succeeds
     cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
@@ -64,14 +64,6 @@ def test_single_session_rides_through_planned_restart(system):
     assert cursor.fetchall() == [(2,)]
     assert connection.stats.recoveries == 1
     connection.close()
-
-
-def test_drain_and_restart_uses_default_policy(system):
-    """The one drain timeout, ``DRAIN_TIMEOUT``, is the whole policy."""
-    _make_table(system)
-    system.server.drain_and_restart()
-    assert system.server.lifecycle == "running"
-    assert system.registry.server.drains_completed == 1
 
 
 def test_planned_restart_starts_the_caches_cold(system):
@@ -92,19 +84,10 @@ def test_planned_restart_starts_the_caches_cold(system):
     )
 
 
-def test_begin_drain_while_draining_raises(system):
-    system.server.begin_drain()
-    try:
-        with pytest.raises(OperationalError):
-            system.server.begin_drain()
-    finally:
-        system.server._end_drain()
-
-
 # ------------------------------------------------ the 16-client acceptance
 
 
-def test_drain_under_16_clients_zero_errors(system, monkeypatch):
+def test_drain_under_16_clients_zero_errors(system):
     clients, ops = 16, 6
     _make_table(system, rows=clients)
     system.endpoint.latency = 0.001
@@ -130,7 +113,6 @@ def test_drain_under_16_clients_zero_errors(system, monkeypatch):
         thread.start()
     barrier.wait()
     time.sleep(0.004)  # let the workload get airborne
-    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.5)
     system.server.drain_and_restart()
     for thread in threads:
         thread.join()
@@ -138,32 +120,37 @@ def test_drain_under_16_clients_zero_errors(system, monkeypatch):
     assert errors_seen == [], errors_seen
     assert _rows(system) == [(i, ops) for i in range(clients)]
     stats = system.registry.server
-    assert stats.drains_started == stats.drains_completed == 1
+    assert stats.swaps_completed == 1
     assert stats.sessions_ridden_through >= 1
     assert stats.max_pause_seconds > 0.0
     for connection in connections:
         connection.close()
 
 
-# ------------------------------------------------------------ drain barrier
+# ------------------------------------------------------ one mutex, one swap
+
+
+def _hold_mutex_in(system, method: str, entered, release) -> None:
+    """Make ``system.server.<method>`` take the engine mutex, then wait for
+    ``release`` before it runs: the call is *in flight* — it holds the
+    engine — when a swap begins."""
+    original = getattr(system.server, method)
+
+    def held(*args, **kwargs):
+        with system.server._engine_mutex:
+            entered.set()
+            release.wait(5.0)
+            return original(*args, **kwargs)
+
+    setattr(system.server, method, held)
 
 
 def test_graceful_drain_waits_for_inflight_statement(system):
     _make_table(system)
-    entered, release = threading.Event(), threading.Event()
-    original = system.server.execute
-
-    def slow_execute(session_id, sql, **kwargs):
-        # Phoenix ships DML wrapped in its status-table transaction, so
-        # match the statement anywhere in the script
-        if "UPDATE pr" in sql:
-            entered.set()
-            release.wait(5.0)
-        return original(session_id, sql, **kwargs)
-
-    system.server.execute = slow_execute
     connection = system.phoenix.connect(system.DSN)
     cursor = connection.cursor()
+    entered, release = threading.Event(), threading.Event()
+    _hold_mutex_in(system, "execute", entered, release)
     client = threading.Thread(
         target=cursor.execute, args=("UPDATE pr SET v = v + 1 WHERE k = 0",)
     )
@@ -173,10 +160,9 @@ def test_graceful_drain_waits_for_inflight_statement(system):
     drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
     time.sleep(0.05)
-    # the drain must be parked behind the in-flight statement, not past it
+    # the swap waits for the statement that holds the engine mutex
     assert drainer.is_alive()
-    assert system.server.lifecycle == "draining"
-    assert system.registry.server.drains_completed == 0
+    assert system.registry.server.swaps_completed == 0
 
     release.set()
     drainer.join(5.0)
@@ -185,10 +171,15 @@ def test_graceful_drain_waits_for_inflight_statement(system):
     # the statement ran to completion *before* the checkpoint + swap, so
     # its effect is durable in the swapped-in engine
     assert _rows(system) == [(0, 1)]
+    assert connection.stats.recoveries == 0
     connection.close()
 
 
-def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
+def test_swap_evicts_lock_waiter_whose_client_rides_through(system, monkeypatch):
+    """A statement asleep in a lock wait is the one statement that does not
+    hold the engine mutex: the swap evicts it at once, as a crash does.  It
+    wakes on the dead engine and writes nothing; its client rides through
+    and the replay lands exactly once."""
     _make_table(system)
     # a raw engine session holds the row lock in an open transaction
     holder = system.server.connect(user="holder")
@@ -199,6 +190,7 @@ def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
     monkeypatch.setattr(recovery, "PING_INTERVAL", 0.005)
     connection = system.phoenix.connect(system.DSN)
     cursor = connection.cursor()
+    cursor.execute("SET lock_timeout 5000")  # waits outlast the swap
     waits_before = system.registry.locks.waits
     client = threading.Thread(
         target=cursor.execute, args=("UPDATE pr SET v = v + 1 WHERE k = 0",)
@@ -209,18 +201,55 @@ def test_deadline_drain_bounces_lock_waiter_retryably(system, monkeypatch):
         assert time.monotonic() < deadline, "client never reached the lock wait"
         time.sleep(0.001)
 
-    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.02)
     system.server.drain_and_restart()
     client.join(5.0)
     assert not client.is_alive()
 
-    # the waiter was bounced (deadlock-victim style), recovered, retried —
-    # and the holder's never-committed transaction died with its session
-    assert system.registry.locks.drain_bounces >= 1
-    assert system.registry.server.statements_bounced >= 1
-    assert connection.stats.recoveries >= 1
+    # the waiter was evicted, recovered, retried — and the holder's
+    # never-committed transaction died with its session
+    assert system.registry.server.waiters_evicted >= 1
+    assert connection.stats.recoveries == 1
     assert _rows(system) == [(0, 1)]
     connection.close()
+
+
+def test_a_swap_never_lands_inside_a_connect(system):
+    """Reap, session open and recipe are one engine-mutex hold: a swap that
+    begins while a connect's recipe runs waits for the whole connect, so
+    the session it ends is a finished one, never a half-built one."""
+    _make_table(system)
+    entered, release = threading.Event(), threading.Event()
+    original = system.server.execute
+
+    def held_recipe(session_id, sql, **kwargs):
+        if "recipe" in sql:
+            entered.set()
+            release.wait(5.0)
+        return original(session_id, sql, **kwargs)
+
+    system.server.execute = held_recipe
+    driver = repro.NativeDriver(system.transport)
+    failures: list[str] = []
+    opened = []
+    connecting = _spawn(
+        failures,
+        lambda: opened.append(driver.connect("c", recipe="SELECT 1 AS recipe FROM pr")),
+    )
+    assert entered.wait(5.0)
+    swapping = _spawn(failures, system.server.drain_and_restart)
+    time.sleep(0.05)
+    assert swapping.is_alive()  # waits for the whole connect
+    assert system.registry.server.swaps_completed == 0
+
+    release.set()
+    for thread in (connecting, swapping):
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert failures == []
+    [connection] = opened
+    assert connection.opened.result.rows == [(1,)]  # the recipe ran in the session
+    assert system.registry.server.sessions_ridden_through == 1
+    assert connection.session_id not in system.server.sessions
 
 
 # ------------------------------------------------------------- parked connect
@@ -241,75 +270,65 @@ def _spawn(failures: list[str], fn, *args) -> threading.Thread:
     return thread
 
 
-def _begin_held_drain(system, failures: list[str]):
-    """Start ``drain_and_restart`` on a thread of its own and hold it open:
-    a Phoenix session's statement on row 1 is in flight when the drain
-    begins and runs until the returned event is set.
-
-    Returns ``(release, threads, holder)``; ``threads`` are the holder's
-    statement and the drain, to be joined after ``release.set()``.
-    """
-    holder = system.phoenix.connect(system.DSN)
+def _hold_swap_open(system, failures: list[str]):
+    """Start ``drain_and_restart`` on a thread of its own and hold it open
+    inside the engine mutex: its checkpoint waits until the returned event
+    is set.  Returns ``(release, thread)``."""
     entered, release = threading.Event(), threading.Event()
-    original = system.server.execute
+    database = system.server.database
+    checkpoint = database.checkpoint
 
-    def slow_execute(session_id, sql, **kwargs):
-        if "k = 1" in sql:
-            entered.set()
-            release.wait(5.0)
-        return original(session_id, sql, **kwargs)
+    def held_checkpoint():
+        entered.set()
+        release.wait(5.0)
+        return checkpoint()
 
-    system.server.execute = slow_execute
-    holding = _spawn(failures, holder.cursor().execute, "UPDATE pr SET v = v + 1 WHERE k = 1")
+    database.checkpoint = held_checkpoint
+    swapping = _spawn(failures, system.server.drain_and_restart)
     assert entered.wait(5.0)
-    draining = _spawn(failures, system.server.drain_and_restart)
-    deadline = time.monotonic() + 5.0
-    while system.server.lifecycle != "draining":
-        assert time.monotonic() < deadline, "the drain never began"
-        time.sleep(0.001)
-    return release, [holding, draining], holder
+    return release, swapping
 
 
-def _wait_for_parked(system, count: int) -> None:
+def _wait_for_dispatched(system, count: int) -> None:
+    """Wait until the dispatcher has taken ``count`` requests: past the
+    held swap's start, each of them waits for the engine mutex."""
     deadline = time.monotonic() + 5.0
-    while len(system.server.dispatcher.keys_with_pending()) < count:
-        assert time.monotonic() < deadline, "the request never parked behind the barrier"
+    while system.registry.dispatch.dispatched < count:
+        assert time.monotonic() < deadline, "the request never reached the server"
         time.sleep(0.001)
 
 
-def connect_parks_behind_drain(system, driver) -> None:
-    """A connect issued after ``begin_drain`` parks behind the barrier like
-    any request, and the swapped-in engine answers it with one
-    ``ConnectRequest`` — no RESTARTING round trip, no backoff — while a
-    Phoenix session parked beside it rebuilds in one connect.
+def connect_waits_for_the_swap(system, driver) -> None:
+    """A connect issued while a swap holds the engine mutex waits for it
+    like any request, and the swapped-in engine answers it with one
+    ``ConnectRequest`` — no retry, no backoff — while a Phoenix session
+    waiting beside it rebuilds in one connect.
 
     ``driver`` is a native driver of the test's own (its counts are the
-    parked connect's alone); ``tests/test_tcp.py`` runs this over the
-    socket.  The drain runs on a thread of its own, and every connect and
-    statement issued mid drain on another: one issued on the thread that
-    holds the drain would park forever.
+    waiting connect's alone); ``tests/test_tcp.py`` runs this over the
+    socket.
     """
-    _make_table(system, rows=2)
+    _make_table(system)
     rider = system.phoenix.connect(system.DSN)
     rider_cursor = rider.cursor()
     rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
     failures: list[str] = []
     opened = []
 
-    release, threads, holder = _begin_held_drain(system, failures)
+    release, swapping = _hold_swap_open(system, failures)
     connects = system.registry.network.by_request_type["ConnectRequest"]
+    dispatched = system.registry.dispatch.dispatched
     connecting = _spawn(failures, lambda: opened.append(driver.connect("parked")))
     riding = _spawn(failures, rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
-    # the holder's session is running; the connect and the rider wait
-    _wait_for_parked(system, 3)
+    _wait_for_dispatched(system, dispatched + 2)
     assert connecting.is_alive() and opened == [] and failures == []
 
     release.set()
-    for thread in (*threads, connecting, riding):
+    for thread in (swapping, connecting, riding):
         thread.join(5.0)
         assert not thread.is_alive()
     assert failures == []
-    assert system.registry.server.drains_completed == 1
+    assert system.registry.server.swaps_completed == 1
     # answered by the swapped-in engine (the swap ended every older session)
     [parked] = opened
     assert parked.session_id in system.server.sessions
@@ -318,46 +337,45 @@ def connect_parks_behind_drain(system, driver) -> None:
     # the rider rebuilt in one connect, without a single retried ping
     assert rider.stats.recoveries == 1 and rider.stats.recovery_pings == 0
     assert system.registry.network.by_request_type["ConnectRequest"] == connects + 1
-    assert _rows(system) == [(0, 2), (1, 1)]
+    assert _rows(system) == [(0, 2)]
     parked.disconnect()
     rider.close()
-    holder.close()
 
 
 def test_connect_mid_drain_parks_until_the_swapped_in_engine_answers(system):
-    connect_parks_behind_drain(system, repro.NativeDriver(system.transport))
+    connect_waits_for_the_swap(system, repro.NativeDriver(system.transport))
 
 
 def test_session_parked_by_drain_recovers_without_backoff(system, monkeypatch):
-    """A Phoenix session whose statement parks behind a planned restart's
-    barrier recovers on the swapped-in engine at once: its first connect
-    succeeds, so it never pings again and never sleeps a backoff step.
-    A ping interval far above the join timeout makes any backoff fail the
-    test rather than only slow it."""
+    """A Phoenix session whose statement waits for a swap recovers on the
+    swapped-in engine at once: its first connect succeeds, so it never
+    pings again and never sleeps a backoff step.  A ping interval far
+    above the join timeout makes any backoff fail the test rather than
+    only slow it."""
     monkeypatch.setattr(recovery, "PING_JITTER", 0.0)
     monkeypatch.setattr(recovery, "PING_INTERVAL", 30.0)
-    _make_table(system, rows=2)
+    _make_table(system)
     rider = system.phoenix.connect(system.DSN)
     rider_cursor = rider.cursor()
     rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
     failures: list[str] = []
 
-    release, threads, holder = _begin_held_drain(system, failures)
+    release, swapping = _hold_swap_open(system, failures)
+    dispatched = system.registry.dispatch.dispatched
     riding = _spawn(failures, rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
-    _wait_for_parked(system, 2)
+    _wait_for_dispatched(system, dispatched + 1)
     assert riding.is_alive() and failures == []
 
     release.set()
-    for thread in (*threads, riding):
+    for thread in (swapping, riding):
         thread.join(5.0)
         assert not thread.is_alive()
     assert failures == []
     assert rider.stats.recoveries == 1
     assert rider.stats.recovery_pings == 0
-    # the parked statement ran once, on the swapped-in engine
-    assert _rows(system) == [(0, 2), (1, 1)]
+    # the waiting statement ran once, on the swapped-in engine
+    assert _rows(system) == [(0, 2)]
     rider.close()
-    holder.close()
 
 
 # ------------------------------------------------------------- chaos: drain
@@ -373,7 +391,10 @@ def test_crash_mid_drain_schedules_recover_exactly_once():
     assert report.recovered_fraction == 1.0, report.summary()
 
 
-def test_crash_after_begin_drain_recovers(system):
+def test_crash_mid_swap_recovers(system):
+    """The process dies inside the swap, after its checkpoint and before
+    the fresh engine boots: the planned restart degrades into ordinary
+    crash recovery, and the client rides through exactly once."""
     _make_table(system)
     connection = system.phoenix.connect(system.DSN)
     connection.config.sleep = lambda _s: (
@@ -381,32 +402,40 @@ def test_crash_after_begin_drain_recovers(system):
     )
     cursor = connection.cursor()
     cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
+    database = system.server.database
+    checkpoint = database.checkpoint
 
-    system.server.begin_drain()
-    system.server.crash()  # the process dies mid-drain
-    assert system.server.lifecycle == "running"  # crash() tears the barrier down
+    def dying_checkpoint():
+        checkpoint()
+        system.server.crash()
+        raise ServerCrashedError("killed mid-swap")
+
+    database.checkpoint = dying_checkpoint
+    with pytest.raises(CommunicationError):
+        system.server.drain_and_restart()
+    assert not system.server.up
+    assert system.registry.server.swaps_completed == 0
 
     cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
     cursor.execute("SELECT v FROM pr WHERE k = 0")
     assert cursor.fetchall() == [(2,)]
+    assert connection.stats.recoveries == 1
     connection.close()
 
 
 # ------------------------------------------------------------------ metrics
 
 
-def test_drain_stats_surface_in_registry_snapshot(system, monkeypatch):
+def test_drain_stats_surface_in_registry_snapshot(system):
     _make_table(system)
     connection = system.phoenix.connect(system.DSN)
     connection.cursor().execute("SELECT v FROM pr WHERE k = 0")
-    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.0)
     system.server.drain_and_restart()
 
     section = system.registry.snapshot()["server"]
-    assert section["drains_started"] == 1
-    assert section["drains_completed"] == 1
+    assert section["swaps_completed"] == 1
     assert section["sessions_ridden_through"] >= 1
-    assert section["statements_bounced"] == 0
+    assert section["waiters_evicted"] == 0
     assert section["max_pause_seconds"] > 0.0
     connection.close()
 
@@ -420,5 +449,5 @@ def test_drain_stats_reset_with_registry(system):
 def test_drain_stats_cumulative_across_restarts(system):
     for _ in range(3):
         system.server.drain_and_restart()
-    assert system.registry.server.drains_completed == 3
+    assert system.registry.server.swaps_completed == 3
     assert system.server.stats.restarts == 3

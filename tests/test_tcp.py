@@ -18,7 +18,7 @@ from repro.engine.results import StatementResult
 from repro.net.protocol import ConnectRequest, ConnectResponse, ExecuteRequest
 from repro.net.tcp import TcpTransport
 from repro.net.transport import InProcessTransport
-from tests.test_planned_restart import connect_parks_behind_drain
+from tests.test_planned_restart import connect_waits_for_the_swap
 
 #: CI runs a reduced soak (REPRO_TCP_SOAK=300); the default is the
 #: acceptance-level thousand
@@ -170,7 +170,7 @@ def test_connect_mid_drain_parks_over_tcp(tcp_system):
     """The parked connect of ``tests/test_planned_restart.py``, with the
     stack and the parked connect both on the socket tier."""
     driver = repro.NativeDriver(TcpTransport(*tcp_system.tcp.address))
-    connect_parks_behind_drain(tcp_system, driver)
+    connect_waits_for_the_swap(tcp_system, driver)
 
 
 # --------------------------------------------------------------------------

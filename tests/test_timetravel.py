@@ -28,7 +28,6 @@ import time
 import pytest
 
 import repro
-from repro.engine import server as server_module
 from repro.engine.storage import FileStableStorage, InMemoryStableStorage
 from repro.engine.timetravel import LogIndex
 from repro.engine.wal import RecordType, scan_log
@@ -479,7 +478,7 @@ def test_phoenix_rides_through_restore_to_now(phoenix_conn, system):
     assert cursor.fetchall() == [(2,)]
 
 
-def test_restore_to_now_under_16_clients_zero_errors(system, monkeypatch):
+def test_restore_to_now_under_16_clients_zero_errors(system):
     clients, ops = 16, 6
     _run(
         system,
@@ -511,7 +510,6 @@ def test_restore_to_now_under_16_clients_zero_errors(system, monkeypatch):
         thread.start()
     barrier.wait()
     time.sleep(0.004)  # let the workload get airborne
-    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.5)
     report = system.server.restore_to(None)
     for thread in threads:
         thread.join()

@@ -341,9 +341,9 @@ def test_wal_counters_survive_crash_restart():
 
 
 def test_inflight_batch_group_forces_before_drain_swap():
-    """A batch already executing when a graceful drain begins must run to
-    completion — group force included — before the engine swap, never be
-    split by it."""
+    """A batch that holds the engine mutex when a planned restart begins
+    runs to completion — group force included — before the engine swap,
+    never split by it."""
     import threading
     import time
 
@@ -358,9 +358,10 @@ def test_inflight_batch_group_forces_before_drain_swap():
     original = system.server.execute_batch
 
     def slow_batch(session_id, sql, rows, **kwargs):
-        entered.set()
-        release.wait(5.0)
-        return original(session_id, sql, rows, **kwargs)
+        with system.server._engine_mutex:
+            entered.set()
+            release.wait(5.0)
+            return original(session_id, sql, rows, **kwargs)
 
     system.server.execute_batch = slow_batch
     failures: list[str] = []
@@ -379,9 +380,9 @@ def test_inflight_batch_group_forces_before_drain_swap():
     drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
     time.sleep(0.05)
-    # the swap must be parked behind the in-flight batch
+    # the swap waits for the batch that holds the engine mutex
     assert drainer.is_alive()
-    assert system.registry.server.drains_completed == 0
+    assert system.registry.server.swaps_completed == 0
     group_forces_before = system.registry.wal.group_forces
 
     release.set()
@@ -398,40 +399,32 @@ def test_inflight_batch_group_forces_before_drain_swap():
 
 
 def test_batch_parked_behind_drain_resolves_exactly_once_after_swap():
-    """A batch submitted *during* the drain parks behind the barrier, runs
-    against the swapped-in engine, loses its session, and is resolved by
-    ``resolve_batch`` on recovery — every statement lands exactly once,
+    """A batch submitted while a swap holds the engine mutex waits for it,
+    runs against the swapped-in engine, loses its session, and is resolved
+    by ``resolve_batch`` on recovery — every statement lands exactly once,
     none twice, none dropped."""
     import threading
     import time
 
     system = repro.make_system()
     _create_table(system)
-    blocker = system.phoenix.connect(system.DSN)
-    _auto_restart(system, blocker)
     batcher = system.phoenix.connect(system.DSN)
     _auto_restart(system, batcher)
     cursor = batcher.cursor()
     cursor.set_attr(StatementAttr.BATCH_SIZE, 3)
 
+    # the swap's checkpoint holds it open inside the engine mutex
     entered, release = threading.Event(), threading.Event()
-    original = system.server.execute
+    database = system.server.database
+    checkpoint = database.checkpoint
 
-    def slow_execute(session_id, sql, **kwargs):
-        # Phoenix re-renders the predicate with explicit parens
-        if "k = 999" in sql:
-            entered.set()
-            release.wait(5.0)
-        return original(session_id, sql, **kwargs)
+    def held_checkpoint():
+        entered.set()
+        release.wait(5.0)
+        return checkpoint()
 
-    system.server.execute = slow_execute
+    database.checkpoint = held_checkpoint
     failures: list[str] = []
-
-    def run_blocker() -> None:
-        try:
-            blocker.cursor().execute("UPDATE t SET v = 9.0 WHERE k = 999")
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"blocker {type(exc).__name__}: {exc}")
 
     def run_batch() -> None:
         try:
@@ -441,32 +434,26 @@ def test_batch_parked_behind_drain_resolves_exactly_once_after_swap():
         except Exception as exc:  # noqa: BLE001
             failures.append(f"batch {type(exc).__name__}: {exc}")
 
-    blocker_thread = threading.Thread(target=run_blocker)
-    blocker_thread.start()
-    assert entered.wait(5.0)  # the blocker holds the drain open
     drainer = threading.Thread(target=system.server.drain_and_restart)
     drainer.start()
-    deadline = time.monotonic() + 5.0
-    while system.server.lifecycle != "draining":
-        assert time.monotonic() < deadline
-        time.sleep(0.001)
+    assert entered.wait(5.0)
 
+    dispatched = system.registry.dispatch.dispatched
     batch_thread = threading.Thread(target=run_batch)
     batch_thread.start()
     deadline = time.monotonic() + 5.0
-    while batcher.app.session_id not in system.server.dispatcher.keys_with_pending():
-        assert time.monotonic() < deadline, "the batch never parked behind the barrier"
+    while system.registry.dispatch.dispatched == dispatched:
+        assert time.monotonic() < deadline, "the batch never reached the server"
         time.sleep(0.001)
 
     release.set()
-    for thread in (blocker_thread, drainer, batch_thread):
+    for thread in (drainer, batch_thread):
         thread.join(5.0)
         assert not thread.is_alive()
     assert failures == []
     assert cursor.rowcount == 3
     assert batcher.stats.recoveries >= 1  # the parked batch rode through
     assert _table_rows(system) == [(1, 1.0), (2, 2.0), (3, 3.0)]
-    blocker.close()
     batcher.close()
 
 
