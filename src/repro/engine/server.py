@@ -198,9 +198,9 @@ class DatabaseServer:
         without holding the engine mutex) into
         :class:`~repro.errors.ServerCrashedError`, and tells their cleanup
         paths that no undo — and no WAL write — may run.  Returns how many
-        waiters it evicted.
+        waiters it evicted.  :attr:`up` is the caller's: a crash and a
+        shutdown clear it, a swap keeps it set.
         """
-        self.up = False
         evicted = 0
         if self.database is not None:
             self.database.mark_dead()
@@ -214,6 +214,7 @@ class DatabaseServer:
     def crash(self) -> None:
         """Kill the server: all volatile state is gone, stable storage stays."""
         with self._engine_mutex:
+            self.up = False
             self._tear_down()
             # a dead server has no pending device fault — the injected torn
             # write / failed force models the crash moment itself
@@ -247,21 +248,30 @@ class DatabaseServer:
         The swap holds the engine mutex from start to finish: it ends every
         session (open transactions abort), runs ``rewrite``, tears the old
         engine down (evicting its lock waiters, as a crash does) and boots
-        a fresh one from stable storage.  :attr:`up` stays True, so a
-        request that arrives meanwhile waits for the mutex, meets the new
-        engine and finds its session gone: each Phoenix client rides
-        through on the paper's recovery path, in one connect.
+        a fresh one from stable storage.  :attr:`up` stays True throughout,
+        so a request that arrives meanwhile is not refused: it waits for
+        the mutex, meets the new engine and finds its session gone, and
+        each Phoenix client rides through on the paper's recovery path, in
+        one connect.  A boot that fails leaves the server down, as a crash.
+
+        The pause it records runs from the call, so it includes the wait
+        for a statement that holds the mutex — requests queued behind the
+        swap wait that long too.
 
         Returns ``(rewrite's result, sessions ridden through)``.
         """
+        start = time.monotonic()
         with self._engine_mutex, get_tracer().span(span, **attrs):
-            start = time.monotonic()
             self._require_up()
             ridden = len(self.sessions)
             self.end_sessions()
             result = rewrite()
             evicted = self._tear_down()
-            self._boot()
+            try:
+                self._boot()
+            except BaseException:
+                self.crash()
+                raise
             self.stats.restarts += 1
             stats = self.drain_stats
             stats.swaps_completed += 1
@@ -364,6 +374,7 @@ class DatabaseServer:
             self._require_up()
             self.end_sessions()
             self.database.checkpoint()
+            self.up = False
             self._tear_down()
 
     def _require_up(self) -> None:
@@ -411,6 +422,33 @@ class DatabaseServer:
             for session_id in reaped:
                 self.disconnect(session_id)
             return reaped
+
+    def serve_connect(
+        self,
+        user: str,
+        options: dict[str, Any] | None,
+        reap: list[int],
+        sql: str | None,
+        placeholders: list | None = None,
+    ) -> tuple[int, StatementResult | None, list[int]]:
+        """The server side of a wire connect: reap the listed sessions, open
+        a new one and run its recipe ``sql`` in it, all in one engine-mutex
+        hold — a planned swap lands before or after the whole connect, never
+        between its session open and its recipe.  A recipe that fails takes
+        the new session with it.  Returns ``(session id, the recipe's result
+        or None, the reaped ids)``."""
+        with self._engine_mutex:
+            reaped = self.disconnect_sessions(reap)
+            session_id = self.connect(user, options)
+            if not sql:
+                return session_id, None, reaped
+            try:
+                result = self.execute(session_id, sql, placeholders=placeholders)
+            except Error:
+                if self.session_exists(session_id):
+                    self.disconnect(session_id)  # no half-built session stays
+                raise
+            return session_id, result, reaped
 
     def _session(self, session_id: int) -> Session:
         try:

@@ -70,17 +70,15 @@ class FaultKind(enum.Enum):
     #: CRASH_BEFORE_EXECUTE.
     CRASH_MID_BATCH = "crash_mid_batch"
     #: a planned restart begins at this request and the process is killed
-    #: inside its swap: ``arg`` 0 before the checkpoint (nothing
-    #: checkpointed), ``arg`` 1 after it, before the fresh engine boots.
-    #: Either way the planned restart must degrade into the ordinary
-    #: crash-recovery path with exactly-once outcomes intact.
+    #: inside its swap, after it ended the sessions: ``arg`` 0 before the
+    #: checkpoint, ``arg`` 1 after it, before the fresh engine boots.  The
+    #: restart must degrade into crash recovery with exactly-once intact.
     CRASH_MID_DRAIN = "crash_mid_drain"
     #: a ``restore_to`` begins at this request and the process is killed
-    #: inside it: ``arg`` 0 before the storage rewrite (storage untouched),
-    #: ``arg`` 1 after the storage rewrite (a restore *to now*, preserving
-    #: all committed state) but before the fresh engine boots.  Either way
-    #: the restore must degrade into ordinary crash recovery with
-    #: exactly-once outcomes intact.
+    #: inside its swap, after it ended the sessions: ``arg`` 0 before the
+    #: storage rewrite, ``arg`` 1 after it (a restore *to now*, keeping all
+    #: committed state) but before the fresh engine boots.  Either way the
+    #: restore must degrade into crash recovery with exactly-once intact.
     CRASH_MID_RESTORE = "crash_mid_restore"
 
 

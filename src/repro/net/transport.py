@@ -58,14 +58,18 @@ from repro.net.protocol import (
 
 __all__ = ["ServerEndpoint", "ClientChannel", "Transport", "InProcessTransport"]
 
-#: the mid-swap crash faults: where the kill lands, and the rewrite step of
-#: ``DatabaseServer._planned_swap`` that arg 1 lets run first (arg 0 kills
-#: before it) — a planned restart's checkpoint, or a restore *to now*, so
-#: every committed transaction survives and the exactly-once oracle still
-#: applies
+#: the mid-swap crash faults: where the kill lands, the planned swap it
+#: lands in (its span), and that swap's rewrite step, which arg 1 lets run
+#: first (arg 0 kills before it) — a planned restart's checkpoint, or a
+#: restore *to now*, so every committed transaction survives and the
+#: exactly-once oracle still applies
 _MID_SWAP = {
-    FaultKind.CRASH_MID_DRAIN: ("mid-drain", lambda server: server.checkpoint()),
-    FaultKind.CRASH_MID_RESTORE: ("mid-restore", lambda server: server.restore_storage_to(None)),
+    FaultKind.CRASH_MID_DRAIN: (
+        "mid-drain", "server.swap", lambda server: server.database.checkpoint()
+    ),
+    FaultKind.CRASH_MID_RESTORE: (
+        "mid-restore", "server.restore", lambda server: server.restore_storage_to(None)
+    ),
 }
 
 
@@ -201,15 +205,22 @@ class ServerEndpoint:
             if fault in _MID_SWAP:
                 # A planned restart or a restore_to begins while this
                 # request is already on a worker, and the process is killed
-                # inside it: arg 0 before the swap's rewrite step, arg 1
-                # after it, before the fresh engine boots.  Either way the
-                # swap degrades into the unplanned crash path.
-                where, rewrite = _MID_SWAP[fault]
-                if fault_arg:
-                    try:
+                # inside the swap, after it ended the sessions: arg 0 before
+                # the swap's rewrite step, arg 1 after it, before the fresh
+                # engine boots.  Either way the swap degrades into the
+                # unplanned crash path.
+                where, span, rewrite = _MID_SWAP[fault]
+
+                def killed() -> None:
+                    if fault_arg:
                         rewrite(self.server)
-                    except (errors.Error, StorageFault):
-                        pass
+                    self.server.crash()
+                    raise errors.ServerCrashedError(f"killed {where}")
+
+                try:
+                    self.server._planned_swap(span, killed)
+                except (errors.Error, StorageFault):
+                    pass  # the kill, or a device fault that crashed first
                 self._kill()
                 raise errors.CommunicationError(
                     f"connection reset by peer (server crashed {where})"
@@ -253,21 +264,9 @@ class ServerEndpoint:
     def _dispatch(self, request: Request) -> Response | StatementResult:
         server = self.server
         if isinstance(request, ConnectRequest):
-            # one engine-mutex hold: a planned swap lands before or after a
-            # whole connect, never between its session open and its recipe
-            with server._engine_mutex:
-                reaped = server.disconnect_sessions(request.reap)
-                session_id = server.connect(request.user, request.options)
-                result = None
-                if request.sql:
-                    try:
-                        result = server.execute(
-                            session_id, request.sql, placeholders=request.placeholders
-                        )
-                    except errors.Error:
-                        if server.session_exists(session_id):
-                            server.disconnect(session_id)  # no half-built session stays
-                        raise
+            session_id, result, reaped = server.serve_connect(
+                request.user, request.options, request.reap, request.sql, request.placeholders
+            )
             return ConnectResponse(session_id=session_id, result=result, reaped=reaped)
         if isinstance(request, ExecuteRequest):
             return server.execute(

@@ -9,8 +9,9 @@ the planned-maintenance path built on the same recovery machinery:
 * the swap holds the engine mutex from start to finish: a statement or
   batch holding the mutex finishes first, a request that arrives meanwhile
   waits — a connect too, which the swapped-in engine answers on the first
-  try — and a lock waiter is evicted as at a crash, its client riding
-  through;
+  try, even between the teardown and the fresh boot, since the server never
+  reports down — and a lock waiter is evicted as at a crash, its client
+  riding through;
 * crashes *during* a swap recover exactly-once like any other crash (chaos
   sweep);
 * swap counters surface in ``MetricsRegistry.snapshot()["server"]``.
@@ -25,6 +26,7 @@ import pytest
 
 import repro
 from repro.core import recovery
+from repro.engine import server as engine_server
 from repro.engine.server import DrainStats
 from repro.errors import CommunicationError, ServerCrashedError
 
@@ -270,22 +272,30 @@ def _spawn(failures: list[str], fn, *args) -> threading.Thread:
     return thread
 
 
-def _hold_swap_open(system, failures: list[str]):
+def _hold_swap_open(system, failures: list[str], at: str = "checkpoint"):
     """Start ``drain_and_restart`` on a thread of its own and hold it open
-    inside the engine mutex: its checkpoint waits until the returned event
-    is set.  Returns ``(release, thread)``."""
+    inside the engine mutex until the returned event is set: in its
+    checkpoint (``at="checkpoint"``, the old engine still installed), or in
+    the fresh engine's restart recovery (``at="boot"``, after the teardown,
+    with no engine installed at all).  The server reports up either way.
+    Returns ``(release, thread)``."""
     entered, release = threading.Event(), threading.Event()
-    database = system.server.database
-    checkpoint = database.checkpoint
+    owner, name = {
+        "checkpoint": (system.server.database, "checkpoint"),
+        "boot": (engine_server, "recover"),
+    }[at]
+    original = getattr(owner, name)
 
-    def held_checkpoint():
+    def held(*args, **kwargs):
+        setattr(owner, name, original)  # hold the first call only
         entered.set()
         release.wait(5.0)
-        return checkpoint()
+        return original(*args, **kwargs)
 
-    database.checkpoint = held_checkpoint
+    setattr(owner, name, held)
     swapping = _spawn(failures, system.server.drain_and_restart)
     assert entered.wait(5.0)
+    assert system.server.up
     return release, swapping
 
 
@@ -298,14 +308,15 @@ def _wait_for_dispatched(system, count: int) -> None:
         time.sleep(0.001)
 
 
-def connect_waits_for_the_swap(system, driver) -> None:
+def connect_waits_for_the_swap(system, driver, at: str = "checkpoint") -> None:
     """A connect issued while a swap holds the engine mutex waits for it
     like any request, and the swapped-in engine answers it with one
     ``ConnectRequest`` — no retry, no backoff — while a Phoenix session
     waiting beside it rebuilds in one connect.
 
     ``driver`` is a native driver of the test's own (its counts are the
-    waiting connect's alone); ``tests/test_tcp.py`` runs this over the
+    waiting connect's alone); ``at`` is where the swap is held
+    (:func:`_hold_swap_open`); ``tests/test_tcp.py`` runs this over the
     socket.
     """
     _make_table(system)
@@ -315,7 +326,7 @@ def connect_waits_for_the_swap(system, driver) -> None:
     failures: list[str] = []
     opened = []
 
-    release, swapping = _hold_swap_open(system, failures)
+    release, swapping = _hold_swap_open(system, failures, at)
     connects = system.registry.network.by_request_type["ConnectRequest"]
     dispatched = system.registry.dispatch.dispatched
     connecting = _spawn(failures, lambda: opened.append(driver.connect("parked")))
@@ -344,6 +355,53 @@ def connect_waits_for_the_swap(system, driver) -> None:
 
 def test_connect_mid_drain_parks_until_the_swapped_in_engine_answers(system):
     connect_waits_for_the_swap(system, repro.NativeDriver(system.transport))
+
+
+def test_connect_during_the_swaps_boot_is_answered_on_the_first_try(system):
+    """Between the teardown and the fresh engine's boot there is no engine,
+    yet the server stays up: a connect that arrives then is not refused —
+    it waits for the mutex like any request."""
+    connect_waits_for_the_swap(system, repro.NativeDriver(system.transport), at="boot")
+
+
+def test_session_waiting_on_the_swaps_boot_never_backs_off(system):
+    """A Phoenix statement that arrives while the swap boots the fresh
+    engine waits for it, then recovers in one connect.  Its backoff hook is
+    the restart-a-down-server watchdog of the chaos suite: the server never
+    reports down, so the hook is never called, and never races the swap
+    into "server is already up"."""
+    _make_table(system)
+    rider = system.phoenix.connect(system.DSN)
+    backoffs: list[bool] = []
+
+    def watchdog(_seconds: float) -> None:
+        backoffs.append(system.server.up)
+        if not system.server.up:
+            system.endpoint.restart_server()
+
+    rider.config.sleep = watchdog
+    rider_cursor = rider.cursor()
+    rider_cursor.execute("UPDATE pr SET v = v + 1 WHERE k = 0")
+    failures: list[str] = []
+
+    release, swapping = _hold_swap_open(system, failures, at="boot")
+    dispatched = system.registry.dispatch.dispatched
+    riding = _spawn(failures, rider_cursor.execute, "UPDATE pr SET v = v + 1 WHERE k = 0")
+    _wait_for_dispatched(system, dispatched + 1)
+    time.sleep(0.02)  # past the endpoint's up check, into the mutex wait
+    assert system.server.up and system.server.database is None
+    assert riding.is_alive() and failures == []
+
+    release.set()
+    for thread in (swapping, riding):
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert failures == []
+    assert backoffs == []
+    assert rider.stats.recoveries == 1 and rider.stats.recovery_pings == 0
+    assert system.registry.server.swaps_completed == 1
+    assert _rows(system) == [(0, 2)]
+    rider.close()
 
 
 def test_session_parked_by_drain_recovers_without_backoff(system, monkeypatch):
@@ -421,6 +479,29 @@ def test_crash_mid_swap_recovers(system):
     assert cursor.fetchall() == [(2,)]
     assert connection.stats.recoveries == 1
     connection.close()
+
+
+def test_a_swap_whose_boot_fails_leaves_the_server_down(system, monkeypatch):
+    """The swap tears the old engine down before the fresh one boots, so a
+    boot that fails (restart recovery cannot read the device) has no engine
+    to fall back on: the server goes down as at a crash — never up with no
+    engine — and a restart brings it back."""
+    _make_table(system)
+
+    def unreadable(*_args, **_kwargs):
+        raise OSError("device unreadable")
+
+    monkeypatch.setattr(engine_server, "recover", unreadable)
+    crashes = system.server.stats.crashes
+    with pytest.raises(OSError):
+        system.server.drain_and_restart()
+    assert not system.server.up
+    assert system.server.stats.crashes == crashes + 1
+    assert system.registry.server.swaps_completed == 0
+
+    monkeypatch.undo()
+    system.server.restart()
+    assert _rows(system) == [(0, 0)]
 
 
 # ------------------------------------------------------------------ metrics

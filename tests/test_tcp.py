@@ -173,6 +173,14 @@ def test_connect_mid_drain_parks_over_tcp(tcp_system):
     connect_waits_for_the_swap(tcp_system, driver)
 
 
+def test_connect_during_the_swaps_boot_over_tcp(tcp_system):
+    """The same connect, held while the swap boots the fresh engine — the
+    window in which no engine is installed and the server still reports
+    up."""
+    driver = repro.NativeDriver(TcpTransport(*tcp_system.tcp.address))
+    connect_waits_for_the_swap(tcp_system, driver, at="boot")
+
+
 # --------------------------------------------------------------------------
 # parity: the full phoenix trace over both transports
 # --------------------------------------------------------------------------
